@@ -7,7 +7,7 @@ import "fmt"
 // vectors the core collectives carry — so these stream their bodies in
 // bounded chunks. Like every collective here they are built from
 // point-to-point messages (bytes and message counts are accounted by Send)
-// and behave identically on the in-process and gob-TCP transports. All
+// and behave identically on the in-process and TCP transports. All
 // machines must call the same collective in the same order.
 
 // Uint64SliceBody carries a vector of packed uint64 words (edge keys,

@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,15 +10,34 @@ import (
 )
 
 // TCP transport: the same Comm contract as the in-process cluster, but each
-// machine is its own OS process. A router in the rank-0 process accepts one
-// connection per worker and forwards frames by destination rank, so workers
-// need no mesh of connections. Payloads are gob-encoded Body values; register
-// concrete body types with RegisterBody before dialing.
+// machine is its own OS process — the deployed path of cmd/dneworker. A
+// router in the rank-0 process accepts one connection per worker and
+// forwards frames by destination rank, so workers need no mesh of
+// connections.
 //
-// This transport exists to demonstrate that the algorithms are written
-// against message passing only (cmd/dneworker, examples/multiprocess); the
-// in-process transport remains the default for experiments because it
-// eliminates serialisation noise from measurements.
+// Everything on a connection is a length-prefixed binary frame (wire.go has
+// the layout): a 16-byte header, then the payload a body's AppendWire wrote.
+// A body type is carried if it implements WireBody and its decoder is
+// registered with RegisterWire.
+//
+//	who      does what with a frame
+//	Send     encodes header + body once into the node's write buffer
+//	flush    writes every buffered frame with one socket write
+//	router   reads the header, forwards header + payload bytes undecoded
+//	node     decodes the payload by its kind into a fresh Body
+//	self     a send to one's own rank is handed over by reference, unencoded
+//
+// Writes are coalesced: Send only buffers, and the buffer goes out when the
+// owner next blocks in the transport (Recv, RecvN, Barrier, Close), when it
+// passes flushThreshold, or — for a sender that never calls again — when the
+// late-flush timer fires lateFlushDelay after the first buffered frame. A
+// superstep phase of P sends is therefore one write. Heartbeats are written
+// through at once.
+//
+// Bytes from the network are untrusted: a frame's length is bounded and
+// never sizes an allocation (frameReader.fill), ranks and kinds are checked,
+// and a payload its decoder rejects fails the node's mailbox, so the blocked
+// Recv panics *ConnLostError* like any other transport death.
 //
 // Fault tolerance: with RouterOptions.MaxRejoins > 0 the router survives a
 // worker death. The mesh is generational — when any worker connection dies
@@ -33,32 +51,26 @@ import (
 // sides bound the silence they tolerate with read deadlines, and a peer
 // silent past the bound is treated exactly like a closed one.
 
-// RegisterBody registers a concrete Body implementation for gob transport.
-func RegisterBody(b Body) { gob.Register(b) }
-
-// frame is the unit forwarded by the router; Payload is an opaque
-// gob-encoded bodyEnvelope so the router never needs body types.
-type frame struct {
-	From, To int
-	Tag      Tag
-	Seq      uint64
-	Payload  []byte
-	Hello    bool // first frame on a connection: From identifies the worker
-	Bye      bool // worker is done; router closes after all byes
-	Hb       bool // heartbeat; router echoes it back, never forwarded
-}
-
-// bodyEnvelope wraps the Body interface for gob.
-type bodyEnvelope struct {
-	B Body
-}
+const (
+	// flushThreshold is the buffered size at which Send writes without
+	// waiting for the owner to block: bulk exchanges (the shuffle's 256 KiB
+	// chunks) stream out instead of accumulating.
+	flushThreshold = 64 << 10
+	// lateFlushDelay is how long a buffered frame can wait for its sender
+	// to block before the timer writes it. It is the delivery bound for a
+	// sender that never calls the transport again; a lock-step sender always
+	// flushes sooner itself.
+	lateFlushDelay = 250 * time.Microsecond
+	// helloTimeout bounds how long the router waits for an accepted
+	// connection's hello: a client that connects and stays silent is an
+	// error, not a hang.
+	helloTimeout = 10 * time.Second
+)
 
 // TCPNode is a Comm over the router.
 type TCPNode struct {
 	rank, size int
 	conn       net.Conn
-	enc        *gob.Encoder
-	encMu      sync.Mutex
 	box        *mailbox
 	stats      *Stats
 	seq        uint64
@@ -66,6 +78,11 @@ type TCPNode struct {
 	hbStop     chan struct{}
 	hbTimeout  time.Duration
 	closeOnce  sync.Once
+
+	wmu  sync.Mutex  // guards the fields below and writes to conn
+	wbuf []byte      // encoded frames not yet written
+	werr error       // first write failure; every later write fails with it
+	late *time.Timer // writes wbuf if the owner does not block first
 }
 
 var _ Comm = (*TCPNode)(nil)
@@ -99,21 +116,25 @@ func StartRouter(addr string, size int) (string, func() error, error) {
 
 // routerPeer is one worker connection from the router's point of view.
 type routerPeer struct {
-	enc  *gob.Encoder
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes the forwarders writing to conn
 	conn net.Conn
+	fr   *frameReader
 }
 
-func (p *routerPeer) send(f frame) error {
+func (p *routerPeer) write(raw []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.enc.Encode(f)
+	_, err := p.conn.Write(raw)
+	return err
 }
 
 // StartRouterOpts listens on addr and forwards frames among size machines,
 // rebuilding the mesh up to opt.MaxRejoins times when a worker connection
 // dies mid-run (see the package comment on fault tolerance).
 func StartRouterOpts(addr string, size int, opt RouterOptions) (string, func() error, error) {
+	if size <= 0 || size > maxRanks {
+		return "", nil, fmt.Errorf("cluster: router size %d outside [1, %d]", size, maxRanks)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("cluster: router listen: %w", err)
@@ -139,11 +160,11 @@ func routerLoop(ln net.Listener, size int, opt RouterOptions) error {
 		logf = func(string, ...any) {}
 	}
 	for gen := 0; ; gen++ {
-		peers, decs, ranks, err := acceptMesh(ln, size, gen, opt)
+		peers, err := acceptMesh(ln, size, gen, opt)
 		if err != nil {
 			return err
 		}
-		err = runGeneration(peers, decs, ranks, opt)
+		err = runGeneration(peers, opt)
 		if err == nil {
 			return nil
 		}
@@ -156,11 +177,35 @@ func routerLoop(ln net.Listener, size int, opt RouterOptions) error {
 	}
 }
 
+// readHello reads and validates the hello on a fresh connection and returns
+// the rank it announces. The header is checked before the payload is
+// awaited, so garbage fails on its first 16 bytes.
+func readHello(fr *frameReader, size int) (int, error) {
+	h, err := fr.peek()
+	if err != nil {
+		return 0, err
+	}
+	if h.flags != flagHello || h.length != helloBytes {
+		return 0, errors.New("first frame is not a hello")
+	}
+	_, raw, err := fr.next()
+	if err != nil {
+		return 0, err
+	}
+	if err := checkHello(raw[headerBytes:]); err != nil {
+		return 0, err
+	}
+	if h.from >= size {
+		return 0, fmt.Errorf("invalid rank %d", h.from)
+	}
+	return h.from, nil
+}
+
 // acceptMesh collects one hello per rank. For rebuild generations (gen > 0)
 // the whole collection is bounded by opt.RejoinWindow and a later hello for
 // an already-seen rank replaces the earlier connection (a worker may have
 // abandoned a dial that was sitting in the listen backlog).
-func acceptMesh(ln net.Listener, size, gen int, opt RouterOptions) ([]*routerPeer, []*gob.Decoder, []int, error) {
+func acceptMesh(ln net.Listener, size, gen int, opt RouterOptions) ([]*routerPeer, error) {
 	var deadline time.Time
 	if gen > 0 {
 		deadline = time.Now().Add(opt.RejoinWindow)
@@ -170,7 +215,6 @@ func acceptMesh(ln net.Listener, size, gen int, opt RouterOptions) ([]*routerPee
 		defer tl.SetDeadline(time.Time{})
 	}
 	peers := make([]*routerPeer, size)
-	decoders := make([]*gob.Decoder, size)
 	seen := 0
 	closeAll := func() {
 		for _, p := range peers {
@@ -184,54 +228,45 @@ func acceptMesh(ln net.Listener, size, gen int, opt RouterOptions) ([]*routerPee
 		if err != nil {
 			closeAll()
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return nil, nil, nil, fmt.Errorf("cluster: router: mesh rebuild timed out after %v with %d/%d workers", opt.RejoinWindow, seen, size)
+				return nil, fmt.Errorf("cluster: router: mesh rebuild timed out after %v with %d/%d workers", opt.RejoinWindow, seen, size)
 			}
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if !deadline.IsZero() {
-			conn.SetReadDeadline(deadline)
+		helloBy := deadline
+		if helloBy.IsZero() {
+			helloBy = time.Now().Add(helloTimeout)
 		}
-		dec := gob.NewDecoder(conn)
-		var hello frame
-		if err := dec.Decode(&hello); err != nil || !hello.Hello {
+		conn.SetReadDeadline(helloBy)
+		fr := newFrameReader(conn)
+		r, err := readHello(fr, size)
+		if err != nil {
 			conn.Close()
 			closeAll()
-			return nil, nil, nil, fmt.Errorf("cluster: router: bad hello: %v", err)
+			return nil, fmt.Errorf("cluster: router: bad hello: %w", err)
 		}
 		conn.SetReadDeadline(time.Time{})
-		r := hello.From
-		if r < 0 || r >= size {
-			conn.Close()
-			closeAll()
-			return nil, nil, nil, fmt.Errorf("cluster: router: invalid rank %d", r)
-		}
 		if peers[r] != nil {
 			if gen == 0 && opt.MaxRejoins == 0 {
 				conn.Close()
 				closeAll()
-				return nil, nil, nil, fmt.Errorf("cluster: router: invalid or duplicate rank %d", r)
+				return nil, fmt.Errorf("cluster: router: invalid or duplicate rank %d", r)
 			}
 			// Newest wins: the older connection is a stale dial the worker
 			// abandoned before this one.
 			peers[r].conn.Close()
 			seen--
 		}
-		peers[r] = &routerPeer{enc: gob.NewEncoder(conn), conn: conn}
-		decoders[r] = dec
+		peers[r] = &routerPeer{conn: conn, fr: fr}
 		seen++
 	}
-	ranks := make([]int, size)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return peers, decoders, ranks, nil
+	return peers, nil
 }
 
 // runGeneration forwards frames among one complete mesh until every worker
 // says goodbye (returns nil) or any connection dies (tears the whole mesh
 // down and returns the first error).
-func runGeneration(peers []*routerPeer, decs []*gob.Decoder, ranks []int, opt RouterOptions) error {
-	size := len(ranks)
+func runGeneration(peers []*routerPeer, opt RouterOptions) error {
+	size := len(peers)
 	done := make(chan error, size)
 
 	// closeAll tears the whole mesh down once any worker connection dies
@@ -243,52 +278,55 @@ func runGeneration(peers []*routerPeer, decs []*gob.Decoder, ranks []int, opt Ro
 	closeAll := func() {
 		closeOnce.Do(func() {
 			for _, p := range peers {
-				if p != nil {
-					p.conn.Close()
-				}
+				p.conn.Close()
 			}
 		})
 	}
 
-	forward := func(dec *gob.Decoder, rank int) {
+	// forward returns nil once rank has said goodbye, or why its connection
+	// must count as dead. The payload is never decoded: a frame leaves as
+	// the bytes it arrived as.
+	forward := func(rank int) error {
 		self := peers[rank]
+		hbEcho := controlFrame(flagHb, rank)
 		for {
 			if opt.HeartbeatTimeout > 0 {
 				self.conn.SetReadDeadline(time.Now().Add(opt.HeartbeatTimeout))
 			}
-			var f frame
-			if err := dec.Decode(&f); err != nil {
+			h, raw, err := self.fr.next()
+			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					globalFT.heartbeatTimeouts.Add(1)
 					err = fmt.Errorf("cluster: router: rank %d silent past heartbeat timeout %v", rank, opt.HeartbeatTimeout)
 				}
-				closeAll()
-				done <- fmt.Errorf("cluster: router: decode from %d: %w", rank, err)
-				return
+				return fmt.Errorf("cluster: router: read from %d: %w", rank, err)
 			}
-			if f.Hb {
+			switch {
+			case h.flags == flagHb:
 				// Echo so the worker's own silence bound is satisfied by a
 				// healthy router even when no algorithm traffic flows.
-				if err := self.send(frame{To: rank, Hb: true}); err != nil {
-					closeAll()
-					done <- fmt.Errorf("cluster: router: heartbeat echo to %d: %w", rank, err)
-					return
+				if err := self.write(hbEcho); err != nil {
+					return fmt.Errorf("cluster: router: heartbeat echo to %d: %w", rank, err)
 				}
-				continue
-			}
-			if f.Bye {
-				done <- nil
-				return
-			}
-			if err := peers[f.To].send(f); err != nil {
-				closeAll()
-				done <- fmt.Errorf("cluster: router: forward to %d: %w", f.To, err)
-				return
+			case h.flags == flagBye:
+				return nil
+			case h.flags != 0 || h.from != rank || h.to >= size:
+				return fmt.Errorf("cluster: router: rank %d sent an invalid frame (flags %#x, from %d, to %d)", rank, h.flags, h.from, h.to)
+			default:
+				if err := peers[h.to].write(raw); err != nil {
+					return fmt.Errorf("cluster: router: forward to %d: %w", h.to, err)
+				}
 			}
 		}
 	}
-	for i := range decs {
-		go forward(decs[i], ranks[i])
+	for rank := range peers {
+		go func(rank int) {
+			err := forward(rank)
+			if err != nil {
+				closeAll()
+			}
+			done <- err
+		}(rank)
 	}
 	var firstErr error
 	for i := 0; i < size; i++ {
@@ -298,9 +336,7 @@ func runGeneration(peers []*routerPeer, decs []*gob.Decoder, ranks []int, opt Ro
 	}
 	// Clean finish leaves the bye'd connections open; a failed one already
 	// closed everything via closeAll.
-	for _, p := range peers {
-		p.conn.Close()
-	}
+	closeAll()
 	return firstErr
 }
 
@@ -334,6 +370,9 @@ func DialTCPContext(ctx context.Context, addr string, rank, size int) (*TCPNode,
 // DialTCPOpts is DialTCPContext with a replaceable dial function and
 // optional heartbeats.
 func DialTCPOpts(ctx context.Context, addr string, rank, size int, o DialOptions) (*TCPNode, error) {
+	if size > maxRanks || rank < 0 || rank >= size {
+		return nil, fmt.Errorf("cluster: rank %d of %d outside what the wire format addresses (%d ranks)", rank, size, maxRanks)
+	}
 	dial := o.Dial
 	if dial == nil {
 		var d net.Dialer
@@ -346,7 +385,6 @@ func DialTCPOpts(ctx context.Context, addr string, rank, size int, o DialOptions
 	n := &TCPNode{
 		rank: rank, size: size,
 		conn:      conn,
-		enc:       gob.NewEncoder(conn),
 		box:       newMailbox(),
 		stats:     &Stats{},
 		hbTimeout: o.HeartbeatTimeout,
@@ -357,7 +395,7 @@ func DialTCPOpts(ctx context.Context, addr string, rank, size int, o DialOptions
 			n.conn.Close()
 		})
 	}
-	if err := n.enc.Encode(frame{From: rank, Hello: true}); err != nil {
+	if _, err := conn.Write(helloFrame(rank)); err != nil {
 		n.release()
 		conn.Close()
 		return nil, fmt.Errorf("cluster: hello: %w", err)
@@ -370,7 +408,8 @@ func DialTCPOpts(ctx context.Context, addr string, rank, size int, o DialOptions
 	return n, nil
 }
 
-// release detaches the context watchdog and stops the heartbeat sender.
+// release detaches the context watchdog and stops the heartbeat sender and
+// the late-flush timer.
 func (n *TCPNode) release() {
 	if n.stopWatch != nil {
 		n.stopWatch()
@@ -378,22 +417,57 @@ func (n *TCPNode) release() {
 	if n.hbStop != nil {
 		n.closeOnce.Do(func() { close(n.hbStop) })
 	}
+	n.wmu.Lock()
+	if n.late != nil {
+		n.late.Stop()
+	}
+	n.wmu.Unlock()
 }
 
-// heartbeatLoop sends a heartbeat frame every interval until release. A send
-// failure fails the mailbox (waking the machine goroutine wherever it is
-// blocked) rather than panicking in this background goroutine.
+// flushLocked writes every buffered frame with one socket write. The caller
+// holds wmu.
+func (n *TCPNode) flushLocked() error {
+	if n.werr == nil && len(n.wbuf) > 0 {
+		if _, err := n.conn.Write(n.wbuf); err != nil {
+			n.werr = err
+		}
+		n.wbuf = n.wbuf[:0]
+		if n.late != nil {
+			n.late.Stop()
+		}
+	}
+	return n.werr
+}
+
+// flush writes the buffered frames before the owner blocks. A failed write
+// fails the mailbox, so the receive that follows panics *ConnLostError* with
+// the first cause on record.
+func (n *TCPNode) flush() {
+	n.wmu.Lock()
+	err := n.flushLocked()
+	n.wmu.Unlock()
+	if err != nil {
+		n.box.fail(fmt.Errorf("cluster: write to router: %w", err))
+	}
+}
+
+// heartbeatLoop writes a heartbeat frame through every interval until
+// release. A send failure fails the mailbox (waking the machine goroutine
+// wherever it is blocked) rather than panicking in this background
+// goroutine.
 func (n *TCPNode) heartbeatLoop(interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	hb := controlFrame(flagHb, n.rank)
 	for {
 		select {
 		case <-n.hbStop:
 			return
 		case <-t.C:
-			n.encMu.Lock()
-			err := n.enc.Encode(frame{From: n.rank, Hb: true})
-			n.encMu.Unlock()
+			n.wmu.Lock()
+			n.wbuf = append(n.wbuf, hb...)
+			err := n.flushLocked()
+			n.wmu.Unlock()
 			if err != nil {
 				n.box.fail(fmt.Errorf("cluster: heartbeat send: %w", err))
 				return
@@ -403,13 +477,13 @@ func (n *TCPNode) heartbeatLoop(interval time.Duration) {
 }
 
 func (n *TCPNode) readLoop() {
-	dec := gob.NewDecoder(n.conn)
+	fr := newFrameReader(n.conn)
 	for {
 		if n.hbTimeout > 0 {
 			n.conn.SetReadDeadline(time.Now().Add(n.hbTimeout))
 		}
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		h, raw, err := fr.next()
+		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				globalFT.heartbeatTimeouts.Add(1)
 				err = fmt.Errorf("cluster: router silent past heartbeat timeout %v", n.hbTimeout)
@@ -419,15 +493,21 @@ func (n *TCPNode) readLoop() {
 			n.box.fail(err)
 			return
 		}
-		if f.Hb {
+		if h.flags == flagHb {
 			continue // echo of our own heartbeat; the read deadline is reset above
 		}
-		var env bodyEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(f.Payload)).Decode(&env); err != nil {
-			n.box.fail(fmt.Errorf("cluster: decode body: %w", err))
+		// Receivers index per-rank state by From, so a frame that lies about
+		// its ranks is as fatal as one that does not decode.
+		if h.flags != 0 || h.from >= n.size || h.to != n.rank {
+			n.box.fail(fmt.Errorf("cluster: invalid frame from the router (flags %#x, from %d, to %d)", h.flags, h.from, h.to))
 			return
 		}
-		n.box.put(Message{From: f.From, To: f.To, Tag: f.Tag, Seq: f.Seq, Body: env.B})
+		body, err := DecodeWire(h.kind, raw[headerBytes:])
+		if err != nil {
+			n.box.fail(fmt.Errorf("cluster: decode body from %d (tag %d, kind %d, %d bytes): %w", h.from, h.tag, h.kind, h.length, err))
+			return
+		}
+		n.box.put(Message{From: h.from, To: h.to, Tag: h.tag, Seq: h.seq, Body: body})
 	}
 }
 
@@ -440,33 +520,43 @@ func (n *TCPNode) Size() int { return n.size }
 // Stats implements Comm.
 func (n *TCPNode) Stats() *Stats { return n.stats }
 
-// Send implements Comm. A dead connection panics *ConnLostError*, the same
-// signal a blocked Recv raises, so one recovery path (dne.recoverConnLost)
-// covers both directions of the transport dying.
+// Send implements Comm: it encodes the message into the write buffer (see
+// the package comment for when the buffer is written). A dead connection
+// panics *ConnLostError*, the same signal a blocked Recv raises, so one
+// recovery path (dne.recoverConnLost) covers both directions of the
+// transport dying.
 func (n *TCPNode) Send(to int, tag Tag, body Body) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(bodyEnvelope{B: body}); err != nil {
-		panic(fmt.Sprintf("cluster: encode body: %v", err))
-	}
 	n.seq++
-	f := frame{From: n.rank, To: to, Tag: tag, Seq: n.seq, Payload: payload.Bytes()}
 	if to == n.rank {
-		// Local loopback without a network round trip, like the in-process
-		// transport (free).
-		var env bodyEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(f.Payload)).Decode(&env); err != nil {
-			panic(err)
-		}
-		n.box.put(Message{From: f.From, To: to, Tag: tag, Seq: f.Seq, Body: env.B})
+		// Local loopback by reference, like the in-process transport (free).
+		n.box.put(Message{From: n.rank, To: to, Tag: tag, Seq: n.seq, Body: body})
 		return
+	}
+	wb, ok := body.(WireBody)
+	if !ok || to < 0 || to >= n.size {
+		panic(fmt.Sprintf("cluster: cannot send %T to rank %d of %d: not a WireBody or no such rank", body, to, n.size))
 	}
 	wire := int64(headerBytes + body.WireSize())
 	n.stats.MessagesSent.Add(1)
 	n.stats.BytesSent.Add(wire)
 	globalObs.record(tag, n.rank, wire)
-	n.encMu.Lock()
-	err := n.enc.Encode(f)
-	n.encMu.Unlock()
+
+	n.wmu.Lock()
+	start := len(n.wbuf)
+	n.wbuf = appendMessage(n.wbuf, n.rank, to, tag, n.seq, wb)
+	err := n.werr
+	switch {
+	case err != nil:
+	case len(n.wbuf) >= flushThreshold:
+		err = n.flushLocked()
+	case start == 0:
+		if n.late == nil {
+			n.late = time.AfterFunc(lateFlushDelay, n.flush)
+		} else {
+			n.late.Reset(lateFlushDelay)
+		}
+	}
+	n.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("cluster: send to %d: %w", to, err)
 		n.box.fail(err)
@@ -475,10 +565,14 @@ func (n *TCPNode) Send(to int, tag Tag, body Body) {
 }
 
 // Recv implements Comm.
-func (n *TCPNode) Recv(tag Tag) Message { return n.box.take(tag) }
+func (n *TCPNode) Recv(tag Tag) Message {
+	n.flush()
+	return n.box.take(tag)
+}
 
 // RecvN implements Comm.
 func (n *TCPNode) RecvN(tag Tag, k int) []Message {
+	n.flush()
 	msgs := make([]Message, 0, k)
 	for len(msgs) < k {
 		msgs = append(msgs, n.box.take(tag))
@@ -489,6 +583,7 @@ func (n *TCPNode) RecvN(tag Tag, k int) []Message {
 
 // TryRecvAll implements Comm.
 func (n *TCPNode) TryRecvAll(tag Tag) []Message {
+	n.flush()
 	msgs := n.box.takeAll(tag)
 	sortMessages(msgs)
 	return msgs
@@ -503,18 +598,21 @@ func (n *TCPNode) Barrier() {
 		for i := 1; i < n.size; i++ {
 			n.Send(i, tagBarrier, Int64Body(1))
 		}
+		n.flush()
 		return
 	}
 	n.Send(0, tagBarrier, Int64Body(1))
 	n.Recv(tagBarrier)
 }
 
-// Close says goodbye to the router and closes the connection.
+// Close writes what is still buffered, says goodbye to the router and closes
+// the connection.
 func (n *TCPNode) Close() error {
 	n.release()
-	n.encMu.Lock()
-	err := n.enc.Encode(frame{From: n.rank, Bye: true})
-	n.encMu.Unlock()
+	n.wmu.Lock()
+	n.wbuf = append(n.wbuf, controlFrame(flagBye, n.rank)...)
+	err := n.flushLocked()
+	n.wmu.Unlock()
 	if err != nil {
 		n.conn.Close()
 		return err
@@ -523,8 +621,9 @@ func (n *TCPNode) Close() error {
 }
 
 // Abort closes the connection without a goodbye, as a crashed process
-// would. Tests use it to simulate a rank dying mid-superstep; the
-// fault-tolerant rejoin path uses it to discard a dead generation's node.
+// would: frames still buffered are lost with it. Tests use it to simulate a
+// rank dying mid-superstep; the fault-tolerant rejoin path uses it to
+// discard a dead generation's node.
 func (n *TCPNode) Abort() error {
 	n.release()
 	return n.conn.Close()

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-func init() { RegisterBody(Uint64SliceBody(nil)) }
-
-// The collectives are exercised over the gob-TCP transport, not just the
+// The collectives are exercised over the TCP transport, not just the
 // in-process cluster: every rank is a goroutine holding a real TCPNode
-// through the loopback router, so serialization, framing and the router's
-// forwarding order are all on the hook.
+// through the loopback router, so the body codecs, framing, write
+// coalescing and the router's forwarding order are all on the hook.
 
 func TestTCPAllGatherFamily(t *testing.T) {
 	const size = 4

@@ -1,12 +1,29 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
+
+// dialRaw opens a bare connection to the router and writes frames to it.
+func dialRaw(t *testing.T, addr string, frames ...[]byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if _, err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return conn
+}
 
 func TestRouterRejectsDuplicateRank(t *testing.T) {
 	addr, wait, err := StartRouter("127.0.0.1:0", 2)
@@ -20,54 +37,180 @@ func TestRouterRejectsDuplicateRank(t *testing.T) {
 	defer a.Close()
 	// Second hello with the same rank: the router must reject it and wait()
 	// must surface the error.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn).Encode(frame{From: 0, Hello: true}); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
+	dialRaw(t, addr, helloFrame(0)).Close()
 	err = wait()
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("wait() = %v, want duplicate-rank error", err)
 	}
 }
 
-func TestRouterRejectsOutOfRangeRank(t *testing.T) {
-	addr, wait, err := StartRouter("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
+// helloWith is a hello with its magic and version replaced.
+func helloWith(rank int, magic, version uint32) []byte {
+	f := helloFrame(rank)
+	binary.LittleEndian.PutUint32(f[headerBytes:], magic)
+	binary.LittleEndian.PutUint32(f[headerBytes+4:], version)
+	return f
+}
+
+// TestRouterRejectsBadHellos: whatever a connection opens with that is not
+// a valid hello must end the router with an error at once. The connection
+// stays open throughout, so a router that waited for more bytes would hang
+// here rather than pass by seeing the close.
+func TestRouterRejectsBadHellos(t *testing.T) {
+	oversized := helloFrame(0)
+	binary.LittleEndian.PutUint32(oversized, maxFramePayload+1)
+	cases := []struct {
+		name, want string
+		first      []byte
+	}{
+		{"out-of-range rank", "invalid rank", helloFrame(99)},
+		{"data frame before any hello", "not a hello", appendMessage(nil, 0, 0, TagUser, 1, Int64Body(1))},
+		{"wrong magic", "magic", helloWith(0, 0xdeadbeef, wireVersion)},
+		{"wrong wire version", "version", helloWith(0, wireMagic, wireVersion+1)},
+		{"text garbage", "", []byte("GET / HTTP/1.1\r\nHost: example\r\n\r\n")},
+		{"hello flag with a huge length", "", oversized},
+		{"gob-era hello", "", []byte{0x2b, 0xff, 0x81, 0x03, 0x01, 0x01, 0x05, 0x66, 0x72, 0x61, 0x6d, 0x65, 0x01, 0xff, 0x82, 0x00, 0x01}},
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn).Encode(frame{From: 99, Hello: true}); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if err := wait(); err == nil {
-		t.Fatal("wait() accepted an out-of-range rank")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, wait, err := StartRouter("127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := dialRaw(t, addr, tc.first)
+			defer conn.Close()
+			got := make(chan error, 1)
+			go func() { got <- wait() }()
+			select {
+			case err := <-got:
+				if err == nil || !strings.Contains(err.Error(), "bad hello") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("wait() = %v, want a bad-hello error mentioning %q", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("router still waiting 5s after a bad hello")
+			}
+		})
 	}
 }
 
-func TestRouterRejectsBadHello(t *testing.T) {
-	addr, wait, err := StartRouter("127.0.0.1:0", 1)
+// TestRouterRejectsInvalidFrames: after a valid hello, a frame the router
+// cannot route (no such destination, a forged sender, a control flag it does
+// not know, a length over the limit) tears the mesh down with an error; it
+// must not panic the router or be forwarded.
+func TestRouterRejectsInvalidFrames(t *testing.T) {
+	huge := appendMessage(nil, 0, 1, TagUser, 1, Int64Body(1))
+	binary.LittleEndian.PutUint32(huge, maxFramePayload+1)
+	cases := map[string][]byte{
+		"destination out of range": appendMessage(nil, 0, 7, TagUser, 1, Int64Body(1)),
+		"forged sender":            appendMessage(nil, 1, 0, TagUser, 1, Int64Body(1)),
+		"unknown flag":             controlFrame(0x80, 0),
+		"second hello":             helloFrame(0),
+		"length over the limit":    huge,
+	}
+	for name, frame := range cases {
+		t.Run(name, func(t *testing.T) {
+			addr, wait, err := StartRouter("127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, err := DialTCP(addr, 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Abort()
+			conn := dialRaw(t, addr, helloFrame(0), frame)
+			defer conn.Close()
+			if err := wait(); err == nil {
+				t.Fatal("wait() reported success after an invalid frame")
+			}
+			// The healthy peer sees the teardown, not the frame.
+			var cl *ConnLostError
+			if err := recvOrConnLost(func() { peer.Recv(TagUser) }); !errors.As(err, &cl) {
+				t.Fatalf("healthy peer: got %v, want ConnLostError", err)
+			}
+		})
+	}
+}
+
+// fakeRouter accepts one node connection, consumes its hello and hands the
+// connection to the test, which then plays a hostile router.
+func fakeRouter(t *testing.T) (addr string, accepted <-chan net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		if _, _, err := newFrameReader(conn).next(); err != nil {
+			conn.Close()
+			return
+		}
+		ch <- conn
+	}()
+	return ln.Addr().String(), ch
+}
+
+// withPayload is a message frame from rank 1 to rank 0 with an arbitrary
+// kind and payload.
+func withPayload(kind uint8, payload []byte) []byte {
+	f := appendFrameHeader(nil, frameHeader{length: uint32(len(payload)), from: 1, to: 0, tag: TagUser, kind: kind, seq: 1})
+	return append(f, payload...)
+}
+
+// TestNodeFailsMailboxOnHostileFrames: bytes from the router that do not
+// decode fail the mailbox, and the blocked Recv panics a typed
+// *ConnLostError — never a decode panic, a hang, or a silently wrong body.
+func TestNodeFailsMailboxOnHostileFrames(t *testing.T) {
+	misaddressed := appendMessage(nil, 1, 1, TagUser, 1, Int64Body(1))
+	fromNowhere := appendMessage(nil, 5, 0, TagUser, 1, Int64Body(1))
+	huge := withPayload(kindInt64, nil)
+	binary.LittleEndian.PutUint32(huge, maxFramePayload+1)
+	cases := map[string][]byte{
+		"unregistered body kind":          withPayload(200, make([]byte, 8)),
+		"kind zero on a message":          withPayload(0, nil),
+		"int64 body of 7 bytes":           withPayload(kindInt64, make([]byte, 7)),
+		"int64 slice of 12 bytes":         withPayload(kindInt64Slice, make([]byte, 12)),
+		"uint64 slice of 1 byte":          withPayload(kindUint64Slice, make([]byte, 1)),
+		"frame for another rank":          misaddressed,
+		"frame from a rank beyond size":   fromNowhere,
+		"control flag the node never got": controlFrame(flagBye, 1),
+		"length over the limit":           huge,
+		"truncated then closed":           withPayload(kindInt64, make([]byte, 8))[:headerBytes+3],
 	}
-	// A data frame before any hello.
-	if err := gob.NewEncoder(conn).Encode(frame{From: 0, To: 0, Tag: TagUser}); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if err := wait(); err == nil {
-		t.Fatal("wait() accepted a connection without a hello")
+	for name, frame := range cases {
+		t.Run(name, func(t *testing.T) {
+			addr, accepted := fakeRouter(t)
+			node, err := DialTCP(addr, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Abort()
+			conn := <-accepted
+			defer conn.Close()
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if name == "truncated then closed" {
+				conn.Close()
+			}
+			got := make(chan error, 1)
+			go func() { got <- recvOrConnLost(func() { node.Recv(TagUser) }) }()
+			select {
+			case err := <-got:
+				var cl *ConnLostError
+				if !errors.As(err, &cl) {
+					t.Fatalf("Recv: got %v, want ConnLostError", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Recv still blocked 5s after a hostile frame")
+			}
+		})
 	}
 }
 

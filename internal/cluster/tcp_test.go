@@ -5,8 +5,6 @@ import (
 	"testing"
 )
 
-func init() { RegisterBody(Int64Body(0)); RegisterBody(Int64SliceBody(nil)) }
-
 // runTCP spins up a router plus size nodes on localhost and runs fn on each.
 func runTCP(t *testing.T, size int, fn func(Comm) error) {
 	t.Helper()

@@ -29,7 +29,7 @@ import (
 //     subgraph's static structure (CSR, offsets) is rebuilt from it.
 //   - state-rNNN-sNNNNNNNN.dnc ("DNC1"): the mutable overlay at superstep s —
 //     owner words, compacted adjacency (eIdx + aliveLen), partition bitsets,
-//     boundary live/done sets, PRNG draw counts, gathered vectors, loop
+//     boundary live/done sets, PRNG draw counts, the global size vectors, loop
 //     counters. Everything derivable (drest, freeEdges, the target array) is
 //     recomputed on load instead of stored.
 //
@@ -38,8 +38,8 @@ import (
 // rename so a crash mid-write can never leave a readable half-checkpoint.
 //
 // Only the two newest state files are retained. That suffices for recovery:
-// the superstep loop's termination all-gathers mean no rank can finish
-// superstep i+1 before every rank finished superstep i, so the newest
+// a superstep ends by receiving every rank's step message, so no rank can
+// finish superstep i+1 before every rank finished superstep i, and the newest
 // checkpoint supersteps across ranks differ by at most one interval — the
 // negotiated min (cluster.AllGatherMin) is always present on every rank.
 

@@ -109,10 +109,10 @@ func (r *Result) MemScore(numEdges int64) float64 {
 // on a physical cluster of the given size under the cost model — the
 // substitution bridge between the in-process runtime (memcpy-fast
 // communication) and the paper's InfiniBand testbed. Each superstep is
-// charged four synchronisation rounds (select, sync, boundary/edges, and
-// the termination all-gathers), matching the protocol in machine.go.
+// charged its three synchronisation rounds (select, sync, step), matching
+// the protocol in machine.go.
 func (r *Result) SimulatedNetworkTime(m cluster.CostModel, machines int) time.Duration {
-	return m.Estimate(r.CommMessages, r.CommBytes, r.Iterations*4, machines)
+	return m.Estimate(r.CommMessages, r.CommBytes, r.Iterations*3, machines)
 }
 
 // Partition runs Distributed NE on g with numParts machines (the paper runs

@@ -2,6 +2,8 @@ package dne
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,12 +185,13 @@ func TestFTRecoveryRepeatedKillsBitIdentical(t *testing.T) {
 
 	want, ops := referenceRun(t, g, parts, cfg)
 
-	// Two successive generations die: rank 1 early in the first mesh, then
-	// rank 3 shortly after the resumed second mesh gets going. The third
-	// mesh runs to completion.
+	// Two successive generations die: rank 1 a quarter of the way through
+	// the first mesh, then rank 3 an eighth of a fault-free run's ops into
+	// the second, which resumed near that quarter mark and so has about
+	// three quarters of them still to do. The third mesh runs to completion.
 	schedule := map[genFault]cluster.FaultConfig{
 		{gen: 0, rank: 1}: {KillAtOp: ops[1] / 4},
-		{gen: 1, rank: 3}: {KillAtOp: 300},
+		{gen: 1, rank: 3}: {KillAtOp: ops[3] / 8},
 	}
 	res, fired := runFTCluster(t, g, parts, cfg, schedule)
 	if fired < 2 {
@@ -217,5 +220,129 @@ func TestFTRecoveryKillBeforeFirstCheckpoint(t *testing.T) {
 	}
 	if got := res.Checksum(); got != want {
 		t.Fatalf("restarted checksum %#x != fault-free %#x", got, want)
+	}
+}
+
+// TestFTResumeRestoresTerminationVectors stops a run at a kill, reads the
+// checkpoints it left, and resumes from them. The global vectors are no
+// longer gathered each superstep but summed from the step messages, so the
+// checkpointed copies are checked against what they must equal — partSizes
+// the sum of every rank's own allocation counts, freeVec each rank's count
+// of unowned edges — and the resumed run, which starts from those copies,
+// must finish exactly as the fault-free run does.
+func TestFTResumeRestoresTerminationVectors(t *testing.T) {
+	g := gen.RMAT(9, 8, 11)
+	const parts = 4
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	want, ops := referenceRun(t, g, parts, cfg)
+
+	dirs := make([]string, parts)
+	for r := range dirs {
+		dirs[r] = t.TempDir()
+	}
+	errNoRejoin := errors.New("first mesh only")
+	// runMesh runs PartitionShardsFT on every rank over one in-process mesh,
+	// with kill injected into rank 2's communicator when kill is set; a
+	// second Connect is refused, so a killed mesh ends where it died.
+	runMesh := func(kill uint64, loadShard func(rank int) (*graph.Shard, error)) (*ShardResult, []error) {
+		cl := cluster.New(parts)
+		results := make([]*ShardResult, parts)
+		errs := make([]error, parts)
+		var wg sync.WaitGroup
+		for rank := 0; rank < parts; rank++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				ckpt, err := NewCheckpointer(dirs[rank], rank, parts, 1, cfg)
+				if err != nil {
+					errs[rank] = err
+					return
+				}
+				connected := false
+				results[rank], _, errs[rank] = PartitionShardsFT(context.Background(), cfg, FTOptions{
+					Checkpoint: ckpt,
+					Connect: func(context.Context) (cluster.Comm, error) {
+						if connected {
+							return nil, errNoRejoin
+						}
+						connected = true
+						if kill == 0 || rank != 2 {
+							return cl.Node(rank), nil
+						}
+						f := cluster.NewFault(cl.Node(rank), cluster.FaultConfig{KillAtOp: kill})
+						f.OnKill = cl.FailAll
+						return f, nil
+					},
+					LoadShard: func() (*graph.Shard, error) { return loadShard(rank) },
+					Logf:      t.Logf,
+				})
+			}(rank)
+		}
+		wg.Wait()
+		return results[0], errs
+	}
+
+	_, errs := runMesh(ops[2]/2, func(rank int) (*graph.Shard, error) {
+		return graph.ShardsOf(g, parts)[rank], nil
+	})
+	for rank, err := range errs {
+		if !errors.Is(err, errNoRejoin) {
+			t.Fatalf("rank %d: killed mesh ended with %v, want the refused rejoin", rank, err)
+		}
+	}
+
+	// The newest superstep every rank can restore, as the resume negotiates it.
+	ckpts := make([]*Checkpointer, parts)
+	resume := int64(-1)
+	for rank := range ckpts {
+		ckpts[rank], _ = NewCheckpointer(dirs[rank], rank, parts, 1, cfg)
+		if n := ckpts[rank].Newest(); rank == 0 || n < resume {
+			resume = n
+		}
+	}
+	if resume < 1 {
+		t.Fatalf("kill at op %d left no common checkpoint past the initial one (newest %d)", ops[2]/2, resume)
+	}
+	states := make([]*machineCkpt, parts)
+	partSizes := make([]int64, parts)
+	freeVec := make([]int64, parts)
+	for rank := range states {
+		st, err := ckpts[rank].LoadState(resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[rank] = st
+		for q, x := range st.localPerPart {
+			partSizes[q] += x
+		}
+		for _, o := range st.owner {
+			if o == -1 {
+				freeVec[rank]++
+			}
+		}
+	}
+	if sum(partSizes) == 0 || sum(freeVec) == 0 {
+		t.Fatalf("superstep %d is not mid-run: %d edges allocated, %d free", resume, sum(partSizes), sum(freeVec))
+	}
+	for rank, st := range states {
+		if !slices.Equal(st.partSizes, partSizes) {
+			t.Errorf("rank %d superstep %d: checkpointed partSizes %v, ranks' own counts sum to %v", rank, resume, st.partSizes, partSizes)
+		}
+		if !slices.Equal(st.freeVec, freeVec) {
+			t.Errorf("rank %d superstep %d: checkpointed freeVec %v, ranks hold %v unowned edges", rank, resume, st.freeVec, freeVec)
+		}
+	}
+
+	res, errs := runMesh(0, func(rank int) (*graph.Shard, error) {
+		return nil, errors.New("a resumed run must not reload its shard")
+	})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: resume: %v", rank, err)
+		}
+	}
+	if got := res.Checksum(); got != want {
+		t.Fatalf("resumed checksum %#x != fault-free %#x", got, want)
 	}
 }

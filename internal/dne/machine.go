@@ -156,16 +156,15 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		capEdges = 1
 	}
 
-	// Globally gathered state, refreshed once per iteration.
+	// Global state, refreshed once per iteration from the step messages.
 	partSizes := make([]int64, p)    // |Eq| for every partition q
 	freeVec := make([]int64, p)      // free (unallocated) edges per machine
 	localPerPart := make([]int64, p) // edges this machine allocated, per owner
 
-	myFree := make([]int64, p)
 	var epEdges []graph.Edge
 	if in.resume == nil {
-		myFree[rank] = sg.freeEdges
-		freeVec = cluster.AllGatherSumVec(comm, myFree)
+		freeVec[rank] = sg.freeEdges
+		freeVec = cluster.AllGatherSumVec(comm, freeVec)
 		epEdges = make([]graph.Edge, 0, capEdges)
 	}
 	scratch := bitset.New(p)
@@ -205,7 +204,7 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	if in.resume != nil {
 		st := in.resume
 		if len(st.partSizes) != p || len(st.freeVec) != p || len(st.localPerPart) != p {
-			return fmt.Errorf("dne: checkpoint gathered vectors sized for %d parts, run has %d", len(st.partSizes), p)
+			return fmt.Errorf("dne: checkpoint size vectors sized for %d parts, run has %d", len(st.partSizes), p)
 		}
 		if err := st.restoreInto(sg, bnd, src); err != nil {
 			return err
@@ -392,16 +391,27 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			eOut[q] = append(eOut[q], sg.edges[le])
 			localPerPart[q]++
 		}
+		// localPerPart and sg.freeEdges are final for this superstep. The
+		// in-process transport hands localPerPart over by reference; it is
+		// next written after two more rounds, which no machine passes before
+		// every receiver has summed it below.
 		for q := 0; q < p; q++ {
-			comm.Send(q, tagBoundary, boundaryBody{Items: bItems[q]})
-			comm.Send(q, tagEdges, edgesBody{Edges: eOut[q]})
+			comm.Send(q, tagStep, stepBody{Items: bItems[q], Edges: eOut[q], PerPart: localPerPart, Free: sg.freeEdges})
 		}
 
 		// ------- Phase C: boundary/edge-set update (Alg. 1 L10–13) -------
+		// The same messages carry the termination check's inputs: every
+		// machine sums the same P vectors of integers, so partSizes and
+		// freeVec are identical everywhere without a gather of their own.
 		mergedSet.Clear()
 		mergedOrder = mergedOrder[:0]
-		for _, m := range comm.RecvN(tagBoundary, p) {
-			for _, it := range m.Body.(boundaryBody).Items {
+		clear(partSizes)
+		for _, m := range comm.RecvN(tagStep, p) {
+			body := m.Body.(stepBody)
+			if len(body.PerPart) != p {
+				return fmt.Errorf("dne: machine %d reports %d partition sizes, run has %d", m.From, len(body.PerPart), p)
+			}
+			for _, it := range body.Items {
 				if mergedSet.Add(it.V) {
 					mergedVal[it.V] = it.Drest
 					mergedOrder = append(mergedOrder, it.V)
@@ -409,23 +419,17 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 					mergedVal[it.V] += it.Drest
 				}
 			}
+			epEdges = append(epEdges, body.Edges...)
+			for q, x := range body.PerPart {
+				partSizes[q] += x
+			}
+			freeVec[m.From] = body.Free
 		}
 		for _, v := range mergedOrder {
 			bnd.Update(v, mergedVal[v])
 		}
-		for _, m := range comm.RecvN(tagEdges, p) {
-			epEdges = append(epEdges, m.Body.(edgesBody).Edges...)
-		}
 
 		// ------- Termination check (Alg. 1 L14–15) -------
-		partSizes = cluster.AllGatherSumVec(comm, localPerPart)
-		myFree[rank] = sg.freeEdges
-		for q := range myFree {
-			if q != rank {
-				myFree[q] = 0
-			}
-		}
-		freeVec = cluster.AllGatherSumVec(comm, myFree)
 		if anyCancel {
 			// Every machine received the same flag set, so every machine
 			// returns here, at the same superstep boundary.

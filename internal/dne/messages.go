@@ -1,23 +1,68 @@
 package dne
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// Message tags used by the DNE superstep protocol. Every machine sends
-// exactly one message of each phase tag to every machine per iteration
-// (possibly with an empty payload), so receivers always know how many
-// messages to expect; payloads are routed using the 2D-hash replica sets, so
-// *bytes* still follow the paper's O(√P) multicast fan-out.
+// Message tags used by the DNE superstep protocol. A superstep is three
+// rounds — select, sync, step — and every machine sends exactly one message
+// of each round's tag to every machine (possibly with an empty payload), so
+// receivers always know how many messages to expect; payloads are routed
+// using the 2D-hash replica sets, so *bytes* still follow the paper's O(√P)
+// multicast fan-out.
 const (
 	tagSelect cluster.Tag = cluster.TagUser + iota
 	tagSync
-	tagBoundary
-	tagEdges
+	tagStep
 	tagResult
-	tagSweep
 )
+
+// Body kinds of this package's messages on the TCP transport (the 16–31
+// block of cluster's kind namespace). Each body's WireSize is the exact
+// length of what its AppendWire writes, all fields little-endian; the
+// decoders reject any payload AppendWire could not have produced.
+const (
+	kindSelect uint8 = 16 + iota
+	kindSync
+	kindStep
+	kindResult
+	kindShardResult
+)
+
+func init() {
+	cluster.RegisterWire(kindSelect, decodeSelect)
+	cluster.RegisterWire(kindSync, decodeSync)
+	cluster.RegisterWire(kindStep, decodeStep)
+	cluster.RegisterWire(kindResult, decodeResult)
+	cluster.RegisterWire(kindShardResult, decodeShardResult)
+}
+
+var errWireShape = errors.New("dne: payload does not have the body's shape")
+
+// appendVPs writes pairs as 8-byte ⟨V u32, P i32⟩ records.
+func appendVPs(dst []byte, pairs []vp) []byte {
+	for _, x := range pairs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(x.V)|uint64(uint32(x.P))<<32)
+	}
+	return dst
+}
+
+func decodeVPs(p []byte) ([]vp, error) {
+	if len(p)%8 != 0 {
+		return nil, cluster.ErrWireLength
+	}
+	pairs := make([]vp, len(p)/8)
+	for i := range pairs {
+		w := binary.LittleEndian.Uint64(p[8*i:])
+		pairs[i] = vp{V: graph.Vertex(w), P: int32(w >> 32)}
+	}
+	return pairs, nil
+}
 
 // vp is a ⟨vertex, partition⟩ pair (the paper's VP/BP elements).
 type vp struct {
@@ -35,8 +80,42 @@ type selectBody struct {
 	Cancel   bool  // sender's context is cancelled; abort collectively
 }
 
-// WireSize implements cluster.Body.
-func (b selectBody) WireSize() int { return 8*len(b.Pairs) + 6 }
+// WireSize implements cluster.Body: SeedReq u8, Cancel u8, SeedPart i32,
+// then the pairs.
+func (b selectBody) WireSize() int { return 6 + 8*len(b.Pairs) }
+
+// WireKind implements cluster.WireBody.
+func (selectBody) WireKind() uint8 { return kindSelect }
+
+// AppendWire implements cluster.WireBody.
+func (b selectBody) AppendWire(dst []byte) []byte {
+	dst = append(dst, boolByte(b.SeedReq), boolByte(b.Cancel))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.SeedPart))
+	return appendVPs(dst, b.Pairs)
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func decodeSelect(p []byte) (cluster.Body, error) {
+	if len(p) < 6 || p[0] > 1 || p[1] > 1 {
+		return nil, errWireShape
+	}
+	pairs, err := decodeVPs(p[6:])
+	if err != nil {
+		return nil, err
+	}
+	return selectBody{
+		Pairs:    pairs,
+		SeedReq:  p[0] == 1,
+		Cancel:   p[1] == 1,
+		SeedPart: int32(binary.LittleEndian.Uint32(p[2:])),
+	}, nil
+}
 
 // syncBody synchronises newly-added vertex allocation ids among replicas
 // (SyncVertexAllocations, Alg. 2 Line 3).
@@ -47,6 +126,20 @@ type syncBody struct {
 // WireSize implements cluster.Body.
 func (b syncBody) WireSize() int { return 8 * len(b.Pairs) }
 
+// WireKind implements cluster.WireBody.
+func (syncBody) WireKind() uint8 { return kindSync }
+
+// AppendWire implements cluster.WireBody.
+func (b syncBody) AppendWire(dst []byte) []byte { return appendVPs(dst, b.Pairs) }
+
+func decodeSync(p []byte) (cluster.Body, error) {
+	pairs, err := decodeVPs(p)
+	if err != nil {
+		return nil, err
+	}
+	return syncBody{Pairs: pairs}, nil
+}
+
 // boundaryItem is one new boundary vertex with this allocator's local Drest
 // contribution (Alg. 2 Lines 5–6).
 type boundaryItem struct {
@@ -54,23 +147,70 @@ type boundaryItem struct {
 	Drest int32
 }
 
-// boundaryBody is sent allocator → expansion process p.
-type boundaryBody struct {
-	Items []boundaryItem
+// stepBody is the one message an allocation process sends every expansion
+// process at the end of a superstep. Items and Edges are addressed to the
+// receiving partition: its new boundary vertices with this allocator's local
+// Drest (Alg. 2 Lines 5–6) and the edges newly allocated to it (Alg. 2
+// Line 7; at the end of the run each machine holds its entire partition, the
+// paper's data-flow goal, §3.3). PerPart and Free are the sender's inputs to
+// the termination check (Alg. 1 Lines 14–15) and ride along instead of
+// taking two all-gathers of their own: both are final before the message is
+// sent, and every receiver sums the same P vectors.
+type stepBody struct {
+	Items   []boundaryItem
+	Edges   []graph.Edge
+	PerPart []int64 // edges the sender has allocated so far, per owner
+	Free    int64   // edges the sender still holds unallocated
 }
 
-// WireSize implements cluster.Body.
-func (b boundaryBody) WireSize() int { return 8 * len(b.Items) }
+// WireSize implements cluster.Body: the two counts (u32 each), the items
+// (⟨V u32, Drest i32⟩), the edges (⟨U u32, V u32⟩), PerPart (i64 each; its
+// length is what remains) and Free (i64).
+func (b stepBody) WireSize() int { return 8 + 8*(len(b.Items)+len(b.Edges)+len(b.PerPart)+1) }
 
-// edgesBody carries newly allocated edges back to the expansion process that
-// owns them (Alg. 2 Line 7); at the end of the run each machine holds its
-// entire partition, which is the paper's data-flow goal (§3.3).
-type edgesBody struct {
-	Edges []graph.Edge
+// WireKind implements cluster.WireBody.
+func (stepBody) WireKind() uint8 { return kindStep }
+
+// AppendWire implements cluster.WireBody.
+func (b stepBody) AppendWire(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Items)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Edges)))
+	for _, it := range b.Items {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(it.V)|uint64(uint32(it.Drest))<<32)
+	}
+	for _, e := range b.Edges {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.U)|uint64(e.V)<<32)
+	}
+	dst = cluster.AppendWords(dst, b.PerPart)
+	return binary.LittleEndian.AppendUint64(dst, uint64(b.Free))
 }
 
-// WireSize implements cluster.Body.
-func (b edgesBody) WireSize() int { return 8 * len(b.Edges) }
+func decodeStep(p []byte) (cluster.Body, error) {
+	if len(p) < 16 || len(p)%8 != 0 {
+		return nil, errWireShape
+	}
+	nItems := int64(binary.LittleEndian.Uint32(p))
+	nEdges := int64(binary.LittleEndian.Uint32(p[4:]))
+	words := int64(len(p)/8 - 2) // after the counts, before Free
+	if nItems > words || nEdges > words-nItems {
+		return nil, fmt.Errorf("dne: step body counts %d items and %d edges in %d words: %w", nItems, nEdges, words, errWireShape)
+	}
+	b := stepBody{Items: make([]boundaryItem, nItems), Edges: make([]graph.Edge, nEdges)}
+	p = p[8:]
+	for i := range b.Items {
+		w := binary.LittleEndian.Uint64(p[8*i:])
+		b.Items[i] = boundaryItem{V: graph.Vertex(w), Drest: int32(w >> 32)}
+	}
+	p = p[8*nItems:]
+	for i := range b.Edges {
+		w := binary.LittleEndian.Uint64(p[8*i:])
+		b.Edges[i] = graph.Edge{U: graph.Vertex(w), V: graph.Vertex(w >> 32)}
+	}
+	p = p[8*nEdges:]
+	b.PerPart, _ = cluster.DecodeWords[int64](p[:len(p)-8])
+	b.Free = int64(binary.LittleEndian.Uint64(p[len(p)-8:]))
+	return b, nil
+}
 
 // resultBody reports (global edge index, owner) pairs to the master for
 // assembling the final Partitioning (whole-graph path).
@@ -79,8 +219,25 @@ type resultBody struct {
 	Owner []int32
 }
 
-// WireSize implements cluster.Body.
+// WireSize implements cluster.Body: the indices (i64 each), then as many
+// owners (i32 each).
 func (b resultBody) WireSize() int { return 8*len(b.Idx) + 4*len(b.Owner) }
+
+// WireKind implements cluster.WireBody.
+func (resultBody) WireKind() uint8 { return kindResult }
+
+// AppendWire implements cluster.WireBody.
+func (b resultBody) AppendWire(dst []byte) []byte {
+	return cluster.AppendKeyed(dst, b.Idx, b.Owner)
+}
+
+func decodeResult(p []byte) (cluster.Body, error) {
+	idx, owner, err := cluster.DecodeKeyed[int64](p)
+	if err != nil {
+		return nil, err
+	}
+	return resultBody{Idx: idx, Owner: owner}, nil
+}
 
 // shardResultBody reports (packed canonical edge, owner) pairs to the
 // master — the shard path's result currency: no rank knows global edge
@@ -90,14 +247,22 @@ type shardResultBody struct {
 	Owner []int32
 }
 
-// WireSize implements cluster.Body.
+// WireSize implements cluster.Body: the keys (u64 each), then as many
+// owners (i32 each).
 func (b shardResultBody) WireSize() int { return 8*len(b.Keys) + 4*len(b.Owner) }
 
-// sweepBody instructs allocators to sweep leftover edges (only possible when
-// every partition hit the α cap in the same iteration) and reports counts.
-type sweepBody struct {
-	Count int64
+// WireKind implements cluster.WireBody.
+func (shardResultBody) WireKind() uint8 { return kindShardResult }
+
+// AppendWire implements cluster.WireBody.
+func (b shardResultBody) AppendWire(dst []byte) []byte {
+	return cluster.AppendKeyed(dst, b.Keys, b.Owner)
 }
 
-// WireSize implements cluster.Body.
-func (b sweepBody) WireSize() int { return 8 }
+func decodeShardResult(p []byte) (cluster.Body, error) {
+	keys, owner, err := cluster.DecodeKeyed[uint64](p)
+	if err != nil {
+		return nil, err
+	}
+	return shardResultBody{Keys: keys, Owner: owner}, nil
+}

@@ -119,28 +119,18 @@ func TestPartitionShardsUnevenAndEmptyShards(t *testing.T) {
 	}
 }
 
-func TestPartitionShardsOverTCPMatchesInProcess(t *testing.T) {
-	// The acceptance path: a 4-rank TCP run over disjoint shards must
-	// produce the identical partitioning (same checksum) as the in-process
-	// run — serialization, router framing and the chunked shuffle included.
-	g := gen.RMAT(8, 8, 5)
-	const parts = 4
-	cfg := DefaultConfig()
-	cfg.Seed = 17
-
-	inproc, err := Partition(g, parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum := partition.Checksum(inproc.Partitioning.Owner)
-
-	shards := hashShards(g, parts)
+// runShardTCP runs PartitionShards with one goroutine per rank, each holding
+// a real TCPNode through a loopback router, and returns rank 0's result and
+// every rank's stats.
+func runShardTCP(tb testing.TB, shards []*graph.Shard, cfg Config) (*ShardResult, []*MachineStats) {
+	tb.Helper()
+	parts := len(shards)
 	addr, wait, err := cluster.StartRouter("127.0.0.1:0", parts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	var mu sync.Mutex
-	var root *ShardResult
+	results := make([]*ShardResult, parts)
+	stats := make([]*MachineStats, parts)
 	errs := make([]error, parts)
 	var wg sync.WaitGroup
 	for rank := 0; rank < parts; rank++ {
@@ -152,33 +142,51 @@ func TestPartitionShardsOverTCPMatchesInProcess(t *testing.T) {
 				errs[rank] = err
 				return
 			}
-			res, _, err := PartitionShards(context.Background(), node, shards[rank], cfg)
+			results[rank], stats[rank], err = PartitionShards(context.Background(), node, shards[rank], cfg)
 			if err != nil {
+				node.Abort()
 				errs[rank] = err
 				return
 			}
-			mu.Lock()
-			if res != nil {
-				root = res
-			}
-			mu.Unlock()
 			errs[rank] = node.Close()
 		}(rank)
 	}
 	wg.Wait()
-	if err := wait(); err != nil {
-		t.Fatal(err)
-	}
 	for rank, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+			tb.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	if root == nil {
-		t.Fatal("rank 0 returned no result")
+	if err := wait(); err != nil {
+		tb.Fatal(err)
 	}
-	if got := root.Checksum(); got != wantSum {
-		t.Fatalf("TCP shard run checksum %#x != in-process %#x", got, wantSum)
+	if results[0] == nil {
+		tb.Fatal("rank 0 returned no result")
+	}
+	return results[0], stats
+}
+
+func TestPartitionShardsOverTCPMatchesInProcess(t *testing.T) {
+	// The acceptance path: a TCP run over hash-routed, duplicated shards must
+	// produce the identical partitioning (same checksum, same superstep
+	// count) as the in-process run — body codecs, framing, write coalescing,
+	// the router and the chunked shuffle included — on a square grid and a
+	// non-square one.
+	g := gen.RMAT(12, 8, 5)
+	for _, parts := range []int{4, 6} {
+		cfg := DefaultConfig()
+		cfg.Seed = 17
+		inproc, err := Partition(g, parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, stats := runShardTCP(t, hashShards(g, parts), cfg)
+		if got, want := root.Checksum(), partition.Checksum(inproc.Partitioning.Owner); got != want {
+			t.Errorf("P=%d: TCP shard run checksum %#x != in-process %#x", parts, got, want)
+		}
+		if stats[0].Iterations != inproc.Iterations {
+			t.Errorf("P=%d: %d supersteps over TCP, %d in process", parts, stats[0].Iterations, inproc.Iterations)
+		}
 	}
 }
 
@@ -292,4 +300,23 @@ func BenchmarkPartitionShards(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPartitionShardsTCP is the deployed path without the e2e harness:
+// 4 ranks over the loopback router, shuffle and expansion included. Next to
+// ns/op and allocs/op it reports the superstep count, so time per superstep
+// can be compared across transports and commits.
+func BenchmarkPartitionShardsTCP(b *testing.B) {
+	g := gen.RMAT(16, 16, 42)
+	const p = 4
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	b.ReportAllocs()
+	b.ResetTimer()
+	var supersteps int
+	for i := 0; i < b.N; i++ {
+		_, stats := runShardTCP(b, graph.ShardsOf(g, p), cfg)
+		supersteps = stats[0].Iterations
+	}
+	b.ReportMetric(float64(supersteps), "supersteps")
 }

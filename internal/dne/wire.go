@@ -10,22 +10,6 @@ import (
 	"github.com/distributedne/dne/internal/partition"
 )
 
-// init registers every DNE message body with the gob-based TCP transport so
-// cmd/dneworker can run the identical superstep protocol across OS
-// processes.
-func init() {
-	cluster.RegisterBody(selectBody{})
-	cluster.RegisterBody(syncBody{})
-	cluster.RegisterBody(boundaryBody{})
-	cluster.RegisterBody(edgesBody{})
-	cluster.RegisterBody(resultBody{})
-	cluster.RegisterBody(shardResultBody{})
-	cluster.RegisterBody(sweepBody{})
-	cluster.RegisterBody(cluster.Int64Body(0))
-	cluster.RegisterBody(cluster.Int64SliceBody(nil))
-	cluster.RegisterBody(cluster.Uint64SliceBody(nil))
-}
-
 // recoverConnLost converts a dead-transport panic (a peer crashed, the
 // router tore the mesh down, or the dial context fired) into a returned
 // error, so a multi-process run fails with a diagnosable message instead of

@@ -3,6 +3,7 @@ package lppart
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -68,8 +69,31 @@ type vl struct {
 // vlBody carries label updates.
 type vlBody struct{ Pairs []vl }
 
-// WireSize implements cluster.Body.
+// WireSize implements cluster.Body: 8-byte ⟨V u32, L i32⟩ records.
 func (b vlBody) WireSize() int { return 8 * len(b.Pairs) }
+
+// WireKind implements cluster.WireBody.
+func (vlBody) WireKind() uint8 { return kindVL }
+
+// AppendWire implements cluster.WireBody.
+func (b vlBody) AppendWire(dst []byte) []byte {
+	for _, x := range b.Pairs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(x.V)|uint64(uint32(x.L))<<32)
+	}
+	return dst
+}
+
+func decodeVL(p []byte) (cluster.Body, error) {
+	if len(p)%8 != 0 {
+		return nil, cluster.ErrWireLength
+	}
+	pairs := make([]vl, len(p)/8)
+	for i := range pairs {
+		w := binary.LittleEndian.Uint64(p[8*i:])
+		pairs[i] = vl{V: graph.Vertex(w), L: int32(w >> 32)}
+	}
+	return vlBody{Pairs: pairs}, nil
+}
 
 // edgeOwnerBody ships final edge assignments to rank 0.
 type edgeOwnerBody struct {
@@ -77,17 +101,41 @@ type edgeOwnerBody struct {
 	Owner []int32
 }
 
-// WireSize implements cluster.Body.
+// WireSize implements cluster.Body: the indices (i64 each), then as many
+// owners (i32 each).
 func (b edgeOwnerBody) WireSize() int { return 8*len(b.Idx) + 4*len(b.Owner) }
+
+// WireKind implements cluster.WireBody.
+func (edgeOwnerBody) WireKind() uint8 { return kindEdgeOwner }
+
+// AppendWire implements cluster.WireBody.
+func (b edgeOwnerBody) AppendWire(dst []byte) []byte {
+	return cluster.AppendKeyed(dst, b.Idx, b.Owner)
+}
+
+func decodeEdgeOwner(p []byte) (cluster.Body, error) {
+	idx, owner, err := cluster.DecodeKeyed[int64](p)
+	if err != nil {
+		return nil, err
+	}
+	return edgeOwnerBody{Idx: idx, Owner: owner}, nil
+}
 
 const (
 	tagLabels cluster.Tag = cluster.TagUser + iota
 	tagOwners
 )
 
+// Body kinds on the TCP transport (the 32–47 block of cluster's kind
+// namespace).
+const (
+	kindVL uint8 = 32 + iota
+	kindEdgeOwner
+)
+
 func init() {
-	cluster.RegisterBody(vlBody{})
-	cluster.RegisterBody(edgeOwnerBody{})
+	cluster.RegisterWire(kindVL, decodeVL)
+	cluster.RegisterWire(kindEdgeOwner, decodeEdgeOwner)
 }
 
 // Partition runs the distributed label propagation on numParts in-process

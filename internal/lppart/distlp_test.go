@@ -1,8 +1,12 @@
 package lppart
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
+	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/hashpart"
 )
@@ -96,6 +100,36 @@ func TestDistLPDeterministicForSeed(t *testing.T) {
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("owners differ at edge %d", i)
+		}
+	}
+}
+
+// The two bodies of the label-propagation protocol account exactly the bytes
+// their encoders write and survive the trip through the TCP transport's
+// codec (internal/dne's FuzzBodyDecode covers their decoders with arbitrary
+// bytes).
+func TestBodiesRoundTripOnTheWire(t *testing.T) {
+	for _, b := range []cluster.WireBody{
+		vlBody{},
+		vlBody{Pairs: []vl{{V: 0, L: 0}, {V: math.MaxUint32, L: math.MaxInt32}}},
+		edgeOwnerBody{},
+		edgeOwnerBody{Idx: []int64{0, math.MaxInt64}, Owner: []int32{math.MaxInt32, -1}},
+	} {
+		payload := b.AppendWire(nil)
+		if len(payload) != b.WireSize() {
+			t.Errorf("%#v: encoder wrote %d bytes, WireSize() = %d", b, len(payload), b.WireSize())
+		}
+		got, err := cluster.DecodeWire(b.WireKind(), payload)
+		if err != nil {
+			t.Fatalf("%#v: %v", b, err)
+		}
+		if again := got.(cluster.WireBody).AppendWire(nil); !bytes.Equal(again, payload) || reflect.TypeOf(got) != reflect.TypeOf(b) {
+			t.Errorf("round trip of %#v gave %#v", b, got)
+		}
+	}
+	for _, kind := range []uint8{kindVL, kindEdgeOwner} {
+		if _, err := cluster.DecodeWire(kind, make([]byte, 13)); err == nil {
+			t.Errorf("kind %d decoded a 13-byte payload", kind)
 		}
 	}
 }

@@ -4,7 +4,8 @@
 # partitioning checksum must equal the in-process run's (dnepart -checksum)
 # for the same graph, seed and partition count. This is the end-to-end proof
 # that the sharded data plane — shard files, shuffle, per-rank subgraphs,
-# gob-TCP collectives — reproduces the in-process partitioning bit for bit.
+# the superstep protocol and collectives over the framed TCP transport —
+# reproduces the in-process partitioning bit for bit.
 set -euo pipefail
 
 SCALE=${SCALE:-12}
