@@ -170,26 +170,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationConflictRate enables the paper-faithful intra-machine
-// parallel allocation (Alg. 3 "do in parallel") and reports how many edge
-// claims are lost to the CAS as the machine count grows (DESIGN.md §4.1).
-func BenchmarkAblationConflictRate(b *testing.B) {
-	g := ablationGraph()
-	for _, p := range []int{4, 16, 64} {
-		b.Run(benchName("P", p), func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.ParallelAllocation = true
-			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, p, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CASConflicts), "conflicts")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMulticastFanout compares the O(√P) grid multicast against
 // broadcasting replica updates to all machines (DESIGN.md §4.2): identical
 // partitions, very different traffic.

@@ -46,7 +46,7 @@ import (
 const (
 	ckptStateMagic = 0x444e4331 // "DNC1"
 	ckptBaseMagic  = 0x444e4231 // "DNB1"
-	ckptVersion    = 1
+	ckptVersion    = 2
 	ckptKeep       = 2
 )
 
@@ -101,9 +101,6 @@ func configFingerprint(cfg Config, size int) uint64 {
 	if cfg.BroadcastReplicas {
 		flags |= 2
 	}
-	if cfg.ParallelAllocation {
-		flags |= 4
-	}
 	put(flags)
 	put(uint64(cfg.MaxIterations))
 	return h.Sum64()
@@ -124,7 +121,6 @@ type machineCkpt struct {
 	done       bool
 	epCount    int64
 	seedCur    int64
-	conflicts  int64
 	wasted     int64
 	selections int64
 	rng63      uint64 // Int63 draws consumed from the counting source
@@ -139,7 +135,6 @@ type machineCkpt struct {
 	eIdx      []int32
 	aliveLen  []int32
 	partWords []uint64
-	claimIter []int32 // nil unless ParallelAllocation
 
 	bndLive []dsa.BoundaryEntry
 	bndDone []uint32
@@ -434,13 +429,10 @@ func (c *Checkpointer) WriteState(st *machineCkpt) error {
 	if st.done {
 		flags |= 1
 	}
-	if st.claimIter != nil {
-		flags |= 2
-	}
 	n, err := atomicWrite(c.statePath(st.iter), func(w io.Writer) error {
 		hw := &hashedWriter{w: w, h: fnv.New64a()}
 		for _, v := range []uint64{ckptStateMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
-			uint64(st.iter), flags, uint64(st.epCount), uint64(st.seedCur), uint64(st.conflicts),
+			uint64(st.iter), flags, uint64(st.epCount), uint64(st.seedCur),
 			uint64(st.wasted), uint64(st.selections), st.rng63, st.rng64, uint64(st.bndPeak)} {
 			if err := writeU64(hw, v); err != nil {
 				return err
@@ -451,7 +443,7 @@ func (c *Checkpointer) WriteState(st *machineCkpt) error {
 				return err
 			}
 		}
-		for _, xs := range [][]int32{st.owner, st.eIdx, st.aliveLen, st.claimIter} {
+		for _, xs := range [][]int32{st.owner, st.eIdx, st.aliveLen} {
 			if err := writeI32Slice(hw, xs); err != nil {
 				return err
 			}
@@ -494,7 +486,7 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	digest := fnv.New64a()
 	br := bufio.NewReaderSize(f, 1<<16)
 	r := io.TeeReader(br, digest)
-	var hdr [15]uint64
+	var hdr [14]uint64
 	for i := range hdr {
 		if hdr[i], err = readU64(r); err != nil {
 			return nil, fmt.Errorf("dne: reading checkpoint state header: %w", err)
@@ -512,22 +504,19 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	flags := hdr[6]
 	st := &machineCkpt{
 		iter: int64(hdr[5]), done: flags&1 != 0,
-		epCount: int64(hdr[7]), seedCur: int64(hdr[8]), conflicts: int64(hdr[9]),
-		wasted: int64(hdr[10]), selections: int64(hdr[11]),
-		rng63: hdr[12], rng64: hdr[13], bndPeak: int64(hdr[14]),
+		epCount: int64(hdr[7]), seedCur: int64(hdr[8]),
+		wasted: int64(hdr[9]), selections: int64(hdr[10]),
+		rng63: hdr[11], rng64: hdr[12], bndPeak: int64(hdr[13]),
 	}
 	for _, dst := range []*[]int64{&st.partSizes, &st.freeVec, &st.localPerPart} {
 		if *dst, err = readI64Slice(r); err != nil {
 			return nil, fmt.Errorf("dne: reading checkpoint vectors: %w", err)
 		}
 	}
-	for _, dst := range []*[]int32{&st.owner, &st.eIdx, &st.aliveLen, &st.claimIter} {
+	for _, dst := range []*[]int32{&st.owner, &st.eIdx, &st.aliveLen} {
 		if *dst, err = readI32Slice(r); err != nil {
 			return nil, fmt.Errorf("dne: reading checkpoint slabs: %w", err)
 		}
-	}
-	if flags&2 == 0 {
-		st.claimIter = nil
 	}
 	if st.partWords, err = readU64Slice(r); err != nil {
 		return nil, fmt.Errorf("dne: reading checkpoint bitsets: %w", err)

@@ -20,7 +20,7 @@ func testCkpt(t *testing.T, cfg Config) *Checkpointer {
 
 func sampleState(iter int64) *machineCkpt {
 	return &machineCkpt{
-		iter: iter, done: false, epCount: 17, seedCur: 3, conflicts: 2,
+		iter: iter, done: false, epCount: 17, seedCur: 3,
 		wasted: 5, selections: 9, rng63: 100, rng64: 7, bndPeak: 12,
 		partSizes:    []int64{10, 20, 30, 40},
 		freeVec:      []int64{1, 2, 3, 4},
@@ -29,7 +29,6 @@ func sampleState(iter int64) *machineCkpt {
 		eIdx:         []int32{0, 1, 2, 3, 4, 0},
 		aliveLen:     []int32{2, 1},
 		partWords:    []uint64{0xdeadbeef, 0x1},
-		claimIter:    nil,
 		bndLive:      []dsa.BoundaryEntry{{V: 3, Score: 2}, {V: 9, Score: 5}},
 		bndDone:      []uint32{1, 4},
 	}
@@ -37,7 +36,7 @@ func sampleState(iter int64) *machineCkpt {
 
 func statesEqual(a, b *machineCkpt) bool {
 	if a.iter != b.iter || a.done != b.done || a.epCount != b.epCount ||
-		a.seedCur != b.seedCur || a.conflicts != b.conflicts ||
+		a.seedCur != b.seedCur ||
 		a.wasted != b.wasted || a.selections != b.selections ||
 		a.rng63 != b.rng63 || a.rng64 != b.rng64 || a.bndPeak != b.bndPeak {
 		return false
@@ -68,9 +67,6 @@ func statesEqual(a, b *machineCkpt) bool {
 		return false
 	}
 	if !eqI32(a.owner, b.owner) || !eqI32(a.eIdx, b.eIdx) || !eqI32(a.aliveLen, b.aliveLen) {
-		return false
-	}
-	if (a.claimIter == nil) != (b.claimIter == nil) || !eqI32(a.claimIter, b.claimIter) {
 		return false
 	}
 	if len(a.partWords) != len(b.partWords) {
@@ -109,24 +105,6 @@ func TestCheckpointStateRoundtrip(t *testing.T) {
 	}
 	if !statesEqual(want, got) {
 		t.Fatalf("roundtrip mismatch:\nwrote %+v\nread  %+v", want, got)
-	}
-}
-
-func TestCheckpointStateRoundtripParallelMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ParallelAllocation = true
-	c := testCkpt(t, cfg)
-	want := sampleState(2)
-	want.claimIter = []int32{0, 5, 0, 1, 2}
-	if err := c.WriteState(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.LoadState(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !statesEqual(want, got) {
-		t.Fatal("claimIter did not survive the roundtrip")
 	}
 }
 

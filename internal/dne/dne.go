@@ -52,15 +52,6 @@ type Config struct {
 	// row ∪ column. Ablation knob for DESIGN.md §4.2; quality is unaffected,
 	// communication volume grows.
 	BroadcastReplicas bool
-	// ParallelAllocation processes the received selections of each
-	// allocation superstep on multiple goroutines per machine, resolving
-	// contended edge claims by CAS exactly as the paper's Algorithm 3 ("do
-	// in parallel", conflicts "solved by a CAS operation"). Edge ownership
-	// between simultaneously-requesting partitions then depends on race
-	// winners, so runs are NOT bit-reproducible; the default sequential mode
-	// is deterministic and allocates identically. Ablation knob for
-	// DESIGN.md §4.1 (Result.CASConflicts).
-	ParallelAllocation bool
 }
 
 // DefaultConfig returns the paper's parameter setting (α=1.1, λ=0.1).
@@ -85,9 +76,6 @@ type Result struct {
 	// is the Fig. 9 metric.
 	MemBytes int64
 	Elapsed  time.Duration
-	// CASConflicts counts contended edge claims lost to a concurrent
-	// partition (non-zero only with Config.ParallelAllocation).
-	CASConflicts int64
 	// WastedSelections counts selection deliveries ⟨v,p⟩ that allocated no
 	// one-hop edge on the receiving machine — the cost of stale boundary
 	// Drest scores (DESIGN.md §4.4).
@@ -190,7 +178,6 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 		res.MemBytes += mr.memBytes
 		res.CommBytes += mr.commBytes
 		res.CommMessages += mr.commMsgs
-		res.CASConflicts += mr.conflicts
 		res.WastedSelections += mr.wasted
 		res.TotalSelections += mr.selections
 	}
@@ -200,8 +187,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 
 // Partitioner adapts PartitionCtx to the v2 partition.Partitioner
 // interface. It is stateless: configuration arrives in the Spec (alpha,
-// lambda, single_expansion, broadcast_replicas, parallel_allocation,
-// max_iterations), and the run's metrics are folded into Result.Stats —
+// lambda, single_expansion, broadcast_replicas, max_iterations), and the run's metrics are folded into Result.Stats —
 // iteration count, communication volume, the analytic peak memory (the
 // Fig. 9 MemScore numerator) and the simulated network time under the
 // paper's InfiniBand cost model in Extra.
@@ -214,13 +200,12 @@ func (Partitioner) Name() string { return "D.NE" }
 // applying the paper's defaults for unset parameters.
 func ConfigFromSpec(spec partition.Spec) Config {
 	return Config{
-		Alpha:              spec.Float("alpha", 1.1),
-		Lambda:             spec.Float("lambda", 0.1),
-		SingleExpansion:    spec.Bool("single_expansion", false),
-		Seed:               spec.Seed,
-		MaxIterations:      spec.Int("max_iterations", 0),
-		BroadcastReplicas:  spec.Bool("broadcast_replicas", false),
-		ParallelAllocation: spec.Bool("parallel_allocation", false),
+		Alpha:             spec.Float("alpha", 1.1),
+		Lambda:            spec.Float("lambda", 0.1),
+		SingleExpansion:   spec.Bool("single_expansion", false),
+		Seed:              spec.Seed,
+		MaxIterations:     spec.Int("max_iterations", 0),
+		BroadcastReplicas: spec.Bool("broadcast_replicas", false),
 	}
 }
 
@@ -244,7 +229,6 @@ func (Partitioner) Partition(ctx context.Context, g *graph.Graph, spec partition
 	st.CommBytes = res.CommBytes
 	st.CommMessages = res.CommMessages
 	st.SweptEdges = res.SweptEdges
-	st.SetExtra("cas_conflicts", float64(res.CASConflicts))
 	st.SetExtra("wasted_selections", float64(res.WastedSelections))
 	st.SetExtra("total_selections", float64(res.TotalSelections))
 	st.SetExtra("simulated_network_ms",

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/cluster"
@@ -78,7 +75,6 @@ type machineResult struct {
 	partEdges  int64 // |Ep| held by this machine's expansion process at the end
 	commBytes  int64
 	commMsgs   int64
-	conflicts  int64 // lost CAS claims (ParallelAllocation only)
 	wasted     int64 // selection deliveries that allocated nothing here
 	selections int64 // all selection deliveries processed here
 }
@@ -125,11 +121,6 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	rank := comm.Rank()
 	gd := newGrid(p)
 	sg := in.sg
-	if cfg.ParallelAllocation {
-		// Superstep tags for conflict accounting; iter starts at 1, so the
-		// zero value never aliases a live superstep.
-		sg.claimIter = make([]int32, len(sg.edges))
-	}
 	// The counting wrapper leaves the seeded stream untouched (bit-identical
 	// to a bare source) while letting checkpoints record the draw position.
 	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
@@ -320,29 +311,20 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			}
 		}
 		res.selections += int64(len(pairs))
-		if cfg.ParallelAllocation && len(pairs) > 1 {
-			bp := allocOneHopParallel(sg, pairs, int32(iter), sizesView, capEdges, &allocLocal, &res.wasted)
-			for _, b := range bp {
+		for _, pair := range pairs {
+			if sizesView[pair.P] >= capEdges {
+				continue // partition's budget already exhausted
+			}
+			before := len(allocLocal)
+			for _, b := range sg.allocOneHop(pair.V, pair.P, &allocLocal) {
 				if seenBP.add(b) {
 					orderBP = append(orderBP, b)
 				}
 			}
-		} else {
-			for _, pair := range pairs {
-				if sizesView[pair.P] >= capEdges {
-					continue // partition's budget already exhausted
-				}
-				before := len(allocLocal)
-				for _, b := range sg.allocOneHop(pair.V, pair.P, &allocLocal) {
-					if seenBP.add(b) {
-						orderBP = append(orderBP, b)
-					}
-				}
-				if len(allocLocal) == before {
-					res.wasted++
-				}
-				sizesView[pair.P] += int64(len(allocLocal) - before)
+			if len(allocLocal) == before {
+				res.wasted++
 			}
+			sizesView[pair.P] += int64(len(allocLocal) - before)
 		}
 
 		// ------- Phase B2: replica synchronisation (Alg. 2 L3) -------
@@ -470,7 +452,6 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	// algorithm's traffic.
 	res.commBytes = comm.Stats().BytesSent.Load()
 	res.commMsgs = comm.Stats().MessagesSent.Load()
-	res.conflicts = atomic.LoadInt64(&sg.conflicts)
 	res.iterations = iter
 	res.swept = swept
 	res.partEdges = int64(len(epEdges))
@@ -596,63 +577,4 @@ func sum(xs []int64) int64 {
 		s += x
 	}
 	return s
-}
-
-// allocOneHopParallel is the Config.ParallelAllocation implementation of
-// phase B1: selection pairs are processed by a strided worker pool; edge
-// claims race through the CAS in allocateEdge (lost claims increment
-// sg.conflicts), budget enforcement uses an atomic view of the per-partition
-// sizes, and partition-bitset updates are deferred to a sequential
-// application after the workers join (bitsets are not atomic). sizesView is
-// updated in place to reflect the allocations. Returns the new boundary
-// pairs (possibly with duplicates; the caller dedups).
-func allocOneHopParallel(sg *subGraph, pairs []vp, iter int32, sizesView []int64, capEdges int64, allocOut *[]int32, wasted *int64) []vp {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(pairs) {
-		nw = len(pairs)
-	}
-	if nw > 8 {
-		nw = 8
-	}
-	type workerResult struct {
-		alloc  []int32
-		bp     []vp
-		defs   []vp
-		wasted int64
-	}
-	results := make([]workerResult, nw)
-	atomicSizes := make([]int64, len(sizesView))
-	copy(atomicSizes, sizesView)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := &results[w]
-			for i := w; i < len(pairs); i += nw {
-				pair := pairs[i]
-				if atomic.LoadInt64(&atomicSizes[pair.P]) >= capEdges {
-					continue
-				}
-				n := sg.allocOneHopDeferred(pair.V, pair.P, iter, &r.alloc, &r.bp, &r.defs)
-				if n == 0 {
-					r.wasted++
-				} else {
-					atomic.AddInt64(&atomicSizes[pair.P], int64(n))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var bp []vp
-	for w := range results {
-		*allocOut = append(*allocOut, results[w].alloc...)
-		bp = append(bp, results[w].bp...)
-		*wasted += results[w].wasted
-		for _, d := range results[w].defs {
-			sg.applySync(d.V, d.P)
-		}
-	}
-	copy(sizesView, atomicSizes)
-	return bp
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/distributedne/dne/internal/dsa"
 )
@@ -57,12 +56,12 @@ func captureCkpt(iter int, done bool, sg *subGraph, bnd *dsa.Boundary, src *coun
 	live, doneSet := bnd.Snapshot()
 	return &machineCkpt{
 		iter: int64(iter), done: done, epCount: epCount,
-		seedCur: int64(sg.seedCur), conflicts: atomic.LoadInt64(&sg.conflicts),
-		wasted: res.wasted, selections: res.selections,
+		seedCur: int64(sg.seedCur),
+		wasted:  res.wasted, selections: res.selections,
 		rng63: src.n63, rng64: src.n64, bndPeak: int64(bnd.Peak()),
 		partSizes: partSizes, freeVec: freeVec, localPerPart: localPerPart,
 		owner: sg.owner, eIdx: sg.eIdx, aliveLen: sg.aliveLen, partWords: sg.partWords,
-		claimIter: sg.claimIter, bndLive: live, bndDone: doneSet,
+		bndLive: live, bndDone: doneSet,
 	}
 }
 
@@ -101,13 +100,6 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 	copy(sg.aliveLen, st.aliveLen)
 	copy(sg.partWords, st.partWords)
 	sg.seedCur = int(st.seedCur)
-	sg.conflicts = st.conflicts
-	if st.claimIter != nil {
-		if sg.claimIter == nil || len(st.claimIter) != len(sg.claimIter) {
-			return errors.New("dne: checkpoint claim tags do not match the run mode")
-		}
-		copy(sg.claimIter, st.claimIter)
-	}
 	// Rebuild target to mirror the checkpointed eIdx order slot for slot.
 	n := len(sg.verts)
 	for lv := 0; lv < n; lv++ {

@@ -2,15 +2,14 @@ package dne
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/graph"
 )
 
 // subGraph is one allocation process's share of the input graph (§4 "Data
-// Structure"): a CSR over the locally-owned (unique) edges, per-edge atomic
-// owner words, and per-local-vertex partition bitsets and free-degree
+// Structure"): a CSR over the locally-owned (unique) edges, per-edge owner
+// words, and per-local-vertex partition bitsets and free-degree
 // counters. Vertices are replicated across machines; edges are not.
 //
 // All per-vertex state is held in flat slabs indexed by local vertex id, and
@@ -35,8 +34,8 @@ type subGraph struct {
 	eIdx   []int32        // local edge index for the adjacency slot
 
 	// aliveLen[lv] bounds the adjacency slots of lv still worth scanning:
-	// the sequential allocation paths compact surviving free slots to the
-	// front of lv's range (stably, preserving ascending edge-index order),
+	// the allocation paths compact surviving free slots to the front of lv's
+	// range (stably, preserving ascending edge-index order),
 	// so repeated expansions of hub vertices do not rescan allocated edges.
 	// Invariant: every free local edge incident to lv lies in
 	// target/eIdx[off[lv] : off[lv]+aliveLen[lv]].
@@ -44,7 +43,7 @@ type subGraph struct {
 
 	edges     []graph.Edge // local edges
 	globalIdx []int64      // canonical (global) edge index of each local edge
-	owner     []int32      // partition owning local edge i, or -1 (CAS'd)
+	owner     []int32      // partition owning local edge i, or -1
 
 	// Partition membership bitsets, one per local vertex, packed into a
 	// single slab of wordsPer words each; partSet(lv) is the view.
@@ -56,14 +55,6 @@ type subGraph struct {
 	freeEdges int64 // number of unallocated local edges
 	seedCur   int   // rotating cursor for random-seed scans
 
-	// conflicts counts same-superstep contention: a partition found an edge
-	// it wanted already claimed *in the current superstep* by a different
-	// partition (the paper's CAS-resolved allocation conflict, §4). Only
-	// populated under Config.ParallelAllocation. Read atomically.
-	conflicts int64
-	// claimIter tags each local edge with the superstep in which it was
-	// claimed (parallel mode only; used to recognise same-round contention).
-	claimIter []int32
 }
 
 // buildSubGraph extracts rank's 2D-hash share of g with a single scan: the
@@ -186,30 +177,24 @@ func (sg *subGraph) partSet(lv int) bitset.Set {
 	return bitset.FromWords(sg.partWords[lv*sg.wordsPer : (lv+1)*sg.wordsPer])
 }
 
-// allocateEdge tries to claim local edge le for partition p; it returns true
-// on success. Conflicts between concurrently expanding partitions are
-// resolved by this CAS (§4: "The conflict ... is solved by a CAS operation").
-func (sg *subGraph) allocateEdge(le int32, p int32) bool {
-	if !atomic.CompareAndSwapInt32(&sg.owner[le], -1, p) {
-		return false
-	}
-	e := sg.edges[le]
-	if lu := sg.lid[e.U]; lu >= 0 {
-		atomic.AddInt32(&sg.drest[lu], -1)
-	}
-	if lv := sg.lid[e.V]; lv >= 0 {
-		atomic.AddInt32(&sg.drest[lv], -1)
-	}
-	atomic.AddInt64(&sg.freeEdges, -1)
-	return true
+// allocateEdge gives the free local edge le, whose endpoints have local ids
+// lu and lv, to partition p. One allocation process owns the subgraph and
+// handles its selections one after another (the deterministic order the
+// seeded partitioning is defined by), so the claim the paper resolves with a
+// CAS (§4) is a plain store here.
+func (sg *subGraph) allocateEdge(le, p, lu, lv int32) {
+	sg.owner[le] = p
+	sg.drest[lu]--
+	sg.drest[lv]--
+	sg.freeEdges--
 }
 
 // allocOneHop performs Alg. 3 AllocateOneHopNeighbors for a single received
 // ⟨v, p⟩ pair. It returns the new local boundary pairs ⟨u, p⟩ and appends the
-// allocated local edge indices to out. Sequential mode only: every free slot
-// of v is claimed here, so v's alive adjacency empties.
+// allocated local edge indices to out. Every free slot of v is claimed here,
+// so v's alive adjacency empties.
 func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, out *[]int32) []vp {
-	lv := int64(sg.lid[v])
+	lv := sg.lid[v]
 	if lv < 0 {
 		return nil
 	}
@@ -217,17 +202,14 @@ func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, out *[]int32) []vp {
 	base := sg.off[lv]
 	for s := base; s < base+int64(sg.aliveLen[lv]); s++ {
 		le := sg.eIdx[s]
-		if atomic.LoadInt32(&sg.owner[le]) != -1 {
-			continue
-		}
-		if !sg.allocateEdge(le, p) {
+		if sg.owner[le] != -1 {
 			continue
 		}
 		u := sg.target[s]
+		lu := sg.lid[u]
+		sg.allocateEdge(le, p, lu, lv)
 		sg.partSet(int(lv)).Set(int(p))
-		if lu := sg.lid[u]; lu >= 0 {
-			sg.partSet(int(lu)).Set(int(p))
-		}
+		sg.partSet(int(lu)).Set(int(p))
 		bp = append(bp, vp{V: u, P: p})
 		*out = append(*out, le)
 	}
@@ -235,47 +217,6 @@ func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, out *[]int32) []vp {
 	// by this call), so the compacted free adjacency of v is empty.
 	sg.aliveLen[lv] = 0
 	return bp
-}
-
-// allocOneHopDeferred is allocOneHop for the intra-machine parallel mode
-// (Config.ParallelAllocation): edge claims use the CAS exactly as in the
-// paper's Algorithm 3, but partition-bitset updates are *recorded* into defs
-// instead of applied, because bitsets are not atomic; the caller applies them
-// sequentially after the parallel phase. iter tags claims so that losing a
-// wanted edge to a different partition *within the same superstep* is
-// counted as an allocation conflict (§4). Returns the number of edges
-// claimed. Workers may scan the same vertex concurrently, so this path reads
-// the alive range but never compacts it.
-func (sg *subGraph) allocOneHopDeferred(v graph.Vertex, p int32, iter int32, out *[]int32, bp *[]vp, defs *[]vp) int {
-	lv := int64(sg.lid[v])
-	if lv < 0 {
-		return 0
-	}
-	if sg.claimIter == nil {
-		panic("dne: allocOneHopDeferred requires claimIter (parallel mode)")
-	}
-	claimed := 0
-	base := sg.off[lv]
-	for s := base; s < base+int64(sg.aliveLen[lv]); s++ {
-		le := sg.eIdx[s]
-		if o := atomic.LoadInt32(&sg.owner[le]); o != -1 {
-			if o != p && atomic.LoadInt32(&sg.claimIter[le]) == iter {
-				atomic.AddInt64(&sg.conflicts, 1)
-			}
-			continue
-		}
-		if !sg.allocateEdge(le, p) {
-			atomic.AddInt64(&sg.conflicts, 1)
-			continue // lost the CAS race itself
-		}
-		atomic.StoreInt32(&sg.claimIter[le], iter)
-		claimed++
-		u := sg.target[s]
-		*defs = append(*defs, vp{V: v, P: p}, vp{V: u, P: p})
-		*bp = append(*bp, vp{V: u, P: p})
-		*out = append(*out, le)
-	}
-	return claimed
 }
 
 // applySync records that vertex v now belongs to partition p (replica
@@ -300,14 +241,11 @@ func (sg *subGraph) applySync(v graph.Vertex, p int32) int {
 // each partition this iteration (a 1/P fair share of the partition's
 // remaining capacity), bounding the cross-machine overshoot that the
 // one-iteration-stale sizesView cannot see.
-// Runs in the sequential phase, so it stably compacts u's surviving free
-// slots to the front of the alive range as it scans.
+// It stably compacts u's surviving free slots to the front of the alive
+// range as it scans.
 func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, twoBudget []int64, capEdges int64, scratch bitset.Set, out *[]int32) {
-	lu := int64(sg.lid[u])
-	if lu < 0 {
-		return
-	}
-	if atomic.LoadInt32(&sg.drest[lu]) == 0 {
+	lu := sg.lid[u]
+	if lu < 0 || sg.drest[lu] == 0 {
 		return
 	}
 	base := sg.off[lu]
@@ -316,50 +254,34 @@ func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, twoBudget []int64, ca
 	var keep int64
 	for s := int64(0); s < alive; s++ {
 		le := sg.eIdx[base+s]
-		if atomic.LoadInt32(&sg.owner[le]) != -1 {
+		if sg.owner[le] != -1 {
 			continue // allocated: drop from the alive range
 		}
 		w := sg.target[base+s]
 		lw := sg.lid[w]
-		if lw < 0 {
-			// Never allocatable here; keep (still a free edge of u).
-			sg.eIdx[base+keep] = le
-			sg.target[base+keep] = w
-			keep++
-			continue
-		}
-		if !bitset.IntersectInto(scratch, setU, sg.partSet(int(lw))) {
-			sg.eIdx[base+keep] = le
-			sg.target[base+keep] = w
-			keep++
-			continue
-		}
 		best := int32(-1)
-		var bestSize int64
-		scratch.ForEach(func(q int) {
-			if sizesView[q] >= capEdges || twoBudget[q] <= 0 {
-				return // would violate the balance constraint
-			}
-			if best == -1 || sizesView[q] < bestSize {
-				best = int32(q)
-				bestSize = sizesView[q]
-			}
-		})
+		if bitset.IntersectInto(scratch, setU, sg.partSet(int(lw))) {
+			var bestSize int64
+			scratch.ForEach(func(q int) {
+				if sizesView[q] >= capEdges || twoBudget[q] <= 0 {
+					return // would violate the balance constraint
+				}
+				if best == -1 || sizesView[q] < bestSize {
+					best = int32(q)
+					bestSize = sizesView[q]
+				}
+			})
+		}
 		if best == -1 {
 			sg.eIdx[base+keep] = le
 			sg.target[base+keep] = w
 			keep++
 			continue
 		}
-		if sg.allocateEdge(le, best) {
-			sizesView[best]++
-			twoBudget[best]--
-			*out = append(*out, le)
-		} else {
-			sg.eIdx[base+keep] = le
-			sg.target[base+keep] = w
-			keep++
-		}
+		sg.allocateEdge(le, best, lu, lw)
+		sizesView[best]++
+		twoBudget[best]--
+		*out = append(*out, le)
 	}
 	sg.aliveLen[lu] = int32(keep)
 }
@@ -370,14 +292,14 @@ func (sg *subGraph) localDrest(v graph.Vertex) int32 {
 	if lv < 0 {
 		return 0
 	}
-	return atomic.LoadInt32(&sg.drest[lv])
+	return sg.drest[lv]
 }
 
 // randomSeed picks a vertex that still has a free local edge, scanning from a
 // rotating cursor so repeated seeds cover the whole subgraph. Returns false
 // if every local edge is allocated.
 func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
-	if atomic.LoadInt64(&sg.freeEdges) == 0 {
+	if sg.freeEdges == 0 {
 		return 0, false
 	}
 	n := len(sg.edges)
@@ -387,7 +309,7 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 	}
 	for k := 0; k < n; k++ {
 		le := (start + k) % n
-		if atomic.LoadInt32(&sg.owner[le]) == -1 {
+		if sg.owner[le] == -1 {
 			sg.seedCur = (le + 1) % n
 			e := sg.edges[le]
 			if rng.Intn(2) == 0 {
@@ -402,11 +324,11 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 // sweepLeftovers force-assigns every remaining free edge to the smallest
 // candidate partition (preferring partitions already covering an endpoint).
 // It returns the number of swept edges. Used only when every partition hit
-// the α cap with edges still unallocated (§ DESIGN.md "leftover sweep").
+// the α cap with edges still unallocated.
 func (sg *subGraph) sweepLeftovers(partSizes []int64, scratch bitset.Set) int64 {
 	var swept int64
-	for le := range sg.edges {
-		if atomic.LoadInt32(&sg.owner[le]) != -1 {
+	for le, o := range sg.owner {
+		if o != -1 {
 			continue
 		}
 		e := sg.edges[le]
@@ -420,12 +342,8 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, scratch bitset.Set) int64 
 			}
 		}
 		scratch.Reset()
-		if lu >= 0 {
-			scratch.Or(sg.partSet(int(lu)))
-		}
-		if lv >= 0 {
-			scratch.Or(sg.partSet(int(lv)))
-		}
+		scratch.Or(sg.partSet(int(lu)))
+		scratch.Or(sg.partSet(int(lv)))
 		if !scratch.Empty() {
 			scratch.ForEach(consider)
 		} else {
@@ -433,10 +351,9 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, scratch bitset.Set) int64 
 				consider(q)
 			}
 		}
-		if sg.allocateEdge(int32(le), best) {
-			partSizes[best]++
-			swept++
-		}
+		sg.allocateEdge(int32(le), best, lu, lv)
+		partSizes[best]++
+		swept++
 	}
 	return swept
 }
@@ -455,7 +372,6 @@ func (sg *subGraph) memoryFootprint() int64 {
 		int64(len(sg.edges))*8 +
 		int64(len(sg.globalIdx))*8 +
 		int64(len(sg.owner))*4 +
-		int64(len(sg.claimIter))*4 +
 		int64(len(sg.drest))*4 +
 		int64(len(sg.partWords))*8
 }

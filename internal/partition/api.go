@@ -125,7 +125,7 @@ type Stats struct {
 	// SweptEdges counts edges assigned by a leftover sweep (normally 0).
 	SweptEdges int64
 	// Extra carries method-specific numeric metrics keyed by snake_case
-	// names (e.g. "cas_conflicts", "simulated_network_ms").
+	// names (e.g. "wasted_selections", "simulated_network_ms").
 	Extra map[string]float64
 }
 
