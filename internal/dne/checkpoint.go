@@ -119,7 +119,6 @@ func (c *Checkpointer) statePath(superstep int64) string {
 type machineCkpt struct {
 	iter       int64
 	done       bool
-	epCount    int64
 	seedCur    int64
 	wasted     int64
 	selections int64
@@ -432,7 +431,7 @@ func (c *Checkpointer) WriteState(st *machineCkpt) error {
 	n, err := atomicWrite(c.statePath(st.iter), func(w io.Writer) error {
 		hw := &hashedWriter{w: w, h: fnv.New64a()}
 		for _, v := range []uint64{ckptStateMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
-			uint64(st.iter), flags, uint64(st.epCount), uint64(st.seedCur),
+			uint64(st.iter), flags, uint64(st.seedCur),
 			uint64(st.wasted), uint64(st.selections), st.rng63, st.rng64, uint64(st.bndPeak)} {
 			if err := writeU64(hw, v); err != nil {
 				return err
@@ -486,7 +485,7 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	digest := fnv.New64a()
 	br := bufio.NewReaderSize(f, 1<<16)
 	r := io.TeeReader(br, digest)
-	var hdr [14]uint64
+	var hdr [13]uint64
 	for i := range hdr {
 		if hdr[i], err = readU64(r); err != nil {
 			return nil, fmt.Errorf("dne: reading checkpoint state header: %w", err)
@@ -504,9 +503,8 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	flags := hdr[6]
 	st := &machineCkpt{
 		iter: int64(hdr[5]), done: flags&1 != 0,
-		epCount: int64(hdr[7]), seedCur: int64(hdr[8]),
-		wasted: int64(hdr[9]), selections: int64(hdr[10]),
-		rng63: hdr[11], rng64: hdr[12], bndPeak: int64(hdr[13]),
+		seedCur: int64(hdr[7]), wasted: int64(hdr[8]), selections: int64(hdr[9]),
+		rng63: hdr[10], rng64: hdr[11], bndPeak: int64(hdr[12]),
 	}
 	for _, dst := range []*[]int64{&st.partSizes, &st.freeVec, &st.localPerPart} {
 		if *dst, err = readI64Slice(r); err != nil {

@@ -72,7 +72,7 @@ type machineResult struct {
 	iterations int
 	swept      int64
 	memBytes   int64
-	partEdges  int64 // |Ep| held by this machine's expansion process at the end
+	partEdges  int64 // |Ep| of this machine's partition when the superstep loop ended
 	commBytes  int64
 	commMsgs   int64
 	wasted     int64 // selection deliveries that allocated nothing here
@@ -152,18 +152,15 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	freeVec := make([]int64, p)      // free (unallocated) edges per machine
 	localPerPart := make([]int64, p) // edges this machine allocated, per owner
 
-	var epEdges []graph.Edge
 	if in.resume == nil {
 		freeVec[rank] = sg.freeEdges
 		freeVec = cluster.AllGatherSumVec(comm, freeVec)
-		epEdges = make([]graph.Edge, 0, capEdges)
 	}
 	scratch := bitset.New(p)
 	var procsBuf []int
 	outPairs := make([][]vp, p)
 	syncOut := make([][]vp, p)
 	bItems := make([][]boundaryItem, p)
-	eOut := make([][]graph.Edge, p)
 
 	// Per-superstep scratch, allocated once and cleared in O(1) per
 	// iteration (epoch bumps and length resets) instead of reallocating
@@ -203,14 +200,6 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		copy(partSizes, st.partSizes)
 		copy(freeVec, st.freeVec)
 		copy(localPerPart, st.localPerPart)
-		// Only the length of the partition's own edge set is ever read
-		// (budget arithmetic, the done test, the |Ep| stat), so the restored
-		// set is length-accurate and content-free.
-		epCap := capEdges
-		if st.epCount > epCap {
-			epCap = st.epCount
-		}
-		epEdges = make([]graph.Edge, st.epCount, epCap)
 		done = st.done
 		iter = int(st.iter)
 		lastCkpt = st.iter
@@ -223,7 +212,7 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		// to run superstep iter+1". Failures are loud — a run asked to
 		// checkpoint must not silently continue without crash protection.
 		if in.ckpt != nil && int64(iter) > lastCkpt && iter%in.ckpt.every == 0 {
-			st := captureCkpt(iter, done, sg, bnd, src, partSizes, freeVec, localPerPart, int64(len(epEdges)), res)
+			st := captureCkpt(iter, done, sg, bnd, src, partSizes, freeVec, localPerPart, res)
 			if err := in.ckpt.WriteState(st); err != nil {
 				return err
 			}
@@ -249,7 +238,7 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 						k = 1
 					}
 				}
-				budget := capEdges - int64(len(epEdges))
+				budget := capEdges - partSizes[rank]
 				popBuf = bnd.PopK(k, budget, popBuf)
 				for _, v := range popBuf {
 					procsBuf = replicaProcs(v, procsBuf[:0])
@@ -287,7 +276,6 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		for q := 0; q < p; q++ {
 			bItems[q] = bItems[q][:0]
 			syncOut[q] = syncOut[q][:0]
-			eOut[q] = eOut[q][:0]
 		}
 		allocLocal = allocLocal[:0]
 		orderBP = orderBP[:0]
@@ -369,16 +357,14 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 				boundaryItem{V: pair.V, Drest: sg.localDrest(pair.V)})
 		}
 		for _, le := range allocLocal {
-			q := sg.owner[le]
-			eOut[q] = append(eOut[q], sg.edges[le])
-			localPerPart[q]++
+			localPerPart[sg.owner[le]]++
 		}
 		// localPerPart and sg.freeEdges are final for this superstep. The
 		// in-process transport hands localPerPart over by reference; it is
 		// next written after two more rounds, which no machine passes before
 		// every receiver has summed it below.
 		for q := 0; q < p; q++ {
-			comm.Send(q, tagStep, stepBody{Items: bItems[q], Edges: eOut[q], PerPart: localPerPart, Free: sg.freeEdges})
+			comm.Send(q, tagStep, stepBody{Items: bItems[q], PerPart: localPerPart, Free: sg.freeEdges})
 		}
 
 		// ------- Phase C: boundary/edge-set update (Alg. 1 L10–13) -------
@@ -401,7 +387,6 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 					mergedVal[it.V] += it.Drest
 				}
 			}
-			epEdges = append(epEdges, body.Edges...)
 			for q, x := range body.PerPart {
 				partSizes[q] += x
 			}
@@ -421,9 +406,10 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			return context.Canceled
 		}
 		allocated := sum(partSizes)
-		// |Ep| of this machine's own partition is known exactly: every edge
-		// allocated to q is shipped to q within the same superstep.
-		done = int64(len(epEdges)) >= capEdges || allocated == totalE
+		// |Ep| of this machine's own partition is partSizes[rank]: allocated
+		// edges stay with their allocator (result collection gathers owners,
+		// not edges), so only their count travels, in PerPart.
+		done = partSizes[rank] >= capEdges || allocated == totalE
 		if allocated == totalE {
 			break
 		}
@@ -454,13 +440,13 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	res.commMsgs = comm.Stats().MessagesSent.Load()
 	res.iterations = iter
 	res.swept = swept
-	res.partEdges = int64(len(epEdges))
+	res.partEdges = partSizes[rank]
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph
-	// + boundary + scratch slabs + the partition's own edges, plus whatever
+	// + boundary + scratch slabs, plus whatever
 	// input stays resident — the whole graph on the legacy path, nothing on
 	// the shard path).
-	expansion := in.residentBytes + sg.memoryFootprint() + int64(len(epEdges))*8 +
+	expansion := in.residentBytes + sg.memoryFootprint() +
 		bnd.MemoryFootprint() + seenBP.memoryFootprint() + seenV.MemoryFootprint() +
 		mergedSet.MemoryFootprint() + int64(len(mergedVal))*4
 	res.memBytes = max(expansion, in.inputPeakBytes)

@@ -148,25 +148,24 @@ type boundaryItem struct {
 }
 
 // stepBody is the one message an allocation process sends every expansion
-// process at the end of a superstep. Items and Edges are addressed to the
-// receiving partition: its new boundary vertices with this allocator's local
-// Drest (Alg. 2 Lines 5–6) and the edges newly allocated to it (Alg. 2
-// Line 7; at the end of the run each machine holds its entire partition, the
-// paper's data-flow goal, §3.3). PerPart and Free are the sender's inputs to
-// the termination check (Alg. 1 Lines 14–15) and ride along instead of
-// taking two all-gathers of their own: both are final before the message is
-// sent, and every receiver sums the same P vectors.
+// process at the end of a superstep. Items are addressed to the receiving
+// partition: its new boundary vertices with this allocator's local Drest
+// (Alg. 2 Lines 5–6). The edges allocated to it stay where they are — Alg. 2
+// Line 7 ships them, but nothing downstream reads more than their number, and
+// PerPart already carries that. PerPart and Free are the sender's inputs to
+// the termination check (Alg. 1 Lines 14–15) and ride along instead of taking
+// two all-gathers of their own: both are final before the message is sent,
+// and every receiver sums the same P vectors.
 type stepBody struct {
 	Items   []boundaryItem
-	Edges   []graph.Edge
 	PerPart []int64 // edges the sender has allocated so far, per owner
 	Free    int64   // edges the sender still holds unallocated
 }
 
-// WireSize implements cluster.Body: the two counts (u32 each), the items
-// (⟨V u32, Drest i32⟩), the edges (⟨U u32, V u32⟩), PerPart (i64 each; its
-// length is what remains) and Free (i64).
-func (b stepBody) WireSize() int { return 8 + 8*(len(b.Items)+len(b.Edges)+len(b.PerPart)+1) }
+// WireSize implements cluster.Body: the item count (u32), the items
+// (⟨V u32, Drest i32⟩), PerPart (i64 each; its length is what remains) and
+// Free (i64).
+func (b stepBody) WireSize() int { return 4 + 8*(len(b.Items)+len(b.PerPart)+1) }
 
 // WireKind implements cluster.WireBody.
 func (stepBody) WireKind() uint8 { return kindStep }
@@ -174,39 +173,29 @@ func (stepBody) WireKind() uint8 { return kindStep }
 // AppendWire implements cluster.WireBody.
 func (b stepBody) AppendWire(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Items)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.Edges)))
 	for _, it := range b.Items {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(it.V)|uint64(uint32(it.Drest))<<32)
-	}
-	for _, e := range b.Edges {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.U)|uint64(e.V)<<32)
 	}
 	dst = cluster.AppendWords(dst, b.PerPart)
 	return binary.LittleEndian.AppendUint64(dst, uint64(b.Free))
 }
 
 func decodeStep(p []byte) (cluster.Body, error) {
-	if len(p) < 16 || len(p)%8 != 0 {
+	if len(p) < 12 || (len(p)-4)%8 != 0 {
 		return nil, errWireShape
 	}
 	nItems := int64(binary.LittleEndian.Uint32(p))
-	nEdges := int64(binary.LittleEndian.Uint32(p[4:]))
-	words := int64(len(p)/8 - 2) // after the counts, before Free
-	if nItems > words || nEdges > words-nItems {
-		return nil, fmt.Errorf("dne: step body counts %d items and %d edges in %d words: %w", nItems, nEdges, words, errWireShape)
+	words := int64(len(p)-4)/8 - 1 // after the count, before Free
+	if nItems > words {
+		return nil, fmt.Errorf("dne: step body counts %d items in %d words: %w", nItems, words, errWireShape)
 	}
-	b := stepBody{Items: make([]boundaryItem, nItems), Edges: make([]graph.Edge, nEdges)}
-	p = p[8:]
+	b := stepBody{Items: make([]boundaryItem, nItems)}
+	p = p[4:]
 	for i := range b.Items {
 		w := binary.LittleEndian.Uint64(p[8*i:])
 		b.Items[i] = boundaryItem{V: graph.Vertex(w), Drest: int32(w >> 32)}
 	}
 	p = p[8*nItems:]
-	for i := range b.Edges {
-		w := binary.LittleEndian.Uint64(p[8*i:])
-		b.Edges[i] = graph.Edge{U: graph.Vertex(w), V: graph.Vertex(w >> 32)}
-	}
-	p = p[8*nEdges:]
 	b.PerPart, _ = cluster.DecodeWords[int64](p[:len(p)-8])
 	b.Free = int64(binary.LittleEndian.Uint64(p[len(p)-8:]))
 	return b, nil

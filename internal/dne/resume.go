@@ -52,10 +52,10 @@ func (s *countingSource) skip(n63, n64 uint64) {
 // fields alias the live slabs — WriteState streams them out synchronously
 // before the loop mutates anything, so no copies are taken.
 func captureCkpt(iter int, done bool, sg *subGraph, bnd *dsa.Boundary, src *countingSource,
-	partSizes, freeVec, localPerPart []int64, epCount int64, res *machineResult) *machineCkpt {
+	partSizes, freeVec, localPerPart []int64, res *machineResult) *machineCkpt {
 	live, doneSet := bnd.Snapshot()
 	return &machineCkpt{
-		iter: int64(iter), done: done, epCount: epCount,
+		iter: int64(iter), done: done,
 		seedCur: int64(sg.seedCur),
 		wasted:  res.wasted, selections: res.selections,
 		rng63: src.n63, rng64: src.n64, bndPeak: int64(bnd.Peak()),

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/distributedne/dne/internal/cluster"
-	"github.com/distributedne/dne/internal/graph"
 	_ "github.com/distributedne/dne/internal/lppart" // registers its body kinds, so "every kind" below means every kind in the repo
 )
 
@@ -26,11 +25,10 @@ func wireSamples() []cluster.WireBody {
 		stepBody{PerPart: []int64{}, Free: -1},
 		stepBody{
 			Items:   []boundaryItem{{V: math.MaxUint32, Drest: math.MinInt32}, {V: 1, Drest: 2}},
-			Edges:   []graph.Edge{{U: 1, V: 2}, {U: math.MaxUint32, V: 0}},
 			PerPart: []int64{0, math.MaxInt64, 3, 4},
 			Free:    math.MaxInt64,
 		},
-		stepBody{Edges: []graph.Edge{{U: 5, V: 6}}, PerPart: []int64{9}},
+		stepBody{Items: []boundaryItem{{V: 5, Drest: 6}}, PerPart: []int64{9}},
 		resultBody{},
 		resultBody{Idx: []int64{0, math.MaxInt64}, Owner: []int32{maxP, 0}},
 		shardResultBody{},
@@ -139,7 +137,7 @@ func TestEveryRegisteredKindRoundTrips(t *testing.T) {
 }
 
 func TestDecodersRejectMalformedPayloads(t *testing.T) {
-	step := stepBody{Items: []boundaryItem{{V: 1, Drest: 1}}, Edges: []graph.Edge{{U: 1, V: 2}}, PerPart: []int64{1, 2}}.AppendWire(nil)
+	step := stepBody{Items: []boundaryItem{{V: 1, Drest: 1}}, PerPart: []int64{1, 2}}.AppendWire(nil)
 	patched := func(off int, v byte) []byte {
 		p := bytes.Clone(step)
 		p[off] = v
@@ -154,11 +152,10 @@ func TestDecodersRejectMalformedPayloads(t *testing.T) {
 		{"select with half a pair", kindSelect, make([]byte, 6+4)},
 		{"select with a flag byte of 2", kindSelect, []byte{2, 0, 0, 0, 0, 0}},
 		{"sync of 9 bytes", kindSync, make([]byte, 9)},
-		{"step shorter than counts and Free", kindStep, make([]byte, 8)},
-		{"step of 20 bytes", kindStep, make([]byte, 20)},
+		{"step shorter than its count and Free", kindStep, make([]byte, 8)},
+		{"step of 16 bytes", kindStep, make([]byte, 16)},
 		{"step whose item count overruns the payload", kindStep, patched(0, 200)},
-		{"step whose edge count overruns the payload", kindStep, patched(4, 4)},
-		{"step whose counts overflow 32 bits together", kindStep, append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, make([]byte, 8)...)},
+		{"step whose item count is the largest u32", kindStep, append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 8)...)},
 		{"result of 13 bytes", kindResult, make([]byte, 13)},
 		{"shard result of 8 bytes", kindShardResult, make([]byte, 8)},
 	}
