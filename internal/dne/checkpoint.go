@@ -118,7 +118,6 @@ func (c *Checkpointer) statePath(superstep int64) string {
 // superstep boundary (top of the loop, before the superstep runs).
 type machineCkpt struct {
 	iter       int64
-	done       bool
 	seedCur    int64
 	wasted     int64
 	selections int64
@@ -424,14 +423,10 @@ func (c *Checkpointer) LoadBase() (numVertices uint32, totalEdges int64, packed 
 // WriteState persists the mutable overlay at st.iter and prunes all but the
 // newest ckptKeep state files.
 func (c *Checkpointer) WriteState(st *machineCkpt) error {
-	var flags uint64
-	if st.done {
-		flags |= 1
-	}
 	n, err := atomicWrite(c.statePath(st.iter), func(w io.Writer) error {
 		hw := &hashedWriter{w: w, h: fnv.New64a()}
 		for _, v := range []uint64{ckptStateMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
-			uint64(st.iter), flags, uint64(st.seedCur),
+			uint64(st.iter), uint64(st.seedCur),
 			uint64(st.wasted), uint64(st.selections), st.rng63, st.rng64, uint64(st.bndPeak)} {
 			if err := writeU64(hw, v); err != nil {
 				return err
@@ -485,7 +480,7 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	digest := fnv.New64a()
 	br := bufio.NewReaderSize(f, 1<<16)
 	r := io.TeeReader(br, digest)
-	var hdr [13]uint64
+	var hdr [12]uint64
 	for i := range hdr {
 		if hdr[i], err = readU64(r); err != nil {
 			return nil, fmt.Errorf("dne: reading checkpoint state header: %w", err)
@@ -500,11 +495,9 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 	if int64(hdr[5]) != superstep {
 		return nil, fmt.Errorf("dne: checkpoint state claims superstep %d, file named %d", hdr[5], superstep)
 	}
-	flags := hdr[6]
 	st := &machineCkpt{
-		iter: int64(hdr[5]), done: flags&1 != 0,
-		seedCur: int64(hdr[7]), wasted: int64(hdr[8]), selections: int64(hdr[9]),
-		rng63: hdr[10], rng64: hdr[11], bndPeak: int64(hdr[12]),
+		iter: int64(hdr[5]), seedCur: int64(hdr[6]), wasted: int64(hdr[7]), selections: int64(hdr[8]),
+		rng63: hdr[9], rng64: hdr[10], bndPeak: int64(hdr[11]),
 	}
 	for _, dst := range []*[]int64{&st.partSizes, &st.freeVec, &st.localPerPart} {
 		if *dst, err = readI64Slice(r); err != nil {

@@ -20,7 +20,7 @@ func testCkpt(t *testing.T, cfg Config) *Checkpointer {
 
 func sampleState(iter int64) *machineCkpt {
 	return &machineCkpt{
-		iter: iter, done: false, seedCur: 3,
+		iter: iter, seedCur: 3,
 		wasted: 5, selections: 9, rng63: 100, rng64: 7, bndPeak: 12,
 		partSizes:    []int64{10, 20, 30, 40},
 		freeVec:      []int64{1, 2, 3, 4},
@@ -35,7 +35,7 @@ func sampleState(iter int64) *machineCkpt {
 }
 
 func statesEqual(a, b *machineCkpt) bool {
-	if a.iter != b.iter || a.done != b.done ||
+	if a.iter != b.iter ||
 		a.seedCur != b.seedCur ||
 		a.wasted != b.wasted || a.selections != b.selections ||
 		a.rng63 != b.rng63 || a.rng64 != b.rng64 || a.bndPeak != b.bndPeak {

@@ -104,9 +104,119 @@ type machineInput struct {
 	resume *machineCkpt
 }
 
-// runMachine executes one machine's combined expansion + allocation process
-// (§3.3: one expansion process and one allocation process per machine; this
-// machine's expansion process computes partition `rank`).
+// machine is one machine's combined expansion + allocation process (§3.3:
+// one expansion process and one allocation process per machine; this
+// machine's expansion process computes partition rank).
+type machine struct {
+	comm cluster.Comm
+	cfg  Config
+	p    int
+	rank int
+	gd   grid
+	sg   *subGraph
+	res  *machineResult
+
+	// The counting wrapper leaves the seeded stream untouched (bit-identical
+	// to a bare source) while letting checkpoints record the draw position.
+	src *countingSource
+	rng *rand.Rand
+	bnd *dsa.Boundary
+
+	totalE   int64 // global deduplicated |E|
+	capEdges int64 // ⌊α|E|/P⌋ of Eq. (2), at least 1
+
+	// Global state, refreshed once per superstep from the step messages and
+	// identical on every machine.
+	partSizes    []int64 // |Eq| for every partition q
+	freeVec      []int64 // free (unallocated) edges per machine
+	localPerPart []int64 // edges this machine allocated, per owner
+
+	// Per-superstep scratch, allocated once and cleared in O(1) per
+	// superstep (epoch bumps and length resets) instead of reallocating
+	// maps every superstep. Dense trade-off: each machine holds ~40 bytes
+	// per *global* vertex id of resident slabs (boundary, pair set, merge
+	// accumulator) — O(1) lookups and zero per-superstep allocation, paid
+	// for with O(|P|·|V|) total footprint in the in-process simulation. The
+	// Fig-9 memory accounting in finish charges all of it honestly.
+	allProcs    []int
+	procsBuf    []int
+	scratch     bitset.Set
+	outPairs    [][]vp
+	syncOut     [][]vp
+	bItems      [][]boundaryItem
+	seenBP      *vpSet        // ⟨v,p⟩ pairs already in the boundary update
+	seenV       *dsa.EpochSet // vertices already two-hop-processed
+	mergedSet   *dsa.EpochSet
+	mergedVal   []int32 // summed Drest per merged boundary vertex
+	mergedOrder []graph.Vertex
+	popBuf      []uint32
+	allocLocal  []int32
+	orderBP     []vp
+	sizesView   []int64
+	twoBudget   []int64
+}
+
+// newMachine sets up the loop state: fresh, with the one collective that
+// tells every machine where the free edges are, or restored from in.resume.
+func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *machineResult) (*machine, error) {
+	p, rank, n := comm.Size(), comm.Rank(), in.numVertices
+	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
+	m := &machine{
+		comm: comm, cfg: cfg, p: p, rank: rank, gd: newGrid(p), sg: in.sg, res: res,
+		src: src, rng: rand.New(src), bnd: dsa.NewBoundary(int(n)),
+		totalE:       in.totalEdges,
+		capEdges:     max(1, int64(cfg.Alpha*float64(in.totalEdges)/float64(p))),
+		partSizes:    make([]int64, p),
+		freeVec:      make([]int64, p),
+		localPerPart: make([]int64, p),
+		allProcs:     make([]int, p),
+		scratch:      bitset.New(p),
+		outPairs:     make([][]vp, p),
+		syncOut:      make([][]vp, p),
+		bItems:       make([][]boundaryItem, p),
+		seenBP:       newVPSet(n, p),
+		seenV:        dsa.NewEpochSet(int(n)),
+		mergedSet:    dsa.NewEpochSet(int(n)),
+		mergedVal:    make([]int32, n),
+		sizesView:    make([]int64, p),
+		twoBudget:    make([]int64, p),
+	}
+	for q := range m.allProcs {
+		m.allProcs[q] = q
+	}
+	st := in.resume
+	if st == nil {
+		m.freeVec[rank] = m.sg.freeEdges
+		m.freeVec = cluster.AllGatherSumVec(comm, m.freeVec)
+		return m, nil
+	}
+	if len(st.partSizes) != p || len(st.freeVec) != p || len(st.localPerPart) != p {
+		return nil, fmt.Errorf("dne: checkpoint size vectors sized for %d parts, run has %d", len(st.partSizes), p)
+	}
+	if err := st.restoreInto(m.sg, m.bnd, m.src); err != nil {
+		return nil, err
+	}
+	copy(m.partSizes, st.partSizes)
+	copy(m.freeVec, st.freeVec)
+	copy(m.localPerPart, st.localPerPart)
+	res.wasted = st.wasted
+	res.selections = st.selections
+	return m, nil
+}
+
+// replicaProcs resolves a vertex's replica machine set: the grid row ∪ column
+// by default, or all machines under the BroadcastReplicas ablation. The
+// result is valid until the next call.
+func (m *machine) replicaProcs(v graph.Vertex) []int {
+	if m.cfg.BroadcastReplicas {
+		return m.allProcs
+	}
+	m.procsBuf = m.gd.vertexProcs(v, m.procsBuf[:0])
+	return m.procsBuf
+}
+
+// runMachine runs one machine's superstep loop to the end, checkpointing at
+// superstep boundaries when asked to.
 //
 // Cancellation is collective: each machine stamps ctx's state onto the
 // select messages it already sends to every machine each superstep, and all
@@ -117,103 +227,26 @@ type machineInput struct {
 // Result collection is the caller's job (collectOwnersByIndex or
 // collectOwnersByKey), after this returns.
 func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *machineResult) error {
-	p := comm.Size()
-	rank := comm.Rank()
-	gd := newGrid(p)
-	sg := in.sg
-	// The counting wrapper leaves the seeded stream untouched (bit-identical
-	// to a bare source) while letting checkpoints record the draw position.
-	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
-	rng := rand.New(src)
-	bnd := dsa.NewBoundary(int(in.numVertices))
-
-	// replicaProcs resolves a vertex's replica machine set: the grid
-	// row ∪ column by default, or all machines under the BroadcastReplicas
-	// ablation (DESIGN.md §4.2).
-	allProcs := make([]int, p)
-	for q := range allProcs {
-		allProcs[q] = q
+	m, err := newMachine(comm, cfg, in, res)
+	if err != nil {
+		return err
 	}
-	replicaProcs := func(v graph.Vertex, buf []int) []int {
-		if cfg.BroadcastReplicas {
-			return allProcs
-		}
-		return gd.vertexProcs(v, buf)
-	}
-
-	totalE := in.totalEdges
-	capEdges := int64(cfg.Alpha * float64(totalE) / float64(p))
-	if capEdges < 1 {
-		capEdges = 1
-	}
-
-	// Global state, refreshed once per iteration from the step messages.
-	partSizes := make([]int64, p)    // |Eq| for every partition q
-	freeVec := make([]int64, p)      // free (unallocated) edges per machine
-	localPerPart := make([]int64, p) // edges this machine allocated, per owner
-
-	if in.resume == nil {
-		freeVec[rank] = sg.freeEdges
-		freeVec = cluster.AllGatherSumVec(comm, freeVec)
-	}
-	scratch := bitset.New(p)
-	var procsBuf []int
-	outPairs := make([][]vp, p)
-	syncOut := make([][]vp, p)
-	bItems := make([][]boundaryItem, p)
-
-	// Per-superstep scratch, allocated once and cleared in O(1) per
-	// iteration (epoch bumps and length resets) instead of reallocating
-	// maps every superstep. Dense trade-off: each machine holds ~40 bytes
-	// per *global* vertex id of resident slabs (boundary, pair set, merge
-	// accumulator) — O(1) lookups and zero per-superstep allocation, paid
-	// for with O(|P|·|V|) total footprint in the in-process simulation. The
-	// Fig-9 memory accounting below charges all of it honestly.
-	n := in.numVertices
-	seenBP := newVPSet(n, p)         // ⟨v,p⟩ pairs already in the boundary update
-	seenV := dsa.NewEpochSet(int(n)) // vertices already two-hop-processed
-	mergedSet := dsa.NewEpochSet(int(n))
-	mergedVal := make([]int32, n) // summed Drest per merged boundary vertex
-	var mergedOrder []graph.Vertex
-	var popBuf []uint32
-	var allocLocal []int32
-	var orderBP []vp
-	sizesView := make([]int64, p)
-	twoBudget := make([]int64, p)
-
-	done := false // this machine's expansion finished
-	iter := 0
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = defaultMaxIterations
 	}
-
+	iter := 0
 	lastCkpt := int64(-1)
 	if in.resume != nil {
-		st := in.resume
-		if len(st.partSizes) != p || len(st.freeVec) != p || len(st.localPerPart) != p {
-			return fmt.Errorf("dne: checkpoint size vectors sized for %d parts, run has %d", len(st.partSizes), p)
-		}
-		if err := st.restoreInto(sg, bnd, src); err != nil {
-			return err
-		}
-		copy(partSizes, st.partSizes)
-		copy(freeVec, st.freeVec)
-		copy(localPerPart, st.localPerPart)
-		done = st.done
-		iter = int(st.iter)
-		lastCkpt = st.iter
-		res.wasted = st.wasted
-		res.selections = st.selections
+		iter = int(in.resume.iter)
+		lastCkpt = in.resume.iter
 	}
-
 	for {
 		// Checkpoint at the superstep boundary: the loop state as of "about
 		// to run superstep iter+1". Failures are loud — a run asked to
 		// checkpoint must not silently continue without crash protection.
 		if in.ckpt != nil && int64(iter) > lastCkpt && iter%in.ckpt.every == 0 {
-			st := captureCkpt(iter, done, sg, bnd, src, partSizes, freeVec, localPerPart, res)
-			if err := in.ckpt.WriteState(st); err != nil {
+			if err := in.ckpt.WriteState(m.capture(iter)); err != nil {
 				return err
 			}
 			lastCkpt = int64(iter)
@@ -221,183 +254,13 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 		iter++
 		if iter > maxIter {
 			return fmt.Errorf("dne: machine %d exceeded %d iterations (|E| allocated: %d/%d)",
-				rank, maxIter, sum(partSizes), totalE)
+				m.rank, maxIter, sum(m.partSizes), m.totalE)
 		}
-
-		// ------- Phase A: vertex selection (Alg. 1 L3–7 / Alg. 4) -------
-		for q := 0; q < p; q++ {
-			outPairs[q] = outPairs[q][:0]
+		cancelled, err := m.superstep(ctx)
+		if err != nil {
+			return err
 		}
-		seedTo := -1
-		if !done {
-			if bnd.Len() > 0 {
-				k := 1
-				if !cfg.SingleExpansion {
-					k = int(math.Ceil(cfg.Lambda * float64(bnd.Len())))
-					if k < 1 {
-						k = 1
-					}
-				}
-				budget := capEdges - partSizes[rank]
-				popBuf = bnd.PopK(k, budget, popBuf)
-				for _, v := range popBuf {
-					procsBuf = replicaProcs(v, procsBuf[:0])
-					for _, pr := range procsBuf {
-						outPairs[pr] = append(outPairs[pr], vp{V: v, P: int32(rank)})
-					}
-				}
-			} else {
-				// Random seed (Alg. 1 L7): prefer the local allocation
-				// process, fall back to the nearest machine with free edges.
-				if freeVec[rank] > 0 {
-					seedTo = rank
-				} else {
-					for off := 1; off < p; off++ {
-						t := (rank + off) % p
-						if freeVec[t] > 0 {
-							seedTo = t
-							break
-						}
-					}
-				}
-			}
-		}
-		wantCancel := ctx.Err() != nil
-		for q := 0; q < p; q++ {
-			body := selectBody{Pairs: outPairs[q], Cancel: wantCancel}
-			if q == seedTo {
-				body.SeedReq = true
-				body.SeedPart = int32(rank)
-			}
-			comm.Send(q, tagSelect, body)
-		}
-
-		// ------- Phase B1: one-hop allocation (Alg. 2 L2, Alg. 3) -------
-		for q := 0; q < p; q++ {
-			bItems[q] = bItems[q][:0]
-			syncOut[q] = syncOut[q][:0]
-		}
-		allocLocal = allocLocal[:0]
-		orderBP = orderBP[:0]
-		seenBP.clear()
-		// Working view of global |Eq|: last gather plus local increments,
-		// used to enforce the α cap within the iteration.
-		copy(sizesView, partSizes)
-		var pairs []vp
-		anyCancel := false
-		for _, m := range comm.RecvN(tagSelect, p) {
-			body := m.Body.(selectBody)
-			pairs = append(pairs, body.Pairs...)
-			if body.Cancel {
-				anyCancel = true
-			}
-			if body.SeedReq {
-				if v, ok := sg.randomSeed(rng); ok {
-					bItems[m.From] = append(bItems[m.From],
-						boundaryItem{V: v, Drest: sg.localDrest(v)})
-				}
-			}
-		}
-		res.selections += int64(len(pairs))
-		for _, pair := range pairs {
-			if sizesView[pair.P] >= capEdges {
-				continue // partition's budget already exhausted
-			}
-			before := len(allocLocal)
-			for _, b := range sg.allocOneHop(pair.V, pair.P, &allocLocal) {
-				if seenBP.add(b) {
-					orderBP = append(orderBP, b)
-				}
-			}
-			if len(allocLocal) == before {
-				res.wasted++
-			}
-			sizesView[pair.P] += int64(len(allocLocal) - before)
-		}
-
-		// ------- Phase B2: replica synchronisation (Alg. 2 L3) -------
-		for _, bpPair := range orderBP {
-			procsBuf = replicaProcs(bpPair.V, procsBuf[:0])
-			for _, pr := range procsBuf {
-				if pr != rank {
-					syncOut[pr] = append(syncOut[pr], bpPair)
-				}
-			}
-		}
-		for q := 0; q < p; q++ {
-			comm.Send(q, tagSync, syncBody{Pairs: syncOut[q]})
-		}
-		synced := orderBP
-		for _, m := range comm.RecvN(tagSync, p) {
-			for _, pair := range m.Body.(syncBody).Pairs {
-				if sg.applySync(pair.V, pair.P) >= 0 && seenBP.add(pair) {
-					synced = append(synced, pair)
-				}
-			}
-		}
-
-		// ------- Phase B3: two-hop allocation (Alg. 2 L4, Alg. 3) -------
-		for q := 0; q < p; q++ {
-			twoBudget[q] = 0
-			if rem := capEdges - partSizes[q]; rem > 0 {
-				twoBudget[q] = rem/int64(p) + 1
-			}
-		}
-		seenV.Clear()
-		for _, pair := range synced {
-			if !seenV.Add(pair.V) {
-				continue
-			}
-			sg.allocTwoHop(pair.V, sizesView, twoBudget, capEdges, scratch, &allocLocal)
-		}
-
-		// ------- Phase B4: local Drest + result shipping (Alg. 2 L5–7) -------
-		for _, pair := range synced {
-			bItems[pair.P] = append(bItems[pair.P],
-				boundaryItem{V: pair.V, Drest: sg.localDrest(pair.V)})
-		}
-		for _, le := range allocLocal {
-			localPerPart[sg.owner[le]]++
-		}
-		// localPerPart and sg.freeEdges are final for this superstep. The
-		// in-process transport hands localPerPart over by reference; it is
-		// next written after two more rounds, which no machine passes before
-		// every receiver has summed it below.
-		for q := 0; q < p; q++ {
-			comm.Send(q, tagStep, stepBody{Items: bItems[q], PerPart: localPerPart, Free: sg.freeEdges})
-		}
-
-		// ------- Phase C: boundary/edge-set update (Alg. 1 L10–13) -------
-		// The same messages carry the termination check's inputs: every
-		// machine sums the same P vectors of integers, so partSizes and
-		// freeVec are identical everywhere without a gather of their own.
-		mergedSet.Clear()
-		mergedOrder = mergedOrder[:0]
-		clear(partSizes)
-		for _, m := range comm.RecvN(tagStep, p) {
-			body := m.Body.(stepBody)
-			if len(body.PerPart) != p {
-				return fmt.Errorf("dne: machine %d reports %d partition sizes, run has %d", m.From, len(body.PerPart), p)
-			}
-			for _, it := range body.Items {
-				if mergedSet.Add(it.V) {
-					mergedVal[it.V] = it.Drest
-					mergedOrder = append(mergedOrder, it.V)
-				} else {
-					mergedVal[it.V] += it.Drest
-				}
-			}
-			for q, x := range body.PerPart {
-				partSizes[q] += x
-			}
-			freeVec[m.From] = body.Free
-		}
-		for _, v := range mergedOrder {
-			bnd.Update(v, mergedVal[v])
-		}
-
-		// ------- Termination check (Alg. 1 L14–15) -------
-		if anyCancel {
+		if cancelled {
 			// Every machine received the same flag set, so every machine
 			// returns here, at the same superstep boundary.
 			if err := ctx.Err(); err != nil {
@@ -405,52 +268,227 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			}
 			return context.Canceled
 		}
-		allocated := sum(partSizes)
-		// |Ep| of this machine's own partition is partSizes[rank]: allocated
-		// edges stay with their allocator (result collection gathers owners,
-		// not edges), so only their count travels, in PerPart.
-		done = partSizes[rank] >= capEdges || allocated == totalE
-		if allocated == totalE {
-			break
-		}
-		allDone := true
-		for q := 0; q < p; q++ {
-			if partSizes[q] < capEdges {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
+		if m.finished() {
 			break
 		}
 	}
+	m.finish(iter, in)
+	return nil
+}
 
+// superstep runs the three rounds of one superstep: select, sync, step. It
+// reports whether any machine asked to cancel.
+func (m *machine) superstep(ctx context.Context) (cancelled bool, err error) {
+	p, rank, sg, comm := m.p, m.rank, m.sg, m.comm
+
+	// ------- Phase A: vertex selection (Alg. 1 L3–7 / Alg. 4) -------
+	for q := 0; q < p; q++ {
+		m.outPairs[q] = m.outPairs[q][:0]
+	}
+	seedTo := -1
+	// |Ep| of this machine's own partition is partSizes[rank]: allocated
+	// edges stay with their allocator (result collection gathers owners,
+	// not edges), so only their count travels, in PerPart.
+	if m.partSizes[rank] < m.capEdges {
+		if m.bnd.Len() > 0 {
+			k := 1
+			if !m.cfg.SingleExpansion {
+				k = max(1, int(math.Ceil(m.cfg.Lambda*float64(m.bnd.Len()))))
+			}
+			budget := m.capEdges - m.partSizes[rank]
+			m.popBuf = m.bnd.PopK(k, budget, m.popBuf)
+			for _, v := range m.popBuf {
+				for _, pr := range m.replicaProcs(v) {
+					m.outPairs[pr] = append(m.outPairs[pr], vp{V: v, P: int32(rank)})
+				}
+			}
+		} else {
+			// Random seed (Alg. 1 L7): prefer the local allocation
+			// process, fall back to the nearest machine with free edges.
+			for off := 0; off < p; off++ {
+				if t := (rank + off) % p; m.freeVec[t] > 0 {
+					seedTo = t
+					break
+				}
+			}
+		}
+	}
+	wantCancel := ctx.Err() != nil
+	for q := 0; q < p; q++ {
+		body := selectBody{Pairs: m.outPairs[q], Cancel: wantCancel}
+		if q == seedTo {
+			body.SeedReq = true
+			body.SeedPart = int32(rank)
+		}
+		comm.Send(q, tagSelect, body)
+	}
+
+	// ------- Phase B1: one-hop allocation (Alg. 2 L2, Alg. 3) -------
+	for q := 0; q < p; q++ {
+		m.bItems[q] = m.bItems[q][:0]
+		m.syncOut[q] = m.syncOut[q][:0]
+	}
+	m.allocLocal = m.allocLocal[:0]
+	m.orderBP = m.orderBP[:0]
+	m.seenBP.clear()
+	// Working view of global |Eq|: last gather plus local increments,
+	// used to enforce the α cap within the superstep.
+	copy(m.sizesView, m.partSizes)
+	var pairs []vp
+	for _, msg := range comm.RecvN(tagSelect, p) {
+		body := msg.Body.(selectBody)
+		pairs = append(pairs, body.Pairs...)
+		if body.Cancel {
+			cancelled = true
+		}
+		if body.SeedReq {
+			if v, ok := sg.randomSeed(m.rng); ok {
+				m.bItems[msg.From] = append(m.bItems[msg.From],
+					boundaryItem{V: v, Drest: sg.localDrest(v)})
+			}
+		}
+	}
+	m.res.selections += int64(len(pairs))
+	for _, pair := range pairs {
+		if m.sizesView[pair.P] >= m.capEdges {
+			continue // partition's budget already exhausted
+		}
+		before := len(m.allocLocal)
+		for _, b := range sg.allocOneHop(pair.V, pair.P, &m.allocLocal) {
+			if m.seenBP.add(b) {
+				m.orderBP = append(m.orderBP, b)
+			}
+		}
+		if len(m.allocLocal) == before {
+			m.res.wasted++
+		}
+		m.sizesView[pair.P] += int64(len(m.allocLocal) - before)
+	}
+
+	// ------- Phase B2: replica synchronisation (Alg. 2 L3) -------
+	for _, bpPair := range m.orderBP {
+		for _, pr := range m.replicaProcs(bpPair.V) {
+			if pr != rank {
+				m.syncOut[pr] = append(m.syncOut[pr], bpPair)
+			}
+		}
+	}
+	for q := 0; q < p; q++ {
+		comm.Send(q, tagSync, syncBody{Pairs: m.syncOut[q]})
+	}
+	synced := m.orderBP
+	for _, msg := range comm.RecvN(tagSync, p) {
+		for _, pair := range msg.Body.(syncBody).Pairs {
+			if sg.applySync(pair.V, pair.P) >= 0 && m.seenBP.add(pair) {
+				synced = append(synced, pair)
+			}
+		}
+	}
+	m.orderBP = synced
+
+	// ------- Phase B3: two-hop allocation (Alg. 2 L4, Alg. 3) -------
+	for q := 0; q < p; q++ {
+		m.twoBudget[q] = 0
+		if rem := m.capEdges - m.partSizes[q]; rem > 0 {
+			m.twoBudget[q] = rem/int64(p) + 1
+		}
+	}
+	m.seenV.Clear()
+	for _, pair := range synced {
+		if !m.seenV.Add(pair.V) {
+			continue
+		}
+		sg.allocTwoHop(pair.V, m.sizesView, m.twoBudget, m.capEdges, m.scratch, &m.allocLocal)
+	}
+
+	// ------- Phase B4: local Drest (Alg. 2 L5–6) -------
+	for _, pair := range synced {
+		m.bItems[pair.P] = append(m.bItems[pair.P],
+			boundaryItem{V: pair.V, Drest: sg.localDrest(pair.V)})
+	}
+	for _, le := range m.allocLocal {
+		m.localPerPart[sg.owner[le]]++
+	}
+	// localPerPart and sg.freeEdges are final for this superstep. The
+	// in-process transport hands localPerPart over by reference; it is
+	// next written after two more rounds, which no machine passes before
+	// every receiver has summed it below.
+	for q := 0; q < p; q++ {
+		comm.Send(q, tagStep, stepBody{Items: m.bItems[q], PerPart: m.localPerPart, Free: sg.freeEdges})
+	}
+
+	// ------- Phase C: boundary/edge-set update (Alg. 1 L10–13) -------
+	// The same messages carry the termination check's inputs: every
+	// machine sums the same P vectors of integers, so partSizes and
+	// freeVec are identical everywhere without a gather of their own.
+	m.mergedSet.Clear()
+	m.mergedOrder = m.mergedOrder[:0]
+	clear(m.partSizes)
+	for _, msg := range comm.RecvN(tagStep, p) {
+		body := msg.Body.(stepBody)
+		if len(body.PerPart) != p {
+			return false, fmt.Errorf("dne: machine %d reports %d partition sizes, run has %d", msg.From, len(body.PerPart), p)
+		}
+		for _, it := range body.Items {
+			if m.mergedSet.Add(it.V) {
+				m.mergedVal[it.V] = it.Drest
+				m.mergedOrder = append(m.mergedOrder, it.V)
+			} else {
+				m.mergedVal[it.V] += it.Drest
+			}
+		}
+		for q, x := range body.PerPart {
+			m.partSizes[q] += x
+		}
+		m.freeVec[msg.From] = body.Free
+	}
+	for _, v := range m.mergedOrder {
+		m.bnd.Update(v, m.mergedVal[v])
+	}
+	return cancelled, nil
+}
+
+// finished is the termination check (Alg. 1 L14–15): every edge allocated,
+// or every partition at its α cap with edges left for the sweep.
+func (m *machine) finished() bool {
+	if sum(m.partSizes) == m.totalE {
+		return true
+	}
+	for _, size := range m.partSizes {
+		if size < m.capEdges {
+			return false
+		}
+	}
+	return true
+}
+
+// finish sweeps what the loop left and fills in the run's statistics.
+func (m *machine) finish(iter int, in machineInput) {
 	// Leftover sweep: only reachable when every partition saturated its α cap
 	// while edges remained.
 	var swept int64
-	if sum(partSizes) < totalE {
-		swept = sg.sweepLeftovers(partSizes, scratch)
-		swept = cluster.AllGatherSum(comm, swept)
+	if sum(m.partSizes) < m.totalE {
+		swept = m.sg.sweepLeftovers(m.partSizes, m.scratch)
+		swept = cluster.AllGatherSum(m.comm, swept)
 	}
 
 	// Snapshot communication stats before result collection: the gather the
 	// caller performs next is measurement plumbing, not part of the
 	// algorithm's traffic.
-	res.commBytes = comm.Stats().BytesSent.Load()
-	res.commMsgs = comm.Stats().MessagesSent.Load()
+	res := m.res
+	res.commBytes = m.comm.Stats().BytesSent.Load()
+	res.commMsgs = m.comm.Stats().MessagesSent.Load()
 	res.iterations = iter
 	res.swept = swept
-	res.partEdges = partSizes[rank]
+	res.partEdges = m.partSizes[m.rank]
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph
-	// + boundary + scratch slabs, plus whatever
-	// input stays resident — the whole graph on the legacy path, nothing on
-	// the shard path).
-	expansion := in.residentBytes + sg.memoryFootprint() +
-		bnd.MemoryFootprint() + seenBP.memoryFootprint() + seenV.MemoryFootprint() +
-		mergedSet.MemoryFootprint() + int64(len(mergedVal))*4
+	// + boundary + scratch slabs, plus whatever input stays resident — the
+	// whole graph on the legacy path, nothing on the shard path).
+	expansion := in.residentBytes + m.sg.memoryFootprint() +
+		m.bnd.MemoryFootprint() + m.seenBP.memoryFootprint() + m.seenV.MemoryFootprint() +
+		m.mergedSet.MemoryFootprint() + int64(len(m.mergedVal))*4
 	res.memBytes = max(expansion, in.inputPeakBytes)
-	return nil
 }
 
 // collectOwnersByIndex ships every machine's (global edge index, owner)

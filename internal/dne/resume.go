@@ -48,18 +48,18 @@ func (s *countingSource) skip(n63, n64 uint64) {
 	s.n63, s.n64 = n63, n64
 }
 
-// captureCkpt snapshots the superstep loop's mutable state. The slice
-// fields alias the live slabs — WriteState streams them out synchronously
-// before the loop mutates anything, so no copies are taken.
-func captureCkpt(iter int, done bool, sg *subGraph, bnd *dsa.Boundary, src *countingSource,
-	partSizes, freeVec, localPerPart []int64, res *machineResult) *machineCkpt {
-	live, doneSet := bnd.Snapshot()
+// capture snapshots the superstep loop's mutable state as of "about to run
+// superstep iter+1". The slice fields alias the live slabs — WriteState
+// streams them out synchronously before the loop mutates anything, so no
+// copies are taken.
+func (m *machine) capture(iter int) *machineCkpt {
+	sg := m.sg
+	live, doneSet := m.bnd.Snapshot()
 	return &machineCkpt{
-		iter: int64(iter), done: done,
-		seedCur: int64(sg.seedCur),
-		wasted:  res.wasted, selections: res.selections,
-		rng63: src.n63, rng64: src.n64, bndPeak: int64(bnd.Peak()),
-		partSizes: partSizes, freeVec: freeVec, localPerPart: localPerPart,
+		iter: int64(iter), seedCur: int64(sg.seedCur),
+		wasted: m.res.wasted, selections: m.res.selections,
+		rng63: m.src.n63, rng64: m.src.n64, bndPeak: int64(m.bnd.Peak()),
+		partSizes: m.partSizes, freeVec: m.freeVec, localPerPart: m.localPerPart,
 		owner: sg.owner, eIdx: sg.eIdx, aliveLen: sg.aliveLen, partWords: sg.partWords,
 		bndLive: live, bndDone: doneSet,
 	}
