@@ -442,8 +442,15 @@ func (m *machine) superstep(ctx context.Context) (cancelled bool, err error) {
 		}
 		m.freeVec[msg.From] = body.Free
 	}
+	// A merged score is the vertex's global Drest as of this superstep, and
+	// Drest only falls: at 0 the vertex has no free edge left anywhere, so it
+	// never enters the boundary and leaves it if an older score put it there.
 	for _, v := range m.mergedOrder {
-		m.bnd.Update(v, m.mergedVal[v])
+		if d := m.mergedVal[v]; d > 0 {
+			m.bnd.Update(v, d)
+		} else {
+			m.bnd.Remove(v)
+		}
 	}
 	return cancelled, nil
 }

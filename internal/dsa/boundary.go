@@ -77,6 +77,15 @@ func (b *Boundary) Update(v uint32, d int32) {
 	b.h.Push(d, v)
 }
 
+// Remove takes v out of the boundary if it is live; its heap entries go
+// stale and are skipped on pop.
+func (b *Boundary) Remove(v uint32) {
+	if b.mark[v] == b.epoch {
+		b.mark[v] = 0
+		b.size--
+	}
+}
+
 // PopMin removes and returns the live vertex with the minimal (score, id)
 // pair. It returns false when the boundary is empty.
 func (b *Boundary) PopMin() (uint32, bool) {
