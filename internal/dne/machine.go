@@ -256,7 +256,9 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			return fmt.Errorf("dne: machine %d exceeded %d iterations (|E| allocated: %d/%d)",
 				m.rank, maxIter, sum(m.partSizes), m.totalE)
 		}
-		cancelled, err := m.superstep(ctx)
+		before := sum(m.partSizes)
+		_, closing := m.closing()
+		cancelled, err := m.superstep(ctx, closing)
 		if err != nil {
 			return err
 		}
@@ -268,7 +270,7 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 			}
 			return context.Canceled
 		}
-		if m.finished() {
+		if m.finished(before) {
 			break
 		}
 	}
@@ -276,9 +278,29 @@ func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineIn
 	return nil
 }
 
+// closing reports how many partitions are under their α cap and whether the
+// run is closing: the free edges F = |E| − Σ|Eq| fit into the remaining room
+// of every one of them, so no order of allocation can overshoot a cap any
+// more. It is a function of partSizes alone — identical on every machine,
+// recomputed after a resume — and it never turns false again: a superstep
+// that gives q some edges shrinks F by at least as much as q's room.
+func (m *machine) closing() (under int, closing bool) {
+	free := m.totalE - sum(m.partSizes)
+	closing = true
+	for _, size := range m.partSizes {
+		if room := m.capEdges - size; room > 0 {
+			under++
+			closing = closing && free <= room
+		}
+	}
+	return under, closing && under > 0
+}
+
 // superstep runs the three rounds of one superstep: select, sync, step. It
-// reports whether any machine asked to cancel.
-func (m *machine) superstep(ctx context.Context) (cancelled bool, err error) {
+// reports whether any machine asked to cancel. In a closing superstep a
+// partition still under its cap drains: it expands its whole boundary, not a
+// λ share of it, and asks for no new seed when the boundary is empty.
+func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, err error) {
 	p, rank, sg, comm := m.p, m.rank, m.sg, m.comm
 
 	// ------- Phase A: vertex selection (Alg. 1 L3–7 / Alg. 4) -------
@@ -292,17 +314,19 @@ func (m *machine) superstep(ctx context.Context) (cancelled bool, err error) {
 	if m.partSizes[rank] < m.capEdges {
 		if m.bnd.Len() > 0 {
 			k := 1
-			if !m.cfg.SingleExpansion {
+			budget := m.capEdges - m.partSizes[rank]
+			if closing {
+				k, budget = m.bnd.Len(), math.MaxInt64
+			} else if !m.cfg.SingleExpansion {
 				k = max(1, int(math.Ceil(m.cfg.Lambda*float64(m.bnd.Len()))))
 			}
-			budget := m.capEdges - m.partSizes[rank]
 			m.popBuf = m.bnd.PopK(k, budget, m.popBuf)
 			for _, v := range m.popBuf {
 				for _, pr := range m.replicaProcs(v) {
 					m.outPairs[pr] = append(m.outPairs[pr], vp{V: v, P: int32(rank)})
 				}
 			}
-		} else {
+		} else if !closing {
 			// Random seed (Alg. 1 L7): prefer the local allocation
 			// process, fall back to the nearest machine with free edges.
 			for off := 0; off < p; off++ {
@@ -455,27 +479,29 @@ func (m *machine) superstep(ctx context.Context) (cancelled bool, err error) {
 	return cancelled, nil
 }
 
-// finished is the termination check (Alg. 1 L14–15): every edge allocated,
-// or every partition at its α cap with edges left for the sweep.
-func (m *machine) finished() bool {
-	if sum(m.partSizes) == m.totalE {
+// finished is the termination check (Alg. 1 L14–15) after a superstep that
+// started with `before` edges allocated: every edge is allocated; or every
+// partition is at its α cap; or the run is closing and the drain has nothing
+// more to reach — the superstep allocated nothing, so every boundary of an
+// under-cap partition is empty, or a single partition is under its cap, so
+// every free edge is going to be its edge whichever way it gets there. The
+// last three leave the free edges to the sweep.
+func (m *machine) finished(before int64) bool {
+	after := sum(m.partSizes)
+	if after == m.totalE {
 		return true
 	}
-	for _, size := range m.partSizes {
-		if size < m.capEdges {
-			return false
-		}
-	}
-	return true
+	under, closing := m.closing()
+	return under == 0 || closing && (under == 1 || after == before)
 }
 
 // finish sweeps what the loop left and fills in the run's statistics.
 func (m *machine) finish(iter int, in machineInput) {
-	// Leftover sweep: only reachable when every partition saturated its α cap
-	// while edges remained.
+	// The closing hand-off: whatever the drain could not reach goes to the
+	// partitions still under their cap.
 	var swept int64
 	if sum(m.partSizes) < m.totalE {
-		swept = m.sg.sweepLeftovers(m.partSizes, m.scratch)
+		swept = m.sg.sweepLeftovers(m.partSizes, m.capEdges, m.scratch)
 		swept = cluster.AllGatherSum(m.comm, swept)
 	}
 

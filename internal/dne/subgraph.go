@@ -321,11 +321,15 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 	return 0, false
 }
 
-// sweepLeftovers force-assigns every remaining free edge to the smallest
-// candidate partition (preferring partitions already covering an endpoint).
-// It returns the number of swept edges. Used only when every partition hit
-// the α cap with edges still unallocated.
-func (sg *subGraph) sweepLeftovers(partSizes []int64, scratch bitset.Set) int64 {
+// sweepLeftovers assigns every remaining free edge to the smallest candidate
+// partition and returns how many it assigned. Candidates are, in this order,
+// the partitions under their cap that already cover an endpoint, any
+// partition under its cap, and — only when every partition is at its cap —
+// the ones covering an endpoint, then all. partSizes is this machine's copy
+// and counts what it sweeps. At the closing hand-off the free edges of all
+// machines together fit into every under-cap partition, so no order of
+// sweeping on no machine can push one over its cap.
+func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bitset.Set) int64 {
 	var swept int64
 	for le, o := range sg.owner {
 		if o != -1 {
@@ -334,21 +338,31 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, scratch bitset.Set) int64 
 		e := sg.edges[le]
 		lu, lv := sg.lid[e.U], sg.lid[e.V]
 		best := int32(-1)
-		var bestSize int64
-		consider := func(q int) {
-			if best == -1 || partSizes[q] < bestSize {
+		smallest := func(q int) {
+			if best == -1 || partSizes[q] < partSizes[best] {
 				best = int32(q)
-				bestSize = partSizes[q]
+			}
+		}
+		smallestUnder := func(q int) {
+			if partSizes[q] < capEdges {
+				smallest(q)
 			}
 		}
 		scratch.Reset()
 		scratch.Or(sg.partSet(int(lu)))
 		scratch.Or(sg.partSet(int(lv)))
-		if !scratch.Empty() {
-			scratch.ForEach(consider)
-		} else {
+		scratch.ForEach(smallestUnder)
+		if best == -1 {
 			for q := 0; q < sg.numParts; q++ {
-				consider(q)
+				smallestUnder(q)
+			}
+		}
+		if best == -1 {
+			scratch.ForEach(smallest)
+		}
+		if best == -1 {
+			for q := 0; q < sg.numParts; q++ {
+				smallest(q)
 			}
 		}
 		sg.allocateEdge(int32(le), best, lu, lv)
