@@ -29,7 +29,7 @@ import (
 //     subgraph's static structure (CSR, offsets) is rebuilt from it.
 //   - state-rNNN-sNNNNNNNN.dnc ("DNC1"): the mutable overlay at superstep s —
 //     owner words, compacted adjacency (eIdx + aliveLen), partition bitsets,
-//     boundary live/done sets, PRNG draw counts, the global size vectors, loop
+//     the live boundary, PRNG draw counts, the global size vectors, loop
 //     counters. Everything derivable (drest, freeEdges, the target array) is
 //     recomputed on load instead of stored.
 //
@@ -135,7 +135,6 @@ type machineCkpt struct {
 	partWords []uint64
 
 	bndLive []dsa.BoundaryEntry
-	bndDone []uint32
 }
 
 // hashedWriter tees writes through an FNV-64a digest.
@@ -198,24 +197,6 @@ func writeI32Slice(w io.Writer, xs []int32) error {
 		n := min(len(xs), 8192)
 		for i, x := range xs[:n] {
 			binary.LittleEndian.PutUint32(page[i*4:], uint32(x))
-		}
-		if _, err := w.Write(page[:n*4]); err != nil {
-			return err
-		}
-		xs = xs[n:]
-	}
-	return nil
-}
-
-func writeU32Slice(w io.Writer, xs []uint32) error {
-	if err := writeU64(w, uint64(len(xs))); err != nil {
-		return err
-	}
-	var page [8192 * 4]byte
-	for len(xs) > 0 {
-		n := min(len(xs), 8192)
-		for i, x := range xs[:n] {
-			binary.LittleEndian.PutUint32(page[i*4:], x)
 		}
 		if _, err := w.Write(page[:n*4]); err != nil {
 			return err
@@ -297,27 +278,6 @@ func readI32Slice(r io.Reader) ([]int32, error) {
 		}
 		for i := 0; i < chunk; i++ {
 			out[off+i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-		off += chunk
-	}
-	return out, nil
-}
-
-func readU32Slice(r io.Reader) ([]uint32, error) {
-	n, err := readCount(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	var page [8192 * 4]byte
-	for off := 0; off < n; {
-		chunk := min(8192, n-off)
-		b := page[:chunk*4]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < chunk; i++ {
-			out[off+i] = binary.LittleEndian.Uint32(b[i*4:])
 		}
 		off += chunk
 	}
@@ -456,9 +416,6 @@ func (c *Checkpointer) WriteState(st *machineCkpt) error {
 				return err
 			}
 		}
-		if err := writeU32Slice(hw, st.bndDone); err != nil {
-			return err
-		}
 		return writeU64(w, hw.h.Sum64())
 	})
 	if err != nil {
@@ -526,9 +483,6 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 			V:     binary.LittleEndian.Uint32(b[0:]),
 			Score: int32(binary.LittleEndian.Uint32(b[4:])),
 		}
-	}
-	if st.bndDone, err = readU32Slice(r); err != nil {
-		return nil, fmt.Errorf("dne: reading checkpoint boundary done set: %w", err)
 	}
 	want := digest.Sum64()
 	got, err := readU64(br)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/distributedne/dne/internal/dsa"
@@ -30,7 +31,6 @@ func sampleState(iter int64) *machineCkpt {
 		aliveLen:     []int32{2, 1},
 		partWords:    []uint64{0xdeadbeef, 0x1},
 		bndLive:      []dsa.BoundaryEntry{{V: 3, Score: 2}, {V: 9, Score: 5}},
-		bndDone:      []uint32{1, 4},
 	}
 }
 
@@ -77,16 +77,11 @@ func statesEqual(a, b *machineCkpt) bool {
 			return false
 		}
 	}
-	if len(a.bndLive) != len(b.bndLive) || len(a.bndDone) != len(b.bndDone) {
+	if len(a.bndLive) != len(b.bndLive) {
 		return false
 	}
 	for i := range a.bndLive {
 		if a.bndLive[i] != b.bndLive[i] {
-			return false
-		}
-	}
-	for i := range a.bndDone {
-		if a.bndDone[i] != b.bndDone[i] {
 			return false
 		}
 	}
@@ -159,9 +154,9 @@ func TestCheckpointHostileFiles(t *testing.T) {
 			flipByte(t, path, 0)
 		}},
 		{"absurd section count", func(t *testing.T, c *Checkpointer, path string) {
-			// Overwrite the first section length (after the 15-word header)
+			// Overwrite the first section length (after the 12-word header)
 			// with a count that would allocate petabytes if trusted.
-			patchU64(t, path, 15*8, 1<<60)
+			patchU64(t, path, 12*8, 1<<60)
 		}},
 		{"empty file", func(t *testing.T, c *Checkpointer, path string) {
 			truncateFile(t, path, 0)
@@ -192,6 +187,27 @@ func TestCheckpointHostileFiles(t *testing.T) {
 		}
 		if got := c2.Newest(); got != -1 {
 			t.Fatalf("Newest saw a foreign-config checkpoint: %d", got)
+		}
+	})
+
+	// A version-1 state file (it carried an expanded set, an edge count and
+	// claim tags this version has no use for) is refused by its version word,
+	// before anything in it is interpreted, and is invisible to Newest.
+	t.Run("version 1 file", func(t *testing.T) {
+		c := testCkpt(t, cfg)
+		if err := c.WriteBase(10, 10, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteState(sampleState(3)); err != nil {
+			t.Fatal(err)
+		}
+		patchU64(t, c.statePath(3), 8, 1)
+		_, err := c.LoadState(3)
+		if err == nil || !strings.Contains(err.Error(), "bad magic/version") {
+			t.Fatalf("version-1 state file: %v, want the bad-version error", err)
+		}
+		if got := c.Newest(); got != -1 {
+			t.Fatalf("Newest offers a version-1 checkpoint: %d", got)
 		}
 	})
 

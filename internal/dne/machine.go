@@ -152,6 +152,7 @@ type machine struct {
 	popBuf      []uint32
 	allocLocal  []int32
 	orderBP     []vp
+	pairs       []vp // the selections received this superstep, by sender
 	sizesView   []int64
 	twoBudget   []int64
 }
@@ -358,7 +359,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// Working view of global |Eq|: last gather plus local increments,
 	// used to enforce the α cap within the superstep.
 	copy(m.sizesView, m.partSizes)
-	var pairs []vp
+	pairs := m.pairs[:0]
 	for _, msg := range comm.RecvN(tagSelect, p) {
 		body := msg.Body.(selectBody)
 		pairs = append(pairs, body.Pairs...)
@@ -372,6 +373,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			}
 		}
 	}
+	m.pairs = pairs
 	m.res.selections += int64(len(pairs))
 	for _, pair := range pairs {
 		if m.sizesView[pair.P] >= m.capEdges {
@@ -429,6 +431,15 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	for _, pair := range synced {
 		m.bItems[pair.P] = append(m.bItems[pair.P],
 			boundaryItem{V: pair.V, Drest: sg.localDrest(pair.V)})
+	}
+	// Every selection ⟨v, p⟩ is answered while v still has a free edge here
+	// (unless the pair was just reported above): p took v out of its boundary
+	// when it selected it, and an expansion that was cut short must come back
+	// with its true score, or the rest of v is never offered to p again.
+	for _, pair := range pairs {
+		if d := sg.localDrest(pair.V); d > 0 && m.seenBP.add(pair) {
+			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: pair.V, Drest: d})
+		}
 	}
 	for _, le := range m.allocLocal {
 		m.localPerPart[sg.owner[le]]++

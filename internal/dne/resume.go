@@ -54,14 +54,13 @@ func (s *countingSource) skip(n63, n64 uint64) {
 // copies are taken.
 func (m *machine) capture(iter int) *machineCkpt {
 	sg := m.sg
-	live, doneSet := m.bnd.Snapshot()
 	return &machineCkpt{
 		iter: int64(iter), seedCur: int64(sg.seedCur),
 		wasted: m.res.wasted, selections: m.res.selections,
 		rng63: m.src.n63, rng64: m.src.n64, bndPeak: int64(m.bnd.Peak()),
 		partSizes: m.partSizes, freeVec: m.freeVec, localPerPart: m.localPerPart,
 		owner: sg.owner, eIdx: sg.eIdx, aliveLen: sg.aliveLen, partWords: sg.partWords,
-		bndLive: live, bndDone: doneSet,
+		bndLive: m.bnd.Snapshot(),
 	}
 }
 
@@ -135,12 +134,7 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 			return fmt.Errorf("dne: checkpoint boundary vertex %d out of range", e.V)
 		}
 	}
-	for _, v := range st.bndDone {
-		if v >= nV {
-			return fmt.Errorf("dne: checkpoint expanded vertex %d out of range", v)
-		}
-	}
-	bnd.Restore(st.bndLive, st.bndDone, int(st.bndPeak))
+	bnd.Restore(st.bndLive, int(st.bndPeak))
 	src.skip(st.rng63, st.rng64)
 	return nil
 }

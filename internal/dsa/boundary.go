@@ -1,9 +1,9 @@
 package dsa
 
 // Boundary is the expansion frontier of (Distributed) Neighbor Expansion: a
-// priority queue of ⟨Drest(v), v⟩ pairs supporting lazy score refresh, plus
-// an optional "expanded" set for vertices that must never re-enter (Alg. 1 /
-// Alg. 4 of the paper).
+// priority queue of ⟨Drest(v), v⟩ pairs supporting lazy score refresh (Alg. 1
+// / Alg. 4 of the paper). A popped vertex may be inserted again: whether an
+// expanded vertex is worth a second visit is the caller's decision.
 //
 // All membership state lives in flat slabs indexed by dense vertex id and
 // stamped with an epoch counter, so Reset is O(1) and a single Boundary is
@@ -14,15 +14,12 @@ package dsa
 //
 // Invariants:
 //   - A vertex is live iff mark[v] == epoch; its current score is score[v].
-//   - A vertex is expanded iff done[v] == epoch; expanded vertices ignore
-//     Update and never re-enter until Reset.
-//   - Stale heap entries (score changed, vertex popped or expanded) are
+//   - Stale heap entries (score changed, vertex popped or removed) are
 //     detected on pop by comparing against score/mark and discarded.
 type Boundary struct {
 	h     MinHeap4
 	score []int32
 	mark  []uint32 // mark[v] == epoch ⇔ v live in the boundary
-	done  []uint32 // done[v] == epoch ⇔ v expanded (PopK users)
 	epoch uint32
 	size  int
 	peak  int
@@ -33,20 +30,17 @@ func NewBoundary(n int) *Boundary {
 	return &Boundary{
 		score: make([]int32, n),
 		mark:  make([]uint32, n),
-		done:  make([]uint32, n),
 		epoch: 1,
 	}
 }
 
-// Reset empties the boundary and the expanded set in O(1) by bumping the
-// epoch. The slabs are reused; no allocation happens. After 2^32−1 Resets
+// Reset empties the boundary in O(1) by bumping the epoch. The slabs are reused; no allocation happens. After 2^32−1 Resets
 // the stamps are zeroed once so stale epochs can never alias, as in
 // EpochSet.Clear.
 func (b *Boundary) Reset() {
 	b.epoch++
 	if b.epoch == 0 {
 		clear(b.mark)
-		clear(b.done)
 		b.epoch = 1
 	}
 	b.h.Reset()
@@ -57,11 +51,8 @@ func (b *Boundary) Reset() {
 func (b *Boundary) Len() int { return b.size }
 
 // Update inserts v with score d, or refreshes its score if v is already
-// live. Expanded vertices are ignored; unchanged scores are not re-pushed.
+// live. Unchanged scores are not re-pushed.
 func (b *Boundary) Update(v uint32, d int32) {
-	if b.done[v] == b.epoch {
-		return
-	}
 	if b.mark[v] == b.epoch {
 		if b.score[v] == d {
 			return
@@ -105,9 +96,8 @@ func (b *Boundary) PopMin() (uint32, bool) {
 // stopping once the popped vertices' cumulative score reaches budget (the
 // expected number of one-hop edges the batch will allocate, so a single
 // multi-expansion superstep cannot overshoot the α cap, Eq. 2). At least one
-// vertex is returned when the boundary is non-empty and budget > 0. Popped
-// vertices are marked expanded and never re-enter until Reset. The returned
-// slice aliases dst's backing array.
+// vertex is returned when the boundary is non-empty and budget > 0. The
+// returned slice aliases dst's backing array.
 func (b *Boundary) PopK(k int, budget int64, dst []uint32) []uint32 {
 	dst = dst[:0]
 	var cum int64
@@ -117,7 +107,6 @@ func (b *Boundary) PopK(k int, budget int64, dst []uint32) []uint32 {
 			continue // stale entry
 		}
 		b.mark[e.V] = 0
-		b.done[e.V] = b.epoch
 		b.size--
 		dst = append(dst, e.V)
 		cum += int64(e.K)
@@ -132,30 +121,25 @@ type BoundaryEntry struct {
 }
 
 // Snapshot captures the boundary's logical state: the live (vertex, score)
-// pairs and the expanded vertex set, both in ascending vertex order. Because
-// the pop sequence is the total order by (score, id) — stale heap entries
-// are skipped — this logical state fully determines future behavior; the
-// physical heap layout need not be preserved. Used by the checkpoint layer.
-func (b *Boundary) Snapshot() (live []BoundaryEntry, done []uint32) {
+// pairs in ascending vertex order. Because the pop sequence is the total
+// order by (score, id) — stale heap entries are skipped — this logical state
+// fully determines future behavior; the physical heap layout need not be
+// preserved. Used by the checkpoint layer.
+func (b *Boundary) Snapshot() []BoundaryEntry {
+	var live []BoundaryEntry
 	for v := range b.mark {
 		if b.mark[v] == b.epoch {
 			live = append(live, BoundaryEntry{V: uint32(v), Score: b.score[v]})
 		}
-		if b.done[v] == b.epoch {
-			done = append(done, uint32(v))
-		}
 	}
-	return live, done
+	return live
 }
 
 // Restore rebuilds the boundary from a Snapshot, replacing any current
 // content. The restored boundary pops the exact same sequence as the
 // snapshotted one.
-func (b *Boundary) Restore(live []BoundaryEntry, done []uint32, peak int) {
+func (b *Boundary) Restore(live []BoundaryEntry, peak int) {
 	b.Reset()
-	for _, v := range done {
-		b.done[v] = b.epoch
-	}
 	for _, e := range live {
 		b.Update(e.V, e.Score)
 	}
@@ -165,13 +149,12 @@ func (b *Boundary) Restore(live []BoundaryEntry, done []uint32, peak int) {
 }
 
 // MemoryFootprint returns the bytes held by the boundary's dense slabs and
-// the heap's peak backing array: 12 bytes per vertex id in the domain plus 8
+// the heap's peak backing array: 8 bytes per vertex id in the domain plus 8
 // per peak heap entry. Unlike the map-based predecessor there is no
 // per-entry bucket overhead to charge.
 func (b *Boundary) MemoryFootprint() int64 {
 	return int64(len(b.score))*4 +
 		int64(len(b.mark))*4 +
-		int64(len(b.done))*4 +
 		b.h.MemoryFootprint()
 }
 

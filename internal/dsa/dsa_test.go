@@ -36,19 +36,15 @@ func (h *refHeap) Pop() any {
 
 // refBoundary is the old map-based lazy boundary.
 type refBoundary struct {
-	h        refHeap
-	score    map[uint32]int32
-	expanded map[uint32]struct{}
+	h     refHeap
+	score map[uint32]int32
 }
 
 func newRefBoundary() *refBoundary {
-	return &refBoundary{score: map[uint32]int32{}, expanded: map[uint32]struct{}{}}
+	return &refBoundary{score: map[uint32]int32{}}
 }
 
 func (b *refBoundary) update(v uint32, d int32) {
-	if _, done := b.expanded[v]; done {
-		return
-	}
 	if old, ok := b.score[v]; ok && old == d {
 		return
 	}
@@ -66,7 +62,6 @@ func (b *refBoundary) popK(k int, budget int64) []uint32 {
 			continue
 		}
 		delete(b.score, e.v)
-		b.expanded[e.v] = struct{}{}
 		out = append(out, e.v)
 		cum += int64(e.d)
 	}
@@ -189,21 +184,37 @@ func TestBoundaryPopMinMatchesReference(t *testing.T) {
 	}
 }
 
-func TestBoundaryExpandedNeverReenters(t *testing.T) {
+func TestBoundaryPoppedVertexMayReenter(t *testing.T) {
 	b := NewBoundary(8)
 	b.Update(3, 5)
 	got := b.PopK(1, 100, nil)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("popK = %v, want [3]", got)
 	}
-	b.Update(3, 1) // expanded: must be ignored
-	if b.Len() != 0 {
-		t.Fatalf("expanded vertex re-entered: len=%d", b.Len())
-	}
-	b.Reset()
-	b.Update(3, 1) // after Reset it may re-enter
+	b.Update(3, 5) // same score as the stale heap entry
 	if b.Len() != 1 {
-		t.Fatalf("vertex did not re-enter after Reset: len=%d", b.Len())
+		t.Fatalf("popped vertex did not re-enter: len=%d", b.Len())
+	}
+	if got = b.PopK(4, 100, got); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("second popK = %v, want [3] exactly once", got)
+	}
+}
+
+func TestBoundaryRemove(t *testing.T) {
+	b := NewBoundary(8)
+	b.Update(3, 5)
+	b.Update(4, 1)
+	b.Remove(4)
+	b.Remove(6) // not live: no-op
+	if b.Len() != 1 {
+		t.Fatalf("len = %d after removing one of two, want 1", b.Len())
+	}
+	if v, ok := b.PopMin(); !ok || v != 3 {
+		t.Fatalf("PopMin = (%d,%v), want (3,true)", v, ok)
+	}
+	b.Update(4, 1) // a removed vertex may come back
+	if v, ok := b.PopMin(); !ok || v != 4 {
+		t.Fatalf("PopMin = (%d,%v), want (4,true)", v, ok)
 	}
 }
 
@@ -228,17 +239,15 @@ func TestBoundaryPopKBudget(t *testing.T) {
 func TestBoundaryResetEpochWrap(t *testing.T) {
 	b := NewBoundary(4)
 	b.Update(1, 7)
-	b.PopK(1, 100, nil) // 1 expanded in epoch 1
 	b.epoch = ^uint32(0)
-	b.mark[2] = 1 // stale stamps that would alias the post-wrap epoch
-	b.done[3] = 1
+	b.mark[2] = 1 // a stale stamp that would alias the post-wrap epoch
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatal("stale live membership after epoch wrap")
 	}
-	b.Update(3, 5) // done[3] must not suppress the insert
+	b.Update(3, 5)
 	if b.Len() != 1 {
-		t.Fatal("stale expanded stamp survived epoch wrap")
+		t.Fatal("insert after epoch wrap did not take")
 	}
 	if v, ok := b.PopMin(); !ok || v != 3 {
 		t.Fatalf("PopMin = (%d,%v), want (3,true)", v, ok)

@@ -7,24 +7,22 @@ import (
 
 func TestBoundarySnapshotRestorePopsIdentically(t *testing.T) {
 	// A restored boundary must pop the exact sequence the original would:
-	// the snapshot's logical (live, done) state fully determines behavior
-	// even though the physical heap layout is discarded.
+	// the snapshot's logical state fully determines behavior even though the
+	// physical heap layout is discarded.
 	rng := rand.New(rand.NewSource(17))
 	const n = 500
 	b := NewBoundary(n)
 	for i := 0; i < 300; i++ {
 		b.Update(uint32(rng.Intn(n)), int32(rng.Intn(50)))
 	}
-	// Expand a batch so the done-set is non-empty, then refresh some scores
-	// to plant stale heap entries.
+	// Pop a batch, then refresh some scores to plant stale heap entries.
 	b.PopK(20, 1<<30, make([]uint32, 0, 20))
 	for i := 0; i < 100; i++ {
 		b.Update(uint32(rng.Intn(n)), int32(rng.Intn(50)))
 	}
 
-	live, done := b.Snapshot()
 	r := NewBoundary(n)
-	r.Restore(live, done, b.Peak())
+	r.Restore(b.Snapshot(), b.Peak())
 
 	if r.Len() != b.Len() {
 		t.Fatalf("restored Len %d != original %d", r.Len(), b.Len())
@@ -44,26 +42,5 @@ func TestBoundarySnapshotRestorePopsIdentically(t *testing.T) {
 		if v1 != v2 {
 			t.Fatalf("pop streams diverge: original %d restored %d", v1, v2)
 		}
-	}
-}
-
-func TestBoundaryRestoreHonorsDoneSet(t *testing.T) {
-	b := NewBoundary(10)
-	b.Update(3, 5)
-	b.Update(7, 1)
-	b.PopK(1, 1<<30, nil) // expands vertex 7
-	live, done := b.Snapshot()
-	if len(done) != 1 || done[0] != 7 {
-		t.Fatalf("done = %v, want [7]", done)
-	}
-
-	r := NewBoundary(10)
-	r.Restore(live, done, 0)
-	r.Update(7, 0) // expanded: must be ignored
-	if v, ok := r.PopMin(); !ok || v != 3 {
-		t.Fatalf("PopMin = %d,%v, want 3,true", v, ok)
-	}
-	if _, ok := r.PopMin(); ok {
-		t.Fatal("expanded vertex re-entered after restore")
 	}
 }
