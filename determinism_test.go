@@ -65,7 +65,7 @@ func TestSeededPartitioningsGolden(t *testing.T) {
 		"rmat12": {
 			"dbh":       0xbffd72f4e31363d2,
 			"distlp":    0x9ae611968fb9abd7,
-			"dne":       0xc119fb92c2bbd707,
+			"dne":       0xc53659fb84986f50,
 			"fennel":    0x376e7b2745cf56e3,
 			"ginger":    0x2fd4affa7fdfd472,
 			"grid":      0x387902484d2ebfb3,
@@ -84,7 +84,7 @@ func TestSeededPartitioningsGolden(t *testing.T) {
 		"road48": {
 			"dbh":       0xa8627938ae39f763,
 			"distlp":    0x9a8262c1cb0e8687,
-			"dne":       0x2dbc75ecc8cd7293,
+			"dne":       0x6752176e523fa6d2,
 			"fennel":    0x7431a426ea7b4580,
 			"ginger":    0xfdc7021ab9aa02c4,
 			"grid":      0x9048c3b95dcfff76,

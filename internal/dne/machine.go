@@ -154,7 +154,7 @@ type machine struct {
 	orderBP     []vp
 	pairs       []vp // the selections received this superstep, by sender
 	sizesView   []int64
-	twoBudget   []int64
+	quota       []int64 // edges this machine may still give each partition this superstep
 }
 
 // newMachine sets up the loop state: fresh, with the one collective that
@@ -180,7 +180,7 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *machineResu
 		mergedSet:    dsa.NewEpochSet(int(n)),
 		mergedVal:    make([]int32, n),
 		sizesView:    make([]int64, p),
-		twoBudget:    make([]int64, p),
+		quota:        make([]int64, p),
 	}
 	for q := range m.allProcs {
 		m.allProcs[q] = q
@@ -315,13 +315,12 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	if m.partSizes[rank] < m.capEdges {
 		if m.bnd.Len() > 0 {
 			k := 1
-			budget := m.capEdges - m.partSizes[rank]
 			if closing {
-				k, budget = m.bnd.Len(), math.MaxInt64
+				k = m.bnd.Len()
 			} else if !m.cfg.SingleExpansion {
 				k = max(1, int(math.Ceil(m.cfg.Lambda*float64(m.bnd.Len()))))
 			}
-			m.popBuf = m.bnd.PopK(k, budget, m.popBuf)
+			m.popBuf = m.bnd.PopK(k, m.popBuf)
 			for _, v := range m.popBuf {
 				for _, pr := range m.replicaProcs(v) {
 					m.outPairs[pr] = append(m.outPairs[pr], vp{V: v, P: int32(rank)})
@@ -356,9 +355,20 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	m.allocLocal = m.allocLocal[:0]
 	m.orderBP = m.orderBP[:0]
 	m.seenBP.clear()
-	// Working view of global |Eq|: last gather plus local increments,
-	// used to enforce the α cap within the superstep.
+	// Working view of global |Eq|: last gather plus local increments, the
+	// order two-hop allocation prefers partitions in.
 	copy(m.sizesView, m.partSizes)
+	// The α cap of Eq. (2), exactly: this superstep this machine gives q at
+	// most a 1/P share of q's remaining room, plus one so that room below P
+	// still fills. One-hop and two-hop allocation draw on the same quota, per
+	// edge, so P machines together add at most room + P and |Eq| ≤ cap + P
+	// whatever the degrees are.
+	for q, size := range m.partSizes {
+		m.quota[q] = 0
+		if room := m.capEdges - size; room > 0 {
+			m.quota[q] = room/int64(p) + 1
+		}
+	}
 	pairs := m.pairs[:0]
 	for _, msg := range comm.RecvN(tagSelect, p) {
 		body := msg.Body.(selectBody)
@@ -376,11 +386,8 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	m.pairs = pairs
 	m.res.selections += int64(len(pairs))
 	for _, pair := range pairs {
-		if m.sizesView[pair.P] >= m.capEdges {
-			continue // partition's budget already exhausted
-		}
 		before := len(m.allocLocal)
-		for _, b := range sg.allocOneHop(pair.V, pair.P, &m.allocLocal) {
+		for _, b := range sg.allocOneHop(pair.V, pair.P, &m.quota[pair.P], &m.allocLocal) {
 			if m.seenBP.add(b) {
 				m.orderBP = append(m.orderBP, b)
 			}
@@ -413,18 +420,12 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	m.orderBP = synced
 
 	// ------- Phase B3: two-hop allocation (Alg. 2 L4, Alg. 3) -------
-	for q := 0; q < p; q++ {
-		m.twoBudget[q] = 0
-		if rem := m.capEdges - m.partSizes[q]; rem > 0 {
-			m.twoBudget[q] = rem/int64(p) + 1
-		}
-	}
 	m.seenV.Clear()
 	for _, pair := range synced {
 		if !m.seenV.Add(pair.V) {
 			continue
 		}
-		sg.allocTwoHop(pair.V, m.sizesView, m.twoBudget, m.capEdges, m.scratch, &m.allocLocal)
+		sg.allocTwoHop(pair.V, m.sizesView, m.quota, m.scratch, &m.allocLocal)
 	}
 
 	// ------- Phase B4: local Drest (Alg. 2 L5–6) -------

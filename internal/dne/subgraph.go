@@ -190,32 +190,42 @@ func (sg *subGraph) allocateEdge(le, p, lu, lv int32) {
 }
 
 // allocOneHop performs Alg. 3 AllocateOneHopNeighbors for a single received
-// ⟨v, p⟩ pair. It returns the new local boundary pairs ⟨u, p⟩ and appends the
-// allocated local edge indices to out. Every free slot of v is claimed here,
-// so v's alive adjacency empties.
-func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, out *[]int32) []vp {
+// ⟨v, p⟩ pair: v's free local edges go to p, one unit of *quota each, until
+// either runs out. It returns the new local boundary pairs ⟨u, p⟩ and appends
+// the allocated local edge indices to out. Like allocTwoHop it compacts the
+// slots that stay free to the front of v's alive range — none unless the
+// quota stopped it early.
+func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, quota *int64, out *[]int32) []vp {
 	lv := sg.lid[v]
 	if lv < 0 {
 		return nil
 	}
 	var bp []vp
 	base := sg.off[lv]
-	for s := base; s < base+int64(sg.aliveLen[lv]); s++ {
-		le := sg.eIdx[s]
+	alive := int64(sg.aliveLen[lv])
+	setV := sg.partSet(int(lv))
+	var keep int64
+	for s := int64(0); s < alive; s++ {
+		le := sg.eIdx[base+s]
 		if sg.owner[le] != -1 {
+			continue // allocated: drop from the alive range
+		}
+		u := sg.target[base+s]
+		if *quota == 0 {
+			sg.eIdx[base+keep] = le
+			sg.target[base+keep] = u
+			keep++
 			continue
 		}
-		u := sg.target[s]
+		*quota--
 		lu := sg.lid[u]
 		sg.allocateEdge(le, p, lu, lv)
-		sg.partSet(int(lv)).Set(int(p))
+		setV.Set(int(p))
 		sg.partSet(int(lu)).Set(int(p))
 		bp = append(bp, vp{V: u, P: p})
 		*out = append(*out, le)
 	}
-	// Every slot in the alive range is now allocated (either previously or
-	// by this call), so the compacted free adjacency of v is empty.
-	sg.aliveLen[lv] = 0
+	sg.aliveLen[lv] = int32(keep)
 	return bp
 }
 
@@ -231,19 +241,14 @@ func (sg *subGraph) applySync(v graph.Vertex, p int32) int {
 
 // allocTwoHop performs Alg. 3 AllocateTwoHopNeighbors for one synced boundary
 // vertex u: any free local edge (u,w) whose endpoints already share a
-// partition is allocated to the smallest such partition (Condition (5) never
-// increases replication). sizesView is this machine's working view of the
-// global |Eq| vector (gathered last iteration plus local increments); it is
-// used both for the argmin on Line 16 and to enforce the α cap of Eq. (2),
-// and is incremented for every allocation made here. Allocated local edge
-// indices are appended to out.
-// twoBudget additionally caps how many two-hop edges this machine may give
-// each partition this iteration (a 1/P fair share of the partition's
-// remaining capacity), bounding the cross-machine overshoot that the
-// one-iteration-stale sizesView cannot see.
-// It stably compacts u's surviving free slots to the front of the alive
+// partition is allocated to the smallest such partition that has quota left
+// (Condition (5) never increases replication). sizesView is this machine's
+// working view of the global |Eq| vector (gathered last superstep plus local
+// increments), used for the argmin on Line 16; it and quota are updated for
+// every allocation made here. Allocated local edge indices are appended to
+// out. It stably compacts u's surviving free slots to the front of the alive
 // range as it scans.
-func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, twoBudget []int64, capEdges int64, scratch bitset.Set, out *[]int32) {
+func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, quota []int64, scratch bitset.Set, out *[]int32) {
 	lu := sg.lid[u]
 	if lu < 0 || sg.drest[lu] == 0 {
 		return
@@ -261,14 +266,9 @@ func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, twoBudget []int64, ca
 		lw := sg.lid[w]
 		best := int32(-1)
 		if bitset.IntersectInto(scratch, setU, sg.partSet(int(lw))) {
-			var bestSize int64
 			scratch.ForEach(func(q int) {
-				if sizesView[q] >= capEdges || twoBudget[q] <= 0 {
-					return // would violate the balance constraint
-				}
-				if best == -1 || sizesView[q] < bestSize {
+				if quota[q] > 0 && (best == -1 || sizesView[q] < sizesView[best]) {
 					best = int32(q)
-					bestSize = sizesView[q]
 				}
 			})
 		}
@@ -280,7 +280,7 @@ func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, twoBudget []int64, ca
 		}
 		sg.allocateEdge(le, best, lu, lw)
 		sizesView[best]++
-		twoBudget[best]--
+		quota[best]--
 		*out = append(*out, le)
 	}
 	sg.aliveLen[lu] = int32(keep)

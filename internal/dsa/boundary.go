@@ -92,16 +92,11 @@ func (b *Boundary) PopMin() (uint32, bool) {
 	return 0, false
 }
 
-// PopK removes and returns up to k minimum-score vertices, additionally
-// stopping once the popped vertices' cumulative score reaches budget (the
-// expected number of one-hop edges the batch will allocate, so a single
-// multi-expansion superstep cannot overshoot the α cap, Eq. 2). At least one
-// vertex is returned when the boundary is non-empty and budget > 0. The
-// returned slice aliases dst's backing array.
-func (b *Boundary) PopK(k int, budget int64, dst []uint32) []uint32 {
+// PopK removes and returns up to k minimum-score vertices. The returned
+// slice aliases dst's backing array.
+func (b *Boundary) PopK(k int, dst []uint32) []uint32 {
 	dst = dst[:0]
-	var cum int64
-	for len(dst) < k && cum < budget && b.h.Len() > 0 {
+	for len(dst) < k && b.h.Len() > 0 {
 		e := b.h.Pop()
 		if b.mark[e.V] != b.epoch || b.score[e.V] != e.K {
 			continue // stale entry
@@ -109,7 +104,6 @@ func (b *Boundary) PopK(k int, budget int64, dst []uint32) []uint32 {
 		b.mark[e.V] = 0
 		b.size--
 		dst = append(dst, e.V)
-		cum += int64(e.K)
 	}
 	return dst
 }

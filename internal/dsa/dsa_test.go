@@ -52,10 +52,9 @@ func (b *refBoundary) update(v uint32, d int32) {
 	heap.Push(&b.h, refEntry{v: v, d: d})
 }
 
-func (b *refBoundary) popK(k int, budget int64) []uint32 {
+func (b *refBoundary) popK(k int) []uint32 {
 	var out []uint32
-	var cum int64
-	for len(out) < k && cum < budget && b.h.Len() > 0 {
+	for len(out) < k && b.h.Len() > 0 {
 		e := heap.Pop(&b.h).(refEntry)
 		cur, live := b.score[e.v]
 		if !live || cur != e.d {
@@ -63,7 +62,6 @@ func (b *refBoundary) popK(k int, budget int64) []uint32 {
 		}
 		delete(b.score, e.v)
 		out = append(out, e.v)
-		cum += int64(e.d)
 	}
 	return out
 }
@@ -128,14 +126,13 @@ func TestBoundaryPopOrderMatchesReference(t *testing.T) {
 					b.Update(v, d)
 					ref.update(v, d)
 				}
-			case 2: // popK with budget
+			case 2: // popK
 				k := 1 + rng.Intn(8)
-				budget := int64(1 + rng.Intn(40))
-				got := b.PopK(k, budget, scratch)
-				want := ref.popK(k, budget)
+				got := b.PopK(k, scratch)
+				want := ref.popK(k)
 				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d step %d: popK(%d,%d) = %v, want %v",
-						trial, step, k, budget, got, want)
+					t.Fatalf("trial %d step %d: popK(%d) = %v, want %v",
+						trial, step, k, got, want)
 				}
 				scratch = got
 			}
@@ -145,8 +142,8 @@ func TestBoundaryPopOrderMatchesReference(t *testing.T) {
 		}
 		// Drain.
 		for {
-			got := b.PopK(4, 1<<40, scratch)
-			want := ref.popK(4, 1<<40)
+			got := b.PopK(4, scratch)
+			want := ref.popK(4)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d drain: %v != %v", trial, got, want)
 			}
@@ -187,7 +184,7 @@ func TestBoundaryPopMinMatchesReference(t *testing.T) {
 func TestBoundaryPoppedVertexMayReenter(t *testing.T) {
 	b := NewBoundary(8)
 	b.Update(3, 5)
-	got := b.PopK(1, 100, nil)
+	got := b.PopK(1, nil)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("popK = %v, want [3]", got)
 	}
@@ -195,7 +192,7 @@ func TestBoundaryPoppedVertexMayReenter(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("popped vertex did not re-enter: len=%d", b.Len())
 	}
-	if got = b.PopK(4, 100, got); len(got) != 1 || got[0] != 3 {
+	if got = b.PopK(4, got); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("second popK = %v, want [3] exactly once", got)
 	}
 }
@@ -215,24 +212,6 @@ func TestBoundaryRemove(t *testing.T) {
 	b.Update(4, 1) // a removed vertex may come back
 	if v, ok := b.PopMin(); !ok || v != 4 {
 		t.Fatalf("PopMin = (%d,%v), want (4,true)", v, ok)
-	}
-}
-
-func TestBoundaryPopKBudget(t *testing.T) {
-	b := NewBoundary(16)
-	for v := uint32(0); v < 10; v++ {
-		b.Update(v, 4)
-	}
-	// budget 9 : pops scores 4+4 = 8 < 9, then one more (cum check is
-	// pre-pop), matching the reference loop's "cum < budget" condition.
-	got := b.PopK(10, 9, nil)
-	ref := newRefBoundary()
-	for v := uint32(0); v < 10; v++ {
-		ref.update(v, 4)
-	}
-	want := ref.popK(10, 9)
-	if !slices.Equal(got, want) {
-		t.Fatalf("budget semantics differ: %v vs %v", got, want)
 	}
 }
 
@@ -366,7 +345,7 @@ func BenchmarkSortU64(b *testing.B) {
 }
 
 // BenchmarkBoundaryPopK measures the popK hot path: a large churn of
-// updates and budgeted pops, the per-superstep pattern of Distributed NE.
+// updates and batched pops, the per-superstep pattern of Distributed NE.
 func BenchmarkBoundaryPopK(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(8))
@@ -385,11 +364,11 @@ func BenchmarkBoundaryPopK(b *testing.B) {
 		for j := range vs {
 			bd.Update(vs[j], ds[j])
 			if j&1023 == 1023 {
-				scratch = bd.PopK(64, 1<<20, scratch)
+				scratch = bd.PopK(64, scratch)
 			}
 		}
 		for bd.Len() > 0 {
-			scratch = bd.PopK(256, 1<<30, scratch)
+			scratch = bd.PopK(256, scratch)
 		}
 	}
 }
@@ -413,11 +392,11 @@ func BenchmarkBoundaryPopKReference(b *testing.B) {
 		for j := range vs {
 			bd.update(vs[j], ds[j])
 			if j&1023 == 1023 {
-				bd.popK(64, 1<<20)
+				bd.popK(64)
 			}
 		}
 		for len(bd.score) > 0 {
-			bd.popK(256, 1<<30)
+			bd.popK(256)
 		}
 	}
 }

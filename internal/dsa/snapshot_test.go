@@ -16,7 +16,7 @@ func TestBoundarySnapshotRestorePopsIdentically(t *testing.T) {
 		b.Update(uint32(rng.Intn(n)), int32(rng.Intn(50)))
 	}
 	// Pop a batch, then refresh some scores to plant stale heap entries.
-	b.PopK(20, 1<<30, make([]uint32, 0, 20))
+	b.PopK(20, make([]uint32, 0, 20))
 	for i := 0; i < 100; i++ {
 		b.Update(uint32(rng.Intn(n)), int32(rng.Intn(50)))
 	}
