@@ -1,6 +1,6 @@
 // Package dnebench holds one benchmark per table and figure of the paper's
-// evaluation, plus ablation benches for the design decisions called out in
-// DESIGN.md §4. Benchmarks run the same experiment designs as cmd/expbench
+// evaluation, plus ablation benches for the design decisions README.md lists
+// under "Deviations from Algorithms 1–4". Benchmarks run the same experiment designs as cmd/expbench
 // at reduced scale; `go test -bench . -benchmem` regenerates every series.
 package dnebench
 
@@ -94,7 +94,7 @@ func BenchmarkDNEPartition1M(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations (README.md, "Deviations from Algorithms 1–4") ---
 
 func ablationGraph() *graph.Graph { return gen.RMAT(13, 16, 9) }
 
@@ -171,8 +171,8 @@ func BenchmarkAblationAlpha(b *testing.B) {
 }
 
 // BenchmarkAblationMulticastFanout compares the O(√P) grid multicast against
-// broadcasting replica updates to all machines (DESIGN.md §4.2): identical
-// partitions, very different traffic.
+// broadcasting replica updates to all machines (Config.BroadcastReplicas):
+// identical partitions, very different traffic.
 func BenchmarkAblationMulticastFanout(b *testing.B) {
 	g := ablationGraph()
 	for _, mode := range []struct {
@@ -195,9 +195,10 @@ func BenchmarkAblationMulticastFanout(b *testing.B) {
 }
 
 // BenchmarkAblationDrestStaleness reports the fraction of selection
-// deliveries that allocate nothing — the price of refreshing boundary Drest
-// scores only on re-entry (DESIGN.md §4.4) — across λ (staleness grows with
-// the batch size).
+// deliveries that allocate nothing — the grid fan-out of a selection plus the
+// price of refreshing boundary Drest scores only on re-entry (README.md,
+// "Deviations from Algorithms 1–4", honest boundary) — across λ (staleness
+// grows with the batch size).
 func BenchmarkAblationDrestStaleness(b *testing.B) {
 	g := ablationGraph()
 	for _, lambda := range []float64{0.01, 0.1, 1.0} {

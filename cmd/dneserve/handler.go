@@ -79,7 +79,7 @@ type RunStats struct {
 	CommMessages int64              `json:"commMessages,omitempty"`
 	PeakMemBytes int64              `json:"peakMemBytes,omitempty"`
 	MemScore     float64            `json:"memScore,omitempty"`
-	SweptEdges   int64              `json:"sweptEdges,omitempty"`
+	HandOffEdges int64              `json:"closingHandOffEdges,omitempty"` // assigned in one sweep when the loop ended; part of a normal dne run
 	Extra        map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -245,7 +245,7 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 			CommMessages: st.CommMessages,
 			PeakMemBytes: st.PeakMemBytes,
 			MemScore:     st.MemScore(g.NumEdges()),
-			SweptEdges:   st.SweptEdges,
+			HandOffEdges: st.SweptEdges,
 			Extra:        st.Extra,
 		},
 	}

@@ -190,6 +190,15 @@ func run(rank, size int, addr, shardDir string, scale, ef int, seed int64, alpha
 	return nil
 }
 
+// printStats prints one rank's line. closing-hand-off is the number of edges,
+// over all ranks, that the loop's last step assigned in one sweep once no
+// boundary could reach them: part of every normal run, not a fallback.
+func printStats(rank int, stats *dne.MachineStats) {
+	fmt.Printf("rank %d: iterations=%d partition-edges=%d closing-hand-off=%d peak-mem=%.1fMB comm=%.1fMB\n",
+		rank, stats.Iterations, stats.PartEdges, stats.SweptEdges,
+		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
+}
+
 // runShards is the sharded data plane: this rank loads only its own shard
 // files and never sees the full graph.
 func runShards(ctx context.Context, node *cluster.TCPNode, rank, size int, dir string, cfg dne.Config, start time.Time) error {
@@ -205,9 +214,7 @@ func runShards(ctx context.Context, node *cluster.TCPNode, rank, size int, dir s
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
+	printStats(rank, stats)
 	if res != nil {
 		fmt.Printf("rank 0: RESULT |V|=%d |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
 			shard.NumVertices, res.NumEdges(), res.NumParts, res.EdgeBalance(),
@@ -261,9 +268,7 @@ func runShardsFT(ctx, hardCtx context.Context, rank, size int, addr, dir string,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
+	printStats(rank, stats)
 	if res != nil {
 		fmt.Printf("rank 0: RESULT |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
 			res.NumEdges(), res.NumParts, res.EdgeBalance(),
@@ -280,9 +285,7 @@ func runWholeGraph(ctx context.Context, node *cluster.TCPNode, rank, size, scale
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
+	printStats(rank, stats)
 	if rank == 0 {
 		pt := &partition.Partitioning{NumParts: size, Owner: owner}
 		if err := pt.Validate(g); err != nil {

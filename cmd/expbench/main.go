@@ -7,8 +7,9 @@
 //	expbench -exp all
 //
 // Each experiment prints the same rows/series the paper reports (§5–§7), at
-// the reduced default scales described in DESIGN.md. -shift scales the
-// synthetic stand-ins by powers of two toward (or away from) paper size.
+// the reduced default scales of the synthetic stand-ins in internal/datasets
+// (README.md, "Benchmarks and experiments"). -shift scales the stand-ins by
+// powers of two toward (or away from) paper size.
 package main
 
 import (

@@ -52,8 +52,9 @@ func TestSelectionCountersReported(t *testing.T) {
 }
 
 func TestWastedSelectionsGrowWithLambda(t *testing.T) {
-	// Staleness ablation (DESIGN.md §4.4): larger λ batches pop more
-	// boundary vertices per superstep against the same stale scores, so the
+	// Staleness ablation (README.md, "Deviations from Algorithms 1–4", honest
+	// boundary): larger λ batches pop more boundary vertices per superstep
+	// against the same stale scores, so the
 	// wasted-delivery *rate* must not shrink as λ grows, and λ=1 must waste
 	// strictly more deliveries than λ=0.01 in absolute terms per iteration.
 	g := gen.RMAT(11, 16, 13)

@@ -28,8 +28,10 @@ import (
 	"github.com/distributedne/dne/internal/partition"
 )
 
-// defaultMaxIterations bounds the superstep loop as a safety net; realistic
-// runs with λ=0.1 finish in tens of iterations (§5, Fig. 6).
+// defaultMaxIterations bounds the superstep loop as a safety net. With λ=0.1
+// a skewed graph finishes in tens of supersteps (§5, Fig. 6; RMAT 16 in
+// 17–71, TestRMAT16SuperstepTable); a road network, whose boundary is a few
+// vertices wide, takes hundreds, and single expansion about |E|/P.
 const defaultMaxIterations = 1 << 20
 
 // Config holds the algorithm parameters. The zero value is not valid; use
@@ -49,8 +51,8 @@ type Config struct {
 	MaxIterations int
 	// BroadcastReplicas disables the 2D-hash fanout optimisation: selected
 	// vertices are multicast to all |P| machines instead of the O(√P) grid
-	// row ∪ column. Ablation knob for DESIGN.md §4.2; quality is unaffected,
-	// communication volume grows.
+	// row ∪ column. Ablation knob (BenchmarkAblationMulticastFanout): quality
+	// is unaffected, communication volume grows.
 	BroadcastReplicas bool
 }
 
@@ -64,8 +66,10 @@ type Result struct {
 	Partitioning *partition.Partitioning
 	// Iterations is the number of supersteps executed (Fig. 6 metric).
 	Iterations int
-	// SweptEdges counts edges assigned by the final leftover sweep
-	// (normally 0).
+	// SweptEdges counts the edges of the closing hand-off: those still free
+	// when the drain could reach nothing more, assigned in one sweep to the
+	// partitions under their cap. Non-zero on most runs and small, except
+	// where a single partition was left under its cap and took the rest.
 	SweptEdges int64
 	// CommBytes / CommMessages are the total inter-machine traffic of the
 	// partitioning itself (result collection excluded).
@@ -77,11 +81,14 @@ type Result struct {
 	MemBytes int64
 	Elapsed  time.Duration
 	// WastedSelections counts selection deliveries ⟨v,p⟩ that allocated no
-	// one-hop edge on the receiving machine — the cost of stale boundary
-	// Drest scores (DESIGN.md §4.4).
+	// one-hop edge on the receiving machine. It counts deliveries, not
+	// selections: ⟨v,p⟩ goes to every machine of v's grid row ∪ column, so a
+	// vertex with one free edge wastes all but one of them by construction.
+	// What is left over that fan-out is a boundary score gone stale (another
+	// partition took v's edges since it was merged) or a quota used up.
 	WastedSelections int64
-	// TotalSelections counts all selection deliveries, the denominator for
-	// the staleness rate.
+	// TotalSelections counts all selection deliveries, the denominator of
+	// the wasted share.
 	TotalSelections int64
 }
 

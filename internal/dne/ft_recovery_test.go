@@ -3,7 +3,9 @@ package dne
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 // genConnector serves one in-process cluster per mesh generation: each
@@ -56,9 +59,9 @@ func (g *genConnector) connect() (int, *cluster.Cluster) {
 type genFault struct{ gen, rank int }
 
 // runFTCluster runs PartitionShardsFT on every rank over in-process
-// clusters, injecting the scheduled faults, and returns rank 0's result
-// plus the number of kills that actually fired.
-func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule map[genFault]cluster.FaultConfig) (*ShardResult, int64) {
+// clusters, injecting the scheduled faults, and returns rank 0's result,
+// the number of kills that actually fired and the drivers' recovery log.
+func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule map[genFault]cluster.FaultConfig) (*ShardResult, int64, string) {
 	t.Helper()
 	conn := newGenConnector(parts)
 	dirs := make([]string, parts)
@@ -68,6 +71,13 @@ func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule 
 	var fired atomic.Int64
 	var mu sync.Mutex
 	var result *ShardResult
+	var log strings.Builder
+	logf := func(format string, args ...any) {
+		t.Logf(format, args...)
+		mu.Lock()
+		fmt.Fprintf(&log, format+"\n", args...)
+		mu.Unlock()
+	}
 	errs := make([]error, parts)
 	var wg sync.WaitGroup
 	for rank := 0; rank < parts; rank++ {
@@ -101,7 +111,7 @@ func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule 
 					return graph.ShardsOf(g, parts)[rank], nil
 				},
 				MaxRestarts: 4,
-				Logf:        t.Logf,
+				Logf:        logf,
 			})
 			if err != nil {
 				errs[rank] = err
@@ -123,7 +133,7 @@ func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule 
 	if result == nil {
 		t.Fatal("rank 0 returned no result")
 	}
-	return result, fired.Load()
+	return result, fired.Load(), log.String()
 }
 
 // referenceRun is the fault-free shard run: the checksum every recovered
@@ -168,7 +178,7 @@ func TestFTRecoverySingleKillBitIdentical(t *testing.T) {
 	schedule := map[genFault]cluster.FaultConfig{
 		{gen: 0, rank: 2}: {KillAtOp: ops[2] * 4 / 10},
 	}
-	res, fired := runFTCluster(t, g, parts, cfg, schedule)
+	res, fired, _ := runFTCluster(t, g, parts, cfg, schedule)
 	if fired == 0 {
 		t.Fatal("scheduled kill never fired; the test exercised nothing")
 	}
@@ -193,7 +203,7 @@ func TestFTRecoveryRepeatedKillsBitIdentical(t *testing.T) {
 		{gen: 0, rank: 1}: {KillAtOp: ops[1] / 4},
 		{gen: 1, rank: 3}: {KillAtOp: ops[3] / 8},
 	}
-	res, fired := runFTCluster(t, g, parts, cfg, schedule)
+	res, fired, _ := runFTCluster(t, g, parts, cfg, schedule)
 	if fired < 2 {
 		t.Fatalf("only %d of 2 scheduled kills fired", fired)
 	}
@@ -214,12 +224,79 @@ func TestFTRecoveryKillBeforeFirstCheckpoint(t *testing.T) {
 	schedule := map[genFault]cluster.FaultConfig{
 		{gen: 0, rank: 1}: {KillAtOp: 2},
 	}
-	res, fired := runFTCluster(t, g, parts, cfg, schedule)
+	res, fired, _ := runFTCluster(t, g, parts, cfg, schedule)
 	if fired == 0 {
 		t.Fatal("scheduled kill never fired")
 	}
 	if got := res.Checksum(); got != want {
 		t.Fatalf("restarted checksum %#x != fault-free %#x", got, want)
+	}
+}
+
+// TestFTRecoveryKillInDrainAndAtHandOff places a kill in each of the two
+// places the closing rule added to a run: inside a drain superstep, where the
+// partitions under their cap expand whole boundaries, and at the hand-off,
+// after the last superstep, where the ranks gather what each of them swept.
+// Neither has checkpoint state of its own — closing is recomputed from the
+// restored partSizes — so both recoveries must resume from the superstep
+// before the kill and end on the fault-free checksum.
+func TestFTRecoveryKillInDrainAndAtHandOff(t *testing.T) {
+	g := gen.RMAT(9, 8, 2)
+	const parts, victim = 4, 2
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	want, ops := referenceRun(t, g, parts, cfg)
+
+	// Where the drain starts and where the loop ends, from a fault-free run
+	// driven superstep by superstep.
+	drainFrom, steps := 0, 0 // written by rank 0's goroutine only
+	owners, trace := stepRun(t, g, parts, cfg, (*machine).finished, func(m *machine) bool {
+		closing := isClosing(m)
+		if m.rank == 0 {
+			if steps++; closing && drainFrom == 0 {
+				drainFrom = steps
+			}
+		}
+		return closing
+	})
+	last := len(trace)
+	if got := partition.Checksum(owners); got != want {
+		t.Fatalf("stepped run's checksum %#x != fault-free %#x", got, want)
+	}
+	if drainFrom == 0 || drainFrom == last || trace[last-1] == g.NumEdges() {
+		t.Fatalf("drain from superstep %d of %d, %d of %d edges allocated by the loop: this input has no drain or no hand-off to kill in",
+			drainFrom, last, trace[last-1], g.NumEdges())
+	}
+
+	// The victim's ops, counted back from its last: the result send, the two
+	// ops of the hand-off gather, then 3(P+1) per superstep. The FT driver
+	// adds one two-op gather (the resume negotiation) in front of what the
+	// reference run counted.
+	total := ops[victim] + 2
+	perStep := uint64(3 * (parts + 1))
+	kills := []struct {
+		name   string
+		atOp   uint64
+		resume int // the checkpoint every rank holds when the kill lands
+	}{
+		{"drain", total - 3 - perStep*uint64(last-drainFrom) - perStep/2, drainFrom - 1},
+		{"hand-off", total - 2, last - 1},
+	}
+	for _, k := range kills {
+		t.Run(k.name, func(t *testing.T) {
+			res, fired, log := runFTCluster(t, g, parts, cfg, map[genFault]cluster.FaultConfig{
+				{gen: 0, rank: victim}: {KillAtOp: k.atOp},
+			})
+			if fired == 0 {
+				t.Fatal("scheduled kill never fired")
+			}
+			if line := fmt.Sprintf("rank %d restoring checkpoint at superstep %d ", victim, k.resume); !strings.Contains(log, line) {
+				t.Errorf("kill at op %d did not land in superstep %d: no %q in the recovery log", k.atOp, k.resume+1, line)
+			}
+			if got := res.Checksum(); got != want {
+				t.Fatalf("recovered checksum %#x != fault-free %#x", got, want)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 // oracleRF is the replication factor per vertex that has an edge, the
@@ -149,17 +150,18 @@ func TestRMAT16SuperstepTable(t *testing.T) {
 			g := gen.RMAT(16, 16, seed)
 			cfg := DefaultConfig()
 			cfg.Seed = seed
-			res, err := Partition(g, p, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Iterations > 80 {
-				t.Errorf("P=%d seed %d: %d supersteps, want ≤ 80", p, seed, res.Iterations)
-			}
 			owners, trace := stepRun(t, g, p, cfg, (*machine).finished, isClosing)
-			if !slices.Equal(owners, res.Partitioning.Owner) || len(trace) != res.Iterations {
-				t.Fatalf("P=%d seed %d: the stepped run (%d supersteps) is not the run Partition made (%d)",
-					p, seed, len(trace), res.Iterations)
+			if len(trace) > 80 {
+				t.Errorf("P=%d seed %d: %d supersteps, want ≤ 80", p, seed, len(trace))
+			}
+			if seed == 1 { // the stepped run is the run Partition makes
+				res, err := Partition(g, p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(owners, res.Partitioning.Owner) || len(trace) != res.Iterations {
+					t.Fatalf("P=%d: the stepped run (%d supersteps) is not the run Partition made (%d)", p, len(trace), res.Iterations)
+				}
 			}
 			// Supersteps until 97 % is allocated; the hand-off counts as one
 			// more when the loop ends before that.
@@ -170,10 +172,11 @@ func TestRMAT16SuperstepTable(t *testing.T) {
 					break
 				}
 			}
+			res := &Result{Partitioning: &partition.Partitioning{NumParts: p, Owner: owners}}
 			q := res.Partitioning.Measure(g)
 			t.Logf("P=%-2d seed=%-2d head97=%-3d supersteps=%-3d swept=%-6d rf=%.4f balance=%.4f",
-				p, seed, h, res.Iterations, res.SweptEdges, oracleRF(g, res), q.EdgeBalance)
-			steps, head = steps+res.Iterations, head+h
+				p, seed, h, len(trace), g.NumEdges()-trace[len(trace)-1], oracleRF(g, res), q.EdgeBalance)
+			steps, head = steps+len(trace), head+h
 			rf, balance = rf+oracleRF(g, res), balance+q.EdgeBalance
 		}
 		t.Logf("P=%-2d mean    head97=%.1f supersteps=%.1f rf=%.4f balance=%.4f",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/cluster"
@@ -70,9 +71,9 @@ func (s *vpSet) memoryFootprint() int64 {
 // machineResult is what one machine reports back to the driver.
 type machineResult struct {
 	iterations int
-	swept      int64
+	swept      int64 // edges the closing hand-off assigned, over all machines
 	memBytes   int64
-	partEdges  int64 // |Ep| of this machine's partition when the superstep loop ended
+	partEdges  int64 // |Ep| of this machine's partition
 	commBytes  int64
 	commMsgs   int64
 	wasted     int64 // selection deliveries that allocated nothing here
@@ -510,21 +511,28 @@ func (m *machine) finished(before int64) bool {
 // finish sweeps what the loop left and fills in the run's statistics.
 func (m *machine) finish(iter int, in machineInput) {
 	// The closing hand-off: whatever the drain could not reach goes to the
-	// partitions still under their cap.
-	var swept int64
+	// partitions still under their cap. Each machine sweeps its own free
+	// edges against its own copy of partSizes; one gather of what each gave
+	// whom makes the sizes global again.
+	res := m.res
 	if sum(m.partSizes) < m.totalE {
-		swept = m.sg.sweepLeftovers(m.partSizes, m.capEdges, m.scratch)
-		swept = cluster.AllGatherSum(m.comm, swept)
+		mine := slices.Clone(m.partSizes)
+		m.sg.sweepLeftovers(mine, m.capEdges, m.scratch)
+		for q := range mine {
+			mine[q] -= m.partSizes[q]
+		}
+		for q, n := range cluster.AllGatherSumVec(m.comm, mine) {
+			m.partSizes[q] += n
+			res.swept += n
+		}
 	}
 
 	// Snapshot communication stats before result collection: the gather the
 	// caller performs next is measurement plumbing, not part of the
 	// algorithm's traffic.
-	res := m.res
 	res.commBytes = m.comm.Stats().BytesSent.Load()
 	res.commMsgs = m.comm.Stats().MessagesSent.Load()
 	res.iterations = iter
-	res.swept = swept
 	res.partEdges = m.partSizes[m.rank]
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph

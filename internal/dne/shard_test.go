@@ -32,7 +32,7 @@ func hashShards(g *graph.Graph, p int) []*graph.Shard {
 	return shards
 }
 
-func runShardCluster(t *testing.T, shards []*graph.Shard, cfg Config) (*ShardResult, []*MachineStats) {
+func runShardCluster(t testing.TB, shards []*graph.Shard, cfg Config) (*ShardResult, []*MachineStats) {
 	t.Helper()
 	p := len(shards)
 	c := cluster.New(p)
@@ -281,7 +281,9 @@ func TestShardDataPlaneMemoryScaling(t *testing.T) {
 }
 
 // BenchmarkPartitionShards measures the full shard data plane (shuffle +
-// expansion) in process at P=16.
+// expansion) in process at P=16. Like the TCP benchmark below it reports the
+// superstep count and the edge balance next to ns/op, so that a change of
+// either shows without the e2e harness.
 func BenchmarkPartitionShards(b *testing.B) {
 	g := gen.RMAT(14, 16, 21)
 	const p = 16
@@ -289,23 +291,17 @@ func BenchmarkPartitionShards(b *testing.B) {
 	cfg.Seed = 21
 	b.ReportAllocs()
 	b.ResetTimer()
+	var root *ShardResult
+	var stats []*MachineStats
 	for i := 0; i < b.N; i++ {
-		shards := graph.ShardsOf(g, p)
-		c := cluster.New(p)
-		err := c.Run(func(comm cluster.Comm) error {
-			_, _, err := PartitionShards(context.Background(), comm, shards[comm.Rank()], cfg)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		root, stats = runShardCluster(b, graph.ShardsOf(g, p), cfg)
 	}
+	b.ReportMetric(float64(stats[0].Iterations), "supersteps")
+	b.ReportMetric(root.EdgeBalance(), "edge_balance")
 }
 
 // BenchmarkPartitionShardsTCP is the deployed path without the e2e harness:
-// 4 ranks over the loopback router, shuffle and expansion included. Next to
-// ns/op and allocs/op it reports the superstep count, so time per superstep
-// can be compared across transports and commits.
+// 4 ranks over the loopback router, shuffle and expansion included.
 func BenchmarkPartitionShardsTCP(b *testing.B) {
 	g := gen.RMAT(16, 16, 42)
 	const p = 4
@@ -313,10 +309,11 @@ func BenchmarkPartitionShardsTCP(b *testing.B) {
 	cfg.Seed = 42
 	b.ReportAllocs()
 	b.ResetTimer()
-	var supersteps int
+	var root *ShardResult
+	var stats []*MachineStats
 	for i := 0; i < b.N; i++ {
-		_, stats := runShardTCP(b, graph.ShardsOf(g, p), cfg)
-		supersteps = stats[0].Iterations
+		root, stats = runShardTCP(b, graph.ShardsOf(g, p), cfg)
 	}
-	b.ReportMetric(float64(supersteps), "supersteps")
+	b.ReportMetric(float64(stats[0].Iterations), "supersteps")
+	b.ReportMetric(root.EdgeBalance(), "edge_balance")
 }

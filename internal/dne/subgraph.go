@@ -322,15 +322,14 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 }
 
 // sweepLeftovers assigns every remaining free edge to the smallest candidate
-// partition and returns how many it assigned. Candidates are, in this order,
+// partition. Candidates are, in this order,
 // the partitions under their cap that already cover an endpoint, any
 // partition under its cap, and — only when every partition is at its cap —
 // the ones covering an endpoint, then all. partSizes is this machine's copy
 // and counts what it sweeps. At the closing hand-off the free edges of all
 // machines together fit into every under-cap partition, so no order of
 // sweeping on no machine can push one over its cap.
-func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bitset.Set) int64 {
-	var swept int64
+func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bitset.Set) {
 	for le, o := range sg.owner {
 		if o != -1 {
 			continue
@@ -367,9 +366,7 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bi
 		}
 		sg.allocateEdge(int32(le), best, lu, lv)
 		partSizes[best]++
-		swept++
 	}
-	return swept
 }
 
 // memoryFootprint returns an analytic byte count of this subgraph's arrays,

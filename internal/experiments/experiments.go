@@ -1,6 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5–§7). Each experiment prints the same rows/series the paper
-// reports, at the reduced default scales described in DESIGN.md; pass a
+// reports, at the reduced default scales of the stand-ins in
+// internal/datasets (README.md, "Benchmarks and experiments"); pass a
 // positive shift to scale toward paper size.
 package experiments
 

@@ -290,7 +290,8 @@ func (ne NE) PartitionCtx(ctx context.Context, h *Hypergraph, numParts int) (*Pa
 		}
 		if !progressed {
 			// All parts capped with hyperedges left: sweep the leftovers to
-			// the least pin-loaded parts (the leftover sweep of DESIGN.md).
+			// the least pin-loaded parts (what dne's closing hand-off does for
+			// edges; README.md, "Deviations from Algorithms 1–4").
 			for he := int32(0); he < int32(m); he++ {
 				if owner[he] == -1 {
 					q := leastLoaded(pinCounts)

@@ -122,7 +122,8 @@ type Stats struct {
 	// methods (result collection excluded).
 	CommBytes    int64
 	CommMessages int64
-	// SweptEdges counts edges assigned by a leftover sweep (normally 0).
+	// SweptEdges counts edges assigned in one sweep when the method's loop
+	// ended (dne's closing hand-off: small and non-zero on most runs).
 	SweptEdges int64
 	// Extra carries method-specific numeric metrics keyed by snake_case
 	// names (e.g. "wasted_selections", "simulated_network_ms").
