@@ -15,6 +15,11 @@
 // (internal/cluster); every machine is a goroutine, and all coordination is
 // via tagged, size-accounted messages, so communication volume and iteration
 // counts are faithful to the distributed algorithm even on one host.
+//
+// Where the superstep loop departs from Algorithms 1–4 — what enters the
+// boundary, how the α cap is enforced, how a run closes, and the sequential
+// allocator — is listed with its measured cost in README.md, "Deviations from
+// Algorithms 1–4".
 package dne
 
 import (
@@ -43,7 +48,8 @@ type Config struct {
 	// 0.1. Ignored when SingleExpansion is set.
 	Lambda float64
 	// SingleExpansion selects exactly one boundary vertex per iteration,
-	// the Theorem-1 setting (§6).
+	// the Theorem-1 setting (§6), until the run is closing: the drain
+	// expands whole boundaries in this mode too.
 	SingleExpansion bool
 	// Seed drives every random choice (initial vertices, seed scans).
 	Seed int64

@@ -15,8 +15,8 @@ import (
 // oracleRF is the replication factor per vertex that has an edge, the
 // denominator benchmarks/e2e's oracle uses (Measure divides by |V|, which on
 // RMAT counts the isolated vertices too).
-func oracleRF(g *graph.Graph, res *Result) float64 {
-	q := res.Partitioning.Measure(g)
+func oracleRF(g *graph.Graph, pt *partition.Partitioning) float64 {
+	q := pt.Measure(g)
 	return float64(q.Replicas) / float64(q.Replicas-q.VertexCuts)
 }
 
@@ -72,7 +72,7 @@ func TestCapAndCoverageEveryFamily(t *testing.T) {
 					t.Errorf("star took %d supersteps, want ≤ 32", res.Iterations)
 				}
 				t.Logf("|E|=%d supersteps=%d swept=%d balance=%.4f rf=%.3f",
-					edges, res.Iterations, res.SweptEdges, balance, oracleRF(f.g, res))
+					edges, res.Iterations, res.SweptEdges, balance, oracleRF(f.g, res.Partitioning))
 			})
 		}
 	}
@@ -172,12 +172,12 @@ func TestRMAT16SuperstepTable(t *testing.T) {
 					break
 				}
 			}
-			res := &Result{Partitioning: &partition.Partitioning{NumParts: p, Owner: owners}}
-			q := res.Partitioning.Measure(g)
+			pt := &partition.Partitioning{NumParts: p, Owner: owners}
+			r, b := oracleRF(g, pt), pt.Measure(g).EdgeBalance
 			t.Logf("P=%-2d seed=%-2d head97=%-3d supersteps=%-3d swept=%-6d rf=%.4f balance=%.4f",
-				p, seed, h, len(trace), g.NumEdges()-trace[len(trace)-1], oracleRF(g, res), q.EdgeBalance)
+				p, seed, h, len(trace), g.NumEdges()-trace[len(trace)-1], r, b)
 			steps, head = steps+len(trace), head+h
-			rf, balance = rf+oracleRF(g, res), balance+q.EdgeBalance
+			rf, balance = rf+r, balance+b
 		}
 		t.Logf("P=%-2d mean    head97=%.1f supersteps=%.1f rf=%.4f balance=%.4f",
 			p, float64(head)/seeds, float64(steps)/seeds, rf/seeds, balance/seeds)

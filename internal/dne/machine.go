@@ -154,6 +154,7 @@ type machine struct {
 	allocLocal  []int32
 	orderBP     []vp
 	pairs       []vp // the selections received this superstep, by sender
+	bpBuf       []vp // one selection's new boundary pairs
 	sizesView   []int64
 	quota       []int64 // edges this machine may still give each partition this superstep
 }
@@ -370,10 +371,10 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			m.quota[q] = room/int64(p) + 1
 		}
 	}
-	pairs := m.pairs[:0]
+	m.pairs = m.pairs[:0]
 	for _, msg := range comm.RecvN(tagSelect, p) {
 		body := msg.Body.(selectBody)
-		pairs = append(pairs, body.Pairs...)
+		m.pairs = append(m.pairs, body.Pairs...)
 		if body.Cancel {
 			cancelled = true
 		}
@@ -384,11 +385,11 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			}
 		}
 	}
-	m.pairs = pairs
-	m.res.selections += int64(len(pairs))
-	for _, pair := range pairs {
+	m.res.selections += int64(len(m.pairs))
+	for _, pair := range m.pairs {
 		before := len(m.allocLocal)
-		for _, b := range sg.allocOneHop(pair.V, pair.P, &m.quota[pair.P], &m.allocLocal) {
+		m.bpBuf = sg.allocOneHop(pair.V, pair.P, &m.quota[pair.P], &m.allocLocal, m.bpBuf[:0])
+		for _, b := range m.bpBuf {
 			if m.seenBP.add(b) {
 				m.orderBP = append(m.orderBP, b)
 			}
@@ -438,7 +439,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// (unless the pair was just reported above): p took v out of its boundary
 	// when it selected it, and an expansion that was cut short must come back
 	// with its true score, or the rest of v is never offered to p again.
-	for _, pair := range pairs {
+	for _, pair := range m.pairs {
 		if d := sg.localDrest(pair.V); d > 0 && m.seenBP.add(pair) {
 			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: pair.V, Drest: d})
 		}

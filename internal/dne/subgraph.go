@@ -191,16 +191,15 @@ func (sg *subGraph) allocateEdge(le, p, lu, lv int32) {
 
 // allocOneHop performs Alg. 3 AllocateOneHopNeighbors for a single received
 // ⟨v, p⟩ pair: v's free local edges go to p, one unit of *quota each, until
-// either runs out. It returns the new local boundary pairs ⟨u, p⟩ and appends
+// either runs out. It appends the new local boundary pairs ⟨u, p⟩ to bp and
 // the allocated local edge indices to out. Like allocTwoHop it compacts the
 // slots that stay free to the front of v's alive range — none unless the
 // quota stopped it early.
-func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, quota *int64, out *[]int32) []vp {
+func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, quota *int64, out *[]int32, bp []vp) []vp {
 	lv := sg.lid[v]
 	if lv < 0 {
-		return nil
+		return bp
 	}
-	var bp []vp
 	base := sg.off[lv]
 	alive := int64(sg.aliveLen[lv])
 	setV := sg.partSet(int(lv))

@@ -96,14 +96,12 @@ func (b *Boundary) PopMin() (uint32, bool) {
 // slice aliases dst's backing array.
 func (b *Boundary) PopK(k int, dst []uint32) []uint32 {
 	dst = dst[:0]
-	for len(dst) < k && b.h.Len() > 0 {
-		e := b.h.Pop()
-		if b.mark[e.V] != b.epoch || b.score[e.V] != e.K {
-			continue // stale entry
+	for len(dst) < k {
+		v, ok := b.PopMin()
+		if !ok {
+			break
 		}
-		b.mark[e.V] = 0
-		b.size--
-		dst = append(dst, e.V)
+		dst = append(dst, v)
 	}
 	return dst
 }
