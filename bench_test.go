@@ -72,9 +72,9 @@ func BenchmarkTable5Apps(b *testing.B) { runExperiment(b, experiments.Table5) }
 // BenchmarkTable6Roads regenerates Table 6 (road networks).
 func BenchmarkTable6Roads(b *testing.B) { runExperiment(b, experiments.Table6) }
 
-// BenchmarkDNEPartition1M is the tracked perf benchmark behind
-// BENCH_dne.json: Distributed NE on the seeded ~1M-edge RMAT (scale 16,
-// edge factor 16) with 16 machines. The graph build is excluded; the
+// BenchmarkDNEPartition1M is Distributed NE on the seeded ~1M-edge RMAT
+// (scale 16, edge factor 16) with 16 machines, the in-process counterpart
+// of the benchmark's dne-mem-p16 workload. The graph build is excluded; the
 // measured region is exactly the partitioning. RF is reported so quality
 // regressions show up next to wall-time ones.
 func BenchmarkDNEPartition1M(b *testing.B) {

@@ -22,12 +22,7 @@
 // memory; the rest materialize transparently and say so in the stats). For
 // canonical shard sets (gengraph -canonical) the streamed partitioning is
 // bit-identical to the in-memory run — same checksum. Shard directories
-// may be raw (*.esh) or compressed (*.esz, gengraph -compress).
-//
-// -pipeline (with -stream) runs the pipelined engine: decode-ahead
-// prefetching and the single-pass spill-backed shuffle overlap the run's
-// stages on bounded channels. Output is bit-identical to plain -stream —
-// same checksum, same quality — only faster from cold disk. The stream
+// may be raw (*.esh) or compressed (*.esz, gengraph -compress). The stream
 // report adds edges/sec and, for disk sources, bytes read.
 //
 // The output file (optional) has one "u v partition" line per edge; -save
@@ -69,7 +64,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 		checksum = flag.Bool("checksum", false, "print the partitioning checksum (comparable with dneworker's RESULT line)")
 		stream   = flag.Bool("stream", false, "partition from the input as an edge source, without materializing a graph")
-		pipeline = flag.Bool("pipeline", false, "with -stream: overlap decode/shuffle/assign stages (bit-identical output, faster from cold disk)")
 		list     = flag.Bool("list-methods", false, "print the registered methods and their parameters")
 	)
 	flag.Parse()
@@ -111,14 +105,8 @@ func main() {
 		if info.NumEdges > 0 {
 			ec = fmt.Sprint(info.NumEdges)
 		}
-		engine := "sequential"
-		partitionSource := methods.PartitionSource
-		if *pipeline {
-			engine = "pipelined"
-			partitionSource = methods.PartitionSourcePiped
-		}
-		fmt.Printf("source: %s |V|=%d |E|=%s engine=%s\n", info.Name, info.NumVertices, ec, engine)
-		res, err = partitionSource(ctx, methodName, src, spec)
+		fmt.Printf("source: %s |V|=%d |E|=%s\n", info.Name, info.NumVertices, ec)
+		res, err = methods.PartitionSource(ctx, methodName, src, spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -128,9 +116,6 @@ func main() {
 				methodName, mb/(1<<20))
 		}
 	} else {
-		if *pipeline {
-			fatal(fmt.Errorf("-pipeline requires -stream"))
-		}
 		g, err = loadGraph(*in, *bin, *shardDir, *rmat, *ef, *seed)
 		if err != nil {
 			fatal(err)

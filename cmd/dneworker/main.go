@@ -1,9 +1,9 @@
 // Command dneworker is one machine of a multi-process Distributed NE run
 // over TCP.
 //
-// In the shard mode (-shard-dir) each worker reads only its own slice of
-// the input — the EShard files whose index ≡ rank (mod size), as written by
-// gengraph -shards — so no process holds the full graph while partitioning
+// Each worker reads only its own slice of the input — the EShard files in
+// -shard-dir whose index ≡ rank (mod size), as written by gengraph -shards
+// — so no process holds the full graph while partitioning
 // (rank 0 assembles the final 12-byte-per-edge owner sequence at collection
 // time, after the algorithm finishes). The workers shuffle their shards to
 // 2D-grid owners, expand, and rank 0 prints the partitioning checksum,
@@ -15,10 +15,6 @@
 //	dneworker -rank 1 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/ &
 //	dneworker -rank 2 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/ &
 //	dneworker -rank 3 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/
-//
-// The legacy mode (no -shard-dir) regenerates the identical RMAT graph in
-// every process from shared flags and runs the whole-graph path; it remains
-// for A/B comparison against the shard data plane.
 //
 // Rank 0 hosts the router. examples/multiprocess spawns the arrangement
 // automatically.
@@ -34,9 +30,7 @@ import (
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/dne"
-	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
-	"github.com/distributedne/dne/internal/partition"
 )
 
 // hardAbortGrace is how long a worker keeps waiting for the collective
@@ -49,23 +43,26 @@ func main() {
 		rank     = flag.Int("rank", 0, "this machine's rank in [0,size)")
 		size     = flag.Int("size", 4, "number of machines (= partitions)")
 		addr     = flag.String("addr", "127.0.0.1:7777", "router address (rank 0 listens here)")
-		shardDir = flag.String("shard-dir", "", "read EShard files with index%size==rank from this directory")
-		scale    = flag.Int("rmat", 12, "legacy mode: RMAT scale of the shared input graph")
-		ef       = flag.Int("ef", 16, "legacy mode: RMAT edge factor")
+		shardDir = flag.String("shard-dir", "", "read EShard files with index%size==rank from this directory (required)")
 		seed     = flag.Int64("seed", 42, "shared random seed")
 		alpha    = flag.Float64("alpha", 1.1, "imbalance factor")
 		lambda   = flag.Float64("lambda", 0.1, "expansion factor")
 
-		ckptDir      = flag.String("ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts (shard mode only)")
+		ckptDir      = flag.String("ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
 		ckptEvery    = flag.Int("ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
 		maxRestarts  = flag.Int("max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")
 		rejoinWindow = flag.Duration("rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin")
 		heartbeat    = flag.Duration("heartbeat", 0, "fault tolerance: heartbeat interval for detecting wedged peers (0 = off)")
 	)
 	flag.Parse()
+	if *shardDir == "" {
+		fmt.Fprintln(os.Stderr, "dneworker: -shard-dir is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 	ft := ftFlags{dir: *ckptDir, every: *ckptEvery, maxRestarts: *maxRestarts,
 		rejoinWindow: *rejoinWindow, heartbeat: *heartbeat}
-	if err := run(*rank, *size, *addr, *shardDir, *scale, *ef, *seed, *alpha, *lambda, ft); err != nil {
+	if err := run(*rank, *size, *addr, *shardDir, *seed, *alpha, *lambda, ft); err != nil {
 		fmt.Fprintf(os.Stderr, "dneworker rank %d: %v\n", *rank, err)
 		os.Exit(1)
 	}
@@ -93,10 +90,7 @@ func (f ftFlags) heartbeatTimeout() time.Duration {
 	return 4 * f.heartbeat
 }
 
-func run(rank, size int, addr, shardDir string, scale, ef int, seed int64, alpha, lambda float64, ft ftFlags) error {
-	if ft.enabled() && shardDir == "" {
-		return fmt.Errorf("-ckpt-dir requires -shard-dir (checkpointing covers the shard data plane)")
-	}
+func run(rank, size int, addr, shardDir string, seed int64, alpha, lambda float64, ft ftFlags) error {
 	var wait func() error
 	if rank == 0 {
 		ropt := cluster.RouterOptions{}
@@ -159,14 +153,7 @@ func run(rank, size int, addr, shardDir string, scale, ef int, seed int64, alpha
 		return err
 	}
 
-	start := time.Now()
-	var runErr error
-	if shardDir != "" {
-		runErr = runShards(ctx, node, rank, size, shardDir, cfg, start)
-	} else {
-		runErr = runWholeGraph(ctx, node, rank, size, scale, ef, seed, cfg, start)
-	}
-	if runErr != nil {
+	if runErr := runShards(ctx, node, rank, size, shardDir, cfg, time.Now()); runErr != nil {
 		// Close politely (Bye) and, at rank 0, let the router drain the
 		// final superstep's frames to the other ranks so they abort
 		// collectively rather than finding a dead connection.
@@ -199,8 +186,8 @@ func printStats(rank int, stats *dne.MachineStats) {
 		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
 }
 
-// runShards is the sharded data plane: this rank loads only its own shard
-// files and never sees the full graph.
+// runShards loads this rank's own shard files — it never sees the full
+// graph — and runs its share of the partitioning.
 func runShards(ctx context.Context, node *cluster.TCPNode, rank, size int, dir string, cfg dne.Config, start time.Time) error {
 	shard, err := graph.ReadShardDir(dir, func(index, count uint32) bool {
 		return int(index)%size == rank
@@ -273,27 +260,6 @@ func runShardsFT(ctx, hardCtx context.Context, rank, size int, addr, dir string,
 		fmt.Printf("rank 0: RESULT |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
 			res.NumEdges(), res.NumParts, res.EdgeBalance(),
 			res.Checksum(), time.Since(start))
-	}
-	return nil
-}
-
-// runWholeGraph is the legacy path: every worker regenerates the identical
-// graph deterministically and holds all of it.
-func runWholeGraph(ctx context.Context, node *cluster.TCPNode, rank, size, scale, ef int, seed int64, cfg dne.Config, start time.Time) error {
-	g := gen.RMAT(scale, ef, seed)
-	owner, stats, err := dne.PartitionOver(ctx, node, g, cfg)
-	if err != nil {
-		return err
-	}
-	printStats(rank, stats)
-	if rank == 0 {
-		pt := &partition.Partitioning{NumParts: size, Owner: owner}
-		if err := pt.Validate(g); err != nil {
-			return fmt.Errorf("result validation: %w", err)
-		}
-		q := pt.Measure(g)
-		fmt.Printf("rank 0: RESULT graph=%v parts=%d RF=%.4f EB=%.3f checksum=%#x elapsed=%v\n",
-			g, size, q.ReplicationFactor, q.EdgeBalance, partition.Checksum(owner), time.Since(start))
 	}
 	return nil
 }

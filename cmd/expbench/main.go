@@ -30,7 +30,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "random seed")
 		prIters = flag.Int("pr-iters", 20, "PageRank iterations for table5 (paper: 100)")
 		quick   = flag.Bool("quick", false, "restrict sweeps to fewer points")
-		jsonOut = flag.String("json", "", "write a machine-readable snapshot here (exp=perf: BENCH_dne.json)")
 	)
 	flag.Parse()
 
@@ -47,13 +46,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	opts := experiments.Options{
-		Ctx:      ctx,
-		Shift:    *shift,
-		Seed:     *seed,
-		PRIters:  *prIters,
-		Quick:    *quick,
-		JSONPath: *jsonOut,
-		Out:      os.Stdout,
+		Ctx:     ctx,
+		Shift:   *shift,
+		Seed:    *seed,
+		PRIters: *prIters,
+		Quick:   *quick,
+		Out:     os.Stdout,
 	}
 	run := func(id string) bool {
 		for _, e := range experiments.All {

@@ -2,20 +2,21 @@ package dne
 
 import (
 	"context"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
+	"github.com/distributedne/dne/internal/graph"
 )
 
 func TestChaosTransportGivesIdenticalPartitioning(t *testing.T) {
-	// Cross-sender message arrival order is scrambled by the Chaos wrapper;
-	// the algorithm re-sorts by (From, Seq), so the result must be
-	// bit-identical to the plain in-process run. This is the executable form
-	// of the §4 claim that the protocol's semantics do not depend on
-	// delivery timing.
+	// Cross-sender message arrival order is scrambled by the Chaos wrapper,
+	// for the AllToAllU64 shuffle and for every superstep; the algorithm
+	// re-sorts by (From, Seq), so the result must be bit-identical to the
+	// plain in-process run. This is the executable form of the §4 claim that
+	// the protocol's semantics do not depend on delivery timing.
 	g := gen.RMAT(9, 8, 11)
 	const parts = 5
 	cfg := DefaultConfig()
@@ -26,32 +27,24 @@ func TestChaosTransportGivesIdenticalPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := cluster.New(parts)
-	owners := make([][]int32, parts)
-	var mu sync.Mutex
-	err = c.Run(func(comm cluster.Comm) error {
+	shards := graph.ShardsOf(g, parts)
+	var chaotic *ShardResult // written by rank 0's goroutine only
+	err = cluster.New(parts).Run(func(comm cluster.Comm) error {
 		w := cluster.NewChaos(comm, int64(comm.Rank())*131+7, 150*time.Microsecond)
 		defer w.Close()
-		owner, _, err := PartitionOver(context.Background(), w, g, cfg)
-		if err != nil {
-			return err
+		res, _, err := PartitionShards(context.Background(), w, shards[comm.Rank()], cfg)
+		if comm.Rank() == 0 {
+			chaotic = res
 		}
-		mu.Lock()
-		owners[comm.Rank()] = owner
-		mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic := owners[0]
 	if chaotic == nil {
 		t.Fatal("rank 0 returned no result")
 	}
-	for i := range chaotic {
-		if chaotic[i] != plain.Partitioning.Owner[i] {
-			t.Fatalf("edge %d: chaos owner %d != plain owner %d",
-				i, chaotic[i], plain.Partitioning.Owner[i])
-		}
+	if !slices.Equal(chaotic.Owner, plain.Partitioning.Owner) {
+		t.Fatal("owners under scrambled delivery differ from the plain run's")
 	}
 }

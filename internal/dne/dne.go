@@ -137,12 +137,10 @@ func (cfg Config) validate() error {
 // ctx once per iteration (collectively, so all machines abort together) and
 // returns ctx's error.
 //
-// It is a thin adapter onto the sharded data plane: the in-memory graph is
-// split into |P| synthetic shards (contiguous stripes of the canonical edge
-// list) and every machine runs the same shuffle → subgraph → superstep
-// pipeline a true multi-process run uses, so the in-process simulation
-// exercises the exact distributed code path. The seeded partitioning is
-// bit-identical to the pre-shard driver (same subgraphs, same protocol).
+// The in-memory graph is split into |P| synthetic shards (contiguous
+// stripes of the canonical edge list) and every machine runs the same
+// shuffle → subgraph → superstep pipeline a true multi-process run uses, so
+// the in-process simulation exercises the exact distributed code path.
 func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,8 +1,7 @@
 package dne
 
 import (
-	"context"
-	"sync"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,20 +82,31 @@ func TestGridFanoutIsSqrtP(t *testing.T) {
 }
 
 func TestSubgraphPartitionIsCompleteAndDisjoint(t *testing.T) {
-	// The 2D-hash distribution must place every edge on exactly one machine.
+	// The shuffle's 2D-hash distribution must place every edge on exactly
+	// one machine.
 	g := gen.RMAT(9, 8, 3)
 	const p = 7
-	gd := newGrid(p)
-	seen := make([]int, g.NumEdges())
-	for rank := 0; rank < p; rank++ {
-		sg := buildSubGraph(g, gd, rank, p)
-		for _, gi := range sg.globalIdx {
-			seen[gi]++
+	shards := graph.ShardsOf(g, p)
+	locals := make([][]uint64, p)
+	err := cluster.New(p).Run(func(comm cluster.Comm) error {
+		locals[comm.Rank()], _ = shuffleShard(comm, newGrid(p), shards[comm.Rank()].Packed)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]int, g.NumEdges())
+	for _, local := range locals {
+		for _, k := range local {
+			seen[k]++
 		}
 	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("edge %d held by %d machines", i, c)
+	if int64(len(seen)) != g.NumEdges() {
+		t.Fatalf("machines hold %d distinct edges, graph has %d", len(seen), g.NumEdges())
+	}
+	for _, e := range g.Edges() {
+		if c := seen[graph.PackEdge(e.U, e.V)]; c != 1 {
+			t.Fatalf("edge %v held by %d machines", e, c)
 		}
 	}
 }
@@ -166,54 +176,13 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	addr, wait, err := cluster.StartRouter("127.0.0.1:0", parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := make([][]int32, parts)
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
-	for rank := 0; rank < parts; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			node, err := cluster.DialTCP(addr, rank, parts)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			owner, _, err := PartitionOver(context.Background(), node, g, cfg)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			owners[rank] = owner
-			errs[rank] = node.Close()
-		}(rank)
-	}
-	wg.Wait()
-	if err := wait(); err != nil {
-		t.Fatal(err)
-	}
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	tcpOwner := owners[0]
-	if tcpOwner == nil {
-		t.Fatal("rank 0 returned no result")
-	}
-	pt := &partition.Partitioning{NumParts: parts, Owner: tcpOwner}
+	root, _ := runShardTCP(t, graph.ShardsOf(g, parts), cfg)
+	pt := &partition.Partitioning{NumParts: parts, Owner: root.Owner}
 	if err := pt.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	for i := range tcpOwner {
-		if tcpOwner[i] != inproc.Partitioning.Owner[i] {
-			t.Fatalf("edge %d: TCP owner %d != in-process owner %d",
-				i, tcpOwner[i], inproc.Partitioning.Owner[i])
-		}
+	if !slices.Equal(root.Owner, inproc.Partitioning.Owner) {
+		t.Fatal("TCP owners differ from in-process owners")
 	}
 }
 

@@ -92,12 +92,9 @@ func stepRun(t *testing.T, g *graph.Graph, p int, cfg Config,
 	var owners []int32 // written by rank 0's goroutine only, like trace
 	var trace []int64
 	err := cluster.New(p).Run(func(comm cluster.Comm) error {
-		shard := shards[comm.Rank()]
-		local, _ := shuffleShard(comm, newGrid(p), shard.Packed)
-		in := machineInput{
-			sg:          buildSubGraphPacked(shard.NumVertices, p, local),
-			numVertices: shard.NumVertices,
-			totalEdges:  cluster.AllGatherSum(comm, int64(len(local))),
+		in, _, err := shuffleInput(comm, shards[comm.Rank()])
+		if err != nil {
+			return err
 		}
 		var res machineResult
 		m, err := newMachine(comm, cfg, in, &res)

@@ -81,17 +81,13 @@ type machineResult struct {
 }
 
 // machineInput bundles what one machine's expansion + allocation process
-// needs. The subgraph is built by the caller (from a distributed shuffle,
-// from precomputed buckets, or by scanning a whole graph), so the superstep
-// loop itself never touches global edge arrays.
+// needs. The subgraph is built by the caller (from a distributed shuffle or
+// a checkpoint base), so the superstep loop itself never touches global edge
+// arrays.
 type machineInput struct {
 	sg          *subGraph
 	numVertices uint32 // global |V| (vertex ids are global everywhere)
 	totalEdges  int64  // global deduplicated |E|
-	// residentBytes is input memory held for the entire run (the whole-graph
-	// path charges the full graph here; the shard path charges nothing — its
-	// shard is released after the shuffle).
-	residentBytes int64
 	// inputPeakBytes is the transient peak of the input phase (shard +
 	// shuffle buffers); the reported peak is the max of the two phases.
 	inputPeakBytes int64
@@ -227,8 +223,8 @@ func (m *machine) replicaProcs(v graph.Vertex) []int {
 // seen. Deciding on received flags (identical on every machine) rather than
 // on the racy local ctx keeps the lock-step protocol deadlock-free.
 //
-// Result collection is the caller's job (collectOwnersByIndex or
-// collectOwnersByKey), after this returns.
+// Result collection is the caller's job (collectOwnersByKey), after this
+// returns.
 func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *machineResult) error {
 	m, err := newMachine(comm, cfg, in, res)
 	if err != nil {
@@ -537,29 +533,11 @@ func (m *machine) finish(iter int, in machineInput) {
 	res.partEdges = m.partSizes[m.rank]
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph
-	// + boundary + scratch slabs, plus whatever input stays resident — the
-	// whole graph on the legacy path, nothing on the shard path).
-	expansion := in.residentBytes + m.sg.memoryFootprint() +
+	// + boundary + scratch slabs; the shard is released after the shuffle).
+	expansion := m.sg.memoryFootprint() +
 		m.bnd.MemoryFootprint() + m.seenBP.memoryFootprint() + m.seenV.MemoryFootprint() +
 		m.mergedSet.MemoryFootprint() + int64(len(m.mergedVal))*4
 	res.memBytes = max(expansion, in.inputPeakBytes)
-}
-
-// collectOwnersByIndex ships every machine's (global edge index, owner)
-// pairs to rank 0, which writes them into ownerOut (ignored elsewhere).
-// Usable only for subgraphs built with global indices (the whole-graph
-// path).
-func collectOwnersByIndex(comm cluster.Comm, sg *subGraph, ownerOut []int32) {
-	comm.Send(0, tagResult, resultBody{Idx: sg.globalIdx, Owner: sg.owner})
-	if comm.Rank() != 0 {
-		return
-	}
-	for _, m := range comm.RecvN(tagResult, comm.Size()) {
-		body := m.Body.(resultBody)
-		for i, gi := range body.Idx {
-			ownerOut[gi] = body.Owner[i]
-		}
-	}
 }
 
 // collectOwnersByKey ships every machine's (packed edge, owner) pairs to

@@ -30,7 +30,7 @@ const (
 	kindSelect uint8 = 16 + iota
 	kindSync
 	kindStep
-	kindResult
+	_ // 19 carried the whole-graph driver's index-keyed result
 	kindShardResult
 )
 
@@ -38,7 +38,6 @@ func init() {
 	cluster.RegisterWire(kindSelect, decodeSelect)
 	cluster.RegisterWire(kindSync, decodeSync)
 	cluster.RegisterWire(kindStep, decodeStep)
-	cluster.RegisterWire(kindResult, decodeResult)
 	cluster.RegisterWire(kindShardResult, decodeShardResult)
 }
 
@@ -199,33 +198,6 @@ func decodeStep(p []byte) (cluster.Body, error) {
 	b.PerPart, _ = cluster.DecodeWords[int64](p[:len(p)-8])
 	b.Free = int64(binary.LittleEndian.Uint64(p[len(p)-8:]))
 	return b, nil
-}
-
-// resultBody reports (global edge index, owner) pairs to the master for
-// assembling the final Partitioning (whole-graph path).
-type resultBody struct {
-	Idx   []int64
-	Owner []int32
-}
-
-// WireSize implements cluster.Body: the indices (i64 each), then as many
-// owners (i32 each).
-func (b resultBody) WireSize() int { return 8*len(b.Idx) + 4*len(b.Owner) }
-
-// WireKind implements cluster.WireBody.
-func (resultBody) WireKind() uint8 { return kindResult }
-
-// AppendWire implements cluster.WireBody.
-func (b resultBody) AppendWire(dst []byte) []byte {
-	return cluster.AppendKeyed(dst, b.Idx, b.Owner)
-}
-
-func decodeResult(p []byte) (cluster.Body, error) {
-	idx, owner, err := cluster.DecodeKeyed[int64](p)
-	if err != nil {
-		return nil, err
-	}
-	return resultBody{Idx: idx, Owner: owner}, nil
 }
 
 // shardResultBody reports (packed canonical edge, owner) pairs to the

@@ -63,7 +63,7 @@ func runShardCluster(t testing.TB, shards []*graph.Shard, cfg Config) (*ShardRes
 
 func TestPartitionShardsMatchesWholeGraphRun(t *testing.T) {
 	// Shard-based DNE over hash-routed, duplicated shards must reproduce
-	// the in-process whole-graph partitioning bit for bit: same edges in
+	// the in-process partitioning of the graph bit for bit: same edges in
 	// canonical order, same owners, for square and non-square grids.
 	g := gen.RMAT(10, 8, 7)
 	for _, p := range []int{2, 5, 9} {
@@ -83,7 +83,7 @@ func TestPartitionShardsMatchesWholeGraphRun(t *testing.T) {
 			}
 		}
 		if !slices.Equal(res.Owner, want.Partitioning.Owner) {
-			t.Fatalf("p=%d: shard-based owners differ from whole-graph owners", p)
+			t.Fatalf("p=%d: shard-based owners differ from in-process owners", p)
 		}
 		if res.Checksum() != partition.Checksum(want.Partitioning.Owner) {
 			t.Fatalf("p=%d: checksum mismatch", p)
@@ -218,12 +218,10 @@ func TestPartitionShardsRejectsBadConfig(t *testing.T) {
 
 // TestShardDataPlaneMemoryScaling is the headline memory claim of the
 // sharded data plane: on the seeded 1M-edge RMAT at P=16, the per-rank peak
-// allocation of shard-based DNE must be at most 1/4 of the whole-graph
-// path's, while the partitioning stays bit-identical. The accounting is the
-// same analytic model on both sides (subgraph + boundary + scratch slabs +
-// input), with the input term the only difference: the whole-graph path
-// keeps g resident on every rank; the shard path peaks at the shuffle and
-// then runs on the received subgraph alone.
+// allocation of shard-based DNE must be at most 1/4 of what any rank that
+// held the whole graph would need for the graph alone, while the
+// partitioning stays bit-identical to the in-process run. The shard path
+// peaks at the shuffle and then runs on the received subgraph alone.
 func TestShardDataPlaneMemoryScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short: 1M-edge RMAT")
@@ -234,49 +232,26 @@ func TestShardDataPlaneMemoryScaling(t *testing.T) {
 	cfg.Seed = 42
 
 	res, shardStats := runShardCluster(t, graph.ShardsOf(g, p), cfg)
-
-	c := cluster.New(p)
-	var mu sync.Mutex
-	fullStats := make([]*MachineStats, p)
-	var fullOwner []int32
-	err := c.Run(func(comm cluster.Comm) error {
-		owner, st, err := PartitionOver(context.Background(), comm, g, cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		fullStats[comm.Rank()] = st
-		if owner != nil {
-			fullOwner = owner
-		}
-		mu.Unlock()
-		return nil
-	})
+	want, err := Partition(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if !slices.Equal(res.Owner, fullOwner) {
-		t.Fatal("shard-based and whole-graph partitionings differ")
+	if !slices.Equal(res.Owner, want.Partitioning.Owner) {
+		t.Fatal("shard-based and in-process partitionings differ")
 	}
-	peak := func(stats []*MachineStats) int64 {
-		var m int64
-		for _, st := range stats {
-			if st.MemBytes > m {
-				m = st.MemBytes
-			}
-		}
-		return m
+	var shardPeak int64
+	for _, st := range shardStats {
+		shardPeak = max(shardPeak, st.MemBytes)
 	}
-	shardPeak, fullPeak := peak(shardStats), peak(fullStats)
-	t.Logf("per-rank peak at P=%d on |E|=%d: shard path %.1f MiB, whole-graph path %.1f MiB (%.2fx)",
-		p, g.NumEdges(), float64(shardPeak)/(1<<20), float64(fullPeak)/(1<<20),
-		float64(fullPeak)/float64(shardPeak))
-	if shardPeak <= 0 || fullPeak <= 0 {
-		t.Fatalf("missing accounting: shard %d, full %d", shardPeak, fullPeak)
+	whole := g.MemoryFootprint()
+	t.Logf("per-rank peak at P=%d on |E|=%d: shard path %.1f MiB, resident graph %.1f MiB (%.2fx)",
+		p, g.NumEdges(), float64(shardPeak)/(1<<20), float64(whole)/(1<<20),
+		float64(whole)/float64(shardPeak))
+	if shardPeak <= 0 {
+		t.Fatalf("missing accounting: shard peak %d", shardPeak)
 	}
-	if 4*shardPeak > fullPeak {
-		t.Errorf("shard-path peak %d B not <= 1/4 of whole-graph peak %d B", shardPeak, fullPeak)
+	if 4*shardPeak > whole {
+		t.Errorf("shard-path peak %d B not <= 1/4 of the resident graph's %d B", shardPeak, whole)
 	}
 }
 

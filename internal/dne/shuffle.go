@@ -14,9 +14,7 @@ import (
 // buckets with one chunked AllToAll, then sorts and deduplicates what it
 // received. Duplicate edges land on the same owner (ownership is a pure
 // function of the endpoints), so local deduplication is global
-// deduplication — and ascending packed order is ascending canonical order,
-// which makes the result identical to the share a whole-graph scan would
-// have extracted.
+// deduplication — and ascending packed order is ascending canonical order.
 //
 // Peak memory per rank is O(|shard| + |received|). The returned peakBytes
 // is the analytic transient peak of the exchange's own buffers (routed

@@ -41,9 +41,8 @@ type subGraph struct {
 	// target/eIdx[off[lv] : off[lv]+aliveLen[lv]].
 	aliveLen []int32
 
-	edges     []graph.Edge // local edges
-	globalIdx []int64      // canonical (global) edge index of each local edge
-	owner     []int32      // partition owning local edge i, or -1
+	edges []graph.Edge // local edges, ascending canonical order
+	owner []int32      // partition owning local edge i, or -1
 
 	// Partition membership bitsets, one per local vertex, packed into a
 	// single slab of wordsPer words each; partSet(lv) is the view.
@@ -54,53 +53,18 @@ type subGraph struct {
 
 	freeEdges int64 // number of unallocated local edges
 	seedCur   int   // rotating cursor for random-seed scans
-
-}
-
-// buildSubGraph extracts rank's 2D-hash share of g with a single scan: the
-// legacy whole-graph path (PartitionOver), where every rank holds g and
-// pulls out its own share. The shard data plane builds the identical
-// subgraph from shuffled edges instead (buildSubGraphPacked).
-func buildSubGraph(g *graph.Graph, gd grid, rank, numParts int) *subGraph {
-	var bucket []int64
-	for i, e := range g.Edges() {
-		if gd.edgeOwner(e.U, e.V) == rank {
-			bucket = append(bucket, int64(i))
-		}
-	}
-	return buildSubGraphFrom(g, numParts, bucket)
-}
-
-// buildSubGraphFrom materializes the subgraph over the given canonical edge
-// indices (ascending).
-func buildSubGraphFrom(g *graph.Graph, numParts int, bucket []int64) *subGraph {
-	edges := make([]graph.Edge, len(bucket))
-	for i, gi := range bucket {
-		edges[i] = g.Edge(gi)
-	}
-	return buildSubGraphCore(g.NumVertices(), numParts, edges, bucket)
 }
 
 // buildSubGraphPacked materializes the subgraph from sorted, deduplicated
 // packed edge keys — the form the distributed shuffle delivers. No global
 // edge array is consulted and no global edge indices exist; result
-// collection keys by the packed edges themselves. Because ascending packed
-// order IS ascending canonical-index order, the resulting subgraph is
-// field-for-field identical to the bucket-driven build (minus globalIdx).
+// collection keys by the packed edges themselves.
 func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *subGraph {
-	edges := make([]graph.Edge, len(packed))
+	sg := &subGraph{numParts: numParts}
+	sg.edges = make([]graph.Edge, len(packed))
 	for i, k := range packed {
-		edges[i] = graph.UnpackEdge(k)
+		sg.edges[i] = graph.UnpackEdge(k)
 	}
-	return buildSubGraphCore(numVertices, numParts, edges, nil)
-}
-
-// buildSubGraphCore builds the subgraph over local canonical edges
-// (ascending canonical order). globalIdx, when non-nil, records each local
-// edge's global canonical index for index-keyed result collection.
-func buildSubGraphCore(numVertices uint32, numParts int, edges []graph.Edge, globalIdx []int64) *subGraph {
-	sg := &subGraph{numParts: numParts, globalIdx: globalIdx}
-	sg.edges = edges
 
 	// Distinct local vertices, ascending, and the dense global→local map:
 	// mark endpoints in lid, then one scan over the id space assigns local
@@ -380,7 +344,6 @@ func (sg *subGraph) memoryFootprint() int64 {
 		int64(len(sg.eIdx))*4 +
 		int64(len(sg.aliveLen))*4 +
 		int64(len(sg.edges))*8 +
-		int64(len(sg.globalIdx))*8 +
 		int64(len(sg.owner))*4 +
 		int64(len(sg.drest))*4 +
 		int64(len(sg.partWords))*8

@@ -1,83 +1,28 @@
 package dne
 
 import (
-	"slices"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// gridBuckets splits g's canonical edge indices by owning machine with the
-// reference per-rank scan, for the differential tests below.
-func gridBuckets(g *graph.Graph, gd grid, p int) [][]int64 {
-	buckets := make([][]int64, p)
-	for i, e := range g.Edges() {
+// gridBuckets splits g's canonical edges by owning machine: the sorted
+// packed keys the shuffle would deliver to each rank.
+func gridBuckets(g *graph.Graph, gd grid, p int) [][]uint64 {
+	buckets := make([][]uint64, p)
+	for _, e := range g.Edges() {
 		r := gd.edgeOwner(e.U, e.V)
-		buckets[r] = append(buckets[r], int64(i))
+		buckets[r] = append(buckets[r], graph.PackEdge(e.U, e.V))
 	}
 	return buckets
-}
-
-// TestBuildSubGraphEquivalence checks that the three subgraph builds — the
-// self-extracting scan, the bucket-driven build, and the packed build the
-// shuffle uses — produce identical subgraphs, field for field.
-func TestBuildSubGraphEquivalence(t *testing.T) {
-	g := gen.RMAT(11, 8, 9)
-	const p = 6
-	gd := newGrid(p)
-	buckets := gridBuckets(g, gd, p)
-	for rank := 0; rank < p; rank++ {
-		a := buildSubGraph(g, gd, rank, p)
-		b := buildSubGraphFrom(g, p, buckets[rank])
-		packed := make([]uint64, len(buckets[rank]))
-		for i, gi := range buckets[rank] {
-			e := g.Edge(gi)
-			packed[i] = graph.PackEdge(e.U, e.V)
-		}
-		c := buildSubGraphPacked(g.NumVertices(), p, packed)
-		if !slices.Equal(a.verts, c.verts) || !slices.Equal(a.lid, c.lid) ||
-			!slices.Equal(a.off, c.off) || !slices.Equal(a.target, c.target) ||
-			!slices.Equal(a.eIdx, c.eIdx) || !slices.Equal(a.edges, c.edges) ||
-			!slices.Equal(a.drest, c.drest) || !slices.Equal(a.aliveLen, c.aliveLen) {
-			t.Fatalf("rank %d: packed build differs from scan build", rank)
-		}
-		if c.globalIdx != nil {
-			t.Fatalf("rank %d: packed build must not carry global indices", rank)
-		}
-		if !slices.Equal(a.verts, b.verts) {
-			t.Fatalf("rank %d: verts differ", rank)
-		}
-		if !slices.Equal(a.lid, b.lid) {
-			t.Fatalf("rank %d: lid differs", rank)
-		}
-		if !slices.Equal(a.off, b.off) {
-			t.Fatalf("rank %d: off differs", rank)
-		}
-		if !slices.Equal(a.target, b.target) {
-			t.Fatalf("rank %d: target differs", rank)
-		}
-		if !slices.Equal(a.eIdx, b.eIdx) {
-			t.Fatalf("rank %d: eIdx differs", rank)
-		}
-		if !slices.Equal(a.edges, b.edges) {
-			t.Fatalf("rank %d: edges differ", rank)
-		}
-		if !slices.Equal(a.globalIdx, b.globalIdx) {
-			t.Fatalf("rank %d: globalIdx differs", rank)
-		}
-		if !slices.Equal(a.drest, b.drest) || !slices.Equal(a.aliveLen, b.aliveLen) {
-			t.Fatalf("rank %d: drest/aliveLen differ", rank)
-		}
-	}
 }
 
 // TestSubGraphLocalIDDense spot-checks the dense global→local map against
 // the sorted verts slice it is derived from.
 func TestSubGraphLocalIDDense(t *testing.T) {
 	g := gen.RMAT(10, 6, 3)
-	gd := newGrid(4)
-	sg := buildSubGraph(g, gd, 2, 4)
+	sg := buildSubGraphPacked(g.NumVertices(), 4, gridBuckets(g, newGrid(4), 4)[2])
 	for lv, v := range sg.verts {
 		if got := sg.localID(v); got != lv {
 			t.Fatalf("localID(%d) = %d, want %d", v, got, lv)
@@ -100,39 +45,12 @@ func TestSubGraphLocalIDDense(t *testing.T) {
 func BenchmarkBuildSubGraphPacked(b *testing.B) {
 	g := gen.RMAT(14, 16, 21)
 	const p = 16
-	gd := newGrid(p)
-	buckets := gridBuckets(g, gd, p)
-	packed := make([][]uint64, p)
-	for rank := 0; rank < p; rank++ {
-		packed[rank] = make([]uint64, len(buckets[rank]))
-		for i, gi := range buckets[rank] {
-			e := g.Edge(gi)
-			packed[rank][i] = graph.PackEdge(e.U, e.V)
-		}
-	}
+	packed := gridBuckets(g, newGrid(p), p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for rank := 0; rank < p; rank++ {
 			sg := buildSubGraphPacked(g.NumVertices(), p, packed[rank])
-			if len(sg.edges) == 0 {
-				b.Fatal("empty subgraph")
-			}
-		}
-	}
-}
-
-// BenchmarkBuildSubGraphScan is the whole-graph path's self-extracting
-// build (every rank scans all of g), for the same total work.
-func BenchmarkBuildSubGraphScan(b *testing.B) {
-	g := gen.RMAT(14, 16, 21)
-	const p = 16
-	gd := newGrid(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for rank := 0; rank < p; rank++ {
-			sg := buildSubGraph(g, gd, rank, p)
 			if len(sg.edges) == 0 {
 				b.Fatal("empty subgraph")
 			}

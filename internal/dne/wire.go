@@ -24,42 +24,6 @@ func recoverConnLost(err *error) {
 	}
 }
 
-// PartitionOver runs this machine's share of Distributed NE over an
-// arbitrary communicator (in-process or TCP) with every rank holding the
-// complete graph. Every rank must call it with the same graph,
-// configuration and partition count (= comm.Size()). The returned slice is
-// non-nil only at rank 0 and holds the owner of every canonical edge of g.
-// Cancelling ctx aborts the run at the next superstep boundary,
-// collectively across all ranks.
-//
-// This is the legacy whole-graph path: per-rank peak memory is O(|E|)
-// because each rank stores g. PartitionShards is the scalable entry point —
-// each rank feeds in only its own edge shard.
-func PartitionOver(ctx context.Context, comm cluster.Comm, g *graph.Graph, cfg Config) (_ []int32, _ *MachineStats, err error) {
-	defer recoverConnLost(&err)
-	var res machineResult
-	var owner []int32
-	if comm.Rank() == 0 {
-		owner = make([]int32, g.NumEdges())
-		for i := range owner {
-			owner[i] = -1
-		}
-	}
-	sg := buildSubGraph(g, newGrid(comm.Size()), comm.Rank(), comm.Size())
-	in := machineInput{
-		sg:          sg,
-		numVertices: g.NumVertices(),
-		totalEdges:  g.NumEdges(),
-		// The whole graph stays resident for the entire run on this path.
-		residentBytes: g.MemoryFootprint(),
-	}
-	if err := runMachine(ctx, comm, cfg, in, &res); err != nil {
-		return nil, nil, err
-	}
-	collectOwnersByIndex(comm, sg, owner)
-	return owner, res.stats(), nil
-}
-
 // ShardResult is the assembled outcome of a shard-based run, available at
 // rank 0 only: the complete deduplicated edge set in ascending canonical
 // order (packed keys) and each edge's owning partition.
@@ -113,8 +77,8 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // peak-memory stat) has finished.
 //
 // The result is non-nil at rank 0 only. The seeded partitioning is
-// bit-identical to the in-process whole-graph run with the same seed,
-// graph and partition count.
+// bit-identical to the in-process run (Partition) with the same seed, graph
+// and partition count.
 func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config) (_ *ShardResult, _ *MachineStats, err error) {
 	defer recoverConnLost(&err)
 	if err := ctx.Err(); err != nil {
@@ -134,32 +98,41 @@ func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard,
 	return &ShardResult{NumParts: comm.Size(), Keys: keys, Owner: owners}, res.stats(), nil
 }
 
-// runShardMachine is the per-rank body of the shard data plane: shuffle the
-// local shard to grid owners, build the subgraph from received edges only,
-// run the superstep loop, and collect (key, owner) runs at rank 0.
-func runShardMachine(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config, res *machineResult) ([]uint64, []int32, error) {
+// shuffleInput is the input phase of the shard data plane: shuffle the local
+// shard to grid owners, agree on |E|, and build the subgraph from the
+// received edges only. It also returns those edges (sorted, deduplicated),
+// which the fault-tolerant driver persists as its checkpoint base.
+func shuffleInput(comm cluster.Comm, shard *graph.Shard) (machineInput, []uint64, error) {
 	p := comm.Size()
-	gd := newGrid(p)
 	shardBytes := shard.Bytes()
-	local, shuffleBytes := shuffleShard(comm, gd, shard.Packed)
+	local, shuffleBytes := shuffleShard(comm, newGrid(p), shard.Packed)
 	// The shard has served its purpose; release it so the expansion phase
 	// runs on the subgraph alone.
 	shard.Packed = nil
 	totalE := cluster.AllGatherSum(comm, int64(len(local)))
 	if totalE == 0 {
-		return nil, nil, errors.New("dne: shards hold no edges")
+		return machineInput{}, nil, errors.New("dne: shards hold no edges")
 	}
-	sg := buildSubGraphPacked(shard.NumVertices, p, local)
-	in := machineInput{
-		sg:             sg,
+	return machineInput{
+		sg:             buildSubGraphPacked(shard.NumVertices, p, local),
 		numVertices:    shard.NumVertices,
 		totalEdges:     totalE,
 		inputPeakBytes: shardBytes + shuffleBytes,
+	}, local, nil
+}
+
+// runShardMachine is the per-rank body of the shard data plane: the input
+// phase, the superstep loop, and the collection of (key, owner) runs at
+// rank 0.
+func runShardMachine(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config, res *machineResult) ([]uint64, []int32, error) {
+	in, _, err := shuffleInput(comm, shard)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := runMachine(ctx, comm, cfg, in, res); err != nil {
 		return nil, nil, err
 	}
-	keys, owners := collectOwnersByKey(comm, sg)
+	keys, owners := collectOwnersByKey(comm, in.sg)
 	return keys, owners, nil
 }
 
@@ -260,7 +233,7 @@ func runShardAttempt(ctx context.Context, comm cluster.Comm, cfg Config, opt FTO
 	c := opt.Checkpoint
 	p := comm.Size()
 	var res machineResult
-	in := machineInput{ckpt: c}
+	var in machineInput
 
 	// Negotiate the newest superstep every rank can restore. The collective
 	// doubles as the rejoin barrier: survivors block here until the restarted
@@ -277,31 +250,27 @@ func runShardAttempt(ctx context.Context, comm cluster.Comm, cfg Config, opt FTO
 			return nil, nil, err
 		}
 		logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
-		in.sg = buildSubGraphPacked(numVertices, p, packed)
-		in.numVertices = numVertices
-		in.totalEdges = totalE
-		in.resume = st
+		in = machineInput{
+			sg:          buildSubGraphPacked(numVertices, p, packed),
+			numVertices: numVertices,
+			totalEdges:  totalE,
+			resume:      st,
+		}
 	} else {
 		shard, err := opt.LoadShard()
 		if err != nil {
 			return nil, nil, fmt.Errorf("dne: loading shard: %w", err)
 		}
-		gd := newGrid(p)
-		shardBytes := shard.Bytes()
-		local, shuffleBytes := shuffleShard(comm, gd, shard.Packed)
-		shard.Packed = nil
-		totalE := cluster.AllGatherSum(comm, int64(len(local)))
-		if totalE == 0 {
-			return nil, nil, errors.New("dne: shards hold no edges")
-		}
-		if err := c.WriteBase(shard.NumVertices, totalE, local); err != nil {
+		var local []uint64
+		in, local, err = shuffleInput(comm, shard)
+		if err != nil {
 			return nil, nil, err
 		}
-		in.sg = buildSubGraphPacked(shard.NumVertices, p, local)
-		in.numVertices = shard.NumVertices
-		in.totalEdges = totalE
-		in.inputPeakBytes = shardBytes + shuffleBytes
+		if err := c.WriteBase(in.numVertices, in.totalEdges, local); err != nil {
+			return nil, nil, err
+		}
 	}
+	in.ckpt = c
 	if err := runMachine(ctx, comm, cfg, in, &res); err != nil {
 		return nil, nil, err
 	}

@@ -36,10 +36,7 @@ type Options struct {
 	PRIters int
 	// Quick restricts sweeps to fewer points (used by unit tests).
 	Quick bool
-	// JSONPath, when non-empty, makes experiments that support it (perf,
-	// obs, live, stream) write a machine-readable snapshot to this file.
-	JSONPath string
-	Out      io.Writer
+	Out   io.Writer
 }
 
 func (o Options) out() io.Writer { return o.Out }
@@ -576,10 +573,6 @@ var All = []struct {
 	{"table4", "comparison with sequential algorithms", Table4},
 	{"table5", "graph applications (SSSP/WCC/PageRank)", Table5},
 	{"table6", "road networks (non-skewed)", Table6},
-	{"perf", "tracked perf snapshot of the expansion partitioners (BENCH_dne.json)", Perf},
-	{"obs", "observability overhead: instrumented vs no-op-registry serving latency (BENCH_obs.json)", ObsOverhead},
-	{"stream", "source-based input: stream vs materialized memory, pipelined throughput ladder (BENCH_stream.json)", ExtStream},
-	{"live", "live graph: phased query mix, RF drift, migration rate (BENCH_live.json)", ExtLive},
 	{"extdyn", "§8 extension: dynamic-graph incremental maintenance", ExtDynamic},
 	{"exthyper", "§8 extension: hypergraph partitioning", ExtHyper},
 	{"extpl", "§6 premise: power-law fits of the stand-ins", ExtPowerLaw},

@@ -1,37 +1,21 @@
 package graph
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/distributedne/dne/internal/dsa"
 )
 
-// The streaming pipeline: decorators that overlap a partition run's stages
-// with bounded channels instead of running decode → shuffle → assign on one
-// goroutine. Both preserve the exact edge sequence of their sequential
-// counterparts — Prefetched is order-transparent by construction, and
-// PipedShuffle reproduces Shuffled's emission bit for bit — so a pipelined
-// run produces the same Owner array, checksum and Quality as a sequential
-// one; only the wall clock changes. The sequential paths stay as the
-// reference implementation and the golden tests pin the equivalence.
-
-// DefaultPrefetchDepth is how many decoded chunks a Prefetched source keeps
-// in flight ahead of its consumer: deep enough to ride out consumer bursts
-// (a few hundred KiB of buffered edges), shallow enough that memory stays
+// prefetchDepth is how many decoded chunks a Prefetched source keeps in
+// flight ahead of its consumer: deep enough to ride out consumer bursts (a
+// few hundred KiB of buffered edges), shallow enough that memory stays
 // O(chunk).
-const DefaultPrefetchDepth = 4
+const prefetchDepth = 4
 
 // Prefetched decorates a source with a decode-ahead stage: each pass runs
 // the inner stream on its own goroutine, which decodes (and, for disk
-// sources, reads) up to depth chunks ahead of the consumer through a
+// sources, reads) up to prefetchDepth chunks ahead of the consumer through a
 // bounded channel. The consumer sees the exact same chunks in the exact
 // same order — the decorator is invisible to determinism — but disk latency
 // and decode CPU overlap with downstream work instead of serializing with
@@ -39,18 +23,14 @@ const DefaultPrefetchDepth = 4
 //
 // Prefetched deliberately does NOT implement Unwrapper: order-independent
 // passes (degree counting, quality measurement) that strip decorators via
-// RawSource still land on the prefetcher, so every pass of a pipelined run
+// RawSource still land on the prefetcher, so every pass of a stream run
 // gets decode-ahead, not just the assignment pass.
-func Prefetched(src Source, depth int) Source {
-	if depth <= 0 {
-		depth = DefaultPrefetchDepth
-	}
-	return &prefetchedSource{inner: src, depth: depth}
+func Prefetched(src Source) Source {
+	return &prefetchedSource{inner: src}
 }
 
 type prefetchedSource struct {
 	inner    Source
-	depth    int
 	decodeNS atomic.Int64 // cumulative time inside the inner stream's Next
 }
 
@@ -58,7 +38,7 @@ type prefetchedSource struct {
 // spent pulling chunks off the inner stream (disk reads + ESZ1 decoding),
 // across all passes. Backpressure waits are excluded — those are the stall
 // counters. Partition runners surface it as a phase so traces show the
-// decode stage of a pipelined run.
+// decode stage of a run.
 func (s *prefetchedSource) DecodeTime() time.Duration {
 	return time.Duration(s.decodeNS.Load())
 }
@@ -69,10 +49,10 @@ func (s *prefetchedSource) Info() SourceInfo {
 	return info
 }
 
-// AccountBytes is the analytic footprint of the buffer ring: depth in-flight
-// chunks plus the one the consumer holds, keys and positions.
+// AccountBytes is the analytic footprint of the buffer ring: prefetchDepth
+// in-flight chunks plus the one the consumer holds, keys and positions.
 func (s *prefetchedSource) AccountBytes() int64 {
-	return int64(s.depth+1) * SourceChunkEdges * 16
+	return (prefetchDepth + 1) * SourceChunkEdges * 16
 }
 
 // BytesRead passes the inner source's storage meter through, so callers
@@ -86,11 +66,11 @@ func (s *prefetchedSource) BytesRead() int64 {
 
 func (s *prefetchedSource) Edges() (EdgeStream, error) {
 	st := &prefetchStream{
-		filled: make(chan prefetchChunk, s.depth),
-		free:   make(chan prefetchChunk, s.depth),
+		filled: make(chan prefetchChunk, prefetchDepth),
+		free:   make(chan prefetchChunk, prefetchDepth),
 		stop:   make(chan struct{}),
 	}
-	for i := 0; i < s.depth; i++ {
+	for i := 0; i < prefetchDepth; i++ {
 		st.free <- prefetchChunk{}
 	}
 	go st.produce(s)
@@ -206,333 +186,4 @@ func (st *prefetchStream) Close() error {
 	st.once.Do(func() { close(st.stop) })
 	st.done = true
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Piped shuffle
-
-// PipedShuffle is Shuffled with the B× re-read amplification removed: the
-// same deterministic bucket shuffle (same routing hash, same per-bucket
-// Fisher–Yates rng, bit-identical emitted order), built from ONE pass over
-// the underlying source instead of one pass per bucket.
-//
-// The one pass scatters every edge into its bucket's temp spill file in raw
-// stream order (a stable counting-sort pass per chunk — dsa.ScatterByBucket
-// — groups each chunk so every bucket gets one contiguous write). Draining
-// then loads each spill, applies the identical Fisher–Yates, and emits;
-// while bucket b streams out, a loader goroutine reads and shuffles bucket
-// b+1, so spill I/O and shuffle CPU overlap emission. Spill files live in a
-// fresh temp directory and are removed when the pass ends or is closed.
-//
-// Memory is the same O(largest bucket) as Shuffled — twice over, since the
-// next bucket loads while the current one drains — plus the scatter stage's
-// write buffers. Disk cost per pass: |E|·16 bytes written and read back
-// once, in exchange for B-1 saved re-reads of the source; for a cold-disk
-// source the spill (on scratch storage) is far cheaper than re-decoding
-// the shards B times.
-func PipedShuffle(src Source, seed int64) Source {
-	return &pipedShuffleSource{inner: src, seed: seed}
-}
-
-type pipedShuffleSource struct {
-	inner     Source
-	seed      int64
-	maxBuf    atomic.Int64 // largest bucket seen by any pass
-	scatterNS atomic.Int64 // cumulative scatter-pass wall time
-}
-
-// ScatterTime reports the cumulative wall time this source's passes spent
-// in their scatter stage (one source pass + spill writes, included in the
-// consumer's overall timing). Partition runners surface it as a phase so
-// traces show where a pipelined pass's time went.
-func (s *pipedShuffleSource) ScatterTime() time.Duration {
-	return time.Duration(s.scatterNS.Load())
-}
-
-func (s *pipedShuffleSource) Info() SourceInfo {
-	info := s.inner.Info()
-	info.Name = "piped-shuffle:" + info.Name
-	return info
-}
-
-// Unwrap exposes the inner source for order-independent passes. When the
-// inner source is Prefetched, those passes keep their decode-ahead.
-func (s *pipedShuffleSource) Unwrap() Source { return s.inner }
-
-// AccountBytes: two bucket buffers (draining + loading-ahead) of keys and
-// positions, plus the scatter stage's per-bucket spill write buffers, plus
-// whatever the inner decorator accounts.
-func (s *pipedShuffleSource) AccountBytes() int64 {
-	acct := s.maxBuf.Load()*16*2 + ShuffleBuckets*spillBufBytes
-	if a, ok := s.inner.(interface{ AccountBytes() int64 }); ok {
-		acct += a.AccountBytes()
-	}
-	return acct
-}
-
-// spillBufBytes is the buffered-writer size per bucket spill file during
-// the scatter pass.
-const spillBufBytes = 64 << 10
-
-// spillRecordBytes is one spilled edge: packed key + raw stream position.
-const spillRecordBytes = 16
-
-func (s *pipedShuffleSource) Edges() (EdgeStream, error) {
-	return &pipedShuffleStream{s: s}, nil
-}
-
-type bucketBatch struct {
-	keys []uint64
-	pos  []int64
-	err  error
-}
-
-type pipedShuffleStream struct {
-	s       *pipedShuffleSource
-	started bool
-	done    bool
-	loaded  chan bucketBatch
-	stop    chan struct{}
-	once    sync.Once
-	cur     bucketBatch
-	at      int
-}
-
-func (st *pipedShuffleStream) Next() ([]uint64, []int64, error) {
-	if st.done {
-		return nil, nil, io.EOF
-	}
-	if !st.started {
-		if err := st.start(); err != nil {
-			st.done = true
-			return nil, nil, err
-		}
-	}
-	for {
-		if st.at < len(st.cur.keys) {
-			n := len(st.cur.keys) - st.at
-			if n > SourceChunkEdges {
-				n = SourceChunkEdges
-			}
-			keys := st.cur.keys[st.at : st.at+n]
-			pos := st.cur.pos[st.at : st.at+n]
-			st.at += n
-			return keys, pos, nil
-		}
-		wait := time.Now()
-		b, ok := <-st.loaded
-		stallDrainNS.Add(time.Since(wait).Nanoseconds())
-		if !ok {
-			st.done = true
-			return nil, nil, io.EOF
-		}
-		if b.err != nil {
-			st.done = true
-			return nil, nil, b.err
-		}
-		st.cur, st.at = b, 0
-	}
-}
-
-// start runs the scatter pass synchronously (it IS this stream's first
-// consumption of the source) and launches the drain loader.
-func (st *pipedShuffleStream) start() error {
-	begin := time.Now()
-	dir, counts, err := st.scatter()
-	st.s.scatterNS.Add(time.Since(begin).Nanoseconds())
-	if err != nil {
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
-		return err
-	}
-	st.started = true
-	st.loaded = make(chan bucketBatch)
-	st.stop = make(chan struct{})
-	go st.load(dir, counts)
-	return nil
-}
-
-// scatter reads the whole inner source once and spills every edge, in raw
-// stream order, into its bucket's temp file.
-func (st *pipedShuffleStream) scatter() (dir string, counts [ShuffleBuckets]int64, err error) {
-	dir, err = os.MkdirTemp("", "dne-shuffle-")
-	if err != nil {
-		return "", counts, err
-	}
-	var files [ShuffleBuckets]*os.File
-	var writers [ShuffleBuckets]*bufio.Writer
-	defer func() {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}()
-	for b := range files {
-		f, ferr := os.Create(filepath.Join(dir, fmt.Sprintf("bucket-%02d", b)))
-		if ferr != nil {
-			return dir, counts, ferr
-		}
-		files[b] = f
-		writers[b] = bufio.NewWriterSize(f, spillBufBytes)
-	}
-
-	es, err := st.s.inner.Edges()
-	if err != nil {
-		return dir, counts, err
-	}
-	defer es.Close()
-
-	var (
-		raw     int64
-		posBuf  []int64
-		bkt     []uint8
-		outKeys []uint64
-		outPos  []int64
-		rec     []byte
-		offs    = make([]int, ShuffleBuckets+1)
-		cursor  = make([]int, ShuffleBuckets)
-	)
-	for {
-		keys, cpos, nerr := es.Next()
-		if nerr == io.EOF {
-			break
-		}
-		if nerr != nil {
-			return dir, counts, nerr
-		}
-		n := len(keys)
-		if cap(posBuf) < n {
-			posBuf = make([]int64, n)
-			bkt = make([]uint8, n)
-			outKeys = make([]uint64, n)
-			outPos = make([]int64, n)
-			rec = make([]byte, n*spillRecordBytes)
-		}
-		pos := posBuf[:n]
-		if cpos != nil {
-			copy(pos, cpos)
-		} else {
-			for j := range pos {
-				pos[j] = raw + int64(j)
-			}
-		}
-		for j, k := range keys {
-			bkt[j] = uint8(shuffleBucketOf(k, st.s.seed))
-		}
-		bounds := dsa.ScatterByBucket(keys, pos, bkt[:n], ShuffleBuckets, outKeys[:n], outPos[:n], offs, cursor)
-		for b := 0; b < ShuffleBuckets; b++ {
-			lo, hi := bounds[b], bounds[b+1]
-			if lo == hi {
-				continue
-			}
-			buf := rec[:0]
-			for i := lo; i < hi; i++ {
-				buf = binary.LittleEndian.AppendUint64(buf, outKeys[i])
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(outPos[i]))
-			}
-			if _, werr := writers[b].Write(buf); werr != nil {
-				return dir, counts, werr
-			}
-			counts[b] += int64(hi - lo)
-		}
-		raw += int64(n)
-	}
-	for b := range writers {
-		if werr := writers[b].Flush(); werr != nil {
-			return dir, counts, werr
-		}
-		if cerr := files[b].Close(); cerr != nil {
-			files[b] = nil
-			return dir, counts, cerr
-		}
-		files[b] = nil
-	}
-	return dir, counts, nil
-}
-
-// load runs on the drain goroutine: read each bucket's spill, apply the
-// per-bucket Fisher–Yates, and hand the batch to the consumer. Two batch
-// buffers alternate — the unbuffered channel guarantees the consumer has
-// released buffer b-2 before b is filled — so bucket b+1 loads and shuffles
-// while bucket b streams out.
-func (st *pipedShuffleStream) load(dir string, counts [ShuffleBuckets]int64) {
-	defer close(st.loaded)
-	defer os.RemoveAll(dir)
-	var bufs [2]bucketBatch
-	for b := 0; b < ShuffleBuckets; b++ {
-		batch := &bufs[b%2]
-		if err := loadBucket(filepath.Join(dir, fmt.Sprintf("bucket-%02d", b)), counts[b], batch); err != nil {
-			select {
-			case st.loaded <- bucketBatch{err: err}:
-			case <-st.stop:
-			}
-			return
-		}
-		shuffleBucket(batch.keys, batch.pos, st.s.seed, uint32(b))
-		for {
-			old := st.s.maxBuf.Load()
-			if n := int64(len(batch.keys)); n <= old || st.s.maxBuf.CompareAndSwap(old, n) {
-				break
-			}
-		}
-		wait := time.Now()
-		select {
-		case st.loaded <- *batch:
-		case <-st.stop:
-			return
-		}
-		stallScatterNS.Add(time.Since(wait).Nanoseconds())
-	}
-}
-
-// loadBucket reads one spill file into the batch's (reused) buffers.
-func loadBucket(path string, count int64, batch *bucketBatch) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if cap(batch.keys) < int(count) {
-		batch.keys = make([]uint64, count)
-		batch.pos = make([]int64, count)
-	}
-	batch.keys = batch.keys[:count]
-	batch.pos = batch.pos[:count]
-	br := bufio.NewReaderSize(f, spillBufBytes)
-	var rec [spillRecordBytes]byte
-	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return fmt.Errorf("graph: reading shuffle spill %s record %d: %w", path, i, err)
-		}
-		batch.keys[i] = binary.LittleEndian.Uint64(rec[0:])
-		batch.pos[i] = int64(binary.LittleEndian.Uint64(rec[8:]))
-	}
-	return nil
-}
-
-func (st *pipedShuffleStream) Close() error {
-	if st.started {
-		st.once.Do(func() { close(st.stop) })
-		// Drain until the loader closes the channel so the spill dir is
-		// removed before Close returns.
-		for range st.loaded {
-		}
-	}
-	st.done = true
-	return nil
-}
-
-// Piped composes the full pipelined decoration for a partition run:
-// decode-ahead on the raw source, and — when shuffle is set — the
-// single-pass bucket shuffle above it. The emitted order is identical to
-// the sequential Shuffled(src, seed) (or to src itself when shuffle is
-// unset); only the stage overlap differs.
-func Piped(src Source, seed int64, shuffle bool) Source {
-	pref := Prefetched(src, DefaultPrefetchDepth)
-	if !shuffle {
-		return pref
-	}
-	return PipedShuffle(pref, seed)
 }

@@ -1,13 +1,15 @@
 package graph
 
 import (
+	"errors"
 	"io"
+	"os"
 	"slices"
 	"testing"
 )
 
 // countingSource wraps a source and counts how many passes (Edges calls)
-// are opened on it — the probe for the shuffle I/O-amplification fix.
+// are opened on it.
 type countingSource struct {
 	inner Source
 	opens int
@@ -17,6 +19,68 @@ func (c *countingSource) Info() SourceInfo { return c.inner.Info() }
 func (c *countingSource) Edges() (EdgeStream, error) {
 	c.opens++
 	return c.inner.Edges()
+}
+
+// positionedSource replays keys in chunks that carry explicit raw positions
+// (the shape an order decorator emits), chunk edges at a time.
+type positionedSource struct {
+	keys  []uint64
+	pos   []int64
+	chunk int
+}
+
+func (s positionedSource) Info() SourceInfo {
+	return SourceInfo{Name: "positioned", NumEdges: int64(len(s.keys))}
+}
+
+func (s positionedSource) Edges() (EdgeStream, error) {
+	return &positionedStream{s: s}, nil
+}
+
+type positionedStream struct {
+	s  positionedSource
+	at int
+}
+
+func (st *positionedStream) Next() ([]uint64, []int64, error) {
+	if st.at >= len(st.s.keys) {
+		return nil, nil, io.EOF
+	}
+	n := min(len(st.s.keys)-st.at, st.s.chunk)
+	keys, pos := st.s.keys[st.at:st.at+n], st.s.pos[st.at:st.at+n]
+	st.at += n
+	return keys, pos, nil
+}
+
+func (st *positionedStream) Close() error { return nil }
+
+// failingSource yields good chunks of its inner source, then errBroken.
+type failingSource struct {
+	Source
+	good int
+}
+
+var errBroken = errors.New("stream broke")
+
+func (s failingSource) Edges() (EdgeStream, error) {
+	st, err := s.Source.Edges()
+	if err != nil {
+		return nil, err
+	}
+	return &failingStream{EdgeStream: st, good: s.good}, nil
+}
+
+type failingStream struct {
+	EdgeStream
+	good int
+}
+
+func (st *failingStream) Next() ([]uint64, []int64, error) {
+	if st.good == 0 {
+		return nil, nil, errBroken
+	}
+	st.good--
+	return st.EdgeStream.Next()
 }
 
 func drainStream(t *testing.T, src Source) (keys []uint64, pos []int64) {
@@ -47,11 +111,26 @@ func drainStream(t *testing.T, src Source) (keys []uint64, pos []int64) {
 	}
 }
 
+// spillDirs lists what the shuffle has left in the temp directory the test
+// pointed it at.
+func spillDirs(t *testing.T, tmp string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // TestPrefetchedTransparent: the decode-ahead decorator must be invisible —
 // identical keys and positions, across multiple passes.
 func TestPrefetchedTransparent(t *testing.T) {
 	base := PackedSource("test", 1<<12, sortedTestKeys(3*SourceChunkEdges+99, 1<<12, 31))
-	pref := Prefetched(base, 3)
+	pref := Prefetched(base)
 	wantK, wantP := drainStream(t, base)
 	for pass := 0; pass < 2; pass++ {
 		gotK, gotP := drainStream(t, pref)
@@ -61,69 +140,101 @@ func TestPrefetchedTransparent(t *testing.T) {
 	}
 }
 
-// TestPipedShuffleMatchesShuffled is the heart of the pipeline's
-// determinism claim: for every seed, the single-pass spill-based shuffle
-// must emit the exact key and position sequence of the B-pass sequential
-// shuffle.
-func TestPipedShuffleMatchesShuffled(t *testing.T) {
-	base := PackedSource("test", 1<<12, sortedTestKeys(2*SourceChunkEdges+777, 1<<12, 13))
-	for _, seed := range []int64{1, 7, 42, 1_000_003} {
-		wantK, wantP := drainStream(t, Shuffled(base, seed))
-		gotK, gotP := drainStream(t, PipedShuffle(base, seed))
-		if !slices.Equal(gotK, wantK) {
-			t.Fatalf("seed %d: piped shuffle emits different keys", seed)
-		}
-		if !slices.Equal(gotP, wantP) {
-			t.Fatalf("seed %d: piped shuffle emits different positions", seed)
+// TestShuffledOrderMatchesDefinition states the emitted order on a
+// materialized slice, independently of the spill machinery: for each bucket
+// in turn, the stable subsequence of the stream that shuffleBucketOf routes
+// there, put through shuffleBucket. It must hold for sequential chunks and
+// for chunks that carry their own positions.
+func TestShuffledOrderMatchesDefinition(t *testing.T) {
+	keys := sortedTestKeys(2*SourceChunkEdges+777, 1<<12, 13)
+	seqPos := make([]int64, len(keys))
+	revPos := make([]int64, len(keys))
+	for i := range keys {
+		seqPos[i] = int64(i)
+		revPos[i] = int64(len(keys) - 1 - i)
+	}
+	for _, tc := range []struct {
+		name string
+		src  Source
+		pos  []int64
+	}{
+		{"sequential", PackedSource("test", 1<<12, keys), seqPos},
+		{"positioned", positionedSource{keys: keys, pos: revPos, chunk: 1000}, revPos},
+	} {
+		for _, seed := range []int64{7, 1_000_003} {
+			var wantK []uint64
+			var wantP []int64
+			for b := uint32(0); b < ShuffleBuckets; b++ {
+				var bk []uint64
+				var bp []int64
+				for i, k := range keys {
+					if shuffleBucketOf(k, seed) == b {
+						bk = append(bk, k)
+						bp = append(bp, tc.pos[i])
+					}
+				}
+				shuffleBucket(bk, bp, seed, b)
+				wantK = append(wantK, bk...)
+				wantP = append(wantP, bp...)
+			}
+			gotK, gotP := drainStream(t, Shuffled(tc.src, seed))
+			if !slices.Equal(gotK, wantK) {
+				t.Errorf("%s, seed %d: shuffle emits different keys", tc.name, seed)
+			}
+			if !slices.Equal(gotP, wantP) {
+				t.Errorf("%s, seed %d: shuffle emits different positions", tc.name, seed)
+			}
 		}
 	}
 }
 
-// TestPipedShuffleMatchesShuffledOverPrefetch: the full pipelined stack
-// (PipedShuffle over Prefetched) still matches, and Unwrap exposes the
-// prefetcher, not the raw source.
-func TestPipedShuffleMatchesShuffledOverPrefetch(t *testing.T) {
+// TestShuffledOverPrefetched: the stack the stream runner composes emits
+// the same order as the shuffle alone, and Unwrap exposes the prefetcher,
+// not the raw source, so order-independent passes keep their decode-ahead.
+func TestShuffledOverPrefetched(t *testing.T) {
 	base := PackedSource("test", 1<<11, sortedTestKeys(20_000, 1<<11, 9))
-	piped := Piped(base, 42, true)
+	pref := Prefetched(base)
+	stack := Shuffled(pref, 42)
 	wantK, wantP := drainStream(t, Shuffled(base, 42))
-	gotK, gotP := drainStream(t, piped)
+	gotK, gotP := drainStream(t, stack)
 	if !slices.Equal(gotK, wantK) || !slices.Equal(gotP, wantP) {
-		t.Fatal("piped stack differs from sequential shuffle")
+		t.Fatal("shuffle over the prefetcher differs from the shuffle alone")
 	}
-	u, ok := piped.(Unwrapper)
-	if !ok {
-		t.Fatal("piped shuffle does not unwrap")
+	if u := stack.(Unwrapper).Unwrap(); u != pref {
+		t.Fatalf("Unwrap returned %T, want the prefetched source it was given", u)
 	}
-	if _, isPref := u.Unwrap().(*prefetchedSource); !isPref {
-		t.Fatalf("Unwrap returned %T, want the prefetched source", u.Unwrap())
+	if RawSource(stack) != pref {
+		t.Fatal("RawSource looked through the prefetcher")
 	}
 }
 
-// TestShuffleStreamOpenCounts pins the I/O amplification this PR fixes:
-// one full pass over Shuffled opens the underlying source once PER BUCKET
-// (the documented B× re-read), while PipedShuffle opens it exactly once.
+// TestShuffleStreamOpenCounts pins the read amplification of a shuffled
+// pass at one: each pass opens the underlying source exactly once.
 func TestShuffleStreamOpenCounts(t *testing.T) {
-	keys := sortedTestKeys(10_000, 1<<10, 3)
-
-	seq := &countingSource{inner: PackedSource("test", 1<<10, keys)}
-	drainStream(t, Shuffled(seq, 42))
-	if seq.opens != ShuffleBuckets {
-		t.Errorf("sequential shuffle opened the source %d times, want %d (one per bucket)",
-			seq.opens, ShuffleBuckets)
-	}
-
-	piped := &countingSource{inner: PackedSource("test", 1<<10, keys)}
-	drainStream(t, PipedShuffle(piped, 42))
-	if piped.opens != 1 {
-		t.Errorf("piped shuffle opened the source %d times, want 1", piped.opens)
+	inner := &countingSource{inner: PackedSource("test", 1<<10, sortedTestKeys(10_000, 1<<10, 3))}
+	sh := Shuffled(inner, 42)
+	for pass := 1; pass <= 2; pass++ {
+		drainStream(t, sh)
+		if inner.opens != pass {
+			t.Fatalf("after %d shuffled passes the source was opened %d times", pass, inner.opens)
+		}
 	}
 }
 
-// TestPipedShuffleEarlyClose: abandoning a pass mid-stream must not leak
-// the loader goroutine or spill files (Close blocks until cleanup).
-func TestPipedShuffleEarlyClose(t *testing.T) {
+// TestShuffledRemovesSpillDir: a pass leaves nothing in the temp directory
+// however it ends — at EOF, abandoned mid-stream, or on an inner-stream
+// error — and a fresh pass after an abandoned one still matches.
+func TestShuffledRemovesSpillDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	base := PackedSource("test", 1<<12, sortedTestKeys(5*SourceChunkEdges, 1<<12, 17))
-	src := PipedShuffle(base, 7)
+	src := Shuffled(base, 7)
+
+	wantK, _ := drainStream(t, src)
+	if left := spillDirs(t, tmp); len(left) != 0 {
+		t.Fatalf("after EOF the temp directory holds %v", left)
+	}
+
 	st, err := src.Edges()
 	if err != nil {
 		t.Fatal(err)
@@ -131,13 +242,30 @@ func TestPipedShuffleEarlyClose(t *testing.T) {
 	if _, _, err := st.Next(); err != nil {
 		t.Fatal(err)
 	}
+	if left := spillDirs(t, tmp); len(left) != 1 {
+		t.Fatalf("mid-pass the temp directory holds %v, want one spill directory", left)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh pass after an abandoned one must still work and match.
-	wantK, _ := drainStream(t, Shuffled(base, 7))
-	gotK, _ := drainStream(t, src)
-	if !slices.Equal(gotK, wantK) {
+	if left := spillDirs(t, tmp); len(left) != 0 {
+		t.Fatalf("after an early Close the temp directory holds %v", left)
+	}
+	if gotK, _ := drainStream(t, src); !slices.Equal(gotK, wantK) {
 		t.Fatal("pass after early close differs")
+	}
+
+	st, err = Shuffled(failingSource{Source: base, good: 2}, 7).Edges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Next(); !errors.Is(err, errBroken) {
+		t.Fatalf("Next over a failing source returned %v, want the stream's error", err)
+	}
+	if left := spillDirs(t, tmp); len(left) != 0 {
+		t.Fatalf("after an inner-stream error the temp directory holds %v", left)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -450,7 +450,7 @@ func WriteShard(w io.Writer, s *Shard, index, count uint32) error {
 }
 
 // ShardsOf splits g into p synthetic shards — contiguous stripes of the
-// canonical edge list. It is the whole-graph adapter for the shard-based
+// canonical edge list. It is the in-memory adapter for the shard-based
 // data plane: a driver that already holds g in memory hands stripe r to rank
 // r and the distributed shuffle takes it from there. The stripes are
 // disjoint, cover every edge exactly once, and are already sorted and

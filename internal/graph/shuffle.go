@@ -1,14 +1,21 @@
 package graph
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"time"
 )
 
 // ShuffleBuckets is the bucket count of the streaming shuffle: memory is
-// bounded by the largest bucket (≈ |E|/ShuffleBuckets edges plus positions),
-// at the cost of one underlying pass per bucket. Fixed so that the emitted
-// order is a pure function of (raw sequence, seed), never of the machine.
+// bounded by the largest bucket (≈ |E|/ShuffleBuckets edges plus positions).
+// Fixed so that the emitted order is a pure function of (raw sequence, seed),
+// never of the machine.
 const ShuffleBuckets = 16
 
 // Shuffled decorates a source with a deterministic seeded stream shuffle.
@@ -27,35 +34,34 @@ const ShuffleBuckets = 16
 // The emitted order is deterministic for a given (raw edge sequence, seed):
 // two sources replaying the same sequence — an in-memory graph and its
 // canonical shard stripes on disk — shuffle identically, which is what keeps
-// the two partitioning paths bit-identical. Memory is the largest bucket
-// (≈|E|·16B/B). Emitted chunks carry raw-stream positions, so consumers
-// index their output by raw position exactly as if they had walked the
-// stream in order.
+// the two partitioning paths bit-identical. Emitted chunks carry raw-stream
+// positions, so consumers index their output by raw position exactly as if
+// they had walked the stream in order.
 //
-// I/O amplification: each full pass over the shuffled stream opens and
-// re-reads the WHOLE underlying source once per bucket — the fill loop
-// below filters one bucket's ~1/B subsample out of a complete pass and
-// discards the rest — so a disk-backed source pays B× its size in reads per
-// shuffled pass. That trade buys O(|E|/B) memory with zero spill files and
-// is fine for in-memory sources, where a "pass" is a pointer walk. For
-// cold-disk runs use PipedShuffle (pipeline.go): one scatter pass spills
-// every bucket to temp files in raw order, then drains them through the
-// identical per-bucket Fisher–Yates — the same emitted order, reading the
-// source exactly once (TestShuffleStreamOpenCounts pins both counts).
+// Each pass over the shuffled stream reads the underlying source exactly
+// once: a scatter pass spills every edge, in raw stream order, into its
+// bucket's file in a fresh temp directory, then the buckets are loaded back
+// one at a time. The directory is removed when the pass reaches EOF, fails,
+// or is closed.
+//
+// Memory is the larger of the two phases, which never overlap (the spill
+// writers are closed before the first bucket loads): the scatter pass's
+// write buffers, or the largest bucket (≈|E|·16B/B). Disk cost
+// per pass: |E|·16 bytes of temp storage (os.TempDir), written and read back
+// once.
 func Shuffled(src Source, seed int64) Source {
 	return &shuffledSource{inner: src, seed: seed}
 }
 
 // shuffleBucketOf routes a key to its shuffle bucket: the seed is mixed in
 // so different seeds produce unrelated bucketings (and therefore unrelated
-// final orders). Shared by Shuffled and PipedShuffle — identical routing is
-// half of what makes their emitted orders identical.
+// final orders).
 func shuffleBucketOf(k uint64, seed int64) uint32 {
 	return ShardRoute(k^(uint64(seed)*0x9e3779b97f4a7c15+0x632be59bd9b4e019), ShuffleBuckets)
 }
 
 // shuffleBucket is the in-place per-bucket Fisher–Yates with the
-// per-(seed, bucket) rng — the other half of the shared emitted order.
+// per-(seed, bucket) rng.
 func shuffleBucket(keys []uint64, pos []int64, seed int64, bucket uint32) {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(bucket)))
 	for i := len(keys) - 1; i > 0; i-- {
@@ -65,11 +71,29 @@ func shuffleBucket(keys []uint64, pos []int64, seed int64, bucket uint32) {
 	}
 }
 
+const (
+	// spillBufBytes is the buffered-writer size per bucket spill file during
+	// the scatter pass, and the reader size when a bucket loads.
+	spillBufBytes = 64 << 10
+
+	// spillRecordBytes is one spilled edge: packed key + raw stream position.
+	spillRecordBytes = 16
+)
+
+// shuffledSource's counters are written by the goroutine driving a pass and
+// read by the runner after it; passes of one source do not run concurrently.
 type shuffledSource struct {
-	inner  Source
-	seed   int64
-	maxBuf int // largest bucket seen by any pass, for analytic accounting
+	inner   Source
+	seed    int64
+	maxBuf  int64         // largest bucket any pass has loaded, in edges
+	scatter time.Duration // cumulative scatter-pass wall time
 }
+
+// ScatterTime reports the cumulative wall time this source's passes spent
+// in their scatter stage (one source pass + spill writes, included in the
+// consumer's overall timing). Partition runners surface it as a phase so
+// traces show where a shuffled pass's time went.
+func (s *shuffledSource) ScatterTime() time.Duration { return s.scatter }
 
 func (s *shuffledSource) Info() SourceInfo {
 	info := s.inner.Info()
@@ -77,97 +101,181 @@ func (s *shuffledSource) Info() SourceInfo {
 	return info
 }
 
-// Unwrap exposes the raw source for order-independent passes.
+// Unwrap exposes the inner source for order-independent passes.
 func (s *shuffledSource) Unwrap() Source { return s.inner }
 
-// AccountBytes returns the analytic footprint of the largest bucket buffer
-// any pass has held (keys + positions).
-func (s *shuffledSource) AccountBytes() int64 { return int64(s.maxBuf) * 16 }
-
-func (s *shuffledSource) Edges() (EdgeStream, error) {
-	return &shuffledStream{src: s}, nil
+// AccountBytes returns the analytic footprint of a shuffled pass: the larger
+// of its scatter phase (spill write buffers and whatever the inner decorator
+// holds while its stream is open) and its drain phase (the largest bucket's
+// keys and positions plus the spill reader).
+func (s *shuffledSource) AccountBytes() int64 {
+	scatter := int64(ShuffleBuckets * spillBufBytes)
+	if a, ok := s.inner.(interface{ AccountBytes() int64 }); ok {
+		scatter += a.AccountBytes()
+	}
+	return max(scatter, s.maxBuf*16+spillBufBytes)
 }
 
-// bucketOf routes a key to this source's shuffle bucket.
-func (s *shuffledSource) bucketOf(k uint64) uint32 {
-	return shuffleBucketOf(k, s.seed)
+func (s *shuffledSource) Edges() (EdgeStream, error) {
+	return &shuffledStream{s: s}, nil
 }
 
 type shuffledStream struct {
-	src    *shuffledSource
-	bucket int
+	s      *shuffledSource
+	dir    string // spill directory; "" until the scatter pass and after cleanup
+	counts [ShuffleBuckets]int64
+	bucket int // next bucket to load
 	keys   []uint64
 	pos    []int64
 	at     int
+	done   bool
 }
 
 func (st *shuffledStream) Next() ([]uint64, []int64, error) {
+	if st.done {
+		return nil, nil, io.EOF
+	}
+	if st.dir == "" {
+		begin := time.Now()
+		err := st.scatterPass()
+		st.s.scatter += time.Since(begin)
+		if err != nil {
+			st.Close()
+			return nil, nil, err
+		}
+	}
 	for {
 		if st.at < len(st.keys) {
-			n := len(st.keys) - st.at
-			if n > SourceChunkEdges {
-				n = SourceChunkEdges
-			}
+			n := min(len(st.keys)-st.at, SourceChunkEdges)
 			keys := st.keys[st.at : st.at+n]
 			pos := st.pos[st.at : st.at+n]
 			st.at += n
 			return keys, pos, nil
 		}
-		if st.bucket >= ShuffleBuckets {
+		if st.bucket == ShuffleBuckets {
+			st.Close()
 			return nil, nil, io.EOF
 		}
-		if err := st.fill(); err != nil {
+		if err := st.loadBucket(); err != nil {
+			st.Close()
 			return nil, nil, err
 		}
 	}
 }
 
-// fill buffers and shuffles the next bucket with one pass over the raw
-// source.
-func (st *shuffledStream) fill() error {
-	s := st.src
-	bucket := uint32(st.bucket)
-	st.bucket++
-	st.keys = st.keys[:0]
-	st.pos = st.pos[:0]
-	st.at = 0
-	es, err := s.inner.Edges()
+func spillPath(dir string, bucket int) string {
+	return filepath.Join(dir, fmt.Sprintf("bucket-%02d", bucket))
+}
+
+// scatterPass reads the whole inner source once and spills every edge, in
+// raw stream order, into its bucket's temp file.
+func (st *shuffledStream) scatterPass() error {
+	dir, err := os.MkdirTemp("", "dne-shuffle-")
+	if err != nil {
+		return err
+	}
+	st.dir = dir
+	var files [ShuffleBuckets]*os.File
+	var writers [ShuffleBuckets]*bufio.Writer
+	defer func() {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
+		}
+	}()
+	for b := range files {
+		f, err := os.Create(spillPath(dir, b))
+		if err != nil {
+			return err
+		}
+		files[b] = f
+		writers[b] = bufio.NewWriterSize(f, spillBufBytes)
+	}
+
+	es, err := st.s.inner.Edges()
 	if err != nil {
 		return err
 	}
 	defer es.Close()
+
 	var raw int64
+	var rec [spillRecordBytes]byte
 	for {
-		chunk, cpos, err := es.Next()
+		keys, cpos, err := es.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		for j, k := range chunk {
+		for j, k := range keys {
 			p := raw + int64(j)
 			if cpos != nil {
 				p = cpos[j]
 			}
-			if s.bucketOf(k) == bucket {
-				st.keys = append(st.keys, k)
-				st.pos = append(st.pos, p)
+			binary.LittleEndian.PutUint64(rec[0:], k)
+			binary.LittleEndian.PutUint64(rec[8:], uint64(p))
+			b := shuffleBucketOf(k, st.s.seed)
+			if _, err := writers[b].Write(rec[:]); err != nil {
+				return err
 			}
+			st.counts[b]++
 		}
-		raw += int64(len(chunk))
+		raw += int64(len(keys))
 	}
-	// Fisher–Yates with a per-(seed, bucket) rng: in-place, no index array.
-	shuffleBucket(st.keys, st.pos, s.seed, bucket)
-	if len(st.keys) > s.maxBuf {
-		s.maxBuf = len(st.keys)
+	for b := range writers {
+		if err := writers[b].Flush(); err != nil {
+			return err
+		}
+		err := files[b].Close()
+		files[b] = nil
+		if err != nil {
+			return err
+		}
 	}
+	// One buffer, sized for the largest bucket, serves every load.
+	largest := slices.Max(st.counts[:])
+	st.keys = make([]uint64, 0, largest)
+	st.pos = make([]int64, 0, largest)
+	st.s.maxBuf = max(st.s.maxBuf, largest)
 	return nil
 }
 
-func (st *shuffledStream) Close() error {
-	st.keys, st.pos = nil, nil
-	st.at = 0
-	st.bucket = ShuffleBuckets
+// loadBucket reads the next bucket's spill into the stream's buffer and
+// applies the per-bucket Fisher–Yates.
+func (st *shuffledStream) loadBucket() error {
+	b := st.bucket
+	st.bucket++
+	path := spillPath(st.dir, b)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	count := st.counts[b]
+	st.keys, st.pos, st.at = st.keys[:count], st.pos[:count], 0
+	br := bufio.NewReaderSize(f, spillBufBytes)
+	var rec [spillRecordBytes]byte
+	for i := range st.keys {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return fmt.Errorf("graph: reading shuffle spill %s record %d: %w", path, i, err)
+		}
+		st.keys[i] = binary.LittleEndian.Uint64(rec[0:])
+		st.pos[i] = int64(binary.LittleEndian.Uint64(rec[8:]))
+	}
+	shuffleBucket(st.keys, st.pos, st.s.seed, uint32(b))
 	return nil
+}
+
+// Close ends the pass and removes its spill directory.
+func (st *shuffledStream) Close() error {
+	st.done = true
+	st.keys, st.pos = nil, nil
+	if st.dir == "" {
+		return nil
+	}
+	dir := st.dir
+	st.dir = ""
+	return os.RemoveAll(dir)
 }

@@ -368,10 +368,9 @@ func peekShardFile(path string, exact bool) (shardDirFile, error) {
 }
 
 // ByteMeter is implemented by sources that can report the total bytes read
-// from underlying storage across every pass opened so far. dnepart and the
-// stream experiment use it to report on-disk traffic next to edges/sec —
-// the number that shows compressed shards moving fewer bytes for the same
-// stream.
+// from underlying storage across every pass opened so far. dnepart uses it
+// to report on-disk traffic next to edges/sec — the number that shows
+// compressed shards moving fewer bytes for the same stream.
 type ByteMeter interface {
 	BytesRead() int64
 }

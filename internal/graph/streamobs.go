@@ -6,9 +6,9 @@ import (
 	"github.com/distributedne/dne/internal/obs"
 )
 
-// Package-cumulative pipeline instrumentation. Every metered stream (disk
-// shard reads) and every pipeline stage (decode prefetcher, bucket scatter,
-// shuffle drain) feeds these atomics as it runs; RegisterStreamMetrics
+// Package-cumulative stream instrumentation. Every metered stream (disk
+// shard reads) and both sides of the decode prefetcher feed these atomics as
+// they run; RegisterStreamMetrics
 // exposes them on a registry so dneserve's /metrics shows live streaming
 // traffic and backpressure without the hot paths ever taking a lock.
 var (
@@ -19,15 +19,13 @@ var (
 	// streamChunksDecoded counts chunks handed downstream by prefetchers.
 	streamChunksDecoded atomic.Int64
 
-	// Stall time per pipeline stage, in nanoseconds: how long each side of a
-	// bounded channel spent blocked on the other. decode stalls mean the
-	// consumer is the bottleneck (healthy: the disk is ahead); consume
-	// stalls mean the decoder can't keep up (the disk or the codec is the
-	// ceiling). scatter/drain cover the piped shuffle's two sides.
+	// Stall time per side of the prefetcher's bounded channel, in
+	// nanoseconds: how long each spent blocked on the other. decode stalls
+	// mean the consumer is the bottleneck (healthy: the disk is ahead);
+	// consume stalls mean the decoder can't keep up (the disk or the codec is
+	// the ceiling).
 	stallDecodeNS  atomic.Int64
 	stallConsumeNS atomic.Int64
-	stallScatterNS atomic.Int64
-	stallDrainNS   atomic.Int64
 )
 
 // StreamBytesRead reports the process-cumulative storage bytes pulled by
@@ -58,7 +56,7 @@ func RegisterStreamMetrics(reg *obs.Registry) {
 			}
 		})
 	reg.CounterFunc("dne_stream_stage_stall_seconds_total",
-		"Seconds each pipeline stage spent blocked on its neighbor (stage=decode: producer waited for the consumer; stage=consume: consumer waited for decoded chunks; stage=scatter/drain: the piped shuffle's two sides).",
+		"Seconds each pipeline stage spent blocked on its neighbor (stage=decode: producer waited for the consumer; stage=consume: consumer waited for decoded chunks).",
 		func(emit func(v float64, kv ...string)) {
 			for _, e := range []struct {
 				stage string
@@ -66,8 +64,6 @@ func RegisterStreamMetrics(reg *obs.Registry) {
 			}{
 				{"decode", stallDecodeNS.Load()},
 				{"consume", stallConsumeNS.Load()},
-				{"scatter", stallScatterNS.Load()},
-				{"drain", stallDrainNS.Load()},
 			} {
 				if e.ns > 0 {
 					emit(float64(e.ns)/1e9, "stage", e.stage)

@@ -13,8 +13,7 @@ import (
 // canonical edges as per-chunk delta-encoded sources with varint destination
 // gaps instead of raw packed uint64s. Sorted RMAT-style edge lists compress
 // several-fold (most gaps fit one byte), which cuts the cold-disk bytes a
-// streaming partition run has to move — the point of the pipelined path:
-// let the disk, not the CPU, set the ceiling.
+// streaming partition run has to move.
 //
 // Layout (all little-endian):
 //

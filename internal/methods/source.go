@@ -19,19 +19,6 @@ import (
 // — so harnesses and callers can see that the O(chunk) promise did not hold
 // for that method.
 func PartitionSource(ctx context.Context, name string, src graph.Source, spec partition.Spec) (*partition.Result, error) {
-	return partitionSource(ctx, name, src, spec, false)
-}
-
-// PartitionSourcePiped is PartitionSource over the pipelined stream runner:
-// stream-capable methods overlap decode, shuffle and assignment on bounded
-// channels (bit-identical output, better wall clock on cold-disk sources);
-// methods that cannot stream fall back to the same transparent
-// materialization as PartitionSource.
-func PartitionSourcePiped(ctx context.Context, name string, src graph.Source, spec partition.Spec) (*partition.Result, error) {
-	return partitionSource(ctx, name, src, spec, true)
-}
-
-func partitionSource(ctx context.Context, name string, src graph.Source, spec partition.Spec, piped bool) (*partition.Result, error) {
 	d, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("methods: unknown method %q (known: %s)", name, strings.Join(Names(), ", "))
@@ -42,13 +29,6 @@ func partitionSource(ctx context.Context, name string, src graph.Source, spec pa
 	}
 	p := d.Factory()
 	if d.Streams {
-		if piped {
-			pp, ok := p.(partition.PipedStreamPartitioner)
-			if !ok {
-				return nil, fmt.Errorf("methods: %s declares Streams but %T cannot run pipelined", d.Name, p)
-			}
-			return pp.PartitionStreamPiped(ctx, src, resolved)
-		}
 		sp, ok := p.(partition.StreamPartitioner)
 		if !ok {
 			return nil, fmt.Errorf("methods: %s declares Streams but %T is not a StreamPartitioner", d.Name, p)

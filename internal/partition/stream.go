@@ -79,46 +79,29 @@ func (m StreamMethod) Partition(ctx context.Context, g *graph.Graph, spec Spec) 
 }
 
 // PartitionStream implements StreamPartitioner: it validates the spec,
-// applies the method's order decoration, times the core and the quality
-// measurement as separate phases, measures quality with one extra pass over
-// the raw source (no graph needed), and accounts the run's peak memory —
-// the owner array, the measurement slab, stream buffers, the shuffle bucket
-// buffer, plus whatever dense state the core reported. The accounting is a
-// deliberate upper bound (core state and measurement slab are charged
-// together even though they do not coexist).
+// applies the method's order decoration over a decode-ahead prefetcher,
+// times the core and the quality measurement as separate phases, measures
+// quality with one extra pass over the raw source (no graph needed), and
+// accounts the run's peak memory — the owner array, the measurement slab,
+// stream buffers, the decorators' buffers, plus whatever dense state the
+// core reported. The accounting is a deliberate upper bound (core state and
+// measurement slab are charged together even though they do not coexist).
+// Stats.Extra carries source_bytes_read when the source meters its storage
+// traffic.
 func (m StreamMethod) PartitionStream(ctx context.Context, src graph.Source, spec Spec) (*Result, error) {
-	return m.runStream(ctx, src, spec, false)
-}
-
-// PartitionStreamPiped is PartitionStream over the pipelined decoration:
-// decode-ahead prefetching on every pass and, for shuffling methods, the
-// single-pass spill-backed shuffle in place of the B-re-read sequential
-// one. The emitted edge order — and therefore the Owner array, checksum
-// and Quality — is bit-identical to PartitionStream's; the stages simply
-// overlap, which is what makes cold-disk runs disk-bound instead of
-// CPU-bound. Stats.Extra carries source_bytes_read when the source meters
-// its storage traffic.
-func (m StreamMethod) PartitionStreamPiped(ctx context.Context, src graph.Source, spec Spec) (*Result, error) {
-	return m.runStream(ctx, src, spec, true)
-}
-
-func (m StreamMethod) runStream(ctx context.Context, src graph.Source, spec Spec, piped bool) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eff, measureSrc := src, src
-	if piped {
-		// One prefetcher under everything: the assignment pass consumes it
-		// through the piped shuffle (whose Unwrap exposes it), and the
-		// degree/measure passes land on it via RawSource, so every pass
-		// decodes ahead of its consumer.
-		eff = graph.Piped(src, spec.Seed, m.Shuffle)
-		measureSrc = eff
-	} else if m.Shuffle {
-		eff = graph.Shuffled(src, spec.Seed)
+	// One prefetcher under everything: the assignment pass consumes it
+	// through the shuffle (whose Unwrap exposes it), and the degree/measure
+	// passes land on it via RawSource, so every pass decodes ahead of its
+	// consumer.
+	eff := graph.Prefetched(src)
+	if m.Shuffle {
+		eff = graph.Shuffled(eff, spec.Seed)
 	}
 	res := &Result{}
 	res.Stats.Method = m.Label
@@ -130,8 +113,8 @@ func (m StreamMethod) runStream(ctx context.Context, src graph.Source, spec Spec
 	}
 	res.Partitioning = p
 	res.Stats.AddPhase("partition", time.Since(start))
-	// The piped decorators can say how much of the partition phase their
-	// stages took — the shuffle its scatter pass, the prefetcher its decode
+	// The decorators can say how much of the partition phase their stages
+	// took — the shuffle its scatter pass, the prefetcher its decode
 	// goroutine's time inside the inner stream (RawSource stops at the
 	// prefetcher, which is deliberately not an Unwrapper). Surfacing them as
 	// phases puts the stage breakdown on traces (/debug/trace tiles phases).
@@ -146,7 +129,7 @@ func (m StreamMethod) runStream(ctx context.Context, src graph.Source, spec Spec
 		}
 	}
 	mStart := time.Now()
-	q, slabBytes, err := measureStream(ctx, measureSrc, p)
+	q, slabBytes, err := measureStream(ctx, eff, p)
 	if err != nil {
 		return nil, err
 	}
@@ -161,14 +144,6 @@ func (m StreamMethod) runStream(ctx context.Context, src graph.Source, spec Spec
 	}
 	res.Stats.Wall = time.Since(start)
 	return res, nil
-}
-
-// PipedStreamPartitioner is implemented by methods whose stream path can
-// run pipelined (StreamMethod gives it to every registered streaming
-// method).
-type PipedStreamPartitioner interface {
-	StreamPartitioner
-	PartitionStreamPiped(ctx context.Context, src graph.Source, spec Spec) (*Result, error)
 }
 
 // Legacy adapts a concrete streaming core to the v1 (g, numParts) call

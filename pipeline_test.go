@@ -20,14 +20,13 @@ func writeCompressedShards(t *testing.T, g *graph.Graph, count int) string {
 	return dir
 }
 
-// TestPipelineMatchesSequential is the differential check of the pipelined
-// engine: for every Streams-capable method, partitioning compressed (ESZ1)
-// shard stripes through the overlapped decode/shuffle/assign path must
-// equal the sequential stream path bit for bit — same owner checksum, same
-// quality numbers — which in turn equals the in-memory run
-// (TestSourcePathMatchesInMemory). Pipelining and compression are pure
-// transport: they may only change when bytes move, never which partition an
-// edge lands in.
+// TestPipelineMatchesSequential is TestSourcePathMatchesInMemory over
+// compressed stripes: for every Streams-capable method, the stream pipeline
+// (ESZ1 decode-ahead, spill-backed shuffle, assignment) must equal the
+// in-memory run over the same graph bit for bit — same owner checksum, same
+// quality numbers — without materializing the source. Compression and
+// decode-ahead are pure transport: they may only change when bytes move,
+// never which partition an edge lands in.
 func TestPipelineMatchesSequential(t *testing.T) {
 	g := gen.RMAT(12, 8, 7)
 	dir := writeCompressedShards(t, g, 4)
@@ -41,25 +40,29 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	for _, name := range methods.StreamNames() {
 		t.Run(name, func(t *testing.T) {
 			spec := partition.NewSpec(8, 7)
-			seq, err := methods.PartitionSource(context.Background(), name, src, spec)
+			pr, resolved, err := methods.New(name, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			piped, err := methods.PartitionSourcePiped(context.Background(), name, src, spec)
+			mem, err := pr.Partition(context.Background(), g, resolved)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := ownersChecksum(piped.Partitioning.Owner), ownersChecksum(seq.Partitioning.Owner); got != want {
-				t.Fatalf("pipelined checksum %#x != sequential %#x", got, want)
-			}
-			if piped.Quality != seq.Quality {
-				t.Fatalf("pipelined quality %+v != sequential %+v", piped.Quality, seq.Quality)
-			}
-			if err := piped.Partitioning.Validate(g); err != nil {
+			srcRes, err := methods.PartitionSource(context.Background(), name, src, spec)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, warned := piped.Stats.Extra["materialized_graph_bytes"]; warned {
-				t.Fatalf("stream-capable %s was materialized on the pipelined path: %+v", name, piped.Stats)
+			if got, want := ownersChecksum(srcRes.Partitioning.Owner), ownersChecksum(mem.Partitioning.Owner); got != want {
+				t.Fatalf("compressed-stripe checksum %#x != in-memory %#x", got, want)
+			}
+			if srcRes.Quality != mem.Quality {
+				t.Fatalf("compressed-stripe quality %+v != in-memory %+v", srcRes.Quality, mem.Quality)
+			}
+			if err := srcRes.Partitioning.Validate(g); err != nil {
+				t.Fatal(err)
+			}
+			if _, warned := srcRes.Stats.Extra["materialized_graph_bytes"]; warned {
+				t.Fatalf("stream-capable %s was materialized: %+v", name, srcRes.Stats)
 			}
 		})
 	}
