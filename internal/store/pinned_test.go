@@ -1,0 +1,74 @@
+package store
+
+import (
+	"bytes"
+	"context"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/distributedne/dne/internal/gen"
+	"github.com/distributedne/dne/internal/graph"
+)
+
+// pinnedStore is the fixed input of the pinned tests: RMAT scale 10, edge
+// factor 8, seed 3, each edge on a seeded random one of 8 shards.
+func pinnedStore(t *testing.T) *Store {
+	t.Helper()
+	g := gen.RMAT(10, 8, 3)
+	st, err := BuildPartitioning(g, randomPartitioning(g, 8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestPinnedQueryMetrics pins the serving counters of a seeded 200-query
+// Degree/Neighbors/KHop mix exactly: they feed store.hops_per_query,
+// shard_tasks_per_query and touch_imbalance of the benchmark, so any change
+// to the query path must leave every one of them unchanged.
+func TestPinnedQueryMetrics(t *testing.T) {
+	st := pinnedStore(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	for q := 0; q < 200; q++ {
+		v := graph.Vertex(rng.Intn(int(st.NumVertices())))
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			_, err = st.Degree(v)
+		case 1:
+			_, err = st.Neighbors(v)
+		case 2:
+			_, err = st.KHop(ctx, v, 1+rng.Intn(3))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := st.Metrics()
+	got := []int64{m.DegreeQueries, m.NeighborsQueries, m.KHopQueries, m.CrossShardHops, m.ShardTasks}
+	want := []int64{70, 66, 64, 26454, 606}
+	if !slices.Equal(got, want) {
+		t.Errorf("degree/neighbors/khop queries, hops, tasks = %v, want %v", got, want)
+	}
+	wantTouches := []int64{127, 135, 125, 128, 136, 127, 126, 125}
+	if !slices.Equal(m.PerShardTouches, wantTouches) {
+		t.Errorf("per-shard touches = %v, want %v", m.PerShardTouches, wantTouches)
+	}
+}
+
+// TestPinnedSnapshotDigest pins the snapshot bytes of the same store: the
+// shard layout, routing table and adjacency order BuildPartitioning emits.
+func TestPinnedSnapshotDigest(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, pinnedStore(t)); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0x5d1e7a8e5eb666e4); got != want {
+		t.Errorf("snapshot FNV-64a = %#x, want %#x (%d bytes)", got, want, buf.Len())
+	}
+}
