@@ -150,35 +150,8 @@ func newHandlerWithLive(maxEdges int64, reqTimeout time.Duration, maxStores int,
 	mux.HandleFunc("GET /api/methods", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, methods.Descriptors())
 	})
-	mux.HandleFunc("POST /api/partition", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		resp, status, err := servePartition(ctx, &req, maxEdges, so.tracer)
-		if err != nil {
-			body := errorBody{Error: err.Error()}
-			var perr *methods.ParamError
-			if errors.As(err, &perr) {
-				body.Method = perr.Method
-				body.DeclaredParams = perr.Declared
-				if body.DeclaredParams == nil {
-					body.DeclaredParams = []methods.ParamSpec{}
-				}
-			}
-			writeJSON(w, status, body)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+	handle(mux, "POST /api/partition", reqTimeout, func(ctx context.Context, req *Request) (any, int, error) {
+		return servePartition(ctx, req, maxEdges, so.tracer)
 	})
 	gate := newAdmission(adm)
 	so.registerAdmissionMetrics(gate)
@@ -186,7 +159,17 @@ func newHandlerWithLive(maxEdges int64, reqTimeout time.Duration, maxStores int,
 	return so.instrument(gate.guard(mux)), lsvc, so, restoreErrs
 }
 
-func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.Tracer) (*Response, int, error) {
+// partitionRun is one partitioner run on a request's graph.
+type partitionRun struct {
+	g      *graph.Graph
+	method string // the method's display name
+	res    *partition.Result
+}
+
+// runPartition is the half /api/partition and /api/store/build share:
+// build the request's graph, resolve its method, partition under ctx, and
+// record the run's phases on tr.
+func runPartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.Tracer) (*partitionRun, int, error) {
 	if req.Parts <= 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("parts must be positive, got %d", req.Parts)
 	}
@@ -211,23 +194,26 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 	}
 	res, err := pr.Partition(ctx, g, spec)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, http.StatusGatewayTimeout, fmt.Errorf("partitioning timed out: %w", err)
-		}
-		if errors.Is(err, context.Canceled) {
-			return nil, http.StatusRequestTimeout, fmt.Errorf("request cancelled: %w", err)
-		}
-		return nil, http.StatusInternalServerError, err
+		return nil, ctxStatus(err, http.StatusInternalServerError), fmt.Errorf("partitioning: %w", err)
 	}
+	recordPartitionPhases(tr, pr.Name(), req.Parts, res.Stats.Phases)
+	return &partitionRun{g: g, method: pr.Name(), res: res}, http.StatusOK, nil
+}
+
+func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.Tracer) (*Response, int, error) {
+	run, status, err := runPartition(ctx, req, maxEdges, tr)
+	if err != nil {
+		return nil, status, err
+	}
+	g, res := run.g, run.res
 	pt := res.Partitioning
 	if err := pt.Validate(g); err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: invalid partitioning: %w", err)
 	}
 	q := res.Quality
 	st := res.Stats
-	recordPartitionPhases(tr, pr.Name(), req.Parts, st.Phases)
 	resp := &Response{
-		Method:   pr.Name(),
+		Method:   run.method,
 		Parts:    req.Parts,
 		NumVerts: g.NumVertices(),
 		NumEdges: g.NumEdges(),
@@ -238,7 +224,7 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 			VertexBalance:     q.VertexBalance,
 			VertexCuts:        q.VertexCuts,
 		},
-		ElapsedMS: float64(st.Wall.Microseconds()) / 1000,
+		ElapsedMS: millis(st.Wall),
 		Stats: RunStats{
 			Iterations:   st.Iterations,
 			CommBytes:    st.CommBytes,
@@ -251,7 +237,7 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 	}
 	for _, ph := range st.Phases {
 		resp.Stats.Phases = append(resp.Stats.Phases,
-			Phase{Name: ph.Name, ElapsedMS: float64(ph.Elapsed.Microseconds()) / 1000})
+			Phase{Name: ph.Name, ElapsedMS: millis(ph.Elapsed)})
 	}
 	if req.EchoEdges {
 		resp.Edges = make([][2]uint32, g.NumEdges())
@@ -290,6 +276,71 @@ func buildGraph(req *Request, maxEdges int64) (*graph.Graph, error) {
 	}
 	return nil, fmt.Errorf("supply edges or an rmat spec")
 }
+
+// handle registers pattern as a JSON endpoint: the body decodes into a T,
+// serve runs under the -timeout deadline, and its answer is written with
+// 200 or its error with the status serve chose.
+func handle[T any](mux *http.ServeMux, pattern string, reqTimeout time.Duration,
+	serve func(ctx context.Context, req *T) (any, int, error)) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		ctx := r.Context()
+		if reqTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
+			defer cancel()
+		}
+		resp, status, err := serve(ctx, &req)
+		if err != nil {
+			writeJSON(w, status, errorBodyOf(err))
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	})
+}
+
+// decodeJSON decodes r's body into v, rejecting unknown fields; on failure
+// it answers 400 and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+		return false
+	}
+	return true
+}
+
+// errorBodyOf is the JSON body of a failed request; a parameter-validation
+// failure carries the method's declared parameters.
+func errorBodyOf(err error) errorBody {
+	body := errorBody{Error: err.Error()}
+	var perr *methods.ParamError
+	if errors.As(err, &perr) {
+		body.Method = perr.Method
+		body.DeclaredParams = perr.Declared
+	}
+	return body
+}
+
+// ctxStatus is the status of work that failed with err: 504 when the
+// request's -timeout expired, 408 when the client went away, and otherwise
+// for any other failure.
+func ctxStatus(err error, otherwise int) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusRequestTimeout
+	}
+	return otherwise
+}
+
+// millis is d in fractional milliseconds, at microsecond resolution.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -33,8 +31,8 @@ type liveService struct {
 	lv  *live.Live
 
 	// reg, when set, receives the live graph's metric families as soon as
-	// the graph is opened; latNeighbors/latKHop time the epoch query paths
-	// (which bypass the store's own instrumentation). All nil-safe.
+	// the graph is opened; latNeighbors/latKHop time the live query routes
+	// into dne_live_query_duration_seconds. All nil-safe.
 	reg          *obs.Registry
 	latNeighbors *obs.Histogram
 	latKHop      *obs.Histogram
@@ -188,56 +186,35 @@ type LiveKHopRequest struct {
 // LiveKHopResponse mirrors KHopResponse with the serving epoch in place of
 // a store id.
 type LiveKHopResponse struct {
-	Epoch          uint64   `json:"epoch"`
-	Source         uint32   `json:"source"`
-	K              int      `json:"k"`
-	Visited        int      `json:"visited"`
-	Vertices       []uint32 `json:"vertices"`
-	Depths         []int32  `json:"depths"`
-	LevelSizes     []int64  `json:"levelSizes"`
-	CrossShardHops int64    `json:"crossShardHops"`
-	ShardTasks     int64    `json:"shardTasks"`
-	ElapsedMS      float64  `json:"elapsedMs"`
+	Epoch uint64 `json:"epoch"`
+	KHopAnswer
 }
 
 // register wires the live endpoints onto mux.
 func (ls *liveService) register(mux *http.ServeMux, maxEdges int64, reqTimeout time.Duration) {
-	mux.HandleFunc("POST /api/live/ingest", func(w http.ResponseWriter, r *http.Request) {
-		var req LiveIngestRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
+	handle(mux, "POST /api/live/ingest", reqTimeout, func(_ context.Context, req *LiveIngestRequest) (any, int, error) {
 		if n := int64(len(req.Edges) + len(req.Deletes)); n > maxEdges {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("batch has %d events, server cap is %d", n, maxEdges)})
-			return
+			return nil, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("batch has %d events, server cap is %d", n, maxEdges)
 		}
 		lv, status, err := ls.open(req.Parts, req.Seed)
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
 		events := make([]dynpart.Event, 0, len(req.Edges)+len(req.Deletes))
 		for _, e := range req.Edges {
-			events = append(events, dynpart.Event{Op: dynpart.Add, Edge: graph.Edge{U: graph.Vertex(e[0]), V: graph.Vertex(e[1])}})
+			events = append(events, dynpart.Event{Op: dynpart.Add, Edge: graph.Edge{U: e[0], V: e[1]}})
 		}
 		for _, e := range req.Deletes {
-			events = append(events, dynpart.Event{Op: dynpart.Remove, Edge: graph.Edge{U: graph.Vertex(e[0]), V: graph.Vertex(e[1])}})
+			events = append(events, dynpart.Event{Op: dynpart.Remove, Edge: graph.Edge{U: e[0], V: e[1]}})
 		}
 		start := time.Now()
 		applied, err := lv.Apply(events)
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-			return
+			return nil, http.StatusInternalServerError, err
 		}
-		writeJSON(w, http.StatusOK, LiveIngestResponse{
-			Applied:   applied,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Stats:     lv.Stats(),
-		})
+		return &LiveIngestResponse{Applied: applied, ElapsedMS: millis(time.Since(start)), Stats: lv.Stats()},
+			http.StatusOK, nil
 	})
 	mux.HandleFunc("GET /api/live/stats", func(w http.ResponseWriter, r *http.Request) {
 		lv, status, err := ls.get()
@@ -254,10 +231,7 @@ func (ls *liveService) register(mux *http.ServeMux, maxEdges int64, reqTimeout t
 	mux.HandleFunc("POST /api/live/compact", func(w http.ResponseWriter, r *http.Request) {
 		var req LiveCompactRequest
 		if r.ContentLength != 0 {
-			dec := json.NewDecoder(r.Body)
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
+			if !decodeJSON(w, r, &req) {
 				return
 			}
 		}
@@ -280,124 +254,37 @@ func (ls *liveService) register(mux *http.ServeMux, maxEdges int64, reqTimeout t
 		}
 		writeJSON(w, http.StatusOK, LiveCompactResponse{
 			Moved:     moved,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+			ElapsedMS: millis(time.Since(start)),
 			Stats:     lv.Stats(),
 		})
 	})
-	mux.HandleFunc("POST /api/live/query/neighbors", func(w http.ResponseWriter, r *http.Request) {
-		var req LiveNeighborsRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
+	// Each query pins one epoch: every answer of a batch is consistent with
+	// the same snapshot even while ingestion continues.
+	handle(mux, "POST /api/live/query/neighbors", reqTimeout, func(ctx context.Context, req *LiveNeighborsRequest) (any, int, error) {
 		lv, status, err := ls.get()
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		resp, status, err := ls.serveLiveNeighbors(lv, &req)
+		ep := lv.Epoch()
+		ans, status, err := answerNeighbors(ctx, ep, req.Vertex, req.Vertices)
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		writeJSON(w, http.StatusOK, resp)
+		ls.latNeighbors.Observe(int64(ans.elapsed))
+		return &LiveNeighborsResponse{Epoch: ep.Seq(), Results: ans.results, ElapsedMS: millis(ans.elapsed)},
+			http.StatusOK, nil
 	})
-	mux.HandleFunc("POST /api/live/query/khop", func(w http.ResponseWriter, r *http.Request) {
-		var req LiveKHopRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
+	handle(mux, "POST /api/live/query/khop", reqTimeout, func(ctx context.Context, req *LiveKHopRequest) (any, int, error) {
 		lv, status, err := ls.get()
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		resp, status, err := ls.serveLiveKHop(ctx, lv, &req)
+		ep := lv.Epoch()
+		ans, status, err := answerKHop(ctx, ep, req.Vertex, req.K)
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		writeJSON(w, http.StatusOK, resp)
+		ls.latKHop.Observe(int64(ans.elapsed))
+		return &LiveKHopResponse{Epoch: ep.Seq(), KHopAnswer: *ans}, http.StatusOK, nil
 	})
-}
-
-func (ls *liveService) serveLiveNeighbors(lv *live.Live, req *LiveNeighborsRequest) (*LiveNeighborsResponse, int, error) {
-	var vs []uint32
-	switch {
-	case req.Vertex != nil && len(req.Vertices) > 0:
-		return nil, http.StatusBadRequest, fmt.Errorf("supply vertex or vertices, not both")
-	case req.Vertex != nil:
-		vs = []uint32{*req.Vertex}
-	case len(req.Vertices) > maxNeighborsBatch:
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d vertices exceed batch cap %d", len(req.Vertices), maxNeighborsBatch)
-	case len(req.Vertices) > 0:
-		vs = req.Vertices
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("supply vertex or vertices")
-	}
-	// Pin one epoch for the whole batch: every answer is consistent with the
-	// same snapshot even while ingestion continues.
-	ep := lv.Epoch()
-	start := time.Now()
-	defer func() { ls.latNeighbors.Observe(int64(time.Since(start))) }()
-	resp := &LiveNeighborsResponse{Epoch: ep.Seq(), Results: make([]VertexNeighbors, 0, len(vs))}
-	for _, v := range vs {
-		ns, err := ep.Neighbors(graph.Vertex(v))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		out := make([]uint32, len(ns))
-		for i, n := range ns {
-			out[i] = uint32(n)
-		}
-		resp.Results = append(resp.Results, VertexNeighbors{
-			Vertex: v, Degree: int64(len(ns)), Neighbors: out,
-		})
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return resp, http.StatusOK, nil
-}
-
-func (ls *liveService) serveLiveKHop(ctx context.Context, lv *live.Live, req *LiveKHopRequest) (*LiveKHopResponse, int, error) {
-	if req.K < 0 || req.K > maxKHop {
-		return nil, http.StatusBadRequest, fmt.Errorf("k %d outside [0,%d]", req.K, maxKHop)
-	}
-	ep := lv.Epoch()
-	start := time.Now()
-	defer func() { ls.latKHop.Observe(int64(time.Since(start))) }()
-	res, err := ep.KHop(ctx, graph.Vertex(req.Vertex), req.K)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, http.StatusGatewayTimeout, err
-		}
-		return nil, http.StatusBadRequest, err
-	}
-	resp := &LiveKHopResponse{
-		Epoch:          ep.Seq(),
-		Source:         req.Vertex,
-		K:              req.K,
-		Visited:        len(res.Vertices),
-		Vertices:       make([]uint32, len(res.Vertices)),
-		Depths:         res.Depths,
-		LevelSizes:     res.LevelSizes,
-		CrossShardHops: res.CrossShardHops,
-		ShardTasks:     res.ShardTasks,
-		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, v := range res.Vertices {
-		resp.Vertices[i] = uint32(v)
-	}
-	return resp, http.StatusOK, nil
 }

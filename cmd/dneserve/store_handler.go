@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -14,10 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/distributedne/dne/internal/graph"
-	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/obs"
-	"github.com/distributedne/dne/internal/partition"
 	"github.com/distributedne/dne/internal/store"
 )
 
@@ -30,12 +26,6 @@ import (
 
 // defaultMaxStores bounds how many stores a server holds at once.
 const defaultMaxStores = 16
-
-// maxKHop bounds traversal depth per query.
-const maxKHop = 32
-
-// maxNeighborsBatch bounds the vertices of one /api/query/neighbors call.
-const maxNeighborsBatch = 1024
 
 // snapExt is the snapshot file extension under -store-dir.
 const snapExt = ".dns"
@@ -121,13 +111,6 @@ type NeighborsRequest struct {
 	Vertices []uint32 `json:"vertices,omitempty"`
 }
 
-// VertexNeighbors is one vertex's answer.
-type VertexNeighbors struct {
-	Vertex    uint32   `json:"vertex"`
-	Degree    int64    `json:"degree"`
-	Neighbors []uint32 `json:"neighbors"`
-}
-
 // NeighborsResponse reports the batch plus the cross-shard cost it paid.
 type NeighborsResponse struct {
 	Store          string            `json:"store"`
@@ -145,46 +128,14 @@ type KHopRequest struct {
 
 // KHopResponse reports the traversal and its serving cost.
 type KHopResponse struct {
-	Store          string   `json:"store"`
-	Source         uint32   `json:"source"`
-	K              int      `json:"k"`
-	Visited        int      `json:"visited"`
-	Vertices       []uint32 `json:"vertices"`
-	Depths         []int32  `json:"depths"`
-	LevelSizes     []int64  `json:"levelSizes"`
-	CrossShardHops int64    `json:"crossShardHops"`
-	ShardTasks     int64    `json:"shardTasks"`
-	ElapsedMS      float64  `json:"elapsedMs"`
+	Store string `json:"store"`
+	KHopAnswer
 }
 
 // register wires the store/query endpoints onto mux.
 func (sr *storeRegistry) register(mux *http.ServeMux, maxEdges int64, reqTimeout time.Duration) {
-	mux.HandleFunc("POST /api/store/build", func(w http.ResponseWriter, r *http.Request) {
-		var req StoreBuildRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		info, status, err := sr.buildStore(ctx, &req, maxEdges)
-		if err != nil {
-			body := errorBody{Error: err.Error()}
-			var perr *methods.ParamError
-			if errors.As(err, &perr) {
-				body.Method = perr.Method
-				body.DeclaredParams = perr.Declared
-			}
-			writeJSON(w, status, body)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
+	handle(mux, "POST /api/store/build", reqTimeout, func(ctx context.Context, req *StoreBuildRequest) (any, int, error) {
+		return sr.buildStore(ctx, req, maxEdges)
 	})
 	mux.HandleFunc("GET /api/store", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, sr.list())
@@ -197,84 +148,42 @@ func (sr *storeRegistry) register(mux *http.ServeMux, maxEdges int64, reqTimeout
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("POST /api/query/neighbors", func(w http.ResponseWriter, r *http.Request) {
-		var req NeighborsRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		resp, status, err := sr.serveNeighbors(ctx, &req)
+	handle(mux, "POST /api/query/neighbors", reqTimeout, func(ctx context.Context, req *NeighborsRequest) (any, int, error) {
+		st, status, err := sr.lookup(req.Store)
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		writeJSON(w, http.StatusOK, resp)
+		ans, status, err := answerNeighbors(ctx, st, req.Vertex, req.Vertices)
+		if err != nil {
+			return nil, status, err
+		}
+		return &NeighborsResponse{Store: req.Store, Results: ans.results,
+			CrossShardHops: ans.hops, ElapsedMS: millis(ans.elapsed)}, http.StatusOK, nil
 	})
-	mux.HandleFunc("POST /api/query/khop", func(w http.ResponseWriter, r *http.Request) {
-		var req KHopRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-			return
-		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		resp, status, err := sr.serveKHop(ctx, &req)
+	handle(mux, "POST /api/query/khop", reqTimeout, func(ctx context.Context, req *KHopRequest) (any, int, error) {
+		st, status, err := sr.lookup(req.Store)
 		if err != nil {
-			writeJSON(w, status, errorBody{Error: err.Error()})
-			return
+			return nil, status, err
 		}
-		writeJSON(w, http.StatusOK, resp)
+		ans, status, err := answerKHop(ctx, st, req.Vertex, req.K)
+		if err != nil {
+			return nil, status, err
+		}
+		return &KHopResponse{Store: req.Store, KHopAnswer: *ans}, http.StatusOK, nil
 	})
 }
 
 func (sr *storeRegistry) buildStore(ctx context.Context, req *StoreBuildRequest, maxEdges int64) (*StoreInfo, int, error) {
-	if req.Parts <= 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("parts must be positive, got %d", req.Parts)
-	}
-	if req.Method == "" {
-		req.Method = "dne"
-	}
 	if req.Name != "" && !storeNameRE.MatchString(req.Name) {
 		return nil, http.StatusBadRequest, fmt.Errorf("store name %q must match %s", req.Name, storeNameRE)
 	}
-	preq := &Request{Method: req.Method, Parts: req.Parts, Seed: req.Seed,
-		Params: req.Params, Edges: req.Edges, RMAT: req.RMAT}
-	g, err := buildGraph(preq, maxEdges)
+	run, status, err := runPartition(ctx, &Request{Method: req.Method, Parts: req.Parts, Seed: req.Seed,
+		Params: req.Params, Edges: req.Edges, RMAT: req.RMAT}, maxEdges, sr.tracer)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, status, err
 	}
-	if g.NumEdges() == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("graph has no edges")
-	}
-	spec := partition.Spec{NumParts: req.Parts, Seed: req.Seed, Params: req.Params}
-	pr, spec, err := methods.New(req.Method, spec)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	res, err := pr.Partition(ctx, g, spec)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, http.StatusGatewayTimeout, fmt.Errorf("partitioning timed out: %w", err)
-		}
-		return nil, http.StatusInternalServerError, err
-	}
-	recordPartitionPhases(sr.tracer, pr.Name(), req.Parts, res.Stats.Phases)
 	buildStart := time.Now()
-	st, err := store.Build(g, res)
+	st, err := store.BuildPartitioning(run.g, run.res.Partitioning)
 	if err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("materializing store: %w", err)
 	}
@@ -284,11 +193,11 @@ func (sr *storeRegistry) buildStore(ctx context.Context, req *StoreBuildRequest,
 		Cat:   "store",
 		Start: buildStart.UnixNano(),
 		Dur:   int64(time.Since(buildStart)),
-		Attrs: map[string]string{"method": pr.Name(), "parts": fmt.Sprint(req.Parts)},
+		Attrs: map[string]string{"method": run.method, "parts": fmt.Sprint(req.Parts)},
 	})
-	q := res.Quality
+	q := run.res.Quality
 	info := StoreInfo{
-		Method:            pr.Name(),
+		Method:            run.method,
 		Parts:             req.Parts,
 		NumVertices:       st.NumVertices(),
 		NumEdges:          st.NumEdges(),
@@ -300,8 +209,8 @@ func (sr *storeRegistry) buildStore(ctx context.Context, req *StoreBuildRequest,
 			VertexCuts:        q.VertexCuts,
 		},
 		Shards:      shardInfos(st),
-		PartitionMS: float64(res.Stats.Wall.Microseconds()) / 1000,
-		BuildMS:     float64(time.Since(buildStart).Microseconds()) / 1000,
+		PartitionMS: millis(run.res.Stats.Wall),
+		BuildMS:     millis(time.Since(buildStart)),
 	}
 	added, err := sr.add(req.Name, info, st)
 	if err != nil {
@@ -347,11 +256,15 @@ func (sr *storeRegistry) add(name string, info StoreInfo, st *store.Store) (*Sto
 	return &info, nil
 }
 
-func (sr *storeRegistry) get(id string) (*storeEntry, bool) {
+// lookup returns the resident store id, or a 404 when there is none.
+func (sr *storeRegistry) lookup(id string) (*store.Store, int, error) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	e, ok := sr.stores[id]
-	return e, ok
+	if !ok {
+		return nil, http.StatusNotFound, fmt.Errorf("no store %q (POST /api/store/build first)", id)
+	}
+	return e.st, http.StatusOK, nil
 }
 
 func (sr *storeRegistry) list() []StoreStatus {
@@ -477,86 +390,4 @@ func (sr *storeRegistry) restore() []error {
 		}
 	}
 	return errs
-}
-
-func (sr *storeRegistry) serveNeighbors(ctx context.Context, req *NeighborsRequest) (*NeighborsResponse, int, error) {
-	e, ok := sr.get(req.Store)
-	if !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("no store %q (POST /api/store/build first)", req.Store)
-	}
-	var vs []uint32
-	switch {
-	case req.Vertex != nil && len(req.Vertices) > 0:
-		return nil, http.StatusBadRequest, fmt.Errorf("supply vertex or vertices, not both")
-	case req.Vertex != nil:
-		vs = []uint32{*req.Vertex}
-	case len(req.Vertices) > maxNeighborsBatch:
-		return nil, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%d vertices exceed batch cap %d", len(req.Vertices), maxNeighborsBatch)
-	case len(req.Vertices) > 0:
-		vs = req.Vertices
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("supply vertex or vertices")
-	}
-	start := time.Now()
-	resp := &NeighborsResponse{Store: req.Store, Results: make([]VertexNeighbors, 0, len(vs))}
-	for _, v := range vs {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return nil, http.StatusGatewayTimeout, err
-			}
-			return nil, http.StatusRequestTimeout, err
-		}
-		ns, err := e.st.Neighbors(graph.Vertex(v))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		reps := e.st.Replicas(graph.Vertex(v))
-		if len(reps) > 1 {
-			resp.CrossShardHops += int64(len(reps) - 1)
-		}
-		out := make([]uint32, len(ns))
-		for i, n := range ns {
-			out[i] = uint32(n)
-		}
-		resp.Results = append(resp.Results, VertexNeighbors{
-			Vertex: v, Degree: int64(len(ns)), Neighbors: out,
-		})
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return resp, http.StatusOK, nil
-}
-
-func (sr *storeRegistry) serveKHop(ctx context.Context, req *KHopRequest) (*KHopResponse, int, error) {
-	e, ok := sr.get(req.Store)
-	if !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("no store %q (POST /api/store/build first)", req.Store)
-	}
-	if req.K < 0 || req.K > maxKHop {
-		return nil, http.StatusBadRequest, fmt.Errorf("k %d outside [0,%d]", req.K, maxKHop)
-	}
-	start := time.Now()
-	res, err := e.st.KHop(ctx, graph.Vertex(req.Vertex), req.K)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return nil, http.StatusGatewayTimeout, err
-		}
-		return nil, http.StatusBadRequest, err
-	}
-	resp := &KHopResponse{
-		Store:          req.Store,
-		Source:         req.Vertex,
-		K:              req.K,
-		Visited:        len(res.Vertices),
-		Vertices:       make([]uint32, len(res.Vertices)),
-		Depths:         res.Depths,
-		LevelSizes:     res.LevelSizes,
-		CrossShardHops: res.CrossShardHops,
-		ShardTasks:     res.ShardTasks,
-		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for i, v := range res.Vertices {
-		resp.Vertices[i] = uint32(v)
-	}
-	return resp, http.StatusOK, nil
 }

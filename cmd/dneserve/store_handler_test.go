@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
@@ -178,35 +182,110 @@ func TestQueryKHopMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestQueryErrors runs one error table against both query families: the
+// store routes and the live routes share parsing, bounds and statuses.
 func TestQueryErrors(t *testing.T) {
-	h := newHandler(100_000, time.Minute)
+	h, lsvc, _, errs := newHandlerWithLive(100_000, time.Minute, 2, "", t.TempDir(), admissionLimits{})
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	defer lsvc.close()
+	// Nothing to query yet: an unknown store, and no live graph.
+	for path, body := range map[string]map[string]any{
+		"/api/query/neighbors":      {"store": "nope", "vertex": 0},
+		"/api/query/khop":           {"store": "nope", "vertex": 0, "k": 1},
+		"/api/live/query/neighbors": {"vertex": 0},
+		"/api/live/query/khop":      {"vertex": 0, "k": 1},
+	} {
+		if rec := doJSON(t, h, http.MethodPost, path, body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s with nothing to query: status %d, want 404 (%s)", path, rec.Code, rec.Body)
+		}
+	}
 	info := buildTestStore(t, h, StoreBuildRequest{
 		Method: "random", Parts: 2, Edges: [][2]uint32{{0, 1}, {1, 2}},
 	})
-	v := uint32(0)
+	ingestBatch(t, h, LiveIngestRequest{Parts: 2, Edges: [][2]uint32{{0, 1}, {1, 2}}})
+
+	families := []struct {
+		prefix string
+		fields map[string]any // what names the queried graph
+	}{
+		{"/api/query/", map[string]any{"store": info.Store}},
+		{"/api/live/query/", map[string]any{}},
+	}
 	cases := []struct {
-		name string
+		name  string
+		route string
+		body  map[string]any
+		code  int
+	}{
+		{"no vertex", "neighbors", map[string]any{}, http.StatusBadRequest},
+		{"both vertex forms", "neighbors", map[string]any{"vertex": 0, "vertices": []uint32{1}}, http.StatusBadRequest},
+		{"vertex out of range", "neighbors", map[string]any{"vertices": []uint32{999}}, http.StatusBadRequest},
+		{"batch too large", "neighbors", map[string]any{"vertices": make([]uint32, maxNeighborsBatch+1)},
+			http.StatusRequestEntityTooLarge},
+		{"unknown field", "neighbors", map[string]any{"vertex": 0, "bogus": 1}, http.StatusBadRequest},
+		{"khop k too large", "khop", map[string]any{"vertex": 0, "k": 1000}, http.StatusBadRequest},
+		{"khop bad vertex", "khop", map[string]any{"vertex": 999, "k": 1}, http.StatusBadRequest},
+		{"khop unknown field", "khop", map[string]any{"vertex": 0, "k": 1, "bogus": 1}, http.StatusBadRequest},
+	}
+	for _, f := range families {
+		for _, c := range cases {
+			body := maps.Clone(c.body)
+			maps.Copy(body, f.fields)
+			rec := doJSON(t, h, http.MethodPost, f.prefix+c.route, body)
+			if rec.Code != c.code {
+				t.Errorf("%s%s %s: status %d, want %d (%s)", f.prefix, c.route, c.name, rec.Code, c.code, rec.Body)
+			}
+		}
+	}
+	// The live routes name no store: a store field is an unknown field there.
+	v := uint32(0)
+	if rec := doJSON(t, h, http.MethodPost, "/api/live/query/neighbors",
+		NeighborsRequest{Store: info.Store, Vertex: &v}); rec.Code != http.StatusBadRequest {
+		t.Errorf("live neighbors with a store field: status %d, want 400", rec.Code)
+	}
+}
+
+// doCancelled sends body to path with a context cancelled before the
+// request arrives, as when the client has already gone away.
+func doCancelled(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &buf).WithContext(ctx))
+	return rec
+}
+
+// TestCancelledRequestsReturn408: a request whose client went away answers
+// 408 on every route that does real work — the partitioning endpoints and
+// both neighbors routes alike.
+func TestCancelledRequestsReturn408(t *testing.T) {
+	h, lsvc, _, errs := newHandlerWithLive(100_000, time.Minute, 2, "", t.TempDir(), admissionLimits{})
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	defer lsvc.close()
+	info := buildTestStore(t, h, StoreBuildRequest{Method: "random", Parts: 2, Edges: ringEdges(20)})
+	ingestBatch(t, h, LiveIngestRequest{Parts: 2, Edges: ringEdges(20)})
+	rmat := &RMATSpec{Scale: 8, EF: 8, Seed: 1}
+	v := uint32(0)
+	for _, c := range []struct {
 		path string
 		body any
-		code int
 	}{
-		{"unknown store", "/api/query/neighbors", NeighborsRequest{Store: "nope", Vertex: &v}, http.StatusNotFound},
-		{"no vertex", "/api/query/neighbors", NeighborsRequest{Store: info.Store}, http.StatusBadRequest},
-		{"both vertex forms", "/api/query/neighbors",
-			NeighborsRequest{Store: info.Store, Vertex: &v, Vertices: []uint32{1}}, http.StatusBadRequest},
-		{"vertex out of range", "/api/query/neighbors",
-			NeighborsRequest{Store: info.Store, Vertices: []uint32{999}}, http.StatusBadRequest},
-		{"batch too large", "/api/query/neighbors",
-			NeighborsRequest{Store: info.Store, Vertices: make([]uint32, maxNeighborsBatch+1)},
-			http.StatusRequestEntityTooLarge},
-		{"khop unknown store", "/api/query/khop", KHopRequest{Store: "nope", Vertex: 0, K: 1}, http.StatusNotFound},
-		{"khop k too large", "/api/query/khop", KHopRequest{Store: info.Store, Vertex: 0, K: 1000}, http.StatusBadRequest},
-		{"khop bad vertex", "/api/query/khop", KHopRequest{Store: info.Store, Vertex: 999, K: 1}, http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		rec := doJSON(t, h, http.MethodPost, c.path, c.body)
-		if rec.Code != c.code {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, rec.Code, c.code, rec.Body)
+		{"/api/partition", Request{Method: "dne", Parts: 4, RMAT: rmat}},
+		{"/api/store/build", StoreBuildRequest{Method: "dne", Parts: 4, RMAT: rmat}},
+		{"/api/query/neighbors", NeighborsRequest{Store: info.Store, Vertex: &v}},
+		{"/api/live/query/neighbors", LiveNeighborsRequest{Vertices: []uint32{0, 1, 2}}},
+	} {
+		if rec := doCancelled(t, h, c.path, c.body); rec.Code != http.StatusRequestTimeout {
+			t.Errorf("%s: status %d, want 408 (%s)", c.path, rec.Code, rec.Body)
 		}
 	}
 }

@@ -146,7 +146,7 @@ func main() {
 			log.Fatalf("loadgen: %s: partition: %v", name, err)
 		}
 		buildStart := time.Now()
-		st, err := store.Build(g, res)
+		st, err := store.BuildPartitioning(g, res.Partitioning)
 		if err != nil {
 			log.Fatalf("loadgen: %s: store build: %v", name, err)
 		}

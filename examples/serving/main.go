@@ -43,7 +43,7 @@ func main() {
 		}
 		// 2. Build: per-shard CSR stores + vertex→master routing table +
 		//    mirror index, straight from the partitioner result.
-		st, err := store.Build(g, res)
+		st, err := store.BuildPartitioning(g, res.Partitioning)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,17 +28,19 @@ func (y *yieldCounter) tick() {
 	}
 }
 
-// Epoch layer: the live-graph read path. A Store stays the immutable base;
-// arrivals and retractions accumulate in a small mutable Delta owned by the
-// writer; publishing freezes the delta into an Epoch — an immutable
-// (base, delta) pair readers resolve queries against. Readers pin an epoch
+// Epoch layer: the one read path. A Store is the immutable base; arrivals
+// and retractions accumulate in a small mutable Delta owned by the writer;
+// publishing freezes the delta into an Epoch — an immutable (base, delta)
+// pair readers resolve queries against. A Store's own queries run on an
+// Epoch with no delta, so Degree, Neighbors and KHop exist once, here, and
+// every one of them counts into the base's Metrics. Readers pin an epoch
 // (one atomic pointer load in the live layer) and never observe a partial
 // update; a background compactor folds the delta into a fresh base with
 // BuildFromShards and publishes the next epoch.
 
 // BuildFromShards materializes per-shard canonical packed edge lists into a
-// Store — the compaction path, where the edge-to-shard assignment already
-// exists and no graph or owner array does. shardEdges[s] holds shard s's
+// Store. It is the one CSR builder: BuildPartitioning buckets a graph's
+// edges by owner into it, and compaction folds an epoch through it. shardEdges[s] holds shard s's
 // edges as PackEdge keys (u < v); duplicates within a shard and endpoints
 // ≥ numVertices are rejected.
 func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) {
@@ -98,8 +100,7 @@ func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) 
 		st.shards[s] = sh
 	}
 	st.buildRouting()
-	st.metrics.init(numShards)
-	return st, nil
+	return st.serve(), nil
 }
 
 // Delta is the mutable overlay of edge insertions and deletions a live
@@ -235,9 +236,10 @@ func (d *Delta) Clone() *Delta {
 	return c
 }
 
-// Epoch is one immutable snapshot of the live graph: a base Store plus a
-// frozen Delta (nil for a compacted epoch). Safe for concurrent use;
-// queries resolve against base-minus-deletions plus insertions.
+// Epoch is one immutable snapshot of the graph: a base Store plus a frozen
+// Delta (nil for a compacted epoch, and for the view every Store queries
+// through). Safe for concurrent use; queries resolve against
+// base-minus-deletions plus insertions and count into the base's Metrics.
 type Epoch struct {
 	base        *Store
 	delta       *Delta
@@ -329,7 +331,7 @@ func (e *Epoch) Replicas(v graph.Vertex) []int32 {
 // them into the base routing table.
 func (e *Epoch) Master(v graph.Vertex) (int32, error) {
 	if v >= e.numVertices {
-		return 0, fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
+		return 0, e.errVertex(v)
 	}
 	if v < e.base.numVertices {
 		return e.base.master[v], nil
@@ -377,27 +379,47 @@ func (e *Epoch) ShardHasEdge(s int, u, v graph.Vertex) bool {
 	return false
 }
 
-// Degree returns v's live global degree across its replica shards.
-func (e *Epoch) Degree(v graph.Vertex) (int64, error) {
-	if v >= e.numVertices {
-		return 0, fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
-	}
+// shardDegree returns v's live degree on shard s: its base degree minus
+// deleted edges, plus overlay insertions.
+func (e *Epoch) shardDegree(s int, v graph.Vertex) int64 {
 	var d int64
-	for _, s := range e.Replicas(v) {
-		if v < e.base.numVertices {
-			d += e.base.shards[s].degreeOf(v)
-		}
-		if e.delta != nil {
-			d += int64(len(e.delta.adds[s][v]))
-			if v < e.base.numVertices {
-				for _, w := range e.base.shards[s].neighborsOf(v) {
-					if _, dead := e.delta.dels[s][graph.PackEdge(v, w)]; dead {
-						d--
-					}
+	if v < e.base.numVertices {
+		d = e.base.shards[s].degreeOf(v)
+		if e.delta != nil && len(e.delta.dels[s]) > 0 {
+			for _, w := range e.base.shards[s].neighborsOf(v) {
+				if _, dead := e.delta.dels[s][graph.PackEdge(v, w)]; dead {
+					d--
 				}
 			}
 		}
 	}
+	if e.delta != nil {
+		d += int64(len(e.delta.adds[s][v]))
+	}
+	return d
+}
+
+// errVertex reports v outside the epoch's vertex range.
+func (e *Epoch) errVertex(v graph.Vertex) error {
+	return fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
+}
+
+// Degree returns v's live global degree by summing its degree on every
+// replica shard. Touching each replica beyond the first counts as a
+// cross-shard hop.
+func (e *Epoch) Degree(v graph.Vertex) (int64, error) {
+	m := &e.base.metrics
+	defer m.end(qDegree, m.begin(qDegree))
+	if v >= e.numVertices {
+		return 0, e.errVertex(v)
+	}
+	var d int64
+	reps := e.Replicas(v)
+	for _, s := range reps {
+		m.touchShard(int(s))
+		d += e.shardDegree(int(s), v)
+	}
+	m.addHops(crossHops(len(reps)))
 	return d, nil
 }
 
@@ -405,23 +427,34 @@ func (e *Epoch) Degree(v graph.Vertex) (int64, error) {
 // by exactly one shard, so the per-shard lists concatenate without
 // duplicates.
 func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
+	m := &e.base.metrics
+	defer m.end(qNeighbors, m.begin(qNeighbors))
 	if v >= e.numVertices {
-		return nil, fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
+		return nil, e.errVertex(v)
 	}
 	var out []graph.Vertex
-	for _, s := range e.Replicas(v) {
+	reps := e.Replicas(v)
+	for _, s := range reps {
+		m.touchShard(int(s))
 		out = e.shardNeighborsInto(int(s), v, out)
 	}
+	m.addHops(crossHops(len(reps)))
 	slices.Sort(out)
 	return out, nil
 }
 
-// KHop runs the same level-synchronous BFS as Store.KHop, resolved against
-// the epoch: one goroutine per touched shard per level, each scanning its
-// base adjacency through the deletion filter plus its overlay insertions.
+// KHop runs a level-synchronous BFS from v to depth k. Each level the
+// frontier is routed to every shard holding a copy of a frontier vertex;
+// one goroutine per touched shard scans its live adjacency (base through
+// the deletion filter, plus overlay insertions), and the results merge into
+// the next frontier. The fan-out is where a partitioning's replication
+// factor becomes serving cost: every mirror of a frontier vertex is one
+// extra shard fetch.
 func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, error) {
+	m := &e.base.metrics
+	defer m.end(qKHop, m.begin(qKHop))
 	if v >= e.numVertices {
-		return nil, fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
+		return nil, e.errVertex(v)
 	}
 	if k < 0 {
 		return nil, fmt.Errorf("store: negative hop count %d", k)
@@ -444,6 +477,9 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// Route the frontier: every replica shard of a frontier vertex
+		// must scan its share of the adjacency, since each shard holds a
+		// disjoint subset of the incident edges.
 		for s := range perShard {
 			perShard[s] = perShard[s][:0]
 		}
@@ -461,6 +497,7 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 				continue
 			}
 			res.ShardTasks++
+			m.touchShard(s)
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
@@ -492,6 +529,8 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		}
 		frontier = next
 	}
+	m.addHops(res.CrossShardHops)
+	m.addTasks(res.ShardTasks)
 	return res, nil
 }
 

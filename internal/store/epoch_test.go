@@ -253,3 +253,49 @@ func TestDeltaRemoveAddCancels(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochQueriesCountIntoBase: an epoch with an overlay answers on the
+// same instrumented path as its base store, so its queries land in the
+// base's Metrics — counts, touches, hops and tasks alike.
+func TestEpochQueriesCountIntoBase(t *testing.T) {
+	g := gen.ER(200, 800, 4)
+	base, err := BuildFromShards(g.NumVertices(), shardPacked(g, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDelta(4)
+	d.AddEdge(2, 3, g.NumVertices()+1) // mints a vertex beyond the base
+	ep := NewEpoch(base, d, 1)
+	ctx := context.Background()
+	if _, err := ep.Degree(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Neighbors(3); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ep.KHop(ctx, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Neighbors(ep.NumVertices()); err == nil {
+		t.Fatal("out-of-range vertex accepted")
+	}
+	m := base.Metrics()
+	if m.DegreeQueries != 1 || m.NeighborsQueries != 2 || m.KHopQueries != 1 {
+		t.Fatalf("base counted %+v, want 1 degree, 2 neighbors, 1 khop", m)
+	}
+	reps := int64(len(ep.Replicas(3)))
+	if want := 2*crossHops(int(reps)) + res.CrossShardHops; m.CrossShardHops != want {
+		t.Errorf("base hops %d, want %d", m.CrossShardHops, want)
+	}
+	if m.ShardTasks != res.ShardTasks {
+		t.Errorf("base tasks %d, want %d", m.ShardTasks, res.ShardTasks)
+	}
+	var touches int64
+	for _, c := range m.PerShardTouches {
+		touches += c
+	}
+	if want := 2*reps + res.ShardTasks; touches != want {
+		t.Errorf("base touches %d, want %d", touches, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/distributedne/dne/internal/graph"
 )
@@ -22,7 +23,7 @@ import (
 //	           local degrees numLocal × u32, targets Σdeg × u32
 //
 // The mirror index is not serialized; it is rebuilt from the shard vertex
-// lists on read, exactly as Build derives it.
+// lists on read, exactly as BuildFromShards derives it.
 
 // snapMagic identifies the store snapshot format ("DNS1").
 const snapMagic = 0x444e5331
@@ -244,39 +245,12 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	// Rebuild the mirror index from the shard vertex lists, then check the
 	// routing table is consistent with it: a covered vertex's master must
 	// be one of its replicas.
-	st.repOff = make([]int64, n+1)
-	for _, sh := range st.shards {
-		for _, v := range sh.verts {
-			st.repOff[v+1]++
-		}
-	}
+	st.buildMirrors()
 	for v := uint32(0); v < n; v++ {
-		st.repOff[v+1] += st.repOff[v]
-	}
-	st.repShard = make([]int32, st.repOff[n])
-	repCursor := make([]int64, n)
-	for s, sh := range st.shards {
-		for _, v := range sh.verts {
-			st.repShard[st.repOff[v]+repCursor[v]] = int32(s)
-			repCursor[v]++
-		}
-	}
-	for v := uint32(0); v < n; v++ {
-		reps := st.repShard[st.repOff[v]:st.repOff[v+1]]
-		if len(reps) == 0 {
-			continue
-		}
-		ok := false
-		for _, s := range reps {
-			if s == st.master[v] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		reps := st.Replicas(v)
+		if len(reps) > 0 && !slices.Contains(reps, st.master[v]) {
 			return nil, fmt.Errorf("store: master %d of vertex %d is not a replica shard", st.master[v], v)
 		}
 	}
-	st.metrics.init(int(numShards))
-	return st, nil
+	return st.serve(), nil
 }

@@ -71,17 +71,19 @@ func (m *metrics) init(numShards int) {
 // Safe to call on a serving store; queries pick the handle up atomically.
 func (st *Store) SetObs(o *Obs) { st.metrics.obs.Store(o) }
 
-// begin counts one query of kind k and returns the closure that records its
-// latency; call it when the query finishes.
-func (m *metrics) begin(k queryKind) func() {
+// begin counts one query of kind k and returns its start time, which the
+// caller hands to end when the query finishes.
+func (m *metrics) begin(k queryKind) time.Time {
 	m.queries[k].Add(1)
-	start := time.Now()
-	return func() {
-		d := int64(time.Since(start))
-		m.latency.Add(d)
-		if o := m.obs.Load(); o != nil {
-			o.latency[k].Observe(d)
-		}
+	return time.Now()
+}
+
+// end records the latency of a kind-k query begun at start.
+func (m *metrics) end(k queryKind, start time.Time) {
+	d := int64(time.Since(start))
+	m.latency.Add(d)
+	if o := m.obs.Load(); o != nil {
+		o.latency[k].Observe(d)
 	}
 }
 

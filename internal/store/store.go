@@ -3,6 +3,11 @@
 // vertex→master routing table and mirror index, and serves concurrent
 // point and traversal queries across the shards.
 //
+// A Store is the immutable base. Queries resolve once, on an Epoch: a base
+// plus an optional overlay of edge insertions and deletions (epoch.go). The
+// Store's own queries run on an Epoch with an empty overlay, so a resident
+// store and a live graph share one read path and one set of counters.
+//
 // The offline partitioners in this repository minimize replication factor
 // (Eq. 1 of the paper); the store turns that static metric into a measured
 // serving cost. Every query records how many shards it had to touch beyond
@@ -14,10 +19,7 @@ package store
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sync"
 
-	"github.com/distributedne/dne/internal/dsa"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
 )
@@ -53,7 +55,7 @@ func (s *shard) neighborsOf(v graph.Vertex) []graph.Vertex {
 }
 
 // Store serves point and traversal queries over a sharded graph. It is
-// immutable after Build/ReadSnapshot and safe for concurrent use.
+// immutable after BuildFromShards/ReadSnapshot and safe for concurrent use.
 type Store struct {
 	numVertices uint32
 	numEdges    int64
@@ -72,18 +74,17 @@ type Store struct {
 	repShard []int32
 
 	metrics metrics
-}
 
-// Build materializes a partitioner result into a Store.
-func Build(g *graph.Graph, res *partition.Result) (*Store, error) {
-	if res == nil || res.Partitioning == nil {
-		return nil, fmt.Errorf("store: nil partitioning result")
-	}
-	return BuildPartitioning(g, res.Partitioning)
+	// view is the store as an Epoch with an empty overlay; every Store
+	// query delegates to it.
+	view *Epoch
 }
 
 // BuildPartitioning materializes a raw partitioning into a Store. The
-// partitioning must be complete and in range for g (Validate).
+// partitioning must be complete and in range for g (Validate). Each edge's
+// packed key goes to its owner's bucket; g's edges are canonical, sorted
+// and unique, so every bucket is strictly increasing as BuildFromShards
+// requires.
 func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error) {
 	if err := p.Validate(g); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -91,79 +92,25 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 	if p.NumParts <= 0 {
 		return nil, fmt.Errorf("store: no shards")
 	}
-	numShards := p.NumParts
-	n := g.NumVertices()
-
-	// Local degree of every (shard, vertex) pair with at least one owned
-	// edge: each edge contributes to both endpoints in its owner shard.
-	deg := make([]map[graph.Vertex]int64, numShards)
-	for s := range deg {
-		deg[s] = make(map[graph.Vertex]int64)
+	packed := make([][]uint64, p.NumParts)
+	for s, n := range p.EdgeCounts() {
+		packed[s] = make([]uint64, 0, n)
 	}
-	for i, o := range p.Owner {
-		e := g.Edge(int64(i))
-		deg[o][e.U]++
-		deg[o][e.V]++
+	for i, e := range g.Edges() {
+		o := p.Owner[i]
+		packed[o] = append(packed[o], graph.PackEdge(e.U, e.V))
 	}
-
-	st := &Store{
-		numVertices: n,
-		numEdges:    g.NumEdges(),
-		shards:      make([]*shard, numShards),
-		master:      make([]int32, n),
-	}
-	for s := 0; s < numShards; s++ {
-		sh := &shard{id: s, index: make(map[graph.Vertex]uint32, len(deg[s]))}
-		sh.verts = make([]graph.Vertex, 0, len(deg[s]))
-		for v := range deg[s] {
-			sh.verts = append(sh.verts, v)
-		}
-		dsa.SortU32(sh.verts)
-		sh.off = make([]int64, len(sh.verts)+1)
-		for l, v := range sh.verts {
-			sh.index[v] = uint32(l)
-			sh.off[l+1] = sh.off[l] + deg[s][v]
-		}
-		sh.tgt = make([]graph.Vertex, sh.off[len(sh.verts)])
-		st.shards[s] = sh
-	}
-
-	// Fill adjacency: one pass over the edges, appending each endpoint to
-	// the other's local list in the owner shard.
-	cursor := make([][]int64, numShards)
-	for s := range cursor {
-		cursor[s] = make([]int64, len(st.shards[s].verts))
-	}
-	for i, o := range p.Owner {
-		e := g.Edge(int64(i))
-		sh := st.shards[o]
-		lu, lv := sh.index[e.U], sh.index[e.V]
-		sh.tgt[sh.off[lu]+cursor[o][lu]] = e.V
-		cursor[o][lu]++
-		sh.tgt[sh.off[lv]+cursor[o][lv]] = e.U
-		cursor[o][lv]++
-		sh.edges++
-	}
-
-	st.buildRouting()
-	st.metrics.init(numShards)
-	return st, nil
+	return BuildFromShards(g.NumVertices(), packed)
 }
 
-// buildRouting derives the mirror index and master table from the filled
-// shards: replica lists sorted by shard id, masters at the replica shard
-// with the highest local degree (ties to the lowest id), isolated vertices
-// hash-routed so routing is total. Shared by BuildPartitioning and
-// BuildFromShards so the two construction paths cannot drift.
-func (st *Store) buildRouting() {
+// buildMirrors derives the mirror index from the filled shards: a replica
+// count per vertex, then a fill pass in shard order so each vertex's
+// replica list comes out sorted by shard id.
+func (st *Store) buildMirrors() {
 	n := st.numVertices
-	numShards := len(st.shards)
-
-	// Mirror index: replica count per vertex, then a fill pass in shard
-	// order so each vertex's replica list comes out sorted by shard id.
 	st.repOff = make([]int64, n+1)
-	for s := 0; s < numShards; s++ {
-		for _, v := range st.shards[s].verts {
+	for _, sh := range st.shards {
+		for _, v := range sh.verts {
 			st.repOff[v+1]++
 		}
 	}
@@ -172,17 +119,22 @@ func (st *Store) buildRouting() {
 	}
 	st.repShard = make([]int32, st.repOff[n])
 	repCursor := make([]int64, n)
-	for s := 0; s < numShards; s++ {
-		for _, v := range st.shards[s].verts {
+	for s, sh := range st.shards {
+		for _, v := range sh.verts {
 			st.repShard[st.repOff[v]+repCursor[v]] = int32(s)
 			repCursor[v]++
 		}
 	}
+}
 
-	// Route every vertex to a master: the replica shard with the highest
-	// local degree; isolated vertices hash to a shard so routing is total.
-	for v := uint32(0); v < n; v++ {
-		reps := st.repShard[st.repOff[v]:st.repOff[v+1]]
+// buildRouting derives the mirror index and then the master table: masters
+// at the replica shard with the highest local degree (ties to the lowest
+// id), isolated vertices hash-routed so routing is total.
+func (st *Store) buildRouting() {
+	st.buildMirrors()
+	numShards := len(st.shards)
+	for v := uint32(0); v < st.numVertices; v++ {
+		reps := st.Replicas(v)
 		if len(reps) == 0 {
 			st.master[v] = int32(v % uint32(numShards))
 			continue
@@ -196,6 +148,14 @@ func (st *Store) buildRouting() {
 		}
 		st.master[v] = best
 	}
+}
+
+// serve finishes construction: counters sized to the shards, and the
+// empty-overlay Epoch the queries run on.
+func (st *Store) serve() *Store {
+	st.metrics.init(len(st.shards))
+	st.view = NewEpoch(st, nil, 0)
+	return st
 }
 
 // NumVertices returns |V| of the graph the store was built from.
@@ -214,12 +174,7 @@ func (st *Store) ShardEdges(s int) int64 { return st.shards[s].edges }
 func (st *Store) ShardVertices(s int) int { return len(st.shards[s].verts) }
 
 // Master returns the shard owning v's primary copy.
-func (st *Store) Master(v graph.Vertex) (int32, error) {
-	if v >= st.numVertices {
-		return 0, fmt.Errorf("store: vertex %d out of range [0,%d)", v, st.numVertices)
-	}
-	return st.master[v], nil
-}
+func (st *Store) Master(v graph.Vertex) (int32, error) { return st.view.Master(v) }
 
 // Replicas returns the shards holding a copy of v, sorted by shard id.
 // Callers must not mutate the returned slice.
@@ -245,79 +200,12 @@ func (st *Store) ReplicationFactor() float64 {
 // Degree returns v's global degree by summing its local degree on every
 // replica shard. Touching each replica beyond the first counts as a
 // cross-shard hop.
-func (st *Store) Degree(v graph.Vertex) (int64, error) {
-	stop := st.metrics.begin(qDegree)
-	defer stop()
-	if v >= st.numVertices {
-		return 0, fmt.Errorf("store: vertex %d out of range [0,%d)", v, st.numVertices)
-	}
-	var d int64
-	reps := st.Replicas(v)
-	for _, s := range reps {
-		st.metrics.touchShard(int(s))
-		d += st.shards[s].degreeOf(v)
-	}
-	st.metrics.addHops(crossHops(len(reps)))
-	return d, nil
-}
+func (st *Store) Degree(v graph.Vertex) (int64, error) { return st.view.Degree(v) }
 
-// Neighbors returns v's full neighbor set. Each edge lives on exactly one
-// shard, so the per-shard adjacency lists are disjoint and their
-// concatenation (master shard first, then mirrors) is the global list,
-// which is sorted before returning.
-func (st *Store) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
-	stop := st.metrics.begin(qNeighbors)
-	defer stop()
-	if v >= st.numVertices {
-		return nil, fmt.Errorf("store: vertex %d out of range [0,%d)", v, st.numVertices)
-	}
-	reps := st.Replicas(v)
-	var out []graph.Vertex
-	m := st.master[v]
-	for _, s := range reps {
-		if s != m {
-			continue
-		}
-		st.metrics.touchShard(int(s))
-		out = append(out, st.shards[s].neighborsOf(v)...)
-	}
-	for _, s := range reps {
-		if s == m {
-			continue
-		}
-		st.metrics.touchShard(int(s))
-		out = append(out, st.shards[s].neighborsOf(v)...)
-	}
-	st.metrics.addHops(crossHops(len(reps)))
-	slices.Sort(out)
-	return out, nil
-}
-
-// DegreeBatch returns the global degree of every vertex in vs.
-func (st *Store) DegreeBatch(vs []graph.Vertex) ([]int64, error) {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		d, err := st.Degree(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-// NeighborsBatch returns the neighbor set of every vertex in vs.
-func (st *Store) NeighborsBatch(vs []graph.Vertex) ([][]graph.Vertex, error) {
-	out := make([][]graph.Vertex, len(vs))
-	for i, v := range vs {
-		ns, err := st.Neighbors(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ns
-	}
-	return out, nil
-}
+// Neighbors returns v's full neighbor set, sorted. Each edge lives on
+// exactly one shard, so the per-shard adjacency lists are disjoint and their
+// concatenation is the global list.
+func (st *Store) Neighbors(v graph.Vertex) ([]graph.Vertex, error) { return st.view.Neighbors(v) }
 
 // crossHops is the cross-shard cost of touching r replica shards: the
 // fetches beyond the first. A vertex mastered and mirrored nowhere else
@@ -348,92 +236,8 @@ type KHopResult struct {
 	ShardTasks int64
 }
 
-// KHop runs a level-synchronous BFS from v to depth k. Each level the
-// frontier is routed to every shard holding a copy of a frontier vertex;
-// one goroutine per touched shard scans its local adjacency, and the
-// results merge into the next frontier. The fan-out is where a
-// partitioning's replication factor becomes serving cost: every mirror of
-// a frontier vertex is one extra shard fetch.
+// KHop runs a level-synchronous BFS from v to depth k, fanning each level
+// out to one goroutine per shard holding a copy of a frontier vertex.
 func (st *Store) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, error) {
-	stop := st.metrics.begin(qKHop)
-	defer stop()
-	if v >= st.numVertices {
-		return nil, fmt.Errorf("store: vertex %d out of range [0,%d)", v, st.numVertices)
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("store: negative hop count %d", k)
-	}
-	res := &KHopResult{
-		Source:     v,
-		K:          k,
-		Vertices:   []graph.Vertex{v},
-		Depths:     []int32{0},
-		LevelSizes: []int64{1},
-	}
-	visited := make([]uint64, (st.numVertices+63)/64)
-	visited[v/64] |= 1 << (v % 64)
-	frontier := []graph.Vertex{v}
-	perShard := make([][]graph.Vertex, len(st.shards))
-	outs := make([][]graph.Vertex, len(st.shards))
-
-	for depth := int32(1); int(depth) <= k && len(frontier) > 0; depth++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Route the frontier: every replica shard of a frontier vertex
-		// must scan its share of the adjacency, since each shard holds a
-		// disjoint subset of the incident edges.
-		for s := range perShard {
-			perShard[s] = perShard[s][:0]
-		}
-		for _, u := range frontier {
-			reps := st.Replicas(u)
-			for _, s := range reps {
-				perShard[s] = append(perShard[s], u)
-			}
-			res.CrossShardHops += crossHops(len(reps))
-		}
-		var wg sync.WaitGroup
-		for s := range perShard {
-			if len(perShard[s]) == 0 {
-				outs[s] = outs[s][:0]
-				continue
-			}
-			res.ShardTasks++
-			st.metrics.touchShard(s)
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sh := st.shards[s]
-				out := outs[s][:0]
-				for _, u := range perShard[s] {
-					out = append(out, sh.neighborsOf(u)...)
-				}
-				outs[s] = out
-			}(s)
-		}
-		wg.Wait()
-
-		var next []graph.Vertex
-		for s := range outs {
-			for _, w := range outs[s] {
-				if visited[w/64]&(1<<(w%64)) == 0 {
-					visited[w/64] |= 1 << (w % 64)
-					next = append(next, w)
-				}
-			}
-		}
-		slices.Sort(next)
-		for _, w := range next {
-			res.Vertices = append(res.Vertices, w)
-			res.Depths = append(res.Depths, depth)
-		}
-		if len(next) > 0 {
-			res.LevelSizes = append(res.LevelSizes, int64(len(next)))
-		}
-		frontier = next
-	}
-	st.metrics.addHops(res.CrossShardHops)
-	st.metrics.addTasks(res.ShardTasks)
-	return res, nil
+	return st.view.KHop(ctx, v, k)
 }

@@ -50,6 +50,7 @@ for v in 0 1 2 3 4 5 6 7; do
 done
 curl -sf -X POST "http://$ADDR/api/live/ingest" \
   -d "{\"parts\":$PARTS,\"edges\":[[0,1],[1,2],[2,3],[3,0],[0,2],[1,3]]}" > /dev/null
+curl -sf -X POST "http://$ADDR/api/live/query/neighbors" -d '{"vertices":[0,1,2]}' > /dev/null
 curl -sf -X POST "http://$ADDR/api/live/query/khop" -d '{"vertex":0,"k":2}' > /dev/null
 curl -sf -X POST "http://$ADDR/api/live/compact" -d '{}' > /dev/null
 
@@ -83,6 +84,14 @@ assert_nonzero "dne_store_shard_touches_total"
 assert_nonzero "dne_live_edges"
 assert_nonzero "dne_live_apply_duration_seconds_count"
 assert_nonzero "dne_live_query_duration_seconds_count"
+# Both live query routes run the shared handler family; each must be timed.
+for kind in neighbors khop; do
+  v=$(awk -v l="dne_live_query_duration_seconds_count{kind=\"$kind\"}" '$1 == l { print $NF }' "$workdir/metrics.txt")
+  if [ "${v:-0}" -le 0 ]; then
+    echo "FAIL: dne_live_query_duration_seconds_count{kind=\"$kind\"} is zero or missing"; exit 1
+  fi
+  echo "   dne_live_query_duration_seconds_count{kind=\"$kind\"} = $v"
+done
 assert_nonzero "dne_http_requests_total"
 assert_nonzero "dne_go_goroutines"
 
