@@ -2,7 +2,7 @@
 // paper's MPI cluster (§7.1: up to 256 machines, IntelMPI). A Cluster hosts N
 // logical machines; each machine is driven by one goroutine and owns a
 // mailbox. Machines communicate only by sending tagged, sized messages, and
-// synchronise with MPI-style collectives (Barrier, AllGatherSum, AllGatherMax)
+// synchronise with MPI-style collectives (Barrier, AllGatherSum, AllGatherMin)
 // that are themselves built from messages so that communication volume is
 // accounted exactly.
 //
@@ -29,9 +29,9 @@ const (
 	tagBarrier Tag = iota
 	tagReduce
 	tagBcast
-	// tagCollCount / tagCollData frame the chunked large-payload collectives
-	// (AllToAllU64, ScattervU64): counts travel separately from data so a
-	// receiver never misreads an early data chunk as another sender's count.
+	// tagCollCount / tagCollData frame the chunked large-payload collective
+	// AllToAllU64: counts travel separately from data so a receiver never
+	// misreads an early data chunk as another sender's count.
 	tagCollCount
 	tagCollData
 	// TagUser is the first tag available to algorithms.

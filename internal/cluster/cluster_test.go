@@ -99,10 +99,6 @@ func TestCollectives(t *testing.T) {
 		if sum != 0+1+2+3+4 {
 			t.Errorf("AllGatherSum = %d", sum)
 		}
-		max := AllGatherMax(comm, int64(comm.Rank()*10))
-		if max != 40 {
-			t.Errorf("AllGatherMax = %d", max)
-		}
 		vec := make([]int64, 5)
 		vec[comm.Rank()] = int64(comm.Rank() + 1)
 		out := AllGatherSumVec(comm, vec)

@@ -25,23 +25,23 @@ func AllGatherSum(c Comm, x int64) int64 {
 	return int64(c.Recv(tagBcast).Body.(Int64Body))
 }
 
-// AllGatherMax returns the maximum of x across all machines, at every machine.
-func AllGatherMax(c Comm, x int64) int64 {
+// AllGatherMin returns the minimum of x across all machines, at every machine.
+func AllGatherMin(c Comm, x int64) int64 {
 	if c.Size() == 1 {
 		return x
 	}
 	if c.Rank() == 0 {
-		max := x
+		min := x
 		for i := 1; i < c.Size(); i++ {
 			m := c.Recv(tagReduce)
-			if v := int64(m.Body.(Int64Body)); v > max {
-				max = v
+			if v := int64(m.Body.(Int64Body)); v < min {
+				min = v
 			}
 		}
 		for i := 1; i < c.Size(); i++ {
-			c.Send(i, tagBcast, Int64Body(max))
+			c.Send(i, tagBcast, Int64Body(min))
 		}
-		return max
+		return min
 	}
 	c.Send(0, tagReduce, Int64Body(x))
 	return int64(c.Recv(tagBcast).Body.(Int64Body))

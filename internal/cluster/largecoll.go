@@ -81,39 +81,3 @@ func AllToAllU64(c Comm, out [][]uint64) [][]uint64 {
 	}
 	return in
 }
-
-// ScattervU64 distributes root's per-rank vectors: machine q receives
-// parts[q]. Only root reads parts (it must have length Size() there); the
-// bodies stream in bounded chunks like AllToAllU64. Every machine returns a
-// freshly allocated copy of its part.
-func ScattervU64(c Comm, root int, parts [][]uint64) []uint64 {
-	size := c.Size()
-	if c.Rank() == root {
-		if len(parts) != size {
-			panic(fmt.Sprintf("cluster: ScattervU64 parts length %d must equal Size() %d", len(parts), size))
-		}
-		for q := 0; q < size; q++ {
-			if q == root {
-				continue
-			}
-			c.Send(q, tagCollCount, Int64Body(len(parts[q])))
-			for v := parts[q]; len(v) > 0; {
-				n := len(v)
-				if n > maxCollChunkWords {
-					n = maxCollChunkWords
-				}
-				c.Send(q, tagCollData, Uint64SliceBody(v[:n]))
-				v = v[n:]
-			}
-		}
-		out := make([]uint64, len(parts[root]))
-		copy(out, parts[root])
-		return out
-	}
-	want := int64(c.Recv(tagCollCount).Body.(Int64Body))
-	out := make([]uint64, 0, want)
-	for int64(len(out)) < want {
-		out = append(out, c.Recv(tagCollData).Body.(Uint64SliceBody)...)
-	}
-	return out
-}

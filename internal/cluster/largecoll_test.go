@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"sync"
 	"testing"
 )
 
@@ -108,38 +107,6 @@ func TestAllToAllU64BackToBack(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScattervU64InProcess(t *testing.T) {
-	const size = 4
-	const root = 2
-	for _, scale := range []int{3, maxCollChunkWords + 9} {
-		c := New(size)
-		var mu sync.Mutex
-		got := make([][]uint64, size)
-		err := c.Run(func(comm Comm) error {
-			var parts [][]uint64
-			if comm.Rank() == root {
-				parts = make([][]uint64, size)
-				for q := 0; q < size; q++ {
-					parts[q] = vectorFor(root, q, scale)
-				}
-			}
-			out := ScattervU64(comm, root, parts)
-			mu.Lock()
-			got[comm.Rank()] = out
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < size; q++ {
-			if !slices.Equal(got[q], vectorFor(root, q, scale)) {
-				t.Errorf("scale %d rank %d: wrong part (%d words)", scale, q, len(got[q]))
-			}
-		}
 	}
 }
 

@@ -2,54 +2,8 @@ package cluster
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 )
-
-// Comm wrappers used by tests and ablation benches. Algorithms written
-// against Comm cannot tell a wrapped communicator from a bare one, so these
-// wrappers double as executable proof that the algorithms depend only on the
-// message-passing contract.
-
-// Instrumented wraps a Comm and counts sent messages and bytes per tag.
-// It is used by the ablation benches (multicast fanout) and by tests that
-// assert traffic shapes.
-type Instrumented struct {
-	Comm
-	mu    sync.Mutex
-	msgs  map[Tag]int64
-	bytes map[Tag]int64
-}
-
-// Instrument wraps c.
-func Instrument(c Comm) *Instrumented {
-	return &Instrumented{Comm: c, msgs: make(map[Tag]int64), bytes: make(map[Tag]int64)}
-}
-
-// Send implements Comm.
-func (w *Instrumented) Send(to int, tag Tag, body Body) {
-	if to != w.Rank() {
-		w.mu.Lock()
-		w.msgs[tag]++
-		w.bytes[tag] += int64(headerBytes + body.WireSize())
-		w.mu.Unlock()
-	}
-	w.Comm.Send(to, tag, body)
-}
-
-// TagMessages returns the number of remote messages sent under tag.
-func (w *Instrumented) TagMessages(tag Tag) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.msgs[tag]
-}
-
-// TagBytes returns the number of remote bytes sent under tag.
-func (w *Instrumented) TagBytes(tag Tag) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytes[tag]
-}
 
 // Chaos wraps a Comm and injects a pseudo-random pause before each remote
 // send, scrambling the interleaving of messages *across* senders while
