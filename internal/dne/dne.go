@@ -11,10 +11,11 @@
 // Multi-expansion (§5) batches the λ·|B| best boundary vertices per
 // superstep to cut iteration counts by orders of magnitude.
 //
-// The distributed runtime is an in-process message-passing cluster
-// (internal/cluster); every machine is a goroutine, and all coordination is
-// via tagged, size-accounted messages, so communication volume and iteration
-// counts are faithful to the distributed algorithm even on one host.
+// The distributed runtime is any cluster.Comm (internal/cluster): the
+// in-process cluster, where every machine is a goroutine, or the TCP
+// transport, one process per machine. All coordination is via tagged,
+// size-accounted messages, so communication volume and iteration counts are
+// faithful to the distributed algorithm even on one host.
 //
 // Where the superstep loop departs from Algorithms 1–4 — what enters the
 // boundary, how the α cap is enforced, how a run closes, and the sequential
@@ -138,9 +139,10 @@ func (cfg Config) validate() error {
 // returns ctx's error.
 //
 // The in-memory graph is split into |P| synthetic shards (contiguous
-// stripes of the canonical edge list) and every machine runs the same
-// shuffle → subgraph → superstep pipeline a true multi-process run uses, so
-// the in-process simulation exercises the exact distributed code path.
+// stripes of the canonical edge list) and every machine runs PartitionShards
+// on its stripe, the shuffle → subgraph → superstep pipeline a true
+// multi-process run uses, so the in-process simulation exercises the exact
+// distributed code path. The Result sums the machines' MachineStats.
 func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -148,25 +150,22 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 	if numParts <= 0 {
 		return nil, fmt.Errorf("dne: numParts must be positive, got %d", numParts)
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if g.NumEdges() == 0 {
 		return nil, errors.New("dne: graph has no edges")
 	}
 
 	c := cluster.New(numParts)
-	results := make([]machineResult, numParts)
+	stats := make([]*MachineStats, numParts)
 	p := partition.New(numParts, g.NumEdges())
 
 	start := time.Now()
 	shards := graph.ShardsOf(g, numParts)
-	var rootKeys []uint64
-	var rootOwners []int32
+	var root *ShardResult
 	err := c.Run(func(comm cluster.Comm) error {
-		keys, owners, err := runShardMachine(ctx, comm, shards[comm.Rank()], cfg, &results[comm.Rank()])
-		if comm.Rank() == 0 {
-			rootKeys, rootOwners = keys, owners
+		res, st, err := PartitionShards(ctx, comm, shards[comm.Rank()], cfg)
+		stats[comm.Rank()] = st
+		if res != nil {
+			root = res
 		}
 		return err
 	})
@@ -176,23 +175,20 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 	}
 	// The merged keys are the canonical edge list in ascending order, so the
 	// merged owners line up 1:1 with g's edge indices.
-	if int64(len(rootKeys)) != g.NumEdges() {
-		return nil, fmt.Errorf("dne: collected %d edges, graph has %d", len(rootKeys), g.NumEdges())
+	if root.NumEdges() != g.NumEdges() {
+		return nil, fmt.Errorf("dne: collected %d edges, graph has %d", root.NumEdges(), g.NumEdges())
 	}
-	copy(p.Owner, rootOwners)
+	copy(p.Owner, root.Owner)
 
-	res := &Result{Partitioning: p, Elapsed: elapsed}
-	for _, mr := range results {
-		if mr.iterations > res.Iterations {
-			res.Iterations = mr.iterations
-		}
-		res.MemBytes += mr.memBytes
-		res.CommBytes += mr.commBytes
-		res.CommMessages += mr.commMsgs
-		res.WastedSelections += mr.wasted
-		res.TotalSelections += mr.selections
+	res := &Result{Partitioning: p, Elapsed: elapsed, SweptEdges: stats[0].SweptEdges}
+	for _, st := range stats {
+		res.Iterations = max(res.Iterations, st.Iterations)
+		res.MemBytes += st.MemBytes
+		res.CommBytes += st.CommBytes
+		res.CommMessages += st.CommMsgs
+		res.WastedSelections += st.WastedSelections
+		res.TotalSelections += st.TotalSelections
 	}
-	res.SweptEdges = results[0].swept
 	return res, nil
 }
 

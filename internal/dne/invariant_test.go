@@ -96,7 +96,7 @@ func stepRun(t *testing.T, g *graph.Graph, p int, cfg Config,
 		if err != nil {
 			return err
 		}
-		var res machineResult
+		var res MachineStats
 		m, err := newMachine(comm, cfg, in, &res)
 		if err != nil {
 			return err

@@ -68,18 +68,6 @@ func (s *vpSet) memoryFootprint() int64 {
 	return s.set.MemoryFootprint() + int64(len(s.mask))*8
 }
 
-// machineResult is what one machine reports back to the driver.
-type machineResult struct {
-	iterations int
-	swept      int64 // edges the closing hand-off assigned, over all machines
-	memBytes   int64
-	partEdges  int64 // |Ep| of this machine's partition
-	commBytes  int64
-	commMsgs   int64
-	wasted     int64 // selection deliveries that allocated nothing here
-	selections int64 // all selection deliveries processed here
-}
-
 // machineInput bundles what one machine's expansion + allocation process
 // needs. The subgraph is built by the caller (from a distributed shuffle or
 // a checkpoint base), so the superstep loop itself never touches global edge
@@ -111,7 +99,7 @@ type machine struct {
 	rank int
 	gd   grid
 	sg   *subGraph
-	res  *machineResult
+	res  *MachineStats
 
 	// The counting wrapper leaves the seeded stream untouched (bit-identical
 	// to a bare source) while letting checkpoints record the draw position.
@@ -157,7 +145,7 @@ type machine struct {
 
 // newMachine sets up the loop state: fresh, with the one collective that
 // tells every machine where the free edges are, or restored from in.resume.
-func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *machineResult) (*machine, error) {
+func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStats) (*machine, error) {
 	p, rank, n := comm.Size(), comm.Rank(), in.numVertices
 	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
 	m := &machine{
@@ -198,8 +186,8 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *machineResu
 	copy(m.partSizes, st.partSizes)
 	copy(m.freeVec, st.freeVec)
 	copy(m.localPerPart, st.localPerPart)
-	res.wasted = st.wasted
-	res.selections = st.selections
+	res.WastedSelections = st.wasted
+	res.TotalSelections = st.selections
 	return m, nil
 }
 
@@ -225,7 +213,7 @@ func (m *machine) replicaProcs(v graph.Vertex) []int {
 //
 // Result collection is the caller's job (collectOwnersByKey), after this
 // returns.
-func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *machineResult) error {
+func runMachine(ctx context.Context, comm cluster.Comm, cfg Config, in machineInput, res *MachineStats) error {
 	m, err := newMachine(comm, cfg, in, res)
 	if err != nil {
 		return err
@@ -381,7 +369,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			}
 		}
 	}
-	m.res.selections += int64(len(m.pairs))
+	m.res.TotalSelections += int64(len(m.pairs))
 	for _, pair := range m.pairs {
 		before := len(m.allocLocal)
 		m.bpBuf = sg.allocOneHop(pair.V, pair.P, &m.quota[pair.P], &m.allocLocal, m.bpBuf[:0])
@@ -391,7 +379,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			}
 		}
 		if len(m.allocLocal) == before {
-			m.res.wasted++
+			m.res.WastedSelections++
 		}
 		m.sizesView[pair.P] += int64(len(m.allocLocal) - before)
 	}
@@ -520,24 +508,24 @@ func (m *machine) finish(iter int, in machineInput) {
 		}
 		for q, n := range cluster.AllGatherSumVec(m.comm, mine) {
 			m.partSizes[q] += n
-			res.swept += n
+			res.SweptEdges += n
 		}
 	}
 
 	// Snapshot communication stats before result collection: the gather the
 	// caller performs next is measurement plumbing, not part of the
 	// algorithm's traffic.
-	res.commBytes = m.comm.Stats().BytesSent.Load()
-	res.commMsgs = m.comm.Stats().MessagesSent.Load()
-	res.iterations = iter
-	res.partEdges = m.partSizes[m.rank]
+	res.CommBytes = m.comm.Stats().BytesSent.Load()
+	res.CommMsgs = m.comm.Stats().MessagesSent.Load()
+	res.Iterations = iter
+	res.PartEdges = m.partSizes[m.rank]
 	// Peak memory is the max over the run's two phases: the input phase
 	// (shard + shuffle buffers, transient) and the expansion phase (subgraph
 	// + boundary + scratch slabs; the shard is released after the shuffle).
 	expansion := m.sg.memoryFootprint() +
 		m.bnd.MemoryFootprint() + m.seenBP.memoryFootprint() + m.seenV.MemoryFootprint() +
 		m.mergedSet.MemoryFootprint() + int64(len(m.mergedVal))*4
-	res.memBytes = max(expansion, in.inputPeakBytes)
+	res.MemBytes = max(expansion, in.inputPeakBytes)
 }
 
 // collectOwnersByKey ships every machine's (packed edge, owner) pairs to

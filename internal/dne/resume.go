@@ -56,7 +56,7 @@ func (m *machine) capture(iter int) *machineCkpt {
 	sg := m.sg
 	return &machineCkpt{
 		iter: int64(iter), seedCur: int64(sg.seedCur),
-		wasted: m.res.wasted, selections: m.res.selections,
+		wasted: m.res.WastedSelections, selections: m.res.TotalSelections,
 		rng63: m.src.n63, rng64: m.src.n64, bndPeak: int64(m.bnd.Peak()),
 		partSizes: m.partSizes, freeVec: m.freeVec, localPerPart: m.localPerPart,
 		owner: sg.owner, eIdx: sg.eIdx, aliveLen: sg.aliveLen, partWords: sg.partWords,

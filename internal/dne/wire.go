@@ -79,29 +79,24 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // The result is non-nil at rank 0 only. The seeded partitioning is
 // bit-identical to the in-process run (Partition) with the same seed, graph
 // and partition count.
-func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config) (_ *ShardResult, _ *MachineStats, err error) {
-	defer recoverConnLost(&err)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
+//
+// Cancellation is collective: every rank returns at the end of the superstep
+// in which any rank's ctx was done, with ctx's error or context.Canceled; a
+// rank that enters with a done ctx still takes part in the shuffle and the
+// first superstep. The caller owns comm and
+// tears it down; a transport loss comes back as an error wrapping
+// *cluster.ConnLostError, after which comm is dead.
+func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config) (*ShardResult, *MachineStats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	var res machineResult
-	keys, owners, err := runShardMachine(ctx, comm, shard, cfg, &res)
-	if err != nil {
-		return nil, nil, err
-	}
-	if comm.Rank() != 0 {
-		return nil, res.stats(), nil
-	}
-	return &ShardResult{NumParts: comm.Size(), Keys: keys, Owner: owners}, res.stats(), nil
+	return runRank(ctx, comm, cfg, FTOptions{LoadShard: func() (*graph.Shard, error) { return shard, nil }})
 }
 
 // shuffleInput is the input phase of the shard data plane: shuffle the local
 // shard to grid owners, agree on |E|, and build the subgraph from the
 // received edges only. It also returns those edges (sorted, deduplicated),
-// which the fault-tolerant driver persists as its checkpoint base.
+// which a checkpointed run persists as its checkpoint base.
 func shuffleInput(comm cluster.Comm, shard *graph.Shard) (machineInput, []uint64, error) {
 	p := comm.Size()
 	shardBytes := shard.Bytes()
@@ -121,24 +116,71 @@ func shuffleInput(comm cluster.Comm, shard *graph.Shard) (machineInput, []uint64
 	}, local, nil
 }
 
-// runShardMachine is the per-rank body of the shard data plane: the input
-// phase, the superstep loop, and the collection of (key, owner) runs at
-// rank 0.
-func runShardMachine(ctx context.Context, comm cluster.Comm, shard *graph.Shard, cfg Config, res *machineResult) ([]uint64, []int32, error) {
-	in, _, err := shuffleInput(comm, shard)
-	if err != nil {
-		return nil, nil, err
+// runRank is one rank's share of one mesh generation of a run, the body of
+// every entry point: the input phase, the superstep loop, and the collection
+// of (key, owner) runs at rank 0. Given a checkpointer, the ranks first
+// negotiate the newest superstep every one of them can restore
+// (cluster.AllGatherMin over local checkpoint inventories; the collective
+// doubles as the rejoin barrier) and resume from it; when there is none, or
+// without a checkpointer, the input is the shuffled shard, which a
+// checkpointed run persists as its base.
+func runRank(ctx context.Context, comm cluster.Comm, cfg Config, opt FTOptions) (_ *ShardResult, _ *MachineStats, err error) {
+	defer recoverConnLost(&err)
+	c := opt.Checkpoint
+	resume := int64(-1)
+	if c != nil {
+		resume = cluster.AllGatherMin(comm, c.Newest())
 	}
-	if err := runMachine(ctx, comm, cfg, in, res); err != nil {
+	var in machineInput
+	if resume >= 0 {
+		numVertices, totalE, packed, err := c.LoadBase()
+		if err != nil {
+			return nil, nil, err
+		}
+		st, err := c.LoadState(resume)
+		if err != nil {
+			return nil, nil, err
+		}
+		opt.logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
+		in = machineInput{
+			sg:          buildSubGraphPacked(numVertices, comm.Size(), packed),
+			numVertices: numVertices,
+			totalEdges:  totalE,
+			resume:      st,
+		}
+	} else {
+		shard, err := opt.LoadShard()
+		if err != nil {
+			return nil, nil, fmt.Errorf("dne: loading shard: %w", err)
+		}
+		var local []uint64
+		if in, local, err = shuffleInput(comm, shard); err != nil {
+			return nil, nil, err
+		}
+		if c != nil {
+			if err := c.WriteBase(in.numVertices, in.totalEdges, local); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	in.ckpt = c
+	stats := new(MachineStats)
+	if err := runMachine(ctx, comm, cfg, in, stats); err != nil {
 		return nil, nil, err
 	}
 	keys, owners := collectOwnersByKey(comm, in.sg)
-	return keys, owners, nil
+	if comm.Rank() != 0 {
+		return nil, stats, nil
+	}
+	return &ShardResult{NumParts: comm.Size(), Keys: keys, Owner: owners}, stats, nil
 }
 
-// FTOptions configures PartitionShardsFT, the fault-tolerant shard driver.
+// FTOptions configures PartitionShardsFT. Only Connect and LoadShard are
+// required: without a Checkpoint the run is a plain PartitionShards run of
+// exactly one attempt over the communicator Connect returns.
 type FTOptions struct {
-	// Checkpoint persists and restores this rank's superstep state. Required.
+	// Checkpoint persists and restores this rank's superstep state. When
+	// nil, nothing is written and a transport loss ends the run.
 	Checkpoint *Checkpointer
 	// Connect dials a fresh communicator for one mesh generation. Called
 	// once per attempt; after a transport loss the previous communicator is
@@ -150,10 +192,16 @@ type FTOptions struct {
 	// never needs the shard held in memory across attempts.
 	LoadShard func() (*graph.Shard, error)
 	// MaxRestarts bounds how many transport losses are survived before the
-	// last error is returned. <= 0 means 3.
+	// last error is returned. <= 0 means 3. Ignored without a Checkpoint.
 	MaxRestarts int
 	// Logf, when non-nil, receives one line per recovery event.
 	Logf func(format string, args ...any)
+}
+
+func (o FTOptions) logf(format string, args ...any) {
+	if o.Logf != nil {
+		o.Logf(format, args...)
+	}
 }
 
 // closableComm is what Connect usually returns: a Comm whose transport can
@@ -165,22 +213,26 @@ type closableComm interface {
 	Abort() error
 }
 
-// PartitionShardsFT is PartitionShards with superstep checkpointing and
-// bounded rejoin: when the transport dies mid-run (*cluster.ConnLostError* —
-// a peer crashed or the router tore the mesh down), the rank reconnects via
+// PartitionShardsFT is PartitionShards over a communicator it dials itself,
+// with superstep checkpointing and bounded rejoin when opt.Checkpoint is
+// set: when the transport dies mid-run (a *cluster.ConnLostError: a peer
+// crashed or the router tore the mesh down), the rank reconnects via
 // opt.Connect, all ranks of the new mesh negotiate the newest superstep
-// every one of them can restore (cluster.AllGatherMin over local checkpoint
-// inventories), and the run resumes from that boundary. The recovered
-// partitioning is bit-identical to a fault-free run's: the checkpoint
-// captures every input to future supersteps, including the PRNG position.
+// every one of them can restore, and the run resumes from that boundary. The
+// recovered partitioning is bit-identical to a fault-free run's: the
+// checkpoint captures every input to future supersteps, including the PRNG
+// position. A rank that finds no common checkpoint (negotiated superstep
+// -1, e.g. the failure predated the first checkpoint) restarts from its
+// shard via opt.LoadShard.
 //
-// A rank that finds no common checkpoint (negotiated superstep -1, e.g. the
-// failure predated the first checkpoint) restarts from its shard via
-// opt.LoadShard. The communicator is owned by this call: closed cleanly on
-// success, aborted on failure.
+// This call owns each communicator Connect returns: it aborts one that lost
+// its transport and closes every other one cleanly (a goodbye to the router),
+// on success and on any other error alike. Cancellation is collective, as in
+// PartitionShards; ctx is checked alone only before a reconnect, when there
+// is no mesh to tell.
 func PartitionShardsFT(ctx context.Context, cfg Config, opt FTOptions) (*ShardResult, *MachineStats, error) {
-	if opt.Checkpoint == nil || opt.Connect == nil || opt.LoadShard == nil {
-		return nil, nil, errors.New("dne: FTOptions requires Checkpoint, Connect and LoadShard")
+	if opt.Connect == nil || opt.LoadShard == nil {
+		return nil, nil, errors.New("dne: FTOptions requires Connect and LoadShard")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -189,115 +241,57 @@ func PartitionShardsFT(ctx context.Context, cfg Config, opt FTOptions) (*ShardRe
 	if maxRestarts <= 0 {
 		maxRestarts = 3
 	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	var lastErr error
 	for attempt := 0; attempt <= maxRestarts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
 		if attempt > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
 			ckptObs.rejoins.Add(1)
-			logf("dne: rank %d rejoining after transport loss (attempt %d/%d): %v",
+			opt.logf("dne: rank %d rejoining after transport loss (attempt %d/%d): %v",
 				opt.Checkpoint.rank, attempt, maxRestarts, lastErr)
 		}
 		comm, err := opt.Connect(ctx)
 		if err != nil {
 			return nil, nil, fmt.Errorf("dne: connect (attempt %d): %w", attempt, err)
 		}
-		result, stats, err := runShardAttempt(ctx, comm, cfg, opt, logf)
-		if err == nil {
-			if cc, ok := comm.(closableComm); ok {
-				cc.Close()
+		result, stats, err := runRank(ctx, comm, cfg, opt)
+		var cl *cluster.ConnLostError
+		lost := errors.As(err, &cl)
+		if cc, ok := comm.(closableComm); ok {
+			if lost {
+				cc.Abort()
+			} else if cerr := cc.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if !lost || opt.Checkpoint == nil {
+			if err != nil {
+				return nil, nil, err
 			}
 			return result, stats, nil
-		}
-		if cc, ok := comm.(closableComm); ok {
-			cc.Abort()
-		}
-		var cl *cluster.ConnLostError
-		if !errors.As(err, &cl) {
-			return nil, nil, err
 		}
 		lastErr = err
 	}
 	return nil, nil, fmt.Errorf("dne: %d restarts exhausted: %w", maxRestarts, lastErr)
 }
 
-// runShardAttempt is one mesh generation of the fault-tolerant driver:
-// negotiate the resume point, restore or rebuild, run, collect.
-func runShardAttempt(ctx context.Context, comm cluster.Comm, cfg Config, opt FTOptions, logf func(string, ...any)) (_ *ShardResult, _ *MachineStats, err error) {
-	defer recoverConnLost(&err)
-	c := opt.Checkpoint
-	p := comm.Size()
-	var res machineResult
-	var in machineInput
-
-	// Negotiate the newest superstep every rank can restore. The collective
-	// doubles as the rejoin barrier: survivors block here until the restarted
-	// rank's hello completes the mesh.
-	newest := c.Newest()
-	resume := cluster.AllGatherMin(comm, newest)
-	if resume >= 0 {
-		numVertices, totalE, packed, err := c.LoadBase()
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := c.LoadState(resume)
-		if err != nil {
-			return nil, nil, err
-		}
-		logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
-		in = machineInput{
-			sg:          buildSubGraphPacked(numVertices, p, packed),
-			numVertices: numVertices,
-			totalEdges:  totalE,
-			resume:      st,
-		}
-	} else {
-		shard, err := opt.LoadShard()
-		if err != nil {
-			return nil, nil, fmt.Errorf("dne: loading shard: %w", err)
-		}
-		var local []uint64
-		in, local, err = shuffleInput(comm, shard)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := c.WriteBase(in.numVertices, in.totalEdges, local); err != nil {
-			return nil, nil, err
-		}
-	}
-	in.ckpt = c
-	if err := runMachine(ctx, comm, cfg, in, &res); err != nil {
-		return nil, nil, err
-	}
-	keys, owners := collectOwnersByKey(comm, in.sg)
-	if comm.Rank() != 0 {
-		return nil, res.stats(), nil
-	}
-	return &ShardResult{NumParts: p, Keys: keys, Owner: owners}, res.stats(), nil
-}
-
-// MachineStats is the public view of one machine's execution metrics.
+// MachineStats is one rank's execution metrics.
 type MachineStats struct {
+	// Iterations is the number of supersteps executed.
 	Iterations int
+	// SweptEdges counts the edges of the closing hand-off, over all ranks.
 	SweptEdges int64
-	MemBytes   int64
-	PartEdges  int64
-	CommBytes  int64
-	CommMsgs   int64
-}
-
-func (r *machineResult) stats() *MachineStats {
-	return &MachineStats{
-		Iterations: r.iterations,
-		SweptEdges: r.swept,
-		MemBytes:   r.memBytes,
-		PartEdges:  r.partEdges,
-		CommBytes:  r.commBytes,
-		CommMsgs:   r.commMsgs,
-	}
+	// MemBytes is this rank's analytic peak memory.
+	MemBytes int64
+	// PartEdges is |Ep| of this rank's partition.
+	PartEdges int64
+	// CommBytes / CommMsgs are this rank's traffic up to the end of the
+	// superstep loop (result collection excluded).
+	CommBytes int64
+	CommMsgs  int64
+	// WastedSelections counts the selection deliveries that allocated no
+	// edge here, TotalSelections all selection deliveries processed here.
+	WastedSelections int64
+	TotalSelections  int64
 }
