@@ -16,8 +16,9 @@
 //	dneworker -rank 2 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/ &
 //	dneworker -rank 3 -size 4 -addr 127.0.0.1:7777 -shard-dir shards/
 //
-// Rank 0 hosts the router. examples/multiprocess spawns the arrangement
-// automatically.
+// Rank 0 hosts the router. With -ckpt-dir the same run checkpoints every
+// superstep and survives worker restarts. examples/multiprocess spawns the
+// arrangement automatically.
 package main
 
 import (
@@ -33,86 +34,111 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// hardAbortGrace is how long a worker keeps waiting for the collective
-// (superstep-boundary) abort to complete after its context fires before the
-// transport watchdog kills blocked receives outright.
-const hardAbortGrace = 10 * time.Second
+const (
+	// hardAbortGrace is how long a worker keeps waiting for the collective
+	// (superstep-boundary) abort to complete after its context fires before
+	// the transport watchdog kills blocked receives outright.
+	hardAbortGrace = 10 * time.Second
+	// routerDrainGrace is how long rank 0 waits, after its own run ended, for
+	// the router to forward the last frames and see every goodbye.
+	routerDrainGrace = 3 * time.Second
+)
+
+// dialPolicy is how a worker dials the router, at start and after a
+// transport loss. Workers may start before rank 0's router listens, so a
+// refused dial is retried with backoff from 100 ms up to a 2 s cap, 30
+// attempts in all: a worker gives up on a router that never comes up after
+// 51 to 77 s.
+var dialPolicy = cluster.RetryPolicy{MaxAttempts: 30, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
+
+// options is the command line.
+type options struct {
+	rank, size              int
+	addr, shardDir, ckptDir string
+	seed                    int64
+	alpha, lambda           float64
+	ckptEvery, maxRestarts  int
+	rejoinWindow, heartbeat time.Duration
+}
 
 func main() {
-	var (
-		rank     = flag.Int("rank", 0, "this machine's rank in [0,size)")
-		size     = flag.Int("size", 4, "number of machines (= partitions)")
-		addr     = flag.String("addr", "127.0.0.1:7777", "router address (rank 0 listens here)")
-		shardDir = flag.String("shard-dir", "", "read EShard files with index%size==rank from this directory (required)")
-		seed     = flag.Int64("seed", 42, "shared random seed")
-		alpha    = flag.Float64("alpha", 1.1, "imbalance factor")
-		lambda   = flag.Float64("lambda", 0.1, "expansion factor")
-
-		ckptDir      = flag.String("ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
-		ckptEvery    = flag.Int("ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
-		maxRestarts  = flag.Int("max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")
-		rejoinWindow = flag.Duration("rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin")
-		heartbeat    = flag.Duration("heartbeat", 0, "fault tolerance: heartbeat interval for detecting wedged peers (0 = off)")
-	)
+	var o options
+	flag.IntVar(&o.rank, "rank", 0, "this machine's rank in [0,size)")
+	flag.IntVar(&o.size, "size", 4, "number of machines (= partitions)")
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7777", "router address (rank 0 listens here)")
+	flag.StringVar(&o.shardDir, "shard-dir", "", "read EShard files with index%size==rank from this directory (required)")
+	flag.Int64Var(&o.seed, "seed", 42, "shared random seed")
+	flag.Float64Var(&o.alpha, "alpha", 1.1, "imbalance factor")
+	flag.Float64Var(&o.lambda, "lambda", 0.1, "expansion factor")
+	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
+	flag.IntVar(&o.ckptEvery, "ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
+	flag.IntVar(&o.maxRestarts, "max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")
+	flag.DurationVar(&o.rejoinWindow, "rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin")
+	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "fault tolerance: heartbeat interval for detecting wedged peers (0 = off)")
 	flag.Parse()
-	if *shardDir == "" {
+	if o.shardDir == "" {
 		fmt.Fprintln(os.Stderr, "dneworker: -shard-dir is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	ft := ftFlags{dir: *ckptDir, every: *ckptEvery, maxRestarts: *maxRestarts,
-		rejoinWindow: *rejoinWindow, heartbeat: *heartbeat}
-	if err := run(*rank, *size, *addr, *shardDir, *seed, *alpha, *lambda, ft); err != nil {
-		fmt.Fprintf(os.Stderr, "dneworker rank %d: %v\n", *rank, err)
+	if err := run(o); err != nil {
+		fmt.Fprintf(os.Stderr, "dneworker rank %d: %v\n", o.rank, err)
 		os.Exit(1)
 	}
 }
 
-// ftFlags bundles the fault-tolerance command line. A non-empty dir turns
-// the feature on: checkpoints are written there, the rank-0 router accepts
-// mesh rebuilds, and dials retry with backoff.
-type ftFlags struct {
-	dir          string
-	every        int
-	maxRestarts  int
-	rejoinWindow time.Duration
-	heartbeat    time.Duration
-}
-
-func (f ftFlags) enabled() bool { return f.dir != "" }
-
-// heartbeatTimeout is the deadline paired with the heartbeat interval: a
-// peer silent for four intervals is treated as dead.
-func (f ftFlags) heartbeatTimeout() time.Duration {
-	if f.heartbeat <= 0 {
-		return 0
-	}
-	return 4 * f.heartbeat
-}
-
-func run(rank, size int, addr, shardDir string, seed int64, alpha, lambda float64, ft ftFlags) error {
-	var wait func() error
-	if rank == 0 {
-		ropt := cluster.RouterOptions{}
-		if ft.enabled() {
-			ropt.MaxRejoins = ft.maxRestarts
-			ropt.RejoinWindow = ft.rejoinWindow
-			ropt.HeartbeatTimeout = ft.heartbeatTimeout()
-			ropt.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "router: "+format+"\n", args...)
+// run is the one run path. Without -ckpt-dir it is a plain run: nothing is
+// written, the router fails fast and a transport loss ends the run. With it,
+// checkpoints are written there, the rank-0 router accepts mesh rebuilds and
+// the worker rejoins after a transport loss (heartbeats, when asked for,
+// detect wedged peers). The communicator is dialled and torn down inside
+// dne.PartitionShardsFT.
+func run(o options) error {
+	cfg := dne.DefaultConfig()
+	cfg.Seed, cfg.Alpha, cfg.Lambda = o.seed, o.alpha, o.lambda
+	var ropt cluster.RouterOptions
+	var dopt cluster.DialOptions
+	opt := dne.FTOptions{
+		LoadShard: func() (*graph.Shard, error) {
+			shard, err := graph.ReadShardDir(o.shardDir, func(index, count uint32) bool {
+				return int(index)%o.size == o.rank
+			})
+			if err != nil {
+				return nil, err
 			}
-		}
-		var err error
-		_, wait, err = cluster.StartRouterOpts(addr, size, ropt)
+			fmt.Printf("rank %d: loaded %d shard edges (|V|=%d) from %s\n",
+				o.rank, shard.NumEdges(), shard.NumVertices, o.shardDir)
+			return shard, nil
+		},
+		MaxRestarts: o.maxRestarts,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
+	}
+	if o.ckptDir != "" {
+		ckpt, err := dne.NewCheckpointer(o.ckptDir, o.rank, o.size, o.ckptEvery, cfg)
 		if err != nil {
 			return err
 		}
+		opt.Checkpoint = ckpt
+		// A peer silent for four heartbeat intervals is treated as dead.
+		ropt = cluster.RouterOptions{
+			MaxRejoins:       o.maxRestarts,
+			RejoinWindow:     o.rejoinWindow,
+			HeartbeatTimeout: 4 * o.heartbeat,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "router: "+format+"\n", args...)
+			},
+		}
+		dopt = cluster.DialOptions{HeartbeatInterval: o.heartbeat, HeartbeatTimeout: 4 * o.heartbeat}
 	}
-
-	cfg := dne.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Alpha = alpha
-	cfg.Lambda = lambda
+	var wait func() error
+	if o.rank == 0 {
+		var err error
+		if _, wait, err = cluster.StartRouterOpts(o.addr, o.size, ropt); err != nil {
+			return err
+		}
+	}
 
 	// Ctrl-C aborts the run collectively: the local flag rides the next
 	// superstep's select messages and every rank returns together. The
@@ -128,152 +154,39 @@ func run(rank, size int, addr, shardDir string, seed int64, alpha, lambda float6
 		time.Sleep(hardAbortGrace)
 		hardCancel()
 	}()
+	pol := dialPolicy
+	pol.Seed = cfg.Seed ^ int64(o.rank)
+	opt.Connect = func(context.Context) (cluster.Comm, error) {
+		return cluster.DialTCPRetry(hardCtx, o.addr, o.rank, o.size, pol, dopt)
+	}
 
-	if ft.enabled() {
-		// The fault-tolerant driver owns dialing: it reconnects after a
-		// transport loss, so the node is created (and re-created) inside.
-		start := time.Now()
-		runErr := runShardsFT(ctx, hardCtx, rank, size, addr, shardDir, cfg, ft, start)
-		if wait != nil {
-			done := make(chan error, 1)
-			go func() { done <- wait() }()
-			select {
-			case err := <-done:
-				if runErr == nil {
-					runErr = err
-				}
-			case <-time.After(3 * time.Second):
-			}
+	start := time.Now()
+	res, stats, err := dne.PartitionShardsFT(ctx, cfg, opt)
+	if err == nil {
+		// closing-hand-off is the number of edges, over all ranks, that the
+		// loop's last step assigned in one sweep once no boundary could reach
+		// them: part of every normal run, not a fallback.
+		fmt.Printf("rank %d: iterations=%d partition-edges=%d closing-hand-off=%d peak-mem=%.1fMB comm=%.1fMB\n",
+			o.rank, stats.Iterations, stats.PartEdges, stats.SweptEdges,
+			float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
+		if res != nil {
+			fmt.Printf("rank 0: RESULT |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
+				res.NumEdges(), res.NumParts, res.EdgeBalance(), res.Checksum(), time.Since(start))
 		}
-		return runErr
 	}
-
-	node, err := dialWithRetry(hardCtx, addr, rank, size)
-	if err != nil {
-		return err
-	}
-
-	if runErr := runShards(ctx, node, rank, size, shardDir, cfg, time.Now()); runErr != nil {
-		// Close politely (Bye) and, at rank 0, let the router drain the
-		// final superstep's frames to the other ranks so they abort
-		// collectively rather than finding a dead connection.
-		_ = node.Close()
-		if wait != nil {
-			done := make(chan error, 1)
-			go func() { done <- wait() }()
-			select {
-			case <-done:
-			case <-time.After(3 * time.Second):
-			}
-		}
-		return runErr
-	}
-	if err := node.Close(); err != nil {
-		return err
-	}
+	// At rank 0, let the router drain the final superstep's frames to the
+	// other ranks, so that they finish, or abort collectively, rather than
+	// find a dead connection.
 	if wait != nil {
-		return wait()
-	}
-	return nil
-}
-
-// printStats prints one rank's line. closing-hand-off is the number of edges,
-// over all ranks, that the loop's last step assigned in one sweep once no
-// boundary could reach them: part of every normal run, not a fallback.
-func printStats(rank int, stats *dne.MachineStats) {
-	fmt.Printf("rank %d: iterations=%d partition-edges=%d closing-hand-off=%d peak-mem=%.1fMB comm=%.1fMB\n",
-		rank, stats.Iterations, stats.PartEdges, stats.SweptEdges,
-		float64(stats.MemBytes)/(1<<20), float64(stats.CommBytes)/(1<<20))
-}
-
-// runShards loads this rank's own shard files — it never sees the full
-// graph — and runs its share of the partitioning.
-func runShards(ctx context.Context, node *cluster.TCPNode, rank, size int, dir string, cfg dne.Config, start time.Time) error {
-	shard, err := graph.ReadShardDir(dir, func(index, count uint32) bool {
-		return int(index)%size == rank
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rank %d: loaded %d shard edges (|V|=%d) from %s\n",
-		rank, shard.NumEdges(), shard.NumVertices, dir)
-	res, stats, err := dne.PartitionShards(ctx, node, shard, cfg)
-	if err != nil {
-		return err
-	}
-	printStats(rank, stats)
-	if res != nil {
-		fmt.Printf("rank 0: RESULT |V|=%d |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
-			shard.NumVertices, res.NumEdges(), res.NumParts, res.EdgeBalance(),
-			res.Checksum(), time.Since(start))
-	}
-	return nil
-}
-
-// runShardsFT is the fault-tolerant shard data plane: per-superstep
-// checkpoints in ft.dir, dial retries with backoff, and rejoin after a
-// transport loss. ctx aborts the run collectively at the next superstep
-// boundary; hardCtx is the transport watchdog that kills blocked receives.
-func runShardsFT(ctx, hardCtx context.Context, rank, size int, addr, dir string, cfg dne.Config, ft ftFlags, start time.Time) error {
-	ckpt, err := dne.NewCheckpointer(ft.dir, rank, size, ft.every, cfg)
-	if err != nil {
-		return err
-	}
-	loadShard := func() (*graph.Shard, error) {
-		shard, err := graph.ReadShardDir(dir, func(index, count uint32) bool {
-			return int(index)%size == rank
-		})
-		if err != nil {
-			return nil, err
+		done := make(chan error, 1)
+		go func() { done <- wait() }()
+		select {
+		case werr := <-done:
+			if err == nil {
+				err = werr
+			}
+		case <-time.After(routerDrainGrace):
 		}
-		fmt.Printf("rank %d: loaded %d shard edges (|V|=%d) from %s\n",
-			rank, shard.NumEdges(), shard.NumVertices, dir)
-		return shard, nil
 	}
-	pol := cluster.RetryPolicy{
-		MaxAttempts: 100,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    ft.rejoinWindow / 10,
-		Seed:        cfg.Seed ^ int64(rank),
-	}
-	dopt := cluster.DialOptions{
-		HeartbeatInterval: ft.heartbeat,
-		HeartbeatTimeout:  ft.heartbeatTimeout(),
-	}
-	connect := func(context.Context) (cluster.Comm, error) {
-		return cluster.DialTCPRetry(hardCtx, addr, rank, size, pol, dopt)
-	}
-	res, stats, err := dne.PartitionShardsFT(ctx, cfg, dne.FTOptions{
-		Checkpoint:  ckpt,
-		Connect:     connect,
-		LoadShard:   loadShard,
-		MaxRestarts: ft.maxRestarts,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	printStats(rank, stats)
-	if res != nil {
-		fmt.Printf("rank 0: RESULT |E|=%d parts=%d EB=%.3f checksum=%#x elapsed=%v\n",
-			res.NumEdges(), res.NumParts, res.EdgeBalance(),
-			res.Checksum(), time.Since(start))
-	}
-	return nil
-}
-
-// dialWithRetry tolerates workers starting before the rank-0 router listens.
-func dialWithRetry(ctx context.Context, addr string, rank, size int) (*cluster.TCPNode, error) {
-	var lastErr error
-	for attempt := 0; attempt < 50; attempt++ {
-		node, err := cluster.DialTCPContext(ctx, addr, rank, size)
-		if err == nil {
-			return node, nil
-		}
-		lastErr = err
-		time.Sleep(100 * time.Millisecond)
-	}
-	return nil, lastErr
+	return err
 }

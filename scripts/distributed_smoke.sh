@@ -5,7 +5,9 @@
 # for the same graph, seed and partition count. This is the end-to-end proof
 # that the sharded data plane — shard files, shuffle, per-rank subgraphs,
 # the superstep protocol and collectives over the framed TCP transport —
-# reproduces the in-process partitioning bit for bit.
+# reproduces the in-process partitioning bit for bit. The four workers then
+# run a second time with -ckpt-dir, the checkpointed mode of the same driver,
+# and must print the same checksum.
 set -euo pipefail
 
 SCALE=${SCALE:-12}
@@ -31,25 +33,42 @@ want=$("$workdir/dnepart" -rmat "$SCALE" -ef "$EF" -seed "$SEED" -parts "$PARTS"
 [ -n "$want" ] || { echo "FAIL: no in-process checksum"; exit 1; }
 echo "   checksum: $want"
 
-echo "== $PARTS dneworker processes over shards"
-pids=()
-for rank in $(seq 1 $((PARTS - 1))); do
-  "$workdir/dneworker" -rank "$rank" -size "$PARTS" -addr "$ADDR" \
-    -shard-dir "$workdir/shards" -seed "$SEED" &
-  pids+=($!)
-done
-"$workdir/dneworker" -rank 0 -size "$PARTS" -addr "$ADDR" \
-  -shard-dir "$workdir/shards" -seed "$SEED" | tee "$workdir/rank0.log"
-for pid in "${pids[@]}"; do wait "$pid"; done
+# run_workers <log> [extra flags...]: one dneworker per rank over the shards,
+# rank 0 in the foreground; prints rank 0's RESULT checksum.
+run_workers() {
+  local log=$1
+  shift
+  local pids=()
+  for rank in $(seq 1 $((PARTS - 1))); do
+    "$workdir/dneworker" -rank "$rank" -size "$PARTS" -addr "$ADDR" \
+      -shard-dir "$workdir/shards" -seed "$SEED" "$@" >&2 &
+    pids+=($!)
+  done
+  "$workdir/dneworker" -rank 0 -size "$PARTS" -addr "$ADDR" \
+    -shard-dir "$workdir/shards" -seed "$SEED" "$@" >"$log"
+  for pid in "${pids[@]}"; do wait "$pid"; done
+  cat "$log" >&2
+  awk '/RESULT/ {for (i=1;i<=NF;i++) if ($i ~ /^checksum=/) {sub("checksum=","",$i); print $i}}' "$log"
+}
 
-got=$(awk '/RESULT/ {for (i=1;i<=NF;i++) if ($i ~ /^checksum=/) {sub("checksum=","",$i); print $i}}' \
-  "$workdir/rank0.log")
+echo "== $PARTS dneworker processes over shards"
+got=$(run_workers "$workdir/rank0.log")
 [ -n "$got" ] || { echo "FAIL: no RESULT checksum from rank 0"; exit 1; }
+
+echo "== the same $PARTS workers with -ckpt-dir"
+mkdir -p "$workdir/ckpt"
+got_ckpt=$(run_workers "$workdir/rank0-ckpt.log" -ckpt-dir "$workdir/ckpt")
+[ -n "$got_ckpt" ] || { echo "FAIL: no RESULT checksum from checkpointed rank 0"; exit 1; }
 
 echo "== in-process:   $want"
 echo "== multiprocess: $got"
+echo "== checkpointed: $got_ckpt"
 if [ "$want" != "$got" ]; then
   echo "FAIL: multi-process shard partitioning differs from in-process run"
   exit 1
 fi
-echo "OK: identical partitioning across data planes"
+if [ "$want" != "$got_ckpt" ]; then
+  echo "FAIL: checkpointed multi-process partitioning differs from in-process run"
+  exit 1
+fi
+echo "OK: identical partitioning across data planes, with and without checkpoints"
