@@ -127,8 +127,8 @@ func TestFTWithoutCheckpointDoesNotRejoin(t *testing.T) {
 		t.Fatal("scheduled kill never fired")
 	}
 	for rank, err := range errs {
-		var cl *cluster.ConnLostError
-		if !errors.As(err, &cl) {
+		var lost *cluster.ConnLostError
+		if !errors.As(err, &lost) {
 			t.Errorf("rank %d: %v, want a *cluster.ConnLostError", rank, err)
 		}
 		if n := connects[rank].Load(); n != 1 {
@@ -160,8 +160,8 @@ func TestOneRankCancelledAbortsEveryRank(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("rank %d: %v, want context.Canceled", rank, err)
 			}
-			var cl *cluster.ConnLostError
-			if errors.As(err, &cl) {
+			var lost *cluster.ConnLostError
+			if errors.As(err, &lost) {
 				t.Errorf("rank %d: a cancelled run lost its transport: %v", rank, err)
 			}
 		}
@@ -179,10 +179,14 @@ func TestOneRankCancelledAbortsEveryRank(t *testing.T) {
 	t.Run("checkpointed", func(t *testing.T) {
 		cl := cluster.New(parts)
 		shards := graph.ShardsOf(g, parts)
+		dirs := make([]string, parts)
+		for rank := range dirs {
+			dirs[rank] = t.TempDir()
+		}
 		var mu sync.Mutex
 		var log strings.Builder
 		wantCanceled(t, runRanksWithin(t, parts, func(rank int) error {
-			ckpt, err := NewCheckpointer(t.TempDir(), rank, parts, 1, cfg)
+			ckpt, err := NewCheckpointer(dirs[rank], rank, parts, 1, cfg)
 			if err != nil {
 				return err
 			}
