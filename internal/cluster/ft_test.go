@@ -216,6 +216,22 @@ func TestDialRetrySurvivesInjectedFailures(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffJitterIsNonNegative pins backoff's documented range,
+// [delay, 1.5·delay), for every attempt of a long policy and several seeds:
+// a worker's minimum wait for a router is the sum of the un-jittered delays.
+func TestRetryBackoffJitterIsNonNegative(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		p := RetryPolicy{MaxAttempts: 60, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Seed: seed}
+		d := p.BaseDelay
+		for i := 0; i < p.MaxAttempts; i++ {
+			if got := p.backoff(i); got < d || got >= d+d/2 {
+				t.Fatalf("seed %d attempt %d: backoff %v outside [%v, %v)", seed, i, got, d, d+d/2)
+			}
+			d = min(2*d, p.MaxDelay)
+		}
+	}
+}
+
 func TestDialRetryGivesUp(t *testing.T) {
 	fc := FaultConfig{Seed: 5, DialFailRate: 1} // every attempt fails
 	_, err := DialTCPRetry(context.Background(), "127.0.0.1:1", 0, 2,

@@ -43,7 +43,7 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 		d = p.MaxDelay
 	}
 	if half := int64(d / 2); half > 0 {
-		d += time.Duration(int64(splitmix64(uint64(p.Seed)^uint64(i)*0x9e3779b97f4a7c15)) % half)
+		d += time.Duration(splitmix64(uint64(p.Seed)^uint64(i)*0x9e3779b97f4a7c15) % uint64(half))
 	}
 	return d
 }
