@@ -45,11 +45,17 @@ const (
 )
 
 // dialPolicy is how a worker dials the router, at start and after a
-// transport loss. Workers may start before rank 0's router listens, so a
+// transport loss. Workers may start before rank 0's router listens, and a
+// crashed rank 0 brings its router back only once it is restarted, so a
 // refused dial is retried with backoff from 100 ms up to a 2 s cap, 30
-// attempts in all: a worker gives up on a router that never comes up after
-// 51 to 77 s.
-var dialPolicy = cluster.RetryPolicy{MaxAttempts: 30, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
+// attempts plus one per 2 s of rejoinWindow: a worker gives up on a router
+// that never comes up after at least 51 s plus rejoinWindow and at most 1.5
+// times that (81 to 122 s at the 30 s default).
+func dialPolicy(rejoinWindow time.Duration, seed int64) cluster.RetryPolicy {
+	const maxDelay = 2 * time.Second
+	extra := int((max(rejoinWindow, 0) + maxDelay - 1) / maxDelay)
+	return cluster.RetryPolicy{MaxAttempts: 30 + extra, BaseDelay: 100 * time.Millisecond, MaxDelay: maxDelay, Seed: seed}
+}
 
 // options is the command line.
 type options struct {
@@ -73,7 +79,7 @@ func main() {
 	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
 	flag.IntVar(&o.ckptEvery, "ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
 	flag.IntVar(&o.maxRestarts, "max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")
-	flag.DurationVar(&o.rejoinWindow, "rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin")
+	flag.DurationVar(&o.rejoinWindow, "rejoin-window", 30*time.Second, "fault tolerance: how long the router waits for a restarted worker to rejoin; workers keep dialling a missing router this much longer")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 0, "fault tolerance: heartbeat interval for detecting wedged peers (0 = off)")
 	flag.Parse()
 	if o.shardDir == "" {
@@ -154,8 +160,7 @@ func run(o options) error {
 		time.Sleep(hardAbortGrace)
 		hardCancel()
 	}()
-	pol := dialPolicy
-	pol.Seed = cfg.Seed ^ int64(o.rank)
+	pol := dialPolicy(o.rejoinWindow, cfg.Seed^int64(o.rank))
 	opt.Connect = func(context.Context) (cluster.Comm, error) {
 		return cluster.DialTCPRetry(hardCtx, o.addr, o.rank, o.size, pol, dopt)
 	}

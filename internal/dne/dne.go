@@ -150,6 +150,9 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 	if numParts <= 0 {
 		return nil, fmt.Errorf("dne: numParts must be positive, got %d", numParts)
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if g.NumEdges() == 0 {
 		return nil, errors.New("dne: graph has no edges")
 	}

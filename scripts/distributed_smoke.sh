@@ -34,30 +34,34 @@ want=$("$workdir/dnepart" -rmat "$SCALE" -ef "$EF" -seed "$SEED" -parts "$PARTS"
 echo "   checksum: $want"
 
 # run_workers <log> [extra flags...]: one dneworker per rank over the shards,
-# rank 0 in the foreground; prints rank 0's RESULT checksum.
+# rank 0 in the foreground; prints rank 0's RESULT checksum. It fails if any
+# worker exits non-zero. It runs inside $(...), where bash turns errexit off,
+# so every exit status is checked explicitly, after all workers are reaped.
 run_workers() {
   local log=$1
   shift
-  local pids=()
+  local pids=() rank pid status=0
   for rank in $(seq 1 $((PARTS - 1))); do
     "$workdir/dneworker" -rank "$rank" -size "$PARTS" -addr "$ADDR" \
       -shard-dir "$workdir/shards" -seed "$SEED" "$@" >&2 &
     pids+=($!)
   done
   "$workdir/dneworker" -rank 0 -size "$PARTS" -addr "$ADDR" \
-    -shard-dir "$workdir/shards" -seed "$SEED" "$@" >"$log"
-  for pid in "${pids[@]}"; do wait "$pid"; done
+    -shard-dir "$workdir/shards" -seed "$SEED" "$@" >"$log" || status=1
+  for pid in "${pids[@]}"; do wait "$pid" || status=1; done
   cat "$log" >&2
+  [ "$status" -eq 0 ] || return 1
   awk '/RESULT/ {for (i=1;i<=NF;i++) if ($i ~ /^checksum=/) {sub("checksum=","",$i); print $i}}' "$log"
 }
 
 echo "== $PARTS dneworker processes over shards"
-got=$(run_workers "$workdir/rank0.log")
+got=$(run_workers "$workdir/rank0.log") || { echo "FAIL: a worker exited non-zero"; exit 1; }
 [ -n "$got" ] || { echo "FAIL: no RESULT checksum from rank 0"; exit 1; }
 
 echo "== the same $PARTS workers with -ckpt-dir"
 mkdir -p "$workdir/ckpt"
-got_ckpt=$(run_workers "$workdir/rank0-ckpt.log" -ckpt-dir "$workdir/ckpt")
+got_ckpt=$(run_workers "$workdir/rank0-ckpt.log" -ckpt-dir "$workdir/ckpt") ||
+  { echo "FAIL: a checkpointed worker exited non-zero"; exit 1; }
 [ -n "$got_ckpt" ] || { echo "FAIL: no RESULT checksum from checkpointed rank 0"; exit 1; }
 
 echo "== in-process:   $want"
