@@ -121,34 +121,25 @@ func applyDelta(packed [][]uint64, d *Delta) [][]uint64 {
 	return out
 }
 
-// TestEpochOverlayMatchesRebuild: an epoch's every query must agree with a
-// store rebuilt from scratch on the delta-applied edge set — including
-// degrees, neighbors, KHop results, and the compacted store itself.
-func TestEpochOverlayMatchesRebuild(t *testing.T) {
-	g := gen.RMAT(9, 8, 3)
-	const numShards = 4
-	packed := shardPacked(g, numShards, 11)
-	base, err := BuildFromShards(g.NumVertices(), packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Mutate: delete a seeded sample of base edges, insert fresh edges —
-	// some between existing vertices, some minting new vertex ids.
-	rng := rand.New(rand.NewSource(5))
+// randomDelta mutates the base whose per-shard packed lists are packed and
+// whose |V| is n: it deletes each base edge with probability 1/delOneIn
+// (none when delOneIn is 0), then tries adds seeded insertions between ids
+// below n+mint, so mint > 0 names vertex ids beyond the base.
+func randomDelta(packed [][]uint64, n graph.Vertex, delOneIn, adds, mint int, seed int64) *Delta {
+	numShards := len(packed)
+	rng := rand.New(rand.NewSource(seed))
 	d := NewDelta(numShards)
-	for s := 0; s < numShards; s++ {
+	for s := 0; s < numShards && delOneIn > 0; s++ {
 		for _, k := range packed[s] {
-			if rng.Intn(10) == 0 {
+			if rng.Intn(delOneIn) == 0 {
 				e := graph.UnpackEdge(k)
 				d.DelEdge(s, e.U, e.V)
 			}
 		}
 	}
-	n := g.NumVertices()
-	for i := 0; i < 500; i++ {
+	for i := 0; i < adds; i++ {
 		u := graph.Vertex(rng.Intn(int(n)))
-		v := graph.Vertex(rng.Intn(int(n) + 40)) // some beyond base |V|
+		v := graph.Vertex(rng.Intn(int(n) + mint))
 		if u == v {
 			continue
 		}
@@ -164,6 +155,31 @@ func TestEpochOverlayMatchesRebuild(t *testing.T) {
 		}
 		d.AddEdge(s, u, v)
 	}
+	return d
+}
+
+// overlayGraph is the whole graph an epoch over packed with delta d serves:
+// the delta-applied edge set on the epoch's vertex range.
+func overlayGraph(ep *Epoch, packed [][]uint64, d *Delta) *graph.Graph {
+	return graph.FromPacked(ep.NumVertices(), slices.Concat(applyDelta(packed, d)...))
+}
+
+// TestEpochOverlayMatchesRebuild: an epoch's every query must agree with a
+// store rebuilt from scratch on the delta-applied edge set — including
+// degrees, neighbors, KHop results, and the compacted store itself.
+func TestEpochOverlayMatchesRebuild(t *testing.T) {
+	g := gen.RMAT(9, 8, 3)
+	const numShards = 4
+	packed := shardPacked(g, numShards, 11)
+	base, err := BuildFromShards(g.NumVertices(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Mutate: delete a seeded sample of base edges, insert fresh edges —
+	// some between existing vertices, some minting new vertex ids.
+	n := g.NumVertices()
+	d := randomDelta(packed, n, 10, 500, 40, 5)
 
 	ep := NewEpoch(base, d.Clone(), 1)
 	want := applyDelta(packed, d)

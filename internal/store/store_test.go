@@ -2,7 +2,9 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -185,38 +187,19 @@ func bfsOracle(g *graph.Graph, src graph.Vertex, k int) ([]graph.Vertex, []int32
 	return verts, depths
 }
 
-// TestKHopMatchesOracle is the tentpole acceptance test: the fan-out BFS
-// over shards equals a single-threaded BFS on the whole graph.
+// TestKHopMatchesOracle is the tentpole acceptance test: the level-by-level
+// BFS over shards equals a single-threaded BFS on the whole graph, in its
+// vertices, depths, level sizes, cross-shard hops and shard tasks, for
+// k ∈ 0..4.
 func TestKHopMatchesOracle(t *testing.T) {
-	ctx := context.Background()
 	for name, g := range testGraphs(t) {
 		for _, parts := range []int{1, 4, 7} {
 			st := buildRandom(t, g, parts, 99)
 			rng := rand.New(rand.NewSource(13))
 			for trial := 0; trial < 10; trial++ {
 				src := graph.Vertex(rng.Intn(int(g.NumVertices())))
-				k := rng.Intn(5)
-				got, err := st.KHop(ctx, src, k)
-				if err != nil {
-					t.Fatalf("%s/%d: khop(%d,%d): %v", name, parts, src, k, err)
-				}
-				wantV, wantD := bfsOracle(g, src, k)
-				if len(got.Vertices) != len(wantV) {
-					t.Fatalf("%s/%d: khop(%d,%d) found %d vertices, oracle %d",
-						name, parts, src, k, len(got.Vertices), len(wantV))
-				}
-				for i := range wantV {
-					if got.Vertices[i] != wantV[i] || got.Depths[i] != wantD[i] {
-						t.Fatalf("%s/%d: khop(%d,%d)[%d] = (%d,%d), oracle (%d,%d)",
-							name, parts, src, k, i, got.Vertices[i], got.Depths[i], wantV[i], wantD[i])
-					}
-				}
-				var lvlTotal int64
-				for _, l := range got.LevelSizes {
-					lvlTotal += l
-				}
-				if lvlTotal != int64(len(got.Vertices)) {
-					t.Fatalf("%s/%d: level sizes sum %d != %d vertices", name, parts, lvlTotal, len(got.Vertices))
+				for k := 0; k <= 4; k++ {
+					checkKHop(t, fmt.Sprintf("%s/%d", name, parts), st, g, src, k)
 				}
 			}
 		}
@@ -329,11 +312,28 @@ func TestMetricsCounts(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueries exercises the fan-out path under parallel load; the
-// CI race job (go test -race) makes this a data-race check.
+// TestConcurrentQueries runs the query mix from parallel goroutines against
+// a store and against an overlay epoch over it, checking every KHop answer
+// against the oracle; the CI race job (go test -race) makes this a
+// data-race check of the shared store, overlay and pooled KHop scratch.
 func TestConcurrentQueries(t *testing.T) {
 	g := gen.RMAT(8, 8, 11)
-	st := buildRandom(t, g, 6, 11)
+	packed := shardPacked(g, 6, 11)
+	st, err := BuildFromShards(g.NumVertices(), packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := randomDelta(packed, g.NumVertices(), 6, 200, 30, 12)
+	ep := NewEpoch(st, d, 1)
+	type target interface {
+		Degree(graph.Vertex) (int64, error)
+		Neighbors(graph.Vertex) ([]graph.Vertex, error)
+		KHop(context.Context, graph.Vertex, int) (*KHopResult, error)
+	}
+	targets := []struct {
+		q target
+		g *graph.Graph
+	}{{st, g}, {ep, overlayGraph(ep, packed, d)}}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -342,21 +342,27 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for q := 0; q < 100; q++ {
-				v := graph.Vertex(rng.Intn(int(g.NumVertices())))
+				tg := targets[q%2]
+				v := graph.Vertex(rng.Intn(int(tg.g.NumVertices())))
 				switch q % 3 {
 				case 0:
-					if _, err := st.Degree(v); err != nil {
+					if _, err := tg.q.Degree(v); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if _, err := st.Neighbors(v); err != nil {
+					if _, err := tg.q.Neighbors(v); err != nil {
 						t.Error(err)
 						return
 					}
 				case 2:
-					if _, err := st.KHop(ctx, v, 2); err != nil {
+					res, err := tg.q.KHop(ctx, v, 2)
+					if err != nil {
 						t.Error(err)
+						return
+					}
+					if want, _ := bfsOracle(tg.g, v, 2); !slices.Equal(res.Vertices, want) {
+						t.Errorf("khop(%d,2) found %d vertices, oracle %d", v, len(res.Vertices), len(want))
 						return
 					}
 				}
