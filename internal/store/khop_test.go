@@ -138,6 +138,44 @@ func TestKHopScratchAcrossSizes(t *testing.T) {
 	}
 }
 
+// khopSink keeps BenchmarkKHop's results live.
+var khopSink *KHopResult
+
+// BenchmarkKHop runs 2-hop traversals from a seeded cycle of sources on RMAT
+// 12 (edge factor 16) over 8 shards: on the base store, and on an overlay
+// epoch over it with deletes, adds and ids minted beyond the base.
+func BenchmarkKHop(b *testing.B) {
+	g := gen.RMAT(12, 16, 1)
+	n := g.NumVertices()
+	packed := shardPacked(g, 8, 2)
+	st, err := BuildFromShards(n, packed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep := NewEpoch(st, randomDelta(packed, n, 20, 2000, 100, 3), 1)
+	rng := rand.New(rand.NewSource(4))
+	srcs := make([]graph.Vertex, 1024)
+	for i := range srcs {
+		srcs[i] = graph.Vertex(rng.Intn(int(n)))
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		q    khopper
+	}{{"base", st}, {"overlay", ep}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := tc.q.KHop(ctx, srcs[i%len(srcs)], 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				khopSink = res
+			}
+		})
+	}
+}
+
 // cancelAfter is a context whose Err reports cancellation from its
 // (n+1)-th call on, so a traversal stops after n levels.
 type cancelAfter struct {
