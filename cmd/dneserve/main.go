@@ -13,7 +13,7 @@
 //	GET    /api/store            list resident stores with serving metrics
 //	DELETE /api/store/{id}       drop a store
 //	POST   /api/query/neighbors  point lookups against a store
-//	POST   /api/query/khop       k-hop BFS fanned out across the shards
+//	POST   /api/query/khop       k-hop BFS across the shards
 //	POST   /api/live/ingest      append edge insertions/deletions to the
 //	                             live graph, placed incrementally
 //	GET    /api/live/stats       live-graph counters (?checksum=1 digests

@@ -62,7 +62,8 @@ func main() {
 	fmt.Printf("\nvertex %d: master shard %d, replicas %v, degree %d, first neighbors %v\n",
 		v, master, st.Replicas(v), deg, ns[:min(5, len(ns))])
 
-	// 4. Traversals fan out one goroutine per shard and merge frontiers.
+	// 4. Traversals scan, level by level, every shard holding a copy of a
+	//    frontier vertex; each copy beyond the first is a cross-shard hop.
 	hop, err := st.KHop(ctx, v, 2)
 	if err != nil {
 		log.Fatal(err)

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -434,6 +435,15 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 	}
 	var out []graph.Vertex
 	reps := e.Replicas(v)
+	if e.delta == nil {
+		// One allocation of the exact size; an overlay's live degree
+		// would cost a scan of the deletions, so overlays grow as they go.
+		var n int64
+		for _, s := range reps {
+			n += e.base.shards[s].degreeOf(v)
+		}
+		out = slices.Grow(out, int(n))
+	}
 	for _, s := range reps {
 		m.touchShard(int(s))
 		out = e.shardNeighborsInto(int(s), v, out)
@@ -443,13 +453,18 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 	return out, nil
 }
 
-// KHop runs a level-synchronous BFS from v to depth k. Each level the
-// frontier is routed to every shard holding a copy of a frontier vertex;
-// one goroutine per touched shard scans its live adjacency (base through
-// the deletion filter, plus overlay insertions), and the results merge into
-// the next frontier. The fan-out is where a partitioning's replication
-// factor becomes serving cost: every mirror of a frontier vertex is one
-// extra shard fetch.
+// KHop runs a level-synchronous BFS from v to depth k on the caller's
+// goroutine. Each level the frontier is routed to every shard holding a copy
+// of a frontier vertex, and each touched shard scans its live adjacency
+// (base through the deletion filter, plus overlay insertions) for the
+// frontier vertices routed to it. The routing is where a partitioning's
+// replication factor becomes serving cost: every mirror of a frontier vertex
+// is one extra shard fetch, every touched shard one scan task.
+//
+// Newly reached vertices are marked in a dense level bitset beside the
+// visited one, so each level is read out in id order without a sort. The two
+// bitsets cost 2 × |V|/8 bytes per concurrently running KHop; a sync.Pool
+// keeps them between queries, so a query allocates only its result.
 func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, error) {
 	m := &e.base.metrics
 	defer m.end(qKHop, m.begin(qKHop))
@@ -466,14 +481,14 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		Depths:     []int32{0},
 		LevelSizes: []int64{1},
 	}
-	visited := make([]uint64, (e.numVertices+63)/64)
-	visited[v/64] |= 1 << (v % 64)
-	frontier := []graph.Vertex{v}
 	numShards := len(e.base.shards)
-	perShard := make([][]graph.Vertex, numShards)
-	outs := make([][]graph.Vertex, numShards)
+	sc := getKHopScratch(e.numVertices, numShards)
+	defer sc.release(res)
+	sc.visited[v/64] |= 1 << (v % 64)
+	perShard := sc.perShard[:numShards]
 
-	for depth := int32(1); int(depth) <= k && len(frontier) > 0; depth++ {
+	// res.Vertices[start:] is the frontier: the level reached last.
+	for depth, start := int32(1), 0; int(depth) <= k && start < len(res.Vertices); depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -483,55 +498,131 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		for s := range perShard {
 			perShard[s] = perShard[s][:0]
 		}
-		for _, u := range frontier {
+		for _, u := range res.Vertices[start:] {
 			reps := e.Replicas(u)
 			for _, s := range reps {
 				perShard[s] = append(perShard[s], u)
 			}
 			res.CrossShardHops += crossHops(len(reps))
 		}
-		var wg sync.WaitGroup
-		for s := range perShard {
-			if len(perShard[s]) == 0 {
-				outs[s] = outs[s][:0]
+		for s, us := range perShard {
+			if len(us) == 0 {
 				continue
 			}
 			res.ShardTasks++
 			m.touchShard(s)
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				out := outs[s][:0]
-				for _, u := range perShard[s] {
-					out = e.shardNeighborsInto(s, u, out)
-				}
-				outs[s] = out
-			}(s)
+			e.scanShard(s, us, sc)
 		}
-		wg.Wait()
-
-		var next []graph.Vertex
-		for s := range outs {
-			for _, w := range outs[s] {
-				if visited[w/64]&(1<<(w%64)) == 0 {
-					visited[w/64] |= 1 << (w % 64)
-					next = append(next, w)
-				}
-			}
-		}
-		slices.Sort(next)
-		for _, w := range next {
-			res.Vertices = append(res.Vertices, w)
-			res.Depths = append(res.Depths, depth)
-		}
-		if len(next) > 0 {
-			res.LevelSizes = append(res.LevelSizes, int64(len(next)))
-		}
-		frontier = next
+		start = len(res.Vertices)
+		sc.appendLevel(res, depth)
+		// Yield once per level. Two closed-loop clients on two Ps would
+		// otherwise run query after query without entering the scheduler,
+		// and a GC cycle's mark phase then waits out the 10ms preemption
+		// quantum to reach them: the cycle stretches and the heap peaks
+		// higher while it runs.
+		runtime.Gosched()
 	}
 	m.addHops(res.CrossShardHops)
 	m.addTasks(res.ShardTasks)
 	return res, nil
+}
+
+// scanShard marks every live neighbour on shard s of the frontier vertices
+// us: the base adjacency read in place, minus deleted edges, plus overlay
+// insertions. It is shardNeighborsInto without the copy into a buffer.
+func (e *Epoch) scanShard(s int, us []graph.Vertex, sc *khopScratch) {
+	sh := e.base.shards[s]
+	var dels map[uint64]struct{}
+	var adds map[graph.Vertex][]graph.Vertex
+	if e.delta != nil {
+		dels, adds = e.delta.dels[s], e.delta.adds[s]
+	}
+	for _, u := range us {
+		for _, w := range sh.neighborsOf(u) {
+			if len(dels) > 0 {
+				if _, dead := dels[graph.PackEdge(u, w)]; dead {
+					continue
+				}
+			}
+			sc.mark(w)
+		}
+		for _, w := range adds[u] {
+			sc.mark(w)
+		}
+	}
+}
+
+// khopScratch is one KHop's working memory: the visited and level bitsets
+// over vertex ids and the frontier routed to each shard. Between queries,
+// in khopPool, every bit of both bitsets is clear.
+type khopScratch struct {
+	visited, level []uint64
+	perShard       [][]graph.Vertex
+	lo, hi         int // word range holding level's bits; empty when lo > hi
+	n              int // vertices in level
+}
+
+var khopPool = sync.Pool{New: func() any { return new(khopScratch) }}
+
+// getKHopScratch returns clean scratch for vertex ids below numVertices and
+// numShards shards. Epochs of every size share the pool: scratch grows to
+// the largest epoch it has served.
+func getKHopScratch(numVertices uint32, numShards int) *khopScratch {
+	sc := khopPool.Get().(*khopScratch)
+	words := (int(numVertices) + 63) / 64
+	if cap(sc.visited) < words {
+		sc.visited = make([]uint64, words)
+		sc.level = make([]uint64, words)
+	}
+	sc.visited, sc.level = sc.visited[:words], sc.level[:words]
+	if len(sc.perShard) < numShards {
+		sc.perShard = make([][]graph.Vertex, numShards)
+	}
+	sc.lo, sc.hi, sc.n = words, -1, 0
+	return sc
+}
+
+// release clears the visited bits, which are exactly those of res's
+// vertices, and returns sc to the pool. It runs on every exit from KHop, a
+// cancelled one included.
+func (sc *khopScratch) release(res *KHopResult) {
+	for _, w := range res.Vertices {
+		sc.visited[w/64] = 0
+	}
+	khopPool.Put(sc)
+}
+
+// mark records w as reached: the first time, it joins the current level.
+func (sc *khopScratch) mark(w graph.Vertex) {
+	i, bit := int(w/64), uint64(1)<<(w%64)
+	if sc.visited[i]&bit != 0 {
+		return
+	}
+	sc.visited[i] |= bit
+	sc.level[i] |= bit
+	sc.lo, sc.hi = min(sc.lo, i), max(sc.hi, i)
+	sc.n++
+}
+
+// appendLevel appends the current level to res at the given depth, in id
+// order, growing Vertices and Depths once to their exact size, and clears
+// the level bitset for the next one.
+func (sc *khopScratch) appendLevel(res *KHopResult, depth int32) {
+	if sc.n == 0 {
+		return
+	}
+	vs := append(make([]graph.Vertex, 0, len(res.Vertices)+sc.n), res.Vertices...)
+	ds := append(make([]int32, 0, len(res.Depths)+sc.n), res.Depths...)
+	for i := sc.lo; i <= sc.hi; i++ {
+		for word := sc.level[i]; word != 0; word &= word - 1 {
+			vs = append(vs, graph.Vertex(i*64+bits.TrailingZeros64(word)))
+			ds = append(ds, depth)
+		}
+		sc.level[i] = 0
+	}
+	res.Vertices, res.Depths = vs, ds
+	res.LevelSizes = append(res.LevelSizes, int64(sc.n))
+	sc.lo, sc.hi, sc.n = len(sc.level), -1, 0
 }
 
 // ShardEdgesPacked returns shard s's live canonical edge list, sorted — the

@@ -42,7 +42,7 @@ func NewObs(reg *obs.Registry) *Obs {
 		hops: reg.Counter("dne_store_cross_shard_hops_total",
 			"Replica fetches beyond the first, summed over queries."),
 		tasks: reg.Counter("dne_store_shard_tasks_total",
-			"Per-shard scan tasks fanned out by KHop traversals."),
+			"Per-shard scan tasks run by KHop traversals."),
 	}
 	for k := range o.latency {
 		o.latency[k] = reg.DurationHistogram("dne_store_query_duration_seconds",

@@ -231,13 +231,14 @@ type KHopResult struct {
 	// CrossShardHops is the replica fetches beyond the first per expanded
 	// frontier vertex — the traffic a distributed BFS pays for mirrors.
 	CrossShardHops int64
-	// ShardTasks is the number of per-shard scan tasks the traversal
-	// fanned out (one goroutine each).
+	// ShardTasks is the number of per-shard scans the traversal ran: one
+	// per level for each shard holding a copy of a frontier vertex.
 	ShardTasks int64
 }
 
-// KHop runs a level-synchronous BFS from v to depth k, fanning each level
-// out to one goroutine per shard holding a copy of a frontier vertex.
+// KHop runs a level-synchronous BFS from v to depth k on the caller's
+// goroutine, scanning each level on every shard holding a copy of a
+// frontier vertex (Epoch.KHop).
 func (st *Store) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, error) {
 	return st.view.KHop(ctx, v, k)
 }
