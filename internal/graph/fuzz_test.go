@@ -8,16 +8,17 @@ import (
 )
 
 // Fuzz targets for the two decoders that face bytes from disk or the
-// network: the ESZ1 compressed shard reader and the DNE1 binary edge list.
-// Both already carry hostile-input test tables; fuzzing explores the space
-// between those hand-written mutations. The contract under fuzzing is the
-// hardening contract: any byte string either decodes to in-range canonical
-// edges or returns an error — no panics, no unbounded allocation (chunk
-// caps bound every make), no silently out-of-range endpoints.
+// network: the shard reader (raw EShard and compressed ESZ1, one container
+// with two chunk codecs) and the DNE1 binary edge list. Both already carry
+// hostile-input test tables; fuzzing explores the space between those
+// hand-written mutations. The contract under fuzzing is the hardening
+// contract: any byte string either decodes to in-range canonical edges or
+// returns an error — no panics, no unbounded allocation (chunk caps bound
+// every make), no silently out-of-range endpoints.
 //
 // Run locally with:
 //
-//	go test -run='^$' -fuzz=FuzzZShardReader -fuzztime=30s ./internal/graph
+//	go test -run='^$' -fuzz=FuzzShardReader -fuzztime=30s ./internal/graph
 //	go test -run='^$' -fuzz=FuzzBinarySource -fuzztime=30s ./internal/graph
 
 // fuzzSeedZShard builds a small valid ESZ1 file via the real writer so the
@@ -39,12 +40,11 @@ func fuzzSeedZShard() []byte {
 	return buf.Bytes()
 }
 
-func FuzzZShardReader(f *testing.F) {
-	f.Add(fuzzSeedZShard())
-	// The hostile-input table's core mutations, rebuilt as raw seeds:
-	// header corruptions, over-declared counts, truncated and overflowing
-	// varints (see TestZShardReaderRejectsHostileInput).
+func FuzzShardReader(f *testing.F) {
 	seed := fuzzSeedZShard()
+	f.Add(seed)
+	// Header corruptions, truncations, over-declared counts, and truncated
+	// and overflowing varints of the ESZ1 file.
 	badMagic := bytes.Clone(seed)
 	binary.LittleEndian.PutUint32(badMagic[0:], 0xdeadbeef)
 	f.Add(badMagic)
@@ -56,16 +56,21 @@ func FuzzZShardReader(f *testing.F) {
 	f.Add(zFile(64, ^uint64(0), zChunk(1<<30, uvarints(1, 0))))             // over-declared chunk
 	f.Add(zFile(64, ^uint64(0), zChunk(1, []byte{0x80})))                   // truncated varint
 	f.Add(zFile(64, ^uint64(0), zChunk(1, bytes.Repeat([]byte{0xff}, 10)))) // overflowing varint
+	// A valid raw file, then both hardening tables.
+	f.Add(validShardBytes(f, 64, []Edge{{0, 1}, {1, 2}, {2, 63}}))
+	for _, tc := range append(rawHostileShards(f), zHostileShards()...) {
+		f.Add(tc.build())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		zr, err := NewZShardReader(bytes.NewReader(data))
+		sr, err := NewShardReader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		info := zr.Info()
-		var edges uint64
+		info := sr.Info()
+		var edges, last uint64
 		for {
-			chunk, err := zr.Next()
+			chunk, err := sr.Next()
 			if err != nil {
 				if err != io.EOF && err.Error() == "" {
 					t.Fatalf("empty error message")
@@ -80,6 +85,10 @@ func FuzzZShardReader(f *testing.F) {
 				if v >= uint64(info.NumVertices) {
 					t.Fatalf("endpoint %d out of declared range %d", v, info.NumVertices)
 				}
+				if sr.codec.sorted && k < last {
+					t.Fatalf("key %#x after %#x in a sorted format", k, last)
+				}
+				last = k
 			}
 			edges += uint64(len(chunk))
 			if edges > 1<<24 {

@@ -3,19 +3,20 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 )
 
-// RecoverShardTail repairs an EShard file whose tail was torn by a crash —
+// RecoverShardTail repairs a shard file whose tail was torn by a crash —
 // a process SIGKILLed mid-append leaves a valid chunk prefix followed by a
-// partial frame and no terminator. The walk accepts chunks from the start
-// for as long as they validate (bounded count, complete payload, canonical
-// in-range edges); at the first bad frame the file is truncated back to the
-// end of the last good chunk and resealed with a fresh terminator and
-// footer. Junk after a valid terminator is likewise dropped.
+// partial frame and no terminator. The frame walk accepts chunks from the
+// start for as long as the reader would accept them (bounded count and
+// payload length, complete payload, every edge decoding canonical and in
+// range — for ESZ1 also in order, which the per-chunk delta reset makes
+// checkable chunk by chunk); at the first bad frame the file is truncated
+// back to the end of the last good chunk and resealed with a fresh
+// terminator and footer. Junk after a valid terminator is likewise dropped.
 //
-// On success the file is a fully valid EShard holding every edge that was
+// On success the file is a fully valid shard holding every edge that was
 // durably and correctly written. The returned counts say what happened:
 // edges now in the file, and how many tail bytes were discarded (0 means
 // the file was already valid and was not modified). The header's declared
@@ -24,140 +25,46 @@ import (
 //
 // A file whose *header* is unreadable or invalid is not recoverable — there
 // is no prefix to salvage — and returns an error.
-//
-// Compressed ESZ1 shards recover the same way: the magic selects the walk,
-// and chunks are accepted for as long as they fully decode (the per-chunk
-// delta reset is what makes each chunk independently checkable).
 func RecoverShardTail(path string) (edges uint64, droppedBytes int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-
-	var hdr [28]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("graph: unrecoverable shard %s: reading header: %w", path, err)
-	}
-	compressed := false
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case shardMagic:
-	case zshardMagic:
-		compressed = true
-	default:
-		return 0, 0, fmt.Errorf("graph: unrecoverable shard %s: bad magic", path)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != shardVersion {
-		return 0, 0, fmt.Errorf("graph: unrecoverable shard %s: unsupported version %d", path, v)
-	}
-	info := ShardInfo{
-		NumVertices: binary.LittleEndian.Uint32(hdr[8:]),
-		Index:       binary.LittleEndian.Uint32(hdr[12:]),
-		Count:       binary.LittleEndian.Uint32(hdr[16:]),
-		NumEdges:    binary.LittleEndian.Uint64(hdr[20:]),
-	}
-	if err := info.validate(); err != nil {
-		return 0, 0, fmt.Errorf("graph: unrecoverable shard %s: %w", path, err)
+	info, c, err := readShardHeader(f)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%s: unrecoverable shard: %w", path, err)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
 	}
 	size := st.Size()
-
-	if compressed {
-		edges, droppedBytes, err = recoverZShardTail(f, info, size)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%s: %w", path, err)
-		}
-		return edges, droppedBytes, nil
-	}
-
-	// Walk the chunk frames, validating payloads exactly as ShardReader
-	// would. lastGood tracks the end of the longest valid chunk prefix.
-	var total uint64
-	offset := int64(28)
-	lastGood := offset
-	nv := uint64(info.NumVertices)
-	page := make([]byte, maxShardChunkEdges*8)
-	sealed := false // saw a terminator whose footer matches
-	for {
-		var cnt [4]byte
-		if _, err := f.ReadAt(cnt[:], offset); err != nil {
-			break // torn mid chunk header (or clean EOF with no terminator)
-		}
-		n := binary.LittleEndian.Uint32(cnt[:])
-		if n == 0 {
-			var foot [8]byte
-			if _, err := f.ReadAt(foot[:], offset+4); err != nil {
-				break // torn mid footer
-			}
-			if binary.LittleEndian.Uint64(foot[:]) != total {
-				break // footer contradicts the chunks; rewrite it
-			}
-			sealed = true
-			offset += 12
-			break
-		}
-		if n > maxShardChunkEdges {
-			break // not a believable frame
-		}
-		payload := page[:int(n)*8]
-		if _, err := f.ReadAt(payload, offset+4); err != nil {
-			break // torn mid payload
-		}
-		ok := true
-		for i := 0; i < int(n); i++ {
-			k := binary.LittleEndian.Uint64(payload[i*8:])
-			u, v := k>>32, k&0xffffffff
-			if u >= v || v >= nv {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break // garbage where edges should be
-		}
-		total += uint64(n)
-		offset += 4 + int64(n)*8
-		lastGood = offset
-	}
-
-	if sealed && offset == size {
+	w := walkFrames(f, size, c, info, true)
+	if w.sealed && w.end == size && (info.NumEdges == unknownEdgeCount || info.NumEdges == w.edges) {
 		// Already a fully valid file (the common, non-crashed case):
 		// leave it untouched.
-		if info.NumEdges != unknownEdgeCount && info.NumEdges != total {
-			// Header contradicts a structurally valid body — fall through
-			// and reseal with the sentinel header below.
-		} else {
-			return total, 0, nil
-		}
+		return w.edges, 0, nil
 	}
 
-	// Reseal: drop the torn tail (and any junk after a terminator),
-	// rewrite terminator + footer, and point the header at the footer.
-	droppedBytes = size - lastGood
-	if sealed {
-		droppedBytes = size - offset // only junk past the terminator was dropped
-	}
-	if droppedBytes < 0 {
-		droppedBytes = 0
-	}
-	var sentinel [8]byte
-	binary.LittleEndian.PutUint64(sentinel[:], unknownEdgeCount)
-	if _, err := f.WriteAt(sentinel[:], 20); err != nil {
-		return 0, 0, fmt.Errorf("graph: resealing shard %s: %w", path, err)
+	// Reseal: drop the torn tail (or the junk after the terminator, or a
+	// header count contradicting a valid body), rewrite terminator + footer,
+	// and point the header at the footer.
+	droppedBytes = size - w.good
+	if w.sealed {
+		droppedBytes = size - w.end // only junk past the terminator was dropped
 	}
 	var tail [12]byte
-	binary.LittleEndian.PutUint64(tail[4:], total)
-	if _, err := f.WriteAt(tail[:], lastGood); err != nil {
+	binary.LittleEndian.PutUint64(tail[4:], w.edges)
+	err = unsealShard(f, w.good)
+	if err == nil {
+		_, err = f.WriteAt(tail[:], w.good)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		return 0, 0, fmt.Errorf("graph: resealing shard %s: %w", path, err)
 	}
-	if err := f.Truncate(lastGood + 12); err != nil {
-		return 0, 0, fmt.Errorf("graph: resealing shard %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return 0, 0, fmt.Errorf("graph: resealing shard %s: %w", path, err)
-	}
-	return total, droppedBytes, nil
+	return w.edges, droppedBytes, nil
 }

@@ -3,50 +3,241 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/distributedne/dne/internal/dsa"
 )
 
 // EShard is the sharded on-disk edge format: the unit of input for a
 // distributed run, so that no rank ever has to hold (or regenerate) the full
-// graph. A shard file holds one rank's slice of the raw edge stream as
-// packed uint64 canonical edges, framed into bounded chunks so both the
-// writer and the reader run in O(chunk) memory regardless of graph scale.
+// graph. A shard file holds one rank's slice of the edge stream as canonical
+// edges, framed into bounded chunks so both the writer and the reader run in
+// O(chunk) memory regardless of graph scale. Two chunk codecs share one
+// container: raw EShard (*.esh) and compressed ESZ1 (*.esz).
 //
-// Layout (all little-endian):
+// Container layout (all little-endian):
 //
-//	header (28 bytes): magic "ESH1", version, |V| (global), shard index,
-//	                   shard count, declared edge count (or unknown sentinel)
-//	chunks:            uint32 edge count in (0, maxShardChunkEdges], then
-//	                   count packed uint64 edges (u<<32|v with u < v)
+//	header (28 bytes): magic ("ESH1" or "ESZ1", which selects the codec),
+//	                   version, |V| (global), shard index, shard count,
+//	                   declared edge count (or unknown sentinel)
+//	chunks:            uint32 edge count n in (0, maxShardChunkEdges], the
+//	                   codec's frame-header extension, then the payload
 //	terminator:        uint32 zero, then a uint64 footer with the total edge
 //	                   count actually written
 //
 // The footer lets a streaming writer (which cannot seek back to patch the
 // header) still give readers an end-to-end truncation check, and the
 // per-chunk counts bound every allocation the reader makes against a
-// hostile or corrupt file.
+// hostile or corrupt file. Every edge is a packed key u<<32|v, canonical
+// (u < v) with v < |V|: writers reject any other key, and the reader, the
+// frame walker and tail recovery reject any chunk holding one.
+//
+// Raw EShard payload: the frame header has no extension, and the payload is
+// the chunk's n keys as 8·n bytes, in any order.
+//
+// ESZ1 payload: the frame header adds a uint32 payload byte length in
+// (0, 10·n]. Keys must never decrease across the whole file (duplicates are
+// legal): the compression is the sortedness. Each key is a pair of unsigned
+// varints, with (prevU, prevV) reset to (0, 0) at every chunk start so
+// chunks stay independently decodable (what tail recovery and the bounded
+// reader rely on):
+//
+//	du = u - prevU                 // ≥ 0: the stream is sorted
+//	if du > 0:  gap = v - u - 1    // new source row; v > u is canonical
+//	if du == 0: gap = v - prevV    // same row; 0 encodes a duplicate edge
+//
+// Sorted RMAT-style edge lists compress several-fold (most gaps fit one
+// byte), which cuts the cold-disk bytes a streaming partition run moves.
 const (
 	shardMagic   = 0x45534831 // "ESH1"
+	zshardMagic  = 0x45535a31 // "ESZ1"
 	shardVersion = 1
+
+	// shardHeaderLen is the header size; the declared edge count sits at
+	// shardCountOffset within it.
+	shardHeaderLen   = 28
+	shardCountOffset = 20
 
 	// unknownEdgeCount in the header means the shard was streamed and the
 	// authoritative count is in the footer.
 	unknownEdgeCount = ^uint64(0)
 
-	// shardChunkEdges is the writer's flush granularity (64 KiB of payload).
+	// shardChunkEdges is the writer's flush granularity (64 KiB of raw
+	// payload).
 	shardChunkEdges = 8192
 
 	// maxShardChunkEdges caps the chunk size a reader will accept; a hostile
 	// chunk length past this bound errors instead of driving a huge
-	// allocation (512 KiB of payload).
+	// allocation (512 KiB of raw payload).
 	maxShardChunkEdges = 1 << 16
+
+	// maxZChunkPayloadPerEdge bounds an ESZ1 chunk's declared payload length:
+	// two varints of at most 5 bytes each per edge (both deltas fit 32 bits),
+	// so a hostile length past 10·n bytes errors instead of driving a huge
+	// read.
+	maxZChunkPayloadPerEdge = 10
 )
+
+// shardCodec is what differs between the two shard formats: the magic, the
+// chunk frame header and the payload encoding. Everything else — header,
+// framing, terminator, footer, the writer, the reader, the frame walk and
+// tail recovery — is shared.
+type shardCodec struct {
+	magic   uint32
+	fileExt string // file-name extension
+	noun    string // what error messages call a file of this format
+	hdrLen  int    // chunk frame header: 4 (edge count) or 8 (plus payload length)
+	perEdge uint32 // payload bytes per edge: exact with a 4-byte frame header, a bound otherwise
+	sorted  bool   // keys never decrease across the file
+	// encode appends the payload of one chunk of keys to dst.
+	encode func(dst []byte, keys []uint64) []byte
+	// decode fills out from one chunk's payload, validating every edge, and
+	// advances cur past it.
+	decode func(payload []byte, out []uint64, cur *chunkCursor) error
+}
+
+var (
+	rawCodec = &shardCodec{
+		magic: shardMagic, fileExt: ".esh", noun: "shard", hdrLen: 4, perEdge: 8,
+		encode: encodeRawChunk, decode: decodeRawChunk,
+	}
+	zCodec = &shardCodec{
+		magic: zshardMagic, fileExt: ".esz", noun: "compressed shard", hdrLen: 8, perEdge: maxZChunkPayloadPerEdge,
+		sorted: true, encode: encodeZChunk, decode: decodeZChunk,
+	}
+	shardCodecs = []*shardCodec{rawCodec, zCodec}
+)
+
+// chunkCursor carries the decode state across a file's chunks.
+type chunkCursor struct {
+	nv   uint64 // |V|: every endpoint must be below it
+	read uint64 // edges decoded so far
+	last uint64 // last key decoded, for ESZ1's order check
+}
+
+// payloadLen validates a chunk frame header — the edge count n and, in ext,
+// the codec's extension — and returns the payload length it frames.
+func (c *shardCodec) payloadLen(n uint32, ext []byte) (int, error) {
+	if n > maxShardChunkEdges {
+		return 0, fmt.Errorf("graph: %s chunk of %d edges exceeds cap %d", c.noun, n, maxShardChunkEdges)
+	}
+	if c.hdrLen == 4 {
+		return int(n * c.perEdge), nil
+	}
+	blen := binary.LittleEndian.Uint32(ext)
+	if blen == 0 || blen > n*c.perEdge {
+		return 0, fmt.Errorf("graph: %s chunk payload of %d bytes outside (0,%d]", c.noun, blen, n*c.perEdge)
+	}
+	return int(blen), nil
+}
+
+// fileName is the conventional name of shard i of n in this format.
+func (c *shardCodec) fileName(i, n int) string {
+	return fmt.Sprintf("shard-%04d-of-%04d%s", i, n, c.fileExt)
+}
+
+// edgeError explains why edge i, (u, v), breaks the rule u < v < nv.
+func edgeError(noun string, i, u, v, nv uint64) error {
+	if u >= v {
+		return fmt.Errorf("graph: %s edge %d (%d,%d) not canonical (want u < v)", noun, i, u, v)
+	}
+	return fmt.Errorf("graph: %s edge %d endpoint %d out of range [0,%d)", noun, i, v, nv)
+}
+
+func encodeRawChunk(dst []byte, keys []uint64) []byte {
+	for _, k := range keys {
+		dst = binary.LittleEndian.AppendUint64(dst, k)
+	}
+	return dst
+}
+
+func decodeRawChunk(payload []byte, out []uint64, cur *chunkCursor) error {
+	for i := range out {
+		k := binary.LittleEndian.Uint64(payload[i*8:])
+		u, v := k>>32, k&0xffffffff
+		if u >= v || v >= cur.nv {
+			return edgeError("shard", cur.read+uint64(i), u, v, cur.nv)
+		}
+		out[i] = k
+	}
+	cur.read += uint64(len(out))
+	return nil
+}
+
+// encodeZChunk appends the delta+varint encoding of the sorted keys to dst.
+func encodeZChunk(dst []byte, keys []uint64) []byte {
+	var prevU, prevV uint64
+	for _, k := range keys {
+		u, v := k>>32, k&0xffffffff
+		du := u - prevU
+		dst = binary.AppendUvarint(dst, du)
+		if du > 0 {
+			dst = binary.AppendUvarint(dst, v-u-1)
+		} else {
+			dst = binary.AppendUvarint(dst, v-prevV)
+		}
+		prevU, prevV = u, v
+	}
+	return dst
+}
+
+// decodeZChunk decodes one ESZ1 chunk payload into out, validating every
+// edge: truncated or oversized varints, delta overflows past |V|,
+// non-canonical (u ≥ v) decodes, leftover or missing payload bytes, and keys
+// going backwards relative to the previous key all error.
+func decodeZChunk(payload []byte, out []uint64, cur *chunkCursor) error {
+	var prevU, prevV uint64
+	base, nv, lastKey := cur.read, cur.nv, cur.last
+	at := 0
+	for i := range out {
+		du, n := binary.Uvarint(payload[at:])
+		if n <= 0 {
+			return fmt.Errorf("graph: compressed shard edge %d: truncated or oversized source delta", base+uint64(i))
+		}
+		at += n
+		gap, n := binary.Uvarint(payload[at:])
+		if n <= 0 {
+			return fmt.Errorf("graph: compressed shard edge %d: truncated or oversized destination gap", base+uint64(i))
+		}
+		at += n
+		u := prevU + du
+		var v uint64
+		if du > 0 {
+			v = u + 1 + gap
+		} else {
+			v = prevV + gap
+		}
+		// One range check on v covers u too (v must exceed u), but u is
+		// checked first so an overflowing source delta reports as such.
+		if u >= nv {
+			return fmt.Errorf("graph: compressed shard edge %d source %d out of range [0,%d)", base+uint64(i), u, nv)
+		}
+		if v >= nv {
+			return fmt.Errorf("graph: compressed shard edge %d endpoint %d out of range [0,%d)", base+uint64(i), v, nv)
+		}
+		if u >= v {
+			return fmt.Errorf("graph: compressed shard edge %d (%d,%d) not canonical (want u < v)", base+uint64(i), u, v)
+		}
+		k := u<<32 | v
+		if k < lastKey {
+			return fmt.Errorf("graph: compressed shard edge %d key %#x below predecessor %#x (stream not sorted)", base+uint64(i), k, lastKey)
+		}
+		lastKey = k
+		out[i] = k
+		prevU, prevV = u, v
+	}
+	if at != len(payload) {
+		return fmt.Errorf("graph: compressed shard chunk at edge %d: %d payload bytes left after %d edges", base, len(payload)-at, len(out))
+	}
+	cur.read, cur.last = base+uint64(len(out)), lastKey
+	return nil
+}
 
 // ShardRoute returns the shard a raw edge is routed to when writing a
 // sharded graph: a strong hash of the canonical key, so shards are balanced
@@ -96,35 +287,152 @@ func (si ShardInfo) validate() error {
 	return nil
 }
 
-// ShardWriter streams packed edges into the EShard format. Memory use is one
-// chunk regardless of how many edges are appended; Close writes the
-// terminator and footer.
+// readShardHeader reads and validates the header every shard file starts
+// with, and returns the codec its magic selects.
+func readShardHeader(r io.Reader) (ShardInfo, *shardCodec, error) {
+	var hdr [shardHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return ShardInfo{}, nil, fmt.Errorf("graph: reading shard header: %w", err)
+	}
+	magic := binary.LittleEndian.Uint32(hdr[0:])
+	i := slices.IndexFunc(shardCodecs, func(c *shardCodec) bool { return c.magic == magic })
+	if i < 0 {
+		return ShardInfo{}, nil, fmt.Errorf("graph: bad magic %#x in edge shard (want ESH1 or ESZ1)", magic)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != shardVersion {
+		return ShardInfo{}, nil, fmt.Errorf("graph: unsupported version %d of edge shard", v)
+	}
+	info := ShardInfo{
+		NumVertices: binary.LittleEndian.Uint32(hdr[8:]),
+		Index:       binary.LittleEndian.Uint32(hdr[12:]),
+		Count:       binary.LittleEndian.Uint32(hdr[16:]),
+		NumEdges:    binary.LittleEndian.Uint64(hdr[shardCountOffset:]),
+	}
+	if err := info.validate(); err != nil {
+		return ShardInfo{}, nil, err
+	}
+	return info, shardCodecs[i], nil
+}
+
+// appendShardHeader appends the header of a streamed shard file to dst: the
+// declared edge count is the unknown sentinel, and readers use the footer.
+func appendShardHeader(dst []byte, c *shardCodec, info ShardInfo) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, c.magic)
+	dst = binary.LittleEndian.AppendUint32(dst, shardVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, info.NumVertices)
+	dst = binary.LittleEndian.AppendUint32(dst, info.Index)
+	dst = binary.LittleEndian.AppendUint32(dst, info.Count)
+	return binary.LittleEndian.AppendUint64(dst, unknownEdgeCount)
+}
+
+// frameWalk is what walkFrames found in a shard file's chunk frames.
+type frameWalk struct {
+	edges  uint64 // edges in the complete chunks walked
+	good   int64  // end offset of the last complete chunk
+	sealed bool   // the walk ended at a terminator whose footer counts edges
+	end    int64  // when sealed, the offset just past the footer
+	err    error  // when not sealed, why the walk stopped
+}
+
+// walkFrames walks the chunk frames of a shard file of size bytes from the
+// end of its header. With decode false it reads frame headers only and skips
+// the payloads, which is all an exact edge count needs. With decode true it
+// decodes every payload with the codec, exactly as ShardReader does, so a
+// chunk counts as complete exactly when the reader would accept it.
+func walkFrames(r io.ReaderAt, size int64, c *shardCodec, info ShardInfo, decode bool) frameWalk {
+	w := frameWalk{good: shardHeaderLen}
+	cur := chunkCursor{nv: uint64(info.NumVertices)}
+	var page []byte
+	var out []uint64
+	var hdr [8]byte
+	for {
+		if _, err := r.ReadAt(hdr[:4], w.good); err != nil {
+			w.err = fmt.Errorf("graph: reading %s chunk header at edge %d: %w", c.noun, w.edges, err)
+			return w
+		}
+		n := binary.LittleEndian.Uint32(hdr[:4])
+		if n == 0 {
+			var foot [8]byte
+			if _, err := r.ReadAt(foot[:], w.good+4); err != nil {
+				w.err = fmt.Errorf("graph: reading %s footer: %w", c.noun, err)
+			} else if total := binary.LittleEndian.Uint64(foot[:]); total != w.edges {
+				w.err = fmt.Errorf("graph: %s footer declares %d edges, chunks hold %d", c.noun, total, w.edges)
+			} else {
+				w.sealed, w.end = true, w.good+12
+			}
+			return w
+		}
+		ext := hdr[4:c.hdrLen]
+		if _, err := r.ReadAt(ext, w.good+4); err != nil {
+			w.err = fmt.Errorf("graph: reading %s chunk header at edge %d: %w", c.noun, w.edges, err)
+			return w
+		}
+		blen, err := c.payloadLen(n, ext)
+		if err != nil {
+			w.err = err
+			return w
+		}
+		start := w.good + int64(c.hdrLen)
+		if start+int64(blen) > size {
+			w.err = fmt.Errorf("graph: reading %s chunk at edge %d: %w", c.noun, w.edges, io.ErrUnexpectedEOF)
+			return w
+		}
+		if decode {
+			if cap(page) < blen {
+				page = make([]byte, blen)
+			}
+			if cap(out) < int(n) {
+				out = make([]uint64, n)
+			}
+			if _, err := r.ReadAt(page[:blen], start); err != nil {
+				w.err = fmt.Errorf("graph: reading %s chunk at edge %d: %w", c.noun, w.edges, err)
+				return w
+			}
+			if err := c.decode(page[:blen], out[:n], &cur); err != nil {
+				w.err = err
+				return w
+			}
+		}
+		w.edges += uint64(n)
+		w.good = start + int64(blen)
+	}
+}
+
+// ShardWriter streams packed edges into a shard file of either format.
+// Memory use is one chunk regardless of how many edges are appended; Close
+// writes the terminator and footer.
 type ShardWriter struct {
+	codec *shardCodec
 	bw    *bufio.Writer
-	buf   []byte
-	inBuf int // edges currently buffered
+	keys  []uint64 // the open chunk
+	last  uint64   // last key appended, for ESZ1's order check
 	total uint64
-	err   error
+	err   error // sticky: a rejected key, a write error, or Close
 	info  ShardInfo
 	f     *os.File // owned file (CreateShardFile / OpenShardAppend); closed by Close
 }
 
-// NewShardWriter writes the EShard header for info and returns a writer.
-// The declared edge count is the streaming-unknown sentinel; readers use the
-// footer written by Close.
+var errShardWriterClosed = errors.New("graph: shard writer closed")
+
+// NewShardWriter writes the raw EShard header for info and returns a
+// writer. The declared edge count is the streaming-unknown sentinel; readers
+// use the footer written by Close.
 func NewShardWriter(w io.Writer, info ShardInfo) (*ShardWriter, error) {
+	return newShardWriter(w, rawCodec, info)
+}
+
+// NewZShardWriter is NewShardWriter for the compressed ESZ1 format. Keys
+// must arrive in ascending order (duplicates allowed).
+func NewZShardWriter(w io.Writer, info ShardInfo) (*ShardWriter, error) {
+	return newShardWriter(w, zCodec, info)
+}
+
+func newShardWriter(w io.Writer, c *shardCodec, info ShardInfo) (*ShardWriter, error) {
 	if err := info.validate(); err != nil {
 		return nil, err
 	}
-	sw := &ShardWriter{bw: bufio.NewWriter(w), buf: make([]byte, 0, shardChunkEdges*8), info: info}
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:], shardMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], shardVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], info.NumVertices)
-	binary.LittleEndian.PutUint32(hdr[12:], info.Index)
-	binary.LittleEndian.PutUint32(hdr[16:], info.Count)
-	binary.LittleEndian.PutUint64(hdr[20:], unknownEdgeCount)
-	if _, err := sw.bw.Write(hdr[:]); err != nil {
+	sw := &ShardWriter{codec: c, bw: bufio.NewWriter(w), keys: make([]uint64, 0, shardChunkEdges), info: info}
+	if _, err := sw.bw.Write(appendShardHeader(nil, c, info)); err != nil {
 		return nil, fmt.Errorf("graph: writing shard header: %w", err)
 	}
 	return sw, nil
@@ -139,37 +447,55 @@ func (sw *ShardWriter) Append(u, v Vertex) error {
 	return sw.AppendPacked(PackEdge(u, v))
 }
 
-// AppendPacked adds an already-packed canonical edge key.
+// AppendPacked adds an already-packed canonical edge key. A key the reader
+// would reject — not canonical, an endpoint past |V|, or for ESZ1 below its
+// predecessor — errors, and the error is sticky: every later call returns
+// it, and Close seals the edges accepted before it.
 func (sw *ShardWriter) AppendPacked(k uint64) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, k)
-	sw.inBuf++
+	if u, v, nv := k>>32, k&0xffffffff, uint64(sw.info.NumVertices); u >= v || v >= nv {
+		sw.err = edgeError(sw.codec.noun, sw.total, u, v, nv)
+		return sw.err
+	}
+	if sw.codec.sorted && k < sw.last {
+		sw.err = fmt.Errorf("graph: compressed shard input not sorted: key %#x after %#x", k, sw.last)
+		return sw.err
+	}
+	sw.last = k
+	sw.keys = append(sw.keys, k)
 	sw.total++
-	if sw.inBuf == shardChunkEdges {
+	if len(sw.keys) == shardChunkEdges {
 		return sw.flushChunk()
 	}
 	return nil
 }
 
+// frameScratch holds the buffers flushChunk encodes a chunk frame into. A
+// writer needs one only while it flushes, and the live store keeps two
+// writers per partition open and opens as many again at every compaction.
+var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 func (sw *ShardWriter) flushChunk() error {
-	if sw.inBuf == 0 {
-		return sw.err
+	if len(sw.keys) == 0 {
+		return nil
 	}
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(sw.inBuf))
-	if _, err := sw.bw.Write(cnt[:]); err != nil {
+	c := sw.codec
+	scratch := frameScratch.Get().(*[]byte)
+	frame := c.encode(append((*scratch)[:0], make([]byte, c.hdrLen)...), sw.keys)
+	binary.LittleEndian.PutUint32(frame, uint32(len(sw.keys)))
+	if c.hdrLen == 8 {
+		binary.LittleEndian.PutUint32(frame[4:], uint32(len(frame)-8))
+	}
+	_, err := sw.bw.Write(frame)
+	*scratch = frame
+	frameScratch.Put(scratch)
+	sw.keys = sw.keys[:0]
+	if err != nil {
 		sw.err = err
-		return err
 	}
-	if _, err := sw.bw.Write(sw.buf); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.buf = sw.buf[:0]
-	sw.inBuf = 0
-	return nil
+	return err
 }
 
 // NumWritten returns the number of edges appended so far (for a reopened
@@ -181,44 +507,47 @@ func (sw *ShardWriter) Info() ShardInfo { return sw.info }
 
 // Close flushes the final chunk and writes the terminator and footer. For
 // writers that own their file (CreateShardFile, OpenShardAppend) the file is
-// also closed. The writer is unusable afterwards.
+// also closed. After a rejected key Close still seals the edges accepted
+// before it, and returns the rejection. The writer is unusable afterwards.
 func (sw *ShardWriter) Close() error {
-	if err := sw.flushChunk(); err != nil {
-		sw.closeFile()
-		return err
+	if sw.err == errShardWriterClosed {
+		return sw.err
 	}
-	var tail [12]byte // zero chunk count + uint64 footer
-	binary.LittleEndian.PutUint64(tail[4:], sw.total)
-	if _, err := sw.bw.Write(tail[:]); err != nil {
-		sw.err = err
-		sw.closeFile()
-		return err
+	err := sw.flushChunk()
+	if err == nil {
+		var tail [12]byte // zero chunk count + uint64 footer
+		binary.LittleEndian.PutUint64(tail[4:], sw.total)
+		_, err = sw.bw.Write(tail[:])
 	}
-	sw.err = fmt.Errorf("graph: shard writer closed")
-	if err := sw.bw.Flush(); err != nil {
-		sw.closeFile()
-		return err
+	if err == nil {
+		err = sw.bw.Flush()
 	}
-	return sw.closeFile()
+	if sw.f != nil {
+		if cerr := sw.f.Close(); err == nil {
+			err = cerr
+		}
+		sw.f = nil
+	}
+	if err == nil {
+		err = sw.err
+	}
+	sw.err = errShardWriterClosed
+	return err
 }
 
-func (sw *ShardWriter) closeFile() error {
-	if sw.f == nil {
-		return nil
-	}
-	f := sw.f
-	sw.f = nil
-	return f.Close()
-}
-
-// CreateShardFile creates (or truncates) path and returns a writer that owns
-// the file: Close writes the terminator and footer and closes it.
+// CreateShardFile creates (or truncates) path and returns a raw EShard
+// writer that owns the file: Close writes the terminator and footer and
+// closes it.
 func CreateShardFile(path string, info ShardInfo) (*ShardWriter, error) {
+	return createShardFile(path, rawCodec, info)
+}
+
+func createShardFile(path string, c *shardCodec, info ShardInfo) (*ShardWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	sw, err := NewShardWriter(f, info)
+	sw, err := newShardWriter(f, c, info)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -242,90 +571,71 @@ func OpenShardAppend(path string) (*ShardWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sf.compressed {
+	if sf.codec != rawCodec {
 		// Reopening a compressed shard for append would need the last chunk's
 		// delta context restored; raw append streams (the live path) use
 		// EShard, so keep this opener raw-only.
 		return nil, fmt.Errorf("graph: %s: appending to compressed (ESZ1) shards is not supported", path)
 	}
-	info, total := sf.info, sf.numEdges
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Header count -> unknown sentinel: the authoritative count lives in the
-	// footer from now on.
-	var sentinel [8]byte
-	binary.LittleEndian.PutUint64(sentinel[:], unknownEdgeCount)
-	if _, err := f.WriteAt(sentinel[:], 20); err != nil {
+	if err := unsealShard(f, sf.size-12); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("graph: rewriting shard header count: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Truncate(st.Size() - 12); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("graph: truncating shard tail: %w", err)
+		return nil, fmt.Errorf("graph: reopening shard %s: %w", path, err)
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
 	}
+	info := sf.info
 	info.NumEdges = unknownEdgeCount
 	return &ShardWriter{
+		codec: rawCodec,
 		bw:    bufio.NewWriter(f),
-		buf:   make([]byte, 0, shardChunkEdges*8),
-		total: total,
+		keys:  make([]uint64, 0, shardChunkEdges),
+		total: sf.numEdges,
 		info:  info,
 		f:     f,
 	}, nil
 }
 
-// ShardReader streams an EShard file chunk by chunk. The header is treated
-// as untrusted: every chunk length is bounded, every endpoint is validated
-// against the declared vertex count, and the footer must match the edges
-// actually read, so truncated or hostile files error instead of yielding a
-// bad shard.
+// unsealShard points the header's declared edge count at the footer (the
+// unknown sentinel) and truncates the file to size.
+func unsealShard(f *os.File, size int64) error {
+	var sentinel [8]byte
+	binary.LittleEndian.PutUint64(sentinel[:], unknownEdgeCount)
+	if _, err := f.WriteAt(sentinel[:], shardCountOffset); err != nil {
+		return err
+	}
+	return f.Truncate(size)
+}
+
+// ShardReader streams a shard file of either format chunk by chunk. The
+// header is treated as untrusted: every chunk and payload length is bounded,
+// every edge is validated (canonical, in range, and for ESZ1 globally
+// non-decreasing), and the footer must match the edges actually read, so
+// truncated or hostile files error instead of yielding a bad shard.
 type ShardReader struct {
-	br   *bufio.Reader
-	info ShardInfo
-	page []byte
-	buf  []uint64
-	read uint64
-	done bool
+	br    *bufio.Reader
+	codec *shardCodec
+	info  ShardInfo
+	cur   chunkCursor
+	page  []byte
+	buf   []uint64
+	done  bool
 }
 
-// NewShardReader parses and validates the header.
+// NewShardReader parses and validates the header; its magic selects the
+// format.
 func NewShardReader(r io.Reader) (*ShardReader, error) {
-	return newShardReaderFrom(bufio.NewReader(r))
-}
-
-// newShardReaderFrom is NewShardReader over an existing buffered reader, so
-// format-dispatching openers (NewChunkReader) can peek the magic first.
-func newShardReaderFrom(br *bufio.Reader) (*ShardReader, error) {
-	var hdr [28]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading shard header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != shardMagic {
-		return nil, fmt.Errorf("graph: bad magic in edge shard")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != shardVersion {
-		return nil, fmt.Errorf("graph: unsupported shard version %d", v)
-	}
-	info := ShardInfo{
-		NumVertices: binary.LittleEndian.Uint32(hdr[8:]),
-		Index:       binary.LittleEndian.Uint32(hdr[12:]),
-		Count:       binary.LittleEndian.Uint32(hdr[16:]),
-		NumEdges:    binary.LittleEndian.Uint64(hdr[20:]),
-	}
-	if err := info.validate(); err != nil {
+	br := bufio.NewReader(r)
+	info, c, err := readShardHeader(br)
+	if err != nil {
 		return nil, err
 	}
-	return &ShardReader{br: br, info: info}, nil
+	return &ShardReader{br: br, codec: c, info: info, cur: chunkCursor{nv: uint64(info.NumVertices)}}, nil
 }
 
 // Info returns the shard's header metadata.
@@ -338,55 +648,80 @@ func (sr *ShardReader) Next() ([]uint64, error) {
 	if sr.done {
 		return nil, io.EOF
 	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(sr.br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading shard chunk header at edge %d: %w", sr.read, err)
+	c := sr.codec
+	var hdr [8]byte
+	if _, err := io.ReadFull(sr.br, hdr[:4]); err != nil {
+		return nil, fmt.Errorf("graph: reading %s chunk header at edge %d: %w", c.noun, sr.cur.read, err)
 	}
-	n := binary.LittleEndian.Uint32(cnt[:])
+	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n == 0 {
-		// Terminator: validate the footer and the declared header count.
-		var foot [8]byte
-		if _, err := io.ReadFull(sr.br, foot[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading shard footer: %w", err)
-		}
-		total := binary.LittleEndian.Uint64(foot[:])
-		if total != sr.read {
-			return nil, fmt.Errorf("graph: shard footer declares %d edges, read %d", total, sr.read)
-		}
-		if sr.info.NumEdges != unknownEdgeCount && sr.info.NumEdges != sr.read {
-			return nil, fmt.Errorf("graph: shard header declares %d edges, read %d", sr.info.NumEdges, sr.read)
-		}
-		sr.done = true
-		return nil, io.EOF
+		return nil, sr.finish()
 	}
-	if n > maxShardChunkEdges {
-		return nil, fmt.Errorf("graph: shard chunk of %d edges exceeds cap %d", n, maxShardChunkEdges)
+	ext := hdr[4:c.hdrLen]
+	if _, err := io.ReadFull(sr.br, ext); err != nil {
+		return nil, fmt.Errorf("graph: reading %s chunk header at edge %d: %w", c.noun, sr.cur.read, err)
 	}
-	if cap(sr.page) < int(n)*8 {
-		sr.page = make([]byte, n*8)
+	blen, err := c.payloadLen(n, ext)
+	if err != nil {
+		return nil, err
+	}
+	if cap(sr.page) < blen {
+		sr.page = make([]byte, blen)
+	}
+	page := sr.page[:blen]
+	if _, err := io.ReadFull(sr.br, page); err != nil {
+		return nil, fmt.Errorf("graph: reading %s chunk at edge %d: %w", c.noun, sr.cur.read, err)
+	}
+	if cap(sr.buf) < int(n) {
 		sr.buf = make([]uint64, n)
 	}
-	page := sr.page[:n*8]
-	if _, err := io.ReadFull(sr.br, page); err != nil {
-		return nil, fmt.Errorf("graph: reading shard chunk at edge %d: %w", sr.read, err)
-	}
 	buf := sr.buf[:n]
-	nv := uint64(sr.info.NumVertices)
-	for i := range buf {
-		k := binary.LittleEndian.Uint64(page[i*8:])
-		u, v := k>>32, k&0xffffffff
-		if u >= v {
-			return nil, fmt.Errorf("graph: shard edge %d (%d,%d) not canonical (want u < v)",
-				sr.read+uint64(i), u, v)
-		}
-		if v >= nv {
-			return nil, fmt.Errorf("graph: shard edge %d endpoint %d out of range [0,%d)",
-				sr.read+uint64(i), v, nv)
-		}
-		buf[i] = k
+	if err := c.decode(page, buf, &sr.cur); err != nil {
+		return nil, err
 	}
-	sr.read += uint64(n)
 	return buf, nil
+}
+
+// finish validates the footer after the terminator against the edges read
+// and the header's declared count, and returns io.EOF when both agree.
+func (sr *ShardReader) finish() error {
+	c, read := sr.codec, sr.cur.read
+	var foot [8]byte
+	if _, err := io.ReadFull(sr.br, foot[:]); err != nil {
+		return fmt.Errorf("graph: reading %s footer: %w", c.noun, err)
+	}
+	if total := binary.LittleEndian.Uint64(foot[:]); total != read {
+		return fmt.Errorf("graph: %s footer declares %d edges, read %d", c.noun, total, read)
+	}
+	if sr.info.NumEdges != unknownEdgeCount && sr.info.NumEdges != read {
+		return fmt.Errorf("graph: %s header declares %d edges, read %d", c.noun, sr.info.NumEdges, read)
+	}
+	sr.done = true
+	return io.EOF
+}
+
+// readShard loads a whole shard stream into memory, preallocating by the
+// header's declared count capped against hostile headers.
+func readShard(r io.Reader) (*Shard, error) {
+	sr, err := NewShardReader(r)
+	if err != nil {
+		return nil, err
+	}
+	prealloc := sr.info.NumEdges
+	if prealloc == unknownEdgeCount {
+		prealloc = 0
+	}
+	s := &Shard{NumVertices: sr.info.NumVertices, Packed: make([]uint64, 0, min(prealloc, maxPrealloc))}
+	for {
+		chunk, err := sr.Next()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.Packed = append(s.Packed, chunk...)
+	}
 }
 
 // Shard is one rank's in-memory slice of a sharded graph: the global vertex
@@ -409,44 +744,6 @@ func (s *Shard) Bytes() int64 { return int64(len(s.Packed)) * 8 }
 func (s *Shard) SortDedup() {
 	dsa.SortU64(s.Packed)
 	s.Packed = slices.Compact(s.Packed)
-}
-
-// ReadShard loads a whole EShard stream into memory, with capped
-// preallocation against hostile headers.
-func ReadShard(r io.Reader) (*Shard, error) {
-	sr, err := NewShardReader(r)
-	if err != nil {
-		return nil, err
-	}
-	prealloc := sr.Info().NumEdges
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	s := &Shard{NumVertices: sr.Info().NumVertices, Packed: make([]uint64, 0, prealloc)}
-	for {
-		chunk, err := sr.Next()
-		if err == io.EOF {
-			return s, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.Packed = append(s.Packed, chunk...)
-	}
-}
-
-// WriteShard writes s as an EShard stream with the given placement.
-func WriteShard(w io.Writer, s *Shard, index, count uint32) error {
-	sw, err := NewShardWriter(w, ShardInfo{NumVertices: s.NumVertices, Index: index, Count: count})
-	if err != nil {
-		return err
-	}
-	for _, k := range s.Packed {
-		if err := sw.AppendPacked(k); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
 }
 
 // ShardsOf splits g into p synthetic shards — contiguous stripes of the

@@ -39,7 +39,7 @@ func readShardFileT(t *testing.T, path string) *Shard {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	s, err := ReadShard(f)
+	s, err := readShard(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +94,19 @@ func TestShardAppendRoundTrip(t *testing.T) {
 }
 
 // TestShardAppendRewritesDeclaredHeaderCount: a file whose header declares an
-// exact edge count (WriteShard does) must come back with the streaming
-// sentinel after reopening, so the header can never contradict the extended
+// exact edge count must come back with the streaming sentinel after
+// reopening, so the header can never contradict the extended
 // contents.
 func TestShardAppendRewritesDeclaredHeaderCount(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.esh")
 	var buf bytes.Buffer
 	s := &Shard{NumVertices: 64, Packed: []uint64{PackEdge(1, 2), PackEdge(3, 4)}}
-	if err := WriteShard(&buf, s, 0, 1); err != nil {
+	if err := writeShard(&buf, s, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	// WriteShard goes through the streaming writer, so patch an exact count
-	// into the header to simulate a count-declaring producer.
+	// The writer streams, so patch an exact count into the header to
+	// simulate a count-declaring producer.
 	binary.LittleEndian.PutUint64(b[20:], 2)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)

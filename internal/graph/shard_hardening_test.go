@@ -14,7 +14,7 @@ import (
 //	28  chunk 1 count (uint32), then count packed edges
 //	...
 //	terminator (uint32 0) + footer (uint64 total)
-func validShardBytes(t *testing.T, numVertices uint32, edges []Edge) []byte {
+func validShardBytes(t testing.TB, numVertices uint32, edges []Edge) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewShardWriter(&buf, ShardInfo{NumVertices: numVertices, Index: 0, Count: 2})
@@ -37,7 +37,23 @@ func validShardBytes(t *testing.T, numVertices uint32, edges []Edge) []byte {
 // payload must error — never panic, never allocate per a hostile count, and
 // never yield a shard with invalid edges.
 func TestShardReaderRejectsHostileInput(t *testing.T) {
-	base := validShardBytes(t, 64, []Edge{{0, 1}, {1, 2}, {2, 63}})
+	for _, tc := range rawHostileShards(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := readShard(bytes.NewReader(tc.build()))
+			if err == nil {
+				t.Fatal("hostile shard accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// rawHostileShards is the raw EShard hardening table, shared with
+// FuzzShardReader's seeds: each case mutates a copy of a valid file.
+func rawHostileShards(tb testing.TB) []hostileShard {
+	base := validShardBytes(tb, 64, []Edge{{0, 1}, {1, 2}, {2, 63}})
 	cases := []struct {
 		name    string
 		mutate  func(b []byte) []byte
@@ -113,18 +129,11 @@ func TestShardReaderRejectsHostileInput(t *testing.T) {
 			wantErr: "header declares",
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.mutate(bytes.Clone(base))
-			_, err := ReadShard(bytes.NewReader(b))
-			if err == nil {
-				t.Fatal("hostile shard accepted")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
+	out := make([]hostileShard, len(cases))
+	for i, tc := range cases {
+		out[i] = hostileShard{tc.name, func() []byte { return tc.mutate(bytes.Clone(base)) }, tc.wantErr}
 	}
+	return out
 }
 
 // TestShardReaderRejectsTruncation: every strict prefix of a valid shard
@@ -136,7 +145,7 @@ func TestShardReaderRejectsTruncation(t *testing.T) {
 	}
 	full := validShardBytes(t, 501, edges)
 	for _, cut := range []int{0, 10, 27, 28, 30, 40, len(full) / 2, len(full) - 9, len(full) - 1} {
-		if _, err := ReadShard(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readShard(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -155,16 +164,16 @@ func TestShardReaderHostileEdgeCountPrealloc(t *testing.T) {
 	binary.LittleEndian.PutUint64(hdr[20:], 1<<40)
 	buf.Write(hdr[:])
 	buf.Write(make([]byte, 64))
-	if _, err := ReadShard(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := readShard(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("hostile edge count accepted")
 	}
 }
 
 func TestShardReaderRejectsGarbage(t *testing.T) {
-	if _, err := ReadShard(strings.NewReader("not a shard at all, definitely")); err == nil {
+	if _, err := readShard(strings.NewReader("not a shard at all, definitely")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadShard(strings.NewReader("")); err == nil {
+	if _, err := readShard(strings.NewReader("")); err == nil {
 		t.Error("empty accepted")
 	}
 }

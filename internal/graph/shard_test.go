@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +14,70 @@ func testEdges() []Edge {
 	return []Edge{
 		{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}, {4, 5}, {0, 5}, {2, 5},
 		{3, 1}, // duplicate of {1,3} after canon
+	}
+}
+
+// writeShard writes s as a raw EShard stream with the given placement.
+func writeShard(w io.Writer, s *Shard, index, count uint32) error {
+	sw, err := NewShardWriter(w, ShardInfo{NumVertices: s.NumVertices, Index: index, Count: count})
+	if err != nil {
+		return err
+	}
+	for _, k := range s.Packed {
+		if err := sw.AppendPacked(k); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+// TestShardWriterRejectsKeysReaderRejects: both writers apply the reader's
+// per-edge rule (u < v < |V|) at append time. The rejection is sticky, and
+// Close seals the edges accepted before it, so the file still reads.
+func TestShardWriterRejectsKeysReaderRejects(t *testing.T) {
+	good := []uint64{PackEdge(0, 1), PackEdge(0, 2)}
+	for _, w := range []struct {
+		name string
+		open func(io.Writer, ShardInfo) (*ShardWriter, error)
+	}{{"raw", NewShardWriter}, {"compressed", NewZShardWriter}} {
+		for _, tc := range []struct {
+			key     uint64
+			wantErr string
+		}{
+			{1<<32 | 20, "endpoint 20 out of range"},
+			{5<<32 | 3, "not canonical"},
+			{7<<32 | 7, "not canonical"},
+		} {
+			t.Run(fmt.Sprintf("%s/%#x", w.name, tc.key), func(t *testing.T) {
+				var buf bytes.Buffer
+				sw, err := w.open(&buf, ShardInfo{NumVertices: 10, Index: 0, Count: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range good {
+					if err := sw.AppendPacked(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				err = sw.AppendPacked(tc.key)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("append of %#x: got %v, want error mentioning %q", tc.key, err, tc.wantErr)
+				}
+				if again := sw.AppendPacked(PackEdge(3, 4)); !errors.Is(again, err) {
+					t.Fatalf("rejection not sticky: next append returned %v", again)
+				}
+				if cerr := sw.Close(); !errors.Is(cerr, err) {
+					t.Fatalf("Close returned %v, want the rejection %v", cerr, err)
+				}
+				s, err := readShard(&buf)
+				if err != nil {
+					t.Fatalf("edges accepted before the rejection do not read: %v", err)
+				}
+				if !slices.Equal(s.Packed, good) {
+					t.Fatalf("read %#x, want %#x", s.Packed, good)
+				}
+			})
+		}
 	}
 }
 
@@ -37,7 +104,7 @@ func TestShardWriterReaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := ReadShard(&buf)
+	s, err := readShard(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +264,7 @@ func TestShardLocalCSRMatchesGlobalCSR(t *testing.T) {
 func TestWriteShardReadShard(t *testing.T) {
 	s := &Shard{NumVertices: 100, Packed: []uint64{PackEdge(1, 2), PackEdge(5, 99)}}
 	var buf bytes.Buffer
-	if err := WriteShard(&buf, s, 1, 3); err != nil {
+	if err := writeShard(&buf, s, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	sr, err := NewShardReader(bytes.NewReader(buf.Bytes()))
@@ -207,7 +274,7 @@ func TestWriteShardReadShard(t *testing.T) {
 	if info := sr.Info(); info.Index != 1 || info.Count != 3 || info.NumVertices != 100 {
 		t.Fatalf("info = %+v", info)
 	}
-	got, err := ReadShard(bytes.NewReader(buf.Bytes()))
+	got, err := readShard(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,18 @@ package graph
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
 
 // ReadShardDir loads the shard files in dir (*.esh raw, *.esz compressed,
-// mixed freely) whose shard index
-// satisfies keep (nil keeps all), merged into one Shard. The file set is
-// validated by scanShardDir (shared with DirSource and graphstat): same
-// vertex count, same declared shard count, each index present exactly once,
-// and the file set complete — so a run cannot silently start from a partial
-// or mixed-up shard directory. The scan reads headers only; kept files
-// alone are read past theirs, merging in shard-index order.
+// mixed freely) whose shard index satisfies keep (nil keeps all), merged
+// into one Shard. The file set is validated by scanShardDir (shared with
+// DirSource and graphstat): same vertex count, same declared shard count,
+// each index present exactly once, and the file set complete — so a run
+// cannot silently start from a partial or mixed-up shard directory. The scan
+// reads headers only; kept files alone are read past theirs, merging in
+// shard-index order.
 func ReadShardDir(dir string, keep func(index, count uint32) bool) (*Shard, error) {
 	files, err := scanShardDir(dir, false)
 	if err != nil {
@@ -25,27 +24,29 @@ func ReadShardDir(dir string, keep func(index, count uint32) bool) (*Shard, erro
 		if keep != nil && !keep(sf.info.Index, sf.info.Count) {
 			continue
 		}
-		packed, err := readShardFile(sf.path)
+		s, err := readShardFile(sf.path)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sf.path, err)
 		}
-		merged.Packed = append(merged.Packed, packed...)
+		merged.Packed = append(merged.Packed, s.Packed...)
 	}
 	return merged, nil
 }
 
-// ShardFileName returns the conventional file name of shard i of n
-// (shard-0000-of-0016.esh), shared by every writer and consumer of shard
-// directories.
-func ShardFileName(i, n int) string {
-	return fmt.Sprintf("shard-%04d-of-%04d.esh", i, n)
+// readShardFile loads one shard file of either format into memory.
+func readShardFile(path string) (*Shard, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readShard(f)
 }
 
-// ZShardFileName is ShardFileName for compressed ESZ1 shards
-// (shard-0000-of-0016.esz).
-func ZShardFileName(i, n int) string {
-	return fmt.Sprintf("shard-%04d-of-%04d.esz", i, n)
-}
+// ShardFileName returns the conventional file name of raw shard i of n
+// (shard-0000-of-0016.esh), shared by every writer and consumer of shard
+// directories; compressed shards take the .esz extension instead.
+func ShardFileName(i, n int) string { return rawCodec.fileName(i, n) }
 
 // WriteCanonicalShards stripes g's canonical edge list across count EShard
 // files in dir (the ShardsOf layout under the conventional names). Read
@@ -55,51 +56,38 @@ func ZShardFileName(i, n int) string {
 // behind gengraph -canonical, the differential tests and the stream
 // experiment.
 func WriteCanonicalShards(dir string, g *Graph, count int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, sh := range ShardsOf(g, count) {
-		f, err := os.Create(filepath.Join(dir, ShardFileName(i, count)))
-		if err != nil {
-			return err
-		}
-		if err := WriteShard(f, sh, uint32(i), uint32(count)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCanonicalShards(dir, g, count, rawCodec)
 }
 
 // WriteCanonicalShardsCompressed is WriteCanonicalShards in the ESZ1
-// format: the same canonical stripes under the conventional *.esz names.
-// Stripes of a canonical edge list are sorted by construction, which is
-// exactly what the compressed writer requires; read back in index order the
-// set replays the same stream, only from far fewer disk bytes.
+// format: the same canonical stripes under the *.esz names. Stripes of a
+// canonical edge list are sorted by construction, which is exactly what the
+// compressed codec requires; read back in index order the set replays the
+// same stream, only from far fewer disk bytes.
 func WriteCanonicalShardsCompressed(dir string, g *Graph, count int) error {
+	return writeCanonicalShards(dir, g, count, zCodec)
+}
+
+func writeCanonicalShards(dir string, g *Graph, count int, c *shardCodec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, sh := range ShardsOf(g, count) {
-		zw, err := CreateZShardFile(filepath.Join(dir, ZShardFileName(i, count)), ShardInfo{
+		sw, err := createShardFile(filepath.Join(dir, c.fileName(i, count)), c, ShardInfo{
 			NumVertices: sh.NumVertices,
 			Index:       uint32(i),
 			Count:       uint32(count),
-			NumEdges:    unknownEdgeCount,
 		})
 		if err != nil {
 			return err
 		}
 		for _, k := range sh.Packed {
-			if err := zw.AppendPacked(k); err != nil {
-				zw.Close()
+			if err := sw.AppendPacked(k); err != nil {
+				sw.Close()
 				return err
 			}
 		}
-		if err := zw.Close(); err != nil {
+		if err := sw.Close(); err != nil {
 			return err
 		}
 	}
@@ -142,7 +130,7 @@ func ShardDirStats(dir string) ([]ShardFileStat, error) {
 		stats[i] = ShardFileStat{
 			Path:       sf.path,
 			Index:      sf.info.Index,
-			Compressed: sf.compressed,
+			Compressed: sf.codec == zCodec,
 			Edges:      sf.numEdges,
 			DiskBytes:  sf.size,
 		}
@@ -151,36 +139,4 @@ func ShardDirStats(dir string) ([]ShardFileStat, error) {
 		}
 	}
 	return stats, nil
-}
-
-// readShardFile streams one shard file's packed edges into memory,
-// dispatching on the magic so raw and compressed files read identically.
-func readShardFile(path string) ([]uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sr, err := NewChunkReader(f)
-	if err != nil {
-		return nil, err
-	}
-	prealloc := sr.Info().NumEdges
-	if prealloc == unknownEdgeCount {
-		prealloc = 0
-	}
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	packed := make([]uint64, 0, prealloc)
-	for {
-		chunk, err := sr.Next()
-		if err == io.EOF {
-			return packed, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		packed = append(packed, chunk...)
-	}
 }

@@ -192,14 +192,14 @@ func (st *packedStream) Close() error { return nil }
 // ---------------------------------------------------------------------------
 // Shard-directory source
 
-// DirSource opens a directory of EShard files (*.esh) as a Source. The shard
-// set is validated up front exactly like ReadShardDir — consistent headers,
-// every index present exactly once, file count matching the declared shard
-// count — and each pass streams the files in shard-index order, one
-// O(chunk)-memory ShardReader at a time. For canonical stripe sets
-// (gengraph -canonical, ShardsOf) index order replays the canonical edge
-// list, so partitionings computed from the directory are bit-identical to
-// in-memory ones.
+// DirSource opens a directory of shard files (*.esh raw, *.esz compressed,
+// mixed freely) as a Source. The shard set is validated up front exactly
+// like ReadShardDir — consistent headers, every index present exactly once,
+// file count matching the declared shard count — and each pass streams the
+// files in shard-index order, one O(chunk)-memory ShardReader at a time. For
+// canonical stripe sets (gengraph -canonical, ShardsOf) index order replays
+// the canonical edge list, so partitionings computed from the directory are
+// bit-identical to in-memory ones.
 func DirSource(dir string) (Source, error) {
 	files, err := scanShardDir(dir, true)
 	if err != nil {
@@ -213,32 +213,31 @@ func DirSource(dir string) (Source, error) {
 }
 
 type shardDirFile struct {
-	path       string
-	info       ShardInfo
-	numEdges   uint64 // authoritative count from the footer
-	size       int64  // on-disk bytes
-	compressed bool   // ESZ1 rather than raw ESH1
+	path     string
+	info     ShardInfo
+	codec    *shardCodec
+	numEdges uint64 // authoritative count from the footer
+	size     int64  // on-disk bytes
 }
 
 // scanShardDir validates a shard directory without streaming edge payloads:
-// every header is read and cross-checked. Both raw EShard files (*.esh) and
-// compressed ESZ1 files (*.esz) are recognized, and a directory may mix
-// them — the formats yield identical edge streams, only the bytes differ.
-// With exact set, each file's frame structure is additionally walked
-// (seek-based, payloads untouched) to recover its exact edge count — the
-// basis of DirSource's |E| hint; without it only the 28-byte headers are
-// read, which is all ReadShardDir needs. It is the shared validation under
-// ReadShardDir, DirSource, ShardDirStats and graphstat -shard-dir.
+// every header is read and cross-checked. Raw EShard files (*.esh) and
+// compressed ESZ1 files (*.esz) may be mixed — the formats yield identical
+// edge streams, only the bytes differ. With exact set, each file's frame
+// structure is additionally walked (payloads skipped) to recover its exact
+// edge count — the basis of DirSource's |E| hint; without it only the
+// headers are read, which is all ReadShardDir needs. It is the shared
+// validation under ReadShardDir, DirSource, ShardDirStats and graphstat
+// -shard-dir.
 func scanShardDir(dir string, exact bool) ([]shardDirFile, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.esh"))
-	if err != nil {
-		return nil, err
+	var paths []string
+	for _, c := range shardCodecs {
+		p, err := filepath.Glob(filepath.Join(dir, "*"+c.fileExt))
+		if err != nil {
+			return nil, err
+		}
+		paths = append(paths, p...)
 	}
-	zpaths, err := filepath.Glob(filepath.Join(dir, "*.esz"))
-	if err != nil {
-		return nil, err
-	}
-	paths = append(paths, zpaths...)
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("graph: no *.esh or *.esz shard files in %s", dir)
 	}
@@ -271,99 +270,40 @@ func scanShardDir(dir string, exact bool) ([]shardDirFile, error) {
 	return files, nil
 }
 
-// peekShardFile reads one shard file's header and, with exact set,
-// recovers its exact edge count by walking the chunk frames — reading each
-// chunk header and seeking past the payload — without ever loading edges.
-// It dispatches on the magic, so raw EShard and compressed ESZ1 files walk
-// under one code path. The walk validates the frame structure end to end:
-// bounded chunk lengths, a footer matching the summed counts, and nothing
-// after the terminator, so the count the DirSource hint advertises is
-// exactly what a streaming pass will yield (a hostile tail appended to a
-// valid file cannot skew it).
+// peekShardFile reads one shard file's header and, with exact set, its
+// exact edge count from the frame walk, payloads skipped. The walk must end
+// at a terminator whose footer matches the summed chunk counts, at the end
+// of the file, so the count the DirSource hint advertises is exactly what a
+// streaming pass will yield (a hostile tail appended to a valid file cannot
+// skew it).
 func peekShardFile(path string, exact bool) (shardDirFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return shardDirFile{}, err
 	}
 	defer f.Close()
-	var hdr [28]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return shardDirFile{}, fmt.Errorf("graph: reading shard header: %w", err)
-	}
-	var compressed bool
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case shardMagic:
-	case zshardMagic:
-		compressed = true
-	default:
-		return shardDirFile{}, fmt.Errorf("graph: bad magic in edge shard")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != shardVersion {
-		return shardDirFile{}, fmt.Errorf("graph: unsupported shard version %d", v)
-	}
-	info := ShardInfo{
-		NumVertices: binary.LittleEndian.Uint32(hdr[8:]),
-		Index:       binary.LittleEndian.Uint32(hdr[12:]),
-		Count:       binary.LittleEndian.Uint32(hdr[16:]),
-		NumEdges:    binary.LittleEndian.Uint64(hdr[20:]),
-	}
-	if err := info.validate(); err != nil {
+	info, c, err := readShardHeader(f)
+	if err != nil {
 		return shardDirFile{}, err
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return shardDirFile{}, err
 	}
-	sf := shardDirFile{path: path, info: info, size: st.Size(), compressed: compressed}
+	sf := shardDirFile{path: path, info: info, codec: c, size: st.Size()}
 	if !exact {
 		return sf, nil
 	}
-	var total uint64
-	offset := int64(28)
-	for {
-		var cnt [4]byte
-		if _, err := f.ReadAt(cnt[:], offset); err != nil {
-			return shardDirFile{}, fmt.Errorf("graph: reading shard chunk header at edge %d: %w", total, err)
-		}
-		offset += 4
-		n := binary.LittleEndian.Uint32(cnt[:])
-		if n == 0 {
-			break
-		}
-		if n > maxShardChunkEdges {
-			return shardDirFile{}, fmt.Errorf("graph: shard chunk of %d edges exceeds cap %d", n, maxShardChunkEdges)
-		}
-		total += uint64(n)
-		if compressed {
-			var bl [4]byte
-			if _, err := f.ReadAt(bl[:], offset); err != nil {
-				return shardDirFile{}, fmt.Errorf("graph: reading compressed shard chunk header at edge %d: %w", total, err)
-			}
-			offset += 4
-			blen := binary.LittleEndian.Uint32(bl[:])
-			if blen == 0 || blen > n*maxZChunkPayloadPerEdge {
-				return shardDirFile{}, fmt.Errorf("graph: compressed shard chunk payload of %d bytes outside (0,%d]", blen, n*maxZChunkPayloadPerEdge)
-			}
-			offset += int64(blen)
-		} else {
-			offset += int64(n) * 8
-		}
+	w := walkFrames(f, sf.size, c, info, false)
+	switch {
+	case !w.sealed:
+		return shardDirFile{}, w.err
+	case info.NumEdges != unknownEdgeCount && info.NumEdges != w.edges:
+		return shardDirFile{}, fmt.Errorf("graph: shard header declares %d edges, chunks hold %d", info.NumEdges, w.edges)
+	case w.end != sf.size:
+		return shardDirFile{}, fmt.Errorf("graph: %d trailing bytes after shard terminator", sf.size-w.end)
 	}
-	var foot [8]byte
-	if _, err := f.ReadAt(foot[:], offset); err != nil {
-		return shardDirFile{}, fmt.Errorf("graph: reading shard footer: %w", err)
-	}
-	offset += 8
-	if got := binary.LittleEndian.Uint64(foot[:]); got != total {
-		return shardDirFile{}, fmt.Errorf("graph: shard footer declares %d edges, chunks hold %d", got, total)
-	}
-	if info.NumEdges != unknownEdgeCount && info.NumEdges != total {
-		return shardDirFile{}, fmt.Errorf("graph: shard header declares %d edges, chunks hold %d", info.NumEdges, total)
-	}
-	if st.Size() != offset {
-		return shardDirFile{}, fmt.Errorf("graph: %d trailing bytes after shard terminator", st.Size()-offset)
-	}
-	sf.numEdges = total
+	sf.numEdges = w.edges
 	return sf, nil
 }
 
@@ -418,13 +358,13 @@ type dirStream struct {
 	files []shardDirFile
 	next  int
 	f     *os.File
-	cr    ChunkReader
+	sr    *ShardReader
 	bytes *atomic.Int64
 }
 
 func (st *dirStream) Next() ([]uint64, []int64, error) {
 	for {
-		if st.cr == nil {
+		if st.sr == nil {
 			if st.next >= len(st.files) {
 				return nil, nil, io.EOF
 			}
@@ -432,18 +372,18 @@ func (st *dirStream) Next() ([]uint64, []int64, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cr, err := NewChunkReader(meteredReader{r: f, n: st.bytes})
+			sr, err := NewShardReader(meteredReader{r: f, n: st.bytes})
 			if err != nil {
 				f.Close()
 				return nil, nil, fmt.Errorf("%s: %w", st.files[st.next].path, err)
 			}
-			st.f, st.cr = f, cr
+			st.f, st.sr = f, sr
 			st.next++
 		}
-		chunk, err := st.cr.Next()
+		chunk, err := st.sr.Next()
 		if err == io.EOF {
 			cerr := st.f.Close()
-			st.f, st.cr = nil, nil
+			st.f, st.sr = nil, nil
 			if cerr != nil {
 				return nil, nil, cerr
 			}
@@ -459,7 +399,7 @@ func (st *dirStream) Next() ([]uint64, []int64, error) {
 func (st *dirStream) Close() error {
 	if st.f != nil {
 		err := st.f.Close()
-		st.f, st.cr = nil, nil
+		st.f, st.sr = nil, nil
 		return err
 	}
 	return nil

@@ -160,7 +160,7 @@ func TestDirSourceRejectsBrokenShardSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteShard(f, sh, index, count); err != nil {
+		if err := writeShard(f, sh, index, count); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -83,7 +83,7 @@ func TestDirSourceMatchesGraphSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteShard(f, sh, uint32(i), uint32(count)); err != nil {
+		if err := writeShard(f, sh, uint32(i), uint32(count)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -48,8 +48,9 @@ func zShardBytes(t *testing.T, numVertices uint32, keys []uint64) []byte {
 	return buf.Bytes()
 }
 
-func drainZ(r io.Reader) ([]uint64, error) {
-	zr, err := NewZShardReader(r)
+// drainShard reads a whole shard stream of either format.
+func drainShard(r io.Reader) ([]uint64, error) {
+	zr, err := NewShardReader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +73,7 @@ func TestZShardRoundTrip(t *testing.T) {
 	keys = append(keys, keys[len(keys)-1]) // duplicate tail edge
 	slices.Sort(keys)
 	b := zShardBytes(t, 1<<14, keys)
-	got, err := drainZ(bytes.NewReader(b))
+	got, err := drainShard(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,7 @@ func zChunk(n uint32, payload []byte) []byte {
 
 func zFile(numVertices uint32, declared uint64, chunks ...[]byte) []byte {
 	var buf bytes.Buffer
-	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:], zshardMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], shardVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], numVertices)
-	binary.LittleEndian.PutUint32(hdr[12:], 0)
-	binary.LittleEndian.PutUint32(hdr[16:], 1)
-	binary.LittleEndian.PutUint64(hdr[20:], unknownEdgeCount)
-	buf.Write(hdr[:])
+	buf.Write(appendShardHeader(nil, zCodec, ShardInfo{NumVertices: numVertices, Count: 1}))
 	var total uint64
 	for _, c := range chunks {
 		buf.Write(c)
@@ -158,12 +152,30 @@ func uvarints(vals ...uint64) []byte {
 // error — never panic, never allocate per a hostile length, never yield an
 // invalid edge.
 func TestZShardReaderRejectsHostileInput(t *testing.T) {
+	for _, tc := range zHostileShards() {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := drainShard(bytes.NewReader(tc.build())); err == nil {
+				t.Fatal("hostile compressed shard accepted")
+			} else if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// hostileShard is one corrupted shard file and the error reading it must
+// raise.
+type hostileShard struct {
+	name    string
+	build   func() []byte
+	wantErr string
+}
+
+// zHostileShards is the ESZ1 hardening table, shared with FuzzShardReader's
+// seeds.
+func zHostileShards() []hostileShard {
 	const sentinel = ^uint64(0)
-	cases := []struct {
-		name    string
-		build   func() []byte
-		wantErr string
-	}{
+	return []hostileShard{
 		{
 			name: "bad magic",
 			build: func() []byte {
@@ -295,15 +307,6 @@ func TestZShardReaderRejectsHostileInput(t *testing.T) {
 			wantErr: "header declares",
 		},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := drainZ(bytes.NewReader(tc.build())); err == nil {
-				t.Fatal("hostile compressed shard accepted")
-			} else if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
 }
 
 // TestZShardReaderRejectsTruncation: every strict prefix of a valid
@@ -312,15 +315,15 @@ func TestZShardReaderRejectsTruncation(t *testing.T) {
 	keys := sortedTestKeys(2*shardChunkEdges+100, 1<<12, 3)
 	full := zShardBytes(t, 1<<12, keys)
 	for _, cut := range []int{0, 10, 27, 28, 31, 40, len(full) / 2, len(full) - 9, len(full) - 1} {
-		if _, err := drainZ(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := drainShard(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// TestNewChunkReaderDispatch: the magic-peek opener must hand back working
-// readers for both formats and reject unknown magics.
-func TestNewChunkReaderDispatch(t *testing.T) {
+// TestNewShardReaderDispatch: the one reader must stream both formats, the
+// header's magic selecting the codec, and reject unknown magics.
+func TestNewShardReaderDispatch(t *testing.T) {
 	keys := sortedTestKeys(1000, 1<<10, 11)
 
 	var raw bytes.Buffer
@@ -345,92 +348,19 @@ func TestNewChunkReaderDispatch(t *testing.T) {
 		{"raw", raw.Bytes()},
 		{"compressed", comp},
 	} {
-		cr, err := NewChunkReader(bytes.NewReader(tc.data))
+		got, err := drainShard(bytes.NewReader(tc.data))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		var got []uint64
-		for {
-			chunk, err := cr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			got = append(got, chunk...)
 		}
 		if !slices.Equal(got, keys) {
 			t.Fatalf("%s: stream mismatch", tc.name)
 		}
 	}
 
-	if _, err := NewChunkReader(strings.NewReader("XXXXjunkjunkjunk")); err == nil ||
-		!strings.Contains(err.Error(), "unknown shard magic") {
+	if _, err := NewShardReader(strings.NewReader("XXXXjunkjunkjunkjunkjunkjunkjunk")); err == nil ||
+		!strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("unknown magic: got %v", err)
 	}
-}
-
-// TestRecoverZShardTail: torn compressed tails recover to the longest valid
-// chunk prefix, exactly like raw shards.
-func TestRecoverZShardTail(t *testing.T) {
-	keys := sortedTestKeys(2*shardChunkEdges+700, 1<<12, 19)
-	full := zShardBytes(t, 1<<12, keys)
-
-	cases := []struct {
-		name string
-		cut  int // bytes to keep
-	}{
-		{"torn mid footer", len(full) - 5},
-		{"torn mid payload", len(full) / 2},
-		{"torn mid chunk header", 28 + 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "torn.esz")
-			if err := os.WriteFile(path, full[:tc.cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			edges, dropped, err := RecoverShardTail(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dropped == 0 && tc.cut != len(full) {
-				t.Error("torn file reported as untouched")
-			}
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			got, err := drainZ(f)
-			if err != nil {
-				t.Fatalf("recovered file does not read: %v", err)
-			}
-			if uint64(len(got)) != edges {
-				t.Fatalf("recover reported %d edges, file holds %d", edges, len(got))
-			}
-			if !slices.Equal(got, keys[:len(got)]) {
-				t.Error("recovered edges are not a prefix of the original stream")
-			}
-		})
-	}
-
-	t.Run("valid file untouched", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "ok.esz")
-		if err := os.WriteFile(path, full, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		edges, dropped, err := RecoverShardTail(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dropped != 0 || edges != uint64(len(keys)) {
-			t.Fatalf("valid file: edges=%d dropped=%d", edges, dropped)
-		}
-	})
 }
 
 // TestCompressedShardDir: WriteCanonicalShardsCompressed round-trips through
@@ -498,10 +428,10 @@ func TestCompressedShardDir(t *testing.T) {
 	// A mixed directory (raw + compressed stripes of the same set) also
 	// validates and streams, since only the magic differs per file.
 	mixDir := t.TempDir()
-	for i, name := range []string{ShardFileName(0, 4), ZShardFileName(1, 4), ShardFileName(2, 4), ZShardFileName(3, 4)} {
+	for i, name := range []string{ShardFileName(0, 4), zCodec.fileName(1, 4), ShardFileName(2, 4), zCodec.fileName(3, 4)} {
 		from := filepath.Join(rawDir, ShardFileName(i, 4))
 		if strings.HasSuffix(name, ".esz") {
-			from = filepath.Join(zDir, ZShardFileName(i, 4))
+			from = filepath.Join(zDir, name)
 		}
 		data, err := os.ReadFile(from)
 		if err != nil {

@@ -30,7 +30,7 @@ import (
 var CappedAlloc = &Analyzer{
 	Name: "cappedalloc",
 	Doc: "flags make() sized by a decoded input count with no intervening bound " +
-		"check (the ReadBinary/ZShardReader capped-prealloc discipline)",
+		"check (the ReadBinary/ShardReader capped-prealloc discipline)",
 	Run: runCappedAlloc,
 }
 
