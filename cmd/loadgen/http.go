@@ -10,42 +10,21 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/distributedne/dne/internal/bench"
-	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/obs"
+	"github.com/distributedne/dne/internal/store"
 )
 
-// HTTP mode (-url) drives a remote dneserve instead of the in-process
-// store: the graph is uploaded once via /api/store/build, then the same
-// neighbors/khop mix is fired at /api/query/*. Transient failures — refused
-// or reset connections while the server restarts, and 503 load sheds from
-// its admission gate — are retried with capped exponential backoff and
-// reported separately in the summary instead of counting as query failures.
-
-// httpOptions bundles the -url mode knobs.
-type httpOptions struct {
-	url      string
-	method   string
-	parts    int
-	seed     int64
-	queries  int
-	workers  int
-	khop     float64
-	k        int
-	wseed    int64
-	attempts int
-}
-
 // retryClient wraps http.Client with transient-error retries. A transport
-// error (refused, reset, timeout) or a 503 is backed off and retried up to
-// maxAttempts times; 503s honor the server's Retry-After when it is shorter
-// than the capped backoff. Every retry is counted by cause.
+// error (refused or reset while the server restarts, timeout) or a 503 load
+// shed from its admission gate is backed off and retried up to maxAttempts
+// times; 503s honor the server's Retry-After when it is shorter than the
+// capped backoff. Every retry is counted by cause and reported apart from
+// query failures.
 type retryClient struct {
 	c           *http.Client
 	maxAttempts int
@@ -81,18 +60,18 @@ func transientErr(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// postJSON POSTs body to url with retries and returns the response bytes.
-// Non-2xx terminal statuses come back as errors carrying the server's error
-// body.
-func (rc *retryClient) postJSON(ctx context.Context, url string, body []byte, rng *rand.Rand) ([]byte, error) {
+// do sends a JSON request (body may be nil) with retries and returns the
+// response bytes. Non-2xx terminal statuses come back as errors carrying
+// the server's error body.
+func (rc *retryClient) do(ctx context.Context, method, url string, body []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < rc.maxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := rc.sleep(ctx, attempt, lastErr, rng); err != nil {
+			if err := rc.sleep(ctx, attempt, lastErr); err != nil {
 				return nil, err
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +101,7 @@ func (rc *retryClient) postJSON(ctx context.Context, url string, body []byte, rn
 			continue
 		}
 		if resp.StatusCode/100 != 2 {
-			return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, firstLine(b))
+			return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, firstLine(b))
 		}
 		return b, nil
 	}
@@ -134,13 +113,14 @@ type shedError struct{ retryAfter string }
 func (e *shedError) Error() string { return "server shed the request (503)" }
 
 // sleep backs off before attempt n: exponential with full jitter, capped,
-// but never longer than a 503's Retry-After asked for.
-func (rc *retryClient) sleep(ctx context.Context, attempt int, cause error, rng *rand.Rand) error {
+// but never longer than a 503's Retry-After asked for. The jitter draws
+// from the global source: it only spreads retries, it shapes no result.
+func (rc *retryClient) sleep(ctx context.Context, attempt int, cause error) error {
 	d := rc.base << uint(attempt-1)
 	if d > rc.cap || d <= 0 {
 		d = rc.cap
 	}
-	d = time.Duration(rng.Int63n(int64(d))) + rc.base/2
+	d = time.Duration(rand.Int63n(int64(d))) + rc.base/2
 	var shed *shedError
 	if errors.As(cause, &shed) && shed.retryAfter != "" {
 		if sec, err := strconv.Atoi(shed.retryAfter); err == nil && sec >= 0 {
@@ -169,129 +149,227 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// runHTTP is the -url entrypoint: upload, query, summarize.
-func runHTTP(ctx context.Context, g *graph.Graph, opt httpOptions) {
-	rc := newRetryClient(opt.attempts)
-	rng := rand.New(rand.NewSource(opt.wseed))
+// client is one dneserve at base URL url.
+type client struct {
+	rc  *retryClient
+	url string
+}
 
-	edges := make([][2]uint32, g.NumEdges())
-	for i, e := range g.Edges() {
-		edges[i] = [2]uint32{e.U, e.V}
-	}
-	buildBody, _ := json.Marshal(StoreBuildRequest{
-		Method: opt.method, Parts: opt.parts, Seed: opt.seed, Edges: edges,
-	})
-	fmt.Printf("http: building store on %s (%v, method=%s, %d shards)\n", opt.url, g, opt.method, opt.parts)
-	b, err := rc.postJSON(ctx, opt.url+"/api/store/build", buildBody, rng)
+// build partitions req's graph on the server into a fresh store.
+func (c *client) build(ctx context.Context, req StoreBuildRequest) (*StoreInfo, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: http build: %v\n", err)
-		os.Exit(1)
+		return nil, err
+	}
+	b, err := c.rc.do(ctx, http.MethodPost, c.url+"/api/store/build", body)
+	if err != nil {
+		return nil, err
 	}
 	var info StoreInfo
 	if err := json.Unmarshal(b, &info); err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: http build reply: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("build reply: %w", err)
 	}
+	return &info, nil
+}
 
-	// The same seeded workload shape as the in-process path: a fixed query
-	// list, partitioned across workers.
-	type query struct {
-		khop   bool
-		vertex uint32
+// metrics reads store id's serving counters from GET /api/store.
+func (c *client) metrics(ctx context.Context, id string) (store.Metrics, error) {
+	b, err := c.rc.do(ctx, http.MethodGet, c.url+"/api/store", nil)
+	if err != nil {
+		return store.Metrics{}, err
 	}
-	qs := make([]query, opt.queries)
-	for i := range qs {
-		qs[i] = query{
-			khop:   rng.Float64() < opt.khop,
-			vertex: uint32(rng.Intn(int(g.NumVertices()))),
+	var list []StoreStatus
+	if err := json.Unmarshal(b, &list); err != nil {
+		return store.Metrics{}, fmt.Errorf("store list: %w", err)
+	}
+	for _, s := range list {
+		if s.Store == id {
+			return s.Metrics, nil
 		}
 	}
+	return store.Metrics{}, fmt.Errorf("store %q not listed", id)
+}
 
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		failures  int64
-	)
-	work := make(chan query, len(qs))
-	for _, q := range qs {
-		work <- q
+// drop deletes store id.
+func (c *client) drop(ctx context.Context, id string) error {
+	_, err := c.rc.do(ctx, http.MethodDelete, c.url+"/api/store/"+id, nil)
+	return err
+}
+
+// query is one entry of the seeded workload.
+type query struct {
+	v    uint32
+	khop bool
+}
+
+// workload is the seeded query mix every method's store is driven with.
+type workload struct {
+	queries   int
+	khopRatio float64
+	k         int   // k-hop depth
+	seed      int64 // query selection
+	workers   int
+	qps       float64 // 0 = closed loop
+
+	scrape         bool
+	scrapeInterval time.Duration
+}
+
+// queryList is wl's query list over a store of numVertices vertices: each
+// query draws its vertex, then its kind. Equal seeds give the identical
+// list, so every method's store answers the same queries.
+func queryList(wl workload, numVertices uint32) []query {
+	rng := rand.New(rand.NewSource(wl.seed))
+	qs := make([]query, wl.queries)
+	for i := range qs {
+		qs[i] = query{v: uint32(rng.Intn(int(numVertices))), khop: rng.Float64() < wl.khopRatio}
 	}
-	close(work)
+	return qs
+}
+
+// methodRun is one method's measured serving cost.
+type methodRun struct {
+	info    *StoreInfo
+	drive   driveResult
+	metrics store.Metrics
+	drift   string // the -scrape line, "" without it
+}
+
+// runMethod builds build's store, drives wl's queries at it, reads its
+// serving counters and drops it. A fresh store's counters start at zero,
+// so they cover exactly this run.
+func (c *client) runMethod(ctx context.Context, build StoreBuildRequest, wl workload) (*methodRun, error) {
+	info, err := c.build(ctx, build)
+	if err != nil {
+		return nil, fmt.Errorf("build: %w", err)
+	}
+	if info.NumVertices == 0 {
+		return nil, fmt.Errorf("store %s has no vertices", info.Store)
+	}
+	qs := queryList(wl, info.NumVertices)
+	var sc *scraper
+	if wl.scrape {
+		sc = newScraper(ctx, c, wl.scrapeInterval)
+	}
+	run := &methodRun{info: info, drive: c.drive(ctx, info.Store, qs, wl)}
+	if sc != nil {
+		sc.close()
+		run.drift = sc.driftLine(info.Method, time.Duration(run.drive.latency.Quantile(0.99)))
+	}
+	if run.metrics, err = c.metrics(ctx, info.Store); err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	if err := c.drop(ctx, info.Store); err != nil {
+		return nil, fmt.Errorf("drop: %w", err)
+	}
+	return run, nil
+}
+
+// driveResult is what the client measured over one query list.
+type driveResult struct {
+	elapsed  time.Duration
+	latency  obs.HistSnapshot // successful queries only
+	failed   int64
+	firstErr error
+}
+
+// drive fires qs at store id: wl.workers goroutines pull the next index
+// from a shared counter, and with wl.qps set query i is due at
+// start + i/qps (open loop). Latency is recorded into a log-bucketed
+// histogram (≤ 6.25% relative quantile error); a query that fails after
+// its retries is counted, not recorded.
+func (c *client) drive(ctx context.Context, id string, qs []query, wl workload) driveResult {
+	hist := obs.NewHistogram()
+	var (
+		next     atomic.Int64
+		failed   atomic.Int64
+		firstErr atomic.Pointer[error]
+	)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < opt.workers; w++ {
+	for w := 0; w < max(wl.workers, 1); w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			wrng := rand.New(rand.NewSource(opt.wseed + int64(w) + 1))
-			for q := range work {
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(len(qs)) || ctx.Err() != nil {
+					return
+				}
+				if wl.qps > 0 {
+					due := start.Add(time.Duration(float64(i) / wl.qps * float64(time.Second)))
+					if d := time.Until(due); d > 0 {
+						select {
+						case <-time.After(d):
+						case <-ctx.Done():
+							return
+						}
+					}
+				}
+				q := qs[i]
+				// Marshal cannot fail on these flat structs.
 				var (
 					url  string
 					body []byte
 				)
 				if q.khop {
-					url = opt.url + "/api/query/khop"
-					body, _ = json.Marshal(KHopRequest{Store: info.Store, Vertex: q.vertex, K: opt.k})
+					url = c.url + "/api/query/khop"
+					body, _ = json.Marshal(KHopRequest{Store: id, Vertex: q.v, K: wl.k})
 				} else {
-					url = opt.url + "/api/query/neighbors"
-					body, _ = json.Marshal(NeighborsRequest{Store: info.Store, Vertex: &q.vertex})
+					url = c.url + "/api/query/neighbors"
+					body, _ = json.Marshal(NeighborsRequest{Store: id, Vertex: &q.v})
 				}
-				qstart := time.Now()
-				if _, err := rc.postJSON(ctx, url, body, wrng); err != nil {
-					atomic.AddInt64(&failures, 1)
+				qStart := time.Now()
+				if _, err := c.rc.do(ctx, http.MethodPost, url, body); err != nil {
+					failed.Add(1)
+					firstErr.CompareAndSwap(nil, &err)
 					continue
 				}
-				d := time.Since(qstart)
-				mu.Lock()
-				latencies = append(latencies, d)
-				mu.Unlock()
+				hist.Observe(int64(time.Since(qStart)))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(q float64) time.Duration {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(latencies)))
-		if i >= len(latencies) {
-			i = len(latencies) - 1
-		}
-		return latencies[i]
+	res := driveResult{elapsed: time.Since(start), latency: hist.Snapshot(), failed: failed.Load()}
+	if p := firstErr.Load(); p != nil {
+		res.firstErr = *p
 	}
-	table := &bench.Table{Header: []string{
-		"store", "queries", "ok", "qps", "p50(ms)", "p95(ms)", "p99(ms)",
-	}}
-	table.Add(info.Store, opt.queries, len(latencies),
-		fmt.Sprintf("%.0f", float64(len(latencies))/elapsed.Seconds()),
-		ms(pct(0.50)), ms(pct(0.95)), ms(pct(0.99)))
-	table.Print(os.Stdout)
-	// Retries are reported on their own line, deliberately not folded into
-	// the failure count: a retried-then-served query is a success.
-	fmt.Printf("retries: %d transport, %d shed (503) — transient, not counted as failures\n",
-		rc.connRetries.Load(), rc.shedRetries.Load())
-	if failures > 0 {
-		fmt.Printf("failures: %d queries exhausted %d attempts\n", failures, opt.attempts)
-	}
+	return res
 }
 
-// StoreBuildRequest, StoreInfo, NeighborsRequest and KHopRequest mirror
-// cmd/dneserve's request/response contract (kept in sync by hand; the server
-// rejects unknown fields, so drift fails fast).
+// StoreBuildRequest, RMATSpec, StoreInfo, StoreStatus, NeighborsRequest and
+// KHopRequest mirror cmd/dneserve's request/response contract (kept in sync
+// by hand; the server rejects unknown request fields, so drift fails fast).
 type StoreBuildRequest struct {
 	Method string      `json:"method"`
 	Parts  int         `json:"parts"`
 	Seed   int64       `json:"seed,omitempty"`
 	Edges  [][2]uint32 `json:"edges,omitempty"`
-	Name   string      `json:"name,omitempty"`
+	RMAT   *RMATSpec   `json:"rmat,omitempty"`
+}
+
+type RMATSpec struct {
+	Scale int   `json:"scale"`
+	EF    int   `json:"ef"`
+	Seed  int64 `json:"seed"`
 }
 
 type StoreInfo struct {
-	Store    string `json:"store"`
-	NumEdges int64  `json:"numEdges"`
+	Store       string  `json:"store"`
+	Method      string  `json:"method"`
+	NumVertices uint32  `json:"numVertices"`
+	Quality     Quality `json:"quality"`
+	PartitionMS float64 `json:"partitionMs"`
+	BuildMS     float64 `json:"buildMs"`
+}
+
+type Quality struct {
+	ReplicationFactor float64 `json:"replicationFactor"`
+}
+
+type StoreStatus struct {
+	StoreInfo
+	Metrics store.Metrics `json:"metrics"`
 }
 
 type NeighborsRequest struct {

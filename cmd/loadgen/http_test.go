@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -33,7 +32,7 @@ func TestRetryClientSurvivesSheds(t *testing.T) {
 
 	rc := newRetryClient(8)
 	rc.base = time.Millisecond
-	b, err := rc.postJSON(context.Background(), srv.URL, []byte("{}"), rand.New(rand.NewSource(1)))
+	b, err := rc.do(context.Background(), http.MethodPost, srv.URL, []byte("{}"))
 	if err != nil {
 		t.Fatalf("retries did not absorb the sheds: %v", err)
 	}
@@ -64,7 +63,7 @@ func TestRetryClientSurvivesConnectionErrors(t *testing.T) {
 	rc.base = 5 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
-		_, err := rc.postJSON(context.Background(), "http://"+addr, []byte("{}"), rand.New(rand.NewSource(2)))
+		_, err := rc.do(context.Background(), http.MethodPost, "http://"+addr, []byte("{}"))
 		done <- err
 	}()
 
@@ -105,7 +104,7 @@ func TestRetryClientGivesUpAndReportsCause(t *testing.T) {
 	defer srv.Close()
 	rc := newRetryClient(3)
 	rc.base = time.Millisecond
-	_, err := rc.postJSON(context.Background(), srv.URL, []byte("{}"), rand.New(rand.NewSource(3)))
+	_, err := rc.do(context.Background(), http.MethodPost, srv.URL, []byte("{}"))
 	if err == nil {
 		t.Fatal("permanently shedding server did not error")
 	}
@@ -128,7 +127,7 @@ func TestRetryClientDoesNotRetryTerminalStatus(t *testing.T) {
 	defer srv.Close()
 	rc := newRetryClient(8)
 	rc.base = time.Millisecond
-	_, err := rc.postJSON(context.Background(), srv.URL, []byte("{}"), rand.New(rand.NewSource(4)))
+	_, err := rc.do(context.Background(), http.MethodPost, srv.URL, []byte("{}"))
 	if err == nil {
 		t.Fatal("400 did not surface as an error")
 	}

@@ -13,11 +13,13 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
+	"time"
 
-	"github.com/distributedne/dne/internal/bench"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/methods"
 	_ "github.com/distributedne/dne/internal/methods/all"
+	"github.com/distributedne/dne/internal/obs"
 	"github.com/distributedne/dne/internal/partition"
 	"github.com/distributedne/dne/internal/store"
 )
@@ -71,17 +73,31 @@ func main() {
 	fmt.Printf("2-hop from %d: %d vertices, levels %v, %d cross-shard hops, %d shard tasks\n",
 		v, len(hop.Vertices), hop.LevelSizes, hop.CrossShardHops, hop.ShardTasks)
 
-	// 5. Same workload against both stores: replication factor becomes a
-	//    measured serving cost.
+	// 5. Same 2000 seeded queries (30% 2-hop) against both stores:
+	//    replication factor becomes a measured serving cost.
 	fmt.Println()
-	cfg := bench.ServingConfig{Queries: 2000, Workers: 4, KHopRatio: 0.3, KHopK: 2, Seed: 7}
 	for _, name := range []string{"random", "ne"} {
-		rep, err := bench.RunServing(ctx, stores[name], cfg)
-		if err != nil {
-			log.Fatal(err)
+		s := stores[name]
+		s.ResetMetrics() // step 3 and 4 queried the NE store
+		rng := rand.New(rand.NewSource(7))
+		lat := obs.NewHistogram()
+		start := time.Now()
+		for i := 0; i < 2000; i++ {
+			v := uint32(rng.Intn(int(s.NumVertices())))
+			qStart := time.Now()
+			if rng.Float64() < 0.3 {
+				_, err = s.KHop(ctx, v, 2)
+			} else {
+				_, err = s.Neighbors(v)
+			}
+			if err != nil {
+				log.Fatal(err)
+			}
+			lat.Observe(int64(time.Since(qStart)))
 		}
+		qps := 2000 / time.Since(start).Seconds()
 		fmt.Printf("%-7s %6.0f qps   p95 %v   %.2f hops/query\n",
-			name, rep.Throughput, rep.LatencyP95, rep.HopsPerQuery)
+			name, qps, time.Duration(lat.Snapshot().Quantile(0.95)), s.Metrics().HopsPerQuery())
 	}
 
 	// 6. Snapshot round trip: a restarted server reads the snapshot and

@@ -4,8 +4,10 @@
 # /metrics must expose nonzero store, live, HTTP and runtime families in
 # valid Prometheus text format; /debug/trace must hold partition phase
 # spans, and the pprof index must answer on the debug port. Finally loadgen
-# -scrape runs its in-process scrape loop and must report a drift line —
-# the end-to-end proof that every layer's instrumentation is wired through.
+# -url -scrape drives a random and a dne store on the same server over HTTP:
+# each method must report a drift line from the server's /metrics, no query
+# may fail, and DNE's hops/query must be below Random's — the paper's claim
+# and every layer's instrumentation, checked end to end.
 set -euo pipefail
 
 ADDR=${ADDR:-127.0.0.1:18801}
@@ -112,11 +114,21 @@ curl -sf "http://$DEBUG_ADDR/debug/trace?format=chrome" | grep -q '"traceEvents"
   || { echo "FAIL: chrome trace dump malformed"; exit 1; }
 echo "   pprof answers, trace ring holds partition spans (json + chrome)"
 
-echo "== loadgen -scrape drift report"
-"$workdir/loadgen" -methods dne -parts "$PARTS" -rmat-scale "$SCALE" -rmat-ef "$EF" \
+echo "== loadgen -url -scrape: random vs dne over HTTP"
+"$workdir/loadgen" -url "http://$ADDR" -methods random,dne -parts "$PARTS" -rmat-scale "$SCALE" -rmat-ef "$EF" \
   -queries 2000 -workers 2 -scrape -scrape-interval 50ms > "$workdir/loadgen.log"
-grep -q '^scrape: .*drift' "$workdir/loadgen.log" \
-  || { echo "FAIL: loadgen -scrape printed no drift line"; cat "$workdir/loadgen.log"; exit 1; }
-grep '^scrape:' "$workdir/loadgen.log"
+cat "$workdir/loadgen.log"
+n=$(grep -c '^scrape: .*drift' "$workdir/loadgen.log" || true)
+[ "$n" = 2 ] || { echo "FAIL: want one scrape drift line per method, got $n"; exit 1; }
+if grep -q '^failures:' "$workdir/loadgen.log"; then
+  echo "FAIL: loadgen reported failed queries"; exit 1
+fi
+# hops/query is the table's next-to-last column.
+hops() { awk -v m="$1" '$1 == m { print $(NF-1) }' "$workdir/loadgen.log"; }
+rand_hops=$(hops Rand.)
+dne_hops=$(hops D.NE)
+awk -v r="$rand_hops" -v d="$dne_hops" 'BEGIN { exit !(r != "" && d != "" && d + 0 < r + 0) }' \
+  || { echo "FAIL: DNE hops/query ($dne_hops) not below Random's ($rand_hops)"; exit 1; }
+echo "   hops/query: D.NE $dne_hops < Rand. $rand_hops"
 
-echo "OK: /metrics exposes nonzero store/live/http/runtime families, pprof and trace serve, scrape drift reported"
+echo "OK: /metrics exposes nonzero store/live/http/runtime families, pprof and trace serve, loadgen drift reported and DNE pays fewer hops than Random"
