@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -155,8 +156,10 @@ func newHandlerWithLive(maxEdges int64, reqTimeout time.Duration, maxStores int,
 	})
 	gate := newAdmission(adm)
 	so.registerAdmissionMetrics(gate)
-	// instrument wraps the gate so shed 503s land in the request metrics too.
-	return so.instrument(gate.guard(mux)), lsvc, so, restoreErrs
+	// Every body decodeJSON reads is behind an http.MaxBytesReader; instrument
+	// wraps the gate so shed 503s land in the request metrics too.
+	limited := http.MaxBytesHandler(mux, maxBodyBytes(maxEdges))
+	return so.instrument(gate.guard(limited)), lsvc, so, restoreErrs
 }
 
 // partitionRun is one partitioner run on a request's graph.
@@ -302,12 +305,37 @@ func handle[T any](mux *http.ServeMux, pattern string, reqTimeout time.Duration,
 	})
 }
 
+// Request bodies are capped by the -max-edges budget: a JSON edge
+// [4294967295,4294967295] with its comma takes 24 bytes, jsonEdgeBytes
+// leaves room for whitespace, and bodySlack covers the rest of a request
+// (method, params, a neighbors batch).
+const (
+	jsonEdgeBytes = 32
+	bodySlack     = 1 << 20
+)
+
+// maxBodyBytes is the request-body cap for a server accepting maxEdges
+// edges per request.
+func maxBodyBytes(maxEdges int64) int64 {
+	if maxEdges > (math.MaxInt64-bodySlack)/jsonEdgeBytes {
+		return math.MaxInt64
+	}
+	return max(maxEdges, 0)*jsonEdgeBytes + bodySlack
+}
+
 // decodeJSON decodes r's body into v, rejecting unknown fields; on failure
-// it answers 400 and reports false.
+// it answers 400, or 413 when the body outgrew maxBodyBytes, and reports
+// false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return false
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,6 +161,32 @@ func TestPartitionEdgeCap(t *testing.T) {
 		Request{Method: "random", Parts: 2, Edges: edges})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (cap)", rec.Code)
+	}
+}
+
+// TestOversizedBodyReturns413: a body past maxBodyBytes(-max-edges) is cut
+// off mid-read and answered 413, on the partition route and on a route that
+// decodes its body outside handle; a body just under the cap still decodes.
+func TestOversizedBodyReturns413(t *testing.T) {
+	const maxEdges = 10
+	h := newHandler(maxEdges, time.Minute)
+	limit := maxBodyBytes(maxEdges)
+	// The padding sits inside the JSON value, so the decoder must read it.
+	pad := func(fields string, n int64) *bytes.Buffer {
+		return bytes.NewBufferString("{" + fields + strings.Repeat(" ", int(n)) + "}")
+	}
+	const partition = `"method":"random","parts":2,"edges":[[0,1]]`
+	for _, c := range []struct{ path, fields string }{{"/api/partition", partition}, {"/api/live/compact", ""}} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, pad(c.fields, limit)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", c.path, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/partition", pad(partition, limit-100)))
+	if rec.Code != http.StatusOK {
+		t.Errorf("body under the cap: status %d (%s)", rec.Code, rec.Body)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -210,6 +211,9 @@ func (ls *liveService) register(mux *http.ServeMux, maxEdges int64, reqTimeout t
 		}
 		start := time.Now()
 		applied, err := lv.Apply(events)
+		if errors.Is(err, live.ErrVertexClaim) {
+			return nil, http.StatusBadRequest, err
+		}
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}

@@ -178,6 +178,24 @@ func TestLiveRestartResumesGraph(t *testing.T) {
 	}
 }
 
+// TestLiveIngestRejectsUnbackedIDs: an endpoint near 2³² that the live
+// edges cannot pay for answers 400 and leaves the graph as it was.
+func TestLiveIngestRejectsUnbackedIDs(t *testing.T) {
+	h, lsvc, _, _ := newHandlerWithLive(100, time.Minute, 2, "", t.TempDir(), admissionLimits{})
+	defer lsvc.close()
+	ingestBatch(t, h, LiveIngestRequest{Parts: 4, Seed: 7, Edges: ringEdges(10)})
+	before := liveStats(t, h, true)
+	rec := doJSON(t, h, http.MethodPost, "/api/live/ingest",
+		LiveIngestRequest{Edges: [][2]uint32{{0, 5}, {1, 1<<32 - 2}}})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("unbacked id: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if after := liveStats(t, h, true); after.Checksum != before.Checksum || after.Stats.NumEdges != before.Stats.NumEdges {
+		t.Fatalf("rejected batch changed the graph: %s/%d vs %s/%d",
+			after.Checksum, after.Stats.NumEdges, before.Checksum, before.Stats.NumEdges)
+	}
+}
+
 func TestLiveIngestBatchCap(t *testing.T) {
 	h, lsvc, _, _ := newHandlerWithLive(10, time.Minute, 2, "", t.TempDir(), admissionLimits{})
 	defer lsvc.close()

@@ -56,7 +56,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	maxEdges := flag.Int64("max-edges", 5_000_000, "reject requests beyond this edge count")
+	maxEdges := flag.Int64("max-edges", 5_000_000, "reject requests beyond this edge count, and bodies beyond 32 B per edge plus 1 MiB with 413")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request partitioning deadline (0 = none)")
 	maxStores := flag.Int("max-stores", defaultMaxStores, "maximum resident query stores")
 	storeDir := flag.String("store-dir", "", "persist store snapshots here and restore them at startup")

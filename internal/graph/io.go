@@ -82,10 +82,17 @@ const (
 	maxVerticesPerEdge = 256
 )
 
+// VertexClaimOK reports whether a claim of n vertex ids is backed by enough
+// edges: up to maxFreeVertices always, beyond that maxVerticesPerEdge per
+// edge. Any reader sizing O(|V|) state from untrusted input applies it.
+func VertexClaimOK(n, edges uint64) bool {
+	return n <= maxFreeVertices || n <= edges*maxVerticesPerEdge
+}
+
 // checkVertexClaim validates an untrusted vertex-count claim against the
 // number of edges backing it (read from, or declared by, the stream).
 func checkVertexClaim(n uint32, edges uint64) error {
-	if uint64(n) > maxFreeVertices && uint64(n) > edges*maxVerticesPerEdge {
+	if !VertexClaimOK(uint64(n), edges) {
 		return fmt.Errorf("graph: header claims %d vertices but stream holds only %d edges; claim exceeds %d + %d per edge",
 			n, edges, maxFreeVertices, maxVerticesPerEdge)
 	}

@@ -341,12 +341,17 @@ func (l *Live) ownerLocked(u, v graph.Vertex) int32 {
 // state (duplicate insertions, self loops and deletions of absent edges
 // don't count). One epoch is published per batch, so batching amortizes
 // the overlay freeze; when the overlay outgrows maxOverlay the batch ends
-// with an automatic compaction.
+// with an automatic compaction. A batch with an unknown op, or with vertex
+// ids its edges cannot pay for (ErrVertexClaim), is rejected whole before
+// anything is logged or placed.
 func (l *Live) Apply(events []dynpart.Event) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("live: closed")
+	}
+	if err := l.st.checkBatch(events); err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	defer func() { l.obsApply.Observe(int64(time.Since(start))) }()
@@ -383,8 +388,6 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 				l.pending.DelEdge(int(q), c.U, c.V)
 			}
 			changed++
-		default:
-			return changed, fmt.Errorf("live: unknown op %d", ev.Op)
 		}
 	}
 	added, deleted := l.pending.AddedEdges(), l.pending.DeletedEdges()

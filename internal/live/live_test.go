@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -105,6 +106,49 @@ func TestLiveIngestServesGraph(t *testing.T) {
 	}
 	if !slices.Equal(kl.Vertices, kr.Vertices) {
 		t.Fatal("khop diverges from the rebuilt store")
+	}
+}
+
+// TestLiveRejectsUnbackedVertexIDs: an insertion whose endpoint would size
+// the per-vertex slabs beyond graph's claim rule (ids up to 1<<20 free,
+// beyond that 256 per live edge) rejects the whole batch before anything is
+// logged or placed, as does an unknown op.
+func TestLiveRejectsUnbackedVertexIDs(t *testing.T) {
+	l, err := Open(t.TempDir(), Config{NumParts: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	add := func(u, v graph.Vertex) dynpart.Event {
+		return dynpart.Event{Op: dynpart.Add, Edge: graph.Edge{U: u, V: v}}
+	}
+	if _, err := l.Apply([]dynpart.Event{add(0, 1), add(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	before := l.State().Checksum()
+	seq := l.Epoch().Seq()
+	for _, batch := range [][]dynpart.Event{
+		{add(2, 3), add(0, 1<<32-1)},
+		{add(2, 3), add(7, 1<<20)},
+		{add(2, 3), {Op: 99, Edge: graph.Edge{U: 0, V: 1}}},
+	} {
+		n, err := l.Apply(batch)
+		if err == nil {
+			t.Fatalf("batch %v accepted", batch)
+		}
+		if n != 0 || l.State().Checksum() != before || l.Epoch().Seq() != seq || l.State().NumEdges() != 2 {
+			t.Fatalf("rejected batch %v changed state: applied %d, %d edges", batch, n, l.State().NumEdges())
+		}
+	}
+	if _, err := l.Apply([]dynpart.Event{add(0, 1<<32-1)}); !errors.Is(err, ErrVertexClaim) {
+		t.Fatalf("high id: err %v, want ErrVertexClaim", err)
+	}
+	// Ids below 1<<20 are free.
+	if _, err := l.Apply([]dynpart.Event{add(7, 1<<20-1)}); err != nil {
+		t.Fatalf("backed id rejected: %v", err)
+	}
+	if err := l.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

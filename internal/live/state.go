@@ -19,8 +19,10 @@ package live
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
 )
@@ -162,6 +164,38 @@ func (st *State) EdgeBalance() float64 {
 		return 1
 	}
 	return float64(max) / (float64(sum) / float64(len(st.sizes)))
+}
+
+// ErrVertexClaim marks a batch rejected because its vertex ids would grow
+// the per-vertex slabs further than the live edges pay for.
+var ErrVertexClaim = errors.New("live: vertex ids not backed by live edges")
+
+// checkBatch validates a batch before any of it is applied: every op must be
+// known, and insertions may grow the per-vertex slabs only as far as the
+// claim rule graph applies to untrusted headers allows (graph.VertexClaimOK),
+// counting the batch's own insertions as live edges. Without it one edge
+// with an endpoint near 2³² commands a multi-GiB |V|×P slab.
+func (st *State) checkBatch(events []dynpart.Event) error {
+	var adds int64
+	var need uint64 // vertices the slabs must cover after the batch
+	for _, ev := range events {
+		switch ev.Op {
+		case dynpart.Add:
+			if ev.Edge.U != ev.Edge.V {
+				adds++
+				need = max(need, uint64(ev.Edge.U)+1, uint64(ev.Edge.V)+1)
+			}
+		case dynpart.Remove:
+		default:
+			return fmt.Errorf("live: unknown op %d", ev.Op)
+		}
+	}
+	edges := uint64(st.numEdges + adds)
+	if need > uint64(len(st.deg)) && !graph.VertexClaimOK(need, edges) {
+		return fmt.Errorf("%w: endpoint %d would size state for %d vertices on %d live edges",
+			ErrVertexClaim, need-1, need, edges)
+	}
+	return nil
 }
 
 // grow extends the per-vertex slabs to cover v.

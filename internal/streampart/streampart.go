@@ -12,6 +12,8 @@ package streampart
 
 import (
 	"context"
+	"fmt"
+	"math"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/graph"
@@ -42,8 +44,22 @@ type StreamFuncOf = partition.StreamFunc
 // from a dedicated counting pass over the source (exact, "available
 // offline") rather than streamed partial degrees; this only helps HDRF,
 // keeping the comparison conservative.
+//
+// The argmax is exact without scoring all P partitions. C_rep takes one of
+// four values per edge, one per replica class — A(u)∩A(v), A(u)\A(v),
+// A(v)\A(u) and neither — and C_bal depends on q only through size_q and
+// does not increase with it. So the partitions are kept as size levels (the
+// distinct sizes present, each with a partition mask and its C_bal cached
+// until maxSize or minSize moves), and each class proposes the lowest q of
+// the smallest size it meets, scored with the same float expressions in the
+// same order as the per-partition rule. A class walks on to larger sizes
+// only while they score equal (C_bal rounded away against C_rep, at tiny λ),
+// never past its own members, so ties still resolve to the lowest q and the
+// owners are those of the per-partition rule, at O(P) per edge at worst.
+// Only for a finite, non-negative λ does the order of the levels give the
+// order of C_bal, so Stream rejects any other λ.
 type HDRF struct {
-	// Lambda is the balance weight λ (default 1.0).
+	// Lambda is the balance weight λ (default 1.0), finite and ≥ 0.
 	Lambda float64
 	// Seed drives the stream shuffle of the legacy Partition shim; under
 	// the registry the shuffle uses spec.Seed instead.
@@ -59,12 +75,15 @@ func (h HDRF) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, 
 }
 
 // Stream is the streaming core: one degree-counting pass, then one
-// assignment pass, with dense state (degrees, replica sets, sizes) bounded
-// by |V| and |P|. It polls ctx every partition.CheckEvery edges.
+// assignment pass, with dense state (degrees, replica sets, size levels)
+// bounded by |V| and |P|. It polls ctx every partition.CheckEvery edges.
 func (h HDRF) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	lambda := h.Lambda
 	if lambda == 0 {
 		lambda = 1.0
+	}
+	if !(lambda >= 0) || math.IsInf(lambda, 1) {
+		return nil, fmt.Errorf("hdrf: lambda must be finite and non-negative, got %g", lambda)
 	}
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
 	if err != nil {
@@ -72,45 +91,19 @@ func (h HDRF) Stream(ctx context.Context, src graph.Source, numParts int, st *pa
 	}
 	p := partition.New(numParts, ne)
 	replicas := partition.NewReplicaSets(numParts, nv)
-	sizes := make([]int64, numParts)
-	var maxSize, minSize int64
-	const eps = 1.0
-	st.PeakMemBytes += replicas.Bytes() + int64(nv)*4 + int64(numParts)*8 + graph.SourceBufferBytes
+	levels := newSizeLevels(numParts, lambda)
+	st.PeakMemBytes += replicas.Bytes() + int64(nv)*4 + levels.Bytes() + graph.SourceBufferBytes
 	err = partition.EachEdge(ctx, src, func(pos int64, k uint64) error {
 		u, v := graph.Vertex(k>>32), graph.Vertex(k)
 		du, dv := float64(deg[u]), float64(deg[v])
 		thetaU := du / (du + dv)
 		thetaV := 1 - thetaU
 		ru, rv := replicas.Row(u), replicas.Row(v)
-		best := int32(0)
-		bestScore := -1.0
-		for q := 0; q < numParts; q++ {
-			var rep float64
-			if ru.Has(q) {
-				rep += 2 - thetaU
-			}
-			if rv.Has(q) {
-				rep += 2 - thetaV
-			}
-			bal := lambda * float64(maxSize-sizes[q]) / (eps + float64(maxSize-minSize))
-			if s := rep + bal; s > bestScore {
-				bestScore = s
-				best = int32(q)
-			}
-		}
+		best := levels.argmax(ru.Words(), rv.Words(), 2-thetaU, 2-thetaV)
 		p.Owner[pos] = best
 		ru.Set(int(best))
 		rv.Set(int(best))
-		sizes[best]++
-		maxSize, minSize = sizes[0], sizes[0]
-		for _, s := range sizes[1:] {
-			if s > maxSize {
-				maxSize = s
-			}
-			if s < minSize {
-				minSize = s
-			}
-		}
+		levels.grow(best)
 		return nil
 	})
 	if err != nil {
