@@ -5,6 +5,7 @@
 package dnebench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -14,9 +15,8 @@ import (
 	"github.com/distributedne/dne/internal/experiments"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
-	"github.com/distributedne/dne/internal/hyperpart"
+	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/partition"
-	"github.com/distributedne/dne/internal/streampart"
 )
 
 func benchOpts(b *testing.B) experiments.Options {
@@ -170,30 +170,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMulticastFanout compares the O(√P) grid multicast against
-// broadcasting replica updates to all machines (Config.BroadcastReplicas):
-// identical partitions, very different traffic.
-func BenchmarkAblationMulticastFanout(b *testing.B) {
-	g := ablationGraph()
-	for _, mode := range []struct {
-		name      string
-		broadcast bool
-	}{{"grid", false}, {"broadcast", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := dne.DefaultConfig()
-			cfg.BroadcastReplicas = mode.broadcast
-			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CommBytes)/(1<<20), "comm-MB")
-				b.ReportMetric(float64(res.CommMessages), "msgs")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDrestStaleness reports the fraction of selection
 // deliveries that allocate nothing — the grid fan-out of a selection plus the
 // price of refreshing boundary Drest scores only on re-entry (README.md,
@@ -216,7 +192,7 @@ func BenchmarkAblationDrestStaleness(b *testing.B) {
 	}
 }
 
-// --- Extensions (paper §8 future work; internal/dynpart, internal/hyperpart) ---
+// --- Extensions (paper §8 future work; internal/dynpart) ---
 
 // BenchmarkDynamicChurn measures incremental-maintenance throughput
 // (events/sec) and the RF drift of a DNE-seeded dynamic partitioning under a
@@ -244,42 +220,22 @@ func BenchmarkDynamicChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkHypergraphPartitioners compares the hypergraph partitioners' RF
-// on a skewed hypergraph (paper §8's hypergraph direction).
-func BenchmarkHypergraphPartitioners(b *testing.B) {
-	h := hyperpart.RandomHypergraph(1<<13, 16_000, 5, 3)
-	for _, pr := range []hyperpart.Partitioner{
-		hyperpart.Random{Seed: 1}, hyperpart.Greedy{Seed: 1}, hyperpart.NE{Seed: 1},
-	} {
-		b.Run(pr.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pt, err := pr.Partition(h, 16)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pt.Measure(h).ReplicationFactor, "RF")
-			}
-		})
-	}
-}
-
 // BenchmarkFennelVsHDRF compares the two streaming edge partitioners' RF and
 // speed on the same skewed graph.
 func BenchmarkFennelVsHDRF(b *testing.B) {
 	g := gen.RMAT(13, 16, 5)
-	for _, pr := range []interface {
-		Name() string
-		Partition(*graph.Graph, int) (*partition.Partitioning, error)
-	}{
-		streampart.Fennel{Seed: 1}, streampart.HDRF{Seed: 1},
-	} {
-		b.Run(pr.Name(), func(b *testing.B) {
+	for _, name := range []string{"fennel", "hdrf"} {
+		b.Run(name, func(b *testing.B) {
+			p, spec, err := methods.New(name, partition.Spec{NumParts: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				pt, err := pr.Partition(g, 16)
+				res, err := p.Partition(context.Background(), g, spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(pt.Measure(g).ReplicationFactor, "RF")
+				b.ReportMetric(res.Quality.ReplicationFactor, "RF")
 			}
 		})
 	}

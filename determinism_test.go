@@ -71,7 +71,6 @@ func TestSeededPartitioningsGolden(t *testing.T) {
 			"grid":      0x387902484d2ebfb3,
 			"hdrf":      0xb14938594be6f7b5,
 			"hybrid":    0xa3191c3543d1f451,
-			"hyperne":   0xa179c2c51bda1922,
 			"metis":     0xdfec932faa158691,
 			"ne":        0x156a04e9a1f79e51,
 			"oblivious": 0x376e7b2745cf56e3,
@@ -90,7 +89,6 @@ func TestSeededPartitioningsGolden(t *testing.T) {
 			"grid":      0x9048c3b95dcfff76,
 			"hdrf":      0xb78f089113cb0a83,
 			"hybrid":    0x19194b08b14c9d77,
-			"hyperne":   0xd2755c4c77aeb315,
 			"metis":     0x634a4b33bc4d49c3,
 			"ne":        0x2e756c365a468980,
 			"oblivious": 0x7431a426ea7b4580,

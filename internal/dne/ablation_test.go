@@ -6,37 +6,6 @@ import (
 	"github.com/distributedne/dne/internal/gen"
 )
 
-func TestBroadcastReplicasSameResultMoreTraffic(t *testing.T) {
-	// Broadcasting replica updates to all machines is a strict superset of
-	// the grid multicast: machines outside the row∪column hold no incident
-	// edges, so every extra delivery is a no-op. The partitioning must be
-	// bit-identical; the traffic must be strictly higher.
-	g := gen.RMAT(10, 8, 3)
-	const parts = 9
-	cfg := DefaultConfig()
-	cfg.Seed = 5
-	grid, err := Partition(g, parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BroadcastReplicas = true
-	bcast, err := Partition(g, parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range grid.Partitioning.Owner {
-		if grid.Partitioning.Owner[i] != bcast.Partitioning.Owner[i] {
-			t.Fatalf("edge %d: grid owner %d != broadcast owner %d",
-				i, grid.Partitioning.Owner[i], bcast.Partitioning.Owner[i])
-		}
-	}
-	if bcast.CommBytes <= grid.CommBytes {
-		t.Errorf("broadcast bytes %d not above grid bytes %d", bcast.CommBytes, grid.CommBytes)
-	}
-	t.Logf("fanout ablation: grid %d bytes, broadcast %d bytes (%.2fx)",
-		grid.CommBytes, bcast.CommBytes, float64(bcast.CommBytes)/float64(grid.CommBytes))
-}
-
 func TestSelectionCountersReported(t *testing.T) {
 	g := gen.RMAT(10, 8, 2)
 	res, err := Partition(g, 8, DefaultConfig())

@@ -94,12 +94,11 @@ func configFingerprint(cfg Config, size int) uint64 {
 	put(uint64(cfg.Seed))
 	put(math.Float64bits(cfg.Alpha))
 	put(math.Float64bits(cfg.Lambda))
+	// Bit 2 is reserved: checkpoint dirs written with it set came from runs
+	// with a broadcast fan-out, and must stay invisible to every config.
 	var flags uint64
 	if cfg.SingleExpansion {
 		flags |= 1
-	}
-	if cfg.BroadcastReplicas {
-		flags |= 2
 	}
 	put(flags)
 	put(uint64(cfg.MaxIterations))

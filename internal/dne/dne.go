@@ -56,11 +56,6 @@ type Config struct {
 	Seed int64
 	// MaxIterations bounds the superstep loop (0 = a large default).
 	MaxIterations int
-	// BroadcastReplicas disables the 2D-hash fanout optimisation: selected
-	// vertices are multicast to all |P| machines instead of the O(√P) grid
-	// row ∪ column. Ablation knob (BenchmarkAblationMulticastFanout): quality
-	// is unaffected, communication volume grows.
-	BroadcastReplicas bool
 }
 
 // DefaultConfig returns the paper's parameter setting (α=1.1, λ=0.1).
@@ -197,7 +192,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 
 // Partitioner adapts PartitionCtx to the v2 partition.Partitioner
 // interface. It is stateless: configuration arrives in the Spec (alpha,
-// lambda, single_expansion, broadcast_replicas, max_iterations), and the run's metrics are folded into Result.Stats —
+// lambda, single_expansion, max_iterations), and the run's metrics are folded into Result.Stats —
 // iteration count, communication volume, the analytic peak memory (the
 // Fig. 9 MemScore numerator) and the simulated network time under the
 // paper's InfiniBand cost model in Extra.
@@ -210,12 +205,11 @@ func (Partitioner) Name() string { return "D.NE" }
 // applying the paper's defaults for unset parameters.
 func ConfigFromSpec(spec partition.Spec) Config {
 	return Config{
-		Alpha:             spec.Float("alpha", 1.1),
-		Lambda:            spec.Float("lambda", 0.1),
-		SingleExpansion:   spec.Bool("single_expansion", false),
-		Seed:              spec.Seed,
-		MaxIterations:     spec.Int("max_iterations", 0),
-		BroadcastReplicas: spec.Bool("broadcast_replicas", false),
+		Alpha:           spec.Float("alpha", 1.1),
+		Lambda:          spec.Float("lambda", 0.1),
+		SingleExpansion: spec.Bool("single_expansion", false),
+		Seed:            spec.Seed,
+		MaxIterations:   spec.Int("max_iterations", 0),
 	}
 }
 

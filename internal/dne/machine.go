@@ -123,7 +123,6 @@ type machine struct {
 	// accumulator) — O(1) lookups and zero per-superstep allocation, paid
 	// for with O(|P|·|V|) total footprint in the in-process simulation. The
 	// Fig-9 memory accounting in finish charges all of it honestly.
-	allProcs    []int
 	procsBuf    []int
 	scratch     bitset.Set
 	outPairs    [][]vp
@@ -156,7 +155,6 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 		partSizes:    make([]int64, p),
 		freeVec:      make([]int64, p),
 		localPerPart: make([]int64, p),
-		allProcs:     make([]int, p),
 		scratch:      bitset.New(p),
 		outPairs:     make([][]vp, p),
 		syncOut:      make([][]vp, p),
@@ -167,9 +165,6 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 		mergedVal:    make([]int32, n),
 		sizesView:    make([]int64, p),
 		quota:        make([]int64, p),
-	}
-	for q := range m.allProcs {
-		m.allProcs[q] = q
 	}
 	st := in.resume
 	if st == nil {
@@ -191,13 +186,9 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 	return m, nil
 }
 
-// replicaProcs resolves a vertex's replica machine set: the grid row ∪ column
-// by default, or all machines under the BroadcastReplicas ablation. The
-// result is valid until the next call.
+// replicaProcs resolves a vertex's replica machine set, its grid row ∪
+// column. The result is valid until the next call.
 func (m *machine) replicaProcs(v graph.Vertex) []int {
-	if m.cfg.BroadcastReplicas {
-		return m.allProcs
-	}
 	m.procsBuf = m.gd.vertexProcs(v, m.procsBuf[:0])
 	return m.procsBuf
 }

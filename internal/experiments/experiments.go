@@ -574,6 +574,5 @@ var All = []struct {
 	{"table5", "graph applications (SSSP/WCC/PageRank)", Table5},
 	{"table6", "road networks (non-skewed)", Table6},
 	{"extdyn", "§8 extension: dynamic-graph incremental maintenance", ExtDynamic},
-	{"exthyper", "§8 extension: hypergraph partitioning", ExtHyper},
 	{"extpl", "§6 premise: power-law fits of the stand-ins", ExtPowerLaw},
 }

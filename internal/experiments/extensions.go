@@ -8,13 +8,12 @@ import (
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
-	"github.com/distributedne/dne/internal/hyperpart"
 	"github.com/distributedne/dne/internal/powerlaw"
 )
 
 // Extension experiments: not tables or figures of the paper, but executable
-// versions of its §8 future-work directions (dynamic graphs, hypergraphs)
-// and the §6 power-law premise check. They appear in expbench under ext*.
+// versions of its §8 dynamic-graph future-work direction and the §6
+// power-law premise check. They appear in expbench under ext*.
 
 // ExtDynamic seeds a dynamic partitioner from a Distributed NE result and
 // tracks RF and balance as a churn stream (20% deletions) applies, comparing
@@ -80,35 +79,6 @@ func coveredOf(g *graph.Graph) int64 {
 		}
 	}
 	return covered
-}
-
-// ExtHyper compares the hypergraph partitioners (Random / Greedy / H-NE) on
-// a skewed hypergraph — the paper's hypergraph future-work direction.
-func ExtHyper(o Options) error {
-	n := uint32(1) << (12 + o.Shift)
-	m := int(n) * 2
-	if o.Quick {
-		m /= 2
-	}
-	h := hyperpart.RandomHypergraph(n, m, 5, o.Seed)
-	fmt.Fprintf(o.out(), "ExtHyper — hypergraph partitioning (|V|=%d, hyperedges=%d, pins=%d, |P|=16)\n\n",
-		h.NumVertices(), h.NumHyperedges(), h.NumPins())
-	t := &bench.Table{Header: []string{"method", "RF", "pin-balance", "edge-balance"}}
-	for _, pr := range []hyperpart.Partitioner{
-		hyperpart.Random{Seed: o.Seed},
-		hyperpart.Greedy{Seed: o.Seed},
-		hyperpart.NE{Seed: o.Seed},
-	} {
-		pt, err := pr.Partition(h, 16)
-		if err != nil {
-			return err
-		}
-		q := pt.Measure(h)
-		t.Add(pr.Name(), q.ReplicationFactor, q.PinBalance, q.EdgeBalance)
-	}
-	t.Print(o.out())
-	fmt.Fprintln(o.out(), "\nshape: H-NE < Greedy < Random in RF, mirroring Fig. 8's ordering on graphs")
-	return nil
 }
 
 // ExtPowerLaw validates the §6 premise on the synthetic stand-ins: fits the

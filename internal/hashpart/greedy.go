@@ -21,21 +21,10 @@ import (
 // stream without coordination; we model the single-stream variant, which is
 // the stronger (coordinated) end of PowerGraph's reported range. The core
 // is a true single pass with |V|-dense replica state.
-type Oblivious struct {
-	// Seed drives the stream shuffle of the legacy Partition shim; under
-	// the registry the shuffle uses spec.Seed instead.
-	Seed int64
-}
+type Oblivious struct{}
 
 // Name returns the display label.
 func (Oblivious) Name() string { return "Obli." }
-
-// Partition is the deprecated v1 shim over the shuffled stream core.
-func (o Oblivious) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, func(ctx context.Context, src graph.Source, n int, st *partition.Stats) (*partition.Partitioning, error) {
-		return o.Stream(ctx, graph.Shuffled(src, o.Seed), n, st)
-	})
-}
 
 // Stream is the greedy streaming core; it polls ctx every
 // partition.CheckEvery edges.
@@ -119,13 +108,6 @@ type HybridGinger struct {
 
 // Name returns the display label.
 func (HybridGinger) Name() string { return "H.G." }
-
-// Partition computes the assignment without cancellation support.
-//
-// Deprecated: v1 shim; use PartitionCtx or the registry.
-func (hg HybridGinger) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return hg.PartitionCtx(context.Background(), g, numParts)
-}
 
 // PartitionCtx runs hybrid-cut plus Ginger refinement; it polls ctx once
 // per vertex scan and per re-materialisation pass.

@@ -54,11 +54,6 @@ type Random struct {
 // Name returns the display label.
 func (Random) Name() string { return "Rand." }
 
-// Partition is the deprecated v1 shim over the stream core.
-func (r Random) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, r.Stream)
-}
-
 // Stream is the streaming core: one pass, no state beyond the owner array.
 func (r Random) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	_, ne, err := partition.Counts(ctx, src)
@@ -86,11 +81,6 @@ type Grid struct {
 
 // Name returns the display label.
 func (Grid) Name() string { return "2D-R." }
-
-// Partition is the deprecated v1 shim over the stream core.
-func (gr Grid) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, gr.Stream)
-}
 
 // Stream is the streaming core: one pass, no state beyond the owner array.
 func (gr Grid) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
@@ -126,11 +116,6 @@ type DBH struct {
 // Name returns the display label.
 func (DBH) Name() string { return "DBH" }
 
-// Partition is the deprecated v1 shim over the stream core.
-func (d DBH) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, d.Stream)
-}
-
 // Stream is the streaming core: a degree pass, then the hash pass.
 func (d DBH) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
@@ -164,11 +149,6 @@ type Hybrid struct {
 
 // Name returns the display label.
 func (Hybrid) Name() string { return "Hybrid" }
-
-// Partition is the deprecated v1 shim over the stream core.
-func (h Hybrid) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, h.Stream)
-}
 
 // Stream is the streaming core: a degree pass, then the hybrid rule pass.
 func (h Hybrid) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {

@@ -1,40 +1,47 @@
 package hashpart
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/partition"
 )
 
 func testGraph() *graph.Graph { return gen.RMAT(11, 8, 5) }
 
-// edgePartitioner is the concrete v1-style surface the core algorithms
-// keep; the v2 partition.Partitioner wrappers are tested via the registry
-// conformance suite.
-type edgePartitioner interface {
-	Name() string
-	Partition(*graph.Graph, int) (*partition.Partitioning, error)
+// registered partitions g with the stream method registered as name. The
+// spec seed salts the hash rules and orders the stream of the greedy rule,
+// exactly as for every caller outside this package.
+func registered(t *testing.T, name string, g *graph.Graph, parts int, seed int64) *partition.Partitioning {
+	t.Helper()
+	p, spec, err := methods.New(name, partition.Spec{NumParts: parts, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Partition(context.Background(), g, spec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res.Partitioning
 }
 
-func validate(t *testing.T, p edgePartitioner, parts int) partition.Quality {
+func validate(t *testing.T, name string, parts int) partition.Quality {
 	t.Helper()
 	g := testGraph()
-	pt, err := p.Partition(g, parts)
-	if err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
-	}
+	pt := registered(t, name, g, parts, 1)
 	if err := pt.Validate(g); err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	return pt.Measure(g)
 }
 
 func TestRandomBalance(t *testing.T) {
-	q := validate(t, Random{Seed: 1}, 16)
+	q := validate(t, "random", 16)
 	// Hash partitioning balances edges nearly perfectly (paper Table 5:
 	// EB = 1.0).
 	if q.EdgeBalance > 1.1 {
@@ -45,10 +52,7 @@ func TestRandomBalance(t *testing.T) {
 func TestGridConfinesVertexReplicas(t *testing.T) {
 	g := testGraph()
 	const parts = 16 // 4×4 grid
-	pt, err := Grid{Seed: 1}.Partition(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := registered(t, "grid", g, parts, 1)
 	// Row+column of a 4×4 grid = at most 7 distinct partitions per vertex.
 	perVertex := make(map[graph.Vertex]map[int32]bool)
 	for i, e := range g.Edges() {
@@ -67,32 +71,40 @@ func TestGridConfinesVertexReplicas(t *testing.T) {
 }
 
 func TestGridBeatsRandom(t *testing.T) {
-	qr := validate(t, Random{Seed: 1}, 64)
-	qg := validate(t, Grid{Seed: 1}, 64)
+	qr := validate(t, "random", 64)
+	qg := validate(t, "grid", 64)
 	if qg.ReplicationFactor >= qr.ReplicationFactor {
 		t.Errorf("Grid RF %.3f should beat Random RF %.3f", qg.ReplicationFactor, qr.ReplicationFactor)
 	}
 }
 
 func TestDBHBeatsRandom(t *testing.T) {
-	qr := validate(t, Random{Seed: 1}, 64)
-	qd := validate(t, DBH{Seed: 1}, 64)
+	qr := validate(t, "random", 64)
+	qd := validate(t, "dbh", 64)
 	if qd.ReplicationFactor >= qr.ReplicationFactor {
 		t.Errorf("DBH RF %.3f should beat Random RF %.3f", qd.ReplicationFactor, qr.ReplicationFactor)
 	}
 }
 
 func TestObliviousBeatsPlainHash(t *testing.T) {
-	qr := validate(t, Random{Seed: 1}, 16)
-	qo := validate(t, Oblivious{Seed: 1}, 16)
+	qr := validate(t, "random", 16)
+	qo := validate(t, "oblivious", 16)
 	if qo.ReplicationFactor >= qr.ReplicationFactor {
 		t.Errorf("Oblivious RF %.3f should beat Random RF %.3f", qo.ReplicationFactor, qr.ReplicationFactor)
 	}
 }
 
 func TestHybridGingerImprovesHybrid(t *testing.T) {
-	qh := validate(t, Hybrid{Seed: 1}, 16)
-	qg := validate(t, HybridGinger{Seed: 1}, 16)
+	qh := validate(t, "hybrid", 16)
+	g := testGraph()
+	pt, err := HybridGinger{Seed: 1}.PartitionCtx(context.Background(), g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	qg := pt.Measure(g)
 	if qg.ReplicationFactor > qh.ReplicationFactor*1.05 {
 		t.Errorf("HybridGinger RF %.3f should not regress Hybrid RF %.3f",
 			qg.ReplicationFactor, qh.ReplicationFactor)
@@ -101,35 +113,31 @@ func TestHybridGingerImprovesHybrid(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := testGraph()
-	for _, p := range []edgePartitioner{
-		Random{Seed: 3}, Grid{Seed: 3}, DBH{Seed: 3}, Hybrid{Seed: 3},
-		Oblivious{Seed: 3}, HybridGinger{Seed: 3},
-	} {
-		a, err := p.Partition(g, 8)
+	ginger := func() *partition.Partitioning {
+		pt, err := HybridGinger{Seed: 3}.PartitionCtx(context.Background(), g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.Partition(g, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		return pt
+	}
+	same := func(name string, a, b *partition.Partitioning) {
 		for i := range a.Owner {
 			if a.Owner[i] != b.Owner[i] {
-				t.Fatalf("%s not deterministic at edge %d", p.Name(), i)
+				t.Fatalf("%s not deterministic at edge %d", name, i)
 			}
 		}
 	}
+	for _, name := range []string{"random", "grid", "dbh", "hybrid", "oblivious"} {
+		same(name, registered(t, name, g, 8, 3), registered(t, name, g, 8, 3))
+	}
+	same("ginger", ginger(), ginger())
 }
 
 func TestQuickOwnersInRange(t *testing.T) {
 	g := gen.RMAT(8, 4, 2)
 	f := func(seed uint64, partsRaw uint8) bool {
 		parts := int(partsRaw%16) + 1
-		pt, err := Random{Seed: seed}.Partition(g, parts)
-		if err != nil {
-			return false
-		}
-		return pt.Validate(g) == nil
+		return registered(t, "random", g, parts, int64(seed)).Validate(g) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -133,7 +133,6 @@ var deterministicPrefixes = []string{
 	"internal/metispart",
 	"internal/streampart",
 	"internal/hashpart",
-	"internal/hyperpart",
 	"internal/dynpart",
 	"internal/powerlaw",
 	"internal/gen",

@@ -138,18 +138,12 @@ func init() {
 	cluster.RegisterWire(kindEdgeOwner, decodeEdgeOwner)
 }
 
-// Partition runs the distributed label propagation on numParts in-process
+// PartitionCtx runs the distributed label propagation on numParts in-process
 // machines and converts the vertex labels to an edge partitioning (§7.1
 // conversion, done distributed: each edge is converted by the machine
-// owning its canonical U endpoint).
-func (d *DistLP) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return d.PartitionCtx(context.Background(), g, numParts)
-}
-
-// PartitionCtx is Partition with cancellation: each superstep ends with a
-// collective all-gather of the machines' cancel flags, so every machine
-// aborts at the same superstep boundary and the lock-step protocol stays
-// deadlock-free.
+// owning its canonical U endpoint). Each superstep ends with a collective
+// all-gather of the machines' cancel flags, so every machine aborts at the
+// same superstep boundary and the lock-step protocol stays deadlock-free.
 func (d *DistLP) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

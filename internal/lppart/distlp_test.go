@@ -2,20 +2,20 @@ package lppart
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
-	"github.com/distributedne/dne/internal/hashpart"
 )
 
 func TestDistLPValidAcrossPartCounts(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	for _, p := range []int{2, 5, 16} {
 		d := &DistLP{Seed: 1}
-		pt, err := d.Partition(g, p)
+		pt, err := d.PartitionCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,16 +36,12 @@ func TestDistLPBeatsRandomOnRoads(t *testing.T) {
 	// propagation finds near-planar structure.
 	g := gen.Road(70, 70, 4)
 	d := &DistLP{Seed: 1}
-	dpt, err := d.Partition(g, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpt, err := hashpart.Random{Seed: 1}.Partition(g, 16)
+	dpt, err := d.PartitionCtx(context.Background(), g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dr := dpt.Measure(g).ReplicationFactor
-	rr := rpt.Measure(g).ReplicationFactor
+	rr := randomRF(t, g, 16)
 	if dr >= rr {
 		t.Errorf("DistLP RF %.3f not below Random %.3f", dr, rr)
 	}
@@ -57,11 +53,11 @@ func TestDistLPQualityTracksSequentialSpinner(t *testing.T) {
 	g := gen.RMAT(11, 8, 5)
 	const p = 8
 	d := &DistLP{Seed: 2}
-	dpt, err := d.Partition(g, p)
+	dpt, err := d.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spt, err := Spinner{Seed: 2}.Partition(g, p)
+	spt, err := Spinner{Seed: 2}.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +74,7 @@ func TestDistLPMemoryModelsEdgeReplication(t *testing.T) {
 	// adjacency targets alone.
 	g := gen.RMAT(11, 16, 7)
 	d := &DistLP{Seed: 3}
-	if _, err := d.Partition(g, 16); err != nil {
+	if _, err := d.PartitionCtx(context.Background(), g, 16); err != nil {
 		t.Fatal(err)
 	}
 	if d.Last.MemBytes < 8*g.NumEdges() {
@@ -89,11 +85,11 @@ func TestDistLPMemoryModelsEdgeReplication(t *testing.T) {
 
 func TestDistLPDeterministicForSeed(t *testing.T) {
 	g := gen.RMAT(9, 8, 9)
-	a, err := (&DistLP{Seed: 7}).Partition(g, 4)
+	a, err := (&DistLP{Seed: 7}).PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&DistLP{Seed: 7}).Partition(g, 4)
+	b, err := (&DistLP{Seed: 7}).PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,11 +110,6 @@ func (s Spinner) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) ([
 	return labels, nil
 }
 
-// Partition computes the assignment without cancellation support.
-func (s Spinner) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return s.PartitionCtx(context.Background(), g, numParts)
-}
-
 // PartitionCtx runs the label propagation under ctx and converts the vertex
 // labels to an edge partitioning.
 func (s Spinner) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
@@ -266,11 +261,6 @@ func (x XtraPuLP) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) (
 		}
 	}
 	return labels, nil
-}
-
-// Partition computes the assignment without cancellation support.
-func (x XtraPuLP) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return x.PartitionCtx(context.Background(), g, numParts)
 }
 
 // PartitionCtx runs the partitioner under ctx and converts the vertex

@@ -8,7 +8,6 @@ package all
 import (
 	_ "github.com/distributedne/dne/internal/dne"
 	_ "github.com/distributedne/dne/internal/hashpart"
-	_ "github.com/distributedne/dne/internal/hyperpart"
 	_ "github.com/distributedne/dne/internal/lppart"
 	_ "github.com/distributedne/dne/internal/metispart"
 	_ "github.com/distributedne/dne/internal/nepart"

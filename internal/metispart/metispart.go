@@ -37,7 +37,7 @@ type METIS struct {
 func (*METIS) Name() string { return "ParMETIS" }
 
 // MemBytes returns the analytic memory footprint (all coarsening levels) of
-// the last Partition call.
+// the last PartitionCtx call.
 func (m *METIS) MemBytes() int64 { return m.memLevels }
 
 // level is a coarsened weighted graph.
@@ -49,11 +49,6 @@ type level struct {
 	vertW  []int64 // coarse vertex weights (vertex counts)
 	// fine2coarse maps the finer level's vertices to this level's.
 	fine2coarse []int32
-}
-
-// Partition computes the assignment without cancellation support.
-func (m *METIS) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return m.PartitionCtx(context.Background(), g, numParts)
 }
 
 // PartitionCtx is the multilevel core; it polls ctx between coarsening

@@ -1,10 +1,10 @@
 package metispart
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
-	"github.com/distributedne/dne/internal/hashpart"
 )
 
 func TestMETISBeatsRandomOnRoad(t *testing.T) {
@@ -12,16 +12,12 @@ func TestMETISBeatsRandomOnRoad(t *testing.T) {
 	// ParMETIS rows in Table 6 are nearly ideal).
 	g := gen.Road(60, 60, 3)
 	m := &METIS{Seed: 1}
-	mpt, err := m.Partition(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpt, err := hashpart.Random{Seed: 1}.Partition(g, 8)
+	mpt, err := m.PartitionCtx(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mr := mpt.Measure(g).ReplicationFactor
-	rr := rpt.Measure(g).ReplicationFactor
+	rr := randomRF(t, g, 8)
 	if mr >= rr*0.5 {
 		t.Errorf("METIS RF %.3f not far below Random %.3f", mr, rr)
 	}
@@ -36,7 +32,7 @@ func TestMETISMemoryReporter(t *testing.T) {
 	// analytic report must exceed one graph's footprint.
 	g := gen.RMAT(10, 8, 3)
 	m := &METIS{Seed: 1}
-	if _, err := m.Partition(g, 8); err != nil {
+	if _, err := m.PartitionCtx(context.Background(), g, 8); err != nil {
 		t.Fatal(err)
 	}
 	if m.MemBytes() <= g.MemoryFootprint() {
@@ -51,7 +47,7 @@ func TestMETISDoesNotCollapseOnSkewedGraph(t *testing.T) {
 	// super-vertex and every label ends up identical (RF < 1, EB = P).
 	g := gen.RMAT(12, 16, 42)
 	const p = 16
-	pt, err := (&METIS{Seed: 42}).Partition(g, p)
+	pt, err := (&METIS{Seed: 42}).PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +70,7 @@ func TestMETISDoesNotCollapseOnSkewedGraph(t *testing.T) {
 func TestMETISTinyGraphs(t *testing.T) {
 	for _, p := range []int{2, 3} {
 		g := gen.Star(8)
-		pt, err := (&METIS{Seed: 1}).Partition(g, p)
+		pt, err := (&METIS{Seed: 1}).PartitionCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

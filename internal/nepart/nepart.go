@@ -24,15 +24,10 @@ type NE struct {
 // Name returns the display label.
 func (NE) Name() string { return "NE" }
 
-// Partition implements partition.Partitioner. Partitions are grown one at a
-// time: each starts from a random vertex and repeatedly expands the boundary
-// vertex with minimal remaining degree, allocating its free edges plus any
-// two-hop edges that fall inside the partition's vertex set (Condition (5)).
-func (ne NE) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return ne.PartitionCtx(context.Background(), g, numParts)
-}
-
-// PartitionCtx is the expansion core; it polls ctx every
+// PartitionCtx grows the partitions one at a time: each starts from a random
+// vertex and repeatedly expands the boundary vertex with minimal remaining
+// degree, allocating its free edges plus any two-hop edges that fall inside
+// the partition's vertex set (Condition (5)). It polls ctx every
 // partition.CheckEvery allocated edges.
 func (ne NE) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
 	alpha := ne.Alpha

@@ -1,6 +1,7 @@
 package nepart
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/bound"
@@ -15,7 +16,7 @@ type graphT struct{ g *graph.Graph }
 func TestNEBalanceWithinAlpha(t *testing.T) {
 	g := gen.RMAT(11, 16, 5)
 	for _, alpha := range []float64{1.05, 1.1, 1.5} {
-		pt, err := NE{Seed: 1, Alpha: alpha}.Partition(g, 16)
+		pt, err := NE{Seed: 1, Alpha: alpha}.PartitionCtx(context.Background(), g, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,14 +35,11 @@ func TestNEBeatsHDRFOnSkewedGraph(t *testing.T) {
 	// Table 4's quality ordering: offline NE < streaming HDRF in RF.
 	g := gen.RMAT(11, 16, 9)
 	const p = 16
-	ne, err := NE{Seed: 2}.Partition(g, p)
+	ne, err := NE{Seed: 2}.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdrf, err := streampart.HDRF{Seed: 2}.Partition(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hdrf := shuffledRun(t, streampart.HDRF{}.Stream, g, p, 2)
 	neRF := ne.Measure(g).ReplicationFactor
 	hdrfRF := hdrf.Measure(g).ReplicationFactor
 	if neRF >= hdrfRF {
@@ -58,7 +56,7 @@ func TestNEWithinTheorem1StyleBound(t *testing.T) {
 		"road": {gen.Road(20, 20, 1)},
 		"star": {gen.Star(1 << 8)},
 	} {
-		pt, err := NE{Seed: 1}.Partition(g.g, 8)
+		pt, err := NE{Seed: 1}.PartitionCtx(context.Background(), g.g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +70,8 @@ func TestNEWithinTheorem1StyleBound(t *testing.T) {
 
 func TestNEDeterministic(t *testing.T) {
 	g := gen.RMAT(9, 8, 3)
-	a, _ := NE{Seed: 7}.Partition(g, 8)
-	b, _ := NE{Seed: 7}.Partition(g, 8)
+	a, _ := NE{Seed: 7}.PartitionCtx(context.Background(), g, 8)
+	b, _ := NE{Seed: 7}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("owners differ at %d", i)

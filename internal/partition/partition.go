@@ -70,34 +70,37 @@ type Quality struct {
 // Validate first if completeness matters).
 func (p *Partitioning) Measure(g *graph.Graph) Quality {
 	n := int(g.NumVertices())
-	sets := make([]bitset.Set, n)
-	for v := range sets {
-		sets[v] = bitset.New(p.NumParts)
-	}
+	words := bitset.WordsFor(p.NumParts)
+	slab := make([]uint64, n*words)
 	edgeCounts := make([]int64, p.NumParts)
 	for i, o := range p.Owner {
 		if o == None {
 			continue
 		}
 		e := g.Edge(int64(i))
-		sets[e.U].Set(int(o))
-		sets[e.V].Set(int(o))
+		w, b := int(o)>>6, uint64(1)<<(uint(o)&63)
+		slab[int(e.U)*words+w] |= b
+		slab[int(e.V)*words+w] |= b
 		edgeCounts[o]++
 	}
+	return tally(slab, n, words, edgeCounts)
+}
+
+// tally finishes a quality measurement: slab holds n rows of words u64s,
+// row v the set of partitions covering vertex v, and edgeCounts holds |Ep|.
+func tally(slab []uint64, n, words int, edgeCounts []int64) Quality {
 	var replicas, covered int64
-	vertCounts := make([]int64, p.NumParts)
+	vertCounts := make([]int64, len(edgeCounts))
 	for v := 0; v < n; v++ {
-		c := sets[v].Count()
+		row := bitset.FromWords(slab[v*words : (v+1)*words])
+		c := row.Count()
 		if c > 0 {
 			covered++
 		}
 		replicas += int64(c)
-		sets[v].ForEach(func(q int) { vertCounts[q]++ })
+		row.ForEach(func(q int) { vertCounts[q]++ })
 	}
-	q := Quality{
-		Replicas:   replicas,
-		VertexCuts: replicas - covered,
-	}
+	q := Quality{Replicas: replicas, VertexCuts: replicas - covered}
 	if n > 0 {
 		q.ReplicationFactor = float64(replicas) / float64(n)
 	}
@@ -120,27 +123,4 @@ func balance(xs []int64) (float64, int64) {
 	}
 	mean := float64(sum) / float64(len(xs))
 	return float64(max) / mean, max
-}
-
-// VertexSets returns, for each partition, the number of vertices it covers
-// (|V(Ep)|). Exposed for tests and the engine.
-func (p *Partitioning) VertexSets(g *graph.Graph) []int64 {
-	n := int(g.NumVertices())
-	sets := make([]bitset.Set, n)
-	for v := range sets {
-		sets[v] = bitset.New(p.NumParts)
-	}
-	for i, o := range p.Owner {
-		if o == None {
-			continue
-		}
-		e := g.Edge(int64(i))
-		sets[e.U].Set(int(o))
-		sets[e.V].Set(int(o))
-	}
-	counts := make([]int64, p.NumParts)
-	for v := 0; v < n; v++ {
-		sets[v].ForEach(func(q int) { counts[q]++ })
-	}
-	return counts
 }

@@ -42,11 +42,6 @@ type StreamPartitioner interface {
 // order decoration, quality measurement and the rest of the accounting.
 type StreamCore func(ctx context.Context, src graph.Source, spec Spec, st *Stats) (*Partitioning, error)
 
-// StreamFunc is the concrete-type shape of a streaming core
-// (HDRF.Stream, DBH.Stream, ...): configuration lives on the receiver, so
-// only the partition count travels alongside the source.
-type StreamFunc func(ctx context.Context, src graph.Source, numParts int, st *Stats) (*Partitioning, error)
-
 // StreamMethod adapts a StreamCore into both Partitioner and
 // StreamPartitioner: single-process streaming methods register themselves
 // as a StreamMethod, and their graph entry point routes through
@@ -144,22 +139,6 @@ func (m StreamMethod) PartitionStream(ctx context.Context, src graph.Source, spe
 	}
 	res.Stats.Wall = time.Since(start)
 	return res, nil
-}
-
-// Legacy adapts a concrete streaming core to the v1 (g, numParts) call
-// shape: one adapter for every method, replacing the per-type
-// Partition/PartitionCtx shim pairs. Cores that want a shuffled arrival
-// order wrap it themselves (graph.Shuffled) before handing off to their
-// Stream method.
-//
-// Deprecated: retained for tests and downstream callers of the concrete
-// types; new code goes through methods.New / methods.PartitionSource.
-func Legacy(g *graph.Graph, numParts int, core StreamFunc) (*Partitioning, error) {
-	if numParts <= 0 {
-		return nil, fmt.Errorf("partition: numParts must be positive, got %d", numParts)
-	}
-	var st Stats
-	return core(context.Background(), graph.SourceOf(g), numParts, &st)
 }
 
 // Counts resolves a source's exact |V| and |E|, from its hints when known
@@ -354,10 +333,10 @@ func ReplicaSetsFromSlab(numParts int, slab []uint64) (*ReplicaSets, error) {
 }
 
 // measureStream computes the Quality of p over the raw source's stream: the
-// i-th raw stream edge must be owned by Owner[i]. The math is identical to
-// Partitioning.Measure — for a canonical source the numbers are equal bit
-// for bit — but runs without the graph, in a |V|×ceil(P/64)-word slab. It
-// also validates completeness: length mismatch between stream and owner
+// i-th raw stream edge must be owned by Owner[i]. It fills the same
+// |V|×ceil(P/64)-word slab as Partitioning.Measure and shares its tally —
+// for a canonical source the numbers are equal bit for bit — but runs
+// without the graph. It also validates completeness: length mismatch between stream and owner
 // array, unassigned or out-of-range owners all error.
 func measureStream(ctx context.Context, src graph.Source, p *Partitioning) (Quality, int64, error) {
 	src = graph.RawSource(src)
@@ -414,22 +393,5 @@ func measureStream(ctx context.Context, src graph.Source, p *Partitioning) (Qual
 	if pos != len(p.Owner) {
 		return Quality{}, 0, fmt.Errorf("partition: stream yielded %d edges, owner array has %d", pos, len(p.Owner))
 	}
-	var replicas, covered int64
-	vertCounts := make([]int64, p.NumParts)
-	for v := 0; v < n; v++ {
-		row := bitset.FromWords(slab[v*words : (v+1)*words])
-		c := row.Count()
-		if c > 0 {
-			covered++
-		}
-		replicas += int64(c)
-		row.ForEach(func(q int) { vertCounts[q]++ })
-	}
-	q := Quality{Replicas: replicas, VertexCuts: replicas - covered}
-	if n > 0 {
-		q.ReplicationFactor = float64(replicas) / float64(n)
-	}
-	q.EdgeBalance, q.MaxPartEdges = balance(edgeCounts)
-	q.VertexBalance, _ = balance(vertCounts)
-	return q, int64(len(slab)) * 8, nil
+	return tally(slab, n, words, edgeCounts), int64(len(slab)) * 8, nil
 }

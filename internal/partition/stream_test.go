@@ -35,23 +35,81 @@ func modCore(ctx context.Context, src graph.Source, spec Spec, st *Stats) (*Part
 
 // TestStreamRunQualityMatchesMeasure: the stream-side quality measurement
 // (no graph, |V|-slab) must equal Partitioning.Measure bit for bit on a
-// canonical source.
+// canonical source, including partition counts that fill, cross and span
+// several 64-bit slab words.
 func TestStreamRunQualityMatchesMeasure(t *testing.T) {
 	g := streamTestGraph()
 	m := StreamMethod{Label: "mod", Core: modCore}
-	res, err := m.Partition(context.Background(), g, NewSpec(5, 3))
-	if err != nil {
-		t.Fatal(err)
+	for _, parts := range []int{1, 5, 63, 64, 65, 130} {
+		res, err := m.Partition(context.Background(), g, NewSpec(parts, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Partitioning.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		if want := res.Partitioning.Measure(g); res.Quality != want {
+			t.Fatalf("P=%d: stream quality %+v != Measure %+v", parts, res.Quality, want)
+		}
+		if res.Stats.PeakMemBytes <= g.MemoryFootprint() {
+			t.Fatalf("P=%d: graph-path peak %d must include the resident graph (%d)",
+				parts, res.Stats.PeakMemBytes, g.MemoryFootprint())
+		}
 	}
-	if err := res.Partitioning.Validate(g); err != nil {
-		t.Fatal(err)
+}
+
+// TestMeasurePartialOwnersMatchesMap checks Measure on a multi-word
+// partition count with unassigned edges against a per-vertex map tally:
+// None owners are skipped, not counted.
+func TestMeasurePartialOwnersMatchesMap(t *testing.T) {
+	g := streamTestGraph()
+	const parts = 130
+	p := New(parts, g.NumEdges())
+	for i := range p.Owner {
+		if i%3 != 0 {
+			p.Owner[i] = int32(i * 7 % parts)
+		}
 	}
-	if want := res.Partitioning.Measure(g); res.Quality != want {
-		t.Fatalf("stream quality %+v != Measure %+v", res.Quality, want)
+	sets := map[graph.Vertex]map[int32]bool{}
+	edgeCounts := make([]int64, parts)
+	for i, o := range p.Owner {
+		if o == None {
+			continue
+		}
+		e := g.Edge(int64(i))
+		for _, v := range []graph.Vertex{e.U, e.V} {
+			if sets[v] == nil {
+				sets[v] = map[int32]bool{}
+			}
+			sets[v][o] = true
+		}
+		edgeCounts[o]++
 	}
-	if res.Stats.PeakMemBytes <= g.MemoryFootprint() {
-		t.Fatalf("graph-path peak %d must include the resident graph (%d)",
-			res.Stats.PeakMemBytes, g.MemoryFootprint())
+	vertCounts := make([]int64, parts)
+	var replicas int64
+	for _, s := range sets {
+		replicas += int64(len(s))
+		for q := range s {
+			vertCounts[q]++
+		}
+	}
+	ratio := func(xs []int64) (float64, int64) {
+		var sum, hi int64
+		for _, x := range xs {
+			sum += x
+			hi = max(hi, x)
+		}
+		return float64(hi) / (float64(sum) / float64(len(xs))), hi
+	}
+	want := Quality{
+		Replicas:          replicas,
+		VertexCuts:        replicas - int64(len(sets)),
+		ReplicationFactor: float64(replicas) / float64(g.NumVertices()),
+	}
+	want.EdgeBalance, want.MaxPartEdges = ratio(edgeCounts)
+	want.VertexBalance, _ = ratio(vertCounts)
+	if got := p.Measure(g); got != want {
+		t.Fatalf("Measure %+v, map tally %+v", got, want)
 	}
 }
 
@@ -99,24 +157,5 @@ func TestStreamMethodShuffleKeepsIndexing(t *testing.T) {
 	}
 	if want := res.Partitioning.Measure(g); res.Quality != want {
 		t.Fatalf("stream quality %+v != Measure %+v", res.Quality, want)
-	}
-}
-
-// TestLegacyAdapter: the one deprecated shim drives a concrete core with
-// the v1 shape and rejects a bad partition count.
-func TestLegacyAdapter(t *testing.T) {
-	g := streamTestGraph()
-	core := func(ctx context.Context, src graph.Source, numParts int, st *Stats) (*Partitioning, error) {
-		return modCore(ctx, src, Spec{NumParts: numParts}, st)
-	}
-	p, err := Legacy(g, 3, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Legacy(g, 0, core); err == nil {
-		t.Fatal("numParts=0 accepted")
 	}
 }

@@ -33,11 +33,6 @@ type Sheep struct {
 // Name returns the display label.
 func (Sheep) Name() string { return "Sheep" }
 
-// Partition computes the assignment without cancellation support.
-func (s Sheep) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return s.PartitionCtx(context.Background(), g, numParts)
-}
-
 // PartitionCtx is the elimination-tree core; it polls ctx between phases
 // and every partition.CheckEvery vertices/edges inside them.
 func (s Sheep) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {

@@ -1,6 +1,7 @@
 package sheep
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
@@ -17,7 +18,7 @@ func TestSheepOnTreeIsNearIdeal(t *testing.T) {
 		edges = append(edges, graph.Edge{U: (v - 1) / 2, V: v})
 	}
 	g := graph.FromEdges(n, edges)
-	pt, err := Sheep{Seed: 1}.Partition(g, 8)
+	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSheepPathGraph(t *testing.T) {
 		edges = append(edges, graph.Edge{U: v, V: v + 1})
 	}
 	g := graph.FromEdges(1000, edges)
-	pt, err := Sheep{Seed: 1}.Partition(g, 4)
+	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSheepPathGraph(t *testing.T) {
 
 func TestSheepBalanceCap(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
-	pt, err := Sheep{Seed: 2, Alpha: 1.1}.Partition(g, 8)
+	pt, err := Sheep{Seed: 2, Alpha: 1.1}.PartitionCtx(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +65,8 @@ func TestSheepBalanceCap(t *testing.T) {
 
 func TestSheepDeterministic(t *testing.T) {
 	g := gen.RMAT(9, 8, 5)
-	a, _ := Sheep{Seed: 9}.Partition(g, 8)
-	b, _ := Sheep{Seed: 9}.Partition(g, 8)
+	a, _ := Sheep{Seed: 9}.PartitionCtx(context.Background(), g, 8)
+	b, _ := Sheep{Seed: 9}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("owners differ at %d", i)

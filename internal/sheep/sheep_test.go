@@ -1,17 +1,30 @@
 package sheep
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/hashpart"
+	"github.com/distributedne/dne/internal/partition"
 )
+
+// randomRF is the replication factor of the 1D-hash baseline on g, run
+// through its Stream core over g's canonical edges.
+func randomRF(t *testing.T, g *graph.Graph, parts int) float64 {
+	t.Helper()
+	pt, err := hashpart.Random{Seed: 1}.Stream(context.Background(), graph.SourceOf(g), parts, &partition.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt.Measure(g).ReplicationFactor
+}
 
 func TestValidOnSkewedGraph(t *testing.T) {
 	g := gen.RMAT(11, 8, 4)
 	for _, parts := range []int{2, 8, 64} {
-		pt, err := Sheep{Seed: 1}.Partition(g, parts)
+		pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, parts)
 		if err != nil {
 			t.Fatalf("P=%d: %v", parts, err)
 		}
@@ -26,7 +39,7 @@ func TestRoadNetworkQuality(t *testing.T) {
 	// (RF 1.03) where hash methods are ~3.5. Our reproduction stays
 	// well under 1.6 at 64 partitions.
 	g := gen.Road(120, 120, 5)
-	pt, err := Sheep{Seed: 1}.Partition(g, 64)
+	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +47,7 @@ func TestRoadNetworkQuality(t *testing.T) {
 	if rf > 1.6 {
 		t.Errorf("Sheep RF on road network = %.3f, want < 1.6", rf)
 	}
-	hp, err := hashpart.Random{Seed: 1}.Partition(g, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hrf := hp.Measure(g).ReplicationFactor; rf >= hrf {
+	if hrf := randomRF(t, g, 64); rf >= hrf {
 		t.Errorf("Sheep RF %.3f should beat Random %.3f", rf, hrf)
 	}
 }
@@ -46,7 +55,7 @@ func TestRoadNetworkQuality(t *testing.T) {
 func TestBalance(t *testing.T) {
 	g := gen.RMAT(11, 8, 7)
 	const parts = 8
-	pt, err := Sheep{Seed: 1}.Partition(g, parts)
+	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestBalance(t *testing.T) {
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	tiny := graph.FromEdges(0, []graph.Edge{{U: 0, V: 1}})
-	pt, err := Sheep{}.Partition(tiny, 4)
+	pt, err := Sheep{}.PartitionCtx(context.Background(), tiny, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +78,8 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := gen.RMAT(10, 4, 2)
-	a, _ := Sheep{Seed: 3}.Partition(g, 8)
-	b, _ := Sheep{Seed: 3}.Partition(g, 8)
+	a, _ := Sheep{Seed: 3}.PartitionCtx(context.Background(), g, 8)
+	b, _ := Sheep{Seed: 3}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatal("Sheep not deterministic")

@@ -24,18 +24,10 @@ import (
 type Fennel struct {
 	// Gamma is the load-cost exponent γ > 1 (default 1.5).
 	Gamma float64
-	// Seed drives the stream shuffle of the legacy Partition shim (see
-	// HDRF).
-	Seed int64
 }
 
 // Name returns the display label.
 func (Fennel) Name() string { return "FENNEL" }
-
-// Partition is the deprecated v1 shim over the shuffled stream core.
-func (f Fennel) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, shuffled(f.Stream, f.Seed))
-}
 
 // Stream is the streaming core; it polls ctx every partition.CheckEvery
 // edges.

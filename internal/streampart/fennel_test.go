@@ -10,13 +10,7 @@ import (
 func TestFennelProducesValidPartitioning(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	for _, p := range []int{2, 8, 33} {
-		pt, err := Fennel{Seed: 1}.Partition(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pt.Validate(g); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
+		shuffledRun(t, Fennel{}.Stream, g, p, 1)
 	}
 }
 
@@ -25,16 +19,8 @@ func TestFennelBeatsRandomOnSkewedGraph(t *testing.T) {
 	// streaming; on a skewed graph its RF must be clearly below Random's.
 	g := gen.RMAT(12, 16, 5)
 	const p = 16
-	fpt, err := Fennel{Seed: 2}.Partition(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpt, err := hashpart.Random{Seed: 2}.Partition(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fq := fpt.Measure(g)
-	rq := rpt.Measure(g)
+	fq := shuffledRun(t, Fennel{}.Stream, g, p, 2).Measure(g)
+	rq := shuffledRun(t, hashpart.Random{Seed: 2}.Stream, g, p, 2).Measure(g)
 	if fq.ReplicationFactor >= rq.ReplicationFactor*0.9 {
 		t.Errorf("FENNEL RF %.3f not clearly below Random RF %.3f",
 			fq.ReplicationFactor, rq.ReplicationFactor)
@@ -45,11 +31,7 @@ func TestFennelBalanceStaysBounded(t *testing.T) {
 	// The convex load cost must keep edge balance within a small factor even
 	// though FENNEL has no hard cap.
 	g := gen.RMAT(11, 16, 7)
-	pt, err := Fennel{Seed: 3}.Partition(g, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := pt.Measure(g)
+	q := shuffledRun(t, Fennel{}.Stream, g, 32, 3).Measure(g)
 	if q.EdgeBalance > 1.6 {
 		t.Errorf("edge balance %.3f too loose", q.EdgeBalance)
 	}
@@ -59,22 +41,8 @@ func TestFennelGammaExtremes(t *testing.T) {
 	// Larger γ penalizes imbalance harder: balance at γ=4 must be at least
 	// as good as at γ=1.05, and both must remain valid partitionings.
 	g := gen.RMAT(10, 8, 9)
-	loose, err := Fennel{Gamma: 1.05, Seed: 4}.Partition(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Fennel{Gamma: 4, Seed: 4}.Partition(g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loose.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := tight.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	lb := loose.Measure(g).EdgeBalance
-	tb := tight.Measure(g).EdgeBalance
+	lb := shuffledRun(t, Fennel{Gamma: 1.05}.Stream, g, 8, 4).Measure(g).EdgeBalance
+	tb := shuffledRun(t, Fennel{Gamma: 4}.Stream, g, 8, 4).Measure(g).EdgeBalance
 	if tb > lb+0.05 {
 		t.Errorf("γ=4 balance %.3f worse than γ=1.05 balance %.3f", tb, lb)
 	}
@@ -82,8 +50,8 @@ func TestFennelGammaExtremes(t *testing.T) {
 
 func TestFennelDeterministicForSeed(t *testing.T) {
 	g := gen.RMAT(9, 8, 1)
-	a, _ := Fennel{Seed: 42}.Partition(g, 8)
-	b, _ := Fennel{Seed: 42}.Partition(g, 8)
+	a := shuffledRun(t, Fennel{}.Stream, g, 8, 42)
+	b := shuffledRun(t, Fennel{}.Stream, g, 8, 42)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("edge %d: %d != %d", i, a.Owner[i], b.Owner[i])

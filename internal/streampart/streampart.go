@@ -20,19 +20,6 @@ import (
 	"github.com/distributedne/dne/internal/partition"
 )
 
-// shuffled is the arrival-order decoration every replica-greedy core in
-// this package runs under (see graph.Shuffled): legacy shims apply it here;
-// the registry applies it via partition.StreamMethod.Shuffle.
-func shuffled(core StreamFuncOf, seed int64) partition.StreamFunc {
-	return func(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
-		return core(ctx, graph.Shuffled(src, seed), numParts, st)
-	}
-}
-
-// StreamFuncOf mirrors partition.StreamFunc for the package's concrete
-// cores.
-type StreamFuncOf = partition.StreamFunc
-
 // HDRF is High-Degree Replicated First streaming partitioning. For each edge
 // (u,v) it scores every partition q as
 //
@@ -61,18 +48,10 @@ type StreamFuncOf = partition.StreamFunc
 type HDRF struct {
 	// Lambda is the balance weight λ (default 1.0), finite and ≥ 0.
 	Lambda float64
-	// Seed drives the stream shuffle of the legacy Partition shim; under
-	// the registry the shuffle uses spec.Seed instead.
-	Seed int64
 }
 
 // Name returns the display label.
 func (HDRF) Name() string { return "HDRF" }
-
-// Partition is the deprecated v1 shim over the shuffled stream core.
-func (h HDRF) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, shuffled(h.Stream, h.Seed))
-}
 
 // Stream is the streaming core: one degree-counting pass, then one
 // assignment pass, with dense state (degrees, replica sets, size levels)
@@ -118,24 +97,16 @@ func (h HDRF) Stream(ctx context.Context, src graph.Source, numParts int, st *pa
 // so later windows extend earlier partitions. This follows the batched
 // formulation of Zhang et al. §5 but replaces the in-window min-degree
 // expansion with closure sweeps; as a result its quality tracks HDRF rather
-// than clearly beating it as in the paper's Table 4 (recorded in
-// EXPERIMENTS.md). Window count defaults to the partition count; memory is
+// than clearly beating it as in the paper's Table 4 (see the Table 4 note in
+// README, "Benchmarks and experiments"). Window count defaults to the partition count; memory is
 // bounded by one window plus the |V|-dense state, not by |E|.
 type SNE struct {
 	Alpha   float64
 	Windows int
-	// Seed drives the stream shuffle of the legacy Partition shim (see
-	// HDRF).
-	Seed int64
 }
 
 // Name returns the display label.
 func (SNE) Name() string { return "SNE" }
-
-// Partition is the deprecated v1 shim over the shuffled stream core.
-func (s SNE) Partition(g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	return partition.Legacy(g, numParts, shuffled(s.Stream, s.Seed))
-}
 
 // Stream is the streaming core; it polls ctx every partition.CheckEvery
 // processed edges (closure sweeps included).

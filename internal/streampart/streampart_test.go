@@ -1,6 +1,7 @@
 package streampart
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
@@ -11,34 +12,39 @@ import (
 
 func testGraph() *graph.Graph { return gen.RMAT(11, 8, 6) }
 
-type edgePartitioner interface {
-	Name() string
-	Partition(*graph.Graph, int) (*partition.Partitioning, error)
-}
+// streamCore is the shape of a concrete type's Stream method.
+type streamCore func(context.Context, graph.Source, int, *partition.Stats) (*partition.Partitioning, error)
 
-func run(t *testing.T, p edgePartitioner, parts int) partition.Quality {
+// shuffledRun runs a Stream core over g's canonical edges in the arrival
+// order the registry gives it for spec seed seed, and validates the output.
+func shuffledRun(t *testing.T, core streamCore, g *graph.Graph, parts int, seed int64) *partition.Partitioning {
 	t.Helper()
-	g := testGraph()
-	pt, err := p.Partition(g, parts)
+	pt, err := core(context.Background(), graph.Shuffled(graph.SourceOf(g), seed), parts, &partition.Stats{})
 	if err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
+		t.Fatal(err)
 	}
 	if err := pt.Validate(g); err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
+		t.Fatal(err)
 	}
-	return pt.Measure(g)
+	return pt
+}
+
+func run(t *testing.T, core streamCore, parts int) partition.Quality {
+	t.Helper()
+	g := testGraph()
+	return shuffledRun(t, core, g, parts, 1).Measure(g)
 }
 
 func TestHDRFValidAndBalanced(t *testing.T) {
-	q := run(t, HDRF{Seed: 1}, 16)
+	q := run(t, HDRF{}.Stream, 16)
 	if q.EdgeBalance > 1.2 {
 		t.Errorf("HDRF edge balance %.3f too loose", q.EdgeBalance)
 	}
 }
 
 func TestHDRFBeatsRandom(t *testing.T) {
-	qh := run(t, HDRF{Seed: 1}, 16)
-	qr := run(t, hashpart.Random{Seed: 1}, 16)
+	qh := run(t, HDRF{}.Stream, 16)
+	qr := run(t, hashpart.Random{Seed: 1}.Stream, 16)
 	if qh.ReplicationFactor >= qr.ReplicationFactor {
 		t.Errorf("HDRF RF %.3f should beat Random %.3f", qh.ReplicationFactor, qr.ReplicationFactor)
 	}
@@ -47,13 +53,7 @@ func TestHDRFBeatsRandom(t *testing.T) {
 func TestSNEValidAndCapped(t *testing.T) {
 	g := testGraph()
 	const parts = 16
-	pt, err := SNE{Seed: 1}.Partition(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Validate(g); err != nil {
-		t.Fatal(err)
-	}
+	pt := shuffledRun(t, SNE{}.Stream, g, parts, 1)
 	capEdges := int64(1.1*float64(g.NumEdges())/parts) + 1
 	for q, c := range pt.EdgeCounts() {
 		if c > capEdges {
@@ -66,13 +66,13 @@ func TestSNEComparableToHDRF(t *testing.T) {
 	// The paper's SNE clearly beats HDRF (Table 4); the windowed
 	// simplification here only matches it (see the package comment), so the
 	// invariant tested is "within 5% of HDRF and far better than Random".
-	qs := run(t, SNE{Seed: 1}, 64)
-	qh := run(t, HDRF{Seed: 1}, 64)
+	qs := run(t, SNE{}.Stream, 64)
+	qh := run(t, HDRF{}.Stream, 64)
 	if qs.ReplicationFactor > qh.ReplicationFactor*1.05 {
 		t.Errorf("SNE RF %.3f should track HDRF %.3f within 5%%",
 			qs.ReplicationFactor, qh.ReplicationFactor)
 	}
-	qr := run(t, hashpart.Random{Seed: 1}, 64)
+	qr := run(t, hashpart.Random{Seed: 1}.Stream, 64)
 	if qs.ReplicationFactor >= qr.ReplicationFactor {
 		t.Errorf("SNE RF %.3f should beat Random %.3f", qs.ReplicationFactor, qr.ReplicationFactor)
 	}
@@ -81,24 +81,21 @@ func TestSNEComparableToHDRF(t *testing.T) {
 func TestSNEWindowsParameter(t *testing.T) {
 	g := testGraph()
 	for _, w := range []int{1, 4, 1000000} {
-		pt, err := SNE{Seed: 1, Windows: w}.Partition(g, 8)
-		if err != nil {
-			t.Fatalf("windows=%d: %v", w, err)
-		}
-		if err := pt.Validate(g); err != nil {
-			t.Fatalf("windows=%d: %v", w, err)
-		}
+		shuffledRun(t, SNE{Windows: w}.Stream, g, 8, 1)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	g := testGraph()
-	for _, p := range []edgePartitioner{HDRF{Seed: 4}, SNE{Seed: 4}} {
-		a, _ := p.Partition(g, 8)
-		b, _ := p.Partition(g, 8)
+	for _, c := range []struct {
+		name string
+		core streamCore
+	}{{"HDRF", HDRF{}.Stream}, {"SNE", SNE{}.Stream}} {
+		a := shuffledRun(t, c.core, g, 8, 4)
+		b := shuffledRun(t, c.core, g, 8, 4)
 		for i := range a.Owner {
 			if a.Owner[i] != b.Owner[i] {
-				t.Fatalf("%s not deterministic", p.Name())
+				t.Fatalf("%s not deterministic", c.name)
 			}
 		}
 	}
