@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/distributedne/dne/internal/dne"
-	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/experiments"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
@@ -192,33 +191,7 @@ func BenchmarkAblationDrestStaleness(b *testing.B) {
 	}
 }
 
-// --- Extensions (paper §8 future work; internal/dynpart) ---
-
-// BenchmarkDynamicChurn measures incremental-maintenance throughput
-// (events/sec) and the RF drift of a DNE-seeded dynamic partitioning under a
-// 20%-deletion churn stream.
-func BenchmarkDynamicChurn(b *testing.B) {
-	g := gen.RMAT(13, 16, 21)
-	res, err := dne.Partition(g, 16, dne.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := dynpart.Churn(g, 100_000, 0.2, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, err := dynpart.FromStatic(g, res.Partitioning, dynpart.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		d.Apply(events)
-		b.StopTimer()
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		b.ReportMetric(d.ReplicationFactor(), "RF")
-		b.StartTimer()
-	}
-}
+// --- Streaming baselines (Fig. 8) ---
 
 // BenchmarkFennelVsHDRF compares the two streaming edge partitioners' RF and
 // speed on the same skewed graph.

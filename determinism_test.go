@@ -1,13 +1,17 @@
 package dnebench
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/live"
 	"github.com/distributedne/dne/internal/methods"
 	_ "github.com/distributedne/dne/internal/methods/all"
 	"github.com/distributedne/dne/internal/partition"
@@ -126,26 +130,51 @@ func TestSeededPartitioningsGolden(t *testing.T) {
 	}
 }
 
-// TestDynamicSeededStreamGolden pins the dynamic partitioner to its seeded
-// output: a churn stream applied with interleaved bounded rebalancing must
-// be a pure function of (stream, seed). The second case seeds from a
-// maximally skewed static assignment so the migration path — previously a
-// Go map iteration, now sorted canonical order — does real work (thousands
-// of moves) under the checksum.
+// liveOwnerDigest is FNV-64a over every live (packed edge, owner) pair in
+// packed-key order, 12 little-endian bytes per pair.
+func liveOwnerDigest(lv *live.Live) uint64 {
+	ep := lv.Epoch()
+	var pairs [][2]uint64
+	for q := 0; q < ep.NumShards(); q++ {
+		for _, k := range ep.ShardEdgesPacked(q) {
+			pairs = append(pairs, [2]uint64{k, uint64(q)})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	h := fnv.New64a()
+	var b [12]byte
+	for _, kq := range pairs {
+		binary.LittleEndian.PutUint64(b[:8], kq[0])
+		binary.LittleEndian.PutUint32(b[8:], uint32(kq[1]))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestDynamicSeededStreamGolden pins live placement to its seeded output: a
+// churn stream applied with interleaved bounded rebalancing must be a pure
+// function of (stream, seed). The second case seeds from a maximally skewed
+// static assignment through live.Create so the migration path does real
+// work (thousands of moves) under the digest. Both constants predate the
+// dense live state: the map-based partitioner it replaced produced them.
 func TestDynamicSeededStreamGolden(t *testing.T) {
 	t.Run("churn", func(t *testing.T) {
 		g := gen.RMAT(10, 8, 7)
-		d, err := dynpart.New(8, dynpart.DefaultOptions())
+		lv, err := live.Open(t.TempDir(), live.Config{NumParts: 8, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer lv.Close()
 		events := dynpart.Churn(g, 20000, 0.2, 7)
 		for i := 0; i < len(events); i += 1000 {
-			end := min(i+1000, len(events))
-			d.Apply(events[i:end])
-			d.Rebalance(256)
+			if _, err := lv.Apply(events[i:min(i+1000, len(events))]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lv.Rebalance(256); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got := d.Checksum(); got != 0xf39bcedd789c988e {
+		if got := liveOwnerDigest(lv); got != 0xf39bcedd789c988e {
 			t.Fatalf("seeded churn checksum %#x changed", got)
 		}
 	})
@@ -155,20 +184,30 @@ func TestDynamicSeededStreamGolden(t *testing.T) {
 		for i := range p.Owner {
 			p.Owner[i] = 0
 		}
-		d, err := dynpart.FromStatic(g, p, dynpart.DefaultOptions())
+		lv, err := live.Create(t.TempDir(), live.Config{Seed: 7}, g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		moved := d.Rebalance(4000)
-		d.Apply(dynpart.Churn(g, 10000, 0.3, 7))
-		moved += d.Rebalance(4000)
-		if err := d.CheckInvariants(); err != nil {
+		defer lv.Close()
+		moved, err := lv.Rebalance(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lv.Apply(dynpart.Churn(g, 10000, 0.3, 7)); err != nil {
+			t.Fatal(err)
+		}
+		more, err := lv.Rebalance(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += more
+		if err := lv.State().CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		if moved == 0 {
 			t.Fatal("rebalance moved nothing; the migration path is not exercised")
 		}
-		if got := d.Checksum(); got != 0xabb74040e0b9b326 {
+		if got := liveOwnerDigest(lv); got != 0xabb74040e0b9b326 {
 			t.Fatalf("seeded rebalance checksum %#x changed (moved %d)", got, moved)
 		}
 	})

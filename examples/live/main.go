@@ -1,5 +1,6 @@
-// Live graphs: the §8 dynamic-graph extension as a serving subsystem.
-// Edges arrive and depart while the graph answers queries — arrivals are
+// Live graphs: the §8 dynamic-graph extension as a serving subsystem. A
+// snapshot partitioned offline with Distributed NE seeds the live graph;
+// then edges arrive and depart while it answers queries — arrivals are
 // placed incrementally by the replica-aware greedy partitioner, land in
 // append-only EShard logs, accumulate in a mutable overlay over the
 // immutable CSR base, and a compactor folds them into fresh epochs that
@@ -15,6 +16,7 @@ import (
 	"log"
 	"os"
 
+	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
@@ -28,21 +30,31 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// 1. Open an empty live graph: 8 partitions, seeded placement. The
-	//    directory will hold the partitioner checkpoint (state.dls) and the
-	//    append-only per-partition logs (part-NNNN.esh / dead-NNNN.esh).
+	// 1. Yesterday's snapshot of a skewed social graph, partitioned offline
+	//    with Distributed NE into 8 parts, seeds the live graph. Create
+	//    writes each partition's edges as its append-only insertion log
+	//    (part-NNNN.esh; tombstones go to dead-NNNN.esh) and rebuilds the
+	//    placement state from them; checkpoints of it land in state.dls.
 	const parts, seed = 8, 42
-	lv, err := live.Open(dir, live.Config{NumParts: parts, Seed: seed})
+	snapshot := gen.RMAT(12, 16, seed)
+	res, err := dne.Partition(snapshot, parts, dne.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
+	lv, err := live.Create(dir, live.Config{Seed: seed}, snapshot, res.Partitioning)
+	if err != nil {
+		log.Fatal(err)
+	}
+	st := lv.Stats()
+	fmt.Printf("seeded from DNE (%d supersteps): |E|=%d RF=%.3f balance=%.3f\n",
+		res.Iterations, st.NumEdges, st.ReplicationFactor, st.EdgeBalance)
 
-	// 2. Today's traffic: a seeded churn stream (10% deletions) over a
-	//    skewed social graph. Apply ingests a batch — greedy placement,
-	//    log append, overlay update — and publishes ONE new epoch per
-	//    batch: the batch is the visibility granularity.
-	g := gen.RMAT(13, 16, seed)
-	stream := dynpart.Churn(g, 300_000, 0.1, seed)
+	// 2. Today's traffic: a seeded churn stream (10% deletions) of edges
+	//    from a future region of the graph. Apply ingests a batch — greedy
+	//    placement, log append, overlay update — and publishes ONE new
+	//    epoch per batch: the batch is the visibility granularity.
+	future := gen.RMAT(13, 16, seed+1)
+	stream := dynpart.Churn(future, 300_000, 0.1, seed)
 	const batch = 4096
 	for lo := 0; lo < len(stream); lo += batch {
 		hi := min(lo+batch, len(stream))
@@ -50,7 +62,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	st := lv.Stats()
+	st = lv.Stats()
 	fmt.Printf("ingested %d events: |E|=%d RF=%.3f balance=%.3f epoch=%d (%d auto-compactions)\n",
 		len(stream), st.NumEdges, st.ReplicationFactor, st.EdgeBalance, st.Epoch, st.Compactions)
 

@@ -1,3 +1,7 @@
+// Package dynpart is the event vocabulary of the dynamic-graph extension
+// the paper lists as future work (§8, citing Leopard, Huang & Abadi
+// VLDB'16): the edge insertions and deletions internal/live applies, and
+// Churn, the seeded update stream that drives it.
 package dynpart
 
 import (
@@ -21,36 +25,12 @@ type Event struct {
 	Edge graph.Edge
 }
 
-// Apply applies a batch of events in order and returns how many actually
-// changed state (duplicate adds and misses don't count).
-func (d *Partitioner) Apply(events []Event) int {
-	changed := 0
-	for _, ev := range events {
-		switch ev.Op {
-		case Add:
-			c := ev.Edge.Canon()
-			if c.U == c.V {
-				continue
-			}
-			if _, ok := d.owner[c]; !ok {
-				d.AddEdge(c)
-				changed++
-			}
-		case Remove:
-			if d.RemoveEdge(ev.Edge) {
-				changed++
-			}
-		}
-	}
-	return changed
-}
-
 // Churn generates a reproducible update stream against a base graph:
 // insertions drawn uniformly from the base edges currently absent, deletions
 // drawn uniformly from the present ones, with the given deletion
 // probability. Deleted edges can be re-inserted later. It is the workload
-// used by the dynamic example and benches (social-network churn: mostly
-// growth, some unfriending).
+// of examples/live, expbench's extdyn and the live benchmark workload
+// (social-network churn: mostly growth, some unfriending).
 func Churn(base *graph.Graph, events int, pDelete float64, seed int64) []Event {
 	rng := rand.New(rand.NewSource(seed))
 	all := base.Edges()

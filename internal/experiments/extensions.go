@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 
 	"github.com/distributedne/dne/internal/bench"
 	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/live"
 	"github.com/distributedne/dne/internal/powerlaw"
 )
 
@@ -15,9 +17,9 @@ import (
 // versions of its §8 dynamic-graph future-work direction and the §6
 // power-law premise check. They appear in expbench under ext*.
 
-// ExtDynamic seeds a dynamic partitioner from a Distributed NE result and
-// tracks RF and balance as a churn stream (20% deletions) applies, comparing
-// the maintained partitioning against periodic full re-partitioning.
+// ExtDynamic seeds a live graph from a Distributed NE result and tracks RF
+// and balance as a churn stream (20% deletions) applies, comparing the
+// maintained partitioning against periodic full re-partitioning.
 func ExtDynamic(o Options) error {
 	scale := 12 + o.Shift
 	if scale < 8 {
@@ -28,12 +30,18 @@ func ExtDynamic(o Options) error {
 	if err != nil {
 		return err
 	}
-	d, err := dynpart.FromStatic(snapshot, res.Partitioning, dynpart.DefaultOptions())
+	dir, err := os.MkdirTemp("", "extdyn-")
 	if err != nil {
 		return err
 	}
+	defer os.RemoveAll(dir)
+	lv, err := live.Create(dir, live.Config{Seed: o.Seed}, snapshot, res.Partitioning)
+	if err != nil {
+		return err
+	}
+	defer lv.Close()
 	fmt.Fprintf(o.out(), "ExtDynamic — incremental maintenance vs full re-partition (|P|=16)\n")
-	fmt.Fprintf(o.out(), "seed snapshot: %v, DNE live-vertex RF %.3f\n\n", snapshot, d.ReplicationFactor())
+	fmt.Fprintf(o.out(), "seed snapshot: %v, DNE live-vertex RF %.3f\n\n", snapshot, lv.Stats().ReplicationFactor)
 
 	future := gen.RMAT(scale, 16, o.Seed+1)
 	events := 8 * int(snapshot.NumEdges()) / 10
@@ -44,27 +52,33 @@ func ExtDynamic(o Options) error {
 	t := &bench.Table{Header: []string{"events", "|E|", "incr RF", "incr EB", "re-part RF", "moved"}}
 	steps := 4
 	per := (len(stream) + steps - 1) / steps
-	applied := 0
 	for lo := 0; lo < len(stream); lo += per {
-		hi := lo + per
-		if hi > len(stream) {
-			hi = len(stream)
+		hi := min(lo+per, len(stream))
+		if _, err := lv.Apply(stream[lo:hi]); err != nil {
+			return err
 		}
-		d.Apply(stream[lo:hi])
-		moved := d.Rebalance(2000)
-		applied = hi
+		moved, err := lv.Rebalance(2000)
+		if err != nil {
+			return err
+		}
 		// Full re-partition of the current edge set for comparison.
-		cur := graph.FromEdges(0, d.Edges())
+		ep := lv.Epoch()
+		var keys []uint64
+		for q := 0; q < ep.NumShards(); q++ {
+			keys = append(keys, ep.ShardEdgesPacked(q)...)
+		}
+		cur := graph.FromPacked(0, keys)
 		fres, err := dne.PartitionCtx(o.ctx(), cur, 16, dneCfg(o.Seed))
 		if err != nil {
 			return err
 		}
 		fq := fres.Partitioning.Measure(cur)
 		fullRF := float64(fq.Replicas) / float64(coveredOf(cur))
-		t.Add(applied, d.NumEdges(), d.ReplicationFactor(), d.EdgeBalance(), fullRF, moved)
+		st := lv.Stats()
+		t.Add(hi, st.NumEdges, st.ReplicationFactor, st.EdgeBalance, fullRF, moved)
 	}
 	t.Print(o.out())
-	if err := d.CheckInvariants(); err != nil {
+	if err := lv.State().CheckInvariants(); err != nil {
 		return err
 	}
 	fmt.Fprintln(o.out(), "\nshape: incremental RF tracks within a small factor of full re-partitioning")

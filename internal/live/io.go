@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 
@@ -18,7 +19,7 @@ import (
 //
 //	magic u32, version u32, numParts u32, numVertices u32
 //	numEdges u64, events u64, moved u64, migratedBytes u64
-//	alpha f64bits, balanceWeight f64bits, seed u64
+//	alpha f64bits (always 1.1), balanceWeight f64bits (always 1), seed u64
 //	sizes numParts × u64
 //	deg slab numVertices × u32
 //	counts slab numVertices×numParts × u32
@@ -43,21 +44,11 @@ func capCount(n uint64) int {
 	return int(n)
 }
 
-// hashWriter tees writes through the running FNV-64a state digest.
-type hashWriter struct {
-	w   io.Writer
-	sum uint64
-}
-
-func (hw *hashWriter) Write(p []byte) (int, error) {
-	hw.sum = fnvWrite(hw.sum, p)
-	return hw.w.Write(p)
-}
-
 // WriteState serializes st.
 func WriteState(w io.Writer, st *State) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	hw := &hashWriter{w: bw, sum: fnvNew()}
+	h := fnv.New64a()
+	hw := io.MultiWriter(bw, h)
 	var hdr [16 + 32 + 24]byte
 	binary.LittleEndian.PutUint32(hdr[0:], stateMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], stateVersion)
@@ -67,8 +58,8 @@ func WriteState(w io.Writer, st *State) error {
 	binary.LittleEndian.PutUint64(hdr[24:], st.events)
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(st.moved))
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(st.migratedBytes))
-	binary.LittleEndian.PutUint64(hdr[48:], math.Float64bits(st.cfg.Alpha))
-	binary.LittleEndian.PutUint64(hdr[56:], math.Float64bits(st.cfg.BalanceWeight))
+	binary.LittleEndian.PutUint64(hdr[48:], math.Float64bits(alpha))
+	binary.LittleEndian.PutUint64(hdr[56:], math.Float64bits(balanceWeight))
 	binary.LittleEndian.PutUint64(hdr[64:], uint64(st.cfg.Seed))
 	if _, err := hw.Write(hdr[:]); err != nil {
 		return err
@@ -86,7 +77,7 @@ func WriteState(w io.Writer, st *State) error {
 	if err := writeU32s(hw, st.counts); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint64(b8[:], hw.sum)
+	binary.LittleEndian.PutUint64(b8[:], h.Sum64())
 	if _, err := bw.Write(b8[:]); err != nil {
 		return err
 	}
@@ -108,23 +99,13 @@ func writeU32s(w io.Writer, xs []uint32) error {
 	return nil
 }
 
-// hashReader tees reads through the running FNV-64a digest.
-type hashReader struct {
-	r   io.Reader
-	sum uint64
-}
-
-func (hr *hashReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	hr.sum = fnvWrite(hr.sum, p[:n])
-	return n, err
-}
-
 // ReadState reconstructs a State from the format written by WriteState.
 // Every count is validated and the payload digest checked, so a truncated
 // or hostile file errors instead of producing inconsistent placement state.
 func ReadState(r io.Reader) (*State, error) {
-	hr := &hashReader{r: bufio.NewReaderSize(r, 1<<16), sum: fnvNew()}
+	br := bufio.NewReaderSize(r, 1<<16)
+	h := fnv.New64a()
+	hr := io.TeeReader(br, h)
 	var hdr [16 + 32 + 24]byte
 	if _, err := io.ReadFull(hr, hdr[:]); err != nil {
 		return nil, fmt.Errorf("live: reading state header: %w", err)
@@ -141,16 +122,17 @@ func ReadState(r io.Reader) (*State, error) {
 	events := binary.LittleEndian.Uint64(hdr[24:])
 	moved := binary.LittleEndian.Uint64(hdr[32:])
 	migratedBytes := binary.LittleEndian.Uint64(hdr[40:])
-	alpha := math.Float64frombits(binary.LittleEndian.Uint64(hdr[48:]))
-	weight := math.Float64frombits(binary.LittleEndian.Uint64(hdr[56:]))
 	seed := int64(binary.LittleEndian.Uint64(hdr[64:]))
 	if numParts == 0 || numParts > maxParts {
 		return nil, fmt.Errorf("live: state partition count %d out of range (0,%d]", numParts, maxParts)
 	}
-	if math.IsNaN(alpha) || alpha < 1 || math.IsNaN(weight) {
-		return nil, fmt.Errorf("live: state declares invalid alpha %g / weight %g", alpha, weight)
+	if a := math.Float64frombits(binary.LittleEndian.Uint64(hdr[48:])); a != alpha {
+		return nil, fmt.Errorf("live: state declares alpha %g, want %g", a, alpha)
 	}
-	st, err := NewState(Config{NumParts: int(numParts), Alpha: alpha, BalanceWeight: weight, Seed: seed})
+	if w := math.Float64frombits(binary.LittleEndian.Uint64(hdr[56:])); w != balanceWeight {
+		return nil, fmt.Errorf("live: state declares balance weight %g, want %g", w, balanceWeight)
+	}
+	st, err := NewState(Config{NumParts: int(numParts), Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +166,8 @@ func ReadState(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	want := hr.sum
-	if _, err := io.ReadFull(hr.r, b8[:]); err != nil {
+	want := h.Sum64()
+	if _, err := io.ReadFull(br, b8[:]); err != nil {
 		return nil, fmt.Errorf("live: reading state checksum: %w", err)
 	}
 	if got := binary.LittleEndian.Uint64(b8[:]); got != want {

@@ -3,10 +3,10 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
-	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 )
 
@@ -104,6 +104,11 @@ func TestStateRejectsHostileInput(t *testing.T) {
 			wantErr: "alpha",
 		},
 		{
+			name:    "weight not 1",
+			mutate:  func(b []byte) []byte { binary.LittleEndian.PutUint64(b[56:], math.Float64bits(2)); return b },
+			wantErr: "balance weight",
+		},
+		{
 			name:    "truncated slab",
 			mutate:  func(b []byte) []byte { return b[:len(b)-200] },
 			wantErr: "", // any error
@@ -154,30 +159,5 @@ func TestStateRejectsHostileInput(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestStatePlacementMatchesDynpart: live placement must score identically
-// to dynpart's greedy rule — the live state is that rule promoted to dense
-// slabs, so a pure insert stream lands every edge on the same partition.
-func TestStatePlacementMatchesDynpart(t *testing.T) {
-	st, err := NewState(Config{NumParts: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := dynpart.New(6, dynpart.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gen.RMAT(9, 8, 2)
-	for _, e := range g.Edges() {
-		q := st.Place(e.U, e.V)
-		st.ApplyInsert(e.U, e.V, q)
-		if got := dp.AddEdge(e); got != q {
-			t.Fatalf("edge %v: live places %d, dynpart %d", e, q, got)
-		}
-	}
-	if rfLive, rfDyn := st.ReplicationFactor(), dp.ReplicationFactor(); rfLive != rfDyn {
-		t.Fatalf("replication factor diverges: %g vs %g", rfLive, rfDyn)
 	}
 }

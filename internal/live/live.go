@@ -3,6 +3,7 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/obs"
+	"github.com/distributedne/dne/internal/partition"
 	"github.com/distributedne/dne/internal/store"
 )
 
@@ -68,10 +70,11 @@ func (l *Live) maxOverlay() int64 {
 	return max(defaultMinOverlay, l.base.NumEdges()/8)
 }
 
-// Open opens (or creates) a live graph in dir. If placement state was
-// saved, cfg must agree with it on NumParts (zero NumParts adopts the
-// saved config); without a state file the logs alone rebuild the state, so
-// a crash between checkpoints loses no durable mutation.
+// Open opens (or creates) a live graph in dir. cfg.NumParts must match the
+// partition count the directory holds — its checkpoint's, else its number
+// of insertion logs — and zero adopts it. Without a state file the logs
+// alone rebuild the state, so a crash between checkpoints loses no durable
+// mutation.
 func Open(dir string, cfg Config) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -89,14 +92,18 @@ func Open(dir string, cfg Config) (*Live, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else {
-		if cfg.NumParts == 0 {
-			// No checkpoint and no requested count: the logs themselves
-			// carry it (each log's shard header declares Count).
-			if n, err := countLogs(dir); err != nil {
-				return nil, err
-			} else if n > 0 {
-				cfg.NumParts = n
+		// No checkpoint: the logs carry the partition count, one insertion
+		// log per partition. Replaying a different count would drop
+		// partitions or reshape the graph.
+		n, err := countLogs(dir)
+		if err != nil {
+			return nil, err
+		}
+		if n > 0 {
+			if cfg.NumParts != 0 && cfg.NumParts != n {
+				return nil, fmt.Errorf("live: log directory holds %d partitions, config asks %d", n, cfg.NumParts)
 			}
+			cfg.NumParts = n
 		}
 		if st, err = NewState(cfg); err != nil {
 			return nil, err
@@ -212,6 +219,49 @@ func Open(dir string, cfg Config) (*Live, error) {
 	}
 	l.publishLocked()
 	return l, nil
+}
+
+// Create seeds a new live graph in dir from a static partitioning p of g:
+// the §8 workflow of partitioning a snapshot offline, typically with
+// Distributed NE, then maintaining it incrementally. Each partition's edges
+// become its insertion log and Open rebuilds the placement state from
+// them. Zero cfg.NumParts adopts p's count; dir must not already hold a
+// live graph.
+func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (*Live, error) {
+	if err := p.Validate(g); err != nil {
+		return nil, fmt.Errorf("live: seed partitioning invalid: %w", err)
+	}
+	if cfg.NumParts == 0 {
+		cfg.NumParts = p.NumParts
+	}
+	if cfg.NumParts != p.NumParts {
+		return nil, fmt.Errorf("live: seed partitioning has %d partitions, config asks %d", p.NumParts, cfg.NumParts)
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	for _, name := range []string{"state.dls", "part-0000.esh", "dead-0000.esh"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("live: %s already holds a live graph (%s)", dir, name)
+		} else if !os.IsNotExist(err) {
+			return nil, err
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	// g's canonical edges are sorted, so each partition's keys are too.
+	packed := make([][]uint64, cfg.NumParts)
+	for i, e := range g.Edges() {
+		q := p.Owner[i]
+		packed[q] = append(packed[q], graph.PackEdge(e.U, e.V))
+	}
+	for q, keys := range packed {
+		if err := writeLogFile(logPath(dir, "part", q), q, cfg.NumParts, keys); err != nil {
+			return nil, err
+		}
+	}
+	return Open(dir, cfg)
 }
 
 func logPath(dir, kind string, q int) string {
@@ -601,16 +651,16 @@ func (l *Live) Close() error {
 func (l *Live) Checksum() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	h := fnvNew()
+	h := fnv.New64a()
 	var b [12]byte
 	for q := 0; q < l.st.cfg.NumParts; q++ {
 		for _, k := range l.view.ShardEdgesPacked(q) {
 			binary.LittleEndian.PutUint64(b[:8], k)
 			binary.LittleEndian.PutUint32(b[8:], uint32(q))
-			h = fnvWrite(h, b[:])
+			h.Write(b[:])
 		}
 	}
-	return h
+	return h.Sum64()
 }
 
 // Stats is an observable snapshot of the subsystem.

@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 	"github.com/distributedne/dne/internal/store"
 )
 
@@ -259,6 +261,80 @@ func TestLiveResume(t *testing.T) {
 			t.Fatalf("dropCheckpoint=%v: resumed run checksum %#x, one-shot %#x", dropCheckpoint, got, want)
 		}
 		l.Close()
+	}
+}
+
+// TestConfigValidation: partition counts outside (0, maxParts] are refused
+// by NewState and Open; Create refuses a seed partitioning that does not
+// cover its graph, a partition count that disagrees with it, and a
+// directory that already holds a live graph.
+func TestConfigValidation(t *testing.T) {
+	for _, parts := range []int{-1, 0, maxParts + 1} {
+		if _, err := NewState(Config{NumParts: parts}); err == nil {
+			t.Errorf("NewState accepted %d partitions", parts)
+		}
+		if _, err := Open(t.TempDir(), Config{NumParts: parts}); err == nil {
+			t.Errorf("Open accepted %d partitions", parts)
+		}
+	}
+	g := gen.ER(50, 120, 1)
+	p := partition.New(4, g.NumEdges())
+	for i := range p.Owner {
+		p.Owner[i] = int32(i % 4)
+	}
+	if _, err := Create(t.TempDir(), Config{}, g, partition.New(4, g.NumEdges())); err == nil {
+		t.Error("Create accepted a partitioning with unassigned edges")
+	}
+	if _, err := Create(t.TempDir(), Config{NumParts: 3}, g, p); err == nil {
+		t.Error("Create accepted 3 partitions for a 4-way seed")
+	}
+	dir := t.TempDir()
+	l, err := Create(dir, Config{}, g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.State().NumParts() != 4 || l.State().NumEdges() != g.NumEdges() {
+		t.Fatalf("seeded %d partitions, %d edges; want 4, %d", l.State().NumParts(), l.State().NumEdges(), g.NumEdges())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Create(dir, Config{}, g, p); err == nil {
+		t.Error("Create overwrote an existing live graph")
+	}
+}
+
+// TestOpenRejectsPartitionCountMismatch: without a checkpoint the logs
+// carry the partition count, and a config asking for fewer or more
+// partitions is refused instead of replaying a subset of the logs or
+// reshaping the graph. The matching count still resumes the graph.
+func TestOpenRejectsPartitionCountMismatch(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Config{NumParts: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, l, arrivalStream(gen.ER(300, 1000, 2), 1), 250)
+	want := l.Checksum()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "state.dls")); err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{4, 12} {
+		if _, err := Open(dir, Config{NumParts: parts}); err == nil ||
+			!strings.Contains(err.Error(), "holds 8 partitions, config asks") {
+			t.Fatalf("Open with %d partitions over 8 logs: err %v", parts, err)
+		}
+	}
+	l, err = Open(dir, Config{NumParts: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := l.Checksum(); got != want {
+		t.Fatalf("resumed checksum %#x, want %#x", got, want)
 	}
 }
 

@@ -4,9 +4,11 @@
 // reader stalls. It is the §8 "dynamic graphs" extension made concrete:
 //
 //   - State is the persistable streaming-partitioner state (dense degree and
-//     incidence slabs plus a partition.ReplicaSets bit view) applying
-//     dynpart's replica-aware greedy placement, RNG-free and therefore a
-//     pure function of the event stream.
+//     incidence slabs plus a partition.ReplicaSets bit view) applying a
+//     replica-aware greedy placement built on neighbor expansion's two
+//     heuristics (§3.1), RNG-free and therefore a pure function of the
+//     event stream. Open starts empty; Create seeds from a static
+//     partitioning such as a Distributed NE result.
 //   - Arrivals land in per-partition append-only EShard logs (an add log and
 //     a tombstone log per partition), O(chunk) memory.
 //   - Reads resolve against a store.Epoch — immutable base CSR plus a small
@@ -21,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/graph"
@@ -31,36 +34,29 @@ import (
 type Config struct {
 	// NumParts is the partition (serving shard) count. Required.
 	NumParts int
-	// Alpha is the imbalance factor α ≥ 1 of Eq. (2), enforced against the
-	// moving edge count. Default 1.1.
-	Alpha float64
-	// BalanceWeight scales the balance penalty in the placement score.
-	// Default 1.0.
-	BalanceWeight float64
 	// Seed identifies the run for provenance. Placement itself is RNG-free;
 	// the seed is persisted and checked on resume so state files are not
 	// silently mixed across runs.
 	Seed int64
 }
 
-func (c Config) withDefaults() (Config, error) {
+func (c Config) validate() error {
 	if c.NumParts <= 0 || c.NumParts > maxParts {
-		return c, fmt.Errorf("live: numParts %d out of range (0,%d]", c.NumParts, maxParts)
+		return fmt.Errorf("live: numParts %d out of range (0,%d]", c.NumParts, maxParts)
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 1.1
-	}
-	if c.Alpha < 1 {
-		return c, fmt.Errorf("live: alpha must be >= 1, got %g", c.Alpha)
-	}
-	if c.BalanceWeight == 0 {
-		c.BalanceWeight = 1
-	}
-	return c, nil
+	return nil
 }
 
-// maxParts bounds the partition count (the incidence slab is |V|×P).
-const maxParts = 1 << 12
+const (
+	// maxParts bounds the partition count (the incidence slab is |V|×P).
+	maxParts = 1 << 12
+	// alpha is the imbalance factor α of Eq. (2) at the paper's setting,
+	// enforced against the moving edge count.
+	alpha = 1.1
+	// balanceWeight scales the balance penalty in the placement score. It
+	// is 1, so Place leaves the multiply out; DLS1 still records it.
+	balanceWeight = 1.0
+)
 
 // State is the incremental placement state: per-vertex live degree, the
 // |V|×P incidence-count slab (how many of v's edges live on each
@@ -87,8 +83,7 @@ type State struct {
 
 // NewState returns empty placement state for cfg.
 func NewState(cfg Config) (*State, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &State{
@@ -98,7 +93,7 @@ func NewState(cfg Config) (*State, error) {
 	}, nil
 }
 
-// Config returns the resolved configuration.
+// Config returns the configuration.
 func (st *State) Config() Config { return st.cfg }
 
 // NumParts returns the partition count.
@@ -241,7 +236,7 @@ func (st *State) EachReplica(v graph.Vertex, fn func(q int)) {
 // insertions; it moves as the graph grows, so a long insert stream cannot
 // wedge every partition at once.
 func (st *State) capEdges(extra int64) int64 {
-	c := int64(st.cfg.Alpha * float64(st.numEdges+extra) / float64(st.cfg.NumParts))
+	c := int64(alpha * float64(st.numEdges+extra) / float64(st.cfg.NumParts))
 	if c < 1 {
 		c = 1
 	}
@@ -250,7 +245,7 @@ func (st *State) capEdges(extra int64) int64 {
 
 // Place scores every partition for inserting edge (u,v):
 //
-//	score(q) = [u on q] + [v on q] − w·(size_q / cap)²,
+//	score(q) = [u on q] + [v on q] − (size_q / cap)²,
 //
 // so partitions already covering both endpoints (no new replicas)
 // dominate, then one endpoint, and the quadratic penalty steers ties and
@@ -275,7 +270,7 @@ func (st *State) Place(u, v graph.Vertex) int32 {
 			gain++
 		}
 		load := float64(st.sizes[q]) / float64(cap)
-		score := gain - st.cfg.BalanceWeight*load*load
+		score := gain - load*load
 		if score > bestScore {
 			bestScore = score
 			best = int32(q)
@@ -294,8 +289,8 @@ func (st *State) Place(u, v graph.Vertex) int32 {
 
 // BestTarget picks the migration destination for moving edge (u,v) off
 // partition q: maximize endpoint coverage, then prefer lower load; only
-// strictly less-loaded destinations qualify (−1 if none). Deterministic,
-// mirroring dynpart's rebalance scoring.
+// strictly less-loaded destinations qualify (−1 if none). Deterministic:
+// ties break to the lowest id.
 func (st *State) BestTarget(u, v graph.Vertex, q int32) int32 {
 	ru, rv := st.countsRow(u), st.countsRow(v)
 	best := int32(-1)
@@ -421,11 +416,11 @@ func (st *State) CheckInvariants() error {
 // per-partition sizes and every vertex's incidence row. Two states with
 // equal checksums place future arrivals identically.
 func (st *State) Checksum() uint64 {
-	h := fnvNew()
+	h := fnv.New64a()
 	var b [8]byte
 	for _, s := range st.sizes {
 		binary.LittleEndian.PutUint64(b[:], uint64(s))
-		h = fnvWrite(h, b[:])
+		h.Write(b[:])
 	}
 	p := st.cfg.NumParts
 	for v := range st.deg {
@@ -434,30 +429,15 @@ func (st *State) Checksum() uint64 {
 		}
 		binary.LittleEndian.PutUint32(b[:4], uint32(v))
 		binary.LittleEndian.PutUint32(b[4:], st.deg[v])
-		h = fnvWrite(h, b[:])
+		h.Write(b[:])
 		for q, c := range st.counts[v*p : (v+1)*p] {
 			if c == 0 {
 				continue
 			}
 			binary.LittleEndian.PutUint32(b[:4], uint32(q))
 			binary.LittleEndian.PutUint32(b[4:], c)
-			h = fnvWrite(h, b[:])
+			h.Write(b[:])
 		}
 	}
-	return h
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvNew() uint64 { return fnvOffset64 }
-
-func fnvWrite(h uint64, b []byte) uint64 {
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= fnvPrime64
-	}
-	return h
+	return h.Sum64()
 }
