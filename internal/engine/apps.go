@@ -51,7 +51,7 @@ func (e *Engine) PageRank(iterations int, damping float64) []float64 {
 			}
 		}
 		for v := 0; v < n; v++ {
-			if len(e.replicasOf[v]) == 0 {
+			if e.replicas.Count(graph.Vertex(v)) == 0 {
 				continue
 			}
 			next[v] = base + damping*next[v]

@@ -11,11 +11,17 @@
 // apply the update, and new values are shipped back to mirrors (scatter).
 // Communication is accounted analytically — valueBytes per mirror hop — and
 // per-partition busy time is measured on real goroutines.
+//
+// Layout: each partition holds its sorted vertex set V(Ep), read out of a
+// replica bitset slab, and its edges in local indices (positions in V(Ep)),
+// mapped through one dense slot row over vertex ids. A
+// partition.ReplicaIndex built from the vertex sets maps every vertex to the
+// partitions holding it, which the communication accounting counts. Building
+// an engine takes no hash map, sort or binary search, and allocates per
+// partition, not per vertex.
 package engine
 
 import (
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -39,19 +45,13 @@ type part struct {
 	busy  time.Duration // accumulated compute time
 }
 
-func (p *part) localID(v graph.Vertex) int32 {
-	i := sort.Search(len(p.verts), func(i int) bool { return p.verts[i] >= v })
-	return int32(i)
-}
-
 // Engine executes vertex programs over an edge-partitioned graph.
 type Engine struct {
 	g     *graph.Graph
 	parts []*part
-	// replicasOf[v] = partitions holding v (sorted); masterOf[v] is the
-	// first of them.
-	replicasOf [][]int32
-	masterOf   []int32
+	// replicas maps every vertex to the partitions holding it and its
+	// local index in each; a vertex's master is the first of them.
+	replicas partition.ReplicaIndex
 
 	// CommBytes accumulates gather+scatter traffic across all supersteps.
 	CommBytes int64
@@ -59,52 +59,35 @@ type Engine struct {
 	Supersteps int
 }
 
-// New builds an engine from a complete partitioning of g.
+// New builds an engine from a complete partitioning of g in O(|V|·P/64 +
+// |E| + Σ|V(Ep)|): the vertex sets and the replica index, then each
+// partition's edges in edge order, mapped to local ids through the slots.
 func New(g *graph.Graph, pt *partition.Partitioning) *Engine {
-	e := &Engine{g: g}
-	e.parts = make([]*part, pt.NumParts)
+	verts, edgeCounts := pt.VertexSets(g)
+	e := &Engine{
+		g:        g,
+		parts:    make([]*part, pt.NumParts),
+		replicas: partition.NewReplicaIndex(g.NumVertices(), verts),
+	}
 	for q := range e.parts {
-		e.parts[q] = &part{}
+		e.parts[q] = &part{verts: verts[q], edges: make([]localEdge, 0, edgeCounts[q])}
 	}
-	n := int(g.NumVertices())
-	e.replicasOf = make([][]int32, n)
-	e.masterOf = make([]int32, n)
-	for v := range e.masterOf {
-		e.masterOf[v] = -1
-	}
-	// Collect local vertex sets.
-	for i, o := range pt.Owner {
-		ed := g.Edge(int64(i))
-		for _, v := range [2]graph.Vertex{ed.U, ed.V} {
-			reps := e.replicasOf[v]
-			found := false
-			for _, r := range reps {
-				if r == o {
-					found = true
-					break
-				}
-			}
-			if !found {
-				e.replicasOf[v] = append(reps, o)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		reps := e.replicasOf[v]
-		slices.Sort(reps)
-		if len(reps) > 0 {
-			e.masterOf[v] = reps[0]
-		}
-		for _, q := range reps {
-			e.parts[q].verts = append(e.parts[q].verts, graph.Vertex(v))
-		}
-	}
-	// Local edge lists in local indices (verts are already sorted because
-	// they were appended in ascending v order).
+	// Each edge goes to its owner in edge order, still in global ids; then
+	// each partition rewrites its own edges through a dense slot row over
+	// vertex ids, filled from its vertex set.
 	for i, o := range pt.Owner {
 		ed := g.Edge(int64(i))
 		p := e.parts[o]
-		p.edges = append(p.edges, localEdge{p.localID(ed.U), p.localID(ed.V)})
+		p.edges = append(p.edges, localEdge{int32(ed.U), int32(ed.V)})
+	}
+	slot := make([]int32, g.NumVertices())
+	for _, p := range e.parts {
+		for l, v := range p.verts {
+			slot[v] = int32(l)
+		}
+		for j, le := range p.edges {
+			p.edges[j] = localEdge{slot[uint32(le.u)], slot[uint32(le.v)]}
+		}
 	}
 	return e
 }
@@ -173,7 +156,7 @@ func (e *Engine) runParallel(fn func(q int)) {
 // accountSync charges one gather+scatter round for vertex v: each mirror
 // sends a partial to the master and receives the new value.
 func (e *Engine) accountSync(v graph.Vertex) {
-	mirrors := len(e.replicasOf[v]) - 1
+	mirrors := e.replicas.Count(v) - 1
 	if mirrors > 0 {
 		e.CommBytes += int64(mirrors) * valueBytes * 2
 	}
@@ -182,7 +165,7 @@ func (e *Engine) accountSync(v graph.Vertex) {
 // accountScatterOnly charges a master→mirror broadcast for v (used when the
 // gather side was quiescent).
 func (e *Engine) accountScatterOnly(v graph.Vertex) {
-	mirrors := len(e.replicasOf[v]) - 1
+	mirrors := e.replicas.Count(v) - 1
 	if mirrors > 0 {
 		e.CommBytes += int64(mirrors) * valueBytes
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
@@ -157,5 +158,21 @@ func TestWorkloadBalanceReported(t *testing.T) {
 	e.PageRank(5, 0.85)
 	if wb := e.WorkloadBalance(); wb < 1 {
 		t.Errorf("workload balance %f < 1", wb)
+	}
+}
+
+// TestNewAllocsIndependentOfVertexCount: building the engine allocates a
+// fixed number of objects per partition — slab, vertex lists, replica index,
+// edge lists — and none per vertex or per edge.
+func TestNewAllocsIndependentOfVertexCount(t *testing.T) {
+	const parts = 8
+	g := gen.RMAT(12, 8, 5)
+	pt := partition.New(parts, g.NumEdges())
+	rng := rand.New(rand.NewSource(5))
+	for i := range pt.Owner {
+		pt.Owner[i] = int32(rng.Intn(parts))
+	}
+	if got := testing.AllocsPerRun(3, func() { New(g, pt) }); got > 16*parts+32 {
+		t.Errorf("New allocates %.0f objects at |V| = %d, want at most %d", got, g.NumVertices(), 16*parts+32)
 	}
 }

@@ -61,7 +61,7 @@ func (e *Engine) Run(p Program, maxSupersteps int) []float64 {
 		}
 		anyChanged := false
 		for v := 0; v < n; v++ {
-			if len(e.replicasOf[v]) == 0 {
+			if e.replicas.Count(graph.Vertex(v)) == 0 {
 				continue
 			}
 			next, changed := p.Apply(graph.Vertex(v), val[v], sum[v])

@@ -69,21 +69,8 @@ type Quality struct {
 // Measure computes Quality for p over g. Unassigned edges are ignored (use
 // Validate first if completeness matters).
 func (p *Partitioning) Measure(g *graph.Graph) Quality {
-	n := int(g.NumVertices())
-	words := bitset.WordsFor(p.NumParts)
-	slab := make([]uint64, n*words)
-	edgeCounts := make([]int64, p.NumParts)
-	for i, o := range p.Owner {
-		if o == None {
-			continue
-		}
-		e := g.Edge(int64(i))
-		w, b := int(o)>>6, uint64(1)<<(uint(o)&63)
-		slab[int(e.U)*words+w] |= b
-		slab[int(e.V)*words+w] |= b
-		edgeCounts[o]++
-	}
-	return tally(slab, n, words, edgeCounts)
+	slab, words, edgeCounts := p.replicaSlab(g)
+	return tally(slab, int(g.NumVertices()), words, edgeCounts)
 }
 
 // tally finishes a quality measurement: slab holds n rows of words u64s,

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/distributedne/dne/internal/dsa"
 	"github.com/distributedne/dne/internal/graph"
 )
 
@@ -41,9 +40,12 @@ func (y *yieldCounter) tick() {
 
 // BuildFromShards materializes per-shard canonical packed edge lists into a
 // Store. It is the one CSR builder: BuildPartitioning buckets a graph's
-// edges by owner into it, and compaction folds an epoch through it. shardEdges[s] holds shard s's
-// edges as PackEdge keys (u < v); duplicates within a shard and endpoints
-// ≥ numVertices are rejected.
+// edges by owner into it, compaction folds an epoch through it, and
+// ReadSnapshot checks every shard it reads against it. shardEdges[s] holds
+// shard s's edges as PackEdge keys (u < v), strictly increasing; duplicates
+// and endpoints ≥ numVertices are rejected. Each shard costs O(|Es| + |V|/64)
+// with one dense vertex scratch reused across shards, and the replica index
+// over all of them O(|V| + Σ|V(Es)|).
 func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) {
 	numShards := len(shardEdges)
 	if numShards == 0 {
@@ -54,54 +56,102 @@ func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) 
 		shards:      make([]*shard, numShards),
 		master:      make([]int32, numVertices),
 	}
-	var yield yieldCounter
+	b := newShardBuilder(numVertices)
 	for s, packed := range shardEdges {
-		deg := make(map[graph.Vertex]int64)
-		var prev uint64
-		for i, k := range packed {
-			u, v := graph.Vertex(k>>32), graph.Vertex(k)
-			if u >= v {
-				return nil, fmt.Errorf("store: shard %d edge %d (%d,%d) not canonical", s, i, u, v)
-			}
-			if v >= numVertices {
-				return nil, fmt.Errorf("store: shard %d edge %d endpoint %d out of range [0,%d)", s, i, v, numVertices)
-			}
-			if i > 0 && k <= prev {
-				return nil, fmt.Errorf("store: shard %d edges not strictly increasing at %d", s, i)
-			}
-			prev = k
-			deg[u]++
-			deg[v]++
-			yield.tick()
+		sh, err := b.build(s, packed)
+		if err != nil {
+			return nil, err
 		}
-		sh := &shard{id: s, index: make(map[graph.Vertex]uint32, len(deg))}
-		sh.verts = make([]graph.Vertex, 0, len(deg))
-		for v := range deg {
-			sh.verts = append(sh.verts, v)
-		}
-		dsa.SortU32(sh.verts)
-		sh.off = make([]int64, len(sh.verts)+1)
-		for l, v := range sh.verts {
-			sh.index[v] = uint32(l)
-			sh.off[l+1] = sh.off[l] + deg[v]
-		}
-		sh.tgt = make([]graph.Vertex, sh.off[len(sh.verts)])
-		cursor := make([]int64, len(sh.verts))
-		for _, k := range packed {
-			u, v := graph.Vertex(k>>32), graph.Vertex(k)
-			lu, lv := sh.index[u], sh.index[v]
-			sh.tgt[sh.off[lu]+cursor[lu]] = v
-			cursor[lu]++
-			sh.tgt[sh.off[lv]+cursor[lv]] = u
-			cursor[lv]++
-			yield.tick()
-		}
-		sh.edges = int64(len(packed))
 		st.numEdges += sh.edges
 		st.shards[s] = sh
 	}
 	st.buildRouting()
 	return st.serve(), nil
+}
+
+// shardBuilder turns canonical packed edge lists into shard CSRs. Its dense
+// scratch over vertex ids — a local degree and then a slot per vertex, and a
+// bitset of the vertices the shard touches — is clear between shards, so one
+// builder serves every shard of a store. A failed build leaves it dirty.
+type shardBuilder struct {
+	numVertices uint32
+	scratch     []uint32 // per vertex: local degree, then slot
+	touched     []uint64 // bitset of the vertices the current shard touches
+	yield       yieldCounter
+}
+
+func newShardBuilder(numVertices uint32) *shardBuilder {
+	return &shardBuilder{
+		numVertices: numVertices,
+		scratch:     make([]uint32, numVertices),
+		touched:     make([]uint64, (uint64(numVertices)+63)/64),
+	}
+}
+
+// build returns shard s holding the packed edges. Each vertex's adjacency
+// lists its neighbours in key order, which for canonical sorted keys is
+// ascending.
+func (b *shardBuilder) build(s int, packed []uint64) (*shard, error) {
+	numLocal := 0
+	var prev uint64
+	for i, k := range packed {
+		u, v := graph.Vertex(k>>32), graph.Vertex(k)
+		if u >= v {
+			return nil, fmt.Errorf("store: shard %d edge %d (%d,%d) not canonical", s, i, u, v)
+		}
+		if v >= b.numVertices {
+			return nil, fmt.Errorf("store: shard %d edge %d endpoint %d out of range [0,%d)", s, i, v, b.numVertices)
+		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("store: shard %d edges not strictly increasing at %d", s, i)
+		}
+		prev = k
+		for _, x := range [2]graph.Vertex{u, v} {
+			if b.scratch[x] == 0 {
+				b.touched[x/64] |= 1 << (x % 64)
+				numLocal++
+			}
+			b.scratch[x]++
+		}
+		b.yield.tick()
+	}
+	sh := &shard{
+		id:    s,
+		verts: make([]graph.Vertex, 0, numLocal),
+		off:   make([]int64, numLocal+1),
+		edges: int64(len(packed)),
+	}
+	// Read the touched vertices out in id order. off[l] is first set to the
+	// end of slot l's range, and the scratch entry turns from degree to slot.
+	var end int64
+	for i, word := range b.touched {
+		for ; word != 0; word &= word - 1 {
+			v := graph.Vertex(i*64 + bits.TrailingZeros64(word))
+			end += int64(b.scratch[v])
+			sh.off[len(sh.verts)] = end
+			b.scratch[v] = uint32(len(sh.verts))
+			sh.verts = append(sh.verts, v)
+		}
+		b.touched[i] = 0
+	}
+	sh.off[numLocal] = end
+	// Fill back to front, each placement moving its slot's off entry down
+	// by one: every off[l] ends at the start of its range, and each
+	// adjacency holds its neighbours in key order.
+	sh.tgt = make([]graph.Vertex, end)
+	for i := len(packed) - 1; i >= 0; i-- {
+		u, v := graph.Vertex(packed[i]>>32), graph.Vertex(packed[i])
+		lu, lv := b.scratch[u], b.scratch[v]
+		sh.off[lu]--
+		sh.tgt[sh.off[lu]] = v
+		sh.off[lv]--
+		sh.tgt[sh.off[lv]] = u
+		b.yield.tick()
+	}
+	for _, v := range sh.verts {
+		b.scratch[v] = 0
+	}
+	return sh, nil
 }
 
 // Delta is the mutable overlay of edge insertions and deletions a live
@@ -303,28 +353,40 @@ func (e *Epoch) OverlayEdges() (added, deleted int64) {
 // compaction — a fully-deleted replica still answers (with an empty
 // adjacency), it just costs a fetch; compaction removes it.
 func (e *Epoch) Replicas(v graph.Vertex) []int32 {
-	var base []int32
-	if v < e.base.numVertices {
-		base = e.base.Replicas(v)
-	}
-	if e.delta == nil {
-		return base
-	}
-	var extra []int32
-	for s := range e.delta.adds {
-		if len(e.delta.adds[s][v]) == 0 {
-			continue
-		}
-		if _, found := slices.BinarySearch(base, int32(s)); !found {
-			extra = append(extra, int32(s))
-		}
-	}
+	base, _ := e.baseReplicas(v)
+	extra := e.overlayShards(nil, v, base)
 	if len(extra) == 0 {
 		return base
 	}
 	merged := append(slices.Clone(base), extra...)
 	slices.Sort(merged)
 	return merged
+}
+
+// baseReplicas returns the base shards holding v, sorted, and v's slot in
+// each; none for a vertex the overlay minted.
+func (e *Epoch) baseReplicas(v graph.Vertex) ([]int32, []uint32) {
+	if v >= e.base.numVertices {
+		return nil, nil
+	}
+	return e.base.replicas.Of(v)
+}
+
+// overlayShards appends to dst the shards where only the overlay holds v:
+// those with insertions at v that are not among v's base replicas.
+func (e *Epoch) overlayShards(dst []int32, v graph.Vertex, base []int32) []int32 {
+	if e.delta == nil {
+		return dst
+	}
+	for s, adds := range e.delta.adds {
+		if len(adds[v]) == 0 {
+			continue
+		}
+		if _, found := slices.BinarySearch(base, int32(s)); !found {
+			dst = append(dst, int32(s))
+		}
+	}
+	return dst
 }
 
 // Master returns the shard owning v's primary copy. Vertices minted by the
@@ -340,11 +402,15 @@ func (e *Epoch) Master(v graph.Vertex) (int32, error) {
 	return int32(v % uint32(len(e.base.shards))), nil
 }
 
+// noSlot stands for a shard that holds no base copy of the vertex: only
+// overlay insertions.
+const noSlot = ^uint32(0)
+
 // shardNeighborsInto appends v's live neighbors on shard s to out: the base
-// adjacency minus deleted edges, plus overlay insertions.
-func (e *Epoch) shardNeighborsInto(s int, v graph.Vertex, out []graph.Vertex) []graph.Vertex {
-	if v < e.base.numVertices {
-		base := e.base.shards[s].neighborsOf(v)
+// adjacency at slot l minus deleted edges, plus overlay insertions.
+func (e *Epoch) shardNeighborsInto(s int, l uint32, v graph.Vertex, out []graph.Vertex) []graph.Vertex {
+	if l != noSlot {
+		base := e.base.shards[s].neighborsOf(l)
 		if e.delta == nil || len(e.delta.dels[s]) == 0 {
 			out = append(out, base...)
 		} else {
@@ -372,7 +438,12 @@ func (e *Epoch) ShardHasEdge(s int, u, v graph.Vertex) bool {
 	if u >= e.base.numVertices {
 		return false
 	}
-	for _, w := range e.base.shards[s].neighborsOf(u) {
+	reps, slots := e.base.replicas.Of(u)
+	i, ok := slices.BinarySearch(reps, int32(s))
+	if !ok {
+		return false
+	}
+	for _, w := range e.base.shards[s].neighborsOf(slots[i]) {
 		if w == v {
 			return e.delta == nil || !e.delta.HasDel(s, u, v)
 		}
@@ -380,14 +451,14 @@ func (e *Epoch) ShardHasEdge(s int, u, v graph.Vertex) bool {
 	return false
 }
 
-// shardDegree returns v's live degree on shard s: its base degree minus
-// deleted edges, plus overlay insertions.
-func (e *Epoch) shardDegree(s int, v graph.Vertex) int64 {
+// shardDegree returns v's live degree on shard s: its base degree at slot l
+// minus deleted edges, plus overlay insertions.
+func (e *Epoch) shardDegree(s int, l uint32, v graph.Vertex) int64 {
 	var d int64
-	if v < e.base.numVertices {
-		d = e.base.shards[s].degreeOf(v)
+	if l != noSlot {
+		d = e.base.shards[s].degreeOf(l)
 		if e.delta != nil && len(e.delta.dels[s]) > 0 {
-			for _, w := range e.base.shards[s].neighborsOf(v) {
+			for _, w := range e.base.shards[s].neighborsOf(l) {
 				if _, dead := e.delta.dels[s][graph.PackEdge(v, w)]; dead {
 					d--
 				}
@@ -415,12 +486,17 @@ func (e *Epoch) Degree(v graph.Vertex) (int64, error) {
 		return 0, e.errVertex(v)
 	}
 	var d int64
-	reps := e.Replicas(v)
-	for _, s := range reps {
+	reps, slots := e.baseReplicas(v)
+	for i, s := range reps {
 		m.touchShard(int(s))
-		d += e.shardDegree(int(s), v)
+		d += e.shardDegree(int(s), slots[i], v)
 	}
-	m.addHops(crossHops(len(reps)))
+	extra := e.overlayShards(nil, v, reps)
+	for _, s := range extra {
+		m.touchShard(int(s))
+		d += e.shardDegree(int(s), noSlot, v)
+	}
+	m.addHops(crossHops(len(reps) + len(extra)))
 	return d, nil
 }
 
@@ -434,21 +510,26 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 		return nil, e.errVertex(v)
 	}
 	var out []graph.Vertex
-	reps := e.Replicas(v)
+	reps, slots := e.baseReplicas(v)
 	if e.delta == nil {
 		// One allocation of the exact size; an overlay's live degree
 		// would cost a scan of the deletions, so overlays grow as they go.
 		var n int64
-		for _, s := range reps {
-			n += e.base.shards[s].degreeOf(v)
+		for i, s := range reps {
+			n += e.base.shards[s].degreeOf(slots[i])
 		}
 		out = slices.Grow(out, int(n))
 	}
-	for _, s := range reps {
+	for i, s := range reps {
 		m.touchShard(int(s))
-		out = e.shardNeighborsInto(int(s), v, out)
+		out = e.shardNeighborsInto(int(s), slots[i], v, out)
 	}
-	m.addHops(crossHops(len(reps)))
+	extra := e.overlayShards(nil, v, reps)
+	for _, s := range extra {
+		m.touchShard(int(s))
+		out = e.shardNeighborsInto(int(s), noSlot, v, out)
+	}
+	m.addHops(crossHops(len(reps) + len(extra)))
 	slices.Sort(out)
 	return out, nil
 }
@@ -459,7 +540,9 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 // (base through the deletion filter, plus overlay insertions) for the
 // frontier vertices routed to it. The routing is where a partitioning's
 // replication factor becomes serving cost: every mirror of a frontier vertex
-// is one extra shard fetch, every touched shard one scan task.
+// is one extra shard fetch, every touched shard one scan task. A base copy
+// is routed as its slot on the shard, read off the replica index, so the
+// scan goes straight to its adjacency.
 //
 // Newly reached vertices are marked in a dense level bitset beside the
 // visited one, so each level is read out in id order without a sort. The two
@@ -485,7 +568,7 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 	sc := getKHopScratch(e.numVertices, numShards)
 	defer sc.release(res)
 	sc.visited[v/64] |= 1 << (v % 64)
-	perShard := sc.perShard[:numShards]
+	slotsOn, overlayOn := sc.slots[:numShards], sc.overlay[:numShards]
 
 	// res.Vertices[start:] is the frontier: the level reached last.
 	for depth, start := int32(1), 0; int(depth) <= k && start < len(res.Vertices); depth++ {
@@ -495,23 +578,27 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		// Route the frontier: every replica shard of a frontier vertex
 		// must scan its share of the adjacency, since each shard holds a
 		// disjoint subset of the incident edges.
-		for s := range perShard {
-			perShard[s] = perShard[s][:0]
+		for s := range slotsOn {
+			slotsOn[s], overlayOn[s] = slotsOn[s][:0], overlayOn[s][:0]
 		}
 		for _, u := range res.Vertices[start:] {
-			reps := e.Replicas(u)
-			for _, s := range reps {
-				perShard[s] = append(perShard[s], u)
+			reps, slots := e.baseReplicas(u)
+			for i, s := range reps {
+				slotsOn[s] = append(slotsOn[s], slots[i])
 			}
-			res.CrossShardHops += crossHops(len(reps))
+			sc.extra = e.overlayShards(sc.extra[:0], u, reps)
+			for _, s := range sc.extra {
+				overlayOn[s] = append(overlayOn[s], u)
+			}
+			res.CrossShardHops += crossHops(len(reps) + len(sc.extra))
 		}
-		for s, us := range perShard {
-			if len(us) == 0 {
+		for s := range slotsOn {
+			if len(slotsOn[s]) == 0 && len(overlayOn[s]) == 0 {
 				continue
 			}
 			res.ShardTasks++
 			m.touchShard(s)
-			e.scanShard(s, us, sc)
+			e.scanShard(s, slotsOn[s], overlayOn[s], sc)
 		}
 		start = len(res.Vertices)
 		sc.appendLevel(res, depth)
@@ -527,18 +614,27 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 	return res, nil
 }
 
-// scanShard marks every live neighbour on shard s of the frontier vertices
-// us: the base adjacency read in place, minus deleted edges, plus overlay
-// insertions. It is shardNeighborsInto without the copy into a buffer.
-func (e *Epoch) scanShard(s int, us []graph.Vertex, sc *khopScratch) {
+// scanShard marks every live neighbour on shard s of the frontier: the base
+// adjacency at each routed slot read in place, minus deleted edges, plus
+// overlay insertions, and the insertions of the frontier vertices us that
+// only the overlay holds on s. It is shardNeighborsInto without the copy
+// into a buffer.
+func (e *Epoch) scanShard(s int, slots []uint32, us []graph.Vertex, sc *khopScratch) {
 	sh := e.base.shards[s]
 	var dels map[uint64]struct{}
 	var adds map[graph.Vertex][]graph.Vertex
 	if e.delta != nil {
 		dels, adds = e.delta.dels[s], e.delta.adds[s]
 	}
-	for _, u := range us {
-		for _, w := range sh.neighborsOf(u) {
+	for _, l := range slots {
+		if e.delta == nil {
+			for _, w := range sh.neighborsOf(l) {
+				sc.mark(w)
+			}
+			continue
+		}
+		u := sh.verts[l]
+		for _, w := range sh.neighborsOf(l) {
 			if len(dels) > 0 {
 				if _, dead := dels[graph.PackEdge(u, w)]; dead {
 					continue
@@ -550,16 +646,24 @@ func (e *Epoch) scanShard(s int, us []graph.Vertex, sc *khopScratch) {
 			sc.mark(w)
 		}
 	}
+	for _, u := range us {
+		for _, w := range adds[u] {
+			sc.mark(w)
+		}
+	}
 }
 
 // khopScratch is one KHop's working memory: the visited and level bitsets
-// over vertex ids and the frontier routed to each shard. Between queries,
-// in khopPool, every bit of both bitsets is clear.
+// over vertex ids, and the frontier routed to each shard — base copies as
+// slots, overlay-only copies as ids. Between queries, in khopPool, every bit
+// of both bitsets is clear.
 type khopScratch struct {
 	visited, level []uint64
-	perShard       [][]graph.Vertex
-	lo, hi         int // word range holding level's bits; empty when lo > hi
-	n              int // vertices in level
+	slots          [][]uint32
+	overlay        [][]graph.Vertex
+	extra          []int32 // one frontier vertex's overlay-only shards
+	lo, hi         int     // word range holding level's bits; empty when lo > hi
+	n              int     // vertices in level
 }
 
 var khopPool = sync.Pool{New: func() any { return new(khopScratch) }}
@@ -575,8 +679,9 @@ func getKHopScratch(numVertices uint32, numShards int) *khopScratch {
 		sc.level = make([]uint64, words)
 	}
 	sc.visited, sc.level = sc.visited[:words], sc.level[:words]
-	if len(sc.perShard) < numShards {
-		sc.perShard = make([][]graph.Vertex, numShards)
+	if len(sc.slots) < numShards {
+		sc.slots = make([][]uint32, numShards)
+		sc.overlay = make([][]graph.Vertex, numShards)
 	}
 	sc.lo, sc.hi, sc.n = words, -1, 0
 	return sc

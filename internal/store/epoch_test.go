@@ -315,3 +315,21 @@ func TestEpochQueriesCountIntoBase(t *testing.T) {
 		t.Errorf("base touches %d, want %d", touches, want)
 	}
 }
+
+// TestBuildFromShardsAllocsIndependentOfVertexCount: a store build
+// allocates a fixed number of objects per shard — vertex list, offsets,
+// targets — plus the shared scratch and the replica index, and none per
+// vertex or per edge.
+func TestBuildFromShardsAllocsIndependentOfVertexCount(t *testing.T) {
+	const shards = 8
+	g := gen.RMAT(12, 8, 5)
+	packed := shardPacked(g, shards, 5)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := BuildFromShards(g.NumVertices(), packed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 16*shards+32 {
+		t.Errorf("BuildFromShards allocates %.0f objects at |V| = %d, want at most %d", got, g.NumVertices(), 16*shards+32)
+	}
+}

@@ -22,8 +22,13 @@ import (
 //	per shard: numLocal u32, vertex ids numLocal × u32 (strictly increasing),
 //	           local degrees numLocal × u32, targets Σdeg × u32
 //
-// The mirror index is not serialized; it is rebuilt from the shard vertex
-// lists on read, exactly as BuildFromShards derives it.
+// The replica index is not serialized. On read, every shard is rebuilt
+// through BuildFromShards' shard builder from the u < w half of its
+// adjacency and must come out identical to what the file holds, so a shard
+// that builder could never emit (asymmetric, duplicate or self-loop
+// adjacency, unsorted targets) is rejected; the replica index, slots
+// included, is then derived from the rebuilt shards exactly as
+// BuildFromShards derives it.
 
 // snapMagic identifies the store snapshot format ("DNS1").
 const snapMagic = 0x444e5331
@@ -34,7 +39,7 @@ const snapVersion = 1
 // maxPrealloc caps slice preallocation driven by untrusted header counts;
 // larger slices grow incrementally so a corrupt count fails on short read
 // instead of attempting a huge allocation.
-const maxPrealloc = 1 << 20
+const maxPrealloc = 1 << 16
 
 // pageEntries is the number of u32 values buffered per I/O batch (32 KiB).
 const pageEntries = 8192
@@ -136,8 +141,10 @@ func WriteSnapshot(w io.Writer, st *Store) error {
 }
 
 // ReadSnapshot reconstructs a Store from the format written by
-// WriteSnapshot. Every id, count and offset is validated so a truncated or
-// hostile file errors instead of producing an invalid store.
+// WriteSnapshot, reading r to its end. Every id, count and offset is
+// validated and every shard rebuilt, so a truncated, padded or hostile file
+// errors instead of producing a store WriteSnapshot would not encode to the
+// same bytes.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [24]byte
@@ -162,7 +169,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	st := &Store{
 		numVertices: n,
 		numEdges:    int64(numEdges),
-		shards:      make([]*shard, numShards),
+		shards:      make([]*shard, 0, capCount(uint64(numShards))),
 		master:      make([]int32, 0, capCount(uint64(n))),
 	}
 	err := readU32s(br, uint64(n), func(i uint64, x uint32) error {
@@ -176,76 +183,36 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: reading master table: %w", err)
 	}
 
+	b := newShardBuilder(n)
 	var totalEdges uint64
 	for s := uint32(0); s < numShards; s++ {
-		var cnt [4]byte
-		if _, err := io.ReadFull(br, cnt[:]); err != nil {
-			return nil, fmt.Errorf("store: reading shard %d size: %w", s, err)
-		}
-		numLocal := binary.LittleEndian.Uint32(cnt[:])
-		if uint64(numLocal) > uint64(n) {
-			return nil, fmt.Errorf("store: shard %d declares %d vertices, graph has %d", s, numLocal, n)
-		}
-		sh := &shard{
-			id:    int(s),
-			verts: make([]graph.Vertex, 0, capCount(uint64(numLocal))),
-			index: make(map[graph.Vertex]uint32, capCount(uint64(numLocal))),
-		}
-		err := readU32s(br, uint64(numLocal), func(i uint64, x uint32) error {
-			if x >= n {
-				return fmt.Errorf("vertex id %d out of range [0,%d)", x, n)
-			}
-			if len(sh.verts) > 0 && x <= sh.verts[len(sh.verts)-1] {
-				return fmt.Errorf("vertex ids not strictly increasing at %d", x)
-			}
-			sh.index[x] = uint32(len(sh.verts))
-			sh.verts = append(sh.verts, x)
-			return nil
-		})
+		raw, err := readShard(br, s, n, numEdges-totalEdges)
 		if err != nil {
-			return nil, fmt.Errorf("store: reading shard %d vertices: %w", s, err)
+			return nil, err
 		}
-		sh.off = make([]int64, 1, capCount(uint64(numLocal)+1))
-		err = readU32s(br, uint64(numLocal), func(i uint64, x uint32) error {
-			if x == 0 {
-				return fmt.Errorf("vertex %d has zero local degree", sh.verts[i])
-			}
-			sh.off = append(sh.off, sh.off[len(sh.off)-1]+int64(x))
-			return nil
-		})
+		sh, err := b.build(int(s), halfEdges(raw))
 		if err != nil {
-			return nil, fmt.Errorf("store: reading shard %d degrees: %w", s, err)
+			return nil, err
 		}
-		total := uint64(sh.off[len(sh.off)-1])
-		if total%2 != 0 {
-			return nil, fmt.Errorf("store: shard %d has odd adjacency total %d", s, total)
+		if !slices.Equal(sh.verts, raw.verts) || !slices.Equal(sh.off, raw.off) || !slices.Equal(sh.tgt, raw.tgt) {
+			return nil, fmt.Errorf("store: shard %d adjacency is not the CSR of its edges", s)
 		}
-		sh.edges = int64(total / 2)
-		totalEdges += total / 2
-		if totalEdges > numEdges {
-			return nil, fmt.Errorf("store: shard edges exceed declared total %d", numEdges)
-		}
-		sh.tgt = make([]graph.Vertex, 0, capCount(total))
-		err = readU32s(br, total, func(i uint64, x uint32) error {
-			if x >= n {
-				return fmt.Errorf("target id %d out of range [0,%d)", x, n)
-			}
-			sh.tgt = append(sh.tgt, x)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: reading shard %d adjacency: %w", s, err)
-		}
-		st.shards[s] = sh
+		totalEdges += uint64(sh.edges)
+		st.shards = append(st.shards, sh)
 	}
 	if totalEdges != numEdges {
 		return nil, fmt.Errorf("store: shards hold %d edges, header declares %d", totalEdges, numEdges)
 	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("store: trailing data after the last shard")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("store: reading snapshot end: %w", err)
+	}
 
-	// Rebuild the mirror index from the shard vertex lists, then check the
+	// Derive the replica index from the shard vertex lists, then check the
 	// routing table is consistent with it: a covered vertex's master must
 	// be one of its replicas.
-	st.buildMirrors()
+	st.indexReplicas()
 	for v := uint32(0); v < n; v++ {
 		reps := st.Replicas(v)
 		if len(reps) > 0 && !slices.Contains(reps, st.master[v]) {
@@ -253,4 +220,74 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		}
 	}
 	return st.serve(), nil
+}
+
+// readShard reads shard s's vertex ids, local degrees and targets as the
+// file holds them, checking ids against the n vertices and the adjacency
+// total against the edges the header has left to place (maxEdges).
+func readShard(r io.Reader, s, n uint32, maxEdges uint64) (*shard, error) {
+	var cnt [4]byte
+	if _, err := io.ReadFull(r, cnt[:]); err != nil {
+		return nil, fmt.Errorf("store: reading shard %d size: %w", s, err)
+	}
+	numLocal := binary.LittleEndian.Uint32(cnt[:])
+	if uint64(numLocal) > uint64(n) {
+		return nil, fmt.Errorf("store: shard %d declares %d vertices, graph has %d", s, numLocal, n)
+	}
+	sh := &shard{id: int(s), verts: make([]graph.Vertex, 0, capCount(uint64(numLocal)))}
+	err := readU32s(r, uint64(numLocal), func(i uint64, x uint32) error {
+		if x >= n {
+			return fmt.Errorf("vertex id %d out of range [0,%d)", x, n)
+		}
+		if len(sh.verts) > 0 && x <= sh.verts[len(sh.verts)-1] {
+			return fmt.Errorf("vertex ids not strictly increasing at %d", x)
+		}
+		sh.verts = append(sh.verts, x)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: reading shard %d vertices: %w", s, err)
+	}
+	sh.off = make([]int64, 1, capCount(uint64(numLocal)+1))
+	err = readU32s(r, uint64(numLocal), func(i uint64, x uint32) error {
+		sh.off = append(sh.off, sh.off[len(sh.off)-1]+int64(x))
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: reading shard %d degrees: %w", s, err)
+	}
+	total := uint64(sh.off[len(sh.off)-1])
+	if total%2 != 0 {
+		return nil, fmt.Errorf("store: shard %d has odd adjacency total %d", s, total)
+	}
+	if total/2 > maxEdges {
+		return nil, fmt.Errorf("store: shard edges exceed declared total")
+	}
+	sh.tgt = make([]graph.Vertex, 0, capCount(total))
+	err = readU32s(r, total, func(i uint64, x uint32) error {
+		if x >= n {
+			return fmt.Errorf("target id %d out of range [0,%d)", x, n)
+		}
+		sh.tgt = append(sh.tgt, x)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: reading shard %d adjacency: %w", s, err)
+	}
+	return sh, nil
+}
+
+// halfEdges returns the packed u < w half of a shard's adjacency in the
+// order it is stored: for any shard the builder emits, its canonical edge
+// list, sorted.
+func halfEdges(sh *shard) []uint64 {
+	packed := make([]uint64, 0, len(sh.tgt)/2)
+	for l, u := range sh.verts {
+		for _, w := range sh.neighborsOf(uint32(l)) {
+			if u < w {
+				packed = append(packed, graph.PackEdge(u, w))
+			}
+		}
+	}
+	return packed
 }

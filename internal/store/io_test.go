@@ -135,3 +135,84 @@ func TestSnapshotRejectsHostileVertexCount(t *testing.T) {
 		t.Error("hostile vertex count accepted")
 	}
 }
+
+// rawShard is one shard as a DNS1 file holds it: vertex ids, local degrees
+// and the concatenated targets.
+type rawShard struct {
+	verts, degs, tgt []uint32
+}
+
+// craftSnapshot encodes a DNS1 file by hand, every vertex mastered on shard
+// 0 and the header's edge count half the adjacency total, so the only thing
+// wrong with it is what the shards say.
+func craftSnapshot(n uint32, shards ...rawShard) []byte {
+	var total uint64
+	for _, sh := range shards {
+		total += uint64(len(sh.tgt))
+	}
+	b := binary.LittleEndian.AppendUint32(nil, snapMagic)
+	b = binary.LittleEndian.AppendUint32(b, snapVersion)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(shards)))
+	b = binary.LittleEndian.AppendUint64(b, total/2)
+	b = append(b, make([]byte, 4*n)...)
+	for _, sh := range shards {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(sh.verts)))
+		for _, xs := range [][]uint32{sh.verts, sh.degs, sh.tgt} {
+			for _, x := range xs {
+				b = binary.LittleEndian.AppendUint32(b, x)
+			}
+		}
+	}
+	return b
+}
+
+// inconsistentSnapshots are well-framed DNS1 files whose shard adjacency no
+// builder emits: every count and id is in range, only the CSR is wrong.
+func inconsistentSnapshots() map[string][]byte {
+	return map[string][]byte{
+		// 2 lists 0 twice, 0 lists 1 but 1 does not list 0: read back,
+		// Neighbors(2) would answer [0 0] and Neighbors(0) [1].
+		"asymmetric": craftSnapshot(3, rawShard{
+			verts: []uint32{0, 1, 2}, degs: []uint32{1, 1, 2}, tgt: []uint32{1, 2, 0, 0},
+		}),
+		"self loop": craftSnapshot(2, rawShard{
+			verts: []uint32{0, 1}, degs: []uint32{3, 1}, tgt: []uint32{0, 0, 1, 0},
+		}),
+		"duplicate edge": craftSnapshot(2, rawShard{
+			verts: []uint32{0, 1}, degs: []uint32{2, 2}, tgt: []uint32{1, 1, 0, 0},
+		}),
+	}
+}
+
+// TestSnapshotRejectsInconsistentAdjacency: a shard whose vertex list,
+// degrees or target order differ from the CSR its own u < w edges build is
+// refused, not served.
+func TestSnapshotRejectsInconsistentAdjacency(t *testing.T) {
+	for name, b := range inconsistentSnapshots() {
+		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Unsorted targets over a valid edge set are refused too: the order is
+	// part of the format.
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, buildRandom(t, gen.Star(8), 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if _, err := ReadSnapshot(bytes.NewReader(b)); err != nil {
+		t.Fatalf("star snapshot refused before the swap: %v", err)
+	}
+	// The hub's targets 1..7 start after the header, the master table (8
+	// entries) and the shard's size, ids and degrees (1 + 8 + 8 entries).
+	at := 24 + 4*(8+1+8+8)
+	if binary.LittleEndian.Uint32(b[at:]) != 1 || binary.LittleEndian.Uint32(b[at+4:]) != 2 {
+		t.Fatalf("hub targets not at byte %d", at)
+	}
+	binary.LittleEndian.PutUint32(b[at:], 2)
+	binary.LittleEndian.PutUint32(b[at+4:], 1)
+	if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
+		t.Error("unsorted hub targets accepted")
+	}
+}

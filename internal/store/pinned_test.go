@@ -14,7 +14,7 @@ import (
 
 // pinnedStore is the fixed input of the pinned tests: RMAT scale 10, edge
 // factor 8, seed 3, each edge on a seeded random one of 8 shards.
-func pinnedStore(t *testing.T) *Store {
+func pinnedStore(t testing.TB) *Store {
 	t.Helper()
 	g := gen.RMAT(10, 8, 3)
 	st, err := BuildPartitioning(g, randomPartitioning(g, 8, 3))

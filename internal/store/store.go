@@ -1,7 +1,13 @@
 // Package store is the online serving layer over an edge partitioning: it
 // materializes a partitioning into immutable per-shard CSR stores plus a
-// vertex→master routing table and mirror index, and serves concurrent
+// vertex→master routing table and a replica index, and serves concurrent
 // point and traversal queries across the shards.
+//
+// The replica index (partition.ReplicaIndex) lists, for every vertex, the
+// shards holding a copy and the vertex's slot in each shard's CSR. Every
+// query routes through it and reads a shard's adjacency by slot, so no
+// lookup goes through a hash map, and a store is built in time linear in its
+// edges and replicas with one dense per-vertex scratch (BuildFromShards).
 //
 // A Store is the immutable base. Queries resolve once, on an Epoch: a base
 // plus an optional overlay of edge insertions and deletions (epoch.go). The
@@ -26,33 +32,22 @@ import (
 
 // shard is one partition's immutable CSR slice of the graph: the edges the
 // partitioning assigned to it, indexed by the (global) vertices they touch.
+// A vertex's slot is its position in verts; the store's replica index keeps
+// the slot beside each replica, so no lookup here goes by vertex id.
 type shard struct {
 	id    int
-	verts []graph.Vertex          // global ids present in this shard, sorted
-	index map[graph.Vertex]uint32 // global id -> local slot
-	off   []int64                 // CSR offsets, len(verts)+1
-	tgt   []graph.Vertex          // neighbor global ids
-	edges int64                   // owned edge count
+	verts []graph.Vertex // global ids present in this shard, sorted
+	off   []int64        // CSR offsets by slot, len(verts)+1
+	tgt   []graph.Vertex // neighbor global ids, ascending per slot
+	edges int64          // owned edge count
 }
 
-// degreeOf returns v's local degree in the shard (0 if absent).
-func (s *shard) degreeOf(v graph.Vertex) int64 {
-	l, ok := s.index[v]
-	if !ok {
-		return 0
-	}
-	return s.off[l+1] - s.off[l]
-}
+// degreeOf returns the local degree of the vertex at slot l.
+func (s *shard) degreeOf(l uint32) int64 { return s.off[l+1] - s.off[l] }
 
-// neighborsOf returns v's local adjacency slice (nil if absent). Callers
+// neighborsOf returns the local adjacency of the vertex at slot l. Callers
 // must not mutate it.
-func (s *shard) neighborsOf(v graph.Vertex) []graph.Vertex {
-	l, ok := s.index[v]
-	if !ok {
-		return nil
-	}
-	return s.tgt[s.off[l]:s.off[l+1]]
-}
+func (s *shard) neighborsOf(l uint32) []graph.Vertex { return s.tgt[s.off[l]:s.off[l+1]] }
 
 // Store serves point and traversal queries over a sharded graph. It is
 // immutable after BuildFromShards/ReadSnapshot and safe for concurrent use.
@@ -67,11 +62,10 @@ type Store struct {
 	// master even when no edge covers it.
 	master []int32
 
-	// Mirror index, flattened: replicas of v are
-	// repShard[repOff[v]:repOff[v+1]], sorted by shard id. A vertex's
-	// mirrors are its replicas minus its master.
-	repOff   []int64
-	repShard []int32
+	// replicas is the replica index: the shards holding v, sorted by shard
+	// id, and v's slot in each. A vertex's mirrors are its replicas minus
+	// its master.
+	replicas partition.ReplicaIndex
 
 	metrics metrics
 
@@ -103,46 +97,31 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 	return BuildFromShards(g.NumVertices(), packed)
 }
 
-// buildMirrors derives the mirror index from the filled shards: a replica
-// count per vertex, then a fill pass in shard order so each vertex's
-// replica list comes out sorted by shard id.
-func (st *Store) buildMirrors() {
-	n := st.numVertices
-	st.repOff = make([]int64, n+1)
-	for _, sh := range st.shards {
-		for _, v := range sh.verts {
-			st.repOff[v+1]++
-		}
-	}
-	for v := uint32(0); v < n; v++ {
-		st.repOff[v+1] += st.repOff[v]
-	}
-	st.repShard = make([]int32, st.repOff[n])
-	repCursor := make([]int64, n)
+// indexReplicas derives the replica index from the filled shards' vertex
+// lists.
+func (st *Store) indexReplicas() {
+	verts := make([][]graph.Vertex, len(st.shards))
 	for s, sh := range st.shards {
-		for _, v := range sh.verts {
-			st.repShard[st.repOff[v]+repCursor[v]] = int32(s)
-			repCursor[v]++
-		}
+		verts[s] = sh.verts
 	}
+	st.replicas = partition.NewReplicaIndex(st.numVertices, verts)
 }
 
-// buildRouting derives the mirror index and then the master table: masters
+// buildRouting derives the replica index and then the master table: masters
 // at the replica shard with the highest local degree (ties to the lowest
 // id), isolated vertices hash-routed so routing is total.
 func (st *Store) buildRouting() {
-	st.buildMirrors()
+	st.indexReplicas()
 	numShards := len(st.shards)
 	for v := uint32(0); v < st.numVertices; v++ {
-		reps := st.Replicas(v)
+		reps, slots := st.replicas.Of(v)
 		if len(reps) == 0 {
 			st.master[v] = int32(v % uint32(numShards))
 			continue
 		}
-		best := reps[0]
-		bestDeg := st.shards[best].degreeOf(v)
-		for _, s := range reps[1:] {
-			if d := st.shards[s].degreeOf(v); d > bestDeg {
+		best, bestDeg := reps[0], st.shards[reps[0]].degreeOf(slots[0])
+		for i, s := range reps[1:] {
+			if d := st.shards[s].degreeOf(slots[i+1]); d > bestDeg {
 				best, bestDeg = s, d
 			}
 		}
@@ -182,19 +161,20 @@ func (st *Store) Replicas(v graph.Vertex) []int32 {
 	if v >= st.numVertices {
 		return nil
 	}
-	return st.repShard[st.repOff[v]:st.repOff[v+1]]
+	reps, _ := st.replicas.Of(v)
+	return reps
 }
 
 // TotalReplicas returns Σp |V(Ep)| — the numerator of the paper's
-// replication factor, and the size of the mirror index.
-func (st *Store) TotalReplicas() int64 { return int64(len(st.repShard)) }
+// replication factor, and the size of the replica index.
+func (st *Store) TotalReplicas() int64 { return st.replicas.Total() }
 
 // ReplicationFactor returns TotalReplicas / |V| (0 for an empty store).
 func (st *Store) ReplicationFactor() float64 {
 	if st.numVertices == 0 {
 		return 0
 	}
-	return float64(len(st.repShard)) / float64(st.numVertices)
+	return float64(st.replicas.Total()) / float64(st.numVertices)
 }
 
 // Degree returns v's global degree by summing its local degree on every
