@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/obs"
 	"github.com/distributedne/dne/internal/store"
 )
@@ -248,7 +250,8 @@ func (sr *storeRegistry) add(name string, info StoreInfo, st *store.Store) (*Sto
 	info.Store = name
 	sr.stores[name] = &storeEntry{info: info, st: st}
 	if sr.dir != "" {
-		if err := sr.persist(name, info, st); err != nil {
+		err := sr.persist(name, info, func(w io.Writer) error { return store.WriteSnapshot(w, st) })
+		if err != nil {
 			delete(sr.stores, name)
 			return nil, fmt.Errorf("persisting store: %w", err)
 		}
@@ -296,25 +299,15 @@ func (sr *storeRegistry) drop(id string) bool {
 	return true
 }
 
-// persist writes the snapshot plus a JSON sidecar with build provenance. A
-// failed write removes the partial snapshot so a later restart does not
-// trip over a truncated file.
-func (sr *storeRegistry) persist(name string, info StoreInfo, st *store.Store) error {
+// persist replaces the snapshot with what fill writes, then writes a JSON
+// sidecar with build provenance. A failed write leaves no snapshot behind,
+// so a later restart does not trip over a partial file.
+func (sr *storeRegistry) persist(name string, info StoreInfo, fill func(io.Writer) error) error {
 	if err := os.MkdirAll(sr.dir, 0o755); err != nil {
 		return err
 	}
 	snapPath := filepath.Join(sr.dir, name+snapExt)
-	f, err := os.Create(snapPath)
-	if err != nil {
-		return err
-	}
-	if err := store.WriteSnapshot(f, st); err != nil {
-		f.Close()
-		os.Remove(snapPath)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(snapPath)
+	if _, err := binio.Replace(snapPath, fill); err != nil {
 		return err
 	}
 	meta, err := json.Marshal(info)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -399,5 +402,30 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	}
 	if len(list) != 0 {
 		t.Fatalf("deleted store came back: %+v", list)
+	}
+}
+
+// TestPersistFailureLeavesNoFile: a snapshot write that fails part way
+// leaves neither <name>.dns nor its temporary file in the store directory,
+// so a restart finds nothing to trip over.
+func TestPersistFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	sr := newStoreRegistry(4, dir)
+	errFill := errors.New("disk full")
+	err := sr.persist("broken", StoreInfo{Store: "broken"}, func(w io.Writer) error {
+		if _, err := w.Write([]byte("DNS1 partial")); err != nil {
+			return err
+		}
+		return errFill
+	})
+	if !errors.Is(err, errFill) {
+		t.Fatalf("persist = %v, want the fill error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed persist left %s behind", e.Name())
 	}
 }

@@ -1,9 +1,7 @@
 package dne
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -15,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/dsa"
 )
 
@@ -33,9 +32,13 @@ import (
 //     counters. Everything derivable (drest, freeEdges, the target array) is
 //     recomputed on load instead of stored.
 //
-// Both carry a config fingerprint (seed, α, λ, |P|, mode flags) and end in
-// an FNV-64a digest of the full payload; writes go through a temp file +
-// rename so a crash mid-write can never leave a readable half-checkpoint.
+// Both are little-endian u64 header words — magic, version, rank, size, a
+// config fingerprint (seed, α, λ, |P|, mode flags) and the scalars above —
+// then count-prefixed sections, and end in an FNV-64a digest of the full
+// payload. Paging, the cap on preallocation from a section count, the
+// digest trailer and the replace (temp file, fsync, rename, so a crash
+// mid-write can never leave a readable half-checkpoint) all come from
+// internal/binio.
 //
 // Only the two newest state files are retained. That suffices for recovery:
 // a superstep ends by receiving every rank's step message, so no rank can
@@ -136,207 +139,52 @@ type machineCkpt struct {
 	bndLive []dsa.BoundaryEntry
 }
 
-// hashedWriter tees writes through an FNV-64a digest.
-type hashedWriter struct {
-	w io.Writer
-	h interface {
-		io.Writer
-		Sum64() uint64
+// putSection writes one count-prefixed section.
+func putSection[T binio.Word](w *binio.Writer, xs []T) {
+	w.U64(uint64(len(xs)))
+	binio.Put(w, xs)
+}
+
+// section reads one count-prefixed section; the count is untrusted.
+func section[T binio.Word](r *binio.Reader) []T {
+	return binio.Slab[T](r, r.U64())
+}
+
+// readHeader fills hdr with a checkpoint file's leading words and checks
+// its magic, version and run configuration (rank, size, fingerprint).
+func (c *Checkpointer) readHeader(r *binio.Reader, kind string, magic uint64, hdr []uint64) error {
+	if err := binio.Fill(r, hdr); err != nil {
+		return fmt.Errorf("dne: reading checkpoint %s header: %w", kind, err)
 	}
-}
-
-func (hw *hashedWriter) Write(p []byte) (int, error) {
-	hw.h.Write(p)
-	return hw.w.Write(p)
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func writeU64Slice(w io.Writer, xs []uint64) error {
-	if err := writeU64(w, uint64(len(xs))); err != nil {
-		return err
+	if hdr[0] != magic || hdr[1] != ckptVersion {
+		return fmt.Errorf("dne: checkpoint %s has bad magic/version %#x/%d", kind, hdr[0], hdr[1])
 	}
-	var page [8192 * 8]byte
-	for len(xs) > 0 {
-		n := min(len(xs), 8192)
-		for i, x := range xs[:n] {
-			binary.LittleEndian.PutUint64(page[i*8:], x)
-		}
-		if _, err := w.Write(page[:n*8]); err != nil {
-			return err
-		}
-		xs = xs[n:]
+	if hdr[2] != uint64(c.rank) || hdr[3] != uint64(c.size) || hdr[4] != c.fp {
+		return fmt.Errorf("dne: checkpoint %s belongs to a different run configuration", kind)
 	}
 	return nil
 }
 
-func writeI64Slice(w io.Writer, xs []int64) error {
-	if err := writeU64(w, uint64(len(xs))); err != nil {
-		return err
+// readTail checks a checkpoint's digest trailer and that nothing follows it.
+func readTail(r *binio.Reader, kind string) error {
+	if err := r.Trailer(); err != nil {
+		return fmt.Errorf("dne: checkpoint %s digest mismatch: %w", kind, err)
 	}
-	for _, x := range xs {
-		if err := writeU64(w, uint64(x)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeI32Slice(w io.Writer, xs []int32) error {
-	if err := writeU64(w, uint64(len(xs))); err != nil {
-		return err
-	}
-	var page [8192 * 4]byte
-	for len(xs) > 0 {
-		n := min(len(xs), 8192)
-		for i, x := range xs[:n] {
-			binary.LittleEndian.PutUint32(page[i*4:], uint32(x))
-		}
-		if _, err := w.Write(page[:n*4]); err != nil {
-			return err
-		}
-		xs = xs[n:]
+	if err := r.End(); err != nil {
+		return fmt.Errorf("dne: checkpoint %s: %w", kind, err)
 	}
 	return nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// ckptMaxCount caps a single section's declared element count (2^32): well
-// above any real per-rank slab, well below anything that could wrap an
-// allocation size.
-const ckptMaxCount = 1 << 32
-
-func readCount(r io.Reader) (int, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return 0, err
-	}
-	if n > ckptMaxCount {
-		return 0, fmt.Errorf("dne: checkpoint section declares %d elements", n)
-	}
-	return int(n), nil
-}
-
-func readU64Slice(r io.Reader) ([]uint64, error) {
-	n, err := readCount(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	var page [8192 * 8]byte
-	for off := 0; off < n; {
-		chunk := min(8192, n-off)
-		b := page[:chunk*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < chunk; i++ {
-			out[off+i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
-		off += chunk
-	}
-	return out, nil
-}
-
-func readI64Slice(r io.Reader) ([]int64, error) {
-	u, err := readU64Slice(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(u))
-	for i, x := range u {
-		out[i] = int64(x)
-	}
-	return out, nil
-}
-
-func readI32Slice(r io.Reader) ([]int32, error) {
-	n, err := readCount(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int32, n)
-	var page [8192 * 4]byte
-	for off := 0; off < n; {
-		chunk := min(8192, n-off)
-		b := page[:chunk*4]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for i := 0; i < chunk; i++ {
-			out[off+i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-		}
-		off += chunk
-	}
-	return out, nil
-}
-
-// atomicWrite streams fill into path via a temp file + fsync + rename, so
-// the file either exists complete or not at all.
-func atomicWrite(path string, fill func(w io.Writer) error) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := fill(bw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	info, _ := f.Stat()
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	var n int64
-	if info != nil {
-		n = info.Size()
-	}
-	return n, nil
 }
 
 // WriteBase persists the rank's immutable post-shuffle input.
 func (c *Checkpointer) WriteBase(numVertices uint32, totalEdges int64, packed []uint64) error {
-	n, err := atomicWrite(c.basePath(), func(w io.Writer) error {
-		hw := &hashedWriter{w: w, h: fnv.New64a()}
-		for _, v := range []uint64{ckptBaseMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
-			uint64(numVertices), uint64(totalEdges)} {
-			if err := writeU64(hw, v); err != nil {
-				return err
-			}
-		}
-		if err := writeU64Slice(hw, packed); err != nil {
-			return err
-		}
-		return writeU64(w, hw.h.Sum64())
+	n, err := binio.Replace(c.basePath(), func(w io.Writer) error {
+		bw := binio.NewDigestWriter(w)
+		binio.Put(bw, []uint64{ckptBaseMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
+			uint64(numVertices), uint64(totalEdges)})
+		putSection(bw, packed)
+		bw.Trailer()
+		return bw.Flush()
 	})
 	if err != nil {
 		return fmt.Errorf("dne: writing checkpoint base: %w", err)
@@ -353,28 +201,19 @@ func (c *Checkpointer) LoadBase() (numVertices uint32, totalEdges int64, packed 
 		return 0, 0, nil, fmt.Errorf("dne: opening checkpoint base: %w", err)
 	}
 	defer f.Close()
-	digest := fnv.New64a()
-	br := bufio.NewReaderSize(f, 1<<16)
-	r := io.TeeReader(br, digest)
+	r := binio.NewDigestReader(f)
 	var hdr [7]uint64
-	for i := range hdr {
-		if hdr[i], err = readU64(r); err != nil {
-			return 0, 0, nil, fmt.Errorf("dne: reading checkpoint base header: %w", err)
-		}
+	if err := c.readHeader(r, "base", ckptBaseMagic, hdr[:]); err != nil {
+		return 0, 0, nil, err
 	}
-	if hdr[0] != ckptBaseMagic || hdr[1] != ckptVersion {
-		return 0, 0, nil, fmt.Errorf("dne: checkpoint base has bad magic/version %#x/%d", hdr[0], hdr[1])
+	if hdr[5] > math.MaxUint32 {
+		return 0, 0, nil, fmt.Errorf("dne: checkpoint base declares %d vertices", hdr[5])
 	}
-	if hdr[2] != uint64(c.rank) || hdr[3] != uint64(c.size) || hdr[4] != c.fp {
-		return 0, 0, nil, errors.New("dne: checkpoint base belongs to a different run configuration")
+	if packed = section[uint64](r); r.Err() != nil {
+		return 0, 0, nil, fmt.Errorf("dne: reading checkpoint base edges: %w", r.Err())
 	}
-	if packed, err = readU64Slice(r); err != nil {
-		return 0, 0, nil, fmt.Errorf("dne: reading checkpoint base edges: %w", err)
-	}
-	want := digest.Sum64()
-	got, err := readU64(br)
-	if err != nil || got != want {
-		return 0, 0, nil, fmt.Errorf("dne: checkpoint base digest mismatch (read err: %v)", err)
+	if err := readTail(r, "base"); err != nil {
+		return 0, 0, nil, err
 	}
 	return uint32(hdr[5]), int64(hdr[6]), packed, nil
 }
@@ -382,40 +221,25 @@ func (c *Checkpointer) LoadBase() (numVertices uint32, totalEdges int64, packed 
 // WriteState persists the mutable overlay at st.iter and prunes all but the
 // newest ckptKeep state files.
 func (c *Checkpointer) WriteState(st *machineCkpt) error {
-	n, err := atomicWrite(c.statePath(st.iter), func(w io.Writer) error {
-		hw := &hashedWriter{w: w, h: fnv.New64a()}
-		for _, v := range []uint64{ckptStateMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
+	n, err := binio.Replace(c.statePath(st.iter), func(w io.Writer) error {
+		bw := binio.NewDigestWriter(w)
+		binio.Put(bw, []uint64{ckptStateMagic, ckptVersion, uint64(c.rank), uint64(c.size), c.fp,
 			uint64(st.iter), uint64(st.seedCur),
-			uint64(st.wasted), uint64(st.selections), st.rng63, st.rng64, uint64(st.bndPeak)} {
-			if err := writeU64(hw, v); err != nil {
-				return err
-			}
-		}
+			uint64(st.wasted), uint64(st.selections), st.rng63, st.rng64, uint64(st.bndPeak)})
 		for _, xs := range [][]int64{st.partSizes, st.freeVec, st.localPerPart} {
-			if err := writeI64Slice(hw, xs); err != nil {
-				return err
-			}
+			putSection(bw, xs)
 		}
 		for _, xs := range [][]int32{st.owner, st.eIdx, st.aliveLen} {
-			if err := writeI32Slice(hw, xs); err != nil {
-				return err
-			}
+			putSection(bw, xs)
 		}
-		if err := writeU64Slice(hw, st.partWords); err != nil {
-			return err
-		}
-		if err := writeU64(hw, uint64(len(st.bndLive))); err != nil {
-			return err
-		}
+		putSection(bw, st.partWords)
+		bw.U64(uint64(len(st.bndLive)))
 		for _, e := range st.bndLive {
-			var b [8]byte
-			binary.LittleEndian.PutUint32(b[0:], e.V)
-			binary.LittleEndian.PutUint32(b[4:], uint32(e.Score))
-			if _, err := hw.Write(b[:]); err != nil {
-				return err
-			}
+			bw.U32(e.V)
+			bw.U32(uint32(e.Score))
 		}
-		return writeU64(w, hw.h.Sum64())
+		bw.Trailer()
+		return bw.Flush()
 	})
 	if err != nil {
 		return fmt.Errorf("dne: writing checkpoint state s%d: %w", st.iter, err)
@@ -433,20 +257,10 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 		return nil, fmt.Errorf("dne: opening checkpoint state: %w", err)
 	}
 	defer f.Close()
-	digest := fnv.New64a()
-	br := bufio.NewReaderSize(f, 1<<16)
-	r := io.TeeReader(br, digest)
+	r := binio.NewDigestReader(f)
 	var hdr [12]uint64
-	for i := range hdr {
-		if hdr[i], err = readU64(r); err != nil {
-			return nil, fmt.Errorf("dne: reading checkpoint state header: %w", err)
-		}
-	}
-	if hdr[0] != ckptStateMagic || hdr[1] != ckptVersion {
-		return nil, fmt.Errorf("dne: checkpoint state has bad magic/version %#x/%d", hdr[0], hdr[1])
-	}
-	if hdr[2] != uint64(c.rank) || hdr[3] != uint64(c.size) || hdr[4] != c.fp {
-		return nil, errors.New("dne: checkpoint state belongs to a different run configuration")
+	if err := c.readHeader(r, "state", ckptStateMagic, hdr[:]); err != nil {
+		return nil, err
 	}
 	if int64(hdr[5]) != superstep {
 		return nil, fmt.Errorf("dne: checkpoint state claims superstep %d, file named %d", hdr[5], superstep)
@@ -455,38 +269,20 @@ func (c *Checkpointer) LoadState(superstep int64) (*machineCkpt, error) {
 		iter: int64(hdr[5]), seedCur: int64(hdr[6]), wasted: int64(hdr[7]), selections: int64(hdr[8]),
 		rng63: hdr[9], rng64: hdr[10], bndPeak: int64(hdr[11]),
 	}
-	for _, dst := range []*[]int64{&st.partSizes, &st.freeVec, &st.localPerPart} {
-		if *dst, err = readI64Slice(r); err != nil {
-			return nil, fmt.Errorf("dne: reading checkpoint vectors: %w", err)
-		}
+	st.partSizes, st.freeVec, st.localPerPart = section[int64](r), section[int64](r), section[int64](r)
+	st.owner, st.eIdx, st.aliveLen = section[int32](r), section[int32](r), section[int32](r)
+	st.partWords = section[uint64](r)
+	// A boundary entry is one word: V in the low half, Score in the high.
+	bnd := section[uint64](r)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dne: reading checkpoint state s%d: %w", superstep, err)
 	}
-	for _, dst := range []*[]int32{&st.owner, &st.eIdx, &st.aliveLen} {
-		if *dst, err = readI32Slice(r); err != nil {
-			return nil, fmt.Errorf("dne: reading checkpoint slabs: %w", err)
-		}
+	st.bndLive = make([]dsa.BoundaryEntry, len(bnd))
+	for i, w := range bnd {
+		st.bndLive[i] = dsa.BoundaryEntry{V: uint32(w), Score: int32(w >> 32)}
 	}
-	if st.partWords, err = readU64Slice(r); err != nil {
-		return nil, fmt.Errorf("dne: reading checkpoint bitsets: %w", err)
-	}
-	nLive, err := readCount(r)
-	if err != nil {
-		return nil, fmt.Errorf("dne: reading checkpoint boundary: %w", err)
-	}
-	st.bndLive = make([]dsa.BoundaryEntry, nLive)
-	for i := range st.bndLive {
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return nil, fmt.Errorf("dne: reading checkpoint boundary: %w", err)
-		}
-		st.bndLive[i] = dsa.BoundaryEntry{
-			V:     binary.LittleEndian.Uint32(b[0:]),
-			Score: int32(binary.LittleEndian.Uint32(b[4:])),
-		}
-	}
-	want := digest.Sum64()
-	got, err := readU64(br)
-	if err != nil || got != want {
-		return nil, fmt.Errorf("dne: checkpoint state digest mismatch (read err: %v)", err)
+	if err := readTail(r, "state"); err != nil {
+		return nil, err
 	}
 	ckptObs.restored.Add(1)
 	return st, nil
@@ -545,14 +341,7 @@ func (c *Checkpointer) validHeader(superstep int64) bool {
 	}
 	defer f.Close()
 	var hdr [6]uint64
-	for i := range hdr {
-		if hdr[i], err = readU64(f); err != nil {
-			return false
-		}
-	}
-	return hdr[0] == ckptStateMagic && hdr[1] == ckptVersion &&
-		hdr[2] == uint64(c.rank) && hdr[3] == uint64(c.size) &&
-		hdr[4] == c.fp && int64(hdr[5]) == superstep
+	return c.readHeader(binio.NewReader(f), "state", ckptStateMagic, hdr[:]) == nil && int64(hdr[5]) == superstep
 }
 
 // prune removes all but the newest ckptKeep state files.

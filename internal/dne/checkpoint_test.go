@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/distributedne/dne/internal/dsa"
 )
 
-func testCkpt(t *testing.T, cfg Config) *Checkpointer {
+func testCkpt(t testing.TB, cfg Config) *Checkpointer {
 	t.Helper()
 	c, err := NewCheckpointer(t.TempDir(), 1, 4, 1, cfg)
 	if err != nil {
@@ -348,5 +349,60 @@ func TestCountingSourceSkipReplaysPosition(t *testing.T) {
 		if got := r2.Intn(1 << 20); got != want[i] {
 			t.Fatalf("draw %d after skip: got %d want %d", i, got, want[i])
 		}
+	}
+}
+
+// TestCheckpointRejectsHugeCounts: a checkpoint with a valid header, its
+// run's fingerprint included, whose first section declares 2^28 elements
+// over no data must fail on the short read without allocating for the
+// declared count — DNB1 and DNC1 alike.
+func TestCheckpointRejectsHugeCounts(t *testing.T) {
+	cases := []struct {
+		name   string
+		hdrLen int64
+		path   func(c *Checkpointer) string
+		write  func(c *Checkpointer) error
+		load   func(c *Checkpointer) error
+	}{
+		{
+			name:   "DNB1",
+			hdrLen: 7 * 8,
+			path:   (*Checkpointer).basePath,
+			write:  func(c *Checkpointer) error { return c.WriteBase(10, 10, []uint64{1, 2, 3}) },
+			load: func(c *Checkpointer) error {
+				_, _, _, err := c.LoadBase()
+				return err
+			},
+		},
+		{
+			name:   "DNC1",
+			hdrLen: 12 * 8,
+			path:   func(c *Checkpointer) string { return c.statePath(3) },
+			write:  func(c *Checkpointer) error { return c.WriteState(sampleState(3)) },
+			load: func(c *Checkpointer) error {
+				_, err := c.LoadState(3)
+				return err
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCkpt(t, DefaultConfig())
+			if err := tc.write(c); err != nil {
+				t.Fatal(err)
+			}
+			patchU64(t, tc.path(c), tc.hdrLen, 1<<28)
+			truncateFile(t, tc.path(c), tc.hdrLen+8)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.load(c)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("a section declaring 2^28 elements over no data was accepted")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+				t.Fatalf("rejecting it allocated %d bytes, over 4 MiB", grew)
+			}
+		})
 	}
 }

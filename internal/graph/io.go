@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"github.com/distributedne/dne/internal/binio"
 )
 
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line).
@@ -64,11 +65,6 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // binaryMagic identifies the binary edge-list format.
 const binaryMagic = 0x444e4531 // "DNE1"
 
-// maxPrealloc caps slice preallocation driven by untrusted header counts: a
-// hostile edge count past this bound grows incrementally and fails on the
-// short read instead of attempting a huge up-front allocation.
-const maxPrealloc = 1 << 20
-
 // Vertex-claim bounds for untrusted headers (found by FuzzBinarySource): a
 // graph is O(|V|) to materialize, so a 16-byte file declaring 4G vertices
 // and no edges would otherwise command a multi-GiB adjacency allocation.
@@ -99,82 +95,32 @@ func checkVertexClaim(n uint32, edges uint64) error {
 	return nil
 }
 
-// ioPageEdges is the number of edges batched per binary read/write (32 KiB).
+// ioPageEdges is the number of edges a DNE1 stream decodes per chunk.
 const ioPageEdges = 4096
 
 // WriteBinary writes a compact binary encoding: magic, |V|, |E|, then pairs of
-// little-endian uint32 endpoints, batched into page-sized writes.
+// little-endian uint32 endpoints.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], g.NumVertices())
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, ioPageEdges*8)
+	bw := binio.NewWriter(w)
+	bw.U32(binaryMagic)
+	bw.U32(g.NumVertices())
+	bw.U64(uint64(g.NumEdges()))
 	for _, e := range g.Edges() {
-		buf = binary.LittleEndian.AppendUint32(buf, e.U)
-		buf = binary.LittleEndian.AppendUint32(buf, e.V)
-		if len(buf) == cap(buf) {
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		bw.U32(e.U)
+		bw.U32(e.V)
 	}
 	return bw.Flush()
 }
 
-// ReadBinary reads the format written by WriteBinary. The header is treated
-// as untrusted: preallocation is capped, and every endpoint is validated
-// against the declared vertex count, so a truncated or corrupt file errors
+// ReadBinary reads the format written by WriteBinary: FromSource over the
+// one DNE1 stream BinarySource also reads, so the header is untrusted in
+// the same way — the vertex claim must be backed by the declared edges,
+// every endpoint is range-checked, and a truncated or corrupt file errors
 // instead of producing an invalid graph.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic in binary edge list")
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	m := binary.LittleEndian.Uint64(hdr[8:])
-	prealloc := m
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	edges := make([]Edge, 0, prealloc)
-	page := make([]byte, ioPageEdges*8)
-	for done := uint64(0); done < m; {
-		chunk := uint64(ioPageEdges)
-		if rem := m - done; rem < chunk {
-			chunk = rem
-		}
-		b := page[:chunk*8]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("graph: reading edge %d: %w", done, err)
-		}
-		for i := uint64(0); i < chunk; i++ {
-			u := binary.LittleEndian.Uint32(b[i*8:])
-			v := binary.LittleEndian.Uint32(b[i*8+4:])
-			if u >= n || v >= n {
-				return nil, fmt.Errorf("graph: edge %d endpoint (%d,%d) out of range [0,%d)",
-					done+i, u, v, n)
-			}
-			edges = append(edges, Edge{u, v})
-		}
-		done += chunk
-	}
-	if err := checkVertexClaim(n, uint64(len(edges))); err != nil {
+	st, err := newBinaryStream(io.NopCloser(r))
+	if err != nil {
 		return nil, err
 	}
-	return FromEdges(n, edges), nil
+	return fromStream(SourceInfo{NumVertices: st.numVertices}, st, nil)
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/dsa"
 )
 
@@ -711,7 +712,7 @@ func readShard(r io.Reader) (*Shard, error) {
 	if prealloc == unknownEdgeCount {
 		prealloc = 0
 	}
-	s := &Shard{NumVertices: sr.info.NumVertices, Packed: make([]uint64, 0, min(prealloc, maxPrealloc))}
+	s := &Shard{NumVertices: sr.info.NumVertices, Packed: make([]uint64, 0, binio.Cap(prealloc))}
 	for {
 		chunk, err := sr.Next()
 		if err == io.EOF {

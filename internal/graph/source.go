@@ -1,13 +1,14 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
+
+	"github.com/distributedne/dne/internal/binio"
 )
 
 // Source is the input side of the partitioner API: a re-streamable supply of
@@ -417,35 +418,16 @@ func (st *dirStream) Close() error {
 // FromEdges would; for files written by WriteBinary (already canonical and
 // deduplicated) the stream is exactly the graph's canonical edge list.
 func BinarySource(path string) (Source, error) {
-	src := &binarySource{path: path}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	n, m, err := readBinaryHeader(f)
+	st, err := newBinaryStream(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// Consumers allocate O(|V|) partitioner state straight from Info(), so
-	// the vertex claim must be paid for by the declared edge count before
-	// any pass runs; a lying edge count then fails on the short read.
-	if err := checkVertexClaim(n, m); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	src.numVertices, src.declared = n, m
-	return src, nil
-}
-
-func readBinaryHeader(r io.Reader) (uint32, uint64, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binaryMagic {
-		return 0, 0, fmt.Errorf("graph: bad magic in binary edge list")
-	}
-	return binary.LittleEndian.Uint32(hdr[4:]), binary.LittleEndian.Uint64(hdr[8:]), nil
+	return &binarySource{path: path, numVertices: st.numVertices, declared: st.remaining}, nil
 }
 
 type binarySource struct {
@@ -456,10 +438,10 @@ type binarySource struct {
 
 func (s *binarySource) Info() SourceInfo {
 	// The declared edge count bounds the stream, but self loops (legal in
-	// hand-written files, dropped by this source exactly as ReadBinary
-	// drops them) make the post-drop count unknowable from the header —
-	// and hints must be exact or absent. Consumers resolve the true count
-	// with one cheap counting pass (SourceCounts).
+	// hand-written files, dropped by this source as FromEdges drops them)
+	// make the post-drop count unknowable from the header — and hints must
+	// be exact or absent. Consumers resolve the true count with one cheap
+	// counting pass (SourceCounts).
 	return SourceInfo{Name: "binary:" + s.path, NumVertices: s.numVertices}
 }
 
@@ -468,58 +450,72 @@ func (s *binarySource) Edges() (EdgeStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, m, err := readBinaryHeader(f)
+	st, err := newBinaryStream(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", s.path, err)
 	}
-	if n != s.numVertices || m != s.declared {
+	if st.numVertices != s.numVertices || st.remaining != s.declared {
 		f.Close()
 		return nil, fmt.Errorf("%s: header changed between passes (|V| %d->%d, |E| %d->%d)",
-			s.path, s.numVertices, n, s.declared, m)
+			s.path, s.numVertices, st.numVertices, s.declared, st.remaining)
 	}
-	return &binaryStream{
-		f: f, numVertices: n, remaining: m,
-		page: make([]byte, ioPageEdges*8),
-		buf:  make([]uint64, ioPageEdges),
-	}, nil
+	return st, nil
 }
 
+// binaryStream is the one DNE1 decoder, behind both BinarySource and
+// ReadBinary. Each edge is one little-endian u64 word: U in the low half,
+// V in the high half.
 type binaryStream struct {
-	f           *os.File
+	r           *binio.Reader
+	c           io.Closer
 	numVertices uint32
 	remaining   uint64
 	read        uint64
-	page        []byte
+	words       []uint64
 	buf         []uint64
+}
+
+// newBinaryStream reads and validates a DNE1 header from r, which the
+// stream's Close closes. The vertex claim is checked against the declared
+// edge count up front: consumers allocate O(|V|) state from it before any
+// edge is read, and a lying edge count then fails on the short read.
+func newBinaryStream(r io.ReadCloser) (*binaryStream, error) {
+	br := binio.NewReader(r)
+	magic, n, m := br.U32(), br.U32(), br.U64()
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading binary header: %w", err)
+	}
+	if magic != binaryMagic {
+		return nil, fmt.Errorf("graph: bad magic in binary edge list")
+	}
+	if err := checkVertexClaim(n, m); err != nil {
+		return nil, err
+	}
+	return &binaryStream{r: br, c: r, numVertices: n, remaining: m,
+		words: make([]uint64, ioPageEdges), buf: make([]uint64, ioPageEdges)}, nil
 }
 
 func (st *binaryStream) Next() ([]uint64, []int64, error) {
 	for st.remaining > 0 {
-		chunk := uint64(ioPageEdges)
-		if st.remaining < chunk {
-			chunk = st.remaining
-		}
-		b := st.page[:chunk*8]
-		if _, err := io.ReadFull(st.f, b); err != nil {
+		words := st.words[:min(st.remaining, ioPageEdges)]
+		if err := binio.Fill(st.r, words); err != nil {
 			return nil, nil, fmt.Errorf("graph: reading edge %d of declared %d: %w",
 				st.read, st.read+st.remaining, err)
 		}
-		st.remaining -= chunk
+		st.remaining -= uint64(len(words))
 		buf := st.buf[:0]
-		for i := uint64(0); i < chunk; i++ {
-			u := binary.LittleEndian.Uint32(b[i*8:])
-			v := binary.LittleEndian.Uint32(b[i*8+4:])
+		for i, w := range words {
+			u, v := Vertex(w), Vertex(w>>32)
 			if u >= st.numVertices || v >= st.numVertices {
 				return nil, nil, fmt.Errorf("graph: edge %d endpoint (%d,%d) out of range [0,%d)",
-					st.read+i, u, v, st.numVertices)
+					st.read+uint64(i), u, v, st.numVertices)
 			}
-			if u == v {
-				continue // self loop, dropped as FromEdges would
+			if u != v { // self loops are dropped, as FromEdges drops them
+				buf = append(buf, PackEdge(u, v))
 			}
-			buf = append(buf, PackEdge(u, v))
 		}
-		st.read += chunk
+		st.read += uint64(len(words))
 		if len(buf) > 0 {
 			return buf, nil, nil
 		}
@@ -527,7 +523,7 @@ func (st *binaryStream) Next() ([]uint64, []int64, error) {
 	return nil, nil, io.EOF
 }
 
-func (st *binaryStream) Close() error { return st.f.Close() }
+func (st *binaryStream) Close() error { return st.c.Close() }
 
 // ---------------------------------------------------------------------------
 // Materialization and counting
@@ -539,17 +535,18 @@ func (st *binaryStream) Close() error { return st.f.Close() }
 // (sorted, deduplicated), so for a canonical source it reproduces the
 // original graph exactly.
 func FromSource(src Source, check func(seen int64) error) (*Graph, error) {
-	info := src.Info()
-	prealloc := info.NumEdges
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	keys := make([]uint64, 0, prealloc)
 	st, err := RawSource(src).Edges()
 	if err != nil {
 		return nil, err
 	}
+	return fromStream(src.Info(), st, check)
+}
+
+// fromStream drains one pass of a source described by info into a Graph,
+// closing the stream.
+func fromStream(info SourceInfo, st EdgeStream, check func(seen int64) error) (*Graph, error) {
 	defer st.Close()
+	keys := make([]uint64, 0, binio.Cap(uint64(info.NumEdges)))
 	for {
 		chunk, _, err := st.Next()
 		if err == io.EOF {

@@ -27,6 +27,10 @@ import (
 // Equality tests do not sanitize: `if n == 0` says nothing about how large
 // n may be. The walk is intra-function by design — a count that crosses a
 // function boundary must be re-bounded where it is used.
+//
+// The fixed-layout formats (DNE1, DNP1, DNS1, DLS1, DNB1/DNC1) decode their
+// counts inside internal/binio, whose Slab bounds preallocation by
+// binio.Cap; the formats themselves size slices only by data already read.
 var CappedAlloc = &Analyzer{
 	Name: "cappedalloc",
 	Doc: "flags make() sized by a decoded input count with no intervening bound " +
@@ -175,7 +179,7 @@ func (at *allocTaint) visit(n ast.Node) bool {
 		if _, isBuiltin := at.pass.TypesInfo.Uses[fn].(*types.Builtin); isBuiltin {
 			for _, arg := range n.Args[1:] {
 				if at.exprTainted(arg) {
-					at.pass.Reportf(n.Pos(), "make sized by a count decoded from input with no bound check between decode and allocation; cap it first (see maxPrealloc in internal/graph)")
+					at.pass.Reportf(n.Pos(), "make sized by a count decoded from input with no bound check between decode and allocation; cap it first (see binio.Cap)")
 					break
 				}
 			}

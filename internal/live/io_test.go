@@ -11,7 +11,7 @@ import (
 )
 
 // populatedState builds a state with real placement history.
-func populatedState(t *testing.T) *State {
+func populatedState(t testing.TB) *State {
 	t.Helper()
 	st, err := NewState(Config{NumParts: 4, Seed: 7})
 	if err != nil {

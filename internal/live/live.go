@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/obs"
@@ -574,23 +575,21 @@ func (l *Live) compactLocked() error {
 
 // writeLogFile atomically replaces path with a fresh log holding packed.
 func writeLogFile(path string, q, numParts int, packed []uint64) error {
-	tmp := path + ".tmp"
-	sw, err := graph.CreateShardFile(tmp, graph.ShardInfo{
-		NumVertices: logNumVertices, Index: uint32(q), Count: uint32(numParts),
-	})
-	if err != nil {
-		return err
-	}
-	for _, k := range packed {
-		if err := sw.AppendPacked(k); err != nil {
-			sw.Close()
+	_, err := binio.Replace(path, func(w io.Writer) error {
+		sw, err := graph.NewShardWriter(w, graph.ShardInfo{
+			NumVertices: logNumVertices, Index: uint32(q), Count: uint32(numParts),
+		})
+		if err != nil {
 			return err
 		}
-	}
-	if err := sw.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+		for _, k := range packed {
+			if err := sw.AppendPacked(k); err != nil {
+				return err
+			}
+		}
+		return sw.Close()
+	})
+	return err
 }
 
 // Checkpoint saves the placement state so the next Open can skip the slab
@@ -605,20 +604,10 @@ func (l *Live) Checkpoint() error {
 }
 
 func (l *Live) checkpointLocked() error {
-	path := filepath.Join(l.dir, "state.dls")
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteState(f, l.st); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	_, err := binio.Replace(filepath.Join(l.dir, "state.dls"), func(w io.Writer) error {
+		return WriteState(w, l.st)
+	})
+	return err
 }
 
 // Close checkpoints the state and seals the logs (footer rewrite). The

@@ -2,11 +2,12 @@ package partition
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"github.com/distributedne/dne/internal/binio"
 )
 
 // Serialization of partitionings. The binary format is the tool-to-tool
@@ -17,44 +18,18 @@ import (
 // binMagic identifies the binary partitioning format ("DNP1").
 const binMagic = 0x444e5031
 
-// maxPrealloc caps slice preallocation driven by untrusted header counts: a
-// hostile edge count past this bound grows incrementally and fails on the
-// short read instead of attempting a huge up-front allocation.
-const maxPrealloc = 1 << 20
-
 // maxParts bounds the header part count: anything above this is a corrupt
 // or hostile file, not a plausible partitioning.
 const maxParts = 1 << 24
 
-// ioPageOwners is the number of owners batched per binary read/write (16 KiB).
-const ioPageOwners = 4096
-
 // WriteBinary writes p as: magic, numParts (uint32), numEdges (uint64), then
-// one little-endian int32 owner per edge, batched into page-sized writes.
+// one little-endian int32 owner per edge.
 func WriteBinary(w io.Writer, p *Partitioning) error {
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], binMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(p.NumParts))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(p.Owner)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, ioPageOwners*4)
-	for _, o := range p.Owner {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(o))
-		if len(buf) == cap(buf) {
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
+	bw := binio.NewWriter(w)
+	bw.U32(binMagic)
+	bw.U32(uint32(p.NumParts))
+	bw.U64(uint64(len(p.Owner)))
+	binio.Put(bw, p.Owner)
 	return bw.Flush()
 }
 
@@ -63,42 +38,26 @@ func WriteBinary(w io.Writer, p *Partitioning) error {
 // every owner is range-checked, so a truncated or corrupt file errors
 // instead of producing an invalid partitioning.
 func ReadBinary(r io.Reader) (*Partitioning, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	br := binio.NewReader(r)
+	magic, parts, numEdges := br.U32(), br.U32(), br.U64()
+	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("partition: reading header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != binMagic {
+	if magic != binMagic {
 		return nil, fmt.Errorf("partition: bad magic")
 	}
-	numParts := int(binary.LittleEndian.Uint32(hdr[4:]))
-	numEdges := binary.LittleEndian.Uint64(hdr[8:])
+	numParts := int(parts)
 	if numParts <= 0 || numParts > maxParts {
 		return nil, fmt.Errorf("partition: invalid part count %d", numParts)
 	}
-	prealloc := numEdges
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
+	owner := binio.Slab[int32](br, numEdges)
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("partition: reading owners: %w", err)
 	}
-	owner := make([]int32, 0, prealloc)
-	page := make([]byte, ioPageOwners*4)
-	for done := uint64(0); done < numEdges; {
-		chunk := uint64(ioPageOwners)
-		if rem := numEdges - done; rem < chunk {
-			chunk = rem
+	for i, o := range owner {
+		if o != None && (o < 0 || int(o) >= numParts) {
+			return nil, fmt.Errorf("partition: owner %d out of range at edge %d", o, i)
 		}
-		b := page[:chunk*4]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("partition: reading owner %d: %w", done, err)
-		}
-		for i := uint64(0); i < chunk; i++ {
-			o := int32(binary.LittleEndian.Uint32(b[i*4:]))
-			if o != None && (o < 0 || int(o) >= numParts) {
-				return nil, fmt.Errorf("partition: owner %d out of range at edge %d", o, done+i)
-			}
-			owner = append(owner, o)
-		}
-		done += chunk
 	}
 	return &Partitioning{NumParts: numParts, Owner: owner}, nil
 }

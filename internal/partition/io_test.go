@@ -136,10 +136,10 @@ func TestReadBinaryHostileHeader(t *testing.T) {
 	}
 }
 
-// TestBinaryLargeRoundTrip crosses the write-side page boundary so the
-// batched writer's flush path is exercised.
+// TestBinaryLargeRoundTrip crosses binio's 32 KiB write and read pages
+// (8 192 owners each) so the batched flush and refill paths are exercised.
 func TestBinaryLargeRoundTrip(t *testing.T) {
-	p := New(7, ioPageOwners+100)
+	p := New(7, 2*8192+100)
 	for i := range p.Owner {
 		if i%11 == 0 {
 			p.Owner[i] = None
