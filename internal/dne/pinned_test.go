@@ -118,3 +118,31 @@ func TestPinnedRunStats(t *testing.T) {
 		{35, 4, 361448, 6383, 96738, 325},
 	})
 }
+
+// TestPinnedOwnersAcrossP pins the owners of one seeded input at four grid
+// shapes: 1×3 and 8×9 are not square, 11×12 folds 132 cells onto 130
+// machines, 72 and 130 need two and three partition-bitset words per vertex,
+// and 4×4 is the grid the benchmark runs. A change to the superstep's data layout
+// must leave every owner unchanged.
+func TestPinnedOwnersAcrossP(t *testing.T) {
+	g := gen.RMAT(13, 8, 5)
+	cfg := DefaultConfig()
+	cfg.Seed = 5
+	for _, tc := range []struct {
+		parts int
+		want  uint64
+	}{
+		{3, 0xf5b05d4cbb36fde5},
+		{16, 0xfb6e3d6540f67750},
+		{72, 0xab60be7596dd9b8e},
+		{130, 0x17e8701f9997b6ab},
+	} {
+		res, err := PartitionCtx(context.Background(), g, tc.parts, cfg)
+		if err != nil {
+			t.Fatalf("P=%d: %v", tc.parts, err)
+		}
+		if got := partition.Checksum(res.Partitioning.Owner); got != tc.want {
+			t.Errorf("P=%d: checksum %#x, want %#x", tc.parts, got, tc.want)
+		}
+	}
+}
