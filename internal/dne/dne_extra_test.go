@@ -50,12 +50,12 @@ func TestGridEdgeOwnerConsistentWithVertexProcs(t *testing.T) {
 		gd := newGrid(p)
 		owner := gd.edgeOwner(u, v)
 		inU, inV := false, false
-		for _, pr := range gd.vertexProcs(u, nil) {
+		for _, pr := range gd.vertexProcs(u) {
 			if pr == owner {
 				inU = true
 			}
 		}
-		for _, pr := range gd.vertexProcs(v, nil) {
+		for _, pr := range gd.vertexProcs(v) {
 			if pr == owner {
 				inV = true
 			}
@@ -70,7 +70,7 @@ func TestGridEdgeOwnerConsistentWithVertexProcs(t *testing.T) {
 func TestGridFanoutIsSqrtP(t *testing.T) {
 	for _, p := range []int{4, 16, 64, 256} {
 		gd := newGrid(p)
-		procs := gd.vertexProcs(12345, nil)
+		procs := gd.vertexProcs(12345)
 		// Row ∪ column ≤ R + C − overlap; must be well below p.
 		if len(procs) > gd.r+gd.c {
 			t.Errorf("P=%d: fanout %d exceeds R+C=%d", p, len(procs), gd.r+gd.c)

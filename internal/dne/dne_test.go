@@ -1,6 +1,7 @@
 package dne
 
 import (
+	"context"
 	"testing"
 
 	"github.com/distributedne/dne/internal/bound"
@@ -93,4 +94,23 @@ func TestQualityBeatsRandomHash(t *testing.T) {
 	if q.ReplicationFactor > 3.0 {
 		t.Errorf("DNE RF %.3f unexpectedly high", q.ReplicationFactor)
 	}
+}
+
+// BenchmarkPartitionCtxP16 is the dne-mem-p16 workload's partitioning step
+// without the e2e harness: RMAT 16 at edge factor 16, 16 machines in process,
+// seed 42 at the paper's α and λ.
+func BenchmarkPartitionCtxP16(b *testing.B) {
+	g := gen.RMAT(16, 16, 42)
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = PartitionCtx(context.Background(), g, 16, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Iterations), "supersteps")
 }

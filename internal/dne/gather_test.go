@@ -1,0 +1,121 @@
+package dne
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/distributedne/dne/internal/cluster"
+)
+
+// cellKeys returns, for each of p machines, the first n packed keys
+// (u < v < 64) the grid assigns to it, ascending.
+func cellKeys(p, n int) [][]uint64 {
+	gd := newGrid(p)
+	runs := make([][]uint64, p)
+	for u := uint32(0); u < 64; u++ {
+		for v := u + 1; v < 64; v++ {
+			if r := gd.edgeOwner(u, v); len(runs[r]) < n {
+				runs[r] = append(runs[r], uint64(u)<<32|uint64(v))
+			}
+		}
+	}
+	return runs
+}
+
+// gatherRuns sends runs[r] from rank r with owner r as its (key, owner) run
+// and returns rank 0's merged result and error.
+func gatherRuns(t *testing.T, runs [][]uint64) ([]uint64, []int32, error) {
+	t.Helper()
+	var keys []uint64
+	var owners []int32
+	var gatherErr error
+	err := cluster.New(len(runs)).Run(func(comm cluster.Comm) error {
+		r := comm.Rank()
+		owner := make([]int32, len(runs[r]))
+		for i := range owner {
+			owner[i] = int32(r)
+		}
+		k, o, err := collectOwnersByKey(comm, &subGraph{keys: runs[r], owner: owner})
+		if r == 0 {
+			keys, owners, gatherErr = k, o, err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys, owners, gatherErr
+}
+
+// TestGatherMergesRuns checks the merge on well-formed runs: the keys come
+// back ascending, each with the owner its run reported.
+func TestGatherMergesRuns(t *testing.T) {
+	const p = 4
+	gd := newGrid(p)
+	runs := cellKeys(p, 5)
+	keys, owners, err := gatherRuns(t, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 5*p || !slices.IsSorted(keys) {
+		t.Fatalf("merged %d keys (sorted: %v), want %d ascending", len(keys), slices.IsSorted(keys), 5*p)
+	}
+	for i, k := range keys {
+		if want := int32(gd.edgeOwner(uint32(k>>32), uint32(k))); owners[i] != want {
+			t.Fatalf("key %#x: owner %d, want %d", k, owners[i], want)
+		}
+	}
+}
+
+// TestGatherRejectsForgedRuns feeds rank 0 runs no shuffle could have
+// produced; each must come back as an error, not a merged result or a panic.
+func TestGatherRejectsForgedRuns(t *testing.T) {
+	const p = 4
+	for _, tc := range []struct {
+		name  string
+		forge func(runs [][]uint64)
+		want  string
+	}{
+		{"key of another cell", func(runs [][]uint64) {
+			runs[1] = append(runs[1], runs[2][4])
+			runs[2] = runs[2][:4]
+			slices.Sort(runs[1])
+		}, "not at the head"},
+		{"duplicate across runs", func(runs [][]uint64) {
+			runs[3] = append(runs[3], runs[0][2])
+			slices.Sort(runs[3])
+		}, "not at the head"},
+		{"descending run", func(runs [][]uint64) {
+			slices.Reverse(runs[2])
+		}, "out of order"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := cellKeys(p, 5)
+			tc.forge(runs)
+			_, _, err := gatherRuns(t, runs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestGatherRejectsUnpairedOwners checks that a run whose owner list is not
+// as long as its key list is refused.
+func TestGatherRejectsUnpairedOwners(t *testing.T) {
+	var gatherErr error
+	err := cluster.New(2).Run(func(comm cluster.Comm) error {
+		sg := &subGraph{keys: cellKeys(2, 3)[comm.Rank()], owner: []int32{0}}
+		if _, _, err := collectOwnersByKey(comm, sg); comm.Rank() == 0 {
+			gatherErr = err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gatherErr == nil || !strings.Contains(gatherErr.Error(), "owners") {
+		t.Fatalf("err = %v, want a keys/owners mismatch", gatherErr)
+	}
+}

@@ -11,6 +11,10 @@ import "slices"
 // space-efficiency argument for trillion-edge graphs.
 type grid struct {
 	r, c, p int
+	// procs[i*c+j] is the sorted, deduplicated set of machines of grid row i
+	// ∪ column j: the replica set of every vertex hashed to cell (i, j),
+	// computed once for the r·c cells instead of once per lookup.
+	procs [][]int
 }
 
 func newGrid(p int) grid {
@@ -19,7 +23,21 @@ func newGrid(p int) grid {
 		r++
 	}
 	c := (p + r - 1) / r
-	return grid{r: r, c: c, p: p}
+	g := grid{r: r, c: c, p: p, procs: make([][]int, r*c)}
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			set := make([]int, 0, r+c)
+			for jj := 0; jj < c; jj++ {
+				set = append(set, (i*c+jj)%p)
+			}
+			for ii := 0; ii < r; ii++ {
+				set = append(set, (ii*c+j)%p)
+			}
+			slices.Sort(set)
+			g.procs[i*c+j] = slices.Compact(set)
+		}
+	}
+	return g
 }
 
 // splitmix64 is a strong, cheap 64-bit mixer (public-domain constants).
@@ -40,23 +58,11 @@ func (g grid) edgeOwner(u, v uint32) int {
 	return (i*g.c + j) % g.p
 }
 
-// vertexProcs appends to dst the sorted, deduplicated set of machines that
-// can hold edges incident to x (x's grid row ∪ column).
-func (g grid) vertexProcs(x uint32, dst []int) []int {
+// vertexProcs returns the sorted, deduplicated set of machines that can hold
+// edges incident to x (x's grid row ∪ column). The slice is shared: callers
+// must not modify it.
+func (g grid) vertexProcs(x uint32) []int {
 	i := int(hashRow(x) % uint64(g.r))
 	j := int(hashCol(x) % uint64(g.c))
-	for jj := 0; jj < g.c; jj++ {
-		dst = append(dst, (i*g.c+jj)%g.p)
-	}
-	for ii := 0; ii < g.r; ii++ {
-		dst = append(dst, (ii*g.c+j)%g.p)
-	}
-	slices.Sort(dst)
-	out := dst[:0]
-	for k, pr := range dst {
-		if k == 0 || pr != dst[k-1] {
-			out = append(out, pr)
-		}
-	}
-	return out
+	return g.procs[i*g.c+j]
 }

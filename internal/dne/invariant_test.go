@@ -114,10 +114,11 @@ func stepRun(t *testing.T, g *graph.Graph, p int, cfg Config,
 				break
 			}
 		}
-		if _, o := collectOwnersByKey(comm, in.sg); comm.Rank() == 0 {
+		_, o, err := collectOwnersByKey(comm, in.sg)
+		if comm.Rank() == 0 {
 			owners = o
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

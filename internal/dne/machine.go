@@ -13,58 +13,47 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// vpSet tracks the ⟨vertex, partition⟩ pairs already seen in one superstep.
-// For partition counts up to 64 it is a dense epoch-stamped slab (one stamp
-// word and one partition bitmask per vertex, cleared in O(1)); beyond that
-// it falls back to a reusable map. Both give identical membership answers,
-// so the superstep's pair ordering — and therefore the partitioning — does
-// not depend on which representation runs.
+// lvp is a ⟨local vertex id, partition⟩ pair: the superstep's own form of
+// the paper's VP/BP elements. A pair takes its global id (vp) only where it
+// goes on the wire.
+type lvp struct {
+	L, P int32
+}
+
+// vpSet tracks the ⟨local vertex, partition⟩ pairs already seen in one
+// superstep: a dense epoch-stamped slab over the local vertices, with a
+// partition bitmask per vertex (words words each) that is valid only while
+// the vertex's stamp is current, so clearing is O(1) at any partition count.
 type vpSet struct {
-	set  *dsa.EpochSet
-	mask []uint64
-	m    map[vp]struct{}
+	set   *dsa.EpochSet
+	mask  []uint64
+	words int
 }
 
-func newVPSet(n uint32, p int) *vpSet {
-	if p <= 64 {
-		return &vpSet{set: dsa.NewEpochSet(int(n)), mask: make([]uint64, n)}
-	}
-	return &vpSet{m: make(map[vp]struct{})}
+func newVPSet(n, p int) *vpSet {
+	w := bitset.WordsFor(p)
+	return &vpSet{set: dsa.NewEpochSet(n), mask: make([]uint64, n*w), words: w}
 }
 
-func (s *vpSet) clear() {
-	if s.m != nil {
-		clear(s.m)
-		return
-	}
-	s.set.Clear()
-}
+func (s *vpSet) clear() { s.set.Clear() }
 
 // add inserts the pair and reports whether it was newly added.
-func (s *vpSet) add(x vp) bool {
-	if s.m != nil {
-		if _, ok := s.m[x]; ok {
-			return false
-		}
-		s.m[x] = struct{}{}
+func (s *vpSet) add(x lvp) bool {
+	row := s.mask[int(x.L)*s.words : int(x.L+1)*s.words]
+	w, bit := x.P>>6, uint64(1)<<uint(x.P&63)
+	if s.set.Add(uint32(x.L)) {
+		clear(row)
+		row[w] = bit
 		return true
 	}
-	bit := uint64(1) << uint(x.P)
-	if s.set.Add(x.V) {
-		s.mask[x.V] = bit
-		return true
-	}
-	if s.mask[x.V]&bit != 0 {
+	if row[w]&bit != 0 {
 		return false
 	}
-	s.mask[x.V] |= bit
+	row[w] |= bit
 	return true
 }
 
 func (s *vpSet) memoryFootprint() int64 {
-	if s.m != nil {
-		return 0 // transient map, sized by the superstep's traffic
-	}
 	return s.set.MemoryFootprint() + int64(len(s.mask))*8
 }
 
@@ -74,7 +63,7 @@ func (s *vpSet) memoryFootprint() int64 {
 // arrays.
 type machineInput struct {
 	sg          *subGraph
-	numVertices uint32 // global |V| (vertex ids are global everywhere)
+	numVertices uint32 // global |V|: ids on the wire are global, in the superstep local
 	totalEdges  int64  // global deduplicated |E|
 	// inputPeakBytes is the transient peak of the input phase (shard +
 	// shuffle buffers); the reported peak is the max of the two phases.
@@ -118,26 +107,26 @@ type machine struct {
 
 	// Per-superstep scratch, allocated once and cleared in O(1) per
 	// superstep (epoch bumps and length resets) instead of reallocating
-	// maps every superstep. Dense trade-off: each machine holds ~40 bytes
-	// per *global* vertex id of resident slabs (boundary, pair set, merge
-	// accumulator) — O(1) lookups and zero per-superstep allocation, paid
-	// for with O(|P|·|V|) total footprint in the in-process simulation. The
-	// Fig-9 memory accounting in finish charges all of it honestly.
-	procsBuf    []int
-	scratch     bitset.Set
+	// maps every superstep. The allocator's side — the pair set seenBP, the
+	// two-hop set seenV and the pair lists — is indexed by local vertex id,
+	// so it is O(local vertices). The expansion side stays O(|V|) per
+	// machine: the boundary and the merge accumulator (mergedSet,
+	// mergedVal) are keyed by global id, because partition rank's boundary
+	// spans every machine's vertices, and so is the subgraph's lid map. The
+	// Fig-9 memory accounting in finish charges all of it.
 	outPairs    [][]vp
 	syncOut     [][]vp
 	bItems      [][]boundaryItem
 	seenBP      *vpSet        // ⟨v,p⟩ pairs already in the boundary update
-	seenV       *dsa.EpochSet // vertices already two-hop-processed
+	seenV       *dsa.EpochSet // local vertices already two-hop-processed
 	mergedSet   *dsa.EpochSet
 	mergedVal   []int32 // summed Drest per merged boundary vertex
 	mergedOrder []graph.Vertex
 	popBuf      []uint32
 	allocLocal  []int32
-	orderBP     []vp
-	pairs       []vp // the selections received this superstep, by sender
-	bpBuf       []vp // one selection's new boundary pairs
+	orderBP     []lvp
+	pairs       []lvp // the selections received this superstep, by sender; L is -1 when v has no local edge
+	bpBuf       []lvp // one selection's new boundary pairs
 	sizesView   []int64
 	quota       []int64 // edges this machine may still give each partition this superstep
 }
@@ -145,7 +134,7 @@ type machine struct {
 // newMachine sets up the loop state: fresh, with the one collective that
 // tells every machine where the free edges are, or restored from in.resume.
 func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStats) (*machine, error) {
-	p, rank, n := comm.Size(), comm.Rank(), in.numVertices
+	p, rank, n, nLocal := comm.Size(), comm.Rank(), in.numVertices, len(in.sg.verts)
 	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
 	m := &machine{
 		comm: comm, cfg: cfg, p: p, rank: rank, gd: newGrid(p), sg: in.sg, res: res,
@@ -155,12 +144,11 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 		partSizes:    make([]int64, p),
 		freeVec:      make([]int64, p),
 		localPerPart: make([]int64, p),
-		scratch:      bitset.New(p),
 		outPairs:     make([][]vp, p),
 		syncOut:      make([][]vp, p),
 		bItems:       make([][]boundaryItem, p),
-		seenBP:       newVPSet(n, p),
-		seenV:        dsa.NewEpochSet(int(n)),
+		seenBP:       newVPSet(nLocal, p),
+		seenV:        dsa.NewEpochSet(nLocal),
 		mergedSet:    dsa.NewEpochSet(int(n)),
 		mergedVal:    make([]int32, n),
 		sizesView:    make([]int64, p),
@@ -184,13 +172,6 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 	res.WastedSelections = st.wasted
 	res.TotalSelections = st.selections
 	return m, nil
-}
-
-// replicaProcs resolves a vertex's replica machine set, its grid row ∪
-// column. The result is valid until the next call.
-func (m *machine) replicaProcs(v graph.Vertex) []int {
-	m.procsBuf = m.gd.vertexProcs(v, m.procsBuf[:0])
-	return m.procsBuf
 }
 
 // runMachine runs one machine's superstep loop to the end, checkpointing at
@@ -299,7 +280,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			}
 			m.popBuf = m.bnd.PopK(k, m.popBuf)
 			for _, v := range m.popBuf {
-				for _, pr := range m.replicaProcs(v) {
+				for _, pr := range m.gd.vertexProcs(v) {
 					m.outPairs[pr] = append(m.outPairs[pr], vp{V: v, P: int32(rank)})
 				}
 			}
@@ -349,21 +330,27 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	m.pairs = m.pairs[:0]
 	for _, msg := range comm.RecvN(tagSelect, p) {
 		body := msg.Body.(selectBody)
-		m.pairs = append(m.pairs, body.Pairs...)
+		for _, x := range body.Pairs {
+			m.pairs = append(m.pairs, lvp{L: sg.lid[x.V], P: x.P})
+		}
 		if body.Cancel {
 			cancelled = true
 		}
 		if body.SeedReq {
-			if v, ok := sg.randomSeed(m.rng); ok {
+			if lv, ok := sg.randomSeed(m.rng); ok {
 				m.bItems[msg.From] = append(m.bItems[msg.From],
-					boundaryItem{V: v, Drest: sg.localDrest(v)})
+					boundaryItem{V: sg.verts[lv], Drest: sg.drest[lv]})
 			}
 		}
 	}
 	m.res.TotalSelections += int64(len(m.pairs))
 	for _, pair := range m.pairs {
+		if pair.L < 0 {
+			m.res.WastedSelections++
+			continue
+		}
 		before := len(m.allocLocal)
-		m.bpBuf = sg.allocOneHop(pair.V, pair.P, &m.quota[pair.P], &m.allocLocal, m.bpBuf[:0])
+		m.bpBuf = sg.allocOneHop(pair.L, pair.P, &m.quota[pair.P], &m.allocLocal, m.bpBuf[:0])
 		for _, b := range m.bpBuf {
 			if m.seenBP.add(b) {
 				m.orderBP = append(m.orderBP, b)
@@ -377,9 +364,10 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 
 	// ------- Phase B2: replica synchronisation (Alg. 2 L3) -------
 	for _, bpPair := range m.orderBP {
-		for _, pr := range m.replicaProcs(bpPair.V) {
+		v := sg.verts[bpPair.L]
+		for _, pr := range m.gd.vertexProcs(v) {
 			if pr != rank {
-				m.syncOut[pr] = append(m.syncOut[pr], bpPair)
+				m.syncOut[pr] = append(m.syncOut[pr], vp{V: v, P: bpPair.P})
 			}
 		}
 	}
@@ -388,9 +376,16 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	}
 	synced := m.orderBP
 	for _, msg := range comm.RecvN(tagSync, p) {
+		// Replica synchronisation (Alg. 2 Line 3): v now belongs to p.
 		for _, pair := range msg.Body.(syncBody).Pairs {
-			if sg.applySync(pair.V, pair.P) >= 0 && m.seenBP.add(pair) {
-				synced = append(synced, pair)
+			lv := sg.lid[pair.V]
+			if lv < 0 {
+				continue
+			}
+			sg.partSet(lv).Set(int(pair.P))
+			x := lvp{L: lv, P: pair.P}
+			if m.seenBP.add(x) {
+				synced = append(synced, x)
 			}
 		}
 	}
@@ -399,24 +394,23 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// ------- Phase B3: two-hop allocation (Alg. 2 L4, Alg. 3) -------
 	m.seenV.Clear()
 	for _, pair := range synced {
-		if !m.seenV.Add(pair.V) {
-			continue
+		if m.seenV.Add(uint32(pair.L)) {
+			sg.allocTwoHop(pair.L, m.sizesView, m.quota, &m.allocLocal)
 		}
-		sg.allocTwoHop(pair.V, m.sizesView, m.quota, m.scratch, &m.allocLocal)
 	}
 
 	// ------- Phase B4: local Drest (Alg. 2 L5–6) -------
 	for _, pair := range synced {
 		m.bItems[pair.P] = append(m.bItems[pair.P],
-			boundaryItem{V: pair.V, Drest: sg.localDrest(pair.V)})
+			boundaryItem{V: sg.verts[pair.L], Drest: sg.drest[pair.L]})
 	}
 	// Every selection ⟨v, p⟩ is answered while v still has a free edge here
 	// (unless the pair was just reported above): p took v out of its boundary
 	// when it selected it, and an expansion that was cut short must come back
 	// with its true score, or the rest of v is never offered to p again.
 	for _, pair := range m.pairs {
-		if d := sg.localDrest(pair.V); d > 0 && m.seenBP.add(pair) {
-			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: pair.V, Drest: d})
+		if pair.L >= 0 && sg.drest[pair.L] > 0 && m.seenBP.add(pair) {
+			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: sg.verts[pair.L], Drest: sg.drest[pair.L]})
 		}
 	}
 	for _, le := range m.allocLocal {
@@ -493,7 +487,7 @@ func (m *machine) finish(iter int, in machineInput) {
 	res := m.res
 	if sum(m.partSizes) < m.totalE {
 		mine := slices.Clone(m.partSizes)
-		m.sg.sweepLeftovers(mine, m.capEdges, m.scratch)
+		m.sg.sweepLeftovers(mine, m.capEdges)
 		for q := range mine {
 			mine[q] -= m.partSizes[q]
 		}
@@ -524,86 +518,46 @@ func (m *machine) finish(iter int, in machineInput) {
 // involved, so it works when no rank ever saw the whole graph. At rank 0 it
 // returns the complete edge set in ascending canonical order with each
 // edge's owner; other ranks return nils.
-func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32) {
-	keys := make([]uint64, len(sg.edges))
-	for i, e := range sg.edges {
-		keys[i] = graph.PackEdge(e.U, e.V)
-	}
-	comm.Send(0, tagResult, shardResultBody{Keys: keys, Owner: sg.owner})
+//
+// The runs are ascending and the 2D hash names the run each key belongs to,
+// so rank 0 merges the keys alone into a new slice (dsa.MergeU64; in process
+// the runs are the senders' own key slices and must not move) and then walks
+// it, reading each owner from the head of its key's run. A run that is not
+// strictly ascending, or a key that is not at the head of its grid run —
+// another cell's key, or one sent twice — is an error, not a silent merge.
+func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, error) {
+	comm.Send(0, tagResult, shardResultBody{Keys: sg.keys, Owner: sg.owner})
 	if comm.Rank() != 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	p := comm.Size()
-	runs := make([][]uint64, 0, p)
-	owners := make([][]int32, 0, p)
-	total := 0
-	for _, m := range comm.RecvN(tagResult, p) {
-		body := m.Body.(shardResultBody)
-		runs = append(runs, body.Keys)
-		owners = append(owners, body.Owner)
-		total += len(body.Keys)
-	}
-	// K-way merge of the per-machine runs (each already ascending; the 2D
-	// hash makes them disjoint, so no tie-breaking is needed). A binary
-	// min-heap over the run heads keeps the merge O(|E| log P) instead of
-	// scanning all P cursors per element.
-	outKeys := make([]uint64, 0, total)
-	outOwners := make([]int32, 0, total)
-	cur := make([]int, len(runs))
-	type head struct {
-		key uint64
-		run int
-	}
-	heap := make([]head, 0, len(runs))
-	push := func(h head) {
-		heap = append(heap, h)
-		for i := len(heap) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if heap[parent].key <= heap[i].key {
-				break
-			}
-			heap[parent], heap[i] = heap[i], heap[parent]
-			i = parent
+	runs := make([][]uint64, p)
+	owners := make([][]int32, p)
+	for _, msg := range comm.RecvN(tagResult, p) {
+		body := msg.Body.(shardResultBody)
+		if len(body.Keys) != len(body.Owner) {
+			return nil, nil, fmt.Errorf("dne: machine %d reports %d keys and %d owners", msg.From, len(body.Keys), len(body.Owner))
 		}
-	}
-	pop := func() head {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < last && heap[l].key < heap[smallest].key {
-				smallest = l
+		for i := 1; i < len(body.Keys); i++ {
+			if body.Keys[i] <= body.Keys[i-1] {
+				return nil, nil, fmt.Errorf("dne: machine %d reports keys out of order at %d", msg.From, i)
 			}
-			if r < last && heap[r].key < heap[smallest].key {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
 		}
-		return top
+		runs[msg.From], owners[msg.From] = body.Keys, body.Owner
 	}
-	for r := range runs {
-		if len(runs[r]) > 0 {
-			push(head{key: runs[r][0], run: r})
+	keys := dsa.MergeU64(runs)
+	owner := make([]int32, len(keys))
+	cur := make([]int, p)
+	gd := newGrid(p)
+	for i, k := range keys {
+		r := gd.edgeOwner(uint32(k>>32), uint32(k))
+		if cur[r] == len(runs[r]) || runs[r][cur[r]] != k {
+			return nil, nil, fmt.Errorf("dne: edge %#x is not at the head of machine %d's run", k, r)
 		}
-	}
-	for len(heap) > 0 {
-		h := pop()
-		r := h.run
-		outKeys = append(outKeys, h.key)
-		outOwners = append(outOwners, owners[r][cur[r]])
+		owner[i] = owners[r][cur[r]]
 		cur[r]++
-		if cur[r] < len(runs[r]) {
-			push(head{key: runs[r][cur[r]], run: r})
-		}
 	}
-	return outKeys, outOwners
+	return keys, owner, nil
 }
 
 func sum(xs []int64) int64 {

@@ -71,7 +71,7 @@ func (m *machine) capture(iter int) *machineCkpt {
 // compacts in step with eIdx), the free-degree slab, and the free-edge
 // count — is recomputed rather than trusted.
 func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countingSource) error {
-	nEdges := len(sg.edges)
+	nEdges := len(sg.keys)
 	if len(st.owner) != nEdges || len(st.eIdx) != len(sg.eIdx) ||
 		len(st.aliveLen) != len(sg.aliveLen) || len(st.partWords) != len(sg.partWords) {
 		return errors.New("dne: checkpoint slabs do not match the rebuilt subgraph")
@@ -102,13 +102,12 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 	// Rebuild target to mirror the checkpointed eIdx order slot for slot.
 	n := len(sg.verts)
 	for lv := 0; lv < n; lv++ {
-		v := sg.verts[lv]
 		for s := sg.off[lv]; s < sg.off[lv+1]; s++ {
-			e := sg.edges[sg.eIdx[s]]
-			if e.U == v {
-				sg.target[s] = e.V
+			a, b := sg.endpoints(int(sg.eIdx[s]))
+			if a == int32(lv) {
+				sg.target[s] = b
 			} else {
-				sg.target[s] = e.U
+				sg.target[s] = a
 			}
 		}
 	}
@@ -119,13 +118,9 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 			continue
 		}
 		free++
-		e := sg.edges[le]
-		if lu := sg.lid[e.U]; lu >= 0 {
-			sg.drest[lu]++
-		}
-		if lv := sg.lid[e.V]; lv >= 0 {
-			sg.drest[lv]++
-		}
+		lu, lv := sg.endpoints(le)
+		sg.drest[lu]++
+		sg.drest[lv]++
 	}
 	sg.freeEdges = free
 	nV := uint32(len(sg.lid))

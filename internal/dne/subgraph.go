@@ -1,6 +1,7 @@
 package dne
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"github.com/distributedne/dne/internal/bitset"
@@ -13,9 +14,11 @@ import (
 // counters. Vertices are replicated across machines; edges are not.
 //
 // All per-vertex state is held in flat slabs indexed by local vertex id, and
-// the global→local translation is a dense array (lid) rather than a binary
-// search — the paper's compact-arrays-not-hash-tables argument (§7.3)
-// applied to the reproduction's own inner loops.
+// the adjacency names neighbours by local id too, so the superstep's inner
+// loops never translate ids; the dense global→local array (lid) is read only
+// where a global id arrives from the wire — the paper's
+// compact-arrays-not-hash-tables argument (§7.3) applied to the
+// reproduction's own inner loops.
 type subGraph struct {
 	numParts int
 
@@ -30,8 +33,8 @@ type subGraph struct {
 	// CSR over local edges: each local undirected edge appears in two
 	// adjacency lists.
 	off    []int64
-	target []graph.Vertex // neighbor (global id)
-	eIdx   []int32        // local edge index for the adjacency slot
+	target []int32 // neighbor (local id)
+	eIdx   []int32 // local edge index for the adjacency slot
 
 	// aliveLen[lv] bounds the adjacency slots of lv still worth scanning:
 	// the allocation paths compact surviving free slots to the front of lv's
@@ -41,8 +44,11 @@ type subGraph struct {
 	// target/eIdx[off[lv] : off[lv]+aliveLen[lv]].
 	aliveLen []int32
 
-	edges []graph.Edge // local edges, ascending canonical order
-	owner []int32      // partition owning local edge i, or -1
+	// keys are the local edges as packed canonical keys, ascending: the
+	// slice the shuffle delivered, kept as it is. Local edge index i is
+	// keys[i].
+	keys  []uint64
+	owner []int32 // partition owning local edge i, or -1
 
 	// Partition membership bitsets, one per local vertex, packed into a
 	// single slab of wordsPer words each; partSet(lv) is the view.
@@ -56,15 +62,11 @@ type subGraph struct {
 }
 
 // buildSubGraphPacked materializes the subgraph from sorted, deduplicated
-// packed edge keys — the form the distributed shuffle delivers. No global
-// edge array is consulted and no global edge indices exist; result
-// collection keys by the packed edges themselves.
+// packed edge keys — the form the distributed shuffle delivers — and keeps
+// packed as its edge list. No global edge array is consulted and no global
+// edge indices exist; result collection keys by the packed edges themselves.
 func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *subGraph {
-	sg := &subGraph{numParts: numParts}
-	sg.edges = make([]graph.Edge, len(packed))
-	for i, k := range packed {
-		sg.edges[i] = graph.UnpackEdge(k)
-	}
+	sg := &subGraph{numParts: numParts, keys: packed}
 
 	// Distinct local vertices, ascending, and the dense global→local map:
 	// mark endpoints in lid, then one scan over the id space assigns local
@@ -74,9 +76,9 @@ func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *sub
 	for i := range sg.lid {
 		sg.lid[i] = -1
 	}
-	for _, e := range sg.edges {
-		sg.lid[e.U] = 0
-		sg.lid[e.V] = 0
+	for _, k := range packed {
+		sg.lid[k>>32] = 0
+		sg.lid[uint32(k)] = 0
 	}
 	count := 0
 	for v := 0; v < nGlobal; v++ {
@@ -94,28 +96,29 @@ func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *sub
 
 	n := len(sg.verts)
 	sg.off = make([]int64, n+1)
-	for _, e := range sg.edges {
-		sg.off[sg.lid[e.U]+1]++
-		sg.off[sg.lid[e.V]+1]++
+	for i := range packed {
+		lu, lv := sg.endpoints(i)
+		sg.off[lu+1]++
+		sg.off[lv+1]++
 	}
 	for v := 0; v < n; v++ {
 		sg.off[v+1] += sg.off[v]
 	}
-	sg.target = make([]graph.Vertex, sg.off[n])
+	sg.target = make([]int32, sg.off[n])
 	sg.eIdx = make([]int32, sg.off[n])
 	cursor := make([]int32, n)
-	for i, e := range sg.edges {
-		lu, lv := sg.lid[e.U], sg.lid[e.V]
+	for i := range packed {
+		lu, lv := sg.endpoints(i)
 		pu := sg.off[lu] + int64(cursor[lu])
-		sg.target[pu] = e.V
+		sg.target[pu] = lv
 		sg.eIdx[pu] = int32(i)
 		cursor[lu]++
 		pv := sg.off[lv] + int64(cursor[lv])
-		sg.target[pv] = e.U
+		sg.target[pv] = lu
 		sg.eIdx[pv] = int32(i)
 		cursor[lv]++
 	}
-	sg.owner = make([]int32, len(sg.edges))
+	sg.owner = make([]int32, len(packed))
 	for i := range sg.owner {
 		sg.owner[i] = -1
 	}
@@ -128,17 +131,19 @@ func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *sub
 		sg.drest[v] = d
 		sg.aliveLen[v] = d
 	}
-	sg.freeEdges = int64(len(sg.edges))
+	sg.freeEdges = int64(len(packed))
 	return sg
 }
 
-// localID returns the local index of global vertex v, or -1 if v is not
-// local.
-func (sg *subGraph) localID(v graph.Vertex) int { return int(sg.lid[v]) }
+// endpoints returns the local ids of local edge le's endpoints.
+func (sg *subGraph) endpoints(le int) (lu, lv int32) {
+	k := sg.keys[le]
+	return sg.lid[k>>32], sg.lid[uint32(k)]
+}
 
 // partSet returns the partition-membership bitset view of local vertex lv.
-func (sg *subGraph) partSet(lv int) bitset.Set {
-	return bitset.FromWords(sg.partWords[lv*sg.wordsPer : (lv+1)*sg.wordsPer])
+func (sg *subGraph) partSet(lv int32) bitset.Set {
+	return bitset.FromWords(sg.partWords[int(lv)*sg.wordsPer : int(lv+1)*sg.wordsPer])
 }
 
 // allocateEdge gives the free local edge le, whose endpoints have local ids
@@ -154,90 +159,78 @@ func (sg *subGraph) allocateEdge(le, p, lu, lv int32) {
 }
 
 // allocOneHop performs Alg. 3 AllocateOneHopNeighbors for a single received
-// ⟨v, p⟩ pair: v's free local edges go to p, one unit of *quota each, until
-// either runs out. It appends the new local boundary pairs ⟨u, p⟩ to bp and
-// the allocated local edge indices to out. Like allocTwoHop it compacts the
-// slots that stay free to the front of v's alive range — none unless the
-// quota stopped it early.
-func (sg *subGraph) allocOneHop(v graph.Vertex, p int32, quota *int64, out *[]int32, bp []vp) []vp {
-	lv := sg.lid[v]
-	if lv < 0 {
-		return bp
-	}
+// ⟨v, p⟩ pair, v a local id: v's free local edges go to p, one unit of
+// *quota each, until either runs out. It appends the new local boundary
+// pairs ⟨u, p⟩ to bp and the allocated local edge indices to out. Like
+// allocTwoHop it compacts the slots that stay free to the front of v's alive
+// range — none unless the quota stopped it early.
+func (sg *subGraph) allocOneHop(lv, p int32, quota *int64, out *[]int32, bp []lvp) []lvp {
 	base := sg.off[lv]
 	alive := int64(sg.aliveLen[lv])
-	setV := sg.partSet(int(lv))
+	setV := sg.partSet(lv)
 	var keep int64
 	for s := int64(0); s < alive; s++ {
 		le := sg.eIdx[base+s]
 		if sg.owner[le] != -1 {
 			continue // allocated: drop from the alive range
 		}
-		u := sg.target[base+s]
+		lu := sg.target[base+s]
 		if *quota == 0 {
 			sg.eIdx[base+keep] = le
-			sg.target[base+keep] = u
+			sg.target[base+keep] = lu
 			keep++
 			continue
 		}
 		*quota--
-		lu := sg.lid[u]
 		sg.allocateEdge(le, p, lu, lv)
 		setV.Set(int(p))
-		sg.partSet(int(lu)).Set(int(p))
-		bp = append(bp, vp{V: u, P: p})
+		sg.partSet(lu).Set(int(p))
+		bp = append(bp, lvp{L: lu, P: p})
 		*out = append(*out, le)
 	}
 	sg.aliveLen[lv] = int32(keep)
 	return bp
 }
 
-// applySync records that vertex v now belongs to partition p (replica
-// synchronisation, Alg. 2 Line 3). Returns the local id, or -1.
-func (sg *subGraph) applySync(v graph.Vertex, p int32) int {
-	lv := sg.lid[v]
-	if lv >= 0 {
-		sg.partSet(int(lv)).Set(int(p))
-	}
-	return int(lv)
-}
-
 // allocTwoHop performs Alg. 3 AllocateTwoHopNeighbors for one synced boundary
-// vertex u: any free local edge (u,w) whose endpoints already share a
-// partition is allocated to the smallest such partition that has quota left
-// (Condition (5) never increases replication). sizesView is this machine's
-// working view of the global |Eq| vector (gathered last superstep plus local
-// increments), used for the argmin on Line 16; it and quota are updated for
-// every allocation made here. Allocated local edge indices are appended to
-// out. It stably compacts u's surviving free slots to the front of the alive
-// range as it scans.
-func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, quota []int64, scratch bitset.Set, out *[]int32) {
-	lu := sg.lid[u]
-	if lu < 0 || sg.drest[lu] == 0 {
+// vertex, local id lu: any free local edge (u,w) whose endpoints already
+// share a partition is allocated to the smallest such partition that has
+// quota left (Condition (5) never increases replication). sizesView is this
+// machine's working view of the global |Eq| vector (gathered last superstep
+// plus local increments), used for the argmin on Line 16; it and quota are
+// updated for every allocation made here. Allocated local edge indices are
+// appended to out. It stably compacts u's surviving free slots to the front
+// of the alive range as it scans.
+func (sg *subGraph) allocTwoHop(lu int32, sizesView, quota []int64, out *[]int32) {
+	if sg.drest[lu] == 0 {
 		return
 	}
 	base := sg.off[lu]
 	alive := int64(sg.aliveLen[lu])
-	setU := sg.partSet(int(lu))
+	wp := sg.wordsPer
+	setU := sg.partWords[int(lu)*wp : int(lu+1)*wp]
 	var keep int64
 	for s := int64(0); s < alive; s++ {
 		le := sg.eIdx[base+s]
 		if sg.owner[le] != -1 {
 			continue // allocated: drop from the alive range
 		}
-		w := sg.target[base+s]
-		lw := sg.lid[w]
+		lw := sg.target[base+s]
+		setW := sg.partWords[int(lw)*wp : int(lw+1)*wp]
+		// The argmin over the shared partitions, in ascending q with a strict
+		// <, so the first of equally small partitions wins.
 		best := int32(-1)
-		if bitset.IntersectInto(scratch, setU, sg.partSet(int(lw))) {
-			scratch.ForEach(func(q int) {
+		for i, wu := range setU {
+			for x := wu & setW[i]; x != 0; x &= x - 1 {
+				q := i<<6 + bits.TrailingZeros64(x)
 				if quota[q] > 0 && (best == -1 || sizesView[q] < sizesView[best]) {
 					best = int32(q)
 				}
-			})
+			}
 		}
 		if best == -1 {
 			sg.eIdx[base+keep] = le
-			sg.target[base+keep] = w
+			sg.target[base+keep] = lw
 			keep++
 			continue
 		}
@@ -249,23 +242,14 @@ func (sg *subGraph) allocTwoHop(u graph.Vertex, sizesView, quota []int64, scratc
 	sg.aliveLen[lu] = int32(keep)
 }
 
-// localDrest returns the current free local degree of v (Alg. 2 Line 5).
-func (sg *subGraph) localDrest(v graph.Vertex) int32 {
-	lv := sg.lid[v]
-	if lv < 0 {
-		return 0
-	}
-	return sg.drest[lv]
-}
-
 // randomSeed picks a vertex that still has a free local edge, scanning from a
-// rotating cursor so repeated seeds cover the whole subgraph. Returns false
-// if every local edge is allocated.
-func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
+// rotating cursor so repeated seeds cover the whole subgraph, and returns its
+// local id. Returns false if every local edge is allocated.
+func (sg *subGraph) randomSeed(rng *rand.Rand) (int32, bool) {
 	if sg.freeEdges == 0 {
 		return 0, false
 	}
-	n := len(sg.edges)
+	n := len(sg.keys)
 	start := sg.seedCur
 	if n > 0 {
 		start = (sg.seedCur + rng.Intn(n)) % n
@@ -274,11 +258,11 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 		le := (start + k) % n
 		if sg.owner[le] == -1 {
 			sg.seedCur = (le + 1) % n
-			e := sg.edges[le]
+			lu, lv := sg.endpoints(le)
 			if rng.Intn(2) == 0 {
-				return e.U, true
+				return lu, true
 			}
-			return e.V, true
+			return lv, true
 		}
 	}
 	return 0, false
@@ -292,13 +276,13 @@ func (sg *subGraph) randomSeed(rng *rand.Rand) (graph.Vertex, bool) {
 // and counts what it sweeps. At the closing hand-off the free edges of all
 // machines together fit into every under-cap partition, so no order of
 // sweeping on no machine can push one over its cap.
-func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bitset.Set) {
+func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64) {
+	scratch := bitset.New(sg.numParts)
 	for le, o := range sg.owner {
 		if o != -1 {
 			continue
 		}
-		e := sg.edges[le]
-		lu, lv := sg.lid[e.U], sg.lid[e.V]
+		lu, lv := sg.endpoints(le)
 		best := int32(-1)
 		smallest := func(q int) {
 			if best == -1 || partSizes[q] < partSizes[best] {
@@ -311,8 +295,8 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64, scratch bi
 			}
 		}
 		scratch.Reset()
-		scratch.Or(sg.partSet(int(lu)))
-		scratch.Or(sg.partSet(int(lv)))
+		scratch.Or(sg.partSet(lu))
+		scratch.Or(sg.partSet(lv))
 		scratch.ForEach(smallestUnder)
 		if best == -1 {
 			for q := 0; q < sg.numParts; q++ {
@@ -343,7 +327,7 @@ func (sg *subGraph) memoryFootprint() int64 {
 		int64(len(sg.target))*4 +
 		int64(len(sg.eIdx))*4 +
 		int64(len(sg.aliveLen))*4 +
-		int64(len(sg.edges))*8 +
+		int64(len(sg.keys))*8 +
 		int64(len(sg.owner))*4 +
 		int64(len(sg.drest))*4 +
 		int64(len(sg.partWords))*8

@@ -24,8 +24,8 @@ func TestSubGraphLocalIDDense(t *testing.T) {
 	g := gen.RMAT(10, 6, 3)
 	sg := buildSubGraphPacked(g.NumVertices(), 4, gridBuckets(g, newGrid(4), 4)[2])
 	for lv, v := range sg.verts {
-		if got := sg.localID(v); got != lv {
-			t.Fatalf("localID(%d) = %d, want %d", v, got, lv)
+		if got := sg.lid[v]; got != int32(lv) {
+			t.Fatalf("lid[%d] = %d, want %d", v, got, lv)
 		}
 	}
 	seen := make(map[graph.Vertex]bool, len(sg.verts))
@@ -33,8 +33,8 @@ func TestSubGraphLocalIDDense(t *testing.T) {
 		seen[v] = true
 	}
 	for v := graph.Vertex(0); v < g.NumVertices(); v++ {
-		if !seen[v] && sg.localID(v) != -1 {
-			t.Fatalf("localID(%d) = %d for non-local vertex", v, sg.localID(v))
+		if !seen[v] && sg.lid[v] != -1 {
+			t.Fatalf("lid[%d] = %d for non-local vertex", v, sg.lid[v])
 		}
 	}
 }
@@ -51,7 +51,7 @@ func BenchmarkBuildSubGraphPacked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for rank := 0; rank < p; rank++ {
 			sg := buildSubGraphPacked(g.NumVertices(), p, packed[rank])
-			if len(sg.edges) == 0 {
+			if len(sg.keys) == 0 {
 				b.Fatal("empty subgraph")
 			}
 		}

@@ -168,7 +168,10 @@ func runRank(ctx context.Context, comm cluster.Comm, cfg Config, opt FTOptions) 
 	if err := runMachine(ctx, comm, cfg, in, stats); err != nil {
 		return nil, nil, err
 	}
-	keys, owners := collectOwnersByKey(comm, in.sg)
+	keys, owners, err := collectOwnersByKey(comm, in.sg)
+	if err != nil {
+		return nil, nil, err
+	}
 	if comm.Rank() != 0 {
 		return nil, stats, nil
 	}

@@ -300,6 +300,29 @@ func TestSortU64MatchesSlices(t *testing.T) {
 	}
 }
 
+func TestMergeU64MatchesSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct{ runs, n, shift int }{
+		{0, 0, 0}, {3, 0, 0}, {1, 5, 0}, {4, 1_000, 40}, {16, 50_000, 32}, {130, 80_000, 20}, {5, 20_000, 60},
+	} {
+		runs := make([][]uint64, tc.runs)
+		var want []uint64
+		for i := 0; i < tc.n; i++ {
+			k := rng.Uint64() >> uint(tc.shift)
+			r := rng.Intn(tc.runs)
+			runs[r] = append(runs[r], k)
+			want = append(want, k)
+		}
+		for _, r := range runs {
+			slices.Sort(r)
+		}
+		slices.Sort(want)
+		if got := MergeU64(runs); !slices.Equal(got, want) {
+			t.Fatalf("%d runs of %d keys >> %d: MergeU64 mismatch", tc.runs, tc.n, tc.shift)
+		}
+	}
+}
+
 // TestRadixSortParallelPath forces the multi-worker scatter path (a
 // single-core machine would otherwise only run w=1) and checks stability of
 // the digit passes via full ordering.

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -50,6 +51,61 @@ func SortU64Scratch(keys, scratch []uint64) {
 		return
 	}
 	radixSort(keys, scratch[:len(keys)], 4)
+}
+
+// MergeU64 merges ascending runs into one new ascending slice, without the
+// second buffer as long as the output that sorting a concatenated copy
+// needs. A counting pass buckets the keys on their top varying bits, about
+// one bucket per sixteen keys; each run's keys then go into their buckets in
+// order, each group merged into its bucket from the back. Keys spread over
+// their range merge in about one pass, keys crowded into one bucket in up to
+// one pass per run. Runs that are not ascending give an unordered result.
+func MergeU64(runs [][]uint64) []uint64 {
+	n := 0
+	lo, hi := ^uint64(0), uint64(0)
+	for _, r := range runs {
+		if len(r) > 0 {
+			n += len(r)
+			lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+		}
+	}
+	out := make([]uint64, n)
+	width := bits.Len(uint(n >> 4))
+	shift := uint(max(0, bits.Len64(lo^hi)-width))
+	mask := uint64(1)<<width - 1
+	// start[d] is where bucket d begins, end[d] where its merged part ends.
+	start := make([]int, mask+2)
+	for _, r := range runs {
+		for _, k := range r {
+			start[(k>>shift)&mask+1]++
+		}
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	end := slices.Clone(start)
+	for _, r := range runs {
+		for i := 0; i < len(r); {
+			d := (r[i] >> shift) & mask
+			j := i + 1
+			for j < len(r) && (r[j]>>shift)&mask == d {
+				j++
+			}
+			a, w := end[d]-1, end[d]+j-i-1
+			for b := j - 1; b >= i; w-- {
+				if a >= start[d] && out[a] > r[b] {
+					out[w] = out[a]
+					a--
+				} else {
+					out[w] = r[b]
+					b--
+				}
+			}
+			end[d] += j - i
+			i = j
+		}
+	}
+	return out
 }
 
 // sortWorkers picks the worker count for n keys: bounded by GOMAXPROCS and
