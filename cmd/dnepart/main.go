@@ -3,21 +3,20 @@
 //
 // Usage:
 //
-//	dnepart -in graph.txt -parts 16 [-method dne] [-out owners.txt]
+//	dnepart -in graph.txt -parts 16 [-method dne] [-out owners.txt] [-save live/]
 //	dnepart -shard-dir shards/ -parts 4 -method dne -checksum
 //	dnepart -stream -shard-dir shards/ -parts 16 -method hdrf -checksum
 //	dnepart -rmat 16 -ef 16 -parts 16 -method dne -params lambda=0.05,alpha=1.2
 //	dnepart -list-methods
 //
 // The input is a whitespace edge list ("u v" per line, '#' comments), a
-// directory of EShard files written by gengraph -shards (-shard-dir), a
-// DNE1 binary edge list (-bin, graph.WriteBinary's format), or a synthetic
-// RMAT graph (-rmat). -checksum prints the partitioning checksum, directly
+// directory of EShard files written by gengraph -shards (-shard-dir), or a
+// synthetic RMAT graph (-rmat). -checksum prints the partitioning checksum, directly
 // comparable with the RESULT line of a multi-process dneworker run over the
 // same graph/seed/parts.
 //
-// -stream partitions without materializing the input: the shard dir,
-// binary file or generator becomes a graph.Source consumed by the method's
+// -stream partitions without materializing the input: the shard dir or
+// generator becomes a graph.Source consumed by the method's
 // streaming core (stream-capable methods run in dense-state + chunk
 // memory; the rest materialize transparently and say so in the stats). For
 // canonical shard sets (gengraph -canonical) the streamed partitioning is
@@ -26,8 +25,10 @@
 // report adds edges/sec and, for disk sources, bytes read.
 //
 // The output file (optional) has one "u v partition" line per edge; -save
-// writes the compact binary partitioning (partition.ReadBinary loads it
-// back). Methods and their parameters come from the method registry;
+// writes the partitioning as a live directory (live.Create: one sorted
+// shard log per partition plus the placement state), which live.Open and
+// dneserve -live-dir open as a serving graph. Both need the materialized
+// graph, so neither combines with -stream. Methods and their parameters come from the method registry;
 // -list-methods prints the generated table.
 package main
 
@@ -43,6 +44,7 @@ import (
 
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/live"
 	"github.com/distributedne/dne/internal/methods"
 	_ "github.com/distributedne/dne/internal/methods/all"
 	"github.com/distributedne/dne/internal/partition"
@@ -51,10 +53,9 @@ import (
 func main() {
 	var (
 		in       = flag.String("in", "", "input edge-list file")
-		bin      = flag.String("bin", "", "input DNE1 binary edge list (graph.WriteBinary) instead of -in")
 		shardDir = flag.String("shard-dir", "", "input directory of EShard files (gengraph -shards) instead of -in")
 		out      = flag.String("out", "", "output assignment file (u v part)")
-		save     = flag.String("save", "", "output binary partitioning file")
+		save     = flag.String("save", "", "output live directory (per-partition shard logs; dneserve -live-dir opens it)")
 		parts    = flag.Int("parts", 16, "number of partitions")
 		method   = flag.String("method", "dne", "partitioning method (see -list-methods)")
 		rmat     = flag.Int("rmat", 0, "generate RMAT graph with 2^scale vertices instead of -in")
@@ -93,15 +94,15 @@ func main() {
 	var numEdges int64
 	methodName := *method
 	if *stream {
-		if *out != "" {
-			fatal(fmt.Errorf("-out needs the materialized graph; drop it or drop -stream"))
+		if *out != "" || *save != "" {
+			fatal(fmt.Errorf("-out and -save need the materialized graph; drop them or drop -stream"))
 		}
-		src, err := loadSource(*bin, *shardDir, *rmat, *ef, *seed)
+		src, err := loadSource(*shardDir, *rmat, *ef, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		info := src.Info()
-		ec := "?" // unknown until a pass (generator/binary sources)
+		ec := "?" // unknown until a pass (generator sources)
 		if info.NumEdges > 0 {
 			ec = fmt.Sprint(info.NumEdges)
 		}
@@ -116,7 +117,7 @@ func main() {
 				methodName, mb/(1<<20))
 		}
 	} else {
-		g, err = loadGraph(*in, *bin, *shardDir, *rmat, *ef, *seed)
+		g, err = loadGraph(*in, *shardDir, *rmat, *ef, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -173,18 +174,14 @@ func main() {
 		fmt.Printf("assignment written to %s\n", *out)
 	}
 	if *save != "" {
-		f, err := os.Create(*save)
+		lv, err := live.Create(*save, live.Config{Seed: *seed}, g, pt)
 		if err != nil {
 			fatal(err)
 		}
-		if err := partition.WriteBinary(f, pt); err != nil {
-			f.Close()
+		if err := lv.Close(); err != nil {
 			fatal(err)
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("binary partitioning written to %s\n", *save)
+		fmt.Printf("live directory written to %s\n", *save)
 	}
 }
 
@@ -233,7 +230,7 @@ func printMethods(w *os.File) {
 	}
 }
 
-func loadGraph(in, bin, shardDir string, rmat, ef int, seed int64) (*graph.Graph, error) {
+func loadGraph(in, shardDir string, rmat, ef int, seed int64) (*graph.Graph, error) {
 	if rmat > 0 {
 		return gen.RMAT(rmat, ef, seed), nil
 	}
@@ -244,15 +241,8 @@ func loadGraph(in, bin, shardDir string, rmat, ef int, seed int64) (*graph.Graph
 		}
 		return graph.FromPacked(shard.NumVertices, shard.Packed), nil
 	}
-	if bin != "" {
-		src, err := graph.BinarySource(bin)
-		if err != nil {
-			return nil, err
-		}
-		return graph.FromSource(src, nil)
-	}
 	if in == "" {
-		return nil, fmt.Errorf("either -in, -bin, -shard-dir or -rmat is required")
+		return nil, fmt.Errorf("either -in, -shard-dir or -rmat is required")
 	}
 	f, err := os.Open(in)
 	if err != nil {
@@ -262,18 +252,16 @@ func loadGraph(in, bin, shardDir string, rmat, ef int, seed int64) (*graph.Graph
 	return graph.ReadEdgeList(f)
 }
 
-// loadSource builds the -stream input: a shard directory, a binary edge
-// list, or the RMAT generator itself (nothing is ever materialized here).
-func loadSource(bin, shardDir string, rmat, ef int, seed int64) (graph.Source, error) {
+// loadSource builds the -stream input: a shard directory or the RMAT
+// generator itself (nothing is ever materialized here).
+func loadSource(shardDir string, rmat, ef int, seed int64) (graph.Source, error) {
 	switch {
 	case shardDir != "":
 		return graph.DirSource(shardDir)
-	case bin != "":
-		return graph.BinarySource(bin)
 	case rmat > 0:
 		return gen.RMATSource(rmat, ef, seed), nil
 	}
-	return nil, fmt.Errorf("-stream needs -shard-dir, -bin or -rmat")
+	return nil, fmt.Errorf("-stream needs -shard-dir or -rmat")
 }
 
 func writeAssignment(path string, g *graph.Graph, pt *partition.Partitioning) error {

@@ -33,8 +33,8 @@ func main() {
 	parts := flag.Int("parts", 8, "number of shards (partitions)")
 	seed := flag.Int64("seed", 1, "partitioner seed")
 
-	graphPath := flag.String("graph", "", "binary graph file (DNE1) whose edges are uploaded; overrides -rmat-*")
-	rmatScale := flag.Int("rmat-scale", 12, "RMAT scale (2^scale vertices) the server generates when no -graph is given")
+	shardDir := flag.String("shard-dir", "", "shard directory (gengraph -shard-dir) whose edges are uploaded; overrides -rmat-*")
+	rmatScale := flag.Int("rmat-scale", 12, "RMAT scale (2^scale vertices) the server generates when no -shard-dir is given")
 	rmatEF := flag.Int("rmat-ef", 8, "RMAT edge factor")
 	graphSeed := flag.Int64("graph-seed", 1, "RMAT generator seed")
 
@@ -67,8 +67,8 @@ func main() {
 	c := &client{rc: newRetryClient(*retries), url: strings.TrimRight(*url, "/")}
 	build := StoreBuildRequest{Parts: *parts, Seed: *seed}
 	source := fmt.Sprintf("rmat scale %d ef %d seed %d", *rmatScale, *rmatEF, *graphSeed)
-	if *graphPath != "" {
-		g, err := readGraph(*graphPath)
+	if *shardDir != "" {
+		g, err := readGraph(*shardDir)
 		if err != nil {
 			log.Fatalf("loadgen: %v", err)
 		}
@@ -76,7 +76,7 @@ func main() {
 		for i, e := range g.Edges() {
 			build.Edges[i] = [2]uint32{e.U, e.V}
 		}
-		source = fmt.Sprintf("%s %v", *graphPath, g)
+		source = fmt.Sprintf("%s %v", *shardDir, g)
 	} else {
 		build.RMAT = &RMATSpec{Scale: *rmatScale, EF: *rmatEF, Seed: *graphSeed}
 	}
@@ -166,11 +166,11 @@ func touchImbalance(touches []int64) float64 {
 	return float64(max) / (float64(sum) / float64(len(touches)))
 }
 
-func readGraph(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
+// readGraph loads a shard directory as dnepart -shard-dir does.
+func readGraph(dir string) (*graph.Graph, error) {
+	shard, err := graph.ReadShardDir(dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return graph.ReadBinary(f)
+	return graph.FromPacked(shard.NumVertices, shard.Packed), nil
 }

@@ -4,22 +4,25 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// Fuzz targets for the two decoders that face bytes from disk or the
-// network: the shard reader (raw EShard and compressed ESZ1, one container
-// with two chunk codecs) and the DNE1 binary edge list. Both already carry
-// hostile-input test tables; fuzzing explores the space between those
-// hand-written mutations. The contract under fuzzing is the hardening
-// contract: any byte string either decodes to in-range canonical edges or
-// returns an error — no panics, no unbounded allocation (chunk caps bound
-// every make), no silently out-of-range endpoints.
+// Fuzz target for the decoder that faces graph bytes from disk: the shard
+// reader (raw EShard and compressed ESZ1, one container with two chunk
+// codecs), alone and as the one file of a shard directory. Both already
+// carry hostile-input test tables; fuzzing explores the space between
+// those hand-written mutations. The contract under fuzzing is the
+// hardening contract: any byte string either decodes to in-range canonical
+// edges or returns an error — no panics, no unbounded allocation (chunk
+// caps bound every make), no silently out-of-range endpoints, and no
+// directory accepted whose vertex claim its edges do not back.
 //
 // Run locally with:
 //
 //	go test -run='^$' -fuzz=FuzzShardReader -fuzztime=30s ./internal/graph
-//	go test -run='^$' -fuzz=FuzzBinarySource -fuzztime=30s ./internal/graph
 
 // fuzzSeedZShard builds a small valid ESZ1 file via the real writer so the
 // fuzzer starts from well-formed structure.
@@ -61,8 +64,16 @@ func FuzzShardReader(f *testing.F) {
 	for _, tc := range append(rawHostileShards(f), zHostileShards()...) {
 		f.Add(tc.build())
 	}
+	// A one-edge file claiming 2^32-16 vertex ids: a shard directory of it
+	// must be rejected before any consumer sizes O(|V|) state.
+	hostileClaim, err := os.ReadFile(filepath.Join(oneFileShardDir(f, 0xFFFFFFF0, []Edge{{0, 1}}), ShardFileName(0, 1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hostileClaim)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkShardDir(t, data)
 		sr, err := NewShardReader(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -98,54 +109,58 @@ func FuzzShardReader(f *testing.F) {
 	})
 }
 
-// fuzzSeedBinary builds a small valid DNE1 file via the real writer.
-func fuzzSeedBinary() []byte {
-	edges := make([]Edge, 0, 16)
-	for i := uint32(0); i < 16; i++ {
-		edges = append(edges, Edge{i, i + 1})
+// checkShardDir writes data as the one file of a shard directory and opens
+// it with both directory readers. A directory counts as accepted by
+// DirSource when it opens and one full pass drains without error; both
+// readers must agree on acceptance, yield the same edges, and accept only
+// a vertex claim those edges back.
+func checkShardDir(t *testing.T, data []byte) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ShardFileName(0, 1)), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	g := FromEdges(0, edges)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		panic(err)
+	sh, rerr := ReadShardDir(dir, nil)
+	var streamed []uint64
+	var numVertices uint32
+	src, derr := DirSource(dir)
+	if derr == nil {
+		numVertices = src.Info().NumVertices
+		if !VertexClaimOK(uint64(numVertices), uint64(src.Info().NumEdges)) {
+			t.Fatalf("DirSource opened a claim of %d ids over %d edges", numVertices, src.Info().NumEdges)
+		}
+		streamed, derr = drainKeys(src)
 	}
-	return buf.Bytes()
+	if (rerr == nil) != (derr == nil) {
+		t.Fatalf("ReadShardDir error %v, DirSource error %v", rerr, derr)
+	}
+	if rerr != nil {
+		return
+	}
+	if !VertexClaimOK(uint64(sh.NumVertices), uint64(len(sh.Packed))) {
+		t.Fatalf("ReadShardDir accepted a claim of %d ids over %d edges", sh.NumVertices, len(sh.Packed))
+	}
+	if sh.NumVertices != numVertices || !slices.Equal(sh.Packed, streamed) {
+		t.Fatalf("ReadShardDir (|V| %d, %d edges) and DirSource (|V| %d, %d edges) disagree",
+			sh.NumVertices, len(sh.Packed), numVertices, len(streamed))
+	}
 }
 
-func FuzzBinarySource(f *testing.F) {
-	seed := fuzzSeedBinary()
-	f.Add(seed)
-	// The ReadBinary hardening table's core mutations as seeds: truncation,
-	// header lies (huge |E|, shrunk |V|), and garbage.
-	f.Add(seed[:len(seed)-3])
-	f.Add(seed[:16])
-	hugeEdges := bytes.Clone(seed)
-	binary.LittleEndian.PutUint64(hugeEdges[8:], 1<<60)
-	f.Add(hugeEdges)
-	smallVerts := bytes.Clone(seed)
-	binary.LittleEndian.PutUint32(smallVerts[4:], 2)
-	f.Add(smallVerts)
-	f.Add([]byte("not a DNE1 file at all"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
+// drainKeys collects one full pass of src.
+func drainKeys(src Source) ([]uint64, error) {
+	st, err := src.Edges()
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	var keys []uint64
+	for {
+		chunk, _, err := st.Next()
+		if err == io.EOF {
+			return keys, nil
+		}
 		if err != nil {
-			return
+			return nil, err
 		}
-		// A successful decode must be internally consistent: every edge
-		// endpoint within range and the degree sum equal to 2|E|.
-		n := g.NumVertices()
-		var degSum int64
-		for v := uint32(0); v < uint32(n); v++ {
-			for _, u := range g.Neighbors(v) {
-				if int64(u) >= int64(n) {
-					t.Fatalf("neighbor %d out of range %d", u, n)
-				}
-			}
-			degSum += g.Degree(v)
-		}
-		if degSum != 2*g.NumEdges() {
-			t.Fatalf("degree sum %d != 2|E| = %d", degSum, 2*g.NumEdges())
-		}
-	})
+		keys = append(keys, chunk...)
+	}
 }

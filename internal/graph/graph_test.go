@@ -90,6 +90,20 @@ func TestDegreesAndMax(t *testing.T) {
 	}
 }
 
+// TestWriteEdgeListMatchesFprintf pins the fast AppendUint formatting to
+// the exact bytes the old Fprintf produced.
+func TestWriteEdgeListMatchesFprintf(t *testing.T) {
+	g := FromEdges(0, []Edge{{0, 1}, {7, 2}, {1048576, 123456789}})
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	want := "0 1\n2 7\n1048576 123456789\n"
+	if buf.String() != want {
+		t.Errorf("WriteEdgeList = %q, want %q", buf.String(), want)
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := FromEdges(0, []Edge{{0, 1}, {1, 2}, {0, 5}})
 	var buf bytes.Buffer
@@ -118,29 +132,6 @@ func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Error("want error for non-numeric line")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var raw []Edge
-	for i := 0; i < 300; i++ {
-		raw = append(raw, Edge{uint32(rng.Intn(100)), uint32(rng.Intn(100))})
-	}
-	g := FromEdges(100, raw)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || !reflect.DeepEqual(g.Edges(), g2.Edges()) {
-		t.Error("binary round trip mismatch")
-	}
-	if _, err := ReadBinary(strings.NewReader("garbage header bytes...")); err == nil {
-		t.Error("want error for bad magic")
 	}
 }
 

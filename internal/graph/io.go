@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"github.com/distributedne/dne/internal/binio"
 )
 
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line).
@@ -62,17 +60,13 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// binaryMagic identifies the binary edge-list format.
-const binaryMagic = 0x444e4531 // "DNE1"
-
-// Vertex-claim bounds for untrusted headers (found by FuzzBinarySource): a
-// graph is O(|V|) to materialize, so a 16-byte file declaring 4G vertices
-// and no edges would otherwise command a multi-GiB adjacency allocation.
-// Claims up to maxFreeVertices are always accepted; beyond that the file
-// must have paid for the claim with real edge bytes, at most
-// maxVerticesPerEdge vertices per edge read. Both bounds are far outside
-// anything a legitimate writer produces (gengraph emits |E| ≥ |V|/2; road
-// networks sit near |E| ≈ 1.2·|V|).
+// Vertex-claim bounds for untrusted headers (found by fuzzing): a graph is
+// O(|V|) to materialize, so a tiny file declaring 4G vertices and a handful
+// of edges would otherwise command a multi-GiB allocation. Claims up to
+// maxFreeVertices are always accepted; beyond that the input must have paid
+// for the claim with real edges, at most maxVerticesPerEdge vertices per
+// edge. Both bounds are far outside anything a legitimate writer produces
+// (gengraph emits |E| ≥ |V|/2; road networks sit near |E| ≈ 1.2·|V|).
 const (
 	maxFreeVertices    = 1 << 20
 	maxVerticesPerEdge = 256
@@ -83,44 +77,4 @@ const (
 // edge. Any reader sizing O(|V|) state from untrusted input applies it.
 func VertexClaimOK(n, edges uint64) bool {
 	return n <= maxFreeVertices || n <= edges*maxVerticesPerEdge
-}
-
-// checkVertexClaim validates an untrusted vertex-count claim against the
-// number of edges backing it (read from, or declared by, the stream).
-func checkVertexClaim(n uint32, edges uint64) error {
-	if !VertexClaimOK(uint64(n), edges) {
-		return fmt.Errorf("graph: header claims %d vertices but stream holds only %d edges; claim exceeds %d + %d per edge",
-			n, edges, maxFreeVertices, maxVerticesPerEdge)
-	}
-	return nil
-}
-
-// ioPageEdges is the number of edges a DNE1 stream decodes per chunk.
-const ioPageEdges = 4096
-
-// WriteBinary writes a compact binary encoding: magic, |V|, |E|, then pairs of
-// little-endian uint32 endpoints.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := binio.NewWriter(w)
-	bw.U32(binaryMagic)
-	bw.U32(g.NumVertices())
-	bw.U64(uint64(g.NumEdges()))
-	for _, e := range g.Edges() {
-		bw.U32(e.U)
-		bw.U32(e.V)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads the format written by WriteBinary: FromSource over the
-// one DNE1 stream BinarySource also reads, so the header is untrusted in
-// the same way — the vertex claim must be backed by the declared edges,
-// every endpoint is range-checked, and a truncated or corrupt file errors
-// instead of producing an invalid graph.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	st, err := newBinaryStream(io.NopCloser(r))
-	if err != nil {
-		return nil, err
-	}
-	return fromStream(SourceInfo{NumVertices: st.numVertices}, st, nil)
 }

@@ -568,7 +568,7 @@ func createShardFile(path string, c *shardCodec, info ShardInfo) (*ShardWriter, 
 // between open and close leaves a file whose header never contradicts its
 // contents (readers detect the missing terminator instead).
 func OpenShardAppend(path string) (*ShardWriter, error) {
-	sf, err := peekShardFile(path, true)
+	sf, err := peekShardFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,8 @@ func validShardBytes(t testing.TB, numVertices uint32, edges []Edge) []byte {
 	return buf.Bytes()
 }
 
-// TestShardReaderRejectsHostileInput is the table-driven shard counterpart
-// of the ReadBinary hardening tests: every corrupted header, chunk frame or
-// payload must error — never panic, never allocate per a hostile count, and
+// TestShardReaderRejectsHostileInput is the table-driven shard hardening
+// suite: every corrupted header, chunk frame or payload must error — never panic, never allocate per a hostile count, and
 // never yield a shard with invalid edges.
 func TestShardReaderRejectsHostileInput(t *testing.T) {
 	for _, tc := range rawHostileShards(t) {

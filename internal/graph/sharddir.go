@@ -10,12 +10,13 @@ import (
 // mixed freely) whose shard index satisfies keep (nil keeps all), merged
 // into one Shard. The file set is validated by scanShardDir (shared with
 // DirSource and graphstat): same vertex count, same declared shard count,
-// each index present exactly once, and the file set complete — so a run
-// cannot silently start from a partial or mixed-up shard directory. The scan
-// reads headers only; kept files alone are read past theirs, merging in
-// shard-index order.
+// each index present exactly once, the file set complete and the vertex
+// claim backed by the edges — so a run cannot silently start from a partial
+// or mixed-up shard directory, nor size O(|V|) state from a forged header.
+// The scan walks every file's frames with payloads skipped; kept files
+// alone are decoded, merging in shard-index order.
 func ReadShardDir(dir string, keep func(index, count uint32) bool) (*Shard, error) {
-	files, err := scanShardDir(dir, false)
+	files, err := scanShardDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func rawShardBytes(edges uint64) int64 {
 // frame walk, not the header) and on-disk sizes. graphstat -shard-dir uses
 // it to report per-file compression.
 func ShardDirStats(dir string) ([]ShardFileStat, error) {
-	files, err := scanShardDir(dir, true)
+	files, err := scanShardDir(dir)
 	if err != nil {
 		return nil, err
 	}

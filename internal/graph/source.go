@@ -202,7 +202,7 @@ func (st *packedStream) Close() error { return nil }
 // the canonical edge list, so partitionings computed from the directory are
 // bit-identical to in-memory ones.
 func DirSource(dir string) (Source, error) {
-	files, err := scanShardDir(dir, true)
+	files, err := scanShardDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -222,15 +222,15 @@ type shardDirFile struct {
 }
 
 // scanShardDir validates a shard directory without streaming edge payloads:
-// every header is read and cross-checked. Raw EShard files (*.esh) and
-// compressed ESZ1 files (*.esz) may be mixed — the formats yield identical
-// edge streams, only the bytes differ. With exact set, each file's frame
-// structure is additionally walked (payloads skipped) to recover its exact
-// edge count — the basis of DirSource's |E| hint; without it only the
-// headers are read, which is all ReadShardDir needs. It is the shared
-// validation under ReadShardDir, DirSource, ShardDirStats and graphstat
-// -shard-dir.
-func scanShardDir(dir string, exact bool) ([]shardDirFile, error) {
+// every header is read and cross-checked, and each file's frame structure
+// is walked (payloads skipped) to recover its exact edge count — the basis
+// of DirSource's |E| hint. Raw EShard files (*.esh) and compressed ESZ1
+// files (*.esz) may be mixed — the formats yield identical edge streams,
+// only the bytes differ. The shared |V| header is untrusted: every consumer
+// sizes O(|V|) state from it, so it must pass VertexClaimOK against the
+// directory's total edge count. It is the shared validation under
+// ReadShardDir, DirSource, ShardDirStats and graphstat -shard-dir.
+func scanShardDir(dir string) ([]shardDirFile, error) {
 	var paths []string
 	for _, c := range shardCodecs {
 		p, err := filepath.Glob(filepath.Join(dir, "*"+c.fileExt))
@@ -245,8 +245,9 @@ func scanShardDir(dir string, exact bool) ([]shardDirFile, error) {
 	slices.Sort(paths)
 	files := make([]shardDirFile, 0, len(paths))
 	seen := make(map[uint32]string)
+	var edges uint64
 	for _, path := range paths {
-		sf, err := peekShardFile(path, exact)
+		sf, err := peekShardFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -262,22 +263,26 @@ func scanShardDir(dir string, exact bool) ([]shardDirFile, error) {
 			}
 		}
 		files = append(files, sf)
+		edges += sf.numEdges
 	}
 	if uint32(len(paths)) != files[0].info.Count {
 		return nil, fmt.Errorf("graph: %s holds %d shard files but headers declare %d shards",
 			dir, len(paths), files[0].info.Count)
 	}
+	if n := files[0].info.NumVertices; !VertexClaimOK(uint64(n), edges) {
+		return nil, fmt.Errorf("graph: %s headers claim %d vertices but the shards hold only %d edges; claim exceeds %d + %d per edge",
+			dir, n, edges, maxFreeVertices, maxVerticesPerEdge)
+	}
 	slices.SortFunc(files, func(a, b shardDirFile) int { return int(a.info.Index) - int(b.info.Index) })
 	return files, nil
 }
 
-// peekShardFile reads one shard file's header and, with exact set, its
-// exact edge count from the frame walk, payloads skipped. The walk must end
-// at a terminator whose footer matches the summed chunk counts, at the end
-// of the file, so the count the DirSource hint advertises is exactly what a
-// streaming pass will yield (a hostile tail appended to a valid file cannot
-// skew it).
-func peekShardFile(path string, exact bool) (shardDirFile, error) {
+// peekShardFile reads one shard file's header and its exact edge count from
+// the frame walk, payloads skipped. The walk must end at a terminator whose
+// footer matches the summed chunk counts, at the end of the file, so the
+// count the DirSource hint advertises is exactly what a streaming pass will
+// yield (a hostile tail appended to a valid file cannot skew it).
+func peekShardFile(path string) (shardDirFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return shardDirFile{}, err
@@ -292,9 +297,6 @@ func peekShardFile(path string, exact bool) (shardDirFile, error) {
 		return shardDirFile{}, err
 	}
 	sf := shardDirFile{path: path, info: info, codec: c, size: st.Size()}
-	if !exact {
-		return sf, nil
-	}
 	w := walkFrames(f, sf.size, c, info, false)
 	switch {
 	case !w.sealed:
@@ -407,125 +409,6 @@ func (st *dirStream) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Binary edge-list source (the DNE1 format of WriteBinary/ReadBinary)
-
-// BinarySource opens a DNE1 binary edge list (WriteBinary's format) as a
-// Source. The header is validated on open and re-validated per pass; like
-// ReadBinary, every endpoint is range-checked against the declared vertex
-// count and a stream shorter than the declared edge count errors, so a
-// truncated or hostile file can never yield a silently short or invalid
-// stream. Edges are canonicalized and self loops dropped on the fly, as
-// FromEdges would; for files written by WriteBinary (already canonical and
-// deduplicated) the stream is exactly the graph's canonical edge list.
-func BinarySource(path string) (Source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := newBinaryStream(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &binarySource{path: path, numVertices: st.numVertices, declared: st.remaining}, nil
-}
-
-type binarySource struct {
-	path        string
-	numVertices uint32
-	declared    uint64
-}
-
-func (s *binarySource) Info() SourceInfo {
-	// The declared edge count bounds the stream, but self loops (legal in
-	// hand-written files, dropped by this source as FromEdges drops them)
-	// make the post-drop count unknowable from the header — and hints must
-	// be exact or absent. Consumers resolve the true count with one cheap
-	// counting pass (SourceCounts).
-	return SourceInfo{Name: "binary:" + s.path, NumVertices: s.numVertices}
-}
-
-func (s *binarySource) Edges() (EdgeStream, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := newBinaryStream(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", s.path, err)
-	}
-	if st.numVertices != s.numVertices || st.remaining != s.declared {
-		f.Close()
-		return nil, fmt.Errorf("%s: header changed between passes (|V| %d->%d, |E| %d->%d)",
-			s.path, s.numVertices, st.numVertices, s.declared, st.remaining)
-	}
-	return st, nil
-}
-
-// binaryStream is the one DNE1 decoder, behind both BinarySource and
-// ReadBinary. Each edge is one little-endian u64 word: U in the low half,
-// V in the high half.
-type binaryStream struct {
-	r           *binio.Reader
-	c           io.Closer
-	numVertices uint32
-	remaining   uint64
-	read        uint64
-	words       []uint64
-	buf         []uint64
-}
-
-// newBinaryStream reads and validates a DNE1 header from r, which the
-// stream's Close closes. The vertex claim is checked against the declared
-// edge count up front: consumers allocate O(|V|) state from it before any
-// edge is read, and a lying edge count then fails on the short read.
-func newBinaryStream(r io.ReadCloser) (*binaryStream, error) {
-	br := binio.NewReader(r)
-	magic, n, m := br.U32(), br.U32(), br.U64()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic in binary edge list")
-	}
-	if err := checkVertexClaim(n, m); err != nil {
-		return nil, err
-	}
-	return &binaryStream{r: br, c: r, numVertices: n, remaining: m,
-		words: make([]uint64, ioPageEdges), buf: make([]uint64, ioPageEdges)}, nil
-}
-
-func (st *binaryStream) Next() ([]uint64, []int64, error) {
-	for st.remaining > 0 {
-		words := st.words[:min(st.remaining, ioPageEdges)]
-		if err := binio.Fill(st.r, words); err != nil {
-			return nil, nil, fmt.Errorf("graph: reading edge %d of declared %d: %w",
-				st.read, st.read+st.remaining, err)
-		}
-		st.remaining -= uint64(len(words))
-		buf := st.buf[:0]
-		for i, w := range words {
-			u, v := Vertex(w), Vertex(w>>32)
-			if u >= st.numVertices || v >= st.numVertices {
-				return nil, nil, fmt.Errorf("graph: edge %d endpoint (%d,%d) out of range [0,%d)",
-					st.read+uint64(i), u, v, st.numVertices)
-			}
-			if u != v { // self loops are dropped, as FromEdges drops them
-				buf = append(buf, PackEdge(u, v))
-			}
-		}
-		st.read += uint64(len(words))
-		if len(buf) > 0 {
-			return buf, nil, nil
-		}
-	}
-	return nil, nil, io.EOF
-}
-
-func (st *binaryStream) Close() error { return st.c.Close() }
-
-// ---------------------------------------------------------------------------
 // Materialization and counting
 
 // FromSource drains a source into an in-memory Graph, calling check (when
@@ -535,16 +418,11 @@ func (st *binaryStream) Close() error { return st.c.Close() }
 // (sorted, deduplicated), so for a canonical source it reproduces the
 // original graph exactly.
 func FromSource(src Source, check func(seen int64) error) (*Graph, error) {
+	info := src.Info()
 	st, err := RawSource(src).Edges()
 	if err != nil {
 		return nil, err
 	}
-	return fromStream(src.Info(), st, check)
-}
-
-// fromStream drains one pass of a source described by info into a Graph,
-// closing the stream.
-func fromStream(info SourceInfo, st EdgeStream, check func(seen int64) error) (*Graph, error) {
 	defer st.Close()
 	keys := make([]uint64, 0, binio.Cap(uint64(info.NumEdges)))
 	for {

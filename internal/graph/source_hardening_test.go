@@ -2,147 +2,77 @@ package graph
 
 import (
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// validBinaryBytes builds a well-formed DNE1 binary edge list for the
-// mutation cases below. Layout: 16-byte header (magic, |V|, |E|), then 8
-// bytes per edge (two little-endian uint32 endpoints).
-func validBinaryBytes(t *testing.T) []byte {
+// oneFileShardDir writes edges as the single shard of a fresh directory
+// whose header claims numVertices ids.
+func oneFileShardDir(t testing.TB, numVertices uint32, edges []Edge) string {
 	t.Helper()
-	edges := make([]Edge, 0, 600)
-	for i := uint32(0); i < 600; i++ {
-		edges = append(edges, Edge{i, i + 1})
-	}
-	g := FromEdges(0, edges)
-	path := filepath.Join(t.TempDir(), "v.dne")
-	f, err := os.Create(path)
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, ShardFileName(0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(f, g); err != nil {
+	sw, err := NewShardWriter(f, ShardInfo{NumVertices: numVertices, Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range edges {
+		if err := sw.Append(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return dir
 }
 
-// drainSource pulls a full pass, returning the first error (io.EOF mapped
-// to nil).
-func drainSource(src Source) error {
-	es, err := src.Edges()
-	if err != nil {
-		return err
+// TestShardDirHostileVertexClaim: a shard directory whose header claims far
+// more vertex ids than its edges back is rejected by ReadShardDir and
+// DirSource alike, before any consumer sizes O(|V|) state from the claim
+// (a 52-byte file claiming 2^32-16 ids used to send dnepart into a 32 GiB
+// CSR allocation). Claims within the free bound, or paid for by edges, are
+// accepted.
+func TestShardDirHostileVertexClaim(t *testing.T) {
+	path := make([]Edge, 4097) // 4097 edges back 256·4097 ids
+	for i := range path {
+		path[i] = Edge{uint32(i), uint32(i + 1)}
 	}
-	defer es.Close()
-	for {
-		if _, _, err := es.Next(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// TestBinarySourceRejectsHostileInput is the source counterpart of the
-// ReadBinary/ShardReader hardening suites: every corrupted header or
-// payload must error — on open or during the pass — never panic, never
-// yield a short or invalid stream.
-func TestBinarySourceRejectsHostileInput(t *testing.T) {
-	base := validBinaryBytes(t)
 	cases := []struct {
-		name    string
-		mutate  func(b []byte) []byte
-		wantErr string
-		// onOpen means BinarySource itself must fail; otherwise the error
-		// must surface while draining the pass.
-		onOpen bool
+		name   string
+		claim  uint32
+		edges  []Edge
+		accept bool
 	}{
-		{
-			name:    "bad magic",
-			mutate:  func(b []byte) []byte { binary.LittleEndian.PutUint32(b[0:], 0xdeadbeef); return b },
-			wantErr: "bad magic",
-			onOpen:  true,
-		},
-		{
-			name:    "truncated header",
-			mutate:  func(b []byte) []byte { return b[:10] },
-			wantErr: "header",
-			onOpen:  true,
-		},
-		{
-			name:    "truncated chunk",
-			mutate:  func(b []byte) []byte { return b[:len(b)-5] },
-			wantErr: "reading edge",
-		},
-		{
-			name:    "empty payload with declared edges",
-			mutate:  func(b []byte) []byte { return b[:16] },
-			wantErr: "reading edge",
-		},
-		{
-			name: "out-of-range endpoint",
-			mutate: func(b []byte) []byte {
-				binary.LittleEndian.PutUint32(b[16:], 1<<30) // first edge's U
-				return b
-			},
-			wantErr: "out of range",
-		},
-		{
-			name: "over-declared edge count",
-			mutate: func(b []byte) []byte {
-				m := binary.LittleEndian.Uint64(b[8:])
-				binary.LittleEndian.PutUint64(b[8:], m+100)
-				return b
-			},
-			wantErr: "reading edge",
-		},
-		{
-			name: "hostile huge edge count",
-			mutate: func(b []byte) []byte {
-				binary.LittleEndian.PutUint64(b[8:], 1<<40)
-				return b
-			},
-			wantErr: "reading edge",
-		},
+		{"unbacked 2^32-16 over one edge", 0xFFFFFFF0, []Edge{{0, 1}}, false},
+		{"unbacked 2^28 over one edge", 1 << 28, []Edge{{0, 1}}, false},
+		{"one past the edge bound", 256*4097 + 1, path, false},
+		{"free bound, no edges", 1 << 20, nil, true},
+		{"free bound over one edge", 1 << 20, []Edge{{0, 1}}, true},
+		{"at the edge bound", 256 * 4097, path, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := tc.mutate(append([]byte(nil), base...))
-			path := filepath.Join(t.TempDir(), "h.dne")
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			src, err := BinarySource(path)
-			if tc.onOpen {
-				if err == nil {
-					t.Fatalf("hostile file accepted at open")
+			dir := oneFileShardDir(t, tc.claim, tc.edges)
+			_, rerr := ReadShardDir(dir, nil)
+			_, derr := DirSource(dir)
+			for name, err := range map[string]error{"ReadShardDir": rerr, "DirSource": derr} {
+				switch {
+				case tc.accept && err != nil:
+					t.Errorf("%s rejected a backed claim: %v", name, err)
+				case !tc.accept && err == nil:
+					t.Errorf("%s accepted an unbacked claim of %d ids over %d edges", name, tc.claim, len(tc.edges))
+				case !tc.accept && !strings.Contains(err.Error(), "claim"):
+					t.Errorf("%s error %q does not name the claim", name, err)
 				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			err = drainSource(src)
-			if err == nil {
-				t.Fatal("hostile stream drained without error")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -110,39 +109,6 @@ func TestDirSourceMatchesGraphSource(t *testing.T) {
 	}
 }
 
-// TestBinarySourceMatchesGraphSource: a WriteBinary file streamed through
-// BinarySource replays the canonical edge list.
-func TestBinarySourceMatchesGraphSource(t *testing.T) {
-	g := testSourceGraph()
-	path := filepath.Join(t.TempDir(), "g.dne")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(f, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	src, err := BinarySource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := drain(t, SourceOf(g))
-	for pass := 0; pass < 2; pass++ {
-		got, _ := drain(t, src)
-		if len(got) != len(want) {
-			t.Fatalf("pass %d: %d edges, want %d", pass, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d edge %d: %#x != %#x", pass, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestFromSourceRoundTrip: materializing any canonical source reproduces
 // the original graph.
 func TestFromSourceRoundTrip(t *testing.T) {
@@ -236,42 +202,5 @@ func TestShuffledIsDeterministicPermutation(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 7 and 8 shuffled identically")
-	}
-}
-
-// TestBinarySourceSelfLoops: a hand-written DNE1 file may contain self
-// loops; the source drops them exactly as ReadBinary would, reports no
-// (inexact) |E| hint, and the counting pass sees the post-drop count — so
-// stream-capable methods size their output correctly.
-func TestBinarySourceSelfLoops(t *testing.T) {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, 0x444e4531) // magic
-	buf = binary.LittleEndian.AppendUint32(buf, 5)          // |V|
-	buf = binary.LittleEndian.AppendUint64(buf, 3)          // declared edges
-	for _, e := range [][2]uint32{{0, 1}, {2, 2}, {3, 4}} { // one self loop
-		buf = binary.LittleEndian.AppendUint32(buf, e[0])
-		buf = binary.LittleEndian.AppendUint32(buf, e[1])
-	}
-	path := filepath.Join(t.TempDir(), "loop.dne")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := BinarySource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Info().NumEdges != 0 {
-		t.Fatalf("inexact |E| hint reported: %+v", src.Info())
-	}
-	keys, _ := drain(t, src)
-	if len(keys) != 2 {
-		t.Fatalf("got %d edges, want 2 (self loop dropped)", len(keys))
-	}
-	_, ne, err := SourceCounts(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ne != 2 {
-		t.Fatalf("counting pass says %d edges, want 2", ne)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // CappedAlloc codifies the capped-preallocation discipline of the shard and
-// binary readers: a length decoded from input (an EShard/ESZ1/DNE1 header,
+// binary readers: a length decoded from input (an EShard/ESZ1 header,
 // a varint, a wire frame) must never reach make() unbounded, because a
 // hostile 8-byte header would otherwise dial allocation directly.
 //
@@ -28,13 +28,13 @@ import (
 // n may be. The walk is intra-function by design — a count that crosses a
 // function boundary must be re-bounded where it is used.
 //
-// The fixed-layout formats (DNE1, DNP1, DNS1, DLS1, DNB1/DNC1) decode their
-// counts inside internal/binio, whose Slab bounds preallocation by
-// binio.Cap; the formats themselves size slices only by data already read.
+// The fixed-layout formats (DNS1, DLS1, DNB1/DNC1) decode their counts
+// inside internal/binio, whose Slab bounds preallocation by binio.Cap; the
+// formats themselves size slices only by data already read.
 var CappedAlloc = &Analyzer{
 	Name: "cappedalloc",
 	Doc: "flags make() sized by a decoded input count with no intervening bound " +
-		"check (the ReadBinary/ShardReader capped-prealloc discipline)",
+		"check (the ShardReader/binio capped-prealloc discipline)",
 	Run: runCappedAlloc,
 }
 

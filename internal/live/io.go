@@ -11,7 +11,7 @@ import (
 
 // State persistence: a versioned binary encoding of the placement slabs so
 // ingestion survives restarts without replaying the event stream. Follows
-// the repository's "DNS1"/"DNP1" header idiom ("DLS1").
+// the repository's binio fixed-layout idiom under the magic "DLS1".
 //
 // Layout (all little-endian):
 //

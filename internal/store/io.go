@@ -11,8 +11,8 @@ import (
 
 // Snapshot persistence: a versioned binary encoding of the shard stores and
 // routing table, so a server restarts without re-reading the graph or
-// re-running a partitioner. Follows the repository's "DNE1"/"DNP1" header
-// idiom ("DNS1").
+// re-running a partitioner. Follows the repository's binio fixed-layout
+// idiom under the magic "DNS1".
 //
 // Layout (all little-endian):
 //

@@ -4,10 +4,12 @@
 # concurrent client runs k-hop queries against the pinned-epoch read path,
 # then the graph is compacted+rebalanced and its replication factor is
 # compared against a batch HDRF partitioning of the identical graph (the
-# RF-drift bound). Finally the server is stopped with SIGTERM — the
-# graceful path that seals the append-only logs — and restarted on the
-# same directory: the (edge, owner) checksum must survive the restart
-# bit for bit.
+# RF-drift bound). The batch run also saves its partitioning (dnepart
+# -save) as a live directory, which a second dneserve must open with the
+# batch run's partition count, |E| and edge balance. Finally the server is
+# stopped with SIGTERM — the graceful path that seals the append-only
+# logs — and restarted on the same directory: the (edge, owner) checksum
+# must survive the restart bit for bit.
 set -euo pipefail
 
 SCALE=${SCALE:-13}
@@ -16,16 +18,20 @@ SEED=${SEED:-7}
 PARTS=${PARTS:-8}
 BATCH=${BATCH:-4096}
 ADDR=${ADDR:-127.0.0.1:18793}
+SEEDED_ADDR=${SEEDED_ADDR:-127.0.0.1:18794}
 SERVE_GOMEMLIMIT=${SERVE_GOMEMLIMIT:-64MiB}
 DRIFT_BOUND=${DRIFT_BOUND:-2.0}
 
 workdir=$(mktemp -d)
 server_pid=""
+seeded_pid=""
 cleanup() {
-  if [ -n "$server_pid" ]; then
-    kill -9 "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null || true
-  fi
+  for pid in "$server_pid" "$seeded_pid"; do
+    if [ -n "$pid" ]; then
+      kill -9 "$pid" 2>/dev/null || true
+      wait "$pid" 2>/dev/null || true
+    fi
+  done
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -46,16 +52,21 @@ awk -v batch="$BATCH" -v parts="$PARTS" -v seed="$SEED" '
 ' "$workdir/edges.txt" > "$workdir/batches.jsonl"
 echo "   $(wc -l < "$workdir/batches.jsonl") ingest batches of <=$BATCH edges"
 
+# wait_up ADDR LOG: wait for a dneserve to answer on ADDR.
+wait_up() {
+  for _ in $(seq 1 100); do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$1/api/live/stats" || true)
+    [ "$code" != "000" ] && [ -n "$code" ] && return 0
+    sleep 0.1
+  done
+  echo "FAIL: server on $1 did not come up"; cat "$2"; exit 1
+}
+
 start_server() {
   GOMEMLIMIT=$SERVE_GOMEMLIMIT "$workdir/dneserve" -addr "$ADDR" -live-dir "$workdir/live" \
     >> "$workdir/serve.log" 2>&1 &
   server_pid=$!
-  for _ in $(seq 1 100); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/api/live/stats" || true)
-    [ "$code" != "000" ] && [ -n "$code" ] && return 0
-    sleep 0.1
-  done
-  echo "FAIL: server did not come up"; cat "$workdir/serve.log"; exit 1
+  wait_up "$ADDR" "$workdir/serve.log"
 }
 
 echo "== starting dneserve under GOMEMLIMIT=$SERVE_GOMEMLIMIT"
@@ -100,17 +111,38 @@ live_edges=$(grep -o '"num_edges":[0-9]*' "$workdir/stats.json" | head -1 | cut 
 [ -n "$live_sum" ] && [ -n "$live_rf" ] || { echo "FAIL: missing checksum/RF in stats"; cat "$workdir/stats.json"; exit 1; }
 echo "   live: |E|=$live_edges RF=$live_rf checksum=$live_sum"
 
-echo "== batch reference: in-memory HDRF on the identical graph"
-"$workdir/dnepart" -rmat "$SCALE" -ef "$EF" -seed "$SEED" -parts "$PARTS" -method hdrf > "$workdir/batch.log"
+echo "== batch reference: in-memory HDRF on the identical graph, saved as a live directory"
+"$workdir/dnepart" -rmat "$SCALE" -ef "$EF" -seed "$SEED" -parts "$PARTS" -method hdrf \
+  -save "$workdir/seeded" > "$workdir/batch.log"
 batch_rf=$(awk '/^replication factor:/ {print $3}' "$workdir/batch.log")
+batch_eb=$(awk '/^edge balance:/ {print $3}' "$workdir/batch.log")
 batch_edges=$(sed -n 's/^graph: .*|E|=\([0-9]*\).*/\1/p' "$workdir/batch.log")
-echo "   batch: |E|=$batch_edges RF=$batch_rf"
+echo "   batch: |E|=$batch_edges RF=$batch_rf edge balance=$batch_eb"
 if [ "$live_edges" != "$batch_edges" ]; then
   echo "FAIL: live graph holds $live_edges edges, canonical graph has $batch_edges"; exit 1
 fi
 if ! awk -v l="$live_rf" -v b="$batch_rf" -v bound="$DRIFT_BOUND" \
      'BEGIN { d = l / b; printf "   rf drift: %.3fx (bound %.1fx)\n", d, bound; exit !(d < bound) }'; then
   echo "FAIL: live RF drifted beyond ${DRIFT_BOUND}x of batch HDRF"; exit 1
+fi
+
+echo "== a second dneserve opens the saved partitioning (-live-dir)"
+"$workdir/dneserve" -addr "$SEEDED_ADDR" -live-dir "$workdir/seeded" >> "$workdir/seeded.log" 2>&1 &
+seeded_pid=$!
+wait_up "$SEEDED_ADDR" "$workdir/seeded.log"
+curl -sf "http://$SEEDED_ADDR/api/live/stats" > "$workdir/seeded.json"
+kill -TERM "$seeded_pid"
+wait "$seeded_pid" || true
+seeded_pid=""
+seeded_parts=$(grep -o '"num_parts":[0-9]*' "$workdir/seeded.json" | head -1 | cut -d: -f2)
+seeded_edges=$(grep -o '"num_edges":[0-9]*' "$workdir/seeded.json" | head -1 | cut -d: -f2)
+seeded_eb=$(grep -o '"edge_balance":[0-9.eE+-]*' "$workdir/seeded.json" | head -1 | cut -d: -f2)
+seeded_eb=$(awk -v x="$seeded_eb" 'BEGIN { printf "%.4f", x }')
+echo "   saved: parts=$seeded_parts |E|=$seeded_edges edge balance=$seeded_eb"
+if [ "$seeded_parts" != "$PARTS" ] || [ "$seeded_edges" != "$batch_edges" ] || [ "$seeded_eb" != "$batch_eb" ]; then
+  echo "FAIL: saved partitioning opens as parts=$seeded_parts |E|=$seeded_edges EB=$seeded_eb," \
+    "batch run has parts=$PARTS |E|=$batch_edges EB=$batch_eb"
+  cat "$workdir/seeded.json"; exit 1
 fi
 
 echo "== SIGTERM (graceful: seals logs), then restart on the same directory"
@@ -124,4 +156,4 @@ echo "   resumed checksum: $resumed_sum"
 if [ "$live_sum" != "$resumed_sum" ]; then
   echo "FAIL: restart drifted: $live_sum != $resumed_sum"; exit 1
 fi
-echo "OK: ingested live under GOMEMLIMIT with non-blocking reads, RF within ${DRIFT_BOUND}x of batch, restart bit-identical"
+echo "OK: ingested live under GOMEMLIMIT with non-blocking reads, RF within ${DRIFT_BOUND}x of batch, saved batch partitioning served as a live directory, restart bit-identical"
