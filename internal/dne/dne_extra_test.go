@@ -89,8 +89,9 @@ func TestSubgraphPartitionIsCompleteAndDisjoint(t *testing.T) {
 	shards := graph.ShardsOf(g, p)
 	locals := make([][]uint64, p)
 	err := cluster.New(p).Run(func(comm cluster.Comm) error {
-		locals[comm.Rank()], _ = shuffleShard(comm, newGrid(p), shards[comm.Rank()].Packed)
-		return nil
+		var err error
+		locals[comm.Rank()], _, err = shuffleShard(comm, newGrid(p), shards[comm.Rank()].Packed)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,8 @@ func TestQualityBeatsRandomHash(t *testing.T) {
 
 // BenchmarkPartitionCtxP16 is the dne-mem-p16 workload's partitioning step
 // without the e2e harness: RMAT 16 at edge factor 16, 16 machines in process,
-// seed 42 at the paper's α and λ.
+// seed 42 at the paper's α and λ. Next to the superstep count it reports the
+// accounted memory per edge, the Fig. 9 numerator.
 func BenchmarkPartitionCtxP16(b *testing.B) {
 	g := gen.RMAT(16, 16, 42)
 	cfg := DefaultConfig()
@@ -113,4 +114,5 @@ func BenchmarkPartitionCtxP16(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.Iterations), "supersteps")
+	b.ReportMetric(res.MemScore(g.NumEdges()), "acct_B/edge")
 }

@@ -52,8 +52,14 @@ func hashRow(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xDEC0DE) }
 func hashCol(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xC0FFEE) }
 
 // edgeOwner returns the machine owning canonical edge (u,v).
-func (g grid) edgeOwner(u, v uint32) int {
-	i := int(hashRow(u) % uint64(g.r))
+func (g grid) edgeOwner(u, v uint32) int { return g.cellOwner(g.row(u), v) }
+
+// row returns the grid row of the edges whose source is u.
+func (g grid) row(u uint32) int { return int(hashRow(u) % uint64(g.r)) }
+
+// cellOwner returns the machine owning the edges of grid row i whose target
+// is v. A loop over edges sorted by source computes each row once.
+func (g grid) cellOwner(i int, v uint32) int {
 	j := int(hashCol(v) % uint64(g.c))
 	return (i*g.c + j) % g.p
 }

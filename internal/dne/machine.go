@@ -62,9 +62,11 @@ func (s *vpSet) memoryFootprint() int64 {
 // a checkpoint base), so the superstep loop itself never touches global edge
 // arrays.
 type machineInput struct {
-	sg          *subGraph
-	numVertices uint32 // global |V|: ids on the wire are global, in the superstep local
-	totalEdges  int64  // global deduplicated |E|
+	sg *subGraph
+	// numVertices is the global |V|. Nothing is sized by it: the checkpoint
+	// base records it, and a restored boundary is checked against it.
+	numVertices uint32
+	totalEdges  int64 // global deduplicated |E|
 	// inputPeakBytes is the transient peak of the input phase (shard +
 	// shuffle buffers); the reported peak is the max of the two phases.
 	inputPeakBytes int64
@@ -109,19 +111,21 @@ type machine struct {
 	// superstep (epoch bumps and length resets) instead of reallocating
 	// maps every superstep. The allocator's side — the pair set seenBP, the
 	// two-hop set seenV and the pair lists — is indexed by local vertex id,
-	// so it is O(local vertices). The expansion side stays O(|V|) per
-	// machine: the boundary and the merge accumulator (mergedSet,
-	// mergedVal) are keyed by global id, because partition rank's boundary
-	// spans every machine's vertices, and so is the subgraph's lid map. The
-	// Fig-9 memory accounting in finish charges all of it.
+	// so it is O(local vertices). The expansion side — the boundary and the
+	// merge accumulator (mergedSet, mergedVal) — is indexed by compact id:
+	// partition rank's boundary spans every machine's vertices, so a remote
+	// vertex gets a compact id in the subgraph's vertex table when a step
+	// message first names it (slot), and these slabs grow with the table.
+	// Nothing here is sized by the global |V|. The Fig-9 memory accounting
+	// in finish charges all of it.
 	outPairs    [][]vp
 	syncOut     [][]vp
 	bItems      [][]boundaryItem
 	seenBP      *vpSet        // ⟨v,p⟩ pairs already in the boundary update
 	seenV       *dsa.EpochSet // local vertices already two-hop-processed
 	mergedSet   *dsa.EpochSet
-	mergedVal   []int32 // summed Drest per merged boundary vertex
-	mergedOrder []graph.Vertex
+	mergedVal   []int32  // summed Drest per merged boundary vertex
+	mergedOrder []uint32 // compact ids of the merged vertices, first-touch order
 	popBuf      []uint32
 	allocLocal  []int32
 	orderBP     []lvp
@@ -134,11 +138,11 @@ type machine struct {
 // newMachine sets up the loop state: fresh, with the one collective that
 // tells every machine where the free edges are, or restored from in.resume.
 func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStats) (*machine, error) {
-	p, rank, n, nLocal := comm.Size(), comm.Rank(), in.numVertices, len(in.sg.verts)
+	p, rank, nLocal := comm.Size(), comm.Rank(), int(in.sg.nLocal)
 	src := newCountingSource(cfg.Seed ^ (int64(rank)+1)*0x9e3779b9)
 	m := &machine{
 		comm: comm, cfg: cfg, p: p, rank: rank, gd: newGrid(p), sg: in.sg, res: res,
-		src: src, rng: rand.New(src), bnd: dsa.NewBoundary(int(n)),
+		src: src, rng: rand.New(src), bnd: dsa.NewBoundary(nLocal),
 		totalE:       in.totalEdges,
 		capEdges:     max(1, int64(cfg.Alpha*float64(in.totalEdges)/float64(p))),
 		partSizes:    make([]int64, p),
@@ -149,8 +153,8 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 		bItems:       make([][]boundaryItem, p),
 		seenBP:       newVPSet(nLocal, p),
 		seenV:        dsa.NewEpochSet(nLocal),
-		mergedSet:    dsa.NewEpochSet(int(n)),
-		mergedVal:    make([]int32, n),
+		mergedSet:    dsa.NewEpochSet(nLocal),
+		mergedVal:    make([]int32, nLocal),
 		sizesView:    make([]int64, p),
 		quota:        make([]int64, p),
 	}
@@ -163,15 +167,38 @@ func newMachine(comm cluster.Comm, cfg Config, in machineInput, res *MachineStat
 	if len(st.partSizes) != p || len(st.freeVec) != p || len(st.localPerPart) != p {
 		return nil, fmt.Errorf("dne: checkpoint size vectors sized for %d parts, run has %d", len(st.partSizes), p)
 	}
-	if err := st.restoreInto(m.sg, m.bnd, m.src); err != nil {
+	if err := st.restoreInto(m.sg, m.src); err != nil {
 		return nil, err
 	}
+	// The boundary's vertices take compact ids in ascending global order,
+	// not in the order the interrupted run first met them; the pop order
+	// depends on the global ids alone.
+	for i := range st.bndLive {
+		e := &st.bndLive[i]
+		if e.V >= in.numVertices {
+			return nil, fmt.Errorf("dne: checkpoint boundary vertex %d out of range", e.V)
+		}
+		e.S = m.slot(e.V)
+	}
+	m.bnd.Restore(st.bndLive, int(st.bndPeak))
 	copy(m.partSizes, st.partSizes)
 	copy(m.freeVec, st.freeVec)
 	copy(m.localPerPart, st.localPerPart)
 	res.WastedSelections = st.wasted
 	res.TotalSelections = st.selections
 	return m, nil
+}
+
+// slot returns global vertex v's compact id, adding v to the vertex table
+// on first touch and growing the slabs indexed by compact id with it.
+func (m *machine) slot(v graph.Vertex) uint32 {
+	c := uint32(m.sg.vt.insert(v))
+	if n := len(m.sg.vt.ids); n > m.mergedSet.Len() {
+		m.mergedSet.Grow(n)
+		m.mergedVal = append(m.mergedVal, make([]int32, n-len(m.mergedVal))...)
+		m.bnd.Grow(n)
+	}
+	return c
 }
 
 // runMachine runs one machine's superstep loop to the end, checkpointing at
@@ -331,7 +358,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	for _, msg := range comm.RecvN(tagSelect, p) {
 		body := msg.Body.(selectBody)
 		for _, x := range body.Pairs {
-			m.pairs = append(m.pairs, lvp{L: sg.lid[x.V], P: x.P})
+			m.pairs = append(m.pairs, lvp{L: sg.local(x.V), P: x.P})
 		}
 		if body.Cancel {
 			cancelled = true
@@ -339,7 +366,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 		if body.SeedReq {
 			if lv, ok := sg.randomSeed(m.rng); ok {
 				m.bItems[msg.From] = append(m.bItems[msg.From],
-					boundaryItem{V: sg.verts[lv], Drest: sg.drest[lv]})
+					boundaryItem{V: sg.vt.ids[lv], Drest: sg.drest[lv]})
 			}
 		}
 	}
@@ -364,7 +391,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 
 	// ------- Phase B2: replica synchronisation (Alg. 2 L3) -------
 	for _, bpPair := range m.orderBP {
-		v := sg.verts[bpPair.L]
+		v := sg.vt.ids[bpPair.L]
 		for _, pr := range m.gd.vertexProcs(v) {
 			if pr != rank {
 				m.syncOut[pr] = append(m.syncOut[pr], vp{V: v, P: bpPair.P})
@@ -378,7 +405,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	for _, msg := range comm.RecvN(tagSync, p) {
 		// Replica synchronisation (Alg. 2 Line 3): v now belongs to p.
 		for _, pair := range msg.Body.(syncBody).Pairs {
-			lv := sg.lid[pair.V]
+			lv := sg.local(pair.V)
 			if lv < 0 {
 				continue
 			}
@@ -402,7 +429,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// ------- Phase B4: local Drest (Alg. 2 L5–6) -------
 	for _, pair := range synced {
 		m.bItems[pair.P] = append(m.bItems[pair.P],
-			boundaryItem{V: sg.verts[pair.L], Drest: sg.drest[pair.L]})
+			boundaryItem{V: sg.vt.ids[pair.L], Drest: sg.drest[pair.L]})
 	}
 	// Every selection ⟨v, p⟩ is answered while v still has a free edge here
 	// (unless the pair was just reported above): p took v out of its boundary
@@ -410,7 +437,7 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// with its true score, or the rest of v is never offered to p again.
 	for _, pair := range m.pairs {
 		if pair.L >= 0 && sg.drest[pair.L] > 0 && m.seenBP.add(pair) {
-			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: sg.verts[pair.L], Drest: sg.drest[pair.L]})
+			m.bItems[pair.P] = append(m.bItems[pair.P], boundaryItem{V: sg.vt.ids[pair.L], Drest: sg.drest[pair.L]})
 		}
 	}
 	for _, le := range m.allocLocal {
@@ -437,11 +464,12 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 			return false, fmt.Errorf("dne: machine %d reports %d partition sizes, run has %d", msg.From, len(body.PerPart), p)
 		}
 		for _, it := range body.Items {
-			if m.mergedSet.Add(it.V) {
-				m.mergedVal[it.V] = it.Drest
-				m.mergedOrder = append(m.mergedOrder, it.V)
+			c := m.slot(it.V)
+			if m.mergedSet.Add(c) {
+				m.mergedVal[c] = it.Drest
+				m.mergedOrder = append(m.mergedOrder, c)
 			} else {
-				m.mergedVal[it.V] += it.Drest
+				m.mergedVal[c] += it.Drest
 			}
 		}
 		for q, x := range body.PerPart {
@@ -452,11 +480,11 @@ func (m *machine) superstep(ctx context.Context, closing bool) (cancelled bool, 
 	// A merged score is the vertex's global Drest as of this superstep, and
 	// Drest only falls: at 0 the vertex has no free edge left anywhere, so it
 	// never enters the boundary and leaves it if an older score put it there.
-	for _, v := range m.mergedOrder {
-		if d := m.mergedVal[v]; d > 0 {
-			m.bnd.Update(v, d)
+	for _, c := range m.mergedOrder {
+		if d := m.mergedVal[c]; d > 0 {
+			m.bnd.Update(c, sg.vt.ids[c], d)
 		} else {
-			m.bnd.Remove(v)
+			m.bnd.Remove(c)
 		}
 	}
 	return cancelled, nil
@@ -509,7 +537,7 @@ func (m *machine) finish(iter int, in machineInput) {
 	// + boundary + scratch slabs; the shard is released after the shuffle).
 	expansion := m.sg.memoryFootprint() +
 		m.bnd.MemoryFootprint() + m.seenBP.memoryFootprint() + m.seenV.MemoryFootprint() +
-		m.mergedSet.MemoryFootprint() + int64(len(m.mergedVal))*4
+		m.mergedSet.MemoryFootprint() + int64(cap(m.mergedVal))*4
 	res.MemBytes = max(expansion, in.inputPeakBytes)
 }
 
@@ -538,10 +566,8 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 		if len(body.Keys) != len(body.Owner) {
 			return nil, nil, fmt.Errorf("dne: machine %d reports %d keys and %d owners", msg.From, len(body.Keys), len(body.Owner))
 		}
-		for i := 1; i < len(body.Keys); i++ {
-			if body.Keys[i] <= body.Keys[i-1] {
-				return nil, nil, fmt.Errorf("dne: machine %d reports keys out of order at %d", msg.From, i)
-			}
+		if err := checkAscending(msg.From, body.Keys); err != nil {
+			return nil, nil, err
 		}
 		runs[msg.From], owners[msg.From] = body.Keys, body.Owner
 	}

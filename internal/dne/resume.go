@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-
-	"github.com/distributedne/dne/internal/dsa"
 )
 
 // countingSource wraps the seeded math/rand source and counts every draw, so
@@ -64,13 +62,13 @@ func (m *machine) capture(iter int) *machineCkpt {
 	}
 }
 
-// restoreInto applies a loaded overlay onto a freshly-rebuilt subgraph,
-// boundary, and PRNG. Every index read from the file is bounds-checked, so
-// a corrupt-but-digest-valid checkpoint errors instead of corrupting
-// memory. The derivable state — the target array (which allocTwoHop
+// restoreInto applies a loaded overlay onto a freshly-rebuilt subgraph and
+// PRNG; newMachine restores the boundary. Every index read from the file is
+// bounds-checked, so a corrupt-but-digest-valid checkpoint errors instead of
+// corrupting memory. The derivable state — the target array (which allocTwoHop
 // compacts in step with eIdx), the free-degree slab, and the free-edge
 // count — is recomputed rather than trusted.
-func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countingSource) error {
+func (st *machineCkpt) restoreInto(sg *subGraph, src *countingSource) error {
 	nEdges := len(sg.keys)
 	if len(st.owner) != nEdges || len(st.eIdx) != len(sg.eIdx) ||
 		len(st.aliveLen) != len(sg.aliveLen) || len(st.partWords) != len(sg.partWords) {
@@ -100,8 +98,7 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 	copy(sg.partWords, st.partWords)
 	sg.seedCur = int(st.seedCur)
 	// Rebuild target to mirror the checkpointed eIdx order slot for slot.
-	n := len(sg.verts)
-	for lv := 0; lv < n; lv++ {
+	for lv := 0; lv < int(sg.nLocal); lv++ {
 		for s := sg.off[lv]; s < sg.off[lv+1]; s++ {
 			a, b := sg.endpoints(int(sg.eIdx[s]))
 			if a == int32(lv) {
@@ -123,13 +120,6 @@ func (st *machineCkpt) restoreInto(sg *subGraph, bnd *dsa.Boundary, src *countin
 		sg.drest[lv]++
 	}
 	sg.freeEdges = free
-	nV := uint32(len(sg.lid))
-	for _, e := range st.bndLive {
-		if e.V >= nV {
-			return fmt.Errorf("dne: checkpoint boundary vertex %d out of range", e.V)
-		}
-	}
-	bnd.Restore(st.bndLive, int(st.bndPeak))
 	src.skip(st.rng63, st.rng64)
 	return nil
 }

@@ -15,20 +15,20 @@ import (
 //
 // All per-vertex state is held in flat slabs indexed by local vertex id, and
 // the adjacency names neighbours by local id too, so the superstep's inner
-// loops never translate ids; the dense global→local array (lid) is read only
-// where a global id arrives from the wire — the paper's
-// compact-arrays-not-hash-tables argument (§7.3) applied to the
-// reproduction's own inner loops.
+// loops never translate ids; the vertex table is read only where a global id
+// arrives from the wire — the paper's compact-arrays-not-hash-tables argument
+// (§7.3) applied to the reproduction's own inner loops. Nothing is sized by
+// the global vertex count.
 type subGraph struct {
 	numParts int
 
-	// Distinct local vertices, sorted; index into the arrays below is the
-	// "local vertex id".
-	verts []graph.Vertex
-
-	// lid[g] is the local id of global vertex g, or -1 when g has no local
-	// edge. Dense: len = |V| of the input graph.
-	lid []int32
+	// vt maps global ids to compact ids. The local vertices — the endpoints
+	// of the local edges — hold compact ids [0, nLocal) in ascending global
+	// order: those are the "local vertex ids" the arrays below are indexed
+	// by, and vt.ids[lv] is local vertex lv's global id. The machine appends
+	// the remote vertices its boundary reaches after them.
+	vt     *vertexTable
+	nLocal int32
 
 	// CSR over local edges: each local undirected edge appears in two
 	// adjacency lists.
@@ -65,50 +65,54 @@ type subGraph struct {
 // packed edge keys — the form the distributed shuffle delivers — and keeps
 // packed as its edge list. No global edge array is consulted and no global
 // edge indices exist; result collection keys by the packed edges themselves.
-func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *subGraph {
+func buildSubGraphPacked(numParts int, packed []uint64) *subGraph {
 	sg := &subGraph{numParts: numParts, keys: packed}
 
-	// Distinct local vertices, ascending, and the dense global→local map:
-	// mark endpoints in lid, then one scan over the id space assigns local
-	// ids in ascending global order.
-	nGlobal := int(numVertices)
-	sg.lid = make([]int32, nGlobal)
-	for i := range sg.lid {
-		sg.lid[i] = -1
-	}
-	for _, k := range packed {
-		sg.lid[k>>32] = 0
-		sg.lid[uint32(k)] = 0
-	}
-	count := 0
-	for v := 0; v < nGlobal; v++ {
-		if sg.lid[v] == 0 {
-			count++
+	// Distinct local vertices: the table deduplicates the endpoints in edge
+	// order (the sources ascend with the keys, so a run of one source is
+	// inserted once), and owner holds each edge's target compact id until
+	// the CSR is built. Renumbering the table in ascending global order
+	// turns those into local ids.
+	sources := 0
+	for i, k := range packed {
+		if i == 0 || k>>32 != packed[i-1]>>32 {
+			sources++
 		}
 	}
-	sg.verts = make([]graph.Vertex, 0, count)
-	for v := 0; v < nGlobal; v++ {
-		if sg.lid[v] == 0 {
-			sg.lid[v] = int32(len(sg.verts))
-			sg.verts = append(sg.verts, graph.Vertex(v))
+	sg.vt = newVertexTable(sources)
+	sg.owner = make([]int32, len(packed))
+	for i, k := range packed {
+		if i == 0 || k>>32 != packed[i-1]>>32 {
+			sg.vt.insert(graph.Vertex(k >> 32))
 		}
+		sg.owner[i] = sg.vt.insert(graph.Vertex(k))
 	}
+	sg.vt.sort(sg.owner)
+	sg.nLocal = int32(len(sg.vt.ids))
 
-	n := len(sg.verts)
+	// A walk along the sorted ids finds each source's local id.
+	forEdges := func(fn func(i int, lu, lv int32)) {
+		lu := int32(0)
+		for i, k := range packed {
+			for sg.vt.ids[lu] != graph.Vertex(k>>32) {
+				lu++
+			}
+			fn(i, lu, sg.owner[i])
+		}
+	}
+	n := int(sg.nLocal)
 	sg.off = make([]int64, n+1)
-	for i := range packed {
-		lu, lv := sg.endpoints(i)
+	forEdges(func(_ int, lu, lv int32) {
 		sg.off[lu+1]++
 		sg.off[lv+1]++
-	}
+	})
 	for v := 0; v < n; v++ {
 		sg.off[v+1] += sg.off[v]
 	}
 	sg.target = make([]int32, sg.off[n])
 	sg.eIdx = make([]int32, sg.off[n])
 	cursor := make([]int32, n)
-	for i := range packed {
-		lu, lv := sg.endpoints(i)
+	forEdges(func(i int, lu, lv int32) {
 		pu := sg.off[lu] + int64(cursor[lu])
 		sg.target[pu] = lv
 		sg.eIdx[pu] = int32(i)
@@ -117,8 +121,7 @@ func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *sub
 		sg.target[pv] = lu
 		sg.eIdx[pv] = int32(i)
 		cursor[lv]++
-	}
-	sg.owner = make([]int32, len(packed))
+	})
 	for i := range sg.owner {
 		sg.owner[i] = -1
 	}
@@ -138,7 +141,16 @@ func buildSubGraphPacked(numVertices uint32, numParts int, packed []uint64) *sub
 // endpoints returns the local ids of local edge le's endpoints.
 func (sg *subGraph) endpoints(le int) (lu, lv int32) {
 	k := sg.keys[le]
-	return sg.lid[k>>32], sg.lid[uint32(k)]
+	return sg.vt.find(graph.Vertex(k >> 32)), sg.vt.find(graph.Vertex(k))
+}
+
+// local returns the local id of global vertex v, or -1 when v has no local
+// edge.
+func (sg *subGraph) local(v graph.Vertex) int32 {
+	if c := sg.vt.find(v); c < sg.nLocal {
+		return c
+	}
+	return -1
 }
 
 // partSet returns the partition-membership bitset view of local vertex lv.
@@ -317,12 +329,11 @@ func (sg *subGraph) sweepLeftovers(partSizes []int64, capEdges int64) {
 }
 
 // memoryFootprint returns an analytic byte count of this subgraph's arrays,
-// used by the Fig-9 memory score. The dense global→local map and the packed
-// partition-bitset slab are charged at their true flat-array sizes; no
-// hash-map entry overhead exists any more.
+// used by the Fig-9 memory score. The vertex table, which the machine grows
+// past the local vertices, and the packed partition-bitset slab are charged
+// at their true flat-array sizes; no hash-map entry overhead exists.
 func (sg *subGraph) memoryFootprint() int64 {
-	return int64(len(sg.verts))*4 +
-		int64(len(sg.lid))*4 +
+	return sg.vt.memoryFootprint() +
 		int64(len(sg.off))*8 +
 		int64(len(sg.target))*4 +
 		int64(len(sg.eIdx))*4 +

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/graph"
@@ -93,23 +94,40 @@ func PartitionShards(ctx context.Context, comm cluster.Comm, shard *graph.Shard,
 	return runRank(ctx, comm, cfg, FTOptions{LoadShard: func() (*graph.Shard, error) { return shard, nil }})
 }
 
-// shuffleInput is the input phase of the shard data plane: shuffle the local
-// shard to grid owners, agree on |E|, and build the subgraph from the
-// received edges only. It also returns those edges (sorted, deduplicated),
-// which a checkpointed run persists as its checkpoint base.
+// shuffleInput is the input phase of the shard data plane: sort and
+// deduplicate the local shard (in place, and free when it is ascending
+// already), shuffle it to grid owners, agree on |E|, and build the subgraph
+// from the received edges only. It also returns those edges (sorted,
+// deduplicated), which a checkpointed run persists as its checkpoint base.
 func shuffleInput(comm cluster.Comm, shard *graph.Shard) (machineInput, []uint64, error) {
 	p := comm.Size()
 	shardBytes := shard.Bytes()
-	local, shuffleBytes := shuffleShard(comm, newGrid(p), shard.Packed)
-	// The shard has served its purpose; release it so the expansion phase
-	// runs on the subgraph alone.
+	shard.SortDedup()
+	// Routing copies the shard into its owners' buckets, and nothing reads
+	// it after that: without the reference its array can go during the
+	// exchange, and the expansion phase runs on the subgraph alone.
+	packed := shard.Packed
 	shard.Packed = nil
-	totalE := cluster.AllGatherSum(comm, int64(len(local)))
-	if totalE == 0 {
+	local, shuffleBytes, runErr := shuffleShard(comm, newGrid(p), packed)
+	// A rank that was sent an unordered run adds MinInt64/P instead of its
+	// count: P of those cannot overflow, and no graph of 2^63/P edges fits
+	// the run, so every rank sees a negative sum and all of them fail in the
+	// same collective instead of the rest waiting on the failed one.
+	n := int64(len(local))
+	if runErr != nil {
+		n = math.MinInt64 / int64(p)
+	}
+	totalE := cluster.AllGatherSum(comm, n)
+	switch {
+	case runErr != nil:
+		return machineInput{}, nil, runErr
+	case totalE < 0:
+		return machineInput{}, nil, errors.New("dne: another machine was sent an unordered shuffle run")
+	case totalE == 0:
 		return machineInput{}, nil, errors.New("dne: shards hold no edges")
 	}
 	return machineInput{
-		sg:             buildSubGraphPacked(shard.NumVertices, p, local),
+		sg:             buildSubGraphPacked(p, local),
 		numVertices:    shard.NumVertices,
 		totalEdges:     totalE,
 		inputPeakBytes: shardBytes + shuffleBytes,
@@ -143,7 +161,7 @@ func runRank(ctx context.Context, comm cluster.Comm, cfg Config, opt FTOptions) 
 		}
 		opt.logf("dne: rank %d restoring checkpoint at superstep %d (%d local edges)", c.rank, resume, len(packed))
 		in = machineInput{
-			sg:          buildSubGraphPacked(numVertices, comm.Size(), packed),
+			sg:          buildSubGraphPacked(comm.Size(), packed),
 			numVertices: numVertices,
 			totalEdges:  totalE,
 			resume:      st,

@@ -88,7 +88,7 @@ func TestMinHeap4MatchesContainerHeap(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := int32(rng.Intn(50))
 			v := uint32(rng.Intn(300))
-			h.Push(k, v)
+			h.Push(k, v, v)
 			heap.Push(&ref, refEntry{v: v, d: k})
 		}
 		for ref.Len() > 0 {
@@ -108,11 +108,14 @@ func TestMinHeap4MatchesContainerHeap(t *testing.T) {
 // TestBoundaryPopOrderMatchesReference drives the dense boundary and the old
 // map/container-heap boundary through identical randomized update/pop
 // sequences and asserts identical pop order — the bit-for-bit determinism
-// contract the partitioners rely on.
+// contract the partitioners rely on. The boundary keeps each vertex in a
+// slot of a random permutation, as Distributed NE keeps it under a compact
+// id, so the order must come from the vertex ids, not the slots.
 func TestBoundaryPopOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const n = 512
 	b := NewBoundary(n)
+	slot := rng.Perm(n)
 	for trial := 0; trial < 30; trial++ {
 		b.Reset()
 		ref := newRefBoundary()
@@ -123,7 +126,7 @@ func TestBoundaryPopOrderMatchesReference(t *testing.T) {
 				for i := 0; i < rng.Intn(40); i++ {
 					v := uint32(rng.Intn(n))
 					d := int32(rng.Intn(30))
-					b.Update(v, d)
+					b.Update(uint32(slot[v]), v, d)
 					ref.update(v, d)
 				}
 			case 2: // popK
@@ -167,7 +170,7 @@ func TestBoundaryPopMinMatchesReference(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				v := uint32(rng.Intn(n))
 				d := int32(rng.Intn(20) - 5)
-				b.Update(v, d)
+				b.Update(v, v, d)
 				ref.update(v, d)
 			} else {
 				gotV, gotOK := b.PopMin()
@@ -183,12 +186,12 @@ func TestBoundaryPopMinMatchesReference(t *testing.T) {
 
 func TestBoundaryPoppedVertexMayReenter(t *testing.T) {
 	b := NewBoundary(8)
-	b.Update(3, 5)
+	b.Update(3, 3, 5)
 	got := b.PopK(1, nil)
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("popK = %v, want [3]", got)
 	}
-	b.Update(3, 5) // same score as the stale heap entry
+	b.Update(3, 3, 5) // same score as the stale heap entry
 	if b.Len() != 1 {
 		t.Fatalf("popped vertex did not re-enter: len=%d", b.Len())
 	}
@@ -199,8 +202,8 @@ func TestBoundaryPoppedVertexMayReenter(t *testing.T) {
 
 func TestBoundaryRemove(t *testing.T) {
 	b := NewBoundary(8)
-	b.Update(3, 5)
-	b.Update(4, 1)
+	b.Update(3, 3, 5)
+	b.Update(4, 4, 1)
 	b.Remove(4)
 	b.Remove(6) // not live: no-op
 	if b.Len() != 1 {
@@ -209,7 +212,7 @@ func TestBoundaryRemove(t *testing.T) {
 	if v, ok := b.PopMin(); !ok || v != 3 {
 		t.Fatalf("PopMin = (%d,%v), want (3,true)", v, ok)
 	}
-	b.Update(4, 1) // a removed vertex may come back
+	b.Update(4, 4, 1) // a removed vertex may come back
 	if v, ok := b.PopMin(); !ok || v != 4 {
 		t.Fatalf("PopMin = (%d,%v), want (4,true)", v, ok)
 	}
@@ -217,14 +220,14 @@ func TestBoundaryRemove(t *testing.T) {
 
 func TestBoundaryResetEpochWrap(t *testing.T) {
 	b := NewBoundary(4)
-	b.Update(1, 7)
+	b.Update(1, 1, 7)
 	b.epoch = ^uint32(0)
 	b.mark[2] = 1 // a stale stamp that would alias the post-wrap epoch
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatal("stale live membership after epoch wrap")
 	}
-	b.Update(3, 5)
+	b.Update(3, 3, 5)
 	if b.Len() != 1 {
 		t.Fatal("insert after epoch wrap did not take")
 	}
@@ -358,12 +361,11 @@ func BenchmarkSortU64(b *testing.B) {
 	for i := range keys {
 		keys[i] = uint64(rng.Uint32())<<32 | uint64(rng.Uint32())
 	}
-	scratch := make([]uint64, len(keys))
 	work := make([]uint64, len(keys))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, keys)
-		SortU64Scratch(work, scratch)
+		SortU64(work)
 	}
 }
 
@@ -385,7 +387,7 @@ func BenchmarkBoundaryPopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bd.Reset()
 		for j := range vs {
-			bd.Update(vs[j], ds[j])
+			bd.Update(vs[j], vs[j], ds[j])
 			if j&1023 == 1023 {
 				scratch = bd.PopK(64, scratch)
 			}

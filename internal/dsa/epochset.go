@@ -17,6 +17,13 @@ func NewEpochSet(n int) *EpochSet {
 	return &EpochSet{stamp: make([]uint32, n), epoch: 1}
 }
 
+// Grow extends the set's domain to [0, n), amortised like append.
+func (s *EpochSet) Grow(n int) {
+	if n > len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+	}
+}
+
 // Clear empties the set.
 func (s *EpochSet) Clear() {
 	s.epoch++
@@ -42,4 +49,4 @@ func (s *EpochSet) Add(v uint32) bool {
 func (s *EpochSet) Len() int { return len(s.stamp) }
 
 // MemoryFootprint returns the bytes held by the stamp slab.
-func (s *EpochSet) MemoryFootprint() int64 { return int64(len(s.stamp)) * 4 }
+func (s *EpochSet) MemoryFootprint() int64 { return int64(cap(s.stamp)) * 4 }

@@ -13,12 +13,15 @@
 // for seeded reproducibility.
 package dsa
 
-// KV is a ⟨key, vertex⟩ heap entry. The heap order is ascending by (K, V);
-// the vertex id tie-break makes every pop sequence over distinct entries a
-// total order, which keeps seeded partitioner runs reproducible.
+// KV is a ⟨key, vertex⟩ heap entry, carrying the slot its owner keeps the
+// vertex's state in. The heap order is ascending by (K, V); the vertex id
+// tie-break makes every pop sequence over distinct entries a total order,
+// which keeps seeded partitioner runs reproducible. S takes no part in the
+// order.
 type KV struct {
 	K int32
 	V uint32
+	S uint32
 }
 
 // kvLess is the single comparison the heap is specialized to.
@@ -48,9 +51,9 @@ func (h *MinHeap4) Reset() {
 	h.a = h.a[:0]
 }
 
-// Push inserts the pair ⟨k, v⟩.
-func (h *MinHeap4) Push(k int32, v uint32) {
-	h.a = append(h.a, KV{K: k, V: v})
+// Push inserts the pair ⟨k, v⟩ with v's slot s.
+func (h *MinHeap4) Push(k int32, v, s uint32) {
+	h.a = append(h.a, KV{K: k, V: v, S: s})
 	a := h.a
 	i := len(a) - 1
 	e := a[i]
@@ -109,11 +112,11 @@ func (h *MinHeap4) siftDown(e KV) {
 }
 
 // MemoryFootprint returns the bytes held by the heap's backing array at its
-// peak capacity (8 bytes per entry).
+// peak capacity (12 bytes per entry).
 func (h *MinHeap4) MemoryFootprint() int64 {
 	c := cap(h.a)
 	if h.peakCap > c {
 		c = h.peakCap
 	}
-	return int64(c) * 8
+	return int64(c) * 12
 }

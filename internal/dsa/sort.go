@@ -43,16 +43,6 @@ func SortU64(keys []uint64) {
 	radixSort(keys, make([]uint64, len(keys)), 4)
 }
 
-// SortU64Scratch sorts keys ascending reusing scratch (which must be at
-// least as long as keys) so repeated builds allocate nothing.
-func SortU64Scratch(keys, scratch []uint64) {
-	if len(keys) < sortSmall {
-		slices.Sort(keys)
-		return
-	}
-	radixSort(keys, scratch[:len(keys)], 4)
-}
-
 // MergeU64 merges ascending runs into one new ascending slice, without the
 // second buffer as long as the output that sorting a concatenated copy
 // needs. A counting pass buckets the keys on their top varying bits, about

@@ -741,9 +741,13 @@ func (s *Shard) NumEdges() int64 { return int64(len(s.Packed)) }
 func (s *Shard) Bytes() int64 { return int64(len(s.Packed)) * 8 }
 
 // SortDedup sorts the packed edges ascending and removes duplicates in
-// place. Ascending packed order is canonical (U, V) order.
+// place. Ascending packed order is canonical (U, V) order. Edges that are
+// already ascending, as ShardsOf stripes and canonical shard files are, cost
+// one read-only pass: no sort, and no write when there is no duplicate.
 func (s *Shard) SortDedup() {
-	dsa.SortU64(s.Packed)
+	if !slices.IsSorted(s.Packed) {
+		dsa.SortU64(s.Packed)
+	}
 	s.Packed = slices.Compact(s.Packed)
 }
 

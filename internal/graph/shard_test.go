@@ -226,6 +226,18 @@ func TestShardSortDedup(t *testing.T) {
 	if !slices.Equal(s.Packed, want) {
 		t.Fatalf("got %v want %v", s.Packed, want)
 	}
+
+	// Ascending input is only compacted, in its own array; strictly
+	// ascending input is left as it is, without an allocation.
+	asc := []uint64{PackEdge(0, 1), PackEdge(0, 1), PackEdge(2, 9), PackEdge(3, 4)}
+	s = &Shard{NumVertices: 10, Packed: asc}
+	s.SortDedup()
+	if !slices.Equal(s.Packed, want) || &s.Packed[0] != &asc[0] {
+		t.Fatalf("ascending input: got %v in a new array %v, want %v in place", s.Packed, &s.Packed[0] != &asc[0], want)
+	}
+	if allocs := testing.AllocsPerRun(10, s.SortDedup); allocs != 0 || !slices.Equal(s.Packed, want) {
+		t.Fatalf("strictly ascending input: %v allocations, edges %v", allocs, s.Packed)
+	}
 }
 
 func TestShardLocalCSRMatchesGlobalCSR(t *testing.T) {

@@ -105,7 +105,7 @@ func (ne NE) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*p
 				drest[u]--
 				if inPart[u] != qi {
 					inPart[u] = qi
-					bnd.Update(u, drest[u])
+					bnd.Update(u, u, drest[u])
 					// Two-hop: u's free edges to vertices already in V(Eq).
 					unb := g.Neighbors(u)
 					uie := g.IncidentEdges(u)
