@@ -70,9 +70,9 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // Every rank calls it with its own shard (an arbitrary, possibly duplicated
 // slice of the raw edge stream — shard files from cmd/gengraph, or a stripe
 // from graph.ShardsOf); the ranks' shards together must cover the graph.
-// The shard is consumed: its edge slice is released after the shuffle so
-// the rank's peak memory stays O(|E|/P + boundary) through the superstep
-// loop. Result collection is the one deliberate exception: rank 0 assembles
+// The shard is consumed: its edges are sorted and deduplicated in place,
+// then released once routed, so the rank's peak memory stays
+// O(|E|/P + boundary) through the superstep loop. Result collection is the one deliberate exception: rank 0 assembles
 // the final (edge, owner) sequence — 12 bytes per global edge, well under
 // the graph+CSR it never builds — after the algorithm (and its reported
 // peak-memory stat) has finished.
