@@ -49,10 +49,9 @@ func main() {
 	if *analyzers != "" {
 		sel = strings.Split(*analyzers, ",")
 	}
-	suite := lint.ByName(sel)
-	if len(suite) == 0 {
-		fmt.Fprintf(os.Stderr, "dnelint: no analyzer matches %q\n", *analyzers)
-		os.Exit(2)
+	suite, err := lint.ByName(sel)
+	if err != nil {
+		fatal(err)
 	}
 
 	patterns := flag.Args()

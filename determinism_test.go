@@ -22,6 +22,18 @@ import (
 // below are directly comparable with CLI output.
 func ownersChecksum(owner []int32) uint64 { return partition.Checksum(owner) }
 
+// streamNames returns the canonical names of every stream-capable method,
+// sorted: the methods whose source path must match the in-memory one.
+func streamNames() []string {
+	var names []string
+	for _, d := range methods.Descriptors() {
+		if d.Streams {
+			names = append(names, d.Name)
+		}
+	}
+	return names
+}
+
 // Most checksums below were produced by the map/comparator-sort
 // implementations that predate internal/dsa (the hash-map boundaries, the
 // sort.Slice CSR build, the per-machine subgraph scans); the dense rewrite
@@ -241,7 +253,7 @@ func TestSourcePathMatchesInMemory(t *testing.T) {
 	if src.Info().NumEdges != g.NumEdges() {
 		t.Fatalf("shard dir declares %d edges, graph has %d", src.Info().NumEdges, g.NumEdges())
 	}
-	streams := methods.StreamNames()
+	streams := streamNames()
 	if len(streams) < 8 {
 		t.Fatalf("expected at least 8 stream-capable methods, got %v", streams)
 	}

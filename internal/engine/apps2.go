@@ -7,76 +7,6 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// BFSTree computes a breadth-first spanning forest from source and returns
-// the parent of every vertex (source's parent is itself; unreachable vertices
-// have parent NoParent). Frontier-driven like SSSP, but ships parent ids, so
-// its communication equals SSSP's while exercising a different apply rule.
-const NoParent = ^graph.Vertex(0)
-
-// BFSTree returns the BFS parent array rooted at source.
-func (e *Engine) BFSTree(source graph.Vertex) []graph.Vertex {
-	n := int(e.g.NumVertices())
-	parent := make([]graph.Vertex, n)
-	for v := range parent {
-		parent[v] = NoParent
-	}
-	parent[source] = source
-	active := make([]bool, n)
-	active[source] = true
-	e.accountScatterOnly(source)
-
-	partials := make([][]graph.Vertex, len(e.parts))
-	for q, p := range e.parts {
-		partials[q] = make([]graph.Vertex, len(p.verts))
-	}
-	for {
-		e.Supersteps++
-		e.runParallel(func(q int) {
-			p := e.parts[q]
-			prop := partials[q]
-			for i := range prop {
-				prop[i] = NoParent
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				// Deterministic: offer the smallest active neighbor as parent.
-				if active[gu] && gu < prop[le.v] {
-					prop[le.v] = gu
-				}
-				if active[gv] && gv < prop[le.u] {
-					prop[le.u] = gv
-				}
-			}
-		})
-		nextActive := make([]bool, n)
-		any := false
-		for q, p := range e.parts {
-			prop := partials[q]
-			for i, gv := range p.verts {
-				if prop[i] != NoParent && parent[gv] == NoParent {
-					parent[gv] = prop[i]
-					nextActive[gv] = true
-				} else if prop[i] != NoParent && nextActive[gv] && prop[i] < parent[gv] {
-					// Another partition offered a smaller parent this same
-					// superstep; keep the apply deterministic.
-					parent[gv] = prop[i]
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if nextActive[v] {
-				any = true
-				e.accountSync(graph.Vertex(v))
-			}
-		}
-		active = nextActive
-		if !any {
-			break
-		}
-	}
-	return parent
-}
-
 // Coreness computes the k-core number of every vertex by the distributed
 // h-index iteration (Lü et al., "The H-index of a network node"): start from
 // c(v) = deg(v) and repeatedly set c(v) to the h-index of its neighbors'

@@ -16,42 +16,6 @@ func buildEngineR(t *testing.T, g *graph.Graph, parts int) *Engine {
 	return buildEngine(t, g, "random", 5, parts)
 }
 
-func TestBFSTreeConsistentWithSSSP(t *testing.T) {
-	g := gen.RMAT(9, 8, 11)
-	e := buildEngineR(t, g, 4)
-	dist := e.SSSP(0)
-	parent := e.BFSTree(0)
-	for v := 0; v < int(g.NumVertices()); v++ {
-		reachable := dist[v] != math.MaxInt64
-		hasParent := parent[v] != NoParent
-		if reachable != hasParent {
-			t.Fatalf("vertex %d: reachable=%v but hasParent=%v", v, reachable, hasParent)
-		}
-		if !reachable || v == 0 {
-			continue
-		}
-		p := parent[v]
-		// Parent must be exactly one BFS level above.
-		if dist[p]+1 != dist[v] {
-			t.Errorf("vertex %d: dist %d but parent %d has dist %d", v, dist[v], p, dist[p])
-		}
-		// Parent must actually be a neighbor.
-		found := false
-		for _, u := range g.Neighbors(graph.Vertex(v)) {
-			if u == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("vertex %d: parent %d is not a neighbor", v, p)
-		}
-	}
-	if parent[0] != 0 {
-		t.Errorf("source parent %d, want self", parent[0])
-	}
-}
-
 // corenessRef is the classic sequential peeling algorithm.
 func corenessRef(g *graph.Graph) []int32 {
 	n := int(g.NumVertices())
@@ -249,7 +213,6 @@ func TestAppsAccountCommunication(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"bfs", func() { e.BFSTree(0) }},
 		{"coreness", func() { e.Coreness() }},
 		{"triangles", func() { e.Triangles() }},
 		{"lpa", func() { e.LabelPropagation(10) }},

@@ -92,22 +92,6 @@ func New(g *graph.Graph, pt *partition.Partitioning) *Engine {
 	return e
 }
 
-// NewFromSource builds an engine from an edge source and a partitioning
-// computed over that source (methods.PartitionSource): the source is
-// materialized once — the engine's superstep machinery needs the CSR — and
-// for canonical sources the owner indexing lines up exactly with the
-// materialized edge list.
-func NewFromSource(src graph.Source, pt *partition.Partitioning) (*Engine, error) {
-	g, err := graph.FromSource(src, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := pt.Validate(g); err != nil {
-		return nil, err
-	}
-	return New(g, pt), nil
-}
-
 // NumParts returns the partition count.
 func (e *Engine) NumParts() int { return len(e.parts) }
 

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"io"
-	"math/rand"
 
 	"github.com/distributedne/dne/internal/graph"
 )
@@ -22,22 +21,6 @@ func RMATSource(scale, edgeFactor int, seed int64) graph.Source {
 		sampler: func() func() (uint32, uint32) {
 			s := newRMATSampler(Graph500, scale, seed)
 			return s.sample
-		},
-	}
-}
-
-// ERSource is the Erdős–Rényi generator as a graph.Source, replaying
-// StreamER(n, m, seed)'s sample sequence per pass.
-func ERSource(n uint32, m int64, seed int64) graph.Source {
-	return genSource{
-		name:        "er",
-		numVertices: n,
-		samples:     m,
-		sampler: func() func() (uint32, uint32) {
-			rng := rand.New(rand.NewSource(seed))
-			return func() (uint32, uint32) {
-				return uint32(rng.Int63n(int64(n))), uint32(rng.Int63n(int64(n)))
-			}
 		},
 	}
 }

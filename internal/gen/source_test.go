@@ -62,23 +62,3 @@ func TestRMATSourceReplaysStream(t *testing.T) {
 		t.Fatalf("materialized %v != %v", g, ref)
 	}
 }
-
-// TestERSourceReplaysStream: same property for the Erdős–Rényi source.
-func TestERSourceReplaysStream(t *testing.T) {
-	const n, m, seed = 500, 4000, 9
-	var want []uint64
-	StreamER(n, m, seed, func(u, v uint32) {
-		if u != v {
-			want = append(want, graph.PackEdge(u, v))
-		}
-	})
-	got := drainSource(t, ERSource(n, m, seed))
-	if len(got) != len(want) {
-		t.Fatalf("%d samples, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %#x != %#x", i, got[i], want[i])
-		}
-	}
-}

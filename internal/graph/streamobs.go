@@ -28,10 +28,6 @@ var (
 	stallConsumeNS atomic.Int64
 )
 
-// StreamBytesRead reports the process-cumulative storage bytes pulled by
-// metered edge streams.
-func StreamBytesRead() int64 { return streamBytesRead.Load() }
-
 // RegisterStreamMetrics exposes the streaming pipeline's process-cumulative
 // aggregates on reg: bytes read from storage, chunks decoded ahead, and
 // per-stage stall seconds (the backpressure signal that says which stage is

@@ -78,9 +78,6 @@ func NewLoader(dir string) (*Loader, error) {
 // ModRoot returns the module root directory.
 func (l *Loader) ModRoot() string { return l.modRoot }
 
-// ModPath returns the module path from go.mod.
-func (l *Loader) ModPath() string { return l.modPath }
-
 func findModule(dir string) (root, path string, err error) {
 	d, err := filepath.Abs(dir)
 	if err != nil {

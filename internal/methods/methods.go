@@ -64,16 +64,6 @@ type Descriptor struct {
 	Factory func() partition.Partitioner `json:"-"`
 }
 
-// ParamNames returns the declared parameter names, sorted.
-func (d Descriptor) ParamNames() []string {
-	names := make([]string, len(d.Params))
-	for i, p := range d.Params {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
 var registry = map[string]Descriptor{} // canonical name -> descriptor
 var aliases = map[string]string{}      // lower-case alias -> canonical name
 

@@ -55,15 +55,3 @@ func PartitionSource(ctx context.Context, name string, src graph.Source, spec pa
 	res.Stats.SetExtra("materialized_graph_bytes", float64(g.MemoryFootprint()))
 	return res, nil
 }
-
-// StreamNames returns the canonical names of every stream-capable method,
-// sorted — the rows of the generated source→method capability table.
-func StreamNames() []string {
-	var names []string
-	for _, d := range Descriptors() {
-		if d.Streams {
-			names = append(names, d.Name)
-		}
-	}
-	return names
-}

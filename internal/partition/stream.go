@@ -318,20 +318,6 @@ func (r *ReplicaSets) Grow(numVertices uint32) {
 	r.slab = grown
 }
 
-// Slab exposes the backing words, row-major by vertex id, for persistence.
-// Callers must not resize it; mutating bits through it is equivalent to Set.
-func (r *ReplicaSets) Slab() []uint64 { return r.slab }
-
-// ReplicaSetsFromSlab adopts a persisted slab (as returned by Slab) for
-// numParts partitions. The length must be a whole number of rows.
-func ReplicaSetsFromSlab(numParts int, slab []uint64) (*ReplicaSets, error) {
-	w := bitset.WordsFor(numParts)
-	if len(slab)%w != 0 {
-		return nil, fmt.Errorf("partition: replica slab length %d not a multiple of %d words", len(slab), w)
-	}
-	return &ReplicaSets{words: w, slab: slab}, nil
-}
-
 // measureStream computes the Quality of p over the raw source's stream: the
 // i-th raw stream edge must be owned by Owner[i]. It fills the same
 // |V|×ceil(P/64)-word slab as Partitioning.Measure and shares its tally —

@@ -1,7 +1,7 @@
-// Package powerlaw implements discrete power-law fitting and sampling after
-// Clauset, Shalizi and Newman, "Power-law distributions in empirical data"
-// (SIAM Review 2009) — the formulation the paper adopts for its Table-1
-// analysis (§6, Eq. 6): Pr[d] = d^(−α) · ζ(α, dmin)^(−1).
+// Package powerlaw implements discrete power-law fitting after Clauset,
+// Shalizi and Newman, "Power-law distributions in empirical data" (SIAM
+// Review 2009) — the formulation the paper adopts for its Table-1 analysis
+// (§6, Eq. 6): Pr[d] = d^(−α) · ζ(α, dmin)^(−1).
 //
 // The package is used to validate that the synthetic stand-ins in
 // internal/datasets actually have the degree skew the paper's analysis
@@ -13,11 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"github.com/distributedne/dne/internal/bound"
-	"github.com/distributedne/dne/internal/graph"
 )
 
 // Fit is the result of fitting a discrete power law to a sample.
@@ -184,18 +182,6 @@ func FitTail(samples []int64) (Fit, error) {
 	return best, nil
 }
 
-// FitGraph fits the degree distribution of g. Isolated vertices (degree 0)
-// are excluded, matching the paper's dmin = 1 assumption.
-func FitGraph(g *graph.Graph) (Fit, error) {
-	degs := make([]int64, 0, g.NumVertices())
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > 0 {
-			degs = append(degs, d)
-		}
-	}
-	return FitTail(degs)
-}
-
 func distinctSorted(samples []int64) []int64 {
 	s := append([]int64(nil), samples...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
@@ -220,56 +206,4 @@ func countTail(samples []int64, xmin int64) int {
 		}
 	}
 	return n
-}
-
-// Sampler draws from the discrete power law Pr[x] ∝ x^(−α), x >= xmin, by
-// inverse-CDF lookup over a precomputed table. The table covers all but
-// ~1e-9 of the mass; the residual tail collapses onto the last table entry,
-// which is beyond any realistic degree.
-type Sampler struct {
-	xmin int64
-	cdf  []float64 // cdf[i] = P(X <= xmin+i)
-}
-
-// NewSampler builds a sampler for the discrete power law (alpha, xmin).
-// alpha must exceed 1 for the distribution to normalize.
-func NewSampler(alpha float64, xmin int64) (*Sampler, error) {
-	if alpha <= 1 {
-		return nil, fmt.Errorf("powerlaw: alpha must be > 1, got %g", alpha)
-	}
-	if xmin < 1 {
-		return nil, fmt.Errorf("powerlaw: xmin must be >= 1, got %d", xmin)
-	}
-	z := bound.Zeta(alpha, float64(xmin))
-	const maxTable = 1 << 22
-	cdf := make([]float64, 0, 1024)
-	cum := 0.0
-	for i := 0; i < maxTable; i++ {
-		x := float64(xmin + int64(i))
-		cum += math.Pow(x, -alpha) / z
-		cdf = append(cdf, cum)
-		if 1-cum < 1e-9 {
-			break
-		}
-	}
-	return &Sampler{xmin: xmin, cdf: cdf}, nil
-}
-
-// Draw returns one sample.
-func (s *Sampler) Draw(rng *rand.Rand) int64 {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(s.cdf, u)
-	if i >= len(s.cdf) {
-		i = len(s.cdf) - 1
-	}
-	return s.xmin + int64(i)
-}
-
-// DrawN returns n samples.
-func (s *Sampler) DrawN(rng *rand.Rand, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = s.Draw(rng)
-	}
-	return out
 }

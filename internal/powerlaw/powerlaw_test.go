@@ -1,6 +1,7 @@
 package powerlaw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -127,7 +128,7 @@ func TestFitGraphOnRMAT(t *testing.T) {
 	// must fit a power law with α in the paper's skewed range (roughly 1.5–3.5
 	// for Graph500 parameters) and a modest KS distance.
 	g := gen.RMAT(13, 16, 42)
-	fit, err := FitGraph(g)
+	fit, err := FitTail(degreesOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,18 @@ func TestFitGraphOnRMAT(t *testing.T) {
 
 func TestFitGraphRoadIsNotSkewed(t *testing.T) {
 	// A road lattice has near-constant degree: its Gini must be far below an
-	// RMAT graph's, which is exactly why the paper treats the two families
-	// separately (§7.7).
+	// RMAT graph's, and its fitted tail exponent far above the skewed range,
+	// which is exactly why the paper treats the two families separately
+	// (§7.7).
 	road := gen.Road(64, 64, 1)
 	rmat := gen.RMAT(12, 16, 1)
+	fit, err := FitTail(degreesOf(road))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit.Alpha <= 4.0 {
+		t.Errorf("road alpha %.3f inside the skewed range (%v)", fit.Alpha, fit)
+	}
 	gRoad := NewHistogram(degreesOf(road)).Gini()
 	gRMAT := NewHistogram(degreesOf(rmat)).Gini()
 	if gRoad > 0.2 {
@@ -242,4 +251,56 @@ func TestFitTailErrors(t *testing.T) {
 	if _, err := FitTail(same); err == nil {
 		t.Error("single distinct value must fail")
 	}
+}
+
+// Sampler draws from the discrete power law Pr[x] ∝ x^(−α), x >= xmin, by
+// inverse-CDF lookup over a precomputed table. The table covers all but
+// ~1e-9 of the mass; the residual tail collapses onto the last table entry,
+// which is beyond any realistic degree.
+type Sampler struct {
+	xmin int64
+	cdf  []float64 // cdf[i] = P(X <= xmin+i)
+}
+
+// NewSampler builds a sampler for the discrete power law (alpha, xmin).
+// alpha must exceed 1 for the distribution to normalize.
+func NewSampler(alpha float64, xmin int64) (*Sampler, error) {
+	if alpha <= 1 {
+		return nil, fmt.Errorf("powerlaw: alpha must be > 1, got %g", alpha)
+	}
+	if xmin < 1 {
+		return nil, fmt.Errorf("powerlaw: xmin must be >= 1, got %d", xmin)
+	}
+	z := bound.Zeta(alpha, float64(xmin))
+	const maxTable = 1 << 22
+	cdf := make([]float64, 0, 1024)
+	cum := 0.0
+	for i := 0; i < maxTable; i++ {
+		x := float64(xmin + int64(i))
+		cum += math.Pow(x, -alpha) / z
+		cdf = append(cdf, cum)
+		if 1-cum < 1e-9 {
+			break
+		}
+	}
+	return &Sampler{xmin: xmin, cdf: cdf}, nil
+}
+
+// Draw returns one sample.
+func (s *Sampler) Draw(rng *rand.Rand) int64 {
+	u := rng.Float64()
+	i := sort.SearchFloat64s(s.cdf, u)
+	if i >= len(s.cdf) {
+		i = len(s.cdf) - 1
+	}
+	return s.xmin + int64(i)
+}
+
+// DrawN returns n samples.
+func (s *Sampler) DrawN(rng *rand.Rand, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = s.Draw(rng)
+	}
+	return out
 }

@@ -37,7 +37,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	if src.Info().NumEdges != g.NumEdges() {
 		t.Fatalf("compressed shard dir declares %d edges, graph has %d", src.Info().NumEdges, g.NumEdges())
 	}
-	for _, name := range methods.StreamNames() {
+	for _, name := range streamNames() {
 		t.Run(name, func(t *testing.T) {
 			spec := partition.NewSpec(8, 7)
 			pr, resolved, err := methods.New(name, spec)
