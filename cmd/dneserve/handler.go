@@ -118,7 +118,7 @@ func newHandlerWithStores(maxEdges int64, reqTimeout time.Duration, maxStores in
 }
 
 // newHandlerWithLive is the full constructor: maxStores bounds resident
-// stores, a non-empty storeDir persists store snapshots across restarts,
+// stores, a non-empty storeDir persists store directories across restarts,
 // and a non-empty liveDir roots the durable live graph (restore errors from
 // either are returned, not fatal). The returned liveService must be closed
 // on shutdown to seal the live logs; until then the on-disk tail is open
@@ -251,6 +251,10 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 	return resp, http.StatusOK, nil
 }
 
+// buildGraph builds the request's graph. Explicit edges must back their
+// largest id under the vertex claim rule every on-disk reader applies,
+// before anything is sized by it and again once duplicates are gone, so a
+// store the server accepts also restores from -store-dir.
 func buildGraph(req *Request, maxEdges int64) (*graph.Graph, error) {
 	switch {
 	case len(req.Edges) > 0 && req.RMAT != nil:
@@ -260,10 +264,21 @@ func buildGraph(req *Request, maxEdges int64) (*graph.Graph, error) {
 			return nil, fmt.Errorf("%d edges exceed server cap %d", len(req.Edges), maxEdges)
 		}
 		edges := make([]graph.Edge, len(req.Edges))
+		var ids, nonLoops uint64
 		for i, e := range req.Edges {
 			edges[i] = graph.Edge{U: e[0], V: e[1]}
+			if e[0] != e[1] {
+				ids, nonLoops = max(ids, uint64(e[0])+1, uint64(e[1])+1), nonLoops+1
+			}
 		}
-		return graph.FromEdges(0, edges), nil
+		if err := claimOK(ids, nonLoops); err != nil {
+			return nil, err
+		}
+		g := graph.FromEdges(0, edges)
+		if err := claimOK(uint64(g.NumVertices()), uint64(g.NumEdges())); err != nil {
+			return nil, err
+		}
+		return g, nil
 	case req.RMAT != nil:
 		s := req.RMAT
 		if s.Scale < 1 || s.Scale > 24 {
@@ -278,6 +293,14 @@ func buildGraph(req *Request, maxEdges int64) (*graph.Graph, error) {
 		return gen.RMAT(s.Scale, s.EF, s.Seed), nil
 	}
 	return nil, fmt.Errorf("supply edges or an rmat spec")
+}
+
+// claimOK is graph.VertexClaimOK for ids vertex ids over edges, as an error.
+func claimOK(ids, edges uint64) error {
+	if graph.VertexClaimOK(ids, edges) {
+		return nil
+	}
+	return fmt.Errorf("vertex ids up to %d are not backed by %d edges: past 2^20 ids, a graph needs an edge per 256 ids", ids-1, edges)
 }
 
 // handle registers pattern as a JSON endpoint: the body decodes into a T,

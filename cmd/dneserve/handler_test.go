@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,35 @@ func TestPartitionEdgeCap(t *testing.T) {
 		Request{Method: "random", Parts: 2, Edges: edges})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (cap)", rec.Code)
+	}
+}
+
+// TestPartitionRejectsUnbackedVertexClaim: a request whose largest id its
+// edges do not back under graph.VertexClaimOK is refused with 400 before
+// anything is sized by the id, and so is one whose claim only duplicates
+// backed: the built graph is checked again.
+func TestPartitionRejectsUnbackedVertexClaim(t *testing.T) {
+	h := newHandler(100_000, time.Minute)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req := httptest.NewRequest(http.MethodPost, "/api/partition",
+		bytes.NewBufferString(`{"method":"random","parts":2,"edges":[[0,300000000]]}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "backed") {
+		t.Fatalf("status %d (%s), want 400 for the unbacked claim", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Errorf("refusing the claim allocated %d bytes", alloc)
+	}
+
+	dups := make([][2]uint32, 10_000)
+	for i := range dups {
+		dups[i] = [2]uint32{0, 2_000_000}
+	}
+	if rec := doJSON(t, h, http.MethodPost, "/api/partition", Request{Method: "random", Parts: 2, Edges: dups}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("duplicates backing the claim: status %d, want 400", rec.Code)
 	}
 }
 

@@ -59,7 +59,7 @@ func main() {
 	maxEdges := flag.Int64("max-edges", 5_000_000, "reject requests beyond this edge count, and bodies beyond 32 B per edge plus 1 MiB with 413")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request partitioning deadline (0 = none)")
 	maxStores := flag.Int("max-stores", defaultMaxStores, "maximum resident query stores")
-	storeDir := flag.String("store-dir", "", "persist store snapshots here and restore them at startup")
+	storeDir := flag.String("store-dir", "", "persist each store as a shard directory here and restore them at startup")
 	liveDir := flag.String("live-dir", "", "root the live graph here (logs + placement state) and reopen it at startup")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics and /debug/trace on this extra listener (empty = off)")
 	quiet := flag.Bool("quiet", false, "suppress the structured access log")

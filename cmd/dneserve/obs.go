@@ -92,10 +92,7 @@ func (so *serverObs) registerRuntimeMetrics() {
 func (so *serverObs) registerStoreGauges(sr *storeRegistry) {
 	so.reg.GaugeFunc("dne_store_resident", "Resident query stores.",
 		func(emit func(v float64, kv ...string)) {
-			sr.mu.Lock()
-			n := len(sr.stores)
-			sr.mu.Unlock()
-			emit(float64(n))
+			emit(float64(len(sr.list())))
 		})
 	so.reg.GaugeFunc("dne_store_shard_touches",
 		"Shard fetches per resident store and shard (resets when a store is dropped).",

@@ -3,18 +3,16 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/obs"
 	"github.com/distributedne/dne/internal/store"
 )
@@ -23,18 +21,20 @@ import (
 // layer: /api/store/build partitions a graph and materializes the result
 // into a sharded store; /api/query/* serve point and traversal queries
 // against it, reporting the cross-shard fan-out each query paid. With
-// -store-dir set, every built store is snapshotted to disk and restored on
-// restart, so a server comes back without re-partitioning.
+// -store-dir set, every built store is persisted as <store-dir>/<name>/ —
+// its shard files (store.WriteDir) and an info.json provenance sidecar —
+// and restored on restart, so a server comes back without re-partitioning.
 
 // defaultMaxStores bounds how many stores a server holds at once.
 const defaultMaxStores = 16
 
-// snapExt is the snapshot file extension under -store-dir.
-const snapExt = ".dns"
+// infoFile is the provenance sidecar in a persisted store's directory.
+const infoFile = "info.json"
 
 var storeNameRE = regexp.MustCompile(`^[a-zA-Z0-9_-]{1,64}$`)
 
-// storeEntry is one resident store with its build provenance.
+// storeEntry is one resident store with its build provenance. An entry
+// without a store reserves its name while the store is persisted.
 type storeEntry struct {
 	info StoreInfo
 	st   *store.Store
@@ -50,6 +50,9 @@ type storeRegistry struct {
 	maxStores int
 	dir       string // "" disables persistence
 
+	// writeStore is store.WriteDir; tests stall or fail it.
+	writeStore func(dir string, st *store.Store) error
+
 	// obs, when set, is attached to every built or restored store so their
 	// query latencies and touch counters land on /metrics; tracer receives
 	// the partition phases and build span of each /api/store/build.
@@ -61,7 +64,7 @@ func newStoreRegistry(maxStores int, dir string) *storeRegistry {
 	if maxStores <= 0 {
 		maxStores = defaultMaxStores
 	}
-	return &storeRegistry{stores: map[string]*storeEntry{}, maxStores: maxStores, dir: dir}
+	return &storeRegistry{stores: map[string]*storeEntry{}, maxStores: maxStores, dir: dir, writeStore: store.WriteDir}
 }
 
 // StoreBuildRequest is the /api/store/build body: the same graph sources and
@@ -95,7 +98,7 @@ type StoreInfo struct {
 	Shards            []ShardInfo `json:"shards"`
 	PartitionMS       float64     `json:"partitionMs,omitempty"`
 	BuildMS           float64     `json:"buildMs,omitempty"`
-	// Restored is set when the store was loaded from a snapshot instead of
+	// Restored is set when the store was loaded from -store-dir instead of
 	// built this run.
 	Restored bool `json:"restored,omitempty"`
 }
@@ -230,10 +233,12 @@ func shardInfos(st *store.Store) []ShardInfo {
 }
 
 // add registers a built store under name (or a fresh id) and persists it.
+// The name is reserved under the lock and the store written outside it, so
+// a slow disk holds up no query or listing; a failed write releases it.
 func (sr *storeRegistry) add(name string, info StoreInfo, st *store.Store) (*StoreInfo, error) {
 	sr.mu.Lock()
-	defer sr.mu.Unlock()
 	if len(sr.stores) >= sr.maxStores {
+		sr.mu.Unlock()
 		return nil, fmt.Errorf("server already holds %d stores; DELETE /api/store/{id} first", len(sr.stores))
 	}
 	if name == "" {
@@ -245,17 +250,24 @@ func (sr *storeRegistry) add(name string, info StoreInfo, st *store.Store) (*Sto
 			}
 		}
 	} else if _, taken := sr.stores[name]; taken {
+		sr.mu.Unlock()
 		return nil, fmt.Errorf("store %q already exists", name)
 	}
+	sr.stores[name] = &storeEntry{}
+	sr.mu.Unlock()
+
 	info.Store = name
-	sr.stores[name] = &storeEntry{info: info, st: st}
+	var err error
 	if sr.dir != "" {
-		err := sr.persist(name, info, func(w io.Writer) error { return store.WriteSnapshot(w, st) })
-		if err != nil {
-			delete(sr.stores, name)
-			return nil, fmt.Errorf("persisting store: %w", err)
-		}
+		err = sr.persist(name, info, st)
 	}
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	if err != nil {
+		delete(sr.stores, name)
+		return nil, fmt.Errorf("persisting store: %w", err)
+	}
+	sr.stores[name] = &storeEntry{info: info, st: st}
 	return &info, nil
 }
 
@@ -264,7 +276,7 @@ func (sr *storeRegistry) lookup(id string) (*store.Store, int, error) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	e, ok := sr.stores[id]
-	if !ok {
+	if !ok || e.st == nil {
 		return nil, http.StatusNotFound, fmt.Errorf("no store %q (POST /api/store/build first)", id)
 	}
 	return e.st, http.StatusOK, nil
@@ -274,7 +286,9 @@ func (sr *storeRegistry) list() []StoreStatus {
 	sr.mu.Lock()
 	entries := make([]*storeEntry, 0, len(sr.stores))
 	for _, e := range sr.stores {
-		entries = append(entries, e)
+		if e.st != nil {
+			entries = append(entries, e)
+		}
 	}
 	sr.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].info.Store < entries[j].info.Store })
@@ -288,41 +302,65 @@ func (sr *storeRegistry) list() []StoreStatus {
 func (sr *storeRegistry) drop(id string) bool {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if _, ok := sr.stores[id]; !ok {
+	if e, ok := sr.stores[id]; !ok || e.st == nil {
 		return false
 	}
 	delete(sr.stores, id)
 	if sr.dir != "" {
-		os.Remove(filepath.Join(sr.dir, id+snapExt))
-		os.Remove(filepath.Join(sr.dir, id+".json"))
+		os.RemoveAll(filepath.Join(sr.dir, id))
 	}
 	return true
 }
 
-// persist replaces the snapshot with what fill writes, then writes a JSON
-// sidecar with build provenance. A failed write leaves no snapshot behind,
-// so a later restart does not trip over a partial file.
-func (sr *storeRegistry) persist(name string, info StoreInfo, fill func(io.Writer) error) error {
+// persist writes st and its sidecar into a temporary directory under
+// sr.dir (a dot name, which no store has), syncs every file, and renames it
+// over <name>/. A failed write leaves nothing a restart would trip over.
+func (sr *storeRegistry) persist(name string, info StoreInfo, st *store.Store) error {
 	if err := os.MkdirAll(sr.dir, 0o755); err != nil {
 		return err
 	}
-	snapPath := filepath.Join(sr.dir, name+snapExt)
-	if _, err := binio.Replace(snapPath, fill); err != nil {
+	tmp, err := os.MkdirTemp(sr.dir, "."+name+"-")
+	if err != nil {
 		return err
 	}
+	defer os.RemoveAll(tmp) // a no-op once renamed
 	meta, err := json.Marshal(info)
 	if err == nil {
-		err = os.WriteFile(filepath.Join(sr.dir, name+".json"), meta, 0o644)
+		err = os.WriteFile(filepath.Join(tmp, infoFile), meta, 0o644)
 	}
-	if err != nil {
-		os.Remove(snapPath)
-		return err
+	if err == nil {
+		err = sr.writeStore(tmp, st)
 	}
-	return nil
+	if err == nil {
+		err = syncFiles(tmp)
+	}
+	if err == nil {
+		err = os.RemoveAll(filepath.Join(sr.dir, name)) // a store restore left unloaded
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(sr.dir, name))
+	}
+	return err
 }
 
-// restore loads every snapshot under dir; corrupt files are skipped with an
-// error list so one bad file doesn't take the server down.
+// syncFiles fsyncs every file in dir, so a rename publishes complete
+// contents even across a power cut.
+func syncFiles(dir string) error {
+	entries, err := os.ReadDir(dir)
+	for _, de := range entries {
+		var f *os.File
+		if f, err = os.Open(filepath.Join(dir, de.Name())); err != nil {
+			break
+		}
+		if err = errors.Join(f.Sync(), f.Close()); err != nil {
+			break
+		}
+	}
+	return err
+}
+
+// restore loads every store directory under dir; corrupt ones are skipped
+// with an error list so one bad store doesn't take the server down.
 func (sr *storeRegistry) restore() []error {
 	if sr.dir == "" {
 		return nil
@@ -336,22 +374,13 @@ func (sr *storeRegistry) restore() []error {
 	}
 	var errs []error
 	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), snapExt) {
+		name := de.Name()
+		if !de.IsDir() || !storeNameRE.MatchString(name) {
 			continue
 		}
-		name := strings.TrimSuffix(de.Name(), snapExt)
-		if !storeNameRE.MatchString(name) {
-			continue
-		}
-		f, err := os.Open(filepath.Join(sr.dir, de.Name()))
+		st, err := store.ReadDir(filepath.Join(sr.dir, name))
 		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		st, err := store.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", de.Name(), err))
+			errs = append(errs, fmt.Errorf("%s: %w", name, err))
 			continue
 		}
 		st.SetObs(sr.obs)
@@ -365,7 +394,7 @@ func (sr *storeRegistry) restore() []error {
 			Shards:            shardInfos(st),
 			Restored:          true,
 		}
-		if meta, err := os.ReadFile(filepath.Join(sr.dir, name+".json")); err == nil {
+		if meta, err := os.ReadFile(filepath.Join(sr.dir, name, infoFile)); err == nil {
 			var saved StoreInfo
 			if json.Unmarshal(meta, &saved) == nil && saved.Method != "" {
 				info.Method = saved.Method
@@ -379,7 +408,7 @@ func (sr *storeRegistry) restore() []error {
 		} else {
 			sr.mu.Unlock()
 			errs = append(errs, fmt.Errorf("%s: not restored, server already holds %d stores (-max-stores)",
-				de.Name(), sr.maxStores))
+				name, sr.maxStores))
 		}
 	}
 	return errs

@@ -5,14 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
+
+	"github.com/distributedne/dne/internal/store"
 )
 
 // ringEdges returns a cycle 0-1-...-n-1-0 plus chords so BFS levels are
@@ -338,7 +340,7 @@ func TestStoreNameCollisionAndCap(t *testing.T) {
 
 // TestStorePersistenceAcrossRestart: a store built with -store-dir set is
 // served again by a fresh handler over the same directory — the restart
-// path the snapshot format exists for.
+// path -store-dir exists for.
 func TestStorePersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	h1, errs := newHandlerWithStores(100_000, time.Minute, 4, dir)
@@ -391,7 +393,7 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 		}
 	}
 
-	// Deleting on the restored server removes the snapshot files too.
+	// Deleting on the restored server removes the store directory too.
 	if rec := doJSON(t, h2, http.MethodDelete, "/api/store/persisted", nil); rec.Code != http.StatusNoContent {
 		t.Fatalf("delete status %d", rec.Code)
 	}
@@ -405,21 +407,21 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestPersistFailureLeavesNoFile: a snapshot write that fails part way
-// leaves neither <name>.dns nor its temporary file in the store directory,
-// so a restart finds nothing to trip over.
+// TestPersistFailureLeavesNoFile: a store write that fails part way leaves
+// neither <name>/ nor its temporary directory in the store directory, so a
+// restart finds nothing to trip over.
 func TestPersistFailureLeavesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	sr := newStoreRegistry(4, dir)
 	errFill := errors.New("disk full")
-	err := sr.persist("broken", StoreInfo{Store: "broken"}, func(w io.Writer) error {
-		if _, err := w.Write([]byte("DNS1 partial")); err != nil {
+	sr.writeStore = func(tmp string, _ *store.Store) error {
+		if err := os.WriteFile(filepath.Join(tmp, "shard-0000-of-0001.esz"), []byte("ESZ1 partial"), 0o644); err != nil {
 			return err
 		}
 		return errFill
-	})
-	if !errors.Is(err, errFill) {
-		t.Fatalf("persist = %v, want the fill error", err)
+	}
+	if _, err := sr.add("broken", StoreInfo{}, nil); !errors.Is(err, errFill) {
+		t.Fatalf("add = %v, want the fill error", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -427,5 +429,60 @@ func TestPersistFailureLeavesNoFile(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("failed persist left %s behind", e.Name())
+	}
+	if len(sr.stores) != 0 {
+		t.Errorf("failed persist left %d names taken", len(sr.stores))
+	}
+}
+
+// TestPersistDoesNotBlockQueries: while one store's persist is stalled
+// mid-write, queries to another resident store and the store listing still
+// answer, and the stalled name is taken but not served.
+func TestPersistDoesNotBlockQueries(t *testing.T) {
+	sr := newStoreRegistry(4, t.TempDir())
+	mux := http.NewServeMux()
+	sr.register(mux, 100_000, time.Minute)
+	buildTestStore(t, mux, StoreBuildRequest{Method: "hdrf", Parts: 2, Name: "ready", Edges: ringEdges(20)})
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	sr.writeStore = func(dir string, st *store.Store) error {
+		close(entered)
+		<-release
+		return store.WriteDir(dir, st)
+	}
+	built := make(chan int)
+	go func() {
+		req := StoreBuildRequest{Method: "hdrf", Parts: 2, Name: "slow", Edges: ringEdges(20)}
+		built <- doJSON(t, mux, http.MethodPost, "/api/store/build", req).Code
+	}()
+	<-entered
+
+	answered := make(chan [3]int)
+	go func() {
+		v := uint32(3)
+		answered <- [3]int{
+			doJSON(t, mux, http.MethodPost, "/api/query/neighbors", NeighborsRequest{Store: "ready", Vertex: &v}).Code,
+			doJSON(t, mux, http.MethodPost, "/api/query/neighbors", NeighborsRequest{Store: "slow", Vertex: &v}).Code,
+			doJSON(t, mux, http.MethodGet, "/api/store", nil).Code,
+		}
+	}()
+	select {
+	case got := <-answered:
+		if want := [3]int{http.StatusOK, http.StatusNotFound, http.StatusOK}; got != want {
+			t.Errorf("ready query, slow query, listing = %v, want %v", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a query waited on another store's persist")
+	}
+	req := StoreBuildRequest{Method: "hdrf", Parts: 2, Name: "slow", Edges: ringEdges(20)}
+	if code := doJSON(t, mux, http.MethodPost, "/api/store/build", req).Code; code != http.StatusConflict {
+		t.Errorf("building a name being persisted: %d, want 409", code)
+	}
+	close(release)
+	if code := <-built; code != http.StatusOK {
+		t.Fatalf("stalled build: %d", code)
+	}
+	if list := sr.list(); len(list) != 2 {
+		t.Fatalf("%d stores resident after the persist, want 2", len(list))
 	}
 }

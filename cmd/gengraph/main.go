@@ -154,19 +154,11 @@ func writeShards(kind string, scale, ef, n int, alpha float64, rows, cols int, s
 		}
 	}
 
-	files := make([]*os.File, count)
 	writers := make([]*graph.ShardWriter, count)
 	for i := range writers {
-		f, err := os.Create(filepath.Join(dir, graph.ShardFileName(i, count)))
+		sw, err := graph.CreateShardFile(filepath.Join(dir, graph.ShardFileName(i, count)),
+			graph.ShardInfo{NumVertices: numVertices, Index: uint32(i), Count: uint32(count)})
 		if err != nil {
-			return err
-		}
-		files[i] = f
-		sw, err := graph.NewShardWriter(f, graph.ShardInfo{
-			NumVertices: numVertices, Index: uint32(i), Count: uint32(count),
-		})
-		if err != nil {
-			f.Close()
 			return err
 		}
 		writers[i] = sw
@@ -183,11 +175,8 @@ func writeShards(kind string, scale, ef, n int, alpha float64, rows, cols int, s
 		err = emitErr
 	}
 	var total uint64
-	for i, sw := range writers {
+	for _, sw := range writers {
 		if cerr := sw.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if cerr := files[i].Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		total += sw.NumWritten()

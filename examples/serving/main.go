@@ -2,18 +2,18 @@
 // two methods of very different replication factor, materialize each result
 // into a sharded query store, serve the same traversal workload from both,
 // and watch the better partitioning pay fewer cross-shard hops. Finally,
-// snapshot a store and restore it — the restart path a server uses to come
-// back without re-partitioning.
+// persist a store as a shard directory and restore it — the restart path a
+// server uses to come back without re-partitioning.
 //
 //	go run ./examples/serving
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"github.com/distributedne/dne/internal/gen"
@@ -100,18 +100,21 @@ func main() {
 			name, qps, time.Duration(lat.Snapshot().Quantile(0.95)), s.Metrics().HopsPerQuery())
 	}
 
-	// 6. Snapshot round trip: a restarted server reads the snapshot and
-	//    serves identical answers without re-partitioning.
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, st); err != nil {
+	// 6. Persistence round trip: a restarted server reads the store's shard
+	//    directory and serves identical answers without re-partitioning.
+	dir, err := os.MkdirTemp("", "serving-store-")
+	if err != nil {
 		log.Fatal(err)
 	}
-	snapBytes := buf.Len()
-	restored, err := store.ReadSnapshot(&buf)
+	defer os.RemoveAll(dir)
+	if err := store.WriteDir(dir, st); err != nil {
+		log.Fatal(err)
+	}
+	restored, err := store.ReadDir(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	d2, _ := restored.Degree(v)
-	fmt.Printf("\nsnapshot: %d bytes; restored store degree(%d) = %d (same answer, no re-partitioning)\n",
-		snapBytes, v, d2)
+	fmt.Printf("\npersisted: %d shard files; restored store degree(%d) = %d (same answer, no re-partitioning)\n",
+		restored.NumShards(), v, d2)
 }

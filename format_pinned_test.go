@@ -20,8 +20,9 @@ import (
 // writer emits for a seeded input: DLS1 and the compacted insertion log of
 // a live graph seeded from a DNE partitioning of RMAT 10 and churned, and
 // DNB1/DNC1 of one checkpointed in-memory DNE run. A change to how the
-// formats are encoded must leave every file byte-identical. DNS1 is pinned
-// by TestPinnedSnapshotDigest in internal/store.
+// formats are encoded must leave every file byte-identical. A persisted
+// store's shard directory is pinned by TestPinnedSnapshotDigest in
+// internal/store.
 func TestPinnedFormatBytes(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	const parts = 4

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/dsa"
 )
 
@@ -699,30 +698,6 @@ func (sr *ShardReader) finish() error {
 	}
 	sr.done = true
 	return io.EOF
-}
-
-// readShard loads a whole shard stream into memory, preallocating by the
-// header's declared count capped against hostile headers.
-func readShard(r io.Reader) (*Shard, error) {
-	sr, err := NewShardReader(r)
-	if err != nil {
-		return nil, err
-	}
-	prealloc := sr.info.NumEdges
-	if prealloc == unknownEdgeCount {
-		prealloc = 0
-	}
-	s := &Shard{NumVertices: sr.info.NumVertices, Packed: make([]uint64, 0, binio.Cap(prealloc))}
-	for {
-		chunk, err := sr.Next()
-		if err == io.EOF {
-			return s, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.Packed = append(s.Packed, chunk...)
-	}
 }
 
 // Shard is one rank's in-memory slice of a sharded graph: the global vertex

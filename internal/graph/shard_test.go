@@ -8,12 +8,38 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/distributedne/dne/internal/binio"
 )
 
 func testEdges() []Edge {
 	return []Edge{
 		{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}, {4, 5}, {0, 5}, {2, 5},
 		{3, 1}, // duplicate of {1,3} after canon
+	}
+}
+
+// readShard loads a whole shard stream into memory, preallocating by the
+// header's declared count capped against hostile headers.
+func readShard(r io.Reader) (*Shard, error) {
+	sr, err := NewShardReader(r)
+	if err != nil {
+		return nil, err
+	}
+	prealloc := sr.info.NumEdges
+	if prealloc == unknownEdgeCount {
+		prealloc = 0
+	}
+	s := &Shard{NumVertices: sr.info.NumVertices, Packed: make([]uint64, 0, binio.Cap(prealloc))}
+	for {
+		chunk, err := sr.Next()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.Packed = append(s.Packed, chunk...)
 	}
 }
 

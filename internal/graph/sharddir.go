@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -20,28 +21,57 @@ func ReadShardDir(dir string, keep func(index, count uint32) bool) (*Shard, erro
 	if err != nil {
 		return nil, err
 	}
-	merged := &Shard{NumVertices: files[0].info.NumVertices}
+	var kept []shardDirFile
+	total := 0
 	for _, sf := range files {
-		if keep != nil && !keep(sf.info.Index, sf.info.Count) {
-			continue
+		if keep == nil || keep(sf.info.Index, sf.info.Count) {
+			kept, total = append(kept, sf), total+sf.capEdges()
 		}
-		s, err := readShardFile(sf.path)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sf.path, err)
+	}
+	merged := &Shard{NumVertices: files[0].info.NumVertices, Packed: make([]uint64, 0, total)}
+	for _, sf := range kept {
+		if merged.Packed, err = appendShardFile(merged.Packed, sf); err != nil {
+			return nil, err
 		}
-		merged.Packed = append(merged.Packed, s.Packed...)
 	}
 	return merged, nil
 }
 
-// readShardFile loads one shard file of either format into memory.
-func readShardFile(path string) (*Shard, error) {
-	f, err := os.Open(path)
+// ReadShards loads the shard directory dir, validated as ReadShardDir's is,
+// as one packed edge list per shard index, in file order, and returns them
+// with the |V| the headers share.
+func ReadShards(dir string) (uint32, [][]uint64, error) {
+	files, err := scanShardDir(dir)
+	if err != nil {
+		return 0, nil, err
+	}
+	parts := make([][]uint64, len(files))
+	for i, sf := range files {
+		if parts[i], err = appendShardFile(make([]uint64, 0, sf.capEdges()), sf); err != nil {
+			return 0, nil, err
+		}
+	}
+	return files[0].info.NumVertices, parts, nil
+}
+
+// appendShardFile decodes the edges of the scanned shard file sf onto dst.
+func appendShardFile(dst []uint64, sf shardDirFile) ([]uint64, error) {
+	f, err := os.Open(sf.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return readShard(f)
+	sr, err := NewShardReader(f)
+	for err == nil {
+		var chunk []uint64
+		if chunk, err = sr.Next(); err == nil {
+			dst = append(dst, chunk...)
+		}
+	}
+	if err != io.EOF {
+		return nil, fmt.Errorf("%s: %w", sf.path, err)
+	}
+	return dst, nil
 }
 
 // ShardFileName returns the conventional file name of raw shard i of n
@@ -74,25 +104,34 @@ func writeCanonicalShards(dir string, g *Graph, count int, c *shardCodec) error 
 		return err
 	}
 	for i, sh := range ShardsOf(g, count) {
-		sw, err := createShardFile(filepath.Join(dir, c.fileName(i, count)), c, ShardInfo{
-			NumVertices: sh.NumVertices,
-			Index:       uint32(i),
-			Count:       uint32(count),
-		})
-		if err != nil {
-			return err
-		}
-		for _, k := range sh.Packed {
-			if err := sw.AppendPacked(k); err != nil {
-				sw.Close()
-				return err
-			}
-		}
-		if err := sw.Close(); err != nil {
+		info := ShardInfo{NumVertices: sh.NumVertices, Index: uint32(i), Count: uint32(count)}
+		if err := writeStripe(dir, c, info, sh.Packed); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteCompressedShard writes keys, ascending packed canonical edges, into
+// dir as ESZ1 shard info.Index of info.Count under its conventional name.
+func WriteCompressedShard(dir string, info ShardInfo, keys []uint64) error {
+	return writeStripe(dir, zCodec, info, keys)
+}
+
+// writeStripe is the one per-index shard writer: keys go to shard
+// info.Index of info.Count in dir, in codec c, under its conventional name.
+func writeStripe(dir string, c *shardCodec, info ShardInfo, keys []uint64) error {
+	sw, err := createShardFile(filepath.Join(dir, c.fileName(int(info.Index), int(info.Count))), c, info)
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := sw.AppendPacked(k); err != nil {
+			sw.Close()
+			return err
+		}
+	}
+	return sw.Close()
 }
 
 // ShardFileStat describes one file of a shard directory for reporting:

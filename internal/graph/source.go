@@ -221,6 +221,11 @@ type shardDirFile struct {
 	size     int64  // on-disk bytes
 }
 
+// capEdges is what a reader of sf preallocates for its edges: the walked
+// count, capped by the two bytes every encoded edge takes at least, since a
+// hostile ESZ1 frame header can declare more edges than its payload holds.
+func (sf shardDirFile) capEdges() int { return int(min(sf.numEdges, uint64(sf.size)/2)) }
+
 // scanShardDir validates a shard directory without streaming edge payloads:
 // every header is read and cross-checked, and each file's frame structure
 // is walked (payloads skipped) to recover its exact edge count — the basis

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -171,5 +172,31 @@ func TestDirSourceRejectsTrailingBytes(t *testing.T) {
 	}
 	if _, err := DirSource(dir); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("forged tail accepted: %v", err)
+	}
+}
+
+// TestShardDirOverDeclaredChunksDoNotDrivePrealloc: ESZ1 frame headers that
+// declare far more edges than their payload bytes can encode inflate the
+// scan's edge count (payloads are skipped). ReadShardDir and ReadShards
+// still size their slices by the file's bytes, and fail on the decode.
+func TestShardDirOverDeclaredChunksDoNotDrivePrealloc(t *testing.T) {
+	chunks := make([][]byte, 200)
+	for i := range chunks {
+		chunks[i] = zChunk(1<<16, []byte{0}) // 65536 edges in one payload byte
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, zCodec.fileName(0, 1)), zFile(64, ^uint64(0), chunks...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, errMerged := ReadShardDir(dir, nil)
+	_, _, errParts := ReadShards(dir)
+	runtime.ReadMemStats(&after)
+	if errMerged == nil || errParts == nil {
+		t.Fatalf("over-declared chunks accepted: %v, %v", errMerged, errParts)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("reading a %d-chunk file declaring %d edges allocated %d bytes", len(chunks), len(chunks)<<16, alloc)
 	}
 }

@@ -28,9 +28,9 @@ import (
 // n may be. The walk is intra-function by design — a count that crosses a
 // function boundary must be re-bounded where it is used.
 //
-// The fixed-layout formats (DNS1, DLS1, DNB1/DNC1) decode their counts
-// inside internal/binio, whose Slab bounds preallocation by binio.Cap; the
-// formats themselves size slices only by data already read.
+// The fixed-layout formats (DLS1, DNB1/DNC1) decode their counts inside
+// internal/binio, whose Slab bounds preallocation by binio.Cap; the formats
+// themselves size slices only by data already read.
 var CappedAlloc = &Analyzer{
 	Name: "cappedalloc",
 	Doc: "flags make() sized by a decoded input count with no intervening bound " +

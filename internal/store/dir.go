@@ -1,0 +1,44 @@
+package store
+
+import "github.com/distributedne/dne/internal/graph"
+
+// A persisted store is a shard directory: one ESZ1 file per shard, whose
+// header gives |V| = NumVertices, Index = shard and Count = NumShards, and
+// whose keys are the shard's sorted canonical edges. Only the edges are
+// stored; ReadDir rebuilds the CSR, the replica index and the master table
+// through BuildFromShards, so a restored store is the built one, bit for bit.
+
+// WriteDir writes st's shards into dir, which must exist.
+func WriteDir(dir string, st *Store) error {
+	for s, sh := range st.shards {
+		info := graph.ShardInfo{NumVertices: st.numVertices, Index: uint32(s), Count: uint32(len(st.shards))}
+		if err := graph.WriteCompressedShard(dir, info, sh.packed()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadDir restores a store WriteDir wrote. A damaged or hostile directory
+// fails graph.ReadShards' validation or BuildFromShards' checks.
+func ReadDir(dir string) (*Store, error) {
+	n, parts, err := graph.ReadShards(dir)
+	if err != nil {
+		return nil, err
+	}
+	return BuildFromShards(n, parts)
+}
+
+// packed returns the shard's edges as ascending canonical keys: the u < w
+// half of its adjacency, in slot order.
+func (s *shard) packed() []uint64 {
+	keys := make([]uint64, 0, s.edges)
+	for l, u := range s.verts {
+		for _, w := range s.neighborsOf(uint32(l)) {
+			if u < w {
+				keys = append(keys, graph.PackEdge(u, w))
+			}
+		}
+	}
+	return keys
+}

@@ -41,7 +41,7 @@ func (y *yieldCounter) tick() {
 // BuildFromShards materializes per-shard canonical packed edge lists into a
 // Store. It is the one CSR builder: BuildPartitioning buckets a graph's
 // edges by owner into it, compaction folds an epoch through it, and
-// ReadSnapshot checks every shard it reads against it. shardEdges[s] holds
+// ReadDir rebuilds every persisted shard through it. shardEdges[s] holds
 // shard s's edges as PackEdge keys (u < v), strictly increasing; duplicates
 // and endpoints ≥ numVertices are rejected. Each shard costs O(|Es| + |V|/64)
 // with one dense vertex scratch reused across shards, and the replica index
@@ -116,7 +116,6 @@ func (b *shardBuilder) build(s int, packed []uint64) (*shard, error) {
 		b.yield.tick()
 	}
 	sh := &shard{
-		id:    s,
 		verts: make([]graph.Vertex, 0, numLocal),
 		off:   make([]int64, numLocal+1),
 		edges: int64(len(packed)),

@@ -1,45 +1,56 @@
 package store
 
 import (
-	"bytes"
+	"os"
 	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// FuzzSnapshotReader fuzzes the DNS1 decoder, which faces bytes from disk.
-// Any byte string either decodes to a store that is exactly what
-// BuildFromShards would build — it re-encodes to the same bytes and its
-// adjacency is symmetric, sorted and free of self loops — or returns an
-// error. It never panics, and it allocates in proportion to the input, not
-// to the counts its header declares.
+// FuzzSnapshotReader fuzzes the read path a persisted store is restored
+// through, ReadDir, over one- and two-file directories: first and second
+// are the files' bytes, and an empty second means a one-file directory.
+// Any input either errors or loads a store that WriteDir writes and ReadDir
+// reads back identically, whose adjacency is symmetric, sorted and free of
+// self loops. It never panics, and it allocates in proportion to the vertex
+// claim its edges back (graph.VertexClaimOK), not to what its headers
+// declare.
 //
 // Run locally with:
 //
 //	go test -run='^$' -fuzz=FuzzSnapshotReader -fuzztime=30s ./internal/store
 func FuzzSnapshotReader(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, pinnedStore(f)); err != nil {
-		f.Fatal(err)
+	g := gen.RMAT(5, 4, 3)
+	one := fileBytes(f, saveDir(f, buildRandom(f, g, 1, 1)))[0]
+	two := fileBytes(f, saveDir(f, buildRandom(f, g, 2, 1)))
+	f.Add(one, []byte(nil))
+	f.Add(two[0], two[1])
+	for _, cut := range []int{0, 27, 28, len(one) / 2, len(one) - 1} {
+		f.Add(one[:cut], []byte(nil))
 	}
-	full := buf.Bytes()
-	f.Add(full)
-	for _, cut := range []int{0, 23, 24, 24 + 4*1024, 24 + 4*1024 + 4, len(full) / 2, len(full) - 1} {
-		f.Add(full[:cut])
+	f.Add(two[0], two[1][:len(two[1])-1])
+	for _, name := range []string{"self-loop", "duplicate-edge", "unsorted-targets"} {
+		f.Add(inconsistentShards()[name], []byte(nil))
 	}
-	for _, b := range inconsistentSnapshots() {
-		f.Add(b)
-	}
+	f.Add(two[0], two[0])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		files := [][]byte{first, second}
+		if len(second) == 0 {
+			files = files[:1]
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		st, err := ReadSnapshot(bytes.NewReader(data))
+		st, err := readFiles(t, files...)
 		runtime.ReadMemStats(&after)
-		if limit := uint64(4<<20 + 256*len(data)); after.TotalAlloc-before.TotalAlloc > limit {
-			t.Fatalf("reading %d bytes allocated %d bytes, over %d", len(data), after.TotalAlloc-before.TotalAlloc, limit)
+		// The claim admits 2^20 vertices for free and 256 per edge beyond;
+		// an edge costs at least a byte of input.
+		claim := max(1<<20, 256*uint64(len(first)+len(second)))
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 64*claim; alloc > limit {
+			t.Fatalf("reading %d bytes allocated %d bytes, over %d", len(first)+len(second), alloc, limit)
 		}
 		if err != nil {
 			if err.Error() == "" {
@@ -47,12 +58,12 @@ func FuzzSnapshotReader(f *testing.F) {
 			}
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteSnapshot(&out, st); err != nil {
-			t.Fatal(err)
+		again, err := ReadDir(saveDir(t, st))
+		if err != nil {
+			t.Fatalf("rereading a written store: %v", err)
 		}
-		if !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), out.Len())
+		if err := storeDiff(st, again); err != nil {
+			t.Fatalf("written and reread: %v", err)
 		}
 		for v := graph.Vertex(0); v < st.NumVertices(); v++ {
 			ns, err := st.Neighbors(v)
@@ -73,4 +84,18 @@ func FuzzSnapshotReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fileBytes returns the bytes of dir's shard files in name order.
+func fileBytes(t testing.TB, dir string) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, p := range shardFiles(t, dir) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
 }

@@ -1,10 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -59,16 +60,22 @@ func TestPinnedQueryMetrics(t *testing.T) {
 	}
 }
 
-// TestPinnedSnapshotDigest pins the snapshot bytes of the same store: the
-// shard layout, routing table and adjacency order BuildPartitioning emits.
+// TestPinnedSnapshotDigest pins the bytes of the same store persisted by
+// WriteDir, every shard file's name and contents in name order: the shard
+// layout and edge order BuildPartitioning emits and the ESZ1 encoding.
 func TestPinnedSnapshotDigest(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, pinnedStore(t)); err != nil {
-		t.Fatal(err)
-	}
 	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	if got, want := h.Sum64(), uint64(0x5d1e7a8e5eb666e4); got != want {
-		t.Errorf("snapshot FNV-64a = %#x, want %#x (%d bytes)", got, want, buf.Len())
+	var size int
+	for _, p := range shardFiles(t, saveDir(t, pinnedStore(t))) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.Base(p)))
+		h.Write(b)
+		size += len(b)
+	}
+	if got, want := h.Sum64(), uint64(0x20dd6bcfc0c8cea5); got != want {
+		t.Errorf("persisted store FNV-64a = %#x, want %#x (%d bytes)", got, want, size)
 	}
 }

@@ -35,7 +35,6 @@ import (
 // A vertex's slot is its position in verts; the store's replica index keeps
 // the slot beside each replica, so no lookup here goes by vertex id.
 type shard struct {
-	id    int
 	verts []graph.Vertex // global ids present in this shard, sorted
 	off   []int64        // CSR offsets by slot, len(verts)+1
 	tgt   []graph.Vertex // neighbor global ids, ascending per slot
@@ -50,7 +49,7 @@ func (s *shard) degreeOf(l uint32) int64 { return s.off[l+1] - s.off[l] }
 func (s *shard) neighborsOf(l uint32) []graph.Vertex { return s.tgt[s.off[l]:s.off[l+1]] }
 
 // Store serves point and traversal queries over a sharded graph. It is
-// immutable after BuildFromShards/ReadSnapshot and safe for concurrent use.
+// immutable after BuildFromShards/ReadDir and safe for concurrent use.
 type Store struct {
 	numVertices uint32
 	numEdges    int64
@@ -97,21 +96,16 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 	return BuildFromShards(g.NumVertices(), packed)
 }
 
-// indexReplicas derives the replica index from the filled shards' vertex
-// lists.
-func (st *Store) indexReplicas() {
+// buildRouting derives the replica index from the filled shards' vertex
+// lists and then the master table: masters at the replica shard with the
+// highest local degree (ties to the lowest id), isolated vertices
+// hash-routed so routing is total.
+func (st *Store) buildRouting() {
 	verts := make([][]graph.Vertex, len(st.shards))
 	for s, sh := range st.shards {
 		verts[s] = sh.verts
 	}
 	st.replicas = partition.NewReplicaIndex(st.numVertices, verts)
-}
-
-// buildRouting derives the replica index and then the master table: masters
-// at the replica shard with the highest local degree (ties to the lowest
-// id), isolated vertices hash-routed so routing is total.
-func (st *Store) buildRouting() {
-	st.indexReplicas()
 	numShards := len(st.shards)
 	for v := uint32(0); v < st.numVertices; v++ {
 		reps, slots := st.replicas.Of(v)

@@ -47,7 +47,7 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-func buildRandom(t *testing.T, g *graph.Graph, parts int, seed int64) *Store {
+func buildRandom(t testing.TB, g *graph.Graph, parts int, seed int64) *Store {
 	t.Helper()
 	st, err := BuildPartitioning(g, randomPartitioning(g, parts, seed))
 	if err != nil {
