@@ -26,7 +26,7 @@
 //
 // The output file (optional) has one "u v partition" line per edge; -save
 // writes the partitioning as a live directory (live.Create: one sorted
-// shard log per partition plus the placement state), which live.Open and
+// shard log per partition, nothing else), which live.Open and
 // dneserve -live-dir open as a serving graph. Both need the materialized
 // graph, so neither combines with -stream. Methods and their parameters come from the method registry;
 // -list-methods prints the generated table.

@@ -50,9 +50,7 @@ func (ls *liveService) restore() []error {
 	if ls.dir == "" {
 		return nil
 	}
-	_, serr := os.Stat(filepath.Join(ls.dir, "state.dls"))
-	_, lerr := os.Stat(filepath.Join(ls.dir, "part-0000.esh"))
-	if os.IsNotExist(serr) && os.IsNotExist(lerr) {
+	if _, err := os.Stat(filepath.Join(ls.dir, "part-0000.esh")); os.IsNotExist(err) {
 		return nil
 	}
 	lv, err := live.Open(ls.dir, live.Config{})
@@ -101,7 +99,7 @@ func (ls *liveService) open(parts int, seed int64) (*live.Live, int, error) {
 	return lv, http.StatusOK, nil
 }
 
-// close checkpoints and seals the live graph; a later process (or handler)
+// close seals the live graph's logs; a later process (or handler)
 // can then adopt the directory. Safe to call with no graph open.
 func (ls *liveService) close() error {
 	ls.mu.Lock()

@@ -34,7 +34,7 @@ func main() {
 	//    with Distributed NE into 8 parts, seeds the live graph. Create
 	//    writes each partition's edges as its append-only insertion log
 	//    (part-NNNN.esh; tombstones go to dead-NNNN.esh) and rebuilds the
-	//    placement state from them; checkpoints of it land in state.dls.
+	//    placement state from them. The logs are all the directory holds.
 	const parts, seed = 8, 42
 	snapshot := gen.RMAT(12, 16, seed)
 	res, err := dne.Partition(snapshot, parts, dne.DefaultConfig())
@@ -115,14 +115,14 @@ func main() {
 	fmt.Printf("departure wave of %d edges, then rebalance moved %d (%d bytes migrated)\n",
 		len(wave), moved, lv.Stats().MigratedBytes)
 
-	// 5. Close seals the logs (terminator + footer) and checkpoints the
-	//    partitioner state; reopening the directory replays to the
-	//    bit-identical graph — same (edge, owner) checksum.
+	// 5. Close seals the logs (terminator + footer); reopening the
+	//    directory replays them to the bit-identical graph — same (edge,
+	//    owner) checksum — and rebuilds the placement state from it.
 	sum := lv.Checksum()
 	if err := lv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	lv2, err := live.Open(dir, live.Config{}) // parts/seed adopted from the checkpoint
+	lv2, err := live.Open(dir, live.Config{}) // parts adopted from the logs
 	if err != nil {
 		log.Fatal(err)
 	}

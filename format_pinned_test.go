@@ -17,8 +17,8 @@ import (
 )
 
 // TestPinnedFormatBytes pins the FNV-64a of the bytes each fixed-layout
-// writer emits for a seeded input: DLS1 and the compacted insertion log of
-// a live graph seeded from a DNE partitioning of RMAT 10 and churned, and
+// writer emits for a seeded input: the compacted insertion log of a live
+// graph seeded from a DNE partitioning of RMAT 10 and churned, and
 // DNB1/DNC1 of one checkpointed in-memory DNE run. A change to how the
 // formats are encoded must leave every file byte-identical. A persisted
 // store's shard directory is pinned by TestPinnedSnapshotDigest in
@@ -66,7 +66,6 @@ func TestPinnedFormatBytes(t *testing.T) {
 	if err := lv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check("DLS1", readFile(filepath.Join(liveDir, "state.dls")), 0x7018d37efa0e50e6)
 	check("compacted log", readFile(filepath.Join(liveDir, "part-0000.esh")), 0xb68f8df6f0a8f79e)
 
 	dirs := make([]string, parts)

@@ -1,9 +1,9 @@
 // Package binio is the one codec under the repository's fixed-layout binary
-// files: DLS1 live state and DNB1/DNC1 DNE checkpoints. Each is a sequence
-// of little-endian u32/u64 words behind a magic header. binio decides, once
-// for all of them, how words are paged to and from the stream, how far a
-// count decoded from the stream may drive preallocation, how the FNV-64a
-// trailer is kept and checked, and how a file on disk is replaced.
+// files, the DNB1/DNC1 DNE checkpoints. Each is a sequence of little-endian
+// u32/u64 words behind a magic header. binio decides, once for all of them,
+// how words are paged to and from the stream, how far a count decoded from
+// the stream may drive preallocation, how the FNV-64a trailer is kept and
+// checked, and how a file on disk is replaced.
 //
 // Writer and Reader carry a sticky error: after the first failure every
 // call is a no-op (reads return zero values), so a format encodes or

@@ -28,7 +28,7 @@ import (
 // n may be. The walk is intra-function by design — a count that crosses a
 // function boundary must be re-bounded where it is used.
 //
-// The fixed-layout formats (DLS1, DNB1/DNC1) decode their counts inside
+// The fixed-layout formats (DNB1/DNC1) decode their counts inside
 // internal/binio, whose Slab bounds preallocation by binio.Cap; the formats
 // themselves size slices only by data already read.
 var CappedAlloc = &Analyzer{

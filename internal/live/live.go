@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +30,11 @@ const logNumVertices = ^uint32(0)
 // may always grow to this many mutations before a compaction triggers.
 const defaultMinOverlay = 1 << 16
 
-// Live is the dynamic-graph subsystem rooted in one directory:
+// Live is the dynamic-graph subsystem rooted in one directory, which holds
+// two append-only EShard logs per partition and nothing else:
 //
-//	state.dls       placement state (DLS1), written on checkpoints
-//	part-NNNN.esh   per-partition append-only insertion log (EShard)
-//	dead-NNNN.esh   per-partition append-only tombstone log (EShard)
+//	part-NNNN.esh   insertion log
+//	dead-NNNN.esh   tombstone log
 //
 // Mutations (Apply, Rebalance, Compact) serialize on one mutex; queries
 // never take it — they pin the current Epoch with one atomic load and run
@@ -71,133 +73,72 @@ func (l *Live) maxOverlay() int64 {
 	return max(defaultMinOverlay, l.base.NumEdges()/8)
 }
 
-// Open opens (or creates) a live graph in dir. cfg.NumParts must match the
-// partition count the directory holds — its checkpoint's, else its number
-// of insertion logs — and zero adopts it. Without a state file the logs
-// alone rebuild the state, so a crash between checkpoints loses no durable
-// mutation.
+// Open opens (or creates) a live graph in dir and rebuilds its placement
+// state from the logs, the one durable copy of the graph. The insertion
+// logs carry the partition count: cfg.NumParts must match it, and zero
+// adopts it. Every log must declare its own partition and that count in
+// its header. The live edges must back their vertex ids as Apply requires
+// (graph.VertexClaimOK), else Open fails with ErrVertexClaim.
 func Open(dir string, cfg Config) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	var st *State
-	statePath := filepath.Join(dir, "state.dls")
-	if f, err := os.Open(statePath); err == nil {
-		st, err = func() (*State, error) { defer f.Close(); return ReadState(f) }()
-		if err != nil {
-			return nil, err
-		}
-		if cfg.NumParts != 0 && cfg.NumParts != st.cfg.NumParts {
-			return nil, fmt.Errorf("live: state holds %d partitions, config asks %d", st.cfg.NumParts, cfg.NumParts)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	} else {
-		// No checkpoint: the logs carry the partition count, one insertion
-		// log per partition. Replaying a different count would drop
-		// partitions or reshape the graph.
-		n, err := countLogs(dir)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			if cfg.NumParts != 0 && cfg.NumParts != n {
-				return nil, fmt.Errorf("live: log directory holds %d partitions, config asks %d", n, cfg.NumParts)
-			}
-			cfg.NumParts = n
-		}
-		if st, err = NewState(cfg); err != nil {
-			return nil, err
-		}
-	}
-	numParts := st.cfg.NumParts
-
-	// Crash consistency first: a process SIGKILLed mid-append leaves a log
-	// with a torn tail (partial frame, no terminator). Truncate each such
-	// log back to its last valid chunk and reseal it before replaying —
-	// un-fsynced appends were never durable, so dropping them is within the
-	// durability contract.
-	rec, err := recoverLogs(dir, numParts)
+	n, err := settleLogs(dir)
 	if err != nil {
 		return nil, err
 	}
+	if n > 0 {
+		if cfg.NumParts != 0 && cfg.NumParts != n {
+			return nil, fmt.Errorf("live: log directory holds %d partitions, config asks %d", n, cfg.NumParts)
+		}
+		cfg.NumParts = n
+	}
+	st, err := NewState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	numParts := st.cfg.NumParts
 
 	// Replay the logs: per partition, live edges are insertions minus
 	// tombstones (counts alternate 1/0 per edge — an edge is tombstoned
 	// only while live, re-inserted only while dead).
+	var rec Recovery
 	packed := make([][]uint64, numParts)
 	var maxV graph.Vertex
+	var numEdges uint64
 	for q := 0; q < numParts; q++ {
 		counts := make(map[uint64]int64)
-		if err := replayLog(logPath(dir, "part", q), func(k uint64) { counts[k]++ }); err != nil {
+		if err := replayLog(dir, "part", q, numParts, &rec, func(k uint64) { counts[k]++ }); err != nil {
 			return nil, err
 		}
-		if err := replayLog(logPath(dir, "dead", q), func(k uint64) { counts[k]-- }); err != nil {
+		if err := replayLog(dir, "dead", q, numParts, &rec, func(k uint64) { counts[k]-- }); err != nil {
 			return nil, err
 		}
 		for k, c := range counts {
 			if c == 1 {
 				packed[q] = append(packed[q], k)
+				maxV = max(maxV, graph.UnpackEdge(k).V+1)
 			} else if c != 0 {
 				return nil, fmt.Errorf("live: partition %d log count %d for edge %#x (want 0 or 1)", q, c, k)
 			}
 		}
 		slices.Sort(packed[q])
-		if n := len(packed[q]); n > 0 {
-			if v := graph.Vertex(packed[q][n-1]); v >= maxV {
-				maxV = v + 1
-			}
+		numEdges += uint64(len(packed[q]))
+	}
+	if !graph.VertexClaimOK(uint64(maxV), numEdges) {
+		return nil, fmt.Errorf("%w: logs name vertex %d with %d live edges", ErrVertexClaim, maxV-1, numEdges)
+	}
+	for q, ks := range packed {
+		for _, k := range ks {
+			e := graph.UnpackEdge(k)
+			st.grow(e.V)
+			st.addIncidence(e.U, int32(q))
+			st.addIncidence(e.V, int32(q))
+			st.sizes[q]++
+			st.numEdges++
 		}
 	}
-
-	rebuildFromLogs := func() {
-		for q, ks := range packed {
-			for _, k := range ks {
-				e := graph.UnpackEdge(k)
-				st.grow(max(e.U, e.V))
-				st.addIncidence(e.U, int32(q))
-				st.addIncidence(e.V, int32(q))
-				st.sizes[q]++
-				st.numEdges++
-			}
-		}
-	}
-
-	if st.events == 0 && st.numEdges == 0 {
-		// No saved state (or a fresh directory): rebuild the slabs from the
-		// replayed live edge set. Placement history (events, moved) is
-		// unknowable from logs alone and restarts at zero.
-		rebuildFromLogs()
-	} else if stateMatchesLogs(st, packed) == nil {
-		// Saved state agrees with the logs exactly: resume it, history
-		// included.
-	} else if mismatch := stateMatchesLogs(st, packed); rec.DroppedBytes > 0 || logsCoverState(st, packed) {
-		// The checkpoint describes a moment the logs no longer (torn tail
-		// recovered behind it) or not yet (appends landed after it — the
-		// checkpoint is stale) capture. The logs are the durable truth:
-		// discard the checkpointed slabs and rebuild placement from replay.
-		// Placement history restarts at zero, like a stateless open.
-		fresh, err := NewState(st.cfg)
-		if err != nil {
-			return nil, err
-		}
-		st = fresh
-		rebuildFromLogs()
-		rec.StateRebuilt = true
-		rec.StateMismatch = mismatch.Error()
-		liveObs.stateRebuilds.Add(1)
-	} else {
-		// Logs replay fewer edges than the checkpoint with no torn tail in
-		// sight: the directory mixes runs or a log was tampered with.
-		// Rebuilding would silently corrupt placement — refuse.
-		return nil, stateMatchesLogs(st, packed)
-	}
-	if n := uint32(len(st.deg)); n > uint32(maxV) {
-		maxV = graph.Vertex(n)
-	}
-	if maxV == 0 {
-		maxV = 1 // BuildFromShards wants a nonempty universe even when idle
-	}
+	maxV = max(maxV, graph.Vertex(len(st.deg)), 1) // BuildFromShards wants a nonempty universe
 
 	base, err := store.BuildFromShards(uint32(maxV), packed)
 	if err != nil {
@@ -241,7 +182,7 @@ func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	for _, name := range []string{"state.dls", "part-0000.esh", "dead-0000.esh"} {
+	for _, name := range []string{"part-0000.esh", "dead-0000.esh"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return nil, fmt.Errorf("live: %s already holds a live graph (%s)", dir, name)
 		} else if !os.IsNotExist(err) {
@@ -269,27 +210,91 @@ func logPath(dir, kind string, q int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%04d.esh", kind, q))
 }
 
-// countLogs counts contiguous part-NNNN.esh logs from 0 — the partition
-// count of a directory whose checkpoint is missing (0 if no logs).
-func countLogs(dir string) (int, error) {
-	n := 0
-	for ; n < maxParts; n++ {
-		if _, err := os.Stat(logPath(dir, "part", n)); os.IsNotExist(err) {
-			break
+// logName matches a log file of a live directory.
+var logName = regexp.MustCompile(`^(part|dead)-(\d{4})\.esh$`)
+
+// nextSuffix marks the compacted insertion log a compaction writes beside
+// the old one; see rewriteLogs.
+const nextSuffix = ".next"
+
+// settleLogs finishes what a crash left half done in dir and returns its
+// partition count: the number of insertion logs, which must run from
+// part-0000.esh with no gap and no tombstone log past the last. Temp files
+// of interrupted writes are deleted, and each partition's compaction is
+// completed or discarded by rewriteLogs's commit rule.
+func settleLogs(dir string) (int, error) {
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.esh*.tmp"))
+	if err != nil {
+		return 0, err
+	}
+	for _, tmp := range tmps {
+		if err := os.Remove(tmp); err != nil {
+			return 0, err
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var parts, deads []int // ascending: ReadDir sorts by name
+	for _, e := range ents {
+		if m := logName.FindStringSubmatch(e.Name()); m != nil {
+			q, _ := strconv.Atoi(m[2])
+			if m[1] == "part" {
+				parts = append(parts, q)
+			} else {
+				deads = append(deads, q)
+			}
+		}
+	}
+	n := len(parts)
+	for i, q := range parts {
+		if q != i {
+			return 0, fmt.Errorf("live: %s has no insertion log for partition %d", dir, i)
+		}
+	}
+	if k := len(deads); k > 0 && deads[k-1] >= n {
+		return 0, fmt.Errorf("live: %s holds a tombstone log for partition %d past its %d insertion logs", dir, deads[k-1], n)
+	}
+	for q := 0; q < n; q++ {
+		part := logPath(dir, "part", q)
+		if _, err := os.Stat(part + nextSuffix); os.IsNotExist(err) {
+			continue
 		} else if err != nil {
+			return 0, err
+		}
+		if slices.Contains(deads, q) {
+			err = os.Remove(part + nextSuffix)
+		} else {
+			err = os.Rename(part+nextSuffix, part)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
 	return n, nil
 }
 
-// replayLog streams every packed edge of an EShard log into fn; a missing
-// file is an empty log.
-func replayLog(path string, fn func(k uint64)) error {
-	f, err := os.Open(path)
+// replayLog checks that the kind log of partition q declares itself log q
+// of numParts, truncates a torn tail (a crash mid-append leaves one; the
+// un-fsynced appends it held were never durable), and streams every packed
+// edge into fn. A missing file is an empty log.
+func replayLog(dir, kind string, q, numParts int, rec *Recovery, fn func(k uint64)) error {
+	path := logPath(dir, kind, q)
+	_, dropped, err := graph.RecoverShardTail(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
+	if err != nil {
+		return fmt.Errorf("live: recovering %s: %w", path, err)
+	}
+	if dropped > 0 {
+		rec.TornLogs++
+		rec.DroppedBytes += dropped
+		liveObs.tornLogs.Add(1)
+		liveObs.tornBytes.Add(dropped)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
@@ -297,6 +302,9 @@ func replayLog(path string, fn func(k uint64)) error {
 	sr, err := graph.NewShardReader(f)
 	if err != nil {
 		return fmt.Errorf("live: %s: %w", path, err)
+	}
+	if info := sr.Info(); info.Index != uint32(q) || info.Count != uint32(numParts) {
+		return fmt.Errorf("live: %s declares log %d of %d, want %d of %d", path, info.Index, info.Count, q, numParts)
 	}
 	for {
 		chunk, err := sr.Next()
@@ -312,17 +320,18 @@ func replayLog(path string, fn func(k uint64)) error {
 	}
 }
 
-// openLogs opens every per-partition log of one kind for appending,
-// creating missing ones.
+// openLogs opens every per-partition log of one kind for appending. A
+// missing log is first written whole and empty, so a crash never leaves a
+// log without its header.
 func openLogs(dir, kind string, numParts int) ([]*graph.ShardWriter, error) {
 	out := make([]*graph.ShardWriter, numParts)
 	for q := range out {
 		path := logPath(dir, kind, q)
 		sw, err := graph.OpenShardAppend(path)
 		if os.IsNotExist(err) {
-			sw, err = graph.CreateShardFile(path, graph.ShardInfo{
-				NumVertices: logNumVertices, Index: uint32(q), Count: uint32(numParts),
-			})
+			if err = writeLogFile(path, q, numParts, nil); err == nil {
+				sw, err = graph.OpenShardAppend(path)
+			}
 		}
 		if err != nil {
 			for _, o := range out[:q] {
@@ -503,9 +512,9 @@ func (l *Live) Rebalance(budget int) (int, error) {
 }
 
 // Compact folds the overlay into a fresh base store, rewrites the
-// per-partition logs to exactly the live edge set, checkpoints the
-// placement state, and publishes the compacted epoch. Readers keep serving
-// from their pinned epochs throughout; only writers wait.
+// per-partition logs to exactly the live edge set, and publishes the
+// compacted epoch. Readers keep serving from their pinned epochs
+// throughout; only writers wait.
 func (l *Live) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -536,9 +545,8 @@ func (l *Live) compactLocked() error {
 		return err
 	}
 
-	// Rewrite the logs to the live edge set: fresh adds, empty tombstones,
-	// written beside and renamed over the old generation so a crash
-	// mid-compaction leaves a replayable directory.
+	// Rewrite the logs to the live edge set, one partition at a time, so a
+	// crash mid-compaction leaves every partition on one whole generation.
 	for q := 0; q < numParts; q++ {
 		if err := l.adds[q].Close(); err != nil {
 			return err
@@ -546,12 +554,7 @@ func (l *Live) compactLocked() error {
 		if err := l.dead[q].Close(); err != nil {
 			return err
 		}
-	}
-	for q := 0; q < numParts; q++ {
-		if err := writeLogFile(logPath(l.dir, "part", q), q, numParts, packed[q]); err != nil {
-			return err
-		}
-		if err := writeLogFile(logPath(l.dir, "dead", q), q, numParts, nil); err != nil {
+		if err := rewriteLogs(l.dir, q, numParts, packed[q]); err != nil {
 			return err
 		}
 	}
@@ -566,11 +569,26 @@ func (l *Live) compactLocked() error {
 	l.pending = store.NewDelta(numParts)
 	l.view = store.NewEpoch(base, l.pending, 0)
 	l.ncomp++
-	if err := l.checkpointLocked(); err != nil {
-		return err
-	}
 	l.publishLocked()
 	return nil
+}
+
+// rewriteLogs replaces partition q's insertion and tombstone logs with one
+// insertion log holding packed, its live edges. The new log is written as
+// part-q.esh.next, the tombstone log is removed, and the new log is renamed
+// over the old. Removing the tombstone log is the commit point: settleLogs
+// discards a .next while dead-q.esh exists and finishes the rename once it
+// is gone. A crash at any step thus replays one whole generation, never
+// the new insertions against the old tombstones.
+func rewriteLogs(dir string, q, numParts int, packed []uint64) error {
+	part := logPath(dir, "part", q)
+	if err := writeLogFile(part+nextSuffix, q, numParts, packed); err != nil {
+		return err
+	}
+	if err := os.Remove(logPath(dir, "dead", q)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return os.Rename(part+nextSuffix, part)
 }
 
 // writeLogFile atomically replaces path with a fresh log holding packed.
@@ -592,26 +610,8 @@ func writeLogFile(path string, q, numParts int, packed []uint64) error {
 	return err
 }
 
-// Checkpoint saves the placement state so the next Open can skip the slab
-// rebuild and verify the logs against it.
-func (l *Live) Checkpoint() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("live: closed")
-	}
-	return l.checkpointLocked()
-}
-
-func (l *Live) checkpointLocked() error {
-	_, err := binio.Replace(filepath.Join(l.dir, "state.dls"), func(w io.Writer) error {
-		return WriteState(w, l.st)
-	})
-	return err
-}
-
-// Close checkpoints the state and seals the logs (footer rewrite). The
-// last published epoch keeps serving pinned readers.
+// Close seals the logs (footer rewrite). The last published epoch keeps
+// serving pinned readers.
 func (l *Live) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -627,9 +627,6 @@ func (l *Live) Close() error {
 		if err := l.dead[q].Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	if err := l.checkpointLocked(); err != nil && firstErr == nil {
-		firstErr = err
 	}
 	return firstErr
 }
@@ -652,7 +649,8 @@ func (l *Live) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// Stats is an observable snapshot of the subsystem.
+// Stats is an observable snapshot of the subsystem. Events, Moved and
+// MigratedBytes count since Open.
 type Stats struct {
 	NumParts          int     `json:"num_parts"`
 	NumEdges          int64   `json:"num_edges"`

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -205,8 +204,8 @@ func TestLiveChecksumInvariantToBatchAndCompaction(t *testing.T) {
 }
 
 // TestLiveResume: closing mid-stream and reopening must resume to the exact
-// same final state — and so must a reopen that lost the checkpoint (state
-// rebuilt from logs), since placement depends only on the slabs.
+// same final state. Open rebuilds the placement state from the logs alone,
+// and placement depends only on that state.
 func TestLiveResume(t *testing.T) {
 	g := gen.RMAT(9, 8, 9)
 	events := arrivalStream(g, 3)
@@ -227,40 +226,33 @@ func TestLiveResume(t *testing.T) {
 	}
 	want := oneShot()
 
-	for _, dropCheckpoint := range []bool{false, true} {
-		dir := t.TempDir()
-		l, err := Open(dir, Config{NumParts: 4, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		applyAll(t, l, events[:half], 311)
-		midState := l.State().Checksum()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if dropCheckpoint {
-			if err := os.Remove(filepath.Join(dir, "state.dls")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l, err = Open(dir, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.State().NumParts() != 4 {
-			t.Fatalf("resume lost the partition count: %d", l.State().NumParts())
-		}
-		if got := l.State().Checksum(); got != midState {
-			t.Fatalf("dropCheckpoint=%v: resumed state checksum %#x, want %#x", dropCheckpoint, got, midState)
-		}
-		if err := l.State().CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		applyAll(t, l, events[half:], 311)
-		if got := l.Checksum(); got != want {
-			t.Fatalf("dropCheckpoint=%v: resumed run checksum %#x, one-shot %#x", dropCheckpoint, got, want)
-		}
-		l.Close()
+	dir := t.TempDir()
+	l, err := Open(dir, Config{NumParts: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, l, events[:half], 311)
+	midState := l.State().Checksum()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.State().NumParts() != 4 {
+		t.Fatalf("resume lost the partition count: %d", l.State().NumParts())
+	}
+	if got := l.State().Checksum(); got != midState {
+		t.Fatalf("resumed state checksum %#x, want %#x", got, midState)
+	}
+	if err := l.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, l, events[half:], 311)
+	if got := l.Checksum(); got != want {
+		t.Fatalf("resumed run checksum %#x, one-shot %#x", got, want)
 	}
 }
 
@@ -304,10 +296,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsPartitionCountMismatch: without a checkpoint the logs
-// carry the partition count, and a config asking for fewer or more
-// partitions is refused instead of replaying a subset of the logs or
-// reshaping the graph. The matching count still resumes the graph.
+// TestOpenRejectsPartitionCountMismatch: the logs carry the partition
+// count, and a config asking for fewer or more partitions is refused
+// instead of replaying a subset of the logs or reshaping the graph. The
+// matching count still resumes the graph.
 func TestOpenRejectsPartitionCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Config{NumParts: 8, Seed: 1})
@@ -317,9 +309,6 @@ func TestOpenRejectsPartitionCountMismatch(t *testing.T) {
 	applyAll(t, l, arrivalStream(gen.ER(300, 1000, 2), 1), 250)
 	want := l.Checksum()
 	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "state.dls")); err != nil {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{4, 12} {
@@ -378,9 +367,8 @@ func TestLiveRecoversTruncatedFooter(t *testing.T) {
 }
 
 // TestLiveRecoversTornChunk: a SIGKILL mid-append tears a log inside a
-// chunk, losing edges. Reopen must truncate to the last valid chunk,
-// discard the now-stale placement checkpoint, and rebuild from replay —
-// fewer edges, but a consistent graph.
+// chunk, losing edges. Reopen must truncate to the last valid chunk and
+// rebuild from replay — fewer edges, but a consistent graph.
 func TestLiveRecoversTornChunk(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Config{NumParts: 2, Seed: 1})
@@ -407,8 +395,8 @@ func TestLiveRecoversTornChunk(t *testing.T) {
 	}
 	defer l.Close()
 	rec := l.Recovery()
-	if rec.TornLogs != 1 || !rec.StateRebuilt {
-		t.Fatalf("recovery report %+v, want torn log + state rebuild", rec)
+	if rec.TornLogs != 1 {
+		t.Fatalf("recovery report %+v, want 1 torn log", rec)
 	}
 	after := l.Stats().NumEdges
 	if after >= before || after == 0 {

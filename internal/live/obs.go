@@ -47,11 +47,11 @@ func (l *Live) RegisterMetrics(reg *obs.Registry) {
 		func(s Stats) float64 { return s.EdgeBalance })
 	gauge("dne_live_epoch", "Sequence number of the published epoch.",
 		func(s Stats) float64 { return float64(s.Epoch) })
-	counter("dne_live_events_total", "Mutation events applied since the placement state was created.",
+	counter("dne_live_events_total", "Mutation events applied since the live graph was opened.",
 		func(s Stats) float64 { return float64(s.Events) })
-	counter("dne_live_moved_edges_total", "Edges migrated by rebalance passes.",
+	counter("dne_live_moved_edges_total", "Edges migrated by rebalance passes since the live graph was opened.",
 		func(s Stats) float64 { return float64(s.Moved) })
-	counter("dne_live_migrated_bytes_total", "Bytes moved by rebalance passes (log append accounting).",
+	counter("dne_live_migrated_bytes_total", "Bytes moved by rebalance passes since the live graph was opened (log append accounting).",
 		func(s Stats) float64 { return float64(s.MigratedBytes) })
 	counter("dne_live_compactions_total", "Overlay compactions performed.",
 		func(s Stats) float64 { return float64(s.Compactions) })
@@ -71,18 +71,10 @@ func (l *Live) RegisterMetrics(reg *obs.Registry) {
 			}
 		})
 	reg.CounterFunc("dne_live_recovery_events_total",
-		"Crash-recovery events in this process: torn log tails truncated and placement-state rebuilds from replay.",
+		"Crash-recovery events in this process: torn log tails truncated and resealed.",
 		func(emit func(v float64, kv ...string)) {
-			for _, e := range []struct {
-				kind string
-				v    int64
-			}{
-				{"torn_log", liveObs.tornLogs.Load()},
-				{"state_rebuild", liveObs.stateRebuilds.Load()},
-			} {
-				if e.v > 0 {
-					emit(float64(e.v), "kind", e.kind)
-				}
+			if v := liveObs.tornLogs.Load(); v > 0 {
+				emit(float64(v), "kind", "torn_log")
 			}
 		})
 	reg.CounterFunc("dne_live_recovery_dropped_bytes_total",

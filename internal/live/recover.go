@@ -2,18 +2,14 @@ package live
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
-
-	"github.com/distributedne/dne/internal/graph"
 )
 
 // liveObs aggregates process-cumulative crash-recovery events, exposed via
 // RegisterMetrics.
 var liveObs struct {
-	tornLogs      atomic.Int64
-	tornBytes     atomic.Int64
-	stateRebuilds atomic.Int64
+	tornLogs  atomic.Int64
+	tornBytes atomic.Int64
 }
 
 // Recovery describes what Open had to repair to bring the directory back to
@@ -23,87 +19,18 @@ type Recovery struct {
 	TornLogs int
 	// DroppedBytes is the total torn-tail bytes discarded across all logs.
 	DroppedBytes int64
-	// StateRebuilt reports that the placement checkpoint disagreed with the
-	// recovered logs and was discarded; placement was rebuilt from replay
-	// (history counters restarted at zero).
-	StateRebuilt bool
-	// StateMismatch is the discrepancy that forced the rebuild, empty
-	// otherwise.
-	StateMismatch string
 }
 
 // Recovered reports whether Open repaired anything.
-func (r Recovery) Recovered() bool { return r.TornLogs > 0 || r.StateRebuilt }
+func (r Recovery) Recovered() bool { return r.TornLogs > 0 }
 
 // String renders a one-line operator-facing summary.
 func (r Recovery) String() string {
 	if !r.Recovered() {
 		return "clean"
 	}
-	s := fmt.Sprintf("%d torn log(s), %d bytes dropped", r.TornLogs, r.DroppedBytes)
-	if r.StateRebuilt {
-		s += "; placement state rebuilt from logs (" + r.StateMismatch + ")"
-	}
-	return s
+	return fmt.Sprintf("%d torn log(s), %d bytes dropped", r.TornLogs, r.DroppedBytes)
 }
 
 // Recovery returns what Open repaired when the live graph was opened.
 func (l *Live) Recovery() Recovery { return l.recovery }
-
-// recoverLogs repairs every existing per-partition log with a torn tail
-// before anything reads or appends to them. Valid logs are untouched.
-func recoverLogs(dir string, numParts int) (Recovery, error) {
-	var rec Recovery
-	for _, kind := range []string{"part", "dead"} {
-		for q := 0; q < numParts; q++ {
-			path := logPath(dir, kind, q)
-			if _, err := os.Stat(path); os.IsNotExist(err) {
-				continue
-			} else if err != nil {
-				return rec, err
-			}
-			_, dropped, err := graph.RecoverShardTail(path)
-			if err != nil {
-				return rec, fmt.Errorf("live: recovering %s: %w", path, err)
-			}
-			if dropped > 0 {
-				rec.TornLogs++
-				rec.DroppedBytes += dropped
-				liveObs.tornLogs.Add(1)
-				liveObs.tornBytes.Add(dropped)
-			}
-		}
-	}
-	return rec, nil
-}
-
-// stateMatchesLogs reports (as an error, nil = match) whether the
-// checkpointed placement slabs agree exactly with the replayed live edge
-// sets.
-func stateMatchesLogs(st *State, packed [][]uint64) error {
-	var total int64
-	for q := range packed {
-		n := int64(len(packed[q]))
-		if st.sizes[q] != n {
-			return fmt.Errorf("live: state says partition %d holds %d edges, logs replay %d", q, st.sizes[q], n)
-		}
-		total += n
-	}
-	if st.numEdges != total {
-		return fmt.Errorf("live: state holds %d edges, logs replay %d", st.numEdges, total)
-	}
-	return nil
-}
-
-// logsCoverState reports whether every partition's replayed log holds at
-// least as many edges as the checkpoint claims — the signature of a
-// checkpoint that is merely stale (appends landed after it) rather than a
-// directory whose logs shrank underneath it.
-func logsCoverState(st *State, packed [][]uint64) bool {
-	for q := range packed {
-		if int64(len(packed[q])) < st.sizes[q] {
-			return false
-		}
-	}
-	return true
-}

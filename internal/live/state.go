@@ -3,14 +3,15 @@
 // incrementally, and serves queries throughout — no full re-partition, no
 // reader stalls. It is the §8 "dynamic graphs" extension made concrete:
 //
-//   - State is the persistable streaming-partitioner state (dense degree and
+//   - State is the streaming-partitioner state (dense degree and
 //     incidence slabs plus a partition.ReplicaSets bit view) applying a
 //     replica-aware greedy placement built on neighbor expansion's two
 //     heuristics (§3.1), RNG-free and therefore a pure function of the
-//     event stream. Open starts empty; Create seeds from a static
-//     partitioning such as a Distributed NE result.
+//     event stream. Open rebuilds it from the logs; Create seeds the logs
+//     from a static partitioning such as a Distributed NE result.
 //   - Arrivals land in per-partition append-only EShard logs (an add log and
-//     a tombstone log per partition), O(chunk) memory.
+//     a tombstone log per partition), O(chunk) memory. The logs are the
+//     only durable copy of the graph.
 //   - Reads resolve against a store.Epoch — immutable base CSR plus a small
 //     frozen overlay — pinned with one atomic load; a background compaction
 //     folds the overlay into a fresh base and publishes the next epoch.
@@ -34,9 +35,9 @@ import (
 type Config struct {
 	// NumParts is the partition (serving shard) count. Required.
 	NumParts int
-	// Seed identifies the run for provenance. Placement itself is RNG-free;
-	// the seed is persisted and checked on resume so state files are not
-	// silently mixed across runs.
+	// Seed labels the run for provenance only. Placement is RNG-free, so
+	// no result depends on it, and it is neither persisted nor compared on
+	// reopen.
 	Seed int64
 }
 
@@ -53,9 +54,6 @@ const (
 	// alpha is the imbalance factor α of Eq. (2) at the paper's setting,
 	// enforced against the moving edge count.
 	alpha = 1.1
-	// balanceWeight scales the balance penalty in the placement score. It
-	// is 1, so Place leaves the multiply out; DLS1 still records it.
-	balanceWeight = 1.0
 )
 
 // State is the incremental placement state: per-vertex live degree, the
@@ -75,7 +73,8 @@ type State struct {
 	replicas int64 // Σ_v |parts(v)|, maintained incrementally
 
 	// events counts applied mutations, moved counts rebalancer migrations,
-	// migratedBytes the log traffic those migrations wrote — all persisted.
+	// migratedBytes the log traffic those migrations wrote — all since
+	// Open, which rebuilds the slabs from the logs and not this history.
 	events        uint64
 	moved         int64
 	migratedBytes int64
@@ -113,13 +112,13 @@ func (st *State) NumVertices() int64 {
 	return n
 }
 
-// Events returns the number of applied mutations.
+// Events returns the number of mutations applied since Open.
 func (st *State) Events() uint64 { return st.events }
 
-// Moved returns the number of edges the rebalancer has migrated.
+// Moved returns the number of edges the rebalancer has migrated since Open.
 func (st *State) Moved() int64 { return st.moved }
 
-// MigratedBytes returns the log bytes written by migrations.
+// MigratedBytes returns the log bytes written by migrations since Open.
 func (st *State) MigratedBytes() int64 { return st.migratedBytes }
 
 // Sizes returns a copy of the per-partition edge counts.
