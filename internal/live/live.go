@@ -51,7 +51,8 @@ type Live struct {
 	adds    []*graph.ShardWriter
 	dead    []*graph.ShardWriter
 	seq     uint64
-	ncomp   int64 // compactions performed
+	ncomp   int64  // compactions performed
+	logKeys uint64 // edge keys the logs hold, insertions and tombstones
 	closed  bool
 
 	epoch       atomic.Pointer[store.Epoch] // published snapshot; readers load and go
@@ -77,8 +78,10 @@ func (l *Live) maxOverlay() int64 {
 // state from the logs, the one durable copy of the graph. The insertion
 // logs carry the partition count: cfg.NumParts must match it, and zero
 // adopts it. Every log must declare its own partition and that count in
-// its header. The live edges must back their vertex ids as Apply requires
-// (graph.VertexClaimOK), else Open fails with ErrVertexClaim.
+// its header. The logged edge keys, insertions and tombstones alike, must
+// back the largest live vertex id (graph.VertexClaimOK): Apply and Compact
+// keep every directory they write that way, and Open refuses any other
+// with ErrVertexClaim before sizing the slabs for it.
 func Open(dir string, cfg Config) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -105,13 +108,13 @@ func Open(dir string, cfg Config) (*Live, error) {
 	var rec Recovery
 	packed := make([][]uint64, numParts)
 	var maxV graph.Vertex
-	var numEdges uint64
+	var logKeys uint64
 	for q := 0; q < numParts; q++ {
 		counts := make(map[uint64]int64)
-		if err := replayLog(dir, "part", q, numParts, &rec, func(k uint64) { counts[k]++ }); err != nil {
+		if err := replayLog(dir, "part", q, numParts, &rec, func(k uint64) { counts[k]++; logKeys++ }); err != nil {
 			return nil, err
 		}
-		if err := replayLog(dir, "dead", q, numParts, &rec, func(k uint64) { counts[k]-- }); err != nil {
+		if err := replayLog(dir, "dead", q, numParts, &rec, func(k uint64) { counts[k]--; logKeys++ }); err != nil {
 			return nil, err
 		}
 		for k, c := range counts {
@@ -123,10 +126,9 @@ func Open(dir string, cfg Config) (*Live, error) {
 			}
 		}
 		slices.Sort(packed[q])
-		numEdges += uint64(len(packed[q]))
 	}
-	if !graph.VertexClaimOK(uint64(maxV), numEdges) {
-		return nil, fmt.Errorf("%w: logs name vertex %d with %d live edges", ErrVertexClaim, maxV-1, numEdges)
+	if !graph.VertexClaimOK(uint64(maxV), logKeys) {
+		return nil, fmt.Errorf("%w: logs name vertex %d with %d logged edges", ErrVertexClaim, maxV-1, logKeys)
 	}
 	for q, ks := range packed {
 		for _, k := range ks {
@@ -149,14 +151,11 @@ func Open(dir string, cfg Config) (*Live, error) {
 		st:       st,
 		base:     base,
 		pending:  store.NewDelta(numParts),
+		logKeys:  logKeys,
 		recovery: rec,
 	}
 	l.view = store.NewEpoch(base, l.pending, 0)
-	if l.adds, err = openLogs(dir, "part", numParts); err != nil {
-		return nil, err
-	}
-	if l.dead, err = openLogs(dir, "dead", numParts); err != nil {
-		l.closeLogs()
+	if err := l.openLogs(); err != nil {
 		return nil, err
 	}
 	l.publishLocked()
@@ -198,8 +197,10 @@ func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (
 		q := p.Owner[i]
 		packed[q] = append(packed[q], graph.PackEdge(e.U, e.V))
 	}
-	for q, keys := range packed {
-		if err := writeLogFile(logPath(dir, "part", q), q, cfg.NumParts, keys); err != nil {
+	// part-0000.esh goes last, as in openLogs: until it exists, a crashed
+	// Create can rerun.
+	for q := cfg.NumParts - 1; q >= 0; q-- {
+		if err := writeLogFile(logPath(dir, "part", q), q, cfg.NumParts, packed[q]); err != nil {
 			return nil, err
 		}
 	}
@@ -221,7 +222,10 @@ const nextSuffix = ".next"
 // partition count: the number of insertion logs, which must run from
 // part-0000.esh with no gap and no tombstone log past the last. Temp files
 // of interrupted writes are deleted, and each partition's compaction is
-// completed or discarded by rewriteLogs's commit rule.
+// completed or discarded by rewriteLogs's commit rule. part-0000.esh is
+// written last (see openLogs), so logs without it never formed a whole
+// directory; when none of them holds an edge, they are what a crash leaves
+// while Open writes a fresh directory's empty logs, and they are deleted.
 func settleLogs(dir string) (int, error) {
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.esh*.tmp"))
 	if err != nil {
@@ -236,9 +240,11 @@ func settleLogs(dir string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	var logs []string
 	var parts, deads []int // ascending: ReadDir sorts by name
 	for _, e := range ents {
 		if m := logName.FindStringSubmatch(e.Name()); m != nil {
+			logs = append(logs, filepath.Join(dir, e.Name()))
 			q, _ := strconv.Atoi(m[2])
 			if m[1] == "part" {
 				parts = append(parts, q)
@@ -246,6 +252,17 @@ func settleLogs(dir string) (int, error) {
 				deads = append(deads, q)
 			}
 		}
+	}
+	if len(parts) == 0 || parts[0] != 0 {
+		if slices.ContainsFunc(logs, holdsEdges) {
+			return 0, fmt.Errorf("live: %s has no insertion log for partition 0", dir)
+		}
+		for _, path := range logs {
+			if err := os.Remove(path); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
 	}
 	n := len(parts)
 	for i, q := range parts {
@@ -273,6 +290,22 @@ func settleLogs(dir string) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// holdsEdges reports whether the log at path may hold an edge: it does, or
+// it does not read as a log.
+func holdsEdges(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return true
+	}
+	defer f.Close()
+	sr, err := graph.NewShardReader(f)
+	if err != nil {
+		return true
+	}
+	_, err = sr.Next()
+	return err != io.EOF
 }
 
 // replayLog checks that the kind log of partition q declares itself log q
@@ -320,40 +353,50 @@ func replayLog(dir, kind string, q, numParts int, rec *Recovery, fn func(k uint6
 	}
 }
 
-// openLogs opens every per-partition log of one kind for appending. A
-// missing log is first written whole and empty, so a crash never leaves a
-// log without its header.
-func openLogs(dir, kind string, numParts int) ([]*graph.ShardWriter, error) {
-	out := make([]*graph.ShardWriter, numParts)
-	for q := range out {
-		path := logPath(dir, kind, q)
-		sw, err := graph.OpenShardAppend(path)
-		if os.IsNotExist(err) {
-			if err = writeLogFile(path, q, numParts, nil); err == nil {
-				sw, err = graph.OpenShardAppend(path)
-			}
-		}
-		if err != nil {
-			for _, o := range out[:q] {
-				if o != nil {
-					o.Close()
+// openLogs opens every log for appending. A missing log is first written
+// whole and empty, so a crash never leaves a log without its header, and
+// in descending order with the tombstone logs first, so part-0000.esh
+// comes last and marks a whole directory (see settleLogs).
+func (l *Live) openLogs() error {
+	numParts := l.st.cfg.NumParts
+	l.adds, l.dead = make([]*graph.ShardWriter, numParts), make([]*graph.ShardWriter, numParts)
+	for _, kind := range []string{"dead", "part"} {
+		for q := numParts - 1; q >= 0; q-- {
+			path := logPath(l.dir, kind, q)
+			sw, err := graph.OpenShardAppend(path)
+			if os.IsNotExist(err) {
+				if err = writeLogFile(path, q, numParts, nil); err == nil {
+					sw, err = graph.OpenShardAppend(path)
 				}
 			}
-			return nil, fmt.Errorf("live: opening %s: %w", path, err)
-		}
-		out[q] = sw
-	}
-	return out, nil
-}
-
-func (l *Live) closeLogs() {
-	for _, ws := range [2][]*graph.ShardWriter{l.adds, l.dead} {
-		for _, w := range ws {
-			if w != nil {
-				w.Close()
+			if err != nil {
+				l.closeLogs()
+				return fmt.Errorf("live: opening %s: %w", path, err)
+			}
+			if kind == "part" {
+				l.adds[q] = sw
+			} else {
+				l.dead[q] = sw
 			}
 		}
 	}
+	return nil
+}
+
+// closeLogs seals every open log and returns the first error.
+func (l *Live) closeLogs() error {
+	var first error
+	for _, ws := range [2][]*graph.ShardWriter{l.adds, l.dead} {
+		for _, w := range ws {
+			if w == nil {
+				continue
+			}
+			if err := w.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // publishLocked freezes the pending overlay into the next epoch. Callers
@@ -410,7 +453,7 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 	if l.closed {
 		return 0, fmt.Errorf("live: closed")
 	}
-	if err := l.st.checkBatch(events); err != nil {
+	if err := l.checkBatch(events); err != nil {
 		return 0, err
 	}
 	start := time.Now()
@@ -431,6 +474,7 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 			if err := l.adds[q].AppendPacked(k); err != nil {
 				return changed, err
 			}
+			l.logKeys++
 			l.st.ApplyInsert(c.U, c.V, q)
 			l.pending.AddEdge(int(q), c.U, c.V)
 			changed++
@@ -443,6 +487,7 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 			if err := l.dead[q].AppendPacked(k); err != nil {
 				return changed, err
 			}
+			l.logKeys++
 			l.st.ApplyDelete(c.U, c.V, q)
 			if !l.pending.RemoveAdd(int(q), c.U, c.V) {
 				l.pending.DelEdge(int(q), c.U, c.V)
@@ -459,6 +504,44 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 		l.publishLocked()
 	}
 	return changed, nil
+}
+
+// checkBatch validates a batch before any of it is applied: every op must be
+// known, and its insertions may name vertex ids only as far as the claim
+// rule graph applies to untrusted headers allows (graph.VertexClaimOK),
+// counted against the keys the logs will hold after the batch. That is the
+// bound Open applies, so a directory Apply wrote always reopens; and one
+// edge with an endpoint near 2³² cannot command a multi-GiB |V|×P slab.
+// The batch's own edges count only when the logs alone fall short, and
+// then only the distinct ones not yet live, each of which logs at least one
+// insertion.
+func (l *Live) checkBatch(events []dynpart.Event) error {
+	var need uint64 // vertex ids the batch's insertions name
+	for _, ev := range events {
+		switch ev.Op {
+		case dynpart.Add:
+			if ev.Edge.U != ev.Edge.V {
+				need = max(need, uint64(ev.Edge.U)+1, uint64(ev.Edge.V)+1)
+			}
+		case dynpart.Remove:
+		default:
+			return fmt.Errorf("live: unknown op %d", ev.Op)
+		}
+	}
+	if graph.VertexClaimOK(need, l.logKeys) {
+		return nil
+	}
+	fresh := make(map[uint64]struct{})
+	for _, ev := range events {
+		if c := ev.Edge.Canon(); ev.Op == dynpart.Add && c.U != c.V && l.ownerLocked(c.U, c.V) < 0 {
+			fresh[graph.PackEdge(c.U, c.V)] = struct{}{}
+		}
+	}
+	if keys := l.logKeys + uint64(len(fresh)); !graph.VertexClaimOK(need, keys) {
+		return fmt.Errorf("%w: endpoint %d would size state for %d vertices on %d logged edges",
+			ErrVertexClaim, need-1, need, keys)
+	}
+	return nil
 }
 
 // Rebalance migrates up to budget edges from partitions above the α cap to
@@ -497,6 +580,7 @@ func (l *Live) Rebalance(budget int) (int, error) {
 			if err := l.adds[t].AppendPacked(k); err != nil {
 				return moved, err
 			}
+			l.logKeys += 2
 			l.st.ApplyMove(e.U, e.V, q, t)
 			if !l.pending.RemoveAdd(int(q), e.U, e.V) {
 				l.pending.DelEdge(int(q), e.U, e.V)
@@ -512,9 +596,10 @@ func (l *Live) Rebalance(budget int) (int, error) {
 }
 
 // Compact folds the overlay into a fresh base store, rewrites the
-// per-partition logs to exactly the live edge set, and publishes the
-// compacted epoch. Readers keep serving from their pinned epochs
-// throughout; only writers wait.
+// per-partition logs to exactly the live edge set (unless those edges
+// would no longer back the largest vertex id; see compactLocked), and
+// publishes the compacted epoch. Readers keep serving from their pinned
+// epochs throughout; only writers wait.
 func (l *Live) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -529,40 +614,42 @@ func (l *Live) compactLocked() error {
 	defer func() { l.obsCompact.Observe(int64(time.Since(start))) }()
 	numParts := l.st.cfg.NumParts
 	packed := make([][]uint64, numParts)
-	// The writer view's vertex bound is stale (fixed at its creation), so
-	// derive the universe from the state slabs and the edges themselves.
-	n := max(l.base.NumVertices(), uint32(len(l.st.deg)), 1)
-	for q := 0; q < numParts; q++ {
+	// The writer view's vertex bound is stale (fixed at its creation); the
+	// state slabs cover every live endpoint.
+	for q := range packed {
 		packed[q] = l.view.ShardEdgesPacked(q)
-		if m := len(packed[q]); m > 0 {
-			if v := uint32(packed[q][m-1]) + 1; v > n {
-				n = v
-			}
-		}
 	}
-	base, err := store.BuildFromShards(n, packed)
+	base, err := store.BuildFromShards(max(l.base.NumVertices(), uint32(len(l.st.deg)), 1), packed)
 	if err != nil {
 		return err
 	}
 
 	// Rewrite the logs to the live edge set, one partition at a time, so a
 	// crash mid-compaction leaves every partition on one whole generation.
-	for q := 0; q < numParts; q++ {
-		if err := l.adds[q].Close(); err != nil {
-			return err
-		}
-		if err := l.dead[q].Close(); err != nil {
-			return err
-		}
-		if err := rewriteLogs(l.dir, q, numParts, packed[q]); err != nil {
-			return err
-		}
+	// The rewrite drops the logs' history, which Open counts toward the
+	// vertex claim, so it waits while the live edges alone would not back
+	// the largest live vertex id.
+	top := len(l.st.deg) // one past the largest live vertex id
+	for top > 0 && l.st.deg[top-1] == 0 {
+		top--
 	}
-	if l.adds, err = openLogs(l.dir, "part", numParts); err != nil {
-		return err
-	}
-	if l.dead, err = openLogs(l.dir, "dead", numParts); err != nil {
-		return err
+	if graph.VertexClaimOK(uint64(top), uint64(l.st.numEdges)) {
+		if err := l.closeLogs(); err != nil {
+			return err
+		}
+		for q := range packed {
+			if err := rewriteLogs(l.dir, q, numParts, packed[q]); err != nil {
+				return err
+			}
+		}
+		// The last rename must be durable before fresh tombstone logs are.
+		if err := syncDir(l.dir); err != nil {
+			return err
+		}
+		if err := l.openLogs(); err != nil {
+			return err
+		}
+		l.logKeys = uint64(l.st.numEdges)
 	}
 
 	l.base = base
@@ -578,17 +665,37 @@ func (l *Live) compactLocked() error {
 // part-q.esh.next, the tombstone log is removed, and the new log is renamed
 // over the old. Removing the tombstone log is the commit point: settleLogs
 // discards a .next while dead-q.esh exists and finishes the rename once it
-// is gone. A crash at any step thus replays one whole generation, never
-// the new insertions against the old tombstones.
+// is gone. The directory is fsynced between the steps, so a power cut
+// cannot reorder them either. A crash at any step thus replays one whole
+// generation, never the new insertions against the old tombstones.
 func rewriteLogs(dir string, q, numParts int, packed []uint64) error {
 	part := logPath(dir, "part", q)
 	if err := writeLogFile(part+nextSuffix, q, numParts, packed); err != nil {
 		return err
 	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
 	if err := os.Remove(logPath(dir, "dead", q)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
+	if err := syncDir(dir); err != nil {
+		return err
+	}
 	return os.Rename(part+nextSuffix, part)
+}
+
+// syncDir makes the renames and removals in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeLogFile atomically replaces path with a fresh log holding packed.
@@ -619,16 +726,7 @@ func (l *Live) Close() error {
 		return nil
 	}
 	l.closed = true
-	var firstErr error
-	for q := range l.adds {
-		if err := l.adds[q].Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := l.dead[q].Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return l.closeLogs()
 }
 
 // Checksum digests the full live graph — every partition's sorted live

@@ -148,9 +148,85 @@ func TestLiveRejectsUnbackedVertexIDs(t *testing.T) {
 	if _, err := l.Apply([]dynpart.Event{add(7, 1<<20-1)}); err != nil {
 		t.Fatalf("backed id rejected: %v", err)
 	}
+	// Repeats of a live edge log nothing, so they back nothing.
+	batch := make([]dynpart.Event, 1<<12)
+	for i := range batch {
+		batch[i] = add(2, 3)
+	}
+	if _, err := l.Apply(append(batch, add(9, 1<<20+5))); !errors.Is(err, ErrVertexClaim) {
+		t.Fatalf("id backed by repeats: err %v, want ErrVertexClaim", err)
+	}
 	if err := l.State().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLiveReopensAfterMassDeletion: Open counts every logged key,
+// tombstones included, toward the vertex claim, and a compaction keeps the
+// logs' history while the live edges alone would not back the largest id.
+// So a graph whose high id was backed by edges since deleted reopens, both
+// before and after a compaction, and the history goes once live edges
+// back the id again.
+func TestLiveReopensAfterMassDeletion(t *testing.T) {
+	const high = 1 << 21
+	dir := t.TempDir()
+	l, err := Open(dir, Config{NumParts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adds := []dynpart.Event{{Op: dynpart.Add, Edge: graph.Edge{U: 0, V: high}}}
+	var dels []dynpart.Event
+	for u := graph.Vertex(1); len(adds) <= high/256; u++ {
+		e := graph.Edge{U: u, V: u + 1}
+		adds = append(adds, dynpart.Event{Op: dynpart.Add, Edge: e})
+		dels = append(dels, dynpart.Event{Op: dynpart.Remove, Edge: e})
+	}
+	if _, err := l.Apply(adds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Apply(dels); err != nil {
+		t.Fatal(err)
+	}
+	if l.State().NumEdges() != 1 {
+		t.Fatalf("%d live edges, want 1", l.State().NumEdges())
+	}
+	want := l.Checksum()
+	reopen := func(stage string) {
+		t.Helper()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if l, err = Open(dir, Config{}); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if got := l.Checksum(); got != want {
+			t.Fatalf("%s: checksum %#x, want %#x", stage, got, want)
+		}
+		if err := l.State().CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	reopen("deleted")
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if l.logKeys != uint64(len(adds)+len(dels)) {
+		t.Fatalf("compaction left %d logged keys, want the %d of the history", l.logKeys, len(adds)+len(dels))
+	}
+	reopen("compacted")
+
+	if _, err := l.Apply(adds[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if l.logKeys != uint64(len(adds)) {
+		t.Fatalf("compaction of backed edges left %d logged keys, want %d", l.logKeys, len(adds))
+	}
+	want = l.Checksum()
+	reopen("re-added and compacted")
+	l.Close()
 }
 
 // TestLiveChecksumInvariantToBatchAndCompaction: the live checksum is a

@@ -239,6 +239,7 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 		name   string
 		mutate func(dir string) error
 	}{
+		{"delete part-0000", func(dir string) error { return os.Remove(logPath(dir, "part", 0)) }},
 		{"delete part-0005", func(dir string) error { return os.Remove(logPath(dir, "part", 5)) }},
 		{"delete part-0007", func(dir string) error { return os.Remove(logPath(dir, "part", 7)) }},
 		{"swap part-0001 and part-0002", func(dir string) error {
@@ -262,6 +263,29 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 			}
 		})
 	}
+
+	// A crash while Open writes a fresh directory's empty logs, tombstone
+	// logs first and part-0000.esh last, leaves a set without part-0000.esh
+	// that holds no edge: the next Open starts over.
+	t.Run("partial fresh directory", func(t *testing.T) {
+		dir := t.TempDir()
+		empty := map[logFile][]uint64{}
+		for q := 0; q < parts; q++ {
+			empty[logFile{"dead", q}] = nil
+		}
+		for q := parts / 2; q < parts; q++ {
+			empty[logFile{"part", q}] = nil
+		}
+		writeLogs(t, dir, parts, empty)
+		l, err := Open(dir, Config{NumParts: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if l.State().NumParts() != 4 || l.State().NumEdges() != 0 {
+			t.Fatalf("opened %d partitions, %d edges; want 4, 0", l.State().NumParts(), l.State().NumEdges())
+		}
+	})
 }
 
 // TestCompactionCrashStates: compaction rewrites one partition at a time —
@@ -366,10 +390,11 @@ func TestCompactionCrashStates(t *testing.T) {
 			states = append(states, state{part(q) + " " + step, rewriting(q, s)})
 		}
 	}
-	// After the rewrites, the tombstone logs are recreated one by one.
-	for q := 0; q < parts; q++ {
+	// After the rewrites, the tombstone logs are recreated one by one,
+	// highest partition first.
+	for q := parts - 1; q >= 0; q-- {
 		fs := rewriting(parts-1, 4)
-		for p := 0; p < q; p++ {
+		for p := q + 1; p < parts; p++ {
 			fs[dead(p)] = read(post, dead(p))
 		}
 		fs[dead(q)+".tmp"] = nil

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
 )
@@ -91,9 +90,6 @@ func NewState(cfg Config) (*State, error) {
 		sizes: make([]int64, cfg.NumParts),
 	}, nil
 }
-
-// Config returns the configuration.
-func (st *State) Config() Config { return st.cfg }
 
 // NumParts returns the partition count.
 func (st *State) NumParts() int { return st.cfg.NumParts }
@@ -160,37 +156,9 @@ func (st *State) EdgeBalance() float64 {
 	return float64(max) / (float64(sum) / float64(len(st.sizes)))
 }
 
-// ErrVertexClaim marks a batch rejected because its vertex ids would grow
-// the per-vertex slabs further than the live edges pay for.
-var ErrVertexClaim = errors.New("live: vertex ids not backed by live edges")
-
-// checkBatch validates a batch before any of it is applied: every op must be
-// known, and insertions may grow the per-vertex slabs only as far as the
-// claim rule graph applies to untrusted headers allows (graph.VertexClaimOK),
-// counting the batch's own insertions as live edges. Without it one edge
-// with an endpoint near 2³² commands a multi-GiB |V|×P slab.
-func (st *State) checkBatch(events []dynpart.Event) error {
-	var adds int64
-	var need uint64 // vertices the slabs must cover after the batch
-	for _, ev := range events {
-		switch ev.Op {
-		case dynpart.Add:
-			if ev.Edge.U != ev.Edge.V {
-				adds++
-				need = max(need, uint64(ev.Edge.U)+1, uint64(ev.Edge.V)+1)
-			}
-		case dynpart.Remove:
-		default:
-			return fmt.Errorf("live: unknown op %d", ev.Op)
-		}
-	}
-	edges := uint64(st.numEdges + adds)
-	if need > uint64(len(st.deg)) && !graph.VertexClaimOK(need, edges) {
-		return fmt.Errorf("%w: endpoint %d would size state for %d vertices on %d live edges",
-			ErrVertexClaim, need-1, need, edges)
-	}
-	return nil
-}
+// ErrVertexClaim marks a batch or a directory rejected because its vertex
+// ids would size the per-vertex slabs further than the logged edges pay for.
+var ErrVertexClaim = errors.New("live: vertex ids not backed by logged edges")
 
 // grow extends the per-vertex slabs to cover v.
 func (st *State) grow(v graph.Vertex) {
@@ -214,12 +182,6 @@ func (st *State) countsRow(v graph.Vertex) []uint32 {
 	}
 	p := st.cfg.NumParts
 	return st.counts[int(v)*p : (int(v)+1)*p]
-}
-
-// HasReplica reports whether v has at least one live edge on partition q.
-func (st *State) HasReplica(v graph.Vertex, q int) bool {
-	row := st.countsRow(v)
-	return row != nil && row[q] > 0
 }
 
 // EachReplica calls fn for every partition holding a live edge of v, in
