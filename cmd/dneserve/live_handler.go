@@ -50,7 +50,7 @@ func (ls *liveService) restore() []error {
 	if ls.dir == "" {
 		return nil
 	}
-	if _, err := os.Stat(filepath.Join(ls.dir, "part-0000.esh")); os.IsNotExist(err) {
+	if bases, err := filepath.Glob(filepath.Join(ls.dir, "shard-0000-of-*.esz")); err != nil || len(bases) == 0 {
 		return nil
 	}
 	lv, err := live.Open(ls.dir, live.Config{})

@@ -60,7 +60,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request partitioning deadline (0 = none)")
 	maxStores := flag.Int("max-stores", defaultMaxStores, "maximum resident query stores")
 	storeDir := flag.String("store-dir", "", "persist each store as a shard directory here and restore them at startup")
-	liveDir := flag.String("live-dir", "", "root the live graph here (per-partition logs) and reopen it at startup")
+	liveDir := flag.String("live-dir", "", "root the live graph here (per-partition bases and tails) and reopen it at startup")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics and /debug/trace on this extra listener (empty = off)")
 	quiet := flag.Bool("quiet", false, "suppress the structured access log")
 	maxInflight := flag.Int("max-inflight", 0, "concurrently executing heavy requests (0 = 2×GOMAXPROCS)")
@@ -93,9 +93,9 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	// SIGINT/SIGTERM drain the server, then seal the live graph's logs, so
-	// a restart with the same -live-dir resumes exactly (the logs replay to
-	// the identical graph).
+	// SIGINT/SIGTERM drain the server, then seal the live graph's tails, so
+	// a restart with the same -live-dir resumes exactly (bases and tails
+	// merge to the identical graph).
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {

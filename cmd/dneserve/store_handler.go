@@ -3,8 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/distributedne/dne/internal/binio"
 	"github.com/distributedne/dne/internal/obs"
 	"github.com/distributedne/dne/internal/store"
 )
@@ -313,8 +314,11 @@ func (sr *storeRegistry) drop(id string) bool {
 }
 
 // persist writes st and its sidecar into a temporary directory under
-// sr.dir (a dot name, which no store has), syncs every file, and renames it
-// over <name>/. A failed write leaves nothing a restart would trip over.
+// sr.dir (a dot name, which no store has), and renames it over <name>/.
+// Every file is written durably (store.WriteDir, binio.Replace), so the
+// rename publishes complete contents. A failed write leaves nothing a
+// restart would load, and a crash leaves the temporary directory for
+// restore to delete.
 func (sr *storeRegistry) persist(name string, info StoreInfo, st *store.Store) error {
 	if err := os.MkdirAll(sr.dir, 0o755); err != nil {
 		return err
@@ -326,13 +330,13 @@ func (sr *storeRegistry) persist(name string, info StoreInfo, st *store.Store) e
 	defer os.RemoveAll(tmp) // a no-op once renamed
 	meta, err := json.Marshal(info)
 	if err == nil {
-		err = os.WriteFile(filepath.Join(tmp, infoFile), meta, 0o644)
+		_, err = binio.Replace(filepath.Join(tmp, infoFile), func(w io.Writer) error {
+			_, err := w.Write(meta)
+			return err
+		})
 	}
 	if err == nil {
 		err = sr.writeStore(tmp, st)
-	}
-	if err == nil {
-		err = syncFiles(tmp)
 	}
 	if err == nil {
 		err = os.RemoveAll(filepath.Join(sr.dir, name)) // a store restore left unloaded
@@ -343,24 +347,13 @@ func (sr *storeRegistry) persist(name string, info StoreInfo, st *store.Store) e
 	return err
 }
 
-// syncFiles fsyncs every file in dir, so a rename publishes complete
-// contents even across a power cut.
-func syncFiles(dir string) error {
-	entries, err := os.ReadDir(dir)
-	for _, de := range entries {
-		var f *os.File
-		if f, err = os.Open(filepath.Join(dir, de.Name())); err != nil {
-			break
-		}
-		if err = errors.Join(f.Sync(), f.Close()); err != nil {
-			break
-		}
-	}
-	return err
-}
+// persistTempRE matches the temporary directory persist writes a store
+// into: a dot, the store's name, a dash and MkdirTemp's digits.
+var persistTempRE = regexp.MustCompile(`^\.[a-zA-Z0-9_-]{1,64}-[0-9]+$`)
 
 // restore loads every store directory under dir; corrupt ones are skipped
-// with an error list so one bad store doesn't take the server down.
+// with an error list so one bad store doesn't take the server down. The
+// temporary directories of persists a crash cut short are deleted.
 func (sr *storeRegistry) restore() []error {
 	if sr.dir == "" {
 		return nil
@@ -375,6 +368,13 @@ func (sr *storeRegistry) restore() []error {
 	var errs []error
 	for _, de := range entries {
 		name := de.Name()
+		if de.IsDir() && persistTempRE.MatchString(name) {
+			// A persist the server crashed in: never published.
+			if err := os.RemoveAll(filepath.Join(sr.dir, name)); err != nil {
+				errs = append(errs, err)
+			}
+			continue
+		}
 		if !de.IsDir() || !storeNameRE.MatchString(name) {
 			continue
 		}

@@ -435,6 +435,35 @@ func TestPersistFailureLeavesNoFile(t *testing.T) {
 	}
 }
 
+// TestRestoreDeletesCrashedPersist: a crash inside persist leaves its
+// temporary directory, a shard file in it, under the store directory. It was
+// never published, so a restart deletes it and lists no store.
+func TestRestoreDeletesCrashedPersist(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, ".s1-123456")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tmp, "shard-0000-of-0001.esz"), []byte("ESZ1 partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, errs := newHandlerWithStores(100_000, time.Minute, 4, dir)
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("crashed persist's directory survived the restart: %v", err)
+	}
+	rec := doJSON(t, h, http.MethodGet, "/api/store", nil)
+	var list []StoreStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 0 {
+		t.Fatalf("restored %+v from a crashed persist", list)
+	}
+}
+
 // TestPersistDoesNotBlockQueries: while one store's persist is stalled
 // mid-write, queries to another resident store and the store listing still
 // answer, and the stalled name is taken but not served.

@@ -2,10 +2,11 @@
 // snapshot partitioned offline with Distributed NE seeds the live graph;
 // then edges arrive and depart while it answers queries — arrivals are
 // placed incrementally by the replica-aware greedy partitioner, land in
-// append-only EShard logs, accumulate in a mutable overlay over the
+// append-only EShard tails, accumulate in a mutable overlay over the
 // immutable CSR base, and a compactor folds them into fresh epochs that
-// readers pin and never block on. The same directory reopens to the
-// bit-identical graph after a graceful Close.
+// readers pin and never block on, and into fresh sorted ESZ1 bases on disk.
+// The same directory reopens to the bit-identical graph after a graceful
+// Close, and store.ReadDir reads it as a store once compacted.
 //
 //	go run ./examples/live
 package main
@@ -32,9 +33,11 @@ func main() {
 
 	// 1. Yesterday's snapshot of a skewed social graph, partitioned offline
 	//    with Distributed NE into 8 parts, seeds the live graph. Create
-	//    writes each partition's edges as its append-only insertion log
-	//    (part-NNNN.esh; tombstones go to dead-NNNN.esh) and rebuilds the
-	//    placement state from them. The logs are all the directory holds.
+	//    writes each partition's edges as its sorted ESZ1 base
+	//    (shard-QQQQ-of-0008.esz, the file store.WriteDir writes) and
+	//    rebuilds the placement state from them. Insertions and tombstones
+	//    since the base go to two raw tails beside it (.add and .dead);
+	//    bases and tails are all the directory holds.
 	const parts, seed = 8, 42
 	snapshot := gen.RMAT(12, 16, seed)
 	res, err := dne.Partition(snapshot, parts, dne.DefaultConfig())
@@ -51,7 +54,7 @@ func main() {
 
 	// 2. Today's traffic: a seeded churn stream (10% deletions) of edges
 	//    from a future region of the graph. Apply ingests a batch — greedy
-	//    placement, log append, overlay update — and publishes ONE new
+	//    placement, tail append, overlay update — and publishes ONE new
 	//    epoch per batch: the batch is the visibility granularity.
 	future := gen.RMAT(13, 16, seed+1)
 	stream := dynpart.Churn(future, 300_000, 0.1, seed)
@@ -69,7 +72,7 @@ func main() {
 	// 3. Readers pin an epoch once and query a frozen view. Compaction
 	//    publishes a NEW epoch; the pinned one stays valid and immutable,
 	//    so the answers below are batch-consistent even though the base
-	//    CSR is rebuilt underneath.
+	//    CSR is rebuilt underneath and each partition rebased on disk.
 	ep := lv.Epoch()
 	before, err := ep.Neighbors(0)
 	if err != nil {
@@ -95,7 +98,7 @@ func main() {
 	//    the rebalancer real work: a correlated departure wave empties half
 	//    of each low partition, pushing the others over the α cap. The
 	//    bounded rebalance then migrates at most `budget` edges, each as a
-	//    delete+re-add pair through the same logs, so durability and
+	//    delete+re-add pair through the same tails, so durability and
 	//    epochs see it as ordinary traffic.
 	ep = lv.Epoch()
 	var wave []dynpart.Event
@@ -115,14 +118,15 @@ func main() {
 	fmt.Printf("departure wave of %d edges, then rebalance moved %d (%d bytes migrated)\n",
 		len(wave), moved, lv.Stats().MigratedBytes)
 
-	// 5. Close seals the logs (terminator + footer); reopening the
-	//    directory replays them to the bit-identical graph — same (edge,
-	//    owner) checksum — and rebuilds the placement state from it.
+	// 5. Close seals the tails (terminator + footer); reopening the
+	//    directory merges them into the bases to the bit-identical graph —
+	//    same (edge, owner) checksum — and rebuilds the placement state
+	//    from it.
 	sum := lv.Checksum()
 	if err := lv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	lv2, err := live.Open(dir, live.Config{}) // parts adopted from the logs
+	lv2, err := live.Open(dir, live.Config{}) // parts adopted from the bases
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -271,22 +271,6 @@ func TestEpochSetWrap(t *testing.T) {
 
 // --- sorts ---
 
-func TestSortU32MatchesSlices(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 5, sortSmall - 1, sortSmall + 1, 50_000} {
-		keys := make([]uint32, n)
-		for i := range keys {
-			keys[i] = rng.Uint32() >> uint(rng.Intn(20)) // mix of ranges
-		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		SortU32(keys)
-		if !slices.Equal(keys, want) {
-			t.Fatalf("n=%d: SortU32 mismatch", n)
-		}
-	}
-}
-
 func TestSortU64MatchesSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 3, sortSmall + 7, 120_000} {

@@ -25,15 +25,6 @@ const (
 	sortMinChunk = 1 << 16
 )
 
-// SortU32 sorts keys ascending.
-func SortU32(keys []uint32) {
-	if len(keys) < sortSmall {
-		slices.Sort(keys)
-		return
-	}
-	radixSort(keys, make([]uint32, len(keys)), 2)
-}
-
 // SortU64 sorts keys ascending.
 func SortU64(keys []uint64) {
 	if len(keys) < sortSmall {

@@ -33,7 +33,7 @@ func fuzzSeedZShard() []byte {
 		panic(err)
 	}
 	for _, e := range []Edge{{1, 2}, {1, 3}, {5, 9}} {
-		if err := zw.Append(e.U, e.V); err != nil {
+		if err := zw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 			panic(err)
 		}
 	}

@@ -32,18 +32,6 @@ func (e Edge) Canon() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not v. It panics if v is not an
-// endpoint of e.
-func (e Edge) Other(v Vertex) Vertex {
-	switch v {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %v", v, e))
-}
-
 // Graph is an undirected graph with dense vertex ids and canonical,
 // deduplicated edges. The zero value is an empty graph; use Build or
 // FromEdges to construct a usable one.

@@ -23,7 +23,7 @@ func writeAppendCycles(t *testing.T, path string, cycles ...[]Edge) ([]byte, []u
 			t.Fatal(err)
 		}
 		for _, e := range edges {
-			if err := sw.Append(e.U, e.V); err != nil {
+			if err := sw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -329,7 +329,7 @@ func TestRecoverShardTail(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovered file rejected for append: %v", err)
 			}
-			if err := sw.Append(40, 41); err != nil {
+			if err := sw.AppendPacked(PackEdge(40, 41)); err != nil {
 				t.Fatal(err)
 			}
 			if err := sw.Close(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/distributedne/dne/internal/dsa"
@@ -438,15 +437,6 @@ func newShardWriter(w io.Writer, c *shardCodec, info ShardInfo) (*ShardWriter, e
 	return sw, nil
 }
 
-// Append adds an undirected edge, canonicalizing it first. Self loops are
-// dropped (as FromEdges would drop them) so shard consumers never see them.
-func (sw *ShardWriter) Append(u, v Vertex) error {
-	if u == v {
-		return nil
-	}
-	return sw.AppendPacked(PackEdge(u, v))
-}
-
 // AppendPacked adds an already-packed canonical edge key. A key the reader
 // would reject — not canonical, an endpoint past |V|, or for ESZ1 below its
 // predecessor — errors, and the error is sticky: every later call returns
@@ -749,67 +739,3 @@ func ShardsOf(g *Graph, p int) []*Shard {
 	}
 	return out
 }
-
-// LocalCSR is a compressed adjacency over a shard's local vertices only: no
-// array is sized by the global vertex count, which is what lets a rank index
-// its share of a graph whose |V| exceeds its memory. Local vertex ids are
-// positions in the sorted Verts slice.
-type LocalCSR struct {
-	Verts  []Vertex // sorted distinct local vertices
-	Off    []int64  // len(Verts)+1 offsets into Target
-	Target []Vertex // neighbor global ids, per local adjacency slot
-}
-
-// CSR builds the local CSR of the shard's edges. The shard is not modified;
-// duplicates contribute parallel adjacency slots, so callers wanting a
-// simple graph should SortDedup first.
-func (s *Shard) CSR() *LocalCSR {
-	// Distinct endpoints, sorted: collect, sort, compact — all O(local).
-	verts := make([]Vertex, 0, 2*len(s.Packed))
-	for _, k := range s.Packed {
-		verts = append(verts, Vertex(k>>32), Vertex(k))
-	}
-	dsa.SortU32(verts)
-	verts = slices.Compact(verts)
-	lidOf := func(v Vertex) int {
-		i, _ := slices.BinarySearch(verts, v)
-		return i
-	}
-	n := len(verts)
-	c := &LocalCSR{Verts: verts, Off: make([]int64, n+1)}
-	for _, k := range s.Packed {
-		c.Off[lidOf(Vertex(k>>32))+1]++
-		c.Off[lidOf(Vertex(k))+1]++
-	}
-	for v := 0; v < n; v++ {
-		c.Off[v+1] += c.Off[v]
-	}
-	c.Target = make([]Vertex, c.Off[n])
-	cursor := make([]int64, n)
-	for _, k := range s.Packed {
-		u, v := Vertex(k>>32), Vertex(k)
-		lu, lv := lidOf(u), lidOf(v)
-		c.Target[c.Off[lu]+cursor[lu]] = v
-		cursor[lu]++
-		c.Target[c.Off[lv]+cursor[lv]] = u
-		cursor[lv]++
-	}
-	return c
-}
-
-// LocalID returns the local id of global vertex v, or -1 when v has no local
-// edge. O(log |local V|): the mapping is computed, not stored globally.
-func (c *LocalCSR) LocalID(v Vertex) int {
-	i := sort.Search(len(c.Verts), func(j int) bool { return c.Verts[j] >= v })
-	if i < len(c.Verts) && c.Verts[i] == v {
-		return i
-	}
-	return -1
-}
-
-// Degree returns the local degree of local vertex lv.
-func (c *LocalCSR) Degree(lv int) int64 { return c.Off[lv+1] - c.Off[lv] }
-
-// Neighbors returns the neighbor global ids of local vertex lv. Callers must
-// not mutate the slice.
-func (c *LocalCSR) Neighbors(lv int) []Vertex { return c.Target[c.Off[lv]:c.Off[lv+1]] }

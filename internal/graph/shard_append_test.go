@@ -18,7 +18,7 @@ func writeShardFile(t *testing.T, path string, numVertices uint32, edges []Edge)
 		t.Fatal(err)
 	}
 	for _, e := range edges {
-		if err := sw.Append(e.U, e.V); err != nil {
+		if err := sw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestShardAppendRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < count; i++ {
 			u := Vertex(gen*100000 + i)
-			if err := sw.Append(u, u+1); err != nil {
+			if err := sw.AppendPacked(PackEdge(u, u+1)); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, PackEdge(u, u+1))
@@ -115,7 +115,7 @@ func TestShardAppendRewritesDeclaredHeaderCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Append(5, 6); err != nil {
+	if err := sw.AppendPacked(PackEdge(5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

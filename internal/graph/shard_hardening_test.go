@@ -22,7 +22,7 @@ func validShardBytes(t testing.TB, numVertices uint32, edges []Edge) []byte {
 		t.Fatal(err)
 	}
 	for _, e := range edges {
-		if err := sw.Append(e.U, e.V); err != nil {
+		if err := sw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestShardWriterAppendAfterClose(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Append(0, 1); err == nil {
+	if err := sw.AppendPacked(PackEdge(0, 1)); err == nil {
 		t.Error("append after close accepted")
 	}
 }

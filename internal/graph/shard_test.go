@@ -115,13 +115,10 @@ func TestShardWriterReaderRoundTrip(t *testing.T) {
 	}
 	want := []uint64{}
 	for _, e := range testEdges() {
-		if err := sw.Append(e.U, e.V); err != nil {
+		if err := sw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, PackEdge(e.U, e.V))
-	}
-	if err := sw.Append(3, 3); err != nil { // self loop: dropped
-		t.Fatal(err)
 	}
 	if sw.NumWritten() != uint64(len(want)) {
 		t.Fatalf("NumWritten = %d, want %d", sw.NumWritten(), len(want))
@@ -155,7 +152,7 @@ func TestShardRoundTripAcrossChunkBoundaries(t *testing.T) {
 	for i := 0; i < n; i++ {
 		u := Vertex(i % 1000)
 		v := Vertex(1000 + i%7000)
-		if err := sw.Append(u, v); err != nil {
+		if err := sw.AppendPacked(PackEdge(u, v)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, PackEdge(u, v))
@@ -263,39 +260,6 @@ func TestShardSortDedup(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, s.SortDedup); allocs != 0 || !slices.Equal(s.Packed, want) {
 		t.Fatalf("strictly ascending input: %v allocations, edges %v", allocs, s.Packed)
-	}
-}
-
-func TestShardLocalCSRMatchesGlobalCSR(t *testing.T) {
-	g := FromEdges(0, testEdges())
-	shards := ShardsOf(g, 3)
-	for si, s := range shards {
-		c := s.CSR()
-		// No array sized by the global vertex count.
-		if len(c.Verts) > 2*len(s.Packed) {
-			t.Fatalf("shard %d: %d local verts for %d edges", si, len(c.Verts), len(s.Packed))
-		}
-		// Every local adjacency must be a subset of the global adjacency,
-		// and local degrees must sum to 2·|local E|.
-		var degSum int64
-		for lv, v := range c.Verts {
-			if got := c.LocalID(v); got != lv {
-				t.Fatalf("LocalID(%d) = %d, want %d", v, got, lv)
-			}
-			degSum += c.Degree(lv)
-			global := g.Neighbors(v)
-			for _, nb := range c.Neighbors(lv) {
-				if !slices.Contains(global, nb) {
-					t.Fatalf("shard %d: local edge (%d,%d) not in graph", si, v, nb)
-				}
-			}
-		}
-		if degSum != 2*int64(len(s.Packed)) {
-			t.Fatalf("shard %d: degree sum %d != 2·%d", si, degSum, len(s.Packed))
-		}
-		if c.LocalID(g.NumVertices()+100) != -1 {
-			t.Fatal("LocalID of absent vertex should be -1")
-		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/distributedne/dne/internal/binio"
 )
 
 // ReadShardDir loads the shard files in dir (*.esh raw, *.esz compressed,
@@ -54,6 +56,19 @@ func ReadShards(dir string) (uint32, [][]uint64, error) {
 	return files[0].info.NumVertices, parts, nil
 }
 
+// ReadShardFile decodes the one shard file at path, checked end to end as
+// a file of ReadShards' directory is, and returns its header and its edges
+// in file order. The header's index, count and |V| are checked against
+// nothing else: that is the caller's to do.
+func ReadShardFile(path string) (ShardInfo, []uint64, error) {
+	sf, err := peekShardFile(path)
+	if err != nil {
+		return ShardInfo{}, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	keys, err := appendShardFile(make([]uint64, 0, sf.capEdges()), sf)
+	return sf.info, keys, err
+}
+
 // appendShardFile decodes the edges of the scanned shard file sf onto dst.
 func appendShardFile(dst []uint64, sf shardDirFile) ([]uint64, error) {
 	f, err := os.Open(sf.path)
@@ -76,8 +91,12 @@ func appendShardFile(dst []uint64, sf shardDirFile) ([]uint64, error) {
 
 // ShardFileName returns the conventional file name of raw shard i of n
 // (shard-0000-of-0016.esh), shared by every writer and consumer of shard
-// directories; compressed shards take the .esz extension instead.
+// directories; CompressedShardFileName is its ESZ1 twin (.esz).
 func ShardFileName(i, n int) string { return rawCodec.fileName(i, n) }
+
+// CompressedShardFileName returns the conventional file name of ESZ1 shard
+// i of n (shard-0000-of-0016.esz).
+func CompressedShardFileName(i, n int) string { return zCodec.fileName(i, n) }
 
 // WriteCanonicalShards stripes g's canonical edge list across count EShard
 // files in dir (the ShardsOf layout under the conventional names). Read
@@ -105,30 +124,39 @@ func writeCanonicalShards(dir string, g *Graph, count int, c *shardCodec) error 
 	}
 	for i, sh := range ShardsOf(g, count) {
 		info := ShardInfo{NumVertices: sh.NumVertices, Index: uint32(i), Count: uint32(count)}
-		if err := writeStripe(dir, c, info, sh.Packed); err != nil {
+		sw, err := createShardFile(filepath.Join(dir, c.fileName(i, count)), c, info)
+		if err == nil {
+			err = appendAndClose(sw, sh.Packed)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteCompressedShard writes keys, ascending packed canonical edges, into
-// dir as ESZ1 shard info.Index of info.Count under its conventional name.
-func WriteCompressedShard(dir string, info ShardInfo, keys []uint64) error {
-	return writeStripe(dir, zCodec, info, keys)
+// WriteCompressedShard durably writes keys, ascending packed canonical
+// edges, to path as an ESZ1 shard with header info. It goes through
+// binio.Replace, so path holds its old contents or all of the new ones,
+// fsynced, even across a power cut. It is the one writer of the sorted
+// shards a store directory and a live directory hold.
+func WriteCompressedShard(path string, info ShardInfo, keys []uint64) error {
+	_, err := binio.Replace(path, func(w io.Writer) error {
+		sw, err := NewZShardWriter(w, info)
+		if err != nil {
+			return err
+		}
+		return appendAndClose(sw, keys)
+	})
+	return err
 }
 
-// writeStripe is the one per-index shard writer: keys go to shard
-// info.Index of info.Count in dir, in codec c, under its conventional name.
-func writeStripe(dir string, c *shardCodec, info ShardInfo, keys []uint64) error {
-	sw, err := createShardFile(filepath.Join(dir, c.fileName(int(info.Index), int(info.Count))), c, info)
-	if err != nil {
-		return err
-	}
+// appendAndClose appends keys to sw and closes it. A rejected key stops
+// the appends, and Close returns it.
+func appendAndClose(sw *ShardWriter, keys []uint64) error {
 	for _, k := range keys {
-		if err := sw.AppendPacked(k); err != nil {
-			sw.Close()
-			return err
+		if sw.AppendPacked(k) != nil {
+			break
 		}
 	}
 	return sw.Close()

@@ -23,7 +23,7 @@ func oneFileShardDir(t testing.TB, numVertices uint32, edges []Edge) string {
 		t.Fatal(err)
 	}
 	for _, e := range edges {
-		if err := sw.Append(e.U, e.V); err != nil {
+		if err := sw.AppendPacked(PackEdge(e.U, e.V)); err != nil {
 			t.Fatal(err)
 		}
 	}

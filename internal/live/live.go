@@ -2,14 +2,17 @@ package live
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,19 +25,21 @@ import (
 	"github.com/distributedne/dne/internal/store"
 )
 
-// logNumVertices is the vertex bound declared by the per-partition logs:
-// the live vertex universe grows with the stream, so logs are unbounded.
-const logNumVertices = ^uint32(0)
-
 // defaultMinOverlay is the smallest auto-compaction threshold: the overlay
 // may always grow to this many mutations before a compaction triggers.
 const defaultMinOverlay = 1 << 16
 
 // Live is the dynamic-graph subsystem rooted in one directory, which holds
-// two append-only EShard logs per partition and nothing else:
+// three files per partition q of P and nothing else:
 //
-//	part-NNNN.esh   insertion log
-//	dead-NNNN.esh   tombstone log
+//	shard-QQQQ-of-PPPP.esz   base: the sorted ESZ1 live edges of the last compaction
+//	shard-QQQQ-of-PPPP.add   tail: raw EShard insertions since the base
+//	shard-QQQQ-of-PPPP.dead  tail: raw EShard tombstones since the base
+//
+// The bases are a store directory: store.WriteDir writes the same files, so
+// Open adopts a store directory as a live graph with empty tails, and
+// store.ReadDir reads a live directory that was compacted and closed. The
+// tails' extensions keep shard scanners (*.esh, *.esz) from reading them.
 //
 // Mutations (Apply, Rebalance, Compact) serialize on one mutex; queries
 // never take it — they pin the current Epoch with one atomic load and run
@@ -52,7 +57,7 @@ type Live struct {
 	dead    []*graph.ShardWriter
 	seq     uint64
 	ncomp   int64  // compactions performed
-	logKeys uint64 // edge keys the logs hold, insertions and tombstones
+	logKeys uint64 // edge keys the bases and tails hold, insertions and tombstones
 	closed  bool
 
 	epoch       atomic.Pointer[store.Epoch] // published snapshot; readers load and go
@@ -75,24 +80,23 @@ func (l *Live) maxOverlay() int64 {
 }
 
 // Open opens (or creates) a live graph in dir and rebuilds its placement
-// state from the logs, the one durable copy of the graph. The insertion
-// logs carry the partition count: cfg.NumParts must match it, and zero
-// adopts it. Every log must declare its own partition and that count in
-// its header. The logged edge keys, insertions and tombstones alike, must
-// back the largest live vertex id (graph.VertexClaimOK): Apply and Compact
-// keep every directory they write that way, and Open refuses any other
-// with ErrVertexClaim before sizing the slabs for it.
+// state from the bases and tails, the one durable copy of the graph. The
+// bases carry the partition count: cfg.NumParts must match it, and zero
+// adopts it. Each file's header must name its partition and that count.
+// All their edge keys, tombstones too, must back the largest live vertex id
+// (graph.VertexClaimOK), as Apply and Compact keep them; Open refuses any
+// other directory with ErrVertexClaim before sizing the slabs for it.
 func Open(dir string, cfg Config) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	n, err := settleLogs(dir)
+	n, err := settle(dir)
 	if err != nil {
 		return nil, err
 	}
 	if n > 0 {
 		if cfg.NumParts != 0 && cfg.NumParts != n {
-			return nil, fmt.Errorf("live: log directory holds %d partitions, config asks %d", n, cfg.NumParts)
+			return nil, fmt.Errorf("live: directory holds %d partitions, config asks %d", n, cfg.NumParts)
 		}
 		cfg.NumParts = n
 	}
@@ -101,45 +105,41 @@ func Open(dir string, cfg Config) (*Live, error) {
 		return nil, err
 	}
 	numParts := st.cfg.NumParts
+	if n == 0 {
+		if err := writeBases(dir, 0, make([][]uint64, numParts)); err != nil {
+			return nil, err
+		}
+	}
 
-	// Replay the logs: per partition, live edges are insertions minus
-	// tombstones (counts alternate 1/0 per edge — an edge is tombstoned
-	// only while live, re-inserted only while dead).
 	var rec Recovery
 	packed := make([][]uint64, numParts)
 	var maxV graph.Vertex
 	var logKeys uint64
-	for q := 0; q < numParts; q++ {
-		counts := make(map[uint64]int64)
-		if err := replayLog(dir, "part", q, numParts, &rec, func(k uint64) { counts[k]++; logKeys++ }); err != nil {
-			return nil, err
-		}
-		if err := replayLog(dir, "dead", q, numParts, &rec, func(k uint64) { counts[k]--; logKeys++ }); err != nil {
-			return nil, err
-		}
-		for k, c := range counts {
-			if c == 1 {
-				packed[q] = append(packed[q], k)
-				maxV = max(maxV, graph.UnpackEdge(k).V+1)
-			} else if c != 0 {
-				return nil, fmt.Errorf("live: partition %d log count %d for edge %#x (want 0 or 1)", q, c, k)
+	for q := range packed {
+		var runs [3][]uint64
+		for i, kind := range []string{kindBase, tailAdd, tailDead} {
+			if runs[i], err = readRun(dir, kind, q, numParts, &rec); err != nil {
+				return nil, err
 			}
+			logKeys += uint64(len(runs[i]))
 		}
-		slices.Sort(packed[q])
+		if packed[q], err = merge(q, runs); err != nil {
+			return nil, err
+		}
+		for _, k := range packed[q] {
+			maxV = max(maxV, graph.UnpackEdge(k).V+1)
+		}
 	}
 	if !graph.VertexClaimOK(uint64(maxV), logKeys) {
-		return nil, fmt.Errorf("%w: logs name vertex %d with %d logged edges", ErrVertexClaim, maxV-1, logKeys)
+		return nil, fmt.Errorf("%w: directory names vertex %d with %d edge keys", ErrVertexClaim, maxV-1, logKeys)
 	}
 	for q, ks := range packed {
 		for _, k := range ks {
 			e := graph.UnpackEdge(k)
-			st.grow(e.V)
-			st.addIncidence(e.U, int32(q))
-			st.addIncidence(e.V, int32(q))
-			st.sizes[q]++
-			st.numEdges++
+			st.ApplyInsert(e.U, e.V, int32(q))
 		}
 	}
+	st.events = 0                                  // Events count since Open
 	maxV = max(maxV, graph.Vertex(len(st.deg)), 1) // BuildFromShards wants a nonempty universe
 
 	base, err := store.BuildFromShards(uint32(maxV), packed)
@@ -165,9 +165,8 @@ func Open(dir string, cfg Config) (*Live, error) {
 // Create seeds a new live graph in dir from a static partitioning p of g:
 // the §8 workflow of partitioning a snapshot offline, typically with
 // Distributed NE, then maintaining it incrementally. Each partition's edges
-// become its insertion log and Open rebuilds the placement state from
-// them. Zero cfg.NumParts adopts p's count; dir must not already hold a
-// live graph.
+// become its base and Open rebuilds the placement state from them. Zero
+// cfg.NumParts adopts p's count; dir must not already hold a live graph.
 func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (*Live, error) {
 	if err := p.Validate(g); err != nil {
 		return nil, fmt.Errorf("live: seed partitioning invalid: %w", err)
@@ -181,12 +180,8 @@ func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	for _, name := range []string{"part-0000.esh", "dead-0000.esh"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return nil, fmt.Errorf("live: %s already holds a live graph (%s)", dir, name)
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
+	if bases, _ := filepath.Glob(filepath.Join(dir, "shard-0000-of-*.esz")); len(bases) > 0 {
+		return nil, fmt.Errorf("live: %s already holds a live graph (%s)", dir, filepath.Base(bases[0]))
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -197,175 +192,189 @@ func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (
 		q := p.Owner[i]
 		packed[q] = append(packed[q], graph.PackEdge(e.U, e.V))
 	}
-	// part-0000.esh goes last, as in openLogs: until it exists, a crashed
-	// Create can rerun.
-	for q := cfg.NumParts - 1; q >= 0; q-- {
-		if err := writeLogFile(logPath(dir, "part", q), q, cfg.NumParts, packed[q]); err != nil {
-			return nil, err
-		}
+	if err := writeBases(dir, g.NumVertices(), packed); err != nil {
+		return nil, err
 	}
 	return Open(dir, cfg)
 }
 
-func logPath(dir, kind string, q int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%04d.esh", kind, q))
+// The kinds of a partition's files.
+const (
+	kindBase = "esz"  // the base
+	tailAdd  = "add"  // insertions since the base
+	tailDead = "dead" // tombstones since the base
+)
+
+// runPath is partition q's file of kind kind: the base is ESZ1 shard q of
+// numParts under the store's file name, and each tail sits beside it with
+// its kind as the extension.
+func runPath(dir, kind string, q, numParts int) string {
+	return filepath.Join(dir, strings.TrimSuffix(graph.CompressedShardFileName(q, numParts), kindBase)+kind)
 }
 
-// logName matches a log file of a live directory.
-var logName = regexp.MustCompile(`^(part|dead)-(\d{4})\.esh$`)
+// layoutName matches a file of a live directory: partition, partition count,
+// kind and the temp suffix of a write in progress; nextSuffix marks the
+// base a compaction writes beside the old one (see rebase).
+var layoutName = regexp.MustCompile(`^shard-(\d{4})-of-(\d{4})\.(esz|esz\.next|add|dead)(\.tmp)?$`)
 
-// nextSuffix marks the compacted insertion log a compaction writes beside
-// the old one; see rewriteLogs.
 const nextSuffix = ".next"
 
-// settleLogs finishes what a crash left half done in dir and returns its
-// partition count: the number of insertion logs, which must run from
-// part-0000.esh with no gap and no tombstone log past the last. Temp files
-// of interrupted writes are deleted, and each partition's compaction is
-// completed or discarded by rewriteLogs's commit rule. part-0000.esh is
-// written last (see openLogs), so logs without it never formed a whole
-// directory; when none of them holds an edge, they are what a crash leaves
-// while Open writes a fresh directory's empty logs, and they are deleted.
-func settleLogs(dir string) (int, error) {
-	tmps, err := filepath.Glob(filepath.Join(dir, "*.esh*.tmp"))
-	if err != nil {
-		return 0, err
-	}
-	for _, tmp := range tmps {
-		if err := os.Remove(tmp); err != nil {
-			return 0, err
+// writeBases writes packed[q] as partition q's base with header |V| nv,
+// highest partition first: base 0 comes last and marks a whole directory.
+func writeBases(dir string, nv uint32, packed [][]uint64) error {
+	n := len(packed)
+	for q := n - 1; q >= 0; q-- {
+		info := graph.ShardInfo{NumVertices: nv, Index: uint32(q), Count: uint32(n)}
+		if err := graph.WriteCompressedShard(runPath(dir, kindBase, q, n), info, packed[q]); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// settle finishes what a crash left half done in dir and returns its
+// partition count, which base 0's name gives. It deletes temp files, and
+// completes or discards each compaction by rebase's commit rule. Files
+// without base 0 never formed a whole directory (see writeBases): if none
+// holds an edge, a crash cut a fresh Open short, and they are deleted.
+// Otherwise every file must belong to one of base 0's partitions.
+func settle(dir string) (int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
 	}
-	var logs []string
-	var parts, deads []int // ascending: ReadDir sorts by name
+	var files [][]string // layoutName matches
+	n := 0
 	for _, e := range ents {
-		if m := logName.FindStringSubmatch(e.Name()); m != nil {
-			logs = append(logs, filepath.Join(dir, e.Name()))
-			q, _ := strconv.Atoi(m[2])
-			if m[1] == "part" {
-				parts = append(parts, q)
-			} else {
-				deads = append(deads, q)
+		switch m := layoutName.FindStringSubmatch(e.Name()); {
+		case m == nil:
+		case m[4] != "": // an interrupted write
+			if err := os.Remove(filepath.Join(dir, m[0])); err != nil {
+				return 0, err
+			}
+		default:
+			files = append(files, m)
+			if m[1] == "0000" && m[3] == kindBase {
+				n, _ = strconv.Atoi(m[2])
 			}
 		}
 	}
-	if len(parts) == 0 || parts[0] != 0 {
-		if slices.ContainsFunc(logs, holdsEdges) {
-			return 0, fmt.Errorf("live: %s has no insertion log for partition 0", dir)
-		}
-		for _, path := range logs {
+	if n == 0 {
+		for _, m := range files {
+			path := filepath.Join(dir, m[0])
+			if _, keys, err := graph.ReadShardFile(path); err != nil || len(keys) > 0 {
+				return 0, fmt.Errorf("live: %s has no base for partition 0", dir)
+			}
 			if err := os.Remove(path); err != nil {
 				return 0, err
 			}
 		}
 		return 0, nil
 	}
-	n := len(parts)
-	for i, q := range parts {
-		if q != i {
-			return 0, fmt.Errorf("live: %s has no insertion log for partition %d", dir, i)
+	for _, m := range files {
+		q, _ := strconv.Atoi(m[1])
+		if c, _ := strconv.Atoi(m[2]); c != n || q >= n {
+			return 0, fmt.Errorf("live: %s holds %s, not a file of its %d partitions", dir, m[0], n)
 		}
-	}
-	if k := len(deads); k > 0 && deads[k-1] >= n {
-		return 0, fmt.Errorf("live: %s holds a tombstone log for partition %d past its %d insertion logs", dir, deads[k-1], n)
-	}
-	for q := 0; q < n; q++ {
-		part := logPath(dir, "part", q)
-		if _, err := os.Stat(part + nextSuffix); os.IsNotExist(err) {
+		if m[3] != kindBase+nextSuffix {
 			continue
-		} else if err != nil {
-			return 0, err
 		}
-		if slices.Contains(deads, q) {
-			err = os.Remove(part + nextSuffix)
-		} else {
-			err = os.Rename(part+nextSuffix, part)
+		if _, err = os.Stat(runPath(dir, tailDead, q, n)); err == nil {
+			err = os.Remove(filepath.Join(dir, m[0]))
+		} else if os.IsNotExist(err) {
+			err = finishRebase(dir, q, n, tailAdd)
 		}
 		if err != nil {
 			return 0, err
 		}
 	}
-	return n, nil
+	return n, syncDir(dir) // a finished rebase is durable before Open writes fresh tails
 }
 
-// holdsEdges reports whether the log at path may hold an edge: it does, or
-// it does not read as a log.
-func holdsEdges(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return true
+// readRun decodes partition q's file of kind kind, which must declare
+// itself shard q of numParts. A missing base is an error, a missing tail an
+// empty one; a tail's torn end, which a crash mid-append leaves, is cut back
+// first (the un-fsynced appends it held were never durable).
+func readRun(dir, kind string, q, numParts int, rec *Recovery) ([]uint64, error) {
+	path := runPath(dir, kind, q, numParts)
+	if kind != kindBase {
+		_, dropped, err := graph.RecoverShardTail(path)
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("live: recovering %s: %w", path, err)
+		}
+		if dropped > 0 {
+			rec.TornLogs++
+			rec.DroppedBytes += dropped
+			liveObs.tornLogs.Add(1)
+			liveObs.tornBytes.Add(dropped)
+		}
 	}
-	defer f.Close()
-	sr, err := graph.NewShardReader(f)
-	if err != nil {
-		return true
+	info, keys, err := graph.ReadShardFile(path)
+	if err == nil && (info.Index != uint32(q) || info.Count != uint32(numParts)) {
+		err = fmt.Errorf("%s declares shard %d of %d, want %d of %d", path, info.Index, info.Count, q, numParts)
 	}
-	_, err = sr.Next()
-	return err != io.EOF
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	return keys, nil
 }
 
-// replayLog checks that the kind log of partition q declares itself log q
-// of numParts, truncates a torn tail (a crash mid-append leaves one; the
-// un-fsynced appends it held were never durable), and streams every packed
-// edge into fn. A missing file is an empty log.
-func replayLog(dir, kind string, q, numParts int, rec *Recovery, fn func(k uint64)) error {
-	path := logPath(dir, kind, q)
-	_, dropped, err := graph.RecoverShardTail(path)
-	if os.IsNotExist(err) {
-		return nil
+// merge sorts the tails and walks the three runs of partition q once,
+// returning its live edges in ascending order. A key is live when the base
+// and the insertions name it once more than the tombstones do; any other
+// count but 0 is an error (an edge is tombstoned only while live and
+// re-inserted only while dead), and so is a base that does not ascend.
+func merge(q int, runs [3][]uint64) ([]uint64, error) {
+	if !slices.IsSorted(runs[0]) {
+		return nil, fmt.Errorf("live: partition %d base not sorted", q)
 	}
-	if err != nil {
-		return fmt.Errorf("live: recovering %s: %w", path, err)
-	}
-	if dropped > 0 {
-		rec.TornLogs++
-		rec.DroppedBytes += dropped
-		liveObs.tornLogs.Add(1)
-		liveObs.tornBytes.Add(dropped)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sr, err := graph.NewShardReader(f)
-	if err != nil {
-		return fmt.Errorf("live: %s: %w", path, err)
-	}
-	if info := sr.Info(); info.Index != uint32(q) || info.Count != uint32(numParts) {
-		return fmt.Errorf("live: %s declares log %d of %d, want %d of %d", path, info.Index, info.Count, q, numParts)
+	slices.Sort(runs[1])
+	slices.Sort(runs[2])
+	out := runs[0][:0] // without insertions the live edges are a subsequence of the base
+	if len(runs[1]) > 0 {
+		out = make([]uint64, 0, len(runs[0])+len(runs[1]))
 	}
 	for {
-		chunk, err := sr.Next()
-		if err == io.EOF {
-			return nil
+		key := uint64(math.MaxUint64) // above every canonical key
+		for _, r := range runs {
+			if len(r) > 0 {
+				key = min(key, r[0])
+			}
 		}
-		if err != nil {
-			return fmt.Errorf("live: %s: %w", path, err)
+		if key == math.MaxUint64 {
+			return out, nil
 		}
-		for _, k := range chunk {
-			fn(k)
+		c := 0
+		for i, sign := range [3]int{1, 1, -1} {
+			for ; len(runs[i]) > 0 && runs[i][0] == key; runs[i] = runs[i][1:] {
+				c += sign
+			}
+		}
+		if c == 1 {
+			out = append(out, key)
+		} else if c != 0 {
+			return nil, fmt.Errorf("live: partition %d log count %d for edge %#x (want 0 or 1)", q, c, key)
 		}
 	}
 }
 
-// openLogs opens every log for appending. A missing log is first written
-// whole and empty, so a crash never leaves a log without its header, and
-// in descending order with the tombstone logs first, so part-0000.esh
-// comes last and marks a whole directory (see settleLogs).
+// openLogs opens every tail for appending. A missing tail is first written
+// whole and empty, so a crash never leaves one without its header.
 func (l *Live) openLogs() error {
 	numParts := l.st.cfg.NumParts
 	l.adds, l.dead = make([]*graph.ShardWriter, numParts), make([]*graph.ShardWriter, numParts)
-	for _, kind := range []string{"dead", "part"} {
-		for q := numParts - 1; q >= 0; q-- {
-			path := logPath(l.dir, kind, q)
+	for _, t := range []struct {
+		kind string
+		ws   []*graph.ShardWriter
+	}{{tailAdd, l.adds}, {tailDead, l.dead}} {
+		for q := range t.ws {
+			path := runPath(l.dir, t.kind, q, numParts)
 			sw, err := graph.OpenShardAppend(path)
 			if os.IsNotExist(err) {
-				if err = writeLogFile(path, q, numParts, nil); err == nil {
+				if err = writeTail(path, q, numParts); err == nil {
 					sw, err = graph.OpenShardAppend(path)
 				}
 			}
@@ -373,11 +382,7 @@ func (l *Live) openLogs() error {
 				l.closeLogs()
 				return fmt.Errorf("live: opening %s: %w", path, err)
 			}
-			if kind == "part" {
-				l.adds[q] = sw
-			} else {
-				l.dead[q] = sw
-			}
+			t.ws[q] = sw
 		}
 	}
 	return nil
@@ -509,10 +514,10 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 // checkBatch validates a batch before any of it is applied: every op must be
 // known, and its insertions may name vertex ids only as far as the claim
 // rule graph applies to untrusted headers allows (graph.VertexClaimOK),
-// counted against the keys the logs will hold after the batch. That is the
-// bound Open applies, so a directory Apply wrote always reopens; and one
-// edge with an endpoint near 2³² cannot command a multi-GiB |V|×P slab.
-// The batch's own edges count only when the logs alone fall short, and
+// counted against the keys the bases and tails will hold after the batch.
+// That is the bound Open applies, so a directory Apply wrote always reopens;
+// and one edge with an endpoint near 2³² cannot command a multi-GiB |V|×P
+// slab. The batch's own edges count only when the files alone fall short, and
 // then only the distinct ones not yet live, each of which logs at least one
 // insertion.
 func (l *Live) checkBatch(events []dynpart.Event) error {
@@ -595,9 +600,9 @@ func (l *Live) Rebalance(budget int) (int, error) {
 	return moved, nil
 }
 
-// Compact folds the overlay into a fresh base store, rewrites the
-// per-partition logs to exactly the live edge set (unless those edges
-// would no longer back the largest vertex id; see compactLocked), and
+// Compact folds the overlay into a fresh base store, rebases every
+// partition on exactly its live edges, with empty tails (unless those
+// edges would no longer back the largest vertex id; see compactLocked), and
 // publishes the compacted epoch. Readers keep serving from their pinned
 // epochs throughout; only writers wait.
 func (l *Live) Compact() error {
@@ -624,11 +629,10 @@ func (l *Live) compactLocked() error {
 		return err
 	}
 
-	// Rewrite the logs to the live edge set, one partition at a time, so a
-	// crash mid-compaction leaves every partition on one whole generation.
-	// The rewrite drops the logs' history, which Open counts toward the
-	// vertex claim, so it waits while the live edges alone would not back
-	// the largest live vertex id.
+	// Rebase each partition on its live edges, one at a time. That drops the
+	// tails' history, which Open counts toward the vertex claim, so it waits
+	// while the live edges alone would not back the largest live vertex id;
+	// the bases' header |V| is that id plus one.
 	top := len(l.st.deg) // one past the largest live vertex id
 	for top > 0 && l.st.deg[top-1] == 0 {
 		top--
@@ -638,11 +642,11 @@ func (l *Live) compactLocked() error {
 			return err
 		}
 		for q := range packed {
-			if err := rewriteLogs(l.dir, q, numParts, packed[q]); err != nil {
+			if err := rebase(l.dir, q, numParts, uint32(top), packed[q]); err != nil {
 				return err
 			}
 		}
-		// The last rename must be durable before fresh tombstone logs are.
+		// The last rename must be durable before fresh tails are.
 		if err := syncDir(l.dir); err != nil {
 			return err
 		}
@@ -660,64 +664,62 @@ func (l *Live) compactLocked() error {
 	return nil
 }
 
-// rewriteLogs replaces partition q's insertion and tombstone logs with one
-// insertion log holding packed, its live edges. The new log is written as
-// part-q.esh.next, the tombstone log is removed, and the new log is renamed
-// over the old. Removing the tombstone log is the commit point: settleLogs
-// discards a .next while dead-q.esh exists and finishes the rename once it
-// is gone. The directory is fsynced between the steps, so a power cut
-// cannot reorder them either. A crash at any step thus replays one whole
-// generation, never the new insertions against the old tombstones.
-func rewriteLogs(dir string, q, numParts int, packed []uint64) error {
-	part := logPath(dir, "part", q)
-	if err := writeLogFile(part+nextSuffix, q, numParts, packed); err != nil {
+// rebase replaces partition q's base and tails with one base holding its
+// live edges, under header |V| nv: it writes <base>.next, removes the
+// tombstone tail (the commit point), and finishRebase does the rest. settle
+// discards a .next beside a tombstone tail and finishes the rebase without
+// one. Each step is fsynced before the next, so a crash, power cuts too,
+// opens one whole generation, never the new base with the old tails.
+func rebase(dir string, q, numParts int, nv uint32, packed []uint64) error {
+	info := graph.ShardInfo{NumVertices: nv, Index: uint32(q), Count: uint32(numParts)}
+	if err := graph.WriteCompressedShard(runPath(dir, kindBase, q, numParts)+nextSuffix, info, packed); err != nil {
 		return err
+	}
+	return finishRebase(dir, q, numParts, tailDead, tailAdd)
+}
+
+// finishRebase removes partition q's tails of the given kinds in order,
+// fsyncing dir before each removal and after the last, and then renames
+// the .next over the base.
+func finishRebase(dir string, q, numParts int, kinds ...string) error {
+	for _, kind := range kinds {
+		if err := syncDir(dir); err != nil {
+			return err
+		}
+		if err := os.Remove(runPath(dir, kind, q, numParts)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 	}
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	if err := os.Remove(logPath(dir, "dead", q)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	return os.Rename(part+nextSuffix, part)
+	base := runPath(dir, kindBase, q, numParts)
+	return os.Rename(base+nextSuffix, base)
 }
 
 // syncDir makes the renames and removals in dir durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
 	}
 	return err
 }
 
-// writeLogFile atomically replaces path with a fresh log holding packed.
-func writeLogFile(path string, q, numParts int, packed []uint64) error {
+// writeTail atomically replaces path with an empty tail of partition q. Its
+// header |V| is unbounded: the live vertex universe grows with the stream.
+func writeTail(path string, q, numParts int) error {
 	_, err := binio.Replace(path, func(w io.Writer) error {
-		sw, err := graph.NewShardWriter(w, graph.ShardInfo{
-			NumVertices: logNumVertices, Index: uint32(q), Count: uint32(numParts),
-		})
-		if err != nil {
-			return err
+		sw, err := graph.NewShardWriter(w, graph.ShardInfo{NumVertices: ^uint32(0), Index: uint32(q), Count: uint32(numParts)})
+		if err == nil {
+			err = sw.Close()
 		}
-		for _, k := range packed {
-			if err := sw.AppendPacked(k); err != nil {
-				return err
-			}
-		}
-		return sw.Close()
+		return err
 	})
 	return err
 }
 
-// Close seals the logs (footer rewrite). The last published epoch keeps
+// Close seals the tails (footer rewrite). The last published epoch keeps
 // serving pinned readers.
 func (l *Live) Close() error {
 	l.mu.Lock()

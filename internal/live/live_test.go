@@ -332,6 +332,94 @@ func TestLiveResume(t *testing.T) {
 	}
 }
 
+// TestLiveDirectoryIsStoreDirectory: a live directory and a store directory
+// are one layout. After Create, and after Compact then Close, the live
+// directory holds only bases and empty tails, and store.ReadDir reads from
+// it, shard by shard, the live epoch's edges. The other way, Open adopts a
+// store.WriteDir directory with the store's edges in each partition.
+func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
+	const parts = 4
+	g := gen.RMAT(9, 8, 3)
+	p := partition.New(parts, g.NumEdges())
+	for i := range p.Owner {
+		p.Owner[i] = int32(i * 7 % parts)
+	}
+	check := func(dir string, ep *store.Epoch) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 3*parts {
+			t.Fatalf("%d files, want a base and two tails for each of %d partitions", len(ents), parts)
+		}
+		for q := 0; q < parts; q++ {
+			for _, kind := range []string{tailAdd, tailDead} {
+				if keys := readKeys(t, runPath(dir, kind, q, parts)); len(keys) != 0 {
+					t.Fatalf("partition %d's %s tail holds %d edges, want none", q, kind, len(keys))
+				}
+			}
+		}
+		st, err := store.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := store.NewEpoch(st, nil, 0)
+		for q := 0; q < parts; q++ {
+			if !slices.Equal(got.ShardEdgesPacked(q), ep.ShardEdgesPacked(q)) {
+				t.Fatalf("store.ReadDir shard %d differs from the live partition", q)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	l, err := Create(dir, Config{Seed: 3}, g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := l.Epoch()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(dir, ep)
+	if l, err = Open(dir, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Apply(dynpart.Churn(g, 3000, 0.3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ep = l.Epoch()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(dir, ep)
+
+	st, err := store.BuildPartitioning(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdir := t.TempDir()
+	if err := store.WriteDir(sdir, st); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(sdir, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	want := store.NewEpoch(st, nil, 0)
+	for q := 0; q < parts; q++ {
+		if !slices.Equal(l.Epoch().ShardEdgesPacked(q), want.ShardEdgesPacked(q)) {
+			t.Fatalf("live partition %d differs from store shard %d", q, q)
+		}
+	}
+}
+
 // TestConfigValidation: partition counts outside (0, maxParts] are refused
 // by NewState and Open; Create refuses a seed partitioning that does not
 // cover its graph, a partition count that disagrees with it, and a
@@ -417,7 +505,7 @@ func TestLiveRecoversTruncatedFooter(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := logPath(dir, "part", 0)
+	path := runPath(dir, tailAdd, 0, 2)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +544,7 @@ func TestLiveRecoversTornChunk(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := logPath(dir, "part", 0)
+	path := runPath(dir, tailAdd, 0, 2)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +590,7 @@ func TestLiveRejectsUnrecoverableLog(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := logPath(dir, "part", 0)
+	path := runPath(dir, tailAdd, 0, 2)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

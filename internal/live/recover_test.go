@@ -2,7 +2,7 @@ package live
 
 import (
 	"encoding/binary"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,46 +13,51 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// logFile names one log of a live directory: its kind and partition.
-type logFile struct {
+// runFile names one file of a live directory: partition q's file of kind
+// kind (kindBase, tailAdd or tailDead).
+type runFile struct {
 	kind string
 	q    int
 }
 
-// writeLogs writes each log of a numParts-partition live directory with
-// writeLogFile.
-func writeLogs(t testing.TB, dir string, numParts int, logs map[logFile][]uint64) {
+func (f runFile) path(dir string, numParts int) string { return runPath(dir, f.kind, f.q, numParts) }
+
+// writeRuns writes each file of a numParts-partition live directory: a base
+// through graph.WriteCompressedShard (its keys must ascend), a tail as a raw
+// EShard file holding its keys in the order given.
+func writeRuns(t testing.TB, dir string, numParts int, files map[runFile][]uint64) {
 	t.Helper()
-	for f, keys := range logs {
-		if err := writeLogFile(logPath(dir, f.kind, f.q), f.q, numParts, keys); err != nil {
+	for f, keys := range files {
+		info := graph.ShardInfo{NumVertices: ^uint32(0), Index: uint32(f.q), Count: uint32(numParts)}
+		path := f.path(dir, numParts)
+		if f.kind == kindBase {
+			if err := graph.WriteCompressedShard(path, info, keys); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		sw, err := graph.CreateShardFile(path, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			sw.AppendPacked(k)
+		}
+		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// readKeys returns every packed edge of the log at path, in log order.
+// readKeys returns every packed edge of the shard file at path, in file
+// order.
 func readKeys(t testing.TB, path string) []uint64 {
 	t.Helper()
-	f, err := os.Open(path)
+	_, keys, err := graph.ReadShardFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sr, err := graph.NewShardReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []uint64
-	for {
-		chunk, err := sr.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, chunk...)
-	}
+	return keys
 }
 
 // copyDir copies the regular files of src into a fresh directory.
@@ -122,19 +127,22 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateRejectsHostileInput: Open refuses a live directory whose logs
-// are damaged or do not add up, rather than serving a partial or invented
-// graph. Each case mutates a valid two-partition directory.
+// TestStateRejectsHostileInput: Open refuses a live directory whose bases
+// or tails are damaged or do not add up, rather than serving a partial or
+// invented graph. Each case mutates a valid two-partition directory.
 func TestStateRejectsHostileInput(t *testing.T) {
 	e := func(u, v graph.Vertex) uint64 { return graph.PackEdge(u, v) }
-	valid := map[logFile][]uint64{
-		{"part", 0}: {e(0, 1), e(1, 2), e(2, 3)},
-		{"dead", 0}: {e(1, 2)},
-		{"part", 1}: {e(3, 4), e(4, 5)},
-		{"dead", 1}: nil,
+	base0, dead1 := runFile{kindBase, 0}, runFile{tailDead, 1}
+	base1, add1 := runFile{kindBase, 1}, runFile{tailAdd, 1}
+	valid := map[runFile][]uint64{
+		base0:         {e(0, 1), e(1, 2), e(2, 3)},
+		{tailDead, 0}: {e(1, 2)},
+		base1:         {e(3, 4)},
+		add1:          {e(4, 5)},
+		dead1:         nil,
 	}
 	dir := t.TempDir()
-	writeLogs(t, dir, 2, valid)
+	writeRuns(t, dir, 2, valid)
 	l, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatalf("valid directory: %v", err)
@@ -144,10 +152,10 @@ func TestStateRejectsHostileInput(t *testing.T) {
 	}
 	l.Close()
 
-	// patch overwrites a little-endian u32 of one log's header.
-	patch := func(name string, off int, v uint32) func(t *testing.T, dir string) {
+	// patch overwrites a little-endian u32 of one file's header.
+	patch := func(f runFile, off int, v uint32) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
-			path := filepath.Join(dir, name)
+			path := f.path(dir, 2)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -158,33 +166,44 @@ func TestStateRejectsHostileInput(t *testing.T) {
 			}
 		}
 	}
-	rewrite := func(f logFile, numParts int, keys ...uint64) func(t *testing.T, dir string) {
-		return func(t *testing.T, dir string) { writeLogs(t, dir, numParts, map[logFile][]uint64{f: keys}) }
+	rewrite := func(f runFile, numParts int, keys ...uint64) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) { writeRuns(t, dir, numParts, map[runFile][]uint64{f: keys}) }
 	}
 	cases := []struct {
 		name    string
 		mutate  func(t *testing.T, dir string)
 		wantErr string
 	}{
-		{"bad magic", patch("part-0000.esh", 0, 0xdeadbeef), "magic"},
-		{"bad version", patch("dead-0001.esh", 4, 99), "version"},
-		{"zero partitions", patch("part-0001.esh", 16, 0), "count"},
-		{"huge partition count", patch("part-0000.esh", 16, 1<<30), "declares log 0 of 1073741824"},
-		{"wrong partition index", patch("dead-0001.esh", 12, 0), "declares log 0 of 2, want 1 of 2"},
+		{"bad magic", patch(base0, 0, 0xdeadbeef), "magic"},
+		{"bad version", patch(dead1, 4, 99), "version"},
+		{"zero partitions", patch(base1, 16, 0), "count"},
+		{"huge partition count", patch(base0, 16, 1<<30), "declares shard 0 of 1073741824"},
+		{"wrong partition index", patch(dead1, 12, 0), "declares shard 0 of 2, want 1 of 2"},
 		{"empty file", func(t *testing.T, dir string) {
-			if err := os.WriteFile(filepath.Join(dir, "part-0001.esh"), nil, 0o644); err != nil {
+			if err := os.WriteFile(base1.path(dir, 2), nil, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, "header"},
 		{"missing insertion log", func(t *testing.T, dir string) {
-			if err := os.Remove(filepath.Join(dir, "part-0000.esh")); err != nil {
+			if err := os.Remove(base0.path(dir, 2)); err != nil {
 				t.Fatal(err)
 			}
-		}, "no insertion log for partition 0"},
-		{"tombstone log past the partitions", rewrite(logFile{"dead", 2}, 3), "tombstone log for partition 2"},
-		{"tombstone without insertion", rewrite(logFile{"dead", 1}, 2, e(0, 1)), "log count -1"},
-		{"insertion twice", rewrite(logFile{"part", 1}, 2, e(3, 4), e(4, 5), e(3, 4)), "log count 2"},
-		{"unbacked vertex id", rewrite(logFile{"part", 1}, 2, e(3, 4), e(0, 1<<32-2)), ErrVertexClaim.Error()},
+		}, "no base for partition 0"},
+		{"tombstone log past the partitions", rewrite(runFile{tailDead, 2}, 3), "not a file of its 2 partitions"},
+		{"tombstone without insertion", rewrite(dead1, 2, e(0, 1)), "log count -1"},
+		{"insertion twice", rewrite(add1, 2, e(4, 5), e(3, 4)), "log count 2"},
+		{"unbacked vertex id", rewrite(add1, 2, e(4, 5), e(0, 1<<32-2)), ErrVertexClaim.Error()},
+		{"unsorted base", func(t *testing.T, dir string) {
+			sw, err := graph.CreateShardFile(base1.path(dir, 2), graph.ShardInfo{NumVertices: 8, Index: 1, Count: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw.AppendPacked(e(5, 6))
+			sw.AppendPacked(e(3, 4))
+			if err := sw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, "base not sorted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,23 +226,23 @@ func TestStateRejectsHostileInput(t *testing.T) {
 	l.Close()
 }
 
-// TestOpenChecksLogHeaders: the partition count and each log's partition
-// come from the log headers, not the file names alone. A directory of
-// eight insertion logs and nothing else opens; the same directory with one
-// log deleted, or two swapped, is refused instead of opening with
-// partitions dropped or exchanged.
+// TestOpenChecksLogHeaders: the partition count and each file's partition
+// come from the headers, not the file names alone. A directory of eight
+// bases and nothing else opens; the same directory with one base deleted,
+// or two swapped, is refused instead of opening with partitions dropped or
+// exchanged. Subtests name partition q's base part-000q, its insertion file.
 func TestOpenChecksLogHeaders(t *testing.T) {
 	const parts = 8
-	logs := make(map[logFile][]uint64, parts)
+	bases := make(map[runFile][]uint64, parts)
 	for q := 0; q < parts; q++ {
 		for i := 0; i < 10; i++ {
 			u := graph.Vertex(q*16 + i)
-			logs[logFile{"part", q}] = append(logs[logFile{"part", q}], graph.PackEdge(u, u+1))
+			bases[runFile{kindBase, q}] = append(bases[runFile{kindBase, q}], graph.PackEdge(u, u+1))
 		}
 	}
 	build := func() string {
 		dir := t.TempDir()
-		writeLogs(t, dir, parts, logs)
+		writeRuns(t, dir, parts, bases)
 		return dir
 	}
 	l, err := Open(build(), Config{})
@@ -235,15 +254,16 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 	}
 	l.Close()
 
+	base := func(dir string, q int) string { return runPath(dir, kindBase, q, parts) }
 	for _, tc := range []struct {
 		name   string
 		mutate func(dir string) error
 	}{
-		{"delete part-0000", func(dir string) error { return os.Remove(logPath(dir, "part", 0)) }},
-		{"delete part-0005", func(dir string) error { return os.Remove(logPath(dir, "part", 5)) }},
-		{"delete part-0007", func(dir string) error { return os.Remove(logPath(dir, "part", 7)) }},
+		{"delete part-0000", func(dir string) error { return os.Remove(base(dir, 0)) }},
+		{"delete part-0005", func(dir string) error { return os.Remove(base(dir, 5)) }},
+		{"delete part-0007", func(dir string) error { return os.Remove(base(dir, 7)) }},
 		{"swap part-0001 and part-0002", func(dir string) error {
-			a, b := logPath(dir, "part", 1), logPath(dir, "part", 2)
+			a, b := base(dir, 1), base(dir, 2)
 			if err := os.Rename(a, a+".swap"); err != nil {
 				return err
 			}
@@ -264,19 +284,19 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 		})
 	}
 
-	// A crash while Open writes a fresh directory's empty logs, tombstone
-	// logs first and part-0000.esh last, leaves a set without part-0000.esh
-	// that holds no edge: the next Open starts over.
+	// A crash while Open writes a fresh directory's empty bases, highest
+	// partition first and base 0 last, leaves a set without base 0 that
+	// holds no edge: the next Open starts over.
 	t.Run("partial fresh directory", func(t *testing.T) {
 		dir := t.TempDir()
-		empty := map[logFile][]uint64{}
+		empty := map[runFile][]uint64{}
 		for q := 0; q < parts; q++ {
-			empty[logFile{"dead", q}] = nil
+			empty[runFile{tailDead, q}] = nil
 		}
 		for q := parts / 2; q < parts; q++ {
-			empty[logFile{"part", q}] = nil
+			empty[runFile{kindBase, q}] = nil
 		}
-		writeLogs(t, dir, parts, empty)
+		writeRuns(t, dir, parts, empty)
 		l, err := Open(dir, Config{NumParts: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -288,16 +308,18 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 	})
 }
 
-// TestCompactionCrashStates: compaction rewrites one partition at a time —
-// write part-q.esh.next, remove dead-q.esh (the commit), rename the .next
-// over part-q.esh — and then recreates the tombstone logs. A crash can stop
+// TestCompactionCrashStates: compaction rebases one partition at a time —
+// write the base's .next, remove the tombstone tail (the commit), remove
+// the insertion tail, rename the .next over the base — and then recreates
+// the tails, the insertion tails first. A crash can stop
 // it after any of those steps, with earlier partitions done and later ones
 // untouched, or inside a write, leaving a temp file. Every such directory,
-// built here from copies of the logs before and after a compaction, must
+// built here from copies of the files before and after a compaction, must
 // open to the graph and placement state from before the compaction, with
 // nothing left over. The history re-adds a deleted edge on its old
-// partition, which a new insertion log replayed against the old tombstone
-// log would lose.
+// partition, which a new base replayed against the old tombstone tail would
+// lose. Subtests name partition q's base and insertion tail part-000q.esh,
+// and its tombstone tail dead-000q.esh.
 func TestCompactionCrashStates(t *testing.T) {
 	const parts = 3
 	g := gen.ER(120, 500, 5)
@@ -325,7 +347,7 @@ func TestCompactionCrashStates(t *testing.T) {
 	readded := false
 	for q := 0; q < parts; q++ {
 		seen := make(map[uint64]int)
-		for _, k := range readKeys(t, logPath(pre, "part", q)) {
+		for _, k := range readKeys(t, runPath(pre, tailAdd, q, parts)) {
 			if seen[k]++; seen[k] == 2 {
 				readded = true
 			}
@@ -354,29 +376,34 @@ func TestCompactionCrashStates(t *testing.T) {
 		return b
 	}
 	type files map[string][]byte
-	part := func(q int) string { return filepath.Base(logPath("", "part", q)) }
-	dead := func(q int) string { return filepath.Base(logPath("", "dead", q)) }
-	// rewriting returns the files while partition q is at rewrite step s:
-	// partitions before q are rewritten, those after it untouched.
-	rewriting := func(q, s int) files {
+	name := func(kind string, q int) string { return filepath.Base(runFile{kind, q}.path("", parts)) }
+	base := func(q int) string { return name(kindBase, q) }
+	add := func(q int) string { return name(tailAdd, q) }
+	dead := func(q int) string { return name(tailDead, q) }
+	// rebasing returns the files while partition q is at rebase step s:
+	// partitions before q are rebased, those after it untouched.
+	rebasing := func(q, s int) files {
 		fs := files{}
 		for p := 0; p < parts; p++ {
-			switch {
-			case p < q || p == q && s == 4:
-				fs[part(p)] = read(post, part(p))
-			default:
-				fs[part(p)], fs[dead(p)] = read(pre, part(p)), read(pre, dead(p))
+			if p < q || p == q && s == 5 {
+				fs[base(p)] = read(post, base(p))
+			} else {
+				fs[base(p)], fs[add(p)], fs[dead(p)] = read(pre, base(p)), read(pre, add(p)), read(pre, dead(p))
 			}
 		}
-		next := read(post, part(q))
+		next := read(post, base(q))
 		switch s {
 		case 1: // inside the write of the .next
-			fs[part(q)+nextSuffix+".tmp"] = next[:len(next)/2]
+			fs[base(q)+nextSuffix+".tmp"] = next[:len(next)/2]
 		case 2: // .next written, not committed
-			fs[part(q)+nextSuffix] = next
-		case 3: // committed, not renamed
-			fs[part(q)+nextSuffix] = next
+			fs[base(q)+nextSuffix] = next
+		case 3: // committed
+			fs[base(q)+nextSuffix] = next
 			delete(fs, dead(q))
+		case 4: // insertion tail removed, not renamed
+			fs[base(q)+nextSuffix] = next
+			delete(fs, dead(q))
+			delete(fs, add(q))
 		}
 		return fs
 	}
@@ -386,19 +413,27 @@ func TestCompactionCrashStates(t *testing.T) {
 	}
 	var states []state
 	for q := 0; q < parts; q++ {
-		for s, step := range []string{"untouched", "writing .next", ".next written", "dead removed", "renamed"} {
-			states = append(states, state{part(q) + " " + step, rewriting(q, s)})
+		for s, step := range []string{"untouched", "writing .next", ".next written", "dead removed", "insertion tail removed", "renamed"} {
+			states = append(states, state{fmt.Sprintf("part-%04d.esh %s", q, step), rebasing(q, s)})
 		}
 	}
-	// After the rewrites, the tombstone logs are recreated one by one,
-	// highest partition first.
-	for q := parts - 1; q >= 0; q-- {
-		fs := rewriting(parts-1, 4)
-		for p := q + 1; p < parts; p++ {
-			fs[dead(p)] = read(post, dead(p))
+	// After the rebases, the tails are recreated one by one: every
+	// insertion tail, then every tombstone tail.
+	for _, kind := range []string{tailAdd, tailDead} {
+		for q := 0; q < parts; q++ {
+			fs := rebasing(parts-1, 5)
+			for p := 0; p < parts; p++ {
+				if kind == tailDead {
+					fs[add(p)] = read(post, add(p))
+				}
+				if p < q {
+					fs[name(kind, p)] = read(post, name(kind, p))
+				}
+			}
+			fs[name(kind, q)+".tmp"] = nil
+			label := map[string]string{tailAdd: "part", tailDead: "dead"}[kind]
+			states = append(states, state{fmt.Sprintf("writing %s-%04d.esh", label, q), fs})
 		}
-		fs[dead(q)+".tmp"] = nil
-		states = append(states, state{"writing " + dead(q), fs})
 	}
 
 	for _, tc := range states {
@@ -425,9 +460,17 @@ func TestCompactionCrashStates(t *testing.T) {
 					t.Fatalf("open %d: checksums %#x/%#x, before the compaction %#x/%#x", round, live, st, wantLive, wantState)
 				}
 			}
-			left, err := filepath.Glob(filepath.Join(dir, "*.esh.*"))
-			if err != nil || len(left) != 0 {
-				t.Fatalf("left behind %v (%v)", left, err)
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 3*parts {
+				t.Fatalf("%d files left, want a base and two tails for each of %d partitions", len(ents), parts)
+			}
+			for _, e := range ents {
+				if m := layoutName.FindStringSubmatch(e.Name()); m == nil || m[3] == kindBase+nextSuffix {
+					t.Fatalf("left behind %s", e.Name())
+				}
 			}
 		})
 	}

@@ -7,11 +7,11 @@
 //     incidence slabs plus a partition.ReplicaSets bit view) applying a
 //     replica-aware greedy placement built on neighbor expansion's two
 //     heuristics (§3.1), RNG-free and therefore a pure function of the
-//     event stream. Open rebuilds it from the logs; Create seeds the logs
+//     event stream. Open rebuilds it from the directory; Create seeds it
 //     from a static partitioning such as a Distributed NE result.
-//   - Arrivals land in per-partition append-only EShard logs (an add log and
-//     a tombstone log per partition), O(chunk) memory. The logs are the
-//     only durable copy of the graph.
+//   - Per partition, the directory holds a sorted ESZ1 base (a store
+//     shard file) and append-only EShard tails of insertions and
+//     tombstones since it: the only durable copy of the graph.
 //   - Reads resolve against a store.Epoch — immutable base CSR plus a small
 //     frozen overlay — pinned with one atomic load; a background compaction
 //     folds the overlay into a fresh base and publishes the next epoch.

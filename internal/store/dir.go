@@ -1,18 +1,29 @@
 package store
 
-import "github.com/distributedne/dne/internal/graph"
+import (
+	"path/filepath"
+
+	"github.com/distributedne/dne/internal/graph"
+)
 
 // A persisted store is a shard directory: one ESZ1 file per shard, whose
 // header gives |V| = NumVertices, Index = shard and Count = NumShards, and
 // whose keys are the shard's sorted canonical edges. Only the edges are
 // stored; ReadDir rebuilds the CSR, the replica index and the master table
 // through BuildFromShards, so a restored store is the built one, bit for bit.
+// It is the layout of a live directory with no tails (see internal/live):
+// live.Open adopts a store directory, and ReadDir opens a live directory
+// that was compacted and closed.
 
-// WriteDir writes st's shards into dir, which must exist.
+// WriteDir writes st's shards into dir, which must exist, each through the
+// durable graph.WriteCompressedShard, and shard 0 last: a directory holding
+// it is whole.
 func WriteDir(dir string, st *Store) error {
-	for s, sh := range st.shards {
-		info := graph.ShardInfo{NumVertices: st.numVertices, Index: uint32(s), Count: uint32(len(st.shards))}
-		if err := graph.WriteCompressedShard(dir, info, sh.packed()); err != nil {
+	n := len(st.shards)
+	for s := n - 1; s >= 0; s-- {
+		info := graph.ShardInfo{NumVertices: st.numVertices, Index: uint32(s), Count: uint32(n)}
+		path := filepath.Join(dir, graph.CompressedShardFileName(s, n))
+		if err := graph.WriteCompressedShard(path, info, st.shards[s].packed()); err != nil {
 			return err
 		}
 	}

@@ -6,9 +6,11 @@
 # compared against a batch HDRF partitioning of the identical graph (the
 # RF-drift bound). The batch run also saves its partitioning (dnepart
 # -save) as a live directory, which a second dneserve must open with the
-# batch run's partition count, |E| and edge balance. Finally the server is
+# batch run's partition count, |E| and edge balance; the same directory,
+# placed under a -store-dir, must then restore as a store with the same
+# partition count and |E| (one layout for both). Finally the server is
 # stopped with SIGTERM — the graceful path that seals the append-only
-# logs — and restarted on the same directory: the (edge, owner) checksum
+# tails — and restarted on the same directory: the (edge, owner) checksum
 # must survive the restart bit for bit.
 set -euo pipefail
 
@@ -145,7 +147,27 @@ if [ "$seeded_parts" != "$PARTS" ] || [ "$seeded_edges" != "$batch_edges" ] || [
   cat "$workdir/seeded.json"; exit 1
 fi
 
-echo "== SIGTERM (graceful: seals logs), then restart on the same directory"
+echo "== a third dneserve restores the same directory as a store (-store-dir)"
+mkdir "$workdir/stores"
+mv "$workdir/seeded" "$workdir/stores/seeded"
+"$workdir/dneserve" -addr "$SEEDED_ADDR" -store-dir "$workdir/stores" >> "$workdir/stored.log" 2>&1 &
+seeded_pid=$!
+wait_up "$SEEDED_ADDR" "$workdir/stored.log"
+curl -sf "http://$SEEDED_ADDR/api/store" > "$workdir/stored.json"
+kill -TERM "$seeded_pid"
+wait "$seeded_pid" || true
+seeded_pid=""
+stored_name=$(grep -o '"store":"[^"]*"' "$workdir/stored.json" | head -1 | cut -d'"' -f4)
+stored_parts=$(grep -o '"parts":[0-9]*' "$workdir/stored.json" | head -1 | cut -d: -f2)
+stored_edges=$(grep -o '"numEdges":[0-9]*' "$workdir/stored.json" | head -1 | cut -d: -f2)
+echo "   store $stored_name: parts=$stored_parts |E|=$stored_edges"
+if [ "$stored_name" != "seeded" ] || [ "$stored_parts" != "$seeded_parts" ] || [ "$stored_edges" != "$seeded_edges" ]; then
+  echo "FAIL: the live directory restores as store '$stored_name' with parts=$stored_parts |E|=$stored_edges," \
+    "the live graph had parts=$seeded_parts |E|=$seeded_edges"
+  cat "$workdir/stored.json" "$workdir/stored.log"; exit 1
+fi
+
+echo "== SIGTERM (graceful: seals tails), then restart on the same directory"
 kill -TERM "$server_pid"
 wait "$server_pid" || true
 server_pid=""
@@ -156,4 +178,4 @@ echo "   resumed checksum: $resumed_sum"
 if [ "$live_sum" != "$resumed_sum" ]; then
   echo "FAIL: restart drifted: $live_sum != $resumed_sum"; exit 1
 fi
-echo "OK: ingested live under GOMEMLIMIT with non-blocking reads, RF within ${DRIFT_BOUND}x of batch, saved batch partitioning served as a live directory, restart bit-identical"
+echo "OK: ingested live under GOMEMLIMIT with non-blocking reads, RF within ${DRIFT_BOUND}x of batch, saved batch partitioning served as a live directory and as a store, restart bit-identical"

@@ -18,13 +18,12 @@ import (
 // surfaceAllowlist names the exported internal/ functions that may go without
 // a caller in non-test code, each with the reason it stays.
 var surfaceAllowlist = map[string]string{
-	"cluster.NewChaos":      "fault-injection fake: tests wrap a Comm to delay and reorder messages",
-	"cluster.NewFault":      "fault-injection fake: tests wrap a Comm to drop or fail messages",
-	"cluster.WireKinds":     "fault-injection fake: tests enumerate the wire kinds to fault each one",
-	"cluster.DialTCP":       "used by benchmarks/e2e/wrap_test.go",
-	"gen.WattsStrogatz":     "test input generator for the dne and methods tests",
-	"graph.NewZShardWriter": "the ESZ1 twin of NewShardWriter",
-	"linttest.Run":          "the analyzer test harness",
+	"cluster.NewChaos":  "fault-injection fake: tests wrap a Comm to delay and reorder messages",
+	"cluster.NewFault":  "fault-injection fake: tests wrap a Comm to drop or fail messages",
+	"cluster.WireKinds": "fault-injection fake: tests enumerate the wire kinds to fault each one",
+	"cluster.DialTCP":   "used by benchmarks/e2e/wrap_test.go",
+	"gen.WattsStrogatz": "test input generator for the dne and methods tests",
+	"linttest.Run":      "the analyzer test harness",
 }
 
 // TestExportedFunctionsHaveCallers keeps the internal/ surface minimal: every
