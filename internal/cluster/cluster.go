@@ -205,15 +205,8 @@ func (n *node) Send(to int, tag Tag, body Body) {
 	n.c.boxes[to].put(msg)
 }
 
-func (n *node) Recv(tag Tag) Message { return n.c.boxes[n.rank].take(tag) }
-func (n *node) RecvN(tag Tag, k int) []Message {
-	msgs := make([]Message, 0, k)
-	for len(msgs) < k {
-		msgs = append(msgs, n.c.boxes[n.rank].take(tag))
-	}
-	sortMessages(msgs)
-	return msgs
-}
+func (n *node) Recv(tag Tag) Message           { return n.c.boxes[n.rank].take(tag) }
+func (n *node) RecvN(tag Tag, k int) []Message { return n.c.boxes[n.rank].takeN(tag, k) }
 
 func (n *node) TryRecvAll(tag Tag) []Message {
 	msgs := n.c.boxes[n.rank].takeAll(tag)
@@ -290,6 +283,21 @@ func (m *mailbox) take(tag Tag) Message {
 		}
 		m.cond.Wait()
 	}
+}
+
+// maxRecvReserve bounds the messages takeN makes room for before they
+// arrive: its count may come from a peer, and must not size memory.
+const maxRecvReserve = 1 << 10
+
+// takeN removes k messages with the given tag, blocking until each arrives,
+// and returns them in deterministic (From, Seq) order.
+func (m *mailbox) takeN(tag Tag, k int) []Message {
+	msgs := make([]Message, 0, min(k, maxRecvReserve))
+	for len(msgs) < k {
+		msgs = append(msgs, m.take(tag))
+	}
+	sortMessages(msgs)
+	return msgs
 }
 
 // fail marks the transport dead and wakes every blocked take. The first

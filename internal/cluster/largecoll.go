@@ -25,7 +25,11 @@ const maxCollChunkWords = 1 << 15
 
 // collChunks returns how many data messages a vector of n words travels in.
 func collChunks(n int64) int {
-	return int((n + maxCollChunkWords - 1) / maxCollChunkWords)
+	c := n / maxCollChunkWords
+	if n%maxCollChunkWords != 0 {
+		c++
+	}
+	return int(c)
 }
 
 // AllToAllU64 performs a personalized exchange of uint64 vectors: out[q] is
@@ -34,7 +38,13 @@ func collChunks(n int64) int {
 // exchanged first, then each vector streams in chunks of at most
 // maxCollChunkWords; per-sender FIFO order plus the (From, Seq) sort in
 // RecvN reassembles every vector exactly as sent. The returned slices are
-// freshly allocated; out is not retained.
+// freshly allocated, each at the size that arrived; out is not retained.
+//
+// A count is a peer's word and is checked like any frame: a negative one,
+// or one its sender's data does not match, panics *ConnLostError. No memory
+// is sized by a count before its data has arrived. A count that needs more
+// chunks than its sender sends leaves the receiver waiting, as for any
+// missing message, until the transport fails.
 func AllToAllU64(c Comm, out [][]uint64) [][]uint64 {
 	size := c.Size()
 	if len(out) != size {
@@ -52,7 +62,11 @@ func AllToAllU64(c Comm, out [][]uint64) [][]uint64 {
 	counts := make([]int64, size)
 	counts[rank] = int64(len(out[rank]))
 	for _, m := range c.RecvN(tagCollCount, size-1) {
-		counts[m.From] = int64(m.Body.(Int64Body))
+		n, ok := m.Body.(Int64Body)
+		if !ok || n < 0 {
+			panic(&ConnLostError{Tag: tagCollCount, Err: fmt.Errorf("machine %d announced a vector of %v words", m.From, m.Body)})
+		}
+		counts[m.From] = int64(n)
 	}
 	for q := 0; q < size; q++ {
 		if q == rank {
@@ -67,16 +81,31 @@ func AllToAllU64(c Comm, out [][]uint64) [][]uint64 {
 			v = v[n:]
 		}
 	}
-	in := make([][]uint64, size)
 	totalMsgs := 0
 	for q := 0; q < size; q++ {
-		in[q] = make([]uint64, 0, counts[q])
 		if q != rank {
 			totalMsgs += collChunks(counts[q])
 		}
 	}
+	msgs := c.RecvN(tagCollData, totalMsgs)
+	got := make([]int64, size)
+	got[rank] = counts[rank]
+	for _, m := range msgs {
+		body, ok := m.Body.(Uint64SliceBody)
+		if !ok {
+			panic(&ConnLostError{Tag: tagCollData, Err: fmt.Errorf("machine %d sent a %T for a vector chunk", m.From, m.Body)})
+		}
+		got[m.From] += int64(len(body))
+	}
+	in := make([][]uint64, size)
+	for q := range in {
+		if got[q] != counts[q] {
+			panic(&ConnLostError{Tag: tagCollData, Err: fmt.Errorf("machine %d sent %d words, announced %d", q, got[q], counts[q])})
+		}
+		in[q] = make([]uint64, 0, got[q])
+	}
 	in[rank] = append(in[rank], out[rank]...)
-	for _, m := range c.RecvN(tagCollData, totalMsgs) {
+	for _, m := range msgs {
 		in[m.From] = append(in[m.From], m.Body.(Uint64SliceBody)...)
 	}
 	return in

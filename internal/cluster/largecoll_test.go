@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -124,5 +127,74 @@ func TestAllToAllU64SingleMachine(t *testing.T) {
 	}
 	if c.TotalBytes() != 0 {
 		t.Errorf("self exchange cost %d bytes, want 0", c.TotalBytes())
+	}
+}
+
+// forgedCount is a Comm that rewrites the count machine from announces to
+// its owner in AllToAllU64, as a corrupt or hostile frame would.
+type forgedCount struct {
+	Comm
+	from  int
+	count int64
+}
+
+func (f *forgedCount) RecvN(tag Tag, k int) []Message {
+	msgs := f.Comm.RecvN(tag, k)
+	if tag == tagCollCount {
+		for i := range msgs {
+			if msgs[i].From == f.from {
+				msgs[i].Body = Int64Body(f.count)
+			}
+		}
+	}
+	return msgs
+}
+
+// TestAllToAllU64RejectsForgedCounts: machine 0 sees machine 1 announce a
+// negative count, counts of 2^40 and 2^63−1 words, and one word more than
+// it sends.
+// Each gives machine 0 a *ConnLostError: not a runtime panic, and not a
+// reservation sized by the count. The true count, through the same wrapper,
+// exchanges the vectors.
+func TestAllToAllU64RejectsForgedCounts(t *testing.T) {
+	const sent = 100 // words machine 1 sends machine 0: one chunk, not full
+	for _, forged := range []int64{-1, 1 << 40, math.MaxInt64, sent + 1, sent} {
+		c := New(2)
+		panics := make([]any, 2)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.Run(func(comm Comm) error {
+			rank := comm.Rank()
+			if rank == 0 {
+				comm = &forgedCount{Comm: comm, from: 1, count: forged}
+			}
+			// A machine that leaves tears the mesh down, as the TCP router
+			// does, so that a peer waiting on it stops.
+			defer c.FailAll(errors.New("peer left"))
+			defer func() { panics[rank] = recover() }()
+			out := [][]uint64{make([]uint64, sent), make([]uint64, sent)}
+			in := AllToAllU64(comm, out)
+			if len(in[1-rank]) != sent {
+				t.Errorf("count %d: machine %d received %d words, want %d", forged, rank, len(in[1-rank]), sent)
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("count %d: the exchange allocated %d bytes", forged, alloc)
+		}
+		if forged == sent {
+			if panics[0] != nil || panics[1] != nil {
+				t.Errorf("true count: panics %v, %v", panics[0], panics[1])
+			}
+			continue
+		}
+		var lost *ConnLostError
+		if e, ok := panics[0].(error); !ok || !errors.As(e, &lost) {
+			t.Errorf("count %d: machine 0 panicked with %v, want a *ConnLostError", forged, panics[0])
+		}
 	}
 }

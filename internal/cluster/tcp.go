@@ -573,12 +573,7 @@ func (n *TCPNode) Recv(tag Tag) Message {
 // RecvN implements Comm.
 func (n *TCPNode) RecvN(tag Tag, k int) []Message {
 	n.flush()
-	msgs := make([]Message, 0, k)
-	for len(msgs) < k {
-		msgs = append(msgs, n.box.take(tag))
-	}
-	sortMessages(msgs)
-	return msgs
+	return n.box.takeN(tag, k)
 }
 
 // TryRecvAll implements Comm.

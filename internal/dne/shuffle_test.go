@@ -82,8 +82,12 @@ func TestShuffleRejectsForgedRuns(t *testing.T) {
 			slices.Reverse(run)
 			return run
 		}},
+		// In place of its successor, so that the run keeps the length its
+		// count announced: a run longer than its count is a framing error
+		// that AllToAllU64 itself rejects.
 		{"edge sent twice", func(run []uint64) []uint64 {
-			return slices.Insert(run, 1, run[0])
+			run[1] = run[0]
+			return run
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

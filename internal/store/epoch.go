@@ -543,10 +543,13 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 // is routed as its slot on the shard, read off the replica index, so the
 // scan goes straight to its adjacency.
 //
-// Newly reached vertices are marked in a dense level bitset beside the
-// visited one, so each level is read out in id order without a sort. The two
-// bitsets cost 2 × |V|/8 bytes per concurrently running KHop; a sync.Pool
-// keeps them between queries, so a query allocates only its result.
+// A level is found in two steps. The scans OR every neighbour they reach
+// into a dense level bitset, visited or not, with no test per edge; then
+// appendLevel settles the level once per touched word: the marks not yet
+// visited are the new vertices, read out in id order without a sort. The
+// level and visited bitsets cost 2 × |V|/8 bytes per concurrently running
+// KHop; a sync.Pool keeps them between queries, so a query allocates only
+// its result.
 func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, error) {
 	m := &e.base.metrics
 	defer m.end(qKHop, m.begin(qKHop))
@@ -591,16 +594,18 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 			}
 			res.CrossShardHops += crossHops(len(reps) + len(sc.extra))
 		}
+		// The scans mark words lo..hi of the level bitset; none when lo > hi.
+		lo, hi := len(sc.level), -1
 		for s := range slotsOn {
 			if len(slotsOn[s]) == 0 && len(overlayOn[s]) == 0 {
 				continue
 			}
 			res.ShardTasks++
 			m.touchShard(s)
-			e.scanShard(s, slotsOn[s], overlayOn[s], sc)
+			lo, hi = e.scanShard(s, slotsOn[s], overlayOn[s], sc.level, lo, hi)
 		}
 		start = len(res.Vertices)
-		sc.appendLevel(res, depth)
+		sc.appendLevel(res, depth, lo, hi)
 		// Yield once per level. Two closed-loop clients on two Ps would
 		// otherwise run query after query without entering the scheduler,
 		// and a GC cycle's mark phase then waits out the 10ms preemption
@@ -613,56 +618,66 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 	return res, nil
 }
 
-// scanShard marks every live neighbour on shard s of the frontier: the base
-// adjacency at each routed slot read in place, minus deleted edges, plus
-// overlay insertions, and the insertions of the frontier vertices us that
-// only the overlay holds on s. It is shardNeighborsInto without the copy
-// into a buffer.
-func (e *Epoch) scanShard(s int, slots []uint32, us []graph.Vertex, sc *khopScratch) {
+// scanShard marks in level every live neighbour on shard s of the frontier:
+// the base adjacency at each routed slot read in place, minus deleted edges,
+// plus overlay insertions, and the insertions of the frontier vertices us
+// that only the overlay holds on s. It is shardNeighborsInto without the copy
+// into a buffer. Marks are not tested against visited, and the word range
+// [lo, hi] comes back widened to cover every one of them.
+func (e *Epoch) scanShard(s int, slots []uint32, us []graph.Vertex, level []uint64, lo, hi int) (int, int) {
 	sh := e.base.shards[s]
-	var dels map[uint64]struct{}
-	var adds map[graph.Vertex][]graph.Vertex
-	if e.delta != nil {
-		dels, adds = e.delta.dels[s], e.delta.adds[s]
-	}
-	for _, l := range slots {
-		if e.delta == nil {
-			for _, w := range sh.neighborsOf(l) {
-				sc.mark(w)
-			}
-			continue
+	if e.delta == nil {
+		for _, l := range slots {
+			lo, hi = markAll(level, sh.neighborsOf(l), lo, hi)
 		}
+		return lo, hi
+	}
+	dels, adds := e.delta.dels[s], e.delta.adds[s]
+	for _, l := range slots {
 		u := sh.verts[l]
-		for _, w := range sh.neighborsOf(l) {
-			if len(dels) > 0 {
-				if _, dead := dels[graph.PackEdge(u, w)]; dead {
-					continue
+		if len(dels) == 0 {
+			lo, hi = markAll(level, sh.neighborsOf(l), lo, hi)
+		} else {
+			for _, w := range sh.neighborsOf(l) {
+				if _, dead := dels[graph.PackEdge(u, w)]; !dead {
+					lo, hi = mark(level, w, lo, hi)
 				}
 			}
-			sc.mark(w)
 		}
-		for _, w := range adds[u] {
-			sc.mark(w)
-		}
+		lo, hi = markAll(level, adds[u], lo, hi)
 	}
 	for _, u := range us {
-		for _, w := range adds[u] {
-			sc.mark(w)
-		}
+		lo, hi = markAll(level, adds[u], lo, hi)
 	}
+	return lo, hi
+}
+
+// mark ORs w's bit into level and widens [lo, hi] to w's word. It does not
+// test whether w was reached before, so it has no branch to mispredict.
+func mark(level []uint64, w graph.Vertex, lo, hi int) (int, int) {
+	i := int(w / 64)
+	level[i] |= 1 << (w % 64)
+	return min(lo, i), max(hi, i)
+}
+
+// markAll marks every vertex of ws.
+func markAll(level []uint64, ws []graph.Vertex, lo, hi int) (int, int) {
+	for _, w := range ws {
+		lo, hi = mark(level, w, lo, hi)
+	}
+	return lo, hi
 }
 
 // khopScratch is one KHop's working memory: the visited and level bitsets
 // over vertex ids, and the frontier routed to each shard — base copies as
-// slots, overlay-only copies as ids. Between queries, in khopPool, every bit
-// of both bitsets is clear.
+// slots, overlay-only copies as ids. While a level is scanned, level holds
+// every mark of the level, visited or not, until appendLevel settles it.
+// Between queries, in khopPool, every bit of both bitsets is clear.
 type khopScratch struct {
 	visited, level []uint64
 	slots          [][]uint32
 	overlay        [][]graph.Vertex
 	extra          []int32 // one frontier vertex's overlay-only shards
-	lo, hi         int     // word range holding level's bits; empty when lo > hi
-	n              int     // vertices in level
 }
 
 var khopPool = sync.Pool{New: func() any { return new(khopScratch) }}
@@ -682,7 +697,6 @@ func getKHopScratch(numVertices uint32, numShards int) *khopScratch {
 		sc.slots = make([][]uint32, numShards)
 		sc.overlay = make([][]graph.Vertex, numShards)
 	}
-	sc.lo, sc.hi, sc.n = words, -1, 0
 	return sc
 }
 
@@ -696,37 +710,37 @@ func (sc *khopScratch) release(res *KHopResult) {
 	khopPool.Put(sc)
 }
 
-// mark records w as reached: the first time, it joins the current level.
-func (sc *khopScratch) mark(w graph.Vertex) {
-	i, bit := int(w/64), uint64(1)<<(w%64)
-	if sc.visited[i]&bit != 0 {
+// appendLevel settles the level marked in words lo..hi of the level bitset.
+// Each word's new vertices are its marks not yet visited, and they join
+// visited. They are appended to res at the given depth in id order, with
+// Vertices and Depths grown once to their exact size. Every word of the
+// range is left clear, whether or not it reached anything new.
+func (sc *khopScratch) appendLevel(res *KHopResult, depth int32, lo, hi int) {
+	if lo > hi {
 		return
 	}
-	sc.visited[i] |= bit
-	sc.level[i] |= bit
-	sc.lo, sc.hi = min(sc.lo, i), max(sc.hi, i)
-	sc.n++
-}
-
-// appendLevel appends the current level to res at the given depth, in id
-// order, growing Vertices and Depths once to their exact size, and clears
-// the level bitset for the next one.
-func (sc *khopScratch) appendLevel(res *KHopResult, depth int32) {
-	if sc.n == 0 {
+	level, visited := sc.level[lo:hi+1], sc.visited[lo:hi+1]
+	n := 0
+	for i, word := range level {
+		fresh := word &^ visited[i]
+		visited[i] |= fresh
+		level[i] = fresh
+		n += bits.OnesCount64(fresh)
+	}
+	if n == 0 {
 		return
 	}
-	vs := append(make([]graph.Vertex, 0, len(res.Vertices)+sc.n), res.Vertices...)
-	ds := append(make([]int32, 0, len(res.Depths)+sc.n), res.Depths...)
-	for i := sc.lo; i <= sc.hi; i++ {
-		for word := sc.level[i]; word != 0; word &= word - 1 {
-			vs = append(vs, graph.Vertex(i*64+bits.TrailingZeros64(word)))
+	vs := append(make([]graph.Vertex, 0, len(res.Vertices)+n), res.Vertices...)
+	ds := append(make([]int32, 0, len(res.Depths)+n), res.Depths...)
+	for i, word := range level {
+		for ; word != 0; word &= word - 1 {
+			vs = append(vs, graph.Vertex((lo+i)*64+bits.TrailingZeros64(word)))
 			ds = append(ds, depth)
 		}
-		sc.level[i] = 0
+		level[i] = 0
 	}
 	res.Vertices, res.Depths = vs, ds
-	res.LevelSizes = append(res.LevelSizes, int64(sc.n))
-	sc.lo, sc.hi, sc.n = len(sc.level), -1, 0
+	res.LevelSizes = append(res.LevelSizes, int64(n))
 }
 
 // ShardEdgesPacked returns shard s's live canonical edge list, sorted — the

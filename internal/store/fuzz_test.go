@@ -99,3 +99,95 @@ func fileBytes(t testing.TB, dir string) [][]byte {
 	}
 	return out
 }
+
+// FuzzKHop is a differential target for KHop. The input's first four bytes
+// give |V| (1–256), the shard count (1–8), k (0–4) and the source; each
+// following triple (op, u, v) names an edge and what happens to it. In a
+// first pass, ops 0 and 1 put the edge in the base on shard op>>2. In a
+// second pass, op 2 inserts it in the overlay on shard op>>2 (ids up to
+// |V|+7, so some are minted beyond the base), and op 3 deletes it, from the
+// overlay if it was inserted there, else from the base. KHop on the epoch,
+// and on its base alone, must equal bfsOracle, and leave the scratch clean.
+//
+// Run locally with:
+//
+//	go test -run='^$' -fuzz=FuzzKHop -fuzztime=30s ./internal/store
+func FuzzKHop(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0})
+	clique := []byte{99, 2, 2, 5}
+	for u := byte(0); u < 24; u++ {
+		for v := u + 1; v < 24; v++ {
+			clique = append(clique, u&1, u, v)
+		}
+	}
+	f.Add(append(clique, 3, 0, 1, 3, 5, 6, 2, 0, 99, 6, 100, 105, 3, 0, 99))
+	star := []byte{255, 7, 4, 7}
+	for v := byte(1); v < 255; v++ {
+		star = append(star, v, 0, v)
+	}
+	f.Add(append(star, 2, 1, 2, 6, 1, 3, 3, 0, 3))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := graph.Vertex(data[0]) + 1
+		numShards := int(data[1])%8 + 1
+		k := int(data[2]) % 5
+		src := graph.Vertex(data[3]) % n
+		ops := data[4:]
+		ops = ops[:len(ops)/3*3]
+
+		baseShard := map[uint64]int{}
+		packed := make([][]uint64, numShards)
+		for i := 0; i < len(ops); i += 3 {
+			u, v := graph.Vertex(ops[i+1])%n, graph.Vertex(ops[i+2])%n
+			if ops[i]%4 > 1 || u == v {
+				continue
+			}
+			key := graph.PackEdge(min(u, v), max(u, v))
+			if _, dup := baseShard[key]; !dup {
+				s := int(ops[i]>>2) % numShards
+				baseShard[key] = s
+				packed[s] = append(packed[s], key)
+			}
+		}
+		for _, p := range packed {
+			slices.Sort(p)
+		}
+		st, err := BuildFromShards(uint32(n), packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		d := NewDelta(numShards)
+		addShard := map[uint64]int{}
+		for i := 0; i < len(ops); i += 3 {
+			u, v := graph.Vertex(ops[i+1])%(n+7), graph.Vertex(ops[i+2])%(n+7)
+			if ops[i]%4 < 2 || u == v {
+				continue
+			}
+			u, v = min(u, v), max(u, v)
+			key := graph.PackEdge(u, v)
+			bs, inBase := baseShard[key]
+			baseLive := inBase && !d.HasDel(bs, u, v)
+			as, added := addShard[key]
+			switch {
+			case ops[i]%4 == 2 && !baseLive && !added:
+				s := int(ops[i]>>2) % numShards
+				d.AddEdge(s, u, v)
+				addShard[key] = s
+			case ops[i]%4 == 3 && added:
+				d.RemoveAdd(as, u, v)
+				delete(addShard, key)
+			case ops[i]%4 == 3 && baseLive:
+				d.DelEdge(bs, u, v)
+			}
+		}
+		ep := NewEpoch(st, d, 1)
+		checkKHop(t, "base", st, graph.FromPacked(uint32(n), slices.Concat(packed...)), src, k)
+		checkScratchClean(t, "base")
+		checkKHop(t, "epoch", ep, overlayGraph(ep, packed, d), src, k)
+		checkScratchClean(t, "epoch")
+	})
+}

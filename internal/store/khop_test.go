@@ -3,10 +3,12 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 )
@@ -138,12 +140,103 @@ func TestKHopScratchAcrossSizes(t *testing.T) {
 	}
 }
 
+// checkScratchClean fails unless the pooled KHop scratch is clean: between
+// queries every bit of the level and visited bitsets is clear, over their
+// whole capacity, so that no mark leaks into the next query on this
+// goroutine, whatever the size of the graph it queries.
+func checkScratchClean(t *testing.T, name string) {
+	t.Helper()
+	sc := khopPool.Get().(*khopScratch)
+	defer khopPool.Put(sc)
+	for _, bitset := range [][]uint64{sc.level[:cap(sc.level)], sc.visited[:cap(sc.visited)]} {
+		for i, word := range bitset {
+			if word != 0 {
+				t.Fatalf("%s: scratch word %d is %#x after the query, want 0", name, i, word)
+			}
+		}
+	}
+}
+
+// cliqueEdges returns the edges of the clique on the ids [lo, hi).
+func cliqueEdges(lo, hi graph.Vertex) []graph.Edge {
+	var edges []graph.Edge
+	for u := lo; u < hi; u++ {
+		for v := u + 1; v < hi; v++ {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	return edges
+}
+
+// TestKHopMarksOnVisitedVertices runs KHop where most marks land on vertices
+// already visited, which the level bitset holds until the level is settled:
+// a clique wider than one bitset word, a star entered through its hub and
+// through a leaf, and two cliques joined by a path. Every answer for
+// k ∈ 0..4 on 1, 3 and 8 shards, on the base store and on an overlay epoch
+// over it, must equal the oracle's, and each query must leave the scratch
+// clean for the next one on the goroutine.
+func TestKHopMarksOnVisitedVertices(t *testing.T) {
+	path := []graph.Edge{{U: 99, V: 100}, {U: 100, V: 101}, {U: 101, V: 102}, {U: 102, V: 103}}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		srcs []graph.Vertex
+	}{
+		{"clique", graph.FromEdges(200, cliqueEdges(0, 200)), []graph.Vertex{0, 63, 64, 199}},
+		{"star", gen.Star(300), []graph.Vertex{0, 1, 150, 299}},
+		{"two cliques and a path", graph.FromEdges(203, slices.Concat(cliqueEdges(0, 100), path, cliqueEdges(103, 203))),
+			[]graph.Vertex{0, 99, 101, 103, 202}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkKHopOnVisited(t, tc.g, tc.srcs)
+		})
+	}
+}
+
+// checkKHopOnVisited checks KHop from srcs for k ∈ 0..4 on g over 1, 3 and
+// 8 shards, on the base store and on an overlay epoch over it, and that each
+// query leaves the scratch clean.
+func checkKHopOnVisited(t *testing.T, g *graph.Graph, srcs []graph.Vertex) {
+	t.Helper()
+	n := g.NumVertices()
+	for _, parts := range []int{1, 3, 8} {
+		packed := shardPacked(g, parts, int64(parts))
+		st, err := BuildFromShards(n, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := randomDelta(packed, n, 5, 100, 20, int64(parts))
+		ep := NewEpoch(st, d, 1)
+		targets := []struct {
+			name string
+			q    khopper
+			g    *graph.Graph
+		}{
+			{fmt.Sprintf("%d shards/base", parts), st, g},
+			{fmt.Sprintf("%d shards/overlay", parts), ep, overlayGraph(ep, packed, d)},
+		}
+		for _, tg := range targets {
+			for _, src := range srcs {
+				for k := 0; k <= 4; k++ {
+					checkKHop(t, tg.name, tg.q, tg.g, src, k)
+					checkScratchClean(t, tg.name)
+				}
+			}
+		}
+	}
+}
+
 // khopSink keeps BenchmarkKHop's results live.
 var khopSink *KHopResult
 
-// BenchmarkKHop runs 2-hop traversals from a seeded cycle of sources on RMAT
-// 12 (edge factor 16) over 8 shards: on the base store, and on an overlay
-// epoch over it with deletes, adds and ids minted beyond the base.
+// BenchmarkKHop runs 2-hop traversals from a seeded cycle of sources. Two
+// cases run on RMAT 12 (edge factor 16) over 8 random shards: the base store,
+// and an overlay epoch over it with deletes, adds and ids minted beyond the
+// base. The serve-read case has the shape of the end-to-end workload of that
+// name: RMAT 15, edge factor 16, DNE at 8 parts. Every case reports
+// verts/op, the mean result size, so that ns/op reads against the work a
+// query does.
 func BenchmarkKHop(b *testing.B) {
 	g := gen.RMAT(12, 16, 1)
 	n := g.NumVertices()
@@ -153,25 +246,42 @@ func BenchmarkKHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	ep := NewEpoch(st, randomDelta(packed, n, 20, 2000, 100, 3), 1)
-	rng := rand.New(rand.NewSource(4))
-	srcs := make([]graph.Vertex, 1024)
-	for i := range srcs {
-		srcs[i] = graph.Vertex(rng.Intn(int(n)))
+
+	serve := gen.RMAT(15, 16, 1)
+	cfg := dne.DefaultConfig()
+	cfg.Seed = 1
+	part, err := dne.Partition(serve, 8, cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	serveSt, err := BuildPartitioning(serve, part.Partitioning)
+	if err != nil {
+		b.Fatal(err)
+	}
+
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
 		q    khopper
-	}{{"base", st}, {"overlay", ep}} {
+		n    uint32
+	}{{"base", st, n}, {"overlay", ep, n}, {"serve-read", serveSt, serve.NumVertices()}} {
+		rng := rand.New(rand.NewSource(4))
+		srcs := make([]graph.Vertex, 1024)
+		for i := range srcs {
+			srcs[i] = graph.Vertex(rng.Intn(int(tc.n)))
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			verts := 0
 			for i := 0; i < b.N; i++ {
 				res, err := tc.q.KHop(ctx, srcs[i%len(srcs)], 2)
 				if err != nil {
 					b.Fatal(err)
 				}
+				verts += len(res.Vertices)
 				khopSink = res
 			}
+			b.ReportMetric(float64(verts)/float64(b.N), "verts/op")
 		})
 	}
 }
