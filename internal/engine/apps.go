@@ -18,26 +18,26 @@ func (e *Engine) PageRank(iterations int, damping float64) []float64 {
 		pr[v] = 1.0 / float64(n)
 	}
 	// Per-partition partial accumulators, merged at masters each superstep.
-	partials := make([][]float64, len(e.parts))
-	for q, p := range e.parts {
-		partials[q] = make([]float64, len(p.verts))
-	}
+	partials := perPart[float64](e)
+	contrib := make([]float64, n)
 	next := make([]float64, n)
 	base := (1 - damping) / float64(n)
 	for it := 0; it < iterations; it++ {
 		e.Supersteps++
-		// Gather: each partition scans its local edges and accumulates
-		// pr[u]/deg[u] contributions in local scratch.
+		for v := range contrib {
+			contrib[v] = pr[v] / float64(deg[v])
+		}
+		// Gather: each partition sums its local vertices' neighbour
+		// contributions over their CSR rows in local scratch.
 		e.runParallel(func(q int) {
 			p := e.parts[q]
 			acc := partials[q]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				acc[le.v] += pr[gu] / float64(deg[gu])
-				acc[le.u] += pr[gv] / float64(deg[gv])
+			for l := range acc {
+				var sum float64
+				for _, w := range p.row(l) {
+					sum += contrib[w]
+				}
+				acc[l] = sum
 			}
 		})
 		// Apply at masters (sequential merge) + sync accounting.
@@ -51,7 +51,7 @@ func (e *Engine) PageRank(iterations int, damping float64) []float64 {
 			}
 		}
 		for v := 0; v < n; v++ {
-			if e.replicas.Count(graph.Vertex(v)) == 0 {
+			if len(e.st.Replicas(graph.Vertex(v))) == 0 {
 				continue
 			}
 			next[v] = base + damping*next[v]
@@ -78,27 +78,21 @@ func (e *Engine) SSSP(source graph.Vertex) []int64 {
 	active[source] = true
 	e.accountScatterOnly(source)
 
-	partials := make([][]int64, len(e.parts))
-	for q, p := range e.parts {
-		partials[q] = make([]int64, len(p.verts))
-	}
+	partials := perPart[int64](e)
 	for {
 		e.Supersteps++
 		anyActive := false
 		e.runParallel(func(q int) {
 			p := e.parts[q]
 			prop := partials[q]
-			for i := range prop {
-				prop[i] = inf
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				if active[gu] && dist[gu]+1 < prop[le.v] {
-					prop[le.v] = dist[gu] + 1
+			for l := range prop {
+				best := int64(inf)
+				for _, w := range p.row(l) {
+					if active[w] && dist[w]+1 < best {
+						best = dist[w] + 1
+					}
 				}
-				if active[gv] && dist[gv]+1 < prop[le.u] {
-					prop[le.u] = dist[gv] + 1
-				}
+				prop[l] = best
 			}
 		})
 		// Apply at masters; vertices whose distance improves become the next
@@ -129,54 +123,47 @@ func (e *Engine) SSSP(source graph.Vertex) []int64 {
 
 // WCC computes weakly connected components by min-label propagation and
 // returns the component label of every vertex (its smallest-id member).
+// Each superstep pulls every neighbour's label: a neighbour whose label did
+// not change last superstep already passed it on when it last changed, so
+// pulling it too never lowers a label a frontier-only pull would not.
 func (e *Engine) WCC() []graph.Vertex {
 	n := int(e.g.NumVertices())
 	label := make([]graph.Vertex, n)
-	active := make([]bool, n)
 	for v := range label {
 		label[v] = graph.Vertex(v)
-		active[v] = true
 	}
-	partials := make([][]graph.Vertex, len(e.parts))
-	for q, p := range e.parts {
-		partials[q] = make([]graph.Vertex, len(p.verts))
-	}
+	partials := perPart[graph.Vertex](e)
+	moved := make([]bool, n)
 	for {
 		e.Supersteps++
 		e.runParallel(func(q int) {
 			p := e.parts[q]
 			prop := partials[q]
-			for i, gv := range p.verts {
-				prop[i] = label[gv]
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				if active[gu] && label[gu] < prop[le.v] {
-					prop[le.v] = label[gu]
+			for l, v := range p.verts {
+				best := label[v]
+				for _, w := range p.row(l) {
+					best = min(best, label[w])
 				}
-				if active[gv] && label[gv] < prop[le.u] {
-					prop[le.u] = label[gv]
-				}
+				prop[l] = best
 			}
 		})
-		nextActive := make([]bool, n)
-		changed := false
+		clear(moved)
 		for q, p := range e.parts {
 			prop := partials[q]
 			for i, gv := range p.verts {
 				if prop[i] < label[gv] {
 					label[gv] = prop[i]
-					nextActive[gv] = true
+					moved[gv] = true
 				}
 			}
 		}
-		for v := 0; v < n; v++ {
-			if nextActive[v] {
+		changed := false
+		for v, m := range moved {
+			if m {
 				changed = true
 				e.accountSync(graph.Vertex(v))
 			}
 		}
-		active = nextActive
 		if !changed {
 			break
 		}

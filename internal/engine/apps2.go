@@ -18,27 +18,21 @@ func (e *Engine) Coreness() []int32 {
 	for v := 0; v < n; v++ {
 		core[v] = int32(e.g.Degree(graph.Vertex(v)))
 	}
-	// neighborVals[q] collects, for each local vertex, its neighbors' current
+	// buckets[q] collects, for each local vertex, its neighbors' current
 	// core estimates over the partition's local edges; estimates for
 	// neighbors reached through other partitions arrive via the master merge,
 	// which concatenates per-partition lists before computing the h-index.
-	type bucket struct{ vals [][]int32 }
-	buckets := make([]bucket, len(e.parts))
-	for q, p := range e.parts {
-		buckets[q].vals = make([][]int32, len(p.verts))
-	}
+	buckets := perPart[[]int32](e)
 	for {
 		e.Supersteps++
 		e.runParallel(func(q int) {
 			p := e.parts[q]
-			b := &buckets[q]
-			for i := range b.vals {
-				b.vals[i] = b.vals[i][:0]
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				b.vals[le.v] = append(b.vals[le.v], core[gu])
-				b.vals[le.u] = append(b.vals[le.u], core[gv])
+			b := buckets[q]
+			for l := range b {
+				b[l] = b[l][:0]
+				for _, w := range p.row(l) {
+					b[l] = append(b[l], core[w])
+				}
 			}
 		})
 		// Master merge: gather all partial neighbor lists per vertex, compute
@@ -47,8 +41,8 @@ func (e *Engine) Coreness() []int32 {
 		merged := make([][]int32, n)
 		for q, p := range e.parts {
 			for i, gv := range p.verts {
-				if len(buckets[q].vals[i]) > 0 {
-					merged[gv] = append(merged[gv], buckets[q].vals[i]...)
+				if len(buckets[q][i]) > 0 {
+					merged[gv] = append(merged[gv], buckets[q][i]...)
 				}
 			}
 		}
@@ -87,19 +81,23 @@ func hIndex(vals []int32) int32 {
 
 // Triangles returns the global triangle count. Each partition intersects the
 // (globally known, mirror-replicated) sorted adjacency lists of its own
-// edges' endpoints; since every edge is owned by exactly one partition and
-// each triangle has three edges, the owned-edge intersection total is 3×the
-// triangle count. Compute is charged to the owning partition, making this
-// the canonical "edge balance drives workload balance" app.
+// edges' endpoints, visiting each edge at its lower endpoint's CSR row;
+// since every edge is owned by exactly one partition and each triangle has
+// three edges, the owned-edge intersection total is 3×the triangle count.
+// Compute is charged to the owning partition, making this the canonical
+// "edge balance drives workload balance" app.
 func (e *Engine) Triangles() int64 {
 	e.Supersteps++
 	counts := make([]int64, len(e.parts))
 	e.runParallel(func(q int) {
 		p := e.parts[q]
 		var c int64
-		for _, le := range p.edges {
-			gu, gv := p.verts[le.u], p.verts[le.v]
-			c += intersectCount(e.g.Neighbors(gu), e.g.Neighbors(gv))
+		for l, u := range p.verts {
+			for _, w := range p.row(l) {
+				if u < w {
+					c += intersectCount(e.g.Neighbors(u), e.g.Neighbors(w))
+				}
+			}
 		}
 		counts[q] = c
 	})
@@ -150,27 +148,17 @@ func (e *Engine) LabelPropagation(maxIters int) []graph.Vertex {
 		c int32
 	}
 	// Per-partition label-count maps for local vertices.
-	partial := make([][]map[graph.Vertex]int32, len(e.parts))
-	for q, p := range e.parts {
-		partial[q] = make([]map[graph.Vertex]int32, len(p.verts))
-	}
+	partial := perPart[map[graph.Vertex]int32](e)
 	for it := 0; it < maxIters; it++ {
 		e.Supersteps++
 		e.runParallel(func(q int) {
 			p := e.parts[q]
-			for i := range partial[q] {
-				partial[q][i] = nil
-			}
-			for _, le := range p.edges {
-				gu, gv := p.verts[le.u], p.verts[le.v]
-				if partial[q][le.v] == nil {
-					partial[q][le.v] = make(map[graph.Vertex]int32)
+			for l := range partial[q] {
+				m := make(map[graph.Vertex]int32)
+				for _, w := range p.row(l) {
+					m[label[w]]++
 				}
-				partial[q][le.v][label[gu]]++
-				if partial[q][le.u] == nil {
-					partial[q][le.u] = make(map[graph.Vertex]int32)
-				}
-				partial[q][le.u][label[gv]]++
+				partial[q][l] = m
 			}
 		})
 		// Master merge.

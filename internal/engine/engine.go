@@ -12,46 +12,46 @@
 // Communication is accounted analytically — valueBytes per mirror hop — and
 // per-partition busy time is measured on real goroutines.
 //
-// Layout: each partition holds its sorted vertex set V(Ep), read out of a
-// replica bitset slab, and its edges in local indices (positions in V(Ep)),
-// mapped through one dense slot row over vertex ids. A
-// partition.ReplicaIndex built from the vertex sets maps every vertex to the
-// partitions holding it, which the communication accounting counts. Building
-// an engine takes no hash map, sort or binary search, and allocates per
-// partition, not per vertex.
+// Layout: the engine runs on a store.Store built from the partitioning, the
+// same in-memory partitioned graph the serving layer queries. Each
+// partition reads its shard's CSR by slot: its sorted vertex set V(Ep), and
+// for each vertex the neighbours its edges in Ep reach, ascending. The
+// store's replica index maps every vertex to the partitions holding it,
+// which the communication accounting counts. Every app pulls over each
+// slot's CSR row, so no partition stores edges of its own.
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
+	"github.com/distributedne/dne/internal/store"
 )
 
 // valueBytes is the accounted wire size of one vertex value update
 // (vertex id + value).
 const valueBytes = 12
 
-// localEdge is an edge in partition-local vertex indices.
-type localEdge struct {
-	u, v int32
-}
-
-// part is one partition's share of the graph.
+// part is one partition's view of its store shard.
 type part struct {
 	verts []graph.Vertex // sorted global ids of local vertices (replicas)
-	edges []localEdge
+	off   []int64        // verts[l]'s neighbours are tgt[off[l]:off[l+1]]
+	tgt   []graph.Vertex
 	busy  time.Duration // accumulated compute time
 }
 
+// row returns the neighbours of the vertex at slot l over the partition's
+// edges, ascending.
+func (p *part) row(l int) []graph.Vertex { return p.tgt[p.off[l]:p.off[l+1]] }
+
 // Engine executes vertex programs over an edge-partitioned graph.
 type Engine struct {
-	g     *graph.Graph
+	g     *graph.Graph // global degrees and Triangles' adjacency
+	st    *store.Store
 	parts []*part
-	// replicas maps every vertex to the partitions holding it and its
-	// local index in each; a vertex's master is the first of them.
-	replicas partition.ReplicaIndex
 
 	// CommBytes accumulates gather+scatter traffic across all supersteps.
 	CommBytes int64
@@ -59,37 +59,30 @@ type Engine struct {
 	Supersteps int
 }
 
-// New builds an engine from a complete partitioning of g in O(|V|·P/64 +
-// |E| + Σ|V(Ep)|): the vertex sets and the replica index, then each
-// partition's edges in edge order, mapped to local ids through the slots.
+// New builds an engine on the store of a complete partitioning of g
+// (store.BuildPartitioning). It panics if pt is not a valid partitioning of
+// g.
 func New(g *graph.Graph, pt *partition.Partitioning) *Engine {
-	verts, edgeCounts := pt.VertexSets(g)
-	e := &Engine{
-		g:        g,
-		parts:    make([]*part, pt.NumParts),
-		replicas: partition.NewReplicaIndex(g.NumVertices(), verts),
+	st, err := store.BuildPartitioning(g, pt)
+	if err != nil {
+		panic(fmt.Sprintf("engine: %v", err))
 	}
+	e := &Engine{g: g, st: st, parts: make([]*part, st.NumShards())}
 	for q := range e.parts {
-		e.parts[q] = &part{verts: verts[q], edges: make([]localEdge, 0, edgeCounts[q])}
-	}
-	// Each edge goes to its owner in edge order, still in global ids; then
-	// each partition rewrites its own edges through a dense slot row over
-	// vertex ids, filled from its vertex set.
-	for i, o := range pt.Owner {
-		ed := g.Edge(int64(i))
-		p := e.parts[o]
-		p.edges = append(p.edges, localEdge{int32(ed.U), int32(ed.V)})
-	}
-	slot := make([]int32, g.NumVertices())
-	for _, p := range e.parts {
-		for l, v := range p.verts {
-			slot[v] = int32(l)
-		}
-		for j, le := range p.edges {
-			p.edges[j] = localEdge{slot[uint32(le.u)], slot[uint32(le.v)]}
-		}
+		p := &part{}
+		p.verts, p.off, p.tgt = st.ShardCSR(q)
+		e.parts[q] = p
 	}
 	return e
+}
+
+// perPart returns one zeroed slice per partition, indexed by slot.
+func perPart[T any](e *Engine) [][]T {
+	out := make([][]T, len(e.parts))
+	for q, p := range e.parts {
+		out[q] = make([]T, len(p.verts))
+	}
+	return out
 }
 
 // NumParts returns the partition count.
@@ -140,7 +133,7 @@ func (e *Engine) runParallel(fn func(q int)) {
 // accountSync charges one gather+scatter round for vertex v: each mirror
 // sends a partial to the master and receives the new value.
 func (e *Engine) accountSync(v graph.Vertex) {
-	mirrors := e.replicas.Count(v) - 1
+	mirrors := len(e.st.Replicas(v)) - 1
 	if mirrors > 0 {
 		e.CommBytes += int64(mirrors) * valueBytes * 2
 	}
@@ -149,7 +142,7 @@ func (e *Engine) accountSync(v graph.Vertex) {
 // accountScatterOnly charges a master→mirror broadcast for v (used when the
 // gather side was quiescent).
 func (e *Engine) accountScatterOnly(v graph.Vertex) {
-	mirrors := e.replicas.Count(v) - 1
+	mirrors := len(e.st.Replicas(v)) - 1
 	if mirrors > 0 {
 		e.CommBytes += int64(mirrors) * valueBytes
 	}

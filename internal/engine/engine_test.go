@@ -162,8 +162,8 @@ func TestWorkloadBalanceReported(t *testing.T) {
 }
 
 // TestNewAllocsIndependentOfVertexCount: building the engine allocates a
-// fixed number of objects per partition — slab, vertex lists, replica index,
-// edge lists — and none per vertex or per edge.
+// fixed number of objects per partition — the store's owner buckets, shard
+// CSRs and replica index — and none per vertex or per edge.
 func TestNewAllocsIndependentOfVertexCount(t *testing.T) {
 	const parts = 8
 	g := gen.RMAT(12, 8, 5)
@@ -175,4 +175,44 @@ func TestNewAllocsIndependentOfVertexCount(t *testing.T) {
 	if got := testing.AllocsPerRun(3, func() { New(g, pt) }); got > 16*parts+32 {
 		t.Errorf("New allocates %.0f objects at |V| = %d, want at most %d", got, g.NumVertices(), 16*parts+32)
 	}
+}
+
+var (
+	engineSink *Engine
+	prSink     []float64
+	wccSink    []graph.Vertex
+)
+
+// BenchmarkEngine times building an engine and running PageRank (10
+// iterations) and WCC on it: RMAT scale 16, edge factor 16, random owners
+// over 16 partitions.
+//
+//	go test -run='^$' -bench=BenchmarkEngine -benchmem ./internal/engine
+func BenchmarkEngine(b *testing.B) {
+	const parts = 16
+	g := gen.RMAT(16, 16, 1)
+	pt := partition.New(parts, g.NumEdges())
+	rng := rand.New(rand.NewSource(1))
+	for i := range pt.Owner {
+		pt.Owner[i] = int32(rng.Intn(parts))
+	}
+	e := New(g, pt)
+	b.Run("New", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			engineSink = New(g, pt)
+		}
+	})
+	b.Run("PageRank", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			prSink = e.PageRank(10, 0.85)
+		}
+	})
+	b.Run("WCC", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			wccSink = e.WCC()
+		}
+	})
 }

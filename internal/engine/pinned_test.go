@@ -14,9 +14,10 @@ import (
 // factor 8, DNE into 8 parts with seed 3. One FNV-64a digest covers the
 // PageRank float bits (10 iterations), the WCC labels and the SSSP distances
 // from vertex 0; CommBytes and Supersteps are pinned per app, and the
-// per-part vertex and edge counts pin the engine's layout. They feed the
-// benchmark's engine metrics and Table 5's COM column, so any change to how
-// the engine is built or run must leave every one of them unchanged.
+// per-part vertex and edge counts of the store shards the engine runs on
+// pin its layout. They feed the benchmark's engine metrics and Table 5's
+// COM column, so any change to how the engine is built or run must leave
+// every one of them unchanged.
 func TestPinnedEngineRun(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	e := buildEngine(t, g, "dne", 3, 8)
@@ -57,9 +58,9 @@ func TestPinnedEngineRun(t *testing.T) {
 		t.Errorf("Supersteps per app (pagerank, wcc, sssp) = %v, want %v", steps, want)
 	}
 	var verts, edges []int
-	for _, p := range e.parts {
-		verts = append(verts, len(p.verts))
-		edges = append(edges, len(p.edges))
+	for q := 0; q < e.NumParts(); q++ {
+		verts = append(verts, e.st.ShardVertices(q))
+		edges = append(edges, int(e.st.ShardEdges(q)))
 	}
 	if want := []int{147, 288, 271, 180, 207, 233, 212, 143}; !slices.Equal(verts, want) {
 		t.Errorf("per-part vertices = %v, want %v", verts, want)

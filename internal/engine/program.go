@@ -7,12 +7,17 @@ import "github.com/distributedne/dne/internal/graph"
 // downstream code can run custom analytics over any edge partitioning
 // without touching engine internals.
 //
-// Each superstep: for every edge (u,v) in every partition, the engine calls
-// Gather twice (u→v and v→u) and sums the contributions per target vertex
-// (partition-locally first, then across partitions at the master); Apply
-// then produces each vertex's next value and reports whether it changed.
-// Only changed vertices are sync-accounted, and the run stops when no vertex
-// changes or MaxSupersteps elapse.
+// Each superstep: for every vertex v of every partition, the engine calls
+// Gather once for each neighbour u that the partition's edges give v, and
+// sums the contributions per vertex (partition-locally first, then across
+// partitions at the master); Apply then produces each vertex's next value
+// and reports whether it changed. Only changed vertices are sync-accounted,
+// and the run stops when no vertex changes or MaxSupersteps elapse.
+//
+// The summation order is fixed, so results are bit-reproducible: within a
+// partition, v's neighbours are summed in ascending id order, starting
+// from 0; the partitions' partial sums are then added, starting from 0, in
+// partition id order.
 type Program interface {
 	// Init returns vertex v's initial value.
 	Init(v graph.Vertex) float64
@@ -31,23 +36,19 @@ func (e *Engine) Run(p Program, maxSupersteps int) []float64 {
 	for v := 0; v < n; v++ {
 		val[v] = p.Init(graph.Vertex(v))
 	}
-	partials := make([][]float64, len(e.parts))
-	for q, pt := range e.parts {
-		partials[q] = make([]float64, len(pt.verts))
-	}
+	partials := perPart[float64](e)
 	sum := make([]float64, n)
 	for step := 0; maxSupersteps == 0 || step < maxSupersteps; step++ {
 		e.Supersteps++
 		e.runParallel(func(q int) {
 			pt := e.parts[q]
 			acc := partials[q]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for _, le := range pt.edges {
-				gu, gv := pt.verts[le.u], pt.verts[le.v]
-				acc[le.v] += p.Gather(gu, val[gu], gv)
-				acc[le.u] += p.Gather(gv, val[gv], gu)
+			for l, v := range pt.verts {
+				var sum float64
+				for _, w := range pt.row(l) {
+					sum += p.Gather(w, val[w], v)
+				}
+				acc[l] = sum
 			}
 		})
 		for v := 0; v < n; v++ {
@@ -61,7 +62,7 @@ func (e *Engine) Run(p Program, maxSupersteps int) []float64 {
 		}
 		anyChanged := false
 		for v := 0; v < n; v++ {
-			if e.replicas.Count(graph.Vertex(v)) == 0 {
+			if len(e.st.Replicas(graph.Vertex(v))) == 0 {
 				continue
 			}
 			next, changed := p.Apply(graph.Vertex(v), val[v], sum[v])

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/partition"
 )
 
 // prProgram re-implements PageRank as a user Program; it must match the
@@ -78,5 +81,84 @@ func TestProgramMaxSuperstepsHonored(t *testing.T) {
 	e.Run(prProgram{n: float64(g.NumVertices()), deg: g.Degrees(), damping: 0.85}, 7)
 	if e.Supersteps != 7 {
 		t.Errorf("supersteps %d, want 7", e.Supersteps)
+	}
+}
+
+// cancelProgram's contributions cancel or vanish depending on the order
+// they are added in: ±1e16 and 1, whose sum rounds away a 1 beside 1e16.
+type cancelProgram struct{}
+
+func (cancelProgram) Init(graph.Vertex) float64 { return -7 }
+func (cancelProgram) Gather(u graph.Vertex, _ float64, _ graph.Vertex) float64 {
+	return [3]float64{1e16, -1e16, 1}[u%3]
+}
+func (cancelProgram) Apply(_ graph.Vertex, _, sum float64) (float64, bool) { return sum, false }
+
+// TestProgramSummationOrder pins Run's documented summation order bit for
+// bit against a reference computed from g and the owners alone: each
+// partition sums a vertex's neighbours in ascending id order, and the
+// partial sums are added in partition order.
+func TestProgramSummationOrder(t *testing.T) {
+	const parts = 5
+	g := gen.RMAT(9, 8, 3)
+	pt := partition.New(parts, g.NumEdges())
+	rng := rand.New(rand.NewSource(9))
+	for i := range pt.Owner {
+		pt.Owner[i] = int32(rng.Intn(parts))
+	}
+	got := New(g, pt).Run(cancelProgram{}, 1)
+
+	n := int(g.NumVertices())
+	nbrs := make([][][]graph.Vertex, parts)
+	for q := range nbrs {
+		nbrs[q] = make([][]graph.Vertex, n)
+	}
+	for i, o := range pt.Owner {
+		ed := g.Edge(int64(i))
+		nbrs[o][ed.U] = append(nbrs[o][ed.U], ed.V)
+		nbrs[o][ed.V] = append(nbrs[o][ed.V], ed.U)
+	}
+	// reference sums in ascending or descending neighbour order, and over
+	// the partitions in id order or in reverse.
+	reference := func(ascending, inOrder bool) []float64 {
+		want := make([]float64, n)
+		for v := range want {
+			held := false
+			var total float64
+			for i := range nbrs {
+				q := i
+				if !inOrder {
+					q = parts - 1 - i
+				}
+				ns := slices.Clone(nbrs[q][v])
+				if len(ns) == 0 {
+					continue
+				}
+				slices.Sort(ns)
+				if !ascending {
+					slices.Reverse(ns)
+				}
+				var partial float64
+				for _, u := range ns {
+					partial += cancelProgram{}.Gather(u, 0, graph.Vertex(v))
+				}
+				total += partial
+				held = true
+			}
+			want[v] = total
+			if !held {
+				want[v] = cancelProgram{}.Init(graph.Vertex(v))
+			}
+		}
+		return want
+	}
+	want := reference(true, true)
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("vertex %d: Run summed %v, the documented order gives %v", v, got[v], want[v])
+		}
+	}
+	if slices.Equal(want, reference(false, true)) || slices.Equal(want, reference(true, false)) {
+		t.Fatal("the program does not tell the documented order from a reversed one")
 	}
 }

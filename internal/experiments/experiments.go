@@ -491,8 +491,9 @@ func Table5(o Options) error {
 			pt := res.Partitioning
 			q := res.Quality
 			cells := []any{pr.Name(), q.ReplicationFactor, q.EdgeBalance, q.VertexBalance}
+			e := engine.New(g, pt)
 			for _, app := range []string{"sssp", "wcc", "pr"} {
-				e := engine.New(g, pt)
+				e.ResetStats()
 				start := time.Now()
 				switch app {
 				case "sssp":

@@ -193,6 +193,7 @@ func TestStateRejectsHostileInput(t *testing.T) {
 		{"tombstone without insertion", rewrite(dead1, 2, e(0, 1)), "log count -1"},
 		{"insertion twice", rewrite(add1, 2, e(4, 5), e(3, 4)), "log count 2"},
 		{"unbacked vertex id", rewrite(add1, 2, e(4, 5), e(0, 1<<32-2)), ErrVertexClaim.Error()},
+		{"edge in two partitions", rewrite(add1, 2, e(4, 5), e(0, 1)), "edge (0,1) held by shards 0 and 1"},
 		{"unsorted base", func(t *testing.T, dir string) {
 			sw, err := graph.CreateShardFile(base1.path(dir, 2), graph.ShardInfo{NumVertices: 8, Index: 1, Count: 2})
 			if err != nil {

@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"math/bits"
-
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/graph"
 )
@@ -11,8 +9,9 @@ import (
 // three flat arrays, the compact-array layout of §7.3 instead of a hash table
 // per partition: the partitions holding a copy of vertex v are
 // parts[off[v]:off[v+1]], ascending, and slots[i] is v's position in the
-// sorted vertex list V(Ep) of partition parts[i]. The store routes queries
-// through it, and the analytics engine counts mirrors with it.
+// sorted vertex list V(Ep) of partition parts[i]. The store builds it from
+// its shards and routes queries through it; the analytics engine runs on a
+// store and counts mirrors with the store's index.
 type ReplicaIndex struct {
 	off   []int64  // len |V|+1
 	parts []int32  // len Σp |V(Ep)|
@@ -82,33 +81,4 @@ func (p *Partitioning) replicaSlab(g *graph.Graph) (slab []uint64, words int, ed
 		edgeCounts[o]++
 	}
 	return slab, words, edgeCounts
-}
-
-// VertexSets returns V(Ep) for every partition p, each ascending, and |Ep|:
-// the vertices covered by p's edges, read out of a replica bitset slab in
-// vertex order. Unassigned edges are skipped.
-func (p *Partitioning) VertexSets(g *graph.Graph) (verts [][]graph.Vertex, edgeCounts []int64) {
-	slab, words, edgeCounts := p.replicaSlab(g)
-	n := int(g.NumVertices())
-	sizes := make([]int, p.NumParts)
-	for v := 0; v < n; v++ {
-		for j, w := range slab[v*words : (v+1)*words] {
-			for ; w != 0; w &= w - 1 {
-				sizes[j<<6+bits.TrailingZeros64(w)]++
-			}
-		}
-	}
-	verts = make([][]graph.Vertex, p.NumParts)
-	for q := range verts {
-		verts[q] = make([]graph.Vertex, 0, sizes[q])
-	}
-	for v := 0; v < n; v++ {
-		for j, w := range slab[v*words : (v+1)*words] {
-			for ; w != 0; w &= w - 1 {
-				q := j<<6 + bits.TrailingZeros64(w)
-				verts[q] = append(verts[q], graph.Vertex(v))
-			}
-		}
-	}
-	return verts, edgeCounts
 }

@@ -8,9 +8,9 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
-// TestReplicaIndexMatchesOwners checks VertexSets and ReplicaIndex against
-// the owners directly, with more than 64 partitions (two bitset words per
-// vertex), isolated vertices and unassigned edges.
+// TestReplicaIndexMatchesOwners checks ReplicaIndex against the owners
+// directly, with more than 64 partitions, isolated vertices and unassigned
+// edges.
 func TestReplicaIndexMatchesOwners(t *testing.T) {
 	const n, parts = 300, 70
 	rng := rand.New(rand.NewSource(1))
@@ -37,17 +37,11 @@ func TestReplicaIndexMatchesOwners(t *testing.T) {
 		}
 	}
 
-	verts, edgeCounts := p.VertexSets(g)
-	if !slices.Equal(edgeCounts, p.EdgeCounts()) {
-		t.Fatalf("edge counts %v, want %v", edgeCounts, p.EdgeCounts())
-	}
-	for q, vs := range verts {
-		if len(vs) != len(holds[q]) || !slices.IsSorted(vs) {
-			t.Fatalf("partition %d: vertex set %v is not the %d sorted endpoints", q, vs, len(holds[q]))
-		}
-		for _, v := range vs {
-			if !holds[q][v] {
-				t.Fatalf("partition %d lists %d, which none of its edges touches", q, v)
+	verts := make([][]graph.Vertex, parts)
+	for q := range verts {
+		for v := graph.Vertex(0); v < g.NumVertices(); v++ {
+			if holds[q][v] {
+				verts[q] = append(verts[q], v)
 			}
 		}
 	}

@@ -43,9 +43,10 @@ func (y *yieldCounter) tick() {
 // edges by owner into it, compaction folds an epoch through it, and
 // ReadDir rebuilds every persisted shard through it. shardEdges[s] holds
 // shard s's edges as PackEdge keys (u < v), strictly increasing; duplicates
-// and endpoints ≥ numVertices are rejected. Each shard costs O(|Es| + |V|/64)
-// with one dense vertex scratch reused across shards, and the replica index
-// over all of them O(|V| + Σ|V(Es)|).
+// and endpoints ≥ numVertices are rejected, and so is an edge two shards
+// hold. Each shard costs O(|Es| + |V|/64) with one dense vertex scratch
+// reused across shards, and the replica index over all of them
+// O(|V| + Σ|V(Es)| + |E|).
 func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) {
 	numShards := len(shardEdges)
 	if numShards == 0 {
@@ -65,7 +66,9 @@ func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) 
 		st.numEdges += sh.edges
 		st.shards[s] = sh
 	}
-	st.buildRouting()
+	if err := st.buildRouting(b.scratch); err != nil {
+		return nil, err
+	}
 	return st.serve(), nil
 }
 

@@ -89,6 +89,7 @@ func TestBuildFromShardsRejectsBadInput(t *testing.T) {
 		{"non-canonical", 4, [][]uint64{{uint64(3)<<32 | 1}}},
 		{"duplicate in shard", 4, [][]uint64{{graph.PackEdge(0, 1), graph.PackEdge(0, 1)}}},
 		{"unsorted shard", 4, [][]uint64{{graph.PackEdge(1, 2), graph.PackEdge(0, 1)}}},
+		{"edge in two shards", 4, [][]uint64{{graph.PackEdge(0, 1), graph.PackEdge(1, 2)}, {graph.PackEdge(1, 2), graph.PackEdge(2, 3)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +125,8 @@ func applyDelta(packed [][]uint64, d *Delta) [][]uint64 {
 // randomDelta mutates the base whose per-shard packed lists are packed and
 // whose |V| is n: it deletes each base edge with probability 1/delOneIn
 // (none when delOneIn is 0), then tries adds seeded insertions between ids
-// below n+mint, so mint > 0 names vertex ids beyond the base.
+// below n+mint, so mint > 0 names vertex ids beyond the base. An insertion
+// of an edge some shard still holds is skipped: an edge lives on one shard.
 func randomDelta(packed [][]uint64, n graph.Vertex, delOneIn, adds, mint int, seed int64) *Delta {
 	numShards := len(packed)
 	rng := rand.New(rand.NewSource(seed))
@@ -147,10 +149,11 @@ func randomDelta(packed [][]uint64, n graph.Vertex, delOneIn, adds, mint int, se
 		if u > v {
 			u, v = v, u
 		}
-		if d.HasAdd(s, u, v) {
-			continue
+		held := false
+		for t := range packed {
+			held = held || d.HasAdd(t, u, v) || slices.Contains(packed[t], graph.PackEdge(u, v)) && !d.HasDel(t, u, v)
 		}
-		if slices.Contains(packed[s], graph.PackEdge(u, v)) && !d.HasDel(s, u, v) {
+		if held {
 			continue
 		}
 		d.AddEdge(s, u, v)

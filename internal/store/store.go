@@ -25,6 +25,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
@@ -99,8 +100,9 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 // buildRouting derives the replica index from the filled shards' vertex
 // lists and then the master table: masters at the replica shard with the
 // highest local degree (ties to the lowest id), isolated vertices
-// hash-routed so routing is total.
-func (st *Store) buildRouting() {
+// hash-routed so routing is total. It refuses an edge that two shards hold.
+// mark is a zeroed per-vertex scratch.
+func (st *Store) buildRouting(mark []uint32) error {
 	verts := make([][]graph.Vertex, len(st.shards))
 	for s, sh := range st.shards {
 		verts[s] = sh.verts
@@ -120,7 +122,36 @@ func (st *Store) buildRouting() {
 			}
 		}
 		st.master[v] = best
+		if len(reps) > 1 {
+			if err := st.checkDisjoint(v, reps, slots, mark); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// checkDisjoint refuses an edge (v,w), w > v, that two of v's replica
+// shards hold. It stamps mark[w] with v+1 for each such neighbour, the tail
+// of each ascending row, so the stamps of lower vertices never need
+// clearing and each edge costs one visit, at its lower endpoint.
+func (st *Store) checkDisjoint(v graph.Vertex, reps []int32, slots []uint32, mark []uint32) error {
+	for i, s := range reps {
+		adj := st.shards[s].neighborsOf(slots[i])
+		for k := len(adj) - 1; k >= 0 && adj[k] > v; k-- {
+			w := adj[k]
+			if mark[w] != v+1 {
+				mark[w] = v + 1
+				continue
+			}
+			for j, r := range reps[:i] {
+				if _, ok := slices.BinarySearch(st.shards[r].neighborsOf(slots[j]), w); ok {
+					return fmt.Errorf("store: edge (%d,%d) held by shards %d and %d", v, w, r, s)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // serve finishes construction: counters sized to the shards, and the
@@ -145,6 +176,14 @@ func (st *Store) ShardEdges(s int) int64 { return st.shards[s].edges }
 
 // ShardVertices returns the number of vertex replicas held by shard s.
 func (st *Store) ShardVertices(s int) int { return len(st.shards[s].verts) }
+
+// ShardCSR returns shard s's CSR: its vertices, ascending, and the
+// neighbours of the vertex at slot l, tgt[off[l]:off[l+1]], ascending.
+// Callers must not mutate the slices.
+func (st *Store) ShardCSR(s int) (verts []graph.Vertex, off []int64, tgt []graph.Vertex) {
+	sh := st.shards[s]
+	return sh.verts, sh.off, sh.tgt
+}
 
 // Master returns the shard owning v's primary copy.
 func (st *Store) Master(v graph.Vertex) (int32, error) { return st.view.Master(v) }
