@@ -154,7 +154,6 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 
 	c := cluster.New(numParts)
 	stats := make([]*MachineStats, numParts)
-	p := partition.New(numParts, g.NumEdges())
 
 	start := time.Now()
 	shards := graph.ShardsOf(g, numParts)
@@ -176,7 +175,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 	if root.NumEdges() != g.NumEdges() {
 		return nil, fmt.Errorf("dne: collected %d edges, graph has %d", root.NumEdges(), g.NumEdges())
 	}
-	copy(p.Owner, root.Owner)
+	p := &partition.Partitioning{NumParts: numParts, Owner: root.Owner}
 
 	res := &Result{Partitioning: p, Elapsed: elapsed, SweptEdges: stats[0].SweptEdges}
 	for _, st := range stats {

@@ -90,7 +90,7 @@ func TestSubgraphPartitionIsCompleteAndDisjoint(t *testing.T) {
 	locals := make([][]uint64, p)
 	err := cluster.New(p).Run(func(comm cluster.Comm) error {
 		var err error
-		locals[comm.Rank()], _, err = shuffleShard(comm, newGrid(p), shards[comm.Rank()].Packed)
+		locals[comm.Rank()], _, err = shuffleShard(comm, shards[comm.Rank()].Packed)
 		return err
 	})
 	if err != nil {

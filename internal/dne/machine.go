@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/distributedne/dne/internal/bitset"
 	"github.com/distributedne/dne/internal/cluster"
@@ -547,12 +549,13 @@ func (m *machine) finish(iter int, in machineInput) {
 // returns the complete edge set in ascending canonical order with each
 // edge's owner; other ranks return nils.
 //
-// The runs are ascending and the 2D hash names the run each key belongs to,
-// so rank 0 merges the keys alone into a new slice (dsa.MergeU64; in process
-// the runs are the senders' own key slices and must not move) and then walks
-// it, reading each owner from the head of its key's run. A run that is not
-// strictly ascending, or a key that is not at the head of its grid run —
-// another cell's key, or one sent twice — is an error, not a silent merge.
+// Rank 0 first checks each received run in one pass (checkResultRun), the
+// runs in parallel, then merges keys and owners together in one
+// dsa.MergeU64 call; in process the runs are the senders' own slices and
+// must not move. A run that is not strictly ascending, whose owners are not
+// paired with its keys or lie outside [0, P), or that holds a key of
+// another machine's grid cell (which is also how a key sent twice shows) is
+// an error, not a silent merge.
 func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, error) {
 	comm.Send(0, tagResult, shardResultBody{Keys: sg.keys, Owner: sg.owner})
 	if comm.Rank() != 0 {
@@ -563,27 +566,51 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 	owners := make([][]int32, p)
 	for _, msg := range comm.RecvN(tagResult, p) {
 		body := msg.Body.(shardResultBody)
-		if len(body.Keys) != len(body.Owner) {
-			return nil, nil, fmt.Errorf("dne: machine %d reports %d keys and %d owners", msg.From, len(body.Keys), len(body.Owner))
-		}
-		if err := checkAscending(msg.From, body.Keys); err != nil {
-			return nil, nil, err
-		}
 		runs[msg.From], owners[msg.From] = body.Keys, body.Owner
 	}
-	keys := dsa.MergeU64(runs)
-	owner := make([]int32, len(keys))
-	cur := make([]int, p)
 	gd := newGrid(p)
-	for i, k := range keys {
-		r := gd.edgeOwner(uint32(k>>32), uint32(k))
-		if cur[r] == len(runs[r]) || runs[r][cur[r]] != k {
-			return nil, nil, fmt.Errorf("dne: edge %#x is not at the head of machine %d's run", k, r)
-		}
-		owner[i] = owners[r][cur[r]]
-		cur[r]++
+	errs := make([]error, p)
+	w := min(runtime.GOMAXPROCS(0), p)
+	var wg sync.WaitGroup
+	for t := 0; t < w; t++ {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			for r := t; r < p; r += w {
+				errs[r] = checkResultRun(&gd, r, runs[r], owners[r])
+			}
+		}(t)
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	keys, owner := dsa.MergeU64(runs, owners)
 	return keys, owner, nil
+}
+
+// checkResultRun returns an error unless machine from's result run is one a
+// run could have produced: as many owners as keys, keys strictly ascending
+// and all of the sender's own grid cell, owners in [0, P).
+func checkResultRun(gd *grid, from int, keys []uint64, owner []int32) error {
+	if len(keys) != len(owner) {
+		return fmt.Errorf("dne: machine %d reports %d keys and %d owners", from, len(keys), len(owner))
+	}
+	kr := newKeyRouter(gd)
+	for i, k := range keys {
+		if i > 0 && k <= keys[i-1] {
+			return fmt.Errorf("dne: machine %d sent keys out of order at %d", from, i)
+		}
+		if q := kr.owner(k); q != from {
+			return fmt.Errorf("dne: machine %d sent edge %#x, which is not at the head of its grid run (machine %d's)", from, k, q)
+		}
+		if uint32(owner[i]) >= uint32(gd.p) {
+			return fmt.Errorf("dne: machine %d reports owner %d for edge %#x, outside [0, %d)", from, owner[i], k, gd.p)
+		}
+	}
+	return nil
 }
 
 func sum(xs []int64) int64 {

@@ -27,30 +27,24 @@ import (
 // Peak memory per rank is O(|shard| + |received|). The returned peakBytes
 // is the analytic transient peak of the exchange's own buffers (routed
 // copies, received runs, merged slice), which are co-resident at the merge;
-// the merge's bucket index, two words per sixteen keys, is left out. The
+// the merge's bucket index, one word per sixteen keys, is left out. The
 // shard itself is charged by the caller, which owns it.
-func shuffleShard(comm cluster.Comm, gd grid, packed []uint64) (local []uint64, peakBytes int64, err error) {
+func shuffleShard(comm cluster.Comm, packed []uint64) (local []uint64, peakBytes int64, err error) {
 	p := comm.Size()
-	// owner walks the ascending shard: one grid row per run of a source.
-	src, row := ^uint64(0), 0
-	owner := func(k uint64) int {
-		if k>>32 != src {
-			src, row = k>>32, gd.row(uint32(k>>32))
-		}
-		return gd.cellOwner(row, uint32(k))
-	}
+	gd := newGrid(p)
 	// Counting pass, then fill: two passes over the shard instead of P
 	// growing buffers.
+	kr := newKeyRouter(&gd)
 	counts := make([]int, p)
 	for _, k := range packed {
-		counts[owner(k)]++
+		counts[kr.owner(k)]++
 	}
 	out := make([][]uint64, p)
 	for q := 0; q < p; q++ {
 		out[q] = make([]uint64, 0, counts[q])
 	}
 	for _, k := range packed {
-		q := owner(k)
+		q := kr.owner(k)
 		out[q] = append(out[q], k)
 	}
 	// The last read of packed: from here the caller's shard can go.
@@ -67,7 +61,8 @@ func shuffleShard(comm cluster.Comm, gd grid, packed []uint64) (local []uint64, 
 	if err != nil {
 		return nil, peakBytes, err
 	}
-	return slices.Compact(dsa.MergeU64(in)), peakBytes, nil
+	merged, _ := dsa.MergeU64[struct{}](in, nil)
+	return slices.Compact(merged), peakBytes, nil
 }
 
 // checkAscending returns an error when run, received from machine from, is

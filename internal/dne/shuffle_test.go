@@ -21,7 +21,7 @@ func shuffleRuns(t *testing.T, packed [][]uint64) ([][]uint64, []error) {
 	errs := make([]error, p)
 	err := cluster.New(p).Run(func(comm cluster.Comm) error {
 		r := comm.Rank()
-		locals[r], _, errs[r] = shuffleShard(comm, newGrid(p), packed[r])
+		locals[r], _, errs[r] = shuffleShard(comm, packed[r])
 		return nil
 	})
 	if err != nil {

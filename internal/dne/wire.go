@@ -108,7 +108,7 @@ func shuffleInput(comm cluster.Comm, shard *graph.Shard) (machineInput, []uint64
 	// exchange, and the expansion phase runs on the subgraph alone.
 	packed := shard.Packed
 	shard.Packed = nil
-	local, shuffleBytes, runErr := shuffleShard(comm, newGrid(p), packed)
+	local, shuffleBytes, runErr := shuffleShard(comm, packed)
 	// A rank that was sent an unordered run adds MinInt64/P instead of its
 	// count: P of those cannot overflow, and no graph of 2^63/P edges fits
 	// the run, so every rank sees a negative sum and all of them fail in the

@@ -1,8 +1,10 @@
 package dsa
 
 import (
+	"cmp"
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -304,9 +306,76 @@ func TestMergeU64MatchesSlices(t *testing.T) {
 			slices.Sort(r)
 		}
 		slices.Sort(want)
-		if got := MergeU64(runs); !slices.Equal(got, want) {
+		if got, _ := MergeU64[struct{}](runs, nil); !slices.Equal(got, want) {
 			t.Fatalf("%d runs of %d keys >> %d: MergeU64 mismatch", tc.runs, tc.n, tc.shift)
 		}
+	}
+}
+
+// TestMergeU64PayloadParallel checks the payload merge on the multi-worker
+// path (2 × sortMinChunk keys and more under GOMAXPROCS(4)) against
+// slices.Sort of the concatenated keys: empty runs, keys crowded into one
+// bucket, and equal keys in several runs, whose values must come out in run
+// order beside them.
+func TestMergeU64PayloadParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(8))
+	type pair struct {
+		k uint64
+		v int32
+	}
+	for _, tc := range []struct {
+		name string
+		runs int
+		key  func(i int) uint64
+	}{
+		{"spread", 7, func(int) uint64 { return rng.Uint64() }},
+		{"one bucket", 5, func(i int) uint64 { return 1<<40 | uint64(rng.Intn(1<<12)) }},
+		{"crowded head", 9, func(i int) uint64 {
+			if i%8 != 0 {
+				return uint64(rng.Intn(64))
+			}
+			return rng.Uint64()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 2*sortMinChunk + 1_000
+			if sortWorkers(n) < 2 {
+				t.Fatalf("sortWorkers(%d) = %d: the test would not reach the split", n, sortWorkers(n))
+			}
+			// Run 0 and the last run stay empty.
+			runs := make([][]uint64, tc.runs)
+			for i := 0; i < n; i++ {
+				r := 1 + rng.Intn(tc.runs-2)
+				runs[r] = append(runs[r], tc.key(i))
+			}
+			vals := make([][]int32, tc.runs)
+			var want []pair
+			for r := range runs {
+				slices.Sort(runs[r])
+				for i, k := range runs[r] {
+					v := int32(r<<24 | i)
+					vals[r] = append(vals[r], v)
+					want = append(want, pair{k, v})
+				}
+			}
+			wantKeys := make([]uint64, len(want))
+			for i, p := range want {
+				wantKeys[i] = p.k
+			}
+			slices.Sort(wantKeys)
+			// Stable on the key: equal keys keep run order, the merge's.
+			slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+			keys, got := MergeU64(runs, vals)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatal("keys differ from slices.Sort of the concatenation")
+			}
+			for i, p := range want {
+				if got[i] != p.v {
+					t.Fatalf("position %d (key %#x): value %#x, want %#x", i, p.k, got[i], p.v)
+				}
+			}
+		})
 	}
 }
 

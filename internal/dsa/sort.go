@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 )
 
@@ -34,14 +35,22 @@ func SortU64(keys []uint64) {
 	radixSort(keys, make([]uint64, len(keys)), 4)
 }
 
-// MergeU64 merges ascending runs into one new ascending slice, without the
-// second buffer as long as the output that sorting a concatenated copy
-// needs. A counting pass buckets the keys on their top varying bits, about
-// one bucket per sixteen keys; each run's keys then go into their buckets in
+// MergeU64 merges ascending runs of keys into one new ascending slice,
+// without the second buffer as long as the output that sorting a
+// concatenated copy needs. When vals is not nil it pairs each run with a
+// payload slice of the same length, and every value moves beside its key
+// into a second new slice; otherwise the second result is nil. Equal keys
+// come out in run order.
+//
+// A counting pass buckets the keys on their top varying bits, about one
+// bucket per sixteen keys; each run's keys then go into their buckets in
 // order, each group merged into its bucket from the back. Keys spread over
 // their range merge in about one pass, keys crowded into one bucket in up to
-// one pass per run. Runs that are not ascending give an unordered result.
-func MergeU64(runs [][]uint64) []uint64 {
+// one pass per run. Both passes split the buckets into contiguous ranges,
+// one per worker (sortWorkers): a worker takes from every run the segment
+// that falls in its range, so the workers write disjoint parts of the
+// output. Runs that are not ascending give an unordered result.
+func MergeU64[V any](runs [][]uint64, vals [][]V) ([]uint64, []V) {
 	n := 0
 	lo, hi := ^uint64(0), uint64(0)
 	for _, r := range runs {
@@ -50,43 +59,75 @@ func MergeU64(runs [][]uint64) []uint64 {
 			lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
 		}
 	}
-	out := make([]uint64, n)
+	keys := make([]uint64, n)
+	var out []V
+	if vals != nil {
+		out = make([]V, n)
+	}
 	width := bits.Len(uint(n >> 4))
 	shift := uint(max(0, bits.Len64(lo^hi)-width))
 	mask := uint64(1)<<width - 1
-	// start[d] is where bucket d begins, end[d] where its merged part ends.
-	start := make([]int, mask+2)
-	for _, r := range runs {
-		for _, k := range r {
-			start[(k>>shift)&mask+1]++
-		}
+	nb := int(mask) + 1
+	// segment returns where the keys of buckets d and up begin in run r.
+	segment := func(r []uint64, d int) int {
+		return sort.Search(len(r), func(i int) bool { return int((r[i]>>shift)&mask) >= d })
 	}
-	for d := 1; d < len(start); d++ {
-		start[d] += start[d-1]
-	}
-	end := slices.Clone(start)
-	for _, r := range runs {
-		for i := 0; i < len(r); {
-			d := (r[i] >> shift) & mask
-			j := i + 1
-			for j < len(r) && (r[j]>>shift)&mask == d {
-				j++
+	w := sortWorkers(n)
+	// end[d] is where bucket d's merged part ends: first a count, then the
+	// bucket's start. A worker counting buckets [dlo, dhi) writes
+	// end[dlo+1 : dhi+1] alone.
+	end := make([]int, nb+1)
+	parallelChunks(nb, (nb+w-1)/w, w, func(_, dlo, dhi int) {
+		for _, r := range runs {
+			for _, k := range r[segment(r, dlo):segment(r, dhi)] {
+				end[(k>>shift)&mask+1]++
 			}
-			a, w := end[d]-1, end[d]+j-i-1
-			for b := j - 1; b >= i; w-- {
-				if a >= start[d] && out[a] > r[b] {
-					out[w] = out[a]
-					a--
-				} else {
-					out[w] = r[b]
-					b--
+		}
+	})
+	for d := 1; d < len(end); d++ {
+		end[d] += end[d-1]
+	}
+	// Cut the buckets into ranges of about n/w keys each.
+	cuts := make([]int, w+1)
+	for t := 1; t < w; t++ {
+		cuts[t] = min(sort.SearchInts(end, t*n/w), nb)
+	}
+	cuts[w] = nb
+	parallelChunks(w, 1, w, func(t, _, _ int) {
+		// Below a bucket's merged part lie only smaller keys of lower
+		// buckets and still-zero slots, so a group merged in from the back
+		// stops there without a bucket start; floor keeps the worker off
+		// the part of the output below its first bucket, another worker's.
+		floor := end[cuts[t]]
+		for ri, r := range runs {
+			for i, stop := segment(r, cuts[t]), segment(r, cuts[t+1]); i < stop; {
+				d := (r[i] >> shift) & mask
+				j := i + 1
+				for j < stop && (r[j]>>shift)&mask == d {
+					j++
 				}
+				a, at := end[d]-1, end[d]+j-i-1
+				for b := j - 1; b >= i; at-- {
+					if a >= floor && keys[a] > r[b] {
+						keys[at] = keys[a]
+						if out != nil {
+							out[at] = out[a]
+						}
+						a--
+					} else {
+						keys[at] = r[b]
+						if out != nil {
+							out[at] = vals[ri][b]
+						}
+						b--
+					}
+				}
+				end[d] += j - i
+				i = j
 			}
-			end[d] += j - i
-			i = j
 		}
-	}
-	return out
+	})
+	return keys, out
 }
 
 // sortWorkers picks the worker count for n keys: bounded by GOMAXPROCS and

@@ -80,7 +80,6 @@ type shardBuilder struct {
 	numVertices uint32
 	scratch     []uint32 // per vertex: local degree, then slot
 	touched     []uint64 // bitset of the vertices the current shard touches
-	yield       yieldCounter
 }
 
 func newShardBuilder(numVertices uint32) *shardBuilder {
@@ -93,30 +92,36 @@ func newShardBuilder(numVertices uint32) *shardBuilder {
 
 // build returns shard s holding the packed edges. Each vertex's adjacency
 // lists its neighbours in key order, which for canonical sorted keys is
-// ascending.
+// ascending. Both passes over the edges yield between chunks of
+// compactYieldStride edges: compaction rebuilds its shards here.
 func (b *shardBuilder) build(s int, packed []uint64) (*shard, error) {
 	numLocal := 0
 	var prev uint64
-	for i, k := range packed {
-		u, v := graph.Vertex(k>>32), graph.Vertex(k)
-		if u >= v {
-			return nil, fmt.Errorf("store: shard %d edge %d (%d,%d) not canonical", s, i, u, v)
+	for lo := 0; lo < len(packed); lo += compactYieldStride {
+		if lo > 0 {
+			runtime.Gosched()
 		}
-		if v >= b.numVertices {
-			return nil, fmt.Errorf("store: shard %d edge %d endpoint %d out of range [0,%d)", s, i, v, b.numVertices)
-		}
-		if i > 0 && k <= prev {
-			return nil, fmt.Errorf("store: shard %d edges not strictly increasing at %d", s, i)
-		}
-		prev = k
-		for _, x := range [2]graph.Vertex{u, v} {
-			if b.scratch[x] == 0 {
-				b.touched[x/64] |= 1 << (x % 64)
-				numLocal++
+		for i := lo; i < min(lo+compactYieldStride, len(packed)); i++ {
+			k := packed[i]
+			u, v := graph.Vertex(k>>32), graph.Vertex(k)
+			if u >= v {
+				return nil, fmt.Errorf("store: shard %d edge %d (%d,%d) not canonical", s, i, u, v)
 			}
-			b.scratch[x]++
+			if v >= b.numVertices {
+				return nil, fmt.Errorf("store: shard %d edge %d endpoint %d out of range [0,%d)", s, i, v, b.numVertices)
+			}
+			if i > 0 && k <= prev {
+				return nil, fmt.Errorf("store: shard %d edges not strictly increasing at %d", s, i)
+			}
+			prev = k
+			for _, x := range [2]graph.Vertex{u, v} {
+				if b.scratch[x] == 0 {
+					b.touched[x/64] |= 1 << (x % 64)
+					numLocal++
+				}
+				b.scratch[x]++
+			}
 		}
-		b.yield.tick()
 	}
 	sh := &shard{
 		verts: make([]graph.Vertex, 0, numLocal),
@@ -141,14 +146,18 @@ func (b *shardBuilder) build(s int, packed []uint64) (*shard, error) {
 	// by one: every off[l] ends at the start of its range, and each
 	// adjacency holds its neighbours in key order.
 	sh.tgt = make([]graph.Vertex, end)
-	for i := len(packed) - 1; i >= 0; i-- {
-		u, v := graph.Vertex(packed[i]>>32), graph.Vertex(packed[i])
-		lu, lv := b.scratch[u], b.scratch[v]
-		sh.off[lu]--
-		sh.tgt[sh.off[lu]] = v
-		sh.off[lv]--
-		sh.tgt[sh.off[lv]] = u
-		b.yield.tick()
+	for hi := len(packed); hi > 0; hi -= compactYieldStride {
+		if hi < len(packed) {
+			runtime.Gosched()
+		}
+		for i := hi - 1; i >= max(hi-compactYieldStride, 0); i-- {
+			u, v := graph.Vertex(packed[i]>>32), graph.Vertex(packed[i])
+			lu, lv := b.scratch[u], b.scratch[v]
+			sh.off[lu]--
+			sh.tgt[sh.off[lu]] = v
+			sh.off[lv]--
+			sh.tgt[sh.off[lv]] = u
+		}
 	}
 	for _, v := range sh.verts {
 		b.scratch[v] = 0
