@@ -163,14 +163,6 @@ func (r *Reader) next(n int) []byte {
 	return b
 }
 
-// U32 reads one u32.
-func (r *Reader) U32() uint32 {
-	if b := r.next(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
 // U64 reads one u64.
 func (r *Reader) U64() uint64 {
 	if b := r.next(8); b != nil {

@@ -39,8 +39,8 @@ func TestWordsRoundTrip(t *testing.T) {
 	}
 
 	r := NewDigestReader(&buf)
-	if got := r.U32(); got != 7 {
-		t.Fatalf("U32 = %d", got)
+	if got := Slab[uint32](r, 1); !slices.Equal(got, []uint32{7}) {
+		t.Fatalf("u32 = %v", got)
 	}
 	if got := Slab[uint32](r, uint64(len(u32))); !slices.Equal(got, u32) {
 		t.Fatal("u32 slab differs")

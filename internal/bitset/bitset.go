@@ -80,28 +80,11 @@ func (s Set) ForEach(fn func(i int)) {
 	}
 }
 
-// Min returns the smallest set bit, or -1 if the set is empty.
-func (s Set) Min() int {
-	for wi, w := range s.words {
-		if w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
 // Reset clears all bits.
 func (s Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// Clone returns a copy of s.
-func (s Set) Clone() Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return Set{words: w}
 }
 
 // Words exposes the backing words (read-only use).
@@ -111,6 +94,3 @@ func (s Set) Words() []uint64 { return s.words }
 // the view write to the slice; used to pack many small per-vertex sets into
 // one flat slab.
 func FromWords(words []uint64) Set { return Set{words: words} }
-
-// MemoryFootprint returns the bytes held by the backing array.
-func (s Set) MemoryFootprint() int64 { return int64(len(s.words)) * 8 }

@@ -28,11 +28,8 @@ func TestBasicOps(t *testing.T) {
 	if s.Has(64) || s.Count() != 2 {
 		t.Error("Clear failed")
 	}
-	if s.Min() != 0 {
-		t.Errorf("Min = %d, want 0", s.Min())
-	}
 	s.Reset()
-	if !s.Empty() || s.Min() != -1 {
+	if !s.Empty() {
 		t.Error("Reset failed")
 	}
 }
@@ -74,19 +71,6 @@ func TestIntersectAndOr(t *testing.T) {
 	a.Or(b)
 	if !a.Has(99) {
 		t.Error("Or failed")
-	}
-}
-
-func TestClone(t *testing.T) {
-	a := New(64)
-	a.Set(5)
-	c := a.Clone()
-	c.Set(6)
-	if a.Has(6) {
-		t.Error("Clone shares storage")
-	}
-	if !c.Has(5) {
-		t.Error("Clone lost bits")
 	}
 }
 

@@ -86,9 +86,6 @@ type Comm interface {
 	// RecvN receives exactly n messages with the given tag, returned in
 	// deterministic (From, Seq) order.
 	RecvN(tag Tag, n int) []Message
-	// TryRecvAll returns all currently buffered messages with the tag, in
-	// deterministic order, without blocking.
-	TryRecvAll(tag Tag) []Message
 	// Barrier blocks until every machine has entered the barrier.
 	Barrier()
 	// Stats returns this machine's communication counters.
@@ -123,30 +120,9 @@ func New(n int) *Cluster {
 	return c
 }
 
-// Size returns the number of machines.
-func (c *Cluster) Size() int { return c.n }
-
 // Node returns the communicator for machine rank.
 func (c *Cluster) Node(rank int) Comm {
 	return &node{c: c, rank: rank}
-}
-
-// TotalBytes returns the total bytes sent across all machines.
-func (c *Cluster) TotalBytes() int64 {
-	var t int64
-	for _, s := range c.stats {
-		t += s.BytesSent.Load()
-	}
-	return t
-}
-
-// TotalMessages returns the total messages sent across all machines.
-func (c *Cluster) TotalMessages() int64 {
-	var t int64
-	for _, s := range c.stats {
-		t += s.MessagesSent.Load()
-	}
-	return t
 }
 
 // FailAll marks every machine's transport dead with err: each blocked or
@@ -207,12 +183,6 @@ func (n *node) Send(to int, tag Tag, body Body) {
 
 func (n *node) Recv(tag Tag) Message           { return n.c.boxes[n.rank].take(tag) }
 func (n *node) RecvN(tag Tag, k int) []Message { return n.c.boxes[n.rank].takeN(tag, k) }
-
-func (n *node) TryRecvAll(tag Tag) []Message {
-	msgs := n.c.boxes[n.rank].takeAll(tag)
-	sortMessages(msgs)
-	return msgs
-}
 
 func (n *node) Barrier() { n.c.bar.wait() }
 
@@ -310,23 +280,6 @@ func (m *mailbox) fail(err error) {
 	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
-}
-
-// takeAll removes and returns all buffered messages with the given tag.
-func (m *mailbox) takeAll(tag Tag) []Message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Message
-	kept := m.msgs[:0]
-	for _, msg := range m.msgs {
-		if msg.Tag == tag {
-			out = append(out, msg)
-		} else {
-			kept = append(kept, msg)
-		}
-	}
-	m.msgs = kept
-	return out
 }
 
 // barrier is a reusable N-party barrier.

@@ -135,12 +135,6 @@ func (f *FaultComm) RecvN(tag Tag, k int) []Message {
 	return f.Comm.RecvN(tag, k)
 }
 
-// TryRecvAll implements Comm.
-func (f *FaultComm) TryRecvAll(tag Tag) []Message {
-	f.step(tag)
-	return f.Comm.TryRecvAll(tag)
-}
-
 // Barrier implements Comm.
 func (f *FaultComm) Barrier() {
 	f.step(tagBarrier)

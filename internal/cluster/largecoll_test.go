@@ -77,12 +77,12 @@ func TestAllToAllU64ChunksLargeVectors(t *testing.T) {
 	}
 	// Each rank sends 1 count + 4 data chunks to the other rank (self
 	// traffic is free): 10 remote messages total.
-	if got := c.TotalMessages(); got != 10 {
-		t.Errorf("TotalMessages = %d, want 10 (chunking not applied?)", got)
+	msgs, bytes := totals(c)
+	if msgs != 10 {
+		t.Errorf("messages sent = %d, want 10 (chunking not applied?)", msgs)
 	}
-	wantBytes := int64(2) * (8 + int64(n)*8 + 5*headerBytes)
-	if got := c.TotalBytes(); got != wantBytes {
-		t.Errorf("TotalBytes = %d, want %d", got, wantBytes)
+	if wantBytes := int64(2) * (8 + int64(n)*8 + 5*headerBytes); bytes != wantBytes {
+		t.Errorf("bytes sent = %d, want %d", bytes, wantBytes)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestAllToAllU64SingleMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalBytes() != 0 {
-		t.Errorf("self exchange cost %d bytes, want 0", c.TotalBytes())
+	if _, bytes := totals(c); bytes != 0 {
+		t.Errorf("self exchange cost %d bytes, want 0", bytes)
 	}
 }
 

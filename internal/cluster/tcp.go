@@ -576,14 +576,6 @@ func (n *TCPNode) RecvN(tag Tag, k int) []Message {
 	return n.box.takeN(tag, k)
 }
 
-// TryRecvAll implements Comm.
-func (n *TCPNode) TryRecvAll(tag Tag) []Message {
-	n.flush()
-	msgs := n.box.takeAll(tag)
-	sortMessages(msgs)
-	return msgs
-}
-
 // Barrier implements Comm: workers report to rank 0 and wait for release.
 func (n *TCPNode) Barrier() {
 	if n.rank == 0 {

@@ -72,7 +72,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 func TestTCPPhaseOfSendsIsOneWrite(t *testing.T) {
-	// The P sends of a phase followed by a call that looks at the mailbox
+	// The P sends of a phase followed by the flush a receive starts with
 	// leave as one socket write, in send order. (The late-flush timer may
 	// split a phase when the sender is descheduled mid-phase; that is
 	// allowed, rare, and never reorders.)
@@ -105,7 +105,7 @@ func TestTCPPhaseOfSendsIsOneWrite(t *testing.T) {
 		if n := cc.writes.Load() - before; n > 1 {
 			t.Fatalf("phase %d: %d writes before the sender blocked", phase, n)
 		}
-		node.TryRecvAll(TagUser)
+		node.flush()
 		switch n := cc.writes.Load() - before; n {
 		case 1:
 			single++

@@ -33,9 +33,6 @@ func (s *EpochSet) Clear() {
 	}
 }
 
-// Has reports whether v is in the set.
-func (s *EpochSet) Has(v uint32) bool { return s.stamp[v] == s.epoch }
-
 // Add inserts v and reports whether it was newly added.
 func (s *EpochSet) Add(v uint32) bool {
 	if s.stamp[v] == s.epoch {

@@ -109,8 +109,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 		t.Fatal("canonical lookup failed")
 	}
 	st := l.State()
-	if st.NumEdges() != 1 || st.NumVertices() != 2 {
-		t.Fatalf("counts: E=%d V=%d", st.NumEdges(), st.NumVertices())
+	if l.Stats().NumEdges != 1 || st.NumVertices() != 2 {
+		t.Fatalf("counts: E=%d V=%d", l.Stats().NumEdges, st.NumVertices())
 	}
 	if rf := st.ReplicationFactor(); rf != 1 {
 		t.Fatalf("single-edge RF %v, want 1", rf)
@@ -121,8 +121,8 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	if n := apply(t, l, dynpart.Event{Op: dynpart.Remove, Edge: e}); n != 0 {
 		t.Fatal("double remove succeeded")
 	}
-	if st.NumEdges() != 0 || st.NumVertices() != 0 {
-		t.Fatalf("not empty after removal: E=%d V=%d", st.NumEdges(), st.NumVertices())
+	if l.Stats().NumEdges != 0 || st.NumVertices() != 0 {
+		t.Fatalf("not empty after removal: E=%d V=%d", l.Stats().NumEdges, st.NumVertices())
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestSelfLoopAndDuplicateIgnored(t *testing.T) {
 	n := apply(t, l,
 		dynpart.Event{Op: dynpart.Add, Edge: graph.Edge{U: 1, V: 2}},
 		dynpart.Event{Op: dynpart.Add, Edge: graph.Edge{U: 2, V: 1}})
-	if n != 1 || l.State().NumEdges() != 1 {
-		t.Errorf("duplicate add: changed %d, E=%d", n, l.State().NumEdges())
+	if n != 1 || l.Stats().NumEdges != 1 {
+		t.Errorf("duplicate add: changed %d, E=%d", n, l.Stats().NumEdges)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestSnapshotMatchesInternalMetrics(t *testing.T) {
 	if err := pt.Validate(snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.NumEdges() != l.State().NumEdges() {
-		t.Fatalf("snapshot holds %d edges, state %d", snap.NumEdges(), l.State().NumEdges())
+	if snap.NumEdges() != l.Stats().NumEdges {
+		t.Fatalf("snapshot holds %d edges, state %d", snap.NumEdges(), l.Stats().NumEdges)
 	}
 	// The partitioning's measured RF uses |V| = snap.NumVertices(), which
 	// counts isolated ids in [0,max]; live counts live vertices only.
@@ -241,8 +241,8 @@ func TestRebalanceReducesOverload(t *testing.T) {
 	if after := l.State().EdgeBalance(); after >= before {
 		t.Errorf("balance %.3f did not improve from %.3f", after, before)
 	}
-	if l.State().Moved() != int64(moved) {
-		t.Errorf("Moved() %d != %d", l.State().Moved(), moved)
+	if l.Stats().Moved != int64(moved) {
+		t.Errorf("Moved() %d != %d", l.Stats().Moved, moved)
 	}
 }
 
@@ -289,7 +289,7 @@ func TestQuickRandomOpSequenceKeepsInvariants(t *testing.T) {
 				n++
 			}
 		}
-		if int64(n) != l.State().NumEdges() {
+		if int64(n) != l.Stats().NumEdges {
 			return false
 		}
 		return l.State().CheckInvariants() == nil

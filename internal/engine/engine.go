@@ -85,9 +85,6 @@ func perPart[T any](e *Engine) [][]T {
 	return out
 }
 
-// NumParts returns the partition count.
-func (e *Engine) NumParts() int { return len(e.parts) }
-
 // WorkloadBalance returns max/mean of per-partition busy time accumulated so
 // far (the WB column of Table 5).
 func (e *Engine) WorkloadBalance() float64 {

@@ -58,7 +58,7 @@ func TestPinnedEngineRun(t *testing.T) {
 		t.Errorf("Supersteps per app (pagerank, wcc, sssp) = %v, want %v", steps, want)
 	}
 	var verts, edges []int
-	for q := 0; q < e.NumParts(); q++ {
+	for q := range e.parts {
 		verts = append(verts, e.st.ShardVertices(q))
 		edges = append(edges, int(e.st.ShardEdges(q)))
 	}

@@ -78,7 +78,7 @@ func FuzzShardReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		info := sr.Info()
+		info := sr.info
 		var edges, last uint64
 		for {
 			chunk, err := sr.Next()

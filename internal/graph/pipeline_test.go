@@ -8,6 +8,38 @@ import (
 	"testing"
 )
 
+// packedSource is an in-memory Source over packed canonical keys, chunked
+// like the shard sources. The slice is not copied.
+type packedSource struct {
+	numVertices uint32
+	keys        []uint64
+}
+
+func (s packedSource) Info() SourceInfo {
+	return SourceInfo{Name: "test", NumVertices: s.numVertices, NumEdges: int64(len(s.keys))}
+}
+
+func (s packedSource) Edges() (EdgeStream, error) {
+	return &packedStream{keys: s.keys}, nil
+}
+
+type packedStream struct {
+	keys []uint64
+	pos  int
+}
+
+func (st *packedStream) Next() ([]uint64, []int64, error) {
+	if st.pos >= len(st.keys) {
+		return nil, nil, io.EOF
+	}
+	n := min(len(st.keys)-st.pos, SourceChunkEdges)
+	chunk := st.keys[st.pos : st.pos+n]
+	st.pos += n
+	return chunk, nil, nil
+}
+
+func (st *packedStream) Close() error { return nil }
+
 // countingSource wraps a source and counts how many passes (Edges calls)
 // are opened on it.
 type countingSource struct {
@@ -129,7 +161,7 @@ func spillDirs(t *testing.T, tmp string) []string {
 // TestPrefetchedTransparent: the decode-ahead decorator must be invisible —
 // identical keys and positions, across multiple passes.
 func TestPrefetchedTransparent(t *testing.T) {
-	base := PackedSource("test", 1<<12, sortedTestKeys(3*SourceChunkEdges+99, 1<<12, 31))
+	base := packedSource{1 << 12, sortedTestKeys(3*SourceChunkEdges+99, 1<<12, 31)}
 	pref := Prefetched(base)
 	wantK, wantP := drainStream(t, base)
 	for pass := 0; pass < 2; pass++ {
@@ -158,7 +190,7 @@ func TestShuffledOrderMatchesDefinition(t *testing.T) {
 		src  Source
 		pos  []int64
 	}{
-		{"sequential", PackedSource("test", 1<<12, keys), seqPos},
+		{"sequential", packedSource{1 << 12, keys}, seqPos},
 		{"positioned", positionedSource{keys: keys, pos: revPos, chunk: 1000}, revPos},
 	} {
 		for _, seed := range []int64{7, 1_000_003} {
@@ -192,7 +224,7 @@ func TestShuffledOrderMatchesDefinition(t *testing.T) {
 // the same order as the shuffle alone, and Unwrap exposes the prefetcher,
 // not the raw source, so order-independent passes keep their decode-ahead.
 func TestShuffledOverPrefetched(t *testing.T) {
-	base := PackedSource("test", 1<<11, sortedTestKeys(20_000, 1<<11, 9))
+	base := packedSource{1 << 11, sortedTestKeys(20_000, 1<<11, 9)}
 	pref := Prefetched(base)
 	stack := Shuffled(pref, 42)
 	wantK, wantP := drainStream(t, Shuffled(base, 42))
@@ -211,7 +243,7 @@ func TestShuffledOverPrefetched(t *testing.T) {
 // TestShuffleStreamOpenCounts pins the read amplification of a shuffled
 // pass at one: each pass opens the underlying source exactly once.
 func TestShuffleStreamOpenCounts(t *testing.T) {
-	inner := &countingSource{inner: PackedSource("test", 1<<10, sortedTestKeys(10_000, 1<<10, 3))}
+	inner := &countingSource{inner: packedSource{1 << 10, sortedTestKeys(10_000, 1<<10, 3)}}
 	sh := Shuffled(inner, 42)
 	for pass := 1; pass <= 2; pass++ {
 		drainStream(t, sh)
@@ -227,7 +259,7 @@ func TestShuffleStreamOpenCounts(t *testing.T) {
 func TestShuffledRemovesSpillDir(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	base := PackedSource("test", 1<<12, sortedTestKeys(5*SourceChunkEdges, 1<<12, 17))
+	base := packedSource{1 << 12, sortedTestKeys(5*SourceChunkEdges, 1<<12, 17)}
 	src := Shuffled(base, 7)
 
 	wantK, _ := drainStream(t, src)

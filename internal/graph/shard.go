@@ -492,9 +492,6 @@ func (sw *ShardWriter) flushChunk() error {
 // writer, the edges already in the file included).
 func (sw *ShardWriter) NumWritten() uint64 { return sw.total }
 
-// Info returns the shard placement the writer was created or reopened with.
-func (sw *ShardWriter) Info() ShardInfo { return sw.info }
-
 // Close flushes the final chunk and writes the terminator and footer. For
 // writers that own their file (CreateShardFile, OpenShardAppend) the file is
 // also closed. After a rejected key Close still seals the edges accepted
@@ -627,9 +624,6 @@ func NewShardReader(r io.Reader) (*ShardReader, error) {
 	}
 	return &ShardReader{br: br, codec: c, info: info, cur: chunkCursor{nv: uint64(info.NumVertices)}}, nil
 }
-
-// Info returns the shard's header metadata.
-func (sr *ShardReader) Info() ShardInfo { return sr.info }
 
 // Next returns the next chunk of packed edges. The returned slice is reused
 // by subsequent calls. It returns io.EOF after the terminator, once the

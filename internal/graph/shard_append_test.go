@@ -68,8 +68,8 @@ func TestShardAppendRoundTrip(t *testing.T) {
 		if sw.NumWritten() != uint64(len(want)) {
 			t.Fatalf("gen %d: reopened writer reports %d edges, want %d", gen, sw.NumWritten(), len(want))
 		}
-		if sw.Info().Count != 1 || sw.Info().NumVertices != 1<<20 {
-			t.Fatalf("gen %d: reopened info %+v", gen, sw.Info())
+		if sw.info.Count != 1 || sw.info.NumVertices != 1<<20 {
+			t.Fatalf("gen %d: reopened info %+v", gen, sw.info)
 		}
 		for i := 0; i < count; i++ {
 			u := Vertex(gen*100000 + i)

@@ -273,7 +273,7 @@ func TestWriteShardReadShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := sr.Info(); info.Index != 1 || info.Count != 3 || info.NumVertices != 100 {
+	if info := sr.info; info.Index != 1 || info.Count != 3 || info.NumVertices != 100 {
 		t.Fatalf("info = %+v", info)
 	}
 	got, err := readShard(bytes.NewReader(buf.Bytes()))

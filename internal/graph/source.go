@@ -144,53 +144,6 @@ func (st *graphStream) Next() ([]uint64, []int64, error) {
 func (st *graphStream) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
-// Packed-slice source (shards already in memory, tests)
-
-type packedSource struct {
-	name        string
-	numVertices uint32
-	keys        []uint64
-}
-
-// PackedSource wraps an in-memory packed edge slice (canonical keys, no self
-// loops) as a Source. The slice is not copied; callers must not mutate it
-// while the source is in use.
-func PackedSource(name string, numVertices uint32, keys []uint64) Source {
-	return packedSource{name: name, numVertices: numVertices, keys: keys}
-}
-
-// Source adapts the shard's packed edges into a re-streamable Source.
-func (s *Shard) Source() Source { return PackedSource("shard", s.NumVertices, s.Packed) }
-
-func (s packedSource) Info() SourceInfo {
-	return SourceInfo{Name: s.name, NumVertices: s.numVertices, NumEdges: int64(len(s.keys))}
-}
-
-func (s packedSource) Edges() (EdgeStream, error) {
-	return &packedStream{keys: s.keys}, nil
-}
-
-type packedStream struct {
-	keys []uint64
-	pos  int
-}
-
-func (st *packedStream) Next() ([]uint64, []int64, error) {
-	if st.pos >= len(st.keys) {
-		return nil, nil, io.EOF
-	}
-	n := len(st.keys) - st.pos
-	if n > SourceChunkEdges {
-		n = SourceChunkEdges
-	}
-	chunk := st.keys[st.pos : st.pos+n]
-	st.pos += n
-	return chunk, nil, nil
-}
-
-func (st *packedStream) Close() error { return nil }
-
-// ---------------------------------------------------------------------------
 // Shard-directory source
 
 // DirSource opens a directory of shard files (*.esh raw, *.esz compressed,

@@ -23,9 +23,6 @@ import (
 // is a true single pass with |V|-dense replica state.
 type Oblivious struct{}
 
-// Name returns the display label.
-func (Oblivious) Name() string { return "Obli." }
-
 // Stream is the greedy streaming core; it polls ctx every
 // partition.CheckEvery edges.
 func (o Oblivious) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
@@ -105,9 +102,6 @@ type HybridGinger struct {
 	Threshold int64
 	Passes    int
 }
-
-// Name returns the display label.
-func (HybridGinger) Name() string { return "H.G." }
 
 // PartitionCtx runs hybrid-cut plus Ginger refinement; it polls ctx once
 // per vertex scan and per re-materialisation pass.

@@ -51,9 +51,6 @@ type Random struct {
 	Seed uint64
 }
 
-// Name returns the display label.
-func (Random) Name() string { return "Rand." }
-
 // Stream is the streaming core: one pass, no state beyond the owner array.
 func (r Random) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	_, ne, err := partition.Counts(ctx, src)
@@ -78,9 +75,6 @@ func (r Random) Stream(ctx context.Context, src graph.Source, numParts int, st *
 type Grid struct {
 	Seed uint64
 }
-
-// Name returns the display label.
-func (Grid) Name() string { return "2D-R." }
 
 // Stream is the streaming core: one pass, no state beyond the owner array.
 func (gr Grid) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
@@ -113,9 +107,6 @@ type DBH struct {
 	Seed uint64
 }
 
-// Name returns the display label.
-func (DBH) Name() string { return "DBH" }
-
 // Stream is the streaming core: a degree pass, then the hash pass.
 func (d DBH) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
@@ -146,9 +137,6 @@ type Hybrid struct {
 	Seed      uint64
 	Threshold int64
 }
-
-// Name returns the display label.
-func (Hybrid) Name() string { return "Hybrid" }
 
 // Stream is the streaming core: a degree pass, then the hybrid rule pass.
 func (h Hybrid) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {

@@ -75,9 +75,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 func findModule(dir string) (root, path string, err error) {
 	d, err := filepath.Abs(dir)
 	if err != nil {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"regexp"
 	"strconv"
 	"strings"
@@ -10,23 +9,19 @@ import (
 
 // ObsName validates the observability layer at its registration sites:
 //
-//   - metric names passed to Registry.Counter/Gauge/Histogram (and their
-//     *Func/Duration variants) must be snake_case;
+//   - metric names passed to Registry.Counter, CounterFunc, GaugeFunc and
+//     DurationHistogram must be snake_case;
 //   - counters must end in the Prometheus-conventional _total (a counter
 //     of seconds is _seconds_total, of bytes _bytes_total);
-//   - histograms must carry a unit suffix (_seconds or _bytes);
-//   - gauges must NOT end in _total — that suffix promises monotonicity;
-//   - a span handle returned by Tracer.Start/StartSpan must have End
-//     called (directly or deferred) in the same function, or the span is
-//     never recorded and the trace silently loses the phase.
+//   - duration histograms must end in _seconds;
+//   - gauges must NOT end in _total — that suffix promises monotonicity.
 //
 // Only string-literal names are checked; names built at runtime pass
 // through helper functions that are themselves registration sites.
 var ObsName = &Analyzer{
 	Name: "obsname",
-	Doc: "validates metric names (snake_case, _total/_seconds/_bytes unit suffixes) " +
-		"at obs registration sites and flags Start spans without a matching End",
-	Run: runObsName,
+	Doc:  "validates metric names (snake_case, _total/_seconds unit suffixes) at obs registration sites",
+	Run:  runObsName,
 }
 
 var snakeRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
@@ -47,7 +42,7 @@ func runObsName(pass *Pass) error {
 			}
 			kind := sel.Sel.Name
 			switch kind {
-			case "Counter", "CounterFunc", "Gauge", "GaugeFunc", "Histogram", "DurationHistogram":
+			case "Counter", "CounterFunc", "GaugeFunc", "DurationHistogram":
 			default:
 				return true
 			}
@@ -59,7 +54,6 @@ func runObsName(pass *Pass) error {
 			return true
 		})
 	}
-	checkSpanEnds(pass)
 	return nil
 }
 
@@ -83,124 +77,12 @@ func checkMetricName(pass *Pass, call *ast.CallExpr, kind, name string) {
 		pass.Reportf(call.Pos(), "metric name %q is not snake_case ([a-z0-9_], starting with a letter)", name)
 		return
 	}
-	isCounter := kind == "Counter" || kind == "CounterFunc"
-	isGauge := kind == "Gauge" || kind == "GaugeFunc"
-	isHist := kind == "Histogram" || kind == "DurationHistogram"
 	switch {
-	case isCounter && !strings.HasSuffix(name, "_total"):
+	case (kind == "Counter" || kind == "CounterFunc") && !strings.HasSuffix(name, "_total"):
 		pass.Reportf(call.Pos(), "counter %q must end in _total (unit suffixes come before it: _seconds_total, _bytes_total)", name)
-	case isGauge && strings.HasSuffix(name, "_total"):
+	case kind == "GaugeFunc" && strings.HasSuffix(name, "_total"):
 		pass.Reportf(call.Pos(), "gauge %q must not end in _total; that suffix promises a monotonic counter", name)
-	case isHist && !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes"):
-		pass.Reportf(call.Pos(), "histogram %q needs a unit suffix (_seconds or _bytes)", name)
 	case kind == "DurationHistogram" && !strings.HasSuffix(name, "_seconds"):
 		pass.Reportf(call.Pos(), "duration histogram %q must end in _seconds", name)
 	}
-}
-
-// checkSpanEnds walks each function and verifies that every span handle
-// produced by Tracer.Start/StartSpan has a matching .End() call.
-func checkSpanEnds(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkSpansInBody(pass, body)
-			}
-			return true
-		})
-	}
-}
-
-func isTracerStart(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if sel.Sel.Name != "Start" && sel.Sel.Name != "StartSpan" {
-		return false
-	}
-	return pass.NamedTypeName(sel.X) == "Tracer"
-}
-
-func checkSpansInBody(pass *Pass, body *ast.BlockStmt) {
-	// Handles started in nested function literals belong to that literal's
-	// own check; skip them here.
-	inOwnScope := func(n ast.Node) bool {
-		_, isLit := n.(*ast.FuncLit)
-		return !isLit
-	}
-	var handles []types.Object
-	ast.Inspect(body, func(n ast.Node) bool {
-		if !inOwnScope(n) {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok && isTracerStart(pass, call) {
-				pass.Reportf(call.Pos(), "span handle from Tracer.%s discarded; the span is never recorded — call End on it", callName(call))
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isTracerStart(pass, call) || i >= len(n.Lhs) {
-					continue
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok {
-					if id.Name == "_" {
-						pass.Reportf(call.Pos(), "span handle from Tracer.%s assigned to _; the span is never recorded", callName(call))
-						continue
-					}
-					obj := pass.TypesInfo.Defs[id]
-					if obj == nil {
-						obj = pass.TypesInfo.Uses[id]
-					}
-					if obj != nil {
-						handles = append(handles, obj)
-					}
-				}
-			}
-		}
-		return true
-	})
-	for _, h := range handles {
-		if !bodyCallsEnd(pass, body, h) {
-			pass.Reportf(h.Pos(), "span %s started but End is never called in this function; the span is never recorded", h.Name())
-		}
-	}
-}
-
-func callName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return "Start"
-}
-
-func bodyCallsEnd(pass *Pass, body *ast.BlockStmt, handle types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "End" {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == handle {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -15,7 +15,7 @@ func TestDeterministicPrefixesExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range deterministicPrefixes {
-		fi, err := os.Stat(filepath.Join(loader.ModRoot(), filepath.FromSlash(p)))
+		fi, err := os.Stat(filepath.Join(loader.modRoot, filepath.FromSlash(p)))
 		if err != nil || !fi.IsDir() {
 			t.Errorf("deterministicPrefixes entry %q is not a directory under the module root", p)
 		}

@@ -1,31 +1,19 @@
-// Package corpus is the obsname golden corpus. The Registry/Tracer stubs
-// mirror internal/obs's API shape; the analyzer matches registration sites
-// by receiver type name, so the stubs exercise exactly the production
-// paths.
+// Package corpus is the obsname golden corpus. The Registry stub mirrors
+// internal/obs's API shape; the analyzer matches registration sites by
+// receiver type name, so the stub exercises exactly the production paths.
 package corpus
 
 type Counter struct{}
-type Gauge struct{}
 type Histogram struct{}
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, help string, kv ...string) *Counter     { return nil }
-func (r *Registry) CounterFunc(name, help string, fn func())             {}
-func (r *Registry) Gauge(name, help string, kv ...string) *Gauge         { return nil }
-func (r *Registry) GaugeFunc(name, help string, fn func())               {}
-func (r *Registry) Histogram(name, help string, kv ...string) *Histogram { return nil }
+func (r *Registry) Counter(name, help string, kv ...string) *Counter { return nil }
+func (r *Registry) CounterFunc(name, help string, fn func())         {}
+func (r *Registry) GaugeFunc(name, help string, fn func())           {}
 func (r *Registry) DurationHistogram(name, help string, kv ...string) *Histogram {
 	return nil
 }
-
-type ActiveSpan struct{}
-
-func (a *ActiveSpan) End() {}
-
-type Tracer struct{}
-
-func (t *Tracer) Start(name, cat string) *ActiveSpan { return nil }
 
 func register(reg *Registry) {
 	reg.Counter("dne_requests_total", "ok")
@@ -34,31 +22,12 @@ func register(reg *Registry) {
 	// counter of seconds registered without the _total suffix.
 	reg.CounterFunc("dne_stream_stage_stall_seconds", "stall split", func() {}) // want `counter "dne_stream_stage_stall_seconds" must end in _total`
 	reg.CounterFunc("dne_stream_stage_stall_seconds_total", "stall split", func() {})
-	reg.Gauge("dne_queue_depth", "ok")
-	reg.Gauge("dne_shed_total", "gauge posing as counter") // want `gauge "dne_shed_total" must not end in _total`
-	reg.Histogram("dne_query_duration_seconds", "ok")
-	reg.Histogram("dne_query_hops", "no unit") // want `histogram "dne_query_hops" needs a unit suffix`
+	reg.GaugeFunc("dne_queue_depth", "ok", func() {})
+	reg.GaugeFunc("dne_shed_total", "gauge posing as counter", func() {}) // want `gauge "dne_shed_total" must not end in _total`
 	reg.DurationHistogram("dne_apply_duration_seconds", "ok")
-	reg.Counter("dneRequestsTotal", "camel case") // want `not snake_case`
-	reg.Counter("_total", "no leading letter")    // want `not snake_case`
+	reg.DurationHistogram("dne_query_hops", "no unit") // want `duration histogram "dne_query_hops" must end in _seconds`
+	reg.Counter("dneRequestsTotal", "camel case")      // want `not snake_case`
+	reg.Counter("_total", "no leading letter")         // want `not snake_case`
 	//dnelint:ignore obsname legacy dashboard depends on this exact name
 	reg.Counter("dne_legacy_hits", "suppressed")
 }
-
-func spans(tr *Tracer) {
-	s := tr.Start("load", "phase")
-	defer s.End()
-
-	tr.Start("drop", "phase") // want `span handle from Tracer.Start discarded`
-
-	s2 := tr.Start("leak", "phase") // want `span s2 started but End is never called`
-	_ = s2
-
-	s3 := tr.Start("explicit", "phase")
-	work()
-	s3.End()
-
-	_ = tr.Start("blank", "phase") // want `span handle from Tracer.Start assigned to _`
-}
-
-func work() {}

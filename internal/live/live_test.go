@@ -65,9 +65,6 @@ func TestLiveIngestServesGraph(t *testing.T) {
 	}
 
 	ep := l.Epoch()
-	if ep.NumEdges() != g.NumEdges() {
-		t.Fatalf("epoch holds %d edges, graph has %d", ep.NumEdges(), g.NumEdges())
-	}
 	packed := make([][]uint64, ep.NumShards())
 	for s := range packed {
 		packed[s] = ep.ShardEdgesPacked(s)
@@ -75,6 +72,9 @@ func TestLiveIngestServesGraph(t *testing.T) {
 	ref, err := store.BuildFromShards(ep.NumVertices(), packed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref.NumEdges() != g.NumEdges() {
+		t.Fatalf("epoch holds %d edges, graph has %d", ref.NumEdges(), g.NumEdges())
 	}
 	// The live universe covers every vertex with an edge; trailing isolated
 	// vertices of g may sit beyond it.
@@ -126,7 +126,7 @@ func TestLiveRejectsUnbackedVertexIDs(t *testing.T) {
 	if _, err := l.Apply([]dynpart.Event{add(0, 1), add(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	before := l.State().Checksum()
+	before := stateChecksum(l.State())
 	seq := l.Epoch().Seq()
 	for _, batch := range [][]dynpart.Event{
 		{add(2, 3), add(0, 1<<32-1)},
@@ -137,8 +137,8 @@ func TestLiveRejectsUnbackedVertexIDs(t *testing.T) {
 		if err == nil {
 			t.Fatalf("batch %v accepted", batch)
 		}
-		if n != 0 || l.State().Checksum() != before || l.Epoch().Seq() != seq || l.State().NumEdges() != 2 {
-			t.Fatalf("rejected batch %v changed state: applied %d, %d edges", batch, n, l.State().NumEdges())
+		if n != 0 || stateChecksum(l.State()) != before || l.Epoch().Seq() != seq || l.State().numEdges != 2 {
+			t.Fatalf("rejected batch %v changed state: applied %d, %d edges", batch, n, l.State().numEdges)
 		}
 	}
 	if _, err := l.Apply([]dynpart.Event{add(0, 1<<32-1)}); !errors.Is(err, ErrVertexClaim) {
@@ -187,8 +187,8 @@ func TestLiveReopensAfterMassDeletion(t *testing.T) {
 	if _, err := l.Apply(dels); err != nil {
 		t.Fatal(err)
 	}
-	if l.State().NumEdges() != 1 {
-		t.Fatalf("%d live edges, want 1", l.State().NumEdges())
+	if l.State().numEdges != 1 {
+		t.Fatalf("%d live edges, want 1", l.State().numEdges)
 	}
 	want := l.Checksum()
 	reopen := func(stage string) {
@@ -265,7 +265,7 @@ func TestLiveChecksumInvariantToBatchAndCompaction(t *testing.T) {
 		if err := l.State().CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return l.Checksum(), l.State().Checksum()
+		return l.Checksum(), stateChecksum(l.State())
 	}
 
 	sum1, st1 := run(500, 0)
@@ -308,7 +308,7 @@ func TestLiveResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyAll(t, l, events[:half], 311)
-	midState := l.State().Checksum()
+	midState := stateChecksum(l.State())
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestLiveResume(t *testing.T) {
 	if l.State().NumParts() != 4 {
 		t.Fatalf("resume lost the partition count: %d", l.State().NumParts())
 	}
-	if got := l.State().Checksum(); got != midState {
+	if got := stateChecksum(l.State()); got != midState {
 		t.Fatalf("resumed state checksum %#x, want %#x", got, midState)
 	}
 	if err := l.State().CheckInvariants(); err != nil {
@@ -449,8 +449,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.State().NumParts() != 4 || l.State().NumEdges() != g.NumEdges() {
-		t.Fatalf("seeded %d partitions, %d edges; want 4, %d", l.State().NumParts(), l.State().NumEdges(), g.NumEdges())
+	if l.State().NumParts() != 4 || l.State().numEdges != g.NumEdges() {
+		t.Fatalf("seeded %d partitions, %d edges; want 4, %d", l.State().NumParts(), l.State().numEdges, g.NumEdges())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -641,11 +641,11 @@ func TestLiveRebalance(t *testing.T) {
 	if moved == 0 || moved > budget {
 		t.Fatalf("moved %d edges, want in (0,%d]", moved, budget)
 	}
-	if l.State().Moved() != int64(moved) {
-		t.Fatalf("state counts %d moves, rebalance reported %d", l.State().Moved(), moved)
+	if l.State().moved != int64(moved) {
+		t.Fatalf("state counts %d moves, rebalance reported %d", l.State().moved, moved)
 	}
-	if l.State().MigratedBytes() != int64(moved)*16 {
-		t.Fatalf("migrated bytes %d, want %d", l.State().MigratedBytes(), moved*16)
+	if l.State().migratedBytes != int64(moved)*16 {
+		t.Fatalf("migrated bytes %d, want %d", l.State().migratedBytes, moved*16)
 	}
 	if err := l.State().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -656,8 +656,8 @@ func TestLiveRebalance(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		total += int64(len(ep.ShardEdgesPacked(q)))
 	}
-	if total != l.State().NumEdges() {
-		t.Fatalf("epoch holds %d edges, state %d", total, l.State().NumEdges())
+	if total != l.State().numEdges {
+		t.Fatalf("epoch holds %d edges, state %d", total, l.State().numEdges)
 	}
 	// Deterministic: the same history replays to the same checksum.
 	sum := l.Checksum()

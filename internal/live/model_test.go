@@ -208,10 +208,10 @@ func (m *model) check(t *testing.T, l *Live) {
 	if len(m.inc) > 0 {
 		rf = float64(replicas) / float64(len(m.inc))
 	}
-	if st.NumEdges() != int64(n) || st.NumVertices() != int64(len(m.inc)) ||
+	if st.numEdges != int64(n) || st.NumVertices() != int64(len(m.inc)) ||
 		!slices.Equal(st.Sizes(), m.sizes) || st.ReplicationFactor() != rf {
 		t.Fatalf("state |E|=%d |V|=%d sizes %v RF %v; model |E|=%d |V|=%d sizes %v RF %v",
-			st.NumEdges(), st.NumVertices(), st.Sizes(), st.ReplicationFactor(), n, len(m.inc), m.sizes, rf)
+			st.numEdges, st.NumVertices(), st.Sizes(), st.ReplicationFactor(), n, len(m.inc), m.sizes, rf)
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	applyAll(t, l, dels, 64)
 	st := l.State()
-	sum, edges, place := st.Checksum(), st.NumEdges(), st.Place(3, 199)
+	sum, edges, place := stateChecksum(st), st.numEdges, st.Place(3, 199)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestStateRoundTrip(t *testing.T) {
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Checksum() != sum {
-		t.Fatalf("state checksum %#x, want %#x", got.Checksum(), sum)
+	if stateChecksum(got) != sum {
+		t.Fatalf("state checksum %#x, want %#x", stateChecksum(got), sum)
 	}
-	if got.NumEdges() != edges || got.NumParts() != 4 {
-		t.Fatalf("reopened %d edges on %d partitions, want %d on 4", got.NumEdges(), got.NumParts(), edges)
+	if got.numEdges != edges || got.NumParts() != 4 {
+		t.Fatalf("reopened %d edges on %d partitions, want %d on 4", got.numEdges, got.NumParts(), edges)
 	}
-	if got.Events() != 0 {
-		t.Fatalf("reopened state counts %d events, want 0 (history counts since Open)", got.Events())
+	if got.events != 0 {
+		t.Fatalf("reopened state counts %d events, want 0 (history counts since Open)", got.events)
 	}
 	if q := got.Place(3, 199); q != place {
 		t.Fatalf("reopened state places (3,199) on %d, original on %d", q, place)
@@ -147,7 +147,7 @@ func TestStateRejectsHostileInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid directory: %v", err)
 	}
-	if n := l.State().NumEdges(); n != 4 {
+	if n := l.State().numEdges; n != 4 {
 		t.Fatalf("valid directory holds %d live edges, want 4", n)
 	}
 	l.Close()
@@ -250,8 +250,8 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.State().NumParts() != parts || l.State().NumEdges() != parts*10 {
-		t.Fatalf("opened %d partitions, %d edges; want %d, %d", l.State().NumParts(), l.State().NumEdges(), parts, parts*10)
+	if l.State().NumParts() != parts || l.State().numEdges != parts*10 {
+		t.Fatalf("opened %d partitions, %d edges; want %d, %d", l.State().NumParts(), l.State().numEdges, parts, parts*10)
 	}
 	l.Close()
 
@@ -280,7 +280,7 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			if l, err := Open(dir, Config{}); err == nil {
-				t.Fatalf("opened with %d partitions and %d edges", l.State().NumParts(), l.State().NumEdges())
+				t.Fatalf("opened with %d partitions and %d edges", l.State().NumParts(), l.State().numEdges)
 			}
 		})
 	}
@@ -303,8 +303,8 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		if l.State().NumParts() != 4 || l.State().NumEdges() != 0 {
-			t.Fatalf("opened %d partitions, %d edges; want 4, 0", l.State().NumParts(), l.State().NumEdges())
+		if l.State().NumParts() != 4 || l.State().numEdges != 0 {
+			t.Fatalf("opened %d partitions, %d edges; want 4, 0", l.State().NumParts(), l.State().numEdges)
 		}
 	})
 }
@@ -341,7 +341,7 @@ func TestCompactionCrashStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyAll(t, l, events, 100)
-	wantLive, wantState := l.Checksum(), l.State().Checksum()
+	wantLive, wantState := l.Checksum(), stateChecksum(l.State())
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestCompactionCrashStates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("open %d: %v", round, err)
 				}
-				live, st := l.Checksum(), l.State().Checksum()
+				live, st := l.Checksum(), stateChecksum(l.State())
 				if err := l.State().CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}

@@ -21,10 +21,8 @@
 package live
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
@@ -69,6 +67,7 @@ type State struct {
 	reps     *partition.ReplicaSets
 	sizes    []int64 // per-partition edge counts
 	numEdges int64
+	vertices int64 // vertices with live degree > 0, maintained incrementally
 	replicas int64 // Σ_v |parts(v)|, maintained incrementally
 
 	// events counts applied mutations, moved counts rebalancer migrations,
@@ -94,28 +93,8 @@ func NewState(cfg Config) (*State, error) {
 // NumParts returns the partition count.
 func (st *State) NumParts() int { return st.cfg.NumParts }
 
-// NumEdges returns the live edge count.
-func (st *State) NumEdges() int64 { return st.numEdges }
-
 // NumVertices returns the number of vertices with at least one live edge.
-func (st *State) NumVertices() int64 {
-	var n int64
-	for _, d := range st.deg {
-		if d > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Events returns the number of mutations applied since Open.
-func (st *State) Events() uint64 { return st.events }
-
-// Moved returns the number of edges the rebalancer has migrated since Open.
-func (st *State) Moved() int64 { return st.moved }
-
-// MigratedBytes returns the log bytes written by migrations since Open.
-func (st *State) MigratedBytes() int64 { return st.migratedBytes }
+func (st *State) NumVertices() int64 { return st.vertices }
 
 // Sizes returns a copy of the per-partition edge counts.
 func (st *State) Sizes() []int64 {
@@ -311,6 +290,9 @@ func (st *State) ApplyMove(u, v graph.Vertex, q, t int32) {
 }
 
 func (st *State) addIncidence(v graph.Vertex, q int32) {
+	if st.deg[v] == 0 {
+		st.vertices++
+	}
 	st.deg[v]++
 	row := st.countsRow(v)
 	if row[q] == 0 {
@@ -322,6 +304,9 @@ func (st *State) addIncidence(v graph.Vertex, q int32) {
 
 func (st *State) dropIncidence(v graph.Vertex, q int32) {
 	st.deg[v]--
+	if st.deg[v] == 0 {
+		st.vertices--
+	}
 	row := st.countsRow(v)
 	row[q]--
 	if row[q] == 0 {
@@ -331,11 +316,11 @@ func (st *State) dropIncidence(v graph.Vertex, q int32) {
 }
 
 // CheckInvariants verifies slab consistency: every vertex's degree equals
-// its incidence-row sum, the replica counter and bit view match the rows,
-// and partition sizes sum to the edge count twice over the degree slab.
-// O(|V|×P); tests call it after update storms.
+// its incidence-row sum, the vertex and replica counters and the bit view
+// match the slabs, and partition sizes sum to the edge count twice over the
+// degree slab. O(|V|×P); tests call it after update storms.
 func (st *State) CheckInvariants() error {
-	var degSum, replicas int64
+	var degSum, vertices, replicas int64
 	p := st.cfg.NumParts
 	for v := range st.deg {
 		var rowSum uint32
@@ -353,9 +338,15 @@ func (st *State) CheckInvariants() error {
 			return fmt.Errorf("live: vertex %d degree %d != incidence sum %d", v, st.deg[v], rowSum)
 		}
 		degSum += int64(st.deg[v])
+		if st.deg[v] > 0 {
+			vertices++
+		}
 	}
 	if degSum != 2*st.numEdges {
 		return fmt.Errorf("live: degree sum %d != 2×%d edges", degSum, st.numEdges)
+	}
+	if vertices != st.vertices {
+		return fmt.Errorf("live: vertex counter %d, degree slab holds %d live vertices", st.vertices, vertices)
 	}
 	if replicas != st.replicas {
 		return fmt.Errorf("live: replica counter %d, rows hold %d", st.replicas, replicas)
@@ -371,34 +362,4 @@ func (st *State) CheckInvariants() error {
 		return fmt.Errorf("live: partition sizes sum to %d, state holds %d edges", sum, st.numEdges)
 	}
 	return nil
-}
-
-// Checksum returns an FNV-64a digest of the placement-relevant state: the
-// per-partition sizes and every vertex's incidence row. Two states with
-// equal checksums place future arrivals identically.
-func (st *State) Checksum() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, s := range st.sizes {
-		binary.LittleEndian.PutUint64(b[:], uint64(s))
-		h.Write(b[:])
-	}
-	p := st.cfg.NumParts
-	for v := range st.deg {
-		if st.deg[v] == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint32(b[:4], uint32(v))
-		binary.LittleEndian.PutUint32(b[4:], st.deg[v])
-		h.Write(b[:])
-		for q, c := range st.counts[v*p : (v+1)*p] {
-			if c == 0 {
-				continue
-			}
-			binary.LittleEndian.PutUint32(b[:4], uint32(q))
-			binary.LittleEndian.PutUint32(b[4:], c)
-			h.Write(b[:])
-		}
-	}
-	return h.Sum64()
 }

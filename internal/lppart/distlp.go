@@ -48,18 +48,6 @@ type DistLPStats struct {
 	Supersteps int
 }
 
-// Name implements partition.Partitioner.
-func (*DistLP) Name() string { return "X.P." }
-
-// MemBytes implements bench.MemReporter with the distributed footprint of
-// the last run.
-func (d *DistLP) MemBytes() int64 {
-	if d.Last == nil {
-		return 0
-	}
-	return d.Last.MemBytes
-}
-
 // vl is a vertex-label update on the wire.
 type vl struct {
 	V graph.Vertex

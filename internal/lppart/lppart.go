@@ -42,15 +42,6 @@ type Spinner struct {
 	Seed     int64
 }
 
-// Name returns the display label.
-func (Spinner) Name() string { return "Spinner" }
-
-// Labels runs the label propagation and returns the vertex labels.
-func (s Spinner) Labels(g *graph.Graph, numParts int) []int32 {
-	labels, _ := s.LabelsCtx(context.Background(), g, numParts)
-	return labels
-}
-
 // LabelsCtx is the label-propagation core; it polls ctx every
 // partition.CheckEvery vertex visits.
 func (s Spinner) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) ([]int32, error) {
@@ -137,15 +128,6 @@ func score(affinity, load int64, maxLoad float64) float64 {
 type XtraPuLP struct {
 	Iterations int
 	Seed       int64
-}
-
-// Name returns the display label.
-func (XtraPuLP) Name() string { return "X.P." }
-
-// Labels computes the vertex labels.
-func (x XtraPuLP) Labels(g *graph.Graph, numParts int) []int32 {
-	labels, _ := x.LabelsCtx(context.Background(), g, numParts)
-	return labels
 }
 
 // LabelsCtx is the BFS-seeding + constrained-LP core; it polls ctx every

@@ -11,7 +11,6 @@ import (
 )
 
 type graphCore interface {
-	Name() string
 	PartitionCtx(context.Context, *graph.Graph, int) (*partition.Partitioning, error)
 }
 
@@ -19,10 +18,10 @@ func validate(t *testing.T, p graphCore, g *graph.Graph, parts int) partition.Qu
 	t.Helper()
 	pt, err := p.PartitionCtx(context.Background(), g, parts)
 	if err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
+		t.Fatalf("%T: %v", p, err)
 	}
 	if err := pt.Validate(g); err != nil {
-		t.Fatalf("%s: %v", p.Name(), err)
+		t.Fatalf("%T: %v", p, err)
 	}
 	return pt.Measure(g)
 }
@@ -78,10 +77,15 @@ func TestVertexToEdgeRespectsLabels(t *testing.T) {
 
 func TestLabelsInRange(t *testing.T) {
 	g := gen.RMAT(10, 4, 9)
-	for _, labels := range [][]int32{
-		(Spinner{Seed: 2}).Labels(g, 5),
-		(XtraPuLP{Seed: 2}).Labels(g, 5),
-	} {
+	spinner, err := (Spinner{Seed: 2}).LabelsCtx(context.Background(), g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xp, err := (XtraPuLP{Seed: 2}).LabelsCtx(context.Background(), g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, labels := range [][]int32{spinner, xp} {
 		if len(labels) != int(g.NumVertices()) {
 			t.Fatal("label vector wrong length")
 		}

@@ -72,7 +72,7 @@ func TestDescriptorsDeclareFactoriesAndDocs(t *testing.T) {
 }
 
 func TestUnknownParamRejectedWithDeclaredList(t *testing.T) {
-	spec := partition.NewSpec(4, 1).WithParam("no_such_param", 3.0)
+	spec := partition.Spec{NumParts: 4, Seed: 1, Params: map[string]any{"no_such_param": 3.0}}
 	_, _, err := methods.New("dne", spec)
 	if err == nil {
 		t.Fatal("unknown param accepted")
@@ -100,7 +100,7 @@ func TestParamTypeAndBoundsValidation(t *testing.T) {
 		{"hybrid", "threshold", -1.0},    // below min
 	}
 	for _, c := range cases {
-		spec := partition.NewSpec(4, 1).WithParam(c.param, c.value)
+		spec := partition.Spec{NumParts: 4, Seed: 1, Params: map[string]any{c.param: c.value}}
 		if _, _, err := methods.New(c.name, spec); err == nil {
 			t.Errorf("%s: %s=%v accepted", c.name, c.param, c.value)
 		}
@@ -119,7 +119,7 @@ func TestDefaultsAppliedByResolve(t *testing.T) {
 		t.Errorf("lambda default not applied: %v", got)
 	}
 	// JSON-style float input for an int param coerces to int.
-	_, spec, err = methods.New("spinner", partition.NewSpec(4, 1).WithParam("iterations", 8.0))
+	_, spec, err = methods.New("spinner", partition.Spec{NumParts: 4, Seed: 1, Params: map[string]any{"iterations": 8.0}})
 	if err != nil {
 		t.Fatal(err)
 	}

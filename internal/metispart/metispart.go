@@ -33,9 +33,6 @@ type METIS struct {
 	memLevels int64
 }
 
-// Name returns the display label.
-func (*METIS) Name() string { return "ParMETIS" }
-
 // MemBytes returns the analytic memory footprint (all coarsening levels) of
 // the last PartitionCtx call.
 func (m *METIS) MemBytes() int64 { return m.memLevels }

@@ -21,9 +21,6 @@ type NE struct {
 	Seed  int64
 }
 
-// Name returns the display label.
-func (NE) Name() string { return "NE" }
-
 // PartitionCtx grows the partitions one at a time: each starts from a random
 // vertex and repeatedly expands the boundary vertex with minimal remaining
 // degree, allocating its free edges plus any two-hop edges that fall inside

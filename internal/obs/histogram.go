@@ -20,8 +20,7 @@ import (
 // Recording is sharded: each Observe lands in one of a small power-of-two
 // set of counter arrays picked by a per-goroutine hint, so concurrent
 // recorders on different CPUs rarely contend on a cache line. Snapshot
-// merges the shards; snapshots merge with each other (Merge), which is what
-// makes the quantiles mergeable across phases, workers, or processes.
+// merges the shards.
 
 const (
 	// subBits is the per-octave resolution: 2^subBits linear sub-buckets
@@ -129,8 +128,7 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // HistSnapshot is a point-in-time merge of a histogram's shards: a dense
-// bucket array plus the scalar aggregates. Snapshots from different
-// histograms (or phases) merge losslessly.
+// bucket array plus the scalar aggregates.
 type HistSnapshot struct {
 	Counts [numBuckets]uint64
 	Count  uint64
@@ -155,19 +153,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		if m := sh.max.Load(); m > s.Max {
 			s.Max = m
 		}
-	}
-	return s
-}
-
-// Merge folds o into s, returning the combined snapshot.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	for b := range s.Counts {
-		s.Counts[b] += o.Counts[b]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
 	}
 	return s
 }
@@ -198,12 +183,4 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the exact arithmetic mean of the recorded values.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -124,27 +124,6 @@ func TestQuantileVsOracle(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks that merging two snapshots equals recording
-// everything into one histogram.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 0; i < 10_000; i++ {
-		v := rng.Int63n(1 << 30)
-		all.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snapshot().Merge(b.Snapshot())
-	want := all.Snapshot()
-	if merged != want {
-		t.Fatalf("merged snapshot differs from single-histogram snapshot")
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from many goroutines; run
 // under -race this is the concurrent-recorder race test, and the final
 // snapshot must account for every observation exactly.

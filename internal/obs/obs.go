@@ -1,19 +1,18 @@
 // Package obs is the repository's zero-dependency observability core:
-// atomic counters and gauges, log-bucketed latency histograms (sharded
-// per-CPU, mergeable quantiles), a registry of labeled metric families with
-// Prometheus text-format exposition, and a ring-buffered phase-span tracer.
+// atomic counters, scrape-time gauges, log-bucketed latency histograms
+// (sharded per-CPU), a registry of labeled metric families with Prometheus
+// text-format exposition, and a ring-buffered phase-span tracer.
 //
 // Instrumentation is strictly write-only observation — nothing in this
 // package feeds back into algorithm behavior — and is built to be near-free
-// on hot paths: every handle (*Counter, *Gauge, *Histogram) is nil-safe, so
-// an uninstrumented subsystem passes nil handles and each record site costs
-// one predictable branch.
+// on hot paths: every handle (*Counter, *Histogram) is nil-safe, so an
+// uninstrumented subsystem passes nil handles and each record site costs one
+// predictable branch.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,25 +43,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically settable float64. Nil-safe.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // metricType tags a family for the exposition TYPE line.
 type metricType string
 
@@ -80,7 +60,7 @@ type family struct {
 	typ  metricType
 
 	mu       sync.Mutex
-	children map[string]any // label-set key -> *Counter | *Gauge | *Histogram
+	children map[string]any // label-set key -> *Counter | *Histogram
 	keys     []string       // sorted label-set keys, for deterministic output
 
 	// collect, when non-nil, produces the family's samples at scrape time
@@ -184,29 +164,16 @@ func (r *Registry) Counter(name, help string, kv ...string) *Counter {
 	return f.child(kv, func() any { return &Counter{} }).(*Counter)
 }
 
-// Gauge returns the gauge of family name with the given label pairs. Nil
-// registry → nil gauge.
-func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.fam(name, help, typeGauge)
-	return f.child(kv, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// Histogram returns the histogram of family name with the given label
-// pairs, exported in the recorded unit. Nil registry → nil histogram.
-func (r *Registry) Histogram(name, help string, kv ...string) *Histogram {
-	return r.histogram(name, help, 1, kv)
-}
-
-// DurationHistogram is Histogram for nanosecond recordings exported as
-// seconds (the Prometheus duration convention): record with
-// Observe(int64(elapsed)), scrape sees seconds.
+// DurationHistogram returns the histogram of family name with the given
+// label pairs, for nanosecond recordings exported as seconds (the
+// Prometheus duration convention): record with Observe(int64(elapsed)),
+// scrape sees seconds. Nil registry → nil histogram.
 func (r *Registry) DurationHistogram(name, help string, kv ...string) *Histogram {
 	return r.histogram(name, help, 1e-9, kv)
 }
 
+// histogram registers a histogram exported in the recorded unit times
+// scale.
 func (r *Registry) histogram(name, help string, scale float64, kv []string) *Histogram {
 	if r == nil {
 		return nil
@@ -300,8 +267,6 @@ func (f *family) write(b *strings.Builder) {
 		switch c := children[i].(type) {
 		case *Counter:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, key, c.Value())
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, key, formatValue(c.Value()))
 		case *Histogram:
 			writeHistogram(b, f.name, key, c)
 		}

@@ -14,25 +14,33 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	var g Gauge
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
+
+	// A gauge is read from its callback at every scrape.
+	r := NewRegistry()
+	g := 2.5
+	r.GaugeFunc("t_g", "h", func(emit func(v float64, kv ...string)) { emit(g) })
+	for _, want := range []string{"t_g 2.5\n", "t_g 4\n"} {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition %q lacks %q", b.String(), want)
+		}
+		g = 4
 	}
 
 	// Nil handles are no-ops.
 	var nc *Counter
 	nc.Inc()
-	var ng *Gauge
-	ng.Set(1)
-	if nc.Value() != 0 || ng.Value() != 0 {
+	if nc.Value() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 }
 
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
-	if r.Counter("x", "h") != nil || r.Gauge("y", "h") != nil || r.Histogram("z", "h") != nil {
+	if r.Counter("x", "h") != nil || r.DurationHistogram("z", "h") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	r.GaugeFunc("f", "h", func(emit func(v float64, kv ...string)) {})
@@ -58,7 +66,7 @@ func TestRegistrySameFamilySameChild(t *testing.T) {
 			t.Fatal("re-registering a family under a different type must panic")
 		}
 	}()
-	r.Gauge("dne_test_total", "help")
+	r.GaugeFunc("dne_test_total", "help", func(emit func(v float64, kv ...string)) {})
 }
 
 // TestExpositionGolden locks the text exposition format: a counter family
@@ -68,12 +76,14 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_requests_total", "Requests served.", "code", "200").Add(7)
 	r.Counter("t_requests_total", "Requests served.", "code", "500").Add(1)
-	r.Gauge("t_temperature", "Current temperature.").Set(36.6)
+	r.GaugeFunc("t_temperature", "Current temperature.", func(emit func(v float64, kv ...string)) {
+		emit(36.6)
+	})
 	r.GaugeFunc("t_shards", "Per-shard sizes.", func(emit func(v float64, kv ...string)) {
 		emit(10, "shard", "1")
 		emit(4, "shard", "0") // emitted out of order: exposition must sort
 	})
-	h := r.Histogram("t_latency", "Query latency.", "kind", "khop")
+	h := r.histogram("t_latency", "Query latency.", 1, []string{"kind", "khop"})
 	for _, v := range []int64{3, 3, 17, 100} {
 		h.Observe(v)
 	}
@@ -151,8 +161,10 @@ func TestRegistryConcurrent(t *testing.T) {
 			kind := string(rune('a' + w%4))
 			for i := 0; i < 500; i++ {
 				r.Counter("t_c_total", "h", "kind", kind).Inc()
-				r.Gauge("t_g", "h", "kind", kind).Set(float64(i))
-				r.Histogram("t_h", "h", "kind", kind).Observe(int64(i))
+				r.GaugeFunc("t_g", "h", func(emit func(v float64, kv ...string)) {
+					emit(float64(i), "kind", kind)
+				})
+				r.DurationHistogram("t_h_seconds", "h", "kind", kind).Observe(int64(i))
 				if i%100 == 0 {
 					var b strings.Builder
 					if err := r.WritePrometheus(&b); err != nil {

@@ -55,44 +55,6 @@ func (t *Tracer) Record(s Span) {
 	t.mu.Unlock()
 }
 
-// ActiveSpan is an in-flight span started by Start; End records it.
-type ActiveSpan struct {
-	t     *Tracer
-	span  Span
-	start time.Time
-}
-
-// Start opens a span; call End on the returned handle when the phase
-// finishes. Nil-safe: a nil tracer returns a nil handle whose methods are
-// no-ops.
-func (t *Tracer) Start(name, cat string) *ActiveSpan {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	return &ActiveSpan{t: t, start: now, span: Span{Name: name, Cat: cat, Start: now.UnixNano()}}
-}
-
-// SetAttr attaches a key/value attribute to the span.
-func (a *ActiveSpan) SetAttr(k, v string) {
-	if a == nil {
-		return
-	}
-	if a.span.Attrs == nil {
-		a.span.Attrs = map[string]string{}
-	}
-	a.span.Attrs[k] = v
-}
-
-// End closes the span and records it.
-func (a *ActiveSpan) End() {
-	if a == nil {
-		return
-	}
-	a.span.Dur = int64(time.Since(a.start))
-	a.t.Record(a.span)
-}
-
 // Phase is one (name, elapsed) step of a finished multi-phase run, used by
 // RecordPhases to reconstruct spans from duration-only accounting such as a
 // partitioner's Result.Stats.

@@ -32,19 +32,6 @@ func NewSpec(numParts int, seed int64) Spec {
 	return Spec{NumParts: numParts, Seed: seed}
 }
 
-// WithParam returns a copy of s with one parameter set. The receiver's map
-// is never mutated, so Specs can be shared and forked freely.
-func (s Spec) WithParam(name string, value any) Spec {
-	params := make(map[string]any, len(s.Params)+1)
-	//lint:ordered map-to-map copy; insertion order is irrelevant
-	for k, v := range s.Params {
-		params[k] = v
-	}
-	params[name] = value
-	s.Params = params
-	return s
-}
-
 // Validate checks the method-independent invariants.
 func (s Spec) Validate() error {
 	if s.NumParts <= 0 {

@@ -57,9 +57,6 @@ func (ri *ReplicaIndex) Of(v graph.Vertex) (parts []int32, slots []uint32) {
 	return ri.parts[lo:hi], ri.slots[lo:hi]
 }
 
-// Count returns the number of partitions holding v.
-func (ri *ReplicaIndex) Count(v graph.Vertex) int { return int(ri.off[v+1] - ri.off[v]) }
-
 // Total returns Σp |V(Ep)|, the numerator of the replication factor.
 func (ri *ReplicaIndex) Total() int64 { return int64(len(ri.parts)) }
 

@@ -299,12 +299,6 @@ func (r *ReplicaSets) Set(v graph.Vertex, q int) {
 // Bytes returns the accounted size of the slab.
 func (r *ReplicaSets) Bytes() int64 { return int64(len(r.slab)) * 8 }
 
-// Words returns the number of u64 words per vertex row (ceil(P/64)).
-func (r *ReplicaSets) Words() int { return r.words }
-
-// NumVertices returns the number of vertex rows the slab covers.
-func (r *ReplicaSets) NumVertices() uint32 { return uint32(len(r.slab) / r.words) }
-
 // Grow extends the slab to cover at least numVertices rows, preserving
 // existing sets. Growth is geometric so a live ingest that keeps minting
 // vertex ids amortizes to O(1) per vertex. Shrinking is a no-op.

@@ -30,9 +30,6 @@ type Sheep struct {
 	Seed  int64
 }
 
-// Name returns the display label.
-func (Sheep) Name() string { return "Sheep" }
-
 // PartitionCtx is the elimination-tree core; it polls ctx between phases
 // and every partition.CheckEvery vertices/edges inside them.
 func (s Sheep) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {

@@ -19,15 +19,6 @@ import (
 // to keep foreground tails near steady state.
 const compactYieldStride = 1 << 14
 
-// yieldCounter calls runtime.Gosched every compactYieldStride ticks.
-type yieldCounter int
-
-func (y *yieldCounter) tick() {
-	if *y++; *y%compactYieldStride == 0 {
-		runtime.Gosched()
-	}
-}
-
 // Epoch layer: the one read path. A Store is the immutable base; arrivals
 // and retractions accumulate in a small mutable Delta owned by the writer;
 // publishing freezes the delta into an Epoch — an immutable (base, delta)
@@ -322,24 +313,12 @@ func NewEpoch(base *Store, delta *Delta, seq uint64) *Epoch {
 // Seq returns the epoch's publish sequence number.
 func (e *Epoch) Seq() uint64 { return e.seq }
 
-// Base returns the underlying immutable store.
-func (e *Epoch) Base() *Store { return e.base }
-
 // NumVertices returns |V| as of this epoch (base, extended by any overlay
 // insertions naming new vertex ids).
 func (e *Epoch) NumVertices() uint32 { return e.numVertices }
 
 // NumShards returns the shard count.
 func (e *Epoch) NumShards() int { return len(e.base.shards) }
-
-// NumEdges returns the live edge count: base + insertions − deletions.
-func (e *Epoch) NumEdges() int64 {
-	n := e.base.numEdges
-	if e.delta != nil {
-		n += e.delta.AddedEdges() - e.delta.DeletedEdges()
-	}
-	return n
-}
 
 // ShardEdges returns the live edge count of shard s.
 func (e *Epoch) ShardEdges(s int) int64 {
@@ -757,14 +736,16 @@ func (sc *khopScratch) appendLevel(res *KHopResult, depth int32, lo, hi int) {
 
 // ShardEdgesPacked returns shard s's live canonical edge list, sorted — the
 // compaction input. Base edges appear twice in the shard CSR (once per
-// endpoint), so only the u < w direction is emitted.
+// endpoint), so only the u < w direction is emitted. The scan yields at the
+// first vertex boundary after each compactYieldStride base edges.
 func (e *Epoch) ShardEdgesPacked(s int) []uint64 {
 	sh := e.base.shards[s]
 	out := make([]uint64, 0, e.ShardEdges(s))
-	var yield yieldCounter
 	for l, u := range sh.verts {
+		if l > 0 && sh.off[l]/compactYieldStride != sh.off[l-1]/compactYieldStride {
+			runtime.Gosched()
+		}
 		for _, w := range sh.tgt[sh.off[l]:sh.off[l+1]] {
-			yield.tick()
 			if u >= w {
 				continue
 			}
@@ -788,15 +769,4 @@ func (e *Epoch) ShardEdgesPacked(s int) []uint64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Compact folds the epoch into a fresh base Store with an empty overlay.
-// The result serves identical queries; replica lists shed fully-deleted
-// copies and overlay vertices join the routing table.
-func (e *Epoch) Compact() (*Store, error) {
-	packed := make([][]uint64, len(e.base.shards))
-	for s := range packed {
-		packed[s] = e.ShardEdgesPacked(s)
-	}
-	return BuildFromShards(e.numVertices, packed)
 }

@@ -92,7 +92,7 @@ func TestKHopOverlayMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: no vertex minted beyond %d", tc.name, n)
 		}
 		want := overlayGraph(ep, packed, d)
-		compacted, err := ep.Compact()
+		compacted, err := compact(ep)
 		if err != nil {
 			t.Fatal(err)
 		}

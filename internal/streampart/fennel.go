@@ -26,9 +26,6 @@ type Fennel struct {
 	Gamma float64
 }
 
-// Name returns the display label.
-func (Fennel) Name() string { return "FENNEL" }
-
 // Stream is the streaming core; it polls ctx every partition.CheckEvery
 // edges.
 func (f Fennel) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {

@@ -50,9 +50,6 @@ type HDRF struct {
 	Lambda float64
 }
 
-// Name returns the display label.
-func (HDRF) Name() string { return "HDRF" }
-
 // Stream is the streaming core: one degree-counting pass, then one
 // assignment pass, with dense state (degrees, replica sets, size levels)
 // bounded by |V| and |P|. It polls ctx every partition.CheckEvery edges.
@@ -104,9 +101,6 @@ type SNE struct {
 	Alpha   float64
 	Windows int
 }
-
-// Name returns the display label.
-func (SNE) Name() string { return "SNE" }
 
 // Stream is the streaming core; it polls ctx every partition.CheckEvery
 // processed edges (closure sweeps included).

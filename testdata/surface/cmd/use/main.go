@@ -6,4 +6,7 @@ import (
 	"example.com/surface/internal/a"
 )
 
-func main() { fmt.Println(a.Cross()) }
+func main() {
+	var s a.Shape = a.Framed{Shape: a.Square{}}
+	fmt.Println(a.Cross(), a.Left{}.Size(), s.Area(), a.Name("x"))
+}
