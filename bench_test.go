@@ -83,7 +83,7 @@ func BenchmarkDNEPartition1M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dne.Partition(g, 16, cfg)
+		res, err := dne.PartitionCtx(context.Background(), g, 16, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(gg, 8, cfg)
+				res, err := dne.PartitionCtx(context.Background(), gg, 8, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func BenchmarkAblationPartitionCount(b *testing.B) {
 		b.Run(benchName("P", p), func(b *testing.B) {
 			cfg := dne.DefaultConfig()
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, p, cfg)
+				res, err := dne.PartitionCtx(context.Background(), g, p, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,7 +157,7 @@ func BenchmarkAblationAlpha(b *testing.B) {
 			cfg := dne.DefaultConfig()
 			cfg.Alpha = alpha
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
+				res, err := dne.PartitionCtx(context.Background(), g, 16, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func BenchmarkAblationDrestStaleness(b *testing.B) {
 			cfg := dne.DefaultConfig()
 			cfg.Lambda = lambda
 			for i := 0; i < b.N; i++ {
-				res, err := dne.Partition(g, 16, cfg)
+				res, err := dne.PartitionCtx(context.Background(), g, 16, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -110,7 +110,7 @@ func loadDegrees(shardDir, in, kind string, scale, ef, n int, alpha float64, row
 		if err := printShardFiles(shardDir); err != nil {
 			return nil, err
 		}
-		deg, err := partition.Degrees(context.Background(), src, info.NumVertices)
+		deg, _, _, err := partition.DegreesAndCounts(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,12 @@
 // Analytics: partition a skewed graph with Distributed NE, then run the
-// engine's whole application suite over it — the paper's Table-5 workloads
-// (SSSP, WCC, PageRank) plus BFS trees, k-core decomposition, triangle
-// counting, label propagation, and a custom vertex program through the
-// engine.Program interface.
+// engine's applications over it — the paper's Table-5 workloads (SSSP, WCC,
+// PageRank) — and read each one's result and replica-sync traffic.
 //
 //	go run ./examples/analytics
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -21,7 +20,7 @@ import (
 
 func main() {
 	g := gen.RMAT(13, 16, 42)
-	res, err := dne.Partition(g, 8, dne.DefaultConfig())
+	res, err := dne.PartitionCtx(context.Background(), g, 8, dne.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,8 +40,8 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("SSSP from 0: %d reachable, eccentricity %d (%d supersteps)\n",
-		reach, maxd, e.Supersteps)
+	fmt.Printf("SSSP from 0: %d reachable, eccentricity %d (%d supersteps) — COM %.1f MB\n",
+		reach, maxd, e.Supersteps, float64(e.CommBytes)/(1<<20))
 
 	// Components.
 	e.ResetStats()
@@ -53,19 +52,8 @@ func main() {
 			comps[l]++
 		}
 	}
-	fmt.Printf("WCC: %d components among covered vertices\n", len(comps))
-
-	// Structure: coreness and triangles.
-	e.ResetStats()
-	core := e.Coreness()
-	var maxCore int32
-	for _, c := range core {
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	tri := e.Triangles()
-	fmt.Printf("degeneracy (max coreness): %d   triangles: %d\n", maxCore, tri)
+	fmt.Printf("WCC: %d components among covered vertices — COM %.1f MB\n",
+		len(comps), float64(e.CommBytes)/(1<<20))
 
 	// Influence: PageRank top-3.
 	e.ResetStats()
@@ -78,44 +66,4 @@ func main() {
 	fmt.Printf("PageRank top-3: v%d (%.5f), v%d (%.5f), v%d (%.5f) — COM %.1f MB\n",
 		idx[0], pr[idx[0]], idx[1], pr[idx[1]], idx[2], pr[idx[2]],
 		float64(e.CommBytes)/(1<<20))
-
-	// Communities.
-	e.ResetStats()
-	lpa := e.LabelPropagation(20)
-	seen := map[graph.Vertex]struct{}{}
-	for v, l := range lpa {
-		if g.Degree(graph.Vertex(v)) > 0 {
-			seen[l] = struct{}{}
-		}
-	}
-	fmt.Printf("label propagation: %d communities after %d supersteps\n",
-		len(seen), e.Supersteps)
-
-	// Custom vertex program: average neighbor degree, one line per concept.
-	deg := g.Degrees()
-	avgNbr := e.Run(avgNeighborDegree{deg: deg}, 1)
-	var hi graph.Vertex
-	for v := range avgNbr {
-		if avgNbr[v] > avgNbr[hi] {
-			hi = graph.Vertex(v)
-		}
-	}
-	fmt.Printf("custom program: vertex %d has the best-connected neighborhood (avg nbr degree %.1f)\n",
-		hi, avgNbr[hi])
-}
-
-// avgNeighborDegree computes each vertex's mean neighbor degree in one
-// gather round — the kind of one-off analytic the Program interface exists
-// for.
-type avgNeighborDegree struct{ deg []int64 }
-
-func (p avgNeighborDegree) Init(graph.Vertex) float64 { return 0 }
-func (p avgNeighborDegree) Gather(u graph.Vertex, _ float64, _ graph.Vertex) float64 {
-	return float64(p.deg[u])
-}
-func (p avgNeighborDegree) Apply(v graph.Vertex, _, sum float64) (float64, bool) {
-	if p.deg[v] == 0 {
-		return 0, false
-	}
-	return sum / float64(p.deg[v]), true
 }

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	spec, _ := datasets.ByName("Pokec")
+	spec := datasets.Mid()[0] // Pokec
 	g := spec.Build(0)
 	const parts = 32
 	fmt.Printf("%s stand-in, %v, %d partitions\n\n", spec.Name, g, parts)

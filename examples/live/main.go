@@ -40,7 +40,7 @@ func main() {
 	//    bases and tails are all the directory holds.
 	const parts, seed = 8, 42
 	snapshot := gen.RMAT(12, 16, seed)
-	res, err := dne.Partition(snapshot, parts, dne.DefaultConfig())
+	res, err := dne.PartitionCtx(context.Background(), snapshot, parts, dne.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

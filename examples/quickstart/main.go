@@ -5,8 +5,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"time"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/dne"
@@ -23,7 +25,7 @@ func main() {
 	//    (imbalance α = 1.1, multi-expansion λ = 0.1).
 	cfg := dne.DefaultConfig()
 	cfg.Seed = 42
-	res, err := dne.Partition(g, 8, cfg)
+	res, err := dne.PartitionCtx(context.Background(), g, 8, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,8 @@ func main() {
 
 	// 5. The communication is fully accounted, so the network time a real
 	//    cluster would add is estimable under an alpha-beta cost model.
+	tenGbE := cluster.CostModel{Latency: 50 * time.Microsecond, BandwidthBytesPerSec: 1.25e9}
 	fmt.Printf("simulated network time: %v (InfiniBand EDR) / %v (10GbE)\n",
 		res.SimulatedNetworkTime(cluster.InfiniBandEDR(), 8),
-		res.SimulatedNetworkTime(cluster.TenGbE(), 8))
+		res.SimulatedNetworkTime(tenGbE, 8))
 }

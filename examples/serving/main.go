@@ -14,6 +14,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/distributedne/dne/internal/gen"
@@ -43,26 +44,31 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// 2. Build: per-shard CSR stores + vertex→master routing table +
-		//    mirror index, straight from the partitioner result.
+		// 2. Build: per-shard CSR stores + replica index, straight from
+		//    the partitioner result.
 		st, err := store.BuildPartitioning(g, res.Partitioning)
 		if err != nil {
 			log.Fatal(err)
 		}
+		replicas := 0
+		for s := range st.NumShards() {
+			replicas += st.ShardVertices(s)
+		}
 		fmt.Printf("%-7s RF %.3f → %d shards, %d vertex replicas\n",
-			pr.Name(), res.Quality.ReplicationFactor, st.NumShards(), st.TotalReplicas())
+			pr.Name(), res.Quality.ReplicationFactor, st.NumShards(), replicas)
 		stores[name] = st
 	}
 
-	// 3. Point queries route by the mirror index: degree sums over every
-	//    replica shard, neighbors concatenate disjoint per-shard lists.
+	// 3. Point queries route by the replica index: neighbors concatenate
+	//    the disjoint lists of every shard holding a copy of the vertex.
 	st := stores["ne"]
 	v := uint32(7)
-	deg, _ := st.Degree(v)
-	ns, _ := st.Neighbors(v)
-	master, _ := st.Master(v)
-	fmt.Printf("\nvertex %d: master shard %d, replicas %v, degree %d, first neighbors %v\n",
-		v, master, st.Replicas(v), deg, ns[:min(5, len(ns))])
+	ns, err := st.Neighbors(v)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nvertex %d: replicas %v, degree %d, first neighbors %v\n",
+		v, st.Replicas(v), len(ns), ns[:min(5, len(ns))])
 
 	// 4. Traversals scan, level by level, every shard holding a copy of a
 	//    frontier vertex; each copy beyond the first is a cross-shard hop.
@@ -114,7 +120,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d2, _ := restored.Degree(v)
-	fmt.Printf("\npersisted: %d shard files; restored store degree(%d) = %d (same answer, no re-partitioning)\n",
-		restored.NumShards(), v, d2)
+	ns2, err := restored.Neighbors(v)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !slices.Equal(ns, ns2) {
+		log.Fatalf("restored store answers neighbors(%d) differently", v)
+	}
+	fmt.Printf("\npersisted: %d shard files; restored store gives vertex %d the same %d neighbors, no re-partitioning\n",
+		restored.NumShards(), v, len(ns2))
 }

@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	spec, _ := datasets.ByName("Orkut")
+	spec := datasets.Mid()[3] // Orkut
 	g := spec.Build(0)
 	fmt.Printf("social graph stand-in %s: %v\n\n", spec.Name, g)
 

@@ -32,7 +32,7 @@ func TestPinnedFormatBytes(t *testing.T) {
 	const parts = 4
 	cfg := dne.DefaultConfig()
 	cfg.Seed = 3
-	res, err := dne.Partition(g, parts, cfg)
+	res, err := dne.PartitionCtx(context.Background(), g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

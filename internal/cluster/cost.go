@@ -24,11 +24,6 @@ func InfiniBandEDR() CostModel {
 	return CostModel{Latency: time.Microsecond, BandwidthBytesPerSec: 12.5e9}
 }
 
-// TenGbE approximates a commodity datacenter network.
-func TenGbE() CostModel {
-	return CostModel{Latency: 50 * time.Microsecond, BandwidthBytesPerSec: 1.25e9}
-}
-
 // Estimate returns the simulated network time for the given totals. machines
 // scales the barrier tree; barriers may be 0 when unknown.
 func (m CostModel) Estimate(messages, bytes int64, barriers, machines int) time.Duration {

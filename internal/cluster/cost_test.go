@@ -25,7 +25,8 @@ func TestEstimateSingleMachineFree(t *testing.T) {
 func TestInterconnectOrdering(t *testing.T) {
 	// The same traffic must cost more on 10GbE than on InfiniBand.
 	ib := InfiniBandEDR().Estimate(1e5, 1e9, 50, 64)
-	ge := TenGbE().Estimate(1e5, 1e9, 50, 64)
+	tenGbE := CostModel{Latency: 50 * time.Microsecond, BandwidthBytesPerSec: 1.25e9}
+	ge := tenGbE.Estimate(1e5, 1e9, 50, 64)
 	if ge <= ib {
 		t.Fatalf("10GbE %v not above InfiniBand %v", ge, ib)
 	}

@@ -62,16 +62,6 @@ var Skewed = []Spec{
 // (Pokec, Flickr, LiveJ., Orkut).
 func Mid() []Spec { return Skewed[:4] }
 
-// ByName returns the skewed stand-in with the given name.
-func ByName(name string) (Spec, bool) {
-	for _, s := range Skewed {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Spec{}, false
-}
-
 // RoadSpec describes one §7.7 road-network stand-in.
 type RoadSpec struct {
 	Name       string

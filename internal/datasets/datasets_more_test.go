@@ -23,18 +23,6 @@ func TestShiftScalesEdges(t *testing.T) {
 	}
 }
 
-func TestByNameAllSpecs(t *testing.T) {
-	for _, s := range Skewed {
-		got, ok := ByName(s.Name)
-		if !ok || got.Name != s.Name {
-			t.Errorf("ByName(%q) failed", s.Name)
-		}
-	}
-	if _, ok := ByName("definitely-not-a-dataset"); ok {
-		t.Error("unknown name resolved")
-	}
-}
-
 func TestMidIsSubsetOfSkewed(t *testing.T) {
 	mid := Mid()
 	if len(mid) == 0 || len(mid) > len(Skewed) {

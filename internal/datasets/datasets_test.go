@@ -24,15 +24,6 @@ func TestShiftScalesVertices(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, ok := ByName("Twitter"); !ok {
-		t.Error("Twitter stand-in missing")
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Error("unknown name should not resolve")
-	}
-}
-
 func TestMidIsFour(t *testing.T) {
 	mid := Mid()
 	if len(mid) != 4 || mid[0].Name != "Pokec" || mid[3].Name != "Orkut" {

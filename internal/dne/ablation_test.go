@@ -8,7 +8,7 @@ import (
 
 func TestSelectionCountersReported(t *testing.T) {
 	g := gen.RMAT(10, 8, 2)
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := runDNE(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestWastedSelectionsGrowWithLambda(t *testing.T) {
 	rate := func(lambda float64) float64 {
 		cfg := DefaultConfig()
 		cfg.Lambda = lambda
-		res, err := Partition(g, 8, cfg)
+		res, err := runDNE(g, 8, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

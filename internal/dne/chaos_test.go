@@ -22,7 +22,7 @@ func TestChaosTransportGivesIdenticalPartitioning(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 
-	plain, err := Partition(g, parts, cfg)
+	plain, err := runDNE(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,12 +112,6 @@ func (r *Result) SimulatedNetworkTime(m cluster.CostModel, machines int) time.Du
 	return m.Estimate(r.CommMessages, r.CommBytes, r.Iterations*3, machines)
 }
 
-// Partition runs Distributed NE on g with numParts machines (the paper runs
-// one partition per machine, §3.3) and returns the partitioning plus metrics.
-func Partition(g *graph.Graph, numParts int, cfg Config) (*Result, error) {
-	return PartitionCtx(context.Background(), g, numParts, cfg)
-}
-
 // validate checks the algorithm parameters.
 func (cfg Config) validate() error {
 	if cfg.Alpha < 1.0 {
@@ -129,9 +123,10 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// PartitionCtx is Partition with cancellation: the superstep loop checks
-// ctx once per iteration (collectively, so all machines abort together) and
-// returns ctx's error.
+// PartitionCtx runs Distributed NE on g with numParts machines (the paper
+// runs one partition per machine, §3.3) and returns the partitioning plus
+// metrics. The superstep loop checks ctx once per iteration (collectively,
+// so all machines abort together) and returns ctx's error.
 //
 // The in-memory graph is split into |P| synthetic shards (contiguous
 // stripes of the canonical edge list) and every machine runs PartitionShards

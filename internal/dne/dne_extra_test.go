@@ -23,7 +23,7 @@ func TestTheorem2Tightness(t *testing.T) {
 	parts := n * (n - 1) / 2
 	cfg := DefaultConfig()
 	cfg.SingleExpansion = true
-	res, err := Partition(g, parts, cfg)
+	res, err := runDNE(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,21 +114,21 @@ func TestSubgraphPartitionIsCompleteAndDisjoint(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	g := gen.RMAT(6, 4, 1)
-	if _, err := Partition(g, 0, DefaultConfig()); err == nil {
+	if _, err := runDNE(g, 0, DefaultConfig()); err == nil {
 		t.Error("numParts=0 must fail")
 	}
 	bad := DefaultConfig()
 	bad.Alpha = 0.9
-	if _, err := Partition(g, 2, bad); err == nil {
+	if _, err := runDNE(g, 2, bad); err == nil {
 		t.Error("alpha<1 must fail")
 	}
 	bad = DefaultConfig()
 	bad.Lambda = 2
-	if _, err := Partition(g, 2, bad); err == nil {
+	if _, err := runDNE(g, 2, bad); err == nil {
 		t.Error("lambda>1 must fail")
 	}
 	empty := graph.FromEdges(4, nil)
-	if _, err := Partition(empty, 2, DefaultConfig()); err == nil {
+	if _, err := runDNE(empty, 2, DefaultConfig()); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -137,7 +137,7 @@ func TestMoreMachinesThanUsefulStillCompletes(t *testing.T) {
 	// More partitions than a tiny graph can fill: expansion processes idle
 	// out and the sweep (if any) finishes the job.
 	g := graph.FromEdges(0, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := runDNE(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStarGraphSingleHub(t *testing.T) {
 	// Every edge shares the hub: RF of the hub is |P| but leaves stay at 1;
 	// the algorithm must terminate and respect the cap.
 	g := gen.Star(1 << 10)
-	res, err := Partition(g, 4, DefaultConfig())
+	res, err := runDNE(g, 4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 17
 
-	inproc, err := Partition(g, parts, cfg)
+	inproc, err := runDNE(g, parts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestIterationCountsDropWithLambda(t *testing.T) {
 	iters := func(lambda float64) int {
 		cfg := DefaultConfig()
 		cfg.Lambda = lambda
-		res, err := Partition(g, 8, cfg)
+		res, err := runDNE(g, 8, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestIterationCountsDropWithLambda(t *testing.T) {
 
 func TestMemAndCommReported(t *testing.T) {
 	g := gen.RMAT(9, 8, 3)
-	res, err := Partition(g, 4, DefaultConfig())
+	res, err := runDNE(g, 4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,11 @@ import (
 	"github.com/distributedne/dne/internal/graph"
 )
 
+// runDNE runs PartitionCtx with no deadline.
+func runDNE(g *graph.Graph, numParts int, cfg Config) (*Result, error) {
+	return PartitionCtx(context.Background(), g, numParts, cfg)
+}
+
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	return gen.RMAT(10, 8, 42) // 1024 vertices, ~8k edge samples
@@ -17,7 +22,7 @@ func testGraph(t *testing.T) *graph.Graph {
 func TestPartitionCoversAllEdges(t *testing.T) {
 	g := testGraph(t)
 	for _, p := range []int{1, 2, 4, 7, 16} {
-		res, err := Partition(g, p, DefaultConfig())
+		res, err := runDNE(g, p, DefaultConfig())
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -30,7 +35,7 @@ func TestPartitionCoversAllEdges(t *testing.T) {
 func TestBalanceWithinAlpha(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
-	res, err := Partition(g, 8, cfg)
+	res, err := runDNE(g, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func TestTheorem1UpperBoundHolds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SingleExpansion = true
 	for _, p := range []int{2, 4, 8} {
-		res, err := Partition(g, p, cfg)
+		res, err := runDNE(g, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +71,11 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 	g := testGraph(t)
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	a, err := Partition(g, 4, cfg)
+	a, err := runDNE(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Partition(g, 4, cfg)
+	b, err := runDNE(g, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func TestDeterministicForFixedSeed(t *testing.T) {
 
 func TestQualityBeatsRandomHash(t *testing.T) {
 	g := testGraph(t)
-	res, err := Partition(g, 8, DefaultConfig())
+	res, err := runDNE(g, 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

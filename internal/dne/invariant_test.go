@@ -51,7 +51,7 @@ func TestCapAndCoverageEveryFamily(t *testing.T) {
 				}
 				cfg := DefaultConfig()
 				cfg.Seed = int64(p)
-				res, err := Partition(f.g, p, cfg)
+				res, err := runDNE(f.g, p, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,7 +153,7 @@ func TestRMAT16SuperstepTable(t *testing.T) {
 				t.Errorf("P=%d seed %d: %d supersteps, want ≤ 80", p, seed, len(trace))
 			}
 			if seed == 1 { // the stepped run is the run Partition makes
-				res, err := Partition(g, p, cfg)
+				res, err := runDNE(g, p, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,7 +194,7 @@ func TestSingleSurvivorHandOffIsTheOldTail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 5
 
-	res, err := Partition(g, p, cfg)
+	res, err := runDNE(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestPartitionShardsMatchesWholeGraphRun(t *testing.T) {
 	for _, p := range []int{2, 5, 9} {
 		cfg := DefaultConfig()
 		cfg.Seed = 11
-		want, err := Partition(g, p, cfg)
+		want, err := runDNE(g, p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestPartitionShardsUnevenAndEmptyShards(t *testing.T) {
 	const p = 4
 	cfg := DefaultConfig()
 	cfg.Seed = 2
-	want, err := Partition(g, p, cfg)
+	want, err := runDNE(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPartitionShardsOverTCPMatchesInProcess(t *testing.T) {
 	for _, parts := range []int{4, 6} {
 		cfg := DefaultConfig()
 		cfg.Seed = 17
-		inproc, err := Partition(g, parts, cfg)
+		inproc, err := runDNE(g, parts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestShardDataPlaneMemoryScaling(t *testing.T) {
 	cfg.Seed = 42
 
 	res, shardStats := runShardCluster(t, graph.ShardsOf(g, p), cfg)
-	want, err := Partition(g, p, cfg)
+	want, err := runDNE(g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

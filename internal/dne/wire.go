@@ -78,7 +78,7 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // peak-memory stat) has finished.
 //
 // The result is non-nil at rank 0 only. The seeded partitioning is
-// bit-identical to the in-process run (Partition) with the same seed, graph
+// bit-identical to the in-process run (PartitionCtx) with the same seed, graph
 // and partition count.
 //
 // Cancellation is collective: every rank returns at the end of the superstep

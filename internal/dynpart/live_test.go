@@ -7,6 +7,7 @@ package dynpart_test
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -176,7 +177,7 @@ func TestBalanceRespectsAlpha(t *testing.T) {
 
 func TestSeedFromDNEAndUpdate(t *testing.T) {
 	g := gen.RMAT(10, 8, 7)
-	res, err := dne.Partition(g, 8, dne.DefaultConfig())
+	res, err := dne.PartitionCtx(context.Background(), g, 8, dne.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func (p *part) row(l int) []graph.Vertex { return p.tgt[p.off[l]:p.off[l+1]] }
 
 // Engine executes vertex programs over an edge-partitioned graph.
 type Engine struct {
-	g     *graph.Graph // global degrees and Triangles' adjacency
+	g     *graph.Graph // global degrees
 	st    *store.Store
 	parts []*part
 

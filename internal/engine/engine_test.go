@@ -152,6 +152,31 @@ func TestBetterPartitioningReducesCommunication(t *testing.T) {
 	}
 }
 
+func TestAppsAccountCommunication(t *testing.T) {
+	// Any partitioning with RF > 1 must charge replica-sync bytes for every
+	// app; the engine's Table-5 COM column depends on it.
+	g := gen.RMAT(9, 8, 7)
+	e := buildEngine(t, g, "random", 5, 8)
+	apps := []struct {
+		name string
+		run  func()
+	}{
+		{"pagerank", func() { e.PageRank(5, 0.85) }},
+		{"sssp", func() { e.SSSP(0) }},
+		{"wcc", func() { e.WCC() }},
+	}
+	for _, app := range apps {
+		e.ResetStats()
+		app.run()
+		if e.CommBytes <= 0 {
+			t.Errorf("%s: no communication accounted", app.name)
+		}
+		if e.Supersteps <= 0 {
+			t.Errorf("%s: no supersteps accounted", app.name)
+		}
+	}
+}
+
 func TestWorkloadBalanceReported(t *testing.T) {
 	g := gen.RMAT(9, 8, 17)
 	e := buildEngine(t, g, "dne", 0, 4)

@@ -309,37 +309,19 @@ func Fig10(o Options) error {
 	return nil
 }
 
+// sweepParts is the machine count of Fig. 10(h) and (i).
+const sweepParts = 64
+
 // Fig10EF reproduces Fig. 10(h): elapsed time vs edge factor at fixed scale,
 // |P| = 64.
 func Fig10EF(o Options) error {
 	scale := 12 + o.Shift
 	efs := []int{16, 64, 256, 1024}
-	const parts = 64
 	if o.Quick {
-		efs = []int{16, 64}
+		efs = efs[:2]
 	}
-	fmt.Fprintf(o.out(), "Fig. 10(h) — elapsed time (s) vs edge factor (RMAT Scale%d, |P| = %d)\n\n", scale, parts)
-	header := []string{"partitioner"}
-	for _, ef := range efs {
-		header = append(header, fmt.Sprintf("EF=%d", ef))
-	}
-	t := &bench.Table{Header: header}
-	for _, pr := range []partition.Partitioner{
-		method("sheep"), method("xtrapulp"), method("dne"),
-	} {
-		cells := []any{pr.Name()}
-		for _, ef := range efs {
-			g := gen.RMAT(scale, ef, o.Seed+int64(ef))
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
-			if run.Err != nil {
-				return fmt.Errorf("fig10ef %s: %w", pr.Name(), run.Err)
-			}
-			cells = append(cells, run.Elapsed)
-		}
-		t.Add(cells...)
-	}
-	t.Print(o.out())
-	return nil
+	title := fmt.Sprintf("Fig. 10(h) — elapsed time (s) vs edge factor (RMAT Scale%d, |P| = %d)", scale, sweepParts)
+	return rmatSweep(o, "fig10ef", title, "EF=%d", efs, func(ef int) (int, int) { return scale, ef })
 }
 
 // Fig10Scale reproduces Fig. 10(i): elapsed time vs RMAT scale at fixed edge
@@ -349,26 +331,34 @@ func Fig10Scale(o Options) error {
 	baseScale := 10 + o.Shift
 	scales := []int{baseScale, baseScale + 1, baseScale + 2}
 	ef := 64
-	const parts = 64
 	if o.Quick {
 		scales = scales[:2]
 		ef = 16
 	}
-	fmt.Fprintf(o.out(), "Fig. 10(i) — elapsed time (s) vs scale (RMAT EF %d, |P| = %d)\n\n", ef, parts)
+	title := fmt.Sprintf("Fig. 10(i) — elapsed time (s) vs scale (RMAT EF %d, |P| = %d)", ef, sweepParts)
+	return rmatSweep(o, "fig10scale", title, "Scale%d", scales, func(sc int) (int, int) { return sc, ef })
+}
+
+// rmatSweep times Sheep, X.P. and D.NE on sweepParts partitions of one RMAT
+// graph per swept value x: rmat(x) gives its scale and edge factor, the seed
+// is o.Seed+x, and column formats x into the header. id prefixes errors.
+func rmatSweep(o Options, id, title, column string, xs []int, rmat func(x int) (scale, ef int)) error {
+	fmt.Fprintf(o.out(), "%s\n\n", title)
 	header := []string{"partitioner"}
-	for _, sc := range scales {
-		header = append(header, fmt.Sprintf("Scale%d", sc))
+	for _, x := range xs {
+		header = append(header, fmt.Sprintf(column, x))
 	}
 	t := &bench.Table{Header: header}
 	for _, pr := range []partition.Partitioner{
 		method("sheep"), method("xtrapulp"), method("dne"),
 	} {
 		cells := []any{pr.Name()}
-		for _, sc := range scales {
-			g := gen.RMAT(sc, ef, o.Seed+int64(sc))
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+		for _, x := range xs {
+			scale, ef := rmat(x)
+			g := gen.RMAT(scale, ef, o.Seed+int64(x))
+			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(sweepParts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("fig10scale %s: %w", pr.Name(), run.Err)
+				return fmt.Errorf("%s %s: %w", id, pr.Name(), run.Err)
 			}
 			cells = append(cells, run.Elapsed)
 		}

@@ -149,44 +149,15 @@ func Counts(ctx context.Context, src graph.Source) (numVertices uint32, numEdges
 	return graph.SourceCounts(src, func(int64) error { return ctx.Err() })
 }
 
-// Degrees runs one pass over the raw (undecorated) source and returns every
-// vertex's degree in the stream (duplicate edges count per occurrence,
-// exactly as they occupy stream positions). This is the offline-degree pass
-// the degree-aware streaming methods (HDRF, SNE, DBH, Hybrid) run before
-// assigning; degree counting is order-independent, so the shuffle decorator
-// is bypassed.
-func Degrees(ctx context.Context, src graph.Source, numVertices uint32) ([]uint32, error) {
-	deg := make([]uint32, numVertices)
-	st, err := graph.RawSource(src).Edges()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	for {
-		chunk, _, err := st.Next()
-		if err == io.EOF {
-			return deg, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range chunk {
-			deg[k>>32]++
-			deg[uint32(k)]++
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // DegreesAndCounts resolves the degree slab, |V| and |E| with a single
 // pass over the raw (undecorated) source — the degree-aware cores' whole
 // prologue, so a hint-less source (generators, binary files with possible
-// self loops) is not scanned once for counts and again for degrees. Hints
-// are honored when present; the slab grows geometrically past them only if
-// the stream contradicts the declared |V| (a contract violation that ends
-// in a larger slab, never a panic).
+// self loops) is not scanned once for counts and again for degrees.
+// Duplicate edges count per occurrence, exactly as they occupy stream
+// positions; degree counting is order-independent, so the shuffle
+// decorator is bypassed. Hints are honored when present; the slab grows
+// geometrically past them only if the stream contradicts the declared |V|
+// (a contract violation that ends in a larger slab, never a panic).
 func DegreesAndCounts(ctx context.Context, src graph.Source) (deg []uint32, numVertices uint32, numEdges int64, err error) {
 	info := graph.RawSource(src).Info()
 	deg = make([]uint32, info.NumVertices)

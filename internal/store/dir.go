@@ -9,8 +9,8 @@ import (
 // A persisted store is a shard directory: one ESZ1 file per shard, whose
 // header gives |V| = NumVertices, Index = shard and Count = NumShards, and
 // whose keys are the shard's sorted canonical edges. Only the edges are
-// stored; ReadDir rebuilds the CSR, the replica index and the master table
-// through BuildFromShards, so a restored store is the built one, bit for bit.
+// stored; ReadDir rebuilds the CSR and the replica index through
+// BuildFromShards, so a restored store is the built one, bit for bit.
 // It is the layout of a live directory with no tails (see internal/live):
 // live.Open adopts a store directory, and ReadDir opens a live directory
 // that was compacted and closed.

@@ -27,7 +27,7 @@ func saveDir(t testing.TB, st *Store) string {
 }
 
 // storeDiff reports the first way got differs from want — |V|, |E|, a
-// shard's CSR or the master table — or nil when they are identical.
+// or a shard's CSR — or nil when they are identical.
 func storeDiff(want, got *Store) error {
 	if want.numVertices != got.numVertices || want.numEdges != got.numEdges || len(want.shards) != len(got.shards) {
 		return fmt.Errorf("shape (|V| %d, |E| %d, %d shards) vs (|V| %d, |E| %d, %d shards)",
@@ -38,9 +38,6 @@ func storeDiff(want, got *Store) error {
 		if a.edges != b.edges || !slices.Equal(a.verts, b.verts) || !slices.Equal(a.off, b.off) || !slices.Equal(a.tgt, b.tgt) {
 			return fmt.Errorf("shard %d CSR differs", s)
 		}
-	}
-	if !slices.Equal(want.master, got.master) {
-		return fmt.Errorf("master table differs")
 	}
 	return nil
 }
@@ -96,8 +93,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := storeDiff(orig, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.TotalReplicas() != orig.TotalReplicas() {
-			t.Fatalf("%s: replicas %d != %d", name, got.TotalReplicas(), orig.TotalReplicas())
+		if got.replicas.Total() != orig.replicas.Total() {
+			t.Fatalf("%s: replicas %d != %d", name, got.replicas.Total(), orig.replicas.Total())
 		}
 		// Traversals agree after restore.
 		rng := rand.New(rand.NewSource(5))
@@ -120,12 +117,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 // TestRestoreMatchesBuild: restoring the pinned store and a DNE store of
 // RMAT 16 (edge factor 16, 16 shards) gives back the built store bit for
-// bit, masters included, from at most 3 bytes per edge on disk.
+// bit, from at most 3 bytes per edge on disk.
 func TestRestoreMatchesBuild(t *testing.T) {
 	g := gen.RMAT(16, 16, 42)
 	cfg := dne.DefaultConfig()
 	cfg.Seed = 3
-	res, err := dne.Partition(g, 16, cfg)
+	res, err := dne.PartitionCtx(context.Background(), g, 16, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

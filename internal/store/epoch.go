@@ -23,7 +23,7 @@ const compactYieldStride = 1 << 14
 // and retractions accumulate in a small mutable Delta owned by the writer;
 // publishing freezes the delta into an Epoch — an immutable (base, delta)
 // pair readers resolve queries against. A Store's own queries run on an
-// Epoch with no delta, so Degree, Neighbors and KHop exist once, here, and
+// Epoch with no delta, so Neighbors and KHop exist once, here, and
 // every one of them counts into the base's Metrics. Readers pin an epoch
 // (one atomic pointer load in the live layer) and never observe a partial
 // update; a background compactor folds the delta into a fresh base with
@@ -46,7 +46,6 @@ func BuildFromShards(numVertices uint32, shardEdges [][]uint64) (*Store, error) 
 	st := &Store{
 		numVertices: numVertices,
 		shards:      make([]*shard, numShards),
-		master:      make([]int32, numVertices),
 	}
 	b := newShardBuilder(numVertices)
 	for s, packed := range shardEdges {
@@ -379,19 +378,6 @@ func (e *Epoch) overlayShards(dst []int32, v graph.Vertex, base []int32) []int32
 	return dst
 }
 
-// Master returns the shard owning v's primary copy. Vertices minted by the
-// overlay (beyond the base's |V|) are hash-routed until a compaction folds
-// them into the base routing table.
-func (e *Epoch) Master(v graph.Vertex) (int32, error) {
-	if v >= e.numVertices {
-		return 0, e.errVertex(v)
-	}
-	if v < e.base.numVertices {
-		return e.base.master[v], nil
-	}
-	return int32(v % uint32(len(e.base.shards))), nil
-}
-
 // noSlot stands for a shard that holds no base copy of the vertex: only
 // overlay insertions.
 const noSlot = ^uint32(0)
@@ -441,53 +427,9 @@ func (e *Epoch) ShardHasEdge(s int, u, v graph.Vertex) bool {
 	return false
 }
 
-// shardDegree returns v's live degree on shard s: its base degree at slot l
-// minus deleted edges, plus overlay insertions.
-func (e *Epoch) shardDegree(s int, l uint32, v graph.Vertex) int64 {
-	var d int64
-	if l != noSlot {
-		d = e.base.shards[s].degreeOf(l)
-		if e.delta != nil && len(e.delta.dels[s]) > 0 {
-			for _, w := range e.base.shards[s].neighborsOf(l) {
-				if _, dead := e.delta.dels[s][graph.PackEdge(v, w)]; dead {
-					d--
-				}
-			}
-		}
-	}
-	if e.delta != nil {
-		d += int64(len(e.delta.adds[s][v]))
-	}
-	return d
-}
-
 // errVertex reports v outside the epoch's vertex range.
 func (e *Epoch) errVertex(v graph.Vertex) error {
 	return fmt.Errorf("store: vertex %d out of range [0,%d)", v, e.numVertices)
-}
-
-// Degree returns v's live global degree by summing its degree on every
-// replica shard. Touching each replica beyond the first counts as a
-// cross-shard hop.
-func (e *Epoch) Degree(v graph.Vertex) (int64, error) {
-	m := &e.base.metrics
-	defer m.end(qDegree, m.begin(qDegree))
-	if v >= e.numVertices {
-		return 0, e.errVertex(v)
-	}
-	var d int64
-	reps, slots := e.baseReplicas(v)
-	for i, s := range reps {
-		m.touchShard(int(s))
-		d += e.shardDegree(int(s), slots[i], v)
-	}
-	extra := e.overlayShards(nil, v, reps)
-	for _, s := range extra {
-		m.touchShard(int(s))
-		d += e.shardDegree(int(s), noSlot, v)
-	}
-	m.addHops(crossHops(len(reps) + len(extra)))
-	return d, nil
 }
 
 // Neighbors returns v's live neighbor set, sorted. Each live edge is held

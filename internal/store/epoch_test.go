@@ -37,11 +37,6 @@ func assertStoresEqual(t *testing.T, a, b *Store) {
 		}
 	}
 	for v := graph.Vertex(0); v < a.NumVertices(); v++ {
-		ma, _ := a.Master(v)
-		mb, _ := b.Master(v)
-		if ma != mb {
-			t.Fatalf("master[%d] %d vs %d", v, ma, mb)
-		}
 		if !slices.Equal(a.Replicas(v), b.Replicas(v)) {
 			t.Fatalf("replicas[%d] %v vs %v", v, a.Replicas(v), b.Replicas(v))
 		}
@@ -169,7 +164,7 @@ func overlayGraph(ep *Epoch, packed [][]uint64, d *Delta) *graph.Graph {
 
 // TestEpochOverlayMatchesRebuild: an epoch's every query must agree with a
 // store rebuilt from scratch on the delta-applied edge set — including
-// degrees, neighbors, KHop results, and the compacted store itself.
+// neighbors, KHop results, and the compacted store itself.
 func TestEpochOverlayMatchesRebuild(t *testing.T) {
 	g := gen.RMAT(9, 8, 3)
 	const numShards = 4
@@ -200,11 +195,6 @@ func TestEpochOverlayMatchesRebuild(t *testing.T) {
 		}
 	}
 	for v := graph.Vertex(0); v < ep.NumVertices(); v++ {
-		de, _ := ep.Degree(v)
-		dr, _ := ref.Degree(v)
-		if de != dr {
-			t.Fatalf("degree[%d] epoch %d, rebuilt %d", v, de, dr)
-		}
 		ne, _ := ep.Neighbors(v)
 		nr, _ := ref.Neighbors(v)
 		if !slices.Equal(ne, nr) {
@@ -239,7 +229,7 @@ func TestEpochOverlayMatchesRebuild(t *testing.T) {
 
 // compact folds ep into a fresh base Store with an empty overlay, the way
 // live compaction does: replica lists shed fully-deleted copies and overlay
-// vertices join the routing table.
+// vertices join the replica index.
 func compact(ep *Epoch) (*Store, error) {
 	packed := make([][]uint64, ep.NumShards())
 	for s := range packed {
@@ -273,10 +263,10 @@ func TestDeltaRemoveAddCancels(t *testing.T) {
 	}
 	ep := NewEpoch(base, d, 1)
 	for v := graph.Vertex(0); v < base.NumVertices(); v++ {
-		de, _ := ep.Degree(v)
-		db, _ := base.Degree(v)
-		if de != db {
-			t.Fatalf("degree[%d] drifted: %d vs %d", v, de, db)
+		ne, _ := ep.Neighbors(v)
+		nb, _ := base.Neighbors(v)
+		if !slices.Equal(ne, nb) {
+			t.Fatalf("neighbors[%d] drifted: %v vs %v", v, ne, nb)
 		}
 	}
 }
@@ -294,9 +284,6 @@ func TestEpochQueriesCountIntoBase(t *testing.T) {
 	d.AddEdge(2, 3, g.NumVertices()+1) // mints a vertex beyond the base
 	ep := NewEpoch(base, d, 1)
 	ctx := context.Background()
-	if _, err := ep.Degree(3); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ep.Neighbors(3); err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +295,11 @@ func TestEpochQueriesCountIntoBase(t *testing.T) {
 		t.Fatal("out-of-range vertex accepted")
 	}
 	m := base.Metrics()
-	if m.DegreeQueries != 1 || m.NeighborsQueries != 2 || m.KHopQueries != 1 {
-		t.Fatalf("base counted %+v, want 1 degree, 2 neighbors, 1 khop", m)
+	if m.NeighborsQueries != 2 || m.KHopQueries != 1 {
+		t.Fatalf("base counted %+v, want 2 neighbors, 1 khop", m)
 	}
 	reps := int64(len(ep.Replicas(3)))
-	if want := 2*crossHops(int(reps)) + res.CrossShardHops; m.CrossShardHops != want {
+	if want := crossHops(int(reps)) + res.CrossShardHops; m.CrossShardHops != want {
 		t.Errorf("base hops %d, want %d", m.CrossShardHops, want)
 	}
 	if m.ShardTasks != res.ShardTasks {
@@ -322,7 +309,7 @@ func TestEpochQueriesCountIntoBase(t *testing.T) {
 	for _, c := range m.PerShardTouches {
 		touches += c
 	}
-	if want := 2*reps + res.ShardTasks; touches != want {
+	if want := reps + res.ShardTasks; touches != want {
 		t.Errorf("base touches %d, want %d", touches, want)
 	}
 }

@@ -250,7 +250,7 @@ func BenchmarkKHop(b *testing.B) {
 	serve := gen.RMAT(15, 16, 1)
 	cfg := dne.DefaultConfig()
 	cfg.Seed = 1
-	part, err := dne.Partition(serve, 8, cfg)
+	part, err := dne.PartitionCtx(context.Background(), serve, 8, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,14 +11,13 @@ import (
 type queryKind int
 
 const (
-	qDegree queryKind = iota
-	qNeighbors
+	qNeighbors queryKind = iota
 	qKHop
 	numKinds
 )
 
 // kindNames are the exported label values, indexed by queryKind.
-var kindNames = [numKinds]string{"degree", "neighbors", "khop"}
+var kindNames = [numKinds]string{"neighbors", "khop"}
 
 // Obs bundles the store's externally registered instruments: per-endpoint
 // latency histograms and the exported touch/hop/task counters. All handles
@@ -110,7 +109,6 @@ func (m *metrics) addTasks(n int64) {
 
 // Metrics is a point-in-time snapshot of a store's serving counters.
 type Metrics struct {
-	DegreeQueries    int64   `json:"degreeQueries"`
 	NeighborsQueries int64   `json:"neighborsQueries"`
 	KHopQueries      int64   `json:"khopQueries"`
 	CrossShardHops   int64   `json:"crossShardHops"`
@@ -122,7 +120,7 @@ type Metrics struct {
 
 // Queries is the total query count across kinds.
 func (m Metrics) Queries() int64 {
-	return m.DegreeQueries + m.NeighborsQueries + m.KHopQueries
+	return m.NeighborsQueries + m.KHopQueries
 }
 
 // HopsPerQuery is the average cross-shard fan-out per query — the measured
@@ -139,7 +137,6 @@ func (m Metrics) HopsPerQuery() float64 {
 // be partially reflected; counters are individually exact.
 func (st *Store) Metrics() Metrics {
 	m := Metrics{
-		DegreeQueries:    st.metrics.queries[qDegree].Load(),
 		NeighborsQueries: st.metrics.queries[qNeighbors].Load(),
 		KHopQueries:      st.metrics.queries[qKHop].Load(),
 		CrossShardHops:   st.metrics.hops.Load(),

@@ -1,7 +1,7 @@
 // Package store is the online serving layer over an edge partitioning: it
 // materializes a partitioning into immutable per-shard CSR stores plus a
-// vertex→master routing table and a replica index, and serves concurrent
-// point and traversal queries across the shards.
+// replica index, and serves concurrent point and traversal queries across
+// the shards.
 //
 // The replica index (partition.ReplicaIndex) lists, for every vertex, the
 // shards holding a copy and the vertex's slot in each shard's CSR. Every
@@ -56,15 +56,8 @@ type Store struct {
 	numEdges    int64
 	shards      []*shard
 
-	// master[v] is the shard that owns v's primary copy: the replica shard
-	// where v has the highest local degree (ties to the lowest shard id).
-	// Isolated vertices are hash-routed so every vertex has exactly one
-	// master even when no edge covers it.
-	master []int32
-
 	// replicas is the replica index: the shards holding v, sorted by shard
-	// id, and v's slot in each. A vertex's mirrors are its replicas minus
-	// its master.
+	// id, and v's slot in each.
 	replicas partition.ReplicaIndex
 
 	metrics metrics
@@ -98,31 +91,16 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 }
 
 // buildRouting derives the replica index from the filled shards' vertex
-// lists and then the master table: masters at the replica shard with the
-// highest local degree (ties to the lowest id), isolated vertices
-// hash-routed so routing is total. It refuses an edge that two shards hold.
-// mark is a zeroed per-vertex scratch.
+// lists and refuses an edge that two shards hold. mark is a zeroed
+// per-vertex scratch.
 func (st *Store) buildRouting(mark []uint32) error {
 	verts := make([][]graph.Vertex, len(st.shards))
 	for s, sh := range st.shards {
 		verts[s] = sh.verts
 	}
 	st.replicas = partition.NewReplicaIndex(st.numVertices, verts)
-	numShards := len(st.shards)
 	for v := uint32(0); v < st.numVertices; v++ {
-		reps, slots := st.replicas.Of(v)
-		if len(reps) == 0 {
-			st.master[v] = int32(v % uint32(numShards))
-			continue
-		}
-		best, bestDeg := reps[0], st.shards[reps[0]].degreeOf(slots[0])
-		for i, s := range reps[1:] {
-			if d := st.shards[s].degreeOf(slots[i+1]); d > bestDeg {
-				best, bestDeg = s, d
-			}
-		}
-		st.master[v] = best
-		if len(reps) > 1 {
+		if reps, slots := st.replicas.Of(v); len(reps) > 1 {
 			if err := st.checkDisjoint(v, reps, slots, mark); err != nil {
 				return err
 			}
@@ -185,9 +163,6 @@ func (st *Store) ShardCSR(s int) (verts []graph.Vertex, off []int64, tgt []graph
 	return sh.verts, sh.off, sh.tgt
 }
 
-// Master returns the shard owning v's primary copy.
-func (st *Store) Master(v graph.Vertex) (int32, error) { return st.view.Master(v) }
-
 // Replicas returns the shards holding a copy of v, sorted by shard id.
 // Callers must not mutate the returned slice.
 func (st *Store) Replicas(v graph.Vertex) []int32 {
@@ -198,11 +173,8 @@ func (st *Store) Replicas(v graph.Vertex) []int32 {
 	return reps
 }
 
-// TotalReplicas returns Σp |V(Ep)| — the numerator of the paper's
-// replication factor, and the size of the replica index.
-func (st *Store) TotalReplicas() int64 { return st.replicas.Total() }
-
-// ReplicationFactor returns TotalReplicas / |V| (0 for an empty store).
+// ReplicationFactor returns Σp |V(Ep)| / |V|, the paper's replication
+// factor over the replica index (0 for an empty store).
 func (st *Store) ReplicationFactor() float64 {
 	if st.numVertices == 0 {
 		return 0
@@ -210,20 +182,15 @@ func (st *Store) ReplicationFactor() float64 {
 	return float64(st.replicas.Total()) / float64(st.numVertices)
 }
 
-// Degree returns v's global degree by summing its local degree on every
-// replica shard. Touching each replica beyond the first counts as a
-// cross-shard hop.
-func (st *Store) Degree(v graph.Vertex) (int64, error) { return st.view.Degree(v) }
-
 // Neighbors returns v's full neighbor set, sorted. Each edge lives on
 // exactly one shard, so the per-shard adjacency lists are disjoint and their
 // concatenation is the global list.
 func (st *Store) Neighbors(v graph.Vertex) ([]graph.Vertex, error) { return st.view.Neighbors(v) }
 
 // crossHops is the cross-shard cost of touching r replica shards: the
-// fetches beyond the first. A vertex mastered and mirrored nowhere else
-// costs zero; every extra mirror is one hop — which is exactly what a low
-// replication factor minimizes.
+// fetches beyond the first. A vertex held by one shard costs zero; every
+// extra replica is one hop — which is exactly what a low replication factor
+// minimizes.
 func crossHops(r int) int64 {
 	if r <= 1 {
 		return 0

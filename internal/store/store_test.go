@@ -64,9 +64,9 @@ func TestBuildRejectsIncomplete(t *testing.T) {
 	}
 }
 
-// TestRoutingInvariants checks the tentpole's core invariants: every vertex
-// has exactly one in-range master, a covered vertex's master is one of its
-// replicas, and the mirror index totals match partition.Quality exactly.
+// TestRoutingInvariants checks the replica index against partition.Quality:
+// its totals match exactly, a covered vertex has in-range replicas sorted by
+// shard id, and an isolated vertex has none.
 func TestRoutingInvariants(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, parts := range []int{1, 3, 8} {
@@ -76,8 +76,8 @@ func TestRoutingInvariants(t *testing.T) {
 				t.Fatalf("%s/%d: %v", name, parts, err)
 			}
 			q := p.Measure(g)
-			if got := st.TotalReplicas(); got != q.Replicas {
-				t.Errorf("%s/%d: TotalReplicas = %d, Quality.Replicas = %d", name, parts, got, q.Replicas)
+			if got := st.replicas.Total(); got != q.Replicas {
+				t.Errorf("%s/%d: replica index total = %d, Quality.Replicas = %d", name, parts, got, q.Replicas)
 			}
 			if got, want := st.ReplicationFactor(), q.ReplicationFactor; got != want {
 				t.Errorf("%s/%d: RF = %v, want %v", name, parts, got, want)
@@ -90,65 +90,42 @@ func TestRoutingInvariants(t *testing.T) {
 				t.Errorf("%s/%d: shard vertex total %d != replicas %d", name, parts, shardVertTotal, q.Replicas)
 			}
 			for v := graph.Vertex(0); v < g.NumVertices(); v++ {
-				m, err := st.Master(v)
-				if err != nil {
-					t.Fatalf("%s/%d: master(%d): %v", name, parts, v, err)
-				}
-				if m < 0 || int(m) >= parts {
-					t.Fatalf("%s/%d: master(%d) = %d out of range", name, parts, v, m)
-				}
 				reps := st.Replicas(v)
 				if g.Degree(v) > 0 {
-					found := false
-					for _, s := range reps {
-						if s == m {
-							found = true
-						}
-					}
-					if !found {
-						t.Fatalf("%s/%d: master %d of covered vertex %d not a replica %v", name, parts, m, v, reps)
+					if len(reps) == 0 || reps[0] < 0 || int(reps[len(reps)-1]) >= parts || !slices.IsSorted(reps) {
+						t.Fatalf("%s/%d: covered vertex %d has replicas %v", name, parts, v, reps)
 					}
 				} else if len(reps) != 0 {
 					t.Fatalf("%s/%d: isolated vertex %d has replicas %v", name, parts, v, reps)
 				}
 			}
-			if _, err := st.Master(g.NumVertices()); err == nil {
-				t.Errorf("%s/%d: out-of-range master accepted", name, parts)
+			if reps := st.Replicas(g.NumVertices()); reps != nil {
+				t.Errorf("%s/%d: out-of-range vertex has replicas %v", name, parts, reps)
 			}
 		}
 	}
 }
 
-// TestDegreeAndNeighborsMatchGraph checks that sharded point queries
-// reassemble exactly the underlying graph's adjacency.
+// TestDegreeAndNeighborsMatchGraph checks that sharded neighbor queries
+// reassemble exactly the underlying graph's adjacency, degree included.
 func TestDegreeAndNeighborsMatchGraph(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		st := buildRandom(t, g, 5, 7)
 		for v := graph.Vertex(0); v < g.NumVertices(); v++ {
-			d, err := st.Degree(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != g.Degree(v) {
-				t.Fatalf("%s: degree(%d) = %d, want %d", name, v, d, g.Degree(v))
-			}
 			ns, err := st.Neighbors(v)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := append([]graph.Vertex(nil), g.Neighbors(v)...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(ns) != len(want) {
-				t.Fatalf("%s: neighbors(%d) len %d, want %d", name, v, len(ns), len(want))
+			if int64(len(ns)) != g.Degree(v) {
+				t.Fatalf("%s: neighbors(%d) len %d, want degree %d", name, v, len(ns), g.Degree(v))
 			}
 			for i := range ns {
 				if ns[i] != want[i] {
 					t.Fatalf("%s: neighbors(%d)[%d] = %d, want %d", name, v, i, ns[i], want[i])
 				}
 			}
-		}
-		if _, err := st.Degree(g.NumVertices() + 10); err == nil {
-			t.Error("out-of-range degree accepted")
 		}
 		if _, err := st.Neighbors(g.NumVertices()); err == nil {
 			t.Error("out-of-range neighbors accepted")
@@ -277,9 +254,6 @@ func TestMetricsCounts(t *testing.T) {
 	g := gen.ER(100, 400, 9)
 	st := buildRandom(t, g, 4, 9)
 	ctx := context.Background()
-	if _, err := st.Degree(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := st.Neighbors(2); err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +261,10 @@ func TestMetricsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := st.Metrics()
-	if m.DegreeQueries != 1 || m.NeighborsQueries != 1 || m.KHopQueries != 1 {
+	if m.NeighborsQueries != 1 || m.KHopQueries != 1 {
 		t.Errorf("query counts %+v", m)
 	}
-	if m.Queries() != 3 {
+	if m.Queries() != 2 {
 		t.Errorf("Queries() = %d", m.Queries())
 	}
 	var touches int64
@@ -326,7 +300,6 @@ func TestConcurrentQueries(t *testing.T) {
 	d := randomDelta(packed, g.NumVertices(), 6, 200, 30, 12)
 	ep := NewEpoch(st, d, 1)
 	type target interface {
-		Degree(graph.Vertex) (int64, error)
 		Neighbors(graph.Vertex) ([]graph.Vertex, error)
 		KHop(context.Context, graph.Vertex, int) (*KHopResult, error)
 	}
@@ -345,12 +318,7 @@ func TestConcurrentQueries(t *testing.T) {
 				tg := targets[q%2]
 				v := graph.Vertex(rng.Intn(int(tg.g.NumVertices())))
 				switch q % 3 {
-				case 0:
-					if _, err := tg.q.Degree(v); err != nil {
-						t.Error(err)
-						return
-					}
-				case 1:
+				case 0, 1:
 					if _, err := tg.q.Neighbors(v); err != nil {
 						t.Error(err)
 						return

@@ -13,6 +13,9 @@ func Uncalled(n int) int {
 // TestOnly is called only from a test file.
 func TestOnly() int { return 1 }
 
+// ExampleOnly is called only from an example.
+func ExampleOnly() int { return 9 }
+
 // Local is called from its own package.
 func Local() int { return 2 }
 
