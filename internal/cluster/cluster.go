@@ -15,6 +15,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,8 +30,8 @@ const (
 	tagBarrier Tag = iota
 	tagReduce
 	tagBcast
-	// tagCollCount / tagCollData frame the chunked large-payload collective
-	// AllToAllU64: counts travel separately from data so a receiver never
+	// tagCollCount / tagCollData frame the chunked collectives (AllToAllU64,
+	// GatherKeyed): counts travel separately from data so a receiver never
 	// misreads an early data chunk as another sender's count.
 	tagCollCount
 	tagCollData
@@ -90,6 +91,11 @@ type Comm interface {
 	Barrier()
 	// Stats returns this machine's communication counters.
 	Stats() *Stats
+	// MaxBody is the largest body, in wire bytes, that reaches its receiver
+	// without growing a buffer. The chunked collectives split bulk payloads
+	// into bodies of at most this size: a frame reader's first buffer on
+	// TCP, no limit in process, where bodies travel by reference.
+	MaxBody() int
 }
 
 // Cluster is an in-process set of machines.
@@ -164,6 +170,7 @@ type node struct {
 func (n *node) Rank() int     { return n.rank }
 func (n *node) Size() int     { return n.c.n }
 func (n *node) Stats() *Stats { return n.c.stats[n.rank] }
+func (n *node) MaxBody() int  { return math.MaxInt }
 
 func (n *node) Send(to int, tag Tag, body Body) {
 	if to < 0 || to >= n.c.n {

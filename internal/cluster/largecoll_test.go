@@ -20,7 +20,7 @@ func vectorFor(r, q, scale int) []uint64 {
 }
 
 func TestAllToAllU64InProcess(t *testing.T) {
-	for _, scale := range []int{1, 17, maxCollChunkWords/2 + 11} {
+	for _, scale := range []int{1, 17, 1<<14 + 11} {
 		const size = 4
 		c := New(size)
 		err := c.Run(func(comm Comm) error {
@@ -44,45 +44,112 @@ func TestAllToAllU64InProcess(t *testing.T) {
 	}
 }
 
+// smallBodies caps a Comm's MaxBody, so that the in-process cluster chunks
+// like a transport with small frames.
+type smallBodies struct {
+	Comm
+	max int
+}
+
+func (s smallBodies) MaxBody() int { return s.max }
+
+// TestAllToAllU64ChunksLargeVectors: in process a vector is one message
+// handed over by reference, however large; under a MaxBody of 100 words the
+// same vector arrives intact in chunks of at most 100 words, each an
+// accounted message.
 func TestAllToAllU64ChunksLargeVectors(t *testing.T) {
-	// A vector much larger than one chunk must arrive intact, and the
-	// traffic must be split into multiple accounted messages.
 	const size = 2
-	n := 3*maxCollChunkWords + 5
-	c := New(size)
-	err := c.Run(func(comm Comm) error {
-		out := make([][]uint64, size)
-		for q := 0; q < size; q++ {
-			out[q] = make([]uint64, n)
-			for i := range out[q] {
-				out[q][i] = uint64(comm.Rank()*1_000_000 + i)
+	n := 3*100 + 5
+	outs := make([][][]uint64, size)
+	for r := range outs {
+		outs[r] = make([][]uint64, size)
+		for q := range outs[r] {
+			outs[r][q] = make([]uint64, n)
+			for i := range outs[r][q] {
+				outs[r][q][i] = uint64(r*1_000_000 + i)
 			}
 		}
-		in := AllToAllU64(comm, out)
-		other := 1 - comm.Rank()
-		if len(in[other]) != n {
-			t.Errorf("rank %d: got %d words, want %d", comm.Rank(), len(in[other]), n)
+	}
+	for _, maxBody := range []int{0, 8 * 100} {
+		c := New(size)
+		err := c.Run(func(comm Comm) error {
+			if maxBody > 0 {
+				comm = smallBodies{Comm: comm, max: maxBody}
+			}
+			in := AllToAllU64(comm, outs[comm.Rank()])
+			for r := range in {
+				if !slices.Equal(in[r], outs[r][comm.Rank()]) {
+					t.Errorf("MaxBody %d rank %d: the vector from %d did not arrive intact", maxBody, comm.Rank(), r)
+				}
+				// In process a vector that came as one message is the
+				// sender's own; this machine's own one never moves.
+				if byRef := maxBody == 0 || r == comm.Rank(); byRef && &in[r][0] != &outs[r][comm.Rank()][0] {
+					t.Errorf("MaxBody %d rank %d: the vector from %d was copied", maxBody, comm.Rank(), r)
+				}
+			}
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, v := range in[other] {
-			if v != uint64(other*1_000_000+i) {
-				t.Errorf("rank %d: word %d = %d", comm.Rank(), i, v)
-				break
+		// Each rank sends its count and the data chunks to the other rank
+		// (self traffic is free).
+		chunks := int64(1)
+		if maxBody > 0 {
+			chunks = 4
+		}
+		msgs, bytes := totals(c)
+		if want := 2 * (1 + chunks); msgs != want {
+			t.Errorf("MaxBody %d: messages sent = %d, want %d", maxBody, msgs, want)
+		}
+		if want := 2 * (8 + int64(n)*8 + (1+chunks)*headerBytes); bytes != want {
+			t.Errorf("MaxBody %d: bytes sent = %d, want %d", maxBody, bytes, want)
+		}
+	}
+}
+
+// TestGatherKeyedChunks gathers keyed runs at machine 0 in one message per
+// run and in chunks of 10 records: both give every run back paired, in
+// process by reference when it came in one message, and nothing elsewhere.
+func TestGatherKeyedChunks(t *testing.T) {
+	const size = 4
+	runs := make([][]uint64, size)
+	vals := make([][]int32, size)
+	for r := range runs {
+		runs[r] = vectorFor(r, 0, 13) // from 0 to 52 records
+		for i := range runs[r] {
+			vals[r] = append(vals[r], int32(r*1000+i))
+		}
+	}
+	for _, maxBody := range []int{0, 12 * 10} {
+		err := New(size).Run(func(comm Comm) error {
+			if maxBody > 0 {
+				comm = smallBodies{Comm: comm, max: maxBody}
 			}
+			gotK, gotV := GatherKeyed(comm, runs[comm.Rank()], vals[comm.Rank()])
+			if comm.Rank() != 0 {
+				if gotK != nil || gotV != nil {
+					t.Errorf("rank %d got runs", comm.Rank())
+				}
+				return nil
+			}
+			for r := range runs {
+				if !slices.Equal(gotK[r], runs[r]) || !slices.Equal(gotV[r], vals[r]) {
+					t.Errorf("MaxBody %d: run of %d: %d keys and %d values, want %d", maxBody, r, len(gotK[r]), len(gotV[r]), len(runs[r]))
+				}
+				if len(gotK[r]) != len(runs[r]) {
+					continue
+				}
+				oneMessage := maxBody == 0 || len(runs[r]) <= 10 || r == 0
+				if len(runs[r]) > 0 && oneMessage && (&gotK[r][0] != &runs[r][0] || &gotV[r][0] != &vals[r][0]) {
+					t.Errorf("MaxBody %d: run of %d was copied", maxBody, r)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each rank sends 1 count + 4 data chunks to the other rank (self
-	// traffic is free): 10 remote messages total.
-	msgs, bytes := totals(c)
-	if msgs != 10 {
-		t.Errorf("messages sent = %d, want 10 (chunking not applied?)", msgs)
-	}
-	if wantBytes := int64(2) * (8 + int64(n)*8 + 5*headerBytes); bytes != wantBytes {
-		t.Errorf("bytes sent = %d, want %d", bytes, wantBytes)
 	}
 }
 

@@ -23,9 +23,17 @@ import (
 //	who      does what with a frame
 //	Send     encodes header + body once into the node's write buffer
 //	flush    writes every buffered frame with one socket write
-//	router   reads the header, forwards header + payload bytes undecoded
+//	router   checks the header, then streams header + payload bytes
+//	         undecoded through its fixed buffer to the destination
 //	node     decodes the payload by its kind into a fresh Body
 //	self     a send to one's own rank is handed over by reference, unencoded
+//
+// No buffer on the path grows with the traffic. The router holds at most
+// frameBufSize bytes of a connection, whatever the frame's length: it
+// forwards a frame in pieces as they arrive, holding the destination's lock
+// until the last one. Bulk payloads travel in chunks of MaxBody bytes, so
+// every frame of theirs fits a node's first read buffer, and a write buffer
+// holds about flushThreshold bytes plus one frame.
 //
 // Writes are coalesced: Send only buffers, and the buffer goes out when the
 // owner next blocks in the transport (Recv, RecvN, Barrier, Close), when it
@@ -35,9 +43,13 @@ import (
 // through at once.
 //
 // Bytes from the network are untrusted: a frame's length is bounded and
-// never sizes an allocation (frameReader.fill), ranks and kinds are checked,
-// and a payload its decoder rejects fails the node's mailbox, so the blocked
-// Recv panics *ConnLostError* like any other transport death.
+// never sizes an allocation (frameReader.fill), ranks, flags and kinds are
+// checked — by the router before it forwards the first byte of a frame —
+// and a payload its decoder rejects fails the node's mailbox, so the
+// blocked Recv panics *ConnLostError* like any other transport death. A
+// sender that dies inside a frame tears the mesh down like any other, so
+// the destination sees its stream end mid-frame and is never handed the
+// truncated frame.
 //
 // Fault tolerance: with RouterOptions.MaxRejoins > 0 the router survives a
 // worker death. The mesh is generational — when any worker connection dies
@@ -116,7 +128,7 @@ func StartRouter(addr string, size int) (string, func() error, error) {
 
 // routerPeer is one worker connection from the router's point of view.
 type routerPeer struct {
-	mu   sync.Mutex // serializes the forwarders writing to conn
+	mu   sync.Mutex // serializes the forwarders writing to conn, a frame at a time
 	conn net.Conn
 	fr   *frameReader
 }
@@ -285,24 +297,32 @@ func runGeneration(peers []*routerPeer, opt RouterOptions) error {
 
 	// forward returns nil once rank has said goodbye, or why its connection
 	// must count as dead. The payload is never decoded: a frame leaves as
-	// the bytes it arrived as.
+	// the bytes it arrived as, streamed through the reader's fixed buffer.
 	forward := func(rank int) error {
 		self := peers[rank]
 		hbEcho := controlFrame(flagHb, rank)
+		readErr := func(err error) error {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				globalFT.heartbeatTimeouts.Add(1)
+				err = fmt.Errorf("cluster: router: rank %d silent past heartbeat timeout %v", rank, opt.HeartbeatTimeout)
+			}
+			return fmt.Errorf("cluster: router: read from %d: %w", rank, err)
+		}
 		for {
 			if opt.HeartbeatTimeout > 0 {
 				self.conn.SetReadDeadline(time.Now().Add(opt.HeartbeatTimeout))
 			}
-			h, raw, err := self.fr.next()
+			h, err := self.fr.peek()
 			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					globalFT.heartbeatTimeouts.Add(1)
-					err = fmt.Errorf("cluster: router: rank %d silent past heartbeat timeout %v", rank, opt.HeartbeatTimeout)
-				}
-				return fmt.Errorf("cluster: router: read from %d: %w", rank, err)
+				return readErr(err)
 			}
+			control := h.flags == flagHb || h.flags == flagBye
 			switch {
+			case control && h.length != 0,
+				!control && (h.flags != 0 || h.from != rank || h.to >= size):
+				return fmt.Errorf("cluster: router: rank %d sent an invalid frame (flags %#x, from %d, to %d, %d bytes)", rank, h.flags, h.from, h.to, h.length)
 			case h.flags == flagHb:
+				self.fr.next() // the header alone, already buffered
 				// Echo so the worker's own silence bound is satisfied by a
 				// healthy router even when no algorithm traffic flows.
 				if err := self.write(hbEcho); err != nil {
@@ -310,11 +330,20 @@ func runGeneration(peers []*routerPeer, opt RouterOptions) error {
 				}
 			case h.flags == flagBye:
 				return nil
-			case h.flags != 0 || h.from != rank || h.to >= size:
-				return fmt.Errorf("cluster: router: rank %d sent an invalid frame (flags %#x, from %d, to %d)", rank, h.flags, h.from, h.to)
 			default:
-				if err := peers[h.to].write(raw); err != nil {
-					return fmt.Errorf("cluster: router: forward to %d: %w", h.to, err)
+				dst := peers[h.to]
+				var werr error
+				dst.mu.Lock()
+				err := self.fr.copyNext(h, func(b []byte) error {
+					_, werr = dst.conn.Write(b)
+					return werr
+				})
+				dst.mu.Unlock()
+				if werr != nil {
+					return fmt.Errorf("cluster: router: forward to %d: %w", h.to, werr)
+				}
+				if err != nil {
+					return readErr(err)
 				}
 			}
 		}
@@ -519,6 +548,10 @@ func (n *TCPNode) Size() int { return n.size }
 
 // Stats implements Comm.
 func (n *TCPNode) Stats() *Stats { return n.stats }
+
+// MaxBody implements Comm: a body of this size makes a frame that fills a
+// frame reader's first buffer exactly.
+func (n *TCPNode) MaxBody() int { return frameBufSize - headerBytes }
 
 // Send implements Comm: it encodes the message into the write buffer (see
 // the package comment for when the buffer is written). A dead connection

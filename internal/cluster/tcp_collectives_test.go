@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The collectives are exercised over the TCP transport, not just the
 // in-process cluster: every rank is a goroutine holding a real TCPNode
@@ -34,7 +37,7 @@ func TestTCPAllToAllU64Chunked(t *testing.T) {
 	// The chunked exchange over TCP: vectors beyond one chunk, plus empty
 	// vectors, must reassemble exactly on every rank.
 	const size = 3
-	n := maxCollChunkWords + 1234
+	n := len(fullChunk()) + 1234
 	runTCP(t, size, func(comm Comm) error {
 		out := make([][]uint64, size)
 		for q := 0; q < size; q++ {
@@ -69,4 +72,53 @@ func TestTCPAllToAllU64Chunked(t *testing.T) {
 		comm.Barrier()
 		return nil
 	})
+}
+
+// TestTCPBulkFramesFitTheFirstBuffer runs 4 ranks through an 8 MiB
+// AllToAllU64 and a keyed gather over the loopback router: every run
+// arrives intact, and no frame reader, in the router or in a node, grows
+// past its first buffer on the way.
+func TestTCPBulkFramesFitTheFirstBuffer(t *testing.T) {
+	const size = 4
+	words := (8 << 20) / 8 / (size * (size - 1)) // per pair: 8 MiB in all, ~11 chunks a pair
+	vector := func(from, to int) []uint64 {
+		v := make([]uint64, words+from) // runs of unequal length
+		for i := range v {
+			v[i] = uint64(from)<<56 | uint64(to)<<48 | uint64(i)
+		}
+		return v
+	}
+	grows := frameBufGrows.Load()
+	runTCP(t, size, func(comm Comm) error {
+		r := comm.Rank()
+		out := make([][]uint64, size)
+		for q := range out {
+			out[q] = vector(r, q)
+		}
+		in := AllToAllU64(comm, out)
+		for q := range in {
+			if !slices.Equal(in[q], vector(q, r)) {
+				t.Errorf("rank %d: the vector from %d did not arrive intact (%d words)", r, q, len(in[q]))
+			}
+		}
+		keys := vector(r, 0)[:words/2+r]
+		vals := make([]int32, len(keys))
+		for i := range vals {
+			vals[i] = int32(r*7 + i)
+		}
+		gotK, gotV := GatherKeyed(comm, keys, vals)
+		if r == 0 {
+			for q := 0; q < size; q++ {
+				wantK := vector(q, 0)[:words/2+q]
+				if !slices.Equal(gotK[q], wantK) || len(gotV[q]) != len(wantK) || gotV[q][len(wantK)-1] != int32(q*7+len(wantK)-1) {
+					t.Errorf("gather: the run of %d did not arrive intact (%d keys, %d values)", q, len(gotK[q]), len(gotV[q]))
+				}
+			}
+		}
+		comm.Barrier()
+		return nil
+	})
+	if n := frameBufGrows.Load() - grows; n != 0 {
+		t.Errorf("frame readers grew %d times", n)
+	}
 }

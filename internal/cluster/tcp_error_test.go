@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -290,4 +292,130 @@ func TestTCPConcurrentSendersToOneReceiver(t *testing.T) {
 		comm.Barrier()
 		return nil
 	})
+}
+
+// TestRouterRefusesBadHeadersUnforwarded: a frame whose header the router
+// refuses — bad flags, ranks or length — tears the mesh down before a byte
+// of it reaches the destination, which sees its connection close and
+// nothing else.
+func TestRouterRefusesBadHeadersUnforwarded(t *testing.T) {
+	withLength := func(f []byte, n uint32) []byte {
+		f = append([]byte(nil), f...)
+		binary.LittleEndian.PutUint32(f, n)
+		return append(f, make([]byte, min(n, 64))...)
+	}
+	toOne := appendMessage(nil, 0, 1, TagUser, 1, Int64Body(1))
+	cases := map[string][]byte{
+		"unknown flag":             append(appendFrameHeader(nil, frameHeader{length: 8, from: 0, to: 1, flags: 0x80}), make([]byte, 8)...),
+		"hello flag on a message":  append(appendFrameHeader(nil, frameHeader{length: 8, from: 0, to: 1, flags: flagHello}), make([]byte, 8)...),
+		"forged sender":            appendMessage(nil, 1, 1, TagUser, 1, Int64Body(1)),
+		"destination out of range": appendMessage(nil, 0, 2, TagUser, 1, Int64Body(1)),
+		"length over the limit":    withLength(toOne, maxFramePayload+1),
+		"heartbeat with a payload": withLength(controlFrame(flagHb, 0), 8),
+		"bye with a payload":       withLength(controlFrame(flagBye, 0), 8),
+	}
+	for name, frame := range cases {
+		t.Run(name, func(t *testing.T) {
+			addr, wait, err := StartRouter("127.0.0.1:0", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := dialRaw(t, addr, helloFrame(1))
+			defer dst.Close()
+			src := dialRaw(t, addr, helloFrame(0), frame)
+			defer src.Close()
+			done := make(chan error, 1)
+			go func() { done <- wait() }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("wait() reported success after an invalid frame")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("router still running 5s after an invalid frame")
+			}
+			dst.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := io.Copy(io.Discard, dst)
+			if n != 0 || err != nil {
+				t.Fatalf("the destination read %d bytes (%v) before the close", n, err)
+			}
+		})
+	}
+}
+
+// TestRouterSenderDiesMidFrame: a sender that announces a 1 MiB frame and
+// dies after 100 KiB of it leaves the destination's Recv panicking
+// *ConnLostError — no truncated frame is delivered, and nothing hangs.
+func TestRouterSenderDiesMidFrame(t *testing.T) {
+	addr, wait, err := StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := DialTCP(addr, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Abort()
+	header := appendFrameHeader(nil, frameHeader{length: 1 << 20, from: 0, to: 1, tag: TagUser, kind: kindUint64Slice, seq: 1})
+	src := dialRaw(t, addr, helloFrame(0), header, make([]byte, 100<<10))
+	src.Close()
+	got := make(chan error, 1)
+	go func() { got <- recvOrConnLost(func() { dst.Recv(TagUser) }) }()
+	select {
+	case err := <-got:
+		var cl *ConnLostError
+		if !errors.As(err, &cl) {
+			t.Fatalf("Recv: got %v, want ConnLostError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still blocked 5s after the sender died mid-frame")
+	}
+	if err := wait(); err == nil {
+		t.Fatal("wait() reported success after a sender died mid-frame")
+	}
+}
+
+// TestRouterStreamsLargeFrames: a frame 16 times the router's buffer reaches
+// its destination byte for byte, and the router's readers never grow — it
+// holds a piece of the frame at a time, never the whole of it. Both peers
+// are raw connections, so no node's reader is involved.
+func TestRouterStreamsLargeFrames(t *testing.T) {
+	addr, wait, err := StartRouter("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appendMessage(nil, 0, 1, TagUser, 1, make(Uint64SliceBody, 2*frameBufSize))
+	for i := headerBytes; i < len(frame); i++ {
+		frame[i] = byte(i * 7)
+	}
+	grows := frameBufGrows.Load()
+	dst := dialRaw(t, addr, helloFrame(1))
+	defer dst.Close()
+	src := dialRaw(t, addr, helloFrame(0))
+	defer src.Close()
+	sent := make(chan error, 1)
+	go func() {
+		_, err := src.Write(append(frame, controlFrame(flagBye, 0)...))
+		sent <- err
+	}()
+	dst.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got := make([]byte, len(frame))
+	if _, err := io.ReadFull(dst, got); err != nil {
+		t.Fatalf("destination read: %v", err)
+	}
+	if !bytes.Equal(got, frame) {
+		t.Fatal("the frame arrived altered")
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Write(controlFrame(flagBye, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := frameBufGrows.Load() - grows; n != 0 {
+		t.Errorf("the router's readers grew %d times", n)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync/atomic"
 )
 
 // Wire format of the TCP transport (tcp.go). Everything on a connection is a
@@ -42,10 +43,11 @@ const (
 	helloBytes         = 8
 
 	// maxFramePayload bounds the length field a reader accepts and a sender
-	// may produce: the largest honest body is the result collection's
-	// 12 bytes per local edge, far below it. A reader never allocates from
-	// the field itself (see frameReader.fill), so the bound only limits how
-	// long a lying peer can make it wait.
+	// may produce. Bulk payloads (the shuffle, the result collection) travel
+	// in chunks of at most MaxBody bytes, so the largest honest bodies are
+	// single messages such as a superstep's step body, far below it. A
+	// reader never allocates from the field itself (see frameReader.fill),
+	// so the bound only limits how long a lying peer can make it wait.
 	maxFramePayload = 1 << 30
 
 	// maxRanks is what the 16-bit rank fields can address.
@@ -111,13 +113,20 @@ func checkHello(payload []byte) error {
 	return nil
 }
 
-// frameBufSize is a frame reader's initial buffer: a superstep's frames are
-// far smaller, so one read usually returns several of them.
+// frameBufSize is a frame reader's initial buffer. A superstep's frames are
+// far smaller, so one read usually returns several of them, and a chunk of
+// a bulk collective fills it at most: TCPNode.MaxBody is what is left of it
+// after the header.
 const frameBufSize = 64 << 10
 
+// frameBufGrows counts, process-wide, the times a frame reader outgrew its
+// buffer. Chunked bulk traffic never makes it move; a single body larger
+// than MaxBody does, once per doubling.
+var frameBufGrows atomic.Int64
+
 // frameReader splits a byte stream into frames. The router and the nodes
-// share it: the router forwards the raw bytes of a frame, a node decodes the
-// payload.
+// share it: the router streams a frame's raw bytes on (copyNext), a node
+// decodes the payload (next).
 type frameReader struct {
 	r          io.Reader
 	buf        []byte // buf[start:end] is received and not yet consumed
@@ -136,6 +145,7 @@ func (fr *frameReader) fill(n int) error {
 		if fr.end == len(fr.buf) {
 			if fr.start == 0 {
 				fr.buf = append(fr.buf, make([]byte, len(fr.buf))...)
+				frameBufGrows.Add(1)
 			}
 			fr.end = copy(fr.buf, fr.buf[fr.start:fr.end])
 			fr.start = 0
@@ -189,6 +199,31 @@ func (fr *frameReader) next() (h frameHeader, raw []byte, err error) {
 	return h, raw, nil
 }
 
+// copyNext consumes the frame whose header peek returned and passes its raw
+// bytes, header included, to write in pieces as they arrive. The pieces
+// alias the buffer, which never grows: a frame of any length goes through
+// the reader's first buffer. A stream that ends inside the frame is
+// io.ErrUnexpectedEOF.
+func (fr *frameReader) copyNext(h frameHeader, write func([]byte) error) error {
+	for rest := headerBytes + int(h.length); ; {
+		n := min(rest, fr.end-fr.start)
+		if err := write(fr.buf[fr.start : fr.start+n]); err != nil {
+			return err
+		}
+		fr.start += n
+		if rest -= n; rest == 0 {
+			return nil
+		}
+		fr.start, fr.end = 0, 0
+		if err := fr.fill(1); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+}
+
 // WireBody is a Body the TCP transport can carry. The in-process transport
 // hands bodies over by reference and never calls these methods.
 type WireBody interface {
@@ -201,11 +236,13 @@ type WireBody interface {
 }
 
 // appendMessage appends the frame of one message: the header, then the
-// payload b writes. A body whose AppendWire and WireSize disagree, or that is
-// over the frame limit, is a bug in its type.
+// payload b writes. dst grows once, to hold the whole frame, before anything
+// is written. A body whose AppendWire and WireSize disagree, or that is over
+// the frame limit, is a bug in its type.
 func appendMessage(dst []byte, from, to int, tag Tag, seq uint64, b WireBody) []byte {
 	size := b.WireSize()
 	start := len(dst)
+	dst = slices.Grow(dst, headerBytes+size)
 	dst = appendFrameHeader(dst, frameHeader{length: uint32(size), from: from, to: to, tag: tag, kind: b.WireKind(), seq: seq})
 	dst = b.AppendWire(dst)
 	if wrote := len(dst) - start - headerBytes; wrote != size || size > maxFramePayload {
@@ -220,6 +257,7 @@ const (
 	kindInt64 uint8 = 1 + iota
 	kindInt64Slice
 	kindUint64Slice
+	kindKeyed
 )
 
 var wireDecoders [256]func(payload []byte) (Body, error)
@@ -302,8 +340,9 @@ func DecodeWords32[T ~int32 | ~uint32](p []byte) ([]T, error) {
 }
 
 // AppendKeyed appends n 64-bit keys followed by their n 32-bit values, the
-// shape of the result-collection bodies. DecodeKeyed recovers n from the
-// length, so unequal slices are a bug in the caller.
+// shape of the keyed bodies (KeyedBody, the result collections).
+// DecodeKeyed recovers n from the length, so unequal slices are a bug in
+// the caller.
 func AppendKeyed[K ~int64 | ~uint64](dst []byte, keys []K, vals []int32) []byte {
 	if len(keys) != len(vals) {
 		panic(fmt.Sprintf("cluster: keyed body with %d keys and %d values", len(keys), len(vals)))
@@ -342,6 +381,12 @@ func (Uint64SliceBody) WireKind() uint8 { return kindUint64Slice }
 // AppendWire implements WireBody.
 func (b Uint64SliceBody) AppendWire(dst []byte) []byte { return AppendWords(dst, b) }
 
+// WireKind implements WireBody.
+func (KeyedBody) WireKind() uint8 { return kindKeyed }
+
+// AppendWire implements WireBody.
+func (b KeyedBody) AppendWire(dst []byte) []byte { return AppendKeyed(dst, b.Keys, b.Vals) }
+
 func init() {
 	RegisterWire(kindInt64, func(p []byte) (Body, error) {
 		if len(p) != 8 {
@@ -356,5 +401,9 @@ func init() {
 	RegisterWire(kindUint64Slice, func(p []byte) (Body, error) {
 		xs, err := DecodeWords[uint64](p)
 		return Uint64SliceBody(xs), err
+	})
+	RegisterWire(kindKeyed, func(p []byte) (Body, error) {
+		keys, vals, err := DecodeKeyed[uint64](p)
+		return KeyedBody{Keys: keys, Vals: vals}, err
 	})
 }

@@ -53,18 +53,36 @@ func roundTrip(t *testing.T, b WireBody) Body {
 	return got
 }
 
-func TestBodyRoundTrip(t *testing.T) {
-	chunk := make(Uint64SliceBody, maxCollChunkWords)
+// fullChunk is the largest chunk the TCP transport sends of a bulk
+// collective: a uint64 vector of MaxBody bytes.
+func fullChunk() Uint64SliceBody {
+	chunk := make(Uint64SliceBody, (frameBufSize-headerBytes)/8)
 	for i := range chunk {
 		chunk[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	return chunk
+}
+
+func TestBodyRoundTrip(t *testing.T) {
+	chunk := fullChunk()
+	keyed := KeyedBody{Keys: chunk[:(frameBufSize-headerBytes)/12], Vals: make([]int32, (frameBufSize-headerBytes)/12)}
+	for i := range keyed.Vals {
+		keyed.Vals[i] = int32(i) - 7
 	}
 	for _, b := range []WireBody{
 		Int64Body(0), Int64Body(-1), Int64Body(math.MinInt64),
 		Int64SliceBody(nil), Int64SliceBody{}, Int64SliceBody{math.MaxInt64, -7, 0},
 		Uint64SliceBody(nil), Uint64SliceBody{math.MaxUint64}, chunk,
+		KeyedBody{}, KeyedBody{Keys: []uint64{math.MaxUint64}, Vals: []int32{math.MinInt32}}, keyed,
 	} {
 		got := roundTrip(t, b)
 		// A nil slice and an empty one are the same message.
+		if kb, ok := got.(KeyedBody); ok && len(kb.Keys) == 0 {
+			if b.WireSize() != 0 || len(kb.Vals) != 0 {
+				t.Errorf("%#v decoded as %#v", b, got)
+			}
+			continue
+		}
 		if reflect.ValueOf(b).Kind() == reflect.Slice && reflect.ValueOf(b).Len() == 0 {
 			if reflect.TypeOf(got) != reflect.TypeOf(b) || reflect.ValueOf(got).Len() != 0 {
 				t.Errorf("%T(empty) decoded as %#v", b, got)
@@ -156,7 +174,41 @@ func sampleStream(bigWords int) []byte {
 	s = appendMessage(s, 3, 1, tagCollData, 3, Uint64SliceBody(nil))
 	s = append(s, controlFrame(flagHb, 3)...)
 	s = appendMessage(s, 3, 2, tagCollData, 4, make(Uint64SliceBody, bigWords))
+	s = appendMessage(s, 3, 0, tagCollData, 5, KeyedBody{Keys: []uint64{1, 2}, Vals: []int32{0, 1}})
 	return append(s, controlFrame(flagBye, 3)...)
+}
+
+// copyFrames drains the same stream as readFrames, but streams every frame
+// through copyNext as the router does, and returns the bytes it forwarded.
+// The buffer must never move, and a frame must be forwarded whole or end
+// the stream with an error.
+func copyFrames(t *testing.T, bufSize int, data, sizes []byte) (forwarded []byte, err error) {
+	t.Helper()
+	fr := &frameReader{r: &chunkReader{data: data, sizes: sizes}, buf: make([]byte, bufSize)}
+	buf := &fr.buf[0]
+	for {
+		h, err := fr.peek()
+		if err != nil {
+			return forwarded, err
+		}
+		before := len(forwarded)
+		err = fr.copyNext(h, func(b []byte) error {
+			forwarded = append(forwarded, b...)
+			return nil
+		})
+		if len(fr.buf) != bufSize || &fr.buf[0] != buf {
+			t.Fatalf("copyNext moved the buffer: %d bytes, started with %d", len(fr.buf), bufSize)
+		}
+		if err != nil {
+			if err == io.EOF {
+				t.Fatal("clean EOF inside a frame")
+			}
+			return forwarded[:before], err
+		}
+		if got := len(forwarded) - before; got != headerBytes+int(h.length) {
+			t.Fatalf("forwarded %d bytes of a %d-byte frame", got, headerBytes+int(h.length))
+		}
+	}
 }
 
 // fuzzBufSize starts the fuzzed reader's buffer just above one header, so
@@ -164,16 +216,23 @@ func sampleStream(bigWords int) []byte {
 const fuzzBufSize = headerBytes + 8
 
 func TestFrameReaderHostileStreams(t *testing.T) {
-	// One frame of a full collective chunk, four times the default buffer.
-	stream := sampleStream(maxCollChunkWords)
+	// One frame of a body four times the default buffer: next grows to hold
+	// it, copyNext streams it through the buffer it has.
+	stream := sampleStream(frameBufSize / 2)
 	for _, bufSize := range []int{frameBufSize, fuzzBufSize} {
-		if n, err := readFrames(t, bufSize, stream, []byte{0, 200, 3}); n != 7 || err != io.EOF {
-			t.Fatalf("sample stream: %d frames, %v; want 7 and a clean EOF", n, err)
+		if n, err := readFrames(t, bufSize, stream, []byte{0, 200, 3}); n != 8 || err != io.EOF {
+			t.Fatalf("sample stream: %d frames, %v; want 8 and a clean EOF", n, err)
+		}
+		if fwd, err := copyFrames(t, bufSize, stream, []byte{0, 200, 3}); !bytes.Equal(fwd, stream) || err != io.EOF {
+			t.Fatalf("sample stream: forwarded %d of %d bytes, %v; want all and a clean EOF", len(fwd), len(stream), err)
 		}
 	}
 	for cut := 1; cut < len(stream); cut += 1 + cut/7 {
 		if _, err := readFrames(t, frameBufSize, stream[:cut], nil); err != io.EOF && err != io.ErrUnexpectedEOF {
 			t.Fatalf("stream cut at %d: %v", cut, err)
+		}
+		if _, err := copyFrames(t, frameBufSize, stream[:cut], nil); err != io.EOF && err != io.ErrUnexpectedEOF {
+			t.Fatalf("stream cut at %d, streamed: %v", cut, err)
 		}
 	}
 	// A length over the limit is refused from the header alone; one under it
@@ -207,6 +266,26 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(append(over, stream...), []byte{1})
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxFramePayload), stream...), []byte{31})
 	f.Fuzz(func(t *testing.T, data, sizes []byte) {
-		readFrames(t, fuzzBufSize, data, sizes)
+		_, readErr := readFrames(t, fuzzBufSize, data, sizes)
+		// The router's path forwards exactly the frames next returns, whole,
+		// through a buffer of either size that never grows.
+		var want []byte
+		fr := &frameReader{r: &chunkReader{data: data, sizes: sizes}, buf: make([]byte, fuzzBufSize)}
+		for {
+			_, raw, err := fr.next()
+			if err != nil {
+				break
+			}
+			want = append(want, raw...)
+		}
+		for _, bufSize := range []int{fuzzBufSize, frameBufSize} {
+			got, err := copyFrames(t, bufSize, data, sizes)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("buffer %d: copyNext forwarded %d bytes, next returned %d in whole frames", bufSize, len(got), len(want))
+			}
+			if (err == io.EOF) != (readErr == io.EOF) {
+				t.Fatalf("buffer %d: copyNext ended with %v, next with %v", bufSize, err, readErr)
+			}
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/gen"
@@ -19,14 +20,19 @@ import (
 // genConnector serves one in-process cluster per mesh generation: each
 // rank's Connect blocks until all P ranks have asked for the current
 // generation, then a fresh cluster is built and shared — the in-process
-// analogue of the TCP router's rejoin window.
+// analogue of the TCP router's rejoin window. Once any rank's driver has
+// returned, no generation can fill any more, and Connect fails, as a dial
+// into a window that expires with a rank missing does.
 type genConnector struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	p            int
 	gen, waiting int
 	cur          *cluster.Cluster
+	left         bool
 }
+
+var errMeshGone = errors.New("a rank has left the run; the mesh cannot be rebuilt")
 
 func newGenConnector(p int) *genConnector {
 	g := &genConnector{p: p}
@@ -35,11 +41,14 @@ func newGenConnector(p int) *genConnector {
 }
 
 // connect returns (generation, cluster) once all P ranks of that generation
-// have arrived.
-func (g *genConnector) connect() (int, *cluster.Cluster) {
+// have arrived, or errMeshGone once a rank has left first.
+func (g *genConnector) connect() (int, *cluster.Cluster, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	myGen := g.gen
+	if g.left {
+		return myGen, nil, errMeshGone
+	}
 	g.waiting++
 	if g.waiting == g.p {
 		g.cur = cluster.New(g.p)
@@ -47,21 +56,60 @@ func (g *genConnector) connect() (int, *cluster.Cluster) {
 		g.gen++
 		g.cond.Broadcast()
 	} else {
-		for g.gen == myGen {
+		for g.gen == myGen && !g.left {
 			g.cond.Wait()
 		}
+		if g.gen == myGen {
+			return myGen, nil, errMeshGone
+		}
 	}
-	return myGen, g.cur
+	return myGen, g.cur, nil
+}
+
+// leave records that a rank's driver has returned.
+func (g *genConnector) leave() {
+	g.mu.Lock()
+	g.left = true
+	g.mu.Unlock()
+	g.cond.Broadcast()
 }
 
 // genFault keys a fault schedule: inject cfg into this rank's communicator
 // of this mesh generation.
 type genFault struct{ gen, rank int }
 
+// ftRun is what runFTClusterErrs observed: rank 0's result, every rank's
+// error, the number of kills that actually fired and the drivers' recovery
+// log.
+type ftRun struct {
+	res   *ShardResult
+	errs  []error
+	fired int64
+	log   string
+}
+
 // runFTCluster runs PartitionShardsFT on every rank over in-process
-// clusters, injecting the scheduled faults, and returns rank 0's result,
-// the number of kills that actually fired and the drivers' recovery log.
+// clusters, injecting the scheduled faults, fails the test unless every
+// rank succeeds, and returns rank 0's result, the number of kills that
+// actually fired and the drivers' recovery log.
 func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule map[genFault]cluster.FaultConfig) (*ShardResult, int64, string) {
+	t.Helper()
+	run := runFTClusterErrs(t, g, parts, cfg, schedule)
+	for rank, err := range run.errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	if run.res == nil {
+		t.Fatal("rank 0 returned no result")
+	}
+	return run.res, run.fired, run.log
+}
+
+// runFTClusterErrs is runFTCluster without the verdict: it returns what
+// every rank ended with, and fails the test only if a rank is still running
+// a minute after the start.
+func runFTClusterErrs(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule map[genFault]cluster.FaultConfig) ftRun {
 	t.Helper()
 	conn := newGenConnector(parts)
 	dirs := make([]string, parts)
@@ -84,13 +132,17 @@ func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule 
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer conn.leave()
 			ckpt, err := NewCheckpointer(dirs[rank], rank, parts, 1, cfg)
 			if err != nil {
 				errs[rank] = err
 				return
 			}
 			connect := func(context.Context) (cluster.Comm, error) {
-				g, cl := conn.connect()
+				g, cl, err := conn.connect()
+				if err != nil {
+					return nil, err
+				}
 				comm := cl.Node(rank)
 				if fc, ok := schedule[genFault{g, rank}]; ok {
 					f := cluster.NewFault(comm, fc)
@@ -124,16 +176,16 @@ func runFTCluster(t *testing.T, g *graph.Graph, parts int, cfg Config, schedule 
 			}
 		}(rank)
 	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("ranks still running a minute after the start: the run hangs")
 	}
-	if result == nil {
-		t.Fatal("rank 0 returned no result")
-	}
-	return result, fired.Load(), log.String()
+	mu.Lock()
+	defer mu.Unlock()
+	return ftRun{res: result, errs: errs, fired: fired.Load(), log: log.String()}
 }
 
 // referenceRun is the fault-free shard run: the checksum every recovered
@@ -233,13 +285,18 @@ func TestFTRecoveryKillBeforeFirstCheckpoint(t *testing.T) {
 	}
 }
 
-// TestFTRecoveryKillInDrainAndAtHandOff places a kill in each of the two
-// places the closing rule added to a run: inside a drain superstep, where the
-// partitions under their cap expand whole boundaries, and at the hand-off,
-// after the last superstep, where the ranks gather what each of them swept.
-// Neither has checkpoint state of its own — closing is recomputed from the
-// restored partSizes — so both recoveries must resume from the superstep
-// before the kill and end on the fault-free checksum.
+// TestFTRecoveryKillInDrainAndAtHandOff places a kill in each of the places
+// the end of a run adds: inside a drain superstep, where the partitions
+// under their cap expand whole boundaries; at the hand-off, after the last
+// superstep, where the ranks gather what each of them swept; and at every
+// op of the result collection, on a sending rank and on rank 0. None of
+// them has checkpoint state of its own — closing is recomputed from the
+// restored partSizes — so each recovery must resume from the superstep
+// before the kill and end on the fault-free checksum. The one kill after
+// which rank 0 may already hold the whole result is the sender's last op,
+// its wait for rank 0's verdict: then rank 0 returns the fault-free result
+// and the killed rank, whose mesh cannot be rebuilt without the ranks that
+// finished, returns an error. No kill may hang the run.
 func TestFTRecoveryKillInDrainAndAtHandOff(t *testing.T) {
 	g := gen.RMAT(9, 8, 2)
 	const parts, victim = 4, 2
@@ -268,33 +325,72 @@ func TestFTRecoveryKillInDrainAndAtHandOff(t *testing.T) {
 			drainFrom, last, trace[last-1], g.NumEdges())
 	}
 
-	// The victim's ops, counted back from its last: the result send, the two
-	// ops of the hand-off gather, then 3(P+1) per superstep. The FT driver
-	// adds one two-op gather (the resume negotiation) in front of what the
-	// reference run counted.
+	// The victim's ops, counted back from its last: the wait for rank 0's
+	// verdict, the chunk and the count of its result run (in process a run
+	// is one chunk), the two ops of the hand-off gather, then 3(P+1) per
+	// superstep. Rank 0's, counted back from its last: P−1 verdicts, the
+	// receipt of the chunks and of the counts. The FT driver adds one
+	// gather (the resume negotiation) in front of what the reference run
+	// counted: two ops at a sender, 2(P−1) at rank 0.
 	total := ops[victim] + 2
+	rootTotal := ops[0] + 2*(parts-1)
 	perStep := uint64(3 * (parts + 1))
+	const resultDone = -2 // the kill may land after rank 0 holds the result
 	kills := []struct {
 		name   string
+		rank   int
 		atOp   uint64
 		resume int // the checkpoint every rank holds when the kill lands
 	}{
-		{"drain", total - 3 - perStep*uint64(last-drainFrom) - perStep/2, drainFrom - 1},
-		{"hand-off", total - 2, last - 1},
+		{"drain", victim, total - 5 - perStep*uint64(last-drainFrom) - perStep/2, drainFrom - 1},
+		{"hand-off", victim, total - 4, last - 1},
+		{"hand-off receive", victim, total - 3, last - 1},
+		{"result count", victim, total - 2, last - 1},
+		{"result chunk", victim, total - 1, last - 1},
+		{"verdict receive", victim, total, resultDone},
+		{"root count receipt", 0, rootTotal - parts, last - 1},
+		{"root chunk receipt", 0, rootTotal - parts + 1, last - 1},
+		{"root verdict", 0, rootTotal - parts + 2, last - 1},
+	}
+	// The arithmetic above ends on each rank's last op: one further never fires.
+	for _, rank := range []int{victim, 0} {
+		past := map[int]uint64{victim: total, 0: rootTotal}[rank] + 1
+		if run := runFTClusterErrs(t, g, parts, cfg, map[genFault]cluster.FaultConfig{{gen: 0, rank: rank}: {KillAtOp: past}}); run.fired != 0 {
+			t.Fatalf("rank %d ran past op %d: the op arithmetic is off", rank, past-1)
+		}
 	}
 	for _, k := range kills {
 		t.Run(k.name, func(t *testing.T) {
-			res, fired, log := runFTCluster(t, g, parts, cfg, map[genFault]cluster.FaultConfig{
-				{gen: 0, rank: victim}: {KillAtOp: k.atOp},
+			run := runFTClusterErrs(t, g, parts, cfg, map[genFault]cluster.FaultConfig{
+				{gen: 0, rank: k.rank}: {KillAtOp: k.atOp},
 			})
-			if fired == 0 {
+			if run.fired == 0 {
 				t.Fatal("scheduled kill never fired")
 			}
-			if line := fmt.Sprintf("rank %d restoring checkpoint at superstep %d ", victim, k.resume); !strings.Contains(log, line) {
-				t.Errorf("kill at op %d did not land in superstep %d: no %q in the recovery log", k.atOp, k.resume+1, line)
+			if run.res == nil {
+				t.Fatalf("rank 0 returned no result: %v", run.errs[0])
 			}
-			if got := res.Checksum(); got != want {
+			if got := run.res.Checksum(); got != want {
 				t.Fatalf("recovered checksum %#x != fault-free %#x", got, want)
+			}
+			line := fmt.Sprintf("rank %d restoring checkpoint at superstep %d ", k.rank, last-1)
+			if k.resume == resultDone && !strings.Contains(run.log, line) {
+				// Rank 0 finished first: the killed rank cannot rejoin.
+				if !errors.Is(run.errs[k.rank], errMeshGone) {
+					t.Fatalf("rank %d was killed after rank 0 finished, and returned %v", k.rank, run.errs[k.rank])
+				}
+				return
+			}
+			for rank, err := range run.errs {
+				if err != nil {
+					t.Errorf("rank %d: %v", rank, err)
+				}
+			}
+			if k.resume == resultDone {
+				return
+			}
+			if line := fmt.Sprintf("rank %d restoring checkpoint at superstep %d ", k.rank, k.resume); !strings.Contains(run.log, line) {
+				t.Errorf("kill at op %d did not land in superstep %d: no %q in the recovery log", k.atOp, k.resume+1, line)
 			}
 		})
 	}

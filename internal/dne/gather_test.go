@@ -39,24 +39,31 @@ func cellOwners(runs [][]uint64) [][]int32 {
 }
 
 // gatherRuns sends (runs[r], owners[r]) from rank r as its (key, owner) run
-// and returns rank 0's merged result and error.
+// and returns rank 0's merged result and error. A result rank 0 rejects
+// must fail every other rank too, and one it accepts none of them.
 func gatherRuns(t *testing.T, runs [][]uint64, owners [][]int32) ([]uint64, []int32, error) {
 	t.Helper()
 	var keys []uint64
 	var merged []int32
-	var gatherErr error
+	errs := make([]error, len(runs))
 	err := cluster.New(len(runs)).Run(func(comm cluster.Comm) error {
 		r := comm.Rank()
 		k, o, err := collectOwnersByKey(comm, &subGraph{keys: runs[r], owner: owners[r]})
 		if r == 0 {
-			keys, merged, gatherErr = k, o, err
+			keys, merged = k, o
 		}
+		errs[r] = err
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return keys, merged, gatherErr
+	for r, err := range errs[1:] {
+		if (err == nil) != (errs[0] == nil) {
+			t.Errorf("rank 0 ended with %v, rank %d with %v", errs[0], r+1, err)
+		}
+	}
+	return keys, merged, errs[0]
 }
 
 // TestGatherMergesRuns checks the merge on well-formed runs: the keys come

@@ -2,6 +2,7 @@ package dne
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -544,9 +545,10 @@ func (m *machine) finish(iter int, in machineInput) {
 }
 
 // collectOwnersByKey ships every machine's (packed edge, owner) pairs to
-// rank 0 and merges the sorted runs there. No global edge indices are
-// involved, so it works when no rank ever saw the whole graph. At rank 0 it
-// returns the complete edge set in ascending canonical order with each
+// rank 0 (cluster.GatherKeyed, in chunks that fit a frame reader's first
+// buffer on TCP) and merges the sorted runs there. No global edge indices
+// are involved, so it works when no rank ever saw the whole graph. At rank 0
+// it returns the complete edge set in ascending canonical order with each
 // edge's owner; other ranks return nils.
 //
 // Rank 0 first checks each received run in one pass (checkResultRun), the
@@ -556,18 +558,21 @@ func (m *machine) finish(iter int, in machineInput) {
 // paired with its keys or lie outside [0, P), or that holds a key of
 // another machine's grid cell (which is also how a key sent twice shows) is
 // an error, not a silent merge.
+//
+// The gather ends with rank 0's verdict on the runs, and every other rank
+// waits for it: a rank that left as soon as its run was sent could strand
+// rank 0 in a transport loss no rejoin can repair, while a rank still
+// waiting takes part in the rejoin. A result rank 0 rejects fails every
+// rank.
 func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, error) {
-	comm.Send(0, tagResult, shardResultBody{Keys: sg.keys, Owner: sg.owner})
+	runs, owners := cluster.GatherKeyed(comm, sg.keys, sg.owner)
 	if comm.Rank() != 0 {
+		if v, ok := comm.Recv(tagResult).Body.(cluster.Int64Body); !ok || v != 1 {
+			return nil, nil, errors.New("dne: rank 0 rejected the collected result")
+		}
 		return nil, nil, nil
 	}
 	p := comm.Size()
-	runs := make([][]uint64, p)
-	owners := make([][]int32, p)
-	for _, msg := range comm.RecvN(tagResult, p) {
-		body := msg.Body.(shardResultBody)
-		runs[msg.From], owners[msg.From] = body.Keys, body.Owner
-	}
 	gd := newGrid(p)
 	errs := make([]error, p)
 	w := min(runtime.GOMAXPROCS(0), p)
@@ -582,10 +587,16 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 		}(t)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	verdict := cluster.Int64Body(1)
+	var err error
+	if i := slices.IndexFunc(errs, func(e error) bool { return e != nil }); i >= 0 {
+		verdict, err = 0, errs[i]
+	}
+	for q := 1; q < p; q++ {
+		comm.Send(q, tagResult, verdict)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	keys, owner := dsa.MergeU64(runs, owners)
 	return keys, owner, nil

@@ -14,7 +14,8 @@ import (
 // of each round's tag to every machine (possibly with an empty payload), so
 // receivers always know how many messages to expect; payloads are routed
 // using the 2D-hash replica sets, so *bytes* still follow the paper's O(√P)
-// multicast fan-out.
+// multicast fan-out. tagResult carries rank 0's verdict on the collected
+// result (collectOwnersByKey), the last message of a run.
 const (
 	tagSelect cluster.Tag = cluster.TagUser + iota
 	tagSync
@@ -31,14 +32,13 @@ const (
 	kindSync
 	kindStep
 	_ // 19 carried the whole-graph driver's index-keyed result
-	kindShardResult
+	_ // 20 carried a rank's whole result run, now cluster.GatherKeyed's chunks
 )
 
 func init() {
 	cluster.RegisterWire(kindSelect, decodeSelect)
 	cluster.RegisterWire(kindSync, decodeSync)
 	cluster.RegisterWire(kindStep, decodeStep)
-	cluster.RegisterWire(kindShardResult, decodeShardResult)
 }
 
 var errWireShape = errors.New("dne: payload does not have the body's shape")
@@ -198,32 +198,4 @@ func decodeStep(p []byte) (cluster.Body, error) {
 	b.PerPart, _ = cluster.DecodeWords[int64](p[:len(p)-8])
 	b.Free = int64(binary.LittleEndian.Uint64(p[len(p)-8:]))
 	return b, nil
-}
-
-// shardResultBody reports (packed canonical edge, owner) pairs to the
-// master — the shard path's result currency: no rank knows global edge
-// indices because no rank ever saw the global edge list.
-type shardResultBody struct {
-	Keys  []uint64
-	Owner []int32
-}
-
-// WireSize implements cluster.Body: the keys (u64 each), then as many
-// owners (i32 each).
-func (b shardResultBody) WireSize() int { return 8*len(b.Keys) + 4*len(b.Owner) }
-
-// WireKind implements cluster.WireBody.
-func (shardResultBody) WireKind() uint8 { return kindShardResult }
-
-// AppendWire implements cluster.WireBody.
-func (b shardResultBody) AppendWire(dst []byte) []byte {
-	return cluster.AppendKeyed(dst, b.Keys, b.Owner)
-}
-
-func decodeShardResult(p []byte) (cluster.Body, error) {
-	keys, owner, err := cluster.DecodeKeyed[uint64](p)
-	if err != nil {
-		return nil, err
-	}
-	return shardResultBody{Keys: keys, Owner: owner}, nil
 }

@@ -72,14 +72,17 @@ func (r *ShardResult) Checksum() uint64 { return partition.Checksum(r.Owner) }
 // from graph.ShardsOf); the ranks' shards together must cover the graph.
 // The shard is consumed: its edges are sorted and deduplicated in place,
 // then released once routed, so the rank's peak memory stays
-// O(|E|/P + boundary) through the superstep loop. Result collection is the one deliberate exception: rank 0 assembles
-// the final (edge, owner) sequence — 12 bytes per global edge, well under
-// the graph+CSR it never builds — after the algorithm (and its reported
-// peak-memory stat) has finished.
+// O(|E|/P + boundary) through the superstep loop. Result collection is the
+// one deliberate exception: rank 0 assembles the final (edge, owner)
+// sequence — 12 bytes per global edge, well under the graph+CSR it never
+// builds — after the algorithm (and its reported peak-memory stat) has
+// finished. The runs travel to it in chunks that fit the transport's
+// MaxBody (cluster.GatherKeyed), so no buffer on the way grows with them,
+// and every rank returns only once rank 0 has checked them all.
 //
-// The result is non-nil at rank 0 only. The seeded partitioning is
-// bit-identical to the in-process run (PartitionCtx) with the same seed, graph
-// and partition count.
+// The result is non-nil at rank 0 only; a result rank 0 rejects is an error
+// at every rank. The seeded partitioning is bit-identical to the in-process
+// run (PartitionCtx) with the same seed, graph and partition count.
 //
 // Cancellation is collective: every rank returns at the end of the superstep
 // in which any rank's ctx was done, with ctx's error or context.Canceled; a
@@ -251,6 +254,12 @@ type closableComm interface {
 // on success and on any other error alike. Cancellation is collective, as in
 // PartitionShards; ctx is checked alone only before a reconnect, when there
 // is no mesh to tell.
+//
+// Every rank stays in the mesh until rank 0 has checked the whole result,
+// so a loss anywhere before that point is rejoined by all of them. A loss
+// at the very end — a rank dying while it waits for rank 0's verdict, which
+// other ranks may already have received — leaves rank 0 with the result
+// and the lost rank with the error of a reconnect nobody answers.
 func PartitionShardsFT(ctx context.Context, cfg Config, opt FTOptions) (*ShardResult, *MachineStats, error) {
 	if opt.Connect == nil || opt.LoadShard == nil {
 		return nil, nil, errors.New("dne: FTOptions requires Connect and LoadShard")

@@ -13,6 +13,7 @@ import (
 
 // wireSamples covers every body this package sends, at the edges of its
 // encoding: nil and empty slices, the largest partition id, negative counts.
+// The result collection sends cluster.KeyedBody chunks (cluster.GatherKeyed).
 func wireSamples() []cluster.WireBody {
 	maxP := int32(math.MaxInt32)
 	return []cluster.WireBody{
@@ -31,9 +32,9 @@ func wireSamples() []cluster.WireBody {
 			Free:    math.MaxInt64,
 		},
 		stepBody{Items: []boundaryItem{{V: 5, Drest: 6}}, PerPart: []int64{9}},
-		shardResultBody{},
-		shardResultBody{Keys: []uint64{math.MaxUint64, 1}, Owner: []int32{0, maxP}},
-		shardResultBody{Keys: []uint64{0}, Owner: []int32{-1}},
+		cluster.KeyedBody{},
+		cluster.KeyedBody{Keys: []uint64{math.MaxUint64, 1}, Vals: []int32{0, maxP}},
+		cluster.KeyedBody{Keys: []uint64{0}, Vals: []int32{-1}},
 	}
 }
 
@@ -79,7 +80,7 @@ func TestWireSizeIsEncodedSize(t *testing.T) {
 			t.Errorf("round trip of %#v gave %#v", b, got)
 		}
 	}
-	for _, kind := range []uint8{kindSelect, kindSync, kindStep, kindShardResult} {
+	for _, kind := range []uint8{kindSelect, kindSync, kindStep, cluster.KeyedBody{}.WireKind()} {
 		if !seen[kind] {
 			t.Errorf("no sample of body kind %d", kind)
 		}
@@ -158,7 +159,8 @@ func TestDecodersRejectMalformedPayloads(t *testing.T) {
 		{"step whose item count overruns the payload", kindStep, patched(0, 200)},
 		{"step whose item count is the largest u32", kindStep, append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 8)...)},
 		{"the retired whole-graph result kind", 19, make([]byte, 12)},
-		{"shard result of 8 bytes", kindShardResult, make([]byte, 8)},
+		{"the retired whole-run result kind", 20, make([]byte, 12)},
+		{"keyed chunk of 8 bytes", cluster.KeyedBody{}.WireKind(), make([]byte, 8)},
 	}
 	for _, tc := range cases {
 		if body, err := cluster.DecodeWire(tc.kind, tc.payload); err == nil {
