@@ -12,28 +12,42 @@ import (
 // grid row or column, so the replica set of x is *computed* from its id —
 // O(√P) machines — instead of being stored, which is the paper's
 // space-efficiency argument for trillion-edge graphs.
-//
-// The hash runs on every routed edge, every multicast and every collected
-// key, so it divides by nothing: mod R and mod C multiply by precomputed
-// reciprocals (divisor, exact for every 64-bit hash), and the fold mod P is
-// one conditional subtract, exact because R·C < 2P.
 type grid struct {
-	r, c, p int
-	rdiv    divisor
-	cdiv    divisor
+	cellHash
 	// procs[i*c+j] is the sorted, deduplicated set of machines of grid row i
 	// ∪ column j: the replica set of every vertex hashed to cell (i, j),
 	// computed once for the r·c cells instead of once per lookup.
 	procs [][]int
 }
 
-func newGrid(p int) grid {
+// cellHash is the grid's hash alone: its shape and its two divisors, which
+// is all that names the machine owning an edge. Routing keys (keyRouter:
+// the shuffle, and rank 0's check of the collected result) needs nothing
+// more, so it builds no replica sets.
+//
+// The hash runs on every routed edge, every multicast and every collected
+// key, so it divides by nothing: mod R and mod C multiply by precomputed
+// reciprocals (divisor, exact for every 64-bit hash), and the fold mod P is
+// one conditional subtract, exact because R·C < 2P.
+type cellHash struct {
+	r, c, p int
+	rdiv    divisor
+	cdiv    divisor
+}
+
+func newCellHash(p int) cellHash {
 	r := 1
 	for (r+1)*(r+1) <= p {
 		r++
 	}
 	c := (p + r - 1) / r
-	g := grid{r: r, c: c, p: p, rdiv: newDivisor(uint64(r)), cdiv: newDivisor(uint64(c)), procs: make([][]int, r*c)}
+	return cellHash{r: r, c: c, p: p, rdiv: newDivisor(uint64(r)), cdiv: newDivisor(uint64(c))}
+}
+
+func newGrid(p int) grid {
+	g := grid{cellHash: newCellHash(p)}
+	r, c := g.r, g.c
+	g.procs = make([][]int, r*c)
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			set := make([]int, 0, r+c)
@@ -90,18 +104,18 @@ func hashRow(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xDEC0DE) }
 func hashCol(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xC0FFEE) }
 
 // edgeOwner returns the machine owning canonical edge (u,v).
-func (g *grid) edgeOwner(u, v uint32) int { return g.cellOwner(g.row(u), v) }
+func (g *cellHash) edgeOwner(u, v uint32) int { return g.cellOwner(g.row(u), v) }
 
 // row returns the grid row of the edges whose source is u.
-func (g *grid) row(u uint32) int { return int(g.rdiv.mod(hashRow(u))) }
+func (g *cellHash) row(u uint32) int { return int(g.rdiv.mod(hashRow(u))) }
 
 // col returns the grid column of the edges whose target is v.
-func (g *grid) col(v uint32) int { return int(g.cdiv.mod(hashCol(v))) }
+func (g *cellHash) col(v uint32) int { return int(g.cdiv.mod(hashCol(v))) }
 
 // cellOwner returns the machine owning the edges of grid row i whose target
 // is v. A loop over edges sorted by source computes each row once
 // (keyRouter).
-func (g *grid) cellOwner(i int, v uint32) int {
+func (g *cellHash) cellOwner(i int, v uint32) int {
 	q := i*g.c + g.col(v)
 	if q >= g.p {
 		q -= g.p
@@ -119,17 +133,17 @@ func (g *grid) vertexProcs(x uint32) []int {
 // keyRouter names the owning machine of each key of an ascending packed
 // edge list, hashing the grid row once per source instead of once per key.
 type keyRouter struct {
-	gd  *grid
+	h   *cellHash
 	src uint64 // the source whose row is cached; ^0 before the first key
 	row int
 }
 
-func newKeyRouter(gd *grid) keyRouter { return keyRouter{gd: gd, src: ^uint64(0)} }
+func newKeyRouter(h *cellHash) keyRouter { return keyRouter{h: h, src: ^uint64(0)} }
 
 // owner returns the machine owning packed edge k.
 func (kr *keyRouter) owner(k uint64) int {
 	if k>>32 != kr.src {
-		kr.src, kr.row = k>>32, kr.gd.row(uint32(k>>32))
+		kr.src, kr.row = k>>32, kr.h.row(uint32(k>>32))
 	}
-	return kr.gd.cellOwner(kr.row, uint32(k))
+	return kr.h.cellOwner(kr.row, uint32(k))
 }

@@ -573,7 +573,7 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 		return nil, nil, nil
 	}
 	p := comm.Size()
-	gd := newGrid(p)
+	h := newCellHash(p)
 	errs := make([]error, p)
 	w := min(runtime.GOMAXPROCS(0), p)
 	var wg sync.WaitGroup
@@ -582,7 +582,7 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 		go func(t int) {
 			defer wg.Done()
 			for r := t; r < p; r += w {
-				errs[r] = checkResultRun(&gd, r, runs[r], owners[r])
+				errs[r] = checkResultRun(&h, r, runs[r], owners[r])
 			}
 		}(t)
 	}
@@ -605,11 +605,11 @@ func collectOwnersByKey(comm cluster.Comm, sg *subGraph) ([]uint64, []int32, err
 // checkResultRun returns an error unless machine from's result run is one a
 // run could have produced: as many owners as keys, keys strictly ascending
 // and all of the sender's own grid cell, owners in [0, P).
-func checkResultRun(gd *grid, from int, keys []uint64, owner []int32) error {
+func checkResultRun(h *cellHash, from int, keys []uint64, owner []int32) error {
 	if len(keys) != len(owner) {
 		return fmt.Errorf("dne: machine %d reports %d keys and %d owners", from, len(keys), len(owner))
 	}
-	kr := newKeyRouter(gd)
+	kr := newKeyRouter(h)
 	for i, k := range keys {
 		if i > 0 && k <= keys[i-1] {
 			return fmt.Errorf("dne: machine %d sent keys out of order at %d", from, i)
@@ -617,8 +617,8 @@ func checkResultRun(gd *grid, from int, keys []uint64, owner []int32) error {
 		if q := kr.owner(k); q != from {
 			return fmt.Errorf("dne: machine %d sent edge %#x, which is not at the head of its grid run (machine %d's)", from, k, q)
 		}
-		if uint32(owner[i]) >= uint32(gd.p) {
-			return fmt.Errorf("dne: machine %d reports owner %d for edge %#x, outside [0, %d)", from, owner[i], k, gd.p)
+		if uint32(owner[i]) >= uint32(h.p) {
+			return fmt.Errorf("dne: machine %d reports owner %d for edge %#x, outside [0, %d)", from, owner[i], k, h.p)
 		}
 	}
 	return nil

@@ -31,10 +31,10 @@ import (
 // shard itself is charged by the caller, which owns it.
 func shuffleShard(comm cluster.Comm, packed []uint64) (local []uint64, peakBytes int64, err error) {
 	p := comm.Size()
-	gd := newGrid(p)
+	h := newCellHash(p)
 	// Counting pass, then fill: two passes over the shard instead of P
 	// growing buffers.
-	kr := newKeyRouter(&gd)
+	kr := newKeyRouter(&h)
 	counts := make([]int, p)
 	for _, k := range packed {
 		counts[kr.owner(k)]++

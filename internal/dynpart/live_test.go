@@ -8,6 +8,7 @@ package dynpart_test
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -87,13 +88,15 @@ func served(l *live.Live) (*graph.Graph, *partition.Partitioning) {
 	return graph.FromPacked(0, keys), p
 }
 
-// replicas counts Σ_v |parts(v)| over g's vertices as the live state holds it.
-func replicas(st *live.State, g *graph.Graph) int64 {
-	var n int64
-	for v := graph.Vertex(0); v < g.NumVertices(); v++ {
-		st.EachReplica(v, func(int) { n++ })
+// replicas is Σ_v |parts(v)| as the live state holds it: its replication
+// factor times its live vertex count, once CheckInvariants has matched the
+// replica counter against the per-vertex partition rows.
+func replicas(t *testing.T, st *live.State) int64 {
+	t.Helper()
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	return n
+	return int64(math.Round(st.ReplicationFactor() * float64(st.NumVertices())))
 }
 
 func TestAddRemoveRoundTrip(t *testing.T) {
@@ -106,8 +109,11 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	if len(p.Owner) != 1 || p.Owner[0] < 0 || p.Owner[0] >= 4 {
 		t.Fatalf("owners %v, want one in [0, 4)", p.Owner)
 	}
-	if !l.Epoch().ShardHasEdge(int(p.Owner[0]), 1, 3) {
-		t.Fatal("canonical lookup failed")
+	if ns, err := l.Epoch().Neighbors(3); err != nil || !slices.Equal(ns, []graph.Vertex{1}) {
+		t.Fatalf("Neighbors(3) = %v, %v; want [1]", ns, err)
+	}
+	if reps := l.Epoch().Replicas(1); !slices.Equal(reps, []int32{p.Owner[0]}) {
+		t.Fatalf("Replicas(1) = %v, want the owner %d", reps, p.Owner[0])
 	}
 	st := l.State()
 	if l.Stats().NumEdges != 1 || st.NumVertices() != 2 {
@@ -188,7 +194,7 @@ func TestSeedFromDNEAndUpdate(t *testing.T) {
 	}
 	// Same replica total; the RF denominators differ (Measure counts
 	// isolated vertex ids, live counts live vertices only).
-	if got, want := replicas(l.State(), g), res.Partitioning.Measure(g).Replicas; got != want {
+	if got, want := replicas(t, l.State()), res.Partitioning.Measure(g).Replicas; got != want {
 		t.Fatalf("seeded replicas %d != static replicas %d", got, want)
 	}
 	staticRF := l.State().ReplicationFactor()
@@ -218,7 +224,7 @@ func TestSnapshotMatchesInternalMetrics(t *testing.T) {
 	// The partitioning's measured RF uses |V| = snap.NumVertices(), which
 	// counts isolated ids in [0,max]; live counts live vertices only.
 	// Compare via replicas instead.
-	if got, want := pt.Measure(snap).Replicas, replicas(l.State(), snap); got != want {
+	if got, want := pt.Measure(snap).Replicas, replicas(t, l.State()); got != want {
 		t.Errorf("snapshot replicas %d != live replicas %d", got, want)
 	}
 }

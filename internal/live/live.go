@@ -51,8 +51,7 @@ type Live struct {
 	mu      sync.Mutex
 	st      *State
 	base    *store.Store
-	pending *store.Delta // writer-side overlay vs base (shares maps with view)
-	view    *store.Epoch // writer-side view (base, pending); mu-guarded
+	overlay *store.Writer // the mutations since base; each publish seals its pending ones into a run
 	adds    []*graph.ShardWriter
 	dead    []*graph.ShardWriter
 	seq     uint64
@@ -150,11 +149,10 @@ func Open(dir string, cfg Config) (*Live, error) {
 		dir:      dir,
 		st:       st,
 		base:     base,
-		pending:  store.NewDelta(numParts),
+		overlay:  store.NewWriter(base),
 		logKeys:  logKeys,
 		recovery: rec,
 	}
-	l.view = store.NewEpoch(base, l.pending, 0)
 	if err := l.openLogs(); err != nil {
 		return nil, err
 	}
@@ -404,17 +402,17 @@ func (l *Live) closeLogs() error {
 	return first
 }
 
-// publishLocked freezes the pending overlay into the next epoch. Callers
-// hold mu.
+// publishLocked seals the overlay's pending mutations into the next epoch,
+// which shares every older run with the one before. Callers hold mu.
 func (l *Live) publishLocked() {
 	l.seq++
-	var frozen *store.Delta
-	if l.pending.AddedEdges() != 0 || l.pending.DeletedEdges() != 0 {
-		frozen = l.pending.Clone()
-	}
-	l.epoch.Store(store.NewEpoch(l.base, frozen, l.seq))
+	l.epoch.Store(l.overlay.Epoch(l.seq))
 	l.lastPublish.Store(time.Now().UnixNano())
 }
+
+// viewLocked returns the graph as the writer holds it, pending mutations
+// included. Callers hold mu.
+func (l *Live) viewLocked() *store.Epoch { return l.overlay.Epoch(l.seq) }
 
 // Epoch returns the current published snapshot. Queries run entirely
 // against it — the pointer is immutable, so a long traversal keeps its
@@ -425,30 +423,21 @@ func (l *Live) Epoch() *store.Epoch { return l.epoch.Load() }
 // the Live methods corrupts the subsystem.
 func (l *Live) State() *State { return l.st }
 
-// ownerLocked resolves the partition holding live edge (u,v), −1 when the
-// edge is absent. The scan runs from the lower-degree endpoint, so lookup
-// cost is O(P + min-degree), not hub-degree.
+// ownerLocked resolves the partition holding live edge (u,v), u < v, −1
+// when the edge is absent. Endpoints that share no partition answer at once
+// from the placement state; otherwise the overlay answers, with one binary
+// search per run and per base shard holding both endpoints.
 func (l *Live) ownerLocked(u, v graph.Vertex) int32 {
-	a, b := u, v
-	if l.st.Degree(b) < l.st.Degree(a) {
-		a, b = b, a
-	}
-	if l.st.Degree(a) == 0 {
+	if !l.st.shareReplica(u, v) {
 		return -1
 	}
-	owner := int32(-1)
-	l.st.EachReplica(a, func(q int) {
-		if owner < 0 && l.view.ShardHasEdge(q, a, b) {
-			owner = int32(q)
-		}
-	})
-	return owner
+	return l.overlay.Owner(u, v)
 }
 
 // Apply ingests a batch of events in order and returns how many changed
 // state (duplicate insertions, self loops and deletions of absent edges
 // don't count). One epoch is published per batch, so batching amortizes
-// the overlay freeze; when the overlay outgrows maxOverlay the batch ends
+// sealing the batch into a run; when the overlay outgrows maxOverlay the batch ends
 // with an automatic compaction. A batch with an unknown op, or with vertex
 // ids its edges cannot pay for (ErrVertexClaim), is rejected whole before
 // anything is logged or placed.
@@ -481,7 +470,7 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 			}
 			l.logKeys++
 			l.st.ApplyInsert(c.U, c.V, q)
-			l.pending.AddEdge(int(q), c.U, c.V)
+			l.overlay.Add(int(q), c.U, c.V)
 			changed++
 		case dynpart.Remove:
 			q := l.ownerLocked(c.U, c.V)
@@ -494,13 +483,11 @@ func (l *Live) Apply(events []dynpart.Event) (int, error) {
 			}
 			l.logKeys++
 			l.st.ApplyDelete(c.U, c.V, q)
-			if !l.pending.RemoveAdd(int(q), c.U, c.V) {
-				l.pending.DelEdge(int(q), c.U, c.V)
-			}
+			l.overlay.Remove(int(q), c.U, c.V)
 			changed++
 		}
 	}
-	added, deleted := l.pending.AddedEdges(), l.pending.DeletedEdges()
+	added, deleted := l.overlay.Mutations()
 	if added+deleted > l.maxOverlay() {
 		if err := l.compactLocked(); err != nil {
 			return changed, err
@@ -551,8 +538,9 @@ func (l *Live) checkBatch(events []dynpart.Event) error {
 
 // Rebalance migrates up to budget edges from partitions above the α cap to
 // strictly less-loaded destinations, preferring moves that do not add
-// replicas. Migrations are ordinary overlay mutations — a tombstone on the
-// source, an insertion on the target — published as one epoch, so readers
+// replicas. Migrations are ordinary mutations — a tombstone in the source's
+// tail, an insertion in the target's, and one overlay entry that shadows the
+// source copy and names the target — published as one epoch, so readers
 // see each move atomically. The pass is deterministic (partitions in id
 // order, edges in canonical order). Returns the number of edges moved.
 func (l *Live) Rebalance(budget int) (int, error) {
@@ -570,7 +558,7 @@ func (l *Live) Rebalance(budget int) (int, error) {
 		if sizes[q] <= cap {
 			continue
 		}
-		for _, k := range l.view.ShardEdgesPacked(int(q)) {
+		for _, k := range l.viewLocked().ShardEdgesPacked(int(q)) {
 			if sizes[q] <= cap || moved >= budget {
 				break
 			}
@@ -587,10 +575,8 @@ func (l *Live) Rebalance(budget int) (int, error) {
 			}
 			l.logKeys += 2
 			l.st.ApplyMove(e.U, e.V, q, t)
-			if !l.pending.RemoveAdd(int(q), e.U, e.V) {
-				l.pending.DelEdge(int(q), e.U, e.V)
-			}
-			l.pending.AddEdge(int(t), e.U, e.V)
+			l.overlay.Remove(int(q), e.U, e.V)
+			l.overlay.Add(int(t), e.U, e.V)
 			moved++
 		}
 	}
@@ -619,10 +605,9 @@ func (l *Live) compactLocked() error {
 	defer func() { l.obsCompact.Observe(int64(time.Since(start))) }()
 	numParts := l.st.cfg.NumParts
 	packed := make([][]uint64, numParts)
-	// The writer view's vertex bound is stale (fixed at its creation); the
-	// state slabs cover every live endpoint.
+	view := l.viewLocked()
 	for q := range packed {
-		packed[q] = l.view.ShardEdgesPacked(q)
+		packed[q] = view.ShardEdgesPacked(q)
 	}
 	base, err := store.BuildFromShards(max(l.base.NumVertices(), uint32(len(l.st.deg)), 1), packed)
 	if err != nil {
@@ -657,8 +642,7 @@ func (l *Live) compactLocked() error {
 	}
 
 	l.base = base
-	l.pending = store.NewDelta(numParts)
-	l.view = store.NewEpoch(base, l.pending, 0)
+	l.overlay = store.NewWriter(base)
 	l.ncomp++
 	l.publishLocked()
 	return nil
@@ -739,8 +723,9 @@ func (l *Live) Checksum() uint64 {
 	defer l.mu.Unlock()
 	h := fnv.New64a()
 	var b [12]byte
+	view := l.viewLocked()
 	for q := 0; q < l.st.cfg.NumParts; q++ {
-		for _, k := range l.view.ShardEdgesPacked(q) {
+		for _, k := range view.ShardEdgesPacked(q) {
 			binary.LittleEndian.PutUint64(b[:8], k)
 			binary.LittleEndian.PutUint32(b[8:], uint32(q))
 			h.Write(b[:])
@@ -771,7 +756,7 @@ type Stats struct {
 func (l *Live) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	added, deleted := l.pending.AddedEdges(), l.pending.DeletedEdges()
+	added, deleted := l.overlay.Mutations()
 	return Stats{
 		NumParts:          l.st.cfg.NumParts,
 		NumEdges:          l.st.numEdges,

@@ -364,7 +364,7 @@ func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := store.NewEpoch(st, nil, 0)
+		got := store.NewWriter(st).Epoch(0)
 		for q := 0; q < parts; q++ {
 			if !slices.Equal(got.ShardEdgesPacked(q), ep.ShardEdgesPacked(q)) {
 				t.Fatalf("store.ReadDir shard %d differs from the live partition", q)
@@ -412,7 +412,7 @@ func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 	if err := l.State().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	want := store.NewEpoch(st, nil, 0)
+	want := store.NewWriter(st).Epoch(0)
 	for q := 0; q < parts; q++ {
 		if !slices.Equal(l.Epoch().ShardEdgesPacked(q), want.ShardEdgesPacked(q)) {
 			t.Fatalf("live partition %d differs from store shard %d", q, q)
@@ -729,4 +729,183 @@ func TestLiveConcurrentReadersNeverError(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestPinnedEpochsSurviveIngest: an epoch a reader pins keeps answering
+// exactly the graph as of its publish while later batches, a rebalance and
+// compactions publish newer ones. A seeded churn with deletions and
+// re-insertions runs in batches; one batch deletes most edges off three of
+// the four partitions, and a Rebalance then moves edges; every seventh
+// batch ends with a Compact, so most pins hold an overlay, and several an
+// overlay of two runs that name the same edges. The epoch after each step
+// is pinned beside a snapshot of a map model of the edge set. A reader
+// checks each pin while the writer goes on, and after the last batch every
+// pin is checked again: the union of its ShardEdgesPacked, the Neighbors of
+// sampled vertices and one two-hop KHop must equal the model as of that
+// pin.
+func TestPinnedEpochsSurviveIngest(t *testing.T) {
+	const parts, batch = 4, 200
+	g := gen.RMAT(8, 8, 21)
+	events := dynpart.Churn(g, 5000, 0.35, 9)
+	l, err := Open(t.TempDir(), Config{NumParts: parts, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	type pin struct {
+		ep   *store.Epoch
+		keys []uint64 // the model's live edges as of ep, ascending
+	}
+	alive := map[uint64]bool{}
+	apply := func(evs []dynpart.Event) {
+		t.Helper()
+		if _, err := l.Apply(evs); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			c := ev.Edge.Canon()
+			if ev.Op == dynpart.Add && c.U != c.V {
+				alive[graph.PackEdge(c.U, c.V)] = true
+			} else if ev.Op == dynpart.Remove {
+				delete(alive, graph.PackEdge(c.U, c.V))
+			}
+		}
+	}
+	pins := make(chan pin, len(events)/batch+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for p := range pins {
+			checkPinned(t, p.ep, p.keys)
+		}
+	}()
+	var pinned []pin
+	moved := 0
+	for i, n := 0, 0; i < len(events); i, n = i+batch, n+1 {
+		apply(events[i:min(i+batch, len(events))])
+		if n == 6 {
+			var dels []dynpart.Event
+			ep := l.Epoch()
+			for q := 1; q < parts; q++ {
+				for j, k := range ep.ShardEdgesPacked(q) {
+					if j%8 != 0 {
+						dels = append(dels, dynpart.Event{Op: dynpart.Remove, Edge: graph.UnpackEdge(k)})
+					}
+				}
+			}
+			apply(dels)
+			if moved, err = l.Rebalance(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n%7 == 6 {
+			if err := l.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keys := make([]uint64, 0, len(alive))
+		for k := range alive {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		p := pin{l.Epoch(), keys}
+		pinned = append(pinned, p)
+		pins <- p
+	}
+	close(pins)
+	wg.Wait()
+	if moved == 0 {
+		t.Fatal("the rebalance moved no edge")
+	}
+	for _, p := range pinned {
+		checkPinned(t, p.ep, p.keys)
+	}
+}
+
+// checkPinned requires ep to hold exactly the edges keys (ascending): as the
+// union of its shards, each edge on one shard, in the Neighbors of a seeded
+// sample of vertices, and in a two-hop KHop from one of them.
+func checkPinned(t *testing.T, ep *store.Epoch, keys []uint64) {
+	t.Helper()
+	var union []uint64
+	for s := 0; s < ep.NumShards(); s++ {
+		ks := ep.ShardEdgesPacked(s)
+		if int64(len(ks)) != ep.ShardEdges(s) {
+			t.Errorf("epoch %d shard %d lists %d edges, counts %d", ep.Seq(), s, len(ks), ep.ShardEdges(s))
+		}
+		union = append(union, ks...)
+	}
+	slices.Sort(union)
+	if !slices.Equal(union, keys) {
+		t.Errorf("epoch %d holds %d edges, the model %d, or other ones", ep.Seq(), len(union), len(keys))
+		return
+	}
+	g := graph.FromPacked(ep.NumVertices(), slices.Clone(keys))
+	rng := rand.New(rand.NewSource(int64(ep.Seq())))
+	for i := 0; i < 24; i++ {
+		v := graph.Vertex(rng.Intn(int(ep.NumVertices())))
+		if ns, err := ep.Neighbors(v); err != nil || !slices.Equal(ns, g.Neighbors(v)) {
+			t.Errorf("epoch %d: Neighbors(%d) = %v, %v; model %v", ep.Seq(), v, ns, err, g.Neighbors(v))
+		}
+	}
+	src := graph.Vertex(rng.Intn(int(ep.NumVertices())))
+	res, err := ep.KHop(context.Background(), src, 2)
+	if err != nil {
+		t.Errorf("epoch %d: KHop(%d, 2): %v", ep.Seq(), src, err)
+		return
+	}
+	if want := bfsOrder(g, src, 2); !slices.Equal(res.Vertices, want) {
+		t.Errorf("epoch %d: KHop(%d, 2) reaches %d vertices, the model %d", ep.Seq(), src, len(res.Vertices), len(want))
+	}
+}
+
+// bfsOrder lists the vertices within k hops of src in g, by depth and then
+// by id, as KHop orders them.
+func bfsOrder(g *graph.Graph, src graph.Vertex, k int) []graph.Vertex {
+	seen := map[graph.Vertex]bool{src: true}
+	out, level := []graph.Vertex{src}, []graph.Vertex{src}
+	for d := 0; d < k && len(level) > 0; d++ {
+		var next []graph.Vertex
+		for _, u := range level {
+			for _, w := range g.Neighbors(u) {
+				if !seen[w] {
+					seen[w] = true
+					next = append(next, w)
+				}
+			}
+		}
+		slices.Sort(next)
+		out = append(out, next...)
+		level = next
+	}
+	return out
+}
+
+// BenchmarkLiveApply times the writer of the live-mixed workload without its
+// reader: RMAT 15 at edge factor 16, 550 000 churn events with 20 % deletes,
+// P = 8, Apply batches of 4 096 into a fresh directory with auto-compaction.
+// ns/event is the per-event writer cost; B/op is the allocation of one
+// whole stream.
+func BenchmarkLiveApply(b *testing.B) {
+	const batch = 4096
+	events := dynpart.Churn(gen.RMAT(15, 16, 42), 550_000, 0.2, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := Open(b.TempDir(), Config{NumParts: 8, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < len(events); j += batch {
+			if _, err := l.Apply(events[j:min(j+batch, len(events))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }

@@ -12,11 +12,12 @@
 //   - Per partition, the directory holds a sorted ESZ1 base (a store
 //     shard file) and append-only EShard tails of insertions and
 //     tombstones since it: the only durable copy of the graph.
-//   - Reads resolve against a store.Epoch — immutable base CSR plus a small
-//     frozen overlay — pinned with one atomic load; a background compaction
-//     folds the overlay into a fresh base and publishes the next epoch.
+//   - Reads resolve against a store.Epoch — immutable base CSR plus a few
+//     immutable sorted overlay runs that consecutive epochs share — pinned
+//     with one atomic load; a compaction folds the overlay into a fresh
+//     base and publishes the next epoch.
 //   - A bounded-budget rebalancer migrates edges off overloaded partitions
-//     as ordinary overlay deltas, so migrations ride the same epoch
+//     as ordinary overlay mutations, so migrations ride the same epoch
 //     machinery as arrivals.
 package live
 
@@ -103,14 +104,6 @@ func (st *State) Sizes() []int64 {
 	return out
 }
 
-// Degree returns v's live degree (0 for never-seen vertices).
-func (st *State) Degree(v graph.Vertex) uint32 {
-	if int(v) >= len(st.deg) {
-		return 0
-	}
-	return st.deg[v]
-}
-
 // ReplicationFactor returns Σ_v |parts(v)| / |V_live| (Eq. 1), 0 when empty.
 func (st *State) ReplicationFactor() float64 {
 	n := st.NumVertices()
@@ -163,13 +156,19 @@ func (st *State) countsRow(v graph.Vertex) []uint32 {
 	return st.counts[int(v)*p : (int(v)+1)*p]
 }
 
-// EachReplica calls fn for every partition holding a live edge of v, in
-// ascending id order.
-func (st *State) EachReplica(v graph.Vertex, fn func(q int)) {
-	if int(v) >= len(st.deg) || st.deg[v] == 0 {
-		return
+// shareReplica reports whether some partition holds live edges of both u
+// and v: only such a partition can hold edge (u,v).
+func (st *State) shareReplica(u, v graph.Vertex) bool {
+	if int(max(u, v)) >= len(st.deg) {
+		return false
 	}
-	st.reps.Row(v).ForEach(fn)
+	a, b := st.reps.Row(u).Words(), st.reps.Row(v).Words()
+	for i := range a {
+		if a[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // capEdges is the α cap against the current edge count plus extra pending

@@ -20,14 +20,15 @@ import (
 const compactYieldStride = 1 << 14
 
 // Epoch layer: the one read path. A Store is the immutable base; arrivals
-// and retractions accumulate in a small mutable Delta owned by the writer;
-// publishing freezes the delta into an Epoch — an immutable (base, delta)
-// pair readers resolve queries against. A Store's own queries run on an
-// Epoch with no delta, so Neighbors and KHop exist once, here, and
-// every one of them counts into the base's Metrics. Readers pin an epoch
-// (one atomic pointer load in the live layer) and never observe a partial
-// update; a background compactor folds the delta into a fresh base with
-// BuildFromShards and publishes the next epoch.
+// and retractions go to a Writer, which seals each batch into an immutable
+// sorted run (overlay.go); an Epoch is an immutable (base, runs) pair
+// readers resolve queries against, and consecutive epochs share every run
+// the newest batch did not merge into. A Store's own queries run on an Epoch
+// with no overlay, so Neighbors and KHop exist once, here, and every one of
+// them counts into the base's Metrics. Readers pin an epoch (one atomic
+// pointer load in the live layer) and never observe a partial update; a
+// compactor folds the overlay into a fresh base with BuildFromShards and
+// publishes the next epoch.
 
 // BuildFromShards materializes per-shard canonical packed edge lists into a
 // Store. It is the one CSR builder: BuildPartitioning buckets a graph's
@@ -155,158 +156,24 @@ func (b *shardBuilder) build(s int, packed []uint64) (*shard, error) {
 	return sh, nil
 }
 
-// Delta is the mutable overlay of edge insertions and deletions a live
-// writer accumulates between epochs. It is not safe for concurrent use; the
-// live layer serializes writers and freezes a snapshot into each published
-// Epoch. Deletions may only name base edges — retracting an overlay
-// insertion must go through RemoveAdd instead, so an (add, del) pair of the
-// same edge cancels exactly.
-type Delta struct {
-	adds []map[graph.Vertex][]graph.Vertex // per shard: v -> appended neighbors
-	dels []map[uint64]struct{}             // per shard: deleted base edges, packed
-	addN []int64                           // per-shard inserted edge counts
-	delN []int64                           // per-shard deleted edge counts
-	maxV graph.Vertex                      // highest vertex id named by an add, +1
-}
-
-// NewDelta returns an empty overlay for numShards shards.
-func NewDelta(numShards int) *Delta {
-	d := &Delta{
-		adds: make([]map[graph.Vertex][]graph.Vertex, numShards),
-		dels: make([]map[uint64]struct{}, numShards),
-		addN: make([]int64, numShards),
-		delN: make([]int64, numShards),
-	}
-	for s := range d.adds {
-		d.adds[s] = make(map[graph.Vertex][]graph.Vertex)
-		d.dels[s] = make(map[uint64]struct{})
-	}
-	return d
-}
-
-// AddEdge records the insertion of edge (u,v) on shard s.
-func (d *Delta) AddEdge(s int, u, v graph.Vertex) {
-	d.adds[s][u] = append(d.adds[s][u], v)
-	d.adds[s][v] = append(d.adds[s][v], u)
-	d.addN[s]++
-	if u >= d.maxV {
-		d.maxV = u + 1
-	}
-	if v >= d.maxV {
-		d.maxV = v + 1
-	}
-}
-
-// RemoveAdd retracts a prior AddEdge of (u,v) on shard s, returning false
-// if no such overlay insertion exists (the caller then records a base
-// deletion instead).
-func (d *Delta) RemoveAdd(s int, u, v graph.Vertex) bool {
-	if !removeOne(d.adds[s], u, v) {
-		return false
-	}
-	removeOne(d.adds[s], v, u)
-	d.addN[s]--
-	return true
-}
-
-func removeOne(adj map[graph.Vertex][]graph.Vertex, u, v graph.Vertex) bool {
-	ns := adj[u]
-	for i, w := range ns {
-		if w == v {
-			ns[i] = ns[len(ns)-1]
-			if len(ns) == 1 {
-				delete(adj, u)
-			} else {
-				adj[u] = ns[:len(ns)-1]
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// DelEdge records the deletion of base edge (u,v) from shard s.
-func (d *Delta) DelEdge(s int, u, v graph.Vertex) {
-	d.dels[s][graph.PackEdge(u, v)] = struct{}{}
-	d.delN[s]++
-}
-
-// HasDel reports whether base edge (u,v) is already deleted on shard s.
-func (d *Delta) HasDel(s int, u, v graph.Vertex) bool {
-	_, ok := d.dels[s][graph.PackEdge(u, v)]
-	return ok
-}
-
-// HasAdd reports whether the overlay holds an insertion of (u,v) on shard s.
-func (d *Delta) HasAdd(s int, u, v graph.Vertex) bool {
-	for _, w := range d.adds[s][u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
-// AddedEdges returns the total overlay insertions across shards.
-func (d *Delta) AddedEdges() int64 {
-	var t int64
-	for _, n := range d.addN {
-		t += n
-	}
-	return t
-}
-
-// DeletedEdges returns the total overlay deletions across shards.
-func (d *Delta) DeletedEdges() int64 {
-	var t int64
-	for _, n := range d.delN {
-		t += n
-	}
-	return t
-}
-
-// Clone deep-copies the overlay — the publish path, so readers of the
-// frozen epoch never race the writer's continuing mutations.
-func (d *Delta) Clone() *Delta {
-	c := &Delta{
-		adds: make([]map[graph.Vertex][]graph.Vertex, len(d.adds)),
-		dels: make([]map[uint64]struct{}, len(d.dels)),
-		addN: slices.Clone(d.addN),
-		delN: slices.Clone(d.delN),
-		maxV: d.maxV,
-	}
-	for s := range d.adds {
-		c.adds[s] = make(map[graph.Vertex][]graph.Vertex, len(d.adds[s]))
-		for v, ns := range d.adds[s] {
-			c.adds[s][v] = slices.Clone(ns)
-		}
-		c.dels[s] = make(map[uint64]struct{}, len(d.dels[s]))
-		for k := range d.dels[s] {
-			c.dels[s][k] = struct{}{}
-		}
-	}
-	return c
-}
-
 // Epoch is one immutable snapshot of the graph: a base Store plus a frozen
-// Delta (nil for a compacted epoch, and for the view every Store queries
-// through). Safe for concurrent use; queries resolve against
-// base-minus-deletions plus insertions and count into the base's Metrics.
+// overlay (nil for a compacted epoch, and for the view every Store queries
+// through). Safe for concurrent use; queries resolve against the base with
+// every edge the overlay names shadowed, plus the overlay's live edges, and
+// count into the base's Metrics.
 type Epoch struct {
 	base        *Store
-	delta       *Delta
+	ov          *overlay
 	seq         uint64
 	numVertices uint32
+
+	canonOnce sync.Once
+	canon     *run // ov.canonical(), built by the first ShardEdgesPacked
 }
 
-// NewEpoch freezes (base, delta) into snapshot number seq. delta may be
-// nil; the caller must not mutate it afterwards (clone first).
-func NewEpoch(base *Store, delta *Delta, seq uint64) *Epoch {
-	n := base.numVertices
-	if delta != nil && uint32(delta.maxV) > n {
-		n = uint32(delta.maxV)
-	}
-	return &Epoch{base: base, delta: delta, seq: seq, numVertices: n}
+// newEpoch freezes (base, ov) into snapshot number seq; ov may be nil.
+func newEpoch(base *Store, ov *overlay, seq uint64) *Epoch {
+	return &Epoch{base: base, ov: ov, seq: seq, numVertices: base.numVertices}
 }
 
 // Seq returns the epoch's publish sequence number.
@@ -322,8 +189,8 @@ func (e *Epoch) NumShards() int { return len(e.base.shards) }
 // ShardEdges returns the live edge count of shard s.
 func (e *Epoch) ShardEdges(s int) int64 {
 	n := e.base.shards[s].edges
-	if e.delta != nil {
-		n += e.delta.addN[s] - e.delta.delN[s]
+	if e.ov != nil {
+		n += e.ov.addN[s] - e.ov.delN[s]
 	}
 	return n
 }
@@ -331,11 +198,14 @@ func (e *Epoch) ShardEdges(s int) int64 {
 // OverlayEdges returns the overlay's (insertions, deletions) totals — the
 // compaction debt of this epoch.
 func (e *Epoch) OverlayEdges() (added, deleted int64) {
-	if e.delta == nil {
+	if e.ov == nil {
 		return 0, 0
 	}
-	return e.delta.AddedEdges(), e.delta.DeletedEdges()
+	return e.ov.mutations()
 }
+
+// entryPool keeps the scratch overlay queries resolve a vertex's entries in.
+var entryPool = sync.Pool{New: func() any { return new(entryScratch) }}
 
 // Replicas returns the shards holding a live copy of v, sorted by shard
 // id. Base replica lists are not shrunk by overlay deletions until
@@ -343,7 +213,12 @@ func (e *Epoch) OverlayEdges() (added, deleted int64) {
 // adjacency), it just costs a fetch; compaction removes it.
 func (e *Epoch) Replicas(v graph.Vertex) []int32 {
 	base, _ := e.baseReplicas(v)
-	extra := e.overlayShards(nil, v, base)
+	if e.ov == nil {
+		return base
+	}
+	sc := entryPool.Get().(*entryScratch)
+	extra := overlayShards(nil, e.ov.entriesOf(v, sc), base)
+	entryPool.Put(sc)
 	if len(extra) == 0 {
 		return base
 	}
@@ -361,71 +236,9 @@ func (e *Epoch) baseReplicas(v graph.Vertex) ([]int32, []uint32) {
 	return e.base.replicas.Of(v)
 }
 
-// overlayShards appends to dst the shards where only the overlay holds v:
-// those with insertions at v that are not among v's base replicas.
-func (e *Epoch) overlayShards(dst []int32, v graph.Vertex, base []int32) []int32 {
-	if e.delta == nil {
-		return dst
-	}
-	for s, adds := range e.delta.adds {
-		if len(adds[v]) == 0 {
-			continue
-		}
-		if _, found := slices.BinarySearch(base, int32(s)); !found {
-			dst = append(dst, int32(s))
-		}
-	}
-	return dst
-}
-
 // noSlot stands for a shard that holds no base copy of the vertex: only
 // overlay insertions.
 const noSlot = ^uint32(0)
-
-// shardNeighborsInto appends v's live neighbors on shard s to out: the base
-// adjacency at slot l minus deleted edges, plus overlay insertions.
-func (e *Epoch) shardNeighborsInto(s int, l uint32, v graph.Vertex, out []graph.Vertex) []graph.Vertex {
-	if l != noSlot {
-		base := e.base.shards[s].neighborsOf(l)
-		if e.delta == nil || len(e.delta.dels[s]) == 0 {
-			out = append(out, base...)
-		} else {
-			for _, w := range base {
-				if _, dead := e.delta.dels[s][graph.PackEdge(v, w)]; !dead {
-					out = append(out, w)
-				}
-			}
-		}
-	}
-	if e.delta != nil {
-		out = append(out, e.delta.adds[s][v]...)
-	}
-	return out
-}
-
-// ShardHasEdge reports whether shard s holds the live edge (u,v): inserted
-// in the overlay, or present in the base and not deleted. Cost is one scan
-// of u's local base adjacency, so callers pass the lower-degree endpoint
-// as u.
-func (e *Epoch) ShardHasEdge(s int, u, v graph.Vertex) bool {
-	if e.delta != nil && e.delta.HasAdd(s, u, v) {
-		return true
-	}
-	if u >= e.base.numVertices {
-		return false
-	}
-	reps, slots := e.base.replicas.Of(u)
-	i, ok := slices.BinarySearch(reps, int32(s))
-	if !ok {
-		return false
-	}
-	for _, w := range e.base.shards[s].neighborsOf(slots[i]) {
-		if w == v {
-			return e.delta == nil || !e.delta.HasDel(s, u, v)
-		}
-	}
-	return false
-}
 
 // errVertex reports v outside the epoch's vertex range.
 func (e *Epoch) errVertex(v graph.Vertex) error {
@@ -441,40 +254,63 @@ func (e *Epoch) Neighbors(v graph.Vertex) ([]graph.Vertex, error) {
 	if v >= e.numVertices {
 		return nil, e.errVertex(v)
 	}
-	var out []graph.Vertex
 	reps, slots := e.baseReplicas(v)
-	if e.delta == nil {
-		// One allocation of the exact size; an overlay's live degree
-		// would cost a scan of the deletions, so overlays grow as they go.
-		var n int64
-		for i, s := range reps {
-			n += e.base.shards[s].degreeOf(slots[i])
-		}
-		out = slices.Grow(out, int(n))
+	if e.ov != nil {
+		return e.overlayNeighbors(v, reps, slots), nil
 	}
+	// One allocation of the exact size.
+	var n int64
+	for i, s := range reps {
+		n += e.base.shards[s].degreeOf(slots[i])
+	}
+	out := slices.Grow([]graph.Vertex(nil), int(n))
 	for i, s := range reps {
 		m.touchShard(int(s))
-		out = e.shardNeighborsInto(int(s), slots[i], v, out)
+		out = append(out, e.base.shards[s].neighborsOf(slots[i])...)
 	}
-	extra := e.overlayShards(nil, v, reps)
+	m.addHops(crossHops(len(reps)))
+	slices.Sort(out)
+	return out, nil
+}
+
+// overlayNeighbors is Neighbors on an epoch with an overlay: each base copy
+// of v minus the edges the overlay shadows, plus the overlay's live edges at
+// v, whose shards outside reps cost a fetch each.
+func (e *Epoch) overlayNeighbors(v graph.Vertex, reps []int32, slots []uint32) []graph.Vertex {
+	m := &e.base.metrics
+	sc := entryPool.Get().(*entryScratch)
+	defer entryPool.Put(sc)
+	ents := e.ov.entriesOf(v, sc)
+	var out []graph.Vertex
+	for i, s := range reps {
+		m.touchShard(int(s))
+		out = appendLive(out, e.base.shards[s].neighborsOf(slots[i]), ents)
+	}
+	extra := overlayShards(nil, ents, reps)
 	for _, s := range extra {
 		m.touchShard(int(s))
-		out = e.shardNeighborsInto(int(s), noSlot, v, out)
+	}
+	for _, en := range ents {
+		if en.owner != dead {
+			out = append(out, en.w)
+		}
 	}
 	m.addHops(crossHops(len(reps) + len(extra)))
 	slices.Sort(out)
-	return out, nil
+	return out
 }
 
 // KHop runs a level-synchronous BFS from v to depth k on the caller's
 // goroutine. Each level the frontier is routed to every shard holding a copy
 // of a frontier vertex, and each touched shard scans its live adjacency
-// (base through the deletion filter, plus overlay insertions) for the
-// frontier vertices routed to it. The routing is where a partitioning's
-// replication factor becomes serving cost: every mirror of a frontier vertex
-// is one extra shard fetch, every touched shard one scan task. A base copy
-// is routed as its slot on the shard, read off the replica index, so the
-// scan goes straight to its adjacency.
+// (base minus the edges the overlay shadows, plus the overlay's live edges
+// on it) for the frontier vertices routed to it. The routing is where a
+// partitioning's replication factor becomes serving cost: every mirror of a
+// frontier vertex is one extra shard fetch, every touched shard one scan
+// task. A base copy is routed as its slot on the shard, read off the replica
+// index, so the scan goes straight to its adjacency; a frontier vertex with
+// overlay entries has them resolved once, at routing, and each of its
+// shards reads them from there.
 //
 // A level is found in two steps. The scans OR every neighbour they reach
 // into a dense level bitset, visited or not, with no test per edge; then
@@ -503,7 +339,7 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 	sc := getKHopScratch(e.numVertices, numShards)
 	defer sc.release(res)
 	sc.visited[v/64] |= 1 << (v % 64)
-	slotsOn, overlayOn := sc.slots[:numShards], sc.overlay[:numShards]
+	slotsOn, routesOn := sc.slots[:numShards], sc.routes[:numShards]
 
 	// res.Vertices[start:] is the frontier: the level reached last.
 	for depth, start := int32(1), 0; int(depth) <= k && start < len(res.Vertices); depth++ {
@@ -514,28 +350,32 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 		// must scan its share of the adjacency, since each shard holds a
 		// disjoint subset of the incident edges.
 		for s := range slotsOn {
-			slotsOn[s], overlayOn[s] = slotsOn[s][:0], overlayOn[s][:0]
+			slotsOn[s], routesOn[s] = slotsOn[s][:0], routesOn[s][:0]
 		}
+		sc.ents = sc.ents[:0]
+		// The level's marks fall in words lo..hi of the level bitset; none
+		// when lo > hi.
+		lo, hi := len(sc.level), -1
 		for _, u := range res.Vertices[start:] {
 			reps, slots := e.baseReplicas(u)
-			for i, s := range reps {
-				slotsOn[s] = append(slotsOn[s], slots[i])
+			routed := false
+			if e.ov != nil {
+				routed, lo, hi = e.routeOverlay(sc, u, reps, slots, res, lo, hi)
 			}
-			sc.extra = e.overlayShards(sc.extra[:0], u, reps)
-			for _, s := range sc.extra {
-				overlayOn[s] = append(overlayOn[s], u)
+			if !routed {
+				for i, s := range reps {
+					slotsOn[s] = append(slotsOn[s], slots[i])
+				}
+				res.CrossShardHops += crossHops(len(reps))
 			}
-			res.CrossShardHops += crossHops(len(reps) + len(sc.extra))
 		}
-		// The scans mark words lo..hi of the level bitset; none when lo > hi.
-		lo, hi := len(sc.level), -1
 		for s := range slotsOn {
-			if len(slotsOn[s]) == 0 && len(overlayOn[s]) == 0 {
+			if len(slotsOn[s]) == 0 && len(routesOn[s]) == 0 {
 				continue
 			}
 			res.ShardTasks++
 			m.touchShard(s)
-			lo, hi = e.scanShard(s, slotsOn[s], overlayOn[s], sc.level, lo, hi)
+			lo, hi = e.scanShard(s, slotsOn[s], routesOn[s], sc.ents, sc.level, lo, hi)
 		}
 		start = len(res.Vertices)
 		sc.appendLevel(res, depth, lo, hi)
@@ -551,36 +391,71 @@ func (e *Epoch) KHop(ctx context.Context, v graph.Vertex, k int) (*KHopResult, e
 	return res, nil
 }
 
-// scanShard marks in level every live neighbour on shard s of the frontier:
-// the base adjacency at each routed slot read in place, minus deleted edges,
-// plus overlay insertions, and the insertions of the frontier vertices us
-// that only the overlay holds on s. It is shardNeighborsInto without the copy
-// into a buffer. Marks are not tested against visited, and the word range
-// [lo, hi] comes back widened to cover every one of them.
-func (e *Epoch) scanShard(s int, slots []uint32, us []graph.Vertex, level []uint64, lo, hi int) (int, int) {
-	sh := e.base.shards[s]
-	if e.delta == nil {
-		for _, l := range slots {
-			lo, hi = markAll(level, sh.neighborsOf(l), lo, hi)
-		}
-		return lo, hi
+// route is one frontier vertex with overlay entries, routed to a shard
+// holding a base copy of it: its slot there and its entries, ents[lo:hi] of
+// the level's scratch. A route with noSlot only makes the shard a task: the
+// overlay alone holds the vertex there.
+type route struct {
+	slot   uint32
+	lo, hi int32
+}
+
+// routeOverlay routes frontier vertex u, held at slots on its base replicas
+// reps, when the overlay has entries for it, and reports whether it did. The
+// entries are resolved once: routing marks u's live overlay edges in level
+// itself, whatever shard holds them, and each base replica gets a route to
+// the entries, which shadow part of its adjacency. A shard where only the
+// overlay holds u is a task with nothing left to scan.
+func (e *Epoch) routeOverlay(sc *khopScratch, u graph.Vertex, reps []int32, slots []uint32, res *KHopResult, lo, hi int) (bool, int, int) {
+	ents := e.ov.entriesOf(u, &sc.entries)
+	if len(ents) == 0 {
+		return false, lo, hi
 	}
-	dels, adds := e.delta.dels[s], e.delta.adds[s]
+	for _, en := range ents {
+		if en.owner != dead {
+			lo, hi = mark(sc.level, en.w, lo, hi)
+		}
+	}
+	from := int32(len(sc.ents))
+	if len(reps) > 0 {
+		sc.ents = append(sc.ents, ents...)
+	}
+	to := int32(len(sc.ents))
+	for i, s := range reps {
+		sc.routes[s] = append(sc.routes[s], route{slots[i], from, to})
+	}
+	sc.extra = overlayShards(sc.extra[:0], ents, reps)
+	for _, s := range sc.extra {
+		sc.routes[s] = append(sc.routes[s], route{slot: noSlot})
+	}
+	res.CrossShardHops += crossHops(len(reps) + len(sc.extra))
+	return true, lo, hi
+}
+
+// scanShard marks in level every base neighbour on shard s of the frontier
+// that is live: the base adjacency at each routed slot read in place, and
+// at each route, the base adjacency less the edges its overlay entries
+// shadow (routing marked the overlay's own live edges). It is Neighbors
+// without the copy into a buffer. Marks are not tested against visited, and
+// the word range [lo, hi] comes back widened to cover every one of them.
+func (e *Epoch) scanShard(s int, slots []uint32, routes []route, ents []entry, level []uint64, lo, hi int) (int, int) {
+	sh := e.base.shards[s]
 	for _, l := range slots {
-		u := sh.verts[l]
-		if len(dels) == 0 {
-			lo, hi = markAll(level, sh.neighborsOf(l), lo, hi)
-		} else {
-			for _, w := range sh.neighborsOf(l) {
-				if _, dead := dels[graph.PackEdge(u, w)]; !dead {
-					lo, hi = mark(level, w, lo, hi)
-				}
+		lo, hi = markAll(level, sh.neighborsOf(l), lo, hi)
+	}
+	for _, rt := range routes {
+		if rt.slot == noSlot {
+			continue
+		}
+		own, j := ents[rt.lo:rt.hi], 0
+		for _, w := range sh.neighborsOf(rt.slot) {
+			for j < len(own) && own[j].w < w {
+				j++
+			}
+			if j == len(own) || own[j].w != w {
+				lo, hi = mark(level, w, lo, hi)
 			}
 		}
-		lo, hi = markAll(level, adds[u], lo, hi)
-	}
-	for _, u := range us {
-		lo, hi = markAll(level, adds[u], lo, hi)
 	}
 	return lo, hi
 }
@@ -602,14 +477,17 @@ func markAll(level []uint64, ws []graph.Vertex, lo, hi int) (int, int) {
 }
 
 // khopScratch is one KHop's working memory: the visited and level bitsets
-// over vertex ids, and the frontier routed to each shard — base copies as
-// slots, overlay-only copies as ids. While a level is scanned, level holds
-// every mark of the level, visited or not, until appendLevel settles it.
-// Between queries, in khopPool, every bit of both bitsets is clear.
+// over vertex ids, and the frontier routed to each shard — base copies
+// without overlay entries as slots, the rest as routes to their entries in
+// ents. While a level is scanned, level holds every mark of the level,
+// visited or not, until appendLevel settles it. Between queries, in
+// khopPool, every bit of both bitsets is clear.
 type khopScratch struct {
 	visited, level []uint64
 	slots          [][]uint32
-	overlay        [][]graph.Vertex
+	routes         [][]route
+	ents           []entry // the level's resolved overlay entries
+	entries        entryScratch
 	extra          []int32 // one frontier vertex's overlay-only shards
 }
 
@@ -628,7 +506,7 @@ func getKHopScratch(numVertices uint32, numShards int) *khopScratch {
 	sc.visited, sc.level = sc.visited[:words], sc.level[:words]
 	if len(sc.slots) < numShards {
 		sc.slots = make([][]uint32, numShards)
-		sc.overlay = make([][]graph.Vertex, numShards)
+		sc.routes = make([][]route, numShards)
 	}
 	return sc
 }
@@ -678,11 +556,21 @@ func (sc *khopScratch) appendLevel(res *KHopResult, depth int32, lo, hi int) {
 
 // ShardEdgesPacked returns shard s's live canonical edge list, sorted — the
 // compaction input. Base edges appear twice in the shard CSR (once per
-// endpoint), so only the u < w direction is emitted. The scan yields at the
-// first vertex boundary after each compactYieldStride base edges.
+// endpoint), so only the u < w direction is emitted, in ascending key order.
+// With an overlay, its canonical entries merge in as they come, each
+// shadowing the base copy of its edge and adding the edge when it lives on
+// s; the first call flattens them into one run that every later call on the
+// epoch, for any shard, reads. The scan yields at the first vertex boundary
+// after each compactYieldStride base edges.
 func (e *Epoch) ShardEdgesPacked(s int) []uint64 {
 	sh := e.base.shards[s]
 	out := make([]uint64, 0, e.ShardEdges(s))
+	ov := &run{}
+	if e.ov != nil {
+		e.canonOnce.Do(func() { e.canon = e.ov.canonical() })
+		ov = e.canon
+	}
+	j := 0
 	for l, u := range sh.verts {
 		if l > 0 && sh.off[l]/compactYieldStride != sh.off[l-1]/compactYieldStride {
 			runtime.Gosched()
@@ -692,23 +580,20 @@ func (e *Epoch) ShardEdgesPacked(s int) []uint64 {
 				continue
 			}
 			k := graph.PackEdge(u, w)
-			if e.delta != nil {
-				if _, dead := e.delta.dels[s][k]; dead {
-					continue
+			for ; j < len(ov.keys) && ov.keys[j] < k; j++ {
+				if ov.owner[j] == int32(s) {
+					out = append(out, ov.keys[j])
 				}
 			}
-			out = append(out, k)
-		}
-	}
-	if e.delta != nil {
-		for v, ns := range e.delta.adds[s] {
-			for _, w := range ns {
-				if v < w {
-					out = append(out, graph.PackEdge(v, w))
-				}
+			if j == len(ov.keys) || ov.keys[j] != k {
+				out = append(out, k)
 			}
 		}
 	}
-	slices.Sort(out)
+	for ; j < len(ov.keys); j++ {
+		if ov.owner[j] == int32(s) {
+			out = append(out, ov.keys[j])
+		}
+	}
 	return out
 }

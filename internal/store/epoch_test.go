@@ -95,71 +95,110 @@ func TestBuildFromShardsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// epochReference applies a delta's adds/dels to per-shard packed lists —
-// the from-scratch truth an Epoch must match.
-func applyDelta(packed [][]uint64, d *Delta) [][]uint64 {
-	out := make([][]uint64, len(packed))
-	for s := range packed {
-		for _, k := range packed[s] {
-			if _, dead := d.dels[s][k]; !dead {
-				out[s] = append(out[s], k)
-			}
-		}
-		for v, ns := range d.adds[s] {
-			for _, w := range ns {
-				if v < w {
-					out[s] = append(out[s], graph.PackEdge(v, w))
-				}
-			}
-		}
-		slices.Sort(out[s])
-	}
-	return out
-}
-
-// randomDelta mutates the base whose per-shard packed lists are packed and
-// whose |V| is n: it deletes each base edge with probability 1/delOneIn
-// (none when delOneIn is 0), then tries adds seeded insertions between ids
-// below n+mint, so mint > 0 names vertex ids beyond the base. An insertion
-// of an edge some shard still holds is skipped: an edge lives on one shard.
-func randomDelta(packed [][]uint64, n graph.Vertex, delOneIn, adds, mint int, seed int64) *Delta {
+// randomOverlay mutates the base store over the per-shard packed lists
+// packed, whose |V| is n, through a Writer, and returns the resulting epoch
+// with the live edges per shard that a plain map model of the same
+// mutations holds: the from-scratch truth the epoch must match. It deletes
+// each base edge with probability 1/delOneIn (none when delOneIn is 0), then
+// tries adds seeded insertions between ids below n+mint, so mint > 0 names
+// vertex ids beyond the base; an insertion of a live edge is skipped, since
+// an edge lives on one shard. Then, as many times as it inserted, it picks a
+// base edge or an inserted one: a live one it deletes or moves to another
+// shard, a deleted one it re-inserts on another shard. Every 61st mutation is
+// preceded by an epoch, which seals the pending mutations into a run, so the
+// returned epoch spans several runs and the mutations of one edge span runs.
+// Before each mutation, the writer's owner of the edge must be the model's.
+func randomOverlay(t testing.TB, base *Store, packed [][]uint64, n graph.Vertex, delOneIn, adds, mint int, seed int64) (*Epoch, [][]uint64) {
+	t.Helper()
 	numShards := len(packed)
 	rng := rand.New(rand.NewSource(seed))
-	d := NewDelta(numShards)
+	w := NewWriter(base)
+	live := map[uint64]int{}
+	for s, keys := range packed {
+		for _, k := range keys {
+			live[k] = s
+		}
+	}
+	ops := 0
+	owner := func(k uint64) int {
+		t.Helper()
+		e := graph.UnpackEdge(k)
+		s, ok := live[k]
+		if !ok {
+			s = int(dead)
+		}
+		if got := w.Owner(e.U, e.V); int(got) != s {
+			t.Fatalf("writer owner of (%d,%d) = %d, model %d", e.U, e.V, got, s)
+		}
+		if ops++; ops%61 == 0 {
+			w.Epoch(0)
+		}
+		return s
+	}
 	for s := 0; s < numShards && delOneIn > 0; s++ {
 		for _, k := range packed[s] {
 			if rng.Intn(delOneIn) == 0 {
+				owner(k)
 				e := graph.UnpackEdge(k)
-				d.DelEdge(s, e.U, e.V)
+				w.Remove(s, e.U, e.V)
+				delete(live, k)
 			}
 		}
 	}
+	var inserted []uint64
 	for i := 0; i < adds; i++ {
 		u := graph.Vertex(rng.Intn(int(n)))
 		v := graph.Vertex(rng.Intn(int(n) + mint))
 		if u == v {
 			continue
 		}
-		s := rng.Intn(numShards)
-		if u > v {
-			u, v = v, u
-		}
-		held := false
-		for t := range packed {
-			held = held || d.HasAdd(t, u, v) || slices.Contains(packed[t], graph.PackEdge(u, v)) && !d.HasDel(t, u, v)
-		}
-		if held {
+		u, v = min(u, v), max(u, v)
+		k := graph.PackEdge(u, v)
+		if owner(k) != int(dead) {
 			continue
 		}
-		d.AddEdge(s, u, v)
+		s := rng.Intn(numShards)
+		w.Add(s, u, v)
+		live[k] = s
+		inserted = append(inserted, k)
 	}
-	return d
+	baseKeys := slices.Concat(packed...)
+	for range inserted {
+		pool := inserted
+		if len(baseKeys) > 0 && rng.Intn(2) == 0 {
+			pool = baseKeys
+		}
+		k := pool[rng.Intn(len(pool))]
+		e := graph.UnpackEdge(k)
+		switch s := owner(k); {
+		case s == int(dead):
+			to := rng.Intn(numShards)
+			w.Add(to, e.U, e.V)
+			live[k] = to
+		case numShards == 1 || rng.Intn(2) == 0:
+			w.Remove(s, e.U, e.V)
+			delete(live, k)
+		default:
+			to := (s + 1 + rng.Intn(numShards-1)) % numShards
+			w.Remove(s, e.U, e.V)
+			w.Add(to, e.U, e.V)
+			live[k] = to
+		}
+	}
+	want := make([][]uint64, numShards)
+	for k, s := range live {
+		want[s] = append(want[s], k)
+	}
+	for _, ks := range want {
+		slices.Sort(ks)
+	}
+	return w.Epoch(1), want
 }
 
-// overlayGraph is the whole graph an epoch over packed with delta d serves:
-// the delta-applied edge set on the epoch's vertex range.
-func overlayGraph(ep *Epoch, packed [][]uint64, d *Delta) *graph.Graph {
-	return graph.FromPacked(ep.NumVertices(), slices.Concat(applyDelta(packed, d)...))
+// overlayGraph is the whole graph an epoch with live edges want per shard
+// serves, on the epoch's vertex range.
+func overlayGraph(ep *Epoch, want [][]uint64) *graph.Graph {
+	return graph.FromPacked(ep.NumVertices(), slices.Concat(want...))
 }
 
 // TestEpochOverlayMatchesRebuild: an epoch's every query must agree with a
@@ -177,10 +216,7 @@ func TestEpochOverlayMatchesRebuild(t *testing.T) {
 	// Mutate: delete a seeded sample of base edges, insert fresh edges —
 	// some between existing vertices, some minting new vertex ids.
 	n := g.NumVertices()
-	d := randomDelta(packed, n, 10, 500, 40, 5)
-
-	ep := NewEpoch(base, d.Clone(), 1)
-	want := applyDelta(packed, d)
+	ep, want := randomOverlay(t, base, packed, n, 10, 500, 40, 5)
 	ref, err := BuildFromShards(ep.NumVertices(), want)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +275,10 @@ func compact(ep *Epoch) (*Store, error) {
 }
 
 // TestDeltaRemoveAddCancels: retracting an overlay insertion restores the
-// exact prior state, so (add, del) pairs of the same edge cancel.
+// exact prior state, so (add, del) pairs of the same edge cancel, whether
+// the deletion meets the insertion among the pending mutations or in a run
+// an earlier epoch sealed; and an epoch pinned between the two keeps the
+// edge.
 func TestDeltaRemoveAddCancels(t *testing.T) {
 	g := gen.ER(200, 800, 9)
 	packed := shardPacked(g, 3, 2)
@@ -247,27 +286,43 @@ func TestDeltaRemoveAddCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDelta(3)
-	if d.RemoveAdd(0, 5, 9) {
-		t.Fatal("removed a nonexistent add")
+	u, v := graph.Vertex(5), graph.Vertex(9)
+	for base.owner(u, v) != dead {
+		v++
 	}
-	d.AddEdge(1, 5, 9)
-	if !d.HasAdd(1, 5, 9) {
-		t.Fatal("add not visible")
+	w := NewWriter(base)
+	w.Add(0, u, v)
+	w.Remove(0, u, v)
+	if q := w.Owner(u, v); q != dead {
+		t.Fatalf("retracted pending insertion still owned by %d", q)
 	}
-	if !d.RemoveAdd(1, 5, 9) {
-		t.Fatal("failed to retract the add")
+	w.Add(1, u, v)
+	if q := w.Owner(u, v); q != 1 {
+		t.Fatalf("add not visible: owner %d, want 1", q)
 	}
-	if d.AddedEdges() != 0 || d.HasAdd(1, 5, 9) {
-		t.Fatal("retraction left residue")
+	pinned := w.Epoch(1)
+	w.Remove(1, u, v)
+	if added, deleted := w.Mutations(); added != 0 || deleted != 0 || w.Owner(u, v) != dead {
+		t.Fatalf("retraction left residue: %d added, %d deleted, owner %d", added, deleted, w.Owner(u, v))
 	}
-	ep := NewEpoch(base, d, 1)
-	for v := graph.Vertex(0); v < base.NumVertices(); v++ {
-		ne, _ := ep.Neighbors(v)
-		nb, _ := base.Neighbors(v)
-		if !slices.Equal(ne, nb) {
-			t.Fatalf("neighbors[%d] drifted: %v vs %v", v, ne, nb)
+	ep := w.Epoch(2)
+	if added, deleted := ep.OverlayEdges(); added != 0 || deleted != 0 {
+		t.Fatalf("epoch overlay debt %d/%d, want none", added, deleted)
+	}
+	for s := 0; s < 3; s++ {
+		if !slices.Equal(ep.ShardEdgesPacked(s), packed[s]) || ep.ShardEdges(s) != base.ShardEdges(s) {
+			t.Fatalf("shard %d drifted from the base", s)
 		}
+	}
+	for x := graph.Vertex(0); x < base.NumVertices(); x++ {
+		ne, _ := ep.Neighbors(x)
+		nb, _ := base.Neighbors(x)
+		if !slices.Equal(ne, nb) {
+			t.Fatalf("neighbors[%d] drifted: %v vs %v", x, ne, nb)
+		}
+	}
+	if ns, _ := pinned.Neighbors(u); !slices.Contains(ns, v) {
+		t.Fatalf("epoch pinned before the retraction lost (%d,%d): %v", u, v, ns)
 	}
 }
 
@@ -280,9 +335,9 @@ func TestEpochQueriesCountIntoBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDelta(4)
-	d.AddEdge(2, 3, g.NumVertices()+1) // mints a vertex beyond the base
-	ep := NewEpoch(base, d, 1)
+	w := NewWriter(base)
+	w.Add(2, 3, g.NumVertices()+1) // mints a vertex beyond the base
+	ep := w.Epoch(1)
 	ctx := context.Background()
 	if _, err := ep.Neighbors(3); err != nil {
 		t.Fatal(err)

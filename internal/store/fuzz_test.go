@@ -102,12 +102,18 @@ func fileBytes(t testing.TB, dir string) [][]byte {
 
 // FuzzKHop is a differential target for KHop. The input's first four bytes
 // give |V| (1–256), the shard count (1–8), k (0–4) and the source; each
-// following triple (op, u, v) names an edge and what happens to it. In a
-// first pass, ops 0 and 1 put the edge in the base on shard op>>2. In a
-// second pass, op 2 inserts it in the overlay on shard op>>2 (ids up to
-// |V|+7, so some are minted beyond the base), and op 3 deletes it, from the
-// overlay if it was inserted there, else from the base. KHop on the epoch,
-// and on its base alone, must equal bfsOracle, and leave the scratch clean.
+// following triple (op, u, v) names an edge and what happens to it: op%4
+// is the kind, bits 2–6 name a shard (mod the shard count), and the top bit
+// a publish point. In a first pass, kinds 0 and 1 put the edge in the base
+// on its shard. In a second pass through a Writer, an op with the top bit
+// set first takes an epoch, which seals the pending mutations into a run;
+// then kind 2 puts the edge on its shard, inserting it (ids up to |V|+7, so
+// some are minted beyond the base) or moving it there from another shard,
+// and kind 3 deletes it wherever it lives. So an edge's insertion, deletion,
+// re-insertion and moves land in different runs. Before each mutation the
+// writer must name the edge's owner as a map model does. KHop on the epoch,
+// and on its base alone, must equal bfsOracle, and leave the scratch clean;
+// each shard of the epoch must list the model's edges.
 //
 // Run locally with:
 //
@@ -138,7 +144,7 @@ func FuzzKHop(f *testing.F) {
 		ops := data[4:]
 		ops = ops[:len(ops)/3*3]
 
-		baseShard := map[uint64]int{}
+		live := map[uint64]int32{}
 		packed := make([][]uint64, numShards)
 		for i := 0; i < len(ops); i += 3 {
 			u, v := graph.Vertex(ops[i+1])%n, graph.Vertex(ops[i+2])%n
@@ -146,9 +152,9 @@ func FuzzKHop(f *testing.F) {
 				continue
 			}
 			key := graph.PackEdge(min(u, v), max(u, v))
-			if _, dup := baseShard[key]; !dup {
-				s := int(ops[i]>>2) % numShards
-				baseShard[key] = s
+			if _, dup := live[key]; !dup {
+				s := int(ops[i]>>2&31) % numShards
+				live[key] = int32(s)
 				packed[s] = append(packed[s], key)
 			}
 		}
@@ -160,34 +166,53 @@ func FuzzKHop(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		d := NewDelta(numShards)
-		addShard := map[uint64]int{}
+		w := NewWriter(st)
 		for i := 0; i < len(ops); i += 3 {
+			op := ops[i]
 			u, v := graph.Vertex(ops[i+1])%(n+7), graph.Vertex(ops[i+2])%(n+7)
-			if ops[i]%4 < 2 || u == v {
+			if op%4 < 2 || u == v {
 				continue
+			}
+			if op&0x80 != 0 {
+				w.Epoch(0)
 			}
 			u, v = min(u, v), max(u, v)
 			key := graph.PackEdge(u, v)
-			bs, inBase := baseShard[key]
-			baseLive := inBase && !d.HasDel(bs, u, v)
-			as, added := addShard[key]
+			q, isLive := live[key]
+			if !isLive {
+				q = dead
+			}
+			if got := w.Owner(u, v); got != q {
+				t.Fatalf("writer owner of (%d,%d) = %d, model %d", u, v, got, q)
+			}
+			s := int32(op>>2&31) % int32(numShards)
 			switch {
-			case ops[i]%4 == 2 && !baseLive && !added:
-				s := int(ops[i]>>2) % numShards
-				d.AddEdge(s, u, v)
-				addShard[key] = s
-			case ops[i]%4 == 3 && added:
-				d.RemoveAdd(as, u, v)
-				delete(addShard, key)
-			case ops[i]%4 == 3 && baseLive:
-				d.DelEdge(bs, u, v)
+			case op%4 == 2 && !isLive:
+				w.Add(int(s), u, v)
+				live[key] = s
+			case op%4 == 2 && q != s:
+				w.Remove(int(q), u, v)
+				w.Add(int(s), u, v)
+				live[key] = s
+			case op%4 == 3 && isLive:
+				w.Remove(int(q), u, v)
+				delete(live, key)
 			}
 		}
-		ep := NewEpoch(st, d, 1)
+		ep := w.Epoch(1)
+		want := make([][]uint64, numShards)
+		for key, s := range live {
+			want[s] = append(want[s], key)
+		}
+		for s := range want {
+			slices.Sort(want[s])
+			if got := ep.ShardEdgesPacked(s); !slices.Equal(got, want[s]) || ep.ShardEdges(s) != int64(len(want[s])) {
+				t.Fatalf("shard %d holds %v (count %d), model %v", s, got, ep.ShardEdges(s), want[s])
+			}
+		}
 		checkKHop(t, "base", st, graph.FromPacked(uint32(n), slices.Concat(packed...)), src, k)
 		checkScratchClean(t, "base")
-		checkKHop(t, "epoch", ep, overlayGraph(ep, packed, d), src, k)
+		checkKHop(t, "epoch", ep, overlayGraph(ep, want), src, k)
 		checkScratchClean(t, "epoch")
 	})
 }

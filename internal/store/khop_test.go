@@ -86,12 +86,11 @@ func TestKHopOverlayMatchesOracle(t *testing.T) {
 		{"minting adds and deletes", 8, 300, 60},
 	}
 	for _, tc := range cases {
-		d := randomDelta(packed, n, tc.delOneIn, tc.adds, tc.mint, 7)
-		ep := NewEpoch(base, d, 1)
+		ep, edges := randomOverlay(t, base, packed, n, tc.delOneIn, tc.adds, tc.mint, 7)
 		if tc.mint > 0 && ep.NumVertices() <= n {
 			t.Fatalf("%s: no vertex minted beyond %d", tc.name, n)
 		}
-		want := overlayGraph(ep, packed, d)
+		want := overlayGraph(ep, edges)
 		compacted, err := compact(ep)
 		if err != nil {
 			t.Fatal(err)
@@ -119,9 +118,8 @@ func TestKHopScratchAcrossSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	bigSt := buildRandom(t, big, 6, 4)
-	d := randomDelta(smallPacked, small.NumVertices(), 5, 200, 900, 5)
-	grown := NewEpoch(smallSt, d, 1) // larger than its base
-	grownG := overlayGraph(grown, smallPacked, d)
+	grown, edges := randomOverlay(t, smallSt, smallPacked, small.NumVertices(), 5, 200, 900, 5) // larger than its base
+	grownG := overlayGraph(grown, edges)
 
 	targets := []struct {
 		name string
@@ -206,15 +204,14 @@ func checkKHopOnVisited(t *testing.T, g *graph.Graph, srcs []graph.Vertex) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := randomDelta(packed, n, 5, 100, 20, int64(parts))
-		ep := NewEpoch(st, d, 1)
+		ep, edges := randomOverlay(t, st, packed, n, 5, 100, 20, int64(parts))
 		targets := []struct {
 			name string
 			q    khopper
 			g    *graph.Graph
 		}{
 			{fmt.Sprintf("%d shards/base", parts), st, g},
-			{fmt.Sprintf("%d shards/overlay", parts), ep, overlayGraph(ep, packed, d)},
+			{fmt.Sprintf("%d shards/overlay", parts), ep, overlayGraph(ep, edges)},
 		}
 		for _, tg := range targets {
 			for _, src := range srcs {
@@ -245,7 +242,7 @@ func BenchmarkKHop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ep := NewEpoch(st, randomDelta(packed, n, 20, 2000, 100, 3), 1)
+	ep, _ := randomOverlay(b, st, packed, n, 20, 2000, 100, 3)
 
 	serve := gen.RMAT(15, 16, 1)
 	cfg := dne.DefaultConfig()

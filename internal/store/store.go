@@ -10,9 +10,11 @@
 // edges and replicas with one dense per-vertex scratch (BuildFromShards).
 //
 // A Store is the immutable base. Queries resolve once, on an Epoch: a base
-// plus an optional overlay of edge insertions and deletions (epoch.go). The
-// Store's own queries run on an Epoch with an empty overlay, so a resident
-// store and a live graph share one read path and one set of counters.
+// plus an optional overlay of edge insertions and deletions, a few immutable
+// sorted runs that a Writer seals and consecutive epochs share (epoch.go,
+// overlay.go). The Store's own queries run on an Epoch with no overlay, so
+// a resident store and a live graph share one read path and one set of
+// counters.
 //
 // The offline partitioners in this repository minimize replication factor
 // (Eq. 1 of the paper); the store turns that static metric into a measured
@@ -136,7 +138,7 @@ func (st *Store) checkDisjoint(v graph.Vertex, reps []int32, slots []uint32, mar
 // empty-overlay Epoch the queries run on.
 func (st *Store) serve() *Store {
 	st.metrics.init(len(st.shards))
-	st.view = NewEpoch(st, nil, 0)
+	st.view = newEpoch(st, nil, 0)
 	return st
 }
 
@@ -171,6 +173,37 @@ func (st *Store) Replicas(v graph.Vertex) []int32 {
 	}
 	reps, _ := st.replicas.Of(v)
 	return reps
+}
+
+// owner returns the shard whose base holds edge (u,v), in either order, or
+// dead. Only a shard holding both endpoints can hold the edge: on each, it
+// binary-searches the shorter of the two adjacencies.
+func (st *Store) owner(u, v graph.Vertex) int32 {
+	if u >= st.numVertices || v >= st.numVertices {
+		return dead
+	}
+	ru, su := st.replicas.Of(u)
+	rv, sv := st.replicas.Of(v)
+	for i, j := 0, 0; i < len(ru) && j < len(rv); {
+		switch {
+		case ru[i] < rv[j]:
+			i++
+		case ru[i] > rv[j]:
+			j++
+		default:
+			sh := st.shards[ru[i]]
+			adj, w := sh.neighborsOf(su[i]), v
+			if other := sh.neighborsOf(sv[j]); len(other) < len(adj) {
+				adj, w = other, u
+			}
+			if _, ok := slices.BinarySearch(adj, w); ok {
+				return ru[i]
+			}
+			i++
+			j++
+		}
+	}
+	return dead
 }
 
 // ReplicationFactor returns Σp |V(Ep)| / |V|, the paper's replication

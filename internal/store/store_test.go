@@ -297,8 +297,7 @@ func TestConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := randomDelta(packed, g.NumVertices(), 6, 200, 30, 12)
-	ep := NewEpoch(st, d, 1)
+	ep, edges := randomOverlay(t, st, packed, g.NumVertices(), 6, 200, 30, 12)
 	type target interface {
 		Neighbors(graph.Vertex) ([]graph.Vertex, error)
 		KHop(context.Context, graph.Vertex, int) (*KHopResult, error)
@@ -306,7 +305,7 @@ func TestConcurrentQueries(t *testing.T) {
 	targets := []struct {
 		q target
 		g *graph.Graph
-	}{{st, g}, {ep, overlayGraph(ep, packed, d)}}
+	}{{st, g}, {ep, overlayGraph(ep, edges)}}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
