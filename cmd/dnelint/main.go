@@ -1,36 +1,28 @@
 // Command dnelint is the repository's multichecker: it runs the
-// internal/lint analyzer suite (maprange, seedrand, cappedalloc, ctxloop,
-// obsname) over package patterns and exits non-zero on any unsuppressed
-// finding. It runs in CI next to go vet.
+// internal/lint analyzer suite (maprange, cappedalloc, obsname) over package
+// patterns and exits non-zero on any finding. It runs in CI next to go vet.
 //
 // Usage:
 //
 //	go run ./cmd/dnelint ./...
-//	go run ./cmd/dnelint -analyzers maprange,obsname ./internal/graph
+//	go run ./cmd/dnelint ./internal/graph
 //
-// Findings are silenced site by site with a justified suppression comment
-// on the flagged line or the line above:
-//
-//	//lint:ordered <why>               (maprange only)
-//	//dnelint:ignore <analyzer> <why>  (any analyzer)
+// The one suppression is maprange's: a //lint:ordered <why> comment on the
+// flagged loop's line or the line above it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/distributedne/dne/internal/lint"
 )
 
 func main() {
-	var (
-		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-	)
+	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dnelint [-analyzers a,b] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: dnelint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -43,15 +35,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	var sel []string
-	if *analyzers != "" {
-		sel = strings.Split(*analyzers, ",")
-	}
-	suite, err := lint.ByName(sel)
-	if err != nil {
-		fatal(err)
 	}
 
 	patterns := flag.Args()
@@ -78,7 +61,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		diags, err := lint.RunAnalyzers(pkg, suite)
+		diags, err := lint.RunAnalyzers(pkg, lint.All())
 		if err != nil {
 			fatal(err)
 		}

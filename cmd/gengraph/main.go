@@ -45,15 +45,9 @@ import (
 )
 
 func main() {
+	spec := gen.Spec{Kind: "rmat", Scale: 16, EF: 16, N: 1 << 16, Alpha: 2.4, Rows: 200, Cols: 220, Seed: 42}
+	spec.RegisterFlags(flag.CommandLine)
 	var (
-		kind     = flag.String("kind", "rmat", "rmat | powerlaw | er | road | ringcomplete | star")
-		scale    = flag.Int("scale", 16, "rmat: 2^scale vertices")
-		ef       = flag.Int("ef", 16, "rmat/er: edge factor")
-		n        = flag.Int("n", 1<<16, "powerlaw/er/star: vertices; ringcomplete: clique size")
-		alpha    = flag.Float64("alpha", 2.4, "powerlaw scaling parameter")
-		rows     = flag.Int("rows", 200, "road: rows")
-		cols     = flag.Int("cols", 220, "road: cols")
-		seed     = flag.Int64("seed", 42, "random seed")
 		shards   = flag.Int("shards", 0, "write this many EShard files instead of a text edge list")
 		shardDir = flag.String("shard-dir", "", "directory for -shards output (created if missing)")
 		canon    = flag.Bool("canonical", false, "shard as canonical stripes (dedup+sorted; dnepart -stream output matches in-memory runs)")
@@ -75,23 +69,23 @@ func main() {
 			os.Exit(2)
 		}
 		if *canon {
-			if err := writeCanonicalShards(*kind, *scale, *ef, *n, *alpha, *rows, *cols, *seed, *shards, *shardDir, *compress); err != nil {
+			if err := writeCanonicalShards(spec, *shards, *shardDir, *compress); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		if err := writeShards(*kind, *scale, *ef, *n, *alpha, *rows, *cols, *seed, *shards, *shardDir); err != nil {
+		if err := writeShards(spec, *shards, *shardDir); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	g, err := materialize(*kind, *scale, *ef, *n, *alpha, *rows, *cols, *seed)
+	g, err := spec.Graph()
 	if err != nil {
 		fatal(err)
 	}
 	w := bufio.NewWriter(os.Stdout)
-	fmt.Fprintf(w, "# %s |V|=%d |E|=%d\n", *kind, g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(w, "# %s |V|=%d |E|=%d\n", spec.Kind, g.NumVertices(), g.NumEdges())
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
@@ -100,48 +94,30 @@ func main() {
 	}
 }
 
-func materialize(kind string, scale, ef, n int, alpha float64, rows, cols int, seed int64) (*graph.Graph, error) {
-	switch kind {
-	case "rmat":
-		return gen.RMAT(scale, ef, seed), nil
-	case "powerlaw":
-		return gen.PowerLaw(uint32(n), alpha, seed), nil
-	case "er":
-		return gen.ER(uint32(n), int64(n*ef), seed), nil
-	case "road":
-		return gen.Road(rows, cols, seed), nil
-	case "ringcomplete":
-		return gen.RingPlusComplete(n), nil
-	case "star":
-		return gen.Star(uint32(n)), nil
-	}
-	return nil, fmt.Errorf("unknown kind %q", kind)
-}
-
 // writeShards streams the generated edges across count shard files. rmat
 // and er stream straight from the generator (no full edge slice, memory
 // bounded by the writers' chunk buffers); other kinds materialize first.
-func writeShards(kind string, scale, ef, n int, alpha float64, rows, cols int, seed int64, count int, dir string) error {
+func writeShards(spec gen.Spec, count int, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	var numVertices uint32
 	var stream func(emit func(u, v uint32)) error
-	switch kind {
+	switch spec.Kind {
 	case "rmat":
-		numVertices = uint32(1) << scale
+		numVertices = uint32(1) << spec.Scale
 		stream = func(emit func(u, v uint32)) error {
-			gen.StreamRMAT(scale, ef, seed, emit)
+			gen.StreamRMAT(spec.Scale, spec.EF, spec.Seed, emit)
 			return nil
 		}
 	case "er":
-		numVertices = uint32(n)
+		numVertices = uint32(spec.N)
 		stream = func(emit func(u, v uint32)) error {
-			gen.StreamER(uint32(n), int64(n*ef), seed, emit)
+			gen.StreamER(uint32(spec.N), int64(spec.N*spec.EF), spec.Seed, emit)
 			return nil
 		}
 	default:
-		g, err := materialize(kind, scale, ef, n, alpha, rows, cols, seed)
+		g, err := spec.Graph()
 		if err != nil {
 			return err
 		}
@@ -185,15 +161,15 @@ func writeShards(kind string, scale, ef, n int, alpha float64, rows, cols int, s
 		return err
 	}
 	fmt.Printf("gengraph: %s |V|=%d raw-edges=%d -> %d shards in %s\n",
-		kind, numVertices, total, count, dir)
+		spec.Kind, numVertices, total, count, dir)
 	return nil
 }
 
 // writeCanonicalShards materializes the graph and stripes its canonical
 // edge list across count shard files (graph.WriteCanonicalShards, or the
 // compressed ESZ1 variant).
-func writeCanonicalShards(kind string, scale, ef, n int, alpha float64, rows, cols int, seed int64, count int, dir string, compress bool) error {
-	g, err := materialize(kind, scale, ef, n, alpha, rows, cols, seed)
+func writeCanonicalShards(spec gen.Spec, count int, dir string, compress bool) error {
+	g, err := spec.Graph()
 	if err != nil {
 		return err
 	}
@@ -205,7 +181,7 @@ func writeCanonicalShards(kind string, scale, ef, n int, alpha float64, rows, co
 		return err
 	}
 	fmt.Printf("gengraph: %s |V|=%d |E|=%d -> %d %s in %s\n",
-		kind, g.NumVertices(), g.NumEdges(), count, layout, dir)
+		spec.Kind, g.NumVertices(), g.NumEdges(), count, layout, dir)
 	return nil
 }
 

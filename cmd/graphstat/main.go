@@ -10,6 +10,7 @@
 //	graphstat -in graph.txt
 //	graphstat -shard-dir shards/               # EShard set, no conversion
 //	graphstat -kind road -rows 200 -cols 220   # non-skewed contrast
+//	graphstat -kind ringcomplete -n 8          # Theorem-2 construction
 //
 // -shard-dir inspects a directory of EShard files in place: the set is
 // validated exactly like every shard consumer (ReadShardDir's checks), and
@@ -41,23 +42,17 @@ import (
 )
 
 func main() {
+	spec := gen.Spec{Kind: "rmat", Scale: 14, EF: 16, N: 1 << 16, Alpha: 2.4, Rows: 200, Cols: 220, Seed: 42}
+	spec.RegisterFlags(flag.CommandLine)
 	var (
 		in       = flag.String("in", "", "edge-list file (overrides -kind)")
 		shardDir = flag.String("shard-dir", "", "EShard directory to inspect in place (overrides -kind)")
-		kind     = flag.String("kind", "rmat", "rmat | powerlaw | er | road | star")
-		scale    = flag.Int("scale", 14, "rmat: 2^scale vertices")
-		ef       = flag.Int("ef", 16, "rmat/er: edge factor")
-		n        = flag.Int("n", 1<<16, "powerlaw/er/star: vertices")
-		alpha    = flag.Float64("alpha", 2.4, "powerlaw scaling parameter")
-		rows     = flag.Int("rows", 200, "road: rows")
-		cols     = flag.Int("cols", 220, "road: cols")
-		seed     = flag.Int64("seed", 42, "random seed")
 		parts    = flag.Int("p", 256, "partition count for the bound table")
 		ccdf     = flag.Bool("ccdf", false, "also dump the degree CCDF (value<TAB>ccdf)")
 	)
 	flag.Parse()
 
-	degs, err := loadDegrees(*shardDir, *in, *kind, *scale, *ef, *n, *alpha, *rows, *cols, *seed)
+	degs, err := loadDegrees(*shardDir, *in, spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphstat:", err)
 		os.Exit(1)
@@ -100,7 +95,7 @@ func main() {
 // loadDegrees produces the non-zero degree sequence: from a streaming pass
 // over a shard directory (nothing materialized), or from a materialized
 // graph for the other inputs.
-func loadDegrees(shardDir, in, kind string, scale, ef, n int, alpha float64, rows, cols int, seed int64) ([]int64, error) {
+func loadDegrees(shardDir, in string, spec gen.Spec) ([]int64, error) {
 	if shardDir != "" {
 		src, err := graph.DirSource(shardDir)
 		if err != nil {
@@ -133,7 +128,7 @@ func loadDegrees(shardDir, in, kind string, scale, ef, n int, alpha float64, row
 			info.NumVertices, info.NumEdges, avg, maxDeg)
 		return degs, nil
 	}
-	g, err := load(in, kind, scale, ef, n, alpha, rows, cols, seed)
+	g, err := load(in, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -178,26 +173,14 @@ func printShardFiles(dir string) error {
 	return nil
 }
 
-func load(in, kind string, scale, ef, n int, alpha float64, rows, cols int, seed int64) (*graph.Graph, error) {
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadEdgeList(f)
+func load(in string, spec gen.Spec) (*graph.Graph, error) {
+	if in == "" {
+		return spec.Graph()
 	}
-	switch kind {
-	case "rmat":
-		return gen.RMAT(scale, ef, seed), nil
-	case "powerlaw":
-		return gen.PowerLaw(uint32(n), alpha, seed), nil
-	case "er":
-		return gen.ER(uint32(n), int64(n*ef), seed), nil
-	case "road":
-		return gen.Road(rows, cols, seed), nil
-	case "star":
-		return gen.Star(uint32(n)), nil
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown kind %q", kind)
+	defer f.Close()
+	return graph.ReadEdgeList(f)
 }

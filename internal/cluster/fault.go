@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"github.com/distributedne/dne/internal/dsa"
 )
 
 // Deterministic fault injection. FaultComm wraps a Comm and, following a
@@ -19,15 +21,6 @@ import (
 // ErrInjectedFault marks a failure manufactured by FaultComm or
 // FaultConfig.Dialer rather than observed on a real transport.
 var ErrInjectedFault = errors.New("cluster: injected fault")
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash used to
-// derive per-op fault decisions and backoff jitter deterministically.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // FaultConfig is a deterministic fault schedule. Rates are per-operation
 // probabilities in [0, 1], evaluated against the (Seed, rank, op-count)
@@ -97,7 +90,7 @@ func (f *FaultComm) step(tag Tag) {
 		panic(&ConnLostError{Tag: tag, Err: f.dead})
 	}
 	f.ops++
-	h := splitmix64(uint64(f.cfg.Seed) ^ uint64(f.Rank()+1)*0x9e3779b97f4a7c15 ^ f.ops*0xbf58476d1ce4e5b9)
+	h := dsa.SplitMix64(uint64(f.cfg.Seed) ^ uint64(f.Rank()+1)*0x9e3779b97f4a7c15 ^ f.ops*0xbf58476d1ce4e5b9)
 	kill := f.cfg.KillAtOp != 0 && f.ops == f.cfg.KillAtOp
 	if !kill && f.kills < f.cfg.MaxKills && roll(h, f.cfg.KillRate) {
 		kill = true
@@ -111,9 +104,9 @@ func (f *FaultComm) step(tag Tag) {
 		}
 		panic(&ConnLostError{Tag: tag, Err: f.dead})
 	}
-	if f.cfg.MaxDelay > 0 && roll(splitmix64(h), f.cfg.DelayRate) {
+	if f.cfg.MaxDelay > 0 && roll(dsa.SplitMix64(h), f.cfg.DelayRate) {
 		globalFT.injectedDelays.Add(1)
-		time.Sleep(time.Duration(splitmix64(h^0xd6e8feb8) % uint64(f.cfg.MaxDelay)))
+		time.Sleep(time.Duration(dsa.SplitMix64(h^0xd6e8feb8) % uint64(f.cfg.MaxDelay)))
 	}
 }
 
@@ -152,7 +145,7 @@ func (cfg FaultConfig) Dialer(rank int) func(ctx context.Context, network, addr 
 	var injected int
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
 		attempt++
-		h := splitmix64(uint64(cfg.Seed) ^ uint64(rank+1)*0x94d049bb133111eb ^ attempt*0x9e3779b97f4a7c15)
+		h := dsa.SplitMix64(uint64(cfg.Seed) ^ uint64(rank+1)*0x94d049bb133111eb ^ attempt*0x9e3779b97f4a7c15)
 		if (cfg.MaxDialFails <= 0 || injected < cfg.MaxDialFails) && roll(h, cfg.DialFailRate) {
 			injected++
 			globalFT.injectedDialFails.Add(1)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"github.com/distributedne/dne/internal/dsa"
 )
 
 // RetryPolicy shapes DialTCPRetry's capped exponential backoff. The zero
@@ -43,7 +45,7 @@ func (p RetryPolicy) backoff(i int) time.Duration {
 		d = p.MaxDelay
 	}
 	if half := int64(d / 2); half > 0 {
-		d += time.Duration(splitmix64(uint64(p.Seed)^uint64(i)*0x9e3779b97f4a7c15) % uint64(half))
+		d += time.Duration(dsa.SplitMix64(uint64(p.Seed)^uint64(i)*0x9e3779b97f4a7c15) % uint64(half))
 	}
 	return d
 }

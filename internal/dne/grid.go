@@ -3,6 +3,8 @@ package dne
 import (
 	"math/bits"
 	"slices"
+
+	"github.com/distributedne/dne/internal/dsa"
 )
 
 // grid implements the 2D-hash initial distribution of §4 ("Data Structure").
@@ -92,16 +94,8 @@ func (v divisor) mod(a uint64) uint64 {
 	return hi + carry
 }
 
-// splitmix64 is a strong, cheap 64-bit mixer (public-domain constants).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hashRow(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xDEC0DE) }
-func hashCol(v uint32) uint64 { return splitmix64(uint64(v) ^ 0xC0FFEE) }
+func hashRow(v uint32) uint64 { return dsa.SplitMix64(uint64(v) ^ 0xDEC0DE) }
+func hashCol(v uint32) uint64 { return dsa.SplitMix64(uint64(v) ^ 0xC0FFEE) }
 
 // edgeOwner returns the machine owning canonical edge (u,v).
 func (g *cellHash) edgeOwner(u, v uint32) int { return g.cellOwner(g.row(u), v) }

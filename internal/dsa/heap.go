@@ -1,9 +1,9 @@
 // Package dsa provides the dense, allocation-free data structures shared by
 // the partitioners' hot paths: a monomorphic 4-ary min-heap over
 // ⟨score, vertex⟩ pairs, an epoch-stamped dense boundary (the expansion
-// frontier of NE and Distributed NE), reusable epoch-stamped vertex sets, and
+// frontier of NE and Distributed NE), reusable epoch-stamped vertex sets,
 // parallel radix sorts for the primitive slices every CSR build funnels
-// through.
+// through, and the SplitMix64 hash behind every hash-derived owner.
 //
 // The paper's scalability argument (§4, §7.3) rests on per-machine state
 // being flat arrays indexed by dense vertex ids rather than hash tables;

@@ -245,12 +245,7 @@ func decodeZChunk(payload []byte, out []uint64, cur *chunkCursor) error {
 // by grid owner and deduplicates), but a fixed one keeps shard files
 // reproducible.
 func ShardRoute(k uint64, count uint32) uint32 {
-	// splitmix64 finalizer (public-domain constants).
-	k += 0x9e3779b97f4a7c15
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	k ^= k >> 31
-	return uint32(k % uint64(count))
+	return uint32(dsa.SplitMix64(k) % uint64(count))
 }
 
 // PackEdge packs an undirected edge into its canonical uint64 key

@@ -12,19 +12,12 @@ package hashpart
 import (
 	"context"
 
+	"github.com/distributedne/dne/internal/dsa"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/partition"
 )
 
-// splitmix64 mixes x into a well-distributed 64-bit value.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func hashU32(v uint32, salt uint64) uint64 { return splitmix64(uint64(v) ^ salt) }
+func hashU32(v uint32, salt uint64) uint64 { return dsa.SplitMix64(uint64(v) ^ salt) }
 
 // checkAt polls ctx every partition.CheckEvery iterations of a loop that
 // does not go through partition.EachEdge (HybridGinger's vertex scans).
@@ -60,7 +53,7 @@ func (r Random) Stream(ctx context.Context, src graph.Source, numParts int, st *
 	p := partition.New(numParts, ne)
 	st.PeakMemBytes += graph.SourceBufferBytes
 	err = streamEdges(ctx, src, func(pos int64, u, v graph.Vertex) {
-		h := splitmix64(uint64(u)<<32 | uint64(v) ^ r.Seed)
+		h := dsa.SplitMix64(uint64(u)<<32 | uint64(v) ^ r.Seed)
 		p.Owner[pos] = int32(h % uint64(numParts))
 	})
 	if err != nil {

@@ -2,9 +2,6 @@ package lint_test
 
 import (
 	"path/filepath"
-	"slices"
-	"strconv"
-	"strings"
 	"testing"
 
 	"github.com/distributedne/dne/internal/lint"
@@ -23,70 +20,12 @@ func TestMapRangeOutsideDeterministicSet(t *testing.T) {
 	linttest.Run(t, corpus("maprange", "nondet"), lint.MapRange)
 }
 
-func TestSeedRandCorpus(t *testing.T) {
-	linttest.Run(t, corpus("seedrand", "det"), lint.SeedRand)
-}
-
-func TestSeedRandOutsideDeterministicSet(t *testing.T) {
-	linttest.Run(t, corpus("seedrand", "nondet"), lint.SeedRand)
-}
-
 func TestCappedAllocCorpus(t *testing.T) {
 	linttest.Run(t, corpus("cappedalloc", "corpus"), lint.CappedAlloc)
 }
 
-func TestCtxLoopCorpus(t *testing.T) {
-	linttest.Run(t, corpus("ctxloop", "det"), lint.CtxLoop)
-}
-
 func TestObsNameCorpus(t *testing.T) {
 	linttest.Run(t, corpus("obsname", "corpus"), lint.ObsName)
-}
-
-func TestSuppressionAudit(t *testing.T) {
-	linttest.Run(t, corpus("suppress", "corpus"), lint.All()...)
-}
-
-// TestByName: a selection resolves only when every name is an analyzer; an
-// unknown name is an error that names it, even beside known ones, so a typo
-// cannot drop an analyzer from a CI run.
-func TestByName(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		sel     []string
-		want    []string // analyzer names, in order
-		unknown []string // names the error must quote
-	}{
-		{"empty", nil, []string{"maprange", "seedrand", "cappedalloc", "ctxloop", "obsname"}, nil},
-		{"all-known", []string{"obsname", "maprange"}, []string{"obsname", "maprange"}, nil},
-		{"one-unknown", []string{"maprange", "mapranj"}, nil, []string{"mapranj"}},
-		{"all-unknown", []string{"nope", ""}, nil, []string{"nope", ""}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := lint.ByName(tc.sel)
-			if len(tc.unknown) > 0 {
-				if err == nil {
-					t.Fatalf("ByName(%q) = %d analyzers, want an error", tc.sel, len(got))
-				}
-				for _, n := range tc.unknown {
-					if !strings.Contains(err.Error(), strconv.Quote(n)) {
-						t.Errorf("error %q does not name %q", err, n)
-					}
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, a := range got {
-				names = append(names, a.Name)
-			}
-			if !slices.Equal(names, tc.want) {
-				t.Fatalf("ByName(%q) = %q, want %q", tc.sel, names, tc.want)
-			}
-		})
-	}
 }
 
 // TestDeterministicPathScope pins the deterministic package set: the golden

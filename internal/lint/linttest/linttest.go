@@ -7,20 +7,16 @@
 //
 // Each `// want` comment carries one or more backquoted or double-quoted
 // regular expressions; every reported diagnostic must match a want on its
-// line, and every want must be matched by a diagnostic. A want may target
-// a neighboring line — `// want(-1) "…"` expects the diagnostic one line
-// above — which is how corpora annotate diagnostics that land on comment
-// lines (the suppression audit). The pragma
+// line, and every want must be matched by a diagnostic. The pragma
 //
 //	//lint:corpus deterministic
 //
 // anywhere in the package marks it as part of the deterministic package
-// set, enabling the det-scoped analyzers (maprange, seedrand, ctxloop).
+// set, enabling the det-scoped analyzer (maprange).
 package linttest
 
 import (
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -28,7 +24,7 @@ import (
 )
 
 var (
-	wantHeadRE = regexp.MustCompile(`(?:^|\s)want(?:\(([+-]\d+)\))?\s`)
+	wantHeadRE = regexp.MustCompile(`(?:^|\s)want\s`)
 	wantRE     = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
 )
 
@@ -61,17 +57,12 @@ func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 					det = true
 					continue
 				}
-				m := wantHeadRE.FindStringSubmatch(text)
-				if m == nil {
+				loc := wantHeadRE.FindStringIndex(text)
+				if loc == nil {
 					continue
 				}
-				offset := 0
-				if m[1] != "" {
-					offset, _ = strconv.Atoi(m[1])
-				}
-				rest := text[strings.Index(text, m[0])+len(m[0]):]
+				rest := text[loc[1]:]
 				pos := pkg.Fset.Position(c.Pos())
-				pos.Line += offset
 				for _, m := range wantRE.FindAllStringSubmatch(rest, -1) {
 					raw := m[1]
 					if raw == "" {

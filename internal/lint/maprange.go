@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"strings"
 )
 
 // MapRange flags `for … range` over a map inside deterministic packages.
@@ -16,8 +17,10 @@ import (
 //	keys = append(keys, k)
 //
 // Every other map-range in a deterministic package must either iterate a
-// sorted key slice instead, or carry a //lint:ordered <why> comment stating
-// why iteration order cannot reach output (e.g. commutative accumulation).
+// sorted key slice instead, or carry a //lint:ordered <why> comment, on the
+// loop's line or the line directly above, stating why iteration order cannot
+// reach output (e.g. commutative accumulation). A marker with no reason
+// silences nothing.
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc: "flags range-over-map in deterministic packages unless keys are collected " +
@@ -30,9 +33,13 @@ func runMapRange(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		ordered := orderedLines(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok || !pass.IsMapType(rs.X) {
+				return true
+			}
+			if line := pass.Fset.Position(rs.For).Line; ordered[line] || ordered[line-1] {
 				return true
 			}
 			if isKeyCollectLoop(rs) {
@@ -43,6 +50,21 @@ func runMapRange(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// orderedLines returns the lines of f that carry a justified
+// //lint:ordered <why> marker.
+func orderedLines(pass *Pass, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			why, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "lint:ordered")
+			if ok && strings.TrimSpace(why) != "" {
+				lines[pass.Fset.Position(c.Pos()).Line] = true
+			}
+		}
+	}
+	return lines
 }
 
 // isKeyCollectLoop reports whether rs is exactly `for k := range m { s =

@@ -43,6 +43,34 @@ func suppressed(m map[string]int) int {
 	return total
 }
 
+func suppressedOnLoopLine(m map[string]int) int {
+	total := 0
+	for _, v := range m { //lint:ordered commutative sum; iteration order cannot reach output
+		total += v
+	}
+	return total
+}
+
+// A marker with no reason silences nothing: the finding stands.
+func bareOrdered(m map[string]int) int {
+	total := 0
+	//lint:ordered
+	for _, v := range m { // want `range over map in deterministic package`
+		total += v
+	}
+	return total
+}
+
+// A justified marker covers its own line and the next one only.
+func markerTooFarAbove(m map[string]int) int {
+	//lint:ordered commutative sum; iteration order cannot reach output
+	total := 0
+	for _, v := range m { // want `range over map in deterministic package`
+		total += v
+	}
+	return total
+}
+
 func sliceRangeClean(s []int) int {
 	total := 0
 	for _, v := range s {
