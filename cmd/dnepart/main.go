@@ -25,12 +25,11 @@
 // report adds edges/sec and, for disk sources, bytes read.
 //
 // The output file (optional) has one "u v partition" line per edge; -save
-// writes the partitioning as a live directory (live.Create: one sorted ESZ1
-// base per partition, shard-QQQQ-of-PPPP.esz, and empty tails), which
-// live.Open and dneserve -live-dir open as a serving graph; it is also a
-// store directory, which store.ReadDir and dneserve -store-dir (placed as
-// <store-dir>/<name>/) open as a store. Both need the materialized
-// graph, so neither combines with -stream. Methods and their parameters come from the method registry;
+// writes the partitioning as a graph directory (live.Create: one sorted
+// ESZ1 base per partition, shard-QQQQ-of-PPPP.esz), which live.Open opens
+// as a serving graph and dneserve restores as the graph <name> when it is
+// placed as <graph-dir>/<name>/. Both need the materialized graph, so
+// neither combines with -stream. Methods and their parameters come from the method registry;
 // -list-methods prints the generated table.
 package main
 
@@ -57,7 +56,7 @@ func main() {
 		in       = flag.String("in", "", "input edge-list file")
 		shardDir = flag.String("shard-dir", "", "input directory of EShard files (gengraph -shards) instead of -in")
 		out      = flag.String("out", "", "output assignment file (u v part)")
-		save     = flag.String("save", "", "output live directory (per-partition ESZ1 bases; dneserve -live-dir opens it)")
+		save     = flag.String("save", "", "output graph directory (per-partition ESZ1 bases; dneserve serves it from under -graph-dir)")
 		parts    = flag.Int("parts", 16, "number of partitions")
 		method   = flag.String("method", "dne", "partitioning method (see -list-methods)")
 		rmat     = flag.Int("rmat", 0, "generate RMAT graph with 2^scale vertices instead of -in")

@@ -43,7 +43,7 @@ func TestAdmissionGateShedsDeterministically(t *testing.T) {
 	waitFor(t, func() bool { return gate.queued.Load() == 1 })
 
 	// Queue full: the third heavy request is shed synchronously.
-	rec := do("POST", "/api/live/ingest")
+	rec := do("POST", "/api/graphs/g/ingest")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated gate returned %d, want 503", rec.Code)
 	}
@@ -103,8 +103,9 @@ func TestAdmissionGateQueueTimeout(t *testing.T) {
 // the response mix must be only 200s and 503s, every 503 must carry
 // Retry-After, and /metrics must stay readable and report the sheds.
 func TestAdmissionOverloadEndToEnd(t *testing.T) {
-	h, _, _, errs := newHandlerWithLive(5_000_000, time.Minute, defaultMaxStores, "", "",
+	h, gr, _, errs := newServer(5_000_000, time.Minute, defaultMaxGraphs, t.TempDir(),
 		admissionLimits{MaxInflight: 1, MaxQueue: 1, MaxWait: time.Millisecond})
+	defer gr.close()
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}

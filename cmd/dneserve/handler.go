@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -105,44 +106,20 @@ type errorBody struct {
 	DeclaredParams []methods.ParamSpec `json:"declaredParams,omitempty"`
 }
 
-func newHandler(maxEdges int64, reqTimeout time.Duration) http.Handler {
-	h, _ := newHandlerWithStores(maxEdges, reqTimeout, defaultMaxStores, "")
-	return h
-}
-
-// newHandlerWithStores is newHandler plus store-registry configuration; the
-// live graph lives in an ephemeral temp directory.
-func newHandlerWithStores(maxEdges int64, reqTimeout time.Duration, maxStores int, storeDir string) (http.Handler, []error) {
-	h, _, _, errs := newHandlerWithLive(maxEdges, reqTimeout, maxStores, storeDir, "", admissionLimits{})
-	return h, errs
-}
-
-// newHandlerWithLive is the full constructor: maxStores bounds resident
-// stores, a non-empty storeDir persists store directories across restarts,
-// and a non-empty liveDir roots the durable live graph (restore errors from
-// either are returned, not fatal). The returned liveService must be closed
-// on shutdown to seal the live logs; until then the on-disk tail is open
-// for appending and a second process cannot adopt the directory. The
-// returned serverObs owns the registry behind GET /metrics and the span
-// ring behind GET /debug/trace; main points the debug listener and the
-// access log at it. adm bounds heavy-request admission (zero = machine-sized
-// defaults); overload beyond its queue is shed with 503 + Retry-After while
-// reads and probes keep answering.
-func newHandlerWithLive(maxEdges int64, reqTimeout time.Duration, maxStores int, storeDir, liveDir string, adm admissionLimits) (http.Handler, *liveService, *serverObs, []error) {
+// newServer builds the serving handler over the graphs under graphDir,
+// restoring every one (the errors of those that fail to open are returned,
+// not fatal). The registry must be closed on shutdown to seal the graphs'
+// tails. main points the debug listener and the access log at the returned
+// serverObs. adm bounds heavy-request admission (zero = machine-sized
+// defaults); overload beyond its queue is shed with 503 + Retry-After
+// while reads and probes keep answering.
+func newServer(maxEdges int64, reqTimeout time.Duration, maxGraphs int, graphDir string, adm admissionLimits) (http.Handler, *graphRegistry, *serverObs, []error) {
 	mux := http.NewServeMux()
 	so := newServerObs()
-	registry := newStoreRegistry(maxStores, storeDir)
-	registry.obs = so.storeObs
-	registry.tracer = so.tracer
-	restoreErrs := registry.restore()
-	registry.register(mux, maxEdges, reqTimeout)
-	so.registerStoreGauges(registry)
-	lsvc := newLiveService(liveDir)
-	lsvc.reg = so.reg
-	lsvc.latNeighbors = so.liveNeighbors
-	lsvc.latKHop = so.liveKHop
-	restoreErrs = append(restoreErrs, lsvc.restore()...)
-	lsvc.register(mux, maxEdges, reqTimeout)
+	graphs := newGraphRegistry(graphDir, maxGraphs, so)
+	restoreErrs := graphs.restore()
+	graphs.register(mux, maxEdges, reqTimeout)
+	so.registerGraphMetrics(graphs)
 	so.register(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -151,15 +128,15 @@ func newHandlerWithLive(maxEdges int64, reqTimeout time.Duration, maxStores int,
 	mux.HandleFunc("GET /api/methods", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, methods.Descriptors())
 	})
-	handle(mux, "POST /api/partition", reqTimeout, func(ctx context.Context, req *Request) (any, int, error) {
+	handle(mux, "POST /api/partition", reqTimeout, func(ctx context.Context, _ string, req *Request) (any, int, error) {
 		return servePartition(ctx, req, maxEdges, so.tracer)
 	})
 	gate := newAdmission(adm)
 	so.registerAdmissionMetrics(gate)
-	// Every body decodeJSON reads is behind an http.MaxBytesReader; instrument
+	// Every body handle reads is behind an http.MaxBytesReader; instrument
 	// wraps the gate so shed 503s land in the request metrics too.
 	limited := http.MaxBytesHandler(mux, maxBodyBytes(maxEdges))
-	return so.instrument(gate.guard(limited)), lsvc, so, restoreErrs
+	return so.instrument(gate.guard(limited)), graphs, so, restoreErrs
 }
 
 // partitionRun is one partitioner run on a request's graph.
@@ -169,7 +146,7 @@ type partitionRun struct {
 	res    *partition.Result
 }
 
-// runPartition is the half /api/partition and /api/store/build share:
+// runPartition is the half /api/partition and POST /api/graphs share:
 // build the request's graph, resolve its method, partition under ctx, and
 // record the run's phases on tr.
 func runPartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.Tracer) (*partitionRun, int, error) {
@@ -213,20 +190,14 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 	if err := pt.Validate(g); err != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("internal: invalid partitioning: %w", err)
 	}
-	q := res.Quality
 	st := res.Stats
 	resp := &Response{
-		Method:   run.method,
-		Parts:    req.Parts,
-		NumVerts: g.NumVertices(),
-		NumEdges: g.NumEdges(),
-		Owners:   pt.Owner,
-		Quality: Quality{
-			ReplicationFactor: q.ReplicationFactor,
-			EdgeBalance:       q.EdgeBalance,
-			VertexBalance:     q.VertexBalance,
-			VertexCuts:        q.VertexCuts,
-		},
+		Method:    run.method,
+		Parts:     req.Parts,
+		NumVerts:  g.NumVertices(),
+		NumEdges:  g.NumEdges(),
+		Owners:    pt.Owner,
+		Quality:   qualityOf(res.Quality),
 		ElapsedMS: millis(st.Wall),
 		Stats: RunStats{
 			Iterations:   st.Iterations,
@@ -251,10 +222,20 @@ func servePartition(ctx context.Context, req *Request, maxEdges int64, tr *obs.T
 	return resp, http.StatusOK, nil
 }
 
+// qualityOf is the Quality block of a partitioning's measures.
+func qualityOf(q partition.Quality) Quality {
+	return Quality{
+		ReplicationFactor: q.ReplicationFactor,
+		EdgeBalance:       q.EdgeBalance,
+		VertexBalance:     q.VertexBalance,
+		VertexCuts:        q.VertexCuts,
+	}
+}
+
 // buildGraph builds the request's graph. Explicit edges must back their
 // largest id under the vertex claim rule every on-disk reader applies,
 // before anything is sized by it and again once duplicates are gone, so a
-// store the server accepts also restores from -store-dir.
+// graph the server accepts also reopens from its directory.
 func buildGraph(req *Request, maxEdges int64) (*graph.Graph, error) {
 	switch {
 	case len(req.Edges) > 0 && req.RMAT != nil:
@@ -304,22 +285,33 @@ func claimOK(ids, edges uint64) error {
 }
 
 // handle registers pattern as a JSON endpoint: the body decodes into a T,
-// serve runs under the -timeout deadline, and its answer is written with
-// 200 or its error with the status serve chose.
+// rejecting unknown fields (an empty body is the zero T); serve runs under
+// the -timeout deadline with the pattern's {id}, and its answer is written
+// with 200 or its error with the status serve chose. A body that does not
+// decode answers 400, or 413 when it outgrew maxBodyBytes.
 func handle[T any](mux *http.ServeMux, pattern string, reqTimeout time.Duration,
-	serve func(ctx context.Context, req *T) (any, int, error)) {
+	serve func(ctx context.Context, id string, req *T) (any, int, error)) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		var req T
-		if !decodeJSON(w, r, &req) {
-			return
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		var resp any
+		status, err := http.StatusBadRequest, dec.Decode(&req)
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+		case err != nil && err != io.EOF:
+			err = fmt.Errorf("bad request: %w", err)
+		default:
+			ctx := r.Context()
+			if reqTimeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, reqTimeout)
+				defer cancel()
+			}
+			resp, status, err = serve(ctx, r.PathValue("id"), &req)
 		}
-		ctx := r.Context()
-		if reqTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
-			defer cancel()
-		}
-		resp, status, err := serve(ctx, &req)
 		if err != nil {
 			writeJSON(w, status, errorBodyOf(err))
 			return
@@ -344,25 +336,6 @@ func maxBodyBytes(maxEdges int64) int64 {
 		return math.MaxInt64
 	}
 	return max(maxEdges, 0)*jsonEdgeBytes + bodySlack
-}
-
-// decodeJSON decodes r's body into v, rejecting unknown fields; on failure
-// it answers 400, or 413 when the body outgrew maxBodyBytes, and reports
-// false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
-		return false
-	}
-	return true
 }
 
 // errorBodyOf is the JSON body of a failed request; a parameter-validation

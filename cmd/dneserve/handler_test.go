@@ -13,7 +13,7 @@ import (
 	"github.com/distributedne/dne/internal/methods"
 )
 
-func doJSON(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+func doJSON(t testing.TB, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
@@ -28,14 +28,14 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any) *httpte
 }
 
 func TestHealthz(t *testing.T) {
-	rec := doJSON(t, newHandler(1000, time.Minute), http.MethodGet, "/healthz", nil)
+	rec := doJSON(t, newHandler(t, 1000, time.Minute), http.MethodGet, "/healthz", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
 }
 
 func TestMethodsList(t *testing.T) {
-	rec := doJSON(t, newHandler(1000, time.Minute), http.MethodGet, "/api/methods", nil)
+	rec := doJSON(t, newHandler(t, 1000, time.Minute), http.MethodGet, "/api/methods", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -60,7 +60,7 @@ func TestPartitionExplicitEdges(t *testing.T) {
 		Method: "dne", Parts: 2, EchoEdges: true,
 		Edges: [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 3}},
 	}
-	rec := doJSON(t, newHandler(1000, time.Minute), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1000, time.Minute), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -86,7 +86,7 @@ func TestPartitionExplicitEdges(t *testing.T) {
 
 func TestPartitionRMATSpec(t *testing.T) {
 	req := Request{Method: "hdrf", Parts: 8, RMAT: &RMATSpec{Scale: 10, EF: 8, Seed: 3}}
-	rec := doJSON(t, newHandler(1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -104,7 +104,7 @@ func TestPartitionRMATSpec(t *testing.T) {
 
 func TestPartitionDeterministicForSeed(t *testing.T) {
 	req := Request{Method: "dne", Parts: 4, Seed: 9, RMAT: &RMATSpec{Scale: 9, EF: 8, Seed: 3}}
-	h := newHandler(1_000_000, time.Minute)
+	h := newHandler(t, 1_000_000, time.Minute)
 	var a, b Response
 	if err := json.Unmarshal(doJSON(t, h, http.MethodPost, "/api/partition", req).Body.Bytes(), &a); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestPartitionDeterministicForSeed(t *testing.T) {
 }
 
 func TestPartitionErrors(t *testing.T) {
-	h := newHandler(100, time.Minute)
+	h := newHandler(t, 100, time.Minute)
 	cases := []struct {
 		name string
 		req  Request
@@ -147,7 +147,7 @@ func TestPartitionRejectsUnknownFields(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/api/partition",
 		bytes.NewBufferString(`{"method":"dne","parts":2,"bogus":1}`))
 	rec := httptest.NewRecorder()
-	newHandler(100, time.Minute).ServeHTTP(rec, req)
+	newHandler(t, 100, time.Minute).ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -158,7 +158,7 @@ func TestPartitionEdgeCap(t *testing.T) {
 	for i := range edges {
 		edges[i] = [2]uint32{uint32(i), uint32(i + 1)}
 	}
-	rec := doJSON(t, newHandler(10, time.Minute), http.MethodPost, "/api/partition",
+	rec := doJSON(t, newHandler(t, 10, time.Minute), http.MethodPost, "/api/partition",
 		Request{Method: "random", Parts: 2, Edges: edges})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (cap)", rec.Code)
@@ -170,7 +170,7 @@ func TestPartitionEdgeCap(t *testing.T) {
 // anything is sized by the id, and so is one whose claim only duplicates
 // backed: the built graph is checked again.
 func TestPartitionRejectsUnbackedVertexClaim(t *testing.T) {
-	h := newHandler(100_000, time.Minute)
+	h := newHandler(t, 100_000, time.Minute)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	req := httptest.NewRequest(http.MethodPost, "/api/partition",
@@ -195,18 +195,18 @@ func TestPartitionRejectsUnbackedVertexClaim(t *testing.T) {
 }
 
 // TestOversizedBodyReturns413: a body past maxBodyBytes(-max-edges) is cut
-// off mid-read and answered 413, on the partition route and on a route that
-// decodes its body outside handle; a body just under the cap still decodes.
+// off mid-read and answered 413, on the partition route and on a graph
+// route; a body just under the cap still decodes.
 func TestOversizedBodyReturns413(t *testing.T) {
 	const maxEdges = 10
-	h := newHandler(maxEdges, time.Minute)
+	h := newHandler(t, maxEdges, time.Minute)
 	limit := maxBodyBytes(maxEdges)
 	// The padding sits inside the JSON value, so the decoder must read it.
 	pad := func(fields string, n int64) *bytes.Buffer {
 		return bytes.NewBufferString("{" + fields + strings.Repeat(" ", int(n)) + "}")
 	}
 	const partition = `"method":"random","parts":2,"edges":[[0,1]]`
-	for _, c := range []struct{ path, fields string }{{"/api/partition", partition}, {"/api/live/compact", ""}} {
+	for _, c := range []struct{ path, fields string }{{"/api/partition", partition}, {"/api/graphs/g/compact", ""}} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, pad(c.fields, limit)))
 		if rec.Code != http.StatusRequestEntityTooLarge {
@@ -222,7 +222,7 @@ func TestOversizedBodyReturns413(t *testing.T) {
 
 func TestAllRegisteredMethodsServable(t *testing.T) {
 	// Every registry name must partition a small graph through the service.
-	h := newHandler(100_000, time.Minute)
+	h := newHandler(t, 100_000, time.Minute)
 	for _, name := range methods.Names() {
 		req := Request{Method: name, Parts: 4, RMAT: &RMATSpec{Scale: 8, EF: 4, Seed: 1}}
 		rec := doJSON(t, h, http.MethodPost, "/api/partition", req)
@@ -237,7 +237,7 @@ func TestParamsPassthrough(t *testing.T) {
 		Method: "dne", Parts: 4, RMAT: &RMATSpec{Scale: 9, EF: 8, Seed: 3},
 		Params: map[string]any{"lambda": 1.0, "alpha": 1.3},
 	}
-	rec := doJSON(t, newHandler(1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -257,7 +257,7 @@ func TestUnknownParamReturns400WithDeclaredParams(t *testing.T) {
 		Method: "fennel", Parts: 4, RMAT: &RMATSpec{Scale: 8, EF: 4, Seed: 1},
 		Params: map[string]any{"bogus": 3},
 	}
-	rec := doJSON(t, newHandler(1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1_000_000, time.Minute), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (%s)", rec.Code, rec.Body)
 	}
@@ -282,7 +282,7 @@ func TestOutOfBoundsParamReturns400(t *testing.T) {
 		Method: "dne", Parts: 4, Edges: [][2]uint32{{0, 1}, {1, 2}},
 		Params: map[string]any{"alpha": 0.2},
 	}
-	rec := doJSON(t, newHandler(1000, time.Minute), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1000, time.Minute), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400 (%s)", rec.Code, rec.Body)
 	}
@@ -290,7 +290,7 @@ func TestOutOfBoundsParamReturns400(t *testing.T) {
 
 func TestRequestTimeoutReturns504(t *testing.T) {
 	req := Request{Method: "dne", Parts: 8, RMAT: &RMATSpec{Scale: 12, EF: 16, Seed: 3}}
-	rec := doJSON(t, newHandler(1_000_000, time.Nanosecond), http.MethodPost, "/api/partition", req)
+	rec := doJSON(t, newHandler(t, 1_000_000, time.Nanosecond), http.MethodPost, "/api/partition", req)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (%s)", rec.Code, rec.Body)
 	}

@@ -5,27 +5,24 @@
 //
 // Endpoints:
 //
-//	GET    /healthz              liveness probe
-//	GET    /api/methods          JSON list of method names
-//	POST   /api/partition        partition a graph (JSON; see Request)
-//	POST   /api/store/build      partition a graph and materialize a sharded
-//	                             query store (JSON; see StoreBuildRequest)
-//	GET    /api/store            list resident stores with serving metrics
-//	DELETE /api/store/{id}       drop a store
-//	POST   /api/query/neighbors  point lookups against a store
-//	POST   /api/query/khop       k-hop BFS across the shards
-//	POST   /api/live/ingest      append edge insertions/deletions to the
-//	                             live graph, placed incrementally
-//	GET    /api/live/stats       live-graph counters (?checksum=1 digests
-//	                             the full live edge set)
-//	POST   /api/live/compact     fold the overlay into a fresh base, with
-//	                             an optional bounded rebalance first
-//	POST   /api/live/query/neighbors  point lookups against the live epoch
-//	POST   /api/live/query/khop       k-hop BFS against the live epoch
-//	GET    /metrics              Prometheus text exposition of every
-//	                             subsystem's metric families
-//	GET    /debug/trace          recent phase spans (?format=chrome for
-//	                             chrome://tracing / Perfetto)
+//	GET    /healthz                    liveness probe
+//	GET    /api/methods                method descriptors
+//	POST   /api/partition              partition a graph (JSON; see Request)
+//	POST   /api/graphs                 partition a graph and serve it (see BuildRequest)
+//	GET    /api/graphs                 served graphs with their serving metrics
+//	DELETE /api/graphs/{id}            drop a graph and its directory
+//	POST   /api/graphs/{id}/ingest     insert and delete edges, placed incrementally
+//	                                   (creates the graph when parts > 0)
+//	GET    /api/graphs/{id}/stats      placement counters (?checksum=1 digests the edges)
+//	POST   /api/graphs/{id}/compact    fold the overlay into a fresh base (optional rebalance)
+//	POST   /api/graphs/{id}/neighbors  point lookups on the current epoch
+//	POST   /api/graphs/{id}/khop       k-hop BFS on the current epoch
+//	GET    /metrics                    Prometheus text exposition of every subsystem
+//	GET    /debug/trace                recent phase spans (?format=chrome for Perfetto)
+//
+// Every graph lives in its own directory under -graph-dir and is restored
+// at startup; without -graph-dir, graphs live under a temporary root that
+// a clean shutdown removes.
 //
 // With -debug-addr set, a second listener serves net/http/pprof plus the
 // same /metrics and /debug/trace. Every request is logged as one JSON line
@@ -58,9 +55,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxEdges := flag.Int64("max-edges", 5_000_000, "reject requests beyond this edge count, and bodies beyond 32 B per edge plus 1 MiB with 413")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request partitioning deadline (0 = none)")
-	maxStores := flag.Int("max-stores", defaultMaxStores, "maximum resident query stores")
-	storeDir := flag.String("store-dir", "", "persist each store as a shard directory here and restore them at startup")
-	liveDir := flag.String("live-dir", "", "root the live graph here (per-partition bases and tails) and reopen it at startup")
+	maxGraphs := flag.Int("max-graphs", defaultMaxGraphs, "maximum served graphs")
+	graphDir := flag.String("graph-dir", "", "keep each graph in a directory here and restore them at startup (empty = a temporary root, removed on shutdown)")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, /metrics and /debug/trace on this extra listener (empty = off)")
 	quiet := flag.Bool("quiet", false, "suppress the structured access log")
 	maxInflight := flag.Int("max-inflight", 0, "concurrently executing heavy requests (0 = 2×GOMAXPROCS)")
@@ -68,8 +64,15 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 0, "longest a queued request waits for a slot before a 503 (0 = 2s)")
 	flag.Parse()
 
+	root := *graphDir
+	if root == "" {
+		var err error
+		if root, err = os.MkdirTemp("", "dneserve-graphs-"); err != nil {
+			log.Fatal(err)
+		}
+	}
 	adm := admissionLimits{MaxInflight: *maxInflight, MaxQueue: *maxQueue, MaxWait: *queueWait}
-	handler, lsvc, so, restoreErrs := newHandlerWithLive(*maxEdges, *timeout, *maxStores, *storeDir, *liveDir, adm)
+	handler, graphs, so, restoreErrs := newServer(*maxEdges, *timeout, *maxGraphs, root, adm)
 	for _, err := range restoreErrs {
 		log.Printf("dneserve: restore: %v", err)
 	}
@@ -84,17 +87,10 @@ func main() {
 			}
 		}()
 	}
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: handler,
-		// Partitioning runs under its own deadline (-timeout); these bound
-		// slow clients on the read/write side.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := newHTTPServer(*addr, handler, *timeout)
 
-	// SIGINT/SIGTERM drain the server, then seal the live graph's tails, so
-	// a restart with the same -live-dir resumes exactly (bases and tails
+	// SIGINT/SIGTERM drain the server, then seal every graph's tails, so a
+	// restart with the same -graph-dir resumes exactly (bases and tails
 	// merge to the identical graph).
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -107,13 +103,34 @@ func main() {
 		}
 	}()
 
-	log.Printf("dneserve: listening on %s (request timeout %v)", *addr, *timeout)
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		lsvc.close()
-		log.Fatal(err)
+	log.Printf("dneserve: listening on %s (request timeout %v, graphs in %s)", *addr, *timeout, root)
+	err := srv.ListenAndServe()
+	if errors.Is(err, http.ErrServerClosed) {
+		err = nil
 	}
-	if err := lsvc.close(); err != nil {
-		log.Fatalf("dneserve: sealing live graph: %v", err)
+	err = errors.Join(err, graphs.close())
+	if *graphDir == "" {
+		os.RemoveAll(root)
+	}
+	if err != nil {
+		log.Fatalf("dneserve: %v", err)
+	}
+}
+
+// newHTTPServer is the listener's server. Every bound derives from the
+// per-request deadline: a request's body must arrive within it, and its
+// response must be written within three times it of the request's headers
+// (the body, then the handler's own deadline and its cancellation, then
+// the write), so a client that dribbles its body or stops reading cannot
+// hold a connection open. A zero timeout leaves both unbounded.
+func newHTTPServer(addr string, h http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       timeout,
+		WriteTimeout:      3 * timeout,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 

@@ -12,21 +12,20 @@ import (
 	"github.com/distributedne/dne/internal/cluster"
 	"github.com/distributedne/dne/internal/dne"
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/live"
 	"github.com/distributedne/dne/internal/obs"
 	"github.com/distributedne/dne/internal/store"
 )
 
 // serverObs is the server's observability spine: one registry behind
 // GET /metrics, one ring-buffered tracer behind GET /debug/trace, and the
-// pre-resolved hot-path handles (store query instruments, live query
-// latency) so request paths never take the registry lock.
+// store's query instruments, resolved once, so query paths never take the
+// registry lock.
 type serverObs struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	storeObs      *store.Obs
-	liveNeighbors *obs.Histogram
-	liveKHop      *obs.Histogram
+	storeObs *store.Obs
 
 	start time.Time
 
@@ -46,10 +45,6 @@ func newServerObs() *serverObs {
 		start:  time.Now(),
 	}
 	so.storeObs = store.NewObs(so.reg)
-	so.liveNeighbors = so.reg.DurationHistogram("dne_live_query_duration_seconds",
-		"Live-epoch query latency by endpoint.", "kind", "neighbors")
-	so.liveKHop = so.reg.DurationHistogram("dne_live_query_duration_seconds",
-		"Live-epoch query latency by endpoint.", "kind", "khop")
 	cluster.RegisterMetrics(so.reg)
 	dne.RegisterMetrics(so.reg)
 	graph.RegisterStreamMetrics(so.reg)
@@ -86,23 +81,29 @@ func (so *serverObs) registerRuntimeMetrics() {
 		})
 }
 
-// registerStoreGauges exposes the resident-store registry: store count and
-// the per-shard touch counters of every resident store, so shard skew is
-// visible on /metrics without polling GET /api/store.
-func (so *serverObs) registerStoreGauges(sr *storeRegistry) {
-	so.reg.GaugeFunc("dne_store_resident", "Resident query stores.",
+// registerGraphMetrics exposes the served graphs: the graph count, the
+// dne_live_* families of every graph, and the per-shard touch counters of
+// every graph's current base, so shard skew is visible on /metrics without
+// polling GET /api/graphs.
+func (so *serverObs) registerGraphMetrics(gr *graphRegistry) {
+	so.reg.GaugeFunc("dne_store_resident", "Served graphs.",
 		func(emit func(v float64, kv ...string)) {
-			emit(float64(len(sr.list())))
+			emit(float64(len(gr.served())))
 		})
 	so.reg.GaugeFunc("dne_store_shard_touches",
-		"Shard fetches per resident store and shard (resets when a store is dropped).",
+		"Shard fetches per served graph and shard (resets when a compaction replaces the base).",
 		func(emit func(v float64, kv ...string)) {
-			for _, st := range sr.list() {
-				for s, n := range st.Metrics.PerShardTouches {
-					emit(float64(n), "store", st.Store, "shard", strconv.Itoa(s))
+			for _, e := range gr.served() {
+				for s, n := range e.lv.Epoch().Metrics().PerShardTouches {
+					emit(float64(n), "graph", e.info.Graph, "shard", strconv.Itoa(s))
 				}
 			}
 		})
+	live.RegisterMetrics(so.reg, func(visit func(name string, l *live.Live)) {
+		for _, e := range gr.served() {
+			visit(e.info.Graph, e.lv)
+		}
+	})
 }
 
 // register wires the exposition endpoints onto the serving mux.
@@ -149,15 +150,18 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 func routeLabel(path string) string {
 	switch path {
 	case "/healthz", "/metrics", "/debug/trace",
-		"/api/methods", "/api/partition",
-		"/api/store/build", "/api/store",
-		"/api/query/neighbors", "/api/query/khop",
-		"/api/live/ingest", "/api/live/stats", "/api/live/compact",
-		"/api/live/query/neighbors", "/api/live/query/khop":
+		"/api/methods", "/api/partition", "/api/graphs":
 		return path
 	}
-	if strings.HasPrefix(path, "/api/store/") {
-		return "/api/store/{id}"
+	rest, ok := strings.CutPrefix(path, "/api/graphs/")
+	if !ok {
+		return "other"
+	}
+	switch _, op, _ := strings.Cut(rest, "/"); op {
+	case "":
+		return "/api/graphs/{id}"
+	case "ingest", "stats", "compact", "neighbors", "khop":
+		return "/api/graphs/{id}/" + op
 	}
 	return "other"
 }

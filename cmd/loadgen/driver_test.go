@@ -13,33 +13,32 @@ import (
 	"time"
 )
 
-// fakeServe is a dneserve stand-in holding one store "s1" of numVertices
-// vertices. Like dneserve it answers 400 for a vertex outside the store.
+// fakeServe is a dneserve stand-in serving one graph "s1" of numVertices
+// vertices. Like dneserve it answers 400 for a vertex outside the graph.
 // Its /metrics carries slow khop traffic from before the run plus one fast
 // neighbors sample per served query.
 type fakeServe struct {
 	numVertices uint32
-	build       atomic.Pointer[StoreBuildRequest]
+	build       atomic.Pointer[BuildRequest]
 	served      atomic.Int64
 	dropped     atomic.Bool
 }
 
 func (f *fakeServe) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/store/build", func(w http.ResponseWriter, r *http.Request) {
-		var req StoreBuildRequest
+	mux.HandleFunc("POST /api/graphs", func(w http.ResponseWriter, r *http.Request) {
+		var req BuildRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		f.build.Store(&req)
-		fmt.Fprintf(w, `{"store":"s1","method":"NE","numVertices":%d,"quality":{"replicationFactor":1.5},"partitionMs":2,"buildMs":1}`,
+		fmt.Fprintf(w, `{"graph":"s1","method":"NE","numVertices":%d,"quality":{"replicationFactor":1.5},"partitionMs":2,"buildMs":1}`,
 			f.numVertices)
 	})
 	query := func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Store  string  `json:"store"`
 			Vertex *uint32 `json:"vertex"`
 			K      int     `json:"k"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Store != "s1" || req.Vertex == nil {
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || r.PathValue("id") != "s1" || req.Vertex == nil {
 			http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
 			return
 		}
@@ -51,14 +50,17 @@ func (f *fakeServe) handler() http.Handler {
 		f.served.Add(1)
 		w.Write([]byte(`{}`))
 	}
-	mux.HandleFunc("POST /api/query/neighbors", query)
-	mux.HandleFunc("POST /api/query/khop", query)
-	mux.HandleFunc("GET /api/store", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /api/graphs/{id}/neighbors", query)
+	mux.HandleFunc("POST /api/graphs/{id}/khop", query)
+	mux.HandleFunc("GET /api/graphs/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("id") != "s1" {
+			fmt.Fprint(w, `{"graph":"s0","metrics":{"neighborsQueries":1,"crossShardHops":99}}`)
+			return
+		}
 		n := f.served.Load()
-		fmt.Fprintf(w, `[{"store":"s0","metrics":{"neighborsQueries":1,"crossShardHops":99}},`+
-			`{"store":"s1","metrics":{"neighborsQueries":%d,"crossShardHops":%d,"perShardTouches":[3,1]}}]`, n, 2*n)
+		fmt.Fprintf(w, `{"graph":"s1","metrics":{"neighborsQueries":%d,"crossShardHops":%d,"perShardTouches":[3,1]}}`, n, 2*n)
 	})
-	mux.HandleFunc("DELETE /api/store/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /api/graphs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f.dropped.Store(r.PathValue("id") == "s1")
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -74,9 +76,9 @@ dne_store_query_duration_seconds_bucket{kind="neighbors",le="+Inf"} %d
 }
 
 // TestRunMethodDrawsVerticesFromServer: query vertices come from the
-// built store's numVertices, not from a client-side graph, so a server
-// whose store is smaller than 2^rmat-scale answers every query. The store
-// is built from the RMAT spec, read back from its own metrics entry, and
+// built graph's numVertices, not from a client-side graph, so a server
+// whose graph is smaller than 2^rmat-scale answers every query. The graph
+// is built from the RMAT spec, its own metrics are read back, and it is
 // dropped.
 func TestRunMethodDrawsVerticesFromServer(t *testing.T) {
 	f := &fakeServe{numVertices: 10}
@@ -86,7 +88,7 @@ func TestRunMethodDrawsVerticesFromServer(t *testing.T) {
 	c := &client{rc: newRetryClient(8), url: srv.URL}
 	wl := workload{queries: 500, khopRatio: 0.3, k: 2, seed: 7, workers: 4,
 		scrape: true, scrapeInterval: time.Millisecond}
-	build := StoreBuildRequest{Method: "ne", Parts: 2, RMAT: &RMATSpec{Scale: 12, EF: 8, Seed: 1}}
+	build := BuildRequest{Method: "ne", Parts: 2, RMAT: &RMATSpec{Scale: 12, EF: 8, Seed: 1}}
 	run, err := c.runMethod(context.Background(), build, wl)
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +106,13 @@ func TestRunMethodDrawsVerticesFromServer(t *testing.T) {
 		t.Fatalf("build sent %+v, want the rmat spec and no edges", sent)
 	}
 	if got := run.metrics.HopsPerQuery(); got != 2 {
-		t.Fatalf("hops/query %v read from the wrong store entry, want 2", got)
+		t.Fatalf("hops/query %v read from the wrong graph, want 2", got)
 	}
 	if got := touchImbalance(run.metrics.PerShardTouches); got != 1.5 {
 		t.Fatalf("touch imbalance %v, want 1.5", got)
 	}
 	if !f.dropped.Load() {
-		t.Fatal("store s1 was not dropped")
+		t.Fatal("graph s1 was not dropped")
 	}
 	// The khop traffic predates the run; the increase leaves only the
 	// run's 1 ms neighbors samples.

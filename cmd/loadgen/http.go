@@ -155,44 +155,31 @@ type client struct {
 	url string
 }
 
-// build partitions req's graph on the server into a fresh store.
-func (c *client) build(ctx context.Context, req StoreBuildRequest) (*StoreInfo, error) {
+// build partitions req's graph on the server into a fresh served graph.
+func (c *client) build(ctx context.Context, req BuildRequest) (*GraphInfo, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	b, err := c.rc.do(ctx, http.MethodPost, c.url+"/api/store/build", body)
+	return c.info(ctx, http.MethodPost, "/api/graphs", body)
+}
+
+// info sends a request whose reply is a GraphInfo.
+func (c *client) info(ctx context.Context, method, path string, body []byte) (*GraphInfo, error) {
+	b, err := c.rc.do(ctx, method, c.url+path, body)
 	if err != nil {
 		return nil, err
 	}
-	var info StoreInfo
+	var info GraphInfo
 	if err := json.Unmarshal(b, &info); err != nil {
-		return nil, fmt.Errorf("build reply: %w", err)
+		return nil, fmt.Errorf("%s reply: %w", path, err)
 	}
 	return &info, nil
 }
 
-// metrics reads store id's serving counters from GET /api/store.
-func (c *client) metrics(ctx context.Context, id string) (store.Metrics, error) {
-	b, err := c.rc.do(ctx, http.MethodGet, c.url+"/api/store", nil)
-	if err != nil {
-		return store.Metrics{}, err
-	}
-	var list []StoreStatus
-	if err := json.Unmarshal(b, &list); err != nil {
-		return store.Metrics{}, fmt.Errorf("store list: %w", err)
-	}
-	for _, s := range list {
-		if s.Store == id {
-			return s.Metrics, nil
-		}
-	}
-	return store.Metrics{}, fmt.Errorf("store %q not listed", id)
-}
-
-// drop deletes store id.
+// drop deletes graph id.
 func (c *client) drop(ctx context.Context, id string) error {
-	_, err := c.rc.do(ctx, http.MethodDelete, c.url+"/api/store/"+id, nil)
+	_, err := c.rc.do(ctx, http.MethodDelete, c.url+"/api/graphs/"+id, nil)
 	return err
 }
 
@@ -202,7 +189,7 @@ type query struct {
 	khop bool
 }
 
-// workload is the seeded query mix every method's store is driven with.
+// workload is the seeded query mix every method's graph is driven with.
 type workload struct {
 	queries   int
 	khopRatio float64
@@ -215,9 +202,9 @@ type workload struct {
 	scrapeInterval time.Duration
 }
 
-// queryList is wl's query list over a store of numVertices vertices: each
+// queryList is wl's query list over a graph of numVertices vertices: each
 // query draws its vertex, then its kind. Equal seeds give the identical
-// list, so every method's store answers the same queries.
+// list, so every method's graph answers the same queries.
 func queryList(wl workload, numVertices uint32) []query {
 	rng := rand.New(rand.NewSource(wl.seed))
 	qs := make([]query, wl.queries)
@@ -229,37 +216,39 @@ func queryList(wl workload, numVertices uint32) []query {
 
 // methodRun is one method's measured serving cost.
 type methodRun struct {
-	info    *StoreInfo
+	info    *GraphInfo
 	drive   driveResult
 	metrics store.Metrics
 	drift   string // the -scrape line, "" without it
 }
 
-// runMethod builds build's store, drives wl's queries at it, reads its
-// serving counters and drops it. A fresh store's counters start at zero,
+// runMethod builds build's graph, drives wl's queries at it, reads its
+// serving counters and drops it. A fresh graph's counters start at zero,
 // so they cover exactly this run.
-func (c *client) runMethod(ctx context.Context, build StoreBuildRequest, wl workload) (*methodRun, error) {
+func (c *client) runMethod(ctx context.Context, build BuildRequest, wl workload) (*methodRun, error) {
 	info, err := c.build(ctx, build)
 	if err != nil {
 		return nil, fmt.Errorf("build: %w", err)
 	}
 	if info.NumVertices == 0 {
-		return nil, fmt.Errorf("store %s has no vertices", info.Store)
+		return nil, fmt.Errorf("graph %s has no vertices", info.Graph)
 	}
 	qs := queryList(wl, info.NumVertices)
 	var sc *scraper
 	if wl.scrape {
 		sc = newScraper(ctx, c, wl.scrapeInterval)
 	}
-	run := &methodRun{info: info, drive: c.drive(ctx, info.Store, qs, wl)}
+	run := &methodRun{info: info, drive: c.drive(ctx, info.Graph, qs, wl)}
 	if sc != nil {
 		sc.close()
 		run.drift = sc.driftLine(info.Method, time.Duration(run.drive.latency.Quantile(0.99)))
 	}
-	if run.metrics, err = c.metrics(ctx, info.Store); err != nil {
+	stats, err := c.info(ctx, http.MethodGet, "/api/graphs/"+info.Graph+"/stats", nil)
+	if err != nil {
 		return nil, fmt.Errorf("metrics: %w", err)
 	}
-	if err := c.drop(ctx, info.Store); err != nil {
+	run.metrics = stats.Metrics
+	if err := c.drop(ctx, info.Graph); err != nil {
 		return nil, fmt.Errorf("drop: %w", err)
 	}
 	return run, nil
@@ -273,7 +262,7 @@ type driveResult struct {
 	firstErr error
 }
 
-// drive fires qs at store id: wl.workers goroutines pull the next index
+// drive fires qs at graph id: wl.workers goroutines pull the next index
 // from a shared counter, and with wl.qps set query i is due at
 // start + i/qps (open loop). Latency is recorded into a log-bucketed
 // histogram (≤ 6.25% relative quantile error); a query that fails after
@@ -313,11 +302,11 @@ func (c *client) drive(ctx context.Context, id string, qs []query, wl workload) 
 					body []byte
 				)
 				if q.khop {
-					url = c.url + "/api/query/khop"
-					body, _ = json.Marshal(KHopRequest{Store: id, Vertex: q.v, K: wl.k})
+					url = c.url + "/api/graphs/" + id + "/khop"
+					body, _ = json.Marshal(KHopRequest{Vertex: q.v, K: wl.k})
 				} else {
-					url = c.url + "/api/query/neighbors"
-					body, _ = json.Marshal(NeighborsRequest{Store: id, Vertex: &q.v})
+					url = c.url + "/api/graphs/" + id + "/neighbors"
+					body, _ = json.Marshal(NeighborsRequest{Vertex: &q.v})
 				}
 				qStart := time.Now()
 				if _, err := c.rc.do(ctx, http.MethodPost, url, body); err != nil {
@@ -337,10 +326,10 @@ func (c *client) drive(ctx context.Context, id string, qs []query, wl workload) 
 	return res
 }
 
-// StoreBuildRequest, RMATSpec, StoreInfo, StoreStatus, NeighborsRequest and
-// KHopRequest mirror cmd/dneserve's request/response contract (kept in sync
-// by hand; the server rejects unknown request fields, so drift fails fast).
-type StoreBuildRequest struct {
+// BuildRequest, RMATSpec, GraphInfo, NeighborsRequest and KHopRequest
+// mirror cmd/dneserve's request/response contract (kept in sync by hand;
+// the server rejects unknown request fields, so drift fails fast).
+type BuildRequest struct {
 	Method string      `json:"method"`
 	Parts  int         `json:"parts"`
 	Seed   int64       `json:"seed,omitempty"`
@@ -354,31 +343,25 @@ type RMATSpec struct {
 	Seed  int64 `json:"seed"`
 }
 
-type StoreInfo struct {
-	Store       string  `json:"store"`
-	Method      string  `json:"method"`
-	NumVertices uint32  `json:"numVertices"`
-	Quality     Quality `json:"quality"`
-	PartitionMS float64 `json:"partitionMs"`
-	BuildMS     float64 `json:"buildMs"`
+type GraphInfo struct {
+	Graph       string        `json:"graph"`
+	Method      string        `json:"method"`
+	NumVertices uint32        `json:"numVertices"`
+	Quality     Quality       `json:"quality"`
+	PartitionMS float64       `json:"partitionMs"`
+	BuildMS     float64       `json:"buildMs"`
+	Metrics     store.Metrics `json:"metrics"`
 }
 
 type Quality struct {
 	ReplicationFactor float64 `json:"replicationFactor"`
 }
 
-type StoreStatus struct {
-	StoreInfo
-	Metrics store.Metrics `json:"metrics"`
-}
-
 type NeighborsRequest struct {
-	Store  string  `json:"store"`
 	Vertex *uint32 `json:"vertex,omitempty"`
 }
 
 type KHopRequest struct {
-	Store  string `json:"store"`
 	Vertex uint32 `json:"vertex"`
 	K      int    `json:"k"`
 }

@@ -1,8 +1,8 @@
 // Command loadgen measures the online serving cost of edge partitionings
 // against a running dneserve. For each requested method it builds a fresh
-// store on the server (POST /api/store/build), drives an identical seeded
-// query workload at it over HTTP, reads the store's serving counters back
-// (GET /api/store), drops the store, and prints a table comparing
+// graph on the server (POST /api/graphs), drives an identical seeded query
+// workload at it over HTTP, reads the graph's serving counters back
+// (GET /api/graphs/{id}/stats), drops the graph, and prints a table comparing
 // throughput, latency percentiles, and — the point of the exercise —
 // cross-shard hops per query, the serving-time analogue of the paper's
 // replication factor.
@@ -65,7 +65,7 @@ func main() {
 	defer cancel()
 
 	c := &client{rc: newRetryClient(*retries), url: strings.TrimRight(*url, "/")}
-	build := StoreBuildRequest{Parts: *parts, Seed: *seed}
+	build := BuildRequest{Parts: *parts, Seed: *seed}
 	source := fmt.Sprintf("rmat scale %d ef %d seed %d", *rmatScale, *rmatEF, *graphSeed)
 	if *shardDir != "" {
 		g, err := readGraph(*shardDir)

@@ -6,7 +6,7 @@
 // immutable CSR base, and a compactor folds them into fresh epochs that
 // readers pin and never block on, and into fresh sorted ESZ1 bases on disk.
 // The same directory reopens to the bit-identical graph after a graceful
-// Close, and store.ReadDir reads it as a store once compacted.
+// Close.
 //
 //	go run ./examples/live
 package main
@@ -34,10 +34,11 @@ func main() {
 	// 1. Yesterday's snapshot of a skewed social graph, partitioned offline
 	//    with Distributed NE into 8 parts, seeds the live graph. Create
 	//    writes each partition's edges as its sorted ESZ1 base
-	//    (shard-QQQQ-of-0008.esz, the file store.WriteDir writes) and
-	//    rebuilds the placement state from them. Insertions and tombstones
-	//    since the base go to two raw tails beside it (.add and .dead);
-	//    bases and tails are all the directory holds.
+	//    (shard-QQQQ-of-0008.esz, a shard file any shard reader opens).
+	//    Insertions and tombstones since the base go to two raw tails
+	//    beside it (.add and .dead), which the first ingest opens along
+	//    with the placement state; bases and tails are all the directory
+	//    holds.
 	const parts, seed = 8, 42
 	snapshot := gen.RMAT(12, 16, seed)
 	res, err := dne.PartitionCtx(context.Background(), snapshot, parts, dne.DefaultConfig())
@@ -120,8 +121,8 @@ func main() {
 
 	// 5. Close seals the tails (terminator + footer); reopening the
 	//    directory merges them into the bases to the bit-identical graph —
-	//    same (edge, owner) checksum — and rebuilds the placement state
-	//    from it.
+	//    same (edge, owner) checksum — and the first mutation rebuilds
+	//    the placement state from it.
 	sum := lv.Checksum()
 	if err := lv.Close(); err != nil {
 		log.Fatal(err)

@@ -1,7 +1,6 @@
 package dnebench
 
 import (
-	"bytes"
 	"context"
 	"hash/fnv"
 	"os"
@@ -15,18 +14,15 @@ import (
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/live"
-	"github.com/distributedne/dne/internal/store"
 )
 
 // TestPinnedFormatBytes pins the FNV-64a of the bytes each fixed-layout
 // writer emits for a seeded input: the compacted base of partition 0 of a
-// live graph seeded from a DNE partitioning of RMAT 10 and churned, which
-// must equal shard 0 of store.WriteDir on the compacted store (the
-// directory as store.ReadDir opens it) byte for byte, and
+// live graph seeded from a DNE partitioning of RMAT 10 and churned, and
 // DNB1/DNC1 of one checkpointed in-memory DNE run. A change to how the
-// formats are encoded must leave every file byte-identical. A persisted
-// store's shard directory is pinned by TestPinnedSnapshotDigest in
-// internal/store.
+// formats are encoded must leave every file byte-identical. The bases
+// live.Create writes are pinned by TestPinnedSnapshotDigest in
+// internal/live.
 func TestPinnedFormatBytes(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	const parts = 4
@@ -72,17 +68,6 @@ func TestPinnedFormatBytes(t *testing.T) {
 	}
 	base := readFile(filepath.Join(liveDir, graph.CompressedShardFileName(0, parts)))
 	check("compacted base", base, 0x4399347fafd275aa)
-	st, err := store.ReadDir(liveDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeDir := t.TempDir()
-	if err := store.WriteDir(storeDir, st); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(base, readFile(filepath.Join(storeDir, graph.CompressedShardFileName(0, parts)))) {
-		t.Error("compacted base differs from shard 0 of store.WriteDir on the compacted store")
-	}
 
 	dirs := make([]string, parts)
 	cl := cluster.New(parts)

@@ -39,25 +39,8 @@ func ReadShardDir(dir string, keep func(index, count uint32) bool) (*Shard, erro
 	return merged, nil
 }
 
-// ReadShards loads the shard directory dir, validated as ReadShardDir's is,
-// as one packed edge list per shard index, in file order, and returns them
-// with the |V| the headers share.
-func ReadShards(dir string) (uint32, [][]uint64, error) {
-	files, err := scanShardDir(dir)
-	if err != nil {
-		return 0, nil, err
-	}
-	parts := make([][]uint64, len(files))
-	for i, sf := range files {
-		if parts[i], err = appendShardFile(make([]uint64, 0, sf.capEdges()), sf); err != nil {
-			return 0, nil, err
-		}
-	}
-	return files[0].info.NumVertices, parts, nil
-}
-
 // ReadShardFile decodes the one shard file at path, checked end to end as
-// a file of ReadShards' directory is, and returns its header and its edges
+// a file of ReadShardDir's directory is, and returns its header and its edges
 // in file order. The header's index, count and |V| are checked against
 // nothing else: that is the caller's to do.
 func ReadShardFile(path string) (ShardInfo, []uint64, error) {
@@ -139,7 +122,7 @@ func writeCanonicalShards(dir string, g *Graph, count int, c *shardCodec) error 
 // edges, to path as an ESZ1 shard with header info. It goes through
 // binio.Replace, so path holds its old contents or all of the new ones,
 // fsynced, even across a power cut. It is the one writer of the sorted
-// shards a store directory and a live directory hold.
+// bases a live directory holds.
 func WriteCompressedShard(path string, info ShardInfo, keys []uint64) error {
 	_, err := binio.Replace(path, func(w io.Writer) error {
 		sw, err := NewZShardWriter(w, info)

@@ -177,7 +177,7 @@ func TestDirSourceRejectsTrailingBytes(t *testing.T) {
 
 // TestShardDirOverDeclaredChunksDoNotDrivePrealloc: ESZ1 frame headers that
 // declare far more edges than their payload bytes can encode inflate the
-// scan's edge count (payloads are skipped). ReadShardDir and ReadShards
+// scan's edge count (payloads are skipped). ReadShardDir and ReadShardFile
 // still size their slices by the file's bytes, and fail on the decode.
 func TestShardDirOverDeclaredChunksDoNotDrivePrealloc(t *testing.T) {
 	chunks := make([][]byte, 200)
@@ -191,10 +191,10 @@ func TestShardDirOverDeclaredChunksDoNotDrivePrealloc(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, errMerged := ReadShardDir(dir, nil)
-	_, _, errParts := ReadShards(dir)
+	_, _, errFile := ReadShardFile(filepath.Join(dir, zCodec.fileName(0, 1)))
 	runtime.ReadMemStats(&after)
-	if errMerged == nil || errParts == nil {
-		t.Fatalf("over-declared chunks accepted: %v, %v", errMerged, errParts)
+	if errMerged == nil || errFile == nil {
+		t.Fatalf("over-declared chunks accepted: %v, %v", errMerged, errFile)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
 		t.Errorf("reading a %d-chunk file declaring %d edges allocated %d bytes", len(chunks), len(chunks)<<16, alloc)

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/distributedne/dne/internal/dynpart"
 	"github.com/distributedne/dne/internal/gen"
 	"github.com/distributedne/dne/internal/partition"
-	"github.com/distributedne/dne/internal/store"
 )
 
 // fuzzFiles lists the files FuzzLiveOpen's arguments fill, in argument
@@ -73,7 +73,9 @@ func churnedDir(t testing.TB, numParts int) string {
 // partition 1's files is given; an empty argument leaves that file out.
 // Open either errors or yields a placement state that passes
 // CheckInvariants and that a Close and a second Open reproduce checksum for
-// checksum. It never panics.
+// checksum. It never panics, and opening and building the state allocate
+// in proportion to the vertex claim the edges back (graph.VertexClaimOK),
+// not to what the headers declare.
 //
 // Run locally with:
 //
@@ -89,21 +91,13 @@ func FuzzLiveOpen(f *testing.F) {
 	}
 	f.Add(files[0], append(bytes.Clone(add), 0), files[2], files[3], files[4], files[5], files[6])
 
-	// A store directory: bases and no tails.
+	// A created directory: bases and no tails.
 	g := gen.ER(40, 120, 2)
 	p := partition.New(2, g.NumEdges())
 	for i := range p.Owner {
 		p.Owner[i] = int32(i % 2)
 	}
-	st, err := store.BuildPartitioning(g, p)
-	if err != nil {
-		f.Fatal(err)
-	}
-	sdir := f.TempDir()
-	if err := store.WriteDir(sdir, st); err != nil {
-		f.Fatal(err)
-	}
-	s := readFuzzFiles(f, sdir, 2)
+	s := readFuzzFiles(f, createDir(f, g, p), 2)
 	f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6])
 
 	// A compaction's .next of partition 0, beside the tombstone tail it
@@ -137,7 +131,23 @@ func FuzzLiveOpen(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		l, err := Open(dir, Config{})
+		if err == nil {
+			l.State()
+		}
+		runtime.ReadMemStats(&after)
+		// The claim admits 2^20 vertices for free and 256 per edge beyond;
+		// an edge costs at least a byte of input.
+		in := 0
+		for _, b := range args {
+			in += len(b)
+		}
+		claim := max(1<<20, 256*uint64(in))
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 64*claim; alloc > limit {
+			t.Fatalf("opening %d bytes allocated %d bytes, over %d", in, alloc, limit)
+		}
 		if err != nil {
 			if err.Error() == "" {
 				t.Fatal("empty error message")

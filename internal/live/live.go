@@ -36,23 +36,26 @@ const defaultMinOverlay = 1 << 16
 //	shard-QQQQ-of-PPPP.add   tail: raw EShard insertions since the base
 //	shard-QQQQ-of-PPPP.dead  tail: raw EShard tombstones since the base
 //
-// The bases are a store directory: store.WriteDir writes the same files, so
-// Open adopts a store directory as a live graph with empty tails, and
-// store.ReadDir reads a live directory that was compacted and closed. The
+// The bases alone are a shard directory that any shard reader opens; the
 // tails' extensions keep shard scanners (*.esh, *.esz) from reading them.
+// A tail is written on the graph's first mutation, so a graph that is only
+// served holds its bases and nothing else.
 //
 // Mutations (Apply, Rebalance, Compact) serialize on one mutex; queries
 // never take it — they pin the current Epoch with one atomic load and run
 // against that immutable snapshot, so readers never block and never
-// observe a partial batch.
+// observe a partial batch. A graph pays for writing only once it is
+// written: the placement state is built, and the tails opened, by the
+// first mutation.
 type Live struct {
 	dir string
+	cfg Config // NumParts as the bases give it
 
 	mu      sync.Mutex
-	st      *State
+	st      *State // nil until stateLocked builds it
 	base    *store.Store
-	overlay *store.Writer // the mutations since base; each publish seals its pending ones into a run
-	adds    []*graph.ShardWriter
+	overlay *store.Writer        // the mutations since base; each publish seals its pending ones into a run
+	adds    []*graph.ShardWriter // nil until mutableLocked opens the tails
 	dead    []*graph.ShardWriter
 	seq     uint64
 	ncomp   int64  // compactions performed
@@ -64,8 +67,10 @@ type Live struct {
 
 	recovery Recovery // what Open had to repair; immutable afterwards
 
-	// Maintenance duration histograms, attached by RegisterMetrics; nil
-	// (the default) records nothing.
+	// The instruments Instrument attaches: the store's, hung on every base,
+	// and the maintenance duration histograms. nil (the default) records
+	// nothing.
+	storeObs     *store.Obs
 	obsApply     *obs.Histogram
 	obsCompact   *obs.Histogram
 	obsRebalance *obs.Histogram
@@ -78,13 +83,16 @@ func (l *Live) maxOverlay() int64 {
 	return max(defaultMinOverlay, l.base.NumEdges()/8)
 }
 
-// Open opens (or creates) a live graph in dir and rebuilds its placement
-// state from the bases and tails, the one durable copy of the graph. The
-// bases carry the partition count: cfg.NumParts must match it, and zero
-// adopts it. Each file's header must name its partition and that count.
-// All their edge keys, tombstones too, must back the largest live vertex id
-// (graph.VertexClaimOK), as Apply and Compact keep them; Open refuses any
-// other directory with ErrVertexClaim before sizing the slabs for it.
+// Open opens (or creates) a live graph in dir and serves the graph its bases
+// and tails hold, the one durable copy of it. The bases carry the partition
+// count: cfg.NumParts must match it, and zero adopts it. Each file's header
+// must name its partition and that count. The vertex ids the graph serves
+// run to the largest live id and the largest |V| a base header declares,
+// and all the edge keys, tombstones too, must back that count
+// (graph.VertexClaimOK), as Create, Apply and Compact keep them; Open
+// refuses any other directory with ErrVertexClaim before sizing anything
+// by it. Open builds no placement state and opens no tail: a graph that is
+// only queried never pays for them.
 func Open(dir string, cfg Config) (*Live, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -99,26 +107,28 @@ func Open(dir string, cfg Config) (*Live, error) {
 		}
 		cfg.NumParts = n
 	}
-	st, err := NewState(cfg)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	numParts := st.cfg.NumParts
 	if n == 0 {
-		if err := writeBases(dir, 0, make([][]uint64, numParts)); err != nil {
+		if err := writeBases(dir, 0, make([][]uint64, cfg.NumParts)); err != nil {
 			return nil, err
 		}
 	}
 
 	var rec Recovery
-	packed := make([][]uint64, numParts)
-	var maxV graph.Vertex
+	packed := make([][]uint64, cfg.NumParts)
+	var nv uint32 // vertex ids served
 	var logKeys uint64
 	for q := range packed {
 		var runs [3][]uint64
 		for i, kind := range []string{kindBase, tailAdd, tailDead} {
-			if runs[i], err = readRun(dir, kind, q, numParts, &rec); err != nil {
+			var info graph.ShardInfo
+			if info, runs[i], err = readRun(dir, kind, q, cfg.NumParts, &rec); err != nil {
 				return nil, err
+			}
+			if kind == kindBase {
+				nv = max(nv, info.NumVertices)
 			}
 			logKeys += uint64(len(runs[i]))
 		}
@@ -126,35 +136,23 @@ func Open(dir string, cfg Config) (*Live, error) {
 			return nil, err
 		}
 		for _, k := range packed[q] {
-			maxV = max(maxV, graph.UnpackEdge(k).V+1)
+			nv = max(nv, graph.UnpackEdge(k).V+1)
 		}
 	}
-	if !graph.VertexClaimOK(uint64(maxV), logKeys) {
-		return nil, fmt.Errorf("%w: directory names vertex %d with %d edge keys", ErrVertexClaim, maxV-1, logKeys)
+	if !graph.VertexClaimOK(uint64(nv), logKeys) {
+		return nil, fmt.Errorf("%w: directory names %d vertices with %d edge keys", ErrVertexClaim, nv, logKeys)
 	}
-	for q, ks := range packed {
-		for _, k := range ks {
-			e := graph.UnpackEdge(k)
-			st.ApplyInsert(e.U, e.V, int32(q))
-		}
-	}
-	st.events = 0                                  // Events count since Open
-	maxV = max(maxV, graph.Vertex(len(st.deg)), 1) // BuildFromShards wants a nonempty universe
-
-	base, err := store.BuildFromShards(uint32(maxV), packed)
+	base, err := store.BuildFromShards(max(nv, 1), packed) // BuildFromShards wants a nonempty universe
 	if err != nil {
 		return nil, err
 	}
 	l := &Live{
 		dir:      dir,
-		st:       st,
+		cfg:      cfg,
 		base:     base,
 		overlay:  store.NewWriter(base),
 		logKeys:  logKeys,
 		recovery: rec,
-	}
-	if err := l.openLogs(); err != nil {
-		return nil, err
 	}
 	l.publishLocked()
 	return l, nil
@@ -163,8 +161,8 @@ func Open(dir string, cfg Config) (*Live, error) {
 // Create seeds a new live graph in dir from a static partitioning p of g:
 // the §8 workflow of partitioning a snapshot offline, typically with
 // Distributed NE, then maintaining it incrementally. Each partition's edges
-// become its base and Open rebuilds the placement state from them. Zero
-// cfg.NumParts adopts p's count; dir must not already hold a live graph.
+// become its base, under g's |V|, and Open serves them. Zero cfg.NumParts
+// adopts p's count; dir must not already hold a live graph.
 func Create(dir string, cfg Config, g *graph.Graph, p *partition.Partitioning) (*Live, error) {
 	if err := p.Validate(g); err != nil {
 		return nil, fmt.Errorf("live: seed partitioning invalid: %w", err)
@@ -290,18 +288,19 @@ func settle(dir string) (int, error) {
 }
 
 // readRun decodes partition q's file of kind kind, which must declare
-// itself shard q of numParts. A missing base is an error, a missing tail an
-// empty one; a tail's torn end, which a crash mid-append leaves, is cut back
-// first (the un-fsynced appends it held were never durable).
-func readRun(dir, kind string, q, numParts int, rec *Recovery) ([]uint64, error) {
+// itself shard q of numParts, and returns its header and its keys. A
+// missing base is an error, a missing tail an empty one; a tail's torn end,
+// which a crash mid-append leaves, is cut back first (the un-fsynced
+// appends it held were never durable).
+func readRun(dir, kind string, q, numParts int, rec *Recovery) (graph.ShardInfo, []uint64, error) {
 	path := runPath(dir, kind, q, numParts)
 	if kind != kindBase {
 		_, dropped, err := graph.RecoverShardTail(path)
 		if os.IsNotExist(err) {
-			return nil, nil
+			return graph.ShardInfo{}, nil, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("live: recovering %s: %w", path, err)
+			return graph.ShardInfo{}, nil, fmt.Errorf("live: recovering %s: %w", path, err)
 		}
 		if dropped > 0 {
 			rec.TornLogs++
@@ -315,9 +314,9 @@ func readRun(dir, kind string, q, numParts int, rec *Recovery) ([]uint64, error)
 		err = fmt.Errorf("%s declares shard %d of %d, want %d of %d", path, info.Index, info.Count, q, numParts)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("live: %w", err)
+		return info, nil, fmt.Errorf("live: %w", err)
 	}
-	return keys, nil
+	return info, keys, nil
 }
 
 // merge sorts the tails and walks the three runs of partition q once,
@@ -360,9 +359,10 @@ func merge(q int, runs [3][]uint64) ([]uint64, error) {
 }
 
 // openLogs opens every tail for appending. A missing tail is first written
-// whole and empty, so a crash never leaves one without its header.
+// whole and empty, so a crash never leaves one without its header. On
+// failure no tail stays open.
 func (l *Live) openLogs() error {
-	numParts := l.st.cfg.NumParts
+	numParts := l.cfg.NumParts
 	l.adds, l.dead = make([]*graph.ShardWriter, numParts), make([]*graph.ShardWriter, numParts)
 	for _, t := range []struct {
 		kind string
@@ -378,6 +378,7 @@ func (l *Live) openLogs() error {
 			}
 			if err != nil {
 				l.closeLogs()
+				l.adds, l.dead = nil, nil
 				return fmt.Errorf("live: opening %s: %w", path, err)
 			}
 			t.ws[q] = sw
@@ -419,9 +420,47 @@ func (l *Live) viewLocked() *store.Epoch { return l.overlay.Epoch(l.seq) }
 // epoch while writers publish new ones.
 func (l *Live) Epoch() *store.Epoch { return l.epoch.Load() }
 
-// State returns the placement state for inspection. Mutating it outside
-// the Live methods corrupts the subsystem.
-func (l *Live) State() *State { return l.st }
+// State returns the placement state for inspection, building it if no
+// mutation has yet. Mutating it outside the Live methods corrupts the
+// subsystem.
+func (l *Live) State() *State {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.stateLocked()
+}
+
+// stateLocked returns the placement state, first rebuilding it from the
+// graph's edges, partition by partition in key order, if it has not been
+// built. Callers hold mu.
+func (l *Live) stateLocked() *State {
+	if l.st != nil {
+		return l.st
+	}
+	st, _ := NewState(l.cfg) // Open validated cfg
+	view := l.viewLocked()
+	for q := range l.cfg.NumParts {
+		for _, k := range view.ShardEdgesPacked(q) {
+			e := graph.UnpackEdge(k)
+			st.ApplyInsert(e.U, e.V, int32(q))
+		}
+	}
+	st.events = 0 // Events count mutations, not the rebuild
+	l.st = st
+	return st
+}
+
+// mutableLocked readies an open graph for a mutation: the placement state
+// built and the tails open. Callers hold mu.
+func (l *Live) mutableLocked() error {
+	if l.closed {
+		return fmt.Errorf("live: closed")
+	}
+	l.stateLocked()
+	if l.adds == nil {
+		return l.openLogs()
+	}
+	return nil
+}
 
 // ownerLocked resolves the partition holding live edge (u,v), u < v, −1
 // when the edge is absent. Endpoints that share no partition answer at once
@@ -444,8 +483,8 @@ func (l *Live) ownerLocked(u, v graph.Vertex) int32 {
 func (l *Live) Apply(events []dynpart.Event) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("live: closed")
+	if err := l.mutableLocked(); err != nil {
+		return 0, err
 	}
 	if err := l.checkBatch(events); err != nil {
 		return 0, err
@@ -546,15 +585,15 @@ func (l *Live) checkBatch(events []dynpart.Event) error {
 func (l *Live) Rebalance(budget int) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("live: closed")
+	if err := l.mutableLocked(); err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	defer func() { l.obsRebalance.Observe(int64(time.Since(start))) }()
 	cap := l.st.capEdges(0)
 	moved := 0
 	sizes := l.st.sizes
-	for q := int32(0); int(q) < l.st.cfg.NumParts && moved < budget; q++ {
+	for q := int32(0); int(q) < l.cfg.NumParts && moved < budget; q++ {
 		if sizes[q] <= cap {
 			continue
 		}
@@ -594,8 +633,8 @@ func (l *Live) Rebalance(budget int) (int, error) {
 func (l *Live) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("live: closed")
+	if err := l.mutableLocked(); err != nil {
+		return err
 	}
 	return l.compactLocked()
 }
@@ -603,7 +642,7 @@ func (l *Live) Compact() error {
 func (l *Live) compactLocked() error {
 	start := time.Now()
 	defer func() { l.obsCompact.Observe(int64(time.Since(start))) }()
-	numParts := l.st.cfg.NumParts
+	numParts := l.cfg.NumParts
 	packed := make([][]uint64, numParts)
 	view := l.viewLocked()
 	for q := range packed {
@@ -613,6 +652,7 @@ func (l *Live) compactLocked() error {
 	if err != nil {
 		return err
 	}
+	base.SetObs(l.storeObs)
 
 	// Rebase each partition on its live edges, one at a time. That drops the
 	// tails' history, which Open counts toward the vertex claim, so it waits
@@ -724,7 +764,7 @@ func (l *Live) Checksum() uint64 {
 	h := fnv.New64a()
 	var b [12]byte
 	view := l.viewLocked()
-	for q := 0; q < l.st.cfg.NumParts; q++ {
+	for q := range l.cfg.NumParts {
 		for _, k := range view.ShardEdgesPacked(q) {
 			binary.LittleEndian.PutUint64(b[:8], k)
 			binary.LittleEndian.PutUint32(b[8:], uint32(q))
@@ -752,24 +792,39 @@ type Stats struct {
 	Compactions       int64   `json:"compactions"`
 }
 
-// Stats returns the current snapshot.
+// Stats returns the current snapshot. A graph never written reads it off
+// its base, with the values its placement state would give.
 func (l *Live) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	added, deleted := l.overlay.Mutations()
-	return Stats{
-		NumParts:          l.st.cfg.NumParts,
-		NumEdges:          l.st.numEdges,
-		NumVertices:       l.st.NumVertices(),
-		ReplicationFactor: l.st.ReplicationFactor(),
-		EdgeBalance:       l.st.EdgeBalance(),
-		Sizes:             l.st.Sizes(),
-		Events:            l.st.events,
-		Moved:             l.st.moved,
-		MigratedBytes:     l.st.migratedBytes,
-		Epoch:             l.seq,
-		OverlayAdds:       added,
-		OverlayDels:       deleted,
-		Compactions:       l.ncomp,
+	s := Stats{
+		NumParts:    l.cfg.NumParts,
+		Epoch:       l.seq,
+		OverlayAdds: added,
+		OverlayDels: deleted,
+		Compactions: l.ncomp,
 	}
+	if st := l.st; st != nil {
+		s.NumEdges, s.NumVertices = st.numEdges, st.NumVertices()
+		s.ReplicationFactor, s.EdgeBalance, s.Sizes = st.ReplicationFactor(), st.EdgeBalance(), st.Sizes()
+		s.Events, s.Moved, s.MigratedBytes = st.events, st.moved, st.migratedBytes
+		return s
+	}
+	// Unwritten, the graph is its base: its shards' sizes, and its covered
+	// vertices and their replicas from the replica index.
+	st := &State{sizes: make([]int64, l.cfg.NumParts)}
+	for q := range st.sizes {
+		st.sizes[q] = l.base.ShardEdges(q)
+		st.numEdges += st.sizes[q]
+		st.replicas += int64(l.base.ShardVertices(q))
+	}
+	for v := range l.base.NumVertices() {
+		if len(l.base.Replicas(v)) > 0 {
+			st.vertices++
+		}
+	}
+	s.NumEdges, s.NumVertices = st.numEdges, st.vertices
+	s.ReplicationFactor, s.EdgeBalance, s.Sizes = st.ReplicationFactor(), st.EdgeBalance(), st.sizes
+	return s
 }

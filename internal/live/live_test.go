@@ -317,8 +317,8 @@ func TestLiveResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.State().NumParts() != 4 {
-		t.Fatalf("resume lost the partition count: %d", l.State().NumParts())
+	if l.State().cfg.NumParts != 4 {
+		t.Fatalf("resume lost the partition count: %d", l.State().cfg.NumParts)
 	}
 	if got := stateChecksum(l.State()); got != midState {
 		t.Fatalf("resumed state checksum %#x, want %#x", got, midState)
@@ -332,11 +332,11 @@ func TestLiveResume(t *testing.T) {
 	}
 }
 
-// TestLiveDirectoryIsStoreDirectory: a live directory and a store directory
-// are one layout. After Create, and after Compact then Close, the live
-// directory holds only bases and empty tails, and store.ReadDir reads from
-// it, shard by shard, the live epoch's edges. The other way, Open adopts a
-// store.WriteDir directory with the store's edges in each partition.
+// TestLiveDirectoryIsStoreDirectory: a live directory's bases are a shard
+// directory, which graph.ReadShardDir reads partition by partition as the
+// live epoch holds them. After Create the directory holds the bases alone,
+// for a graph never written opens no tail; after Compact then Close it
+// holds the bases and empty tails.
 func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 	const parts = 4
 	g := gen.RMAT(9, 8, 3)
@@ -344,30 +344,30 @@ func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 	for i := range p.Owner {
 		p.Owner[i] = int32(i * 7 % parts)
 	}
-	check := func(dir string, ep *store.Epoch) {
+	check := func(dir string, ep *store.Epoch, files int) {
 		t.Helper()
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ents) != 3*parts {
-			t.Fatalf("%d files, want a base and two tails for each of %d partitions", len(ents), parts)
+		if len(ents) != files {
+			t.Fatalf("%d files, want %d", len(ents), files)
 		}
 		for q := 0; q < parts; q++ {
 			for _, kind := range []string{tailAdd, tailDead} {
+				if _, err := os.Stat(runPath(dir, kind, q, parts)); err != nil {
+					continue
+				}
 				if keys := readKeys(t, runPath(dir, kind, q, parts)); len(keys) != 0 {
 					t.Fatalf("partition %d's %s tail holds %d edges, want none", q, kind, len(keys))
 				}
 			}
-		}
-		st, err := store.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := store.NewWriter(st).Epoch(0)
-		for q := 0; q < parts; q++ {
-			if !slices.Equal(got.ShardEdgesPacked(q), ep.ShardEdgesPacked(q)) {
-				t.Fatalf("store.ReadDir shard %d differs from the live partition", q)
+			sh, err := graph.ReadShardDir(dir, func(index, _ uint32) bool { return int(index) == q })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sh.Packed, ep.ShardEdgesPacked(q)) {
+				t.Fatalf("graph.ReadShardDir partition %d differs from the live partition", q)
 			}
 		}
 	}
@@ -381,7 +381,7 @@ func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check(dir, ep)
+	check(dir, ep, parts)
 	if l, err = Open(dir, Config{}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,29 +395,7 @@ func TestLiveDirectoryIsStoreDirectory(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check(dir, ep)
-
-	st, err := store.BuildPartitioning(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdir := t.TempDir()
-	if err := store.WriteDir(sdir, st); err != nil {
-		t.Fatal(err)
-	}
-	if l, err = Open(sdir, Config{}); err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.State().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	want := store.NewWriter(st).Epoch(0)
-	for q := 0; q < parts; q++ {
-		if !slices.Equal(l.Epoch().ShardEdgesPacked(q), want.ShardEdgesPacked(q)) {
-			t.Fatalf("live partition %d differs from store shard %d", q, q)
-		}
-	}
+	check(dir, ep, 3*parts)
 }
 
 // TestConfigValidation: partition counts outside (0, maxParts] are refused
@@ -449,8 +427,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.State().NumParts() != 4 || l.State().numEdges != g.NumEdges() {
-		t.Fatalf("seeded %d partitions, %d edges; want 4, %d", l.State().NumParts(), l.State().numEdges, g.NumEdges())
+	if l.State().cfg.NumParts != 4 || l.State().numEdges != g.NumEdges() {
+		t.Fatalf("seeded %d partitions, %d edges; want 4, %d", l.State().cfg.NumParts, l.State().numEdges, g.NumEdges())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -23,14 +23,19 @@ type runFile struct {
 func (f runFile) path(dir string, numParts int) string { return runPath(dir, f.kind, f.q, numParts) }
 
 // writeRuns writes each file of a numParts-partition live directory: a base
-// through graph.WriteCompressedShard (its keys must ascend), a tail as a raw
-// EShard file holding its keys in the order given.
+// through graph.WriteCompressedShard (its keys must ascend) with the |V|
+// its keys name, a tail as a raw EShard file holding its keys in the order
+// given, with an unbounded |V| as Live writes it.
 func writeRuns(t testing.TB, dir string, numParts int, files map[runFile][]uint64) {
 	t.Helper()
 	for f, keys := range files {
 		info := graph.ShardInfo{NumVertices: ^uint32(0), Index: uint32(f.q), Count: uint32(numParts)}
 		path := f.path(dir, numParts)
 		if f.kind == kindBase {
+			info.NumVertices = 0
+			for _, k := range keys {
+				info.NumVertices = max(info.NumVertices, graph.UnpackEdge(k).V+1)
+			}
 			if err := graph.WriteCompressedShard(path, info, keys); err != nil {
 				t.Fatal(err)
 			}
@@ -116,8 +121,8 @@ func TestStateRoundTrip(t *testing.T) {
 	if stateChecksum(got) != sum {
 		t.Fatalf("state checksum %#x, want %#x", stateChecksum(got), sum)
 	}
-	if got.numEdges != edges || got.NumParts() != 4 {
-		t.Fatalf("reopened %d edges on %d partitions, want %d on 4", got.numEdges, got.NumParts(), edges)
+	if got.numEdges != edges || got.cfg.NumParts != 4 {
+		t.Fatalf("reopened %d edges on %d partitions, want %d on 4", got.numEdges, got.cfg.NumParts, edges)
 	}
 	if got.events != 0 {
 		t.Fatalf("reopened state counts %d events, want 0 (history counts since Open)", got.events)
@@ -250,8 +255,8 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.State().NumParts() != parts || l.State().numEdges != parts*10 {
-		t.Fatalf("opened %d partitions, %d edges; want %d, %d", l.State().NumParts(), l.State().numEdges, parts, parts*10)
+	if l.State().cfg.NumParts != parts || l.State().numEdges != parts*10 {
+		t.Fatalf("opened %d partitions, %d edges; want %d, %d", l.State().cfg.NumParts, l.State().numEdges, parts, parts*10)
 	}
 	l.Close()
 
@@ -280,7 +285,7 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 				t.Fatal(err)
 			}
 			if l, err := Open(dir, Config{}); err == nil {
-				t.Fatalf("opened with %d partitions and %d edges", l.State().NumParts(), l.State().numEdges)
+				t.Fatalf("opened with %d partitions and %d edges", l.State().cfg.NumParts, l.State().numEdges)
 			}
 		})
 	}
@@ -303,8 +308,8 @@ func TestOpenChecksLogHeaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		if l.State().NumParts() != 4 || l.State().numEdges != 0 {
-			t.Fatalf("opened %d partitions, %d edges; want 4, 0", l.State().NumParts(), l.State().numEdges)
+		if l.State().cfg.NumParts != 4 || l.State().numEdges != 0 {
+			t.Fatalf("opened %d partitions, %d edges; want 4, 0", l.State().cfg.NumParts, l.State().numEdges)
 		}
 	})
 }
@@ -465,13 +470,18 @@ func TestCompactionCrashStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ents) != 3*parts {
-				t.Fatalf("%d files left, want a base and two tails for each of %d partitions", len(ents), parts)
-			}
+			bases := 0
 			for _, e := range ents {
-				if m := layoutName.FindStringSubmatch(e.Name()); m == nil || m[3] == kindBase+nextSuffix {
+				m := layoutName.FindStringSubmatch(e.Name())
+				if m == nil || m[3] == kindBase+nextSuffix {
 					t.Fatalf("left behind %s", e.Name())
 				}
+				if m[3] == kindBase {
+					bases++
+				}
+			}
+			if bases != parts {
+				t.Fatalf("%d bases left, want one for each of %d partitions", bases, parts)
 			}
 		})
 	}

@@ -7,11 +7,12 @@
 //     incidence slabs plus a partition.ReplicaSets bit view) applying a
 //     replica-aware greedy placement built on neighbor expansion's two
 //     heuristics (§3.1), RNG-free and therefore a pure function of the
-//     event stream. Open rebuilds it from the directory; Create seeds it
-//     from a static partitioning such as a Distributed NE result.
-//   - Per partition, the directory holds a sorted ESZ1 base (a store
-//     shard file) and append-only EShard tails of insertions and
-//     tombstones since it: the only durable copy of the graph.
+//     event stream. The first mutation rebuilds it from the graph that
+//     Open read from the directory, or that Create seeded from a static
+//     partitioning such as a Distributed NE result.
+//   - Per partition, the directory holds a sorted ESZ1 base (a shard
+//     file) and append-only EShard tails of insertions and tombstones
+//     since it: the only durable copy of the graph.
 //   - Reads resolve against a store.Epoch — immutable base CSR plus a few
 //     immutable sorted overlay runs that consecutive epochs share — pinned
 //     with one atomic load; a compaction folds the overlay into a fresh
@@ -90,9 +91,6 @@ func NewState(cfg Config) (*State, error) {
 		sizes: make([]int64, cfg.NumParts),
 	}, nil
 }
-
-// NumParts returns the partition count.
-func (st *State) NumParts() int { return st.cfg.NumParts }
 
 // NumVertices returns the number of vertices with at least one live edge.
 func (st *State) NumVertices() int64 { return st.vertices }

@@ -57,9 +57,6 @@ func (ri *ReplicaIndex) Of(v graph.Vertex) (parts []int32, slots []uint32) {
 	return ri.parts[lo:hi], ri.slots[lo:hi]
 }
 
-// Total returns Σp |V(Ep)|, the numerator of the replication factor.
-func (ri *ReplicaIndex) Total() int64 { return int64(len(ri.parts)) }
-
 // replicaSlab returns one bitset row of words u64s per vertex of g, row v
 // holding the partitions that cover v, and |Ep| per partition. Unassigned
 // edges are skipped.

@@ -47,8 +47,8 @@ func TestReplicaIndexMatchesOwners(t *testing.T) {
 	}
 
 	ri := NewReplicaIndex(g.NumVertices(), verts)
-	if got, want := ri.Total(), p.Measure(g).Replicas; got != want {
-		t.Fatalf("Total = %d, Measure's replicas = %d", got, want)
+	if got, want := int64(len(ri.parts)), p.Measure(g).Replicas; got != want {
+		t.Fatalf("index holds %d replicas, Measure's replicas = %d", got, want)
 	}
 	for v := graph.Vertex(0); v < g.NumVertices(); v++ {
 		ps, slots := ri.Of(v)

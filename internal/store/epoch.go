@@ -32,8 +32,8 @@ const compactYieldStride = 1 << 14
 
 // BuildFromShards materializes per-shard canonical packed edge lists into a
 // Store. It is the one CSR builder: BuildPartitioning buckets a graph's
-// edges by owner into it, compaction folds an epoch through it, and
-// ReadDir rebuilds every persisted shard through it. shardEdges[s] holds
+// edges by owner into it, and a live graph builds every base it opens or
+// compacts through it. shardEdges[s] holds
 // shard s's edges as PackEdge keys (u < v), strictly increasing; duplicates
 // and endpoints ≥ numVertices are rejected, and so is an edge two shards
 // hold. Each shard costs O(|Es| + |V|/64) with one dense vertex scratch
@@ -185,6 +185,9 @@ func (e *Epoch) NumVertices() uint32 { return e.numVertices }
 
 // NumShards returns the shard count.
 func (e *Epoch) NumShards() int { return len(e.base.shards) }
+
+// Metrics returns the counters of the base the epoch's queries count into.
+func (e *Epoch) Metrics() Metrics { return e.base.Metrics() }
 
 // ShardEdges returns the live edge count of shard s.
 func (e *Epoch) ShardEdges(s int) int64 {

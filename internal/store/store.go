@@ -52,7 +52,7 @@ func (s *shard) degreeOf(l uint32) int64 { return s.off[l+1] - s.off[l] }
 func (s *shard) neighborsOf(l uint32) []graph.Vertex { return s.tgt[s.off[l]:s.off[l+1]] }
 
 // Store serves point and traversal queries over a sharded graph. It is
-// immutable after BuildFromShards/ReadDir and safe for concurrent use.
+// immutable after BuildFromShards and safe for concurrent use.
 type Store struct {
 	numVertices uint32
 	numEdges    int64
@@ -204,15 +204,6 @@ func (st *Store) owner(u, v graph.Vertex) int32 {
 		}
 	}
 	return dead
-}
-
-// ReplicationFactor returns Σp |V(Ep)| / |V|, the paper's replication
-// factor over the replica index (0 for an empty store).
-func (st *Store) ReplicationFactor() float64 {
-	if st.numVertices == 0 {
-		return 0
-	}
-	return float64(st.replicas.Total()) / float64(st.numVertices)
 }
 
 // Neighbors returns v's full neighbor set, sorted. Each edge lives on

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Observability smoke test: dneserve starts with a debug listener, a store
-# is built and queried, the live graph ingests and compacts, and then
-# /metrics must expose nonzero store, live, HTTP and runtime families in
-# valid Prometheus text format; /debug/trace must hold partition phase
-# spans, and the pprof index must answer on the debug port. Finally loadgen
-# -url -scrape drives a random and a dne store on the same server over HTTP:
+# Observability smoke test: dneserve starts with a debug listener, a graph
+# is built and queried, a second graph ingests, is queried and compacts,
+# and then /metrics must expose nonzero store, live, HTTP and runtime
+# families in valid Prometheus text format; /debug/trace must hold
+# partition phase spans, and the pprof index must answer on the debug port.
+# Finally loadgen -url -scrape drives a random and a dne graph on the same
+# server over HTTP:
 # each method must report a drift line from the server's /metrics, no query
 # may fail, and DNE's hops/query must be below Random's — the paper's claim
 # and every layer's instrumentation, checked end to end.
@@ -31,7 +32,7 @@ echo "== building CLIs"
 go build -o "$workdir" ./cmd/dneserve ./cmd/loadgen
 
 echo "== starting dneserve with -debug-addr"
-"$workdir/dneserve" -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -live-dir "$workdir/live" \
+"$workdir/dneserve" -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -graph-dir "$workdir/graphs" \
   > /dev/null 2> "$workdir/access.log" &
 server_pid=$!
 for _ in $(seq 1 100); do
@@ -41,20 +42,20 @@ for _ in $(seq 1 100); do
 done
 [ "$code" = "200" ] || { echo "FAIL: server did not come up"; cat "$workdir/access.log"; exit 1; }
 
-echo "== partition + store build + queries + live ingest/compact"
+echo "== partition + graph build + queries + a second graph's ingest/compact"
 curl -sf -X POST "http://$ADDR/api/partition" \
   -d "{\"method\":\"dne\",\"parts\":$PARTS,\"rmat\":{\"scale\":$SCALE,\"ef\":$EF,\"seed\":7}}" > /dev/null
-curl -sf -X POST "http://$ADDR/api/store/build" \
+curl -sf -X POST "http://$ADDR/api/graphs" \
   -d "{\"method\":\"dne\",\"parts\":$PARTS,\"name\":\"smoke\",\"rmat\":{\"scale\":$SCALE,\"ef\":$EF,\"seed\":7}}" > /dev/null
 for v in 0 1 2 3 4 5 6 7; do
-  curl -sf -X POST "http://$ADDR/api/query/neighbors" -d "{\"store\":\"smoke\",\"vertex\":$v}" > /dev/null
-  curl -sf -X POST "http://$ADDR/api/query/khop" -d "{\"store\":\"smoke\",\"vertex\":$v,\"k\":2}" > /dev/null
+  curl -sf -X POST "http://$ADDR/api/graphs/smoke/neighbors" -d "{\"vertex\":$v}" > /dev/null
+  curl -sf -X POST "http://$ADDR/api/graphs/smoke/khop" -d "{\"vertex\":$v,\"k\":2}" > /dev/null
 done
-curl -sf -X POST "http://$ADDR/api/live/ingest" \
+curl -sf -X POST "http://$ADDR/api/graphs/live/ingest" \
   -d "{\"parts\":$PARTS,\"edges\":[[0,1],[1,2],[2,3],[3,0],[0,2],[1,3]]}" > /dev/null
-curl -sf -X POST "http://$ADDR/api/live/query/neighbors" -d '{"vertices":[0,1,2]}' > /dev/null
-curl -sf -X POST "http://$ADDR/api/live/query/khop" -d '{"vertex":0,"k":2}' > /dev/null
-curl -sf -X POST "http://$ADDR/api/live/compact" -d '{}' > /dev/null
+curl -sf -X POST "http://$ADDR/api/graphs/live/neighbors" -d '{"vertices":[0,1,2]}' > /dev/null
+curl -sf -X POST "http://$ADDR/api/graphs/live/khop" -d '{"vertex":0,"k":2}' > /dev/null
+curl -sf -X POST "http://$ADDR/api/graphs/live/compact" -d '{}' > /dev/null
 
 echo "== scraping /metrics"
 curl -sf "http://$ADDR/metrics" > "$workdir/metrics.txt"
@@ -73,8 +74,10 @@ assert_nonzero() {
   echo "   $1 = $v"
 }
 
-# Format sanity: every non-comment line is "name{labels} value" or "name value".
-if awk '!/^#/ && NF && !/^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.eEInf]+$/ { print; bad=1 } END { exit bad }' \
+# Format sanity: every non-comment line is "name{labels} value" or "name
+# value", each label name="value" with a quoted value that may hold braces
+# (a route label reads "/api/graphs/{id}/khop").
+if awk '!/^#/ && NF && !/^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\.)*",?)*\})? [-+0-9.eEInf]+$/ { print; bad=1 } END { exit bad }' \
      "$workdir/metrics.txt"; then
   echo "   exposition format OK ($(grep -c . "$workdir/metrics.txt") lines)"
 else
@@ -85,20 +88,19 @@ assert_nonzero "dne_store_query_duration_seconds_count"
 assert_nonzero "dne_store_shard_touches_total"
 assert_nonzero "dne_live_edges"
 assert_nonzero "dne_live_apply_duration_seconds_count"
-assert_nonzero "dne_live_query_duration_seconds_count"
-# Both live query routes run the shared handler family; each must be timed.
+# The store times every query of every graph, each kind on its own.
 for kind in neighbors khop; do
-  v=$(awk -v l="dne_live_query_duration_seconds_count{kind=\"$kind\"}" '$1 == l { print $NF }' "$workdir/metrics.txt")
+  v=$(awk -v l="dne_store_query_duration_seconds_count{kind=\"$kind\"}" '$1 == l { print $NF }' "$workdir/metrics.txt")
   if [ "${v:-0}" -le 0 ]; then
-    echo "FAIL: dne_live_query_duration_seconds_count{kind=\"$kind\"} is zero or missing"; exit 1
+    echo "FAIL: dne_store_query_duration_seconds_count{kind=\"$kind\"} is zero or missing"; exit 1
   fi
-  echo "   dne_live_query_duration_seconds_count{kind=\"$kind\"} = $v"
+  echo "   dne_store_query_duration_seconds_count{kind=\"$kind\"} = $v"
 done
 assert_nonzero "dne_http_requests_total"
 assert_nonzero "dne_go_goroutines"
 
 echo "== structured access log"
-if ! grep -q '"path":"/api/query/neighbors"' "$workdir/access.log"; then
+if ! grep -q '"path":"/api/graphs/smoke/neighbors"' "$workdir/access.log"; then
   echo "FAIL: no structured access-log line for the query endpoint"
   tail -5 "$workdir/access.log"; exit 1
 fi
