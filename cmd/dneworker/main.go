@@ -74,8 +74,9 @@ func main() {
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:7777", "router address (rank 0 listens here)")
 	flag.StringVar(&o.shardDir, "shard-dir", "", "read EShard files with index%size==rank from this directory (required)")
 	flag.Int64Var(&o.seed, "seed", 42, "shared random seed")
-	flag.Float64Var(&o.alpha, "alpha", 1.1, "imbalance factor")
-	flag.Float64Var(&o.lambda, "lambda", 0.1, "expansion factor")
+	def := dne.DefaultConfig()
+	flag.Float64Var(&o.alpha, "alpha", def.Alpha, "imbalance factor")
+	flag.Float64Var(&o.lambda, "lambda", def.Lambda, "expansion factor")
 	flag.StringVar(&o.ckptDir, "ckpt-dir", "", "fault tolerance: write per-superstep checkpoints here and survive worker restarts")
 	flag.IntVar(&o.ckptEvery, "ckpt-every", 1, "fault tolerance: checkpoint every N supersteps")
 	flag.IntVar(&o.maxRestarts, "max-restarts", 3, "fault tolerance: mesh rebuilds survived before giving up")

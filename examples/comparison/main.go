@@ -26,15 +26,11 @@ func main() {
 	// Every registered method, straight from the registry.
 	t := &bench.Table{Header: []string{"partitioner", "RF", "edge-bal", "vert-bal", "time"}}
 	for _, name := range methods.Names() {
-		pr, spec, err := methods.New(name, partition.NewSpec(parts, 1))
-		if err != nil {
-			log.Fatal(err)
-		}
-		run := bench.Execute(context.Background(), pr, g, spec)
+		run := bench.Execute(context.Background(), name, g, partition.NewSpec(parts, 1))
 		if run.Err != nil {
-			log.Fatalf("%s: %v", pr.Name(), run.Err)
+			log.Fatalf("%s: %v", name, run.Err)
 		}
-		t.Add(pr.Name(), run.Quality.ReplicationFactor, run.Quality.EdgeBalance,
+		t.Add(run.Partitioner, run.Quality.ReplicationFactor, run.Quality.EdgeBalance,
 			run.Quality.VertexBalance, run.Elapsed)
 	}
 	t.Print(os.Stdout)

@@ -16,7 +16,6 @@ import (
 	"github.com/distributedne/dne/internal/bench"
 	"github.com/distributedne/dne/internal/bound"
 	"github.com/distributedne/dne/internal/datasets"
-	"github.com/distributedne/dne/internal/methods"
 	_ "github.com/distributedne/dne/internal/methods/all"
 	"github.com/distributedne/dne/internal/partition"
 )
@@ -28,13 +27,9 @@ func main() {
 		g := rd.Build(0)
 		cells := []any{fmt.Sprintf("%s %v", rd.Name, g)}
 		for _, name := range []string{"random", "grid", "metis", "sheep", "dne"} {
-			pr, spec, err := methods.New(name, partition.NewSpec(parts, 3))
-			if err != nil {
-				log.Fatal(err)
-			}
-			run := bench.Execute(context.Background(), pr, g, spec)
+			run := bench.Execute(context.Background(), name, g, partition.NewSpec(parts, 3))
 			if run.Err != nil {
-				log.Fatalf("%s: %v", pr.Name(), run.Err)
+				log.Fatalf("%s: %v", name, run.Err)
 			}
 			cells = append(cells, run.Quality.ReplicationFactor)
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/distributedne/dne/internal/graph"
+	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/partition"
 )
 
@@ -41,15 +42,24 @@ func (r Run) MemScore(numEdges int64) float64 {
 	return float64(r.MemBytes) / float64(numEdges)
 }
 
-// Execute runs p on g under the v2 API and collects elapsed time, quality
-// and stats. Memory is the partitioner's analytic PeakMemBytes when it
+// Execute runs the named registry method on g under the v2 API and
+// collects elapsed time, quality and stats. The method and its spec are
+// resolved through methods.New, the entry point the CLIs use, so the
+// descriptor-declared defaults govern harness runs exactly as they do CLI
+// and HTTP runs. Memory is the partitioner's analytic PeakMemBytes when it
 // reports one, otherwise a Go heap delta plus the input CSR: every offline
 // partitioner holds the whole graph, and the delta alone would credit
 // sequential baselines with near-zero footprint.
-func Execute(ctx context.Context, p partition.Partitioner, g *graph.Graph, spec partition.Spec) Run {
-	run := Run{Partitioner: p.Name(), NumParts: spec.NumParts}
+func Execute(ctx context.Context, name string, g *graph.Graph, spec partition.Spec) Run {
+	run := Run{Partitioner: name, NumParts: spec.NumParts}
 	before := heapInUse()
 	start := time.Now()
+	p, spec, err := methods.New(name, spec)
+	if err != nil {
+		run.Err = err
+		return run
+	}
+	run.Partitioner = p.Name()
 	res, err := p.Partition(ctx, g, spec)
 	run.Elapsed = time.Since(start)
 	if err != nil {

@@ -11,15 +11,6 @@ import (
 	"github.com/distributedne/dne/internal/partition"
 )
 
-func newMethod(t testing.TB, name string, parts int) (partition.Partitioner, partition.Spec) {
-	t.Helper()
-	pr, spec, err := methods.New(name, partition.NewSpec(parts, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pr, spec
-}
-
 func smallGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	return datasets.Skewed[0].Build(-4) // Pokec stand-in at 2^10 vertices
@@ -30,8 +21,7 @@ func TestEveryPartitionerProducesValidPartitioning(t *testing.T) {
 	for _, name := range methods.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			pr, spec := newMethod(t, name, 8)
-			run := Execute(context.Background(), pr, g, spec)
+			run := Execute(context.Background(), name, g, partition.NewSpec(8, 1))
 			if run.Err != nil {
 				t.Fatal(run.Err)
 			}
@@ -47,8 +37,7 @@ func TestQualityOrderingMatchesPaper(t *testing.T) {
 	// NE <= DNE < hash-based; Random is the worst of the hash family.
 	g := smallGraph(t)
 	rf := func(name string) float64 {
-		pr, spec := newMethod(t, name, 8)
-		run := Execute(context.Background(), pr, g, spec)
+		run := Execute(context.Background(), name, g, partition.NewSpec(8, 1))
 		if run.Err != nil {
 			t.Fatalf("%s: %v", name, run.Err)
 		}
@@ -71,8 +60,7 @@ func TestQualityOrderingMatchesPaper(t *testing.T) {
 
 func TestExecuteReportsMetrics(t *testing.T) {
 	g := smallGraph(t)
-	pr, spec := newMethod(t, "dne", 4)
-	run := Execute(context.Background(), pr, g, spec)
+	run := Execute(context.Background(), "dne", g, partition.NewSpec(4, 1))
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
@@ -97,8 +85,7 @@ func TestExecuteHonorsCancelledContext(t *testing.T) {
 	g := smallGraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pr, spec := newMethod(t, "hdrf", 4)
-	run := Execute(ctx, pr, g, spec)
+	run := Execute(ctx, "hdrf", g, partition.NewSpec(4, 1))
 	if run.Err == nil {
 		t.Fatal("cancelled context did not abort the run")
 	}

@@ -183,54 +183,3 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, numParts int, cfg Config)
 	}
 	return res, nil
 }
-
-// Partitioner adapts PartitionCtx to the v2 partition.Partitioner
-// interface. It is stateless: configuration arrives in the Spec (alpha,
-// lambda, single_expansion, max_iterations), and the run's metrics are folded into Result.Stats —
-// iteration count, communication volume, the analytic peak memory (the
-// Fig. 9 MemScore numerator) and the simulated network time under the
-// paper's InfiniBand cost model in Extra.
-type Partitioner struct{}
-
-// Name implements partition.Partitioner.
-func (Partitioner) Name() string { return "D.NE" }
-
-// ConfigFromSpec maps a resolved Spec onto the algorithm's Config,
-// applying the paper's defaults for unset parameters.
-func ConfigFromSpec(spec partition.Spec) Config {
-	return Config{
-		Alpha:           spec.Float("alpha", 1.1),
-		Lambda:          spec.Float("lambda", 0.1),
-		SingleExpansion: spec.Bool("single_expansion", false),
-		Seed:            spec.Seed,
-		MaxIterations:   spec.Int("max_iterations", 0),
-	}
-}
-
-// Partition implements partition.Partitioner.
-func (Partitioner) Partition(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := PartitionCtx(ctx, g, spec.NumParts, ConfigFromSpec(spec))
-	if err != nil {
-		return nil, err
-	}
-	out := &partition.Result{Partitioning: res.Partitioning}
-	st := &out.Stats
-	st.Method = "dne"
-	st.NumParts = spec.NumParts
-	st.AddPhase("expand", res.Elapsed)
-	st.PeakMemBytes = res.MemBytes
-	st.Iterations = res.Iterations
-	st.CommBytes = res.CommBytes
-	st.CommMessages = res.CommMessages
-	st.SweptEdges = res.SweptEdges
-	st.SetExtra("wasted_selections", float64(res.WastedSelections))
-	st.SetExtra("total_selections", float64(res.TotalSelections))
-	st.SetExtra("simulated_network_ms",
-		float64(res.SimulatedNetworkTime(cluster.InfiniBandEDR(), spec.NumParts).Microseconds())/1000)
-	out.Finish(g, start)
-	return out, nil
-}

@@ -48,32 +48,15 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// method resolves a registry method; experiments only name methods the
-// registry declares, so a miss is a programmer error. The returned
-// partitioner resolves every Spec against the descriptor first, so the
-// descriptor-declared defaults govern experiment runs exactly as they do
-// CLI and HTTP runs.
-func method(name string) partition.Partitioner {
+// label is the display label that heads a registry method's table rows.
+// Experiments only name methods the registry declares, so a miss is a
+// programmer error.
+func label(name string) string {
 	d, ok := methods.Lookup(name)
 	if !ok {
 		panic("experiments: method not registered: " + name)
 	}
-	return resolvingMethod{d: d, p: d.Factory()}
-}
-
-type resolvingMethod struct {
-	d methods.Descriptor
-	p partition.Partitioner
-}
-
-func (m resolvingMethod) Name() string { return m.p.Name() }
-
-func (m resolvingMethod) Partition(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Result, error) {
-	spec, err := m.d.ResolveSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return m.p.Partition(ctx, g, spec)
+	return d.Factory().Name()
 }
 
 func (o Options) prIters() int {
@@ -83,16 +66,8 @@ func (o Options) prIters() int {
 	return 20
 }
 
-// qualityBaselines returns the Fig-8 comparison set in the paper's legend
-// order, resolved through the method registry.
-func qualityBaselines() []partition.Partitioner {
-	names := []string{"random", "grid", "oblivious", "ginger", "spinner", "metis", "sheep", "xtrapulp", "dne"}
-	prs := make([]partition.Partitioner, len(names))
-	for i, n := range names {
-		prs[i] = method(n)
-	}
-	return prs
-}
+// qualityBaselines is the Fig-8 comparison set in the paper's legend order.
+var qualityBaselines = []string{"random", "grid", "oblivious", "ginger", "spinner", "metis", "sheep", "xtrapulp", "dne"}
 
 // Fig6 reproduces Fig. 6: iteration count and replication factor of
 // Distributed NE under λ ∈ {1e-4 … 1} on 32 partitions, over the four
@@ -165,12 +140,12 @@ func Fig8(o Options) error {
 			header = append(header, fmt.Sprintf("P=%d", p))
 		}
 		t := &bench.Table{Header: header}
-		for _, pr := range qualityBaselines() {
-			cells := []any{pr.Name()}
+		for _, name := range qualityBaselines {
+			cells := []any{label(name)}
 			for _, parts := range partsList {
-				run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+				run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 				if run.Err != nil {
-					return fmt.Errorf("fig8 %s %s P=%d: %w", spec.Name, pr.Name(), parts, run.Err)
+					return fmt.Errorf("fig8 %s %s P=%d: %w", spec.Name, name, parts, run.Err)
 				}
 				cells = append(cells, run.Quality.ReplicationFactor)
 			}
@@ -200,16 +175,13 @@ func Fig8RMAT(o Options) error {
 			header = append(header, fmt.Sprintf("EF=%d", ef))
 		}
 		t := &bench.Table{Header: header}
-		comparison := []partition.Partitioner{
-			method("xtrapulp"), method("sheep"), method("dne"),
-		}
-		for _, pr := range comparison {
-			cells := []any{pr.Name()}
+		for _, name := range []string{"xtrapulp", "sheep", "dne"} {
+			cells := []any{label(name)}
 			for _, ef := range efs {
 				g := gen.RMAT(sc, ef, o.Seed+int64(ef))
-				run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+				run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 				if run.Err != nil {
-					return fmt.Errorf("fig8rmat %s EF=%d: %w", pr.Name(), ef, run.Err)
+					return fmt.Errorf("fig8rmat %s EF=%d: %w", name, ef, run.Err)
 				}
 				cells = append(cells, run.Quality.ReplicationFactor)
 			}
@@ -233,18 +205,18 @@ func Fig9(o Options) error {
 	for _, spec := range specs {
 		g := spec.Build(o.Shift)
 		cells := []any{spec.Name}
-		for _, pr := range []partition.Partitioner{
-			method("metis"),
-			method("sheep"),
+		for _, name := range []string{
+			"metis",
+			"sheep",
 			// X.P. runs as DistLP: the distributed label-propagation
 			// implementation, whose footprint includes the vertex-partitioned
 			// layout's edge replication across machines.
-			method("distlp"),
-			method("dne"),
+			"distlp",
+			"dne",
 		} {
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+			run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("fig9 %s: %w", pr.Name(), run.Err)
+				return fmt.Errorf("fig9 %s: %w", name, run.Err)
 			}
 			cells = append(cells, fmt.Sprintf("%.1f", run.MemScore(g.NumEdges())))
 		}
@@ -260,10 +232,10 @@ func Fig9(o Options) error {
 	for _, ef := range efs {
 		g := gen.RMAT(11+o.Shift, ef, o.Seed)
 		cells := []any{fmt.Sprintf("RMAT s%d EF%d", 11+o.Shift, ef)}
-		for _, pr := range []partition.Partitioner{method("distlp"), method("dne")} {
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+		for _, name := range []string{"distlp", "dne"} {
+			run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("fig9 rmat %s: %w", pr.Name(), run.Err)
+				return fmt.Errorf("fig9 rmat %s: %w", name, run.Err)
 			}
 			cells = append(cells, fmt.Sprintf("%.1f", run.MemScore(g.NumEdges())))
 		}
@@ -291,14 +263,12 @@ func Fig10(o Options) error {
 			header = append(header, fmt.Sprintf("P=%d", p))
 		}
 		t := &bench.Table{Header: header}
-		for _, pr := range []partition.Partitioner{
-			method("metis"), method("sheep"), method("xtrapulp"), method("dne"),
-		} {
-			cells := []any{pr.Name()}
+		for _, name := range []string{"metis", "sheep", "xtrapulp", "dne"} {
+			cells := []any{label(name)}
 			for _, parts := range partsList {
-				run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+				run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 				if run.Err != nil {
-					return fmt.Errorf("fig10 %s: %w", pr.Name(), run.Err)
+					return fmt.Errorf("fig10 %s: %w", name, run.Err)
 				}
 				cells = append(cells, run.Elapsed)
 			}
@@ -349,16 +319,14 @@ func rmatSweep(o Options, id, title, column string, xs []int, rmat func(x int) (
 		header = append(header, fmt.Sprintf(column, x))
 	}
 	t := &bench.Table{Header: header}
-	for _, pr := range []partition.Partitioner{
-		method("sheep"), method("xtrapulp"), method("dne"),
-	} {
-		cells := []any{pr.Name()}
+	for _, name := range []string{"sheep", "xtrapulp", "dne"} {
+		cells := []any{label(name)}
 		for _, x := range xs {
 			scale, ef := rmat(x)
 			g := gen.RMAT(scale, ef, o.Seed+int64(x))
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(sweepParts, o.Seed))
+			run := bench.Execute(o.ctx(), name, g, partition.NewSpec(sweepParts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("%s %s: %w", id, pr.Name(), run.Err)
+				return fmt.Errorf("%s %s: %w", id, name, run.Err)
 			}
 			cells = append(cells, run.Elapsed)
 		}
@@ -420,22 +388,20 @@ func Table4(o Options) error {
 		specs = specs[:2]
 	}
 	fmt.Fprintf(o.out(), "Table 4 — comparison with sequential algorithms (%d partitions)\n\n", parts)
-	prs := []partition.Partitioner{
-		method("hdrf"), method("ne"), method("sne"), method("dne"),
-	}
+	names := []string{"hdrf", "ne", "sne", "dne"}
 	tRF := &bench.Table{Header: append([]string{"RF"}, specNames(specs)...)}
 	tTime := &bench.Table{Header: append([]string{"Time(s)"}, specNames(specs)...)}
 	graphs := make([]*graph.Graph, len(specs))
 	for i, spec := range specs {
 		graphs[i] = spec.Build(o.Shift)
 	}
-	for _, pr := range prs {
-		rfCells := []any{pr.Name()}
-		timeCells := []any{pr.Name()}
+	for _, name := range names {
+		rfCells := []any{label(name)}
+		timeCells := []any{label(name)}
 		for i := range specs {
-			run := bench.Execute(o.ctx(), pr, graphs[i], partition.NewSpec(parts, o.Seed))
+			run := bench.Execute(o.ctx(), name, graphs[i], partition.NewSpec(parts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("table4 %s: %w", pr.Name(), run.Err)
+				return fmt.Errorf("table4 %s: %w", name, run.Err)
 			}
 			rfCells = append(rfCells, run.Quality.ReplicationFactor)
 			timeCells = append(timeCells, run.Elapsed)
@@ -460,9 +426,7 @@ func Table5(o Options) error {
 		parts = 16
 		specs = specs[:1]
 	}
-	prs := []partition.Partitioner{
-		method("random"), method("grid"), method("oblivious"), method("ginger"), method("dne"),
-	}
+	names := []string{"random", "grid", "oblivious", "ginger", "dne"}
 	fmt.Fprintf(o.out(), "Table 5 — graph applications on %d partitions (PageRank: %d iterations)\n", parts, o.prIters())
 	for _, spec := range specs {
 		g := spec.Build(o.Shift)
@@ -473,10 +437,14 @@ func Table5(o Options) error {
 			"WCC ET", "WCC COM(MB)", "WCC WB",
 			"PR ET", "PR COM(MB)", "PR WB",
 		}}
-		for _, pr := range prs {
-			res, err := pr.Partition(o.ctx(), g, partition.NewSpec(parts, o.Seed))
+		for _, name := range names {
+			pr, ps, err := methods.New(name, partition.NewSpec(parts, o.Seed))
+			var res *partition.Result
+			if err == nil {
+				res, err = pr.Partition(o.ctx(), g, ps)
+			}
 			if err != nil {
-				return fmt.Errorf("table5 %s: %w", pr.Name(), err)
+				return fmt.Errorf("table5 %s: %w", name, err)
 			}
 			pt := res.Partitioning
 			q := res.Quality
@@ -513,22 +481,22 @@ func Table6(o Options) error {
 		roads = roads[:1]
 	}
 	fmt.Fprintf(o.out(), "Table 6 — replication factor of road networks (%d partitions)\n\n", parts)
-	prs := []partition.Partitioner{
-		method("random"), method("grid"), method("oblivious"), method("ginger"),
-		method("metis"), method("sheep"), method("xtrapulp"), method("dne"),
+	names := []string{
+		"random", "grid", "oblivious", "ginger",
+		"metis", "sheep", "xtrapulp", "dne",
 	}
 	header := []string{"graph"}
-	for _, pr := range prs {
-		header = append(header, pr.Name())
+	for _, name := range names {
+		header = append(header, label(name))
 	}
 	t := &bench.Table{Header: header}
 	for _, rd := range roads {
 		g := rd.Build(o.Shift)
 		cells := []any{rd.Name}
-		for _, pr := range prs {
-			run := bench.Execute(o.ctx(), pr, g, partition.NewSpec(parts, o.Seed))
+		for _, name := range names {
+			run := bench.Execute(o.ctx(), name, g, partition.NewSpec(parts, o.Seed))
 			if run.Err != nil {
-				return fmt.Errorf("table6 %s: %w", pr.Name(), run.Err)
+				return fmt.Errorf("table6 %s: %w", name, run.Err)
 			}
 			cells = append(cells, run.Quality.ReplicationFactor)
 		}

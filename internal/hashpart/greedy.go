@@ -98,24 +98,18 @@ func leastLoaded(sizes []int64) int32 {
 // neighborhoods, so this method stays graph-bound (not stream-capable): the
 // registry materializes sources for it.
 type HybridGinger struct {
-	Seed      uint64
+	Seed uint64
+	// Threshold is the degree boundary θ of the hybrid-cut phase.
 	Threshold int64
-	Passes    int
+	// Passes is the number of Ginger refinement passes.
+	Passes int
 }
 
 // PartitionCtx runs hybrid-cut plus Ginger refinement; it polls ctx once
 // per vertex scan and per re-materialisation pass.
 func (hg HybridGinger) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	thr := hg.Threshold
-	if thr <= 0 {
-		thr = 100
-	}
-	passes := hg.Passes
-	if passes <= 0 {
-		passes = 5
-	}
 	var st partition.Stats
-	hy := Hybrid{Seed: hg.Seed, Threshold: thr}
+	hy := Hybrid{Seed: hg.Seed, Threshold: hg.Threshold}
 	p, err := hy.Stream(ctx, graph.SourceOf(g), numParts, &st)
 	if err != nil {
 		return nil, err
@@ -126,7 +120,7 @@ func (hg HybridGinger) PartitionCtx(ctx context.Context, g *graph.Graph, numPart
 	vertLabel := make([]int32, n)
 	isGrouped := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if g.Degree(uint32(v)) <= thr {
+		if g.Degree(uint32(v)) <= hg.Threshold {
 			vertLabel[v] = int32(hashU32(uint32(v), hg.Seed) % uint64(numParts))
 			isGrouped[v] = true
 		}
@@ -135,7 +129,7 @@ func (hg HybridGinger) PartitionCtx(ctx context.Context, g *graph.Graph, numPart
 	mean := float64(g.NumEdges()) / float64(numParts)
 	gamma := 1.5
 	neigh := make([]int64, numParts)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < hg.Passes; pass++ {
 		moved := 0
 		for v := 0; v < n; v++ {
 			if err := checkAt(ctx, v); err != nil {
@@ -171,7 +165,7 @@ func (hg HybridGinger) PartitionCtx(ctx context.Context, g *graph.Graph, numPart
 		}
 		for i, e := range g.Edges() {
 			dst := e.V
-			if g.Degree(dst) <= thr {
+			if g.Degree(dst) <= hg.Threshold {
 				p.Owner[i] = vertLabel[dst]
 			} else {
 				p.Owner[i] = int32(hashU32(e.U, hg.Seed) % uint64(numParts))

@@ -125,7 +125,8 @@ func (d DBH) Stream(ctx context.Context, src graph.Source, numParts int, st *par
 // on the hash of that vertex (like an edge-cut), while edges whose chosen
 // endpoint is high-degree fall back to hashing the other endpoint
 // (like a vertex-cut). Threshold is the degree boundary θ (PowerLyra's
-// default is 100).
+// default, which the registry declares, is 100): a vertex of degree ≤ θ is
+// low-degree.
 type Hybrid struct {
 	Seed      uint64
 	Threshold int64
@@ -133,10 +134,6 @@ type Hybrid struct {
 
 // Stream is the streaming core: a degree pass, then the hybrid rule pass.
 func (h Hybrid) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
-	thr := h.Threshold
-	if thr <= 0 {
-		thr = 100
-	}
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
 	if err != nil {
 		return nil, err
@@ -144,7 +141,7 @@ func (h Hybrid) Stream(ctx context.Context, src graph.Source, numParts int, st *
 	p := partition.New(numParts, ne)
 	st.PeakMemBytes += int64(nv)*4 + graph.SourceBufferBytes
 	err = streamEdges(ctx, src, func(pos int64, u, v graph.Vertex) {
-		p.Owner[pos] = h.owner(deg, u, v, thr, numParts)
+		p.Owner[pos] = h.owner(deg, u, v, numParts)
 	})
 	if err != nil {
 		return nil, err
@@ -152,9 +149,9 @@ func (h Hybrid) Stream(ctx context.Context, src graph.Source, numParts int, st *
 	return p, nil
 }
 
-func (h Hybrid) owner(deg []uint32, u, v graph.Vertex, thr int64, numParts int) int32 {
+func (h Hybrid) owner(deg []uint32, u, v graph.Vertex, numParts int) int32 {
 	// Treat the canonical V endpoint as the "destination".
-	if int64(deg[v]) <= thr {
+	if int64(deg[v]) <= h.Threshold {
 		return int32(hashU32(v, h.Seed) % uint64(numParts))
 	}
 	return int32(hashU32(u, h.Seed) % uint64(numParts))

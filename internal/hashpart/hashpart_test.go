@@ -97,7 +97,7 @@ func TestObliviousBeatsPlainHash(t *testing.T) {
 func TestHybridGingerImprovesHybrid(t *testing.T) {
 	qh := validate(t, "hybrid", 16)
 	g := testGraph()
-	pt, err := HybridGinger{Seed: 1}.PartitionCtx(context.Background(), g, 16)
+	pt, err := HybridGinger{Threshold: 100, Passes: 5, Seed: 1}.PartitionCtx(context.Background(), g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestHybridGingerImprovesHybrid(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := testGraph()
 	ginger := func() *partition.Partitioning {
-		pt, err := HybridGinger{Seed: 3}.PartitionCtx(context.Background(), g, 8)
+		pt, err := HybridGinger{Threshold: 100, Passes: 5, Seed: 3}.PartitionCtx(context.Background(), g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,8 @@ func init() {
 		Name:    "random",
 		Aliases: []string{"rand", "1d"},
 		Summary: "1D hash: every edge lands on a uniformly random partition",
-		Streams: true,
 		Factory: func() partition.Partitioner {
-			return partition.StreamMethod{Label: "Rand.", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+			return partition.StreamMethod{ID: "random", Label: "Rand.", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
 				return Random{Seed: uint64(spec.Seed)}.Stream(ctx, src, spec.NumParts, st)
 			}}
 		},
@@ -24,9 +23,8 @@ func init() {
 		Name:    "grid",
 		Aliases: []string{"2d", "2d-random"},
 		Summary: "2D hash: edges land on an R×C grid cell, bounding replication by R+C−1",
-		Streams: true,
 		Factory: func() partition.Partitioner {
-			return partition.StreamMethod{Label: "2D-R.", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+			return partition.StreamMethod{ID: "grid", Label: "2D-R.", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
 				return Grid{Seed: uint64(spec.Seed)}.Stream(ctx, src, spec.NumParts, st)
 			}}
 		},
@@ -34,9 +32,8 @@ func init() {
 	methods.Register(methods.Descriptor{
 		Name:    "dbh",
 		Summary: "degree-based hashing: edges hash by their lower-degree endpoint (Xie et al., NIPS'14)",
-		Streams: true,
 		Factory: func() partition.Partitioner {
-			return partition.StreamMethod{Label: "DBH", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+			return partition.StreamMethod{ID: "dbh", Label: "DBH", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
 				return DBH{Seed: uint64(spec.Seed)}.Stream(ctx, src, spec.NumParts, st)
 			}}
 		},
@@ -44,16 +41,12 @@ func init() {
 	methods.Register(methods.Descriptor{
 		Name:    "hybrid",
 		Summary: "PowerLyra hybrid-cut: low-degree destinations group their edges, high-degree fall back to source hash",
-		Streams: true,
 		Params: []methods.ParamSpec{
 			{Name: "threshold", Kind: methods.Int, Default: 100, Doc: "degree boundary θ between low- and high-degree handling", Min: 1, Max: 1 << 30, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.StreamMethod{Label: "Hybrid", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
-				return Hybrid{
-					Seed:      uint64(spec.Seed),
-					Threshold: int64(spec.Int("threshold", 100)),
-				}.Stream(ctx, src, spec.NumParts, st)
+			return partition.StreamMethod{ID: "hybrid", Label: "Hybrid", Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+				return Hybrid{Seed: uint64(spec.Seed), Threshold: int64(spec.Int("threshold"))}.Stream(ctx, src, spec.NumParts, st)
 			}}
 		},
 	})
@@ -61,9 +54,8 @@ func init() {
 		Name:    "oblivious",
 		Aliases: []string{"obli"},
 		Summary: "PowerGraph greedy streaming placement over endpoint replica sets (Gonzalez et al., OSDI'12)",
-		Streams: true,
 		Factory: func() partition.Partitioner {
-			return partition.StreamMethod{Label: "Obli.", Shuffle: true, Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+			return partition.StreamMethod{ID: "oblivious", Label: "Obli.", Shuffle: true, Core: func(ctx context.Context, src graph.Source, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
 				return Oblivious{}.Stream(ctx, src, spec.NumParts, st)
 			}}
 		},
@@ -77,11 +69,11 @@ func init() {
 			{Name: "passes", Kind: methods.Int, Default: 5, Doc: "Ginger refinement passes", Min: 1, Max: 1 << 20, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.Method{Label: "H.G.", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Partitioning, error) {
+			return partition.Method{ID: "ginger", Label: "H.G.", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, _ *partition.Stats) (*partition.Partitioning, error) {
 				return HybridGinger{
 					Seed:      uint64(spec.Seed),
-					Threshold: int64(spec.Int("threshold", 100)),
-					Passes:    spec.Int("passes", 5),
+					Threshold: int64(spec.Int("threshold")),
+					Passes:    spec.Int("passes"),
 				}.PartitionCtx(ctx, g, spec.NumParts)
 			}}
 		},

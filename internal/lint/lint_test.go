@@ -60,33 +60,3 @@ func TestDeterministicPathScope(t *testing.T) {
 		}
 	}
 }
-
-// TestTreeIsClean runs the full suite over this repository — the same
-// invariant CI enforces via cmd/dnelint: zero unsuppressed findings.
-func TestTreeIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-tree sweep skipped in -short")
-	}
-	root := filepath.Join("..", "..")
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := loader.ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags, err := lint.RunAnalyzers(pkg, lint.All())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s: %s", loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-}

@@ -811,18 +811,14 @@ func (l *Live) Stats() Stats {
 		s.Events, s.Moved, s.MigratedBytes = st.events, st.moved, st.migratedBytes
 		return s
 	}
-	// Unwritten, the graph is its base: its shards' sizes, and its covered
-	// vertices and their replicas from the replica index.
-	st := &State{sizes: make([]int64, l.cfg.NumParts)}
+	// Unwritten, the graph is its base: its shards' sizes and replica
+	// counts, and its covered vertices, counted when the base was built —
+	// O(P), not a scan over |V|.
+	st := &State{sizes: make([]int64, l.cfg.NumParts), vertices: int64(l.base.CoveredVertices())}
 	for q := range st.sizes {
 		st.sizes[q] = l.base.ShardEdges(q)
 		st.numEdges += st.sizes[q]
 		st.replicas += int64(l.base.ShardVertices(q))
-	}
-	for v := range l.base.NumVertices() {
-		if len(l.base.Replicas(v)) > 0 {
-			st.vertices++
-		}
 	}
 	s.NumEdges, s.NumVertices = st.numEdges, st.vertices
 	s.ReplicationFactor, s.EdgeBalance, s.Sizes = st.ReplicationFactor(), st.EdgeBalance(), st.sizes

@@ -25,9 +25,9 @@ import (
 // The Last field exposes the run's distributed memory footprint and
 // communication volume for Fig. 9 / Fig. 10-style accounting.
 type DistLP struct {
-	// Iterations of label propagation (default 20).
+	// Iterations is the number of label-propagation supersteps.
 	Iterations int
-	// Capacity slack c (default 1.05).
+	// Capacity is the slack c of the load penalty.
 	Capacity float64
 	Seed     int64
 
@@ -139,19 +139,11 @@ func (d *DistLP) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int)
 	if numParts <= 0 {
 		return nil, fmt.Errorf("lppart: numParts must be positive, got %d", numParts)
 	}
-	iters := d.Iterations
-	if iters <= 0 {
-		iters = 20
-	}
-	capacity := d.Capacity
-	if capacity == 0 {
-		capacity = 1.05
-	}
 	c := cluster.New(numParts)
 	p := partition.New(numParts, g.NumEdges())
 	stats := make([]DistLPStats, numParts)
 	err := c.Run(func(comm cluster.Comm) error {
-		return d.runMachine(ctx, comm, g, iters, capacity, &stats[comm.Rank()], p.Owner)
+		return d.runMachine(ctx, comm, g, &stats[comm.Rank()], p.Owner)
 	})
 	if err != nil {
 		return nil, err
@@ -169,7 +161,7 @@ func (d *DistLP) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int)
 	return p, nil
 }
 
-func (d *DistLP) runMachine(ctx context.Context, comm cluster.Comm, g *graph.Graph, iters int, capacity float64, st *DistLPStats, ownerOut []int32) error {
+func (d *DistLP) runMachine(ctx context.Context, comm cluster.Comm, g *graph.Graph, st *DistLPStats, ownerOut []int32) error {
 	pCount := comm.Size()
 	rank := comm.Rank()
 	owner := func(v graph.Vertex) int { return int(v) % pCount }
@@ -209,11 +201,11 @@ func (d *DistLP) runMachine(ctx context.Context, comm cluster.Comm, g *graph.Gra
 		localLoad[labels[v]] += g.Degree(v)
 	}
 	loads := cluster.AllGatherSumVec(comm, localLoad)
-	maxLoad := capacity * 2 * float64(g.NumEdges()) / float64(pCount)
+	maxLoad := d.Capacity * 2 * float64(g.NumEdges()) / float64(pCount)
 
 	counts := make([]int64, pCount)
 	outUpd := make([][]vl, pCount)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < d.Iterations; it++ {
 		st.Supersteps++
 		for q := 0; q < pCount; q++ {
 			outUpd[q] = outUpd[q][:0]

@@ -14,7 +14,7 @@ import (
 func TestDistLPValidAcrossPartCounts(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	for _, p := range []int{2, 5, 16} {
-		d := &DistLP{Seed: 1}
+		d := &DistLP{Iterations: 20, Capacity: 1.05, Seed: 1}
 		pt, err := d.PartitionCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +35,7 @@ func TestDistLPBeatsRandomOnRoads(t *testing.T) {
 	// Same quality expectation as the sequential LP baselines: label
 	// propagation finds near-planar structure.
 	g := gen.Road(70, 70, 4)
-	d := &DistLP{Seed: 1}
+	d := &DistLP{Iterations: 20, Capacity: 1.05, Seed: 1}
 	dpt, err := d.PartitionCtx(context.Background(), g, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -52,12 +52,12 @@ func TestDistLPQualityTracksSequentialSpinner(t *testing.T) {
 	// Spinner; quality must land in the same class (within 40%).
 	g := gen.RMAT(11, 8, 5)
 	const p = 8
-	d := &DistLP{Seed: 2}
+	d := &DistLP{Iterations: 20, Capacity: 1.05, Seed: 2}
 	dpt, err := d.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spt, err := Spinner{Seed: 2}.PartitionCtx(context.Background(), g, p)
+	spt, err := Spinner{Iterations: 20, Capacity: 1.05, Seed: 2}.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDistLPMemoryModelsEdgeReplication(t *testing.T) {
 	// endpoint machines: the footprint must exceed 2×4 bytes per edge from
 	// adjacency targets alone.
 	g := gen.RMAT(11, 16, 7)
-	d := &DistLP{Seed: 3}
+	d := &DistLP{Iterations: 20, Capacity: 1.05, Seed: 3}
 	if _, err := d.PartitionCtx(context.Background(), g, 16); err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestDistLPMemoryModelsEdgeReplication(t *testing.T) {
 
 func TestDistLPDeterministicForSeed(t *testing.T) {
 	g := gen.RMAT(9, 8, 9)
-	a, err := (&DistLP{Seed: 7}).PartitionCtx(context.Background(), g, 4)
+	a, err := (&DistLP{Iterations: 20, Capacity: 1.05, Seed: 7}).PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&DistLP{Seed: 7}).PartitionCtx(context.Background(), g, 4)
+	b, err := (&DistLP{Iterations: 20, Capacity: 1.05, Seed: 7}).PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,9 @@ func VertexToEdge(g *graph.Graph, labels []int32, numParts int, seed int64) *par
 // neighbors, discounted by a load penalty so partitions stay near capacity
 // c·|E|·2/|P| in adjacent-edge weight.
 type Spinner struct {
-	// Iterations of label propagation (default 20).
+	// Iterations is the number of label-propagation sweeps.
 	Iterations int
-	// Capacity slack c (default 1.05).
+	// Capacity is the slack c of the load penalty.
 	Capacity float64
 	Seed     int64
 }
@@ -45,14 +45,6 @@ type Spinner struct {
 // LabelsCtx is the label-propagation core; it polls ctx every
 // partition.CheckEvery vertex visits.
 func (s Spinner) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) ([]int32, error) {
-	iters := s.Iterations
-	if iters <= 0 {
-		iters = 20
-	}
-	capacity := s.Capacity
-	if capacity == 0 {
-		capacity = 1.05
-	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	n := int(g.NumVertices())
 	labels := make([]int32, n)
@@ -61,9 +53,9 @@ func (s Spinner) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) ([
 		labels[v] = int32(rng.Intn(numParts))
 		load[labels[v]] += g.Degree(uint32(v))
 	}
-	maxLoad := capacity * 2 * float64(g.NumEdges()) / float64(numParts)
+	maxLoad := s.Capacity * 2 * float64(g.NumEdges()) / float64(numParts)
 	counts := make([]int64, numParts)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < s.Iterations; it++ {
 		moved := 0
 		for v := 0; v < n; v++ {
 			if v%partition.CheckEvery == 0 {
@@ -126,6 +118,7 @@ func score(affinity, load int64, maxLoad float64) float64 {
 // credits it for), followed by constrained label-propagation refinement
 // alternating between a vertex-balance phase and an edge-balance phase.
 type XtraPuLP struct {
+	// Iterations is the number of refinement sweeps.
 	Iterations int
 	Seed       int64
 }
@@ -133,10 +126,6 @@ type XtraPuLP struct {
 // LabelsCtx is the BFS-seeding + constrained-LP core; it polls ctx every
 // partition.CheckEvery vertex visits.
 func (x XtraPuLP) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) ([]int32, error) {
-	iters := x.Iterations
-	if iters <= 0 {
-		iters = 16
-	}
 	rng := rand.New(rand.NewSource(x.Seed))
 	n := int(g.NumVertices())
 	labels := make([]int32, n)
@@ -197,7 +186,7 @@ func (x XtraPuLP) LabelsCtx(ctx context.Context, g *graph.Graph, numParts int) (
 	vCap := int64(1.1 * float64(n) / float64(numParts))
 	eCap := int64(1.1 * 2 * float64(g.NumEdges()) / float64(numParts))
 	counts := make([]int64, numParts)
-	for it := 0; it < iters; it++ {
+	for it := 0; it < x.Iterations; it++ {
 		edgePhase := it%2 == 1
 		moved := 0
 		for v := 0; v < n; v++ {

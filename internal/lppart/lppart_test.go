@@ -39,12 +39,12 @@ func randomRF(t *testing.T, g *graph.Graph, parts int) float64 {
 
 func TestSpinnerValid(t *testing.T) {
 	g := gen.RMAT(11, 8, 3)
-	validate(t, Spinner{Seed: 1}, g, 8)
+	validate(t, Spinner{Iterations: 20, Capacity: 1.05, Seed: 1}, g, 8)
 }
 
 func TestXtraPuLPValid(t *testing.T) {
 	g := gen.RMAT(11, 8, 3)
-	validate(t, XtraPuLP{Seed: 1}, g, 8)
+	validate(t, XtraPuLP{Iterations: 16, Seed: 1}, g, 8)
 }
 
 func TestLPBeatsRandomOnRoads(t *testing.T) {
@@ -52,8 +52,8 @@ func TestLPBeatsRandomOnRoads(t *testing.T) {
 	// graphs; both LP methods must clearly beat random hashing there.
 	g := gen.Road(80, 80, 4)
 	rr := randomRF(t, g, 16)
-	qs := validate(t, Spinner{Seed: 1}, g, 16)
-	qx := validate(t, XtraPuLP{Seed: 1}, g, 16)
+	qs := validate(t, Spinner{Iterations: 20, Capacity: 1.05, Seed: 1}, g, 16)
+	qx := validate(t, XtraPuLP{Iterations: 16, Seed: 1}, g, 16)
 	if qs.ReplicationFactor >= rr {
 		t.Errorf("Spinner RF %.3f should beat Random %.3f", qs.ReplicationFactor, rr)
 	}
@@ -77,11 +77,11 @@ func TestVertexToEdgeRespectsLabels(t *testing.T) {
 
 func TestLabelsInRange(t *testing.T) {
 	g := gen.RMAT(10, 4, 9)
-	spinner, err := (Spinner{Seed: 2}).LabelsCtx(context.Background(), g, 5)
+	spinner, err := (Spinner{Iterations: 20, Capacity: 1.05, Seed: 2}).LabelsCtx(context.Background(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xp, err := (XtraPuLP{Seed: 2}).LabelsCtx(context.Background(), g, 5)
+	xp, err := (XtraPuLP{Iterations: 16, Seed: 2}).LabelsCtx(context.Background(), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +103,5 @@ func TestXtraPuLPSeedsCoverDisconnected(t *testing.T) {
 	g := graph.FromEdges(0, []graph.Edge{
 		{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}, {U: 6, V: 7},
 	})
-	validate(t, XtraPuLP{Seed: 1}, g, 4)
+	validate(t, XtraPuLP{Iterations: 16, Seed: 1}, g, 4)
 }

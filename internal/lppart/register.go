@@ -2,50 +2,11 @@ package lppart
 
 import (
 	"context"
-	"time"
 
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/partition"
 )
-
-// distLPPartitioner adapts DistLP to the v2 interface, folding the
-// distributed run's footprint and traffic into Result.Stats.
-type distLPPartitioner struct{}
-
-// Name implements partition.Partitioner.
-func (distLPPartitioner) Name() string { return "DistLP" }
-
-// Partition implements partition.Partitioner.
-func (distLPPartitioner) Partition(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	d := &DistLP{
-		Iterations: spec.Int("iterations", 0),
-		Capacity:   spec.Float("capacity", 1.05),
-		Seed:       spec.Seed,
-	}
-	start := time.Now()
-	p, err := d.PartitionCtx(ctx, g, spec.NumParts)
-	coreElapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	out := &partition.Result{Partitioning: p}
-	st := &out.Stats
-	st.Method = "distlp"
-	st.NumParts = spec.NumParts
-	st.AddPhase("propagate", coreElapsed)
-	if d.Last != nil {
-		st.PeakMemBytes = d.Last.MemBytes
-		st.CommBytes = d.Last.CommBytes
-		st.CommMessages = d.Last.CommMessages
-		st.Iterations = d.Last.Supersteps
-	}
-	out.Finish(g, start)
-	return out, nil
-}
 
 func init() {
 	methods.Register(methods.Descriptor{
@@ -56,10 +17,10 @@ func init() {
 			{Name: "capacity", Kind: methods.Float, Default: 1.05, Doc: "capacity slack c of the load penalty", Min: 1, Max: 16, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.Method{Label: "Spinner", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Partitioning, error) {
+			return partition.Method{ID: "spinner", Label: "Spinner", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, _ *partition.Stats) (*partition.Partitioning, error) {
 				return Spinner{
-					Iterations: spec.Int("iterations", 0),
-					Capacity:   spec.Float("capacity", 1.05),
+					Iterations: spec.Int("iterations"),
+					Capacity:   spec.Float("capacity"),
 					Seed:       spec.Seed,
 				}.PartitionCtx(ctx, g, spec.NumParts)
 			}}
@@ -73,11 +34,8 @@ func init() {
 			{Name: "iterations", Kind: methods.Int, Default: 16, Doc: "refinement iterations", Min: 1, Max: 1 << 20, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.Method{Label: "X.P.", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Partitioning, error) {
-				return XtraPuLP{
-					Iterations: spec.Int("iterations", 0),
-					Seed:       spec.Seed,
-				}.PartitionCtx(ctx, g, spec.NumParts)
+			return partition.Method{ID: "xtrapulp", Label: "X.P.", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, _ *partition.Stats) (*partition.Partitioning, error) {
+				return XtraPuLP{Iterations: spec.Int("iterations"), Seed: spec.Seed}.PartitionCtx(ctx, g, spec.NumParts)
 			}}
 		},
 	})
@@ -88,6 +46,19 @@ func init() {
 			{Name: "iterations", Kind: methods.Int, Default: 20, Doc: "label-propagation supersteps", Min: 1, Max: 1 << 20, HasBounds: true},
 			{Name: "capacity", Kind: methods.Float, Default: 1.05, Doc: "capacity slack c of the load penalty", Min: 1, Max: 16, HasBounds: true},
 		},
-		Factory: func() partition.Partitioner { return distLPPartitioner{} },
+		Factory: func() partition.Partitioner {
+			return partition.Method{ID: "distlp", Label: "DistLP", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+				d := &DistLP{Iterations: spec.Int("iterations"), Capacity: spec.Float("capacity"), Seed: spec.Seed}
+				p, err := d.PartitionCtx(ctx, g, spec.NumParts)
+				if err != nil {
+					return nil, err
+				}
+				st.PeakMemBytes = d.Last.MemBytes
+				st.CommBytes = d.Last.CommBytes
+				st.CommMessages = d.Last.CommMessages
+				st.Iterations = d.Last.Supersteps
+				return p, nil
+			}}
+		},
 	})
 }

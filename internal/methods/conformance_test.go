@@ -15,8 +15,12 @@ import (
 
 // TestConformance is the registry-wide v2 contract check: every registered
 // method must (a) return promptly with the context's error under a
-// cancelled context, and (b) under a normal context produce a complete
-// valid partitioning with a populated Stats block.
+// cancelled context, (b) under a normal context produce a complete valid
+// partitioning with a populated Stats block that names the method by its
+// canonical registry name, (c) give the same owners with no params as with
+// every declared default passed explicitly — the descriptor is the one
+// place a default is written — and (d), when it streams, honor a cancelled
+// context on the source path and produce a valid partitioning from it.
 func TestConformance(t *testing.T) {
 	g := gen.RMAT(9, 8, 3) // small deterministic graph
 	for _, d := range methods.Descriptors() {
@@ -62,14 +66,53 @@ func TestConformance(t *testing.T) {
 				t.Errorf("quality snapshot missing: %+v", res.Quality)
 			}
 			st := res.Stats
-			if st.Method == "" || st.NumParts != 4 {
-				t.Errorf("stats identity not populated: %+v", st)
+			if st.Method != d.Name || st.NumParts != 4 {
+				t.Errorf("stats identity: method %q parts %d, want %q 4", st.Method, st.NumParts, d.Name)
 			}
 			if st.Wall <= 0 {
 				t.Errorf("stats wall time not populated: %+v", st)
 			}
 			if len(st.Phases) == 0 {
 				t.Errorf("stats phases not populated: %+v", st)
+			}
+
+			defaults := map[string]any{}
+			for _, p := range d.Params {
+				defaults[p.Name] = p.Default
+			}
+			pr, spec, err = methods.New(d.Name, partition.Spec{NumParts: 4, Seed: 42, Params: defaults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			explicit, err := pr.Partition(context.Background(), g, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := partition.Checksum(res.Partitioning.Owner), partition.Checksum(explicit.Partitioning.Owner); a != b {
+				t.Errorf("owners with no params %#x != with every default passed explicitly %#x", a, b)
+			}
+		})
+		if !d.Streams {
+			continue
+		}
+		t.Run(d.Name+"/stream", func(t *testing.T) {
+			t.Parallel()
+			pr, spec, err := methods.New(d.Name, partition.NewSpec(4, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := pr.(partition.StreamPartitioner)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := sp.PartitionStream(ctx, graph.SourceOf(g), spec); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled source path: want context.Canceled, got %v", err)
+			}
+			res, err := sp.PartitionStream(context.Background(), graph.SourceOf(g), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Partitioning.Validate(g); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -220,43 +263,5 @@ func TestQualityClassOrdering(t *testing.T) {
 		if got := rf(name); got >= random*0.6 {
 			t.Errorf("%s RF %.3f not clearly below random %.3f", name, got, random)
 		}
-	}
-}
-
-// TestStreamsBitMatchesInterface enforces the capability contract: a
-// descriptor's Streams bit must agree with whether its factory's
-// partitioner implements partition.StreamPartitioner, and every stream
-// partitioner must honor a cancelled context on the source path too.
-func TestStreamsBitMatchesInterface(t *testing.T) {
-	g := gen.RMAT(9, 8, 3)
-	for _, d := range methods.Descriptors() {
-		d := d
-		t.Run(d.Name, func(t *testing.T) {
-			t.Parallel()
-			pr := d.Factory()
-			sp, isStream := pr.(partition.StreamPartitioner)
-			if d.Streams != isStream {
-				t.Fatalf("descriptor Streams=%v but %T implements StreamPartitioner=%v", d.Streams, pr, isStream)
-			}
-			if !isStream {
-				return
-			}
-			spec, err := d.ResolveSpec(partition.NewSpec(4, 42))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := sp.PartitionStream(ctx, graph.SourceOf(g), spec); !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled source path: want context.Canceled, got %v", err)
-			}
-			res, err := sp.PartitionStream(context.Background(), graph.SourceOf(g), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Partitioning.Validate(g); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

@@ -3,9 +3,17 @@
 // Register, supplying a Descriptor with its canonical name, aliases,
 // documented parameters (with types, defaults and bounds) and a factory.
 // Everything name-driven — CLI -method help, the HTTP /api/methods
-// endpoint, the conformance tests — is generated from the descriptors, so
-// registering here is the single step that makes a new partitioner
-// reachable from every tool.
+// endpoint, the experiments, the conformance tests — is generated from the
+// descriptors, so registering here is the single step that makes a new
+// partitioner reachable from every tool.
+//
+// A descriptor's ParamSpec is the only place a parameter default is
+// written. New and PartitionSource resolve every spec against it, so the
+// partitioners read each declared parameter as set — a zero is the value
+// zero, inside the declared bounds — and fall back to no constant of their
+// own. The one kind of default not written as a constant is a derived one
+// (a zero that stands for a value computed from the input, such as metis's
+// coarsest_size), which the parameter's Doc states.
 //
 // Importing a method package triggers its registration; import
 // internal/methods/all for the full set.
@@ -52,10 +60,10 @@ type Descriptor struct {
 	Aliases []string `json:"aliases,omitempty"`
 	// Summary is a one-line description for generated help.
 	Summary string `json:"summary"`
-	// Streams declares that the method partitions straight from an edge
-	// stream: its Factory returns a partition.StreamPartitioner and
-	// PartitionSource dispatches sources to it without materializing. The
-	// registry conformance test enforces the bit ⇔ interface agreement.
+	// Streams reports that the method partitions straight from an edge
+	// stream: Register sets it when the Factory's partitioner is a
+	// partition.StreamPartitioner, which PartitionSource feeds sources
+	// without materializing them.
 	Streams bool `json:"streams,omitempty"`
 	// Params declares every parameter the method reads from Spec.Params.
 	Params []ParamSpec `json:"params,omitempty"`
@@ -68,8 +76,9 @@ var registry = map[string]Descriptor{} // canonical name -> descriptor
 var aliases = map[string]string{}      // lower-case alias -> canonical name
 
 // Register adds a method to the registry. It is meant to be called from a
-// method package's init and panics on invalid or duplicate descriptors —
-// both are programmer errors caught by any test that imports the package.
+// method package's init and panics on invalid or duplicate descriptors (a
+// default not of its param's kind or outside its bounds included) — both
+// are programmer errors caught by any test that imports the package.
 func Register(d Descriptor) {
 	name := strings.ToLower(d.Name)
 	if name == "" || d.Factory == nil {
@@ -87,8 +96,15 @@ func Register(d Descriptor) {
 			panic(fmt.Sprintf("methods: %q declares empty or duplicate param %q", name, p.Name))
 		}
 		seen[p.Name] = true
+		// ResolveSpec stores a default as declared, so it must already be a
+		// valid value of the param's kind: what the partitioner reads must
+		// not depend on whether the caller passed the default explicitly.
+		if v, err := coerce(p, p.Default); err != nil || v != p.Default {
+			panic(fmt.Sprintf("methods: %q param %q default %#v is not a valid %s", name, p.Name, p.Default, p.Kind))
+		}
 	}
 	d.Name = name
+	_, d.Streams = d.Factory().(partition.StreamPartitioner)
 	registry[name] = d
 	aliases[name] = name
 	for _, a := range d.Aliases {

@@ -112,10 +112,10 @@ func TestDefaultsAppliedByResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.Float("alpha", -1); got != 1.1 {
+	if got := spec.Float("alpha"); got != 1.1 {
 		t.Errorf("alpha default not applied: %v", got)
 	}
-	if got := spec.Float("lambda", -1); got != 0.1 {
+	if got := spec.Float("lambda"); got != 0.1 {
 		t.Errorf("lambda default not applied: %v", got)
 	}
 	// JSON-style float input for an int param coerces to int.
@@ -123,8 +123,28 @@ func TestDefaultsAppliedByResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.Int("iterations", -1); got != 8 {
+	if got := spec.Int("iterations"); got != 8 {
 		t.Errorf("iterations = %v, want 8", got)
+	}
+}
+
+// TestHDRFLambdaZeroIsZero: λ = 0 lies inside hdrf's declared bounds and
+// must run as λ = 0 (replication only), not be swapped for the default 1.
+func TestHDRFLambdaZeroIsZero(t *testing.T) {
+	g := gen.RMAT(10, 8, 1)
+	owners := func(lambda float64) uint64 {
+		pr, spec, err := methods.New("hdrf", partition.Spec{NumParts: 4, Seed: 1, Params: map[string]any{"lambda": lambda}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pr.Partition(context.Background(), g, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return partition.Checksum(res.Partitioning.Owner)
+	}
+	if zero, one := owners(0), owners(1); zero == one {
+		t.Fatalf("hdrf lambda=0 and lambda=1 gave the same owners (%#x)", zero)
 	}
 }
 

@@ -3,7 +3,6 @@ package methods
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/distributedne/dne/internal/graph"
@@ -11,34 +10,25 @@ import (
 )
 
 // PartitionSource is the source-based entry point of the registry: it
-// resolves the named method and partitions the source's edge stream.
-// Stream-capable methods (Descriptor.Streams) consume the stream directly
-// in O(dense-state + chunk) memory; for the rest the source is
-// transparently materialized into a graph first, and the run's Stats carry
-// the warning — a "materialize" phase plus Extra["materialized_graph_bytes"]
-// — so harnesses and callers can see that the O(chunk) promise did not hold
-// for that method.
+// resolves the named method through New and partitions the source's edge
+// stream. Stream-capable methods (a partition.StreamPartitioner) consume
+// the stream directly in O(dense-state + chunk) memory; for the rest the
+// source is transparently materialized into a graph first, and the run's
+// Stats carry the warning — a "materialize" phase plus
+// Extra["materialized_graph_bytes"] — so harnesses and callers can see that
+// the O(chunk) promise did not hold for that method.
 func PartitionSource(ctx context.Context, name string, src graph.Source, spec partition.Spec) (*partition.Result, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("methods: unknown method %q (known: %s)", name, strings.Join(Names(), ", "))
-	}
-	resolved, err := d.ResolveSpec(spec)
+	p, resolved, err := New(name, spec)
 	if err != nil {
 		return nil, err
 	}
-	p := d.Factory()
-	if d.Streams {
-		sp, ok := p.(partition.StreamPartitioner)
-		if !ok {
-			return nil, fmt.Errorf("methods: %s declares Streams but %T is not a StreamPartitioner", d.Name, p)
-		}
+	if sp, ok := p.(partition.StreamPartitioner); ok {
 		return sp.PartitionStream(ctx, src, resolved)
 	}
 	start := time.Now()
 	g, err := graph.FromSource(src, func(int64) error { return ctx.Err() })
 	if err != nil {
-		return nil, fmt.Errorf("methods: materializing source for %s: %w", d.Name, err)
+		return nil, fmt.Errorf("methods: materializing source for %s: %w", name, err)
 	}
 	materialize := time.Since(start)
 	res, err := p.Partition(ctx, g, resolved)

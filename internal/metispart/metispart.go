@@ -22,9 +22,10 @@ import (
 // METIS is the multilevel vertex partitioner.
 type METIS struct {
 	// CoarsestSize stops coarsening when the graph has at most this many
-	// vertices (default 32·numParts).
+	// vertices; 0 means 32·numParts.
 	CoarsestSize int
-	// RefinePasses per uncoarsening level (default 4).
+	// RefinePasses is the number of refinement passes per uncoarsening
+	// level.
 	RefinePasses int
 	Seed         int64
 
@@ -57,10 +58,6 @@ func (m *METIS) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) 
 	coarsest := m.CoarsestSize
 	if coarsest <= 0 {
 		coarsest = 32 * numParts
-	}
-	passes := m.RefinePasses
-	if passes <= 0 {
-		passes = 4
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
 
@@ -98,7 +95,7 @@ func (m *METIS) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		refine(levels[li], labels, numParts, passes)
+		refine(levels[li], labels, numParts, m.RefinePasses)
 		fine := levels[li-1]
 		fineLabels := make([]int32, fine.n)
 		for v := 0; v < fine.n; v++ {
@@ -106,7 +103,7 @@ func (m *METIS) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) 
 		}
 		labels = fineLabels
 	}
-	refine(levels[0], labels, numParts, passes)
+	refine(levels[0], labels, numParts, m.RefinePasses)
 	return lppart.VertexToEdge(g, labels, numParts, m.Seed+1), nil
 }
 

@@ -11,7 +11,7 @@ func TestMETISBeatsRandomOnRoad(t *testing.T) {
 	// Multilevel partitioning shines on near-planar graphs (the paper's
 	// ParMETIS rows in Table 6 are nearly ideal).
 	g := gen.Road(60, 60, 3)
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	mpt, err := m.PartitionCtx(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestMETISMemoryReporter(t *testing.T) {
 	// reason Fig. 9 shows ParMETIS an order of magnitude above DNE. The
 	// analytic report must exceed one graph's footprint.
 	g := gen.RMAT(10, 8, 3)
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	if _, err := m.PartitionCtx(context.Background(), g, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMETISDoesNotCollapseOnSkewedGraph(t *testing.T) {
 	// super-vertex and every label ends up identical (RF < 1, EB = P).
 	g := gen.RMAT(12, 16, 42)
 	const p = 16
-	pt, err := (&METIS{Seed: 42}).PartitionCtx(context.Background(), g, p)
+	pt, err := (&METIS{RefinePasses: 4, Seed: 42}).PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMETISDoesNotCollapseOnSkewedGraph(t *testing.T) {
 func TestMETISTinyGraphs(t *testing.T) {
 	for _, p := range []int{2, 3} {
 		g := gen.Star(8)
-		pt, err := (&METIS{Seed: 1}).PartitionCtx(context.Background(), g, p)
+		pt, err := (&METIS{RefinePasses: 4, Seed: 1}).PartitionCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

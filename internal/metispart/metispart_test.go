@@ -24,7 +24,7 @@ func randomRF(t *testing.T, g *graph.Graph, parts int) float64 {
 func TestValid(t *testing.T) {
 	g := gen.RMAT(11, 8, 4)
 	for _, parts := range []int{2, 8, 32} {
-		m := &METIS{Seed: 1}
+		m := &METIS{RefinePasses: 4, Seed: 1}
 		pt, err := m.PartitionCtx(context.Background(), g, parts)
 		if err != nil {
 			t.Fatalf("P=%d: %v", parts, err)
@@ -39,7 +39,7 @@ func TestNearIdealOnRoadNetworks(t *testing.T) {
 	// ParMETIS achieves RF ≈ 1.00 on road networks (paper Table 6); the
 	// multilevel stand-in must stay close and far below random hashing.
 	g := gen.Road(100, 100, 3)
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	pt, err := m.PartitionCtx(context.Background(), g, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestNearIdealOnRoadNetworks(t *testing.T) {
 
 func TestMemoryAccountingGrowsWithLevels(t *testing.T) {
 	g := gen.RMAT(12, 8, 5)
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	if _, err := m.PartitionCtx(context.Background(), g, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCoarseningTerminatesOnStar(t *testing.T) {
 	// Star graphs defeat heavy-edge matching (only the hub can match once);
 	// the loop must still terminate.
 	g := gen.Star(1 << 12)
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	pt, err := m.PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestCoarseningTerminatesOnStar(t *testing.T) {
 
 func TestTinyGraph(t *testing.T) {
 	g := graph.FromEdges(0, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	m := &METIS{Seed: 1}
+	m := &METIS{RefinePasses: 4, Seed: 1}
 	pt, err := m.PartitionCtx(context.Background(), g, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -2,45 +2,11 @@ package metispart
 
 import (
 	"context"
-	"time"
 
 	"github.com/distributedne/dne/internal/graph"
 	"github.com/distributedne/dne/internal/methods"
 	"github.com/distributedne/dne/internal/partition"
 )
-
-// metisPartitioner adapts METIS to the v2 interface, folding the analytic
-// multilevel footprint into Result.Stats.
-type metisPartitioner struct{}
-
-// Name implements partition.Partitioner.
-func (metisPartitioner) Name() string { return "ParMETIS" }
-
-// Partition implements partition.Partitioner.
-func (metisPartitioner) Partition(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	m := &METIS{
-		CoarsestSize: spec.Int("coarsest_size", 0),
-		RefinePasses: spec.Int("refine_passes", 0),
-		Seed:         spec.Seed,
-	}
-	start := time.Now()
-	p, err := m.PartitionCtx(ctx, g, spec.NumParts)
-	coreElapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	out := &partition.Result{Partitioning: p}
-	st := &out.Stats
-	st.Method = "metis"
-	st.NumParts = spec.NumParts
-	st.AddPhase("multilevel", coreElapsed)
-	st.PeakMemBytes = m.MemBytes()
-	out.Finish(g, start)
-	return out, nil
-}
 
 func init() {
 	methods.Register(methods.Descriptor{
@@ -49,8 +15,15 @@ func init() {
 		Summary: "multilevel vertex partitioning (coarsen / initial partition / refine), standing in for ParMETIS",
 		Params: []methods.ParamSpec{
 			{Name: "coarsest_size", Kind: methods.Int, Default: 0, Doc: "stop coarsening at this many vertices (0 = 32·parts)", Min: 0, Max: 1 << 30, HasBounds: true},
-			{Name: "refine_passes", Kind: methods.Int, Default: 0, Doc: "refinement passes per level (0 = 4)", Min: 0, Max: 1 << 20, HasBounds: true},
+			{Name: "refine_passes", Kind: methods.Int, Default: 4, Doc: "refinement passes per level", Min: 0, Max: 1 << 20, HasBounds: true},
 		},
-		Factory: func() partition.Partitioner { return metisPartitioner{} },
+		Factory: func() partition.Partitioner {
+			return partition.Method{ID: "metis", Label: "ParMETIS", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, st *partition.Stats) (*partition.Partitioning, error) {
+				m := &METIS{CoarsestSize: spec.Int("coarsest_size"), RefinePasses: spec.Int("refine_passes"), Seed: spec.Seed}
+				p, err := m.PartitionCtx(ctx, g, spec.NumParts)
+				st.PeakMemBytes = m.MemBytes()
+				return p, err
+			}}
+		},
 	})
 }

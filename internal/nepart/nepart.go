@@ -16,7 +16,7 @@ import (
 
 // NE is the sequential neighbor-expansion partitioner.
 type NE struct {
-	// Alpha is the imbalance factor (default 1.1).
+	// Alpha is the imbalance factor α ≥ 1.
 	Alpha float64
 	Seed  int64
 }
@@ -27,16 +27,12 @@ type NE struct {
 // the partition's vertex set (Condition (5)). It polls ctx every
 // partition.CheckEvery allocated edges.
 func (ne NE) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
-	alpha := ne.Alpha
-	if alpha == 0 {
-		alpha = 1.1
-	}
-	if alpha < 1 {
+	if ne.Alpha < 1 {
 		return nil, errors.New("nepart: alpha must be >= 1")
 	}
 	totalE := g.NumEdges()
 	p := partition.New(numParts, totalE)
-	capEdges := int64(alpha * float64(totalE) / float64(numParts))
+	capEdges := int64(ne.Alpha * float64(totalE) / float64(numParts))
 	if capEdges < 1 {
 		capEdges = 1
 	}

@@ -35,11 +35,11 @@ func TestNEBeatsHDRFOnSkewedGraph(t *testing.T) {
 	// Table 4's quality ordering: offline NE < streaming HDRF in RF.
 	g := gen.RMAT(11, 16, 9)
 	const p = 16
-	ne, err := NE{Seed: 2}.PartitionCtx(context.Background(), g, p)
+	ne, err := NE{Alpha: 1.1, Seed: 2}.PartitionCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdrf := shuffledRun(t, streampart.HDRF{}.Stream, g, p, 2)
+	hdrf := shuffledRun(t, streampart.HDRF{Lambda: 1}.Stream, g, p, 2)
 	neRF := ne.Measure(g).ReplicationFactor
 	hdrfRF := hdrf.Measure(g).ReplicationFactor
 	if neRF >= hdrfRF {
@@ -56,7 +56,7 @@ func TestNEWithinTheorem1StyleBound(t *testing.T) {
 		"road": {gen.Road(20, 20, 1)},
 		"star": {gen.Star(1 << 8)},
 	} {
-		pt, err := NE{Seed: 1}.PartitionCtx(context.Background(), g.g, 8)
+		pt, err := NE{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g.g, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +70,8 @@ func TestNEWithinTheorem1StyleBound(t *testing.T) {
 
 func TestNEDeterministic(t *testing.T) {
 	g := gen.RMAT(9, 8, 3)
-	a, _ := NE{Seed: 7}.PartitionCtx(context.Background(), g, 8)
-	b, _ := NE{Seed: 7}.PartitionCtx(context.Background(), g, 8)
+	a, _ := NE{Alpha: 1.1, Seed: 7}.PartitionCtx(context.Background(), g, 8)
+	b, _ := NE{Alpha: 1.1, Seed: 7}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("owners differ at %d", i)

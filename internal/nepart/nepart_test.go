@@ -27,7 +27,7 @@ func shuffledRun(t *testing.T, core func(context.Context, graph.Source, int, *pa
 func TestValidComplete(t *testing.T) {
 	g := testGraph()
 	for _, parts := range []int{1, 2, 8, 64} {
-		pt, err := NE{Seed: 1}.PartitionCtx(context.Background(), g, parts)
+		pt, err := NE{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, parts)
 		if err != nil {
 			t.Fatalf("P=%d: %v", parts, err)
 		}
@@ -41,7 +41,7 @@ func TestBestInClassQuality(t *testing.T) {
 	// NE is the paper's quality gold standard (Table 4): it should clearly
 	// beat hash-based and greedy streaming methods.
 	g := testGraph()
-	pt, err := NE{Seed: 1}.PartitionCtx(context.Background(), g, 16)
+	pt, err := NE{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestAlphaValidation(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := testGraph()
-	a, _ := NE{Seed: 9}.PartitionCtx(context.Background(), g, 8)
-	b, _ := NE{Seed: 9}.PartitionCtx(context.Background(), g, 8)
+	a, _ := NE{Alpha: 1.1, Seed: 9}.PartitionCtx(context.Background(), g, 8)
+	b, _ := NE{Alpha: 1.1, Seed: 9}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatal("NE not deterministic for fixed seed")
@@ -94,7 +94,7 @@ func TestDisconnectedGraph(t *testing.T) {
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5},
 	})
-	pt, err := NE{Seed: 2}.PartitionCtx(context.Background(), g, 2)
+	pt, err := NE{Alpha: 1.1, Seed: 2}.PartitionCtx(context.Background(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ func init() {
 			{Name: "alpha", Kind: methods.Float, Default: 1.1, Doc: "imbalance factor α ≥ 1", Min: 1, Max: 16, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.Method{Label: "NE", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Partitioning, error) {
-				return NE{Alpha: spec.Float("alpha", 1.1), Seed: spec.Seed}.PartitionCtx(ctx, g, spec.NumParts)
+			return partition.Method{ID: "ne", Label: "NE", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, _ *partition.Stats) (*partition.Partitioning, error) {
+				return NE{Alpha: spec.Float("alpha"), Seed: spec.Seed}.PartitionCtx(ctx, g, spec.NumParts)
 			}}
 		},
 	})

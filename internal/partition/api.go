@@ -1,16 +1,16 @@
 // Partitioner API v2: every edge-partitioning algorithm is invoked through
 // Partition(ctx, g, spec) and returns a Result bundling the assignment with
 // a quality snapshot and per-run execution statistics. Specs carry the
-// partition count plus per-method parameters; parameter names, types and
-// defaults are declared by each method's registry descriptor
-// (internal/methods), which validates and defaults a Spec before it reaches
-// the partitioner.
+// partition count plus per-method parameters. A parameter's name, type,
+// bounds and default are declared once, in the method's registry descriptor
+// (internal/methods), which validates a Spec and fills every declared
+// parameter before it reaches the partitioner; the partitioners read the
+// resolved values and never substitute a default of their own.
 package partition
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/distributedne/dne/internal/graph"
@@ -26,8 +26,8 @@ type Spec struct {
 	Params   map[string]any
 }
 
-// NewSpec returns a Spec with no method parameters set; methods fall back
-// to their declared defaults.
+// NewSpec returns a Spec with no method parameters set; resolving it
+// against a descriptor sets every declared parameter to its default.
 func NewSpec(numParts int, seed int64) Spec {
 	return Spec{NumParts: numParts, Seed: seed}
 }
@@ -40,45 +40,25 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Float reads a float64 parameter, coercing integer values; def is returned
-// when the parameter is unset.
-func (s Spec) Float(name string, def float64) float64 {
-	switch v := s.Params[name].(type) {
-	case float64:
-		return v
-	case float32:
-		return float64(v)
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	}
-	return def
-}
+// Float reads a float parameter of a spec resolved by the method registry
+// (methods.ResolveSpec), which sets every declared parameter to its
+// declared type. It panics when the parameter is unset or of another type:
+// a spec that did not pass through the registry is a programmer error, and
+// no default is written outside the method's descriptor.
+func (s Spec) Float(name string) float64 { return param[float64](s, name) }
 
-// Int reads an integer parameter, accepting exact float64 values (JSON
-// numbers); def is returned when the parameter is unset.
-func (s Spec) Int(name string, def int) int {
-	switch v := s.Params[name].(type) {
-	case int:
-		return v
-	case int64:
-		return int(v)
-	case float64:
-		if v == math.Trunc(v) {
-			return int(v)
-		}
-	}
-	return def
-}
+// Int reads an int parameter of a resolved spec; see Float.
+func (s Spec) Int(name string) int { return param[int](s, name) }
 
-// Bool reads a boolean parameter; def is returned when the parameter is
-// unset.
-func (s Spec) Bool(name string, def bool) bool {
-	if v, ok := s.Params[name].(bool); ok {
-		return v
+// Bool reads a bool parameter of a resolved spec; see Float.
+func (s Spec) Bool(name string) bool { return param[bool](s, name) }
+
+func param[T any](s Spec, name string) T {
+	v, ok := s.Params[name].(T)
+	if !ok {
+		panic(fmt.Sprintf("partition: param %q is %T, want %T: resolve the spec against the method's descriptor first", name, s.Params[name], v))
 	}
-	return def
+	return v
 }
 
 // PhaseTiming is one named phase of a run with its wall-clock duration.
@@ -91,7 +71,8 @@ type PhaseTiming struct {
 // method does not track stay zero; method-specific extras (CAS conflicts,
 // staleness rates, simulated network time) go in Extra.
 type Stats struct {
-	// Method is the canonical name of the partitioner that produced the run.
+	// Method is the canonical registry name of the partitioner that
+	// produced the run ("hdrf", "dne"), never its display label.
 	Method string
 	// NumParts echoes the spec.
 	NumParts int
@@ -157,29 +138,25 @@ type Partitioner interface {
 	Partition(ctx context.Context, g *graph.Graph, spec Spec) (*Result, error)
 }
 
-// CoreFunc is the ctx-aware heart of a simple (single-process) partitioner:
-// it computes the assignment and leaves quality measurement and timing to
-// the Run wrapper.
-type CoreFunc func(ctx context.Context, g *graph.Graph, spec Spec) (*Partitioning, error)
+// CoreFunc is the ctx-aware heart of a graph partitioner: it computes the
+// assignment and adds whatever native statistics the method tracks (peak
+// memory, iterations, traffic, extras) to st; Method.Partition supplies
+// validation, timing and the quality snapshot.
+type CoreFunc func(ctx context.Context, g *graph.Graph, spec Spec, st *Stats) (*Partitioning, error)
 
-// Method adapts a CoreFunc into a Partitioner: Run supplies spec
-// validation, phase timing and the quality snapshot. Single-process
-// partitioners register themselves as a Method; only methods with richer
-// native statistics (DNE, DistLP, ParMETIS) implement the interface
-// directly.
+// Method adapts a CoreFunc into a Partitioner. Every registered method that
+// needs the materialized graph is a Method; the ones that can consume an
+// edge stream are a StreamMethod.
 type Method struct {
-	// Label is the display name used in experiment tables and Stats.Method.
+	// ID is the canonical registry name, recorded in Stats.Method.
+	ID string
+	// Label is the display name used in experiment tables.
 	Label string
 	Core  CoreFunc
 }
 
 // Name implements Partitioner.
 func (m Method) Name() string { return m.Label }
-
-// Partition implements Partitioner.
-func (m Method) Partition(ctx context.Context, g *graph.Graph, spec Spec) (*Result, error) {
-	return Run(ctx, m.Label, g, spec, m.Core)
-}
 
 // CheckEvery is the granularity, in processed edges, at which streaming
 // loops poll for context cancellation.
@@ -189,38 +166,30 @@ const CheckEvery = 4096
 // epilogue; harnesses subtract it to recover pure partitioning time.
 const PhaseMeasure = "measure"
 
-// Run executes a simple partitioner core under the v2 contract: it
-// validates the spec, times the core and the quality measurement as
-// separate phases, and assembles the Result.
-func Run(ctx context.Context, name string, g *graph.Graph, spec Spec, core CoreFunc) (*Result, error) {
+// Partition implements Partitioner: it validates the spec, times the core
+// and the quality measurement as separate phases, and assembles the Result.
+func (m Method) Partition(ctx context.Context, g *graph.Graph, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	res := &Result{}
+	res.Stats.Method = m.ID
+	res.Stats.NumParts = spec.NumParts
 	start := time.Now()
-	p, err := core(ctx, g, spec)
-	coreElapsed := time.Since(start)
+	p, err := m.Core(ctx, g, spec, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Partitioning: p}
-	res.Stats.Method = name
-	res.Stats.NumParts = spec.NumParts
-	res.Stats.AddPhase("partition", coreElapsed)
-	res.Finish(g, start)
-	return res, nil
-}
-
-// Finish computes the quality snapshot as a timed "measure" phase and
-// closes out Wall relative to start. Adapters that assemble Stats by hand
-// (DNE, DistLP, ParMETIS) share this epilogue with Run.
-func (r *Result) Finish(g *graph.Graph, start time.Time) {
+	res.Partitioning = p
+	res.Stats.AddPhase("partition", time.Since(start))
 	mStart := time.Now()
-	r.Quality = r.Partitioning.Measure(g)
-	r.Stats.AddPhase(PhaseMeasure, time.Since(mStart))
-	r.Stats.Wall = time.Since(start)
+	res.Quality = p.Measure(g)
+	res.Stats.AddPhase(PhaseMeasure, time.Since(mStart))
+	res.Stats.Wall = time.Since(start)
+	return res, nil
 }
 
 // PartitionTime is Wall minus the measurement epilogue: the time the

@@ -47,7 +47,9 @@ type StreamCore func(ctx context.Context, src graph.Source, spec Spec, st *Stats
 // as a StreamMethod, and their graph entry point routes through
 // graph.SourceOf so the two paths cannot drift apart.
 type StreamMethod struct {
-	// Label is the display name used in experiment tables and Stats.Method.
+	// ID is the canonical registry name, recorded in Stats.Method.
+	ID string
+	// Label is the display name used in experiment tables.
 	Label string
 	Core  StreamCore
 	// Shuffle runs the core over graph.Shuffled(src, spec.Seed): set by the
@@ -99,7 +101,7 @@ func (m StreamMethod) PartitionStream(ctx context.Context, src graph.Source, spe
 		eff = graph.Shuffled(eff, spec.Seed)
 	}
 	res := &Result{}
-	res.Stats.Method = m.Label
+	res.Stats.Method = m.ID
 	res.Stats.NumParts = spec.NumParts
 	start := time.Now()
 	p, err := m.Core(ctx, eff, spec, &res.Stats)

@@ -16,8 +16,8 @@ func init() {
 			{Name: "alpha", Kind: methods.Float, Default: 1.1, Doc: "imbalance factor of the tree-partitioning phase", Min: 1, Max: 16, HasBounds: true},
 		},
 		Factory: func() partition.Partitioner {
-			return partition.Method{Label: "Sheep", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec) (*partition.Partitioning, error) {
-				return Sheep{Alpha: spec.Float("alpha", 1.1), Seed: spec.Seed}.PartitionCtx(ctx, g, spec.NumParts)
+			return partition.Method{ID: "sheep", Label: "Sheep", Core: func(ctx context.Context, g *graph.Graph, spec partition.Spec, _ *partition.Stats) (*partition.Partitioning, error) {
+				return Sheep{Alpha: spec.Float("alpha"), Seed: spec.Seed}.PartitionCtx(ctx, g, spec.NumParts)
 			}}
 		},
 	})

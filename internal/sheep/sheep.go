@@ -24,8 +24,7 @@ import (
 
 // Sheep is the elimination-tree partitioner.
 type Sheep struct {
-	// Alpha is the imbalance factor for the tree-partitioning phase
-	// (default 1.1).
+	// Alpha is the imbalance factor α ≥ 1 of the tree-partitioning phase.
 	Alpha float64
 	Seed  int64
 }
@@ -35,10 +34,6 @@ type Sheep struct {
 func (s Sheep) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (*partition.Partitioning, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	alpha := s.Alpha
-	if alpha == 0 {
-		alpha = 1.1
 	}
 	n := int(g.NumVertices())
 	totalE := g.NumEdges()
@@ -121,7 +116,7 @@ func (s Sheep) PartitionCtx(ctx context.Context, g *graph.Graph, numParts int) (
 	// Subtrees are closed once they reach a grain of the target size and
 	// bin-packed onto the currently lightest partition, keeping every
 	// partition a union of a few connected tree pieces.
-	capW := int64(alpha * float64(totalE) / float64(numParts))
+	capW := int64(s.Alpha * float64(totalE) / float64(numParts))
 	if capW < 1 {
 		capW = 1
 	}

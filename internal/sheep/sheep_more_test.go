@@ -18,7 +18,7 @@ func TestSheepOnTreeIsNearIdeal(t *testing.T) {
 		edges = append(edges, graph.Edge{U: (v - 1) / 2, V: v})
 	}
 	g := graph.FromEdges(n, edges)
-	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 8)
+	pt, err := Sheep{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSheepPathGraph(t *testing.T) {
 		edges = append(edges, graph.Edge{U: v, V: v + 1})
 	}
 	g := graph.FromEdges(1000, edges)
-	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 4)
+	pt, err := Sheep{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestSheepBalanceCap(t *testing.T) {
 
 func TestSheepDeterministic(t *testing.T) {
 	g := gen.RMAT(9, 8, 5)
-	a, _ := Sheep{Seed: 9}.PartitionCtx(context.Background(), g, 8)
-	b, _ := Sheep{Seed: 9}.PartitionCtx(context.Background(), g, 8)
+	a, _ := Sheep{Alpha: 1.1, Seed: 9}.PartitionCtx(context.Background(), g, 8)
+	b, _ := Sheep{Alpha: 1.1, Seed: 9}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("owners differ at %d", i)

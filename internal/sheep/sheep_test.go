@@ -24,7 +24,7 @@ func randomRF(t *testing.T, g *graph.Graph, parts int) float64 {
 func TestValidOnSkewedGraph(t *testing.T) {
 	g := gen.RMAT(11, 8, 4)
 	for _, parts := range []int{2, 8, 64} {
-		pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, parts)
+		pt, err := Sheep{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, parts)
 		if err != nil {
 			t.Fatalf("P=%d: %v", parts, err)
 		}
@@ -39,7 +39,7 @@ func TestRoadNetworkQuality(t *testing.T) {
 	// (RF 1.03) where hash methods are ~3.5. Our reproduction stays
 	// well under 1.6 at 64 partitions.
 	g := gen.Road(120, 120, 5)
-	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, 64)
+	pt, err := Sheep{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRoadNetworkQuality(t *testing.T) {
 func TestBalance(t *testing.T) {
 	g := gen.RMAT(11, 8, 7)
 	const parts = 8
-	pt, err := Sheep{Seed: 1}.PartitionCtx(context.Background(), g, parts)
+	pt, err := Sheep{Alpha: 1.1, Seed: 1}.PartitionCtx(context.Background(), g, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBalance(t *testing.T) {
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	tiny := graph.FromEdges(0, []graph.Edge{{U: 0, V: 1}})
-	pt, err := Sheep{}.PartitionCtx(context.Background(), tiny, 4)
+	pt, err := Sheep{Alpha: 1.1}.PartitionCtx(context.Background(), tiny, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +78,8 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := gen.RMAT(10, 4, 2)
-	a, _ := Sheep{Seed: 3}.PartitionCtx(context.Background(), g, 8)
-	b, _ := Sheep{Seed: 3}.PartitionCtx(context.Background(), g, 8)
+	a, _ := Sheep{Alpha: 1.1, Seed: 3}.PartitionCtx(context.Background(), g, 8)
+	b, _ := Sheep{Alpha: 1.1, Seed: 3}.PartitionCtx(context.Background(), g, 8)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatal("Sheep not deterministic")

@@ -55,8 +55,11 @@ func (s *shard) neighborsOf(l uint32) []graph.Vertex { return s.tgt[s.off[l]:s.o
 // immutable after BuildFromShards and safe for concurrent use.
 type Store struct {
 	numVertices uint32
-	numEdges    int64
-	shards      []*shard
+	// covered counts the vertices with at least one replica, counted once
+	// where the replica index is built.
+	covered  uint32
+	numEdges int64
+	shards   []*shard
 
 	// replicas is the replica index: the shards holding v, sorted by shard
 	// id, and v's slot in each.
@@ -93,8 +96,8 @@ func BuildPartitioning(g *graph.Graph, p *partition.Partitioning) (*Store, error
 }
 
 // buildRouting derives the replica index from the filled shards' vertex
-// lists and refuses an edge that two shards hold. mark is a zeroed
-// per-vertex scratch.
+// lists, counts the covered vertices, and refuses an edge that two shards
+// hold. mark is a zeroed per-vertex scratch.
 func (st *Store) buildRouting(mark []uint32) error {
 	verts := make([][]graph.Vertex, len(st.shards))
 	for s, sh := range st.shards {
@@ -102,7 +105,11 @@ func (st *Store) buildRouting(mark []uint32) error {
 	}
 	st.replicas = partition.NewReplicaIndex(st.numVertices, verts)
 	for v := uint32(0); v < st.numVertices; v++ {
-		if reps, slots := st.replicas.Of(v); len(reps) > 1 {
+		reps, slots := st.replicas.Of(v)
+		if len(reps) > 0 {
+			st.covered++
+		}
+		if len(reps) > 1 {
 			if err := st.checkDisjoint(v, reps, slots, mark); err != nil {
 				return err
 			}
@@ -144,6 +151,11 @@ func (st *Store) serve() *Store {
 
 // NumVertices returns |V| of the graph the store was built from.
 func (st *Store) NumVertices() uint32 { return st.numVertices }
+
+// CoveredVertices returns the number of vertices with at least one
+// replica: those an edge touches, where NumVertices also counts isolated
+// ids.
+func (st *Store) CoveredVertices() uint32 { return st.covered }
 
 // NumEdges returns the total owned edge count across shards (== |E|).
 func (st *Store) NumEdges() int64 { return st.numEdges }

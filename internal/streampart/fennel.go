@@ -18,11 +18,11 @@ import (
 // concretely the interpolated objective of Bourse et al.: the replication
 // gain of reusing partitions that already host an endpoint, minus the
 // marginal balance cost c(size_q+1) − c(size_q) of the convex load cost
-// c(x) = ν·x^γ. Gamma defaults to the FENNEL paper's 1.5 and ν is chosen so
-// the cost gradient is O(1) at the balanced load |E|/|P|. The core is a
-// true single pass over the source with |V|-dense replica state.
+// c(x) = ν·x^γ. The registry declares the FENNEL paper's γ = 1.5, and ν is
+// chosen so the cost gradient is O(1) at the balanced load |E|/|P|. The core
+// is a true single pass over the source with |V|-dense replica state.
 type Fennel struct {
-	// Gamma is the load-cost exponent γ > 1 (default 1.5).
+	// Gamma is the load-cost exponent γ > 1.
 	Gamma float64
 }
 
@@ -30,9 +30,6 @@ type Fennel struct {
 // edges.
 func (f Fennel) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	gamma := f.Gamma
-	if gamma == 0 {
-		gamma = 1.5
-	}
 	nv, ne, err := partition.Counts(ctx, src)
 	if err != nil {
 		return nil, err

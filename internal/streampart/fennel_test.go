@@ -10,7 +10,7 @@ import (
 func TestFennelProducesValidPartitioning(t *testing.T) {
 	g := gen.RMAT(10, 8, 3)
 	for _, p := range []int{2, 8, 33} {
-		shuffledRun(t, Fennel{}.Stream, g, p, 1)
+		shuffledRun(t, Fennel{Gamma: 1.5}.Stream, g, p, 1)
 	}
 }
 
@@ -19,7 +19,7 @@ func TestFennelBeatsRandomOnSkewedGraph(t *testing.T) {
 	// streaming; on a skewed graph its RF must be clearly below Random's.
 	g := gen.RMAT(12, 16, 5)
 	const p = 16
-	fq := shuffledRun(t, Fennel{}.Stream, g, p, 2).Measure(g)
+	fq := shuffledRun(t, Fennel{Gamma: 1.5}.Stream, g, p, 2).Measure(g)
 	rq := shuffledRun(t, hashpart.Random{Seed: 2}.Stream, g, p, 2).Measure(g)
 	if fq.ReplicationFactor >= rq.ReplicationFactor*0.9 {
 		t.Errorf("FENNEL RF %.3f not clearly below Random RF %.3f",
@@ -31,7 +31,7 @@ func TestFennelBalanceStaysBounded(t *testing.T) {
 	// The convex load cost must keep edge balance within a small factor even
 	// though FENNEL has no hard cap.
 	g := gen.RMAT(11, 16, 7)
-	q := shuffledRun(t, Fennel{}.Stream, g, 32, 3).Measure(g)
+	q := shuffledRun(t, Fennel{Gamma: 1.5}.Stream, g, 32, 3).Measure(g)
 	if q.EdgeBalance > 1.6 {
 		t.Errorf("edge balance %.3f too loose", q.EdgeBalance)
 	}
@@ -50,8 +50,8 @@ func TestFennelGammaExtremes(t *testing.T) {
 
 func TestFennelDeterministicForSeed(t *testing.T) {
 	g := gen.RMAT(9, 8, 1)
-	a := shuffledRun(t, Fennel{}.Stream, g, 8, 42)
-	b := shuffledRun(t, Fennel{}.Stream, g, 8, 42)
+	a := shuffledRun(t, Fennel{Gamma: 1.5}.Stream, g, 8, 42)
+	b := shuffledRun(t, Fennel{Gamma: 1.5}.Stream, g, 8, 42)
 	for i := range a.Owner {
 		if a.Owner[i] != b.Owner[i] {
 			t.Fatalf("edge %d: %d != %d", i, a.Owner[i], b.Owner[i])

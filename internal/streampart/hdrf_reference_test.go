@@ -17,9 +17,6 @@ import (
 // maxSize/minSize rescanned after each assignment. It is the oracle the
 // level/class argmax of HDRF.Stream must reproduce owner for owner.
 func referenceHDRF(ctx context.Context, src graph.Source, numParts int, lambda float64) (*partition.Partitioning, error) {
-	if lambda == 0 {
-		lambda = 1.0
-	}
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
 	if err != nil {
 		return nil, err
@@ -75,7 +72,8 @@ func referenceHDRF(ctx context.Context, src graph.Source, numParts int, lambda f
 // TestHDRFMatchesReference runs HDRF.Stream and the per-q oracle over the
 // same shuffled streams and requires identical owners: λ from the registered
 // range's top down to values so small that C_bal vanishes against C_rep
-// (every level then ties and the argmax must walk), and partition counts
+// (every level then ties and the argmax must walk) and to 0, where it is
+// absent, and partition counts
 // spanning one, two and three mask words. The time bound on HDRF.Stream's
 // own runs (about 0.3 s, 1.7 s under -race) keeps the tie walk honest: it
 // must stay O(P) per edge, not grow with the number of levels walked.
@@ -88,7 +86,7 @@ func TestHDRFMatchesReference(t *testing.T) {
 		{"rmat", gen.RMAT(10, 8, 3)},
 		{"er", gen.ER(1500, 9000, 5)},
 	}
-	lambdas := []float64{1, 0.5, 3.7, 1024, 1e-12, 1e-300}
+	lambdas := []float64{1, 0.5, 3.7, 1024, 1e-12, 1e-300, 0}
 	parts := []int{1, 2, 3, 16, 63, 64, 65, 130}
 	ctx := context.Background()
 	for gi, gc := range graphs {

@@ -46,7 +46,8 @@ import (
 // Only for a finite, non-negative λ does the order of the levels give the
 // order of C_bal, so Stream rejects any other λ.
 type HDRF struct {
-	// Lambda is the balance weight λ (default 1.0), finite and ≥ 0.
+	// Lambda is the balance weight λ, finite and ≥ 0; at 0 C_bal vanishes
+	// and only replication decides.
 	Lambda float64
 }
 
@@ -55,9 +56,6 @@ type HDRF struct {
 // bounded by |V| and |P|. It polls ctx every partition.CheckEvery edges.
 func (h HDRF) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
 	lambda := h.Lambda
-	if lambda == 0 {
-		lambda = 1.0
-	}
 	if !(lambda >= 0) || math.IsInf(lambda, 1) {
 		return nil, fmt.Errorf("hdrf: lambda must be finite and non-negative, got %g", lambda)
 	}
@@ -95,20 +93,19 @@ func (h HDRF) Stream(ctx context.Context, src graph.Source, numParts int, st *pa
 // formulation of Zhang et al. §5 but replaces the in-window min-degree
 // expansion with closure sweeps; as a result its quality tracks HDRF rather
 // than clearly beating it as in the paper's Table 4 (see the Table 4 note in
-// README, "Benchmarks and experiments"). Window count defaults to the partition count; memory is
-// bounded by one window plus the |V|-dense state, not by |E|.
+// README, "Benchmarks and experiments"). Memory is bounded by one window
+// plus the |V|-dense state, not by |E|.
 type SNE struct {
-	Alpha   float64
+	// Alpha is the imbalance factor α ≥ 1 of the per-partition edge cap.
+	Alpha float64
+	// Windows is the stream window count; 0 means one window per
+	// partition.
 	Windows int
 }
 
 // Stream is the streaming core; it polls ctx every partition.CheckEvery
 // processed edges (closure sweeps included).
 func (s SNE) Stream(ctx context.Context, src graph.Source, numParts int, st *partition.Stats) (*partition.Partitioning, error) {
-	alpha := s.Alpha
-	if alpha == 0 {
-		alpha = 1.1
-	}
 	deg, nv, ne, err := partition.DegreesAndCounts(ctx, src)
 	if err != nil {
 		return nil, err
@@ -121,7 +118,7 @@ func (s SNE) Stream(ctx context.Context, src graph.Source, numParts int, st *par
 		windows = int(ne)
 	}
 	p := partition.New(numParts, ne)
-	capEdges := int64(alpha * float64(ne) / float64(numParts))
+	capEdges := int64(s.Alpha * float64(ne) / float64(numParts))
 	if capEdges < 1 {
 		capEdges = 1
 	}

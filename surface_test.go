@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/distributedne/dne/internal/lint"
@@ -40,7 +41,11 @@ var surfaceAllowlist = map[string]string{
 // A stale allowlist entry (the name is gone, or it has gained a caller)
 // fails too.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
-	uncalled, declared, err := uncalledSurface(".")
+	m, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncalled, declared, err := uncalledSurface(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +67,11 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 // TestUncalledExportsFixture checks the scanner on a planted module; see the
 // comments in testdata/surface/internal/a for what each name stands for.
 func TestUncalledExportsFixture(t *testing.T) {
-	uncalled, declared, err := uncalledSurface(filepath.Join("testdata", "surface"))
+	m, err := loadModule(filepath.Join("testdata", "surface"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncalled, declared, err := uncalledSurface(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +95,64 @@ func TestUncalledExportsFixture(t *testing.T) {
 	}
 }
 
-// uncalledSurface type-checks every non-test package of the module at root
-// (benchmarks/e2e included: the loader maps its imports onto the tree; the
-// packages under root/examples left out) and returns, sorted, the names
-// declared under root/internal that no non-test code calls, together with
-// the set of all such names. The names are
+// TestTreeIsClean runs the full dnelint suite over this repository — the
+// same invariant CI enforces via cmd/dnelint: zero findings.
+func TestTreeIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-tree sweep skipped in -short")
+	}
+	m, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range m.pkgs {
+		diags, err := lint.RunAnalyzers(pkg, lint.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: %s: %s", m.loader.Fset.Position(d.Pos), d.Analyzer, d.Message)
+		}
+	}
+}
+
+// loadedModule is every non-test package of one module (benchmarks/e2e
+// included: the loader maps its imports onto the tree), type-checked by one
+// loader.
+type loadedModule struct {
+	root   string
+	loader *lint.Loader
+	pkgs   []*lint.Package
+}
+
+func loadModule(root string) (*loadedModule, error) {
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := loader.ExpandPatterns(root, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	m := &loadedModule{root: root, loader: loader}
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		m.pkgs = append(m.pkgs, pkg)
+	}
+	return m, nil
+}
+
+// thisModule is this repository, loaded once per test binary: the two
+// whole-tree checks, TestTreeIsClean and TestExportedFunctionsHaveCallers,
+// share one type-check of the module.
+var thisModule = sync.OnceValues(func() (*loadedModule, error) { return loadModule(".") })
+
+// uncalledSurface returns, sorted, the names declared under m's internal/
+// that no non-test code of m calls (the packages under examples/ left out),
+// together with the set of all such names. The names are
 // exported functions ("pkg.Func"), exported methods of named types and all
 // methods of named interfaces ("pkg.Type.Method"). A reference of a function
 // to itself is not a call, and a method's reference to a method of the same
@@ -99,34 +161,20 @@ func TestUncalledExportsFixture(t *testing.T) {
 // or method expression), or when a type whose method set holds it satisfies
 // an interface declared outside the module that has the method, or a module
 // interface whose method of that name is called.
-func uncalledSurface(root string) (uncalled []string, declared map[string]bool, err error) {
-	loader, err := lint.NewLoader(root)
+func uncalledSurface(m *loadedModule) (uncalled []string, declared map[string]bool, err error) {
+	internalDir, err := filepath.Abs(filepath.Join(m.root, "internal"))
 	if err != nil {
 		return nil, nil, err
 	}
-	dirs, err := loader.ExpandPatterns(root, []string{"./..."})
-	if err != nil {
-		return nil, nil, err
-	}
-	internalDir, err := filepath.Abs(filepath.Join(root, "internal"))
-	if err != nil {
-		return nil, nil, err
-	}
-	examplesDir, err := filepath.Abs(filepath.Join(root, "examples"))
+	examplesDir, err := filepath.Abs(filepath.Join(m.root, "examples"))
 	if err != nil {
 		return nil, nil, err
 	}
 	var pkgs []*lint.Package
 	module := map[*types.Package]bool{}
-	for _, dir := range dirs {
-		if abs, err := filepath.Abs(dir); err != nil {
-			return nil, nil, err
-		} else if under(abs, examplesDir) {
+	for _, pkg := range m.pkgs {
+		if under(pkg.Dir, examplesDir) {
 			continue
-		}
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			return nil, nil, err
 		}
 		pkgs = append(pkgs, pkg)
 		module[pkg.Types] = true
